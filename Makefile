@@ -8,7 +8,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 	test-elastic test-service test-mutation test-durability \
 	bench-smoke bench-index bench-sharding bench-skew bench-net \
 	bench-chaos bench-elastic bench-service bench-mutation \
-	bench-durability docs-check lint-imports
+	bench-durability bench-e2e bench-e2e-smoke docs-check lint-imports
 
 ## Tier-1 verification: the whole test suite, stop on first failure.
 ## Honours REPRO_INDEX_BACKEND (merge/bitset/adaptive).
@@ -158,6 +158,17 @@ bench-mutation:
 ## catch-up wall-clock recorded, not gated).
 bench-durability:
 	$(PYTHON) benchmarks/bench_durability.py
+
+## The end-to-end benchmark (BENCHMARK.json): five workloads, seven
+## bounded metrics each, ~2 min; add `--trace 1` by hand for the
+## per-layer breakdown, `--out FILE` + tools/bench_trajectory.py to
+## append a row to BENCH_trajectory.jsonl.  See benchmarks/e2e/README.md.
+bench-e2e:
+	$(PYTHON) benchmarks/e2e/run.py
+
+## The same five workloads at tiny scale (~10 s): a does-it-run gate.
+bench-e2e-smoke:
+	$(PYTHON) benchmarks/e2e/run.py --smoke
 
 ## Documentation checks: the WIRE_FORMAT.md doctests (the byte-level
 ## spec is executable), the §2.1 message-kind table cross-check

@@ -18,6 +18,7 @@ from .candidates import (
     generate_candidate_set,
     generate_candidates,
     vertex_step_map,
+    vertex_step_masks,
     vertex_step_tuples,
 )
 from .counters import WORK_UNIT_MODELS, MatchCounters
@@ -38,7 +39,11 @@ from .expansion import (
 )
 from .ordering import compute_matching_order, is_connected_order
 from .plan import AnchorRequirement, ExecutionPlan, StepPlan, build_execution_plan
-from .validation import certify_embedding, is_valid_expansion
+from .validation import (
+    certify_embedding,
+    is_valid_expansion,
+    validate_candidates,
+)
 
 __all__ = [
     "HGMatch",
@@ -59,9 +64,11 @@ __all__ = [
     "AnchorUnionMemo",
     "WORK_UNIT_MODELS",
     "vertex_step_map",
+    "vertex_step_masks",
     "vertex_step_tuples",
     "VertexStepState",
     "is_valid_expansion",
+    "validate_candidates",
     "certify_embedding",
     "iter_vertex_mappings",
     "count_vertex_mappings",

@@ -84,18 +84,26 @@ def vertex_step_map(
 def vertex_step_tuples(
     data: Hypergraph, matched_edges: Sequence[int]
 ) -> Dict[int, Tuple[int, ...]]:
-    """``vertex_step_map`` with ascending step *tuples* as values.
-
-    The validation fast path compares per-vertex sorted step tuples
-    (Theorem V.2's profile keys); building them here in step order makes
-    every tuple sorted by construction, so validation never re-sorts.
-    """
+    """``vertex_step_map`` with ascending step *tuples* as values."""
     steps: Dict[int, Tuple[int, ...]] = {}
     for step, edge_id in enumerate(matched_edges):
         for vertex in data.edge(edge_id):
-            incident = steps.get(vertex)
-            steps[vertex] = (step,) if incident is None else incident + (step,)
+            steps[vertex] = steps.get(vertex, ()) + (step,)
     return steps
+
+
+def vertex_step_masks(
+    data: Hypergraph, matched_edges: Sequence[int]
+) -> Dict[int, int]:
+    """``vertex_step_map`` with step *bitmasks* as values (bit ``s`` set
+    iff the vertex occurs in step ``s``) — what validation's kernel
+    (:func:`repro.core.validation.validate_candidates`) reads."""
+    masks: Dict[int, int] = {}
+    for step, edge_id in enumerate(matched_edges):
+        bit = 1 << step
+        for vertex in data.edge(edge_id):
+            masks[vertex] = masks.get(vertex, 0) | bit
+    return masks
 
 
 class VertexStepState:
@@ -110,21 +118,13 @@ class VertexStepState:
     or parent/child almost always, so the usual delta is one pop plus
     one push — O(arity) instead of the O(total arity) full rebuild.
 
-    Alongside the step *sets* the state maintains the per-vertex sorted
-    step *tuples* (:attr:`step_tuples`): pushes always carry the next
-    step index, so appending keeps each tuple ascending and validation's
-    profile fast path gets its sorted tuples for free instead of calling
-    ``tuple(sorted(...))`` once per candidate vertex.
-
-    It also maintains the per-vertex step *bitmasks*
+    Alongside the step *sets* (Algorithm 4 reads their sizes as partial
+    degrees) the state maintains the per-vertex step *bitmasks*
     (:attr:`step_masks`, bit ``s`` set iff the vertex occurs in step
-    ``s``): the mask backends' validation fast path compares profiles
-    over these small ints (one ``|`` per vertex) instead of
-    concatenating tuples — the same algebra Algorithm 4 already runs on
-    its posting masks, applied to Algorithm 5.
+    ``s``) that Algorithm 5's kernel compares on every backend.
     """
 
-    __slots__ = ("_graph", "_matched", "_vmap", "_steps", "_masks")
+    __slots__ = ("_graph", "_matched", "_vmap", "_masks")
 
     def __init__(
         self, graph: Hypergraph, matched_edges: Sequence[int] = ()
@@ -132,7 +132,6 @@ class VertexStepState:
         self._graph = graph
         self._matched: List[int] = []
         self._vmap: Dict[int, Set[int]] = {}
-        self._steps: Dict[int, Tuple[int, ...]] = {}
         self._masks: Dict[int, int] = {}
         for edge_id in matched_edges:
             self.push(edge_id)
@@ -144,12 +143,13 @@ class VertexStepState:
 
     @property
     def step_tuples(self) -> Dict[int, Tuple[int, ...]]:
-        """Per-vertex ascending step tuples — read-only to callers."""
-        return self._steps
+        """Per-vertex ascending step tuples, derived on access (a
+        snapshot: nothing in the engine reads them any more)."""
+        return {v: tuple(sorted(steps)) for v, steps in self._vmap.items()}
 
     @property
     def step_masks(self) -> Dict[int, int]:
-        """Per-vertex step bitmasks — read-only to callers."""
+        """Per-vertex step bitmasks (live) — read-only to callers."""
         return self._masks
 
     @property
@@ -170,17 +170,14 @@ class VertexStepState:
         self._matched.append(edge_id)
         bit = 1 << step
         vmap = self._vmap
-        step_tuples = self._steps
         step_masks = self._masks
         for vertex in self._graph.edge(edge_id):
             steps = vmap.get(vertex)
             if steps is None:
                 vmap[vertex] = {step}
-                step_tuples[vertex] = (step,)
                 step_masks[vertex] = bit
             else:
                 steps.add(step)
-                step_tuples[vertex] += (step,)
                 step_masks[vertex] |= bit
 
     def pop(self) -> int:
@@ -189,18 +186,14 @@ class VertexStepState:
         step = len(self._matched)
         bit = 1 << step
         vmap = self._vmap
-        step_tuples = self._steps
         step_masks = self._masks
         for vertex in self._graph.edge(edge_id):
             steps = vmap[vertex]
             steps.discard(step)
             if not steps:
                 del vmap[vertex]
-                del step_tuples[vertex]
                 del step_masks[vertex]
             else:
-                # The popped step is always the tuple's last element.
-                step_tuples[vertex] = step_tuples[vertex][:-1]
                 step_masks[vertex] ^= bit
         return edge_id
 

@@ -25,17 +25,16 @@ from ..errors import QueryError, TimeoutExceeded
 from ..hypergraph import Hypergraph, PartitionedStore
 from .candidates import (
     AnchorUnionMemo,
-    MaskCandidates,
     VertexStepState,
     generate_candidate_set,
     vertex_step_map,
-    vertex_step_tuples,
+    vertex_step_masks,
 )
 from .counters import WORK_UNIT_MODELS, MatchCounters
 from .expansion import count_vertex_mappings, iter_vertex_mappings
 from .ordering import compute_matching_order, is_connected_order
 from .plan import ExecutionPlan, build_execution_plan
-from .validation import certify_embedding, is_valid_expansion
+from .validation import certify_embedding, validate_candidates
 
 EmbeddingSink = Callable[["Embedding"], None]
 
@@ -171,14 +170,9 @@ class HGMatch:
 
     @property
     def uses_mask_validation(self) -> bool:
-        """Whether enumeration validates profiles over step bitmasks.
-
-        The mask backends run Algorithm 5's profile comparison on
-        per-vertex step *bitmasks* (``StepPlan.profile_mask_key``), the
-        same algebra Algorithm 4 runs on posting masks; the merge
-        backend keeps the sorted-tuple path that mirrors the paper's
-        profile multisets directly.
-        """
+        """Whether the store is a mask backend.  Selects nothing any
+        more — every backend validates over step bitmasks — and stays
+        only because the frozen e2e trace reads it."""
         return self.index_backend in ("bitset", "adaptive")
 
     # ------------------------------------------------------------------
@@ -216,28 +210,42 @@ class HGMatch:
         matched_edges: Tuple[int, ...],
         counters: "MatchCounters | None" = None,
         vmap: "Dict[int, set] | None" = None,
-        step_tuples: "Dict[int, Tuple[int, ...]] | None" = None,
+        step_tuples=None,
         step_masks: "Dict[int, int] | None" = None,
     ) -> List[Tuple[int, ...]]:
         """Expand one partial embedding by the next hyperedge in the order.
 
         Returns the list of extended partial embeddings (possibly empty).
         ``matched_edges`` may be the empty tuple, in which case this is
-        the SCAN step emitting the whole signature partition.
+        the SCAN step emitting the whole signature partition.  Arguments
+        as for :meth:`accepted_edges`; ``step_tuples`` is accepted and
+        ignored (validation compares step bitmasks on every backend).
+        """
+        return [
+            matched_edges + (edge,)
+            for edge in self.accepted_edges(
+                plan, matched_edges, counters, vmap, step_masks
+            )
+        ]
 
-        ``vmap`` lets loop-style callers pass the incrementally
-        maintained ``vertex_step_map`` of ``matched_edges`` (see
-        :class:`repro.core.candidates.VertexStepState`); ``step_tuples``
-        likewise passes the state's precomputed per-vertex sorted step
-        tuples to validation, and ``step_masks`` its per-vertex step
-        bitmasks (the mask backends' validation fast path).  All are
-        read, not mutated.  Without them the maps are rebuilt from the
-        task tuple, so a bare task remains fully self-contained.
+    def accepted_edges(
+        self,
+        plan: ExecutionPlan,
+        matched_edges: Tuple[int, ...],
+        counters: "MatchCounters | None" = None,
+        vmap: "Dict[int, set] | None" = None,
+        step_masks: "Dict[int, int] | None" = None,
+    ) -> List[int]:
+        """The data hyperedges that validly extend ``matched_edges`` by
+        the next step: Algorithm 4's candidate set filtered by one
+        Algorithm 5 kernel call, in ascending edge-id order.
 
-        The expansion is mask-native: the candidate set stays in the
-        backend's own representation (bitmask / chunk map) and is
-        iterated bit by bit, so candidates that validation rejects are
-        never materialised into edge-id tuples.
+        Loop-style callers pass the incrementally maintained ``vmap``
+        and ``step_masks`` of ``matched_edges`` (see
+        :class:`repro.core.candidates.VertexStepState`); both are read,
+        not mutated.  Whatever is missing is rebuilt from the task tuple,
+        so a bare task remains fully self-contained.  The candidate set
+        stays in the backend's own representation and is iterated once.
         """
         step_plan = plan.steps[len(matched_edges)]
         partition = self.store.partition(step_plan.signature)
@@ -245,7 +253,8 @@ class HGMatch:
             return []
         if vmap is None:
             vmap = vertex_step_map(self.data, matched_edges)
-            step_tuples = vertex_step_tuples(self.data, matched_edges)
+        if step_masks is None:
+            step_masks = vertex_step_masks(self.data, matched_edges)
         candidates = generate_candidate_set(
             self.data, partition, step_plan, matched_edges, vmap, counters,
             memo=self._anchor_memo,
@@ -253,50 +262,57 @@ class HGMatch:
         final_step = step_plan.step == plan.num_steps - 1
         if counters is not None and final_step:
             counters.final_candidates += len(candidates)
-        partial_num_vertices = len(vmap)
-        data = self.data
-        extended: List[Tuple[int, ...]] = []
-        append = extended.append
-        if type(candidates) is MaskCandidates:
-            # Inline bit scan: cheaper than both the decoded tuple it
-            # replaces and a per-bit generator.
-            mask = candidates.mask
-            row_to_edge = candidates.row_to_edge
-            while mask:
-                low = mask & -mask
-                mask ^= low
-                candidate = row_to_edge[low.bit_length() - 1]
-                if is_valid_expansion(
-                    data,
-                    step_plan,
-                    vmap,
-                    partial_num_vertices,
-                    candidate,
-                    counters,
-                    final_step=final_step,
-                    step_tuples=step_tuples,
-                    step_masks=step_masks,
-                ):
-                    append(matched_edges + (candidate,))
-            return extended
-        for candidate in candidates:
-            if is_valid_expansion(
-                data,
-                step_plan,
-                vmap,
-                partial_num_vertices,
-                candidate,
-                counters,
-                final_step=final_step,
-                step_tuples=step_tuples,
-                step_masks=step_masks,
-            ):
-                append(matched_edges + (candidate,))
-        return extended
+        return validate_candidates(
+            self.data, step_plan, step_masks, candidates, counters, final_step
+        )
 
     # ------------------------------------------------------------------
     # Sequential execution
     # ------------------------------------------------------------------
+    def _search(
+        self,
+        plan: ExecutionPlan,
+        counters: "MatchCounters | None",
+        time_budget: "float | None",
+        first_edges=None,
+    ) -> Iterator[Tuple[Tuple[int, ...], List[int]]]:
+        """The sequential LIFO loop behind :meth:`match` and :meth:`count`.
+
+        Yields ``(parent, accepted)`` once per last-level parent with at
+        least one survivor: the complete embeddings are ``parent +
+        (edge,)`` for each accepted edge, left unbuilt so that counting
+        pays nothing per embedding.
+        """
+        deadline = None if time_budget is None else time.monotonic() + time_budget
+        last_step = plan.num_steps - 1
+        if counters is not None:
+            counters.note_work_model(WORK_UNIT_MODELS.get(self.index_backend, ""))
+        # One incrementally maintained vertex_step_map for the whole loop:
+        # consecutive LIFO pops are siblings/children, so advancing costs
+        # a push/pop delta instead of a per-task rebuild.
+        state = VertexStepState(self.data)
+        step_masks = state.step_masks
+        stack: List[Tuple[int, ...]] = [()]
+        while stack:
+            matched = stack.pop()
+            if counters is not None:
+                counters.tasks += 1
+                counters.note_retained(-1 if matched else 0)
+            if deadline is not None and time.monotonic() > deadline:
+                raise TimeoutExceeded(time.monotonic() - (deadline - time_budget), time_budget)
+            accepted = self.accepted_edges(
+                plan, matched, counters, state.advance(matched), step_masks
+            )
+            if first_edges is not None and not matched:
+                accepted = [edge for edge in accepted if edge in first_edges]
+            if len(matched) == last_step:
+                if accepted:
+                    yield matched, accepted
+            else:
+                stack.extend([matched + (edge,) for edge in accepted])
+                if counters is not None:
+                    counters.note_retained(len(accepted))
+
     def match(
         self,
         query: Hypergraph,
@@ -322,50 +338,21 @@ class HGMatch:
         inserted edges instead of re-enumerating from scratch.
         """
         plan = self.plan(query, order)
-        deadline = None if time_budget is None else time.monotonic() + time_budget
-        num_steps = plan.num_steps
-        if counters is not None:
-            counters.note_work_model(WORK_UNIT_MODELS.get(self.index_backend, ""))
-        # One incrementally maintained vertex_step_map for the whole loop:
-        # consecutive LIFO pops are siblings/children, so advancing costs
-        # a push/pop delta instead of a per-task rebuild.
-        state = VertexStepState(self.data)
-        step_tuples = state.step_tuples
-        step_masks = state.step_masks if self.uses_mask_validation else None
-        stack: List[Tuple[int, ...]] = [()]
-        while stack:
-            matched = stack.pop()
-            if counters is not None:
-                counters.tasks += 1
-                counters.note_retained(-1 if matched else 0)
-            if deadline is not None and time.monotonic() > deadline:
-                raise TimeoutExceeded(time.monotonic() - (deadline - time_budget), time_budget)
-            vmap = state.advance(matched)
-            for extended in self.expand(
-                plan, matched, counters, vmap=vmap, step_tuples=step_tuples,
-                step_masks=step_masks,
-            ):
-                if (
-                    first_edges is not None
-                    and not matched
-                    and extended[0] not in first_edges
+        for parent, accepted in self._search(
+            plan, counters, time_budget, first_edges
+        ):
+            for edge in accepted:
+                extended = parent + (edge,)
+                if strict and not certify_embedding(
+                    self.data, query, plan.order, extended
                 ):
-                    continue
-                if len(extended) == num_steps:
-                    if strict and not certify_embedding(
-                        self.data, query, plan.order, extended
-                    ):
-                        raise AssertionError(
-                            f"profile validation accepted an embedding that "
-                            f"admits no vertex mapping: {extended}"
-                        )
-                    if counters is not None:
-                        counters.embeddings += 1
-                    yield Embedding(self.data, query, plan.order, extended)
-                else:
-                    stack.append(extended)
-                    if counters is not None:
-                        counters.note_retained(1)
+                    raise AssertionError(
+                        f"profile validation accepted an embedding that "
+                        f"admits no vertex mapping: {extended}"
+                    )
+                if counters is not None:
+                    counters.embeddings += 1
+                yield Embedding(self.data, query, plan.order, extended)
 
     def count(
         self,
@@ -448,11 +435,15 @@ class HGMatch:
                 f"('sequential', 'threads', 'processes', 'sockets', "
                 f"'simulated')"
             )
+        # Count-only: survivors of the last level are added up, never
+        # built into tuples or Embedding objects.
         total = 0
-        for _ in self.match(
-            query, order=order, counters=counters, time_budget=time_budget
+        for _, accepted in self._search(
+            self.plan(query, order), counters, time_budget
         ):
-            total += 1
+            total += len(accepted)
+            if counters is not None:
+                counters.embeddings += len(accepted)
         return total
 
     def shard_executor(self, shards: "int | None" = None):
@@ -823,8 +814,7 @@ class HGMatch:
         # parent's children consecutively, so advancing between frontier
         # entries usually costs one pop plus one push.
         state = VertexStepState(self.data)
-        step_tuples = state.step_tuples
-        step_masks = state.step_masks if self.uses_mask_validation else None
+        step_masks = state.step_masks
         frontier: List[Tuple[int, ...]] = [()]
         for _ in range(plan.num_steps):
             next_frontier: List[Tuple[int, ...]] = []
@@ -835,11 +825,10 @@ class HGMatch:
                     raise TimeoutExceeded(
                         time.monotonic() - (deadline - time_budget), time_budget
                     )
-                vmap = state.advance(matched)
                 next_frontier.extend(
                     self.expand(
-                        plan, matched, counters, vmap=vmap,
-                        step_tuples=step_tuples, step_masks=step_masks,
+                        plan, matched, counters, vmap=state.advance(matched),
+                        step_masks=step_masks,
                     )
                 )
             frontier = next_frontier
@@ -868,20 +857,17 @@ class HGMatch:
         """
         from concurrent.futures import ThreadPoolExecutor  # lazy: cheap import
 
-        use_masks = self.uses_mask_validation
         states = [VertexStepState(self.data) for _ in range(workers)]
 
         def expand_slice(worker_id, chunk, chunk_counters):
             state = states[worker_id]
-            step_tuples = state.step_tuples
-            step_masks = state.step_masks if use_masks else None
             out: List[Tuple[int, ...]] = []
             for matched in chunk:
-                vmap = state.advance(matched)
                 out.extend(
                     self.expand(
-                        plan, matched, chunk_counters, vmap=vmap,
-                        step_tuples=step_tuples, step_masks=step_masks,
+                        plan, matched, chunk_counters,
+                        vmap=state.advance(matched),
+                        step_masks=state.step_masks,
                     )
                 )
             return out

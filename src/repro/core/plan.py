@@ -11,7 +11,8 @@ query-side information Algorithms 4 and 5 consult at runtime:
   degree ``d_q'(u)`` that a matching data vertex must reproduce
   (Observation V.4),
 * the expected total vertex count after the step (Observation V.5), and
-* the multiset of query vertex profiles for validation (Theorem V.2).
+* the multiset of query vertex profiles for validation (Theorem V.2),
+  plus its shared-vertex projection that validation actually compares.
 
 All of this depends only on the query and the matching order, so it is
 computed once and shared by every task that expands that step — tasks
@@ -25,11 +26,6 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Mapping, Sequence, Set, Tuple
 
 from ..hypergraph import Hypergraph, Signature
-
-#: One entry of a step's precomputed profile key: ``(label id, ascending
-#: tuple of incident step indices)``.
-ProfileEntry = Tuple[int, Tuple[int, ...]]
-
 
 @dataclass(frozen=True)
 class AnchorRequirement:
@@ -60,22 +56,20 @@ class StepPlan:
     #: Multiset of query vertex profiles for the step's hyperedge:
     #: ``(label, frozenset of incident step indices including this step)``.
     query_profile: "Counter[Tuple[object, FrozenSet[int]]]"
-    #: Fast-path view of ``query_profile``: labels are interned to small
-    #: ints (``profile_label_ids``) and the multiset is flattened to a
-    #: sorted tuple of ``(label id, sorted step tuple)`` entries, so
-    #: validation compares plain tuples instead of building a ``Counter``
-    #: of frozensets per candidate.  Empty only on hand-built plans that
-    #: predate the fast path; validation then falls back to the Counter.
+    #: Number of vertices of the query hyperedge (signatures of
+    #: edge-labelled graphs carry one extra leading entry, so this is
+    #: not always ``len(signature)``).
+    arity: int = 0
+    #: ``query label -> small int`` over the labels of this hyperedge.
     profile_label_ids: Mapping[object, int] = field(default_factory=dict)
-    profile_key: Tuple[ProfileEntry, ...] = ()
-    #: Bitmask twin of ``profile_key``: each entry is ``(label id, step
-    #: bitmask)`` with bit ``s`` set iff the vertex occurs in step
-    #: ``s <= step``.  The mask backends' validation compares profiles
-    #: over these small ints (one ``|`` per candidate vertex) instead of
-    #: concatenating sorted step tuples — same multiset, bijective
-    #: encoding (a set of step indices and its bitmask determine each
-    #: other), so Theorem V.2's equality test is unchanged.
-    profile_mask_key: Tuple[Tuple[int, int], ...] = ()
+    #: What validation compares (Algorithm 5 over the shared vertices
+    #: only): the sorted ``(label id, earlier-step bitmask)`` pairs of the
+    #: query vertices of this hyperedge that an earlier step already
+    #: covers — bit ``s`` set iff the vertex occurs in step ``s < step``.
+    #: Its length is the shared-vertex count Observation V.5 demands; the
+    #: uncovered vertices all carry the profile ``(label, {step})`` and
+    #: are settled by the signature (Observation V.1).
+    shared_profile_key: Tuple[Tuple[int, int], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -164,8 +158,7 @@ def build_execution_plan(
 
         profile: Counter = Counter()
         label_ids: Dict[object, int] = {}
-        key_entries: List[ProfileEntry] = []
-        mask_entries: List[Tuple[int, int]] = []
+        shared_entries: List[Tuple[int, int]] = []
         for vertex in edge:
             incident_upto = frozenset(
                 s for s in incident_steps[vertex] if s <= step
@@ -173,12 +166,10 @@ def build_execution_plan(
             label = query.label(vertex)
             profile[(label, incident_upto)] += 1
             label_id = label_ids.setdefault(label, len(label_ids))
-            key_entries.append((label_id, tuple(sorted(incident_upto))))
-            mask_entries.append(
-                (label_id, sum(1 << s for s in incident_upto))
-            )
-        key_entries.sort()
-        mask_entries.sort()
+            if len(incident_upto) > 1:
+                shared_entries.append(
+                    (label_id, sum(1 << s for s in incident_upto if s < step))
+                )
 
         new_vertices = edge - covered
         covered |= edge
@@ -194,9 +185,9 @@ def build_execution_plan(
                 anchors=tuple(anchors),
                 expected_num_vertices=len(covered),
                 query_profile=profile,
+                arity=len(edge),
                 profile_label_ids=label_ids,
-                profile_key=tuple(key_entries),
-                profile_mask_key=tuple(mask_entries),
+                shared_profile_key=tuple(sorted(shared_entries)),
             )
         )
 

@@ -9,19 +9,83 @@ Theorem V.2: the expansion is valid iff the profile multisets of the
 newly added query hyperedge and its candidate data hyperedge are equal
 (after the cheap total-vertex-count check of Observation V.5).
 
-Profiles here use *step indices* instead of hyperedge ids on both sides,
-which is the same thing up to the bijection ``step ↔ f(ϕ[step])`` and
-lets the query-side multiset be precomputed once in the plan.
+Only the *shared* vertices need comparing.  A candidate comes from the
+step's signature partition (Observation V.1), so its label multiset
+already equals the query hyperedge's; every vertex outside the partial
+embedding has the profile ``(label, {step})`` on both sides; hence the
+multisets are equal iff they are equal over ``c ∩ V(partial)`` — whose
+size is exactly what Observation V.5 tests.  Profiles use *step
+bitmasks* instead of hyperedge-id sets on both sides (the same thing up
+to the bijection ``step ↔ f(ϕ[step])``), so the query side is the
+``shared_profile_key`` precomputed in the plan.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Dict, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence, Set
 
 from ..hypergraph import Hypergraph
 from .counters import MatchCounters
 from .plan import StepPlan
+
+
+def validate_candidates(
+    data: Hypergraph,
+    step_plan: StepPlan,
+    step_masks: Mapping[int, int],
+    candidates: Iterable[int],
+    counters: "MatchCounters | None" = None,
+    final_step: bool = False,
+    partial_num_vertices: "int | None" = None,
+) -> List[int]:
+    """Run Algorithm 5 for every candidate of one parent embedding.
+
+    ``step_masks`` maps each data vertex of the partial embedding to the
+    bitmask of the steps whose matched hyperedge contains it
+    (``VertexStepState.step_masks`` / ``vertex_step_masks``);
+    ``candidates`` are edge ids **of the step's signature partition** —
+    the shared-vertex comparison is only sound for those, see
+    :func:`is_valid_expansion` for arbitrary edges.  Returns the accepted
+    edge ids in input order.  ``partial_num_vertices`` defaults to
+    ``len(step_masks)``; pass it when the mapping covers only part of the
+    partial embedding.
+
+    Cost model: one work unit per vertex of every candidate that survives
+    Observation V.5, charged once per call.
+    """
+    if partial_num_vertices is None:
+        partial_num_vertices = len(step_masks)
+    # Observation V.5 on the live partial: |V(partial)| + |c \ V(partial)|
+    # must hit the plan's vertex count, i.e. c shares exactly this many.
+    need_shared = (
+        partial_num_vertices + step_plan.arity - step_plan.expected_num_vertices
+    )
+    key = list(step_plan.shared_profile_key)
+    label_id = step_plan.profile_label_ids.get
+    edge_of = data.edge
+    label_of = data.label
+    covered = step_masks.keys()
+    accepted: List[int] = []
+    passed = 0
+    for candidate in candidates:
+        shared = edge_of(candidate) & covered
+        if len(shared) != need_shared:
+            continue
+        passed += 1
+        # Theorem V.2 over the shared vertices (a plain loop: on 3.11 a
+        # comprehension costs a frame per candidate).
+        entries = []
+        for vertex in shared:
+            entries.append((label_id(label_of(vertex), -1), step_masks[vertex]))
+        entries.sort()
+        if entries == key:
+            accepted.append(candidate)
+    if counters is not None:
+        counters.filtered += passed
+        counters.work_units += passed * step_plan.arity
+        if final_step:
+            counters.final_filtered += passed
+    return accepted
 
 
 def is_valid_expansion(
@@ -32,113 +96,34 @@ def is_valid_expansion(
     candidate_edge: int,
     counters: "MatchCounters | None" = None,
     final_step: bool = False,
-    step_tuples: "Dict[int, Tuple[int, ...]] | None" = None,
+    step_tuples=None,
     step_masks: "Dict[int, int] | None" = None,
 ) -> bool:
-    """Run Algorithm 5 for one candidate.
+    """Algorithm 5 for one candidate: :func:`validate_candidates` behind
+    an explicit signature guard, for tests, traces and external callers.
 
-    Parameters
-    ----------
-    vmap:
-        ``vertex_step_map`` of the partial embedding *before* adding the
-        candidate.
-    partial_num_vertices:
-        ``len(vmap)`` (passed in so callers don't recompute it per
-        candidate).
-    candidate_edge:
-        Data hyperedge id proposed for ``step_plan.step``.
-    step_tuples:
-        Optionally the per-vertex *ascending step tuples* of the partial
-        embedding (``VertexStepState.step_tuples`` or
-        :func:`repro.core.candidates.vertex_step_tuples`).  When given,
-        the profile fast path reads them directly instead of sorting
-        each vertex's step set per candidate.
-    step_masks:
-        Optionally the per-vertex *step bitmasks* of the partial
-        embedding (``VertexStepState.step_masks``).  When given — the
-        mask backends' enumeration loops pass it — the profile
-        comparison runs entirely over small ints against the plan's
-        ``profile_mask_key``: one ``|`` per vertex instead of a tuple
-        concatenation.  Equivalent to the tuple path by the bijection
-        between step sets and their bitmasks (pinned by the validation
-        test suite).
+    ``vmap`` is the ``vertex_step_map`` of the partial embedding *before*
+    adding the candidate and ``partial_num_vertices`` its size.  With
+    ``step_masks`` (the partial's per-vertex step bitmasks) the kernel
+    reads them directly; without, the masks of the candidate's shared
+    vertices are derived from ``vmap``.  ``step_tuples`` is accepted and
+    ignored (nothing compares step tuples any more).
     """
-    edge = data.edge(candidate_edge)
-
-    # Observation V.5: vertex counts must agree.
-    new_vertices = sum(1 for v in edge if v not in vmap)
-    if partial_num_vertices + new_vertices != step_plan.expected_num_vertices:
-        return False
-    if counters is not None:
-        counters.filtered += 1
-        if final_step:
-            counters.final_filtered += 1
-
-    # Theorem V.2: compare profile multisets over the new hyperedge.
-    step = step_plan.step
-
-    if step_masks is not None and step_plan.profile_mask_key:
-        # Mask fast path (Algorithm 5 over the bitset algebra): profiles
-        # are (label id, step bitmask) pairs; same multiset equality as
-        # the tuple path under the set <-> bitmask bijection.
-        label_ids = step_plan.profile_label_ids
-        step_bit = 1 << step
-        mask_entries = []
-        for vertex in edge:
-            if counters is not None:
-                counters.work_units += 1
-            label_id = label_ids.get(data.label(vertex))
-            if label_id is None:
-                return False
-            mask_entries.append(
-                (label_id, step_masks.get(vertex, 0) | step_bit)
-            )
-        mask_entries.sort()
-        return tuple(mask_entries) == step_plan.profile_mask_key
-
-    profile_key = step_plan.profile_key
-    if profile_key:
-        # Fast path: the plan interned labels to small ints and flattened
-        # its multiset to a sorted tuple, so the data side only builds a
-        # parallel tuple — no Counter, no frozenset hashing.  Step sets in
-        # ``vmap`` hold indices < step, hence appending ``step`` keeps the
-        # per-vertex step tuple sorted; with ``step_tuples`` supplied the
-        # sorted prefix comes precomputed from the enumeration loop.
-        label_ids = step_plan.profile_label_ids
-        entries = []
-        incident_tuples = step_tuples if step_tuples is not None else None
-        for vertex in edge:
-            if counters is not None:
-                counters.work_units += 1
-            label_id = label_ids.get(data.label(vertex))
-            if label_id is None:
-                return False
-            if incident_tuples is not None:
-                incident = incident_tuples.get(vertex)
-                steps = (step,) if incident is None else incident + (step,)
-            else:
-                incident = vmap.get(vertex)
-                if incident is None:
-                    steps = (step,)
-                else:
-                    steps = tuple(sorted(incident)) + (step,)
-            entries.append((label_id, steps))
-        entries.sort()
-        return tuple(entries) == profile_key
-
-    # Fallback for hand-built StepPlans that predate the profile key.
-    data_profile: Counter = Counter()
-    for vertex in edge:
-        incident = vmap.get(vertex)
-        if incident is None:
-            steps = frozenset((step,))
-        else:
-            steps = frozenset(incident | {step})
-        data_profile[(data.label(vertex), steps)] += 1
-        if counters is not None:
-            counters.work_units += 1
-
-    return data_profile == step_plan.query_profile
+    if data.edge_signature(candidate_edge) != step_plan.signature:
+        return False  # Observation V.1; the kernel takes it for granted
+    if step_masks is None:
+        step_masks = {}
+        for vertex in data.edge(candidate_edge) & vmap.keys():
+            mask = 0
+            for step in vmap[vertex]:
+                mask |= 1 << step
+            step_masks[vertex] = mask
+    return bool(
+        validate_candidates(
+            data, step_plan, step_masks, (candidate_edge,), counters,
+            final_step, partial_num_vertices,
+        )
+    )
 
 
 def certify_embedding(

@@ -204,10 +204,7 @@ class ThreadedExecutor:
         # Theorem VI.1 memory bound holds); the worker merely caches one
         # push/pop-delta vertex_step_map and re-points it at each task.
         expansion_state = VertexStepState(engine.data)
-        step_tuples = expansion_state.step_tuples
-        step_masks = (
-            expansion_state.step_masks if engine.uses_mask_validation else None
-        )
+        step_masks = expansion_state.step_masks
         counters.note_work_model(WORK_UNIT_MODELS.get(engine.index_backend, ""))
         try:
             while not state.cancelled.is_set():
@@ -230,9 +227,8 @@ class ThreadedExecutor:
                     state.cancelled.set()
                     return
                 started = time.perf_counter()
-                vmap = expansion_state.advance(task)
                 children = engine.expand(
-                    plan, task, counters, vmap=vmap, step_tuples=step_tuples,
+                    plan, task, counters, vmap=expansion_state.advance(task),
                     step_masks=step_masks,
                 )
                 spawned: List[PartialEmbedding] = []

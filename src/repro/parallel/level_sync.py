@@ -59,8 +59,6 @@ from typing import List, Optional, Sequence, Tuple
 from ..core.candidates import (
     AnchorUnionMemo,
     CandidateAccumulator,
-    ChunkCandidates,
-    MaskCandidates,
     VertexStepState,
     candidate_set_from_bytes,
     encode_chunks_payload,
@@ -69,7 +67,7 @@ from ..core.candidates import (
     generate_candidate_set,
 )
 from ..core.counters import MatchCounters
-from ..core.validation import is_valid_expansion
+from ..core.validation import validate_candidates
 from ..errors import QueryCancelled, SchedulerError, TimeoutExceeded
 from ..hypergraph import Hypergraph
 from ..hypergraph.index import chunks_from_rows
@@ -81,10 +79,6 @@ from ..hypergraph.sharding import (
 )
 from .executor import ParallelResult
 from .tasks import ROOT_TASK, PartialEmbedding, WorkerStats, worker_loads
-
-#: Backends whose survivors ship as row payloads (mask / chunk map);
-#: the merge backend's native representation is the edge-id tuple.
-MASK_BACKENDS = ("bitset", "adaptive")
 
 
 # ----------------------------------------------------------------------
@@ -148,14 +142,15 @@ def expand_level(
     counters: MatchCounters,
     stats: WorkerStats,
     memo: AnchorUnionMemo,
-    mask_validation: bool,
+    mask_validation: bool = False,
 ) -> Tuple[str, "List[Optional[bytes]] | None", int]:
     """Expand every frontier partial against the shard's rows.
 
     Returns ``("level", payloads, embeddings)``: one payload (or None)
     per partial on intermediate steps, survivor *counts* on the final
     step (complete embeddings are consumed on the spot, like the other
-    executors' implicit TSINK handling).
+    executors' implicit TSINK handling).  ``mask_validation`` is accepted
+    and ignored: every backend validates over ``state.step_masks``.
     """
     step_plan = plan.steps[step]
     final = step == plan.num_steps - 1
@@ -170,10 +165,9 @@ def expand_level(
     row_base = shard.row_base(step_plan.signature)
     # Row coordinates are positions in the partition's *row layout*
     # (all slots, tombstones included) — under mutation this diverges
-    # from the live edge-id table, so masks must bisect row_ids.
+    # from the live edge-id table, so mask payloads bisect row_ids.
     row_ids = partition.row_ids
-    step_tuples = state.step_tuples
-    step_masks = state.step_masks if mask_validation else None
+    step_masks = state.step_masks
     payloads: "List[Optional[bytes]] | None" = None if final else []
     embeddings = 0
     for partial in frontier:
@@ -183,84 +177,20 @@ def expand_level(
         )
         if final:
             counters.final_candidates += len(candidates)
-        partial_num_vertices = len(vmap)
-        rows: List[int] = []
-        edges: List[int] = []
-        accepted = 0
-        if type(candidates) is MaskCandidates:
-            # Rows fall out of the bit scan for free.
-            mask = candidates.mask
-            row_to_edge = candidates.row_to_edge
-            while mask:
-                low = mask & -mask
-                mask ^= low
-                row = low.bit_length() - 1
-                if is_valid_expansion(
-                    graph, step_plan, vmap, partial_num_vertices,
-                    row_to_edge[row], counters, final_step=final,
-                    step_tuples=step_tuples, step_masks=step_masks,
-                ):
-                    accepted += 1
-                    if not final:
-                        rows.append(row)
-        elif type(candidates) is ChunkCandidates:
-            chunk_bits = index.chunk_bits
-            row_to_edge = index.row_to_edge
-            chunks = candidates.chunks
-            for chunk in sorted(chunks):
-                base = chunk << chunk_bits
-                container = chunks[chunk]
-                if isinstance(container, int):
-                    while container:
-                        low = container & -container
-                        container ^= low
-                        row = base + low.bit_length() - 1
-                        if is_valid_expansion(
-                            graph, step_plan, vmap, partial_num_vertices,
-                            row_to_edge[row], counters, final_step=final,
-                            step_tuples=step_tuples, step_masks=step_masks,
-                        ):
-                            accepted += 1
-                            if not final:
-                                rows.append(row)
-                else:
-                    for offset in container:
-                        row = base + offset
-                        if is_valid_expansion(
-                            graph, step_plan, vmap, partial_num_vertices,
-                            row_to_edge[row], counters, final_step=final,
-                            step_tuples=step_tuples, step_masks=step_masks,
-                        ):
-                            accepted += 1
-                            if not final:
-                                rows.append(row)
-        else:
-            # Tuple candidates: the merge backend's native output, or a
-            # mask backend's no-anchor scan / tiny array-container
-            # result.  Rows (needed only for mask payloads) come from a
-            # bisect into the ascending row layout.
-            need_rows = not final and backend != "merge"
-            for edge in candidates:
-                if is_valid_expansion(
-                    graph, step_plan, vmap, partial_num_vertices, edge,
-                    counters, final_step=final,
-                    step_tuples=step_tuples, step_masks=step_masks,
-                ):
-                    accepted += 1
-                    if not final:
-                        if need_rows:
-                            rows.append(bisect_left(row_ids, edge))
-                        else:
-                            edges.append(edge)
+        accepted = validate_candidates(
+            graph, step_plan, step_masks, candidates, counters, final
+        )
         stats.tasks_executed += 1
         if final:
-            embeddings += accepted
-            stats.embeddings += accepted
-        else:
-            payload = encode_survivors(backend, rows, edges, row_base, index)
-            if payload is not None:
-                stats.payload_bytes += len(payload)
-            payloads.append(payload)
+            embeddings += len(accepted)
+            continue
+        # Only the mask backends ship rows; merge ships the edge ids.
+        rows = [bisect_left(row_ids, e) for e in accepted if backend != "merge"]
+        payloads.append(encode_survivors(backend, rows, accepted, row_base, index))
+    if final:
+        stats.embeddings += embeddings
+    else:
+        stats.payload_bytes += sum(len(p) for p in payloads if p is not None)
     stats.busy_time += time.perf_counter() - started
     stats.cpu_time += time.thread_time() - started_cpu
     return ("level", payloads, embeddings)

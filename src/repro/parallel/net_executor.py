@@ -99,7 +99,7 @@ from ..hypergraph.sharding import (
 from ..hypergraph.storage import resolve_index_backend
 from . import transport
 from .executor import ParallelResult
-from .level_sync import MASK_BACKENDS, expand_level, plan_pool_rebalance
+from .level_sync import expand_level, plan_pool_rebalance
 from .tasks import RetryPolicy, WorkerStats, default_seed, join_or_kill
 
 logger = logging.getLogger("repro.parallel")
@@ -290,7 +290,6 @@ class ShardWorker:
         )
         self._graph = graph
         self._memo = AnchorUnionMemo()
-        self._mask_validation = self.index_backend in MASK_BACKENDS
         self._listener: "socket.socket | None" = None
         self._host = host
         self._port = port
@@ -423,7 +422,6 @@ class ShardWorker:
                     reply = expand_level(
                         self._graph, self.shard, plan, step, frontier,
                         state, counters, stats, self._memo,
-                        self._mask_validation,
                     )
                     _, payloads, embeddings = reply
                     versioned: "List[Optional[bytes]] | None" = None
@@ -674,7 +672,7 @@ class ShardWorker:
                 reply = expand_level(
                     self._graph, self.shard, session.plan, step, frontier,
                     session.state, session.counters, session.stats,
-                    self._memo, self._mask_validation,
+                    self._memo,
                 )
                 _, payloads, embeddings = reply
                 versioned: "List[Optional[bytes]] | None" = None

@@ -60,7 +60,7 @@ from ..hypergraph.sharding import (
 )
 from ..hypergraph.storage import resolve_index_backend
 from .executor import ParallelResult
-from .level_sync import MASK_BACKENDS, expand_level, plan_pool_rebalance
+from .level_sync import expand_level, plan_pool_rebalance
 from .tasks import WorkerStats, default_seed, join_or_kill
 
 
@@ -96,7 +96,6 @@ def _shard_worker_main(
             graph, shard_id, num_shards, index_backend, sharding
         )
         memo = AnchorUnionMemo()
-        mask_validation = index_backend in MASK_BACKENDS
         plan = None
         state: "VertexStepState | None" = None
         counters = MatchCounters()
@@ -108,7 +107,7 @@ def _shard_worker_main(
                 _, step, frontier = message
                 reply = expand_level(
                     graph, shard, plan, step, frontier, state,
-                    counters, stats, memo, mask_validation,
+                    counters, stats, memo,
                 )
                 if step == plan.num_steps - 1:
                     # Piggyback the job accounting on the final level:

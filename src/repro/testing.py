@@ -44,6 +44,28 @@ def make_random_instance(rng: random.Random, max_vertices: int = 16):
     return data, query
 
 
+def reference_is_valid_expansion(data, step_plan, vmap, candidate_edge) -> bool:
+    """Algorithm 5 written out in full: the oracle for the kernel.
+
+    Observation V.5, then Theorem V.2 as a ``Counter`` of ``(label,
+    frozenset of incident steps)`` over **every** vertex of the candidate
+    against ``step_plan.query_profile`` — no shared-vertex shortcut, no
+    label interning, no bitmasks.  ``vmap`` is the ``vertex_step_map`` of
+    the partial embedding before adding the candidate.
+    """
+    from collections import Counter
+
+    edge = data.edge(candidate_edge)
+    new_vertices = sum(1 for vertex in edge if vertex not in vmap)
+    if len(vmap) + new_vertices != step_plan.expected_num_vertices:
+        return False
+    profile = Counter(
+        (data.label(vertex), frozenset(vmap.get(vertex, ())) | {step_plan.step})
+        for vertex in edge
+    )
+    return profile == step_plan.query_profile
+
+
 # ---------------------------------------------------------------------------
 # Dynamic graphs: the differential mutation oracle
 # ---------------------------------------------------------------------------

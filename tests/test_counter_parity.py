@@ -1,0 +1,99 @@
+"""Funnel counters and the count-only sink are pinned across the kernel
+change: the numbers below were recorded on the commit *before* the
+shared-vertex kernel (PR 11, ``59d05da``) by summing ``MatchCounters``
+over the Fig. 8 trace, and must never move — ``work_units`` feeds the
+simulated executor's virtual clock, the rest are the paper's Fig. 9
+funnel.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro import HGMatch, MatchCounters
+from repro.bench.fig8 import fig8_queries
+from repro.core import engine as engine_module
+from repro.datasets import load_dataset
+from repro.errors import TimeoutExceeded
+
+FIELDS = (
+    "candidates", "filtered", "final_candidates", "final_filtered",
+    "embeddings", "tasks", "work_units",
+)
+FUNNEL = (96028, 39534, 85614, 35649, 34251, 3553)
+#: ``(backend, mode) -> work_units``; shards re-inspect anchor vertices,
+#: so the process executor charges more postings than one engine does.
+WORK_UNITS = {
+    ("merge", "sequential"): 711884,
+    ("merge", "count_bfs"): 711884,
+    ("merge", "threads"): 711884,
+    ("merge", "processes"): 774796,
+    ("merge", "simulated"): 711884,
+    ("bitset", "sequential"): 324882,
+    ("adaptive", "sequential"): 324882,
+}
+MODES = {
+    "sequential": lambda e, q, c: e.count(q, counters=c),
+    "count_bfs": lambda e, q, c: e.count_bfs(q, counters=c),
+    "threads": lambda e, q, c: e.count(q, counters=c, executor="threads", workers=2),
+    "processes": lambda e, q, c: e.count(q, counters=c, executor="processes"),
+    "simulated": lambda e, q, c: e.count(q, counters=c, executor="simulated", workers=2),
+}
+
+
+@pytest.fixture(scope="module")
+def trace():
+    return fig8_queries()
+
+
+@pytest.mark.parametrize("backend,mode", sorted(WORK_UNITS))
+def test_fig8_counters_match_the_parent_commit(trace, backend, mode):
+    engines = {}
+    total = MatchCounters()
+    try:
+        for name, query in trace:
+            if name not in engines:
+                engines[name] = HGMatch(
+                    load_dataset(name), index_backend=backend, shards=2
+                )
+            counters = MatchCounters()
+            MODES[mode](engines[name], query, counters)
+            total.merge(counters)
+    finally:
+        for engine in engines.values():
+            engine.close()
+    observed = tuple(getattr(total, field) for field in FIELDS)
+    assert observed == FUNNEL + (WORK_UNITS[backend, mode],)
+
+
+def test_count_equals_match_equals_count_bfs(trace):
+    engines = {}
+    for name, query in trace:
+        engine = engines.setdefault(name, HGMatch(load_dataset(name)))
+        count = engine.count(query)
+        assert count == sum(1 for _ in engine.match(query))
+        assert count == engine.count_bfs(query)
+
+
+def test_count_only_path_builds_no_embedding(trace, monkeypatch):
+    built = []
+    original = engine_module.Embedding.__init__
+
+    def counting_init(self, *args):
+        built.append(args[-1])
+        original(self, *args)
+
+    monkeypatch.setattr(engine_module.Embedding, "__init__", counting_init)
+    name, query = trace[0]
+    engine = HGMatch(load_dataset(name))
+    counters = MatchCounters()
+    count = engine.count(query, counters=counters)
+    assert count > 0 and counters.embeddings == count and counters.tasks > 0
+    assert built == []
+    assert len(list(engine.match(query))) == count == len(built)
+
+
+def test_count_only_path_still_times_out(trace):
+    name, query = max(trace, key=lambda item: item[1].num_edges)
+    with pytest.raises(TimeoutExceeded):
+        HGMatch(load_dataset(name)).count(query, time_budget=0.0)

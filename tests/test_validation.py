@@ -96,40 +96,38 @@ class TestCertifyEmbedding:
 
 
 class TestMaskProfileEquivalence:
-    """Algorithm 5 over per-step vertex bitmasks (the mask backends'
-    fast path) must accept exactly the candidates the sorted-tuple path
-    accepts — the step-set <-> bitmask encoding is bijective."""
+    """``is_valid_expansion`` gives one verdict whether it is handed the
+    partial's step bitmasks or derives them from ``vmap`` (the legacy
+    ``step_tuples=`` argument is ignored)."""
 
     def _paths_agree(self, data, step_plan, vmap, candidate):
-        from repro.core.candidates import vertex_step_tuples
-
-        step_tuples = {
-            v: tuple(sorted(steps)) for v, steps in vmap.items()
-        }
         step_masks = {
             v: sum(1 << s for s in steps) for v, steps in vmap.items()
         }
-        tuple_path = is_valid_expansion(
-            data, step_plan, vmap, len(vmap), candidate,
-            step_tuples=step_tuples,
+        vmap_path = is_valid_expansion(
+            data, step_plan, vmap, len(vmap), candidate, step_tuples={},
         )
         mask_path = is_valid_expansion(
             data, step_plan, vmap, len(vmap), candidate,
             step_masks=step_masks,
         )
-        assert tuple_path == mask_path
-        return tuple_path
+        assert vmap_path == mask_path
+        return vmap_path
 
-    def test_plan_carries_mask_key(self, fig1_query):
+    def test_plan_carries_shared_key(self, fig1_query):
+        """``shared_profile_key`` is ``query_profile`` restricted to the
+        vertices an earlier step covers, with this step's bit dropped."""
         plan = build_execution_plan(fig1_query, (0, 1, 2))
         for step_plan in plan.steps:
-            assert len(step_plan.profile_mask_key) == len(step_plan.profile_key)
-            # Entry-wise consistency: same label ids, mask == tuple bits.
-            tuple_multiset = sorted(
-                (label_id, sum(1 << s for s in steps))
-                for label_id, steps in step_plan.profile_key
+            label_ids = step_plan.profile_label_ids
+            expected = sorted(
+                (label_ids[label], sum(1 << s for s in steps if s != step_plan.step))
+                for (label, steps), count in step_plan.query_profile.items()
+                for _ in range(count)
+                if len(steps) > 1
             )
-            assert sorted(step_plan.profile_mask_key) == tuple_multiset
+            assert list(step_plan.shared_profile_key) == expected
+            assert step_plan.arity == sum(step_plan.query_profile.values())
 
     def test_fig1_candidates_agree(self, fig1_data, fig1_query):
         plan = build_execution_plan(fig1_query, (0, 1, 2))
