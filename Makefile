@@ -11,7 +11,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 	bench-durability bench-e2e bench-e2e-smoke docs-check lint-imports
 
 ## Tier-1 verification: the whole test suite, stop on first failure.
-## Honours REPRO_INDEX_BACKEND (merge/bitset/adaptive).
+## Honours REPRO_INDEX_BACKEND (merge/bitset/adaptive; unset = bitset).
 test:
 	$(PYTHON) -m pytest -x -q
 
@@ -89,8 +89,10 @@ test-durability:
 		tests/test_chaos.py
 
 ## One fast benchmark as a smoke signal: the three-backend index
-## comparison (merge/bitset/adaptive + mask-native pipeline; also
-## regenerates BENCH_index_backends.json).
+## comparison (merge/bitset/adaptive + mask-native pipeline, >= 2x
+## gates) and the expand_step row (Algorithm 4 + 5 per parent on
+## bitset, set-algebra vs per-candidate validation, >= 1.3x gate);
+## also regenerates BENCH_index_backends.json.
 bench-smoke:
 	$(PYTHON) benchmarks/bench_index_backends.py
 

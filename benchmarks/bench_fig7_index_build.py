@@ -26,7 +26,7 @@ def fig7_rows():
     for name in DATASET_ORDER:
         data = load_dataset(name)
         started = time.perf_counter()
-        store = PartitionedStore(data)
+        store = PartitionedStore(data, index_backend="merge")
         elapsed = time.perf_counter() - started
         rows.append(
             {
@@ -62,5 +62,5 @@ def test_fig7_index_size_similar_to_graph(fig7_rows):
 
 def test_bench_index_build_largest(benchmark, fig7_rows):
     data = load_dataset("AR")
-    store = benchmark(lambda: PartitionedStore(data))
+    store = benchmark(lambda: PartitionedStore(data, index_backend="merge"))
     assert store.num_partitions() > 0

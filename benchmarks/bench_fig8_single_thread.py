@@ -97,7 +97,7 @@ def test_fig8_gap_grows_with_arity(fig8_table, single_thread_records):
 
 
 def test_bench_hgmatch_single_query(benchmark, fig8_table):
-    from repro import HGMatch
+    from repro import HGMatch, MatchCounters
     from repro.bench import workload
     from repro.datasets import load_dataset, load_store
 
@@ -105,3 +105,8 @@ def test_bench_hgmatch_single_query(benchmark, fig8_table):
     query = workload("HB", "q3", 1)[0]
     count = benchmark(lambda: engine.count(query))
     assert count >= 1
+    # The figure is reported in the paper's cost model, whatever the
+    # library's default backend is.
+    counters = MatchCounters()
+    engine.count(query, counters=counters)
+    assert counters.work_model == "postings"

@@ -14,6 +14,12 @@ backend:
   (``generate_candidate_set``, iterated bit-by-bit as the engine's
   expand loop does, no per-step decode).
 
+One more row, ``expand_step``, times a whole expansion step per parent
+(Algorithm 4 + Algorithm 5) on the bitset backend with each of the two
+validation kernels over the same parents: ``validate_candidates`` (one
+candidate at a time) against ``validate_mask`` (the parent's candidate
+mask at once).
+
 Results land in ``BENCH_index_backends.json`` at the repo root so later
 PRs have a perf trajectory to regress against.  The ``work_model``
 labels record which ``work_units`` cost model each backend charges —
@@ -43,7 +49,9 @@ from repro.core.candidates import (
     generate_candidate_set,
     generate_candidates,
     vertex_step_map,
+    vertex_step_masks,
 )
+from repro.core.validation import validate_candidate_set, validate_candidates
 from repro.datasets import load_dataset
 
 # The Fig. 8 trace (shared with bench_sharding/bench_net via
@@ -58,6 +66,10 @@ REPEATS = 5
 #: merge first: it is the baseline every regression gate divides by.
 BACKENDS = ("merge", "bitset", "adaptive")
 MASK_BACKENDS = ("bitset", "adaptive")
+
+#: Minimum speedup of a whole expansion step (Algorithm 4 + 5) from
+#: validating a parent's candidate mask at once.
+EXPAND_STEP_GATE = 1.3
 
 RESULT_PATH = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -138,9 +150,47 @@ def replay_masknative(engine: HGMatch, trace: Trace) -> float:
     return best
 
 
+def replay_expand_step(
+    engine: HGMatch, trace: Trace, kernel
+) -> Tuple[float, List[Tuple[int, ...]]]:
+    """Best-of-``REPEATS`` wall time of a whole expansion step per parent
+    — Algorithm 4, then Algorithm 5 through ``kernel`` — with the
+    survivors counted the way ``HGMatch.count`` does on the last level
+    (``len``; nothing is decoded inside the clock).  Returns the
+    survivors of the last run, decoded, for cross-kernel verification."""
+    data = engine.data
+    parents = [
+        (
+            step_plan,
+            engine.store.partition(step_plan.signature),
+            matched,
+            vmap,
+            vertex_step_masks(data, matched),
+        )
+        for step_plan, matched, vmap in trace
+    ]
+    best = float("inf")
+    survivors: list = []
+    for _ in range(REPEATS):
+        survivors = []
+        counted = 0
+        started = time.perf_counter()
+        for step_plan, partition, matched, vmap, step_masks in parents:
+            candidates = generate_candidate_set(
+                data, partition, step_plan, matched, vmap
+            )
+            accepted = kernel(data, step_plan, step_masks, candidates)
+            counted += len(accepted)
+            survivors.append(accepted)
+        best = min(best, time.perf_counter() - started)
+    return best, [tuple(accepted) for accepted in survivors]
+
+
 def run_benchmark() -> dict:
     """Time all backends over the workload; returns the JSON summary."""
     rows = []
+    expand_step = {"parents": 0, "per_candidate_seconds": 0.0,
+                   "set_algebra_seconds": 0.0}
     total = {backend: 0.0 for backend in BACKENDS}
     masknative_total = {backend: 0.0 for backend in MASK_BACKENDS}
     for dataset in DATASETS:
@@ -171,6 +221,19 @@ def run_benchmark() -> dict:
                     dataset_masknative[backend] += replay_masknative(
                         engines[backend], trace
                     )
+                slow, expected = replay_expand_step(
+                    engines["bitset"], trace, validate_candidates
+                )
+                fast, found = replay_expand_step(
+                    engines["bitset"], trace, validate_candidate_set
+                )
+                if found != expected:
+                    raise AssertionError(
+                        f"validation kernels diverged on {dataset}/{setting}"
+                    )
+                expand_step["parents"] += len(trace)
+                expand_step["per_candidate_seconds"] += slow
+                expand_step["set_algebra_seconds"] += fast
         for backend in BACKENDS:
             total[backend] += dataset_times[backend]
         for backend in MASK_BACKENDS:
@@ -215,6 +278,17 @@ def run_benchmark() -> dict:
         summary[f"{backend}_masknative_seconds_total"] = round(
             masknative_total[backend], 6
         )
+    summary["expand_step"] = {
+        "backend": "bitset",
+        "parents": expand_step["parents"],
+        "per_candidate_seconds": round(expand_step["per_candidate_seconds"], 6),
+        "set_algebra_seconds": round(expand_step["set_algebra_seconds"], 6),
+        "speedup": round(
+            expand_step["per_candidate_seconds"]
+            / max(expand_step["set_algebra_seconds"], 1e-12),
+            3,
+        ),
+    }
     # Back-compat alias: PR 1's summary called the bitset ratio
     # "speedup_total"; keep it so older tooling reads the same key.
     summary["speedup_total"] = summary["bitset_speedup_total"]
@@ -273,6 +347,13 @@ def test_masknative_beats_decoded_boundary(summary, backend):
     ), summary
 
 
+def test_set_algebra_kernel_speeds_up_the_expansion_step(summary):
+    """Algorithm 4 + 5 per parent on bitset: validating the candidate
+    mask at once must beat the per-candidate kernel by >= 1.3x on the
+    same parents (Algorithm 4's share is common to both sides)."""
+    assert summary["expand_step"]["speedup"] >= EXPAND_STEP_GATE, summary
+
+
 def main() -> int:
     result = run_benchmark()
     path = write_summary(result)
@@ -287,6 +368,13 @@ def main() -> int:
             f"adaptive={row['adaptive_masknative_seconds']:.4f}s, "
             f"{row['generate_candidates_calls']} calls)"
         )
+    step = result["expand_step"]
+    print(
+        f"expand_step (bitset, {step['parents']} parents): "
+        f"per-candidate={step['per_candidate_seconds']:.4f}s "
+        f"set-algebra={step['set_algebra_seconds']:.4f}s "
+        f"(x{step['speedup']:.2f})"
+    )
     print(
         f"TOTAL: merge={result['merge_seconds_total']:.4f}s "
         f"bitset={result['bitset_seconds_total']:.4f}s "
@@ -302,6 +390,7 @@ def main() -> int:
         < result[f"{backend}_seconds_total"]
         for backend in MASK_BACKENDS
     ) and all(row["adaptive_vs_bitset"] <= 1.3 for row in result["rows"])
+    ok = ok and result["expand_step"]["speedup"] >= EXPAND_STEP_GATE
     return 0 if ok else 1
 
 

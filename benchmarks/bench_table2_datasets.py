@@ -47,5 +47,5 @@ def test_table2_shape_tracks_paper(table2_rows):
 def test_bench_offline_preprocessing(benchmark, table2_rows):
     """Time the whole offline stage (partitioning + inverted index)."""
     data = load_dataset("TC")
-    result = benchmark(lambda: PartitionedStore(data))
+    result = benchmark(lambda: PartitionedStore(data, index_backend="merge"))
     assert result.num_partitions() > 0

@@ -71,15 +71,14 @@ def run_with_timeout(
     )
 
 
-def make_engine(
-    data: Hypergraph, index_backend: "str | None" = None
-) -> HGMatch:
+def make_engine(data: Hypergraph, index_backend: str = "merge") -> HGMatch:
     """Build an HGMatch engine with the requested index backend
-    (``merge``/``bitset``/``adaptive``; None defers to the
-    ``REPRO_INDEX_BACKEND``/``merge`` default).
+    (``merge``/``bitset``/``adaptive``).
 
-    Kept here so benchmark modules can sweep backends without importing
-    the storage layer directly.
+    The harness reports paper figures, so the default is pinned to the
+    paper-faithful ``merge`` backend and its ``postings`` cost model —
+    not to the library default, which is the fast engine; benchmark
+    modules that sweep backends name each one.
     """
     return HGMatch(data, index_backend=index_backend)
 

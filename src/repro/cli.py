@@ -48,6 +48,7 @@ from .core.engine import HGMatch
 from .datasets import DATASET_ORDER, load_dataset
 from .errors import ReproError, TimeoutExceeded
 from .hypergraph import (
+    DEFAULT_INDEX_BACKEND,
     INDEX_BACKENDS,
     SHARDING_MODES,
     Hypergraph,
@@ -90,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=INDEX_BACKENDS,
         help="posting-list representation of the store: merge (sorted "
         "tuples), bitset (row bitmasks) or adaptive (roaring-style "
-        "containers); default REPRO_INDEX_BACKEND or merge",
+        f"containers); default REPRO_INDEX_BACKEND or {DEFAULT_INDEX_BACKEND}",
     )
 
     index = commands.add_parser(
@@ -111,8 +112,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         choices=INDEX_BACKENDS,
         help="posting-list representation of the index: merge, bitset or "
-        "adaptive (default REPRO_INDEX_BACKEND or merge); for baseline "
-        "engines an explicit value enables store-backed IHS pruning",
+        f"adaptive (default REPRO_INDEX_BACKEND or {DEFAULT_INDEX_BACKEND}); "
+        "for baseline engines an explicit value enables store-backed IHS "
+        "pruning",
     )
     match.add_argument("--workers", type=int, default=1)
     match.add_argument(

@@ -42,7 +42,9 @@ from .plan import AnchorRequirement, ExecutionPlan, StepPlan, build_execution_pl
 from .validation import (
     certify_embedding,
     is_valid_expansion,
+    validate_candidate_set,
     validate_candidates,
+    validate_mask,
 )
 
 __all__ = [
@@ -69,6 +71,8 @@ __all__ = [
     "VertexStepState",
     "is_valid_expansion",
     "validate_candidates",
+    "validate_mask",
+    "validate_candidate_set",
     "certify_embedding",
     "iter_vertex_mappings",
     "count_vertex_mappings",

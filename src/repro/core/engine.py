@@ -24,7 +24,10 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 from ..errors import QueryError, TimeoutExceeded
 from ..hypergraph import Hypergraph, PartitionedStore
 from .candidates import (
+    EMPTY_CANDIDATES,
     AnchorUnionMemo,
+    CandidateSet,
+    TupleCandidates,
     VertexStepState,
     generate_candidate_set,
     vertex_step_map,
@@ -34,7 +37,7 @@ from .counters import WORK_UNIT_MODELS, MatchCounters
 from .expansion import count_vertex_mappings, iter_vertex_mappings
 from .ordering import compute_matching_order, is_connected_order
 from .plan import ExecutionPlan, build_execution_plan
-from .validation import certify_embedding, validate_candidates
+from .validation import certify_embedding, validate_candidate_set
 
 EmbeddingSink = Callable[["Embedding"], None]
 
@@ -110,7 +113,7 @@ class HGMatch:
         Posting-list representation for a store built here — ``"merge"``
         (sorted tuples), ``"bitset"`` (row-id bitmasks) or ``"adaptive"``
         (roaring-style chunked containers); ``None`` defers to
-        ``REPRO_INDEX_BACKEND``/``"merge"``.  Ignored when a prebuilt
+        ``REPRO_INDEX_BACKEND``/``"bitset"``.  Ignored when a prebuilt
         ``store`` is supplied (the store's backend wins).
     shards:
         Default shard count for the multiprocess executor
@@ -218,39 +221,40 @@ class HGMatch:
         Returns the list of extended partial embeddings (possibly empty).
         ``matched_edges`` may be the empty tuple, in which case this is
         the SCAN step emitting the whole signature partition.  Arguments
-        as for :meth:`accepted_edges`; ``step_tuples`` is accepted and
+        as for :meth:`accepted_set`; ``step_tuples`` is accepted and
         ignored (validation compares step bitmasks on every backend).
         """
         return [
             matched_edges + (edge,)
-            for edge in self.accepted_edges(
+            for edge in self.accepted_set(
                 plan, matched_edges, counters, vmap, step_masks
-            )
+            ).to_tuple()
         ]
 
-    def accepted_edges(
+    def accepted_set(
         self,
         plan: ExecutionPlan,
         matched_edges: Tuple[int, ...],
         counters: "MatchCounters | None" = None,
         vmap: "Dict[int, set] | None" = None,
         step_masks: "Dict[int, int] | None" = None,
-    ) -> List[int]:
+    ) -> CandidateSet:
         """The data hyperedges that validly extend ``matched_edges`` by
         the next step: Algorithm 4's candidate set filtered by one
-        Algorithm 5 kernel call, in ascending edge-id order.
+        Algorithm 5 kernel call, still in the backend's representation —
+        ``len()`` counts the survivors without decoding them (a row
+        mask's popcount), ``to_tuple()`` decodes once, ascending.
 
         Loop-style callers pass the incrementally maintained ``vmap``
         and ``step_masks`` of ``matched_edges`` (see
         :class:`repro.core.candidates.VertexStepState`); both are read,
         not mutated.  Whatever is missing is rebuilt from the task tuple,
-        so a bare task remains fully self-contained.  The candidate set
-        stays in the backend's own representation and is iterated once.
+        so a bare task remains fully self-contained.
         """
         step_plan = plan.steps[len(matched_edges)]
         partition = self.store.partition(step_plan.signature)
         if partition is None:
-            return []
+            return EMPTY_CANDIDATES
         if vmap is None:
             vmap = vertex_step_map(self.data, matched_edges)
         if step_masks is None:
@@ -262,7 +266,7 @@ class HGMatch:
         final_step = step_plan.step == plan.num_steps - 1
         if counters is not None and final_step:
             counters.final_candidates += len(candidates)
-        return validate_candidates(
+        return validate_candidate_set(
             self.data, step_plan, step_masks, candidates, counters, final_step
         )
 
@@ -275,13 +279,13 @@ class HGMatch:
         counters: "MatchCounters | None",
         time_budget: "float | None",
         first_edges=None,
-    ) -> Iterator[Tuple[Tuple[int, ...], List[int]]]:
+    ) -> Iterator[Tuple[Tuple[int, ...], CandidateSet]]:
         """The sequential LIFO loop behind :meth:`match` and :meth:`count`.
 
         Yields ``(parent, accepted)`` once per last-level parent with at
         least one survivor: the complete embeddings are ``parent +
-        (edge,)`` for each accepted edge, left unbuilt so that counting
-        pays nothing per embedding.
+        (edge,)`` for each accepted edge, left undecoded and unbuilt so
+        that counting pays nothing per embedding.
         """
         deadline = None if time_budget is None else time.monotonic() + time_budget
         last_step = plan.num_steps - 1
@@ -300,16 +304,20 @@ class HGMatch:
                 counters.note_retained(-1 if matched else 0)
             if deadline is not None and time.monotonic() > deadline:
                 raise TimeoutExceeded(time.monotonic() - (deadline - time_budget), time_budget)
-            accepted = self.accepted_edges(
+            accepted = self.accepted_set(
                 plan, matched, counters, state.advance(matched), step_masks
             )
             if first_edges is not None and not matched:
-                accepted = [edge for edge in accepted if edge in first_edges]
+                accepted = TupleCandidates(
+                    tuple(e for e in accepted.to_tuple() if e in first_edges)
+                )
             if len(matched) == last_step:
                 if accepted:
                     yield matched, accepted
             else:
-                stack.extend([matched + (edge,) for edge in accepted])
+                stack.extend(
+                    [matched + (edge,) for edge in accepted.to_tuple()]
+                )
                 if counters is not None:
                     counters.note_retained(len(accepted))
 
@@ -341,7 +349,7 @@ class HGMatch:
         for parent, accepted in self._search(
             plan, counters, time_budget, first_edges
         ):
-            for edge in accepted:
+            for edge in accepted.to_tuple():
                 extended = parent + (edge,)
                 if strict and not certify_embedding(
                     self.data, query, plan.order, extended

@@ -70,6 +70,16 @@ class StepPlan:
     #: uncovered vertices all carry the profile ``(label, {step})`` and
     #: are settled by the signature (Observation V.1).
     shared_profile_key: Tuple[Tuple[int, int], ...] = ()
+    #: The same multiset as exact counts, for the set-algebra kernel
+    #: (:func:`repro.core.validation.validate_mask`): each distinct
+    #: ``(label, earlier-step bitmask)`` profile of the key — keyed by the
+    #: query *label* itself, so a data vertex is classified in one lookup
+    #: — maps to a class number, and ``shared_class_counts[class]`` is how
+    #: many vertices of the hyperedge carry that profile.
+    shared_profile_classes: Mapping[Tuple[object, int], int] = field(
+        default_factory=dict
+    )
+    shared_class_counts: Tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -159,6 +169,7 @@ def build_execution_plan(
         profile: Counter = Counter()
         label_ids: Dict[object, int] = {}
         shared_entries: List[Tuple[int, int]] = []
+        shared_classes: "Counter[Tuple[object, int]]" = Counter()
         for vertex in edge:
             incident_upto = frozenset(
                 s for s in incident_steps[vertex] if s <= step
@@ -167,9 +178,9 @@ def build_execution_plan(
             profile[(label, incident_upto)] += 1
             label_id = label_ids.setdefault(label, len(label_ids))
             if len(incident_upto) > 1:
-                shared_entries.append(
-                    (label_id, sum(1 << s for s in incident_upto if s < step))
-                )
+                earlier = sum(1 << s for s in incident_upto if s < step)
+                shared_entries.append((label_id, earlier))
+                shared_classes[(label, earlier)] += 1
 
         new_vertices = edge - covered
         covered |= edge
@@ -188,6 +199,11 @@ def build_execution_plan(
                 arity=len(edge),
                 profile_label_ids=label_ids,
                 shared_profile_key=tuple(sorted(shared_entries)),
+                shared_profile_classes={
+                    profile: number
+                    for number, profile in enumerate(shared_classes)
+                },
+                shared_class_counts=tuple(shared_classes.values()),
             )
         )
 

@@ -18,6 +18,19 @@ size is exactly what Observation V.5 tests.  Profiles use *step
 bitmasks* instead of hyperedge-id sets on both sides (the same thing up
 to the bijection ``step ↔ f(ϕ[step])``), so the query side is the
 ``shared_profile_key`` precomputed in the plan.
+
+A multiset equality is a set of exact counts, which is what lets the
+whole candidate mask of a parent be validated at once
+(:func:`validate_mask`): candidate row ``c`` is valid iff every profile
+class of the key with multiplicity ``k`` has exactly ``k`` covered data
+vertices of that profile incident to ``c``, and no covered vertex of any
+other profile is incident to ``c`` at all.  With ``m_v`` the posting row
+mask of covered vertex ``v``, "none of another profile" is
+``cand & ~OR(m_v)`` and "exactly k" is ``≥k & ~≥(k+1)`` over running
+planes — ``O(|V(partial)|)`` big-int operations per parent, no Python
+per candidate.  :func:`validate_candidate_set` picks the kernel from the
+candidate set's representation; :func:`validate_candidates` is the only
+one that can run on edge-id tuples, and the oracle for the other.
 """
 
 from __future__ import annotations
@@ -25,6 +38,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Mapping, Sequence, Set
 
 from ..hypergraph import Hypergraph
+from .candidates import CandidateSet, MaskCandidates, TupleCandidates
 from .counters import MatchCounters
 from .plan import StepPlan
 
@@ -86,6 +100,118 @@ def validate_candidates(
         if final_step:
             counters.final_filtered += passed
     return accepted
+
+
+def validate_mask(
+    data: Hypergraph,
+    step_plan: StepPlan,
+    step_masks: Mapping[int, int],
+    index,
+    candidate_mask: int,
+    counters: "MatchCounters | None" = None,
+    final_step: bool = False,
+) -> int:
+    """Algorithm 5 for a parent's whole candidate *row mask* at once.
+
+    ``index`` is the step partition's index and must serve per-vertex row
+    masks (``postings_mask``); ``candidate_mask`` is Algorithm 4's result
+    over the same rows.  Returns the accepted rows as a mask — the same
+    set, counters and work units as :func:`validate_candidates` over the
+    decoded candidates, without decoding one.
+    """
+    if not candidate_mask:
+        return 0
+    class_of = step_plan.shared_profile_classes.get
+    class_counts = step_plan.shared_class_counts
+    postings_mask = index.postings_mask
+    label_of = data.label
+    # planes[class][j]: candidates incident to more than j covered
+    # vertices of that profile class (j = 0 .. multiplicity).
+    planes = [[0] * (count + 1) for count in class_counts]
+    foreign = 0
+    # Bit-sliced |c ∩ V(partial)| per candidate row, for the Observation
+    # V.5 counters only: digits[i] holds bit i of every row's count.
+    digits: "List[int] | None" = None if counters is None else []
+    for vertex, steps in step_masks.items():
+        incident = postings_mask(vertex) & candidate_mask
+        if not incident:
+            continue
+        number = class_of((label_of(vertex), steps))
+        if number is None:
+            foreign |= incident
+        else:
+            plane = planes[number]
+            for j in range(len(plane) - 1, 0, -1):
+                plane[j] |= plane[j - 1] & incident
+            plane[0] |= incident
+        if digits is not None:
+            carry = incident
+            for i, digit in enumerate(digits):
+                digits[i] = digit ^ carry
+                carry &= digit
+                if not carry:
+                    break
+            else:
+                digits.append(carry)
+    # Observation V.5 on the live partial, as in validate_candidates.
+    need_shared = (
+        len(step_masks) + step_plan.arity - step_plan.expected_num_vertices
+    )
+    if need_shared == len(step_plan.shared_profile_key):
+        accepted = candidate_mask & ~foreign
+        for plane, count in zip(planes, class_counts):
+            accepted &= plane[count - 1] & ~plane[count]
+    else:
+        accepted = 0  # no candidate can share both counts of vertices
+    if counters is not None:
+        passed = _rows_counting(candidate_mask, digits, need_shared).bit_count()
+        counters.filtered += passed
+        counters.work_units += passed * step_plan.arity
+        if final_step:
+            counters.final_filtered += passed
+    return accepted
+
+
+def _rows_counting(rows: int, digits: Sequence[int], value: int) -> int:
+    """The rows of ``rows`` whose bit-sliced count equals ``value``."""
+    if value < 0 or value >> len(digits):
+        return 0
+    for i, digit in enumerate(digits):
+        rows &= digit if value >> i & 1 else ~digit
+    return rows
+
+
+def validate_candidate_set(
+    data: Hypergraph,
+    step_plan: StepPlan,
+    step_masks: Mapping[int, int],
+    candidates: CandidateSet,
+    counters: "MatchCounters | None" = None,
+    final_step: bool = False,
+) -> CandidateSet:
+    """Algorithm 5 for one parent, in the candidate set's own
+    representation: a row mask whose index serves per-vertex row masks
+    goes through :func:`validate_mask` and stays a mask; everything else
+    (the merge backend, the adaptive backend's chunk and array results,
+    step 0's whole partition) through :func:`validate_candidates`.
+    """
+    if type(candidates) is MaskCandidates:
+        index = candidates.index
+        if hasattr(index, "postings_mask"):
+            return MaskCandidates(
+                index,
+                validate_mask(
+                    data, step_plan, step_masks, index, candidates.mask,
+                    counters, final_step,
+                ),
+            )
+    return TupleCandidates(
+        tuple(
+            validate_candidates(
+                data, step_plan, step_masks, candidates, counters, final_step
+            )
+        )
+    )
 
 
 def is_valid_expansion(

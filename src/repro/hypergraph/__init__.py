@@ -73,6 +73,7 @@ from .journal import MutationJournal, RecoveredState
 from .persistence import load_store, save_store, stores_equal
 from .statistics import DatasetStatistics, dataset_statistics, format_bytes
 from .storage import (
+    DEFAULT_INDEX_BACKEND,
     HyperedgePartition,
     PartitionedStore,
     default_index_backend,
@@ -98,6 +99,7 @@ __all__ = [
     "INDEX_BACKENDS",
     "ARRAY_CONTAINER_MAX",
     "CHUNK_BITS",
+    "DEFAULT_INDEX_BACKEND",
     "default_index_backend",
     "resolve_index_backend",
     "build_index",

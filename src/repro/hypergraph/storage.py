@@ -44,15 +44,22 @@ def group_edges_by_signature(
     return group_live_edges_by_signature(graph)
 
 
+#: What :func:`default_index_backend` falls back to: the fast engine
+#: (row bitmasks; Algorithms 4 and 5 both run as big-int set algebra).
+#: ``"merge"`` is the paper-faithful reference, named explicitly wherever
+#: it is the oracle or its ``postings`` cost model is what is reported.
+DEFAULT_INDEX_BACKEND = "bitset"
+
+
 def default_index_backend() -> str:
     """The backend used when callers pass ``index_backend=None``.
 
     Resolved at call time from the ``REPRO_INDEX_BACKEND`` environment
-    variable (falling back to ``"merge"``), so a whole process — the
-    test suite under CI's backend matrix, a deployment — can be switched
-    without touching call sites.
+    variable (falling back to :data:`DEFAULT_INDEX_BACKEND`), so a whole
+    process — the test suite under CI's backend matrix, a deployment —
+    can be switched without touching call sites.
     """
-    return os.environ.get("REPRO_INDEX_BACKEND") or "merge"
+    return os.environ.get("REPRO_INDEX_BACKEND") or DEFAULT_INDEX_BACKEND
 
 
 def resolve_index_backend(index_backend: "str | None") -> str:
@@ -165,7 +172,7 @@ class PartitionedStore:
     (dense row-id bitmasks + bitwise algebra) or ``"adaptive"``
     (roaring-style chunked containers).  ``None`` defers to
     :func:`default_index_backend` (the ``REPRO_INDEX_BACKEND``
-    environment variable, falling back to ``"merge"``).  All backends
+    environment variable, falling back to ``"bitset"``).  All backends
     yield identical candidate sets; see :mod:`repro.hypergraph.index`.
     """
 

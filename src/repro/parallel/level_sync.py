@@ -59,6 +59,7 @@ from typing import List, Optional, Sequence, Tuple
 from ..core.candidates import (
     AnchorUnionMemo,
     CandidateAccumulator,
+    MaskCandidates,
     VertexStepState,
     candidate_set_from_bytes,
     encode_chunks_payload,
@@ -67,7 +68,7 @@ from ..core.candidates import (
     generate_candidate_set,
 )
 from ..core.counters import MatchCounters
-from ..core.validation import validate_candidates
+from ..core.validation import validate_candidate_set
 from ..errors import QueryCancelled, SchedulerError, TimeoutExceeded
 from ..hypergraph import Hypergraph
 from ..hypergraph.index import chunks_from_rows
@@ -165,7 +166,7 @@ def expand_level(
     row_base = shard.row_base(step_plan.signature)
     # Row coordinates are positions in the partition's *row layout*
     # (all slots, tombstones included) — under mutation this diverges
-    # from the live edge-id table, so mask payloads bisect row_ids.
+    # from the live edge-id table, so edge ids bisect row_ids.
     row_ids = partition.row_ids
     step_masks = state.step_masks
     payloads: "List[Optional[bytes]] | None" = None if final else []
@@ -177,16 +178,22 @@ def expand_level(
         )
         if final:
             counters.final_candidates += len(candidates)
-        accepted = validate_candidates(
+        accepted = validate_candidate_set(
             graph, step_plan, step_masks, candidates, counters, final
         )
         stats.tasks_executed += 1
         if final:
             embeddings += len(accepted)
             continue
+        if type(accepted) is MaskCandidates:
+            # Validated as a mask over this partition's own rows: that
+            # mask is the payload (local rows + decode offset).
+            payloads.append(accepted.to_bytes(row_base) if accepted else None)
+            continue
+        edges = accepted.to_tuple()
         # Only the mask backends ship rows; merge ships the edge ids.
-        rows = [bisect_left(row_ids, e) for e in accepted if backend != "merge"]
-        payloads.append(encode_survivors(backend, rows, accepted, row_base, index))
+        rows = [bisect_left(row_ids, e) for e in edges if backend != "merge"]
+        payloads.append(encode_survivors(backend, rows, edges, row_base, index))
     if final:
         stats.embeddings += embeddings
     else:

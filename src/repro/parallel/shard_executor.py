@@ -193,7 +193,7 @@ class ProcessShardExecutor:
         shard of every signature partition.
     index_backend:
         Posting-list representation the shards build (``None`` defers
-        to ``REPRO_INDEX_BACKEND``/``"merge"``); must match the
+        to ``REPRO_INDEX_BACKEND``/``"bitset"``); must match the
         engine's backend so payloads decode into the parent's store.
     sharding:
         Shard placement mode (``"uniform"`` row counts or ``"balanced"``

@@ -25,6 +25,23 @@ from repro.errors import TimeoutExceeded
 
 
 class TestHarness:
+    def test_paper_figure_engines_keep_the_postings_cost_model(self):
+        """The harness and the cached dataset stores report paper
+        figures: pinned to ``merge``, not to the library default."""
+        from repro import MatchCounters
+        from repro.bench import make_engine
+        from repro.datasets import load_store
+
+        data = load_dataset("HC")
+        query = workload("HC", "q2", queries_per_setting=1)[0]
+        for engine in (
+            make_engine(data), HGMatch(data, store=load_store("HC"))
+        ):
+            assert engine.index_backend == "merge"
+            counters = MatchCounters()
+            engine.count(query, counters=counters)
+            assert counters.work_model == "postings"
+
     def test_run_hgmatch_records_success(self):
         data = load_dataset("HC")
         engine = HGMatch(data)

@@ -1,9 +1,13 @@
 """Funnel counters and the count-only sink are pinned across the kernel
-change: the numbers below were recorded on the commit *before* the
+changes: the numbers below were recorded on the commit *before* the
 shared-vertex kernel (PR 11, ``59d05da``) by summing ``MatchCounters``
 over the Fig. 8 trace, and must never move — ``work_units`` feeds the
 simulated executor's virtual clock, the rest are the paper's Fig. 9
-funnel.
+funnel.  ``("bitset", "processes")`` was recorded on the commit before
+the set-algebra kernel (PR 12, ``1dece90``) and holds the shard workers'
+``expand_level`` path to the same standard.  The engines built without a
+backend run the library default (``bitset`` unless
+``REPRO_INDEX_BACKEND`` says otherwise).
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ WORK_UNITS = {
     ("merge", "processes"): 774796,
     ("merge", "simulated"): 711884,
     ("bitset", "sequential"): 324882,
+    ("bitset", "processes"): 405326,
     ("adaptive", "sequential"): 324882,
 }
 MODES = {

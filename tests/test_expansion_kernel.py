@@ -1,22 +1,38 @@
-"""The expansion kernel against the full-profile reference oracle.
+"""The expansion kernels against the full-profile reference oracle.
 
 ``validate_candidates`` compares Theorem V.2's profiles over the shared
-vertices only; ``repro.testing.reference_is_valid_expansion`` writes
-Algorithm 5 out in full.  Along whole enumeration trees the two must
-give the same verdict for **every** edge of the step's partition, on
-every index backend.
+vertices only, one candidate at a time; ``validate_mask`` turns the same
+multiset equality into per-class exact counts over a parent's whole
+candidate row mask; ``repro.testing.reference_is_valid_expansion``
+writes Algorithm 5 out in full.  Along whole enumeration trees all
+three must give the same verdict for **every** edge of the step's
+partition — and the two kernels the same counters — on every index
+backend that can run them.
 """
 
 from __future__ import annotations
 
 import random
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro import HGMatch, Hypergraph
-from repro.core.candidates import vertex_step_map, vertex_step_masks
+from repro import HGMatch, Hypergraph, MatchCounters
+from repro.core.candidates import (
+    MaskCandidates,
+    TupleCandidates,
+    vertex_step_map,
+    vertex_step_masks,
+)
 from repro.core.plan import build_execution_plan
-from repro.core.validation import is_valid_expansion, validate_candidates
+from repro.core.validation import (
+    is_valid_expansion,
+    validate_candidate_set,
+    validate_candidates,
+    validate_mask,
+)
 from repro.testing import (
     make_mutable_instance,
     make_random_instance,
@@ -48,19 +64,51 @@ def check_tree(engine: HGMatch, query: Hypergraph, max_nodes: int = 400) -> int:
             for edge in partition.edge_ids
             if reference_is_valid_expansion(data, step_plan, vmap, edge)
         ]
+        masks = vertex_step_masks(data, matched)
+        final = len(matched) == plan.num_steps - 1
+        counted = MatchCounters()
         assert validate_candidates(
-            data, step_plan, vertex_step_masks(data, matched), partition.edge_ids
+            data, step_plan, masks, partition.edge_ids, counted, final
         ) == expected
+        if hasattr(partition.index, "postings_mask"):
+            check_mask_kernel(
+                data, step_plan, masks, partition, final, expected, counted
+            )
         assert [
             edge
             for edge in partition.edge_ids
             if is_valid_expansion(data, step_plan, vmap, len(vmap), edge)
         ] == expected
         # Algorithm 4 is complete, so candidates + kernel lose nothing.
-        assert engine.accepted_edges(plan, matched) == expected
+        assert list(engine.accepted_set(plan, matched)) == expected
         if len(matched) < plan.num_steps - 1:
             stack.extend(matched + (edge,) for edge in expected)
     return nodes
+
+
+def live_rows(partition) -> int:
+    """Row mask of the partition's live edges (tombstoned rows clear)."""
+    live = set(partition.edge_ids)
+    return sum(
+        1 << row
+        for row, edge in enumerate(partition.index.row_to_edge)
+        if edge in live
+    )
+
+
+def check_mask_kernel(data, step_plan, masks, partition, final, expected, counted):
+    """``validate_mask`` over every live row of the partition: same
+    survivors and same counters as the per-candidate kernel."""
+    index = partition.index
+    rows = live_rows(partition)
+    counters = MatchCounters()
+    accepted = validate_mask(
+        data, step_plan, masks, index, rows, counters, final
+    )
+    assert list(index.decode_mask(accepted)) == expected
+    assert counters == counted
+    # Counters are optional and do not change the verdict.
+    assert validate_mask(data, step_plan, masks, index, rows) == accepted
 
 
 def random_instances(seed: int, count: int, make=make_random_instance):
@@ -198,3 +246,187 @@ def test_bare_task_path_builds_masks():
                 next_frontier.extend(bare)
             frontier = next_frontier
         assert len(frontier) == engine.count(query)
+
+
+# ----------------------------------------------------------------------
+# The set-algebra kernel's own cases
+# ----------------------------------------------------------------------
+
+
+def full_partition_verdicts(data, query, order, matched):
+    """``(per-candidate kernel, mask kernel decoded, reference)`` for the
+    step after ``matched`` over the whole partition, on a bitset engine."""
+    engine = HGMatch(data, index_backend="bitset")
+    plan = engine.plan(query, order)
+    step_plan = plan.steps[len(matched)]
+    partition = engine.store.partition(step_plan.signature)
+    masks = vertex_step_masks(data, matched)
+    vmap = vertex_step_map(data, matched)
+    accepted = validate_mask(
+        data, step_plan, masks, partition.index, live_rows(partition)
+    )
+    return (
+        validate_candidates(data, step_plan, masks, partition.edge_ids),
+        list(partition.index.decode_mask(accepted)),
+        [
+            edge
+            for edge in partition.edge_ids
+            if reference_is_valid_expansion(data, step_plan, vmap, edge)
+        ],
+    )
+
+
+def test_a_class_of_two_needs_exactly_two():
+    """Two same-label query vertices shared with the same earlier edge
+    form one profile class of multiplicity 2: a candidate incident to
+    only one such data vertex (what ``>= 1 and not >= 2`` would accept)
+    must be rejected, one incident to both accepted."""
+    #        a0 a1 b0  c0  a2  c1  c2
+    labels = ["A", "A", "B", "C", "A", "C", "C"]
+    data = Hypergraph(
+        labels,
+        [{0, 1, 2}, {0, 1, 3}, {0, 4, 5}, {1, 4, 6}, {0, 1, 6}],
+    )
+    query = Hypergraph(["A", "A", "B", "C"], [{0, 1, 2}, {0, 1, 3}])
+    step_plan = build_execution_plan(query, (0, 1)).steps[1]
+    assert step_plan.shared_class_counts == (2,)
+    assert step_plan.shared_profile_classes == {("A", 0b1): 0}
+    kernel, mask, reference = full_partition_verdicts(data, query, (0, 1), (0,))
+    assert kernel == mask == reference == [1, 4]
+
+
+def test_a_covered_vertex_of_a_foreign_profile_rejects_the_candidate():
+    """Candidate {2, 0} has the demanded shared vertex 2 (profile
+    ``(A, step 1)``) but also vertex 0, covered by step 0 only — a
+    profile the query hyperedge does not have."""
+    data = Hypergraph(["A"] * 4, [{0, 1}, {1, 2}, {2, 3}, {0, 2}])
+    query = Hypergraph(["A"] * 4, [{0, 1}, {1, 2}, {2, 3}])
+    kernel, mask, reference = full_partition_verdicts(
+        data, query, (0, 1, 2), (0, 1)
+    )
+    assert kernel == mask == reference == [2]
+
+
+def test_foreign_label_on_a_covered_vertex_rejects_the_candidate():
+    """A covered vertex whose label the query hyperedge does not carry
+    (the per-candidate kernel's ``label id -1``) beside the demanded
+    shared vertex.  Edge 0 = {a0, b1} is off the step's {A, A}
+    partition, so it is fed through a stand-in index over both rows:
+    the kernels take Observation V.1 for granted."""
+    from repro.hypergraph.index import BitsetHyperedgeIndex
+
+    data = Hypergraph(["A", "B", "A"], [{0, 1}, {0, 2}])
+    query = Hypergraph(["A", "B", "A"], [{0, 1}, {0, 2}])
+    step_plan = build_execution_plan(query, (0, 1)).steps[1]
+    masks = vertex_step_masks(data, (0,))
+    index = BitsetHyperedgeIndex.build(data, (0, 1))
+    accepted = validate_mask(data, step_plan, masks, index, 0b11)
+    assert index.decode_mask(accepted) == (1,)
+    assert validate_candidates(data, step_plan, masks, (0, 1)) == [1]
+
+
+def test_empty_candidate_mask_is_a_no_op():
+    data = Hypergraph(["A"] * 3, [{0, 1}, {1, 2}])
+    query = Hypergraph(["A"] * 3, [{0, 1}, {1, 2}])
+    engine = HGMatch(data, index_backend="bitset")
+    step_plan = engine.plan(query, (0, 1)).steps[1]
+    partition = engine.store.partition(step_plan.signature)
+    counters = MatchCounters()
+    masks = vertex_step_masks(data, (0,))
+    assert validate_mask(
+        data, step_plan, masks, partition.index, 0, counters, True
+    ) == 0
+    assert counters == MatchCounters()
+    empty = validate_candidate_set(
+        data, step_plan, masks, MaskCandidates(partition.index, 0), counters
+    )
+    assert type(empty) is MaskCandidates and len(empty) == 0 and not empty
+
+
+def test_the_kernel_is_chosen_by_the_candidate_representation():
+    """A row mask over a bitset index stays a mask; tuples (merge, step
+    0) and an adaptive index's single-chunk masks (no per-vertex row
+    masks to serve) go through the per-candidate kernel."""
+    for data, query in random_instances(1207, 3):
+        answers = {}
+        for backend in BACKENDS:
+            engine = HGMatch(data, index_backend=backend)
+            plan = engine.plan(query)
+            first = engine.accepted_set(plan, ())
+            assert type(first) is TupleCandidates
+            kinds = set()
+            for edge in first:
+                accepted = engine.accepted_set(plan, (edge,))
+                kinds.add(type(accepted))
+                answers.setdefault(edge, []).append(accepted.to_tuple())
+            kinds.discard(type(None))
+            if backend == "bitset":
+                assert kinds <= {MaskCandidates, TupleCandidates}
+            else:
+                assert kinds <= {TupleCandidates}
+        assert all(len(set(found)) == 1 for found in answers.values())
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    num_rows=st.integers(1, 70),
+    vertices=st.lists(
+        # (profile slot, row mask seed): slots 0..2 are the query's
+        # classes, slot 3 is a profile the query does not have.
+        st.tuples(st.integers(0, 3), st.integers(0, (1 << 70) - 1)),
+        max_size=9,
+    ),
+    counts=st.tuples(st.integers(1, 3), st.integers(1, 2), st.integers(1, 2)),
+    used_classes=st.integers(0, 3),
+    slack=st.integers(-1, 1),
+    candidate_seed=st.integers(0, (1 << 70) - 1),
+)
+def test_plane_arithmetic_against_per_row_popcounts(
+    num_rows, vertices, counts, used_classes, slack, candidate_seed
+):
+    """The planes alone, on synthetic masks: "exactly k of the class,
+    none of another profile" and the bit-sliced ``== need_shared`` count
+    against a brute-force count per row."""
+    row_space = (1 << num_rows) - 1
+    counts = counts[:used_classes]
+    postings = {
+        vertex: seed & row_space for vertex, (_, seed) in enumerate(vertices)
+    }
+    slot_of = {vertex: slot for vertex, (slot, _) in enumerate(vertices)}
+    key_length = sum(counts)
+    step_plan = SimpleNamespace(
+        arity=key_length + 1,
+        # need_shared = len(step_masks) + arity - expected_num_vertices
+        expected_num_vertices=len(vertices) + 1 - slack,
+        shared_profile_classes={
+            ("L", 1 << slot): slot for slot in range(len(counts))
+        },
+        shared_class_counts=counts,
+        shared_profile_key=((0, 0),) * key_length,
+    )
+    need_shared = key_length + slack
+    data = SimpleNamespace(label=lambda vertex: "L")
+    index = SimpleNamespace(postings_mask=lambda vertex: postings[vertex])
+    step_masks = {vertex: 1 << slot_of[vertex] for vertex in postings}
+    candidate_mask = candidate_seed & row_space
+
+    expected = passed = 0
+    for row in range(num_rows):
+        if not candidate_mask >> row & 1:
+            continue
+        incident = [v for v in postings if postings[v] >> row & 1]
+        per_slot = [0, 0, 0, 0]
+        for vertex in incident:
+            per_slot[slot_of[vertex]] += 1
+        if len(incident) == need_shared:
+            passed += 1
+            foreign = sum(per_slot[len(counts):])
+            if not foreign and tuple(per_slot[:len(counts)]) == counts:
+                expected |= 1 << row
+
+    counters = MatchCounters()
+    assert validate_mask(
+        data, step_plan, step_masks, index, candidate_mask, counters, True
+    ) == expected
+    assert counters.filtered == counters.final_filtered == passed
+    assert counters.work_units == passed * step_plan.arity

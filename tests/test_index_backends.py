@@ -23,6 +23,7 @@ from repro.core.candidates import (
     vertex_step_tuples,
 )
 from repro.hypergraph import (
+    DEFAULT_INDEX_BACKEND,
     AdaptiveHyperedgeIndex,
     BitsetHyperedgeIndex,
     InvertedHyperedgeIndex,
@@ -459,7 +460,7 @@ class TestBackendSelection:
         assert default_index_backend() == "adaptive"
         assert HGMatch(fig1_data).index_backend == "adaptive"
         monkeypatch.delenv("REPRO_INDEX_BACKEND")
-        assert default_index_backend() == "merge"
+        assert default_index_backend() == DEFAULT_INDEX_BACKEND == "bitset"
 
     def test_plan_carries_backend(self, fig1_data, fig1_query):
         for backend in ALT_BACKENDS:

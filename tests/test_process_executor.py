@@ -258,3 +258,123 @@ def test_fig1_running_example_across_executors(fig1_data, fig1_query):
         assert engine.count_bfs(fig1_query, executor="simulated") == expected
     finally:
         engine.close()
+
+
+# ----------------------------------------------------------------------
+# The shard seam under the set-algebra kernel
+# ----------------------------------------------------------------------
+
+
+def _payload_before_the_mask_kernel(graph, partition, step_plan, step_masks,
+                                    candidates, row_base):
+    """What ``expand_level`` shipped for one parent on the bitset backend
+    before ``validate_mask``: the per-candidate kernel, every survivor
+    bisected back to its row, the mask rebuilt bit by bit."""
+    from bisect import bisect_left
+
+    from repro.core.candidates import encode_mask_payload
+    from repro.core.validation import validate_candidates
+
+    accepted = validate_candidates(graph, step_plan, step_masks, candidates)
+    if not accepted:
+        return None
+    mask = 0
+    for edge in accepted:
+        mask |= 1 << bisect_left(partition.row_ids, edge)
+    return encode_mask_payload(mask, row_base)
+
+
+def _check_level_payloads(engine, query, shards) -> int:
+    """Run every intermediate level of ``query`` through ``expand_level``
+    on each shard and compare the payload of every parent, byte for
+    byte, with the pre-kernel emission.  Returns how many parents went
+    through the mask kernel."""
+    from repro.core.candidates import (
+        AnchorUnionMemo,
+        MaskCandidates,
+        VertexStepState,
+        generate_candidate_set,
+    )
+    from repro.parallel.level_sync import expand_level
+    from repro.parallel.tasks import WorkerStats
+
+    graph = engine.data
+    plan = engine.plan(query)
+    frontier = [()]
+    masked = 0
+    for step in range(plan.num_steps - 1):
+        step_plan = plan.steps[step]
+        for shard in shards:
+            kind, payloads, _ = expand_level(
+                graph, shard, plan, step, frontier, VertexStepState(graph),
+                MatchCounters(), WorkerStats(worker_id=shard.shard_id),
+                AnchorUnionMemo(),
+            )
+            partition = shard.partition(step_plan.signature)
+            if partition is None:
+                assert payloads is None
+                continue
+            state = VertexStepState(graph)
+            expected = []
+            for partial in frontier:
+                candidates = generate_candidate_set(
+                    graph, partition, step_plan, partial,
+                    state.advance(partial),
+                )
+                masked += type(candidates) is MaskCandidates
+                expected.append(
+                    _payload_before_the_mask_kernel(
+                        graph, partition, step_plan, state.step_masks,
+                        candidates, shard.row_base(step_plan.signature),
+                    )
+                )
+            assert kind == "level" and payloads == expected
+        frontier = [
+            child
+            for partial in frontier
+            for child in engine.expand(plan, partial)
+        ]
+    return masked
+
+
+def test_bitset_level_payloads_are_byte_identical_to_the_parent_commit(
+    workload_instances,
+):
+    from repro.hypergraph import StoreShard
+
+    masked = 0
+    for data, query in workload_instances:
+        engine = HGMatch(data, index_backend="bitset")
+        shards = [StoreShard.build(data, s, 2, "bitset") for s in range(2)]
+        masked += _check_level_payloads(engine, query, shards)
+    assert masked > 0
+
+
+def test_bitset_level_payloads_over_tombstoned_shard_rows():
+    """Incrementally maintained shards: rows of deleted edges stay
+    allocated, so the row layout no longer equals the live edge table —
+    the accepted mask must still land on the same bits and offset."""
+    from repro.hypergraph import StoreShard
+    from repro.testing import make_mutable_instance, random_mutation_schedule
+
+    rng = random.Random(1301)
+    masked = tombstoned = found = 0
+    while found < 12:
+        instance = make_mutable_instance(rng)
+        if instance is None:
+            continue
+        found += 1
+        data, query, _ = instance
+        engine = HGMatch(data, index_backend="bitset")
+        shards = [StoreShard.build(data, s, 2, "bitset") for s in range(2)]
+        for batch in random_mutation_schedule(rng, data, steps=4):
+            result = engine.apply_mutations(batch)
+            for shard in shards:
+                shard.apply_mutation_result(engine.data, result)
+        tombstoned += sum(
+            partition.num_rows - len(partition.edge_ids)
+            for shard in shards
+            for partition in shard.partitions.values()
+        )
+        masked += _check_level_payloads(engine, query, shards)
+    assert masked > 0 and tombstoned > 0
