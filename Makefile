@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-backends test-processes test-sockets test-chaos \
+.PHONY: test test-backends test-shards test-chaos \
 	test-elastic test-service test-mutation test-durability \
 	bench-smoke bench-index bench-sharding bench-skew bench-net \
 	bench-chaos bench-elastic bench-service bench-mutation \
@@ -22,30 +22,17 @@ test-backends:
 	REPRO_INDEX_BACKEND=bitset $(PYTHON) -m pytest -x -q
 	REPRO_INDEX_BACKEND=adaptive $(PYTHON) -m pytest -x -q
 
-## Multiprocess smoke: the sharded-execution subsystem across all three
-## backends (wire format, shard slicing, process pool, parity) — the
-## tier-1 subset CI's multiprocess job runs.
-test-processes:
-	REPRO_INDEX_BACKEND=merge $(PYTHON) -m pytest -x -q \
-		tests/test_process_executor.py tests/test_sharding.py \
-		tests/test_rebalance.py tests/test_wire_format.py
-	REPRO_INDEX_BACKEND=bitset $(PYTHON) -m pytest -x -q \
-		tests/test_process_executor.py tests/test_sharding.py \
-		tests/test_rebalance.py tests/test_wire_format.py
-	REPRO_INDEX_BACKEND=adaptive $(PYTHON) -m pytest -x -q \
-		tests/test_process_executor.py tests/test_sharding.py \
-		tests/test_rebalance.py tests/test_wire_format.py
-
-## Socket-transport smoke: framing, handshake and the network shard
-## executor across all three backends (the tier-1 subset CI's
-## socket job runs).
-test-sockets:
-	REPRO_INDEX_BACKEND=merge $(PYTHON) -m pytest -x -q \
-		tests/test_transport.py tests/test_net_executor.py
-	REPRO_INDEX_BACKEND=bitset $(PYTHON) -m pytest -x -q \
-		tests/test_transport.py tests/test_net_executor.py
-	REPRO_INDEX_BACKEND=adaptive $(PYTHON) -m pytest -x -q \
-		tests/test_transport.py tests/test_net_executor.py
+## Shard-executor smoke: the sharded-execution subsystem across all
+## three backends (wire format, shard slicing, framing, handshake, the
+## coordinator over its local worker pool, rebalance, parity) — the
+## tier-1 subset CI's shard-smoke job runs.
+SHARD_TESTS = tests/test_process_executor.py tests/test_sharding.py \
+	tests/test_rebalance.py tests/test_wire_format.py \
+	tests/test_transport.py tests/test_net_executor.py
+test-shards:
+	REPRO_INDEX_BACKEND=merge $(PYTHON) -m pytest -x -q $(SHARD_TESTS)
+	REPRO_INDEX_BACKEND=bitset $(PYTHON) -m pytest -x -q $(SHARD_TESTS)
+	REPRO_INDEX_BACKEND=adaptive $(PYTHON) -m pytest -x -q $(SHARD_TESTS)
 
 ## Fault-injection smoke: the deterministic chaos harness plus the
 ## replication/failover paths of the socket executor (replica
@@ -100,7 +87,7 @@ bench-smoke:
 bench-index: bench-smoke
 
 ## Sharded execution benchmark: threads vs processes at 4 shards on the
-## Fig. 8 trace + parity/payload/streaming gates and the skewed-trace
+## Fig. 8 trace + parity/payload gates and the skewed-trace
 ## placement gate (regenerates BENCH_sharding.json; the >= 1.5x speedup
 ## gate enforces only on hosts with >= 2 cores — set
 ## REPRO_BENCH_MIN_CORES to fail instead of skip below that).
@@ -114,7 +101,7 @@ bench-skew:
 	$(PYTHON) benchmarks/bench_sharding.py --skew
 
 ## Socket executor benchmark: loopback clusters at 4 shards on the
-## Fig. 8 trace, parity vs threads/processes + payload gates
+## Fig. 8 trace, parity vs threads + payload gates
 ## (regenerates BENCH_net.json; wall clock recorded, not gated).
 bench-net:
 	$(PYTHON) benchmarks/bench_net.py

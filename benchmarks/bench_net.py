@@ -7,10 +7,10 @@ executor — local loopback clusters spawned by
 framing and versioned candidate payloads — and gates the subsystem:
 
 * **parity** — ``count``/``count_bfs`` with ``executor="sockets"`` must
-  be bit-identical to the sequential engine, the threaded executor and
-  the process executor for all three index backends, and the balanced
-  shard placement must return the same counts as uniform over the
-  whole trace (always enforced);
+  be bit-identical to the sequential engine and the threaded executor
+  for all three index backends, and the balanced shard placement
+  must return the same counts as uniform over the whole trace (always
+  enforced);
 * **payload** — the candidate bytes crossing the sockets must be the
   backend's mask representation: on the identical trace the
   bitset/adaptive payload totals must stay at or below the merge
@@ -18,11 +18,10 @@ framing and versioned candidate payloads — and gates the subsystem:
   ``BENCH_sharding.json`` ratio, one version byte per payload added on
   both sides of the comparison).
 
-Wall-clock against threads/processes is *recorded* but not gated: the
-socket transport pays framing + loopback TCP on top of the process
-executor's IPC, which single-core hosts (like the dev container) have
-no parallelism to amortise.  The JSON captures the ratios so multi-core
-CI trends are visible.
+Wall-clock against threads is *recorded* but not gated here
+(``bench_sharding`` owns the speedup gate, and ``executor="processes"``
+is this same coordinator over the same kind of local cluster).  The
+JSON captures the ratio so multi-core CI trends are visible.
 
 Results land in ``BENCH_net.json`` at the repo root.  Run standalone
 (``python benchmarks/bench_net.py``) or via pytest; the pytest entry
@@ -47,11 +46,7 @@ from repro.bench import (
     work_model_label,
 )
 from repro.datasets import load_dataset
-from repro.parallel import (
-    NetShardExecutor,
-    ProcessShardExecutor,
-    ThreadedExecutor,
-)
+from repro.parallel import NetShardExecutor, ThreadedExecutor
 
 REPEATS = 2
 
@@ -85,10 +80,9 @@ def run_benchmark() -> dict:
     for backend in BACKENDS:
         net_executors: Dict[str, NetShardExecutor] = {}
         net_balanced: Dict[str, NetShardExecutor] = {}
-        process_executors: Dict[str, ProcessShardExecutor] = {}
         try:
-            # Offline stage: spawn the socket clusters and process
-            # pools, and warm them (first run builds each shard).
+            # Offline stage: spawn the socket clusters and warm them
+            # (first run builds each shard).
             for dataset in DATASETS:
                 net = NetShardExecutor(
                     num_shards=NUM_SHARDS, index_backend=backend
@@ -102,14 +96,9 @@ def run_benchmark() -> dict:
                 )
                 net_balanced[dataset] = net_b
                 net_b.run(engines[dataset][backend], queries[0][1])
-                pool = ProcessShardExecutor(
-                    NUM_SHARDS, index_backend=backend
-                )
-                process_executors[dataset] = pool
-                pool.run(engines[dataset][backend], queries[0][1])
 
-            # Parity: sockets == sequential == threads == processes,
-            # via both the raw executor and the engine count_bfs API.
+            # Parity: sockets == sequential == threads, via both the
+            # raw executor and the engine count_bfs API.
             threaded = ThreadedExecutor(num_workers=NUM_SHARDS)
             payload_bytes = [0] * NUM_SHARDS
             for (dataset, query), expected in zip(queries, reference):
@@ -120,14 +109,6 @@ def run_benchmark() -> dict:
                 if threads_count != expected:
                     parity_failures.append(
                         f"{backend}: threads returned {threads_count}, "
-                        f"sequential {expected}"
-                    )
-                processes_count = process_executors[dataset].run(
-                    engine, query
-                ).embeddings
-                if processes_count != expected:
-                    parity_failures.append(
-                        f"{backend}: processes returned {processes_count}, "
                         f"sequential {expected}"
                     )
                 result = net_executors[dataset].run(engine, query)
@@ -167,17 +148,6 @@ def run_benchmark() -> dict:
                 )
                 for _ in range(REPEATS)
             )
-            processes_s = min(
-                _time_pass(
-                    lambda: [
-                        process_executors[dataset].run(
-                            engines[dataset][backend], query
-                        )
-                        for dataset, query in queries
-                    ]
-                )
-                for _ in range(REPEATS)
-            )
             sockets_s = min(
                 _time_pass(
                     lambda: [
@@ -194,21 +164,15 @@ def run_benchmark() -> dict:
                 executor.close()
             for executor in net_balanced.values():
                 executor.close()
-            for executor in process_executors.values():
-                executor.close()
 
         rows.append(
             {
                 "backend": backend,
                 "work_model": work_model_label(backend),
                 f"threads{NUM_SHARDS}_seconds": round(threads_s, 6),
-                f"processes{NUM_SHARDS}_seconds": round(processes_s, 6),
                 f"sockets{NUM_SHARDS}_seconds": round(sockets_s, 6),
                 "sockets_vs_threads": round(
                     threads_s / max(sockets_s, 1e-12), 3
-                ),
-                "sockets_vs_processes": round(
-                    processes_s / max(sockets_s, 1e-12), 3
                 ),
                 "payload_bytes_per_shard": payload_bytes,
                 "payload_bytes_total": sum(payload_bytes),
@@ -263,8 +227,8 @@ def summary():
 
 
 def test_socket_counts_bit_identical(summary):
-    """count/count_bfs over sockets == sequential == threads ==
-    processes, all three index backends, every workload query."""
+    """count/count_bfs over sockets == sequential == threads, all
+    three index backends, every workload query."""
     assert summary["parity_failures"] == []
 
 
@@ -284,8 +248,6 @@ def main() -> int:
         print(
             f"{row['backend']}: "
             f"threads{NUM_SHARDS}={row[f'threads{NUM_SHARDS}_seconds']:.4f}s "
-            f"processes{NUM_SHARDS}="
-            f"{row[f'processes{NUM_SHARDS}_seconds']:.4f}s "
             f"sockets{NUM_SHARDS}={row[f'sockets{NUM_SHARDS}_seconds']:.4f}s "
             f"(x{row['sockets_vs_threads']:.2f} vs threads, "
             f"payload={row['payload_bytes_total']}B)"

@@ -6,8 +6,7 @@ sharded subsystem:
 
 * **parity** — sharded ``count``/``count_bfs`` results must be
   bit-identical to the sequential engine for all three index backends
-  × both shard placements (uniform and balanced), with streaming and
-  barrier composition (always enforced);
+  × both shard placements (uniform and balanced) (always enforced);
 * **payload** — the bytes crossing the process boundaries must be the
   backend's *mask* representation, not decoded edge-id lists: on the
   identical trace the bitset/adaptive payload totals must undercut the
@@ -21,9 +20,6 @@ sharded subsystem:
   ``REPRO_BENCH_MIN_CORES`` (CI does: its runners are multi-core) to
   make a host with fewer usable cores *fail* instead of skip — the
   guard that keeps the gate from silently never enforcing;
-* **streaming** — streaming composition (fold shard payloads as they
-  arrive) must show no wall-clock regression against the barrier
-  gather on the standard trace (≤ ``STREAM_TOLERANCE`` of it);
 * **skew** — on the skewed trace (one hot signature partition, see
   :func:`repro.bench.skewed_instance`), balanced placement must cut
   the max/mean per-shard CPU-load imbalance by ≥ ``SKEW_GATE``× vs
@@ -77,10 +73,6 @@ BACKENDS = ("merge", "bitset", "adaptive")
 MASK_BACKENDS = ("bitset", "adaptive")
 NUM_SHARDS = 4
 SPEEDUP_GATE = 1.5
-#: Streaming compose may cost at most this factor of the barrier gather
-#: on the standard trace (it should win or tie; the headroom absorbs
-#: timer noise on sub-second workloads).
-STREAM_TOLERANCE = 1.25
 #: Balanced placement must divide the skewed trace's load imbalance by
 #: at least this factor.
 SKEW_GATE = 1.3
@@ -145,7 +137,7 @@ def run_benchmark() -> dict:
                 executor_balanced.run(engines[dataset][backend], queries[0][1])
 
             # Parity: sharded count/count_bfs == sequential, per query,
-            # for both placements and both composition modes.
+            # for both placements.
             payload_bytes = [0] * NUM_SHARDS
             for (dataset, query), expected in zip(queries, reference):
                 engine = engines[dataset][backend]
@@ -160,11 +152,6 @@ def run_benchmark() -> dict:
                 if balanced[dataset].run(engine, query).embeddings != expected:
                     parity_failures.append(
                         f"{backend}: balanced placement diverged"
-                    )
-                barrier = executors[dataset].run(engine, query, stream=False)
-                if barrier.embeddings != expected:
-                    parity_failures.append(
-                        f"{backend}: barrier compose diverged"
                     )
                 if engine.count_bfs(query) != expected:
                     parity_failures.append(f"{backend}: count_bfs diverged")
@@ -191,34 +178,17 @@ def run_benchmark() -> dict:
                 )
                 for _ in range(REPEATS)
             )
-            # Stream and barrier passes interleave so clock drift and
-            # cache state cancel out of their ratio.
-            processes_s = float("inf")
-            barrier_s = float("inf")
-            for _ in range(REPEATS):
-                processes_s = min(
-                    processes_s,
-                    _time_pass(
-                        lambda: [
-                            executors[dataset].run(
-                                engines[dataset][backend], query
-                            )
-                            for dataset, query in queries
-                        ]
-                    ),
+            processes_s = min(
+                _time_pass(
+                    lambda: [
+                        executors[dataset].run(
+                            engines[dataset][backend], query
+                        )
+                        for dataset, query in queries
+                    ]
                 )
-                barrier_s = min(
-                    barrier_s,
-                    _time_pass(
-                        lambda: [
-                            executors[dataset].run(
-                                engines[dataset][backend], query,
-                                stream=False,
-                            )
-                            for dataset, query in queries
-                        ]
-                    ),
-                )
+                for _ in range(REPEATS)
+            )
         finally:
             for executor in executors.values():
                 executor.close()
@@ -232,17 +202,11 @@ def run_benchmark() -> dict:
                 "sequential_seconds": round(sequential_s, 6),
                 f"threads{NUM_SHARDS}_seconds": round(threads_s, 6),
                 f"processes{NUM_SHARDS}_seconds": round(processes_s, 6),
-                f"processes{NUM_SHARDS}_barrier_seconds": round(
-                    barrier_s, 6
-                ),
                 "speedup_vs_threads": round(
                     threads_s / max(processes_s, 1e-12), 3
                 ),
                 "speedup_vs_sequential": round(
                     sequential_s / max(processes_s, 1e-12), 3
-                ),
-                "stream_vs_barrier": round(
-                    processes_s / max(barrier_s, 1e-12), 3
                 ),
                 "payload_bytes_per_shard": payload_bytes,
                 "payload_bytes_total": sum(payload_bytes),
@@ -265,15 +229,11 @@ def run_benchmark() -> dict:
         "required_cores": required_cores(),
         "speedup_gate": SPEEDUP_GATE,
         "speedup_gate_enforced": cores >= 2,
-        "stream_tolerance": STREAM_TOLERANCE,
         "parity_failures": parity_failures,
         "rows": rows,
         # Headline numbers: the mask seam's backend.
         "bitset_speedup_vs_threads": by_backend["bitset"][
             "speedup_vs_threads"
-        ],
-        "bitset_stream_vs_barrier": by_backend["bitset"][
-            "stream_vs_barrier"
         ],
         "mask_payload_vs_tuple_payload": {
             backend: round(
@@ -361,8 +321,8 @@ def summary():
 
 def test_sharded_counts_bit_identical(summary):
     """count/count_bfs parity against the sequential engine, all three
-    index backends, uniform and balanced placement, streaming and
-    barrier composition, every workload query."""
+    index backends, uniform and balanced placement, every workload
+    query."""
     assert summary["parity_failures"] == []
 
 
@@ -393,17 +353,6 @@ def test_processes_beat_threads_at_4_shards(summary):
             f"threaded-vs-process comparison needs >= 2"
         )
     assert summary["bitset_speedup_vs_threads"] >= SPEEDUP_GATE, summary
-
-
-def test_streaming_compose_no_regression(summary):
-    """Folding shard payloads as they arrive must not cost wall clock
-    against the full-barrier gather on the standard trace."""
-    for row in summary["rows"]:
-        assert (
-            row[f"processes{NUM_SHARDS}_seconds"]
-            <= row[f"processes{NUM_SHARDS}_barrier_seconds"]
-            * STREAM_TOLERANCE
-        ), row
 
 
 def test_skew_counts_bit_identical(summary):
@@ -460,7 +409,6 @@ def main(argv=None) -> int:
             f"threads{NUM_SHARDS}={row[f'threads{NUM_SHARDS}_seconds']:.4f}s "
             f"processes{NUM_SHARDS}={row[f'processes{NUM_SHARDS}_seconds']:.4f}s "
             f"(x{row['speedup_vs_threads']:.2f} vs threads, "
-            f"stream/barrier x{row['stream_vs_barrier']:.2f}, "
             f"payload={row['payload_bytes_total']}B "
             f"{row['payload_bytes_per_shard']})"
         )
@@ -475,11 +423,6 @@ def main(argv=None) -> int:
     ok = not result["parity_failures"] and all(
         0 < ratio < 1.0
         for ratio in result["mask_payload_vs_tuple_payload"].values()
-    )
-    ok = ok and all(
-        row[f"processes{NUM_SHARDS}_seconds"]
-        <= row[f"processes{NUM_SHARDS}_barrier_seconds"] * STREAM_TOLERANCE
-        for row in result["rows"]
     )
     ok = ok and _skew_ok(result["skew"])
     if result["speedup_gate_enforced"]:

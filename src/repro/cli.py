@@ -679,7 +679,7 @@ def _cmd_match(args, out) -> int:
 
 
 def _cmd_serve_shard(args, out) -> int:
-    from .parallel.net_executor import ShardWorker
+    from .parallel.worker import ShardWorker
 
     if args.num_shards < 1:
         out.write("error: --num-shards must be >= 1\n")

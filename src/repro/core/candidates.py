@@ -422,7 +422,7 @@ class ChunkCandidates(CandidateSet):
 # materialising edge-id lists.
 #
 # Payloads that leave the process group — the socket transport of
-# :mod:`repro.parallel.net_executor` — are additionally *versioned*:
+# :mod:`repro.parallel.worker` — are additionally *versioned*:
 # one leading byte (:data:`WIRE_VERSION`) precedes the tag, so a host
 # running an older reader rejects a payload it cannot parse instead of
 # mis-decoding it.  Pipes between a parent and the workers it spawned

@@ -116,11 +116,11 @@ class HGMatch:
         ``REPRO_INDEX_BACKEND``/``"bitset"``.  Ignored when a prebuilt
         ``store`` is supplied (the store's backend wins).
     shards:
-        Default shard count for the multiprocess executor
-        (``count``/``count_bfs`` with ``executor="processes"``): each
-        signature partition's rows are split into this many contiguous
-        ranges, one worker process per shard
-        (:class:`repro.parallel.ProcessShardExecutor`).  ``1`` keeps
+        Default shard count for the shard executors
+        (``count``/``count_bfs`` with ``executor="processes"`` or
+        ``"sockets"``): each signature partition's rows are split into
+        this many contiguous ranges, one worker process per shard
+        (:class:`repro.parallel.NetShardExecutor`).  ``1`` keeps
         everything in-process.
     sharding:
         Shard *placement* mode for the shard executors: ``"uniform"``
@@ -155,12 +155,12 @@ class HGMatch:
         # per-anchor posting unions are memoised engine-wide; the memo is
         # thread-safe and only consulted by the mask backends.
         self._anchor_memo = AnchorUnionMemo()
-        # One process pool per engine, built lazily on the first
-        # "processes" run and reused across queries (workers keep their
-        # store shards warm).
+        # One local worker pool per engine, built lazily on the first
+        # "processes" (or hostless "sockets") run and reused across
+        # queries (workers keep their store shards warm).
         self._shard_executor = None
-        # Likewise one socket coordinator per engine for "sockets" runs
-        # (it owns a local worker cluster unless given addresses).
+        # And one coordinator over externally managed workers, when
+        # net_executor() was given hosts or a registry.
         self._net_executor = None
         # And one always-on match service (multiplexed pool + admission
         # control), built lazily by match_service().
@@ -382,19 +382,17 @@ class HGMatch:
           (:class:`repro.parallel.ThreadedExecutor`, ``workers``
           threads); GIL-serialised, demonstrates correctness and load
           balance;
-        * ``"processes"`` — the shard-per-process executor
-          (:class:`repro.parallel.ProcessShardExecutor`) for real
+        * ``"processes"`` — the shard coordinator
+          (:class:`repro.parallel.NetShardExecutor`) over the engine's
+          own pool of one worker process per store shard, for real
           multi-core wall clock; the pool persists across calls.
           Parallelism is ``shards``, falling back to the engine's
           ``shards``, falling back to ``workers`` — so
           ``count(q, workers=8, executor="processes")`` runs 8 worker
           processes rather than silently one;
-        * ``"sockets"`` — the network shard executor
-          (:class:`repro.parallel.NetShardExecutor`): the same
-          level-synchronous protocol over framed TCP.  With no
-          configured hosts (see :meth:`net_executor`) it spawns a
-          local loopback cluster, exercising the full multi-host wire
-          path on one machine; parallelism resolves like
+        * ``"sockets"`` — the same coordinator over the workers
+          :meth:`net_executor` was configured with (other hosts, a
+          registry); with none configured it is the same local pool as
           ``"processes"``;
         * ``"simulated"`` — the discrete-event scheduler
           (:class:`repro.parallel.SimulatedExecutor`, virtual time;
@@ -455,15 +453,21 @@ class HGMatch:
         return total
 
     def shard_executor(self, shards: "int | None" = None):
-        """The engine's persistent multiprocess executor (lazily built).
+        """The engine's persistent local shard pool (lazily built).
 
-        Workers build their store shards once and stay warm across
-        queries; asking for a different shard count tears the pool down
-        and rebuilds it.  Worker processes are daemonic, so an exiting
-        parent never leaks them; call ``close()`` on the returned
-        executor to release them early.
+        What ``executor="processes"`` and hostless
+        ``executor="sockets"`` both run on: a
+        :class:`~repro.parallel.NetShardExecutor` over its own loopback
+        cluster.  Workers build their store shards once and stay warm
+        across queries; asking for a different shard count tears the
+        pool down and rebuilds it.  Worker processes are daemonic, so
+        an exiting parent never leaks them; call ``close()`` on the
+        returned executor to release them early.
         """
-        from ..parallel.shard_executor import ProcessShardExecutor  # lazy
+        return self._local_pool(shards, None)
+
+    def _local_pool(self, shards: "int | None", replicas: "int | None"):
+        from ..parallel.coordinator import NetShardExecutor  # lazy
 
         shards = self.shards if shards is None else shards
         if shards < 1:
@@ -472,14 +476,16 @@ class HGMatch:
         if current is not None and (
             current.num_shards != shards
             or current.sharding != self.sharding
+            or (replicas is not None and current.num_replicas != replicas)
         ):
             current.close()
             current = None
         if current is None:
-            current = ProcessShardExecutor(
+            current = NetShardExecutor(
                 num_shards=shards,
                 index_backend=self.index_backend,
                 sharding=self.sharding,
+                num_replicas=1 if replicas is None else replicas,
             )
             self._shard_executor = current
         return current
@@ -491,12 +497,12 @@ class HGMatch:
         replicas: "int | None" = None,
         registry=None,
     ):
-        """The engine's persistent socket shard executor (lazily built).
+        """The engine's persistent ``executor="sockets"`` coordinator.
 
         ``hosts`` — a sequence of ``(host, port)`` worker addresses —
-        (re)configures the executor for externally managed shard
-        servers (the multi-host mode); without it the executor owns a
-        local loopback cluster of ``shards`` workers.  ``replicas``
+        (re)configures it for externally managed shard servers (the
+        multi-host mode); without it, it is the engine's local pool
+        (:meth:`shard_executor`) of ``shards`` workers.  ``replicas``
         asks for K-replicated ranges (``hosts`` must then list
         ``shards × replicas`` addresses; a local cluster spawns the
         extra workers itself) — the coordinator fails over and may
@@ -505,12 +511,11 @@ class HGMatch:
         replaces ``hosts``: the worker addresses are *discovered* (the
         executor waits for a full announced pool) and registry
         evictions feed the coordinator's failover mid-job.  A
-        configured executor persists across queries like
-        :meth:`shard_executor` and is reused when
+        configured executor persists across queries and is reused when
         ``shards``/``replicas`` are None or match; asking for a
         different layout tears it down and rebuilds.
         """
-        from ..parallel.net_executor import NetShardExecutor  # lazy
+        from ..parallel.coordinator import NetShardExecutor  # lazy
 
         if replicas is not None and replicas < 1:
             raise QueryError("replicas must be >= 1")
@@ -576,43 +581,25 @@ class HGMatch:
             )
             self._net_executor = current
             return current
-        if current is not None and current.addresses is not None:
-            # Host-configured executors win over shard-count defaults:
-            # the caller pinned real machines; silently replacing them
-            # with a local cluster would misreport where work ran.
-            if (shards is None or shards == current.num_shards) and (
-                replicas is None or replicas == current.num_replicas
-            ):
-                return current
-            if shards is not None and shards != current.num_shards:
-                raise QueryError(
-                    f"engine is configured for {current.num_shards} socket "
-                    f"workers at fixed addresses; cannot run {shards} shards"
-                )
-            raise QueryError(
-                f"engine is configured for {current.num_replicas} "
-                f"replica(s) per shard at fixed addresses; cannot run "
-                f"{replicas}"
-            )
-        shards = self.shards if shards is None else shards
-        if shards < 1:
-            raise QueryError("shards must be >= 1")
-        if current is not None and (
-            current.num_shards != shards
-            or current.sharding != self.sharding
-            or (replicas is not None and current.num_replicas != replicas)
-        ):
-            current.close()
-            current = None
         if current is None:
-            current = NetShardExecutor(
-                num_shards=shards,
-                index_backend=self.index_backend,
-                sharding=self.sharding,
-                num_replicas=1 if replicas is None else replicas,
+            return self._local_pool(shards, replicas)
+        # Host-configured executors win over shard-count defaults: the
+        # caller pinned real machines; silently replacing them with a
+        # local cluster would misreport where work ran.
+        if (shards is None or shards == current.num_shards) and (
+            replicas is None or replicas == current.num_replicas
+        ):
+            return current
+        if shards is not None and shards != current.num_shards:
+            raise QueryError(
+                f"engine is configured for {current.num_shards} socket "
+                f"workers at fixed addresses; cannot run {shards} shards"
             )
-            self._net_executor = current
-        return current
+        raise QueryError(
+            f"engine is configured for {current.num_replicas} "
+            f"replica(s) per shard at fixed addresses; cannot run "
+            f"{replicas}"
+        )
 
     def match_service(
         self,
@@ -630,7 +617,7 @@ class HGMatch:
         :class:`~repro.service.service.MatchService`: bounded admission
         (BUSY past ``queue_depth``), per-query deadlines, cancellation
         with remote CANCEL, and an LRU result cache.  Reused across
-        calls like :meth:`net_executor`; asking for a different shard
+        calls like :meth:`shard_executor`; asking for a different shard
         layout tears it down and rebuilds.
         """
         from ..service import MatchService  # lazy
@@ -694,8 +681,9 @@ class HGMatch:
         :class:`~repro.hypergraph.dynamic.MutationResult`.
 
         The local graph and store update incrementally, and every
-        *live* pool — the process executor, the socket executor, the
-        match service's multiplexed pool — receives the same batch via
+        *live* pool — the local shard pool, a host-configured
+        coordinator, the match service's multiplexed pool — receives
+        the same batch via
         a MUTATE broadcast so its workers maintain their shards in
         lock-step (pools not yet started simply build from the mutated
         graph on first use).  When a match service wraps this engine,
@@ -773,9 +761,10 @@ class HGMatch:
         ``executor`` mirrors :meth:`count`: ``None``/``"sequential"`` is
         the in-process loop here; ``"threads"`` splits every frontier
         level across ``workers`` threads; ``"processes"`` runs the
-        shard-per-process executor, whose level-synchronous protocol *is*
-        BFS; ``"sockets"`` runs the same protocol over TCP shard
-        workers; ``"simulated"`` counts via the discrete-event scheduler
+        engine's local shard pool, whose level-synchronous protocol *is*
+        BFS; ``"sockets"`` runs the same protocol over the workers
+        :meth:`net_executor` was configured with; ``"simulated"``
+        counts via the discrete-event scheduler
         (task-parallel in virtual time — counts match, the BFS memory
         profile does not apply).  All executors return bit-identical
         counts.

@@ -6,16 +6,15 @@ embeddings):
 * :class:`ThreadedExecutor` — real threads, LIFO deques,
   steal-half-from-tail; demonstrates correctness, bounded memory and
   load-balance accounting under CPython (GIL-serialised).
-* :class:`ProcessShardExecutor` — one worker process per store shard;
-  level-synchronous enumeration over the mask-native seam (candidate
-  payloads cross process boundaries as compact masks), real multi-core
-  wall clock.
-* :class:`NetShardExecutor` — the same level-synchronous protocol over
-  framed TCP (:mod:`repro.parallel.transport`): shard workers are
-  :class:`ShardWorker` servers, on this machine
-  (:func:`spawn_local_cluster`) or on other hosts; candidate payloads
-  cross machine boundaries in the versioned wire format (see
-  ``docs/WIRE_FORMAT.md``).
+* :class:`NetShardExecutor` — the shard coordinator: level-synchronous
+  enumeration over one :class:`ShardWorker` server per store shard,
+  speaking framed TCP (:mod:`repro.parallel.transport`; candidate
+  payloads cross as compact masks in the versioned wire format, see
+  ``docs/WIRE_FORMAT.md``).  The workers are its own local pool
+  (:func:`spawn_local_cluster` — ``executor="processes"``, constructor
+  name :class:`ProcessShardExecutor`, and hostless
+  ``executor="sockets"``) or servers on other hosts; real multi-core
+  wall clock either way.
 * :class:`SimulatedExecutor` — discrete-event simulation in virtual
   time with a set-operation cost model; backs the scalability and
   load-balancing experiments (see DESIGN.md, substitution 2).
@@ -24,17 +23,10 @@ embeddings):
 from .chaos import ChaosSocket, FaultPlan
 from .deque import WorkStealingDeque
 from .executor import ParallelResult, ThreadedExecutor
-from .net_executor import (
-    LocalCluster,
-    NetShardExecutor,
-    ShardWorker,
-    default_io_timeout,
-    default_retry_policy,
-    shutdown_worker,
-    spawn_local_cluster,
-)
+from .cluster import LocalCluster, spawn_local_cluster
+from .coordinator import NetShardExecutor, ProcessShardExecutor
+from .handshake import default_retry_policy
 from .registry import Announcer, WorkerRecord, WorkerRegistry
-from .shard_executor import ProcessShardExecutor
 from .supervisor import SlotStatus, WorkerSupervisor
 from .memory import (
     MemoryMeasurement,
@@ -48,6 +40,7 @@ from .simulation import (
     SimulationResult,
     simulate_speedups,
 )
+from .worker import ShardWorker, default_io_timeout, shutdown_worker
 from .tasks import (
     ROOT_TASK,
     PartialEmbedding,

@@ -37,7 +37,7 @@ drop       worker    swallow the frame (a reply that never arrives —
 =========  ========  ====================================================
 
 The coordinator wraps each worker connection it opens; a
-:class:`~repro.parallel.net_executor.ShardWorker` built with a plan
+:class:`~repro.parallel.worker.ShardWorker` built with a plan
 wraps each session it serves.  Faults are matched by the endpoint role
 plus the worker's ``(shard_id, replica_id)`` identity, so one plan can
 be handed to both sides (it pickles into ``spawn_local_cluster``
@@ -73,7 +73,7 @@ _ROLES = (ROLE_COORDINATOR, ROLE_WORKER, ROLE_ANNOUNCER)
 #: else in the frame.
 _VERSION_BYTE_OFFSET = 4
 
-#: Offsets of the kind byte and (for §2.8 multiplexed kinds) the u64
+#: Offsets of the kind byte and (for the query-tagged job kinds) the u64
 #: query-id tag inside an encoded frame — how a query-pinned fault
 #: recognises which query a frame belongs to without decoding it.
 _KIND_BYTE_OFFSET = 5
@@ -84,7 +84,7 @@ _QUERY_ID_END = _QUERY_ID_OFFSET + 8
 def _frame_query_id(data) -> Optional[int]:
     """The query id a wire frame is tagged with, or None.
 
-    Reads the §2.8 tag straight out of the encoded bytes (kind byte at
+    Reads the §2.5 tag straight out of the encoded bytes (kind byte at
     offset 5, little-endian u64 at offsets 6..14) so the chaos layer
     stays a pure byte-stream observer — no transport decode, no state.
     """
@@ -107,9 +107,9 @@ class Fault:
 
     ``query_id`` pins the fault to one multiplexed query's frames:
     ``after_frames`` then counts only the frames tagged with that
-    query id (§2.8 kinds), so a fault disturbs exactly one query of a
-    multiplexed session no matter how its frames interleave with
-    other queries' — the determinism the isolation tests rely on.
+    query id (the job kinds, §2.5), so a fault disturbs exactly one
+    query of a multiplexed session no matter how its frames interleave
+    with other queries' — the determinism the isolation tests rely on.
     """
 
     kind: str  # "sever" | "garble" | "kill" | "delay" | "drop"
@@ -375,7 +375,7 @@ class ChaosSocket:
         self._shard_id = shard_id
         self._replica_id = replica_id
         self._sent = 0
-        # Per-query frame counters for §2.8 multiplexed frames, so a
+        # Per-query frame counters for the query-tagged job frames, so a
         # query-pinned fault keeps its protocol position no matter how
         # the session interleaves queries.
         self._query_sent: Dict[int, int] = {}

@@ -1,0 +1,352 @@
+"""The coordinator's side of opening a worker session.
+
+Connecting to a shard worker and deciding whether to trust it is one
+sequence, whichever pool does it — :class:`~repro.parallel.coordinator.
+NetShardExecutor` or the match service's
+:class:`~repro.service.mux.MuxShardPool`:
+
+* :func:`open_session` — TCP connect (under a retry policy), chaos
+  wrap, :func:`validate_handshake`, then the established-connection
+  I/O timeout and the chaos endpoint binding;
+* :func:`validate_handshake` — the gate itself: backend, shard and
+  replica arithmetic, placement label, scheduler seed and data-graph
+  fingerprint, with a CATCHUP exchange (§2.10) that repairs a worker
+  announcing a stale graph version instead of refusing it.
+"""
+
+from __future__ import annotations
+
+import os
+import pickle
+import socket
+import time
+
+from ..errors import SchedulerError, TransportError
+from ..hypergraph.dynamic import DynamicHypergraph
+from ..hypergraph.sharding import SHARDING_MODES, ShardDescriptor
+from . import transport
+from .tasks import RetryPolicy
+from .worker import disable_nagle
+
+#: How long the coordinator waits for a TCP connect + handshake.
+CONNECT_TIMEOUT = 10.0
+
+
+def default_retry_policy() -> RetryPolicy:
+    """The coordinator's connect/restart policy, from the environment.
+
+    ``REPRO_NET_RETRIES`` (a positive integer) overrides the attempt
+    budget and ``REPRO_NET_BACKOFF`` (a positive number of seconds)
+    overrides the base backoff delay; unset, both fall back to
+    :class:`~repro.parallel.tasks.RetryPolicy`'s defaults (4 attempts,
+    0.05 s base).  Resolved at call time, like ``REPRO_NET_TIMEOUT`` in
+    :func:`~repro.parallel.worker.default_io_timeout`, so a deployment
+    can harden or tighten retry behaviour without touching call sites.
+    """
+    kwargs = {}
+    value = os.environ.get("REPRO_NET_RETRIES")
+    if value:
+        try:
+            attempts = int(value)
+        except ValueError:
+            raise TransportError(
+                f"REPRO_NET_RETRIES must be an integer attempt count, "
+                f"got {value!r}"
+            ) from None
+        if attempts < 1:
+            raise TransportError(
+                f"REPRO_NET_RETRIES must be >= 1, got {value!r}"
+            )
+        kwargs["attempts"] = attempts
+    value = os.environ.get("REPRO_NET_BACKOFF")
+    if value:
+        try:
+            base_delay = float(value)
+        except ValueError:
+            raise TransportError(
+                f"REPRO_NET_BACKOFF must be a number of seconds, "
+                f"got {value!r}"
+            ) from None
+        if base_delay <= 0:
+            raise TransportError(
+                f"REPRO_NET_BACKOFF must be positive, got {value!r}"
+            )
+        kwargs["base_delay"] = base_delay
+        kwargs["max_delay"] = max(
+            base_delay, RetryPolicy.max_delay
+        )
+    return RetryPolicy(**kwargs)
+
+
+def _catchup_body(graph, stale_version: int, sharding: "str | None"):
+    """Build the CATCHUP payload for a worker stuck at ``stale_version``.
+
+    Prefers the cheap path — the contiguous suffix of committed
+    :class:`MutationBatch`es the :class:`DynamicHypergraph` retains in
+    its in-memory history — and falls back to shipping a snapshot of the
+    whole graph when the suffix has aged out.  The snapshot path needs a
+    *resolvable* sharding mode label (the worker re-cuts its shard from
+    the snapshot; a ``rebalanced-*`` label carries no recipe), so when
+    ``sharding`` is ``None`` and no suffix exists the caller must fall
+    back to refusal.  Returns the pickled payload bytes, or ``None``
+    when no catch-up route exists.
+    """
+    to_version = getattr(graph, "version", 0)
+    batches = None
+    if isinstance(graph, DynamicHypergraph):
+        batches = graph.batches_since(stale_version)
+    if batches is not None:
+        return pickle.dumps(
+            {"batches": batches, "to_version": to_version},
+            protocol=pickle.HIGHEST_PROTOCOL,
+        )
+    if sharding is None or not isinstance(graph, DynamicHypergraph):
+        return None
+    return pickle.dumps(
+        {"snapshot": graph, "to_version": to_version, "sharding": sharding},
+        protocol=pickle.HIGHEST_PROTOCOL,
+    )
+
+
+def _resolvable_sharding(*labels) -> "str | None":
+    """First label that names a plain sharding mode, or ``None``."""
+    for label in labels:
+        if label in SHARDING_MODES:
+            return label
+    return None
+
+
+def validate_handshake(
+    sock,
+    graph,
+    *,
+    index_backend: str,
+    num_shards: int,
+    num_replicas: int,
+    seed: int,
+    sharding_label: str,
+    expected_shard: "int | None" = None,
+    expected_replica: "int | None" = None,
+    expected_sharding: "str | None" = None,
+    allow_replica_growth: bool = False,
+    any_sharding: bool = False,
+    allow_catchup: bool = True,
+) -> ShardDescriptor:
+    """Receive and validate one worker's HELLO against a pool's view.
+
+    The single handshake gate shared by every coordinator-side pool —
+    :class:`~repro.parallel.coordinator.NetShardExecutor` and the match
+    service's multiplexing pool both call it, so a worker that one
+    would refuse the other refuses identically.
+    ``expected_shard``/``expected_replica`` (worker recovery and
+    rebalance echoes) pin the announced identity.
+    ``expected_sharding`` overrides the placement label to expect — a
+    freshly respawned worker announces the spawn mode even while the
+    pool runs a rebalanced layout.  The admission path relaxes two
+    checks: ``allow_replica_growth`` accepts a *wider* replica
+    arithmetic than the pool's (an elastic K-growth — never a narrower
+    one), and ``any_sharding`` defers the placement-label check to the
+    caller (which REBALANCE-upgrades label mismatches instead of
+    refusing them).
+
+    A worker announcing a *stale* ``graph_version`` (it was restarting
+    while MUTATE broadcasts went out, or was spawned from the seed
+    graph) is no longer refused outright: when ``allow_catchup`` is on
+    the gate sends a CATCHUP frame carrying the missing mutation
+    batches — or a graph snapshot when the retained suffix has aged
+    out — waits for the worker's CATCHUP-REPLY (a fresh handshake body
+    reflecting the post-replay state), and re-validates that in full.
+    Only when no catch-up route exists, or the reply is still stale,
+    does the version mismatch surface as a refusal.
+    """
+
+    def _decode(body) -> "tuple[ShardDescriptor, int]":
+        descriptor_dict, worker_seed = transport.decode_handshake(body)
+        try:
+            descriptor = ShardDescriptor.from_dict(descriptor_dict)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SchedulerError(
+                f"malformed handshake descriptor (missing/invalid field "
+                f"{exc}): not a compatible shard server"
+            ) from None
+        return descriptor, worker_seed
+
+    sharding = (
+        sharding_label if expected_sharding is None else expected_sharding
+    )
+
+    def _check_contract(descriptor: ShardDescriptor, worker_seed: int):
+        # Everything except graph identity: these mismatches are
+        # configuration errors a catch-up replay cannot repair.
+        if descriptor.index_backend != index_backend:
+            raise SchedulerError(
+                f"handshake backend mismatch: worker shard "
+                f"{descriptor.shard_id} built {descriptor.index_backend!r}, "
+                f"coordinator expects {index_backend!r}"
+            )
+        if descriptor.num_shards != num_shards:
+            raise SchedulerError(
+                f"shard arithmetic mismatch: worker believes in "
+                f"{descriptor.num_shards} shards, coordinator in "
+                f"{num_shards}"
+            )
+        if descriptor.num_replicas != num_replicas and not (
+            allow_replica_growth
+            and descriptor.num_replicas > num_replicas
+        ):
+            raise SchedulerError(
+                f"replica arithmetic mismatch: worker shard "
+                f"{descriptor.shard_id} believes in "
+                f"{descriptor.num_replicas} replicas, coordinator in "
+                f"{num_replicas}"
+            )
+        if not 0 <= descriptor.shard_id < num_shards:
+            raise SchedulerError(
+                f"worker announced shard id {descriptor.shard_id} outside "
+                f"0..{num_shards - 1}"
+            )
+        if (
+            expected_shard is not None
+            and descriptor.shard_id != expected_shard
+        ):
+            raise SchedulerError(
+                f"respawned worker announced shard id "
+                f"{descriptor.shard_id}, expected {expected_shard}"
+            )
+        if (
+            expected_replica is not None
+            and descriptor.replica_id != expected_replica
+        ):
+            raise SchedulerError(
+                f"respawned worker announced replica "
+                f"{descriptor.replica_id}, expected {expected_replica}"
+            )
+        if not any_sharding and descriptor.sharding != sharding:
+            raise SchedulerError(
+                f"shard placement mismatch: worker shard "
+                f"{descriptor.shard_id} was cut under "
+                f"{descriptor.sharding!r}, coordinator expects "
+                f"{sharding!r} — composing different placements would "
+                f"double- or under-count rows"
+            )
+        if worker_seed != seed:
+            raise SchedulerError(
+                f"scheduler seed mismatch: worker shard "
+                f"{descriptor.shard_id} runs REPRO_SEED={worker_seed}, "
+                f"coordinator {seed} — parallel runs would not be "
+                f"reproducible"
+            )
+
+    kind, body = transport.recv_frame(sock)
+    if kind != transport.MSG_HELLO:
+        raise SchedulerError(
+            f"worker spoke {kind:#x} before HELLO; not a shard server?"
+        )
+    descriptor, worker_seed = _decode(body)
+    _check_contract(descriptor, worker_seed)
+    graph_version = getattr(graph, "version", 0)
+    if allow_catchup and descriptor.graph_version < graph_version:
+        payload = _catchup_body(
+            graph,
+            descriptor.graph_version,
+            _resolvable_sharding(descriptor.sharding, sharding),
+        )
+        if payload is not None:
+            transport.send_frame(sock, transport.MSG_CATCHUP, payload)
+            kind, body = transport.recv_frame(sock)
+            if kind == transport.MSG_ERROR:
+                raise SchedulerError(
+                    f"worker shard {descriptor.shard_id} failed "
+                    f"catch-up from version {descriptor.graph_version} "
+                    f"to {graph_version}:\n"
+                    f"{transport.decode_pickle_body(body)}"
+                )
+            if kind != transport.MSG_CATCHUP_REPLY:
+                raise SchedulerError(
+                    f"worker shard {descriptor.shard_id} answered "
+                    f"CATCHUP with frame kind {kind:#x}, expected "
+                    f"CATCHUP-REPLY"
+                )
+            descriptor, worker_seed = _decode(body)
+            _check_contract(descriptor, worker_seed)
+    if descriptor.graph_version != graph_version:
+        raise SchedulerError(
+            f"graph version mismatch: worker shard "
+            f"{descriptor.shard_id} reflects mutation version "
+            f"{descriptor.graph_version}, the engine holds "
+            f"{graph_version} — the worker missed a MUTATE broadcast "
+            f"and no catch-up route exists (the retained batch suffix "
+            f"aged out and the placement label carries no rebuild "
+            f"recipe)"
+        )
+    if (
+        descriptor.graph_edges != graph.num_edges
+        or descriptor.graph_vertices != graph.num_vertices
+    ):
+        raise SchedulerError(
+            f"data graph mismatch: worker shard {descriptor.shard_id} "
+            f"was built from a graph with {descriptor.graph_edges} "
+            f"edges / {descriptor.graph_vertices} vertices, the engine "
+            f"holds {graph.num_edges} / "
+            f"{graph.num_vertices}"
+        )
+    return descriptor
+
+
+def open_session(
+    address,
+    graph,
+    *,
+    connect_timeout: float,
+    io_timeout: float,
+    chaos=None,
+    retry: "RetryPolicy | None" = None,
+    rng=None,
+    **contract,
+):
+    """Connect to the worker at ``address`` and validate its handshake;
+    returns ``(sock, descriptor)`` ready for job traffic.
+
+    The one connect sequence of every coordinator-side pool: TCP
+    connect (``retry`` attempts with backoff drawn from ``rng``; one
+    attempt without a policy), chaos wrap, :func:`validate_handshake`
+    against ``contract`` (its keyword arguments), then the per-frame
+    ``io_timeout`` and the chaos endpoint binding.  The handshake runs
+    under the (short) ``connect_timeout``: a peer that accepts but
+    never says HELLO — e.g. a busy single-session server — should fail
+    fast, not tie the coordinator up for a whole job timeout.
+
+    Raises the last ``OSError`` when every connect attempt failed;
+    a failed handshake closes the socket and raises
+    :class:`~repro.errors.TransportError` (liveness: the peer vanished
+    or garbled the stream) or :class:`~repro.errors.SchedulerError`
+    (contract: the worker is not one this pool may compose with).
+    """
+    last_exc: "OSError | None" = None
+    for attempt in range(1 if retry is None else max(1, retry.attempts)):
+        if attempt:
+            time.sleep(retry.delay(attempt - 1, rng))
+        try:
+            sock = socket.create_connection(
+                tuple(address), timeout=connect_timeout
+            )
+            break
+        except OSError as exc:
+            last_exc = exc
+    else:
+        raise last_exc  # type: ignore[misc]
+    disable_nagle(sock)
+    if chaos is not None:
+        sock = chaos.wrap(sock, "coordinator")
+    try:
+        descriptor = validate_handshake(sock, graph, **contract)
+    except BaseException:
+        try:
+            sock.close()
+        except OSError:  # pragma: no cover - best effort
+            pass
+        raise
+    sock.settimeout(io_timeout)
+    if chaos is not None:
+        sock.bind_endpoint(descriptor.shard_id, descriptor.replica_id)
+    return sock, descriptor

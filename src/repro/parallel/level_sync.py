@@ -1,6 +1,6 @@
 """The level-synchronous shard protocol, transport-agnostic.
 
-Both halves of the protocol live here, shared by every transport:
+Both halves of the protocol live here:
 
 * the **worker-side kernel** — :func:`expand_level` expands a frontier
   against one :class:`~repro.hypergraph.sharding.StoreShard` and
@@ -11,13 +11,13 @@ Both halves of the protocol live here, shared by every transport:
   one reply per shard and composes the surviving candidate sets with
   :func:`repro.core.candidates.compose_candidate_sets`.
 
-:class:`~repro.parallel.shard_executor.ProcessShardExecutor` (pipes to
-local worker processes) and :class:`~repro.parallel.net_executor.
-NetShardExecutor` (framed TCP to shard servers, possibly on other
-hosts) differ only in how bytes move.  Keeping both halves in one
-place is what guarantees the transports cannot drift — a socket
-cluster and a process pool produce bit-identical counts because they
-literally execute these functions.
+:class:`~repro.parallel.coordinator.NetShardExecutor` (one job at a
+time over framed TCP to shard workers, local or on other hosts) and the
+match service's :class:`~repro.service.mux.QueryChannel` (one of many
+queries multiplexed over a shared pool) both drive this loop, and
+:class:`~repro.parallel.worker.ShardWorker` is the one caller of the
+kernel — so every deployment produces bit-identical counts because it
+literally executes these functions.
 
 An executor plugs in by providing:
 
@@ -42,12 +42,10 @@ An executor plugs in by providing:
     ``(shard_id, reply)`` pairs the moment each shard answers, in
     arrival order.  When present, the coordinator streams composition
     through it (shard union is commutative, so counts cannot depend on
-    arrival order); without it the barrier ``_gather`` is used.  Both
-    shard executors provide it.
+    arrival order); without it the barrier ``_gather`` is used.
 
-Failure policy is the transport's: both executors tear their pool down
-and raise :class:`~repro.errors.SchedulerError` when a shard dies
-mid-job, so this loop only ever sees complete, ordered replies.
+Failure policy is the executor's: this loop only ever sees complete
+replies, or the executor's typed error.
 """
 
 from __future__ import annotations
@@ -69,17 +67,12 @@ from ..core.candidates import (
 )
 from ..core.counters import MatchCounters
 from ..core.validation import validate_candidate_set
-from ..errors import QueryCancelled, SchedulerError, TimeoutExceeded
+from ..errors import QueryCancelled, TimeoutExceeded
 from ..hypergraph import Hypergraph
 from ..hypergraph.index import chunks_from_rows
-from ..hypergraph.sharding import (
-    StoreShard,
-    build_range_table,
-    plan_rebalance,
-    shard_grouping,
-)
+from ..hypergraph.sharding import StoreShard
 from .executor import ParallelResult
-from .tasks import ROOT_TASK, PartialEmbedding, WorkerStats, worker_loads
+from .tasks import ROOT_TASK, PartialEmbedding, WorkerStats
 
 
 # ----------------------------------------------------------------------
@@ -208,45 +201,15 @@ def expand_level(
 # ----------------------------------------------------------------------
 
 
-def plan_pool_rebalance(executor, worker_stats):
-    """Recut planning for a live shard pool, shared by both transports
-    (like the coordinator loop itself — one implementation is what
-    keeps the executors from drifting).
-
-    Validates the stats against the pool, resolves the pool's current
-    table (build mode until a rebalance materialised one) and delegates
-    to :func:`repro.hypergraph.sharding.plan_rebalance`.  Returns
-    ``None`` when no boundary would move, else ``(table, label,
-    slices, moved)``; the caller ships every shard its slice over its
-    own transport.
-    """
-    if len(worker_stats) != executor.num_shards:
-        raise SchedulerError(
-            f"{len(worker_stats)} worker stats for "
-            f"{executor.num_shards} shards"
-        )
-    grouped = shard_grouping(executor._graph)
-    current = executor._range_table
-    if current is None:
-        current = build_range_table(
-            grouped, executor.num_shards, executor.sharding
-        )
-    return plan_rebalance(
-        grouped, executor.num_shards, current, worker_loads(worker_stats)
-    )
-
-
-def _iter_replies(executor, stream: bool):
+def _iter_replies(executor):
     """Level replies as ``(shard_id, reply)`` pairs.
 
-    Streaming transports expose ``_gather_iter`` — an as-completed
+    Streaming executors expose ``_gather_iter`` — an as-completed
     iterator that yields each shard's reply the moment it lands — so
     the coordinator folds survivors while stragglers still compute.
-    Transports without it (and explicit ``stream=False`` runs, which
-    the benchmarks use as the barrier baseline) fall back to the
-    ordered barrier gather.
+    Executors without it fall back to the ordered barrier gather.
     """
-    if stream and hasattr(executor, "_gather_iter"):
+    if hasattr(executor, "_gather_iter"):
         return executor._gather_iter()
     return enumerate(executor._gather())
 
@@ -257,7 +220,6 @@ def run_level_synchronous(
     query,
     order=None,
     time_budget: "float | None" = None,
-    stream: bool = True,
     cancelled=None,
 ) -> ParallelResult:
     """Execute one matching job over ``executor``'s shard peers.
@@ -266,8 +228,8 @@ def run_level_synchronous(
     every partition's rows disjointly, each candidate is generated and
     validated in exactly one shard, and the composed per-level
     frontiers equal the sequential BFS frontiers as sets.  Composition
-    itself is *streaming* (``stream=True``, the default): per-shard
-    survivor payloads are folded through an incremental
+    itself is *streaming*: per-shard survivor payloads are folded
+    through an incremental
     :class:`~repro.core.candidates.CandidateAccumulator` as replies
     arrive, so the coordinator's decode + union work overlaps the
     slowest shard's compute instead of waiting behind the full barrier
@@ -306,7 +268,7 @@ def run_level_synchronous(
             # Final replies carry the job accounting (workers piggyback
             # it on the last level, saving a collect round trip).
             collected = [None] * executor.num_shards
-            for shard_id, reply in _iter_replies(executor, stream):
+            for shard_id, reply in _iter_replies(executor):
                 embeddings += reply[2]
                 collected[shard_id] = reply[3:5]
             break
@@ -315,7 +277,7 @@ def run_level_synchronous(
         accumulators: "List[Optional[CandidateAccumulator]]" = (
             [None] * len(frontier)
         )
-        for _shard_id, reply in _iter_replies(executor, stream):
+        for _shard_id, reply in _iter_replies(executor):
             payloads = reply[1]
             if payloads is None:
                 continue

@@ -24,11 +24,11 @@ Membership is exposed in the same shape the executor already consumes:
 :class:`~repro.hypergraph.sharding.ReplicaSet` per shard range (missed
 heartbeats feed replica liveness directly), and
 :meth:`WorkerRegistry.addresses` flattens the table into the
-shard-major ``addresses`` list :class:`~repro.parallel.net_executor.
+shard-major ``addresses`` list :class:`~repro.parallel.coordinator.
 NetShardExecutor` takes.
 
 The worker side is :class:`Announcer`: a daemon thread owned by
-:class:`~repro.parallel.net_executor.ShardWorker` that connects,
+:class:`~repro.parallel.worker.ShardWorker` that connects,
 announces, heartbeats, and reconnects under
 :class:`~repro.parallel.tasks.RetryPolicy` backoff whenever the
 registry link fails.  The announcer never gives up — discovery is a

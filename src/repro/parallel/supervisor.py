@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from ..errors import SchedulerError
-from .net_executor import spawn_local_cluster
+from .cluster import spawn_local_cluster
 from .tasks import RetryPolicy, default_seed
 
 logger = logging.getLogger(__name__)
@@ -100,7 +100,7 @@ class WorkerSupervisor:
     """Own, health-check and restart a local shard-worker pool.
 
     :meth:`start` boots the ``num_shards × num_replicas`` workers (via
-    :func:`~repro.parallel.net_executor.spawn_local_cluster`, so the
+    :func:`~repro.parallel.cluster.spawn_local_cluster`, so the
     pool is byte-for-byte the pool every test and benchmark uses);
     :meth:`poll` is one supervision step — call it from your own loop,
     or let :meth:`run_forever` drive it.  With ``announce`` set the

@@ -1,16 +1,17 @@
-"""The socket transport: framed messages for multi-host sharding.
+"""The socket transport: framed messages between a coordinator and its
+shard workers.
 
-The multiprocess executor already proved the seam: candidate survivors
-cross the shard boundary as compact :class:`~repro.core.candidates.
-CandidateSet` payloads (tags ``T``/``M``/``C``) and the parent composes
-them with the container-pairwise ``|`` algebra.  Those payloads are
-host-neutral — nothing in them references process-local state — so the
-remaining step to multi-host execution is purely a transport: replace
-the parent/child pipes with TCP connections and give the byte stream
-enough structure to survive version skew and partial failure.
+Candidate survivors cross the shard boundary as compact
+:class:`~repro.core.candidates.CandidateSet` payloads (tags
+``T``/``M``/``C``) and the coordinator composes them with the
+container-pairwise ``|`` algebra.  Those payloads are host-neutral —
+nothing in them references process-local state — so whether a shard
+worker runs on this machine or another is purely a matter of where the
+TCP connection leads; what the byte stream needs is enough structure
+to survive version skew and partial failure.
 
 This module defines that structure.  It deliberately contains **no
-enumeration logic** (that stays in :mod:`repro.parallel.net_executor`)
+enumeration logic** (that stays in :mod:`repro.parallel.worker`)
 and no I/O policy beyond "read exactly one frame": everything here is a
 pure function of bytes in, bytes out, which is what makes the format
 testable byte-for-byte and documentable (see ``docs/WIRE_FORMAT.md``
@@ -37,31 +38,29 @@ Message kinds
 byte    name     body
 ======  =======  ===========================================================
 ``H``   HELLO    pickled handshake dict (worker -> coordinator on accept)
-``J``   JOB      pickled ``(query, order)``
-``L``   LEVEL    pickled ``(step, frontier)``
-``R``   REPLY    binary level reply (see :func:`encode_level_reply`)
-``C``   COLLECT  empty — request ``(counters, stats)``
-``c``   ACCOUNT  pickled ``(counters, stats)``
+``J``   JOB      ``u64 query_id`` + pickled ``(query, order,
+        graph_version)`` — the worker opens (or restarts) that query's
+        session, refusing a version it does not hold
+``L``   LEVEL    ``u64 query_id`` + pickled ``(step, frontier)``
+``R``   REPLY    ``u64 query_id`` + binary level reply (see
+        :func:`encode_level_reply`)
+``C``   COLLECT  ``u64 query_id`` only — close the query out; answered
+        with a payload-free REPLY carrying its accounting
+``e``   QERROR   ``u64 query_id`` + pickled traceback string — fails
+        that query alone; the session keeps serving other queries
+``X``   CANCEL   ``u64 query_id`` only — drop the query's session
+        state; fire-and-forget (no reply)
 ``B``   REBALANCE pickled ``(label, ranges)`` — rebuild the shard from
         an explicit range slice; the worker answers with a fresh HELLO
         whose descriptor echoes ``label`` as its sharding
 ``S``   STOP     empty — end this session (connection), keep serving
 ``Q``   QUIT     empty — shut the worker server down
-``E``   ERROR    pickled traceback string (worker-side failure)
+``E``   ERROR    pickled traceback string (a REBALANCE / MUTATE /
+        CATCHUP failed; the session ends)
 ``A``   ANNOUNCE pickled registration dict (worker -> registry: the
         worker's serving address plus its handshake descriptor/seed)
 ``h``   HEARTBEAT empty — worker -> registry liveness tick; identity is
         the connection's preceding ANNOUNCE
-``j``   QJOB     ``u64 query_id`` + pickled ``(query, order)`` — the
-        multiplexed JOB: the worker opens a per-query session
-``l``   QLEVEL   ``u64 query_id`` + pickled ``(step, frontier)``
-``r``   QREPLY   ``u64 query_id`` + binary level reply
-``q``   QCOLLECT ``u64 query_id`` only — request the query's
-        accounting; answered with a payload-free QREPLY
-``e``   QERROR   ``u64 query_id`` + pickled traceback string — fails
-        that query alone; the session keeps serving other queries
-``X``   CANCEL   ``u64 query_id`` only — drop the query's session
-        state; fire-and-forget (no reply)
 ``M``   MUTATE   pickled ``MutationBatch`` — apply one committed edge
         insert/delete batch to the worker's graph and shard, in place
 ``D``   DELTA    pickled mutation ack dict (``graph_version``,
@@ -75,9 +74,14 @@ byte    name     body
         the coordinator re-validates in full
 ======  =======  ===========================================================
 
+There is one job family: every JOB / LEVEL / REPLY / COLLECT frame is
+tagged with the query it belongs to, so a worker session holds a dict
+of per-query sessions and a coordinator that runs one job at a time is
+simply the one-query case (it tags every job :data:`SOLO_QUERY_ID`).
+
 Control messages carry pickles — the coordinator and its workers are
-mutually trusted members of one deployment, exactly like the process
-executor's pipes (do **not** expose a worker port to untrusted input).
+mutually trusted members of one deployment (do **not** expose a worker
+port to untrusted input).
 The performance-relevant payloads inside a ``REPLY`` are *not* pickles:
 each surviving candidate set is the compact
 :meth:`~repro.core.candidates.CandidateSet.to_bytes` encoding prefixed
@@ -94,13 +98,14 @@ import socket
 import struct
 from typing import List, Optional, Sequence, Tuple
 
+from ..core.candidates import decode_versioned
 from ..errors import TransportError
 
 #: Version byte of the *framing* protocol (handshake, message kinds,
 #: level-reply layout).  Independent from the candidate-payload
 #: ``WIRE_VERSION``: a framing change does not invalidate archived
 #: payloads, and a payload change is caught per-payload.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: Upper bound on a single frame's ``length`` field.  Frontiers are the
 #: largest message in practice and stream level by level, so anything
@@ -108,11 +113,6 @@ PROTOCOL_VERSION = 1
 MAX_FRAME_BYTES = 1 << 30
 
 MSG_HELLO = 0x48  # b"H"
-MSG_JOB = 0x4A  # b"J"
-MSG_LEVEL = 0x4C  # b"L"
-MSG_LEVEL_REPLY = 0x52  # b"R"
-MSG_COLLECT = 0x43  # b"C"
-MSG_ACCOUNTING = 0x63  # b"c"
 MSG_REBALANCE = 0x42  # b"B"
 MSG_STOP = 0x53  # b"S"
 MSG_SHUTDOWN = 0x51  # b"Q"
@@ -120,13 +120,13 @@ MSG_ERROR = 0x45  # b"E"
 MSG_ANNOUNCE = 0x41  # b"A"
 MSG_HEARTBEAT = 0x68  # b"h"
 
-# Multiplexed-query revisions (WIRE_FORMAT.md §2.8): the lowercase
-# letter of the legacy kind it revises, carrying a u64 query_id prefix
-# so one worker session can hold many in-flight jobs.  CANCEL is new.
-MSG_QJOB = 0x6A  # b"j"
-MSG_QLEVEL = 0x6C  # b"l"
-MSG_QREPLY = 0x72  # b"r"
-MSG_QCOLLECT = 0x71  # b"q"
+# The job family (WIRE_FORMAT.md §2.5): each body leads with a u64
+# query_id, so one worker session can hold many in-flight jobs.  QERROR
+# fails one query without ending the session; CANCEL drops one.
+MSG_JOB = 0x4A  # b"J"
+MSG_LEVEL = 0x4C  # b"L"
+MSG_LEVEL_REPLY = 0x52  # b"R"
+MSG_COLLECT = 0x43  # b"C"
 MSG_QERROR = 0x65  # b"e"
 MSG_CANCEL = 0x58  # b"X"
 
@@ -146,20 +146,25 @@ MSG_DELTA = 0x44  # b"D"
 MSG_CATCHUP = 0x55  # b"U"
 MSG_CATCHUP_REPLY = 0x75  # b"u"
 
-_KNOWN_KINDS = frozenset({
-    MSG_HELLO, MSG_JOB, MSG_LEVEL, MSG_LEVEL_REPLY, MSG_COLLECT,
-    MSG_ACCOUNTING, MSG_REBALANCE, MSG_STOP, MSG_SHUTDOWN, MSG_ERROR,
-    MSG_ANNOUNCE, MSG_HEARTBEAT,
-    MSG_QJOB, MSG_QLEVEL, MSG_QREPLY, MSG_QCOLLECT, MSG_QERROR,
-    MSG_CANCEL, MSG_MUTATE, MSG_DELTA,
-    MSG_CATCHUP, MSG_CATCHUP_REPLY,
-})
-
-#: The kinds whose body starts with a ``u64 query_id`` tag (§2.8).
+#: The kinds whose body starts with a ``u64 query_id`` tag.
 QUERY_KINDS = frozenset({
-    MSG_QJOB, MSG_QLEVEL, MSG_QREPLY, MSG_QCOLLECT, MSG_QERROR,
+    MSG_JOB, MSG_LEVEL, MSG_LEVEL_REPLY, MSG_COLLECT, MSG_QERROR,
     MSG_CANCEL,
 })
+
+_KNOWN_KINDS = QUERY_KINDS | {
+    MSG_HELLO, MSG_REBALANCE, MSG_STOP, MSG_SHUTDOWN, MSG_ERROR,
+    MSG_ANNOUNCE, MSG_HEARTBEAT, MSG_MUTATE, MSG_DELTA,
+    MSG_CATCHUP, MSG_CATCHUP_REPLY,
+}
+
+#: The query id of a coordinator that runs one job at a time.  Every
+#: JOB under it restarts the same worker-side session — a replica that
+#: was sent a JOB but never its closing frame holds no stale state past
+#: the next one — and a COLLECT under it with no session open is the
+#: between-jobs liveness probe, answered with empty accounting.
+#: Multiplexing coordinators number their queries from 1.
+SOLO_QUERY_ID = 0
 
 _QUERY_ID = struct.Struct("<Q")
 
@@ -227,18 +232,14 @@ def decode_frame(data: bytes) -> Tuple[int, bytes]:
 
 
 # ----------------------------------------------------------------------
-# Multiplexed-query bodies (WIRE_FORMAT.md §2.8)
+# Query-tagged bodies (WIRE_FORMAT.md §2.5)
 # ----------------------------------------------------------------------
 
 
 def encode_query_body(query_id: int, body: bytes = b"") -> bytes:
-    """Prefix ``body`` with the ``u64 query_id`` tag of a §2.8 frame.
-
-    Each multiplexed kind (QJOB/QLEVEL/QREPLY/QCOLLECT/QERROR/CANCEL)
-    carries the tag followed by the *unchanged* legacy body of the kind
-    it revises, so the payload encoders are reused verbatim; CANCEL and
-    QCOLLECT carry the tag alone.
-    """
+    """Prefix ``body`` with the ``u64 query_id`` tag of a job-family
+    frame (:data:`QUERY_KINDS`); CANCEL and COLLECT carry the tag
+    alone."""
     if not isinstance(query_id, int) or query_id < 0 or query_id > (1 << 64) - 1:
         raise TransportError(f"query id {query_id!r} does not fit u64")
     return _QUERY_ID.pack(query_id) + body
@@ -339,8 +340,8 @@ def decode_pickle_body(body: bytes):
 #
 #     u64 embeddings          accepted complete embeddings (final level)
 #     u8  has_accounting      1 when the pickled (counters, stats) tail
-#                             is present (workers piggyback it on the
-#                             final level, saving a COLLECT round trip)
+#                             is present (the final level's reply and
+#                             the reply to a COLLECT)
 #     u32 num_payloads        one slot per frontier partial (0 on the
 #                             final level — survivors are consumed)
 #     per payload:
@@ -414,6 +415,42 @@ def decode_level_reply(
     if has_accounting and not accounting:
         raise TransportError("level reply promised accounting but had none")
     return payloads, embeddings, accounting
+
+
+def decode_reply(body: bytes, collect: bool):
+    """Decode the level-reply body of a REPLY frame into what
+    :func:`repro.parallel.level_sync.run_level_synchronous` gathers.
+
+    The one reply decoder of every coordinator: ``("level", payloads,
+    embeddings)`` with the candidate version bytes stripped and
+    ``(counters, stats)`` appended when the accounting tail is present,
+    or — for the answer to a COLLECT (``collect``) — the ``(counters,
+    stats)`` pair alone.  Every way the body can be undecodable
+    surfaces as :class:`TransportError`.
+    """
+    payloads, embeddings, tail = decode_level_reply(body)
+    accounting = None
+    if tail is not None:
+        accounting = decode_pickle_body(tail)
+        if not isinstance(accounting, tuple) or len(accounting) != 2:
+            raise TransportError(
+                f"reply accounting is {type(accounting).__name__}, not a "
+                f"(counters, stats) pair"
+            )
+    if collect:
+        if accounting is None:
+            raise TransportError("COLLECT answered without accounting")
+        return accounting
+    if payloads is not None:
+        try:
+            payloads = [
+                None if payload is None else decode_versioned(payload)
+                for payload in payloads
+            ]
+        except ValueError as exc:
+            raise TransportError(str(exc)) from None
+    reply = ("level", payloads, embeddings)
+    return reply if accounting is None else reply + accounting
 
 
 # ----------------------------------------------------------------------

@@ -1,0 +1,579 @@
+"""The shard worker: a TCP server that owns one store shard.
+
+:class:`ShardWorker` builds and owns one
+:class:`~repro.hypergraph.sharding.StoreShard` and answers the
+level-synchronous protocol over framed messages
+(:mod:`repro.parallel.transport`).  Run it on any host that can load
+the data hypergraph (``python -m repro serve-shard`` is the CLI
+wrapper); :func:`~repro.parallel.cluster.spawn_local_cluster` runs a
+set of them as local subprocesses.  It is the only place a shard
+expands a frontier: every coordinator — the one-job-at-a-time
+:class:`~repro.parallel.coordinator.NetShardExecutor` (which is also
+``executor="processes"``) and the match service's multiplexing pool —
+speaks the same query-tagged job frames to it.
+
+What crosses the wire is the frontier of self-contained partial
+embeddings inbound, and compact
+:class:`~repro.core.candidates.CandidateSet` payloads (row bitmasks /
+chunk maps / edge-id tuples, each prefixed with the candidate wire
+version byte) outbound — never decoded edge-id lists for the mask
+backends.  ``docs/WIRE_FORMAT.md`` specifies every byte.
+"""
+
+from __future__ import annotations
+
+import os
+import pickle
+import random
+import socket
+import traceback
+from dataclasses import dataclass
+from typing import Dict, Tuple
+
+from ..core.candidates import (
+    AnchorUnionMemo,
+    VertexStepState,
+    encode_versioned,
+)
+from ..core.counters import WORK_UNIT_MODELS, MatchCounters
+from ..core.plan import build_execution_plan
+from ..errors import SchedulerError, TransportError
+from ..hypergraph import Hypergraph
+from ..hypergraph.dynamic import DynamicHypergraph
+from ..hypergraph.sharding import StoreShard, resolve_sharding, shard_grouping
+from ..hypergraph.storage import resolve_index_backend
+from . import transport
+from .level_sync import expand_level
+from .tasks import WorkerStats, default_seed
+
+#: Default per-frame I/O timeout on established connections — the
+#: fallback when neither the ``REPRO_NET_TIMEOUT`` environment variable
+#: nor the ``io_timeout`` kwarg names one.  Generous — level replies
+#: can take as long as the shard's share of the enumeration — but
+#: finite, so a wedged peer surfaces as failover (or an error) instead
+#: of a hang.
+DEFAULT_IO_TIMEOUT = 600.0
+
+
+def default_io_timeout() -> float:
+    """The per-frame I/O timeout: ``REPRO_NET_TIMEOUT`` seconds or
+    :data:`DEFAULT_IO_TIMEOUT`.
+
+    Resolved at call time (like ``REPRO_SEED``) so a test session or a
+    deployment can tighten the failover deadline without touching call
+    sites; both the coordinator and ``serve-shard`` workers read it.
+    """
+    value = os.environ.get("REPRO_NET_TIMEOUT")
+    if not value:
+        return DEFAULT_IO_TIMEOUT
+    try:
+        timeout = float(value)
+    except ValueError:
+        raise TransportError(
+            f"REPRO_NET_TIMEOUT must be a number of seconds, got {value!r}"
+        ) from None
+    if timeout <= 0:
+        raise TransportError(
+            f"REPRO_NET_TIMEOUT must be positive, got {value!r}"
+        )
+    return timeout
+
+
+def disable_nagle(sock) -> None:
+    """Request/response protocols want small frames out *now*: Nagle
+    coalescing only adds latency to the level barrier."""
+    try:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    except (OSError, AttributeError):  # pragma: no cover - non-TCP peer
+        pass
+
+
+@dataclass
+class _QuerySession:
+    """One query's worker-side state (WIRE_FORMAT.md §2.5) — held per
+    query id so one connection can interleave many jobs, and droppable
+    as a unit on CANCEL / completion / per-query error."""
+
+    plan: object
+    state: object
+    counters: MatchCounters
+    stats: WorkerStats
+
+
+class ShardWorker:
+    """A TCP server owning one store shard (one replica of one range).
+
+    Builds shard ``shard_id`` of ``num_shards`` from ``graph`` at
+    construction (the offline stage), then serves coordinator sessions
+    sequentially: each accepted connection gets a HELLO handshake
+    carrying the shard's :class:`~repro.hypergraph.sharding.
+    ShardDescriptor` (stamped with this worker's ``replica_id`` of
+    ``num_replicas``) and the worker's scheduler seed, then answers
+    query-tagged JOB / LEVEL / COLLECT frames — any number of queries
+    interleaved on the connection, each with its own session state —
+    until the peer sends STOP (end the session) or SHUTDOWN (stop the
+    server).  One connection at a time is the right concurrency: the
+    shard's store is single-writer state, and a coordinator that wants
+    many queries in flight multiplexes them over its one connection.
+
+    Replicas of the same range differ *only* in ``replica_id``: the
+    shard they build is byte-for-byte the same pure function of the
+    placement, which is the whole failover argument.
+
+    The server never trusts the stream: malformed frames raise
+    :class:`~repro.errors.TransportError` and end the session (the
+    server keeps accepting).  A failure inside one query's work is
+    reported as a QERROR frame tagged with that query and ends only
+    that query; a failed REBALANCE / MUTATE / CATCHUP is reported as an
+    ERROR frame and ends the session.  Both carry the traceback
+    prefixed with the failing shard id, replica id and range label, so
+    a multi-host failure is attributable from the coordinator's side
+    alone.
+    """
+
+    def __init__(
+        self,
+        graph: Hypergraph,
+        shard_id: int,
+        num_shards: int,
+        index_backend: "str | None" = None,
+        host: str = "127.0.0.1",
+        port: int = 0,
+        seed: "int | None" = None,
+        sharding: "str | None" = None,
+        replica_id: int = 0,
+        num_replicas: int = 1,
+        io_timeout: "float | None" = None,
+        chaos=None,
+        announce: "Tuple[str, int] | None" = None,
+        heartbeat_interval: "float | None" = None,
+    ) -> None:
+        if num_replicas < 1:
+            raise SchedulerError("num_replicas must be >= 1")
+        if not 0 <= replica_id < num_replicas:
+            raise SchedulerError(
+                f"replica_id {replica_id} outside 0..{num_replicas - 1}"
+            )
+        self.index_backend = resolve_index_backend(index_backend)
+        self.seed = default_seed() if seed is None else seed
+        self.replica_id = replica_id
+        self.num_replicas = num_replicas
+        self.io_timeout = (
+            default_io_timeout() if io_timeout is None else io_timeout
+        )
+        self.chaos = chaos
+        self.shard = StoreShard.build(
+            graph, shard_id, num_shards, self.index_backend,
+            resolve_sharding(sharding),
+        )
+        self._graph = graph
+        self._memo = AnchorUnionMemo()
+        self._listener: "socket.socket | None" = None
+        self._host = host
+        self._port = port
+        self._announce = None if announce is None else tuple(announce)
+        self._heartbeat_interval = heartbeat_interval
+        self._announcer = None
+
+    # -- lifecycle ------------------------------------------------------
+
+    def bind(self) -> Tuple[str, int]:
+        """Bind the listener; returns the bound ``(host, port)`` (the
+        port is the OS-assigned one when constructed with port 0)."""
+        if self._listener is None:
+            listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+            listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            listener.bind((self._host, self._port))
+            listener.listen(1)
+            self._listener = listener
+            self._host, self._port = listener.getsockname()[:2]
+            self._start_announcer()
+        return self._host, self._port
+
+    def _announce_hello(self):
+        """What the announcer registers: the serving address plus the
+        same descriptor/seed a HELLO would carry — re-evaluated at each
+        (re)connect so a REBALANCE relabel re-announces truthfully."""
+        descriptor = self.shard.describe().with_replica(
+            self.replica_id, self.num_replicas
+        )
+        return (self.address, descriptor.as_dict(), self.seed)
+
+    def _start_announcer(self) -> None:
+        if self._announce is None or self._announcer is not None:
+            return
+        from .registry import Announcer  # here to avoid an import cycle
+
+        self._announcer = Announcer(
+            self._announce,
+            self._announce_hello,
+            interval=self._heartbeat_interval,
+            chaos=self.chaos,
+            rng=random.Random(
+                (self.shard.shard_id << 16) ^ self.replica_id ^ self.seed
+            ),
+        )
+        self._announcer.start()
+
+    @property
+    def address(self) -> Tuple[str, int]:
+        return self._host, self._port
+
+    def close(self) -> None:
+        if self._announcer is not None:
+            self._announcer.stop()
+            self._announcer = None
+        if self._listener is not None:
+            try:
+                self._listener.close()
+            except OSError:  # pragma: no cover - best effort
+                pass
+            self._listener = None
+
+    # -- serving --------------------------------------------------------
+
+    def _hello_body(self) -> bytes:
+        """The HELLO payload: the shard descriptor stamped with this
+        worker's replica membership, plus the scheduler seed."""
+        descriptor = self.shard.describe().with_replica(
+            self.replica_id, self.num_replicas
+        )
+        return transport.encode_handshake(descriptor.as_dict(), self.seed)
+
+    def serve_forever(self, max_sessions: "int | None" = None) -> None:
+        """Accept and serve sessions until SHUTDOWN (or ``max_sessions``
+        sessions have ended — a testing/CLI convenience)."""
+        self.bind()
+        sessions = 0
+        try:
+            while max_sessions is None or sessions < max_sessions:
+                try:
+                    conn, _peer = self._listener.accept()
+                except OSError:  # listener closed under us
+                    return
+                try:
+                    keep_serving = self._serve_session(conn)
+                finally:
+                    try:
+                        conn.close()
+                    except OSError:  # pragma: no cover - best effort
+                        pass
+                sessions += 1
+                if not keep_serving:
+                    return
+        finally:
+            self.close()
+
+    def _serve_session(self, conn) -> bool:
+        """Serve one coordinator connection; False means SHUTDOWN."""
+        if self.chaos is not None:
+            # The chaos wrapper counts this session's outbound frames
+            # (HELLO is frame 1) and applies any worker-role faults.
+            conn = self.chaos.wrap(
+                conn, "worker", self.shard.shard_id, self.replica_id
+            )
+        conn.settimeout(self.io_timeout)
+        disable_nagle(conn)
+        try:
+            transport.send_frame(conn, transport.MSG_HELLO, self._hello_body())
+        except (TransportError, OSError):
+            return True  # peer vanished before the handshake; next session
+        # Open jobs, keyed by query id.  The state is per *connection*:
+        # a coordinator that reconnects after a failure replays every
+        # JOB it still runs, so dropping the dict with the connection
+        # never strands a query.
+        sessions: "Dict[int, _QuerySession]" = {}
+        while True:
+            try:
+                kind, body = transport.recv_frame(conn)
+            except TransportError:
+                # Peer gone or stream garbled; the session is over either
+                # way, and the server stays up for the next coordinator.
+                return True
+            try:
+                if kind in transport.QUERY_KINDS:
+                    self._serve_query_frame(conn, kind, body, sessions)
+                elif kind == transport.MSG_REBALANCE:
+                    label, ranges = transport.decode_pickle_body(body)
+                    if ranges == self.shard.ranges():
+                        # Boundaries didn't touch this shard: adopt the
+                        # new placement label, keep the warm indices.
+                        self.shard.sharding = label
+                    else:
+                        self.shard = StoreShard.from_ranges(
+                            self._graph,
+                            shard_grouping(self._graph),
+                            self.shard.shard_id,
+                            self.shard.num_shards,
+                            self.index_backend,
+                            ranges,
+                            sharding=label,
+                        )
+                        # Cached anchor unions are masks over the old
+                        # shard's rows; clearing is mandatory.
+                        self._memo.clear()
+                    # Answer with a fresh HELLO: the descriptor now
+                    # echoes the coordinator-issued label, which is how
+                    # the peer verifies the rebuild took effect.
+                    transport.send_frame(
+                        conn, transport.MSG_HELLO, self._hello_body()
+                    )
+                elif kind == transport.MSG_MUTATE:
+                    batch = transport.decode_pickle_body(body)
+                    graph = self._graph
+                    if not isinstance(graph, DynamicHypergraph):
+                        # First mutation promotes the worker's graph
+                        # copy in place; edge ids and row layouts are
+                        # preserved, so the shard needs no rebuild.
+                        graph = DynamicHypergraph.from_hypergraph(graph)
+                        self._graph = graph
+                    result = graph.apply(batch)
+                    self.shard.apply_mutation_result(graph, result)
+                    # Cached anchor unions cover pre-mutation rows —
+                    # clearing is mandatory — and every open query
+                    # session is pre-mutation state: drop them all (the
+                    # coordinator fences queries before mutating, so
+                    # nothing live is stranded).
+                    self._memo.clear()
+                    sessions.clear()
+                    transport.send_pickle_frame(
+                        conn,
+                        transport.MSG_DELTA,
+                        {
+                            "graph_version": result.version,
+                            "graph_edges": graph.num_edges,
+                            "graph_vertices": graph.num_vertices,
+                        },
+                    )
+                elif kind == transport.MSG_CATCHUP:
+                    payload = transport.decode_pickle_body(body)
+                    if "snapshot" in payload:
+                        # The batch suffix aged out: adopt the shipped
+                        # graph wholesale and re-cut this shard from it
+                        # under the coordinator-named placement mode.
+                        graph = payload["snapshot"]
+                        self._graph = graph
+                        self.shard = StoreShard.build(
+                            graph,
+                            self.shard.shard_id,
+                            self.shard.num_shards,
+                            self.index_backend,
+                            resolve_sharding(payload["sharding"]),
+                        )
+                    else:
+                        graph = self._graph
+                        if not isinstance(graph, DynamicHypergraph):
+                            graph = DynamicHypergraph.from_hypergraph(
+                                graph
+                            )
+                            self._graph = graph
+                        for version, batch in payload["batches"]:
+                            if version != graph.version + 1:
+                                raise SchedulerError(
+                                    f"catch-up replay gap: batch for "
+                                    f"version {version} but the shard "
+                                    f"holds {graph.version}"
+                                )
+                            result = graph.apply(batch)
+                            self.shard.apply_mutation_result(
+                                graph, result
+                            )
+                    if (
+                        getattr(self._graph, "version", 0)
+                        != payload["to_version"]
+                    ):
+                        raise SchedulerError(
+                            f"catch-up fell short: replayed to version "
+                            f"{getattr(self._graph, 'version', 0)}, "
+                            f"coordinator expects "
+                            f"{payload['to_version']}"
+                        )
+                    # Same invalidation as MUTATE: memoised anchor
+                    # unions and open sessions cover pre-catch-up rows.
+                    self._memo.clear()
+                    sessions.clear()
+                    # Answer with a fresh handshake body: the gate
+                    # re-validates the post-replay descriptor in full.
+                    transport.send_frame(
+                        conn,
+                        transport.MSG_CATCHUP_REPLY,
+                        self._hello_body(),
+                    )
+                elif kind == transport.MSG_STOP:
+                    return True
+                elif kind == transport.MSG_SHUTDOWN:
+                    return False
+                else:
+                    raise TransportError(
+                        f"unexpected frame kind {kind:#x} in session"
+                    )
+            except (TransportError, OSError):
+                return True  # write failed (or chaos severed): peer gone
+            except Exception:  # report, then end the session visibly
+                try:
+                    transport.send_pickle_frame(
+                        conn, transport.MSG_ERROR, self._describe_failure()
+                    )
+                except (TransportError, OSError):  # pragma: no cover
+                    pass
+                return True
+
+    def _describe_failure(self) -> str:
+        """The in-flight exception's traceback, prefixed with the
+        failing shard id, replica id and placement label."""
+        return (
+            f"[shard {self.shard.shard_id} replica {self.replica_id} "
+            f"({self.shard.sharding} placement)] " + traceback.format_exc()
+        )
+
+    def _open_session(self, plan=None) -> _QuerySession:
+        counters = MatchCounters()
+        counters.note_work_model(WORK_UNIT_MODELS.get(self.index_backend, ""))
+        return _QuerySession(
+            plan,
+            VertexStepState(self._graph),
+            counters,
+            WorkerStats(worker_id=self.shard.shard_id),
+        )
+
+    def _serve_query_frame(
+        self, conn, kind: int, body: bytes,
+        sessions: "Dict[int, _QuerySession]",
+    ) -> None:
+        """Serve one job-family frame (WIRE_FORMAT.md §2.5) of a session.
+
+        The isolation seam of the match service: a failure inside one
+        query's work goes back as a QERROR tagged with that query id
+        and drops only that query's session — the connection, and every
+        other query multiplexed on it, keeps serving.  Only transport
+        failures propagate (the peer is gone for everyone).
+        """
+        query_id, rest = transport.split_query_body(body)
+        if kind == transport.MSG_CANCEL:
+            # Fire-and-forget: drop the query's state, answer nothing —
+            # the coordinator stopped listening for this id already, and
+            # an unknown id (already completed, or never started here)
+            # is exactly as cancelled as a live one.
+            sessions.pop(query_id, None)
+            return
+        try:
+            if kind == transport.MSG_JOB:
+                # The coordinator stamps the graph version its candidate
+                # algebra assumes (§2.9); composing rows across versions
+                # would silently mis-count, so a stale worker fails the
+                # query.
+                query, order, job_version = transport.decode_pickle_body(rest)
+                have = getattr(self._graph, "version", 0)
+                if job_version != have:
+                    raise SchedulerError(
+                        f"query assumes graph version {job_version}, "
+                        f"worker holds {have} (missed MUTATE?)"
+                    )
+                # A JOB for an already-open id is a coordinator replay
+                # (reconnect after a failure) or the next job of a solo
+                # coordinator: either way the query starts over.
+                sessions[query_id] = self._open_session(
+                    build_execution_plan(
+                        query, order, index_backend=self.index_backend
+                    )
+                )
+                return
+            session = sessions.get(query_id)
+            if kind == transport.MSG_LEVEL:
+                if session is None:
+                    raise SchedulerError(
+                        f"no open session for query {query_id}: LEVEL "
+                        f"before JOB (or after cancel/completion)"
+                    )
+                step, frontier = transport.decode_pickle_body(rest)
+                _, payloads, embeddings = expand_level(
+                    self._graph, self.shard, session.plan, step, frontier,
+                    session.state, session.counters, session.stats,
+                    self._memo,
+                )
+                if payloads is not None:
+                    payloads = [
+                        None if payload is None else encode_versioned(payload)
+                        for payload in payloads
+                    ]
+                    # The version bytes ship too; account them.
+                    session.stats.payload_bytes += sum(
+                        payload is not None for payload in payloads
+                    )
+                # The final level closes the query out: its reply
+                # piggybacks the accounting, saving a COLLECT round trip.
+                closing = step == session.plan.num_steps - 1
+            elif kind == transport.MSG_COLLECT:
+                if session is None:
+                    if query_id != transport.SOLO_QUERY_ID:
+                        raise SchedulerError(
+                            f"no open session for query {query_id}: "
+                            f"COLLECT before JOB (or after "
+                            f"cancel/completion)"
+                        )
+                    session = self._open_session()  # the liveness probe
+                # Early-drain termination: a payload-free REPLY whose
+                # accounting tail closes the query out.
+                payloads, embeddings, closing = None, 0, True
+            else:  # REPLY/QERROR are coordinator-bound, never served
+                raise TransportError(
+                    f"unexpected query frame kind {kind:#x} in session"
+                )
+            accounting = None
+            if closing:
+                accounting = pickle.dumps(
+                    (session.counters, session.stats),
+                    protocol=pickle.HIGHEST_PROTOCOL,
+                )
+            transport.send_frame(
+                conn,
+                transport.MSG_LEVEL_REPLY,
+                transport.encode_query_body(
+                    query_id,
+                    transport.encode_level_reply(
+                        payloads, embeddings, accounting
+                    ),
+                ),
+            )
+            if closing:
+                # Answered in full; the state has no further reader.
+                sessions.pop(query_id, None)
+        except (TransportError, OSError):
+            raise
+        except Exception:
+            sessions.pop(query_id, None)
+            transport.send_frame(
+                conn,
+                transport.MSG_QERROR,
+                transport.encode_query_body(
+                    query_id,
+                    pickle.dumps(
+                        self._describe_failure(),
+                        protocol=pickle.HIGHEST_PROTOCOL,
+                    ),
+                ),
+            )
+
+
+def shutdown_worker(
+    address: Tuple[str, int], timeout: float = 5.0
+) -> bool:
+    """Ask the shard worker at ``address`` to shut its server down.
+
+    Connects, consumes the worker's HELLO and sends the QUIT frame —
+    the protocol's graceful stop (``docs/WIRE_FORMAT.md`` §2.1), also
+    usable against a remote ``serve-shard`` process.  Returns True when
+    the exchange completed, False when the worker was already gone or
+    busy past ``timeout`` (callers fall back to killing the process).
+    """
+    try:
+        with socket.create_connection(
+            tuple(address), timeout=timeout
+        ) as sock:
+            sock.settimeout(timeout)
+            transport.recv_frame(sock)  # the worker's HELLO
+            transport.send_frame(sock, transport.MSG_SHUTDOWN)
+        return True
+    except (TransportError, OSError):
+        return False
+

@@ -4,8 +4,8 @@ Everything below :mod:`repro.service` turns the single-job socket
 coordinator into a long-lived service:
 
 * :class:`~repro.service.mux.MuxShardPool` — one connection per shard
-  worker, multiplexing any number of in-flight queries over the §2.8
-  query-tagged frames (QJOB/QLEVEL/QREPLY/QCOLLECT/QERROR/CANCEL);
+  worker, multiplexing any number of in-flight queries over the
+  query-tagged job frames (JOB/LEVEL/REPLY/COLLECT/QERROR/CANCEL);
 * :class:`~repro.service.mux.QueryChannel` — the per-query executor
   facade that plugs into the unchanged level-synchronous coordinator
   loop, so multiplexed counts are bit-identical to solo runs;

@@ -1,6 +1,6 @@
 """The multiplexing shard pool: many queries, one set of connections.
 
-:class:`~repro.parallel.net_executor.NetShardExecutor` owns its pool
+:class:`~repro.parallel.coordinator.NetShardExecutor` owns its pool
 for the duration of exactly one job — broadcast, gather, done.  The
 match service needs the opposite shape: a pool that stays connected
 across thousands of queries and carries many of them *at once*.  This
@@ -8,20 +8,19 @@ module provides it in two pieces:
 
 :class:`MuxShardPool`
     One TCP connection per shard worker (replication is the elastic
-    executor's job; the service multiplexes instead).  All outbound
-    frames are the §2.8 query-tagged kinds, so one worker session holds
-    a per-query state dict instead of a single job.  A pump thread owns
-    the receive direction of every connection and routes each
-    QREPLY/QERROR to its query's queue by the ``query_id`` tag.  A
-    connection that fails — severed, garbled, worker restarted — is
-    recovered in place: reconnect, re-validate the handshake through
-    the same :func:`~repro.parallel.net_executor.validate_handshake`
-    gate the single-job executor uses, replay every registered query's
-    QJOB and re-dispatch the levels still owed to that shard.  Replay
-    resets the worker's per-query state, which is safe for exactness:
-    level replies are pure functions of ``(plan, frontier, shard)``, so
-    only counter accounting can split — the same documented property as
-    the replicated executor's failover.
+    executor's job; the service multiplexes instead).  Every job frame
+    is tagged with its query id, so one worker session holds a
+    per-query state dict.  A pump thread owns the receive direction of
+    every connection and routes each REPLY/QERROR to its query's queue
+    by the ``query_id`` tag.  A connection that fails — severed,
+    garbled, worker restarted — is recovered in place: reconnect
+    through the same :func:`~repro.parallel.handshake.open_session`
+    sequence (and handshake gate) the single-job executor uses, replay
+    every registered query's JOB and re-dispatch the levels still owed
+    to that shard.  Replay resets the worker's per-query state, which
+    is safe for exactness: level replies are pure functions of
+    ``(plan, frontier, shard)``, so only counter accounting can split —
+    the same documented property as the replicated executor's failover.
 
 :class:`QueryChannel`
     The per-query executor facade.  It implements the exact plug-in
@@ -33,11 +32,11 @@ module provides it in two pieces:
     which is what makes multiplexed counts bit-identical to solo runs.
 
 Reply/request alignment uses the same FIFO-token idea as the
-replicated executor: each QLEVEL/QCOLLECT dispatched to a member
-pushes the query's barrier token onto that member's per-query deque,
-and the pump pops one token per QREPLY — so a duplicate reply created
-by a recovery re-dispatch is recognised by its stale token and
-discarded instead of contaminating the next barrier.
+replicated executor: each LEVEL/COLLECT dispatched to a member pushes
+the query's barrier token onto that member's per-query deque, and the
+pump pops one token per REPLY — so a duplicate reply created by a
+recovery re-dispatch is recognised by its stale token and discarded
+instead of contaminating the next barrier.
 """
 
 from __future__ import annotations
@@ -52,7 +51,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import queue
 
-from ..core.candidates import decode_versioned
 from ..errors import (
     QueryCancelled,
     SchedulerError,
@@ -62,14 +60,10 @@ from ..errors import (
 from ..hypergraph.sharding import resolve_sharding
 from ..hypergraph.storage import resolve_index_backend
 from ..parallel import transport
-from ..parallel.net_executor import (
-    CONNECT_TIMEOUT,
-    _disable_nagle,
-    default_io_timeout,
-    spawn_local_cluster,
-    validate_handshake,
-)
+from ..parallel.cluster import spawn_local_cluster
+from ..parallel.handshake import CONNECT_TIMEOUT, open_session
 from ..parallel.tasks import default_seed
+from ..parallel.worker import default_io_timeout
 
 #: How often a waiting gather re-checks its cancellation flag — the
 #: latency bound on noticing a client cancel mid-level.
@@ -251,32 +245,18 @@ class MuxShardPool:
 
     def _open_connection(self, address, graph):
         """Connect + handshake one worker; returns ``(sock, descriptor)``."""
-        import socket as socket_module
-
-        raw = socket_module.create_connection(
-            tuple(address), timeout=self.connect_timeout
+        return open_session(
+            address,
+            graph,
+            connect_timeout=self.connect_timeout,
+            io_timeout=self.io_timeout,
+            chaos=self.chaos,
+            index_backend=self.index_backend,
+            num_shards=self.num_shards,
+            num_replicas=1,
+            seed=self.seed,
+            sharding_label=self.sharding,
         )
-        _disable_nagle(raw)
-        sock = raw
-        if self.chaos is not None:
-            sock = self.chaos.wrap(raw, "coordinator")
-        try:
-            descriptor = validate_handshake(
-                sock,
-                graph,
-                index_backend=self.index_backend,
-                num_shards=self.num_shards,
-                num_replicas=1,
-                seed=self.seed,
-                sharding_label=self.sharding,
-            )
-        except BaseException:
-            self._close_sock(sock)
-            raise
-        sock.settimeout(self.io_timeout)
-        if self.chaos is not None:
-            sock.bind_endpoint(descriptor.shard_id, descriptor.replica_id)
-        return sock, descriptor
 
     @staticmethod
     def _close_sock(sock) -> None:
@@ -330,7 +310,7 @@ class MuxShardPool:
 
         Idempotent.  The CANCEL broadcast is what guarantees no worker
         keeps orphaned session state: a completed query's sessions were
-        already dropped by the final reply / QCOLLECT, every other exit
+        already dropped by the final reply / COLLECT, every other exit
         (deadline, client cancel, per-query error, drain) goes through
         here.
         """
@@ -365,7 +345,7 @@ class MuxShardPool:
         """
         frame = transport.encode_frame(kind, body)
         expects_reply = kind in (
-            transport.MSG_QLEVEL, transport.MSG_QCOLLECT
+            transport.MSG_LEVEL, transport.MSG_COLLECT
         )
         with self._lock:
             state = self._queries.get(query_id)
@@ -538,7 +518,7 @@ class MuxShardPool:
             # whole-pool barrier, never interleaved with queries).
             self._mutation_acks.put((member.shard_id, body))
             return
-        if kind not in (transport.MSG_QREPLY, transport.MSG_QERROR):
+        if kind not in (transport.MSG_LEVEL_REPLY, transport.MSG_QERROR):
             with self._lock:
                 self._recover_locked(
                     member, sock,
@@ -554,6 +534,15 @@ class MuxShardPool:
             with self._lock:
                 self._recover_locked(member, sock, exc)
             return
+        garbled = None
+        if kind == transport.MSG_QERROR:
+            try:
+                rest = transport.decode_pickle_body(rest)
+            except TransportError as exc:
+                # The query failed whatever the report said; a peer
+                # that garbles it is recovered like any failed member
+                # (never a reason for the pump thread to die).
+                garbled, rest = exc, f"(unreadable error report: {exc})"
         with self._lock:
             state = self._queries.get(query_id)
             if kind == transport.MSG_QERROR:
@@ -561,9 +550,9 @@ class MuxShardPool:
                 # is moot — the query is failing regardless.
                 member.tokens.pop(query_id, None)
                 if state is not None:
-                    state.replies.put(
-                        ("error", member.shard_id, pickle.loads(rest))
-                    )
+                    state.replies.put(("error", member.shard_id, rest))
+                if garbled is not None:
+                    self._recover_locked(member, sock, garbled)
                 return
             tokens = member.tokens.get(query_id)
             token = tokens.popleft() if tokens else None
@@ -606,7 +595,7 @@ class MuxShardPool:
             for state in self._queries.values():
                 if state.job_body is not None:
                     sock.sendall(transport.encode_frame(
-                        transport.MSG_QJOB, state.job_body
+                        transport.MSG_JOB, state.job_body
                     ))
                     self.dispatched_frames += 1
                 if (
@@ -679,7 +668,7 @@ class QueryChannel:
             )
             self._pool.start_query(state)
             self._pool.send_all(
-                self.query_id, transport.MSG_QJOB, state.job_body
+                self.query_id, transport.MSG_JOB, state.job_body
             )
             return
         if tag == "level":
@@ -687,10 +676,10 @@ class QueryChannel:
                 (message[1], message[2]),
                 protocol=pickle.HIGHEST_PROTOCOL,
             )
-            kind = transport.MSG_QLEVEL
+            kind = transport.MSG_LEVEL
             body = transport.encode_query_body(self.query_id, payload)
         elif tag == "collect":
-            kind = transport.MSG_QCOLLECT
+            kind = transport.MSG_COLLECT
             body = transport.encode_query_body(self.query_id, b"")
         else:
             raise SchedulerError(f"unknown broadcast {tag!r}")
@@ -782,22 +771,10 @@ class QueryChannel:
 
     def _decode(self, shard_id: int, body: bytes):
         try:
-            payloads, embeddings, accounting = (
-                transport.decode_level_reply(body)
+            return transport.decode_reply(
+                body, self._state.last_broadcast == "collect"
             )
-            if self._state.last_broadcast == "collect":
-                return pickle.loads(accounting)
-            if payloads is not None:
-                payloads = [
-                    None if payload is None else decode_versioned(payload)
-                    for payload in payloads
-                ]
-            reply = ("level", payloads, embeddings)
-            if accounting is not None:
-                reply = reply + pickle.loads(accounting)
-            return reply
-        except (TransportError, TypeError, ValueError,
-                pickle.PickleError) as exc:
+        except TransportError as exc:
             self._fail()
             raise SchedulerError(
                 f"shard worker {shard_id} sent an undecodable reply "

@@ -191,7 +191,7 @@ def frame_corpus(rng):
         transport.encode_frame(transport.MSG_MUTATE, bytes(rng.randrange(256) for _ in range(64))),
         transport.encode_frame(transport.MSG_DELTA, b"\x00" * 32),
         transport.encode_frame(
-            transport.MSG_QREPLY,
+            transport.MSG_LEVEL_REPLY,
             transport.encode_query_body(7, b"payload"),
         ),
     ]

@@ -475,8 +475,9 @@ def test_worker_survives_garbage_frames(workload_instances):
 
 
 def test_worker_reports_enumeration_errors(workload_instances):
-    """Worker-side failures arrive as ERROR frames -> SchedulerError
-    with the remote traceback, mirroring the process executor."""
+    """A failure inside a query's work arrives as a QERROR frame tagged
+    with that query, carrying the remote traceback; the session
+    survives it."""
     data, query = workload_instances[0]
     engine = HGMatch(data, index_backend="merge")
     worker = ShardWorker(data, 0, 1, index_backend="merge")
@@ -489,15 +490,84 @@ def test_worker_reports_enumeration_errors(workload_instances):
         with socket.create_connection(address, timeout=5.0) as sock:
             kind, _ = transport.recv_frame(sock)
             assert kind == transport.MSG_HELLO
-            # A LEVEL before any JOB: plan is None -> worker-side error.
-            transport.send_pickle_frame(
-                sock, transport.MSG_LEVEL, (0, [()])
+            # A LEVEL before any JOB: no session -> worker-side error.
+            level = transport.encode_query_body(7, pickle.dumps((0, [()])))
+            transport.send_frame(sock, transport.MSG_LEVEL, level)
+            kind, body = transport.recv_frame(sock)
+            assert kind == transport.MSG_QERROR
+            query_id, text = transport.split_query_body(body)
+            assert query_id == 7
+            assert "Traceback" in pickle.loads(text)
+            assert "LEVEL before JOB" in pickle.loads(text)
+            # The connection outlives the failed query: the solo probe
+            # (COLLECT 0 with no session) is still answered.
+            transport.send_frame(
+                sock,
+                transport.MSG_COLLECT,
+                transport.encode_query_body(transport.SOLO_QUERY_ID),
             )
             kind, body = transport.recv_frame(sock)
-            assert kind == transport.MSG_ERROR
-            assert "Traceback" in pickle.loads(body)
+            assert kind == transport.MSG_LEVEL_REPLY
+            query_id, reply = transport.split_query_body(body)
+            assert query_id == transport.SOLO_QUERY_ID
+            counters, stats = transport.decode_reply(reply, collect=True)
+            assert counters.candidates == 0 and stats.tasks_executed == 0
+            # ... but a COLLECT for a real query nobody opened is not.
+            transport.send_frame(
+                sock, transport.MSG_COLLECT, transport.encode_query_body(9)
+            )
+            kind, body = transport.recv_frame(sock)
+            assert kind == transport.MSG_QERROR
+            assert "COLLECT before JOB" in pickle.loads(
+                transport.split_query_body(body)[1]
+            )
     finally:
         worker.close()
+        engine.close()
+
+
+@pytest.mark.parametrize("tail", [b"", b"\x80"])
+def test_truncated_accounting_tail_is_a_typed_failure(
+    workload_instances, monkeypatch, tail
+):
+    """``has_accounting=1`` over an empty or cut-off pickle (the latter
+    is an ``EOFError`` inside ``pickle.loads``) tears the pool down
+    with a typed SchedulerError; the next run rebuilds it."""
+    data, query = workload_instances[0]
+    engine = HGMatch(data, index_backend="bitset")
+    executor = NetShardExecutor(num_shards=2, index_backend="bitset")
+    try:
+        expected = engine.count(query)
+        assert executor.run(engine, query).embeddings == expected
+        real, original = transport.recv_frame, executor._broadcast
+        state = {"armed": False, "fired": False}
+
+        def broadcast(message):
+            # Past the between-jobs probe (whose failure _ensure_pool
+            # absorbs by rebuilding): cut the first level's reply.
+            state["armed"] = message[0] == "level" and not state["fired"]
+            original(message)
+
+        def recv_frame(sock):
+            kind, body = real(sock)
+            if state["armed"] and kind == transport.MSG_LEVEL_REPLY:
+                state["armed"], state["fired"] = False, True
+                query_id, _reply = transport.split_query_body(body)
+                body = transport.encode_query_body(
+                    query_id,
+                    transport.encode_level_reply(None, 0, b"x")[:-1] + tail,
+                )
+            return kind, body
+
+        monkeypatch.setattr(transport, "recv_frame", recv_frame)
+        executor._broadcast = broadcast
+        with pytest.raises(SchedulerError, match="undecodable reply"):
+            executor.run(engine, query)
+        assert state["fired"]
+        assert not executor._members and executor._cluster is None
+        assert executor.run(engine, query).embeddings == expected
+    finally:
+        executor.close()
         engine.close()
 
 
@@ -700,7 +770,7 @@ def test_duplicate_replica_identity_rejected(workload_instances):
 def test_io_timeout_is_configurable(monkeypatch):
     """REPRO_NET_TIMEOUT seeds the default; the kwarg wins over it."""
     from repro.parallel import default_io_timeout
-    from repro.parallel.net_executor import DEFAULT_IO_TIMEOUT
+    from repro.parallel.worker import DEFAULT_IO_TIMEOUT
 
     monkeypatch.delenv("REPRO_NET_TIMEOUT", raising=False)
     assert default_io_timeout() == DEFAULT_IO_TIMEOUT

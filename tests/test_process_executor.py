@@ -195,21 +195,112 @@ def test_workers_names_parallelism_when_shards_unset(workload_instances):
         engine.close()
 
 
-def test_dead_worker_tears_pool_down(workload_instances):
-    """A killed worker must surface as SchedulerError and leave the
-    executor able to rebuild a healthy pool on the next run."""
+def _kill(process):
+    process.terminate()
+    process.join(timeout=2.0)
+    assert not process.is_alive()
+
+
+def _kill_on_first_level(executor, victim, then=lambda: None):
+    """Wrap ``executor._broadcast`` so shard ``victim``'s worker dies
+    right after the first LEVEL went out (a mid-job loss)."""
+    original = executor._broadcast
+    state = {"killed": False}
+
+    def broadcast(message):
+        original(message)
+        if message[0] == "level" and not state["killed"]:
+            state["killed"] = True
+            _kill(executor._cluster.processes[victim])
+            then()
+
+    executor._broadcast = broadcast
+    return state
+
+
+def test_dead_worker_recovers_between_jobs_and_mid_job(workload_instances):
+    """``processes`` runs on the socket coordinator's pool and inherits
+    its failure policy: a worker lost between jobs is caught by the
+    liveness probe (pool rebuilt), one lost mid-job is respawned under
+    the budget and the level requeued — exact counts either way, pool
+    healthy afterwards.  Only when the last replica is gone *and* the
+    respawn budget is exhausted does the job fail, with a typed error
+    and a pool the next run rebuilds."""
     data, query = workload_instances[0]
     engine = HGMatch(data, index_backend="bitset")
     executor = ProcessShardExecutor(2, index_backend="bitset")
     try:
         expected = engine.count(query)
         assert executor.run(engine, query).embeddings == expected
-        executor._processes[0].terminate()
-        executor._processes[0].join(timeout=2.0)
-        with pytest.raises(SchedulerError):
-            executor.run(engine, query)
-        # The failed run closed the pool; the next run rebuilds it.
+        # Between jobs.
+        _kill(executor._cluster.processes[0])
         assert executor.run(engine, query).embeddings == expected
+        assert all(p.is_alive() for p in executor._cluster.processes)
+        # Mid-job.
+        original = executor._broadcast
+        state = _kill_on_first_level(executor, 1)
+        result = executor.run(engine, query)
+        assert state["killed"] and result.embeddings == expected
+        assert sorted(s.worker_id for s in result.worker_stats) == [0, 1]
+        executor._broadcast = original
+        assert executor.run(engine, query).embeddings == expected
+        assert all(p.is_alive() for p in executor._cluster.processes)
+        # Mid-job with nothing left to respawn with.
+        state = _kill_on_first_level(
+            executor, 0, then=lambda: setattr(executor, "_respawn_budget", 0)
+        )
+        with pytest.raises(SchedulerError, match="no live replica remains"):
+            executor.run(engine, query)
+        assert state["killed"] and not executor._members
+        executor._broadcast = original
+        assert executor.run(engine, query).embeddings == expected
+    finally:
+        executor.close()
+        engine.close()
+
+
+def test_processes_and_hostless_sockets_share_one_pool(workload_instances):
+    """One set of worker processes per engine: ``executor="processes"``
+    and ``executor="sockets"`` with no hosts configured are the same
+    coordinator over the same local cluster."""
+    data, query = workload_instances[0]
+    engine = HGMatch(data, index_backend="bitset", shards=2)
+    try:
+        expected = engine.count(query)
+        assert engine.count(query, executor="processes") == expected
+        pool = engine.shard_executor()
+        pids = [process.pid for process in pool._cluster.processes]
+        assert engine.count(query, executor="sockets") == expected
+        assert engine.net_executor() is pool
+        assert [p.pid for p in pool._cluster.processes] == pids
+        processes = list(pool._cluster.processes)
+    finally:
+        engine.close()
+    assert pool._cluster is None and not pool._members
+    assert not any(process.is_alive() for process in processes)
+
+
+def test_solo_job_on_a_stale_worker_is_refused(workload_instances):
+    """Every JOB is stamped with the graph version the coordinator's
+    candidate algebra assumes — the solo coordinator's too — so a
+    worker that did not see a mutation refuses the job instead of
+    composing rows across versions."""
+    from repro.testing import random_mutation_schedule
+
+    data, query = workload_instances[0]
+    engine = HGMatch(data, index_backend="bitset")
+    executor = ProcessShardExecutor(2, index_backend="bitset")
+    try:
+        assert executor.run(engine, query).embeddings == engine.count(query)
+        batch = random_mutation_schedule(random.Random(5), data, steps=1)[0]
+        engine.apply_mutations(batch)
+        # The pool was not told (no executor.mutate): its workers hold
+        # version 0 while the engine's graph moved to version 1.
+        executor._graph = engine.data
+        with pytest.raises(
+            SchedulerError, match="query assumes graph version 1"
+        ):
+            executor.run(engine, query)
     finally:
         executor.close()
         engine.close()

@@ -166,6 +166,90 @@ def test_channel_plugs_into_the_executor_surface(service_instance):
         engine.close()
 
 
+def _rewrite_next_reply(monkeypatch, rewrite):
+    """Pass the next REPLY frame this process receives through
+    ``rewrite(query_id, reply_body) -> (kind, body)``; one shot."""
+    from repro.parallel import transport
+
+    real = transport.recv_frame
+    armed = [True]
+
+    def recv_frame(sock):
+        kind, body = real(sock)
+        if armed and kind == transport.MSG_LEVEL_REPLY:
+            armed.clear()
+            return rewrite(*transport.split_query_body(body))
+        return kind, body
+
+    monkeypatch.setattr(transport, "recv_frame", recv_frame)
+    return armed
+
+
+def test_garbled_error_report_fails_the_query_not_the_pump(
+    service_instance, monkeypatch
+):
+    """A QERROR whose body does not unpickle still fails its query with
+    a typed error; the pump thread survives it, the member is recovered
+    and the next query is exact."""
+    from repro.parallel import transport
+
+    data, queries, expected = service_instance
+    engine = HGMatch(data, index_backend="bitset")
+    pool = MuxShardPool(num_shards=2, index_backend="bitset")
+    try:
+        pool.ensure_open(engine)  # fork the workers before patching
+        armed = _rewrite_next_reply(
+            monkeypatch,
+            lambda query_id, _reply: (
+                transport.MSG_QERROR,
+                transport.encode_query_body(query_id, b"\x80garbage"),
+            ),
+        )
+        with pytest.raises(SchedulerError, match="unreadable error report"):
+            run_level_synchronous(QueryChannel(pool), engine, queries[0])
+        assert not armed and not pool._queries
+        assert pool._pump.is_alive()
+        result = run_level_synchronous(QueryChannel(pool), engine, queries[1])
+        assert result.embeddings == expected["bitset"][1]
+    finally:
+        pool.close()
+        engine.close()
+
+
+@pytest.mark.parametrize("tail", [b"", b"\x80"])
+def test_truncated_accounting_tail_is_a_typed_failure(
+    service_instance, monkeypatch, tail
+):
+    """``has_accounting=1`` over an empty or cut-off pickle (the latter
+    is an ``EOFError`` inside ``pickle.loads``) surfaces as a typed
+    SchedulerError and releases the query."""
+    from repro.parallel import transport
+
+    data, queries, expected = service_instance
+    engine = HGMatch(data, index_backend="bitset")
+    pool = MuxShardPool(num_shards=2, index_backend="bitset")
+    try:
+        pool.ensure_open(engine)
+        _rewrite_next_reply(
+            monkeypatch,
+            lambda query_id, _reply: (
+                transport.MSG_LEVEL_REPLY,
+                transport.encode_query_body(
+                    query_id, transport.encode_level_reply(None, 0, b"x")[:-1]
+                    + tail,
+                ),
+            ),
+        )
+        with pytest.raises(SchedulerError, match="undecodable reply"):
+            run_level_synchronous(QueryChannel(pool), engine, queries[0])
+        assert not pool._queries and pool._pump.is_alive()
+        result = run_level_synchronous(QueryChannel(pool), engine, queries[0])
+        assert result.embeddings == expected["bitset"][0]
+    finally:
+        pool.close()
+        engine.close()
+
+
 # ----------------------------------------------------------------------
 # Admission control: explicit BUSY, never a hang
 # ----------------------------------------------------------------------

@@ -30,7 +30,7 @@ class TestFrameCodec:
         for kind in (
             transport.MSG_HELLO, transport.MSG_JOB, transport.MSG_LEVEL,
             transport.MSG_LEVEL_REPLY, transport.MSG_COLLECT,
-            transport.MSG_ACCOUNTING, transport.MSG_STOP,
+            transport.MSG_QERROR, transport.MSG_CANCEL, transport.MSG_STOP,
             transport.MSG_SHUTDOWN, transport.MSG_ERROR,
         ):
             body = bytes([kind]) * 7
@@ -335,8 +335,8 @@ class TestAnnounceCodec:
 
 
 class TestQueryTaggedFrames:
-    """The §2.8 multiplexed-query kinds: an 8-byte little-endian query
-    id ahead of the unchanged legacy body."""
+    """The job family (§2.5): an 8-byte little-endian query id ahead of
+    the kind's own body."""
 
     def test_round_trip_every_query_kind(self):
         for kind in sorted(transport.QUERY_KINDS | {transport.MSG_CANCEL}):
@@ -350,19 +350,28 @@ class TestQueryTaggedFrames:
         # u64 tag; the chaos sniffer and the worker dispatch both key
         # off this set.
         assert transport.QUERY_KINDS == frozenset({
-            transport.MSG_QJOB, transport.MSG_QLEVEL,
-            transport.MSG_QREPLY, transport.MSG_QCOLLECT,
+            transport.MSG_JOB, transport.MSG_LEVEL,
+            transport.MSG_LEVEL_REPLY, transport.MSG_COLLECT,
             transport.MSG_QERROR, transport.MSG_CANCEL,
         })
 
+    def test_the_kind_table_has_seventeen_entries(self):
+        # One job family: the untagged JOB/LEVEL/REPLY/COLLECT/ACCOUNT
+        # kinds of protocol version 1 are gone, not aliased.
+        assert len(transport._KNOWN_KINDS) == 17
+        assert transport.PROTOCOL_VERSION == 2
+        for retired in (b"c", b"j", b"l", b"r", b"q"):
+            with pytest.raises(TransportError, match="unknown frame kind"):
+                transport.encode_frame(retired[0])
+
     def test_tag_layout_is_the_documented_one(self):
-        # docs/WIRE_FORMAT.md §2.8: u64 LE query id, then the body.
+        # docs/WIRE_FORMAT.md §2.5: u64 LE query id, then the body.
         assert transport.encode_query_body(7, b"payload").hex() == (
             "0700000000000000" + b"payload".hex()
         )
         assert transport.encode_frame(
             transport.MSG_CANCEL, transport.encode_query_body(7)
-        ).hex() == "0a00000001580700000000000000"
+        ).hex() == "0a00000002580700000000000000"
 
     def test_split_round_trip(self):
         for query_id in (0, 1, 7, 2**32, 2**64 - 1):
@@ -388,8 +397,8 @@ class TestQueryTaggedFrames:
             transport.split_query_body(b"\x01\x02\x03")
         with pytest.raises(TransportError, match="shorter"):
             transport.split_query_body(b"")
-        # Exactly the tag is legal: an empty legacy body (QCOLLECT,
-        # CANCEL).
+        # Exactly the tag is legal: COLLECT and CANCEL carry nothing
+        # else.
         assert transport.split_query_body(
             transport.encode_query_body(9)
         ) == (9, b"")
