@@ -28,7 +28,8 @@ test-backends:
 ## tier-1 subset CI's shard-smoke job runs.
 SHARD_TESTS = tests/test_process_executor.py tests/test_sharding.py \
 	tests/test_rebalance.py tests/test_wire_format.py \
-	tests/test_transport.py tests/test_net_executor.py
+	tests/test_transport.py tests/test_net_executor.py \
+	tests/test_frontier_kernel.py
 test-shards:
 	REPRO_INDEX_BACKEND=merge $(PYTHON) -m pytest -x -q $(SHARD_TESTS)
 	REPRO_INDEX_BACKEND=bitset $(PYTHON) -m pytest -x -q $(SHARD_TESTS)

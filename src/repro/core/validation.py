@@ -172,6 +172,18 @@ def validate_mask(
     return accepted
 
 
+def _add_plane(digits: List[int], plane: int) -> None:
+    """Add one to the bit-sliced counter ``digits`` at every bit of
+    ``plane`` (``digits[i]`` holds bit ``i`` of every position's count) —
+    the ripple-carry step :func:`validate_mask` runs inline."""
+    for i, digit in enumerate(digits):
+        digits[i] = digit ^ plane
+        plane &= digit
+        if not plane:
+            return
+    digits.append(plane)
+
+
 def _rows_counting(rows: int, digits: Sequence[int], value: int) -> int:
     """The rows of ``rows`` whose bit-sliced count equals ``value``."""
     if value < 0 or value >> len(digits):

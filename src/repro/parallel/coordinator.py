@@ -211,6 +211,10 @@ class NetShardExecutor:
         self._members: "List[ReplicaSet]" = []
         #: shard id → members currently working the in-flight request.
         self._watchers: "Dict[int, List[_Member]]" = {}
+        #: The gather loop's selector and the member connections
+        #: registered with it, by identity (``_watch_owing_members``).
+        self._selector: "selectors.BaseSelector | None" = None
+        self._watched: "Dict[int, _Member]" = {}
         #: Monotonic request token; bumped per LEVEL/COLLECT broadcast.
         self._token = 0
         #: The encoded frame of the in-flight LEVEL/COLLECT — what
@@ -455,6 +459,10 @@ class NetShardExecutor:
                     pass
         self._members = []
         self._watchers = {}
+        self._watched = {}
+        selector, self._selector = self._selector, None
+        if selector is not None:
+            selector.close()
         self._inflight_frame = None
         self._graph = None
 
@@ -806,6 +814,44 @@ class NetShardExecutor:
             )
         return max(0.0, min(timeout, self.io_timeout))
 
+    def _watch_owing_members(self) -> int:
+        """Bring the pool's selector up to date with the members that
+        owe a reply (stale and speculative ones included — they must be
+        drained) and return how many there are.
+
+        The selector lives as long as the executor: a connection is
+        registered the first time it owes a reply and stays registered
+        while it is a member, so a level costs one ``select`` and no
+        registration.  Members that left the pool are unregistered
+        *before* any newcomer is registered — a closed descriptor may
+        already belong to its successor.
+        """
+        if self._selector is None:
+            self._selector = selectors.DefaultSelector()
+        live = set()
+        owing: "Dict[int, _Member]" = {}
+        for replica_set in self._members:
+            for _replica_id, candidate in replica_set.members():
+                live.add(id(candidate))
+                if candidate.inflight:
+                    owing[id(candidate)] = candidate
+        for key in [key for key in self._watched if key not in live]:
+            self._unwatch(self._watched[key])
+        for key, candidate in owing.items():
+            if key not in self._watched:
+                self._selector.register(
+                    candidate.sock, selectors.EVENT_READ, candidate
+                )
+                self._watched[key] = candidate
+        return len(owing)
+
+    def _unwatch(self, member: _Member) -> None:
+        del self._watched[id(member)]
+        try:
+            self._selector.unregister(member.sock)
+        except (KeyError, ValueError, OSError):
+            pass  # the socket was closed under the selector
+
     def _gather_iter(self):
         """As-completed level replies: ``(shard_id, reply)`` pairs in
         arrival order (the streaming-compose hook of
@@ -863,27 +909,13 @@ class NetShardExecutor:
                         self._dispatch(shard_id, member=spare)
             # Wait on every connection that owes a reply — including
             # stale/speculative ones, which must be drained.
-            readable: "List[_Member]" = []
-            seen = set()
-            for replica_set in self._members:
-                for _replica_id, candidate in replica_set.members():
-                    if candidate.inflight and id(candidate) not in seen:
-                        seen.add(id(candidate))
-                        readable.append(candidate)
-            if not readable:
+            if not self._watch_owing_members():
                 self._fail_shard(
                     sorted(pending)[0], "no live replica left to wait on"
                 )
-            timeout = self._select_timeout(pending, now)
-            selector = selectors.DefaultSelector()
-            try:
-                for candidate in readable:
-                    selector.register(
-                        candidate.sock, selectors.EVENT_READ, candidate
-                    )
-                events = selector.select(timeout=timeout)
-            finally:
-                selector.close()
+            events = self._selector.select(
+                timeout=self._select_timeout(pending, now)
+            )
             for key, _mask in events:
                 member: _Member = key.data
                 if (
@@ -891,6 +923,13 @@ class NetShardExecutor:
                     is not member
                 ):
                     continue  # dropped earlier in this event batch
+                if not member.inflight:
+                    # An idle connection turned readable (its peer died
+                    # or misbehaved): stop watching it; the next send or
+                    # receive on it reports the failure, as it always
+                    # has.
+                    self._unwatch(member)
+                    continue
                 try:
                     kind, body = transport.recv_frame(member.sock)
                 except TransportError as exc:

@@ -66,6 +66,7 @@ from ..core.candidates import (
     generate_candidate_set,
 )
 from ..core.counters import MatchCounters
+from ..core.frontier import FRONTIER_BLOCK, batched_is_cheaper, scan_rows
 from ..core.validation import validate_candidate_set
 from ..errors import QueryCancelled, TimeoutExceeded
 from ..hypergraph import Hypergraph
@@ -145,6 +146,14 @@ def expand_level(
     step (complete embeddings are consumed on the spot, like the other
     executors' implicit TSINK handling).  ``mask_validation`` is accepted
     and ignored: every backend validates over ``state.step_masks``.
+
+    On the bitset backend the level runs in whichever orientation of the
+    set algebra :func:`~repro.core.frontier.batched_is_cheaper` says
+    costs fewer interpreter iterations — one pass over ``V(partial)`` per
+    parent, or one frontier index probed once per live row
+    (:func:`~repro.core.frontier.scan_rows`).  Payload bytes, embeddings
+    and funnel counters do not depend on the choice; ``work_units``
+    charges the mask operations of the orientation that ran.
     """
     step_plan = plan.steps[step]
     final = step == plan.num_steps - 1
@@ -164,6 +173,25 @@ def expand_level(
     step_masks = state.step_masks
     payloads: "List[Optional[bytes]] | None" = None if final else []
     embeddings = 0
+    if backend == "bitset" and batched_is_cheaper(
+        plan, step, len(frontier), partition.cardinality
+    ):
+        # Fixed-size blocks keep the frontier index's planes (one bit per
+        # parent, per indexed vertex and step) bounded.
+        for start in range(0, len(frontier), FRONTIER_BLOCK):
+            accepted, row_masks = scan_rows(
+                graph, partition, step_plan,
+                frontier[start:start + FRONTIER_BLOCK], counters, final,
+            )
+            if final:
+                embeddings += accepted
+            else:
+                payloads.extend(
+                    encode_mask_payload(mask, row_base) if mask else None
+                    for mask in row_masks
+                )
+        stats.tasks_executed += len(frontier)
+        frontier = ()  # nothing left for the per-parent loop below
     for partial in frontier:
         vmap = state.advance(partial)
         candidates = generate_candidate_set(

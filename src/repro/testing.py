@@ -44,6 +44,20 @@ def make_random_instance(rng: random.Random, max_vertices: int = 16):
     return data, query
 
 
+def random_instances(seed: int, count: int, make=None) -> list:
+    """``count`` instances of ``make`` (default
+    :func:`make_random_instance`) from one seeded stream, failed
+    samples skipped."""
+    rng = random.Random(seed)
+    make = make or make_random_instance
+    found = []
+    while len(found) < count:
+        instance = make(rng)
+        if instance is not None:
+            found.append(instance)
+    return found
+
+
 def reference_is_valid_expansion(data, step_plan, vmap, candidate_edge) -> bool:
     """Algorithm 5 written out in full: the oracle for the kernel.
 

@@ -3,11 +3,14 @@ changes: the numbers below were recorded on the commit *before* the
 shared-vertex kernel (PR 11, ``59d05da``) by summing ``MatchCounters``
 over the Fig. 8 trace, and must never move — ``work_units`` feeds the
 simulated executor's virtual clock, the rest are the paper's Fig. 9
-funnel.  ``("bitset", "processes")`` was recorded on the commit before
-the set-algebra kernel (PR 12, ``1dece90``) and holds the shard workers'
-``expand_level`` path to the same standard.  The engines built without a
-backend run the library default (``bitset`` unless
-``REPRO_INDEX_BACKEND`` says otherwise).
+funnel.  ``("bitset", "processes")`` holds the shard workers'
+``expand_level`` path to the same funnel; its ``work_units`` were
+re-pinned (405326 before) when the workers learnt to run a level batched
+over the frontier (PR 15), which charges the mask operations that
+orientation performs — parent bits indexed, planes derived, row vertices
+probed — and nothing per candidate.  The engines built without a backend
+run the library default (``bitset`` unless ``REPRO_INDEX_BACKEND`` says
+otherwise).
 """
 
 from __future__ import annotations
@@ -25,8 +28,9 @@ FIELDS = (
     "embeddings", "tasks", "work_units",
 )
 FUNNEL = (96028, 39534, 85614, 35649, 34251, 3553)
-#: ``(backend, mode) -> work_units``; shards re-inspect anchor vertices,
-#: so the process executor charges more postings than one engine does.
+#: ``(backend, mode) -> work_units``; merge shards re-inspect anchor
+#: vertices, so the process executor charges more postings than one engine
+#: does; bitset shards run most levels batched over the frontier.
 WORK_UNITS = {
     ("merge", "sequential"): 711884,
     ("merge", "count_bfs"): 711884,
@@ -34,7 +38,7 @@ WORK_UNITS = {
     ("merge", "processes"): 774796,
     ("merge", "simulated"): 711884,
     ("bitset", "sequential"): 324882,
-    ("bitset", "processes"): 405326,
+    ("bitset", "processes"): 80848,
     ("adaptive", "sequential"): 324882,
 }
 MODES = {

@@ -35,7 +35,7 @@ from repro.core.validation import (
 )
 from repro.testing import (
     make_mutable_instance,
-    make_random_instance,
+    random_instances,
     random_mutation_schedule,
     reference_is_valid_expansion,
 )
@@ -109,16 +109,6 @@ def check_mask_kernel(data, step_plan, masks, partition, final, expected, counte
     assert counters == counted
     # Counters are optional and do not change the verdict.
     assert validate_mask(data, step_plan, masks, index, rows) == accepted
-
-
-def random_instances(seed: int, count: int, make=make_random_instance):
-    rng = random.Random(seed)
-    found = []
-    while len(found) < count:
-        instance = make(rng)
-        if instance is not None:
-            found.append(instance)
-    return found
 
 
 def sub_query(data: Hypergraph, edge_ids) -> Hypergraph:
