@@ -27,6 +27,7 @@ the pytest entry points are the gates.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import random
@@ -141,6 +142,10 @@ class _Daemon:
                 "--duration", "300",
             ],
             stdout=self.log, stderr=subprocess.STDOUT, env=env,
+            # Its own session: the shard workers it spawns share its
+            # process group, so stop() can reap the ones a kill -9
+            # orphans (they are the daemon's children, not ours).
+            start_new_session=True,
         )
         self.address = None
         deadline = time.monotonic() + STARTUP_BUDGET_S
@@ -173,6 +178,9 @@ class _Daemon:
             except subprocess.TimeoutExpired:
                 self.process.kill()
                 self.process.wait(timeout=30)
+        # The group id outlives its leader while any worker is alive.
+        with contextlib.suppress(ProcessLookupError, PermissionError):
+            os.killpg(self.process.pid, signal.SIGKILL)
         os.unlink(self.log.name)
 
 

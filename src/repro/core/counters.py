@@ -30,14 +30,17 @@ models are **not comparable raw** — a run's model is recorded in
     candidate in the result cardinality.  The big-int / container ops
     the backend actually performs — typically one to two orders of
     magnitude fewer units than ``"postings"`` for the same query.
-    A bitset shard worker that runs a level batched over the frontier
-    (:func:`repro.core.frontier.scan_rows`) charges that orientation's
+    A bitset block that runs batched over the frontier
+    (:func:`repro.core.frontier.scan_rows`, chosen per block by
+    :func:`~repro.core.frontier.expand_block`) charges that orientation's
     operations instead: one unit per parent bit written into the
     frontier index, per vertex plane a distinct frontier edge is OR-ed
     into, per step plane read when a vertex's planes are derived, and
-    per vertex of every live row probed — nothing per candidate, so a
-    sharded run's units are comparable with another sharded run's, not
-    with the sequential engine's.
+    per vertex of every live row probed — nothing per candidate.  The
+    in-process engine (``count``/``match``/``count_bfs``) and the shard
+    workers charge it alike; only ``threads`` and ``simulated`` still
+    expand one task at a time and so charge the per-parent units on
+    every level — compare a run's units with runs of the same executor.
 
 Cross-backend comparisons must divide by each run's own model (the
 bench harness labels rows via

@@ -11,13 +11,15 @@ Fig. 3) and answers queries by:
 
 Enumeration never recurses and builds no runtime auxiliary structure: a
 partial embedding is just a tuple of data hyperedge ids, so the same
-expansion routine backs the sequential LIFO loop here, the BFS executor
-used for the memory experiment, and the parallel task scheduler in
-:mod:`repro.parallel`.
+block step (:func:`repro.core.frontier.expand_block`) backs the
+sequential block-DFS here, the BFS executor used for the memory
+experiment and the shard workers of :mod:`repro.parallel`; the task
+schedulers there expand blocks of one through :meth:`HGMatch.expand`.
 """
 
 from __future__ import annotations
 
+import contextlib
 import time
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -29,15 +31,15 @@ from .candidates import (
     CandidateSet,
     TupleCandidates,
     VertexStepState,
-    generate_candidate_set,
     vertex_step_map,
     vertex_step_masks,
 )
 from .counters import WORK_UNIT_MODELS, MatchCounters
 from .expansion import count_vertex_mappings, iter_vertex_mappings
+from .frontier import block_limit, expand_block, expand_parent, frontier_blocks
 from .ordering import compute_matching_order, is_connected_order
 from .plan import ExecutionPlan, build_execution_plan
-from .validation import certify_embedding, validate_candidate_set
+from .validation import certify_embedding
 
 EmbeddingSink = Callable[["Embedding"], None]
 
@@ -95,6 +97,27 @@ class Embedding:
 
     def __repr__(self) -> str:
         return f"Embedding({self.hyperedge_mapping()})"
+
+
+def _child_blocks(parents, sets, limit: int) -> Iterator[List[Tuple[int, ...]]]:
+    """The children ``parent + (edge,)`` of one expanded block, decoded
+    lazily in blocks of at most ``limit``.  Last parent and last edge
+    first — with ``limit == 1`` exactly the order in which a LIFO stack
+    of the children would pop them."""
+    block: List[Tuple[int, ...]] = []
+    for at in range(len(parents) - 1, -1, -1):
+        parent = parents[at]
+        edges = sets[at].to_tuple()[::-1]
+        taken = 0
+        while taken < len(edges):
+            upto = taken + limit - len(block)
+            block.extend([parent + (edge,) for edge in edges[taken:upto]])
+            taken = upto
+            if len(block) == limit:
+                yield block
+                block = []
+    if block:
+        yield block
 
 
 class HGMatch:
@@ -213,7 +236,6 @@ class HGMatch:
         matched_edges: Tuple[int, ...],
         counters: "MatchCounters | None" = None,
         vmap: "Dict[int, set] | None" = None,
-        step_tuples=None,
         step_masks: "Dict[int, int] | None" = None,
     ) -> List[Tuple[int, ...]]:
         """Expand one partial embedding by the next hyperedge in the order.
@@ -221,8 +243,7 @@ class HGMatch:
         Returns the list of extended partial embeddings (possibly empty).
         ``matched_edges`` may be the empty tuple, in which case this is
         the SCAN step emitting the whole signature partition.  Arguments
-        as for :meth:`accepted_set`; ``step_tuples`` is accepted and
-        ignored (validation compares step bitmasks on every backend).
+        as for :meth:`accepted_set`.
         """
         return [
             matched_edges + (edge,)
@@ -243,7 +264,9 @@ class HGMatch:
         the next step: Algorithm 4's candidate set filtered by one
         Algorithm 5 kernel call, still in the backend's representation —
         ``len()`` counts the survivors without decoding them (a row
-        mask's popcount), ``to_tuple()`` decodes once, ascending.
+        mask's popcount), ``to_tuple()`` decodes once, ascending.  A
+        block of one: :meth:`match`, :meth:`count` and :meth:`count_bfs`
+        expand whole blocks (:func:`repro.core.frontier.expand_block`).
 
         Loop-style callers pass the incrementally maintained ``vmap``
         and ``step_masks`` of ``matched_edges`` (see
@@ -259,15 +282,10 @@ class HGMatch:
             vmap = vertex_step_map(self.data, matched_edges)
         if step_masks is None:
             step_masks = vertex_step_masks(self.data, matched_edges)
-        candidates = generate_candidate_set(
-            self.data, partition, step_plan, matched_edges, vmap, counters,
-            memo=self._anchor_memo,
-        )
-        final_step = step_plan.step == plan.num_steps - 1
-        if counters is not None and final_step:
-            counters.final_candidates += len(candidates)
-        return validate_candidate_set(
-            self.data, step_plan, step_masks, candidates, counters, final_step
+        return expand_parent(
+            self.data, partition, step_plan, matched_edges, vmap, step_masks,
+            counters, self._anchor_memo,
+            step_plan.step == plan.num_steps - 1,
         )
 
     # ------------------------------------------------------------------
@@ -279,47 +297,80 @@ class HGMatch:
         counters: "MatchCounters | None",
         time_budget: "float | None",
         first_edges=None,
-    ) -> Iterator[Tuple[Tuple[int, ...], CandidateSet]]:
-        """The sequential LIFO loop behind :meth:`match` and :meth:`count`.
+        want_sets: bool = True,
+    ) -> Iterator[Tuple[List[Tuple[int, ...]], "List[CandidateSet] | None", int]]:
+        """The block-DFS behind :meth:`match` and :meth:`count`.
 
-        Yields ``(parent, accepted)`` once per last-level parent with at
-        least one survivor: the complete embeddings are ``parent +
-        (edge,)`` for each accepted edge, left undecoded and unbuilt so
-        that counting pays nothing per embedding.
+        A stack of frames, one per depth of the current path: a frame is
+        an expanded block of same-depth parents, from whose accepted sets
+        the next block of children is decoded lazily
+        (:func:`_child_blocks`) and expanded in turn by
+        :func:`~repro.core.frontier.expand_block`.  Depth-first, so at
+        most ``num_steps × FRONTIER_BLOCK`` partial embeddings are alive
+        whatever the result count (Theorem VI.1 with blocks for tasks);
+        backends that never batch pull blocks of one — the paper's LIFO
+        scheduler.
+
+        Yields ``(parents, sets, accepted)`` per last-level block with a
+        survivor: the embeddings are ``parent + (edge,)`` over each
+        parent's accepted set, left undecoded — with ``want_sets=False``
+        not even kept (``sets`` is None) — so counting pays nothing per
+        embedding.  ``peak_retained`` counts the partials held: with
+        blocks of one the accepted children not yet expanded (the LIFO
+        deque), otherwise the parents of the live frames plus the block
+        in hand — their children exist only as row masks.
         """
         deadline = None if time_budget is None else time.monotonic() + time_budget
         last_step = plan.num_steps - 1
         if counters is not None:
             counters.note_work_model(WORK_UNIT_MODELS.get(self.index_backend, ""))
-        # One incrementally maintained vertex_step_map for the whole loop:
-        # consecutive LIFO pops are siblings/children, so advancing costs
-        # a push/pop delta instead of a per-task rebuild.
-        state = VertexStepState(self.data)
-        step_masks = state.step_masks
-        stack: List[Tuple[int, ...]] = [()]
-        while stack:
-            matched = stack.pop()
-            if counters is not None:
-                counters.tasks += 1
-                counters.note_retained(-1 if matched else 0)
+        data = self.data
+        partitions = [
+            self.store.partition(step_plan.signature) for step_plan in plan.steps
+        ]
+        limit = block_limit(self.index_backend)
+        lifo = limit == 1
+        note = counters.note_retained if counters is not None else lambda _: None
+        # One vertex_step_map for the whole search: consecutive parents
+        # are siblings or children, a push/pop delta apart.
+        state = VertexStepState(data)
+        # (blocks of the frame's children, parents it holds until exhausted)
+        frames: List[tuple] = [(iter((((),),)), 0)]
+        while frames:
+            parents = next(frames[-1][0], None)
+            if parents is None:
+                note(-frames.pop()[1])
+                continue
             if deadline is not None and time.monotonic() > deadline:
                 raise TimeoutExceeded(time.monotonic() - (deadline - time_budget), time_budget)
-            accepted = self.accepted_set(
-                plan, matched, counters, state.advance(matched), step_masks
-            )
-            if first_edges is not None and not matched:
-                accepted = TupleCandidates(
-                    tuple(e for e in accepted.to_tuple() if e in first_edges)
+            step = len(parents[0])
+            held = len(parents) if step else 0  # the root is no embedding
+            note(-held if lifo else held)  # leaves the deque / is in hand
+            if counters is not None:
+                counters.tasks += len(parents)
+            partition = partitions[step]
+            accepted, sets = 0, None
+            if partition is not None:
+                accepted, sets = expand_block(
+                    data, partition, plan, step, parents, state, counters,
+                    self._anchor_memo, want_sets or step < last_step,
                 )
-            if len(matched) == last_step:
-                if accepted:
-                    yield matched, accepted
-            else:
-                stack.extend(
-                    [matched + (edge,) for edge in accepted.to_tuple()]
+            if first_edges is not None and accepted and not step:
+                sets = [TupleCandidates(
+                    tuple(e for e in sets[0].to_tuple() if e in first_edges)
+                )]
+                accepted = len(sets[0])
+            if accepted and step < last_step:
+                # LIFO: the children join the deque; blocks: the frame
+                # keeps the parents in hand.
+                frames.append(
+                    (_child_blocks(parents, sets, limit), 0 if lifo else held)
                 )
-                if counters is not None:
-                    counters.note_retained(len(accepted))
+                note(accepted if lifo else 0)
+                continue
+            note(0 if lifo else -held)
+            if accepted:
+                yield parents, sets, accepted
 
     def match(
         self,
@@ -332,9 +383,9 @@ class HGMatch:
     ) -> Iterator[Embedding]:
         """Lazily enumerate all embeddings of ``query`` (single-threaded).
 
-        Uses an explicit LIFO stack (the one-thread special case of the
-        task scheduler, Section VI-B) so memory stays bounded regardless
-        of the result count.
+        Runs the block-DFS of :meth:`_search` (the one-thread case of
+        the task scheduler, Section VI-B, with blocks of siblings for
+        tasks) so memory stays bounded regardless of the result count.
 
         ``strict=True`` additionally certifies every complete embedding
         with an explicit injective vertex-mapping search — a belt-and-
@@ -346,21 +397,59 @@ class HGMatch:
         inserted edges instead of re-enumerating from scratch.
         """
         plan = self.plan(query, order)
-        for parent, accepted in self._search(
+        for parents, sets, _ in self._search(
             plan, counters, time_budget, first_edges
         ):
-            for edge in accepted.to_tuple():
-                extended = parent + (edge,)
-                if strict and not certify_embedding(
-                    self.data, query, plan.order, extended
-                ):
-                    raise AssertionError(
-                        f"profile validation accepted an embedding that "
-                        f"admits no vertex mapping: {extended}"
-                    )
-                if counters is not None:
-                    counters.embeddings += 1
-                yield Embedding(self.data, query, plan.order, extended)
+            for parent, accepted in zip(parents, sets):
+                for edge in accepted.to_tuple():
+                    extended = parent + (edge,)
+                    if strict and not certify_embedding(
+                        self.data, query, plan.order, extended
+                    ):
+                        raise AssertionError(
+                            f"profile validation accepted an embedding that "
+                            f"admits no vertex mapping: {extended}"
+                        )
+                    if counters is not None:
+                        counters.embeddings += 1
+                    yield Embedding(self.data, query, plan.order, extended)
+
+    def _count_elsewhere(
+        self, executor, query, order, workers, counters, time_budget, shards
+    ) -> "int | None":
+        """:meth:`count` / :meth:`count_bfs` on another executor; None
+        for ``"sequential"``/``"threads"``, which the caller runs."""
+        if executor in ("processes", "sockets"):
+            if shards is None and self.shards == 1 and workers > 1:
+                # ``workers`` expresses the desired parallelism for the
+                # other executors; honour it here too unless the engine
+                # or call named an explicit shard count.
+                shards = workers
+            pool = (
+                self.shard_executor(shards)
+                if executor == "processes"
+                else self.net_executor(shards)
+            )
+            result = pool.run(
+                self, query, order=order, time_budget=time_budget
+            )
+        elif executor == "simulated":
+            from ..parallel.simulation import SimulatedExecutor  # lazy: avoid cycle
+
+            result = SimulatedExecutor(num_workers=max(workers, 1)).run(
+                self, query, order=order
+            )
+        elif executor in ("sequential", "threads"):
+            return None
+        else:
+            raise QueryError(
+                f"unknown executor {executor!r}; expected one of "
+                f"('sequential', 'threads', 'processes', 'sockets', "
+                f"'simulated')"
+            )
+        if counters is not None:
+            counters.merge(result.counters)
+        return result.embeddings
 
     def count(
         self,
@@ -376,8 +465,8 @@ class HGMatch:
 
         ``executor`` selects the execution engine:
 
-        * ``None`` — the sequential LIFO loop, or ``"threads"`` when
-          ``workers > 1`` (the historical behaviour);
+        * ``None`` — the in-process block-DFS (:meth:`_search`), or
+          ``"threads"`` when ``workers > 1`` (the historical behaviour);
         * ``"threads"`` — the work-stealing thread scheduler
           (:class:`repro.parallel.ThreadedExecutor`, ``workers``
           threads); GIL-serialised, demonstrates correctness and load
@@ -402,6 +491,11 @@ class HGMatch:
         """
         if executor is None:
             executor = "threads" if workers > 1 else "sequential"
+        elsewhere = self._count_elsewhere(
+            executor, query, order, workers, counters, time_budget, shards
+        )
+        if elsewhere is not None:
+            return elsewhere
         if executor == "threads":
             from ..parallel.executor import ThreadedExecutor  # lazy: avoid cycle
 
@@ -410,46 +504,15 @@ class HGMatch:
             if counters is not None:
                 counters.merge(result.counters)
             return result.embeddings
-        if executor in ("processes", "sockets"):
-            if shards is None and self.shards == 1 and workers > 1:
-                # ``workers`` expresses the desired parallelism for the
-                # other executors; honour it here too unless the engine
-                # or call named an explicit shard count.
-                shards = workers
-            pool = (
-                self.shard_executor(shards)
-                if executor == "processes"
-                else self.net_executor(shards)
-            )
-            result = pool.run(
-                self, query, order=order, time_budget=time_budget
-            )
-            if counters is not None:
-                counters.merge(result.counters)
-            return result.embeddings
-        if executor == "simulated":
-            from ..parallel.simulation import SimulatedExecutor  # lazy: avoid cycle
-
-            simulated = SimulatedExecutor(num_workers=max(workers, 1))
-            result = simulated.run(self, query, order=order)
-            if counters is not None:
-                counters.merge(result.counters)
-            return result.embeddings
-        if executor != "sequential":
-            raise QueryError(
-                f"unknown executor {executor!r}; expected one of "
-                f"('sequential', 'threads', 'processes', 'sockets', "
-                f"'simulated')"
-            )
-        # Count-only: survivors of the last level are added up, never
-        # built into tuples or Embedding objects.
+        # Count-only: last-level survivors are added up block by block,
+        # never decoded or built into tuples or Embedding objects.
         total = 0
-        for _, accepted in self._search(
-            self.plan(query, order), counters, time_budget
+        for _, _, accepted in self._search(
+            self.plan(query, order), counters, time_budget, want_sets=False
         ):
-            total += len(accepted)
-            if counters is not None:
-                counters.embeddings += len(accepted)
+            total += accepted
+        if counters is not None:
+            counters.embeddings += total
         return total
 
     def shard_executor(self, shards: "int | None" = None):
@@ -769,137 +832,79 @@ class HGMatch:
         profile does not apply).  All executors return bit-identical
         counts.
         """
-        if executor in ("processes", "sockets"):
-            if shards is None and self.shards == 1 and workers > 1:
-                shards = workers  # as in count(): workers names parallelism
-            pool = (
-                self.shard_executor(shards)
-                if executor == "processes"
-                else self.net_executor(shards)
-            )
-            result = pool.run(
-                self, query, order=order, time_budget=time_budget
-            )
-            if counters is not None:
-                counters.merge(result.counters)
-            return result.embeddings
-        if executor == "simulated":
-            from ..parallel.simulation import SimulatedExecutor  # lazy: avoid cycle
-
-            result = SimulatedExecutor(num_workers=max(workers, 1)).run(
-                self, query, order=order
-            )
-            if counters is not None:
-                counters.merge(result.counters)
-            return result.embeddings
-        if executor not in (None, "sequential", "threads"):
-            raise QueryError(
-                f"unknown executor {executor!r}; expected one of "
-                f"('sequential', 'threads', 'processes', 'sockets', "
-                f"'simulated')"
-            )
-        threaded = executor == "threads" and workers > 1
+        elsewhere = self._count_elsewhere(
+            executor or "sequential", query, order, workers, counters,
+            time_budget, shards,
+        )
+        if elsewhere is not None:
+            return elsewhere
         plan = self.plan(query, order)
         deadline = None if time_budget is None else time.monotonic() + time_budget
         if counters is not None:
             counters.note_work_model(WORK_UNIT_MODELS.get(self.index_backend, ""))
-        if threaded:
-            return self._count_bfs_threaded(
-                plan, counters, deadline, workers, time_budget
-            )
-        # Same push/pop-delta state as `match`: level order visits each
-        # parent's children consecutively, so advancing between frontier
-        # entries usually costs one pop plus one push.
-        state = VertexStepState(self.data)
-        step_masks = state.step_masks
-        frontier: List[Tuple[int, ...]] = [()]
-        for _ in range(plan.num_steps):
-            next_frontier: List[Tuple[int, ...]] = []
-            for matched in frontier:
-                if counters is not None:
-                    counters.tasks += 1
-                if deadline is not None and time.monotonic() > deadline:
-                    raise TimeoutExceeded(
-                        time.monotonic() - (deadline - time_budget), time_budget
-                    )
-                next_frontier.extend(
-                    self.expand(
-                        plan, matched, counters, vmap=state.advance(matched),
-                        step_masks=step_masks,
-                    )
-                )
-            frontier = next_frontier
-            if counters is not None:
-                counters.retained = len(frontier)
-                counters.peak_retained = max(counters.peak_retained, len(frontier))
-        if counters is not None:
-            counters.embeddings += len(frontier)
-        return len(frontier)
-
-    def _count_bfs_threaded(
-        self,
-        plan: ExecutionPlan,
-        counters: "MatchCounters | None",
-        deadline: "float | None",
-        workers: int,
-        time_budget: "float | None",
-    ) -> int:
-        """Level-synchronous BFS with each frontier split across threads.
-
-        Every thread keeps its own :class:`VertexStepState` and expands a
-        contiguous frontier slice (siblings stay adjacent, so the
-        push/pop deltas stay cheap); levels are barriers, and slices are
-        re-gathered in submission order so the frontier — and therefore
-        the count — is bit-identical to the sequential loop.
-        """
-        from concurrent.futures import ThreadPoolExecutor  # lazy: cheap import
-
+        workers = workers if executor == "threads" and workers > 1 else 1
         states = [VertexStepState(self.data) for _ in range(workers)]
+        last_step = plan.num_steps - 1
+        step = 0
 
-        def expand_slice(worker_id, chunk, chunk_counters):
-            state = states[worker_id]
-            out: List[Tuple[int, ...]] = []
-            for matched in chunk:
-                out.extend(
-                    self.expand(
-                        plan, matched, chunk_counters,
-                        vmap=state.advance(matched),
-                        step_masks=state.step_masks,
-                    )
-                )
-            return out
-
-        frontier: List[Tuple[int, ...]] = [()]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for _ in range(plan.num_steps):
+        def expand_slice(worker_id, chunk, tally):
+            """One contiguous slice of level ``step``, block by block:
+            its children (none on the last level) and accepted count."""
+            partition = self.store.partition(plan.steps[step].signature)
+            children: List[Tuple[int, ...]] = []
+            total = 0
+            for parents in frontier_blocks(chunk if partition is not None else ()):
                 if deadline is not None and time.monotonic() > deadline:
                     raise TimeoutExceeded(
                         time.monotonic() - (deadline - time_budget), time_budget
                     )
-                if counters is not None:
-                    counters.tasks += len(frontier)
-                chunk_size = -(-len(frontier) // workers) if frontier else 1
+                accepted, sets = expand_block(
+                    self.data, partition, plan, step, parents,
+                    states[worker_id], tally, self._anchor_memo,
+                    step < last_step,
+                )
+                total += accepted
+                if accepted and step < last_step:
+                    children += next(_child_blocks(parents, sets, accepted))
+            return children, total
+
+        # Each thread keeps its own VertexStepState and a contiguous
+        # slice (siblings stay adjacent); levels are barriers, slices
+        # gather in submission order.  The last level is counted, not
+        # built; ``peak_retained`` records its size all the same, as
+        # Exp-5's level-synchronous strategy would hold it.
+        pool = contextlib.nullcontext()
+        if workers > 1:
+            from concurrent.futures import ThreadPoolExecutor  # lazy: cheap
+
+            pool = ThreadPoolExecutor(max_workers=workers)
+        frontier: List[Tuple[int, ...]] = [()]
+        width = 0
+        with pool as threads:
+            for step in range(plan.num_steps):
+                size = max(1, -(-len(frontier) // workers))
                 slices = [
-                    frontier[low : low + chunk_size]
-                    for low in range(0, len(frontier), chunk_size)
+                    frontier[low:low + size]
+                    for low in range(0, len(frontier), size)
                 ]
-                slice_counters = [MatchCounters() for _ in slices]
-                futures = [
-                    pool.submit(expand_slice, position, chunk, slice_counters[position])
-                    for position, chunk in enumerate(slices)
+                tallies = [
+                    counters if threads is None else MatchCounters()
+                    for _ in slices
                 ]
-                next_frontier: List[Tuple[int, ...]] = []
-                for future in futures:
-                    next_frontier.extend(future.result())
-                if counters is not None:
-                    for chunk_counters in slice_counters:
-                        counters.merge(chunk_counters)
-                frontier = next_frontier
-                if counters is not None:
-                    counters.retained = len(frontier)
-                    counters.peak_retained = max(
-                        counters.peak_retained, len(frontier)
+                results = list(
+                    (map if threads is None else threads.map)(
+                        expand_slice, range(workers), slices, tallies
                     )
+                )
+                width = sum(total for _, total in results)
+                frontier = [child for children, _ in results for child in children]
+                if counters is not None:
+                    counters.tasks += sum(map(len, slices))
+                    if threads is not None:
+                        for tally in tallies:
+                            counters.merge(tally)
+                    counters.retained = width
+                    counters.peak_retained = max(counters.peak_retained, width)
         if counters is not None:
-            counters.embeddings += len(frontier)
-        return len(frontier)
+            counters.embeddings += width
+        return width

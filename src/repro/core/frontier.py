@@ -1,13 +1,14 @@
 """Algorithms 4 and 5 batched over a whole frontier (the row-scan
 orientation of the set algebra in :mod:`repro.core.validation`).
 
-The per-parent kernels (:func:`~repro.core.candidates.
+The per-parent kernels (:func:`expand_parent`: :func:`~repro.core.candidates.
 generate_candidate_set` + :func:`~repro.core.validation.validate_mask`)
 hold one parent fixed and run a pass over ``V(partial)`` against *row*
 masks: ``O(|V(partial)|)`` interpreter iterations per parent whatever the
-partition's size, so a shard that owns half the rows still repeats the
-whole pass.  A level-synchronous worker holds the whole frontier, which
-allows the transposed join: index the frontier, scan the rows.
+partition's size.  Whoever holds a block of same-depth parents — a
+level-synchronous shard worker, the engine's block-DFS — can run the
+transposed join instead: index the frontier, scan the rows.
+:func:`expand_block` is the one place that chooses between the two.
 
 For a block of ``n`` parents at step ``k`` the **frontier index** holds,
 per data vertex ``v`` of the partition and step ``j < k``, the ``n``-bit
@@ -45,13 +46,20 @@ Observation V.5): every parent is a partial embedding of the plan's first
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from ..hypergraph import Hypergraph
 from ..hypergraph.storage import HyperedgePartition
+from .candidates import (
+    AnchorUnionMemo,
+    CandidateSet,
+    MaskCandidates,
+    VertexStepState,
+    generate_candidate_set,
+)
 from .counters import MatchCounters
-from .plan import StepPlan
-from .validation import _add_plane, _rows_counting
+from .plan import ExecutionPlan, StepPlan
+from .validation import _add_plane, _rows_counting, validate_candidate_set
 
 #: Parents per frontier index.  A plane is a ``FRONTIER_BLOCK``-bit int
 #: however few parents cover its vertex, so the block size bounds the
@@ -64,6 +72,18 @@ FRONTIER_BLOCK = 1024
 #: is touched (label tables, dicts), in the inequality's unit; it keeps
 #: one- and two-parent frontiers on the per-parent kernels.
 _INDEX_SETUP = 16
+
+
+def block_limit(index_backend: str) -> int:
+    """Parents a depth-first caller hands :func:`expand_block` at a
+    time: a block where the scan orientation exists, else one task."""
+    return FRONTIER_BLOCK if index_backend == "bitset" else 1
+
+
+def frontier_blocks(frontier: Sequence) -> "Iterator[Sequence]":
+    """A level's frontier as :func:`expand_block`-sized slices."""
+    for low in range(0, len(frontier), FRONTIER_BLOCK):
+        yield frontier[low:low + FRONTIER_BLOCK]
 
 
 def batched_is_cheaper(
@@ -111,21 +131,91 @@ def _exact_step_planes(masks: Sequence[int], everyone: int) -> Dict[int, int]:
     return exact
 
 
+def expand_block(
+    graph: Hypergraph,
+    partition: HyperedgePartition,
+    plan: ExecutionPlan,
+    step: int,
+    parents: Sequence[Tuple[int, ...]],
+    state: VertexStepState,
+    counters: "MatchCounters | None",
+    memo: "AnchorUnionMemo | None",
+    want_sets: bool = True,
+) -> "Tuple[int, List[CandidateSet] | None]":
+    """The one block step: expand at most :data:`FRONTIER_BLOCK`
+    partial embeddings of the plan's first ``step`` steps against
+    ``partition`` (the step's signature partition, whole or a shard's
+    rows of it) in whichever orientation costs less — the only place one
+    is chosen; the engine's block-DFS and BFS loops and the shard
+    worker's ``expand_level`` all come through here.
+
+    Returns ``(accepted, sets)``: the number of accepted (parent, data
+    hyperedge) pairs and one accepted :class:`CandidateSet` per parent
+    (``None`` with ``want_sets=False``, for callers that only count the
+    last level).  ``state`` is the caller's running
+    :class:`VertexStepState`, advanced from parent to parent by the
+    per-parent orientation; ``counters`` may be None.
+    """
+    step_plan = plan.steps[step]
+    final = step == plan.num_steps - 1
+    index = partition.index
+    if getattr(index, "backend", "merge") == "bitset" and batched_is_cheaper(
+        plan, step, len(parents), partition.cardinality
+    ):
+        accepted, row_masks = scan_rows(
+            graph, partition, step_plan, parents, counters, final, want_sets
+        )
+        if row_masks is None:
+            return accepted, None
+        return accepted, [MaskCandidates(index, mask) for mask in row_masks]
+    accepted = 0
+    sets: "List[CandidateSet] | None" = [] if want_sets else None
+    step_masks = state.step_masks
+    for parent in parents:
+        survivors = expand_parent(
+            graph, partition, step_plan, parent, state.advance(parent),
+            step_masks, counters, memo, final,
+        )
+        accepted += len(survivors)
+        if want_sets:
+            sets.append(survivors)
+    return accepted, sets
+
+
+def expand_parent(
+    graph, partition, step_plan: StepPlan, parent, vmap, step_masks,
+    counters, memo, final_step: bool,
+) -> CandidateSet:
+    """The per-parent orientation: Algorithm 4's candidate set of one
+    parent (``vmap`` / ``step_masks``: its ``vertex_step_map`` and step
+    bitmasks) filtered by one Algorithm 5 kernel call."""
+    candidates = generate_candidate_set(
+        graph, partition, step_plan, parent, vmap, counters, memo=memo
+    )
+    if final_step and counters is not None:
+        counters.final_candidates += len(candidates)
+    return validate_candidate_set(
+        graph, step_plan, step_masks, candidates, counters, final_step
+    )
+
+
 def scan_rows(
     graph: Hypergraph,
     partition: HyperedgePartition,
     step_plan: StepPlan,
     parents: Sequence[Tuple[int, ...]],
-    counters: MatchCounters,
+    counters: "MatchCounters | None",
     final_step: bool,
+    want_masks: bool,
 ) -> "Tuple[int, List[int] | None]":
     """Expand one block of parents against every live row of
     ``partition``.
 
     Returns ``(accepted, row_masks)``: the number of accepted
-    (parent, row) pairs and — unless ``final_step`` — one accepted *row*
+    (parent, row) pairs and — when ``want_masks`` — one accepted *row*
     mask per parent, the same mask ``validate_mask`` returns for it.
-    ``parents`` are partial embeddings of the plan's first
+    ``final_step`` only says whether the ``final_*`` funnel counters are
+    charged.  ``parents`` are partial embeddings of the plan's first
     ``step_plan.step`` steps (see the module docstring), at most
     :data:`FRONTIER_BLOCK` of them.
 
@@ -211,7 +301,7 @@ def scan_rows(
     # len(key) + expected - arity vertices, so need_shared == len(key).
     need_shared = len(step_plan.shared_profile_key)
     slot_vertices = getattr(graph, "slot_vertices", edge_of)
-    row_masks: "List[int] | None" = None if final_step else [0] * len(parents)
+    row_masks: "List[int] | None" = [0] * len(parents) if want_masks else None
     candidates = passed = accepted_total = 0
     for row, edge_id in enumerate(partition.row_ids):
         vertices = slot_vertices(edge_id)
@@ -233,7 +323,8 @@ def scan_rows(
         # Algorithm 5: validate_mask over parent bits.
         foreign = 0
         counts = [[0] * (count + 1) for count in class_counts]
-        shared: List[int] = []  # bit-sliced |r ∩ V(partial)|
+        # Bit-sliced |r ∩ V(partial)|, for Observation V.5's counters only.
+        shared: List[int] = []
         for covered, alien, _, class_planes in seen:
             covered &= cand
             if not covered:
@@ -244,8 +335,10 @@ def scan_rows(
                 for j in range(len(plane) - 1, 0, -1):
                     plane[j] |= plane[j - 1] & holders
                 plane[0] |= holders
-            _add_plane(shared, covered)
-        passed += _rows_counting(cand, shared, need_shared).bit_count()
+            if counters is not None:
+                _add_plane(shared, covered)
+        if counters is not None:
+            passed += _rows_counting(cand, shared, need_shared).bit_count()
         accepted = cand & ~foreign
         for plane, count in zip(counts, class_counts):
             accepted &= plane[count - 1] & ~plane[count]
@@ -259,10 +352,11 @@ def scan_rows(
                 row_masks[low.bit_length() - 1] |= row_bit
                 accepted ^= low
 
-    counters.candidates += candidates
-    counters.filtered += passed
-    counters.work_units += work
-    if final_step:
-        counters.final_candidates += candidates
-        counters.final_filtered += passed
+    if counters is not None:
+        counters.candidates += candidates
+        counters.filtered += passed
+        counters.work_units += work
+        if final_step:
+            counters.final_candidates += candidates
+            counters.final_filtered += passed
     return accepted_total, row_masks

@@ -14,11 +14,20 @@ ordered — and Algorithm 3 greedily picks:
 
 Cardinality lookups are O(1) against :class:`PartitionedStore` metadata,
 so the whole computation is O(|E(q)|²).
+
+Query hyperedges of one signature share a partition, so the measure
+can never tell them apart by cardinality: such ties are decided by the
+query's structure — the tied hyperedge whose neighbours offer the
+cheaper next steps wins (one step of lookahead with the same
+``Card / overlap`` measure) — and fall back to the edge id only between
+hyperedges that still tie.  How an instance happens to be numbered then
+does not pick the search tree.  A tie between *different* signatures is
+a coincidence of two cardinalities and keeps the plain edge-id rule.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from ..errors import QueryError
 from ..hypergraph import Hypergraph, PartitionedStore
@@ -29,41 +38,65 @@ def compute_matching_order(
 ) -> Tuple[int, ...]:
     """Return a matching order (tuple of query edge ids) per Algorithm 3.
 
-    Ties are broken by edge id so the order is deterministic.  Raises
-    :class:`QueryError` for empty or disconnected queries (a connected
-    order cannot exist for the latter).
+    Ties are broken by edge id so the order is deterministic, except
+    between hyperedges of one signature, where one step of lookahead
+    decides first (module docstring).  Raises :class:`QueryError` for
+    empty or disconnected queries (a connected order cannot exist for
+    the latter).
     """
     if query.num_edges == 0:
         raise QueryError("query hypergraph has no hyperedges")
 
-    cardinalities = [
-        store.cardinality(query.edge_signature(edge_id))
-        for edge_id in range(query.num_edges)
-    ]
+    edge_ids = range(query.num_edges)
+    edges = [query.edge(edge_id) for edge_id in edge_ids]
+    signatures = [query.edge_signature(edge_id) for edge_id in edge_ids]
+    cardinalities = [store.cardinality(signature) for signature in signatures]
 
-    start = min(range(query.num_edges), key=lambda e: (cardinalities[e], e))
+    def next_steps(edge_id: int) -> List[float]:
+        """What Algorithm 3 would be offered after ``edge_id`` alone:
+        ``Card / overlap`` of its neighbours, cheapest first."""
+        edge = edges[edge_id]
+        keys = []
+        for other in edge_ids:
+            shared = len(edge & edges[other])
+            if shared and other != edge_id:
+                keys.append(cardinalities[other] / shared)
+        keys.sort()
+        return keys
+
+    def pick(overlaps: Dict[int, int]) -> int:
+        """The candidate minimising ``Card / overlap``; ``overlaps`` maps
+        each connected candidate to ``|V_ϕ ∩ e|``."""
+        if len(overlaps) == 1:
+            return next(iter(overlaps))
+        best = min(overlaps, key=lambda e: (cardinalities[e] / overlaps[e], e))
+        rivals = [
+            e for e, shared in overlaps.items()
+            if shared == overlaps[best] and signatures[e] == signatures[best]
+        ]
+        if len(rivals) > 1:
+            best = min(rivals, key=lambda e: (next_steps(e), e))
+        return best
+
+    start = pick(dict.fromkeys(edge_ids, 1))
     order: List[int] = [start]
-    ordered_vertices: Set[int] = set(query.edge(start))
-    remaining = set(range(query.num_edges)) - {start}
+    ordered_vertices: Set[int] = set(edges[start])
+    remaining = set(edge_ids) - {start}
 
     while remaining:
-        best_edge = -1
-        best_key: Tuple[float, int] = (float("inf"), -1)
+        overlaps = {}
         for edge_id in remaining:
-            overlap = len(ordered_vertices & query.edge(edge_id))
-            if overlap == 0:
-                continue
-            key = (cardinalities[edge_id] / overlap, edge_id)
-            if key < best_key:
-                best_key = key
-                best_edge = edge_id
-        if best_edge < 0:
+            overlap = len(ordered_vertices & edges[edge_id])
+            if overlap:
+                overlaps[edge_id] = overlap
+        if not overlaps:
             raise QueryError(
                 "query hypergraph is disconnected; HGMatch requires a "
                 "connected matching order"
             )
+        best_edge = pick(overlaps)
         order.append(best_edge)
-        ordered_vertices.update(query.edge(best_edge))
+        ordered_vertices.update(edges[best_edge])
         remaining.remove(best_edge)
 
     return tuple(order)

@@ -63,11 +63,9 @@ from ..core.candidates import (
     encode_chunks_payload,
     encode_mask_payload,
     encode_tuple_payload,
-    generate_candidate_set,
 )
 from ..core.counters import MatchCounters
-from ..core.frontier import FRONTIER_BLOCK, batched_is_cheaper, scan_rows
-from ..core.validation import validate_candidate_set
+from ..core.frontier import expand_block, frontier_blocks
 from ..errors import QueryCancelled, TimeoutExceeded
 from ..hypergraph import Hypergraph
 from ..hypergraph.index import chunks_from_rows
@@ -147,13 +145,13 @@ def expand_level(
     executors' implicit TSINK handling).  ``mask_validation`` is accepted
     and ignored: every backend validates over ``state.step_masks``.
 
-    On the bitset backend the level runs in whichever orientation of the
-    set algebra :func:`~repro.core.frontier.batched_is_cheaper` says
-    costs fewer interpreter iterations — one pass over ``V(partial)`` per
-    parent, or one frontier index probed once per live row
-    (:func:`~repro.core.frontier.scan_rows`).  Payload bytes, embeddings
-    and funnel counters do not depend on the choice; ``work_units``
-    charges the mask operations of the orientation that ran.
+    The level is cut into blocks that each go through the engine's own
+    block step (:func:`~repro.core.frontier.expand_block`, which picks
+    the orientation); what stays here is the worker's: the shard's row
+    base, the payload encoding and the :class:`WorkerStats`.  Payload
+    bytes, embeddings and funnel counters do not depend on the
+    orientation; ``work_units`` charges the mask operations of the one
+    that ran.
     """
     step_plan = plan.steps[step]
     final = step == plan.num_steps - 1
@@ -170,51 +168,31 @@ def expand_level(
     # (all slots, tombstones included) — under mutation this diverges
     # from the live edge-id table, so edge ids bisect row_ids.
     row_ids = partition.row_ids
-    step_masks = state.step_masks
     payloads: "List[Optional[bytes]] | None" = None if final else []
     embeddings = 0
-    if backend == "bitset" and batched_is_cheaper(
-        plan, step, len(frontier), partition.cardinality
-    ):
-        # Fixed-size blocks keep the frontier index's planes (one bit per
-        # parent, per indexed vertex and step) bounded.
-        for start in range(0, len(frontier), FRONTIER_BLOCK):
-            accepted, row_masks = scan_rows(
-                graph, partition, step_plan,
-                frontier[start:start + FRONTIER_BLOCK], counters, final,
-            )
-            if final:
-                embeddings += accepted
-            else:
-                payloads.extend(
-                    encode_mask_payload(mask, row_base) if mask else None
-                    for mask in row_masks
+    for parents in frontier_blocks(frontier):
+        accepted_pairs, sets = expand_block(
+            graph, partition, plan, step, parents, state, counters, memo,
+            not final,
+        )
+        stats.tasks_executed += len(parents)
+        if final:
+            embeddings += accepted_pairs
+            continue
+        for accepted in sets:
+            if type(accepted) is MaskCandidates:
+                # Validated as a mask over this partition's own rows:
+                # that mask is the payload (local rows + decode offset).
+                payloads.append(
+                    accepted.to_bytes(row_base) if accepted.mask else None
                 )
-        stats.tasks_executed += len(frontier)
-        frontier = ()  # nothing left for the per-parent loop below
-    for partial in frontier:
-        vmap = state.advance(partial)
-        candidates = generate_candidate_set(
-            graph, partition, step_plan, partial, vmap, counters, memo=memo
-        )
-        if final:
-            counters.final_candidates += len(candidates)
-        accepted = validate_candidate_set(
-            graph, step_plan, step_masks, candidates, counters, final
-        )
-        stats.tasks_executed += 1
-        if final:
-            embeddings += len(accepted)
-            continue
-        if type(accepted) is MaskCandidates:
-            # Validated as a mask over this partition's own rows: that
-            # mask is the payload (local rows + decode offset).
-            payloads.append(accepted.to_bytes(row_base) if accepted else None)
-            continue
-        edges = accepted.to_tuple()
-        # Only the mask backends ship rows; merge ships the edge ids.
-        rows = [bisect_left(row_ids, e) for e in edges if backend != "merge"]
-        payloads.append(encode_survivors(backend, rows, edges, row_base, index))
+                continue
+            edges = accepted.to_tuple()
+            # Only the mask backends ship rows; merge ships the edge ids.
+            rows = [bisect_left(row_ids, e) for e in edges if backend != "merge"]
+            payloads.append(
+                encode_survivors(backend, rows, edges, row_base, index)
+            )
     if final:
         stats.embeddings += embeddings
     else:

@@ -8,8 +8,12 @@ funnel.  ``("bitset", "processes")`` holds the shard workers'
 re-pinned (405326 before) when the workers learnt to run a level batched
 over the frontier (PR 15), which charges the mask operations that
 orientation performs — parent bits indexed, planes derived, row vertices
-probed — and nothing per candidate.  The engines built without a backend
-run the library default (``bitset`` unless ``REPRO_INDEX_BACKEND`` says
+probed — and nothing per candidate.  ``("bitset", "sequential")`` was
+re-pinned the same way (324882 before) when ``HGMatch.count`` became a
+block-DFS over the same block step (PR 16): its wide blocks run the
+frontier orientation in-process and charge what that performs; the
+funnel and every ``merge``/``adaptive`` pin did not move.  The engines
+built without a backend run the library default (``bitset`` unless ``REPRO_INDEX_BACKEND`` says
 otherwise).
 """
 
@@ -30,14 +34,15 @@ FIELDS = (
 FUNNEL = (96028, 39534, 85614, 35649, 34251, 3553)
 #: ``(backend, mode) -> work_units``; merge shards re-inspect anchor
 #: vertices, so the process executor charges more postings than one engine
-#: does; bitset shards run most levels batched over the frontier.
+#: does; bitset runs most blocks batched over the frontier, in-process
+#: and in the shards.
 WORK_UNITS = {
     ("merge", "sequential"): 711884,
     ("merge", "count_bfs"): 711884,
     ("merge", "threads"): 711884,
     ("merge", "processes"): 774796,
     ("merge", "simulated"): 711884,
-    ("bitset", "sequential"): 324882,
+    ("bitset", "sequential"): 92396,
     ("bitset", "processes"): 80848,
     ("adaptive", "sequential"): 324882,
 }

@@ -22,9 +22,9 @@ from hypothesis import strategies as st
 
 from repro import HGMatch, Hypergraph, MatchCounters
 from repro.core.candidates import AnchorUnionMemo, VertexStepState
+from repro.core import frontier as frontier_module
 from repro.core.frontier import FRONTIER_BLOCK, batched_is_cheaper
 from repro.hypergraph import StoreShard
-from repro.parallel import level_sync
 from repro.parallel.level_sync import expand_level
 from repro.parallel.tasks import WorkerStats
 from repro.testing import (
@@ -36,6 +36,16 @@ from repro.testing import (
 FUNNEL = ("candidates", "filtered", "final_candidates", "final_filtered")
 
 
+def forced(batched, block=FRONTIER_BLOCK):
+    """Force the orientation the one block step picks (and its block
+    size) for every caller — shard worker and engine alike."""
+    return mock.patch.multiple(
+        frontier_module,
+        batched_is_cheaper=lambda *args: batched,
+        FRONTIER_BLOCK=block,
+    )
+
+
 def run_level(
     graph, shard, plan, step, frontier, batched, block=FRONTIER_BLOCK
 ):
@@ -43,11 +53,7 @@ def run_level(
     reply, the funnel counters and the worker accounting."""
     counters = MatchCounters()
     stats = WorkerStats(worker_id=shard.shard_id)
-    with mock.patch.multiple(
-        level_sync,
-        batched_is_cheaper=lambda *args: batched,
-        FRONTIER_BLOCK=block,
-    ):
+    with forced(batched, block):
         reply = expand_level(
             graph, shard, plan, step, frontier, VertexStepState(graph),
             counters, stats, AnchorUnionMemo(),
@@ -108,18 +114,25 @@ def test_orientations_agree_on_random_trees(num_shards):
     assert compared > 50
 
 
-def test_orientations_agree_on_an_edge_labelled_graph():
-    rng = random.Random(1502)
-    embeddings = 0
+def edge_labelled_instances(seed):
+    """The random instances with edge labels drawn over them."""
+    rng = random.Random(seed)
     for plain, plain_query in random_instances(1503, 8):
-        data = Hypergraph(
-            plain.labels, plain.edges,
-            edge_labels=[rng.choice("xxy") for _ in plain.edges],
+        yield (
+            Hypergraph(
+                plain.labels, plain.edges,
+                edge_labels=[rng.choice("xxy") for _ in plain.edges],
+            ),
+            Hypergraph(
+                plain_query.labels, plain_query.edges,
+                edge_labels=["x"] * plain_query.num_edges,
+            ),
         )
-        query = Hypergraph(
-            plain_query.labels, plain_query.edges,
-            edge_labels=["x"] * plain_query.num_edges,
-        )
+
+
+def test_orientations_agree_on_an_edge_labelled_graph():
+    embeddings = 0
+    for data, query in edge_labelled_instances(1502):
         engine = HGMatch(data, index_backend="bitset")
         check_tree(engine, query, bitset_shards(data))
         embeddings += engine.count(query)
@@ -300,7 +313,7 @@ def spied_level(engine, shard, plan, step, frontier):
     """``expand_level`` under the real inequality; returns how many row
     scans it made."""
     with mock.patch.object(
-        level_sync, "scan_rows", wraps=level_sync.scan_rows
+        frontier_module, "scan_rows", wraps=frontier_module.scan_rows
     ) as spy:
         expand_level(
             engine.data, shard, plan, step, frontier,
@@ -341,3 +354,139 @@ def test_other_backends_keep_the_per_parent_kernel(backend):
     plan, step, frontier = list(levels_of(engine, STAR_QUERY))[2]
     assert batched_is_cheaper(plan, step, len(frontier), 20)
     assert spied_level(engine, shard, plan, step, frontier) == 0
+
+
+# ----------------------------------------------------------------------
+# The in-process callers of the same block step
+# ----------------------------------------------------------------------
+
+CALLERS = {
+    "count": lambda e, q, c: e.count(q, counters=c),
+    "match": lambda e, q, c: len({m.canonical() for m in e.match(q, counters=c)}),
+    "count_bfs": lambda e, q, c: e.count_bfs(q, counters=c),
+    "bfs_threads": lambda e, q, c: e.count_bfs(
+        q, counters=c, executor="threads", workers=3
+    ),
+}
+
+
+def through_every_caller(engine, query, batched, block=FRONTIER_BLOCK):
+    """``{caller: (count, funnel + embeddings + tasks)}`` with the
+    orientation forced for all of them."""
+    results = {}
+    with forced(batched, block):
+        for name, run in CALLERS.items():
+            counters = MatchCounters()
+            count = run(engine, query, counters)
+            results[name] = (count,) + tuple(
+                getattr(counters, field)
+                for field in FUNNEL + ("embeddings", "tasks")
+            )
+    return results
+
+
+def check_callers(engine, query) -> int:
+    """Every in-process caller × orientation × block size agrees with
+    the merge engine's count and with each other, counters included."""
+    expected = HGMatch(engine.data, index_backend="merge").count(query)
+    reference = through_every_caller(engine, query, False)
+    assert set(reference.values()) == {reference["count"]}
+    assert reference["count"][0] == reference["count"][5] == expected
+    for block in (FRONTIER_BLOCK, 3):
+        assert through_every_caller(engine, query, True, block) == reference
+    assert through_every_caller(engine, query, False, 2) == reference
+    with forced(True, 3):
+        scanned = {m.canonical() for m in engine.match(query)}
+    assert scanned == {m.canonical() for m in engine.match(query)}
+    return expected
+
+
+def test_in_process_callers_agree_on_random_trees():
+    embeddings = 0
+    for data, query in random_instances(1511, 30):
+        embeddings += check_callers(HGMatch(data, index_backend="bitset"), query)
+    assert embeddings > 50
+
+
+def test_in_process_callers_agree_on_an_edge_labelled_graph():
+    embeddings = 0
+    for data, query in edge_labelled_instances(1512):
+        embeddings += check_callers(HGMatch(data, index_backend="bitset"), query)
+    assert embeddings > 0
+
+
+def test_in_process_callers_agree_on_an_engine_mutated_in_place():
+    """``apply_mutations`` tombstones rows of the engine's own store, so
+    the in-process row scan has dead slots to skip as well."""
+    rng = random.Random(1513)
+    tombstoned = 0
+    for data, query, _ in random_instances(1514, 8, make_mutable_instance):
+        engine = HGMatch(data, index_backend="bitset")
+        for batch in random_mutation_schedule(rng, data, steps=4):
+            engine.apply_mutations(batch)
+        check_callers(engine, query)
+        tombstoned += sum(
+            partition.num_rows - partition.cardinality
+            for partition in engine.store.partitions.values()
+        )
+    assert tombstoned > 0
+
+
+@pytest.mark.parametrize("batched", [False, True])
+def test_first_edges_and_strict_under_both_orientations(batched):
+    """The standing-query delta path (``first_edges``) restricts step 0
+    only, and ``strict`` certifies every embedding either way."""
+    rng = random.Random(1515)
+    restricted = 0
+    for data, query in random_instances(1516, 10):
+        engine = HGMatch(data, index_backend="bitset")
+        everything = list(engine.match(query))
+        first_edges = set(rng.sample(range(data.num_edges), data.num_edges // 2))
+        with forced(batched, 3):
+            delta = {
+                m.canonical()
+                for m in engine.match(query, first_edges=first_edges, strict=True)
+            }
+        assert delta == {
+            m.canonical() for m in everything if m.edge_ids[0] in first_edges
+        }
+        restricted += len(everything) - len(delta)
+    assert restricted > 0
+
+
+@pytest.mark.parametrize("batched", [False, True])
+def test_the_time_budget_is_checked_between_blocks(batched, monkeypatch):
+    from repro.core import engine as engine_module
+    from repro.errors import TimeoutExceeded
+
+    engine = HGMatch(star(40), index_backend="bitset")
+    ticks = iter(range(10**6))
+    monkeypatch.setattr(
+        engine_module.time, "monotonic", lambda: float(next(ticks))
+    )
+    for run in (engine.count, engine.count_bfs):
+        counters = MatchCounters()
+        with forced(batched, 4), pytest.raises(TimeoutExceeded):
+            # One tick per block: the budget runs out inside level 1.
+            run(STAR_QUERY, counters=counters, time_budget=4.0)
+        whole = MatchCounters()
+        engine.count(STAR_QUERY, counters=whole)
+        assert 0 < counters.candidates < whole.candidates
+
+
+def test_the_engine_scans_wide_blocks_and_probes_narrow_ones():
+    """The real inequality, in-process: the star's wide levels go through
+    the row scan block by block, a merge engine never does, and the
+    counts agree."""
+    data = star(200)
+    engine = HGMatch(data, index_backend="bitset")
+    with mock.patch.object(
+        frontier_module, "scan_rows", wraps=frontier_module.scan_rows
+    ) as spy:
+        count = engine.count(STAR_QUERY)
+        scans = spy.call_count
+        assert sum(1 for _ in engine.match(STAR_QUERY)) == count
+        assert scans > 1 and spy.call_count == 2 * scans
+        assert HGMatch(data, index_backend="merge").count(STAR_QUERY) == count
+        assert spy.call_count == 2 * scans
+    assert count == 100 * 100 * 99

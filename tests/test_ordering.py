@@ -21,6 +21,22 @@ class TestComputeMatchingOrder:
         assert order[0] == 0
         assert is_connected_order(fig1_query, order)
 
+    def test_same_signature_ties_do_not_depend_on_the_numbering(self):
+        """Two query edges of one signature always tie on cardinality;
+        the start is the one sharing more with the third edge, whichever
+        id it carries."""
+        data = Hypergraph(
+            ["A"] * 4 + ["B"] * 3,
+            [{0, 1, 4}, {1, 2, 5},
+             {0, 1, 2, 4, 5}, {0, 1, 3, 4, 6}, {1, 2, 3, 5, 6}],
+        )
+        store = PartitionedStore(data)
+        labels = ["A", "A", "A", "B", "B", "A"]
+        close, far, hub = {0, 1, 3}, {2, 5, 4}, {0, 1, 2, 3, 4}
+        for edges in ([close, far, hub], [far, close, hub], [hub, far, close]):
+            order = compute_matching_order(Hypergraph(labels, edges), store)
+            assert [edges[e] for e in order] == [close, hub, far]
+
     def test_prefers_rare_signature(self):
         data = Hypergraph(
             ["A"] * 6 + ["B"],
