@@ -24,7 +24,7 @@ test-backends:
 
 ## Shard-executor smoke: the sharded-execution subsystem across all
 ## three backends (wire format, shard slicing, framing, handshake, the
-## coordinator over its local worker pool, rebalance, parity) — the
+## one shard pool over its local workers, rebalance, parity) — the
 ## tier-1 subset CI's shard-smoke job runs.
 SHARD_TESTS = tests/test_process_executor.py tests/test_sharding.py \
 	tests/test_rebalance.py tests/test_wire_format.py \
@@ -36,9 +36,10 @@ test-shards:
 	REPRO_INDEX_BACKEND=adaptive $(PYTHON) -m pytest -x -q $(SHARD_TESTS)
 
 ## Fault-injection smoke: the deterministic chaos harness plus the
-## replication/failover paths of the socket executor (replica
-## handshakes, mid-level kill/sever/garble failover, speculation,
-## dropped-reply deadlines, zero-replica fail-fast).
+## recovery ladder of the shard pool (replica handshakes, mid-level
+## kill/sever/garble failover, speculation, dropped-reply deadlines,
+## zero-replica fail-fast) — each fault once under a solo job and once
+## with two query channels in flight on the one pool.
 test-chaos:
 	$(PYTHON) -m pytest -x -q tests/test_chaos.py tests/test_net_executor.py
 
@@ -50,9 +51,10 @@ test-elastic:
 	$(PYTHON) -m pytest -x -q tests/test_registry.py \
 		tests/test_supervisor.py tests/test_elastic.py
 
-## Match-service smoke: the multiplexed wire kinds, the always-on
-## service (admission BUSY, deadlines, cancellation, cache, drain,
-## query-pinned chaos isolation) and the line-JSON daemon/client.
+## Match-service smoke: many query channels on the one shard pool
+## (frame parity with a solo job), the always-on service (admission
+## BUSY, deadlines, cancellation, cache, drain, query-pinned chaos
+## isolation) and the line-JSON daemon/client.
 test-service:
 	$(PYTHON) -m pytest -x -q tests/test_service.py tests/test_transport.py
 
@@ -69,8 +71,8 @@ test-mutation:
 ## Durability smoke: the journal codec (torn tails vs mid-log
 ## corruption), snapshots, the crash-point recovery oracle, the
 ## service/daemon journal seam (drain persists, restart recovers and
-## resumes standing streams) and the CATCHUP rejoin paths of the
-## replicated and multiplexed pools.
+## resumes standing streams), the bounded MUTATE barrier and the
+## CATCHUP rejoin paths of the shard pool (replicated and width-1).
 test-durability:
 	$(PYTHON) -m pytest -x -q tests/test_journal.py \
 		tests/test_mutation_service.py tests/test_elastic.py \
@@ -101,14 +103,14 @@ bench-sharding:
 bench-skew:
 	$(PYTHON) benchmarks/bench_sharding.py --skew
 
-## Socket executor benchmark: loopback clusters at 4 shards on the
+## Shard-pool-over-sockets benchmark: loopback clusters at 4 shards on the
 ## Fig. 8 trace, parity vs threads + payload gates
 ## (regenerates BENCH_net.json; wall clock recorded, not gated).
 bench-net:
 	$(PYTHON) benchmarks/bench_net.py
 
 ## Replicated-pool fault gate: kill a worker mid-level on a 2-replica
-## socket pool and require bit-identical counts on all three backends,
+## shard pool and require bit-identical counts on all three backends,
 ## plus a prompt SchedulerError when the last replica dies
 ## (regenerates BENCH_chaos.json; failover overhead recorded, not
 ## gated).
@@ -124,8 +126,8 @@ bench-chaos:
 bench-elastic:
 	$(PYTHON) benchmarks/bench_elastic.py
 
-## Match-service gate: N concurrent multiplexed queries bit-identical
-## to solo runs on all three backends, BUSY refusal at the depth
+## Match-service gate: N concurrent queries multiplexed on the shard
+## pool bit-identical to solo runs on all three backends, BUSY refusal at the depth
 ## limit, cache hits answered without touching the pool, and isolation
 ## of a query-pinned chaos fault (regenerates BENCH_service.json;
 ## concurrent throughput and cache-hit latency recorded, not gated).
@@ -166,6 +168,9 @@ bench-e2e-smoke:
 docs-check:
 	$(PYTHON) tools/docs_check.py
 
-## Cheap sanity check that every package module imports cleanly.
+## Layering check (stdlib ast walk, parses every file under src/):
+## core/ and hypergraph/ never import parallel/ or service/ at module
+## level, parallel/ never imports service/, and no production package
+## imports baselines/bench/dataflow/joins.
 lint-imports:
-	$(PYTHON) -c "import compileall, sys; sys.exit(0 if compileall.compile_dir('src', quiet=1) else 1)"
+	$(PYTHON) tools/lint_imports.py

@@ -6,15 +6,18 @@ embeddings):
 * :class:`ThreadedExecutor` — real threads, LIFO deques,
   steal-half-from-tail; demonstrates correctness, bounded memory and
   load-balance accounting under CPython (GIL-serialised).
-* :class:`NetShardExecutor` — the shard coordinator: level-synchronous
-  enumeration over one :class:`ShardWorker` server per store shard,
-  speaking framed TCP (:mod:`repro.parallel.transport`; candidate
-  payloads cross as compact masks in the versioned wire format, see
-  ``docs/WIRE_FORMAT.md``).  The workers are its own local pool
-  (:func:`spawn_local_cluster` — ``executor="processes"``, constructor
-  name :class:`ProcessShardExecutor`, and hostless
-  ``executor="sockets"``) or servers on other hosts; real multi-core
-  wall clock either way.
+* :class:`ShardPool` — the one shard coordinator: a grid of
+  connections to one :class:`ShardWorker` server per store shard (and
+  replica), speaking framed TCP (:mod:`repro.parallel.transport`;
+  candidate payloads cross as compact masks in the versioned wire
+  format, see ``docs/WIRE_FORMAT.md``), shared by any number of
+  level-synchronous queries, each a :class:`QueryChannel` on it.  The
+  workers are its own local pool (:func:`spawn_local_cluster`) or
+  servers on other hosts; real multi-core wall clock either way.
+  :class:`NetShardExecutor` (``executor="sockets"``) and
+  :class:`ProcessShardExecutor` (``executor="processes"``) are the
+  pool under its solo constructor names plus ``run()`` — one channel
+  per job; the match service (:mod:`repro.service`) keeps many open.
 * :class:`SimulatedExecutor` — discrete-event simulation in virtual
   time with a set-operation cost model; backs the scalability and
   load-balancing experiments (see DESIGN.md, substitution 2).
@@ -25,6 +28,7 @@ from .deque import WorkStealingDeque
 from .executor import ParallelResult, ThreadedExecutor
 from .cluster import LocalCluster, spawn_local_cluster
 from .coordinator import NetShardExecutor, ProcessShardExecutor
+from .pool import QueryChannel, ShardPool
 from .handshake import default_retry_policy
 from .registry import Announcer, WorkerRecord, WorkerRegistry
 from .supervisor import SlotStatus, WorkerSupervisor
@@ -58,6 +62,8 @@ __all__ = [
     "ThreadedExecutor",
     "ProcessShardExecutor",
     "NetShardExecutor",
+    "ShardPool",
+    "QueryChannel",
     "ShardWorker",
     "LocalCluster",
     "spawn_local_cluster",

@@ -224,14 +224,21 @@ class FaultPlan:
         )
 
     def kill_worker(
-        self, shard_id: int, replica_id: int = 0, *, after_frames: int
+        self,
+        shard_id: int,
+        replica_id: int = 0,
+        *,
+        after_frames: int,
+        query_id: Optional[int] = None,
     ) -> Fault:
         """Terminate the worker's process right after the coordinator
         sends it frame ``N`` (arm the actual terminator with
-        :meth:`arm_killer`; unarmed kills degrade to a sever)."""
+        :meth:`arm_killer`; unarmed kills degrade to a sever).  With
+        ``query_id``, ``N`` counts that query's frames alone."""
         return self._add(
             Fault(
-                "kill", ROLE_COORDINATOR, shard_id, replica_id, after_frames
+                "kill", ROLE_COORDINATOR, shard_id, replica_id, after_frames,
+                query_id=query_id,
             )
         )
 

@@ -1,9 +1,8 @@
 """The coordinator's side of opening a worker session.
 
 Connecting to a shard worker and deciding whether to trust it is one
-sequence, whichever pool does it — :class:`~repro.parallel.coordinator.
-NetShardExecutor` or the match service's
-:class:`~repro.service.mux.MuxShardPool`:
+sequence, whoever asks :class:`~repro.parallel.pool.ShardPool` for it —
+pool open, a recovery reconnect or respawn, an admission:
 
 * :func:`open_session` — TCP connect (under a retry policy), chaos
   wrap, :func:`validate_handshake`, then the established-connection
@@ -131,13 +130,15 @@ def validate_handshake(
     allow_replica_growth: bool = False,
     any_sharding: bool = False,
     allow_catchup: bool = True,
+    recv=None,
 ) -> ShardDescriptor:
     """Receive and validate one worker's HELLO against a pool's view.
 
-    The single handshake gate shared by every coordinator-side pool —
-    :class:`~repro.parallel.coordinator.NetShardExecutor` and the match
-    service's multiplexing pool both call it, so a worker that one
-    would refuse the other refuses identically.
+    The single handshake gate of the coordinator side: every session
+    :class:`~repro.parallel.pool.ShardPool` opens and every REBALANCE
+    echo it reads goes through it.  ``recv`` replaces
+    :func:`~repro.parallel.transport.recv_frame` as the frame source
+    (the pool's echo reads skip job replies still in the stream).
     ``expected_shard``/``expected_replica`` (worker recovery and
     rebalance echoes) pin the announced identity.
     ``expected_sharding`` overrides the placement label to expect — a
@@ -237,7 +238,9 @@ def validate_handshake(
                 f"reproducible"
             )
 
-    kind, body = transport.recv_frame(sock)
+    if recv is None:
+        recv = transport.recv_frame
+    kind, body = recv(sock)
     if kind != transport.MSG_HELLO:
         raise SchedulerError(
             f"worker spoke {kind:#x} before HELLO; not a shard server?"
@@ -253,7 +256,7 @@ def validate_handshake(
         )
         if payload is not None:
             transport.send_frame(sock, transport.MSG_CATCHUP, payload)
-            kind, body = transport.recv_frame(sock)
+            kind, body = recv(sock)
             if kind == transport.MSG_ERROR:
                 raise SchedulerError(
                     f"worker shard {descriptor.shard_id} failed "
@@ -299,17 +302,17 @@ def open_session(
     *,
     connect_timeout: float,
     io_timeout: float,
-    chaos=None,
-    retry: "RetryPolicy | None" = None,
+    retry: RetryPolicy,
     rng=None,
+    chaos=None,
     **contract,
 ):
     """Connect to the worker at ``address`` and validate its handshake;
     returns ``(sock, descriptor)`` ready for job traffic.
 
-    The one connect sequence of every coordinator-side pool: TCP
-    connect (``retry`` attempts with backoff drawn from ``rng``; one
-    attempt without a policy), chaos wrap, :func:`validate_handshake`
+    The one connect sequence of the coordinator side: TCP connect
+    (``retry`` attempts with backoff drawn from ``rng``), chaos wrap,
+    :func:`validate_handshake`
     against ``contract`` (its keyword arguments), then the per-frame
     ``io_timeout`` and the chaos endpoint binding.  The handshake runs
     under the (short) ``connect_timeout``: a peer that accepts but
@@ -323,7 +326,7 @@ def open_session(
     (contract: the worker is not one this pool may compose with).
     """
     last_exc: "OSError | None" = None
-    for attempt in range(1 if retry is None else max(1, retry.attempts)):
+    for attempt in range(max(1, retry.attempts)):
         if attempt:
             time.sleep(retry.delay(attempt - 1, rng))
         try:

@@ -11,10 +11,10 @@ Both halves of the protocol live here:
   one reply per shard and composes the surviving candidate sets with
   :func:`repro.core.candidates.compose_candidate_sets`.
 
-:class:`~repro.parallel.coordinator.NetShardExecutor` (one job at a
-time over framed TCP to shard workers, local or on other hosts) and the
-match service's :class:`~repro.service.mux.QueryChannel` (one of many
-queries multiplexed over a shared pool) both drive this loop, and
+:class:`~repro.parallel.pool.QueryChannel` — one query on the shared
+:class:`~repro.parallel.pool.ShardPool`, be it a solo job
+(:meth:`~repro.parallel.coordinator.NetShardExecutor.run`) or one of
+the match service's many — drives this loop, and
 :class:`~repro.parallel.worker.ShardWorker` is the one caller of the
 kernel — so every deployment produces bit-identical counts because it
 literally executes these functions.

@@ -7,10 +7,11 @@ level-synchronous protocol over framed messages
 the data hypergraph (``python -m repro serve-shard`` is the CLI
 wrapper); :func:`~repro.parallel.cluster.spawn_local_cluster` runs a
 set of them as local subprocesses.  It is the only place a shard
-expands a frontier: every coordinator — the one-job-at-a-time
-:class:`~repro.parallel.coordinator.NetShardExecutor` (which is also
-``executor="processes"``) and the match service's multiplexing pool —
-speaks the same query-tagged job frames to it.
+expands a frontier, and it has one peer: a
+:class:`~repro.parallel.pool.ShardPool` — a solo
+``executor="processes"`` / ``"sockets"`` job and the match service's
+many queries are :class:`~repro.parallel.pool.QueryChannel` objects on
+one, speaking the same query-tagged job frames.
 
 What crosses the wire is the frontier of self-contained partial
 embeddings inbound, and compact

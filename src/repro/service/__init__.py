@@ -1,14 +1,15 @@
 """The always-on match service: one shared shard pool, many queries.
 
-Everything below :mod:`repro.service` turns the single-job socket
-coordinator into a long-lived service:
+Everything below :mod:`repro.service` puts a long-lived service on
+top of the one shard pool of :mod:`repro.parallel.pool` — the pool a
+solo ``executor="sockets"`` job runs on too; the service merely keeps
+many :class:`~repro.parallel.pool.QueryChannel` objects open on it at once
+(multiplexed over the query-tagged job frames
+JOB/LEVEL/REPLY/COLLECT/QERROR/CANCEL, counts bit-identical to solo
+runs).  :data:`MuxShardPool` is the service-side name of
+:class:`~repro.parallel.pool.ShardPool`, re-exported with
+:class:`QueryChannel` for callers that drive a pool without a service.
 
-* :class:`~repro.service.mux.MuxShardPool` — one connection per shard
-  worker, multiplexing any number of in-flight queries over the
-  query-tagged job frames (JOB/LEVEL/REPLY/COLLECT/QERROR/CANCEL);
-* :class:`~repro.service.mux.QueryChannel` — the per-query executor
-  facade that plugs into the unchanged level-synchronous coordinator
-  loop, so multiplexed counts are bit-identical to solo runs;
 * :class:`~repro.service.service.MatchService` — admission control
   (bounded depth, explicit BUSY), per-query deadlines, cancellation,
   an LRU result cache keyed by (query, graph) fingerprints, and
@@ -22,9 +23,9 @@ coordinator into a long-lived service:
   ``serve-match`` front end and its line-JSON client (``repro query``).
 """
 
+from ..parallel.pool import QueryChannel, ShardPool as MuxShardPool
 from .client import MatchClient, MutationOutcome, StandingSubscription
 from .daemon import MatchDaemon
-from .mux import MuxShardPool, QueryChannel
 from .service import (
     MatchService,
     MatchTicket,

@@ -1,8 +1,8 @@
 """The match service: admission, deadlines, cancellation, caching.
 
 :class:`MatchService` is the always-on front half of the system: it
-owns one engine and one :class:`~repro.service.mux.MuxShardPool` and
-turns "run this query" into a governed operation:
+owns one engine and one :class:`~repro.parallel.pool.ShardPool` (the
+width-1 grid: one connection per shard) and turns "run this query" into a governed operation:
 
 * **Admission control** — at most ``queue_depth`` queries are admitted
   at once; the ``queue_depth + 1``-th is *refused* with an explicit
@@ -42,7 +42,7 @@ from ..hypergraph import Hypergraph
 from ..hypergraph.io import dump_native
 from ..hypergraph.journal import MutationJournal
 from ..parallel.level_sync import run_level_synchronous
-from .mux import MuxShardPool, QueryChannel
+from ..parallel.pool import QueryChannel, ShardPool
 from .standing import StandingQuery
 
 
@@ -192,7 +192,7 @@ class MatchService:
         self.max_concurrent = max_concurrent
         self.default_deadline = default_deadline
         self.retry_after = retry_after
-        self.pool = MuxShardPool(
+        self.pool = ShardPool(
             num_shards=shards,
             addresses=addresses,
             index_backend=engine.index_backend,
@@ -333,8 +333,9 @@ class MatchService:
         The sequence is: flag the barrier (new submissions get BUSY),
         wait for admitted queries to drain, apply the batch to the
         engine's graph and store, propagate the same batch to every
-        live executor pool — the engine's own process/socket pools and
-        this service's multiplexing pool — invalidate the result-cache
+        live shard pool — the engine's own solo executors' and this
+        service's, one ``ShardPool.mutate`` each — invalidate the
+        result-cache
         fingerprint, then commit every standing query and emit its
         delta.  Returns the :class:`~repro.hypergraph.dynamic
         .MutationResult`.

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import os
 import random
+import signal
 
 import pytest
 
@@ -68,3 +69,36 @@ def small_rng() -> random.Random:
 
 # make_random_instance moved to repro.testing: importing it from a
 # conftest is ambiguous when benchmarks/conftest.py is also on sys.path.
+
+
+@pytest.fixture
+def kill_on_first_level(monkeypatch):
+    """``arm(executor, victim, then=...)``: the ``victim``-th worker of
+    the executor's own cluster dies right after the next LEVEL went out
+    (a mid-job loss); returns a dict whose ``"killed"`` flips to True.
+
+    The seam is the one ``_broadcast`` there is — ``QueryChannel``'s;
+    an executor is the pool and dispatches nothing itself.  The kill is
+    by pid, with no join: the pool's pump sees the death at once and
+    its respawn reaps the process from its own thread — a ``Process``
+    object must not be polled from two.
+    """
+    from repro.parallel import QueryChannel
+
+    def arm(executor, victim, then=lambda: None):
+        original = QueryChannel._broadcast
+        state = {"killed": False}
+
+        def broadcast(channel, message):
+            original(channel, message)
+            if message[0] == "level" and not state["killed"]:
+                state["killed"] = True
+                os.kill(
+                    executor._cluster.processes[victim].pid, signal.SIGKILL
+                )
+                then()
+
+        monkeypatch.setattr(QueryChannel, "_broadcast", broadcast)
+        return state
+
+    return arm

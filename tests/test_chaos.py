@@ -17,14 +17,22 @@ from __future__ import annotations
 
 import pickle
 import random
+import threading
+import time
 
 import pytest
 
 from repro import HGMatch
 from repro.errors import SchedulerError
 from repro.hypergraph import INDEX_BACKENDS
-from repro.parallel import FaultPlan, NetShardExecutor, spawn_local_cluster
+from repro.parallel import (
+    FaultPlan,
+    NetShardExecutor,
+    QueryChannel,
+    spawn_local_cluster,
+)
 from repro.parallel.chaos import ChaosSeveredError, ChaosSocket
+from repro.parallel.level_sync import run_level_synchronous
 from repro.testing import make_random_instance
 
 
@@ -162,17 +170,87 @@ def test_unbound_wrapper_passes_frames_through():
 # ----------------------------------------------------------------------
 # The failover matrix (2-replica pools, exact counts under faults)
 # ----------------------------------------------------------------------
+#
+# Every case runs twice.  ``channels=1`` is the solo job
+# (``executor.run``; the fault pinned to the connection's frame count).
+# ``channels=2`` is the same fault with two ``QueryChannel``s in flight
+# on the one pool, pinned to *query 1's* frames via ``query_id=`` — the
+# multiplexed half of the matrix: both counts must equal the sequential
+# ``merge`` engine, neither query may see an error, nothing may stay
+# registered, and a fresh job on the same pool must be exact.
+
+MATRIX = pytest.mark.parametrize("channels", [1, 2])
 
 
+def _pin(channels, solo_frame, query_frame=None):
+    """``after_frames=`` / ``query_id=`` for one matrix row: the
+    connection's ``solo_frame``-th frame, or query 1's
+    ``query_frame``-th (HELLO is untagged, so worker-role pins shift
+    by one; coordinator-role pins do not — a JOB is tagged)."""
+    if channels == 1:
+        return {"after_frames": solo_frame}
+    return {
+        "after_frames": solo_frame if query_frame is None else query_frame,
+        "query_id": 1,
+    }
+
+
+def _run_matrix_row(executor, engine, query, channels, expected):
+    """Run ``channels`` jobs on ``executor`` and hold them to
+    ``expected``; see the section comment for what is asserted."""
+    if channels == 1:
+        assert executor.run(engine, query).embeddings == expected
+        return
+    counts, errors = {}, {}
+
+    def work(query_id):
+        channel = QueryChannel(executor, query_id=query_id)
+        completed = False
+        try:
+            counts[query_id] = run_level_synchronous(
+                channel, engine, query
+            ).embeddings
+            completed = True
+        except BaseException as exc:  # reported below, on the main thread
+            errors[query_id] = exc
+        finally:
+            executor.release(query_id, completed)
+
+    threads = [
+        threading.Thread(target=work, args=(query_id,), daemon=True)
+        for query_id in (1, 2)
+    ]
+    threads[0].start()
+    # The victim registers with its JOB and sends LEVEL 0 straight
+    # after, to the idle replica 0 — so the pinned frame is the one the
+    # solo case pins, whatever query 2 does next.
+    deadline = time.monotonic() + 30.0
+    while (
+        1 not in executor._queries
+        and threads[0].is_alive()
+        and time.monotonic() < deadline
+    ):
+        time.sleep(0.001)
+    threads[1].start()
+    for thread in threads:
+        thread.join(timeout=120.0)
+        assert not thread.is_alive()
+    assert not errors, errors
+    assert counts == {1: expected, 2: expected}
+    assert not executor._queries
+    assert executor.run(engine, query).embeddings == expected
+
+
+@MATRIX
 @pytest.mark.parametrize("backend", INDEX_BACKENDS)
-def test_kill_worker_mid_level_fails_over(chaos_instance, backend):
+def test_kill_worker_mid_level_fails_over(chaos_instance, backend, channels):
     """The acceptance scenario: kill a worker process right after the
     first LEVEL lands on it; the spare replica must finish the job with
     bit-identical counts on every index backend."""
     data, query, expected = chaos_instance
     engine = HGMatch(data, index_backend=backend)
     plan = FaultPlan(seed=11)
-    plan.kill_worker(0, 0, after_frames=2)  # frame 1=JOB, 2=LEVEL 0
+    plan.kill_worker(0, 0, **_pin(channels, 2))  # frame 1=JOB, 2=LEVEL 0
     cluster = spawn_local_cluster(
         data, 2, index_backend=backend, num_replicas=2
     )
@@ -185,8 +263,7 @@ def test_kill_worker_mid_level_fails_over(chaos_instance, backend):
         chaos=plan,
     )
     try:
-        result = executor.run(engine, query)
-        assert result.embeddings == expected[backend]
+        _run_matrix_row(executor, engine, query, channels, expected["merge"])
         assert all(f.consumed for f in plan.faults)
     finally:
         executor.close()
@@ -194,13 +271,14 @@ def test_kill_worker_mid_level_fails_over(chaos_instance, backend):
         engine.close()
 
 
-def test_sever_mid_level_fails_over(chaos_instance):
+@MATRIX
+def test_sever_mid_level_fails_over(chaos_instance, channels):
     """A severed coordinator connection mid-level (worker survives)
     re-dispatches the in-flight LEVEL to the live replica."""
     data, query, expected = chaos_instance
     engine = HGMatch(data, index_backend="bitset")
     plan = FaultPlan(seed=2)
-    plan.sever(1, 0, after_frames=2)
+    plan.sever(1, 0, **_pin(channels, 2))
     cluster = spawn_local_cluster(
         data, 2, index_backend="bitset", num_replicas=2
     )
@@ -212,7 +290,7 @@ def test_sever_mid_level_fails_over(chaos_instance):
         chaos=plan,
     )
     try:
-        assert executor.run(engine, query).embeddings == expected["bitset"]
+        _run_matrix_row(executor, engine, query, channels, expected["merge"])
         assert all(f.consumed for f in plan.faults)
     finally:
         executor.close()
@@ -220,14 +298,15 @@ def test_sever_mid_level_fails_over(chaos_instance):
         engine.close()
 
 
-def test_garbled_frame_fails_over(chaos_instance):
+@MATRIX
+def test_garbled_frame_fails_over(chaos_instance, channels):
     """A corrupted LEVEL frame makes the worker reject the session (it
     must never guess); the coordinator treats the lost session like any
     disconnect and fails over."""
     data, query, expected = chaos_instance
     engine = HGMatch(data, index_backend="merge")
     plan = FaultPlan(seed=4)
-    plan.garble(0, 0, after_frames=2)
+    plan.garble(0, 0, **_pin(channels, 2))
     cluster = spawn_local_cluster(
         data, 2, index_backend="merge", num_replicas=2
     )
@@ -239,7 +318,7 @@ def test_garbled_frame_fails_over(chaos_instance):
         chaos=plan,
     )
     try:
-        assert executor.run(engine, query).embeddings == expected["merge"]
+        _run_matrix_row(executor, engine, query, channels, expected["merge"])
         assert all(f.consumed for f in plan.faults)
     finally:
         executor.close()
@@ -247,14 +326,17 @@ def test_garbled_frame_fails_over(chaos_instance):
         engine.close()
 
 
-def test_dropped_reply_hits_deadline_then_fails_over(chaos_instance):
+@MATRIX
+def test_dropped_reply_hits_deadline_then_fails_over(
+    chaos_instance, channels
+):
     """A swallowed reply (wedged worker: connection up, silence) trips
     the per-frame deadline; the level is re-dispatched to the spare and
     counts stay exact."""
     data, query, expected = chaos_instance
     engine = HGMatch(data, index_backend="bitset")
     plan = FaultPlan(seed=6)
-    plan.drop_reply(1, 0, after_frames=2)  # frame 1=HELLO, 2=reply
+    plan.drop_reply(1, 0, **_pin(channels, 2, 1))  # frame 1=HELLO, 2=reply
     cluster = spawn_local_cluster(
         data, 2, index_backend="bitset", num_replicas=2, chaos=plan
     )
@@ -266,21 +348,22 @@ def test_dropped_reply_hits_deadline_then_fails_over(chaos_instance):
         chaos=plan,
     )
     try:
-        assert executor.run(engine, query).embeddings == expected["bitset"]
+        _run_matrix_row(executor, engine, query, channels, expected["merge"])
     finally:
         executor.close()
         cluster.close()
         engine.close()
 
 
-def test_slow_replica_triggers_speculation(chaos_instance):
+@MATRIX
+def test_slow_replica_triggers_speculation(chaos_instance, channels):
     """A straggling replica (delayed reply) makes the coordinator
     speculatively re-dispatch the level to an idle spare; whichever
     reply lands first wins and the duplicate is discarded — counts are
     exact either way."""
     data, query, expected = chaos_instance
     plan = FaultPlan(seed=9)
-    plan.slow_reply(0, 0, after_frames=2, seconds=1.0)
+    plan.slow_reply(0, 0, seconds=1.0, **_pin(channels, 2, 1))
     engine = HGMatch(data, index_backend="bitset")
     executor = NetShardExecutor(
         num_shards=2,
@@ -291,7 +374,7 @@ def test_slow_replica_triggers_speculation(chaos_instance):
         chaos=plan,
     )
     try:
-        assert executor.run(engine, query).embeddings == expected["bitset"]
+        _run_matrix_row(executor, engine, query, channels, expected["merge"])
     finally:
         executor.close()
         engine.close()
@@ -492,7 +575,7 @@ def test_kill_pinned_to_mutate_degrades_then_catchup_rejoins(
         chaos=plan,
     )
     try:
-        executor._ensure_pool(engine)
+        executor.ensure_open(engine)
         rng = random.Random(17)
         result = None
         for batch in random_mutation_schedule(rng, data, steps=2):
@@ -540,7 +623,7 @@ def test_sever_pinned_to_mutate_degrades_then_catchup_rejoins(
         chaos=plan,
     )
     try:
-        executor._ensure_pool(engine)
+        executor.ensure_open(engine)
         rng = random.Random(23)
         batch = random_mutation_schedule(rng, data, steps=1)[0]
         result = engine.apply_mutations(batch)

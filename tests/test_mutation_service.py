@@ -23,6 +23,7 @@ import json
 import random
 import socket
 import threading
+import time
 
 import pytest
 
@@ -434,11 +435,14 @@ def test_daemon_restart_recovers_graph_and_resumes_standing(
 
 
 def test_mux_pool_heals_missed_mutate_via_catchup(instance):
-    """The reconnect-replay story for the multiplexed pool: a MUTATE
+    """The reconnect-replay story for the service's pool: a MUTATE
     send severed mid-broadcast closes the pool (no replica to degrade
     onto), leaving one worker stale.  The next query's reopen finds the
     stale HELLO and repairs it with a CATCHUP stream — before §2.10
-    this pool was permanently wedged against external workers."""
+    this pool was permanently wedged against external workers.  (The
+    barrier is the one pool-level ``mutate`` now, so the failure
+    carries its message — "is gone (mutate send failed …" — where the
+    service's own copy said "MUTATE send to shard 1".)"""
     from repro.parallel import FaultPlan, spawn_local_cluster
     from repro.parallel.level_sync import run_level_synchronous
     from repro.service import MuxShardPool, QueryChannel
@@ -463,7 +467,10 @@ def test_mux_pool_heals_missed_mutate_via_catchup(instance):
         ) else 0
         batch = MutationBatch(deletes=[victim])
         result = engine.apply_mutations(batch)
-        with pytest.raises(SchedulerError, match="MUTATE send to shard 1"):
+        with pytest.raises(
+            SchedulerError,
+            match=r"shard worker 1 is gone \(mutate send failed",
+        ):
             pool.mutate(engine, batch, result)
         assert all(f.consumed for f in plan.faults)
         # Worker 0 applied the batch, worker 1 never saw it: the pool
@@ -471,6 +478,97 @@ def test_mux_pool_heals_missed_mutate_via_catchup(instance):
         # them — counts match a rebuild on the mutated graph.
         outcome = run_level_synchronous(QueryChannel(pool), engine, query)
         assert outcome.embeddings == rebuild_count(engine, query, "merge")
+    finally:
+        pool.close()
+        cluster.close()
+        engine.close()
+
+
+def test_lost_mutate_ack_ends_the_barrier_at_once(instance):
+    """A member lost between a successful MUTATE send and its DELTA ack
+    (the worker applies the batch, then its connection is severed on
+    the ack) must end the barrier *at once* with the coordinator's
+    typed error — not wait out the I/O timeout, as the service's own
+    barrier did (6.00 s here, 600 s at the default) for want of an
+    outcome for a member lost mid-barrier.  The next query reopens the
+    pool and counts like a rebuild."""
+    from repro.parallel import FaultPlan, spawn_local_cluster
+    from repro.parallel.level_sync import run_level_synchronous
+    from repro.service import MuxShardPool, QueryChannel
+
+    data, query = instance
+    engine = HGMatch(data, index_backend="merge")
+    plan = FaultPlan(seed=41)
+    # Worker frames: 1 = HELLO, 2 = the DELTA ack.
+    plan.sever(1, 0, after_frames=2, role="worker")
+    cluster = spawn_local_cluster(
+        data, 2, index_backend="merge", chaos=plan
+    )
+    pool = MuxShardPool(
+        addresses=list(cluster.addresses),
+        index_backend="merge",
+        io_timeout=6.0,
+    )
+    try:
+        pool.ensure_open(engine)
+        batch = MutationBatch(deletes=[0])
+        result = engine.apply_mutations(batch)
+        started = time.monotonic()
+        with pytest.raises(
+            SchedulerError,
+            match=r"shard worker 1 is gone \(mutate ack failed",
+        ):
+            pool.mutate(engine, batch, result)
+        assert time.monotonic() - started < 1.0
+        assert not pool._members  # closed, not wedged
+        outcome = run_level_synchronous(QueryChannel(pool), engine, query)
+        assert outcome.embeddings == rebuild_count(engine, query, "merge")
+    finally:
+        pool.close()
+        cluster.close()
+        engine.close()
+
+
+def test_worker_side_mutate_error_is_typed_not_a_timeout(
+    instance, monkeypatch
+):
+    """A worker whose ``apply`` raises answers MUTATE with an ERROR
+    frame and ends the session; the barrier must surface that as the
+    typed failure naming the shard, immediately."""
+    from repro.hypergraph.dynamic import DynamicHypergraph
+    from repro.parallel import spawn_local_cluster
+    from repro.service import MuxShardPool
+
+    data, _query = instance
+    engine = HGMatch(data, index_backend="merge")
+
+    def broken_apply(self, batch):
+        raise RuntimeError("disk full while applying the batch")
+
+    # The workers fork with the patch in place; the engine commits
+    # after it is undone, so only the workers' replay of the batch
+    # fails.
+    monkeypatch.setattr(DynamicHypergraph, "apply", broken_apply)
+    cluster = spawn_local_cluster(data, 2, index_backend="merge")
+    monkeypatch.undo()
+    pool = MuxShardPool(
+        addresses=list(cluster.addresses),
+        index_backend="merge",
+        io_timeout=6.0,
+    )
+    try:
+        pool.ensure_open(engine)
+        batch = MutationBatch(deletes=[0])
+        result = engine.apply_mutations(batch)
+        started = time.monotonic()
+        with pytest.raises(
+            SchedulerError,
+            match=r"shard worker 0 \(replica 0\) failed to mutate:"
+                  r"(.|\n)*disk full",
+        ):
+            pool.mutate(engine, batch, result)
+        assert time.monotonic() - started < 1.0
+        assert not pool._members
     finally:
         pool.close()
         cluster.close()

@@ -26,6 +26,7 @@ from repro.errors import QueryError, SchedulerError, TransportError
 from repro.hypergraph import INDEX_BACKENDS
 from repro.parallel import (
     NetShardExecutor,
+    QueryChannel,
     ShardWorker,
     spawn_local_cluster,
     transport,
@@ -233,7 +234,7 @@ def test_dead_worker_between_jobs_recovers_transparently(workload_instances):
 
 
 def test_mid_job_local_worker_loss_respawns_and_requeues(
-    workload_instances,
+    workload_instances, kill_on_first_level
 ):
     """A local-cluster worker killed *mid-job* is respawned and the
     in-flight level requeued to it: the job completes with the correct
@@ -247,25 +248,13 @@ def test_mid_job_local_worker_loss_respawns_and_requeues(
         expected = engine.count(query)
         assert executor.run(engine, query).embeddings == expected
 
-        original_broadcast = executor._broadcast
-        state = {"killed": False}
-
-        def kill_after_first_level(message):
-            original_broadcast(message)
-            if message[0] == "level" and not state["killed"]:
-                state["killed"] = True
-                victim = executor._cluster.processes[1]
-                victim.terminate()
-                victim.join(timeout=2.0)
-
-        executor._broadcast = kill_after_first_level
+        state = kill_on_first_level(executor, 1)
         result = executor.run(engine, query)
         assert state["killed"]
         assert result.embeddings == expected
         # Both shards reported accounting (the respawned one included).
         assert sorted(s.worker_id for s in result.worker_stats) == [0, 1]
         # The pool keeps serving afterwards with the fresh worker.
-        executor._broadcast = original_broadcast
         assert executor.run(engine, query).embeddings == expected
         assert all(
             process.is_alive() for process in executor._cluster.processes
@@ -276,7 +265,7 @@ def test_mid_job_local_worker_loss_respawns_and_requeues(
 
 
 def test_mid_job_worker_loss_after_rebalance_restores_layout(
-    workload_instances,
+    workload_instances, kill_on_first_level
 ):
     """A worker respawned mid-job rebuilds under the spawn mode and
     must be upgraded to the pool's rebalanced layout before the level
@@ -294,18 +283,7 @@ def test_mid_job_worker_loss_after_rebalance_restores_layout(
             pytest.skip("synthetic loads moved no boundary on this data")
         assert executor._sharding_label.startswith("rebalanced-")
 
-        original_broadcast = executor._broadcast
-        state = {"killed": False}
-
-        def kill_after_first_level(message):
-            original_broadcast(message)
-            if message[0] == "level" and not state["killed"]:
-                state["killed"] = True
-                victim = executor._cluster.processes[0]
-                victim.terminate()
-                victim.join(timeout=2.0)
-
-        executor._broadcast = kill_after_first_level
+        state = kill_on_first_level(executor, 0)
         result = executor.run(engine, query)
         assert state["killed"]
         assert result.embeddings == expected
@@ -317,7 +295,10 @@ def test_mid_job_worker_loss_after_rebalance_restores_layout(
 def test_mid_level_disconnect_raises_cleanly(workload_instances):
     """A worker vanishing *mid-job* must raise SchedulerError promptly
     (no hang, nothing half-composed) — a fake worker completes the
-    handshake and the job setup, then drops the connection."""
+    handshake and the job setup, then dies: connection and listener
+    both go, as a dead process's do.  (Since the one recovery ladder a
+    fixed-address member whose *connection* alone is lost is
+    reconnected in place; only a refused reconnect fails the job.)"""
     from repro.hypergraph import StoreShard
 
     data, query = workload_instances[0]
@@ -338,6 +319,7 @@ def test_mid_level_disconnect_raises_cleanly(workload_instances):
             transport.recv_frame(conn)  # JOB
             transport.recv_frame(conn)  # LEVEL 0
             # ... and die without replying.
+            listener.close()
 
     thread = threading.Thread(target=flaky_worker, daemon=True)
     thread.start()
@@ -539,14 +521,14 @@ def test_truncated_accounting_tail_is_a_typed_failure(
     try:
         expected = engine.count(query)
         assert executor.run(engine, query).embeddings == expected
-        real, original = transport.recv_frame, executor._broadcast
+        real, original = transport.recv_frame, QueryChannel._broadcast
         state = {"armed": False, "fired": False}
 
-        def broadcast(message):
+        def broadcast(channel, message):
             # Past the between-jobs probe (whose failure _ensure_pool
             # absorbs by rebuilding): cut the first level's reply.
             state["armed"] = message[0] == "level" and not state["fired"]
-            original(message)
+            original(channel, message)
 
         def recv_frame(sock):
             kind, body = real(sock)
@@ -560,7 +542,7 @@ def test_truncated_accounting_tail_is_a_typed_failure(
             return kind, body
 
         monkeypatch.setattr(transport, "recv_frame", recv_frame)
-        executor._broadcast = broadcast
+        monkeypatch.setattr(QueryChannel, "_broadcast", broadcast)
         with pytest.raises(SchedulerError, match="undecodable reply"):
             executor.run(engine, query)
         assert state["fired"]

@@ -201,28 +201,13 @@ def _kill(process):
     assert not process.is_alive()
 
 
-def _kill_on_first_level(executor, victim, then=lambda: None):
-    """Wrap ``executor._broadcast`` so shard ``victim``'s worker dies
-    right after the first LEVEL went out (a mid-job loss)."""
-    original = executor._broadcast
-    state = {"killed": False}
-
-    def broadcast(message):
-        original(message)
-        if message[0] == "level" and not state["killed"]:
-            state["killed"] = True
-            _kill(executor._cluster.processes[victim])
-            then()
-
-    executor._broadcast = broadcast
-    return state
-
-
-def test_dead_worker_recovers_between_jobs_and_mid_job(workload_instances):
-    """``processes`` runs on the socket coordinator's pool and inherits
-    its failure policy: a worker lost between jobs is caught by the
-    liveness probe (pool rebuilt), one lost mid-job is respawned under
-    the budget and the level requeued — exact counts either way, pool
+def test_dead_worker_recovers_between_jobs_and_mid_job(
+    workload_instances, kill_on_first_level
+):
+    """``processes`` runs on the one shard pool and inherits its
+    failure policy: a worker lost between jobs is brought back by the
+    recovery ladder on reuse, one lost mid-job is respawned under the
+    budget and the level requeued — exact counts either way, pool
     healthy afterwards.  Only when the last replica is gone *and* the
     respawn budget is exhausted does the job fail, with a typed error
     and a pool the next run rebuilds."""
@@ -237,22 +222,20 @@ def test_dead_worker_recovers_between_jobs_and_mid_job(workload_instances):
         assert executor.run(engine, query).embeddings == expected
         assert all(p.is_alive() for p in executor._cluster.processes)
         # Mid-job.
-        original = executor._broadcast
-        state = _kill_on_first_level(executor, 1)
+        state = kill_on_first_level(executor, 1)
         result = executor.run(engine, query)
         assert state["killed"] and result.embeddings == expected
         assert sorted(s.worker_id for s in result.worker_stats) == [0, 1]
-        executor._broadcast = original
         assert executor.run(engine, query).embeddings == expected
         assert all(p.is_alive() for p in executor._cluster.processes)
         # Mid-job with nothing left to respawn with.
-        state = _kill_on_first_level(
-            executor, 0, then=lambda: setattr(executor, "_respawn_budget", 0)
+        state = kill_on_first_level(
+            executor, 0,
+            then=lambda: setattr(executor, "_respawn_budget", 0),
         )
         with pytest.raises(SchedulerError, match="no live replica remains"):
             executor.run(engine, query)
         assert state["killed"] and not executor._members
-        executor._broadcast = original
         assert executor.run(engine, query).embeddings == expected
     finally:
         executor.close()

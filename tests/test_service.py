@@ -34,6 +34,7 @@ from repro.errors import (
 from repro.hypergraph import INDEX_BACKENDS
 from repro.hypergraph.io import dump_native, parse_native
 from repro.hypergraph.sampling import QuerySetting, sample_query
+from repro.parallel import NetShardExecutor
 from repro.parallel.chaos import FaultPlan
 from repro.parallel.level_sync import run_level_synchronous
 from repro.service import (
@@ -146,6 +147,44 @@ def test_multiplexed_queries_match_solo_counts(service_instance, backend):
             )
     finally:
         service.close()
+        engine.close()
+
+
+@pytest.mark.parametrize("backend", INDEX_BACKENDS)
+def test_solo_job_and_service_channel_dispatch_the_same_frames(
+    service_instance, backend
+):
+    """The inverse of the gate above: a solo job is the one-query case
+    of the multiplexed pool, so ``NetShardExecutor.run`` and a
+    ``QueryChannel`` on a service's pool put the same number of frames
+    on the wire for the same query — and count the same."""
+    data, queries, expected = service_instance
+    engine = HGMatch(data, index_backend=backend)
+    executor = NetShardExecutor(num_shards=2, index_backend=backend)
+    service = MatchService(engine, shards=2, cache_capacity=0)
+    try:
+        for index, query in enumerate(queries):
+            before = executor.dispatched_frames
+            solo = executor.run(engine, query)
+            solo_frames = executor.dispatched_frames - before
+            if index:
+                # On a reused pool a solo job first probes it: one
+                # COLLECT per shard, the only frames a service query
+                # does not send.
+                solo_frames -= executor.num_shards
+            before = service.pool.dispatched_frames
+            multiplexed = service.match(query)
+            assert (
+                service.pool.dispatched_frames - before == solo_frames > 0
+            )
+            assert (
+                solo.embeddings
+                == multiplexed.embeddings
+                == expected[backend][index]
+            )
+    finally:
+        service.close()
+        executor.close()
         engine.close()
 
 
