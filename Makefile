@@ -6,7 +6,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: test test-backends test-shards test-chaos \
 	test-elastic test-service test-mutation test-durability \
-	bench-smoke bench-index bench-sharding bench-skew bench-net \
+	bench-smoke bench-index bench-sharding bench-skew \
 	bench-chaos bench-elastic bench-service bench-mutation \
 	bench-durability bench-e2e bench-e2e-smoke docs-check lint-imports
 
@@ -102,12 +102,6 @@ bench-sharding:
 ## and count parity; merges the result into BENCH_sharding.json).
 bench-skew:
 	$(PYTHON) benchmarks/bench_sharding.py --skew
-
-## Shard-pool-over-sockets benchmark: loopback clusters at 4 shards on the
-## Fig. 8 trace, parity vs threads + payload gates
-## (regenerates BENCH_net.json; wall clock recorded, not gated).
-bench-net:
-	$(PYTHON) benchmarks/bench_net.py
 
 ## Replicated-pool fault gate: kill a worker mid-level on a 2-replica
 ## shard pool and require bit-identical counts on all three backends,

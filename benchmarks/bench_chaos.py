@@ -39,7 +39,7 @@ from repro.bench import (
 )
 from repro.datasets import load_dataset
 from repro.errors import SchedulerError
-from repro.parallel import FaultPlan, NetShardExecutor, spawn_local_cluster
+from repro.parallel import FaultPlan, ShardPool, spawn_local_cluster
 
 BACKENDS = ("merge", "bitset", "adaptive")
 NUM_SHARDS = 2
@@ -84,7 +84,7 @@ def run_benchmark() -> dict:
                 num_replicas=NUM_REPLICAS,
             )
             try:
-                executor = NetShardExecutor(
+                executor = ShardPool(
                     addresses=list(cluster.addresses),
                     num_replicas=NUM_REPLICAS,
                     index_backend=backend,
@@ -117,7 +117,7 @@ def run_benchmark() -> dict:
                 plan.arm_killer(
                     0, 0, lambda: cluster.kill_member(0, 0)
                 )
-                executor = NetShardExecutor(
+                executor = ShardPool(
                     addresses=list(cluster.addresses),
                     num_replicas=NUM_REPLICAS,
                     index_backend=backend,
@@ -152,7 +152,7 @@ def run_benchmark() -> dict:
                 plan.arm_killer(
                     0, 0, lambda: cluster.kill_member(0, 0)
                 )
-                executor = NetShardExecutor(
+                executor = ShardPool(
                     addresses=list(cluster.addresses),
                     index_backend=backend,
                     io_timeout=IO_TIMEOUT,

@@ -298,7 +298,7 @@ def _bench_catchup(base, backend, query, failures):
         base, NUM_SHARDS, index_backend=backend, num_replicas=2
     )
     try:
-        executor = engine.net_executor(
+        executor = engine.pool(
             hosts=list(cluster.addresses), replicas=2
         )
         baseline = engine.count(query)

@@ -44,7 +44,7 @@ from repro.bench import (
 )
 from repro.datasets import load_dataset
 from repro.parallel import (
-    NetShardExecutor,
+    ShardPool,
     ShardWorker,
     WorkerRegistry,
     WorkerSupervisor,
@@ -108,7 +108,7 @@ def _bench_grow(engine, backend, queries, expected, failures):
     spares = []
     row = {}
     try:
-        executor = NetShardExecutor(
+        executor = ShardPool(
             addresses=list(cluster.addresses), index_backend=backend,
             io_timeout=IO_TIMEOUT,
         )
@@ -170,7 +170,7 @@ def _bench_readmit(engine, backend, queries, expected, failures):
     )
     row = {}
     try:
-        executor = NetShardExecutor(
+        executor = ShardPool(
             addresses=list(cluster.addresses), num_replicas=2,
             index_backend=backend, io_timeout=IO_TIMEOUT,
         )
@@ -229,7 +229,7 @@ def _bench_supervised_restart(engine, queries, expected, failures):
                 f"{RESTART_BUDGET_S}s"
             )
             return row
-        executor = NetShardExecutor(
+        executor = ShardPool(
             addresses=supervisor.addresses, index_backend=backend,
             io_timeout=IO_TIMEOUT,
         )
@@ -260,7 +260,7 @@ def _bench_heartbeat_failover(engine, queries, expected, failures):
         )
         stopped_pid = None
         try:
-            executor = NetShardExecutor.from_registry(
+            executor = ShardPool.from_registry(
                 registry, 1, num_replicas=2, index_backend=backend,
                 io_timeout=IO_TIMEOUT, wait_timeout=30.0,
             )

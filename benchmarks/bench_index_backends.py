@@ -54,7 +54,7 @@ from repro.core.candidates import (
 from repro.core.validation import validate_candidate_set, validate_candidates
 from repro.datasets import load_dataset
 
-# The Fig. 8 trace (shared with bench_sharding/bench_net via
+# The Fig. 8 trace (shared with bench_sharding via
 # repro.bench.fig8) is restricted to datasets and query classes whose
 # partitions are large enough that posting-list algebra — not per-call
 # overhead — dominates: the regime the backends differ in.  q4 is

@@ -60,7 +60,7 @@ from repro.bench import (
 )
 from repro.datasets import load_dataset
 from repro.parallel import (
-    ProcessShardExecutor,
+    ShardPool,
     ThreadedExecutor,
     load_imbalance,
     worker_loads,
@@ -119,22 +119,23 @@ def run_benchmark() -> dict:
     rows = []
     parity_failures: List[str] = []
     for backend in BACKENDS:
-        executors: Dict[str, ProcessShardExecutor] = {}
-        balanced: Dict[str, ProcessShardExecutor] = {}
+        executors: Dict[str, ShardPool] = {}
+        balanced: Dict[str, ShardPool] = {}
         try:
             # Offline stage: build the shard pools and warm them (the
             # first run builds each worker's store shard).
             for dataset in DATASETS:
-                executor = ProcessShardExecutor(
-                    NUM_SHARDS, index_backend=backend
-                )
-                executors[dataset] = executor
-                executor.run(engines[dataset][backend], queries[0][1])
-                executor_balanced = ProcessShardExecutor(
-                    NUM_SHARDS, index_backend=backend, sharding="balanced"
-                )
-                balanced[dataset] = executor_balanced
-                executor_balanced.run(engines[dataset][backend], queries[0][1])
+                for mode, pools in (
+                    ("uniform", executors), ("balanced", balanced)
+                ):
+                    pools[dataset] = ShardPool(
+                        num_shards=NUM_SHARDS,
+                        index_backend=backend,
+                        sharding=mode,
+                    )
+                    pools[dataset].run(
+                        engines[dataset][backend], queries[0][1]
+                    )
 
             # Parity: sharded count/count_bfs == sequential, per query,
             # for both placements.
@@ -190,9 +191,7 @@ def run_benchmark() -> dict:
                 for _ in range(REPEATS)
             )
         finally:
-            for executor in executors.values():
-                executor.close()
-            for executor in balanced.values():
+            for executor in (*executors.values(), *balanced.values()):
                 executor.close()
 
         rows.append(
@@ -258,8 +257,8 @@ def run_skew_benchmark() -> dict:
     parity_failures: List[str] = []
     for mode in ("uniform", "balanced"):
         engine = HGMatch(data, index_backend="bitset")
-        executor = ProcessShardExecutor(
-            SKEW_NUM_SHARDS, index_backend="bitset", sharding=mode
+        executor = ShardPool(
+            num_shards=SKEW_NUM_SHARDS, index_backend="bitset", sharding=mode
         )
         try:
             executor.run(engine, skew_queries[0])  # warm the pool

@@ -26,7 +26,7 @@ from repro.bench import workload
 from repro.datasets import load_dataset
 from repro.parallel import (
     CostModel,
-    NetShardExecutor,
+    ShardPool,
     SimulatedExecutor,
     ThreadedExecutor,
     measure_memory,
@@ -56,7 +56,7 @@ def main() -> None:
 
     print("\nLocalhost socket cluster (4 shard workers over TCP):")
     cluster = spawn_local_cluster(data, num_shards=4)
-    net = NetShardExecutor(addresses=cluster.addresses)
+    net = ShardPool(addresses=cluster.addresses)
     try:
         socket_result = net.run(engine, query)
         print("  embeddings:", socket_result.embeddings,

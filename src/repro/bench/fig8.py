@@ -1,6 +1,6 @@
 """The shared Fig. 8 trace: one workload definition for all benchmarks.
 
-``bench_index_backends``, ``bench_sharding`` and ``bench_net`` all
+``bench_index_backends`` and ``bench_sharding`` both
 replay the same reproduction-scale Fig. 8 workload (HB/SB × q2/q3/q6,
 three queries per setting) so their JSON trajectories stay comparable —
 payload ratios and speedups measured on different traces would not be.

@@ -123,8 +123,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("threads", "processes", "sockets", "simulated"),
         help="parallel engine for HGMatch: threads (work-stealing "
         "scheduler, GIL-serialised), processes (one worker process per "
-        "store shard; real multi-core), sockets (shard workers over "
-        "TCP — local loopback cluster, or remote servers via --hosts) "
+        "store shard over loopback TCP, or remote servers via --hosts; "
+        "real multi-core), sockets (another spelling of processes) "
         "or simulated (discrete-event, virtual time); default is "
         "sequential, or threads when --workers > 1",
     )
@@ -158,17 +158,17 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="comma-separated host:port list of running shard-worker "
         "servers (see the serve-shard command); implies --executor "
-        "sockets and fixes the shard count to the host count (divided "
-        "by --replicas when replicated)",
+        "processes and fixes the shard count to the host count "
+        "(divided by --replicas when replicated)",
     )
     match.add_argument(
         "--replicas",
         type=int,
         default=None,
-        help="replicas per shard range for --executor sockets (implies "
-        "sockets): the coordinator fails over mid-level when a replica "
-        "dies and refuses to compose only when a range has zero live "
-        "replicas; with --hosts, the address count must be "
+        help="replicas per shard range for --executor processes/sockets "
+        "(implies processes): the coordinator fails over mid-level when "
+        "a replica dies and refuses to compose only when a range has "
+        "zero live replicas; with --hosts, the address count must be "
         "shards x replicas (replicas of a shard listed consecutively)",
     )
     match.add_argument("--timeout", type=float, default=None)
@@ -382,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--registry", action="store_true",
         help="also run a worker registry and have the supervised "
         "workers announce to it (its address is printed; hand it to "
-        "NetShardExecutor.from_registry or watch it for evictions)",
+        "ShardPool.from_registry or watch it for evictions)",
     )
     supervise.add_argument(
         "--announce", default=None, metavar="HOST:PORT",
@@ -403,20 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="seconds between supervision health checks (default 0.2)",
     )
     return parser
-
-
-def _parse_host_port(value: str) -> "tuple[str, int]":
-    host, separator, port = value.rpartition(":")
-    if not separator or not host:
-        raise ReproError(
-            f"expected HOST:PORT, got {value!r}"
-        )
-    try:
-        return host, int(port)
-    except ValueError:
-        raise ReproError(
-            f"expected HOST:PORT with a numeric port, got {value!r}"
-        ) from None
 
 
 def _load_graph(source: str) -> Hypergraph:
@@ -494,40 +480,23 @@ def _cmd_match(args, out) -> int:
             shards = args.shards
             hosts = args.hosts
             replicas = args.replicas
-            if hosts is not None and executor not in (None, "sockets"):
+            sharded = ("processes", "sockets")  # two spellings, one pool
+            named = [
+                flag for flag, value in (
+                    ("--hosts", hosts), ("--replicas", replicas),
+                    ("--shards", shards), ("--sharding", args.sharding),
+                ) if value is not None
+            ]
+            if named and executor is None:
+                # Naming workers, a replication factor, a shard count
+                # or a placement mode without naming an engine means
+                # the sharded one.
+                executor = "processes"
+            if named and executor not in sharded:
+                # These are the shard pool's concepts; silently running
+                # threads/simulated without them would misreport.
                 out.write(
-                    f"error: --hosts applies to --executor sockets, "
-                    f"not {executor!r}\n"
-                )
-                return 1
-            if replicas is not None and executor not in (None, "sockets"):
-                out.write(
-                    f"error: --replicas applies to --executor sockets, "
-                    f"not {executor!r}\n"
-                )
-                return 1
-            if replicas is not None and replicas < 1:
-                out.write("error: --replicas must be >= 1\n")
-                return 1
-            if hosts is not None or replicas is not None:
-                # Naming worker addresses (or a replication factor)
-                # means the socket executor.
-                executor = "sockets"
-            if shards is not None and executor not in (
-                None, "processes", "sockets"
-            ):
-                # Sharding is the shard executors' concept; silently
-                # running threads/simulated without it would misreport.
-                out.write(
-                    f"error: --shards applies to --executor processes "
-                    f"or sockets, not {executor!r}\n"
-                )
-                return 1
-            if args.sharding is not None and executor not in (
-                None, "processes", "sockets"
-            ):
-                out.write(
-                    f"error: --sharding applies to --executor processes "
+                    f"error: {named[0]} applies to --executor processes "
                     f"or sockets, not {executor!r}\n"
                 )
                 return 1
@@ -543,34 +512,9 @@ def _cmd_match(args, out) -> int:
                 if not addresses:
                     out.write("error: --hosts lists no addresses\n")
                     return 1
-                per_shard = 1 if replicas is None else replicas
-                if len(addresses) % per_shard != 0:
-                    out.write(
-                        f"error: {len(addresses)} --hosts addresses do "
-                        f"not divide into {per_shard} replicas per "
-                        f"shard\n"
-                    )
-                    return 1
-                if shards is not None and (
-                    shards * per_shard != len(addresses)
-                ):
-                    out.write(
-                        f"error: --shards {shards} contradicts "
-                        f"{len(addresses)} --hosts addresses\n"
-                    )
-                    return 1
-                shards = len(addresses) // per_shard
-            if shards is None and executor in ("processes", "sockets"):
+            elif shards is None and executor in sharded:
                 shards = max(args.workers, 1)
-            elif (
-                shards is not None or args.sharding is not None
-            ) and executor is None:
-                # Asking for shards (or a placement mode) without naming
-                # an engine means the sharded one.
-                executor = "processes"
-                if shards is None:
-                    shards = max(args.workers, 1)
-            if args.rebalance and executor not in ("processes", "sockets"):
+            if args.rebalance and executor not in sharded:
                 out.write(
                     "error: --rebalance needs --executor processes or "
                     "sockets (the shard executors own the ranges being "
@@ -583,45 +527,36 @@ def _cmd_match(args, out) -> int:
                 shards=shards if shards is not None else 1,
                 sharding=args.sharding,
             )
-            if addresses is not None:
-                # Pin the engine's socket executor to the named workers
-                # before count() lazily builds a local cluster instead.
-                engine.net_executor(hosts=addresses, replicas=replicas)
-            elif replicas is not None and replicas > 1:
-                # Pin the replication factor: count() asks for the
-                # executor by shard count alone and reuses this one.
-                engine.net_executor(shards, replicas=replicas)
-            if args.print_embeddings:
-                if executor is not None:
-                    # match() streams from the sequential loop; accepting
-                    # the flag and silently ignoring it would misreport
-                    # what ran.
-                    out.write(
-                        "error: --print-embeddings streams the sequential "
-                        "engine; drop --executor/--shards\n"
-                    )
-                    return 1
-                count = 0
-                for embedding in engine.match(query, time_budget=args.timeout):
-                    if count < args.limit:
-                        out.write(f"{embedding.hyperedge_mapping()}\n")
-                    count += 1
-            elif args.rebalance:
-                from .parallel import load_imbalance
-
-                try:
-                    pool = (
-                        engine.shard_executor(shards)
-                        if executor == "processes"
-                        else engine.net_executor(shards)
-                    )
+            try:
+                if executor in sharded:
+                    # Pin the pool's layout before count() lazily builds
+                    # a default local cluster; the arithmetic is the
+                    # pool's (a typed error, printed by main()).
+                    shards = engine.pool(
+                        shards, hosts=addresses, replicas=replicas
+                    ).num_shards
+                if args.print_embeddings:
+                    if executor is not None:
+                        # match() streams from the sequential loop;
+                        # accepting the flag and silently ignoring it
+                        # would misreport what ran.
+                        out.write(
+                            "error: --print-embeddings streams the "
+                            "sequential engine; drop --executor/--shards\n"
+                        )
+                        return 1
+                    count = 0
+                    for embedding in engine.match(
+                        query, time_budget=args.timeout
+                    ):
+                        if count < args.limit:
+                            out.write(f"{embedding.hyperedge_mapping()}\n")
+                        count += 1
+                elif args.rebalance:
+                    pool = engine.pool()
                     first = pool.run(engine, query, time_budget=args.timeout)
-                    before = load_imbalance(first.worker_stats)
                     moved = pool.rebalance(first.worker_stats)
-                    second = pool.run(
-                        engine, query, time_budget=args.timeout
-                    )
-                    after = load_imbalance(second.worker_stats)
+                    second = pool.run(engine, query, time_budget=args.timeout)
                     if second.embeddings != first.embeddings:
                         # Cannot happen while the recut covers the rows
                         # exactly; check anyway — a silent drift here
@@ -633,23 +568,22 @@ def _cmd_match(args, out) -> int:
                         return 1
                     out.write(
                         f"rebalance: moved {moved} shard(s); load "
-                        f"imbalance {before:.2f}x -> {after:.2f}x; "
+                        f"imbalance {first.load_imbalance():.2f}x -> "
+                        f"{second.load_imbalance():.2f}x; "
                         f"runs {first.elapsed:.4f}s -> "
                         f"{second.elapsed:.4f}s\n"
                     )
                     count = second.embeddings
-                finally:
-                    engine.close()
-            else:
-                try:
+                else:
                     count = engine.count(
                         query,
                         workers=args.workers,
                         time_budget=args.timeout,
                         executor=executor,
+                        shards=shards,
                     )
-                finally:
-                    engine.close()
+            finally:
+                engine.close()
         else:
             if (
                 args.executor is not None
@@ -679,6 +613,7 @@ def _cmd_match(args, out) -> int:
 
 
 def _cmd_serve_shard(args, out) -> int:
+    from .parallel.transport import parse_address
     from .parallel.worker import ShardWorker
 
     if args.num_shards < 1:
@@ -700,7 +635,7 @@ def _cmd_serve_shard(args, out) -> int:
         )
         return 1
     announce = (
-        _parse_host_port(args.announce)
+        parse_address(args.announce)
         if args.announce is not None
         else None
     )
@@ -830,9 +765,10 @@ def _cmd_serve_match(args, out) -> int:
 
 
 def _cmd_query(args, out) -> int:
+    from .parallel.transport import parse_address
     from .service.client import MatchClient
 
-    host, port = _parse_host_port(args.connect)
+    host, port = parse_address(args.connect)
     query = load_native(args.query)
     client = MatchClient(host, port, timeout=args.timeout)
     try:
@@ -851,6 +787,7 @@ def _cmd_query(args, out) -> int:
 def _cmd_supervise(args, out) -> int:
     from .parallel.registry import WorkerRegistry
     from .parallel.supervisor import WorkerSupervisor
+    from .parallel.transport import parse_address
 
     if args.num_shards < 1:
         out.write("error: --num-shards must be >= 1\n")
@@ -876,7 +813,7 @@ def _cmd_supervise(args, out) -> int:
         )
         announce = registry.start()
     elif args.announce is not None:
-        announce = _parse_host_port(args.announce)
+        announce = parse_address(args.announce)
     try:
         supervisor = WorkerSupervisor(
             graph,

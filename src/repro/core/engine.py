@@ -143,7 +143,7 @@ class HGMatch:
         (``count``/``count_bfs`` with ``executor="processes"`` or
         ``"sockets"``): each signature partition's rows are split into
         this many contiguous ranges, one worker process per shard
-        (:class:`repro.parallel.NetShardExecutor`).  ``1`` keeps
+        (:class:`repro.parallel.ShardPool`).  ``1`` keeps
         everything in-process.
     sharding:
         Shard *placement* mode for the shard executors: ``"uniform"``
@@ -178,15 +178,12 @@ class HGMatch:
         # per-anchor posting unions are memoised engine-wide; the memo is
         # thread-safe and only consulted by the mask backends.
         self._anchor_memo = AnchorUnionMemo()
-        # One local worker pool per engine, built lazily on the first
-        # "processes" (or hostless "sockets") run and reused across
-        # queries (workers keep their store shards warm).
-        self._shard_executor = None
-        # And one coordinator over externally managed workers, when
-        # net_executor() was given hosts or a registry.
-        self._net_executor = None
-        # And one always-on match service (multiplexed pool + admission
-        # control), built lazily by match_service().
+        # One pool of shard workers per engine (see pool()): built
+        # lazily by the first "processes"/"sockets" run or installed by
+        # the match service; workers keep their store shards warm.
+        self._pool = None
+        # And one always-on match service (admission control, cache and
+        # standing queries over that pool), built by match_service().
         self._match_service = None
 
     @property
@@ -425,12 +422,7 @@ class HGMatch:
                 # other executors; honour it here too unless the engine
                 # or call named an explicit shard count.
                 shards = workers
-            pool = (
-                self.shard_executor(shards)
-                if executor == "processes"
-                else self.net_executor(shards)
-            )
-            result = pool.run(
+            result = self.pool(shards).run(
                 self, query, order=order, time_budget=time_budget
             )
         elif executor == "simulated":
@@ -471,18 +463,14 @@ class HGMatch:
           (:class:`repro.parallel.ThreadedExecutor`, ``workers``
           threads); GIL-serialised, demonstrates correctness and load
           balance;
-        * ``"processes"`` — the shard coordinator
-          (:class:`repro.parallel.NetShardExecutor`) over the engine's
-          own pool of one worker process per store shard, for real
-          multi-core wall clock; the pool persists across calls.
-          Parallelism is ``shards``, falling back to the engine's
-          ``shards``, falling back to ``workers`` — so
-          ``count(q, workers=8, executor="processes")`` runs 8 worker
-          processes rather than silently one;
-        * ``"sockets"`` — the same coordinator over the workers
-          :meth:`net_executor` was configured with (other hosts, a
-          registry); with none configured it is the same local pool as
-          ``"processes"``;
+        * ``"processes"`` / ``"sockets"`` — two spellings of one
+          engine: a solo job (:meth:`repro.parallel.ShardPool.run`) on
+          the engine's persistent shard pool (:meth:`pool`: one worker
+          process per store shard, here or on pinned hosts), for real
+          multi-core wall clock.  Parallelism is ``shards``, falling
+          back to the engine's ``shards``, falling back to ``workers``
+          — so ``count(q, workers=8, executor="processes")`` runs 8
+          worker processes rather than silently one;
         * ``"simulated"`` — the discrete-event scheduler
           (:class:`repro.parallel.SimulatedExecutor`, virtual time;
           ``time_budget`` does not apply).
@@ -515,154 +503,81 @@ class HGMatch:
             counters.embeddings += total
         return total
 
-    def shard_executor(self, shards: "int | None" = None):
-        """The engine's persistent local shard pool (lazily built).
-
-        What ``executor="processes"`` and hostless
-        ``executor="sockets"`` both run on: a
-        :class:`~repro.parallel.NetShardExecutor` over its own loopback
-        cluster.  Workers build their store shards once and stay warm
-        across queries; asking for a different shard count tears the
-        pool down and rebuilds it.  Worker processes are daemonic, so
-        an exiting parent never leaks them; call ``close()`` on the
-        returned executor to release them early.
-        """
-        return self._local_pool(shards, None)
-
-    def _local_pool(self, shards: "int | None", replicas: "int | None"):
-        from ..parallel.coordinator import NetShardExecutor  # lazy
-
-        shards = self.shards if shards is None else shards
-        if shards < 1:
-            raise QueryError("shards must be >= 1")
-        current = self._shard_executor
-        if current is not None and (
-            current.num_shards != shards
-            or current.sharding != self.sharding
-            or (replicas is not None and current.num_replicas != replicas)
-        ):
-            current.close()
-            current = None
-        if current is None:
-            current = NetShardExecutor(
-                num_shards=shards,
-                index_backend=self.index_backend,
-                sharding=self.sharding,
-                num_replicas=1 if replicas is None else replicas,
-            )
-            self._shard_executor = current
-        return current
-
-    def net_executor(
+    def pool(
         self,
         shards: "int | None" = None,
         hosts=None,
         replicas: "int | None" = None,
         registry=None,
     ):
-        """The engine's persistent ``executor="sockets"`` coordinator.
+        """The engine's one shard pool (lazily built): the
+        :class:`~repro.parallel.pool.ShardPool` behind
+        ``executor="processes"``, ``executor="sockets"`` and the match
+        service.
 
-        ``hosts`` — a sequence of ``(host, port)`` worker addresses —
-        (re)configures it for externally managed shard servers (the
-        multi-host mode); without it, it is the engine's local pool
-        (:meth:`shard_executor`) of ``shards`` workers.  ``replicas``
-        asks for K-replicated ranges (``hosts`` must then list
-        ``shards × replicas`` addresses; a local cluster spawns the
-        extra workers itself) — the coordinator fails over and may
-        speculate across the replicas of each range.  ``registry`` — a
-        started :class:`~repro.parallel.registry.WorkerRegistry` —
-        replaces ``hosts``: the worker addresses are *discovered* (the
-        executor waits for a full announced pool) and registry
-        evictions feed the coordinator's failover mid-job.  A
-        configured executor persists across queries and is reused when
-        ``shards``/``replicas`` are None or match; asking for a
-        different layout tears it down and rebuilds.
+        By default it owns a loopback cluster of ``shards`` (default:
+        the engine's ``shards``) × ``replicas`` workers, which build
+        their store shards once and stay warm across queries (daemonic
+        processes; :meth:`close` releases them early); asking for
+        another layout rebuilds it.  ``hosts`` — ``(host, port)``
+        addresses, replica-major per shard — (re)configures it for
+        externally managed shard servers, a started ``registry``
+        (:class:`~repro.parallel.registry.WorkerRegistry`) for
+        *discovered* ones, whose evictions then feed the failover.  The
+        layout arithmetic is the pool's own (``SchedulerError``).
+
+        A pool pinned to real machines, or held by the match service,
+        wins over shard-count defaults: it is returned when
+        ``shards``/``replicas`` are None or match, and a conflicting
+        request is refused rather than silently moving the work.
         """
-        from ..parallel.coordinator import NetShardExecutor  # lazy
+        from ..parallel.pool import ShardPool  # lazy: avoid cycle
 
-        if replicas is not None and replicas < 1:
-            raise QueryError("replicas must be >= 1")
-        current = self._net_executor
-        if registry is not None:
-            if hosts is not None:
-                raise QueryError(
-                    "hosts and registry are mutually exclusive: "
-                    "addresses are either pinned or discovered"
-                )
-            if shards is None:
-                raise QueryError(
-                    "registry discovery needs an explicit shard count"
-                )
-            if current is not None:
-                if (
-                    current.registry is registry
-                    and current.num_shards == shards
-                    and (
-                        replicas is None
-                        or current.num_replicas == replicas
-                    )
-                ):
-                    return current
-                current.close()
-            current = NetShardExecutor.from_registry(
-                registry,
-                shards,
-                num_replicas=1 if replicas is None else replicas,
-                index_backend=self.index_backend,
-                sharding=self.sharding,
-            )
-            self._net_executor = current
-            return current
-        if hosts is not None:
-            addresses = [tuple(address) for address in hosts]
-            num_replicas = 1 if replicas is None else replicas
-            if len(addresses) % num_replicas != 0:
-                raise QueryError(
-                    f"{len(addresses)} worker addresses do not divide "
-                    f"into {num_replicas} replicas per shard"
-                )
-            if (
-                shards is not None
-                and shards * num_replicas != len(addresses)
-            ):
-                raise QueryError(
-                    f"shards={shards} contradicts {len(addresses)} "
-                    f"worker addresses"
-                )
-            if current is not None:
-                if (
-                    current.addresses == addresses
-                    and current.num_replicas == num_replicas
-                ):
-                    return current
-                current.close()
-            current = NetShardExecutor(
-                addresses=addresses,
-                index_backend=self.index_backend,
-                sharding=self.sharding,
-                num_replicas=num_replicas,
-            )
-            self._net_executor = current
-            return current
-        if current is None:
-            return self._local_pool(shards, replicas)
-        # Host-configured executors win over shard-count defaults: the
-        # caller pinned real machines; silently replacing them with a
-        # local cluster would misreport where work ran.
-        if (shards is None or shards == current.num_shards) and (
-            replicas is None or replicas == current.num_replicas
-        ):
-            return current
-        if shards is not None and shards != current.num_shards:
+        if hosts is not None and registry is not None:
             raise QueryError(
-                f"engine is configured for {current.num_shards} socket "
-                f"workers at fixed addresses; cannot run {shards} shards"
+                "hosts and registry are mutually exclusive: "
+                "addresses are either pinned or discovered"
             )
-        raise QueryError(
-            f"engine is configured for {current.num_replicas} "
-            f"replica(s) per shard at fixed addresses; cannot run "
-            f"{replicas}"
+        if registry is not None and shards is None:
+            raise QueryError("registry discovery needs an explicit shard count")
+        if hosts is not None:
+            hosts = [tuple(address) for address in hosts]
+        current = self._pool
+        served = self._match_service is not None
+        fixed = current is not None and (served or current.addresses is not None)
+        if shards is None and hosts is None and not fixed:
+            shards = self.shards
+        if current is not None:
+            wanted = {
+                "addresses": hosts, "registry": registry,
+                "num_shards": shards, "num_replicas": replicas,
+            }
+            differs = [
+                f"{name}={value!r}" for name, value in wanted.items()
+                if value is not None and getattr(current, name) != value
+            ]
+            if not differs:
+                return current
+            if served or (fixed and hosts is None and registry is None):
+                held = "held by its match service" if served else "at fixed addresses"
+                raise QueryError(
+                    f"engine is configured for {current.num_shards} socket workers "
+                    f"({current.num_replicas} replica(s) per shard) {held}; "
+                    f"cannot run {differs[0]}"
+                )
+        layout = dict(
+            num_replicas=1 if replicas is None else replicas,
+            index_backend=self.index_backend,
+            sharding=self.sharding,
         )
+        if registry is not None:
+            fresh = ShardPool.from_registry(registry, shards, **layout)
+        else:
+            fresh = ShardPool(addresses=hosts, num_shards=shards, **layout)
+        if current is not None:
+            current.close()
+        self._pool = fresh
+        return fresh
 
     def match_service(
         self,
@@ -676,38 +591,40 @@ class HGMatch:
     ):
         """The engine's persistent always-on match service (lazily built).
 
-        Wraps this engine and one multiplexed shard pool in a
+        Wraps this engine and its shard pool (:meth:`pool` — the
+        service builds and installs it) in a
         :class:`~repro.service.service.MatchService`: bounded admission
         (BUSY past ``queue_depth``), per-query deadlines, cancellation
         with remote CANCEL, and an LRU result cache.  Reused across
-        calls like :meth:`shard_executor`; asking for a different shard
-        layout tears it down and rebuilds.
+        calls; another shard layout rebuilds it, any other setting
+        differing from the live service's is refused — a rebuild would
+        silently drop its cache and standing registrations.
         """
         from ..service import MatchService  # lazy
 
         shards = self.shards if shards is None else shards
-        if hosts is None and shards < 1:
-            raise QueryError("shards must be >= 1")
+        settings = dict(
+            max_concurrent=max_concurrent, queue_depth=queue_depth,
+            cache_capacity=cache_capacity,
+            default_deadline=default_deadline, chaos=chaos,
+        )
         current = self._match_service
-        want_shards = len(hosts) if hosts is not None else shards
-        if current is not None and current.num_shards != want_shards:
-            current.close()
+        if current is not None and current.num_shards != (
+            shards if hosts is None else len(hosts)
+        ):
+            current.close()  # drain() clears the slot
             current = None
         if current is None:
-            current = MatchService(
-                self,
-                shards=shards,
-                addresses=(
-                    None if hosts is None
-                    else [tuple(address) for address in hosts]
-                ),
-                max_concurrent=max_concurrent,
-                queue_depth=queue_depth,
-                cache_capacity=cache_capacity,
-                default_deadline=default_deadline,
-                chaos=chaos,
-            )
-            self._match_service = current
+            # Installs itself, and its pool, as this engine's.
+            return MatchService(self, shards=shards, addresses=hosts, **settings)
+        for name, wanted in settings.items():
+            live = getattr(current, name)
+            if live != wanted:
+                raise QueryError(
+                    f"the engine's live match service runs with "
+                    f"{name}={live!r}; cannot hand it out as "
+                    f"{name}={wanted!r} (drain it first)"
+                )
         return current
 
     # ------------------------------------------------------------------
@@ -725,7 +642,7 @@ class HGMatch:
         clearing it is mandatory, not an optimisation.
 
         Internal: callers go through :meth:`apply_mutations`, which
-        also propagates to live pools and the match service.
+        also propagates to the live pool and the match service.
         """
         from ..hypergraph.dynamic import DynamicHypergraph  # lazy: cheap
 
@@ -743,14 +660,12 @@ class HGMatch:
         """Commit a mutation batch engine-wide and return its
         :class:`~repro.hypergraph.dynamic.MutationResult`.
 
-        The local graph and store update incrementally, and every
-        *live* pool — the local shard pool, a host-configured
-        coordinator, the match service's multiplexed pool — receives
-        the same batch via
-        a MUTATE broadcast so its workers maintain their shards in
-        lock-step (pools not yet started simply build from the mutated
-        graph on first use).  When a match service wraps this engine,
-        the commit goes through
+        The local graph and store update incrementally, and the
+        engine's pool (:meth:`pool`), when live, receives the same
+        batch via a MUTATE broadcast so its workers maintain their
+        shards in lock-step (a pool not yet started simply builds from
+        the mutated graph on first use).  When a match service wraps
+        this engine, the commit goes through
         :meth:`~repro.service.service.MatchService.apply_mutations`
         instead, which additionally fences in-flight queries,
         invalidates the result cache and emits standing-query deltas.
@@ -759,34 +674,26 @@ class HGMatch:
         if service is not None:
             return service.apply_mutations(batch)
         result = self._apply_local(batch)
-        if self._shard_executor is not None:
-            self._shard_executor.mutate(self, batch, result)
-        if self._net_executor is not None:
-            self._net_executor.mutate(self, batch, result)
+        if self._pool is not None:
+            self._pool.mutate(self, batch, result)
         return result
 
     def close(self) -> None:
-        """Release the shard pools and match service, if started.
+        """Release the match service and the shard pool, if started.
 
-        Tear-down is exception-safe: a pool whose close raises cannot
-        leave the later pools (or the service) running — each stage is
-        chained through ``finally`` and its reference dropped first, so
-        a repeated ``close()`` after a partial failure is a no-op for
-        the stages that did shut down.
+        The references are dropped first and the pool's close (a no-op
+        after a service's drain closed the pool it holds) sits in a
+        ``finally``: a drain that raises cannot leave worker processes
+        running, and a repeated ``close()`` is a no-op.
         """
         service, self._match_service = self._match_service, None
-        executor, self._shard_executor = self._shard_executor, None
-        net, self._net_executor = self._net_executor, None
+        pool, self._pool = self._pool, None
         try:
             if service is not None:
                 service.close()
         finally:
-            try:
-                if executor is not None:
-                    executor.close()
-            finally:
-                if net is not None:
-                    net.close()
+            if pool is not None:
+                pool.close()
 
     def count_vertex_embeddings(
         self, query: Hypergraph, order: "Sequence[int] | None" = None
@@ -823,10 +730,9 @@ class HGMatch:
 
         ``executor`` mirrors :meth:`count`: ``None``/``"sequential"`` is
         the in-process loop here; ``"threads"`` splits every frontier
-        level across ``workers`` threads; ``"processes"`` runs the
-        engine's local shard pool, whose level-synchronous protocol *is*
-        BFS; ``"sockets"`` runs the same protocol over the workers
-        :meth:`net_executor` was configured with; ``"simulated"``
+        level across ``workers`` threads; ``"processes"`` and
+        ``"sockets"`` run the engine's shard pool (:meth:`pool`), whose
+        level-synchronous protocol *is* BFS; ``"simulated"``
         counts via the discrete-event scheduler
         (task-parallel in virtual time — counts match, the BFS memory
         profile does not apply).  All executors return bit-identical

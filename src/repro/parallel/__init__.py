@@ -14,10 +14,10 @@ embeddings):
   level-synchronous queries, each a :class:`QueryChannel` on it.  The
   workers are its own local pool (:func:`spawn_local_cluster`) or
   servers on other hosts; real multi-core wall clock either way.
-  :class:`NetShardExecutor` (``executor="sockets"``) and
-  :class:`ProcessShardExecutor` (``executor="processes"``) are the
-  pool under its solo constructor names plus ``run()`` — one channel
-  per job; the match service (:mod:`repro.service`) keeps many open.
+  ``executor="processes"`` and ``executor="sockets"`` both mean
+  :meth:`ShardPool.run` — one channel per job — on the engine's one
+  pool (:meth:`repro.core.engine.HGMatch.pool`); the match service
+  (:mod:`repro.service`) keeps many channels open on that same pool.
 * :class:`SimulatedExecutor` — discrete-event simulation in virtual
   time with a set-operation cost model; backs the scalability and
   load-balancing experiments (see DESIGN.md, substitution 2).
@@ -27,7 +27,6 @@ from .chaos import ChaosSocket, FaultPlan
 from .deque import WorkStealingDeque
 from .executor import ParallelResult, ThreadedExecutor
 from .cluster import LocalCluster, spawn_local_cluster
-from .coordinator import NetShardExecutor, ProcessShardExecutor
 from .pool import QueryChannel, ShardPool
 from .handshake import default_retry_policy
 from .registry import Announcer, WorkerRecord, WorkerRegistry
@@ -60,8 +59,6 @@ from .tasks import (
 __all__ = [
     "WorkStealingDeque",
     "ThreadedExecutor",
-    "ProcessShardExecutor",
-    "NetShardExecutor",
     "ShardPool",
     "QueryChannel",
     "ShardWorker",

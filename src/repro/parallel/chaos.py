@@ -161,8 +161,7 @@ class FaultPlan:
         plan.kill_worker(shard_id=1, after_frames=2)   # mid-LEVEL kill
         plan.slow_reply(0, replica_id=0, after_frames=2, seconds=0.4)
         plan.arm_killer(1, 0, lambda: cluster.kill_member(1, 0))
-        executor = NetShardExecutor(addresses=..., num_replicas=2,
-                                    chaos=plan)
+        pool = ShardPool(addresses=..., num_replicas=2, chaos=plan)
 
     ``seed`` drives the plan's :attr:`rng` (used by stochastic fault
     extensions and available to harness code for jittered schedules);

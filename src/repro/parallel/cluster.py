@@ -3,12 +3,11 @@
 :func:`spawn_local_cluster` boots ``num_shards × num_replicas``
 :class:`~repro.parallel.worker.ShardWorker` processes on ephemeral
 127.0.0.1 ports and returns the :class:`LocalCluster` that owns them.
-It is how a hostless :class:`~repro.parallel.coordinator.
-NetShardExecutor` (``executor="processes"`` / ``"sockets"``), the match
-service's pool, the supervisor, the tests and the benchmarks run the
-full network path on one machine; multi-host deployments start their
-workers themselves (``serve-shard``) and hand the coordinator their
-addresses.
+It is how a hostless :class:`~repro.parallel.pool.ShardPool`
+(``executor="processes"`` / ``"sockets"``, the match service), the
+supervisor, the tests and the benchmarks run the full network path on
+one machine; multi-host deployments start their workers themselves
+(``serve-shard``) and hand the coordinator their addresses.
 """
 
 from __future__ import annotations
@@ -294,7 +293,7 @@ def spawn_local_cluster(
     StoreShard` (under the requested placement mode), binds an
     ephemeral 127.0.0.1 port and serves the framed protocol; the
     returned :class:`LocalCluster` lists the addresses to hand a
-    :class:`~repro.parallel.coordinator.NetShardExecutor`.  Replicas
+    :class:`~repro.parallel.pool.ShardPool`.  Replicas
     of a shard build identical stores — the coordinator treats them as
     interchangeable failover targets.  This is the single-machine path
     through the *full* network stack — the tests' and benchmarks' way

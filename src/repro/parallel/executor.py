@@ -29,7 +29,7 @@ from ..core.engine import HGMatch
 from ..errors import SchedulerError, TimeoutExceeded
 from ..hypergraph import Hypergraph
 from .deque import WorkStealingDeque
-from .tasks import ROOT_TASK, PartialEmbedding, WorkerStats, default_seed
+from .tasks import ROOT_TASK, PartialEmbedding, WorkerStats, default_seed, load_imbalance
 
 
 @dataclass
@@ -42,12 +42,10 @@ class ParallelResult:
     worker_stats: List[WorkerStats] = field(default_factory=list)
 
     def load_imbalance(self) -> float:
-        """Max/mean ratio of per-worker busy time (1.0 = perfect balance)."""
-        times = [stats.busy_time for stats in self.worker_stats]
-        if not times or sum(times) == 0:
-            return 1.0
-        mean = sum(times) / len(times)
-        return max(times) / mean if mean > 0 else 1.0
+        """Max/mean per-worker load (1.0 = perfect balance): CPU time
+        where the workers record it, else busy time — the one number
+        the rebalancer and the skew gate act on as well."""
+        return load_imbalance(self.worker_stats)
 
 
 class _SharedState:

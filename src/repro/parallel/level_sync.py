@@ -13,7 +13,7 @@ Both halves of the protocol live here:
 
 :class:`~repro.parallel.pool.QueryChannel` — one query on the shared
 :class:`~repro.parallel.pool.ShardPool`, be it a solo job
-(:meth:`~repro.parallel.coordinator.NetShardExecutor.run`) or one of
+(:meth:`~repro.parallel.pool.ShardPool.run`) or one of
 the match service's many — drives this loop, and
 :class:`~repro.parallel.worker.ShardWorker` is the one caller of the
 kernel — so every deployment produces bit-identical counts because it

@@ -25,9 +25,9 @@ a second engine.  This module is that pool, in two pieces:
     (``num_shards`` / ``_ensure_pool`` / ``_broadcast`` / ``_gather`` /
     ``_gather_iter``).  It is the one place JOB / LEVEL / COLLECT bodies
     are encoded and the one gather loop.  A solo job
-    (:meth:`~repro.parallel.coordinator.NetShardExecutor.run`) is one
-    channel tagged :data:`~repro.parallel.transport.SOLO_QUERY_ID`; the
-    match service opens one channel per admitted query.
+    (:meth:`ShardPool.run`) is one channel tagged
+    :data:`~repro.parallel.transport.SOLO_QUERY_ID`; the match service
+    opens one per admitted query, on its engine's same pool.
 
 Replication, failover, speculation
 ----------------------------------
@@ -96,6 +96,7 @@ from .handshake import (
     open_session,
     validate_handshake,
 )
+from .level_sync import run_level_synchronous
 from .tasks import RetryPolicy, default_seed, worker_loads
 from .worker import default_io_timeout
 
@@ -268,10 +269,11 @@ class ShardPool:
 
     ``ShardPool(addresses=[("host", port), ...])``
         Connect to externally managed workers (the multi-host mode; the
-        CLI's ``--hosts``).  With ``num_replicas == K`` the address
-        count must be ``N × K`` and the handshakes must cover every
-        shard id ``0..N-1`` — replies are gathered by *shard* id
-        regardless of the order the addresses were listed in.  With
+        CLI's ``--hosts``, or :meth:`from_registry`'s discovery).  With
+        ``num_replicas == K`` the address count must be ``N × K`` and
+        the handshakes must cover every shard id ``0..N-1`` — replies
+        are gathered by *shard* id regardless of the order the
+        addresses were listed in.  With
         ``K > 1`` a dead address merely loses one replica; the pool
         refuses to open only when some shard has *zero* live replicas.
 
@@ -333,8 +335,7 @@ class ShardPool:
             num_shards = implied
         if num_shards is None:
             raise SchedulerError(
-                f"{type(self).__name__} needs worker addresses or "
-                f"num_shards"
+                "ShardPool needs worker addresses or num_shards"
             )
         if num_shards < 1:
             raise SchedulerError("num_shards must be >= 1")
@@ -392,6 +393,33 @@ class ShardPool:
         #: in progress, and the condition both sides wait on.
         self._park = threading.Condition()
         self._parking = 0
+
+    @classmethod
+    def from_registry(
+        cls,
+        registry,
+        num_shards: int,
+        num_replicas: int = 1,
+        wait_timeout: float = 30.0,
+        **kwargs,
+    ) -> "ShardPool":
+        """Build a pool from discovered workers.
+
+        Blocks until the registry has a live worker for every
+        ``(shard, replica)`` slot (or ``wait_timeout`` elapses), then
+        connects to the announced addresses; the registry stays
+        attached, so its missed-heartbeat evictions keep feeding the
+        recovery ladder mid-job.
+        """
+        addresses = registry.wait_for(
+            num_shards, num_replicas, timeout=wait_timeout
+        )
+        return cls(
+            addresses=addresses,
+            num_replicas=num_replicas,
+            registry=registry,
+            **kwargs,
+        )
 
     # -- opening and closing --------------------------------------------
 
@@ -647,6 +675,43 @@ class ShardPool:
             pass
 
     # -- queries: registration and dispatch -----------------------------
+
+    def run(
+        self,
+        engine,
+        query: Hypergraph,
+        order: "Sequence[int] | None" = None,
+        time_budget: "float | None" = None,
+    ):
+        """Execute one solo matching job — one channel, query id
+        :data:`~repro.parallel.transport.SOLO_QUERY_ID` — and return
+        its :class:`~repro.parallel.executor.ParallelResult`.
+
+        Counts are bit-identical to the sequential engine, including
+        under failover and speculation, which replace *who* answers a
+        level but never *what* the answer is.  ``time_budget`` is
+        enforced at level granularity.  A job that fails with a
+        :class:`~repro.errors.SchedulerError` on a pool it had to
+        itself takes the pool down with it, cluster included (nothing
+        half-composed is left; the next job rebuilds); with service
+        queries registered beside it the pool stays up for them (a
+        range out of replicas failed them too and emptied the table).
+        """
+        channel = QueryChannel(self, query_id=transport.SOLO_QUERY_ID)
+        completed = False
+        try:
+            result = run_level_synchronous(
+                channel, engine, query, order=order, time_budget=time_budget
+            )
+            completed = True
+            return result
+        except SchedulerError:
+            # Every failure exit has unregistered this job by now.
+            if not self._queries:
+                self.close()
+            raise
+        finally:
+            self.release(channel.query_id, completed)
 
     def _active_shards(self) -> "List[int]":
         """Shard ids still carrying rows (everything not retired by
@@ -1401,6 +1466,8 @@ class QueryChannel:
             self._broadcast(("collect",))
             self._gather()
         except SchedulerError:
+            if self._pool._queries:
+                raise  # not this job's pool to pull from under the others
             self._pool._close_connections()
             self._pool.ensure_open(engine)
 

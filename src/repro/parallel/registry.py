@@ -24,8 +24,8 @@ Membership is exposed in the same shape the executor already consumes:
 :class:`~repro.hypergraph.sharding.ReplicaSet` per shard range (missed
 heartbeats feed replica liveness directly), and
 :meth:`WorkerRegistry.addresses` flattens the table into the
-shard-major ``addresses`` list :class:`~repro.parallel.coordinator.
-NetShardExecutor` takes.
+shard-major ``addresses`` list :class:`~repro.parallel.pool.ShardPool`
+takes.
 
 The worker side is :class:`Announcer`: a daemon thread owned by
 :class:`~repro.parallel.worker.ShardWorker` that connects,

@@ -31,7 +31,7 @@ from ..core.counters import MatchCounters
 from ..core.engine import HGMatch
 from ..errors import SchedulerError
 from ..hypergraph import Hypergraph
-from .tasks import ROOT_TASK, PartialEmbedding, WorkerStats, default_seed
+from .tasks import ROOT_TASK, PartialEmbedding, WorkerStats, default_seed, load_imbalance
 
 
 @dataclass(frozen=True)
@@ -75,12 +75,9 @@ class SimulationResult:
         return [stats.busy_time for stats in self.worker_stats]
 
     def load_imbalance(self) -> float:
-        """Max/mean per-worker busy time (1.0 = perfect balance)."""
-        times = self.busy_times()
-        if not times:
-            return 1.0
-        mean = sum(times) / len(times)
-        return max(times) / mean if mean > 0 else 1.0
+        """Max/mean per-worker busy time (1.0 = perfect balance; the
+        simulation records no CPU time)."""
+        return load_imbalance(self.worker_stats)
 
 
 class SimulatedExecutor:

@@ -1,14 +1,14 @@
 """The always-on match service: one shared shard pool, many queries.
 
 Everything below :mod:`repro.service` puts a long-lived service on
-top of the one shard pool of :mod:`repro.parallel.pool` — the pool a
-solo ``executor="sockets"`` job runs on too; the service merely keeps
-many :class:`~repro.parallel.pool.QueryChannel` objects open on it at once
+top of the engine's one :class:`~repro.parallel.pool.ShardPool`
+(:meth:`repro.core.engine.HGMatch.pool`) — the pool a solo
+``executor="processes"`` / ``"sockets"`` job on the same engine runs
+on too; the service merely keeps many
+:class:`~repro.parallel.pool.QueryChannel` objects open on it at once
 (multiplexed over the query-tagged job frames
 JOB/LEVEL/REPLY/COLLECT/QERROR/CANCEL, counts bit-identical to solo
-runs).  :data:`MuxShardPool` is the service-side name of
-:class:`~repro.parallel.pool.ShardPool`, re-exported with
-:class:`QueryChannel` for callers that drive a pool without a service.
+runs; :class:`QueryChannel` is re-exported).
 
 * :class:`~repro.service.service.MatchService` — admission control
   (bounded depth, explicit BUSY), per-query deadlines, cancellation,
@@ -23,7 +23,7 @@ runs).  :data:`MuxShardPool` is the service-side name of
   ``serve-match`` front end and its line-JSON client (``repro query``).
 """
 
-from ..parallel.pool import QueryChannel, ShardPool as MuxShardPool
+from ..parallel.pool import QueryChannel
 from .client import MatchClient, MutationOutcome, StandingSubscription
 from .daemon import MatchDaemon
 from .service import (
@@ -41,7 +41,6 @@ __all__ = [
     "MatchService",
     "MatchTicket",
     "MutationOutcome",
-    "MuxShardPool",
     "QueryChannel",
     "StandingQuery",
     "StandingSubscription",

@@ -1,8 +1,10 @@
 """The match service: admission, deadlines, cancellation, caching.
 
 :class:`MatchService` is the always-on front half of the system: it
-owns one engine and one :class:`~repro.parallel.pool.ShardPool` (the
-width-1 grid: one connection per shard) and turns "run this query" into a governed operation:
+holds one engine and that engine's one
+:class:`~repro.parallel.pool.ShardPool` (the width-1 grid: one
+connection per shard) and turns "run this query" into a governed
+operation:
 
 * **Admission control** — at most ``queue_depth`` queries are admitted
   at once; the ``queue_depth + 1``-th is *refused* with an explicit
@@ -177,6 +179,13 @@ class MatchService:
             raise SchedulerError("queue_depth must be >= 1")
         if max_concurrent < 1:
             raise SchedulerError("max_concurrent must be >= 1")
+        # One service per engine: it takes the engine's pool slot, and
+        # two services cannot both have their queries in flight there.
+        if engine._match_service is not None:
+            raise SchedulerError(
+                "the engine already has a live match service; drain it "
+                "before starting another"
+            )
         self._engine = engine
         # Durability seam: every committed batch is journalled inside
         # the mutation barrier, before any broadcast, so a coordinator
@@ -187,11 +196,12 @@ class MatchService:
         self.journal = journal
         if journal is not None:
             journal.attach(engine.data)
-        self.num_shards = shards if addresses is None else len(addresses)
         self.queue_depth = queue_depth
         self.max_concurrent = max_concurrent
         self.default_deadline = default_deadline
         self.retry_after = retry_after
+        self.cache_capacity = cache_capacity
+        self.chaos = chaos
         self.pool = ShardPool(
             num_shards=shards,
             addresses=addresses,
@@ -201,6 +211,7 @@ class MatchService:
             start_method=start_method,
             chaos=chaos,
         )
+        self.num_shards = self.pool.num_shards
         self._lock = threading.Lock()
         self._admitted = 0
         self._draining = False
@@ -210,7 +221,6 @@ class MatchService:
         )
         self._tickets: "list" = []
         self._cache: "OrderedDict" = OrderedDict()
-        self._cache_capacity = cache_capacity
         self._graph_fp = None
         self.cache_hits = 0
         self.cache_misses = 0
@@ -221,11 +231,14 @@ class MatchService:
         self._standing_ids = 0
         # Adopt the engine: ``engine.apply_mutations`` must route every
         # commit through this service's barrier, or the result cache
-        # and standing queries silently go stale.  First service wins
-        # (``engine.match_service()`` sets the slot itself); drain()
-        # releases it.
-        if getattr(engine, "_match_service", None) is None:
-            engine._match_service = self
+        # and standing queries silently go stale; and this pool becomes
+        # *the engine's* (what it ran solo jobs on before is closed), so
+        # one MUTATE, one close and every ``count(executor="processes")``
+        # reach the same workers.  drain() releases both slots.
+        engine._match_service = self
+        previous, engine._pool = engine._pool, self.pool
+        if previous is not None:
+            previous.close()
 
     # -- submission ------------------------------------------------------
 
@@ -314,7 +327,7 @@ class MatchService:
             with self._lock:
                 self._cache[key] = result
                 self._cache.move_to_end(key)
-                while len(self._cache) > self._cache_capacity:
+                while len(self._cache) > self.cache_capacity:
                     self._cache.popitem(last=False)
             return result
         finally:
@@ -332,10 +345,8 @@ class MatchService:
 
         The sequence is: flag the barrier (new submissions get BUSY),
         wait for admitted queries to drain, apply the batch to the
-        engine's graph and store, propagate the same batch to every
-        live shard pool — the engine's own solo executors' and this
-        service's, one ``ShardPool.mutate`` each — invalidate the
-        result-cache
+        engine's graph and store, propagate the same batch to the
+        pool (one ``ShardPool.mutate``), invalidate the result-cache
         fingerprint, then commit every standing query and emit its
         delta.  Returns the :class:`~repro.hypergraph.dynamic
         .MutationResult`.
@@ -374,10 +385,6 @@ class MatchService:
                 # *before* any worker sees it, so restart-from-journal
                 # can only be ahead of (never behind) the pool.
                 self.journal.append(result.version, batch)
-            if engine._shard_executor is not None:
-                engine._shard_executor.mutate(engine, batch, result)
-            if engine._net_executor is not None:
-                engine._net_executor.mutate(engine, batch, result)
             self.pool.mutate(engine, batch, result)
             with self._lock:
                 self._graph_fp = None
@@ -526,9 +533,12 @@ class MatchService:
         if self.journal is not None:
             self.journal.close()
         # Release the engine: later mutations fall back to the
-        # engine-local path instead of hitting a closed service.
-        if getattr(self._engine, "_match_service", None) is self:
+        # engine-local path instead of hitting a closed service, and
+        # the next solo job builds its own pool.
+        if self._engine._match_service is self:
             self._engine._match_service = None
+        if self._engine._pool is self.pool:
+            self._engine._pool = None
         self.pool.close()
 
     def close(self, timeout: float = 10.0) -> None:

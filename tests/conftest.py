@@ -11,6 +11,7 @@ immediately instead of silently testing ``merge`` three times.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import random
 import signal
@@ -31,6 +32,26 @@ def pytest_configure(config):
 
 def pytest_report_header(config):
     return f"repro index backend: {default_index_backend()}"
+
+
+@pytest.fixture(autouse=True)
+def no_worker_process_outlives_its_test():
+    """Process hygiene: a test must leave behind no worker process it
+    started — every pool, cluster, supervisor and service it opened is
+    closed by the time it returns.  (Workers of a wider-scoped fixture
+    predate the test and are that fixture's to stop.)"""
+    before = set(multiprocessing.active_children())
+    yield
+    leaked = [
+        child for child in multiprocessing.active_children()
+        if child not in before
+    ]
+    for child in leaked:
+        child.join(timeout=1.0)  # told to quit and on its way out: no leak
+    leaked = [child for child in leaked if child.is_alive()]
+    for child in leaked:
+        child.kill()  # do not let one leak fail every later test too
+    assert not leaked, f"worker processes outlived the test: {leaked}"
 
 
 @pytest.fixture

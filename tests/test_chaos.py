@@ -27,12 +27,14 @@ from repro.errors import SchedulerError
 from repro.hypergraph import INDEX_BACKENDS
 from repro.parallel import (
     FaultPlan,
-    NetShardExecutor,
+    LocalCluster,
     QueryChannel,
+    ShardPool,
     spawn_local_cluster,
 )
 from repro.parallel.chaos import ChaosSeveredError, ChaosSocket
 from repro.parallel.level_sync import run_level_synchronous
+from repro.service import MatchService
 from repro.testing import make_random_instance
 
 
@@ -255,7 +257,7 @@ def test_kill_worker_mid_level_fails_over(chaos_instance, backend, channels):
         data, 2, index_backend=backend, num_replicas=2
     )
     plan.arm_killer(0, 0, lambda: cluster.kill_member(0, 0))
-    executor = NetShardExecutor(
+    executor = ShardPool(
         addresses=list(cluster.addresses),
         num_replicas=2,
         index_backend=backend,
@@ -282,7 +284,7 @@ def test_sever_mid_level_fails_over(chaos_instance, channels):
     cluster = spawn_local_cluster(
         data, 2, index_backend="bitset", num_replicas=2
     )
-    executor = NetShardExecutor(
+    executor = ShardPool(
         addresses=list(cluster.addresses),
         num_replicas=2,
         index_backend="bitset",
@@ -310,7 +312,7 @@ def test_garbled_frame_fails_over(chaos_instance, channels):
     cluster = spawn_local_cluster(
         data, 2, index_backend="merge", num_replicas=2
     )
-    executor = NetShardExecutor(
+    executor = ShardPool(
         addresses=list(cluster.addresses),
         num_replicas=2,
         index_backend="merge",
@@ -340,7 +342,7 @@ def test_dropped_reply_hits_deadline_then_fails_over(
     cluster = spawn_local_cluster(
         data, 2, index_backend="bitset", num_replicas=2, chaos=plan
     )
-    executor = NetShardExecutor(
+    executor = ShardPool(
         addresses=list(cluster.addresses),
         num_replicas=2,
         index_backend="bitset",
@@ -365,7 +367,7 @@ def test_slow_replica_triggers_speculation(chaos_instance, channels):
     plan = FaultPlan(seed=9)
     plan.slow_reply(0, 0, seconds=1.0, **_pin(channels, 2, 1))
     engine = HGMatch(data, index_backend="bitset")
-    executor = NetShardExecutor(
+    executor = ShardPool(
         num_shards=2,
         num_replicas=2,
         index_backend="bitset",
@@ -389,7 +391,7 @@ def test_zero_replica_loss_fails_fast(chaos_instance):
     plan.kill_worker(1, 0, after_frames=2)
     cluster = spawn_local_cluster(data, 2, index_backend="bitset")
     plan.arm_killer(1, 0, lambda: cluster.kill_member(1, 0))
-    executor = NetShardExecutor(
+    executor = ShardPool(
         addresses=list(cluster.addresses),
         index_backend="bitset",
         io_timeout=30.0,
@@ -401,6 +403,64 @@ def test_zero_replica_loss_fails_fast(chaos_instance):
     finally:
         executor.close()
         cluster.close()
+        engine.close()
+
+
+def test_last_replica_lost_on_a_shared_pool_fails_both_and_heals(
+    chaos_instance, kill_on_first_level, monkeypatch
+):
+    """One pool per engine: a solo job runs on the service's workers, so
+    losing a range's last replica (the respawn refused) while a service
+    query is in flight beside it fails *both* typed — each needs the
+    range — and takes the cluster down; the next query, solo or served,
+    opens a fresh one and is exact."""
+    data, query, expected = chaos_instance
+    engine = HGMatch(data, index_backend="bitset", shards=2)
+    plan = FaultPlan(seed=5)
+    # Holds the solo job in flight: on the warm pool worker 0's frames
+    # for query 0 are the probe's reply, then LEVEL 0's — delayed.
+    plan.slow_reply(0, 0, after_frames=2, seconds=1.0, query_id=0)
+    service = MatchService(engine, shards=2, chaos=plan, cache_capacity=0)
+    pool = service.pool
+    failures = {}
+
+    def solo():
+        try:
+            engine.count(query, executor="processes")
+        except SchedulerError as exc:
+            failures["solo"] = exc
+
+    try:
+        assert service.match(query).embeddings == expected["bitset"]
+        thread = threading.Thread(target=solo, daemon=True)
+        thread.start()
+        deadline = time.monotonic() + 30.0
+        while time.monotonic() < deadline:
+            with pool._lock:
+                state = pool._queries.get(0)
+                if state is not None and state.frame and not state.collecting:
+                    break  # its LEVEL 0 is out; the reply is being held
+            time.sleep(0.001)
+
+        def refuse(*_):
+            raise SchedulerError("respawn refused (test)")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(LocalCluster, "respawn", refuse)
+            # The service query's first LEVEL kills worker 1.
+            killed = kill_on_first_level(pool, 1)
+            with pytest.raises(SchedulerError, match="disconnected mid-job"):
+                service.match(query)
+            thread.join(timeout=30.0)
+        assert killed["killed"] and not thread.is_alive()
+        assert "disconnected mid-job" in str(failures["solo"])
+        assert not pool._queries and pool._cluster is None
+        assert service.match(query).embeddings == expected["bitset"]
+        assert engine.pool() is pool
+        assert (
+            engine.count(query, executor="processes") == expected["bitset"]
+        )
+    finally:
         engine.close()
 
 
@@ -437,7 +497,7 @@ def test_rebalance_frame_lost_degrades_cleanly(chaos_instance, fault):
     cluster = spawn_local_cluster(
         data, 2, index_backend="bitset", num_replicas=2
     )
-    executor = NetShardExecutor(
+    executor = ShardPool(
         addresses=list(cluster.addresses),
         num_replicas=2,
         index_backend="bitset",
@@ -473,7 +533,7 @@ def test_rebalance_echo_delay_completes_recut(chaos_instance):
     cluster = spawn_local_cluster(
         data, 2, index_backend="bitset", num_replicas=2, chaos=plan
     )
-    executor = NetShardExecutor(
+    executor = ShardPool(
         addresses=list(cluster.addresses),
         num_replicas=2,
         index_backend="bitset",
@@ -507,7 +567,7 @@ def test_rebalance_frame_lost_on_last_replica_fails_clean(chaos_instance):
     plan = FaultPlan(seed=19)
     plan.sever(0, 0, after_frames=num_steps + 2)
     cluster = spawn_local_cluster(data, 2, index_backend="bitset")
-    executor = NetShardExecutor(
+    executor = ShardPool(
         addresses=list(cluster.addresses),
         index_backend="bitset",
         io_timeout=30.0,
@@ -567,7 +627,7 @@ def test_kill_pinned_to_mutate_degrades_then_catchup_rejoins(
         data, 2, index_backend=backend, num_replicas=2
     )
     plan.arm_killer(0, 0, lambda: cluster.kill_member(0, 0))
-    executor = NetShardExecutor(
+    executor = ShardPool(
         addresses=list(cluster.addresses),
         num_replicas=2,
         index_backend=backend,
@@ -615,7 +675,7 @@ def test_sever_pinned_to_mutate_degrades_then_catchup_rejoins(
     cluster = spawn_local_cluster(
         data, 2, index_backend=backend, num_replicas=2
     )
-    executor = NetShardExecutor(
+    executor = ShardPool(
         addresses=list(cluster.addresses),
         num_replicas=2,
         index_backend=backend,

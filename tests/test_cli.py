@@ -162,7 +162,7 @@ class TestMatch:
         assert code == 0
         assert output.startswith("2 embeddings")
 
-    def test_sharding_rejected_for_non_shard_executors(self, fig1_files):
+    def test_sharding_rejected_outside_the_shard_pool(self, fig1_files):
         data_path, query_path = fig1_files
         code, output = run_cli(
             "match", data_path, query_path,
@@ -181,7 +181,7 @@ class TestMatch:
         assert "rebalance: moved" in output
         assert "2 embeddings" in output
 
-    def test_rebalance_requires_shard_executor(self, fig1_files):
+    def test_rebalance_requires_the_shard_pool(self, fig1_files):
         data_path, query_path = fig1_files
         code, output = run_cli(
             "match", data_path, query_path,
@@ -255,7 +255,7 @@ class TestMatch:
             "--executor", "threads", "--hosts", "localhost:7441",
         )
         assert code == 1
-        assert "--executor sockets" in output
+        assert "--hosts applies to --executor processes or sockets" in output
 
     def test_hosts_shards_contradiction(self, fig1_files):
         data_path, query_path = fig1_files
@@ -309,7 +309,7 @@ class TestMatch:
 
         from repro import HGMatch
         from repro.cli import main as cli_main
-        from repro.parallel import NetShardExecutor
+        from repro.parallel import ShardPool
 
         data_path, _ = fig1_files
         out = io.StringIO()
@@ -338,7 +338,7 @@ class TestMatch:
         address = banner.strip().rsplit(" on ", 1)[1]
         host, port = address.rsplit(":", 1)
         engine = HGMatch(fig1_data)
-        executor = NetShardExecutor(addresses=[(host, int(port))])
+        executor = ShardPool(addresses=[(host, int(port))])
         try:
             query = fig1_data  # any connected query; the data itself works
             assert executor.run(engine, query).embeddings == engine.count(
@@ -373,6 +373,17 @@ class TestReplicaFlags:
         assert code == 0
         assert output.startswith("2 embeddings")
 
+    def test_replicas_do_not_care_which_spelling_was_typed(self, fig1_files):
+        """``processes`` and ``sockets`` are one pool, so the replication
+        factor applies under either name."""
+        data_path, query_path = fig1_files
+        code, output = run_cli(
+            "match", data_path, query_path,
+            "--executor", "processes", "--shards", "2", "--replicas", "2",
+        )
+        assert code == 0
+        assert output.startswith("2 embeddings")
+
     def test_replicas_implies_sockets(self, fig1_files):
         data_path, query_path = fig1_files
         code, output = run_cli(
@@ -389,7 +400,7 @@ class TestReplicaFlags:
             "--executor", "threads", "--replicas", "2",
         )
         assert code == 1
-        assert "--executor sockets" in output
+        assert "--replicas applies to" in output
 
     def test_replicas_must_be_positive(self, fig1_files):
         data_path, query_path = fig1_files
@@ -443,6 +454,27 @@ class TestReplicaFlags:
         assert "replica" not in output
 
 
+class TestAddressFlags:
+    """``--announce`` and ``--connect`` go through the one ``host:port``
+    parser (``parallel.transport.parse_address``, as ``--hosts`` does):
+    the malformed cases of ``tests/test_transport.py``, per flag."""
+
+    @pytest.mark.parametrize("text", ["bare-host", ":99", "host:port"])
+    def test_malformed_address_is_a_clean_error(self, fig1_files, text):
+        data_path, query_path = fig1_files
+        for argv in (
+            ("serve-shard", data_path, "--shard-id", "0",
+             "--num-shards", "1", "--announce", text),
+            ("supervise", data_path, "--num-shards", "1",
+             "--announce", text),
+            ("query", query_path, "--connect", text),
+        ):
+            code, output = run_cli(*argv)
+            assert code == 1, argv
+            assert output.startswith("error: worker address"), argv
+            assert repr(text) in output
+
+
 class TestSupervise:
     def test_validates_arguments(self, fig1_files):
         data_path, _ = fig1_files
@@ -464,7 +496,7 @@ class TestSupervise:
             "supervise", data_path, "--num-shards", "1",
             "--announce", "no-port",
         )
-        assert code == 1 and "HOST:PORT" in output
+        assert code == 1 and "host:port" in output
 
     def test_supervises_for_duration(self, fig1_files):
         data_path, _ = fig1_files
@@ -522,10 +554,10 @@ class TestSupervise:
             assert addresses == [(bh, int(bp))]
             # One session, served by a throwaway coordinator, ends it.
             from repro import HGMatch
-            from repro.parallel import NetShardExecutor
+            from repro.parallel import ShardPool
 
             engine = HGMatch(fig1_data)
-            executor = NetShardExecutor(addresses=[(bh, int(bp))])
+            executor = ShardPool(addresses=[(bh, int(bp))])
             try:
                 assert (
                     executor.run(engine, fig1_data).embeddings

@@ -24,7 +24,7 @@ from repro.errors import SchedulerError
 from repro.hypergraph import INDEX_BACKENDS
 from repro.parallel import (
     Announcer,
-    NetShardExecutor,
+    ShardPool,
     ShardWorker,
     WorkerRegistry,
     spawn_local_cluster,
@@ -83,7 +83,7 @@ def test_admit_grows_k1_pool_to_k2_with_parity(elastic_instance, backend):
     data, query, expected = elastic_instance
     engine = HGMatch(data, index_backend=backend)
     cluster = spawn_local_cluster(data, 2, index_backend=backend)
-    executor = NetShardExecutor(
+    executor = ShardPool(
         addresses=list(cluster.addresses), index_backend=backend,
     )
     spares = []
@@ -122,7 +122,7 @@ def test_admit_readmits_a_lost_replica(elastic_instance):
     cluster = spawn_local_cluster(
         data, 2, index_backend=backend, num_replicas=2
     )
-    executor = NetShardExecutor(
+    executor = ShardPool(
         addresses=list(cluster.addresses),
         num_replicas=2,
         index_backend=backend,
@@ -151,7 +151,7 @@ def test_admit_upgrades_newcomer_to_rebalanced_layout(elastic_instance):
     backend = "bitset"
     engine = HGMatch(data, index_backend=backend)
     cluster = spawn_local_cluster(data, 2, index_backend=backend)
-    executor = NetShardExecutor(
+    executor = ShardPool(
         addresses=list(cluster.addresses), index_backend=backend,
     )
     spare = None
@@ -181,7 +181,7 @@ def test_admit_refuses_bad_newcomers(elastic_instance):
     data, query, expected = elastic_instance
     backend = "bitset"
     engine = HGMatch(data, index_backend=backend)
-    executor = NetShardExecutor(num_shards=2, index_backend=backend)
+    executor = ShardPool(num_shards=2, index_backend=backend)
     try:
         with pytest.raises(SchedulerError, match="no live pool"):
             executor.admit(("127.0.0.1", 1))
@@ -218,7 +218,7 @@ def test_drain_to_retire_recuts_ranges_with_parity(elastic_instance):
     data, query, expected = elastic_instance
     backend = "merge"
     engine = HGMatch(data, index_backend=backend)
-    executor = NetShardExecutor(num_shards=3, index_backend=backend)
+    executor = ShardPool(num_shards=3, index_backend=backend)
     try:
         assert executor.run(engine, query).embeddings == expected[backend]
         label = executor.drain(1)
@@ -243,7 +243,7 @@ def test_drain_to_retire_recuts_ranges_with_parity(elastic_instance):
 def test_drain_unknown_member_errors(elastic_instance):
     data, query, _expected = elastic_instance
     engine = HGMatch(data, index_backend="bitset")
-    executor = NetShardExecutor(num_shards=2, index_backend="bitset")
+    executor = ShardPool(num_shards=2, index_backend="bitset")
     try:
         with pytest.raises(SchedulerError, match="no live pool"):
             executor.drain(0)
@@ -349,7 +349,7 @@ def test_registry_eviction_unwedges_a_silent_worker(elastic_instance):
         real_thread.start()
         executor = None
         try:
-            executor = NetShardExecutor.from_registry(
+            executor = ShardPool.from_registry(
                 registry, 1, num_replicas=2,
                 index_backend=backend, io_timeout=60.0,
                 wait_timeout=15.0,
@@ -396,7 +396,7 @@ def test_reannounce_during_drain_supersedes_and_readmits(elastic_instance):
     cluster = spawn_local_cluster(
         data, 2, index_backend=backend, num_replicas=2
     )
-    executor = NetShardExecutor(
+    executor = ShardPool(
         addresses=list(cluster.addresses),
         num_replicas=2,
         index_backend=backend,
@@ -448,7 +448,7 @@ def test_retired_shard_ids_are_refused_readmission(elastic_instance):
     data, query, expected = elastic_instance
     backend = "bitset"
     engine = HGMatch(data, index_backend=backend)
-    executor = NetShardExecutor(num_shards=2, index_backend=backend)
+    executor = ShardPool(num_shards=2, index_backend=backend)
     spare = None
     try:
         assert executor.run(engine, query).embeddings == expected[backend]
@@ -498,7 +498,7 @@ def test_respawned_replica_rejoins_via_catchup_batches(elastic_instance):
         data, 2, index_backend=backend, num_replicas=2
     )
     try:
-        executor = engine.net_executor(
+        executor = engine.pool(
             hosts=list(cluster.addresses), replicas=2
         )
         assert executor.run(engine, query).embeddings == expected[backend]
@@ -539,7 +539,7 @@ def test_respawned_replica_rejoins_via_catchup_snapshot(elastic_instance):
         data, 2, index_backend=backend, num_replicas=2
     )
     try:
-        executor = engine.net_executor(
+        executor = engine.pool(
             hosts=list(cluster.addresses), replicas=2
         )
         assert executor.run(engine, query).embeddings == expected[backend]

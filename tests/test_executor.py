@@ -81,6 +81,35 @@ class TestAccounting:
         result = ThreadedExecutor(num_workers=2).run(engine, query)
         assert result.load_imbalance() >= 1.0
 
+    def test_one_load_imbalance_definition(self, parallel_instance):
+        """``ParallelResult`` / ``SimulationResult.load_imbalance()`` are
+        ``parallel.load_imbalance``: busy time for threads and the
+        simulation (they record no CPU time, so delegating moved neither
+        number), CPU time once a shard worker reported it."""
+        from repro.parallel import (
+            ParallelResult, SimulatedExecutor, WorkerStats, load_imbalance,
+        )
+
+        engine, query, _ = parallel_instance
+        for result in (
+            ThreadedExecutor(num_workers=2).run(engine, query),
+            SimulatedExecutor(num_workers=3).run(engine, query),
+        ):
+            busy = [stats.busy_time for stats in result.worker_stats]
+            assert not any(stats.cpu_time for stats in result.worker_stats)
+            assert result.load_imbalance() == pytest.approx(
+                max(busy) / (sum(busy) / len(busy))
+            )
+            assert result.load_imbalance() == load_imbalance(
+                result.worker_stats
+            )
+        sharded = ParallelResult(0, 0.0, None, [
+            WorkerStats(0, busy_time=1.0, cpu_time=3.0),
+            WorkerStats(1, busy_time=1.0, cpu_time=1.0),
+        ])
+        assert sharded.load_imbalance() == 1.5  # cpu_time, not busy_time
+        assert ParallelResult(0, 0.0, None).load_imbalance() == 1.0
+
     def test_worker_stats_rows(self, parallel_instance):
         engine, query, _ = parallel_instance
         result = ThreadedExecutor(num_workers=2).run(engine, query)
@@ -119,12 +148,12 @@ class TestSeeding:
             default_seed()
 
     def test_executors_pick_up_repro_seed(self, monkeypatch):
-        from repro.parallel import ProcessShardExecutor, SimulatedExecutor
+        from repro.parallel import ShardPool, SimulatedExecutor
 
         monkeypatch.setenv("REPRO_SEED", "77")
         assert ThreadedExecutor(2).seed == 77
         assert SimulatedExecutor(2).seed == 77
-        assert ProcessShardExecutor(2).seed == 77
+        assert ShardPool(num_shards=2).seed == 77
         # Explicit seeds still win.
         assert ThreadedExecutor(2, seed=5).seed == 5
 

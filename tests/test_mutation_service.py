@@ -445,7 +445,7 @@ def test_mux_pool_heals_missed_mutate_via_catchup(instance):
     service's own copy said "MUTATE send to shard 1".)"""
     from repro.parallel import FaultPlan, spawn_local_cluster
     from repro.parallel.level_sync import run_level_synchronous
-    from repro.service import MuxShardPool, QueryChannel
+    from repro.parallel import QueryChannel, ShardPool
 
     data, query = instance
     engine = HGMatch(data, index_backend="merge")
@@ -454,7 +454,7 @@ def test_mux_pool_heals_missed_mutate_via_catchup(instance):
     # MUTATE itself (the handshake sends none), so pin frame 1.
     plan.sever(1, 0, after_frames=1, role="coordinator")
     cluster = spawn_local_cluster(data, 2, index_backend="merge")
-    pool = MuxShardPool(
+    pool = ShardPool(
         addresses=list(cluster.addresses),
         index_backend="merge",
         io_timeout=60.0,
@@ -494,7 +494,7 @@ def test_lost_mutate_ack_ends_the_barrier_at_once(instance):
     pool and counts like a rebuild."""
     from repro.parallel import FaultPlan, spawn_local_cluster
     from repro.parallel.level_sync import run_level_synchronous
-    from repro.service import MuxShardPool, QueryChannel
+    from repro.parallel import QueryChannel, ShardPool
 
     data, query = instance
     engine = HGMatch(data, index_backend="merge")
@@ -504,7 +504,7 @@ def test_lost_mutate_ack_ends_the_barrier_at_once(instance):
     cluster = spawn_local_cluster(
         data, 2, index_backend="merge", chaos=plan
     )
-    pool = MuxShardPool(
+    pool = ShardPool(
         addresses=list(cluster.addresses),
         index_backend="merge",
         io_timeout=6.0,
@@ -537,7 +537,7 @@ def test_worker_side_mutate_error_is_typed_not_a_timeout(
     typed failure naming the shard, immediately."""
     from repro.hypergraph.dynamic import DynamicHypergraph
     from repro.parallel import spawn_local_cluster
-    from repro.service import MuxShardPool
+    from repro.parallel import ShardPool
 
     data, _query = instance
     engine = HGMatch(data, index_backend="merge")
@@ -551,7 +551,7 @@ def test_worker_side_mutate_error_is_typed_not_a_timeout(
     monkeypatch.setattr(DynamicHypergraph, "apply", broken_apply)
     cluster = spawn_local_cluster(data, 2, index_backend="merge")
     monkeypatch.undo()
-    pool = MuxShardPool(
+    pool = ShardPool(
         addresses=list(cluster.addresses),
         index_backend="merge",
         io_timeout=6.0,

@@ -25,8 +25,8 @@ from repro.core.counters import MatchCounters
 from repro.errors import QueryError, SchedulerError, TransportError
 from repro.hypergraph import INDEX_BACKENDS
 from repro.parallel import (
-    NetShardExecutor,
     QueryChannel,
+    ShardPool,
     ShardWorker,
     spawn_local_cluster,
     transport,
@@ -81,7 +81,7 @@ def test_addresses_mode_in_any_order(workload_instances):
     data, query = workload_instances[0]
     engine = HGMatch(data, index_backend="adaptive")
     cluster = spawn_local_cluster(data, 3, index_backend="adaptive")
-    executor = NetShardExecutor(
+    executor = ShardPool(
         addresses=list(reversed(cluster.addresses)),
         index_backend="adaptive",
     )
@@ -108,7 +108,7 @@ def test_worker_sessions_are_reusable(workload_instances):
     try:
         expected = engine.count(query)
         for _ in range(2):
-            executor = NetShardExecutor(
+            executor = ShardPool(
                 addresses=[address], index_backend="merge"
             )
             try:
@@ -126,7 +126,7 @@ def test_handshake_backend_mismatch(workload_instances):
     data, query = workload_instances[0]
     engine = HGMatch(data, index_backend="merge")
     cluster = spawn_local_cluster(data, 2, index_backend="bitset")
-    executor = NetShardExecutor(
+    executor = ShardPool(
         addresses=cluster.addresses, index_backend="merge"
     )
     try:
@@ -146,7 +146,7 @@ def test_handshake_graph_mismatch():
     other_data = Hypergraph(labels=["A", "B"], edges=[{0, 1}])
     engine = HGMatch(data, index_backend="merge")
     cluster = spawn_local_cluster(other_data, 2, index_backend="merge")
-    executor = NetShardExecutor(
+    executor = ShardPool(
         addresses=cluster.addresses, index_backend="merge"
     )
     try:
@@ -162,7 +162,7 @@ def test_handshake_seed_mismatch(workload_instances):
     data, query = workload_instances[0]
     engine = HGMatch(data, index_backend="merge")
     cluster = spawn_local_cluster(data, 1, index_backend="merge", seed=123)
-    executor = NetShardExecutor(
+    executor = ShardPool(
         addresses=cluster.addresses, index_backend="merge", seed=0
     )
     try:
@@ -180,7 +180,7 @@ def test_handshake_shard_arithmetic_mismatch(workload_instances):
     data, query = workload_instances[0]
     engine = HGMatch(data, index_backend="merge")
     cluster = spawn_local_cluster(data, 3, index_backend="merge")
-    executor = NetShardExecutor(
+    executor = ShardPool(
         addresses=cluster.addresses[:2], index_backend="merge"
     )
     try:
@@ -199,7 +199,7 @@ def test_duplicate_shard_ids_rejected(workload_instances):
     # shard id 0 — composing them would double-count its rows.
     first = spawn_local_cluster(data, 2, index_backend="merge")
     second = spawn_local_cluster(data, 2, index_backend="merge")
-    executor = NetShardExecutor(
+    executor = ShardPool(
         addresses=[first.addresses[0], second.addresses[0]],
         index_backend="merge",
     )
@@ -219,7 +219,7 @@ def test_dead_worker_between_jobs_recovers_transparently(workload_instances):
     the query succeeds instead of failing on a stale socket."""
     data, query = workload_instances[0]
     engine = HGMatch(data, index_backend="bitset")
-    executor = NetShardExecutor(num_shards=2, index_backend="bitset")
+    executor = ShardPool(num_shards=2, index_backend="bitset")
     try:
         expected = engine.count(query)
         assert executor.run(engine, query).embeddings == expected
@@ -243,7 +243,7 @@ def test_mid_job_local_worker_loss_respawns_and_requeues(
     SchedulerError — see test_mid_level_disconnect_raises_cleanly."""
     data, query = workload_instances[0]
     engine = HGMatch(data, index_backend="bitset")
-    executor = NetShardExecutor(num_shards=2, index_backend="bitset")
+    executor = ShardPool(num_shards=2, index_backend="bitset")
     try:
         expected = engine.count(query)
         assert executor.run(engine, query).embeddings == expected
@@ -272,7 +272,7 @@ def test_mid_job_worker_loss_after_rebalance_restores_layout(
     is requeued — otherwise its rows would drift."""
     data, query = workload_instances[0]
     engine = HGMatch(data, index_backend="bitset")
-    executor = NetShardExecutor(num_shards=2, index_backend="bitset")
+    executor = ShardPool(num_shards=2, index_backend="bitset")
     try:
         expected = engine.count(query)
         first = executor.run(engine, query)
@@ -324,7 +324,7 @@ def test_mid_level_disconnect_raises_cleanly(workload_instances):
     thread = threading.Thread(target=flaky_worker, daemon=True)
     thread.start()
     engine = HGMatch(data, index_backend="merge")
-    executor = NetShardExecutor(addresses=[address], index_backend="merge")
+    executor = ShardPool(addresses=[address], index_backend="merge")
     try:
         with pytest.raises(SchedulerError, match="disconnected mid-job"):
             executor.run(engine, query)
@@ -386,7 +386,7 @@ def test_malformed_descriptor_is_rejected_cleanly():
     data = Hypergraph(labels=["A", "A"], edges=[{0, 1}])
     query = Hypergraph(labels=["A", "A"], edges=[{0, 1}])
     engine = HGMatch(data, index_backend="merge")
-    executor = NetShardExecutor(addresses=[address], index_backend="merge")
+    executor = ShardPool(addresses=[address], index_backend="merge")
     try:
         with pytest.raises(SchedulerError, match="malformed handshake"):
             executor.run(engine, query)
@@ -414,7 +414,7 @@ def test_non_hello_peer_is_rejected():
     data = Hypergraph(labels=["A", "A"], edges=[{0, 1}])
     query = Hypergraph(labels=["A", "A"], edges=[{0, 1}])
     engine = HGMatch(data, index_backend="merge")
-    executor = NetShardExecutor(addresses=[address], index_backend="merge")
+    executor = ShardPool(addresses=[address], index_backend="merge")
     try:
         with pytest.raises(SchedulerError, match="before HELLO"):
             executor.run(engine, query)
@@ -442,7 +442,7 @@ def test_worker_survives_garbage_frames(workload_instances):
             assert kind == transport.MSG_HELLO
             sock.sendall(b"\x06\x00\x00\x00\xff\xff140282")
         # Session 2: a real coordinator still gets served.
-        executor = NetShardExecutor(addresses=[address], index_backend="merge")
+        executor = ShardPool(addresses=[address], index_backend="merge")
         try:
             assert executor.run(engine, query).embeddings == engine.count(
                 query
@@ -517,7 +517,7 @@ def test_truncated_accounting_tail_is_a_typed_failure(
     with a typed SchedulerError; the next run rebuilds it."""
     data, query = workload_instances[0]
     engine = HGMatch(data, index_backend="bitset")
-    executor = NetShardExecutor(num_shards=2, index_backend="bitset")
+    executor = ShardPool(num_shards=2, index_backend="bitset")
     try:
         expected = engine.count(query)
         assert executor.run(engine, query).embeddings == expected
@@ -553,29 +553,29 @@ def test_truncated_accounting_tail_is_a_typed_failure(
         engine.close()
 
 
-def test_engine_net_executor_lifecycle(workload_instances):
+def test_engine_pool_lifecycle(workload_instances):
     data, query = workload_instances[0]
     engine = HGMatch(data, index_backend="bitset", shards=2)
     try:
-        executor = engine.net_executor()
+        executor = engine.pool()
         assert engine.count(query, executor="sockets") == engine.count(query)
         # Same coordinator object serves the next query.
-        assert engine.net_executor() is executor
+        assert engine.pool() is executor
         # A different shard count rebuilds.
-        other = engine.net_executor(3)
+        other = engine.pool(3)
         assert other is not executor
         assert other.num_shards == 3
         # Host-pinned executors refuse conflicting shard counts.
         cluster = spawn_local_cluster(data, 2, index_backend="bitset")
         try:
-            pinned = engine.net_executor(hosts=cluster.addresses)
+            pinned = engine.pool(hosts=cluster.addresses)
             assert pinned.addresses is not None
-            assert engine.net_executor() is pinned
+            assert engine.pool() is pinned
             assert engine.count(query, executor="sockets") == engine.count(
                 query
             )
             with pytest.raises(QueryError):
-                engine.net_executor(5)
+                engine.pool(5)
         finally:
             cluster.close()
     finally:
@@ -584,11 +584,11 @@ def test_engine_net_executor_lifecycle(workload_instances):
 
 def test_invalid_configuration():
     with pytest.raises(SchedulerError):
-        NetShardExecutor()
+        ShardPool()
     with pytest.raises(SchedulerError):
-        NetShardExecutor(num_shards=0)
+        ShardPool(num_shards=0)
     with pytest.raises(SchedulerError):
-        NetShardExecutor(addresses=[("h", 1)], num_shards=2)
+        ShardPool(addresses=[("h", 1)], num_shards=2)
     with pytest.raises(SchedulerError):
         spawn_local_cluster(
             Hypergraph(labels=["A", "A"], edges=[{0, 1}]), 0
@@ -610,8 +610,8 @@ def test_results_are_reproducible_across_runs(workload_instances):
     data, query = workload_instances[1]
     engine = HGMatch(data, index_backend="adaptive", shards=2)
     try:
-        first = engine.net_executor().run(engine, query)
-        second = engine.net_executor().run(engine, query)
+        first = engine.pool().run(engine, query)
+        second = engine.pool().run(engine, query)
         assert first.embeddings == second.embeddings
         assert first.counters.as_row() == second.counters.as_row()
         assert [s.payload_bytes for s in first.worker_stats] == [
@@ -631,7 +631,7 @@ def test_replicated_local_pool_counts_match(workload_instances):
     unreplicated run (spares receive the JOB but answer no level)."""
     data, query = workload_instances[0]
     engine = HGMatch(data, index_backend="bitset", shards=2)
-    executor = NetShardExecutor(
+    executor = ShardPool(
         num_shards=2, num_replicas=2, index_backend="bitset"
     )
     try:
@@ -664,7 +664,7 @@ def test_replicated_addresses_mode_tolerates_dead_replica(
         # Kill shard 1's replica 1: the pool still has a live replica
         # of every range and must compose exact counts.
         cluster.kill_member(1, 1)
-        executor = NetShardExecutor(
+        executor = ShardPool(
             addresses=list(cluster.addresses),
             num_replicas=2,
             index_backend="merge",
@@ -676,7 +676,7 @@ def test_replicated_addresses_mode_tolerates_dead_replica(
         # Kill shard 0 entirely: zero live replicas -> clean refusal.
         cluster.kill_member(0, 0)
         cluster.kill_member(0, 1)
-        executor = NetShardExecutor(
+        executor = ShardPool(
             addresses=list(cluster.addresses),
             num_replicas=2,
             index_backend="merge",
@@ -704,7 +704,7 @@ def test_replica_arithmetic_mismatch(workload_instances):
         target=worker.serve_forever, kwargs={"max_sessions": 1}, daemon=True
     )
     thread.start()
-    executor = NetShardExecutor(addresses=[address], index_backend="merge")
+    executor = ShardPool(addresses=[address], index_backend="merge")
     try:
         with pytest.raises(SchedulerError, match="replica arithmetic"):
             executor.run(engine, query)
@@ -736,7 +736,7 @@ def test_duplicate_replica_identity_rejected(workload_instances):
         )
         thread.start()
         threads.append(thread)
-    executor = NetShardExecutor(
+    executor = ShardPool(
         addresses=addresses, num_replicas=2, index_backend="merge"
     )
     try:
@@ -758,10 +758,10 @@ def test_io_timeout_is_configurable(monkeypatch):
     assert default_io_timeout() == DEFAULT_IO_TIMEOUT
     monkeypatch.setenv("REPRO_NET_TIMEOUT", "7.5")
     assert default_io_timeout() == 7.5
-    executor = NetShardExecutor(num_shards=1)
+    executor = ShardPool(num_shards=1)
     assert executor.io_timeout == 7.5
     executor.close()
-    executor = NetShardExecutor(num_shards=1, io_timeout=1.25)
+    executor = ShardPool(num_shards=1, io_timeout=1.25)
     assert executor.io_timeout == 1.25
     executor.close()
     # Garbage is refused at parse time with a *TransportError* naming
@@ -797,9 +797,9 @@ def test_retry_policy_is_bounded_and_reproducible():
 
 def test_invalid_replica_configuration():
     with pytest.raises(SchedulerError):
-        NetShardExecutor(num_shards=2, num_replicas=0)
+        ShardPool(num_shards=2, num_replicas=0)
     with pytest.raises(SchedulerError, match="divide"):
-        NetShardExecutor(
+        ShardPool(
             addresses=[("h", 1), ("h", 2), ("h", 3)], num_replicas=2
         )
     with pytest.raises(SchedulerError):
@@ -830,10 +830,10 @@ def test_retry_knobs_are_configurable(monkeypatch):
     assert policy.attempts == 7
     assert policy.base_delay == 0.25
     # A configured executor adopts the env policy; the kwarg wins.
-    executor = NetShardExecutor(num_shards=1)
+    executor = ShardPool(num_shards=1)
     assert executor.retry.attempts == 7
     executor.close()
-    pinned = NetShardExecutor(num_shards=1, retry=RetryPolicy(attempts=2))
+    pinned = ShardPool(num_shards=1, retry=RetryPolicy(attempts=2))
     assert pinned.retry.attempts == 2
     pinned.close()
     # A backoff larger than the default ceiling raises the ceiling too
@@ -868,12 +868,12 @@ def test_close_is_idempotent_in_every_lifecycle_state(workload_instances):
     the first close — no exception, no leaked cluster."""
     data, query = workload_instances[0]
     # Never used: no pool, no cluster.
-    executor = NetShardExecutor(num_shards=2)
+    executor = ShardPool(num_shards=2)
     executor.close()
     executor.close()
     # After a job: the second close finds everything already released.
     engine = HGMatch(data, index_backend="bitset")
-    executor = NetShardExecutor(num_shards=2, index_backend="bitset")
+    executor = ShardPool(num_shards=2, index_backend="bitset")
     try:
         executor.run(engine, query)
     finally:
@@ -896,7 +896,7 @@ def test_close_after_refused_handshake_releases_everything(
     cluster = spawn_local_cluster(data, 2, index_backend="merge")
     mismatched = HGMatch(data, index_backend="bitset")
     engine = HGMatch(data, index_backend="merge")
-    executor = NetShardExecutor(
+    executor = ShardPool(
         addresses=list(cluster.addresses), index_backend="bitset"
     )
     try:
@@ -906,7 +906,7 @@ def test_close_after_refused_handshake_releases_everything(
         executor.close()
         executor.close()
         # The refused workers are intact: a matching coordinator works.
-        good = NetShardExecutor(
+        good = ShardPool(
             addresses=list(cluster.addresses), index_backend="merge"
         )
         try:

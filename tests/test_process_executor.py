@@ -17,7 +17,7 @@ from repro import HGMatch, Hypergraph
 from repro.core.counters import MatchCounters
 from repro.errors import QueryError, SchedulerError, TimeoutExceeded
 from repro.hypergraph import INDEX_BACKENDS
-from repro.parallel import ProcessShardExecutor
+from repro.parallel import ShardPool
 from repro.testing import make_random_instance
 
 
@@ -94,7 +94,7 @@ def test_mask_backends_ship_masks_not_edge_lists(workload_instances, backend):
         assert dense[0] in (_WIRE_MASK, _WIRE_CHUNKS)
 
     engine = HGMatch(data, index_backend=backend)
-    executor = ProcessShardExecutor(2, index_backend=backend)
+    executor = ShardPool(num_shards=2, index_backend=backend)
     try:
         result = executor.run(engine, query)
         assert result.embeddings == engine.count(query)
@@ -110,17 +110,17 @@ def test_pool_persists_across_queries(workload_instances):
     data, first_query = workload_instances[0]
     engine = HGMatch(data, index_backend="bitset", shards=2)
     try:
-        executor = engine.shard_executor()
+        executor = engine.pool()
         assert engine.count(first_query, executor="processes") == engine.count(
             first_query
         )
         # Same pool object serves the next query against the same data.
-        assert engine.shard_executor() is executor
+        assert engine.pool() is executor
         assert engine.count(first_query, executor="processes") == engine.count(
             first_query
         )
         # Asking for a different shard count rebuilds the pool.
-        other = engine.shard_executor(3)
+        other = engine.pool(3)
         assert other is not executor
         assert other.num_shards == 3
     finally:
@@ -131,8 +131,8 @@ def test_results_are_reproducible_across_runs(workload_instances):
     data, query = workload_instances[1]
     engine = HGMatch(data, index_backend="adaptive", shards=2)
     try:
-        first = engine.shard_executor().run(engine, query)
-        second = engine.shard_executor().run(engine, query)
+        first = engine.pool().run(engine, query)
+        second = engine.pool().run(engine, query)
         assert first.embeddings == second.embeddings
         assert first.counters.as_row() == second.counters.as_row()
         assert [s.payload_bytes for s in first.worker_stats] == [
@@ -145,7 +145,7 @@ def test_results_are_reproducible_across_runs(workload_instances):
 def test_backend_mismatch_is_rejected(workload_instances):
     data, query = workload_instances[0]
     engine = HGMatch(data, index_backend="merge")
-    executor = ProcessShardExecutor(2, index_backend="bitset")
+    executor = ShardPool(num_shards=2, index_backend="bitset")
     try:
         with pytest.raises(SchedulerError):
             executor.run(engine, query)
@@ -165,7 +165,7 @@ def test_invalid_executor_and_shards():
     with pytest.raises(QueryError):
         HGMatch(data, shards=0)
     with pytest.raises(SchedulerError):
-        ProcessShardExecutor(0)
+        ShardPool(num_shards=0)
 
 
 def test_single_step_query(fig1_data):
@@ -190,7 +190,7 @@ def test_workers_names_parallelism_when_shards_unset(workload_instances):
         assert (
             engine.count(query, workers=3, executor="processes") == expected
         )
-        assert engine._shard_executor.num_shards == 3
+        assert engine._pool.num_shards == 3
     finally:
         engine.close()
 
@@ -213,7 +213,7 @@ def test_dead_worker_recovers_between_jobs_and_mid_job(
     and a pool the next run rebuilds."""
     data, query = workload_instances[0]
     engine = HGMatch(data, index_backend="bitset")
-    executor = ProcessShardExecutor(2, index_backend="bitset")
+    executor = ShardPool(num_shards=2, index_backend="bitset")
     try:
         expected = engine.count(query)
         assert executor.run(engine, query).embeddings == expected
@@ -251,10 +251,10 @@ def test_processes_and_hostless_sockets_share_one_pool(workload_instances):
     try:
         expected = engine.count(query)
         assert engine.count(query, executor="processes") == expected
-        pool = engine.shard_executor()
+        pool = engine.pool()
         pids = [process.pid for process in pool._cluster.processes]
         assert engine.count(query, executor="sockets") == expected
-        assert engine.net_executor() is pool
+        assert engine.pool() is pool
         assert [p.pid for p in pool._cluster.processes] == pids
         processes = list(pool._cluster.processes)
     finally:
@@ -272,7 +272,7 @@ def test_solo_job_on_a_stale_worker_is_refused(workload_instances):
 
     data, query = workload_instances[0]
     engine = HGMatch(data, index_backend="bitset")
-    executor = ProcessShardExecutor(2, index_backend="bitset")
+    executor = ShardPool(num_shards=2, index_backend="bitset")
     try:
         assert executor.run(engine, query).embeddings == engine.count(query)
         batch = random_mutation_schedule(random.Random(5), data, steps=1)[0]
@@ -306,8 +306,8 @@ def test_spawn_start_method(workload_instances):
     interpreter, everything crossing as pickles)."""
     data, query = workload_instances[0]
     engine = HGMatch(data, index_backend="bitset")
-    executor = ProcessShardExecutor(
-        2, index_backend="bitset", start_method="spawn"
+    executor = ShardPool(
+        num_shards=2, index_backend="bitset", start_method="spawn"
     )
     try:
         assert executor.run(engine, query).embeddings == engine.count(query)

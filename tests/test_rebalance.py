@@ -21,8 +21,7 @@ from repro.core.counters import MatchCounters
 from repro.errors import SchedulerError
 from repro.hypergraph import INDEX_BACKENDS
 from repro.parallel import (
-    NetShardExecutor,
-    ProcessShardExecutor,
+    ShardPool,
     load_imbalance,
     spawn_local_cluster,
     worker_loads,
@@ -50,8 +49,8 @@ def test_process_parity_balanced_and_after_rebalance(
     simulated, for every backend, with the funnel counters exact."""
     for data, query in workload_instances[:2]:
         engine = HGMatch(data, index_backend=backend, sharding="balanced")
-        executor = ProcessShardExecutor(
-            3, index_backend=backend, sharding="balanced"
+        executor = ShardPool(
+            num_shards=3, index_backend=backend, sharding="balanced"
         )
         try:
             sequential = MatchCounters()
@@ -83,7 +82,7 @@ def test_socket_parity_balanced_and_after_rebalance(
     """sockets × {balanced, rebalanced} == sequential, every backend."""
     data, query = workload_instances[0]
     engine = HGMatch(data, index_backend=backend)
-    executor = NetShardExecutor(
+    executor = ShardPool(
         num_shards=2, index_backend=backend, sharding="balanced"
     )
     try:
@@ -107,9 +106,9 @@ def test_engine_plumbs_sharding_to_both_executors(workload_instances):
     try:
         expected = engine.count(query)
         assert engine.count(query, executor="processes") == expected
-        assert engine.shard_executor().sharding == "balanced"
+        assert engine.pool().sharding == "balanced"
         assert engine.count(query, executor="sockets") == expected
-        assert engine.net_executor().sharding == "balanced"
+        assert engine.pool().sharding == "balanced"
     finally:
         engine.close()
 
@@ -119,7 +118,7 @@ def test_rebalance_rebuilds_only_moved_shards(workload_instances):
     num_shards shards and the pool keeps serving."""
     data, query = workload_instances[0]
     engine = HGMatch(data, index_backend="bitset")
-    executor = ProcessShardExecutor(3, index_backend="bitset")
+    executor = ShardPool(num_shards=3, index_backend="bitset")
     try:
         expected = engine.count(query)
         result = executor.run(engine, query)
@@ -154,7 +153,7 @@ def test_rebalance_relabels_unmoved_workers_too(workload_instances):
     data, query = workload_instances[0]
     engine = HGMatch(data, index_backend="merge")
     cluster = spawn_local_cluster(data, 3, index_backend="merge")
-    executor = NetShardExecutor(
+    executor = ShardPool(
         addresses=cluster.addresses, index_backend="merge"
     )
     try:
@@ -181,10 +180,10 @@ def test_rebalance_relabels_unmoved_workers_too(workload_instances):
 
 
 def test_rebalance_requires_live_pool():
-    executor = ProcessShardExecutor(2, index_backend="merge")
+    executor = ShardPool(num_shards=2, index_backend="merge")
     with pytest.raises(SchedulerError, match="no live pool"):
         executor.rebalance([])
-    net = NetShardExecutor(num_shards=2, index_backend="merge")
+    net = ShardPool(num_shards=2, index_backend="merge")
     with pytest.raises(SchedulerError, match="no live pool"):
         net.rebalance([])
 
@@ -197,7 +196,7 @@ def test_handshake_refuses_placement_mismatch(workload_instances):
     cluster = spawn_local_cluster(
         data, 2, index_backend="merge", sharding="balanced"
     )
-    executor = NetShardExecutor(
+    executor = ShardPool(
         addresses=cluster.addresses, index_backend="merge"
     )
     try:
@@ -212,7 +211,7 @@ def test_handshake_refuses_placement_mismatch(workload_instances):
 def test_worker_stats_record_cpu_time(workload_instances):
     data, query = workload_instances[0]
     engine = HGMatch(data, index_backend="bitset")
-    executor = ProcessShardExecutor(2, index_backend="bitset")
+    executor = ShardPool(num_shards=2, index_backend="bitset")
     try:
         result = executor.run(engine, query)
         assert any(s.cpu_time > 0 for s in result.worker_stats)

@@ -8,7 +8,7 @@ garbage evicts with a protocol-error reason, a re-announced identity
 supersedes the stale record (latest wins), and eviction records feed
 pollers through a monotone cursor.  The integration half proves the
 real pipeline: ``spawn_local_cluster(announce=...)`` populates the
-registry and ``NetShardExecutor.from_registry`` composes a pool from
+registry and ``ShardPool.from_registry`` composes a pool from
 it with counts bit-identical to an address-configured run.
 """
 
@@ -25,7 +25,7 @@ from repro.errors import SchedulerError
 from repro.hypergraph import ShardDescriptor
 from repro.parallel import (
     Announcer,
-    NetShardExecutor,
+    ShardPool,
     WorkerRegistry,
     spawn_local_cluster,
     transport,
@@ -319,7 +319,7 @@ def test_cluster_announces_and_from_registry_composes(instance):
             data, 2, index_backend="bitset",
             announce=registry.address, heartbeat_interval=INTERVAL,
         )
-        executor = NetShardExecutor.from_registry(
+        executor = ShardPool.from_registry(
             registry, 2, index_backend="bitset", wait_timeout=15.0,
         )
         try:

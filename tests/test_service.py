@@ -16,6 +16,7 @@ from __future__ import annotations
 import asyncio
 import io
 import json
+import multiprocessing
 import random
 import socket
 import threading
@@ -26,22 +27,22 @@ import pytest
 from repro import HGMatch
 from repro.errors import (
     QueryCancelled,
+    QueryError,
     ReproError,
     SchedulerError,
     ServiceBusy,
     TimeoutExceeded,
 )
-from repro.hypergraph import INDEX_BACKENDS
+from repro.hypergraph import INDEX_BACKENDS, MutationBatch
 from repro.hypergraph.io import dump_native, parse_native
 from repro.hypergraph.sampling import QuerySetting, sample_query
-from repro.parallel import NetShardExecutor
+from repro.parallel import ShardPool
 from repro.parallel.chaos import FaultPlan
 from repro.parallel.level_sync import run_level_synchronous
 from repro.service import (
     MatchClient,
     MatchDaemon,
     MatchService,
-    MuxShardPool,
     QueryChannel,
     graph_fingerprint,
     query_fingerprint,
@@ -155,12 +156,12 @@ def test_solo_job_and_service_channel_dispatch_the_same_frames(
     service_instance, backend
 ):
     """The inverse of the gate above: a solo job is the one-query case
-    of the multiplexed pool, so ``NetShardExecutor.run`` and a
+    of the multiplexed pool, so ``ShardPool.run`` and a
     ``QueryChannel`` on a service's pool put the same number of frames
     on the wire for the same query — and count the same."""
     data, queries, expected = service_instance
     engine = HGMatch(data, index_backend=backend)
-    executor = NetShardExecutor(num_shards=2, index_backend=backend)
+    executor = ShardPool(num_shards=2, index_backend=backend)
     service = MatchService(engine, shards=2, cache_capacity=0)
     try:
         for index, query in enumerate(queries):
@@ -193,7 +194,7 @@ def test_channel_plugs_into_the_executor_surface(service_instance):
     contract on its own (no service on top)."""
     data, queries, expected = service_instance
     engine = HGMatch(data, index_backend="bitset")
-    pool = MuxShardPool(num_shards=2, index_backend="bitset")
+    pool = ShardPool(num_shards=2, index_backend="bitset")
     try:
         result = run_level_synchronous(
             QueryChannel(pool), engine, queries[0]
@@ -234,7 +235,7 @@ def test_garbled_error_report_fails_the_query_not_the_pump(
 
     data, queries, expected = service_instance
     engine = HGMatch(data, index_backend="bitset")
-    pool = MuxShardPool(num_shards=2, index_backend="bitset")
+    pool = ShardPool(num_shards=2, index_backend="bitset")
     try:
         pool.ensure_open(engine)  # fork the workers before patching
         armed = _rewrite_next_reply(
@@ -266,7 +267,7 @@ def test_truncated_accounting_tail_is_a_typed_failure(
 
     data, queries, expected = service_instance
     engine = HGMatch(data, index_backend="bitset")
-    pool = MuxShardPool(num_shards=2, index_backend="bitset")
+    pool = ShardPool(num_shards=2, index_backend="bitset")
     try:
         pool.ensure_open(engine)
         _rewrite_next_reply(
@@ -559,6 +560,94 @@ def test_engine_owns_a_persistent_match_service(service_instance):
         engine.close()  # idempotent, service included
     with pytest.raises(SchedulerError, match="closed"):
         rebuilt.submit(queries[0])
+
+
+def test_match_service_refuses_to_change_a_live_services_settings(
+    service_instance,
+):
+    """``match_service()`` hands out the live service only as what it
+    is: asking for another cache size, depth, concurrency, deadline or
+    fault plan used to return the old service silently; rebuilding
+    would silently drop its cache and standing registrations.  The
+    refusal names the setting and leaves the service answering."""
+    data, queries, expected = service_instance
+    engine = HGMatch(data, index_backend="bitset")
+    try:
+        service = engine.match_service(shards=2)
+        for setting, value in (
+            ("cache_capacity", 0),
+            ("queue_depth", 3),
+            ("max_concurrent", 2),
+            ("default_deadline", 5.0),
+            ("chaos", FaultPlan()),
+        ):
+            with pytest.raises(QueryError, match=setting):
+                engine.match_service(shards=2, **{setting: value})
+        assert engine.match_service(shards=2) is service
+        assert (
+            service.match(queries[0]).embeddings == expected["bitset"][0]
+        )
+    finally:
+        engine.close()
+
+
+def test_engine_holds_one_pool(service_instance):
+    """One pool per engine: the service's pool *is* the engine's, so a
+    served 2-shard engine answers ``service.match`` and both solo
+    spellings on the same two worker processes, a commit sends one
+    MUTATE per worker, a conflicting layout is refused without
+    disturbing the service, and ``close()`` leaves nothing running."""
+    data, queries, expected = service_instance
+    before = set(multiprocessing.active_children())
+
+    def workers():
+        return sorted(
+            child.pid for child in multiprocessing.active_children()
+            if child not in before
+        )
+
+    engine = HGMatch(data, index_backend="bitset", shards=2)
+    service = MatchService(engine, shards=2, cache_capacity=0)
+    try:
+        assert engine.pool() is service.pool
+        assert (
+            service.match(queries[0]).embeddings == expected["bitset"][0]
+        )
+        pids = workers()
+        assert len(pids) == 2
+        for spelling in ("processes", "sockets"):
+            assert (
+                engine.count(queries[1], executor=spelling)
+                == expected["bitset"][1]
+            )
+            assert workers() == pids
+        frames = service.pool.dispatched_frames
+        victim = next(engine.match(queries[0])).edge_ids[0]
+        engine.apply_mutations(MutationBatch(deletes=[victim]))
+        assert service.pool.dispatched_frames - frames == 2
+        with pytest.raises(QueryError, match="held by its match service"):
+            engine.count(queries[0], executor="processes", shards=3)
+        with pytest.raises(QueryError, match="held by its match service"):
+            engine.pool(hosts=[("127.0.0.1", 1)])
+        with pytest.raises(SchedulerError, match="already has a live"):
+            MatchService(engine, shards=2)
+        assert engine.pool() is service.pool
+        assert (
+            service.match(queries[0]).embeddings
+            == engine.count(queries[0], executor="sockets")
+            == engine.count(queries[0])
+            < expected["bitset"][0]
+        )
+        assert workers() == pids
+        service.close()  # releases the slot: the next solo job is on its own
+        assert workers() == []
+        assert engine.count(queries[0], executor="processes") == engine.count(
+            queries[0]
+        )
+        assert engine.pool() is not service.pool and len(workers()) == 2
+    finally:
+        engine.close()
+    assert workers() == []
 
 
 def test_drain_refuses_new_work_and_shuts_down(service_instance):

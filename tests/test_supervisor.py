@@ -19,7 +19,7 @@ import pytest
 from repro import HGMatch
 from repro.errors import SchedulerError
 from repro.parallel import (
-    NetShardExecutor,
+    ShardPool,
     WorkerRegistry,
     WorkerSupervisor,
 )
@@ -86,7 +86,7 @@ def test_restart_restores_parity(instance):
         }
         assert status[(0, 0)].state == "running"
         assert status[(0, 0)].restarts == 1
-        executor = NetShardExecutor(
+        executor = ShardPool(
             addresses=supervisor.addresses, index_backend="bitset",
         )
         try:
