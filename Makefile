@@ -8,7 +8,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 	test-elastic test-service test-mutation test-durability \
 	bench-smoke bench-index bench-sharding bench-skew \
 	bench-chaos bench-elastic bench-service bench-mutation \
-	bench-durability bench-e2e bench-e2e-smoke docs-check lint-imports
+	bench-durability bench-e2e bench-e2e-smoke docs-check lint-imports loc
 
 ## Tier-1 verification: the whole test suite, stop on first failure.
 ## Honours REPRO_INDEX_BACKEND (merge/bitset/adaptive; unset = bitset).
@@ -168,3 +168,7 @@ docs-check:
 ## imports baselines/bench/dataflow/joins.
 lint-imports:
 	$(PYTHON) tools/lint_imports.py
+
+## Source size: the `src/` line count ROADMAP and CHANGES.md quote.
+loc:
+	@find src -name '*.py' | xargs cat | wc -l

@@ -40,7 +40,6 @@ from .hypergraph import (
     MutationBatch,
     MutationResult,
     PartitionedStore,
-    ShardedStore,
     dataset_statistics,
     sample_queries,
     sample_query,
@@ -55,7 +54,6 @@ __all__ = [
     "MutationBatch",
     "MutationResult",
     "PartitionedStore",
-    "ShardedStore",
     "HGMatch",
     "Embedding",
     "MatchCounters",

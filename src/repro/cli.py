@@ -687,15 +687,6 @@ def _cmd_serve_match(args, out) -> int:
     from .service import MatchService
     from .service.daemon import run_daemon
 
-    if args.shards < 1:
-        out.write("error: --shards must be >= 1\n")
-        return 1
-    if args.max_concurrent < 1:
-        out.write("error: --max-concurrent must be >= 1\n")
-        return 1
-    if args.queue_depth < 1:
-        out.write("error: --queue-depth must be >= 1\n")
-        return 1
     journal = None
     recovered = None
     journal_dir = args.journal_dir
@@ -717,46 +708,50 @@ def _cmd_serve_match(args, out) -> int:
         index_backend=args.index_backend,
         sharding=args.sharding,
     )
-    service = MatchService(
-        engine,
-        shards=args.shards,
-        max_concurrent=args.max_concurrent,
-        queue_depth=args.queue_depth,
-        cache_capacity=args.cache_capacity,
-        default_deadline=args.deadline,
-        journal=journal,
-    )
-    restored = service.restore_standing()
-    if recovered is not None:
-        out.write(
-            f"recovered graph at version {recovered.version} "
-            f"(snapshot {recovered.snapshot_version} + "
-            f"{recovered.replayed} replayed batch(es), "
-            f"{restored} standing quer(ies)) from {journal_dir}\n"
-        )
-
-    def ready(address) -> None:
-        host, port = address
-        out.write(
-            f"match service for {args.source} "
-            f"({engine.index_backend} backend, {args.shards} shards, "
-            f"depth {args.queue_depth}) on {host}:{port}\n"
-        )
-        if hasattr(out, "flush"):
-            out.flush()  # wrappers read the address line first
-
+    daemon = None
     try:
-        daemon = run_daemon(
-            service,
-            host=args.host,
-            port=args.port,
-            duration=args.duration,
-            drain_timeout=args.drain_timeout,
-            ready=ready,
+        # Inside the try: a constructor that refuses its arguments (the
+        # typed errors of MatchService and ShardPool, printed by main)
+        # must leave no worker and no journal handle behind either.
+        service = MatchService(
+            engine,
+            shards=args.shards,
+            max_concurrent=args.max_concurrent,
+            queue_depth=args.queue_depth,
+            cache_capacity=args.cache_capacity,
+            default_deadline=args.deadline,
+            journal=journal,
         )
-    except KeyboardInterrupt:  # pragma: no cover - interactive stop
-        service.drain(args.drain_timeout)
-        daemon = None
+        restored = service.restore_standing()
+        if recovered is not None:
+            out.write(
+                f"recovered graph at version {recovered.version} "
+                f"(snapshot {recovered.snapshot_version} + "
+                f"{recovered.replayed} replayed batch(es), "
+                f"{restored} standing quer(ies)) from {journal_dir}\n"
+            )
+
+        def ready(address) -> None:
+            host, port = address
+            out.write(
+                f"match service for {args.source} "
+                f"({engine.index_backend} backend, {args.shards} shards, "
+                f"depth {args.queue_depth}) on {host}:{port}\n"
+            )
+            if hasattr(out, "flush"):
+                out.flush()  # wrappers read the address line first
+
+        try:
+            daemon = run_daemon(
+                service,
+                host=args.host,
+                port=args.port,
+                duration=args.duration,
+                drain_timeout=args.drain_timeout,
+                ready=ready,
+            )
+        except KeyboardInterrupt:  # pragma: no cover - interactive stop
+            service.drain(args.drain_timeout)
     finally:
         engine.close()
     if daemon is not None:

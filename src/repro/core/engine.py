@@ -131,7 +131,8 @@ class HGMatch:
         preprocessing stage of Fig. 3.
     store:
         Optionally a prebuilt :class:`PartitionedStore` to share between
-        engines.
+        engines.  Shared means read: an engine's first mutation leaves
+        it for a private store of its own.
     index_backend:
         Posting-list representation for a store built here — ``"merge"``
         (sorted tuples), ``"bitset"`` (row-id bitmasks) or ``"adaptive"``
@@ -167,10 +168,11 @@ class HGMatch:
         from ..hypergraph.sharding import resolve_sharding  # lazy: cheap
 
         self.data = data
+        self._owns_store = store is None
         self.store = (
-            store
-            if store is not None
-            else PartitionedStore(data, index_backend=index_backend)
+            PartitionedStore(data, index_backend=index_backend)
+            if store is None
+            else store
         )
         self.shards = shards
         self.sharding = resolve_sharding(sharding)
@@ -631,28 +633,29 @@ class HGMatch:
     # Mutation (dynamic graphs)
     # ------------------------------------------------------------------
     def _apply_local(self, batch):
-        """Commit one mutation batch to the engine's own graph + store.
+        """Commit one mutation batch to the engine's own graph + store
+        through the one write path, :func:`~repro.hypergraph.dynamic.
+        apply_batch` (promotion on first use, apply, incremental index
+        maintenance).  The anchor-union memo caches posting unions of
+        the old rows; clearing it is mandatory, not an optimisation.
 
-        Promotes an immutable data graph to a
-        :class:`~repro.hypergraph.dynamic.DynamicHypergraph` on first
-        use (edge ids and row layouts are preserved, so the existing
-        store adopts the promoted graph without rebuilding), applies
-        the batch, and incrementally maintains every touched partition.
-        The anchor-union memo caches posting unions of the old rows;
-        clearing it is mandatory, not an optimisation.
+        A store the engine was *handed* may back other engines too
+        (``datasets.load_store`` caches one per process) whose graphs
+        would not learn of the new edge ids, so the first mutation
+        builds a private store of the same backend instead of writing
+        to the shared one.
 
         Internal: callers go through :meth:`apply_mutations`, which
         also propagates to the live pool and the match service.
         """
-        from ..hypergraph.dynamic import DynamicHypergraph  # lazy: cheap
+        from ..hypergraph.dynamic import apply_batch  # lazy: cheap
 
-        data = self.data
-        if not isinstance(data, DynamicHypergraph):
-            data = DynamicHypergraph.from_hypergraph(data)
-            self.data = data
-            self.store.adopt_graph(data)
-        result = data.apply(batch)
-        self.store.apply_mutation_result(result)
+        if not self._owns_store:
+            self.store = PartitionedStore(
+                self.data, index_backend=self.index_backend
+            )
+            self._owns_store = True
+        self.data, result = apply_batch(self.data, self.store, batch)
         self._anchor_memo.clear()
         return result
 

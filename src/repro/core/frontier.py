@@ -300,7 +300,7 @@ def scan_rows(
     # Observation V.5 on parents that are partial embeddings: each covers
     # len(key) + expected - arity vertices, so need_shared == len(key).
     need_shared = len(step_plan.shared_profile_key)
-    slot_vertices = getattr(graph, "slot_vertices", edge_of)
+    slot_vertices = graph.slot_vertices
     row_masks: "List[int] | None" = [0] * len(parents) if want_masks else None
     candidates = passed = accepted_total = 0
     for row, edge_id in enumerate(partition.row_ids):

@@ -13,8 +13,7 @@ from .dynamic import (
     EdgeMutation,
     MutationBatch,
     MutationResult,
-    group_live_edges_by_signature,
-    group_rows_by_signature,
+    apply_batch,
 )
 from .hypergraph import Hypergraph, HypergraphBuilder
 from .index import (
@@ -41,7 +40,6 @@ from .sharding import (
     RangeTable,
     ReplicaSet,
     ShardDescriptor,
-    ShardedStore,
     StoreShard,
     balanced_range_table,
     build_range_table,
@@ -50,7 +48,6 @@ from .sharding import (
     range_table_slices,
     rebalance_range_table,
     resolve_sharding,
-    shard_grouping,
     shard_ranges,
     uniform_range_table,
     weighted_shard_ranges,
@@ -85,10 +82,8 @@ __all__ = [
     "EdgeMutation",
     "MutationBatch",
     "MutationResult",
-    "group_live_edges_by_signature",
-    "group_rows_by_signature",
+    "apply_batch",
     "mutate_range_table",
-    "shard_grouping",
     "MutationJournal",
     "RecoveredState",
     "Hypergraph",
@@ -113,7 +108,6 @@ __all__ = [
     "PartitionedStore",
     "ReplicaSet",
     "ShardDescriptor",
-    "ShardedStore",
     "StoreShard",
     "SHARDING_MODES",
     "RangeTable",

@@ -1,9 +1,11 @@
 """Mutable hypergraphs: edge insert/delete with stable row layouts.
 
-:class:`DynamicHypergraph` duck-types the full read interface of the
-immutable :class:`~repro.hypergraph.hypergraph.Hypergraph` — every
-consumer of a data graph (stores, shards, engines, executors) works on
-either without change — and adds a transactional mutation interface:
+:class:`DynamicHypergraph` *is a*
+:class:`~repro.hypergraph.hypergraph.Hypergraph` — it inherits the read
+interface and the row-layout protocol, overriding only the accessors a
+tombstone changes, so every consumer of a data graph (stores, shards,
+engines, executors) works on either without telling them apart — and
+adds a transactional mutation interface:
 
 * :meth:`DynamicHypergraph.apply` commits one :class:`MutationBatch`
   (edge deletes, vertex adds, edge inserts — in that order), bumps the
@@ -36,21 +38,15 @@ reflect only the **live** edges — a mutated graph is indistinguishable,
 to every read-side consumer, from a fresh graph holding its live
 content (plus the tombstone rows that only the index layer ever sees
 through :meth:`rows_by_signature` / :meth:`is_live`).
+
+:func:`apply_batch` is the one write path: the engine, a shard worker's
+MUTATE frame and each batch of its CATCHUP replay all commit through it.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import (
-    Dict,
-    FrozenSet,
-    Iterable,
-    Iterator,
-    List,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
 
 from ..errors import HypergraphError
 from .hypergraph import Hypergraph
@@ -220,16 +216,18 @@ class MutationResult:
         )
 
 
-class DynamicHypergraph:
+class DynamicHypergraph(Hypergraph):
     """A mutable labelled hypergraph with the immutable read interface.
 
     Build one with :meth:`from_hypergraph` (preserving edge ids) or the
     :class:`~repro.hypergraph.hypergraph.Hypergraph` constructor
-    signature.  All read accessors report **live** state only; the
-    dynamic extras — :attr:`version`, :meth:`is_live`,
-    :meth:`live_edge_ids`, :meth:`rows_by_signature`, :attr:`num_slots`
-    — expose the tombstone-aware layout the index layer maintains
-    against.  Instances are picklable (workers receive a copy at spawn
+    signature.  The inherited state becomes mutable — lists where the
+    base class holds tuples, ``None`` in ``_edges`` for a tombstoned
+    slot, ``_signatures`` still naming the row each dead slot occupies —
+    and all read accessors report **live** state only; the row-layout
+    protocol (:attr:`version`, :meth:`is_live`, :meth:`live_edge_ids`,
+    :meth:`slot_vertices`, :attr:`num_slots`) is the base class's,
+    unchanged.  Instances are picklable (workers receive a copy at spawn
     and replay MUTATE batches to stay in lockstep).
     """
 
@@ -239,33 +237,33 @@ class DynamicHypergraph:
         edges: Iterable[Iterable[int]] = (),
         edge_labels: "Sequence[Label] | None" = None,
     ) -> None:
-        base = Hypergraph(labels, edges, edge_labels=edge_labels)
-        self._init_from(base)
+        self._copy_state(Hypergraph(labels, edges, edge_labels=edge_labels))
 
-    def _init_from(self, base: Hypergraph) -> None:
-        self._labels: List[Label] = list(base.labels)
-        self._slots: List["FrozenSet[int] | None"] = list(base.edges)
-        self._slot_signatures: List[Signature] = list(base.edge_signatures())
-        self._edge_labelled = base.is_edge_labelled
-        self._slot_labels: List["Label | None"] = [
-            base.edge_label(edge_id) for edge_id in range(base.num_edges)
-        ]
+    def _copy_state(self, graph: Hypergraph) -> None:
+        """Take a private, mutable copy of ``graph``'s slot state."""
+        self._labels: List[Label] = list(graph._labels)
+        self._edges: List["FrozenSet[int] | None"] = list(graph._edges)
+        self._signatures: List[Signature] = list(graph._signatures)
+        self._edge_labels: "List[Label] | None" = (
+            None if graph._edge_labels is None else list(graph._edge_labels)
+        )
         self._incidence: List[List[int]] = [
-            list(base.incident_edges(v)) for v in range(base.num_vertices)
+            list(edge_ids) for edge_ids in graph._incidence
         ]
-        self._edge_lookup: Dict[object, int] = {
-            self._lookup_key(edge, self._slot_labels[edge_id]): edge_id
-            for edge_id, edge in enumerate(self._slots)
-        }
-        self._rows: Dict[Signature, List[int]] = {}
-        for edge_id, signature in enumerate(self._slot_signatures):
-            self._rows.setdefault(signature, []).append(edge_id)
-        self._live = len(self._slots)
-        self.version = 0
-        self._history: List[Tuple[int, MutationBatch]] = []
+        self._edge_lookup: Dict[object, int] = dict(graph._edge_lookup)
+        # Maintained beside the slots: apply() locates a row without a
+        # scan, rows_by_signature() answers without regrouping.
+        self._rows: Dict[Signature, List[int]] = graph.rows_by_signature()
+        self._live = graph.num_edges
+        self.version = graph.version
+        self._history: List[Tuple[int, MutationBatch]] = (
+            list(graph._history)
+            if isinstance(graph, DynamicHypergraph)
+            else []
+        )
 
     @classmethod
-    def from_hypergraph(cls, graph: "Hypergraph | DynamicHypergraph") -> "DynamicHypergraph":
+    def from_hypergraph(cls, graph: Hypergraph) -> "DynamicHypergraph":
         """Promote ``graph`` to a dynamic one, preserving edge ids.
 
         A :class:`DynamicHypergraph` argument is deep-copied with its
@@ -275,25 +273,8 @@ class DynamicHypergraph:
         original.  Use :meth:`to_hypergraph` for a dense, tombstone-free
         snapshot instead.
         """
-        if isinstance(graph, DynamicHypergraph):
-            clone = cls.__new__(cls)
-            clone._labels = list(graph._labels)
-            clone._slots = list(graph._slots)
-            clone._slot_signatures = list(graph._slot_signatures)
-            clone._edge_labelled = graph._edge_labelled
-            clone._slot_labels = list(graph._slot_labels)
-            clone._incidence = [list(ids) for ids in graph._incidence]
-            clone._edge_lookup = dict(graph._edge_lookup)
-            clone._rows = {
-                signature: list(rows)
-                for signature, rows in graph._rows.items()
-            }
-            clone._live = graph._live
-            clone.version = graph.version
-            clone._history = list(graph._history)
-            return clone
         instance = cls.__new__(cls)
-        instance._init_from(graph)
+        instance._copy_state(graph)
         return instance
 
     @classmethod
@@ -334,87 +315,42 @@ class DynamicHypergraph:
             )
         instance = cls.__new__(cls)
         instance._labels = list(graph.labels)
-        instance._edge_labelled = graph.is_edge_labelled
         live_ids = [
             slot for slot in range(num_slots) if slot not in dead
         ]
-        instance._slots = [None] * num_slots
-        instance._slot_signatures = [None] * num_slots
-        instance._slot_labels = [None] * num_slots
+        instance._edges = [None] * num_slots
+        instance._signatures = [None] * num_slots
         for dense_id, slot in enumerate(live_ids):
-            instance._slots[slot] = graph.edges[dense_id]
-            instance._slot_signatures[slot] = graph.edge_signature(dense_id)
-            instance._slot_labels[slot] = graph.edge_label(dense_id)
+            instance._edges[slot] = graph.edges[dense_id]
+            instance._signatures[slot] = graph.edge_signature(dense_id)
         for slot, signature in dead.items():
-            instance._slot_signatures[slot] = signature
-            if instance._edge_labelled:
-                # The first signature component of an edge-labelled
-                # graph *is* the edge label (see :meth:`apply`).
-                instance._slot_labels[slot] = signature[0]
+            instance._signatures[slot] = signature
+        # The first signature component of an edge-labelled graph *is*
+        # the edge label (see :meth:`apply`), for dead slots too.
+        instance._edge_labels = (
+            [signature[0] for signature in instance._signatures]
+            if graph.is_edge_labelled
+            else None
+        )
         instance._incidence = [[] for _ in instance._labels]
         for slot in live_ids:
-            for vertex in instance._slots[slot]:
+            for vertex in instance._edges[slot]:
                 instance._incidence[vertex].append(slot)
         instance._edge_lookup = {
             instance._lookup_key(
-                instance._slots[slot], instance._slot_labels[slot]
+                instance._edges[slot], instance.edge_label(slot)
             ): slot
             for slot in live_ids
         }
-        instance._rows = {}
-        for slot in range(num_slots):
-            instance._rows.setdefault(
-                instance._slot_signatures[slot], []
-            ).append(slot)
+        instance._rows = Hypergraph.rows_by_signature(instance)
         instance._live = len(live_ids)
         instance.version = version
         instance._history = []
         return instance
 
     # ------------------------------------------------------------------
-    # Dynamic extras (the tombstone-aware layout)
-    # ------------------------------------------------------------------
-
-    @property
-    def num_slots(self) -> int:
-        """Allocated edge slots, live + tombstoned (= next edge id)."""
-        return len(self._slots)
-
-    def is_live(self, edge_id: int) -> bool:
-        """True when ``edge_id`` names a live (non-tombstoned) edge."""
-        return (
-            0 <= edge_id < len(self._slots)
-            and self._slots[edge_id] is not None
-        )
-
-    def live_edge_ids(self) -> Iterator[int]:
-        """Live edge ids in ascending order."""
-        return (
-            edge_id
-            for edge_id, edge in enumerate(self._slots)
-            if edge is not None
-        )
-
-    def rows_by_signature(self) -> Dict[Signature, List[int]]:
-        """The row layout: ALL slot ids per signature, ascending.
-
-        Tombstoned slots are included — this is the coordinate system
-        indexes, shards and wire masks agree on.  Returns fresh lists.
-        """
-        return {
-            signature: list(rows) for signature, rows in self._rows.items()
-        }
-
-    def slot_vertices(self, edge_id: int) -> "FrozenSet[int] | None":
-        """The slot's vertex set, or None for a tombstone."""
-        return self._slots[edge_id]
-
-    # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
-
-    def _lookup_key(self, vertices: FrozenSet[int], label: "Label | None"):
-        return vertices if not self._edge_labelled else (vertices, label)
 
     def apply(self, batch: MutationBatch) -> MutationResult:
         """Commit ``batch`` atomically; returns the located changes.
@@ -426,6 +362,7 @@ class DynamicHypergraph:
         unknown vertex, an empty insert, or an edge-label mismatch with
         the graph's labelled-ness.
         """
+        labelled = self._edge_labels is not None
         # -- validate everything up front --------------------------------
         seen_deletes: Set[int] = set()
         for edge_id in batch.deletes:
@@ -448,12 +385,12 @@ class DynamicHypergraph:
                         f"edge {list(vertices)} references unknown vertex "
                         f"{vertex}"
                     )
-            if self._edge_labelled and label is None:
+            if labelled and label is None:
                 raise HypergraphError(
                     "inserts into an edge-labelled hypergraph require an "
                     "edge label"
                 )
-            if not self._edge_labelled and label is not None:
+            if not labelled and label is not None:
                 raise HypergraphError(
                     "edge labels are not allowed on an unlabelled hypergraph"
                 )
@@ -466,18 +403,17 @@ class DynamicHypergraph:
         # -- deletes (tombstone in place: rows never shift) --------------
         deleted: List[EdgeMutation] = []
         for edge_id in batch.deletes:
-            vertices = self._slots[edge_id]
-            signature = self._slot_signatures[edge_id]
-            rows = self._rows[signature]
-            row = bisect_left(rows, edge_id)
+            vertices = self._edges[edge_id]
+            signature = self._signatures[edge_id]
+            row = bisect_left(self._rows[signature], edge_id)
             deleted.append(EdgeMutation(edge_id, signature, vertices, row))
             for vertex in vertices:
                 incidence = self._incidence[vertex]
                 del incidence[bisect_left(incidence, edge_id)]
             del self._edge_lookup[
-                self._lookup_key(vertices, self._slot_labels[edge_id])
+                self._lookup_key(vertices, self.edge_label(edge_id))
             ]
-            self._slots[edge_id] = None
+            self._edges[edge_id] = None
             self._live -= 1
 
         # -- inserts (fresh max ids: every structure appends) ------------
@@ -489,18 +425,13 @@ class DynamicHypergraph:
             if key in self._edge_lookup:
                 skipped.append((vertices, label))
                 continue
-            edge_id = len(self._slots)
-            if self._edge_labelled:
-                signature = (label,) + signature_of_labels(
-                    self._labels[v] for v in edge
-                )
-            else:
-                signature = signature_of_labels(
-                    self._labels[v] for v in edge
-                )
-            self._slots.append(edge)
-            self._slot_signatures.append(signature)
-            self._slot_labels.append(label)
+            edge_id = len(self._edges)
+            signature = signature_of_labels(self._labels[v] for v in edge)
+            if labelled:
+                signature = (label,) + signature
+                self._edge_labels.append(label)
+            self._edges.append(edge)
+            self._signatures.append(signature)
             for vertex in edge:
                 self._incidence[vertex].append(edge_id)
             self._edge_lookup[key] = edge_id
@@ -545,13 +476,16 @@ class DynamicHypergraph:
             return None
         return suffix
 
-    # ------------------------------------------------------------------
-    # Hypergraph read interface (live state only)
-    # ------------------------------------------------------------------
+    def rows_by_signature(self) -> Dict[Signature, List[int]]:
+        """As the base class's, from the maintained copy: a store build
+        over a mutated graph does not regroup every slot."""
+        return {
+            signature: list(rows) for signature, rows in self._rows.items()
+        }
 
-    @property
-    def num_vertices(self) -> int:
-        return len(self._labels)
+    # ------------------------------------------------------------------
+    # What tombstones change of the read interface (live state only)
+    # ------------------------------------------------------------------
 
     @property
     def num_edges(self) -> int:
@@ -569,142 +503,42 @@ class DynamicHypergraph:
         Positions here are *not* edge ids once anything was deleted;
         use :meth:`edge` for id-addressed access.
         """
-        return tuple(edge for edge in self._slots if edge is not None)
+        return tuple(edge for edge in self._edges if edge is not None)
 
-    def label(self, vertex: int) -> Label:
-        return self._labels[vertex]
-
-    def _live_slot(self, edge_id: int) -> FrozenSet[int]:
+    def edge(self, edge_id: int) -> FrozenSet[int]:
+        """As the base class's, refusing an unknown or tombstoned id —
+        the gate every id-addressed accessor below goes through."""
         try:
-            edge = self._slots[edge_id]
+            edge = self._edges[edge_id]
         except IndexError:
             raise HypergraphError(f"unknown edge id {edge_id}") from None
         if edge is None:
             raise HypergraphError(f"edge {edge_id} has been deleted")
         return edge
 
-    def edge(self, edge_id: int) -> FrozenSet[int]:
-        return self._live_slot(edge_id)
-
     def edge_signature(self, edge_id: int) -> Signature:
-        self._live_slot(edge_id)
-        return self._slot_signatures[edge_id]
+        self.edge(edge_id)
+        return self._signatures[edge_id]
 
     def edge_signatures(self) -> Tuple[Signature, ...]:
         """Signatures of live edges, ascending edge-id order."""
         return tuple(
-            self._slot_signatures[edge_id]
-            for edge_id, edge in enumerate(self._slots)
+            signature
+            for signature, edge in zip(self._signatures, self._edges)
             if edge is not None
         )
 
-    @property
-    def is_edge_labelled(self) -> bool:
-        return self._edge_labelled
-
     def edge_label(self, edge_id: int) -> "Label | None":
-        self._live_slot(edge_id)
-        return self._slot_labels[edge_id]
+        self.edge(edge_id)
+        if self._edge_labels is None:
+            return None
+        return self._edge_labels[edge_id]
 
-    def edge_id(
-        self, vertices: Iterable[int], label: "Label | None" = None
-    ) -> int:
-        edge = frozenset(vertices)
-        if self._edge_labelled and label is None:
-            raise HypergraphError(
-                "edge lookups on an edge-labelled hypergraph require the "
-                "edge label"
-            )
-        return self._edge_lookup[self._lookup_key(edge, label)]
-
-    def has_edge(
-        self, vertices: Iterable[int], label: "Label | None" = None
-    ) -> bool:
-        edge = frozenset(vertices)
-        if self._edge_labelled and label is None:
-            raise HypergraphError(
-                "edge lookups on an edge-labelled hypergraph require the "
-                "edge label"
-            )
-        return self._lookup_key(edge, label) in self._edge_lookup
+    def arity(self, edge_id: int) -> int:
+        return len(self.edge(edge_id))
 
     def incident_edges(self, vertex: int) -> Tuple[int, ...]:
         return tuple(self._incidence[vertex])
-
-    def degree(self, vertex: int) -> int:
-        return len(self._incidence[vertex])
-
-    def arity(self, edge_id: int) -> int:
-        return len(self._live_slot(edge_id))
-
-    def incident_edges_with_arity(
-        self, vertex: int, arity: int
-    ) -> Tuple[int, ...]:
-        return tuple(
-            edge_id
-            for edge_id in self._incidence[vertex]
-            if len(self._slots[edge_id]) == arity
-        )
-
-    def adjacent_vertices(self, vertex: int) -> FrozenSet[int]:
-        neighbours: Set[int] = set()
-        for edge_id in self._incidence[vertex]:
-            neighbours.update(self._slots[edge_id])
-        neighbours.discard(vertex)
-        return frozenset(neighbours)
-
-    def adjacent_edges(self, edge_id: int) -> FrozenSet[int]:
-        neighbours: Set[int] = set()
-        for vertex in self._live_slot(edge_id):
-            neighbours.update(self._incidence[vertex])
-        neighbours.discard(edge_id)
-        return frozenset(neighbours)
-
-    def average_arity(self) -> float:
-        if not self._live:
-            return 0.0
-        return (
-            sum(len(edge) for edge in self._slots if edge is not None)
-            / self._live
-        )
-
-    def max_arity(self) -> int:
-        if not self._live:
-            return 0
-        return max(
-            len(edge) for edge in self._slots if edge is not None
-        )
-
-    def label_alphabet(self) -> FrozenSet[Label]:
-        return frozenset(self._labels)
-
-    def is_connected(self) -> bool:
-        if self.num_vertices == 0:
-            return True
-        visited = {0}
-        frontier = [0]
-        while frontier:
-            vertex = frontier.pop()
-            for edge_id in self._incidence[vertex]:
-                for other in self._slots[edge_id]:
-                    if other not in visited:
-                        visited.add(other)
-                        frontier.append(other)
-        return len(visited) == self.num_vertices
-
-    def induced_by_edges(self, edge_ids: Iterable[int]) -> Hypergraph:
-        edge_ids = list(edge_ids)
-        slots = [self._live_slot(edge_id) for edge_id in edge_ids]
-        vertices = sorted({v for edge in slots for v in edge})
-        renumber = {old: new for new, old in enumerate(vertices)}
-        labels = [self._labels[old] for old in vertices]
-        edges = [[renumber[v] for v in edge] for edge in slots]
-        edge_labels = (
-            [self._slot_labels[edge_id] for edge_id in edge_ids]
-            if self._edge_labelled
-            else None
-        )
-        return Hypergraph(labels, edges, edge_labels=edge_labels)
 
     def to_hypergraph(self) -> Hypergraph:
         """Freeze the live content into an immutable graph.
@@ -713,52 +547,20 @@ class DynamicHypergraph:
         rebuild the differential oracle compares against, equivalent to
         re-loading the graph's native-text dump.
         """
-        live_labels = (
-            [
-                self._slot_labels[edge_id]
-                for edge_id, edge in enumerate(self._slots)
-                if edge is not None
-            ]
-            if self._edge_labelled
-            else None
-        )
+        live = list(self.live_edge_ids())
         return Hypergraph(
             self._labels,
-            [edge for edge in self._slots if edge is not None],
-            edge_labels=live_labels,
+            [self._edges[edge_id] for edge_id in live],
+            edge_labels=(
+                None
+                if self._edge_labels is None
+                else [self._edge_labels[edge_id] for edge_id in live]
+            ),
         )
 
     # ------------------------------------------------------------------
     # Dunder methods
     # ------------------------------------------------------------------
-
-    def __iter__(self) -> Iterator[FrozenSet[int]]:
-        return (edge for edge in self._slots if edge is not None)
-
-    def __len__(self) -> int:
-        return self._live
-
-    def _edge_identity(self) -> FrozenSet[object]:
-        if not self._edge_labelled:
-            return frozenset(
-                edge for edge in self._slots if edge is not None
-            )
-        return frozenset(
-            (edge, self._slot_labels[edge_id])
-            for edge_id, edge in enumerate(self._slots)
-            if edge is not None
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, (Hypergraph, DynamicHypergraph)):
-            return NotImplemented
-        return (
-            tuple(self._labels) == other.labels
-            and self._edge_identity() == other._edge_identity()
-        )
-
-    def __hash__(self) -> int:
-        return hash((tuple(self._labels), self._edge_identity()))
 
     def __getstate__(self):
         """Pickle without the catch-up history.
@@ -768,14 +570,13 @@ class DynamicHypergraph:
         catch-up, never a source, and the history can be the biggest
         part of a long-lived graph's footprint.
         """
-        state = dict(self.__dict__)
-        state["_history"] = []
+        state = {name: getattr(self, name) for name in Hypergraph.__slots__}
+        state.update(self.__dict__, _history=[])
         return state
 
     def __setstate__(self, state) -> None:
-        self.__dict__.update(state)
-        if "_history" not in state:  # pragma: no cover - older pickles
-            self._history = []
+        for name, value in state.items():
+            setattr(self, name, value)
 
     def __repr__(self) -> str:
         return (
@@ -785,31 +586,22 @@ class DynamicHypergraph:
         )
 
 
-def group_live_edges_by_signature(graph) -> Dict[Signature, List[int]]:
-    """Live edge ids grouped by signature, ascending within each group.
+def apply_batch(graph: Hypergraph, store, batch: MutationBatch):
+    """Commit ``batch`` to ``graph`` and the ``store`` built over it;
+    returns ``(graph, result)``.
 
-    Identical to :func:`repro.hypergraph.storage.group_edges_by_signature`
-    for immutable graphs; on a :class:`DynamicHypergraph` it skips
-    tombstones.  (Kept here to avoid an import cycle; the storage module
-    re-exports the canonical entry point.)
+    The one write path: a still-immutable ``graph`` is promoted first
+    (the only promotion outside snapshot recovery — edge ids and row
+    layouts are preserved, so ``store`` adopts the promoted graph
+    without rebuilding), then :meth:`DynamicHypergraph.apply` commits
+    and :meth:`~repro.hypergraph.storage.PartitionedStore.
+    apply_mutation_result` maintains every touched partition.  What a
+    caller caches *about* the store — anchor-union memos, open query
+    sessions — covers the old rows and is the caller's to clear.
     """
-    live = getattr(graph, "live_edge_ids", None)
-    edge_ids = live() if live is not None else range(graph.num_edges)
-    grouped: Dict[Signature, List[int]] = {}
-    for edge_id in edge_ids:
-        grouped.setdefault(graph.edge_signature(edge_id), []).append(edge_id)
-    return grouped
-
-
-def group_rows_by_signature(graph) -> Dict[Signature, List[int]]:
-    """The row layout: all edge slots per signature, ascending.
-
-    For an immutable :class:`Hypergraph` this equals the live grouping
-    (there are no tombstones); for a :class:`DynamicHypergraph` it
-    includes tombstoned slots, which hold their row so that later rows
-    never shift.  Shards cut ranges over THESE rows.
-    """
-    rows = getattr(graph, "rows_by_signature", None)
-    if rows is not None:
-        return rows()
-    return group_live_edges_by_signature(graph)
+    if not isinstance(graph, DynamicHypergraph):
+        graph = DynamicHypergraph.from_hypergraph(graph)
+        store.adopt_graph(graph)
+    result = graph.apply(batch)
+    store.apply_mutation_result(result)
+    return graph, result

@@ -16,6 +16,14 @@ every algorithm in the paper is phrased in terms of incident hyperedges.
 
 Use :class:`HypergraphBuilder` for incremental construction or the
 ``Hypergraph.from_edges`` convenience constructor for one-shot building.
+
+:class:`~repro.hypergraph.dynamic.DynamicHypergraph` extends this class
+with edge inserts and deletes.  Deleted edges leave *tombstoned slots*
+behind, so the class also answers the **row-layout protocol** the index
+layer is written against (:attr:`Hypergraph.version`,
+:meth:`~Hypergraph.rows_by_signature`, :meth:`~Hypergraph.slot_vertices`,
+:meth:`~Hypergraph.is_live`, …) — trivially here, where every slot is a
+live edge — and every consumer of a data graph calls it unconditionally.
 """
 
 from __future__ import annotations
@@ -65,6 +73,10 @@ class Hypergraph:
         "_signatures",
         "_edge_lookup",
     )
+
+    #: Mutation version: the number of committed batches, which for an
+    #: immutable graph is always 0.
+    version = 0
 
     def __init__(
         self,
@@ -223,6 +235,52 @@ class Hypergraph:
         return self._lookup_key(vertices, label) in self._edge_lookup
 
     # ------------------------------------------------------------------
+    # The row layout (what stores, shards and wire masks address)
+    # ------------------------------------------------------------------
+    @property
+    def num_slots(self) -> int:
+        """Allocated edge slots, live + tombstoned (= the next edge id)."""
+        return len(self._edges)
+
+    def slot_vertices(self, edge_id: int) -> "FrozenSet[int] | None":
+        """The slot's vertex set, or None for a tombstoned slot."""
+        return self._edges[edge_id]
+
+    def is_live(self, edge_id: int) -> bool:
+        """True when ``edge_id`` names a live (non-tombstoned) edge."""
+        return (
+            0 <= edge_id < len(self._edges)
+            and self._edges[edge_id] is not None
+        )
+
+    def live_edge_ids(self) -> Iterator[int]:
+        """Live edge ids in ascending order."""
+        return (
+            edge_id
+            for edge_id, edge in enumerate(self._edges)
+            if edge is not None
+        )
+
+    def rows_by_signature(self) -> Dict[Signature, List[int]]:
+        """The row layout: ALL slot ids per signature, ascending.
+
+        The one grouping every store, shard cut and coordinator check
+        builds from, which is what makes a shard's global row
+        coordinates (``row_base + local row``) line up with the whole
+        partition's rows.  Tombstoned slots are included — they hold
+        their row so that later rows never shift.  Returns fresh lists.
+        """
+        rows: Dict[Signature, List[int]] = {}
+        for edge_id, signature in enumerate(self._signatures):
+            rows.setdefault(signature, []).append(edge_id)
+        return rows
+
+    def batches_since(self, version: int) -> None:
+        """The committed batches after ``version``: an immutable graph
+        retains none, so a stale copy is caught up by snapshot."""
+        return None
+
+    # ------------------------------------------------------------------
     # Incidence and adjacency
     # ------------------------------------------------------------------
     def incident_edges(self, vertex: int) -> Tuple[int, ...]:
@@ -260,7 +318,7 @@ class Hypergraph:
     def adjacent_edges(self, edge_id: int) -> FrozenSet[int]:
         """``adj(e)``: hyperedge ids sharing at least one vertex with ``edge_id``."""
         neighbours: Set[int] = set()
-        for vertex in self._edges[edge_id]:
+        for vertex in self.edge(edge_id):
             neighbours.update(self._incidence[vertex])
         neighbours.discard(edge_id)
         return frozenset(neighbours)
@@ -270,15 +328,17 @@ class Hypergraph:
     # ------------------------------------------------------------------
     def average_arity(self) -> float:
         """Average arity ``a_H`` over all hyperedges (0.0 for no edges)."""
-        if not self._edges:
+        edges = self.edges
+        if not edges:
             return 0.0
-        return sum(len(edge) for edge in self._edges) / len(self._edges)
+        return sum(len(edge) for edge in edges) / len(edges)
 
     def max_arity(self) -> int:
         """Maximum arity ``a_max`` (0 for no edges)."""
-        if not self._edges:
+        edges = self.edges
+        if not edges:
             return 0
-        return max(len(edge) for edge in self._edges)
+        return max(len(edge) for edge in edges)
 
     def label_alphabet(self) -> FrozenSet[Label]:
         """The set of labels ``Σ`` actually used by vertices."""
@@ -313,12 +373,11 @@ class Hypergraph:
         original ids.  Used by the random-walk query sampler.
         """
         edge_ids = list(edge_ids)
-        vertices = sorted({v for edge_id in edge_ids for v in self._edges[edge_id]})
+        chosen = [self.edge(edge_id) for edge_id in edge_ids]
+        vertices = sorted({v for edge in chosen for v in edge})
         renumber = {old: new for new, old in enumerate(vertices)}
         labels = [self._labels[old] for old in vertices]
-        edges = [
-            [renumber[v] for v in self._edges[edge_id]] for edge_id in edge_ids
-        ]
+        edges = [[renumber[v] for v in edge] for edge in chosen]
         edge_labels = (
             [self._edge_labels[edge_id] for edge_id in edge_ids]
             if self._edge_labels is not None
@@ -330,29 +389,26 @@ class Hypergraph:
     # Dunder methods
     # ------------------------------------------------------------------
     def __iter__(self) -> Iterator[FrozenSet[int]]:
-        return iter(self._edges)
+        return iter(self.edges)
 
     def __len__(self) -> int:
-        return len(self._edges)
+        return self.num_edges
 
     def _edge_identity(self) -> FrozenSet[object]:
-        if self._edge_labels is None:
-            return frozenset(self._edges)
-        return frozenset(
-            (edge, self._edge_labels[index])
-            for index, edge in enumerate(self._edges)
-        )
+        """The live edges (with their labels, when edge-labelled): the
+        keys of the existence lookup are exactly that set."""
+        return frozenset(self._edge_lookup)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Hypergraph):
             return NotImplemented
         return (
-            self._labels == other._labels
+            self.labels == other.labels
             and self._edge_identity() == other._edge_identity()
         )
 
     def __hash__(self) -> int:
-        return hash((self._labels, self._edge_identity()))
+        return hash((self.labels, self._edge_identity()))
 
     def __repr__(self) -> str:
         return (

@@ -72,21 +72,6 @@ ARRAY_CONTAINER_MAX = 4
 ChunkMap = Dict[int, object]
 
 
-def _slot_vertices(graph, edge_id: int):
-    """Vertex set of an edge slot, or None for a tombstoned slot.
-
-    The build paths iterate *row layouts* (all slots of a signature,
-    live + tombstoned — see :func:`repro.hypergraph.dynamic.
-    group_rows_by_signature`), so a dead slot must keep its row
-    allocated while contributing no postings.  Immutable graphs have no
-    tombstones and take the plain ``edge()`` path.
-    """
-    getter = getattr(graph, "slot_vertices", None)
-    if getter is not None:
-        return getter(edge_id)
-    return graph.edge(edge_id)
-
-
 class InvertedHyperedgeIndex:
     """Vertex → sorted posting list of incident edge ids, for one partition."""
 
@@ -105,7 +90,7 @@ class InvertedHyperedgeIndex:
         """Build the index over ``edge_ids`` (must be ascending)."""
         postings: Dict[int, List[int]] = {}
         for edge_id in edge_ids:
-            vertices = _slot_vertices(graph, edge_id)
+            vertices = graph.slot_vertices(edge_id)
             if vertices is None:  # tombstoned slot: no postings
                 continue
             for vertex in vertices:
@@ -193,7 +178,7 @@ class BitsetHyperedgeIndex:
         row_to_edge = tuple(edge_ids)
         masks: Dict[int, int] = {}
         for row, edge_id in enumerate(row_to_edge):
-            vertices = _slot_vertices(graph, edge_id)
+            vertices = graph.slot_vertices(edge_id)
             if vertices is None:  # tombstone: row allocated, bits clear
                 continue
             bit = 1 << row
@@ -573,7 +558,7 @@ class AdaptiveHyperedgeIndex:
         offset_mask = (1 << chunk_bits) - 1
         raw: Dict[int, Dict[int, List[int]]] = {}
         for row, edge_id in enumerate(row_to_edge):
-            vertices = _slot_vertices(graph, edge_id)
+            vertices = graph.slot_vertices(edge_id)
             if vertices is None:  # tombstone: row allocated, no postings
                 continue
             chunk, offset = row >> chunk_bits, row & offset_mask

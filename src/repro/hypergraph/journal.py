@@ -290,7 +290,7 @@ def dump_snapshot(graph, stream) -> None:
         if dynamic.slot_vertices(slot) is None:
             tokens = " ".join(
                 _encode_label(part)
-                for part in dynamic._slot_signatures[slot]
+                for part in dynamic._signatures[slot]
             )
             stream.write(f"d {slot} {tokens}\n")
     # The embedded store is built with the deterministic merge backend:
@@ -529,7 +529,7 @@ class MutationJournal:
             raise JournalError("journal is already attached")
         records, valid = read_journal(self.journal_path)
         snapshots = self.snapshot_versions()
-        version = getattr(graph, "version", 0)
+        version = graph.version
         if not records and not snapshots:
             self.write_snapshot(graph)
         else:
@@ -627,7 +627,7 @@ class MutationJournal:
         snapshot being lost with its directory entry on some
         filesystems); older ones are deleted best-effort.
         """
-        version = getattr(graph, "version", 0)
+        version = graph.version
         path = self.snapshot_path(version)
         tmp = path + ".tmp"
         try:

@@ -152,10 +152,8 @@ def parse_store(
     if graph.num_edges != len(edges):
         raise ParseError("store file contains duplicate hyperedges")
 
-    store = PartitionedStore.__new__(PartitionedStore)
-    store._graph = graph
-    store._partitions = {}
-    store.index_backend = index_backend
+    # An empty grouping: no partition is built, each one is read below.
+    store = PartitionedStore(graph, index_backend, grouped={})
     for edge_ids, postings in partitions:
         if not edge_ids:
             raise ParseError("empty partition record")
@@ -169,6 +167,7 @@ def parse_store(
         store._partitions[signature] = HyperedgePartition(
             signature, tuple(edge_ids), index
         )
+        store._row_bases[signature] = 0
     _verify_store(store)
     return store
 

@@ -50,31 +50,12 @@ import struct
 import zlib
 from bisect import bisect_left
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Sequence, Tuple
 
-from .dynamic import MutationResult, group_rows_by_signature
+from .dynamic import MutationResult
 from .hypergraph import Hypergraph
-from .index import build_index
 from .signature import Signature
-from .storage import (
-    HyperedgePartition,
-    resolve_index_backend,
-)
-
-
-def shard_grouping(graph) -> "Dict[Signature, List[int]]":
-    """The grouping shards are cut and built from: each signature's
-    *row layout* (all slots, tombstones included, ascending edge id).
-
-    On an immutable :class:`Hypergraph` this is exactly
-    :func:`~repro.hypergraph.storage.group_edges_by_signature`; on a
-    mutated :class:`~repro.hypergraph.dynamic.DynamicHypergraph` the
-    layouts additionally keep tombstoned slots so global row
-    coordinates never shift under deletion.  Every range cut, worker
-    build and coordinator validation must use this one grouping —
-    mixing it with the live grouping silently misaligns row spans.
-    """
-    return group_rows_by_signature(graph)
+from .storage import PartitionedStore
 
 #: Build-time shard placement policies.  ``"uniform"`` cuts near-equal
 #: row counts per partition; ``"balanced"`` cuts posting-mass-weighted
@@ -569,8 +550,8 @@ def mutate_range_table(
 ) -> RangeTable:
     """Row-span maintenance of a placement under one committed batch.
 
-    The coordinator-side mirror of
-    :meth:`StoreShard.apply_mutation_result`: deletes tombstone in
+    The coordinator-side mirror of :meth:`~repro.hypergraph.storage.
+    PartitionedStore.apply_mutation_result`: deletes tombstone in
     place (no boundary moves), and each insert extends the owning range
     — the non-empty range whose ``high`` equals the insert row — by one
     row, opening a new all-but-last-empty entry for an unseen
@@ -682,48 +663,49 @@ def range_table_label(
     return f"rebalanced-{crc & 0xFFFFFFFF:08x}"
 
 
-class StoreShard:
+def _check_shard_id(shard_id: int, num_shards: int) -> None:
+    if not 0 <= shard_id < num_shards:
+        raise ValueError(
+            f"shard_id {shard_id} out of range for {num_shards} shards"
+        )
+
+
+class StoreShard(PartitionedStore):
     """One shard: every signature partition restricted to a row range.
 
-    For each signature the shard holds a regular
-    :class:`HyperedgePartition` over its *slice* of the global
-    partition's (ascending) edge ids, indexed with the same backend —
-    local row ``r`` of the shard stands for global row
-    ``row_base(signature) + r``.  Edge ids stay global, so shard-local
-    candidate sets decode to globally valid edge ids; only *row*
-    coordinates need the base offset, which
+    A :class:`~repro.hypergraph.storage.PartitionedStore` built over
+    explicit per-signature row ranges — its *slice* of the global
+    partitions' row layouts, indexed with the same backend by the same
+    build loop and maintained by the same ownership rule — plus the
+    identity a pool needs to compose it with its peers: which shard of
+    how many, cut under which placement.  Edge ids stay global, so
+    shard-local candidate sets decode to globally valid edge ids; only
+    *row* coordinates need the :meth:`row_base` offset, which
     :meth:`~repro.core.candidates.CandidateSet.to_bytes` applies when a
     payload leaves the shard.
 
     Built worker-side from the data hypergraph (see :meth:`build`);
-    nothing in a shard needs the global store.
+    nothing in a shard needs the global store.  ``ranges`` is the
+    shard's slice of a :data:`RangeTable` — the shape a coordinator
+    ships on a rebalance, together with the table's label as
+    ``sharding``.
     """
-
-    __slots__ = ("shard_id", "num_shards", "index_backend", "_partitions",
-                 "_row_bases", "graph_edges", "graph_vertices", "sharding",
-                 "graph_version")
 
     def __init__(
         self,
+        graph: Hypergraph,
         shard_id: int,
         num_shards: int,
-        index_backend: str,
-        partitions: Dict[Signature, HyperedgePartition],
-        row_bases: Dict[Signature, int],
-        graph_edges: int = 0,
-        graph_vertices: int = 0,
-        sharding: str = "uniform",
-        graph_version: int = 0,
+        index_backend: "str | None",
+        ranges: "Mapping[Signature, Tuple[int, int]]",
+        sharding: str = "custom",
+        grouped: "Mapping[Signature, Sequence[int]] | None" = None,
     ) -> None:
+        _check_shard_id(shard_id, num_shards)
+        super().__init__(graph, index_backend, ranges, grouped)
         self.shard_id = shard_id
         self.num_shards = num_shards
-        self.index_backend = index_backend
-        self._partitions = partitions
-        self._row_bases = row_bases
-        self.graph_edges = graph_edges
-        self.graph_vertices = graph_vertices
         self.sharding = sharding
-        self.graph_version = graph_version
 
     @classmethod
     def build(
@@ -735,106 +717,19 @@ class StoreShard:
         sharding: "str | None" = None,
     ) -> "StoreShard":
         """Build shard ``shard_id`` of ``num_shards`` directly from the
-        graph — the worker-side entry point (no global store required)."""
-        return cls.from_grouped(
-            graph, shard_grouping(graph), shard_id, num_shards,
-            index_backend, sharding,
-        )
-
-    @classmethod
-    def from_grouped(
-        cls,
-        graph: Hypergraph,
-        grouped: "Dict[Signature, List[int]]",
-        shard_id: int,
-        num_shards: int,
-        index_backend: "str | None" = None,
-        sharding: "str | None" = None,
-    ) -> "StoreShard":
-        """Build a shard from a precomputed signature grouping, so
-        :class:`ShardedStore` pays the O(num_edges) grouping once for
-        all its shards.  ``sharding`` selects the placement mode
-        (:data:`SHARDING_MODES`); both modes are pure functions of the
-        grouping, so independently built shards always fit together."""
-        if not 0 <= shard_id < num_shards:
-            raise ValueError(
-                f"shard_id {shard_id} out of range for {num_shards} shards"
-            )
+        graph — the worker-side entry point (no global store required).
+        ``sharding`` selects the placement mode (:data:`SHARDING_MODES`);
+        both modes are pure functions of the row layout, so
+        independently built shards always fit together."""
+        _check_shard_id(shard_id, num_shards)
         mode = resolve_sharding(sharding)
+        grouped = graph.rows_by_signature()
         table = build_range_table(grouped, num_shards, mode)
-        ranges = {
-            signature: shard_ranges_per_sig[shard_id]
-            for signature, shard_ranges_per_sig in table.items()
-        }
-        return cls.from_ranges(
-            graph, grouped, shard_id, num_shards, index_backend, ranges,
-            sharding=mode,
-        )
-
-    @classmethod
-    def from_ranges(
-        cls,
-        graph: Hypergraph,
-        grouped: "Dict[Signature, List[int]]",
-        shard_id: int,
-        num_shards: int,
-        index_backend: "str | None",
-        ranges: "Mapping[Signature, Tuple[int, int]]",
-        sharding: str = "custom",
-    ) -> "StoreShard":
-        """Build a shard from explicit per-signature row ranges — the
-        rebalance path, where a coordinator ships each worker its slice
-        of a recut :data:`RangeTable` (plus the table's label) instead
-        of a mode name."""
-        if not 0 <= shard_id < num_shards:
-            raise ValueError(
-                f"shard_id {shard_id} out of range for {num_shards} shards"
-            )
-        index_backend = resolve_index_backend(index_backend)
-        alive = getattr(graph, "is_live", None)
-        partitions: Dict[Signature, HyperedgePartition] = {}
-        row_bases: Dict[Signature, int] = {}
-        for signature, edge_ids in grouped.items():
-            low, high = ranges.get(signature, (0, 0))
-            if not 0 <= low <= high <= len(edge_ids):
-                raise ValueError(
-                    f"range ({low}, {high}) outside partition of "
-                    f"{len(edge_ids)} rows"
-                )
-            if low == high:
-                continue  # this shard owns no rows of the partition
-            row_ids = tuple(edge_ids[low:high])
-            ids = (
-                row_ids
-                if alive is None
-                else tuple(e for e in row_ids if alive(e))
-            )
-            index = build_index(index_backend, graph, row_ids)
-            partitions[signature] = HyperedgePartition(
-                signature, ids, index, row_ids
-            )
-            row_bases[signature] = low
         return cls(
-            shard_id, num_shards, index_backend, partitions, row_bases,
-            graph_edges=graph.num_edges, graph_vertices=graph.num_vertices,
-            sharding=sharding,
-            graph_version=getattr(graph, "version", 0),
+            graph, shard_id, num_shards, index_backend,
+            {signature: ranges[shard_id] for signature, ranges in table.items()},
+            sharding=mode, grouped=grouped,
         )
-
-    @property
-    def partitions(self) -> Mapping[Signature, HyperedgePartition]:
-        """Mapping from signature to the shard's partition slice."""
-        return self._partitions
-
-    def partition(self, signature: Signature) -> "HyperedgePartition | None":
-        """The shard's slice of the signature's partition, or None when
-        the shard owns no rows of it (absent signature or empty range)."""
-        return self._partitions.get(signature)
-
-    def row_base(self, signature: Signature) -> int:
-        """Global row index of the shard's first local row (0 if the
-        shard owns no rows of the signature)."""
-        return self._row_bases.get(signature, 0)
 
     def ranges(self) -> Dict[Signature, Tuple[int, int]]:
         """The shard's non-empty row ranges — its slice of the range
@@ -847,73 +742,9 @@ class StoreShard:
             for signature, base in self._row_bases.items()
         }
 
-    def apply_mutation_result(
-        self, graph, result: MutationResult
-    ) -> None:
-        """Incrementally maintain the shard under one committed batch.
-
-        ``result`` must come from applying the batch to (a copy of) the
-        same data graph every shard of the pool was built from, and
-        every shard of the pool must apply the same results in order —
-        that is what keeps independently maintained shards composable.
-
-        Deletes tombstone in place: a delete lands on whichever shard's
-        range contains its global row, all other shards ignore it, and
-        no range boundary moves.  Inserts append at the global row
-        layout's tail, so exactly one shard *owns* each append — the
-        shard whose range for the signature is non-empty with
-        ``high == insert row`` (appends extend the positionally last
-        range), falling back to the highest shard id when the insert
-        opens a brand-new partition (row 0 of an unseen signature).
-        Both rules are computable from shard-local state, so workers
-        never coordinate beyond receiving the same batch.
-        """
-        for mutation in result.deleted:
-            partition = self._partitions.get(mutation.signature)
-            if partition is None:
-                continue
-            base = self._row_bases[mutation.signature]
-            if base <= mutation.row < base + partition.num_rows:
-                partition.remove_edge(
-                    mutation.row - base, mutation.edge_id, mutation.vertices
-                )
-        for mutation in result.inserted:
-            partition = self._partitions.get(mutation.signature)
-            if partition is None:
-                # Either an unseen signature (row 0: highest shard takes
-                # it) or an empty range of an existing one (some other
-                # shard's high matches the insert row).
-                if mutation.row == 0 and self.shard_id == self.num_shards - 1:
-                    index = build_index(self.index_backend, graph, ())
-                    partition = HyperedgePartition(
-                        mutation.signature, (), index, ()
-                    )
-                    self._partitions[mutation.signature] = partition
-                    self._row_bases[mutation.signature] = 0
-                    partition.append_edge(mutation.edge_id, mutation.vertices)
-                continue
-            base = self._row_bases[mutation.signature]
-            if base + partition.num_rows == mutation.row:
-                partition.append_edge(mutation.edge_id, mutation.vertices)
-        self.graph_edges = graph.num_edges
-        self.graph_vertices = graph.num_vertices
-        self.graph_version = result.version
-
-    def cardinality(self, signature: Signature) -> int:
-        """Shard-local row count for the signature."""
-        partition = self._partitions.get(signature)
-        return partition.cardinality if partition is not None else 0
-
-    def index_size_entries(self) -> int:
-        """Total posting entries across the shard's partitions — the
-        per-worker share of the Section IV-C index size bound."""
-        return sum(
-            partition.index.num_entries
-            for partition in self._partitions.values()
-        )
-
     def describe(self) -> ShardDescriptor:
         """The shard's handoff descriptor (the socket handshake body)."""
+        graph = self._graph
         return ShardDescriptor(
             shard_id=self.shard_id,
             num_shards=self.num_shards,
@@ -923,10 +754,10 @@ class StoreShard:
                 partition.num_rows
                 for partition in self._partitions.values()
             ),
-            graph_edges=self.graph_edges,
-            graph_vertices=self.graph_vertices,
+            graph_edges=graph.num_edges,
+            graph_vertices=graph.num_vertices,
             sharding=self.sharding,
-            graph_version=self.graph_version,
+            graph_version=graph.version,
         )
 
     def __repr__(self) -> str:
@@ -934,96 +765,4 @@ class StoreShard:
             f"StoreShard({self.shard_id}/{self.num_shards}, "
             f"partitions={len(self._partitions)}, "
             f"backend={self.index_backend})"
-        )
-
-
-class ShardedStore:
-    """All ``num_shards`` row-range shards of one data hypergraph.
-
-    The in-process view of the sharding scheme: builds every
-    :class:`StoreShard` eagerly, which tests, the simulated executor and
-    single-process tools use to reason about shard placement.  The
-    multiprocess executor never instantiates this class — each worker
-    builds exactly one shard via :meth:`StoreShard.build` so no process
-    ever holds the full index.
-
-    Invariant (verified by the sharding test suite): for every
-    signature, concatenating the shards' ``edge_ids`` in *range order*
-    (ascending ``row_base``; identical to shard order under uniform
-    placement) reproduces the global partition's ascending edge-id
-    tuple, and every shard-local posting structure equals the global one
-    restricted to the shard's row range.
-    """
-
-    def __init__(
-        self,
-        graph: Hypergraph,
-        num_shards: int,
-        index_backend: "str | None" = None,
-        sharding: "str | None" = None,
-    ) -> None:
-        if num_shards < 1:
-            raise ValueError("num_shards must be >= 1")
-        self._graph = graph
-        self.num_shards = num_shards
-        self.index_backend = resolve_index_backend(index_backend)
-        self.sharding = resolve_sharding(sharding)
-        grouped = shard_grouping(graph)
-        table = build_range_table(grouped, num_shards, self.sharding)
-        self.range_table: RangeTable = table
-        self._shards = tuple(
-            StoreShard.from_ranges(
-                graph,
-                grouped,
-                shard_id,
-                num_shards,
-                self.index_backend,
-                {
-                    signature: ranges[shard_id]
-                    for signature, ranges in table.items()
-                },
-                sharding=self.sharding,
-            )
-            for shard_id in range(num_shards)
-        )
-
-    @property
-    def graph(self) -> Hypergraph:
-        return self._graph
-
-    def apply_mutation_result(self, result: MutationResult) -> None:
-        """Incrementally maintain every shard plus the range table —
-        the in-process mirror of a pool-wide MUTATE broadcast (the
-        graph itself must already carry the batch)."""
-        for shard in self._shards:
-            shard.apply_mutation_result(self._graph, result)
-        self.range_table = mutate_range_table(
-            self.range_table, result, self.num_shards
-        )
-
-    @property
-    def shards(self) -> Tuple[StoreShard, ...]:
-        return self._shards
-
-    def shard(self, shard_id: int) -> StoreShard:
-        return self._shards[shard_id]
-
-    def __iter__(self) -> Iterable[StoreShard]:
-        return iter(self._shards)
-
-    def __len__(self) -> int:
-        return self.num_shards
-
-    def signatures(self) -> Tuple[Signature, ...]:
-        """All signatures owned by at least one shard."""
-        seen = {}
-        for shard in self._shards:
-            for signature in shard.partitions:
-                seen.setdefault(signature, None)
-        return tuple(seen)
-
-    def __repr__(self) -> str:
-        return (
-            f"ShardedStore(shards={self.num_shards}, "
-            f"backend={self.index_backend}, edges={self._graph.num_edges})"
         )

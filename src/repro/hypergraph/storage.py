@@ -14,34 +14,12 @@ from __future__ import annotations
 
 import os
 from bisect import bisect_left
-from typing import Dict, Iterator, List, Mapping, Tuple
+from typing import Dict, Iterator, Mapping, Sequence, Tuple
 
-from .dynamic import (
-    MutationResult,
-    group_live_edges_by_signature,
-    group_rows_by_signature,
-)
+from .dynamic import MutationResult
 from .hypergraph import Hypergraph
 from .index import INDEX_BACKENDS, build_index
 from .signature import Signature
-
-
-def group_edges_by_signature(
-    graph: Hypergraph,
-) -> "Dict[Signature, List[int]]":
-    """Live edge ids grouped by signature, ascending within each group.
-
-    The canonical partition layout: :class:`PartitionedStore` and the
-    row-range sharding in :mod:`repro.hypergraph.sharding` both build
-    from this one function, which is what makes a shard's global row
-    coordinates (``row_base + local row``) line up with the global
-    partition's rows — never reimplement the grouping independently.
-    On a :class:`~repro.hypergraph.dynamic.DynamicHypergraph` this
-    skips tombstoned slots; the *row layout* (which keeps tombstone
-    rows allocated so later rows never shift) is the companion
-    :func:`~repro.hypergraph.dynamic.group_rows_by_signature`.
-    """
-    return group_live_edges_by_signature(graph)
 
 
 #: What :func:`default_index_backend` falls back to: the fast engine
@@ -161,7 +139,8 @@ class HyperedgePartition:
 
 
 class PartitionedStore:
-    """The complete partitioned storage layer over a data hypergraph.
+    """The partitioned storage layer over a data hypergraph: the whole
+    of it by default, one row range per signature when ``ranges`` says so.
 
     Building the store is the whole of HGMatch's offline preprocessing:
     group hyperedges by signature and build one inverted index per group.
@@ -174,29 +153,69 @@ class PartitionedStore:
     :func:`default_index_backend` (the ``REPRO_INDEX_BACKEND``
     environment variable, falling back to ``"bitset"``).  All backends
     yield identical candidate sets; see :mod:`repro.hypergraph.index`.
+
+    ``ranges`` maps a signature to the ``(low, high)`` slice of its row
+    layout this store holds (a signature it does not name: no rows) and
+    ``grouped`` is a precomputed :meth:`~repro.hypergraph.hypergraph.
+    Hypergraph.rows_by_signature` — the plumbing through which
+    :class:`~repro.hypergraph.sharding.StoreShard` feeds this one build
+    loop.  Local row ``r`` of a partition stands for global row
+    ``row_base(signature) + r``; edge ids are always global.  A store
+    built without ``ranges`` is the 1-of-1 shard: every row, base 0.
     """
 
-    def __init__(
-        self, graph: Hypergraph, index_backend: "str | None" = None
-    ) -> None:
-        index_backend = resolve_index_backend(index_backend)
-        self._graph = graph
-        self.index_backend = index_backend
-        grouped = group_rows_by_signature(graph)
-        alive = getattr(graph, "is_live", None)
+    #: Shard identity — what decides who takes a row nobody holds yet
+    #: (see :meth:`apply_mutation_result`).
+    shard_id = 0
+    num_shards = 1
 
+    def __init__(
+        self,
+        graph: Hypergraph,
+        index_backend: "str | None" = None,
+        ranges: "Mapping[Signature, Tuple[int, int]] | None" = None,
+        grouped: "Mapping[Signature, Sequence[int]] | None" = None,
+    ) -> None:
+        self.index_backend = resolve_index_backend(index_backend)
+        self._graph = graph
         self._partitions: Dict[Signature, HyperedgePartition] = {}
+        self._row_bases: Dict[Signature, int] = {}
+        if grouped is None:
+            grouped = graph.rows_by_signature()
         for signature, rows in grouped.items():
-            row_ids = tuple(rows)
-            ids = (
-                row_ids
-                if alive is None
-                else tuple(e for e in row_ids if alive(e))
+            low, high = (
+                (0, len(rows)) if ranges is None
+                else ranges.get(signature, (0, 0))
             )
-            index = build_index(index_backend, graph, row_ids)
-            self._partitions[signature] = HyperedgePartition(
-                signature, ids, index, row_ids
-            )
+            if not 0 <= low <= high <= len(rows):
+                raise ValueError(
+                    f"range ({low}, {high}) outside partition of "
+                    f"{len(rows)} rows"
+                )
+            if low < high:
+                self._open_partition(signature, rows[low:high], low)
+
+    def _open_partition(
+        self, signature: Signature, rows: Sequence[int], row_base: int
+    ) -> HyperedgePartition:
+        """Index ``rows`` — a slice of the signature's row layout that
+        starts at global row ``row_base`` — as this store's partition."""
+        graph = self._graph
+        row_ids = tuple(rows)
+        edge_ids = (
+            row_ids
+            if graph.num_edges == graph.num_slots  # no tombstone anywhere
+            else tuple(e for e in row_ids if graph.is_live(e))
+        )
+        partition = HyperedgePartition(
+            signature,
+            edge_ids,
+            build_index(self.index_backend, graph, row_ids),
+            row_ids,
+        )
+        self._partitions[signature] = partition
+        self._row_bases[signature] = row_base
+        return partition
 
     @property
     def graph(self) -> Hypergraph:
@@ -206,35 +225,64 @@ class PartitionedStore:
     def adopt_graph(self, graph) -> None:
         """Re-point the store at a content-identical graph.
 
-        The promotion hook: an engine upgrading its immutable data
-        graph to a :class:`~repro.hypergraph.dynamic.DynamicHypergraph`
-        keeps the already-built partitions (edge ids and row layouts
-        are preserved by the promotion) instead of rebuilding.
+        The promotion hook of :func:`~repro.hypergraph.dynamic.
+        apply_batch`: upgrading an immutable data graph to a
+        :class:`~repro.hypergraph.dynamic.DynamicHypergraph` preserves
+        edge ids and row layouts, so the already-built partitions stay.
         """
         self._graph = graph
+
+    def row_base(self, signature: Signature) -> int:
+        """Global row index of the store's first local row (0 if it
+        holds no rows of the signature)."""
+        return self._row_bases.get(signature, 0)
 
     def apply_mutation_result(self, result: MutationResult) -> None:
         """Incrementally maintain every touched partition.
 
         ``result`` comes from :meth:`~repro.hypergraph.dynamic.
-        DynamicHypergraph.apply` on this store's own graph; each record
-        carries the edge's global row, so only the touched partitions —
-        and within the adaptive backend only the touched containers —
-        are updated.  The outcome is structurally identical to
-        rebuilding the store from the mutated graph (the mutation
-        oracle pins this per backend).
+        DynamicHypergraph.apply` on this store's own graph (or, for the
+        shards of a pool, on each one's copy of the same graph, every
+        shard applying the same results in order); each record carries
+        the edge's global row, so only the touched partitions — and
+        within the adaptive backend only the touched containers — are
+        updated.  The outcome is structurally identical to rebuilding
+        the store from the mutated graph (the mutation oracle pins this
+        per backend).
+
+        Deletes tombstone in place: a delete lands on the store whose
+        range contains its global row, every other one ignores it, and
+        no range boundary moves.  Inserts append at the global row
+        layout's tail, so exactly one store *owns* each append — the
+        one whose range for the signature is non-empty with ``high ==
+        insert row`` (appends extend the positionally last range), or
+        the highest shard id when the insert opens a brand-new
+        partition (row 0 of an unseen signature).  Both rules are
+        computable from local state, so workers never coordinate beyond
+        receiving the same batch — and for the whole store both say
+        "mine".
         """
         for mutation in result.deleted:
-            self._partitions[mutation.signature].remove_edge(
-                mutation.row, mutation.edge_id, mutation.vertices
-            )
+            partition = self._partitions.get(mutation.signature)
+            if partition is None:
+                continue
+            local_row = mutation.row - self._row_bases[mutation.signature]
+            if 0 <= local_row < partition.num_rows:
+                partition.remove_edge(
+                    local_row, mutation.edge_id, mutation.vertices
+                )
         for mutation in result.inserted:
             partition = self._partitions.get(mutation.signature)
             if partition is None:
-                index = build_index(self.index_backend, self._graph, ())
-                partition = HyperedgePartition(mutation.signature, (), index, ())
-                self._partitions[mutation.signature] = partition
-            partition.append_edge(mutation.edge_id, mutation.vertices)
+                # Either an unseen signature (row 0: the highest shard
+                # takes it) or an empty range of an existing one (some
+                # other shard's high matches the insert row).
+                if mutation.row or self.shard_id != self.num_shards - 1:
+                    continue
+                partition = self._open_partition(mutation.signature, (), 0)
+            base = self._row_bases[mutation.signature]
+            if base + partition.num_rows == mutation.row:
+                partition.append_edge(mutation.edge_id, mutation.vertices)
 
     @property
     def partitions(self) -> Mapping[Signature, HyperedgePartition]:

@@ -21,7 +21,6 @@ import socket
 import time
 
 from ..errors import SchedulerError, TransportError
-from ..hypergraph.dynamic import DynamicHypergraph
 from ..hypergraph.sharding import SHARDING_MODES, ShardDescriptor
 from . import transport
 from .tasks import RetryPolicy
@@ -81,28 +80,26 @@ def _catchup_body(graph, stale_version: int, sharding: "str | None"):
     """Build the CATCHUP payload for a worker stuck at ``stale_version``.
 
     Prefers the cheap path — the contiguous suffix of committed
-    :class:`MutationBatch`es the :class:`DynamicHypergraph` retains in
-    its in-memory history — and falls back to shipping a snapshot of the
-    whole graph when the suffix has aged out.  The snapshot path needs a
+    :class:`MutationBatch`es the graph retains in its in-memory history
+    (:meth:`~repro.hypergraph.dynamic.DynamicHypergraph.batches_since`)
+    — and falls back to shipping a snapshot of the whole graph when the
+    suffix has aged out.  The snapshot path needs a
     *resolvable* sharding mode label (the worker re-cuts its shard from
     the snapshot; a ``rebalanced-*`` label carries no recipe), so when
     ``sharding`` is ``None`` and no suffix exists the caller must fall
     back to refusal.  Returns the pickled payload bytes, or ``None``
     when no catch-up route exists.
     """
-    to_version = getattr(graph, "version", 0)
-    batches = None
-    if isinstance(graph, DynamicHypergraph):
-        batches = graph.batches_since(stale_version)
+    batches = graph.batches_since(stale_version)
     if batches is not None:
         return pickle.dumps(
-            {"batches": batches, "to_version": to_version},
+            {"batches": batches, "to_version": graph.version},
             protocol=pickle.HIGHEST_PROTOCOL,
         )
-    if sharding is None or not isinstance(graph, DynamicHypergraph):
+    if sharding is None:
         return None
     return pickle.dumps(
-        {"snapshot": graph, "to_version": to_version, "sharding": sharding},
+        {"snapshot": graph, "to_version": graph.version, "sharding": sharding},
         protocol=pickle.HIGHEST_PROTOCOL,
     )
 
@@ -247,7 +244,7 @@ def validate_handshake(
         )
     descriptor, worker_seed = _decode(body)
     _check_contract(descriptor, worker_seed)
-    graph_version = getattr(graph, "version", 0)
+    graph_version = graph.version
     if allow_catchup and descriptor.graph_version < graph_version:
         payload = _catchup_body(
             graph,

@@ -67,9 +67,8 @@ from ..core.candidates import (
 from ..core.counters import MatchCounters
 from ..core.frontier import expand_block, frontier_blocks
 from ..errors import QueryCancelled, TimeoutExceeded
-from ..hypergraph import Hypergraph
+from ..hypergraph import Hypergraph, PartitionedStore
 from ..hypergraph.index import chunks_from_rows
-from ..hypergraph.sharding import StoreShard
 from .executor import ParallelResult
 from .tasks import ROOT_TASK, PartialEmbedding, WorkerStats
 
@@ -127,7 +126,7 @@ def encode_survivors(
 
 def expand_level(
     graph: Hypergraph,
-    shard: StoreShard,
+    shard: PartitionedStore,
     plan,
     step: int,
     frontier: Sequence[PartialEmbedding],
@@ -137,7 +136,8 @@ def expand_level(
     memo: AnchorUnionMemo,
     mask_validation: bool = False,
 ) -> Tuple[str, "List[Optional[bytes]] | None", int]:
-    """Expand every frontier partial against the shard's rows.
+    """Expand every frontier partial against the shard's rows (any
+    store will do: a whole one is the 1-of-1 shard, row base 0).
 
     Returns ``("level", payloads, embeddings)``: one payload (or None)
     per partial on intermediate steps, survivor *counts* on the final

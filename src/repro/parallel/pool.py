@@ -85,7 +85,6 @@ from ..hypergraph.sharding import (
     range_table_slices,
     resolve_sharding,
     retire_shard_ranges,
-    shard_grouping,
 )
 from ..hypergraph.storage import resolve_index_backend
 from . import transport
@@ -662,12 +661,6 @@ class ShardPool:
         if pump is not None and pump is not threading.current_thread():
             pump.join(timeout=5.0)
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
     def __del__(self):  # pragma: no cover - best effort
         try:
             self.close()
@@ -1201,7 +1194,7 @@ class ShardPool:
                     f"{len(worker_stats)} worker stats for "
                     f"{self.num_shards} shards"
                 )
-            grouped = shard_grouping(self._graph)
+            grouped = self._graph.rows_by_signature()
             current = self._range_table
             if current is None:
                 # Build mode until a rebalance materialised a table.
@@ -1395,7 +1388,7 @@ class ShardPool:
                         f"refusing to drain shard {shard_id} replica "
                         f"{replica_id}: it is the pool's last live member"
                     )
-                grouped = shard_grouping(self._graph)
+                grouped = self._graph.rows_by_signature()
                 table = self._range_table
                 if table is None:
                     table = build_range_table(
@@ -1482,7 +1475,7 @@ class QueryChannel:
             # the job instead of mis-counting (§2.9).
             kind = transport.MSG_JOB
             body = pickle.dumps(
-                (message[1], message[2], getattr(pool._graph, "version", 0)),
+                (message[1], message[2], pool._graph.version),
                 protocol=pickle.HIGHEST_PROTOCOL,
             )
         elif tag == "level":

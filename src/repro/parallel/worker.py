@@ -40,8 +40,8 @@ from ..core.counters import WORK_UNIT_MODELS, MatchCounters
 from ..core.plan import build_execution_plan
 from ..errors import SchedulerError, TransportError
 from ..hypergraph import Hypergraph
-from ..hypergraph.dynamic import DynamicHypergraph
-from ..hypergraph.sharding import StoreShard, resolve_sharding, shard_grouping
+from ..hypergraph.dynamic import apply_batch
+from ..hypergraph.sharding import StoreShard, resolve_sharding
 from ..hypergraph.storage import resolve_index_backend
 from . import transport
 from .level_sync import expand_level
@@ -167,7 +167,6 @@ class ShardWorker:
             graph, shard_id, num_shards, self.index_backend,
             resolve_sharding(sharding),
         )
-        self._graph = graph
         self._memo = AnchorUnionMemo()
         self._listener: "socket.socket | None" = None
         self._host = host
@@ -301,9 +300,8 @@ class ShardWorker:
                         # new placement label, keep the warm indices.
                         self.shard.sharding = label
                     else:
-                        self.shard = StoreShard.from_ranges(
-                            self._graph,
-                            shard_grouping(self._graph),
+                        self.shard = StoreShard(
+                            self.shard.graph,
                             self.shard.shard_id,
                             self.shard.num_shards,
                             self.index_backend,
@@ -321,15 +319,9 @@ class ShardWorker:
                     )
                 elif kind == transport.MSG_MUTATE:
                     batch = transport.decode_pickle_body(body)
-                    graph = self._graph
-                    if not isinstance(graph, DynamicHypergraph):
-                        # First mutation promotes the worker's graph
-                        # copy in place; edge ids and row layouts are
-                        # preserved, so the shard needs no rebuild.
-                        graph = DynamicHypergraph.from_hypergraph(graph)
-                        self._graph = graph
-                    result = graph.apply(batch)
-                    self.shard.apply_mutation_result(graph, result)
+                    graph, result = apply_batch(
+                        self.shard.graph, self.shard, batch
+                    )
                     # Cached anchor unions cover pre-mutation rows —
                     # clearing is mandatory — and every open query
                     # session is pre-mutation state: drop them all (the
@@ -352,41 +344,28 @@ class ShardWorker:
                         # The batch suffix aged out: adopt the shipped
                         # graph wholesale and re-cut this shard from it
                         # under the coordinator-named placement mode.
-                        graph = payload["snapshot"]
-                        self._graph = graph
                         self.shard = StoreShard.build(
-                            graph,
+                            payload["snapshot"],
                             self.shard.shard_id,
                             self.shard.num_shards,
                             self.index_backend,
                             resolve_sharding(payload["sharding"]),
                         )
                     else:
-                        graph = self._graph
-                        if not isinstance(graph, DynamicHypergraph):
-                            graph = DynamicHypergraph.from_hypergraph(
-                                graph
-                            )
-                            self._graph = graph
                         for version, batch in payload["batches"]:
-                            if version != graph.version + 1:
+                            have = self.shard.graph.version
+                            if version != have + 1:
                                 raise SchedulerError(
                                     f"catch-up replay gap: batch for "
                                     f"version {version} but the shard "
-                                    f"holds {graph.version}"
+                                    f"holds {have}"
                                 )
-                            result = graph.apply(batch)
-                            self.shard.apply_mutation_result(
-                                graph, result
-                            )
-                    if (
-                        getattr(self._graph, "version", 0)
-                        != payload["to_version"]
-                    ):
+                            apply_batch(self.shard.graph, self.shard, batch)
+                    have = self.shard.graph.version
+                    if have != payload["to_version"]:
                         raise SchedulerError(
                             f"catch-up fell short: replayed to version "
-                            f"{getattr(self._graph, 'version', 0)}, "
-                            f"coordinator expects "
+                            f"{have}, coordinator expects "
                             f"{payload['to_version']}"
                         )
                     # Same invalidation as MUTATE: memoised anchor
@@ -432,7 +411,7 @@ class ShardWorker:
         counters.note_work_model(WORK_UNIT_MODELS.get(self.index_backend, ""))
         return _QuerySession(
             plan,
-            VertexStepState(self._graph),
+            VertexStepState(self.shard.graph),
             counters,
             WorkerStats(worker_id=self.shard.shard_id),
         )
@@ -464,7 +443,7 @@ class ShardWorker:
                 # would silently mis-count, so a stale worker fails the
                 # query.
                 query, order, job_version = transport.decode_pickle_body(rest)
-                have = getattr(self._graph, "version", 0)
+                have = self.shard.graph.version
                 if job_version != have:
                     raise SchedulerError(
                         f"query assumes graph version {job_version}, "
@@ -488,7 +467,7 @@ class ShardWorker:
                     )
                 step, frontier = transport.decode_pickle_body(rest)
                 _, payloads, embeddings = expand_level(
-                    self._graph, self.shard, session.plan, step, frontier,
+                    self.shard.graph, self.shard, session.plan, step, frontier,
                     session.state, session.counters, session.stats,
                     self._memo,
                 )

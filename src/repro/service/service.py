@@ -187,15 +187,6 @@ class MatchService:
                 "before starting another"
             )
         self._engine = engine
-        # Durability seam: every committed batch is journalled inside
-        # the mutation barrier, before any broadcast, so a coordinator
-        # crash replays it on restart instead of losing a commit the
-        # workers may already hold.
-        if isinstance(journal, str):
-            journal = MutationJournal(journal)
-        self.journal = journal
-        if journal is not None:
-            journal.attach(engine.data)
         self.queue_depth = queue_depth
         self.max_concurrent = max_concurrent
         self.default_deadline = default_deadline
@@ -212,6 +203,16 @@ class MatchService:
             chaos=chaos,
         )
         self.num_shards = self.pool.num_shards
+        # Durability seam: every committed batch is journalled inside
+        # the mutation barrier, before any broadcast, so a coordinator
+        # crash replays it on restart instead of losing a commit the
+        # workers may already hold.  Attached only once every argument
+        # has passed: a refused constructor opens no log handle.
+        if isinstance(journal, str):
+            journal = MutationJournal(journal)
+        self.journal = journal
+        if journal is not None:
+            journal.attach(engine.data)
         self._lock = threading.Lock()
         self._admitted = 0
         self._draining = False
@@ -424,7 +425,7 @@ class MatchService:
                 self._standing_ids, query, order=order, callback=callback
             )
             engine = self._engine
-            version = getattr(engine.data, "version", 0)
+            version = engine.data.version
         handle.seed(engine, version)
         with self._lock:
             if self._mutating:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import multiprocessing
 
 import pytest
 
@@ -568,3 +569,30 @@ class TestSupervise:
                 engine.close()
             thread.join(timeout=10.0)
             assert result["code"] == 0
+
+
+class TestServeMatch:
+    @pytest.mark.parametrize(
+        "flag, message",
+        [
+            ("--shards", "num_shards must be >= 1"),
+            ("--max-concurrent", "max_concurrent must be >= 1"),
+            ("--queue-depth", "queue_depth must be >= 1"),
+        ],
+    )
+    def test_a_refused_setting_is_the_constructors_error(
+        self, fig1_files, tmp_path, flag, message
+    ):
+        """``ShardPool`` / ``MatchService`` own the checks; the command
+        prints their typed error and leaves nothing behind — no worker
+        process, no journal file."""
+        data_path, _ = fig1_files
+        journal_dir = tmp_path / "journal"
+        before = set(multiprocessing.active_children())
+        code, output = run_cli(
+            "serve-match", data_path, flag, "0",
+            "--journal-dir", str(journal_dir),
+        )
+        assert (code, output) == (1, f"error: {message}\n")
+        assert set(multiprocessing.active_children()) <= before
+        assert not journal_dir.exists() or not list(journal_dir.iterdir())

@@ -13,19 +13,32 @@ Pins the contracts the whole dynamic stack leans on:
   answers but equal postings/masks/containers.
 """
 
+import io
+import os
+import pickle
 import random
 
 import pytest
 
-from repro import Hypergraph
+from repro import HGMatch, Hypergraph
 from repro.errors import HypergraphError
 from repro.hypergraph import (
     INDEX_BACKENDS,
     DynamicHypergraph,
     MutationBatch,
     PartitionedStore,
-    ShardedStore,
+    StoreShard,
+    build_range_table,
+    mutate_range_table,
+    range_table_slices,
 )
+from repro.hypergraph.journal import (
+    dump_snapshot,
+    encode_record,
+    parse_snapshot,
+    scan_journal,
+)
+from repro.hypergraph.persistence import dump_store, parse_store, stores_equal
 from repro.testing import make_mutable_instance, random_mutation_schedule
 
 
@@ -234,6 +247,247 @@ class TestApplySemantics:
 
 
 # ---------------------------------------------------------------------------
+# One graph hierarchy: the inherited read interface and the row layout
+# ---------------------------------------------------------------------------
+
+def live_view(graph):
+    """Every public read accessor of :class:`Hypergraph`, with edge ids
+    renumbered dense in ascending order — the view under which a
+    mutated graph and its ``to_hypergraph()`` rebuild are one graph."""
+    ids = list(graph.live_edge_ids())
+    dense = {edge_id: position for position, edge_id in enumerate(ids)}
+    vertices = range(graph.num_vertices)
+
+    def renumbered(edge_ids):
+        return sorted(dense[edge_id] for edge_id in edge_ids)
+
+    return {
+        "num_vertices": graph.num_vertices,
+        "num_edges": graph.num_edges,
+        "labels": graph.labels,
+        "edges": graph.edges,
+        "is_edge_labelled": graph.is_edge_labelled,
+        "edge_signatures": graph.edge_signatures(),
+        "average_arity": graph.average_arity(),
+        "max_arity": graph.max_arity(),
+        "label_alphabet": graph.label_alphabet(),
+        "is_connected": graph.is_connected(),
+        "iter": tuple(graph),
+        "len": len(graph),
+        "hash": hash(graph),
+        "label": [graph.label(v) for v in vertices],
+        "degree": [graph.degree(v) for v in vertices],
+        "incident_edges": [
+            renumbered(graph.incident_edges(v)) for v in vertices
+        ],
+        "incident_edges_with_arity": [
+            [renumbered(graph.incident_edges_with_arity(v, arity))
+             for arity in range(1, graph.max_arity() + 1)]
+            for v in vertices
+        ],
+        "adjacent_vertices": [graph.adjacent_vertices(v) for v in vertices],
+        "is_live": [graph.is_live(e) for e in ids],
+        "slot_vertices": [graph.slot_vertices(e) for e in ids],
+        "edge": [graph.edge(e) for e in ids],
+        "edge_signature": [graph.edge_signature(e) for e in ids],
+        "edge_label": [graph.edge_label(e) for e in ids],
+        "arity": [graph.arity(e) for e in ids],
+        "adjacent_edges": [renumbered(graph.adjacent_edges(e)) for e in ids],
+        "edge_id": renumbered(
+            graph.edge_id(graph.edge(e), graph.edge_label(e)) for e in ids
+        ),
+        "has_edge": [
+            graph.has_edge(graph.edge(e), graph.edge_label(e)) for e in ids
+        ],
+        "induced_by_edges": graph.induced_by_edges(ids[1:3]),
+    }
+
+
+def layout(graph):
+    """The coordinates indexes, shard ranges and wire masks speak."""
+    return (
+        graph.version,
+        graph.num_slots,
+        graph.rows_by_signature(),
+        [graph.slot_vertices(slot) for slot in range(graph.num_slots)],
+    )
+
+
+#: One fixed batch per base graph: a delete, a fresh vertex, a duplicate
+#: insert (skipped), an insert into an old signature and one into a new.
+GRAPHS_AND_BATCHES = {
+    "fig1": (
+        small_graph,
+        MutationBatch(
+            inserts=[(0, 4), (2, 4), (2, 7)], deletes=[1],
+            add_vertices=["C"],
+        ),
+    ),
+    "edge-labelled": (
+        labelled_graph,
+        MutationBatch(
+            inserts=[((0, 3), "y"), ((0, 1), "x"), ((3, 4), "z")],
+            deletes=[1], add_vertices=["A"],
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", GRAPHS_AND_BATCHES)
+class TestOneGraphHierarchy:
+    def test_a_promoted_graph_reads_as_the_graph_it_extends(self, name):
+        make, _ = GRAPHS_AND_BATCHES[name]
+        base = make()
+        promoted = DynamicHypergraph.from_hypergraph(base)
+        assert isinstance(promoted, Hypergraph)
+        assert live_view(promoted) == live_view(base)
+        assert layout(promoted) == layout(base)
+        assert promoted == base and base == promoted
+
+    def test_a_mutated_graph_reads_as_its_rebuild(self, name):
+        make, batch = GRAPHS_AND_BATCHES[name]
+        graph = DynamicHypergraph.from_hypergraph(make())
+        result = graph.apply(batch)
+        assert result.inserted and result.deleted and result.skipped
+        rebuilt = graph.to_hypergraph()
+        assert type(rebuilt) is Hypergraph
+        assert live_view(graph) == live_view(rebuilt)
+        assert graph == rebuilt and rebuilt == graph
+        # The layout keeps what the live view hides: the dead slot.
+        assert graph.num_slots == rebuilt.num_slots + 1
+        (dead,) = batch.deletes
+        assert not graph.is_live(dead)
+        assert graph.slot_vertices(dead) is None
+        assert dead in graph.rows_by_signature()[result.deleted[0].signature]
+        for accessor in (
+            graph.edge, graph.edge_signature, graph.edge_label,
+            graph.arity, graph.adjacent_edges,
+        ):
+            with pytest.raises(HypergraphError):
+                accessor(dead)
+        with pytest.raises(HypergraphError):
+            graph.induced_by_edges([dead])
+
+    def test_pickle_keeps_the_coordinates_and_drops_the_history(self, name):
+        """What crosses a process boundary: spawn arguments and the
+        CATCHUP snapshot ship the graph, never its catch-up history."""
+        make, batch = GRAPHS_AND_BATCHES[name]
+        base = make()
+        graph = DynamicHypergraph.from_hypergraph(base)
+        graph.apply(batch)
+        for original in (base, graph):
+            shipped = pickle.loads(pickle.dumps(original))
+            assert type(shipped) is type(original)
+            assert live_view(shipped) == live_view(original)
+            assert layout(shipped) == layout(original)
+        assert graph.batches_since(0) == [(1, batch)]
+        assert shipped.batches_since(0) is None
+        assert shipped.batches_since(1) == []
+        # The copy is independent and lands inserts on the same ids.
+        again = MutationBatch(deletes=[0])
+        assert shipped.apply(again).version == graph.apply(again).version
+        assert layout(shipped) == layout(graph)
+
+    def test_snapshot_round_trip_is_coordinate_identical(self, name):
+        make, batch = GRAPHS_AND_BATCHES[name]
+        base = make()
+        graph = DynamicHypergraph.from_hypergraph(base)
+        graph.apply(batch)
+        for original in (base, graph):
+            stream = io.StringIO()
+            dump_snapshot(original, stream)
+            recovered = parse_snapshot(io.StringIO(stream.getvalue()))
+            assert type(recovered) is DynamicHypergraph
+            assert layout(recovered) == layout(original)
+            assert live_view(recovered) == live_view(original)
+
+
+class TestGoldenBytes:
+    """``tests/data/fig1_batch.*`` were written by the commit *before*
+    the graph classes became one hierarchy: what is on disk must not
+    move, in either direction."""
+
+    DATA = os.path.join(os.path.dirname(__file__), "data")
+
+    def golden(self, name, mode="r"):
+        with open(os.path.join(self.DATA, name), mode) as stream:
+            return stream.read()
+
+    def mutated(self):
+        batch = MutationBatch(
+            inserts=[(0, 4), (2, 7)], deletes=[1], add_vertices=["C"]
+        )
+        graph = DynamicHypergraph.from_hypergraph(small_graph())
+        graph.apply(batch)
+        return graph, batch
+
+    def test_journal_record(self):
+        graph, batch = self.mutated()
+        golden = self.golden("fig1_batch.journal", "rb")
+        assert golden == b"HGJRNL 1\n" + encode_record(graph.version, batch)
+        records, valid = scan_journal(golden)
+        assert valid == len(golden)
+        assert [(v, b) for _, v, b in records] == [(1, batch)]
+
+    def test_snapshot(self):
+        graph, _ = self.mutated()
+        golden = self.golden("fig1_batch.snap")
+        stream = io.StringIO()
+        dump_snapshot(graph, stream)
+        assert stream.getvalue() == golden
+        recovered = parse_snapshot(io.StringIO(golden))
+        assert layout(recovered) == layout(graph)
+        assert live_view(recovered) == live_view(graph)
+
+    @pytest.mark.parametrize("backend", INDEX_BACKENDS)
+    def test_store(self, backend):
+        graph, _ = self.mutated()
+        golden = self.golden("fig1_batch.hgstore")
+        rebuilt = PartitionedStore(graph.to_hypergraph(), backend)
+        stream = io.StringIO()
+        dump_store(rebuilt, stream)
+        assert stream.getvalue() == golden
+        assert stores_equal(parse_store(io.StringIO(golden), backend), rebuilt)
+
+
+# ---------------------------------------------------------------------------
+# Engines on one store
+# ---------------------------------------------------------------------------
+
+def test_an_engine_never_mutates_a_store_it_was_handed():
+    """Two engines on one store (``HGMatch(store=...)``; what
+    ``datasets.load_store`` hands out from its process-wide cache): the
+    first mutation moves the mutating engine onto a private store, so
+    the other engine — and the cache — keep the graph they were built
+    for."""
+    data = small_graph()
+    store = PartitionedStore(data)
+    rows_before = {
+        signature: partition.row_ids
+        for signature, partition in store.partitions.items()
+    }
+    a = HGMatch(data, store=store)
+    b = HGMatch(data, store=store)
+    q = Hypergraph(["A", "B"], [{0, 1}])
+    q2 = Hypergraph(["A", "B", "A"], [{0, 1}, {1, 2}])
+    assert (a.count(q), a.count(q2)) == (b.count(q), b.count(q2)) == (2, 2)
+    a.apply_mutations(MutationBatch(inserts=[{0, 4}]))
+    assert (a.count(q), a.count(q2)) == (3, 6)
+    assert (b.count(q), b.count(q2)) == (2, 2)
+    assert b.store is store and a.store is not store
+    assert a.store.index_backend == store.index_backend
+    assert store.graph is data
+    assert {
+        signature: partition.row_ids
+        for signature, partition in store.partitions.items()
+    } == rows_before
+    # The private store is maintained in place from then on.
+    private = a.store
+    a.apply_mutations(MutationBatch(deletes=[0]))
+    assert a.store is private and (a.count(q), a.count(q2)) == (2, 2)
+
+
+# ---------------------------------------------------------------------------
 # Incremental store maintenance ≡ from-scratch rebuild (structurally)
 # ---------------------------------------------------------------------------
 
@@ -274,14 +528,23 @@ def test_partitioned_store_incremental_equals_rebuild(backend):
         data, _, _ = instance
         graph = DynamicHypergraph.from_hypergraph(data)
         store = PartitionedStore(graph, index_backend=backend)
+        # A store is the 1-of-1 shard: same build, same maintenance.
+        whole = StoreShard.build(graph, 0, 1, backend)
+        assert store_state(whole) == store_state(store)
         for batch in random_mutation_schedule(rng, data, steps=6):
             result = graph.apply(batch)
             store.apply_mutation_result(result)
+            whole.apply_mutation_result(result)
             rebuilt = PartitionedStore(graph, index_backend=backend)
             assert store_state(store) == store_state(rebuilt), (
                 f"incremental {backend} store diverged from rebuild at "
                 f"version {graph.version} (attempt {attempt})"
             )
+            assert store_state(whole) == store_state(store)
+            assert whole.ranges() == {
+                signature: (0, len(rows))
+                for signature, rows in graph.rows_by_signature().items()
+            }
         checked += 1
         if checked >= 8:
             break
@@ -300,10 +563,17 @@ def test_sharded_store_incremental_covers_mutated_graph(backend):
             continue
         data, _, _ = instance
         graph = DynamicHypergraph.from_hypergraph(data)
-        store = ShardedStore(graph, num_shards=3, index_backend=backend)
+        # What a pool does: each worker's shard and the coordinator's
+        # range table take the same results, independently.
+        shards = [StoreShard.build(graph, i, 3, backend) for i in range(3)]
+        table = build_range_table(graph.rows_by_signature(), 3)
         for batch in random_mutation_schedule(rng, data, steps=6):
             result = graph.apply(batch)
-            store.apply_mutation_result(result)
+            for shard in shards:
+                shard.apply_mutation_result(result)
+            table = mutate_range_table(table, result, 3)
+            for shard, ranges in zip(shards, range_table_slices(table, 3)):
+                assert shard.ranges() == ranges
             live = {
                 signature: [e for e in rows if graph.is_live(e)]
                 for signature, rows in graph.rows_by_signature().items()
@@ -312,7 +582,7 @@ def test_sharded_store_incremental_covers_mutated_graph(backend):
                 ordered = sorted(
                     (
                         (shard.row_base(signature), shard)
-                        for shard in store.shards
+                        for shard in shards
                         if shard.partition(signature) is not None
                     ),
                     key=lambda pair: pair[0],
@@ -325,7 +595,7 @@ def test_sharded_store_incremental_covers_mutated_graph(backend):
                     concat_edges.extend(partition.edge_ids)
                 assert concat_rows == rows
                 assert concat_edges == live[signature]
-            for shard in store.shards:
+            for shard in shards:
                 descriptor = shard.describe()
                 assert descriptor.graph_version == graph.version
                 assert descriptor.graph_edges == graph.num_edges

@@ -24,7 +24,7 @@ from repro import HGMatch, Hypergraph, MatchCounters
 from repro.core.candidates import AnchorUnionMemo, VertexStepState
 from repro.core import frontier as frontier_module
 from repro.core.frontier import FRONTIER_BLOCK, batched_is_cheaper
-from repro.hypergraph import StoreShard
+from repro.hypergraph import StoreShard, apply_batch
 from repro.parallel.level_sync import expand_level
 from repro.parallel.tasks import WorkerStats
 from repro.testing import (
@@ -149,9 +149,9 @@ def test_orientations_agree_on_incrementally_mutated_shards():
         engine = HGMatch(data, index_backend="bitset")
         shards = bitset_shards(data)
         for batch in random_mutation_schedule(rng, data, steps=4):
-            result = engine.apply_mutations(batch)
+            engine.apply_mutations(batch)
             for shard in shards:
-                shard.apply_mutation_result(engine.data, result)
+                apply_batch(shard.graph, shard, batch)
         check_tree(engine, query, shards)
         tombstoned += sum(
             partition.num_rows - partition.cardinality
@@ -237,8 +237,9 @@ def test_a_partition_of_tombstones_only():
     engine = HGMatch(data, index_backend="bitset")
     plan = engine.plan(query, (0, 1))
     (shard,) = bitset_shards(data, 1)
-    result = engine.apply_mutations(MutationBatch(deletes=[1, 2]))
-    shard.apply_mutation_result(engine.data, result)
+    batch = MutationBatch(deletes=[1, 2])
+    engine.apply_mutations(batch)
+    apply_batch(shard.graph, shard, batch)
     partition = shard.partition(plan.steps[1].signature)
     assert partition.num_rows == 2 and partition.cardinality == 0
     dead = run_level(engine.data, shard, plan, 1, [(0,)], True)

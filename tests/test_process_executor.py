@@ -428,7 +428,7 @@ def test_bitset_level_payloads_over_tombstoned_shard_rows():
     """Incrementally maintained shards: rows of deleted edges stay
     allocated, so the row layout no longer equals the live edge table —
     the accepted mask must still land on the same bits and offset."""
-    from repro.hypergraph import StoreShard
+    from repro.hypergraph import StoreShard, apply_batch
     from repro.testing import make_mutable_instance, random_mutation_schedule
 
     rng = random.Random(1301)
@@ -442,9 +442,9 @@ def test_bitset_level_payloads_over_tombstoned_shard_rows():
         engine = HGMatch(data, index_backend="bitset")
         shards = [StoreShard.build(data, s, 2, "bitset") for s in range(2)]
         for batch in random_mutation_schedule(rng, data, steps=4):
-            result = engine.apply_mutations(batch)
+            engine.apply_mutations(batch)
             for shard in shards:
-                shard.apply_mutation_result(engine.data, result)
+                apply_batch(shard.graph, shard, batch)
         tombstoned += sum(
             partition.num_rows - len(partition.edge_ids)
             for shard in shards

@@ -28,7 +28,6 @@ from repro.hypergraph import (
     INDEX_BACKENDS,
     SHARDING_MODES,
     PartitionedStore,
-    ShardedStore,
     StoreShard,
     balanced_range_table,
     build_range_table,
@@ -38,8 +37,16 @@ from repro.hypergraph import (
     shard_ranges,
     weighted_shard_ranges,
 )
-from repro.hypergraph.storage import group_edges_by_signature
 from repro.testing import make_random_instance
+
+
+def build_shards(graph, num_shards, index_backend=None, sharding=None):
+    """Every row-range shard of ``graph``, each built the way a pool's
+    worker builds its own — independently, from the graph alone."""
+    return [
+        StoreShard.build(graph, shard_id, num_shards, index_backend, sharding)
+        for shard_id in range(num_shards)
+    ]
 
 
 def assert_exact_cover(ranges, num_rows):
@@ -237,7 +244,7 @@ class TestRangeTables:
 class TestStoreShard:
     def test_slices_concatenate_to_global_partition(self, fig1_data, backend):
         full = PartitionedStore(fig1_data, index_backend=backend)
-        sharded = ShardedStore(fig1_data, 3, index_backend=backend)
+        sharded = build_shards(fig1_data, 3, backend)
         for signature, partition in full.partitions.items():
             concatenated = ()
             for shard in sharded:
@@ -250,7 +257,7 @@ class TestStoreShard:
 
     def test_shard_postings_are_row_restrictions(self, fig1_data, backend):
         full = PartitionedStore(fig1_data, index_backend=backend)
-        sharded = ShardedStore(fig1_data, 2, index_backend=backend)
+        sharded = build_shards(fig1_data, 2, backend)
         for signature, partition in full.partitions.items():
             for shard in sharded:
                 local = shard.partition(signature)
@@ -265,7 +272,7 @@ class TestStoreShard:
 
     def test_index_size_splits_across_shards(self, fig1_data, backend):
         full = PartitionedStore(fig1_data, index_backend=backend)
-        sharded = ShardedStore(fig1_data, 4, index_backend=backend)
+        sharded = build_shards(fig1_data, 4, backend)
         assert (
             sum(shard.index_size_entries() for shard in sharded)
             == full.index_size_entries()
@@ -274,8 +281,10 @@ class TestStoreShard:
     def test_more_shards_than_rows(self, fig1_data, backend):
         # Every partition of the Fig. 1 graph has a single row, so most
         # shards own nothing — and say so via None partitions.
-        sharded = ShardedStore(fig1_data, 8, index_backend=backend)
-        for signature in sharded.signatures():
+        sharded = build_shards(fig1_data, 8, backend)
+        signatures = {s for shard in sharded for s in shard.partitions}
+        assert signatures == set(fig1_data.rows_by_signature())
+        for signature in signatures:
             owners = [
                 shard
                 for shard in sharded
@@ -308,9 +317,7 @@ def test_shard_candidates_compose_to_global(backend, sharding):
         data, query = instance
         engine = HGMatch(data, index_backend=backend)
         num_shards = rng.choice((2, 3, 4))
-        sharded = ShardedStore(
-            data, num_shards, index_backend=backend, sharding=sharding
-        )
+        sharded = build_shards(data, num_shards, backend, sharding)
         plan = engine.plan(query)
         stack = [()]
         while stack:
@@ -362,9 +369,8 @@ def test_balanced_store_slices_concatenate_in_range_order(
     range-order concatenation still reproduces every global partition
     and the row bases match the cut."""
     full = PartitionedStore(fig1_data, index_backend=backend)
-    sharded = ShardedStore(
-        fig1_data, 3, index_backend=backend, sharding="balanced"
-    )
+    sharded = build_shards(fig1_data, 3, backend, "balanced")
+    table = build_range_table(fig1_data.rows_by_signature(), 3, "balanced")
     for signature, partition in full.partitions.items():
         owners = [
             shard for shard in sharded
@@ -375,9 +381,9 @@ def test_balanced_store_slices_concatenate_in_range_order(
             assert shard.row_base(signature) == len(concatenated)
             concatenated += shard.partition(signature).edge_ids
         assert concatenated == partition.edge_ids
-        assert sharded.range_table[signature] is not None
-    assert sharded.sharding == "balanced"
-    for shard in sharded:
+        assert table[signature] is not None
+    for shard, ranges in zip(sharded, range_table_slices(table, 3)):
+        assert shard.ranges() == ranges
         assert shard.sharding == "balanced"
         assert shard.describe().sharding == "balanced"
 
@@ -400,7 +406,7 @@ def test_duplicated_keyed_streams_fold_exactly_once(backend):
         data, query = instance
         engine = HGMatch(data, index_backend=backend)
         num_shards = rng.choice((2, 3, 4))
-        sharded = ShardedStore(data, num_shards, index_backend=backend)
+        sharded = build_shards(data, num_shards, backend)
         plan = engine.plan(query)
         stack = [()]
         while stack:
@@ -450,11 +456,9 @@ def test_duplicated_keyed_streams_fold_exactly_once(backend):
 
 class TestReplicaIdentity:
     def test_descriptor_replica_fields_round_trip(self, fig1_data):
-        from repro.hypergraph import ShardedStore
         from repro.hypergraph.sharding import ShardDescriptor
 
-        sharded = ShardedStore(fig1_data, 2)
-        base = next(iter(sharded)).describe()
+        base = build_shards(fig1_data, 2)[0].describe()
         assert (base.replica_id, base.num_replicas) == (0, 1)
         stamped = base.with_replica(1, 3)
         assert (stamped.replica_id, stamped.num_replicas) == (1, 3)
@@ -471,9 +475,7 @@ class TestReplicaIdentity:
         assert (parsed.replica_id, parsed.num_replicas) == (0, 1)
 
     def test_with_replica_validates_arithmetic(self, fig1_data):
-        from repro.hypergraph import ShardedStore
-
-        descriptor = next(iter(ShardedStore(fig1_data, 2))).describe()
+        descriptor = build_shards(fig1_data, 2)[0].describe()
         with pytest.raises(ValueError, match="out of range"):
             descriptor.with_replica(2, 2)
         with pytest.raises(ValueError, match=">= 1"):
