@@ -24,12 +24,13 @@ test-backends:
 
 ## Shard-executor smoke: the sharded-execution subsystem across all
 ## three backends (wire format, shard slicing, framing, handshake, the
-## one shard pool over its local workers, rebalance, parity) — the
-## tier-1 subset CI's shard-smoke job runs.
+## one shard pool over its local workers — subtree jobs and the
+## level-synchronous protocol — rebalance, parity) — the tier-1 subset
+## CI's shard-smoke job runs.
 SHARD_TESTS = tests/test_process_executor.py tests/test_sharding.py \
 	tests/test_rebalance.py tests/test_wire_format.py \
 	tests/test_transport.py tests/test_net_executor.py \
-	tests/test_frontier_kernel.py
+	tests/test_frontier_kernel.py tests/test_subtree_jobs.py
 test-shards:
 	REPRO_INDEX_BACKEND=merge $(PYTHON) -m pytest -x -q $(SHARD_TESTS)
 	REPRO_INDEX_BACKEND=bitset $(PYTHON) -m pytest -x -q $(SHARD_TESTS)
@@ -39,9 +40,11 @@ test-shards:
 ## recovery ladder of the shard pool (replica handshakes, mid-level
 ## kill/sever/garble failover, speculation, dropped-reply deadlines,
 ## zero-replica fail-fast) — each fault once under a solo job and once
-## with two query channels in flight on the one pool.
+## with two query channels in flight on the one pool — and the same
+## faults under subtree jobs (a lost member's part re-sent, no respawn).
 test-chaos:
-	$(PYTHON) -m pytest -x -q tests/test_chaos.py tests/test_net_executor.py
+	$(PYTHON) -m pytest -x -q tests/test_chaos.py tests/test_net_executor.py \
+		tests/test_subtree_jobs.py
 
 ## Elastic-runtime smoke: worker discovery (registry + announcer),
 ## supervised restart under a retry budget, and live grow/shrink of

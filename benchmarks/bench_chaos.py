@@ -4,7 +4,10 @@ The robustness gate for the replicated shard runtime.  A 2-replica
 loopback cluster runs a Fig. 8 workload slice while a seeded
 :class:`~repro.parallel.chaos.FaultPlan` kills one worker process right
 after the first LEVEL frame lands on it (the fault position is a frame
-count, so every run reproduces the same mid-level kill).  Gates:
+count, so every run reproduces the same mid-level kill; the jobs run
+under the level-synchronous protocol, ``ShardPool.run_bfs``, whose
+frame sequence the pins name — a subtree job's loss of a member is
+covered by ``tests/test_subtree_jobs.py``).  Gates:
 
 * **failover parity** — the faulted run must finish with counts
   bit-identical to the sequential engine on all three index backends,
@@ -64,7 +67,7 @@ def _workload():
 
 
 def _run_all(executor, engine, queries) -> List[int]:
-    return [executor.run(engine, query).embeddings for query in queries]
+    return [executor.run_bfs(engine, query).embeddings for query in queries]
 
 
 def run_benchmark() -> dict:
@@ -161,7 +164,7 @@ def run_benchmark() -> dict:
                 try:
                     started = time.perf_counter()
                     try:
-                        executor.run(engine, queries[0])
+                        executor.run_bfs(engine, queries[0])
                         failures.append(
                             f"{backend}: unreplicated kill did not raise"
                         )

@@ -4,15 +4,18 @@ Runs the Fig. 8 trace (the same HB/SB × q2/q3/q6 workload as
 ``bench_index_backends``) through three execution engines and gates the
 sharded subsystem:
 
-* **parity** — sharded ``count``/``count_bfs`` results must be
-  bit-identical to the sequential engine for all three index backends
-  × both shard placements (uniform and balanced) (always enforced);
-* **payload** — the bytes crossing the process boundaries must be the
-  backend's *mask* representation, not decoded edge-id lists: on the
+* **parity** — the pool's results, under both job shapes (subtree
+  jobs, ``ShardPool.run``; the level-synchronous protocol,
+  ``run_bfs``), must be bit-identical to the sequential engine for all
+  three index backends × both shard placements (uniform and balanced)
+  (always enforced);
+* **payload** — the bytes crossing the process boundaries under the
+  level-synchronous protocol must be the backend's *mask*
+  representation, not decoded edge-id lists: on the
   identical trace the bitset/adaptive payload totals must undercut the
   merge backend's tuple payloads (always enforced);
-* **speedup** — processes ≥ 1.5× wall-clock over the threaded executor
-  at 4 shards.  Enforced only on hosts with ≥ 2 usable cores: the
+* **speedup** — processes (subtree jobs) ≥ 1.5× wall-clock over the
+  threaded executor at 4 shards.  Enforced only on hosts with ≥ 2 usable cores: the
   threaded executor is GIL-serialised, so the process pool's advantage
   *is* the extra cores — on a single-core host every executor
   serialises onto the same CPU and the ratio merely records overhead,
@@ -23,7 +26,8 @@ sharded subsystem:
 * **skew** — on the skewed trace (one hot signature partition, see
   :func:`repro.bench.skewed_instance`), balanced placement must cut
   the max/mean per-shard CPU-load imbalance by ≥ ``SKEW_GATE``× vs
-  uniform, with bit-identical counts.  CPU load (``WorkerStats.
+  uniform under the level-synchronous protocol, with bit-identical
+  counts.  CPU load (``WorkerStats.
   cpu_time``) is used rather than wall ``busy_time`` so the gate holds
   on contended single-core hosts too.
 
@@ -144,15 +148,22 @@ def run_benchmark() -> dict:
                 engine = engines[dataset][backend]
                 if engine.count(query) != expected:
                     parity_failures.append(f"{backend}: sequential drifted")
-                result = executors[dataset].run(engine, query)
+                # Placement and payloads are the level-synchronous
+                # protocol's; a subtree job (what the timing below
+                # runs) ships no candidate payload and reads no range.
+                result = executors[dataset].run_bfs(engine, query)
                 if result.embeddings != expected:
                     parity_failures.append(
                         f"{backend}: processes returned {result.embeddings}, "
                         f"sequential {expected}"
                     )
-                if balanced[dataset].run(engine, query).embeddings != expected:
+                if balanced[dataset].run_bfs(engine, query).embeddings != expected:
                     parity_failures.append(
                         f"{backend}: balanced placement diverged"
+                    )
+                if executors[dataset].run(engine, query).embeddings != expected:
+                    parity_failures.append(
+                        f"{backend}: subtree job diverged"
                     )
                 if engine.count_bfs(query) != expected:
                     parity_failures.append(f"{backend}: count_bfs diverged")
@@ -261,11 +272,12 @@ def run_skew_benchmark() -> dict:
             num_shards=SKEW_NUM_SHARDS, index_backend="bitset", sharding=mode
         )
         try:
-            executor.run(engine, skew_queries[0])  # warm the pool
+            executor.run_bfs(engine, skew_queries[0])  # warm the pool
             loads = [0.0] * SKEW_NUM_SHARDS
             for _ in range(SKEW_PASSES):
                 for query, count in zip(skew_queries, expected):
-                    result = executor.run(engine, query)
+                    # Per-range load: the level-synchronous protocol.
+                    result = executor.run_bfs(engine, query)
                     if result.embeddings != count:
                         parity_failures.append(
                             f"skew {mode}: returned {result.embeddings}, "

@@ -65,8 +65,12 @@ def main() -> None:
         assert socket_result.embeddings == result.embeddings, (
             "socket cluster diverged from the threaded executor"
         )
-        print("  per-shard payload bytes on the wire:",
-              [stats.payload_bytes for stats in socket_result.worker_stats])
+        print("  embeddings per worker (one subtree request each):",
+              [stats.embeddings for stats in socket_result.worker_stats])
+        level_sync = net.run_bfs(engine, query)
+        assert level_sync.embeddings == result.embeddings
+        print("  level-synchronous protocol, per-shard payload bytes:",
+              [stats.payload_bytes for stats in level_sync.worker_stats])
         print("  workers:", ", ".join(
             f"{host}:{port}" for host, port in cluster.addresses))
     finally:

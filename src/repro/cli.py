@@ -148,10 +148,11 @@ def build_parser() -> argparse.ArgumentParser:
     match.add_argument(
         "--rebalance",
         action="store_true",
-        help="after the first run, recut the shard ranges from the "
-        "observed per-shard load and run the query again (requires "
-        "--executor processes or sockets); reports the load imbalance "
-        "before and after",
+        help="run the query under the level-synchronous protocol (each "
+        "worker expands its row ranges of every level), recut the shard "
+        "ranges from the observed per-shard load and run it again "
+        "(requires --executor processes or sockets); reports the load "
+        "imbalance before and after",
     )
     match.add_argument(
         "--hosts",
@@ -553,10 +554,13 @@ def _cmd_match(args, out) -> int:
                             out.write(f"{embedding.hyperedge_mapping()}\n")
                         count += 1
                 elif args.rebalance:
+                    # Ranges only carry load under the level-synchronous
+                    # protocol; count() runs subtree jobs, which no recut
+                    # can touch.
                     pool = engine.pool()
-                    first = pool.run(engine, query, time_budget=args.timeout)
+                    first = pool.run_bfs(engine, query, time_budget=args.timeout)
                     moved = pool.rebalance(first.worker_stats)
-                    second = pool.run(engine, query, time_budget=args.timeout)
+                    second = pool.run_bfs(engine, query, time_budget=args.timeout)
                     if second.embeddings != first.embeddings:
                         # Cannot happen while the recut covers the rows
                         # exactly; check anyway — a silent drift here

@@ -140,14 +140,18 @@ class HGMatch:
         ``REPRO_INDEX_BACKEND``/``"bitset"``.  Ignored when a prebuilt
         ``store`` is supplied (the store's backend wins).
     shards:
-        Default shard count for the shard executors
+        Default worker count for the shard executors
         (``count``/``count_bfs`` with ``executor="processes"`` or
-        ``"sockets"``): each signature partition's rows are split into
-        this many contiguous ranges, one worker process per shard
-        (:class:`repro.parallel.ShardPool`).  ``1`` keeps
-        everything in-process.
+        ``"sockets"``): one worker process per shard
+        (:class:`repro.parallel.ShardPool`), each holding the whole
+        graph.  ``count`` cuts a query at the root across them (subtree
+        jobs); for ``count_bfs`` each signature partition's rows are
+        split into this many contiguous ranges, one per worker (the
+        level-synchronous protocol).  ``1`` keeps everything
+        in-process.
     sharding:
-        Shard *placement* mode for the shard executors: ``"uniform"``
+        Shard *placement* mode for the level-synchronous protocol
+        (subtree jobs read no range): ``"uniform"``
         (near-equal row counts per partition, the default) or
         ``"balanced"`` (posting-mass-weighted ranges with partition
         surpluses steered to the least-loaded shard) — see
@@ -297,6 +301,7 @@ class HGMatch:
         time_budget: "float | None",
         first_edges=None,
         want_sets: bool = True,
+        part: "Tuple[int, int] | None" = None,
     ) -> Iterator[Tuple[List[Tuple[int, ...]], "List[CandidateSet] | None", int]]:
         """The block-DFS behind :meth:`match` and :meth:`count`.
 
@@ -318,6 +323,13 @@ class HGMatch:
         blocks of one the accepted children not yet expanded (the LIFO
         deque), otherwise the parents of the live frames plus the block
         in hand — their children exist only as row masks.
+
+        ``part = (p, n)`` searches below every ``n``-th step-0 survivor
+        from the ``p``-th on (the accepted set is ascending, so the
+        slices of ``p = 0..n-1`` partition it); ``first_edges`` keeps
+        the survivors it names.  Every part repeats the step-0 scan,
+        but only part 0 charges it — and the root task — to
+        ``counters``, so the parts' counters add up to one search's.
         """
         deadline = None if time_budget is None else time.monotonic() + time_budget
         last_step = plan.num_steps - 1
@@ -345,20 +357,25 @@ class HGMatch:
             step = len(parents[0])
             held = len(parents) if step else 0  # the root is no embedding
             note(-held if lifo else held)  # leaves the deque / is in hand
-            if counters is not None:
-                counters.tasks += len(parents)
+            sliced = not step and (first_edges is not None or part is not None)
+            charged = None if sliced and part is not None and part[0] else counters
+            if charged is not None:
+                charged.tasks += len(parents)
             partition = partitions[step]
             accepted, sets = 0, None
             if partition is not None:
                 accepted, sets = expand_block(
-                    data, partition, plan, step, parents, state, counters,
-                    self._anchor_memo, want_sets or step < last_step,
+                    data, partition, plan, step, parents, state, charged,
+                    self._anchor_memo, want_sets or sliced or step < last_step,
                 )
-            if first_edges is not None and accepted and not step:
-                sets = [TupleCandidates(
-                    tuple(e for e in sets[0].to_tuple() if e in first_edges)
-                )]
-                accepted = len(sets[0])
+            if sliced and accepted:
+                roots = sets[0].to_tuple()
+                if first_edges is not None:
+                    roots = tuple(e for e in roots if e in first_edges)
+                if part is not None:
+                    roots = roots[part[0]::part[1]]
+                sets = [TupleCandidates(roots)]
+                accepted = len(roots)
             if accepted and step < last_step:
                 # LIFO: the children join the deque; blocks: the frame
                 # keeps the parents in hand.
@@ -414,17 +431,20 @@ class HGMatch:
                     yield Embedding(self.data, query, plan.order, extended)
 
     def _count_elsewhere(
-        self, executor, query, order, workers, counters, time_budget, shards
+        self, executor, query, order, workers, counters, time_budget, shards,
+        bfs: bool = False,
     ) -> "int | None":
-        """:meth:`count` / :meth:`count_bfs` on another executor; None
-        for ``"sequential"``/``"threads"``, which the caller runs."""
+        """:meth:`count` / :meth:`count_bfs` (``bfs``) on another
+        executor; None for ``"sequential"``/``"threads"``, which the
+        caller runs."""
         if executor in ("processes", "sockets"):
             if shards is None and self.shards == 1 and workers > 1:
                 # ``workers`` expresses the desired parallelism for the
                 # other executors; honour it here too unless the engine
                 # or call named an explicit shard count.
                 shards = workers
-            result = self.pool(shards).run(
+            pool = self.pool(shards)
+            result = (pool.run_bfs if bfs else pool.run)(
                 self, query, order=order, time_budget=time_budget
             )
         elif executor == "simulated":
@@ -466,13 +486,19 @@ class HGMatch:
           threads); GIL-serialised, demonstrates correctness and load
           balance;
         * ``"processes"`` / ``"sockets"`` — two spellings of one
-          engine: a solo job (:meth:`repro.parallel.ShardPool.run`) on
-          the engine's persistent shard pool (:meth:`pool`: one worker
-          process per store shard, here or on pinned hosts), for real
-          multi-core wall clock.  Parallelism is ``shards``, falling
-          back to the engine's ``shards``, falling back to ``workers``
-          — so ``count(q, workers=8, executor="processes")`` runs 8
-          worker processes rather than silently one;
+          engine: a solo *subtree job*
+          (:meth:`repro.parallel.ShardPool.run`) on the engine's
+          persistent shard pool (:meth:`pool`: one worker process per
+          store shard, here or on pinned hosts), for real multi-core
+          wall clock.  Every worker holds the whole graph; each is sent
+          one request, runs this engine's block-DFS
+          (:meth:`count_part`) below its slice of the root candidates
+          and answers one count — the paper's Sec. VI task model, two
+          frames per worker per query.  Parallelism is ``shards``,
+          falling back to the engine's ``shards``, falling back to
+          ``workers`` — so ``count(q, workers=8,
+          executor="processes")`` runs 8 worker processes rather than
+          silently one;
         * ``"simulated"`` — the discrete-event scheduler
           (:class:`repro.parallel.SimulatedExecutor`, virtual time;
           ``time_budget`` does not apply).
@@ -494,11 +520,32 @@ class HGMatch:
             if counters is not None:
                 counters.merge(result.counters)
             return result.embeddings
-        # Count-only: last-level survivors are added up block by block,
-        # never decoded or built into tuples or Embedding objects.
+        return self.count_part(
+            query, order, counters=counters, time_budget=time_budget
+        )
+
+    def count_part(
+        self,
+        query: Hypergraph,
+        order: "Sequence[int] | None" = None,
+        part: int = 0,
+        parts: int = 1,
+        counters: "MatchCounters | None" = None,
+        time_budget: "float | None" = None,
+    ) -> int:
+        """Count the embeddings below every ``parts``-th root candidate
+        from the ``part``-th on: the in-process count (1 part) and the
+        unit of work of a subtree job, whose pool members each run one
+        part.  The parts' counts — and their ``counters``, see
+        :meth:`_search` — add up to the whole query's.
+
+        Count-only: last-level survivors are added up block by block,
+        never decoded or built into tuples or Embedding objects.
+        """
         total = 0
         for _, _, accepted in self._search(
-            self.plan(query, order), counters, time_budget, want_sets=False
+            self.plan(query, order), counters, time_budget, want_sets=False,
+            part=None if parts == 1 else (part, parts),
         ):
             total += accepted
         if counters is not None:
@@ -734,8 +781,11 @@ class HGMatch:
         ``executor`` mirrors :meth:`count`: ``None``/``"sequential"`` is
         the in-process loop here; ``"threads"`` splits every frontier
         level across ``workers`` threads; ``"processes"`` and
-        ``"sockets"`` run the engine's shard pool (:meth:`pool`), whose
-        level-synchronous protocol *is* BFS; ``"simulated"``
+        ``"sockets"`` run the engine's shard pool (:meth:`pool`) through
+        :meth:`repro.parallel.ShardPool.run_bfs`, whose
+        level-synchronous protocol *is* BFS (each worker expands its row
+        range of every level; :meth:`count` runs subtree jobs on the
+        same workers instead); ``"simulated"``
         counts via the discrete-event scheduler
         (task-parallel in virtual time — counts match, the BFS memory
         profile does not apply).  All executors return bit-identical
@@ -743,7 +793,7 @@ class HGMatch:
         """
         elsewhere = self._count_elsewhere(
             executor or "sequential", query, order, workers, counters,
-            time_budget, shards,
+            time_budget, shards, bfs=True,
         )
         if elsewhere is not None:
             return elsewhere

@@ -586,9 +586,10 @@ class DynamicHypergraph(Hypergraph):
         )
 
 
-def apply_batch(graph: Hypergraph, store, batch: MutationBatch):
-    """Commit ``batch`` to ``graph`` and the ``store`` built over it;
-    returns ``(graph, result)``.
+def apply_batch(graph: Hypergraph, store, batch: MutationBatch, *more_stores):
+    """Commit ``batch`` to ``graph`` and the ``store`` built over it
+    (and any ``more_stores`` over the same graph — a shard worker keeps
+    its shard and a whole store in step); returns ``(graph, result)``.
 
     The one write path: a still-immutable ``graph`` is promoted first
     (the only promotion outside snapshot recovery — edge ids and row
@@ -599,9 +600,12 @@ def apply_batch(graph: Hypergraph, store, batch: MutationBatch):
     caller caches *about* the store — anchor-union memos, open query
     sessions — covers the old rows and is the caller's to clear.
     """
+    stores = (store,) + more_stores
     if not isinstance(graph, DynamicHypergraph):
         graph = DynamicHypergraph.from_hypergraph(graph)
-        store.adopt_graph(graph)
+        for each in stores:
+            each.adopt_graph(graph)
     result = graph.apply(batch)
-    store.apply_mutation_result(result)
+    for each in stores:
+        each.apply_mutation_result(result)
     return graph, result

@@ -7,9 +7,11 @@ module pins faults to **frame counts** instead of wall-clock time: a
 :class:`FaultPlan` lists faults like "sever shard 1's connection when
 the coordinator sends its 3rd frame" or "delay shard 0 replica 0's 2nd
 reply by 300 ms", and a :class:`ChaosSocket` wrapper applies them as
-the frames cross.  Because the level-synchronous protocol is itself
-deterministic (same job → same frame sequence), a seeded plan produces
-the same fault at the same LEVEL on every run, which is what lets the
+the frames cross.  Because both job shapes are themselves
+deterministic (same job → same frame sequence: a JOB and one LEVEL per
+step under the level-synchronous protocol, one SUBTREE request per
+part under a subtree job), a seeded plan produces the same fault at
+the same frame on every run, which is what lets the
 chaos tests and ``benchmarks/bench_chaos.py`` assert *bit-identical
 counts under faults* rather than merely "it didn't crash".
 

@@ -43,6 +43,7 @@ def _cluster_worker_main(
     chaos=None,
     announce=None,
     heartbeat_interval=None,
+    store=None,
 ) -> None:
     """Subprocess entry point: build the shard server, report its port
     through the pipe, then serve until SHUTDOWN."""
@@ -51,7 +52,7 @@ def _cluster_worker_main(
             graph, shard_id, num_shards, index_backend, seed=seed,
             sharding=sharding, replica_id=replica_id,
             num_replicas=num_replicas, chaos=chaos, announce=announce,
-            heartbeat_interval=heartbeat_interval,
+            heartbeat_interval=heartbeat_interval, store=store,
         )
         host, port = worker.bind()
         conn.send(("ready", host, port))
@@ -74,17 +75,23 @@ def _start_cluster_worker(
     chaos=None,
     announce=None,
     heartbeat_interval=None,
+    store=None,
 ):
     """Start one loopback shard-worker subprocess; returns
     ``(process, parent_conn)`` — await its port with
-    :func:`_await_worker_ready`."""
+    :func:`_await_worker_ready`.  ``store`` (a built store of the whole
+    ``graph``) rides along only under ``fork``, where the child simply
+    inherits it; pickling one for another start method costs more than
+    the worker building its own on first need."""
+    if context.get_start_method() != "fork":
+        store = None
     parent_conn, child_conn = context.Pipe()
     process = context.Process(
         target=_cluster_worker_main,
         args=(
             child_conn, graph, shard_id, num_shards, index_backend, seed,
             sharding, replica_id, num_replicas, chaos, announce,
-            heartbeat_interval,
+            heartbeat_interval, store,
         ),
         daemon=True,
     )
@@ -286,6 +293,7 @@ def spawn_local_cluster(
     chaos=None,
     announce: "Tuple[str, int] | None" = None,
     heartbeat_interval: "float | None" = None,
+    store=None,
 ) -> LocalCluster:
     """Boot ``num_shards × num_replicas`` shard workers on loopback.
 
@@ -300,6 +308,9 @@ def spawn_local_cluster(
     of proving the multi-host story without a second host.  A ``chaos``
     :class:`~repro.parallel.chaos.FaultPlan` is pickled into every
     worker so worker-role faults (slow/dropped replies) apply there.
+    ``store`` — the caller's already-built store of the whole ``graph``
+    — is handed to the workers for their subtree requests where that is
+    free (``fork``); a respawned worker builds its own on first need.
     """
     if num_shards < 1:
         raise SchedulerError("num_shards must be >= 1")
@@ -321,7 +332,7 @@ def spawn_local_cluster(
             process, parent_conn = _start_cluster_worker(
                 context, graph, shard_id, num_shards, index_backend, seed,
                 sharding, replica_id, num_replicas, chaos, announce,
-                heartbeat_interval,
+                heartbeat_interval, store,
             )
             processes.append(process)
             parent_conns.append(parent_conn)

@@ -20,34 +20,55 @@ a second engine.  This module is that pool, in two pieces:
     *park* the pump, so their exchanges are plain send → receive.
 
 :class:`QueryChannel`
-    One query's executor facade: the plug-in surface of
+    One query on the pool.  It is the one place SUBTREE / JOB / LEVEL /
+    COLLECT bodies are encoded and the one gather loop.
+    :meth:`QueryChannel.count` runs the query as a **subtree job**; the
+    channel is also the plug-in surface of
     :func:`~repro.parallel.level_sync.run_level_synchronous`
     (``num_shards`` / ``_ensure_pool`` / ``_broadcast`` / ``_gather`` /
-    ``_gather_iter``).  It is the one place JOB / LEVEL / COLLECT bodies
-    are encoded and the one gather loop.  A solo job
-    (:meth:`ShardPool.run`) is one channel tagged
+    ``_gather_iter``).  A solo job (:meth:`ShardPool.run` /
+    :meth:`ShardPool.run_bfs`) is one channel tagged
     :data:`~repro.parallel.transport.SOLO_QUERY_ID`; the match service
     opens one per admitted query, on its engine's same pool.
+
+Two job shapes, one set of slots
+--------------------------------
+A **subtree job** (the paper's Sec. VI task model; ``count`` and the
+match service) cuts a query at the root: every member holds the whole
+graph, so each chosen member is sent one self-contained SUBTREE
+request, runs the sequential block-DFS below its slice of the root
+candidates and answers one REPLY.  How many parts is one rule,
+:meth:`ShardPool._parts`.  The **level-synchronous** protocol
+(``count_bfs``; a graph that does not fit one worker) sends a JOB, then
+one LEVEL round trip per plan step per shard range.  To the pool both
+are barriers over **slots** — one per reply awaited, each with the
+encoded request to (re-)send: a slot per shard range with one shared
+frame, answerable by that range's replicas; or a slot per part with
+its own frame, answerable by every live member
+(:meth:`ShardPool._eligible`).  Token FIFOs, dispatch, the gather loop,
+its tick and the recovery ladder are written against slots.
 
 Replication, failover, speculation
 ----------------------------------
 Shard construction is a pure function of ``(graph, shard_id,
-num_shards, backend, placement)`` and
+num_shards, backend, placement)``,
 :func:`~repro.parallel.level_sync.expand_level` a pure function of
-``(plan, step, frontier, shard)``, so any replica that holds a query's
-JOB can answer any of its LEVELs and two replicas' answers are
-bit-identical.  Hence: the JOB goes to every live replica, each
-LEVEL/COLLECT to one; a lost member's owed requests are re-sent to
-whoever takes over; with ``speculate_after`` a straggling request is
-duplicated to an idle replica and the first answer wins.  Every
-dispatch pushes a pool-wide monotonic **barrier token** onto the
-member's per-query FIFO and the pump pops one per reply (workers answer
-in request order), so late, duplicate and lost-race replies carry a
-token or shard the gather no longer waits for and are discarded before
-composition — which is why duplicates are provably harmless.  Only
-per-worker *counter accounting* can split across replicas; embedding
-counts are exact because exactly one reply per (barrier, shard) is
-composed.
+``(plan, step, frontier, shard)`` and a subtree part's count a pure
+function of ``(plan, part, parts, graph version)``, so any replica that
+holds a query's JOB can answer any of its LEVELs, any member at all can
+answer a subtree part, and two members' answers are bit-identical.
+Hence: the JOB goes to every live replica, each LEVEL/COLLECT/SUBTREE
+to one member; a lost member's owed requests are re-sent to whoever
+takes over; with ``speculate_after`` a straggling request is
+duplicated to an idle member and the first answer wins.  Every
+dispatch pushes a pool-wide monotonic **barrier token** (with its
+slot) onto the member's per-query FIFO and the pump pops one per reply
+(workers answer in request order), so late, duplicate and lost-race
+replies carry a token or slot the gather no longer waits for and are
+discarded — which is why duplicates are provably harmless.  Only
+per-worker *counter accounting* can split across members; embedding
+counts are exact because exactly one reply per (barrier, slot) is
+taken.
 
 ``docs/ARCHITECTURE.md`` ("Replication & failover", "Match service")
 places this layer in the system and tabulates the ladder.
@@ -68,6 +89,7 @@ from collections import deque
 from contextlib import contextmanager
 from typing import Dict, List, Sequence, Tuple
 
+from ..core.counters import MatchCounters
 from ..errors import (
     QueryCancelled,
     SchedulerError,
@@ -95,6 +117,7 @@ from .handshake import (
     open_session,
     validate_handshake,
 )
+from .executor import ParallelResult
 from .level_sync import run_level_synchronous
 from .tasks import RetryPolicy, default_seed, worker_loads
 from .worker import default_io_timeout
@@ -126,15 +149,20 @@ class _Member:
         self.replica_id = replica_id
         self.address = address
         self.sock = sock
-        #: query id → FIFO of barrier tokens awaiting replies on this
-        #: connection (a drained FIFO is deleted, so an empty dict
-        #: means an idle connection).  The worker answers strictly in
-        #: request order, so the head token is the one the next inbound
-        #: reply for that query answers — which is how stale and
-        #: lost-race replies are told apart from the live one.  Never
-        #: cleared on release: a solo pool reuses its query id, and
-        #: only a popped token keeps the next job's replies aligned.
+        #: query id → FIFO of ``(barrier token, slot)`` pairs awaiting
+        #: replies on this connection (a drained FIFO is deleted, so an
+        #: empty dict means an idle connection).  The worker answers
+        #: strictly in request order, so the head pair names the barrier
+        #: and the slot the next inbound reply for that query answers —
+        #: which is how stale and lost-race replies are told apart from
+        #: the live one.  Never cleared on release: a solo pool reuses
+        #: its query id, and only a popped token keeps the next job's
+        #: replies aligned.
         self.tokens: "Dict[int, deque]" = {}
+
+    def owed(self) -> int:
+        """Replies this connection still owes, over all queries."""
+        return sum(map(len, self.tokens.values()))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -148,26 +176,33 @@ class _QueryState:
     lock, except ``replies``, which is the hand-off to its channel)."""
 
     __slots__ = (
-        "query_id", "replies", "job_frame", "frame", "collecting",
+        "query_id", "replies", "job_frame", "frames", "subtree", "collecting",
         "token", "pending", "watchers", "targets", "lost",
         "started", "budget", "deadline", "cancelled",
     )
 
     def __init__(self, query_id, budget, cancelled) -> None:
         self.query_id = query_id
-        #: Routed arrivals: ``(tag, shard_id, payload, token)`` with
-        #: tag ``"reply"`` / ``"error"``, or ``("lost", None, message,
+        #: Routed arrivals: ``(tag, slot, payload, token)`` with tag
+        #: ``"reply"`` / ``"error"``, or ``("lost", None, message,
         #: None)`` when the pool gave the query up.
         self.replies: "queue.Queue" = queue.Queue()
-        #: The encoded JOB — replayed to every member that joins while
-        #: the query runs — and the encoded LEVEL/COLLECT of the
-        #: current barrier, re-sent by failover and speculation.
+        #: The encoded JOB of a level-synchronous query, replayed to
+        #: every member that joins while it runs (a subtree job has
+        #: none: its requests are self-contained).
         self.job_frame: "bytes | None" = None
-        self.frame: "bytes | None" = None
+        #: The current barrier: slot → the encoded request failover and
+        #: speculation re-send.  A level-synchronous barrier has one
+        #: slot per shard range — one shared LEVEL/COLLECT frame, which
+        #: only that range's replicas can answer; a subtree job
+        #: (``subtree``) one per part — each its own SUBTREE frame,
+        #: which every live member can answer.
+        self.frames: "Dict[int, bytes]" = {}
+        self.subtree = False
         self.collecting = False
         self.token = 0
-        #: Shards still owing the current barrier a reply, and per such
-        #: shard the members working it (member → dispatch time).
+        #: Slots still owing the current barrier a reply, and per such
+        #: slot the members working it (member → dispatch time).
         self.pending: set = set()
         self.watchers: "Dict[int, Dict[_Member, float]]" = {}
         #: Every member the current barrier's frame went to.
@@ -181,6 +216,10 @@ class _QueryState:
         self.cancelled = (
             threading.Event() if cancelled is None else cancelled
         )
+
+    def slot_name(self, slot) -> str:
+        """``slot`` of the current barrier, as error messages name it."""
+        return f"{'part' if self.subtree else 'shard'} {slot}"
 
 
 class _Pump(threading.Thread):
@@ -298,6 +337,11 @@ class ShardPool:
     deadline.  Failover and speculation may split a query's per-worker
     counter accounting across replicas (each replica only counts the
     levels it expanded); embedding counts are always exact.
+
+    :meth:`run` executes a query as a subtree job — one request and one
+    reply per member, whatever its range — and :meth:`run_bfs` under the
+    level-synchronous protocol, for which the ranges, their placement
+    and :meth:`rebalance` exist.
     """
 
     def __init__(
@@ -474,6 +518,7 @@ class ShardPool:
                     sharding=self.sharding,
                     num_replicas=self.num_replicas,
                     chaos=self.chaos,
+                    store=engine.store,
                 )
                 addresses = self._cluster.addresses
             else:
@@ -676,26 +721,56 @@ class ShardPool:
         order: "Sequence[int] | None" = None,
         time_budget: "float | None" = None,
     ):
-        """Execute one solo matching job — one channel, query id
-        :data:`~repro.parallel.transport.SOLO_QUERY_ID` — and return
-        its :class:`~repro.parallel.executor.ParallelResult`.
+        """Execute one solo counting job as a **subtree job** — one
+        channel, query id :data:`~repro.parallel.transport.
+        SOLO_QUERY_ID` — and return its
+        :class:`~repro.parallel.executor.ParallelResult`
+        (:meth:`QueryChannel.count`: one request and one reply per
+        chosen member, each running the whole block-DFS below its slice
+        of the root candidates).
 
         Counts are bit-identical to the sequential engine, including
         under failover and speculation, which replace *who* answers a
-        level but never *what* the answer is.  ``time_budget`` is
-        enforced at level granularity.  A job that fails with a
-        :class:`~repro.errors.SchedulerError` on a pool it had to
-        itself takes the pool down with it, cluster included (nothing
-        half-composed is left; the next job rebuilds); with service
-        queries registered beside it the pool stays up for them (a
-        range out of replicas failed them too and emptied the table).
+        part but never *what* the answer is.  ``time_budget`` is
+        enforced mid-gather here and between blocks on the workers.  A
+        job that fails with a :class:`~repro.errors.SchedulerError` on
+        a pool it had to itself takes the pool down with it, cluster
+        included (the next job rebuilds); with service queries
+        registered beside it the pool stays up for them (a pool out of
+        members failed them too and emptied the table).
+        """
+        channel = QueryChannel(
+            self, query_id=transport.SOLO_QUERY_ID, budget=time_budget
+        )
+        return self._solo(channel, channel.count, engine, query, order)
+
+    def run_bfs(
+        self,
+        engine,
+        query: Hypergraph,
+        order: "Sequence[int] | None" = None,
+        time_budget: "float | None" = None,
+    ):
+        """:meth:`run` under the **level-synchronous** protocol
+        (:func:`~repro.parallel.level_sync.run_level_synchronous`): a
+        JOB to every replica, then per plan step one LEVEL round trip
+        per shard range, each worker expanding its rows of the frontier
+        and the coordinator composing the survivors — breadth-first,
+        which is what ``count_bfs(executor="processes")`` means, and
+        what a graph too large for one worker would need.  Its
+        ``worker_stats`` are per *range*: what :meth:`rebalance`
+        takes.  ``time_budget`` is enforced at level granularity.
         """
         channel = QueryChannel(self, query_id=transport.SOLO_QUERY_ID)
+        return self._solo(
+            channel, run_level_synchronous, channel, engine, query,
+            order=order, time_budget=time_budget,
+        )
+
+    def _solo(self, channel, job, *args, **kwargs):
         completed = False
         try:
-            result = run_level_synchronous(
-                channel, engine, query, order=order, time_budget=time_budget
-            )
+            result = job(*args, **kwargs)
             completed = True
             return result
         except SchedulerError:
@@ -742,16 +817,19 @@ class ShardPool:
         final reply on the members that answered it; replicas that only
         ever held its JOB are cancelled here, every member is for any
         other exit (deadline, client cancel, per-query error, drain) —
-        so no worker keeps orphaned session state.  The exception is a
-        completed *solo* job: its next JOB restarts session 0 on every
-        replica anyway, and a CANCEL would shift the frame positions
-        ``tests/test_chaos.py`` pins faults to.
+        so no worker keeps orphaned session state.  The exceptions: a
+        completed subtree job never had any, and a completed *solo*
+        job's next JOB restarts session 0 on every replica anyway (a
+        CANCEL would shift the frame positions ``tests/test_chaos.py``
+        pins faults to).
         """
         with self._lock:
             state = self._queries.pop(query_id, None)
             if state is None:
                 return
-            if completed and query_id == transport.SOLO_QUERY_ID:
+            if completed and (
+                state.subtree or query_id == transport.SOLO_QUERY_ID
+            ):
                 return
             closed = state.targets if completed else ()
             holders = [
@@ -797,55 +875,96 @@ class ShardPool:
                     shard_id, "lost every replica while broadcasting the job"
                 )
 
+    def _open_barrier(
+        self, state: _QueryState, frames: "Dict[int, bytes]",
+        subtree: bool = False, collecting: bool = False,
+    ) -> None:
+        """Start ``state``'s next barrier (pool lock held): one slot per
+        entry of ``frames``, each dispatched to one eligible member."""
+        state.frames = frames
+        state.subtree = subtree
+        state.collecting = collecting
+        state.token = next(self._tokens)
+        state.pending = set(frames)
+        state.watchers = {}
+        state.targets = []
+        for slot in frames:
+            self._dispatch(state, slot)
+
+    def _parts(self) -> int:
+        """How many parts a subtree job registering now is cut into
+        (pool lock held) — the one rule, from what the pool observes:
+        its live members shared among the queries registered on it,
+        this one included.  A job alone on N members splits N ways;
+        with N or more queries in flight each goes whole to one member
+        (nothing is computed twice over); never more than N parts — a
+        part repeats the step-0 scan and pays the block kernel's fixed
+        costs, so over-cutting only burns CPU."""
+        live = sum(len(replica_set) for replica_set in self._members)
+        return max(1, live // len(self._queries))
+
+    def _eligible(self, state: _QueryState, slot: int) -> "List[_Member]":
+        """The live members that can answer ``slot`` of ``state``'s
+        barrier, in ``(shard, replica)`` order: every one for a subtree
+        part, the range's replicas for a level-synchronous slot."""
+        sets = self._members if state.subtree else self._members[slot:slot + 1]
+        return [member for replica_set in sets for member in replica_set]
+
     def _dispatch(
         self,
         state: _QueryState,
-        shard_id: int,
+        slot: int,
         member: "_Member | None" = None,
         cause: "str | None" = None,
     ) -> None:
-        """Send ``state``'s current LEVEL/COLLECT to one replica of
-        ``shard_id`` (``member`` pins the target — the speculation
-        path), climbing the ladder when no live replica can take it."""
+        """Send the request of ``slot`` of ``state``'s barrier to one
+        eligible member (``member`` pins the target — the speculation
+        path), climbing the ladder when no live one can take it."""
         while self._queries.get(state.query_id) is state:
-            target = member or self._pick_member(state, shard_id)
+            target = member or self._pick_member(state, slot)
             member = None
             if target is None:
-                target = self._restore_member(shard_id)
-            if target is None:
-                self._lose_shard(
-                    shard_id, cause or "no live replica left to dispatch to"
+                # Rungs 2-4, over the ranges whose members could answer.
+                ranges = (
+                    sorted({shard_id for shard_id, _ in self._lost})
+                    if state.subtree else [slot]
                 )
-                return
+                target = next(
+                    filter(None, map(self._restore_member, ranges)), None
+                )
+                if target is None:
+                    self._lose_shard(
+                        ranges[0] if ranges else slot,
+                        cause or "no live replica left to dispatch to",
+                    )
+                    return
             try:
-                target.sock.sendall(state.frame)
+                target.sock.sendall(state.frames[slot])
             except OSError as exc:
                 self._member_failed(target, f"send failed: {exc}")
                 continue
             target.tokens.setdefault(state.query_id, deque()).append(
-                state.token
+                (state.token, slot)
             )
-            state.watchers.setdefault(shard_id, {})[target] = (
-                time.monotonic()
-            )
+            state.watchers.setdefault(slot, {})[target] = time.monotonic()
             state.targets.append(target)
             self.dispatched_frames += 1
             return
 
-    def _pick_member(self, state, shard_id: int) -> "_Member | None":
-        """The replica to dispatch to: lowest idle replica id, falling
-        back to the lowest busy one (its queue preserves order) —
-        never one already working this request."""
-        watching = state.watchers.get(shard_id, ())
-        fallback = None
-        for _replica_id, member in self._members[shard_id].members():
-            if member in watching:
-                continue
-            if not member.tokens:
-                return member
-            if fallback is None:
-                fallback = member
-        return fallback
+    def _pick_member(self, state, slot: int) -> "_Member | None":
+        """The member to dispatch ``slot`` to: the eligible one owing
+        the fewest replies (its queue preserves order), ties to the
+        lowest ``(shard, replica)`` — never one already working this
+        request.  Deterministic in the pool's own state."""
+        watching = state.watchers.get(slot, ())
+        return min(
+            (
+                member for member in self._eligible(state, slot)
+                if member not in watching
+            ),
+            key=_Member.owed,
+            default=None,
+        )
 
     # -- the pump: the only reader of job replies -----------------------
 
@@ -875,14 +994,16 @@ class ShardPool:
                 garbled, rest = exc, f"(unreadable error report: {exc})"
         with self._lock:
             tokens = member.tokens.get(query_id)
-            token = tokens.popleft() if tokens else None
+            token, slot = (
+                tokens.popleft() if tokens else (None, member.shard_id)
+            )
             if tokens is not None and not tokens:
                 del member.tokens[query_id]
             state = self._queries.get(query_id)
             # No taker: a cancelled/finished query's straggler.  An
             # error needs no token — its query is failing regardless.
             if state is not None and (token is not None or tag == "error"):
-                state.replies.put((tag, member.shard_id, rest, token))
+                state.replies.put((tag, slot, rest, token))
             if garbled is not None:
                 self._member_failed(member, str(garbled))
 
@@ -931,7 +1052,10 @@ class ShardPool:
         takes each over is decided in :meth:`_dispatch`, from what the
         pool can observe and nothing a caller sets:
 
-        1. another live replica of the range (free: it holds the JOB);
+        1. another live member that can answer the request — a replica
+           of the range (free: it holds the JOB), or for a subtree part
+           *any* member (free: the request is self-contained, so this
+           rung exists at K = 1 too);
         2. else a budgeted respawn, when the pool owns its cluster;
         3. else a reconnect in place at the member's last address (the
            handshake gate's CATCHUP heals a worker that went stale);
@@ -942,19 +1066,20 @@ class ShardPool:
 
         Rungs 2–4 start the worker's per-query state over, so only the
         lost process's share of counter accounting goes with it: level
-        replies are pure functions of ``(plan, frontier, shard)`` and
-        the gather composes exactly one per (barrier, shard).
+        replies are pure functions of ``(plan, frontier, shard)``,
+        subtree replies of ``(plan, part, parts, graph version)``, and
+        the gather takes exactly one per (barrier, slot).
         """
         if not self._drop_member(member, cause):
             return  # already out of the grid: handled by another path
-        shard_id = member.shard_id
         for state in list(self._queries.values()):
-            watchers = state.watchers.get(shard_id)
-            if watchers and watchers.pop(member, None) is not None:
+            for slot, watchers in list(state.watchers.items()):
+                if watchers.pop(member, None) is None:
+                    continue
                 # Re-dispatch unless a speculative duplicate is already
-                # working the request or the range already answered.
-                if not watchers and shard_id in state.pending:
-                    self._dispatch(state, shard_id, cause=cause)
+                # working the request or the slot already answered.
+                if not watchers and slot in state.pending:
+                    self._dispatch(state, slot, cause=cause)
 
     def _drop_member(self, member: _Member, cause: str) -> bool:
         """Remove one replica connection from the grid; False when it
@@ -1450,8 +1575,8 @@ class QueryChannel:
             return
         if self.query_id != transport.SOLO_QUERY_ID:
             return
-        # Between solo jobs the reused sessions get a COLLECT round
-        # trip — a legitimate exchange (COLLECT 0 with no session is
+        # Between solo level-synchronous jobs the reused sessions get a
+        # COLLECT round trip — a legitimate exchange (COLLECT 0 with no session is
         # the protocol's liveness probe, §2.5) that walks the ladder
         # for anything found dead; if even that fails, fall through to
         # a clean rebuild instead of failing the job.
@@ -1466,10 +1591,23 @@ class QueryChannel:
 
     def _broadcast(self, message) -> None:
         """Encode one protocol tuple and dispatch it (the only place
-        JOB / LEVEL / COLLECT bodies are built)."""
+        JOB / LEVEL / COLLECT / SUBTREE bodies are built)."""
         pool, state = self._pool, self._state
         tag = message[0]
-        if tag == "job":
+        if tag == "subtree":
+            # Self-contained: query, order, the graph version it assumes
+            # (as a JOB's, §2.9) and what is left of the query's budget,
+            # so a worker stops on its own once nobody is waiting.
+            kind = transport.MSG_SUBTREE
+            remaining = (
+                None if state.deadline is None
+                else max(0.0, state.deadline - time.monotonic())
+            )
+            body = pickle.dumps(
+                (message[1], message[2], pool._graph.version, remaining),
+                protocol=pickle.HIGHEST_PROTOCOL,
+            )
+        elif tag == "job":
             # Stamped with the graph version the coordinator's candidate
             # algebra assumes, so a worker that missed a MUTATE refuses
             # the job instead of mis-counting (§2.9).
@@ -1485,39 +1623,51 @@ class QueryChannel:
             kind, body = transport.MSG_COLLECT, b""
         else:
             raise SchedulerError(f"unknown broadcast {tag!r}")
-        frame = transport.encode_frame(
-            kind, transport.encode_query_body(self.query_id, body)
-        )
+        def frame(body: bytes) -> bytes:
+            return transport.encode_frame(
+                kind, transport.encode_query_body(self.query_id, body)
+            )
+
         with pool._lock:
             pool._register(state)
             # State first, send second: a send-path recovery replays
             # from exactly this state, so the frame is never lost.
             if kind == transport.MSG_JOB:
-                state.job_frame = frame
+                state.job_frame = frame(body)
                 pool._send_job(state)
-                return
-            state.frame = frame
-            state.collecting = kind == transport.MSG_COLLECT
-            state.token = next(pool._tokens)
-            shards = pool._active_shards()
-            state.pending = set(shards)
-            state.watchers = {}
-            state.targets = []
-            for shard_id in shards:
-                pool._dispatch(state, shard_id)
+            elif kind == transport.MSG_SUBTREE:
+                parts = pool._parts()
+                pool._open_barrier(
+                    state,
+                    {
+                        part: frame(
+                            transport.encode_subtree_body(part, parts, body)
+                        )
+                        for part in range(parts)
+                    },
+                    subtree=True,
+                )
+            else:
+                pool._open_barrier(
+                    state,
+                    dict.fromkeys(pool._active_shards(), frame(body)),
+                    collecting=kind == transport.MSG_COLLECT,
+                )
 
     def _gather_iter(self):
-        """As-completed replies for the current barrier: ``(shard_id,
-        reply)`` pairs in arrival order (the streaming-compose hook of
-        :func:`~repro.parallel.level_sync.run_level_synchronous`).
+        """As-completed replies for the current barrier: ``(slot,
+        reply)`` pairs in arrival order — slot = shard id under the
+        level-synchronous protocol (the streaming-compose hook of
+        :func:`~repro.parallel.level_sync.run_level_synchronous`),
+        part under a subtree job.
 
         The one gather loop.  In priority order it enforces the cancel
         flag, the query deadline and — on a :data:`_TICK`, under the
         pool lock — registry evictions, the per-request reply deadline
         and speculation (:meth:`_tick`); and it guarantees **at most
-        one reply per shard per barrier** reaches the caller: late
+        one reply per slot per barrier** reaches the caller: late
         answers to a previous barrier and lost speculation races are
-        discarded here by token and shard.  Every failure exit releases
+        discarded here by token and slot.  Every failure exit releases
         the query (remote CANCEL) first, so no worker session state
         outlives it.
         """
@@ -1540,15 +1690,15 @@ class QueryChannel:
                 if silent:
                     self._fail()
                     raise SchedulerError(
-                        f"shard worker(s) {silent} did not answer query "
-                        f"{self.query_id} within the {pool.io_timeout}s "
-                        f"I/O timeout"
+                        f"the worker(s) of {state.slot_name(silent)} did "
+                        f"not answer query {self.query_id} within the "
+                        f"{pool.io_timeout}s I/O timeout"
                     )
             wait = next_tick - now
             if state.deadline is not None:
                 wait = min(wait, state.deadline - now)
             try:
-                tag, shard_id, payload, token = state.replies.get(
+                tag, slot, payload, token = state.replies.get(
                     timeout=max(wait, 0.0)
                 )
             except queue.Empty:
@@ -1558,36 +1708,41 @@ class QueryChannel:
             if token is not None and token != state.token:
                 continue  # a previous barrier's late answer
             if tag == "error":
-                # Enumeration errors are deterministic in (plan,
-                # frontier, shard) — every replica would fail
-                # identically, so this is not a failover case.
+                # Enumeration errors are deterministic in the request —
+                # every member would fail identically, so this is not a
+                # failover case.  (The report names shard, replica and
+                # placement itself.)  A worker that ran into the
+                # query's own budget is the deadline, seen from there.
                 self._fail()
+                now = time.monotonic()
+                if state.deadline is not None and now >= state.deadline:
+                    raise TimeoutExceeded(now - state.started, state.budget)
                 raise SchedulerError(
-                    f"query {self.query_id} failed on shard "
-                    f"{shard_id}:\n{payload}"
+                    f"query {self.query_id} failed on "
+                    f"{state.slot_name(slot)}:\n{payload}"
                 )
-            if shard_id not in state.pending:
+            if slot not in state.pending:
                 continue  # lost the speculation race; duplicate
             try:
                 reply = transport.decode_reply(payload, state.collecting)
             except TransportError as exc:
                 self._fail()
                 raise SchedulerError(
-                    f"shard worker {shard_id} sent an undecodable reply "
-                    f"for query {self.query_id}: {exc}"
+                    f"the worker of {state.slot_name(slot)} sent an "
+                    f"undecodable reply for query {self.query_id}: {exc}"
                 ) from None
             with pool._lock:
-                state.pending.discard(shard_id)
-                state.watchers.pop(shard_id, None)
-            yield shard_id, reply
+                state.pending.discard(slot)
+                state.watchers.pop(slot, None)
+            yield slot, reply
 
     def _tick(self, now: float) -> "List[int]":
         """The gather's periodic duties (pool lock held); returns the
-        shards whose request timed out with nobody to fail over to.
+        slots whose request timed out with nobody to fail over to.
 
         A member silent past ``io_timeout`` is failed — and its request
-        re-dispatched — only when another live replica can take the
-        range: on a shared connection silence towards *one* query is
+        re-dispatched — only when another live member can take the
+        slot: on a shared connection silence towards *one* query is
         not evidence that the worker is dead (its neighbours may be
         being answered), so without a spare the deadline fails the
         query, typed, and leaves the connection to the others.
@@ -1595,22 +1750,22 @@ class QueryChannel:
         pool, state = self._pool, self._state
         pool._sync_registry()
         silent = []
-        for shard_id in sorted(state.pending):
-            watchers = state.watchers.get(shard_id, {})
+        for slot in sorted(state.pending):
+            watchers = state.watchers.get(slot, {})
             for member, since in list(watchers.items()):
                 if pool._queries.get(self.query_id) is not state:
                     return []  # the pool gave the query up; "lost" is queued
                 if since + pool.io_timeout > now:
                     continue
-                if len(pool._members[shard_id]) > 1:
+                if len(pool._eligible(state, slot)) > 1:
                     pool._member_failed(
                         member,
                         f"no reply within {pool.io_timeout}s "
                         f"(worker wedged)",
                     )
                 else:
-                    silent.append(shard_id)
-            # Speculation: a shard still waiting on its only watcher
+                    silent.append(slot)
+            # Speculation: a slot still waiting on its only watcher
             # past the trigger gets a duplicate dispatch to a strictly
             # idle spare; first reply wins.
             if (
@@ -1622,14 +1777,15 @@ class QueryChannel:
             (since,) = watchers.values()
             if since + pool.speculate_after > now:
                 continue
-            for spare in pool._members[shard_id]:
+            for spare in pool._eligible(state, slot):
                 if spare not in watchers and not spare.tokens:
                     logger.warning(
-                        "shard %d straggling (> %.3fs); speculating on "
-                        "replica %d",
-                        shard_id, pool.speculate_after, spare.replica_id,
+                        "%s straggling (> %.3fs); speculating on "
+                        "shard %d replica %d",
+                        state.slot_name(slot), pool.speculate_after,
+                        spare.shard_id, spare.replica_id,
                     )
-                    pool._dispatch(state, shard_id, member=spare)
+                    pool._dispatch(state, slot, member=spare)
                     break
         return silent
 
@@ -1638,6 +1794,56 @@ class QueryChannel:
         for shard_id, reply in self._gather_iter():
             replies[shard_id] = reply
         return replies
+
+    # -- the subtree job ---------------------------------------------------
+
+    def count(self, engine, query, order=None) -> ParallelResult:
+        """Count ``query`` as one **subtree job**.
+
+        The paper's Sec. VI task model on this pool: every worker holds
+        the whole graph, so a query is cut at the root — into as many
+        parts as :meth:`ShardPool._parts` finds members free for it —
+        and each chosen member is sent one self-contained SUBTREE
+        request, runs :meth:`~repro.core.engine.HGMatch.count_part`
+        (the sequential block-DFS, below every ``parts``-th root
+        candidate) and answers one REPLY with its count and accounting.
+        Same store version ⇒ the same ascending root tuple on every
+        member, so no edge id is shipped; two frames per member per
+        query, nothing composed here, no session state there.
+
+        The channel's budget and cancel flag are enforced mid-gather
+        (:meth:`_gather_iter`) and the budget also travels in the
+        request.  ``counters`` of the parts add up to the sequential
+        engine's (only part 0 charges the step-0 scan and the root
+        task); ``worker_stats`` holds one entry per part, in part
+        order, each stamped with the shard id of the member that ran it.
+        """
+        state = self._state
+        plan = engine.plan(query, order)
+        self._pool.ensure_open(engine)
+        if state.cancelled.is_set():
+            raise QueryCancelled(
+                f"query {self.query_id} cancelled before dispatch"
+            )
+        if state.deadline is not None and time.monotonic() >= state.deadline:
+            raise TimeoutExceeded(
+                time.monotonic() - state.started, state.budget
+            )
+        started = time.monotonic()
+        self._broadcast(("subtree", query, plan.order))
+        answers = dict(self._gather_iter())
+        counters = MatchCounters()
+        worker_stats = []
+        for part in sorted(answers):
+            _, _, _, part_counters, stats = answers[part]
+            counters.merge(part_counters)
+            worker_stats.append(stats)
+        return ParallelResult(
+            embeddings=counters.embeddings,
+            elapsed=time.monotonic() - started,
+            counters=counters,
+            worker_stats=worker_stats,
+        )
 
     def _fail(self) -> None:
         self._pool.release(self.query_id, completed=False)

@@ -42,6 +42,11 @@ byte    name     body
         graph_version)`` — the worker opens (or restarts) that query's
         session, refusing a version it does not hold
 ``L``   LEVEL    ``u64 query_id`` + pickled ``(step, frontier)``
+``T``   SUBTREE  ``u64 query_id`` + ``u32 part`` + ``u32 parts`` + pickled
+        ``(query, order, graph_version, budget)`` — a whole counting job
+        over every ``parts``-th root candidate from ``part``, answered
+        with one payload-free REPLY carrying the count and accounting;
+        no session state (see :func:`encode_subtree_body`)
 ``R``   REPLY    ``u64 query_id`` + binary level reply (see
         :func:`encode_level_reply`)
 ``C``   COLLECT  ``u64 query_id`` only — close the query out; answered
@@ -74,10 +79,13 @@ byte    name     body
         the coordinator re-validates in full
 ======  =======  ===========================================================
 
-There is one job family: every JOB / LEVEL / REPLY / COLLECT frame is
-tagged with the query it belongs to, so a worker session holds a dict
-of per-query sessions and a coordinator that runs one job at a time is
-simply the one-query case (it tags every job :data:`SOLO_QUERY_ID`).
+There is one job family: every JOB / LEVEL / SUBTREE / REPLY / COLLECT
+frame is tagged with the query it belongs to, so a worker session holds
+a dict of per-query sessions and a coordinator that runs one job at a
+time is simply the one-query case (it tags every job
+:data:`SOLO_QUERY_ID`).  A job has one of two shapes: level-synchronous
+(JOB, then one LEVEL round trip per plan step per shard range) or
+subtree (one self-contained SUBTREE request and one REPLY per worker).
 
 Control messages carry pickles — the coordinator and its workers are
 mutually trusted members of one deployment (do **not** expose a worker
@@ -105,7 +113,7 @@ from ..errors import TransportError
 #: level-reply layout).  Independent from the candidate-payload
 #: ``WIRE_VERSION``: a framing change does not invalidate archived
 #: payloads, and a payload change is caught per-payload.
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 
 #: Upper bound on a single frame's ``length`` field.  Frontiers are the
 #: largest message in practice and stream level by level, so anything
@@ -125,6 +133,7 @@ MSG_HEARTBEAT = 0x68  # b"h"
 # fails one query without ending the session; CANCEL drops one.
 MSG_JOB = 0x4A  # b"J"
 MSG_LEVEL = 0x4C  # b"L"
+MSG_SUBTREE = 0x54  # b"T"
 MSG_LEVEL_REPLY = 0x52  # b"R"
 MSG_COLLECT = 0x43  # b"C"
 MSG_QERROR = 0x65  # b"e"
@@ -148,8 +157,8 @@ MSG_CATCHUP_REPLY = 0x75  # b"u"
 
 #: The kinds whose body starts with a ``u64 query_id`` tag.
 QUERY_KINDS = frozenset({
-    MSG_JOB, MSG_LEVEL, MSG_LEVEL_REPLY, MSG_COLLECT, MSG_QERROR,
-    MSG_CANCEL,
+    MSG_JOB, MSG_LEVEL, MSG_SUBTREE, MSG_LEVEL_REPLY, MSG_COLLECT,
+    MSG_QERROR, MSG_CANCEL,
 })
 
 _KNOWN_KINDS = QUERY_KINDS | {
@@ -254,6 +263,42 @@ def split_query_body(body: bytes) -> Tuple[int, bytes]:
         )
     (query_id,) = _QUERY_ID.unpack_from(body)
     return query_id, body[_QUERY_ID.size:]
+
+
+# ----------------------------------------------------------------------
+# Subtree requests (WIRE_FORMAT.md §2.5)
+# ----------------------------------------------------------------------
+
+_SUBTREE_PART = struct.Struct("<II")
+
+
+def encode_subtree_body(part: int, parts: int, job: bytes) -> bytes:
+    """SUBTREE body after the query tag: which slice of the root
+    candidates — every ``parts``-th from ``part`` — then ``job``, the
+    pickled ``(query, order, graph_version, budget)`` that all parts of
+    one query share (so it is pickled once per query, not per part)."""
+    if not 0 <= part < parts:
+        raise TransportError(f"subtree part {part} outside 0..{parts - 1}")
+    return _SUBTREE_PART.pack(part, parts) + job
+
+
+def decode_subtree_body(body: bytes):
+    """Inverse of :func:`encode_subtree_body`, ``job`` unpickled:
+    ``(part, parts, query, order, graph_version, budget)``."""
+    if len(body) < _SUBTREE_PART.size:
+        raise TransportError(
+            f"subtree body of {len(body)} bytes is shorter than its "
+            f"{_SUBTREE_PART.size}-byte part header"
+        )
+    part, parts = _SUBTREE_PART.unpack_from(body)
+    if not 0 <= part < parts:
+        raise TransportError(f"subtree part {part} outside 0..{parts - 1}")
+    job = decode_pickle_body(body[_SUBTREE_PART.size:])
+    if not isinstance(job, tuple) or len(job) != 4:
+        raise TransportError(
+            "subtree job is not a (query, order, graph_version, budget) tuple"
+        )
+    return (part, parts) + job
 
 
 # ----------------------------------------------------------------------

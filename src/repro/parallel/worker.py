@@ -1,13 +1,15 @@
 """The shard worker: a TCP server that owns one store shard.
 
 :class:`ShardWorker` builds and owns one
-:class:`~repro.hypergraph.sharding.StoreShard` and answers the
-level-synchronous protocol over framed messages
-(:mod:`repro.parallel.transport`).  Run it on any host that can load
+:class:`~repro.hypergraph.sharding.StoreShard` and answers both job
+shapes over framed messages (:mod:`repro.parallel.transport`): the
+level-synchronous protocol against that shard, and subtree requests —
+a whole block-DFS below a slice of the root candidates — against a
+store of the whole graph, which every worker holds a copy of anyway.  Run it on any host that can load
 the data hypergraph (``python -m repro serve-shard`` is the CLI
 wrapper); :func:`~repro.parallel.cluster.spawn_local_cluster` runs a
 set of them as local subprocesses.  It is the only place a shard
-expands a frontier, and it has one peer: a
+expands a frontier or runs a subtree, and it has one peer: a
 :class:`~repro.parallel.pool.ShardPool` — a solo
 ``executor="processes"`` / ``"sockets"`` job and the match service's
 many queries are :class:`~repro.parallel.pool.QueryChannel` objects on
@@ -27,6 +29,7 @@ import os
 import pickle
 import random
 import socket
+import time
 import traceback
 from dataclasses import dataclass
 from typing import Dict, Tuple
@@ -37,9 +40,10 @@ from ..core.candidates import (
     encode_versioned,
 )
 from ..core.counters import WORK_UNIT_MODELS, MatchCounters
+from ..core.engine import HGMatch
 from ..core.plan import build_execution_plan
 from ..errors import SchedulerError, TransportError
-from ..hypergraph import Hypergraph
+from ..hypergraph import Hypergraph, PartitionedStore
 from ..hypergraph.dynamic import apply_batch
 from ..hypergraph.sharding import StoreShard, resolve_sharding
 from ..hypergraph.storage import resolve_index_backend
@@ -112,14 +116,23 @@ class ShardWorker:
     ``num_replicas``) and the worker's scheduler seed, then answers
     query-tagged JOB / LEVEL / COLLECT frames — any number of queries
     interleaved on the connection, each with its own session state —
-    until the peer sends STOP (end the session) or SHUTDOWN (stop the
-    server).  One connection at a time is the right concurrency: the
+    and stateless SUBTREE requests, until the peer sends STOP (end the
+    session) or SHUTDOWN (stop the server).  One connection at a time is the right concurrency: the
     shard's store is single-writer state, and a coordinator that wants
     many queries in flight multiplexes them over its one connection.
 
     Replicas of the same range differ *only* in ``replica_id``: the
     shard they build is byte-for-byte the same pure function of the
     placement, which is the whole failover argument.
+
+    A subtree request runs against a store of the *whole* graph, and
+    every worker can have one: its own shard when that is the 1-of-1
+    shard; ``store``, when the spawner hands over one it had already
+    built over the very ``graph`` object (a hostless pool's engine,
+    through ``fork`` — no copy, no build); otherwise one built on the
+    first subtree request.  MUTATE and CATCHUP keep it in step with the
+    shard through the same :func:`~repro.hypergraph.dynamic.apply_batch`
+    call (a snapshot catch-up drops it for a lazy rebuild).
 
     The server never trusts the stream: malformed frames raise
     :class:`~repro.errors.TransportError` and end the session (the
@@ -148,6 +161,7 @@ class ShardWorker:
         chaos=None,
         announce: "Tuple[str, int] | None" = None,
         heartbeat_interval: "float | None" = None,
+        store: "PartitionedStore | None" = None,
     ) -> None:
         if num_replicas < 1:
             raise SchedulerError("num_replicas must be >= 1")
@@ -168,6 +182,16 @@ class ShardWorker:
             resolve_sharding(sharding),
         )
         self._memo = AnchorUnionMemo()
+        if store is not None and (
+            store.graph is not graph
+            or store.index_backend != self.index_backend
+            or store.num_shards != 1
+        ):
+            store = None  # not the whole of this graph under this backend
+        self._whole = store
+        #: The engine subtree requests run on; dropped (with its anchor
+        #: memo) whenever the graph or the store under it changes.
+        self._engine: "HGMatch | None" = None
         self._listener: "socket.socket | None" = None
         self._host = host
         self._port = port
@@ -310,7 +334,7 @@ class ShardWorker:
                         )
                         # Cached anchor unions are masks over the old
                         # shard's rows; clearing is mandatory.
-                        self._memo.clear()
+                        self._invalidate()
                     # Answer with a fresh HELLO: the descriptor now
                     # echoes the coordinator-issued label, which is how
                     # the peer verifies the rebuild took effect.
@@ -319,15 +343,13 @@ class ShardWorker:
                     )
                 elif kind == transport.MSG_MUTATE:
                     batch = transport.decode_pickle_body(body)
-                    graph, result = apply_batch(
-                        self.shard.graph, self.shard, batch
-                    )
+                    graph, result = self._apply(batch)
                     # Cached anchor unions cover pre-mutation rows —
                     # clearing is mandatory — and every open query
                     # session is pre-mutation state: drop them all (the
                     # coordinator fences queries before mutating, so
                     # nothing live is stranded).
-                    self._memo.clear()
+                    self._invalidate()
                     sessions.clear()
                     transport.send_pickle_frame(
                         conn,
@@ -351,6 +373,7 @@ class ShardWorker:
                             self.index_backend,
                             resolve_sharding(payload["sharding"]),
                         )
+                        self._whole = None  # of the old graph: rebuilt lazily
                     else:
                         for version, batch in payload["batches"]:
                             have = self.shard.graph.version
@@ -360,7 +383,7 @@ class ShardWorker:
                                     f"version {version} but the shard "
                                     f"holds {have}"
                                 )
-                            apply_batch(self.shard.graph, self.shard, batch)
+                            self._apply(batch)
                     have = self.shard.graph.version
                     if have != payload["to_version"]:
                         raise SchedulerError(
@@ -370,7 +393,7 @@ class ShardWorker:
                         )
                     # Same invalidation as MUTATE: memoised anchor
                     # unions and open sessions cover pre-catch-up rows.
-                    self._memo.clear()
+                    self._invalidate()
                     sessions.clear()
                     # Answer with a fresh handshake body: the gate
                     # re-validates the post-replay descriptor in full.
@@ -398,6 +421,33 @@ class ShardWorker:
                     pass
                 return True
 
+    def _apply(self, batch):
+        """One committed batch onto the graph, the shard and — when
+        this worker holds one — the whole store, in one
+        :func:`~repro.hypergraph.dynamic.apply_batch`."""
+        more = () if self._whole is None else (self._whole,)
+        return apply_batch(self.shard.graph, self.shard, batch, *more)
+
+    def _invalidate(self) -> None:
+        """Forget what was derived from the rows as they were: the
+        anchor-union memo and the subtree engine (which has its own)."""
+        self._memo.clear()
+        self._engine = None
+
+    def _subtree_engine(self) -> HGMatch:
+        """The engine over the whole graph that subtree requests run
+        on (see the class docstring for where its store comes from)."""
+        if self._engine is None:
+            store = self.shard
+            if store.num_shards != 1:
+                if self._whole is None:
+                    self._whole = PartitionedStore(
+                        store.graph, index_backend=self.index_backend
+                    )
+                store = self._whole
+            self._engine = HGMatch(store.graph, store=store)
+        return self._engine
+
     def _describe_failure(self) -> str:
         """The in-flight exception's traceback, prefixed with the
         failing shard id, replica id and placement label."""
@@ -415,6 +465,39 @@ class ShardWorker:
             counters,
             WorkerStats(worker_id=self.shard.shard_id),
         )
+
+    def _check_version(self, job_version: int) -> None:
+        """The coordinator stamps the graph version its job assumes
+        (§2.9); composing rows — or adding up subtree counts — across
+        versions would silently mis-count, so a stale worker fails the
+        query."""
+        have = self.shard.graph.version
+        if job_version != have:
+            raise SchedulerError(
+                f"query assumes graph version {job_version}, "
+                f"worker holds {have} (missed MUTATE?)"
+            )
+
+    def _run_subtree(self, body: bytes) -> "Tuple[_QuerySession, int]":
+        """One subtree request: plan the query, run the block-DFS below
+        this part's slice of the root candidates, count.  ``budget``
+        (seconds, or None) bounds how long a query nobody waits for any
+        more — expired, cancelled — can occupy this worker."""
+        part, parts, query, order, job_version, budget = (
+            transport.decode_subtree_body(body)
+        )
+        self._check_version(job_version)
+        session = self._open_session()
+        stats = session.stats
+        started, started_cpu = time.perf_counter(), time.thread_time()
+        embeddings = self._subtree_engine().count_part(
+            query, order, part, parts, session.counters, budget
+        )
+        stats.busy_time = time.perf_counter() - started
+        stats.cpu_time = time.thread_time() - started_cpu
+        stats.tasks_executed = session.counters.tasks
+        stats.embeddings = embeddings
+        return session, embeddings
 
     def _serve_query_frame(
         self, conn, kind: int, body: bytes,
@@ -438,17 +521,8 @@ class ShardWorker:
             return
         try:
             if kind == transport.MSG_JOB:
-                # The coordinator stamps the graph version its candidate
-                # algebra assumes (§2.9); composing rows across versions
-                # would silently mis-count, so a stale worker fails the
-                # query.
                 query, order, job_version = transport.decode_pickle_body(rest)
-                have = self.shard.graph.version
-                if job_version != have:
-                    raise SchedulerError(
-                        f"query assumes graph version {job_version}, "
-                        f"worker holds {have} (missed MUTATE?)"
-                    )
+                self._check_version(job_version)
                 # A JOB for an already-open id is a coordinator replay
                 # (reconnect after a failure) or the next job of a solo
                 # coordinator: either way the query starts over.
@@ -459,7 +533,12 @@ class ShardWorker:
                 )
                 return
             session = sessions.get(query_id)
-            if kind == transport.MSG_LEVEL:
+            if kind == transport.MSG_SUBTREE:
+                # Self-contained: no session is read or left behind,
+                # and the one reply carries count and accounting.
+                session, embeddings = self._run_subtree(rest)
+                payloads, closing = None, True
+            elif kind == transport.MSG_LEVEL:
                 if session is None:
                     raise SchedulerError(
                         f"no open session for query {query_id}: LEVEL "

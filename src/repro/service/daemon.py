@@ -35,7 +35,8 @@ hang or a silent drop:
 
 The daemon owns a :class:`~repro.service.service.MatchService` and
 bridges its blocking tickets onto the event loop with
-``run_in_executor``; an EOF watchdog per connection turns a client
+``run_in_executor`` (a cache hit is born finished and is answered on
+the loop directly); an EOF watchdog per connection turns a client
 disconnect into :meth:`MatchTicket.cancel`, so an abandoned query is
 CANCELled on the workers instead of running to completion for nobody.
 SIGTERM/SIGINT trigger a graceful drain: the listener closes, in-flight
@@ -144,19 +145,25 @@ class MatchDaemon:
         except ReproError as exc:
             return {"ok": False, "error": str(exc)}
 
-        # A disconnecting client cancels its query: read() resolving to
-        # b"" (EOF) before the result lands means nobody is listening.
-        loop = asyncio.get_running_loop()
-        eof = asyncio.ensure_future(reader.read())
-        waiter = loop.run_in_executor(None, ticket.result)
-        done, _ = await asyncio.wait(
-            {eof, waiter}, return_when=asyncio.FIRST_COMPLETED
-        )
-        if waiter not in done:
-            ticket.cancel()
-        eof.cancel()
         try:
-            result = await waiter
+            if ticket.cached:
+                # Born finished: nothing to wait for, nothing to cancel
+                # — answered on the event loop, no thread hop.
+                result = ticket.result()
+            else:
+                # A disconnecting client cancels its query: read()
+                # resolving to b"" (EOF) before the result lands means
+                # nobody is listening.
+                loop = asyncio.get_running_loop()
+                eof = asyncio.ensure_future(reader.read())
+                waiter = loop.run_in_executor(None, ticket.result)
+                done, _ = await asyncio.wait(
+                    {eof, waiter}, return_when=asyncio.FIRST_COMPLETED
+                )
+                if waiter not in done:
+                    ticket.cancel()
+                eof.cancel()
+                result = await waiter
         except TimeoutExceeded as exc:
             return {"ok": False, "deadline_exceeded": True,
                     "error": str(exc)}

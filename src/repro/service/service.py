@@ -12,15 +12,15 @@ operation:
   silently queued without bound or left to hang.  Of the admitted
   queries, ``max_concurrent`` execute at a time; the rest wait their
   turn in the bounded backlog.
-* **Deadlines** — a per-query deadline is enforced coordinator-side at
-  every barrier *and* mid-gather, and its expiry broadcasts CANCEL so
-  the workers drop the query's session state remotely: a timed-out
-  query never leaves orphaned worker state.
+* **Deadlines** — a per-query deadline is enforced coordinator-side
+  mid-gather, and travels in the query's subtree requests so a worker
+  stops computing for it between blocks; its expiry broadcasts CANCEL:
+  a timed-out query never leaves orphaned worker state.
 * **Cancellation** — :meth:`MatchTicket.cancel` (and a daemon client
   disconnecting) sets the query's cancel flag; the same remote CANCEL
   guarantee applies.
-* **Result cache** — an LRU keyed by ``(graph fingerprint, query
-  fingerprint)``; hits return the finished
+* **Result cache** — an LRU keyed by ``(graph fingerprint, graph
+  version, query fingerprint)``; hits return the finished
   :class:`~repro.parallel.executor.ParallelResult` without touching
   the pool at all (the pool's dispatch counter is the proof).
 * **Drain** — stop admitting, let in-flight queries finish inside a
@@ -43,7 +43,6 @@ from ..errors import QueryCancelled, SchedulerError, ServiceBusy
 from ..hypergraph import Hypergraph
 from ..hypergraph.io import dump_native
 from ..hypergraph.journal import MutationJournal
-from ..parallel.level_sync import run_level_synchronous
 from ..parallel.pool import QueryChannel, ShardPool
 from .standing import StandingQuery
 
@@ -222,6 +221,8 @@ class MatchService:
         )
         self._tickets: "list" = []
         self._cache: "OrderedDict" = OrderedDict()
+        #: Content fingerprint of the graph the service started on —
+        #: taken once, on first use; commits move the key by version.
         self._graph_fp = None
         self.cache_hits = 0
         self.cache_misses = 0
@@ -244,9 +245,14 @@ class MatchService:
     # -- submission ------------------------------------------------------
 
     def _graph_key(self):
+        """What the cache knows the data graph by: the fingerprint of
+        the graph first asked about and the version every commit bumps
+        — a commit costs the key an integer, not a re-serialisation of
+        the whole graph under the service lock."""
+        data = self._engine.data
         if self._graph_fp is None:
-            self._graph_fp = graph_fingerprint(self._engine.data)
-        return self._graph_fp
+            self._graph_fp = graph_fingerprint(data)
+        return self._graph_fp, data.version
 
     def submit(
         self,
@@ -316,14 +322,7 @@ class MatchService:
         )
         completed = False
         try:
-            result = run_level_synchronous(
-                channel,
-                self._engine,
-                query,
-                order,
-                time_budget=budget,
-                cancelled=cancel_event.is_set,
-            )
+            result = channel.count(self._engine, query, order)
             completed = True
             with self._lock:
                 self._cache[key] = result
@@ -332,9 +331,8 @@ class MatchService:
                     self._cache.popitem(last=False)
             return result
         finally:
-            # Completed queries already dropped their worker sessions
-            # with the final reply; every other exit broadcasts CANCEL
-            # here so nothing is orphaned.  release() is idempotent —
+            # A completed subtree job left no worker state; every other
+            # exit broadcasts CANCEL here.  release() is idempotent —
             # the channel's own failure paths may have run it already.
             self.pool.release(channel.query_id, completed=completed)
             self._release_slot()
@@ -347,14 +345,13 @@ class MatchService:
         The sequence is: flag the barrier (new submissions get BUSY),
         wait for admitted queries to drain, apply the batch to the
         engine's graph and store, propagate the same batch to the
-        pool (one ``ShardPool.mutate``), invalidate the result-cache
-        fingerprint, then commit every standing query and emit its
-        delta.  Returns the :class:`~repro.hypergraph.dynamic
+        pool (one ``ShardPool.mutate``), then commit every standing
+        query and emit its delta.  Returns the :class:`~repro.hypergraph.dynamic
         .MutationResult`.
 
-        Cached results for the old graph are *not* purged: the cache is
-        keyed by graph fingerprint, so they can never be served again —
-        they simply age out of the LRU.
+        Cached results for the old graph are *not* purged: the cache
+        key includes the graph version the commit just bumped, so they
+        can never be served again — they simply age out of the LRU.
         """
         with self._lock:
             if self._closed:
@@ -388,7 +385,6 @@ class MatchService:
                 self.journal.append(result.version, batch)
             self.pool.mutate(engine, batch, result)
             with self._lock:
-                self._graph_fp = None
                 standing = list(self._standing.values())
             for query in standing:
                 query.commit(engine, result)

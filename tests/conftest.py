@@ -94,9 +94,11 @@ def small_rng() -> random.Random:
 
 @pytest.fixture
 def kill_on_first_level(monkeypatch):
-    """``arm(executor, victim, then=...)``: the ``victim``-th worker of
-    the executor's own cluster dies right after the next LEVEL went out
-    (a mid-job loss); returns a dict whose ``"killed"`` flips to True.
+    """``arm(executor, victim, then=..., on="level")``: the
+    ``victim``-th worker of the executor's own cluster dies right after
+    the next LEVEL went out (a mid-job loss; ``on="subtree"``: after the
+    next subtree job's requests did); returns a dict whose ``"killed"``
+    flips to True.
 
     The seam is the one ``_broadcast`` there is — ``QueryChannel``'s;
     an executor is the pool and dispatches nothing itself.  The kill is
@@ -106,13 +108,13 @@ def kill_on_first_level(monkeypatch):
     """
     from repro.parallel import QueryChannel
 
-    def arm(executor, victim, then=lambda: None):
+    def arm(executor, victim, then=lambda: None, on="level"):
         original = QueryChannel._broadcast
         state = {"killed": False}
 
         def broadcast(channel, message):
             original(channel, message)
-            if message[0] == "level" and not state["killed"]:
+            if message[0] == on and not state["killed"]:
                 state["killed"] = True
                 os.kill(
                     executor._cluster.processes[victim].pid, signal.SIGKILL

@@ -15,8 +15,10 @@ reproduces the same failure at the same LEVEL on every run.
 
 from __future__ import annotations
 
+import os
 import pickle
 import random
+import signal
 import threading
 import time
 
@@ -201,7 +203,7 @@ def _run_matrix_row(executor, engine, query, channels, expected):
     """Run ``channels`` jobs on ``executor`` and hold them to
     ``expected``; see the section comment for what is asserted."""
     if channels == 1:
-        assert executor.run(engine, query).embeddings == expected
+        assert executor.run_bfs(engine, query).embeddings == expected
         return
     counts, errors = {}, {}
 
@@ -240,7 +242,7 @@ def _run_matrix_row(executor, engine, query, channels, expected):
     assert not errors, errors
     assert counts == {1: expected, 2: expected}
     assert not executor._queries
-    assert executor.run(engine, query).embeddings == expected
+    assert executor.run_bfs(engine, query).embeddings == expected
 
 
 @MATRIX
@@ -399,7 +401,7 @@ def test_zero_replica_loss_fails_fast(chaos_instance):
     )
     try:
         with pytest.raises(SchedulerError, match="disconnected mid-job"):
-            executor.run(engine, query)
+            executor.run_bfs(engine, query)
     finally:
         executor.close()
         cluster.close()
@@ -409,17 +411,21 @@ def test_zero_replica_loss_fails_fast(chaos_instance):
 def test_last_replica_lost_on_a_shared_pool_fails_both_and_heals(
     chaos_instance, kill_on_first_level, monkeypatch
 ):
-    """One pool per engine: a solo job runs on the service's workers, so
-    losing a range's last replica (the respawn refused) while a service
-    query is in flight beside it fails *both* typed — each needs the
-    range — and takes the cluster down; the next query, solo or served,
-    opens a fresh one and is exact."""
+    """One pool per engine: a solo job runs on the service's workers.
+    Losing *a* member costs a subtree job nothing (its part is re-sent
+    to a survivor); losing the *last* one (the respawn refused) while a
+    service query is in flight beside the solo job fails *both* typed
+    and takes the cluster down; the next query, solo or served, opens a
+    fresh one and is exact."""
     data, query, expected = chaos_instance
     engine = HGMatch(data, index_backend="bitset", shards=2)
     plan = FaultPlan(seed=5)
-    # Holds the solo job in flight: on the warm pool worker 0's frames
-    # for query 0 are the probe's reply, then LEVEL 0's — delayed.
-    plan.slow_reply(0, 0, after_frames=2, seconds=1.0, query_id=0)
+    # Holds the solo job in flight: each worker's first frame for query
+    # 0 is the reply to its part — delayed, so the service query queues
+    # behind it (on worker 0: the tie goes to the lowest member) and
+    # cannot be answered before the kills land.
+    plan.slow_reply(0, 0, after_frames=1, seconds=1.0, query_id=0)
+    plan.slow_reply(1, 0, after_frames=1, seconds=1.0, query_id=0)
     service = MatchService(engine, shards=2, chaos=plan, cache_capacity=0)
     pool = service.pool
     failures = {}
@@ -432,14 +438,15 @@ def test_last_replica_lost_on_a_shared_pool_fails_both_and_heals(
 
     try:
         assert service.match(query).embeddings == expected["bitset"]
+        pids = [process.pid for process in pool._cluster.processes]
         thread = threading.Thread(target=solo, daemon=True)
         thread.start()
         deadline = time.monotonic() + 30.0
         while time.monotonic() < deadline:
             with pool._lock:
                 state = pool._queries.get(0)
-                if state is not None and state.frame and not state.collecting:
-                    break  # its LEVEL 0 is out; the reply is being held
+                if state is not None and state.pending:
+                    break  # both parts are out, both replies held
             time.sleep(0.001)
 
         def refuse(*_):
@@ -447,8 +454,11 @@ def test_last_replica_lost_on_a_shared_pool_fails_both_and_heals(
 
         with monkeypatch.context() as patch:
             patch.setattr(LocalCluster, "respawn", refuse)
-            # The service query's first LEVEL kills worker 1.
-            killed = kill_on_first_level(pool, 1)
+            # The service query's request going out kills both workers.
+            killed = kill_on_first_level(
+                pool, 1, then=lambda: os.kill(pids[0], signal.SIGKILL),
+                on="subtree",
+            )
             with pytest.raises(SchedulerError, match="disconnected mid-job"):
                 service.match(query)
             thread.join(timeout=30.0)
@@ -505,7 +515,7 @@ def test_rebalance_frame_lost_degrades_cleanly(chaos_instance, fault):
         chaos=plan,
     )
     try:
-        first = executor.run(engine, query)
+        first = executor.run_bfs(engine, query)
         assert first.embeddings == expected["bitset"]
         if executor.rebalance(_skewed_stats(first)) == 0:
             pytest.skip("synthetic skew did not move any shard")
@@ -514,7 +524,7 @@ def test_rebalance_frame_lost_degrades_cleanly(chaos_instance, fault):
         assert executor._members[0].get(1) is None
         assert executor._members[0].get(0) is not None
         assert executor._sharding_label.startswith("rebalanced-")
-        assert executor.run(engine, query).embeddings == expected["bitset"]
+        assert executor.run_bfs(engine, query).embeddings == expected["bitset"]
     finally:
         executor.close()
         cluster.close()
@@ -541,14 +551,14 @@ def test_rebalance_echo_delay_completes_recut(chaos_instance):
         chaos=plan,
     )
     try:
-        first = executor.run(engine, query)
+        first = executor.run_bfs(engine, query)
         assert first.embeddings == expected["bitset"]
         if executor.rebalance(_skewed_stats(first)) == 0:
             pytest.skip("synthetic skew did not move any shard")
         # Nothing degraded: the delay was absorbed, both replicas of
         # every shard still serve under the new label.
         assert executor._members[1].get(1) is not None
-        assert executor.run(engine, query).embeddings == expected["bitset"]
+        assert executor.run_bfs(engine, query).embeddings == expected["bitset"]
     finally:
         executor.close()
         cluster.close()
@@ -574,7 +584,7 @@ def test_rebalance_frame_lost_on_last_replica_fails_clean(chaos_instance):
         chaos=plan,
     )
     try:
-        first = executor.run(engine, query)
+        first = executor.run_bfs(engine, query)
         stats = _skewed_stats(first)
         try:
             moved = executor.rebalance(stats)
@@ -644,14 +654,14 @@ def test_kill_pinned_to_mutate_degrades_then_catchup_rejoins(
         assert all(f.consumed for f in plan.faults)
         oracle = _rebuild_count(engine, query, backend)
         # Degraded to one live replica on shard 0, counts still exact.
-        assert executor.run(engine, query).embeddings == oracle
+        assert executor.run_bfs(engine, query).embeddings == oracle
         # The respawned slot rebuilds from spawn-time data (version 0);
         # only the CATCHUP route lets it rejoin the mutated pool.
         address = cluster.respawn(0, 0)
         descriptor = executor.admit(address)
         assert (descriptor.shard_id, descriptor.replica_id) == (0, 0)
         assert descriptor.graph_version == result.version
-        assert executor.run(engine, query).embeddings == oracle
+        assert executor.run_bfs(engine, query).embeddings == oracle
     finally:
         executor.close()
         cluster.close()
@@ -690,14 +700,14 @@ def test_sever_pinned_to_mutate_degrades_then_catchup_rejoins(
         executor.mutate(engine, batch, result)
         assert all(f.consumed for f in plan.faults)
         oracle = _rebuild_count(engine, query, backend)
-        assert executor.run(engine, query).embeddings == oracle
+        assert executor.run_bfs(engine, query).embeddings == oracle
         # The severed worker process never died and never applied the
         # batch: readmission finds it stale and catch-up repairs it.
         address = cluster.addresses[1 * 2 + 0]
         descriptor = executor.admit(address)
         assert (descriptor.shard_id, descriptor.replica_id) == (1, 0)
         assert descriptor.graph_version == result.version
-        assert executor.run(engine, query).embeddings == oracle
+        assert executor.run_bfs(engine, query).embeddings == oracle
     finally:
         executor.close()
         cluster.close()

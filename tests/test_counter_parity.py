@@ -3,7 +3,7 @@ changes: the numbers below were recorded on the commit *before* the
 shared-vertex kernel (PR 11, ``59d05da``) by summing ``MatchCounters``
 over the Fig. 8 trace, and must never move — ``work_units`` feeds the
 simulated executor's virtual clock, the rest are the paper's Fig. 9
-funnel.  ``("bitset", "processes")`` holds the shard workers'
+funnel.  ``("bitset", "processes_bfs")`` holds the shard workers'
 ``expand_level`` path to the same funnel; its ``work_units`` were
 re-pinned (405326 before) when the workers learnt to run a level batched
 over the frontier (PR 15), which charges the mask operations that
@@ -12,7 +12,17 @@ probed — and nothing per candidate.  ``("bitset", "sequential")`` was
 re-pinned the same way (324882 before) when ``HGMatch.count`` became a
 block-DFS over the same block step (PR 16): its wide blocks run the
 frontier orientation in-process and charge what that performs; the
-funnel and every ``merge``/``adaptive`` pin did not move.  The engines
+funnel and every ``merge``/``adaptive`` pin did not move.  Both
+``"processes"`` keys were re-pinned (774796 / 80848 before) when
+``count(executor="processes")`` became a subtree job (PR 23): each of
+the two workers runs the sequential block-DFS below every other root
+candidate, and only part 0 charges the step-0 scan and the root task —
+so ``merge`` (blocks of one) now charges exactly the sequential
+engine's postings, and ``bitset`` what the orientations picked for the
+two halves' narrower blocks perform; the funnel did not move.  The
+old pins stay on the protocol they were recorded on — the shard
+workers' ``expand_level`` behind ``count_bfs(executor="processes")`` —
+as the ``"processes_bfs"`` keys.  The engines
 built without a backend run the library default (``bitset`` unless ``REPRO_INDEX_BACKEND`` says
 otherwise).
 """
@@ -32,18 +42,20 @@ FIELDS = (
     "embeddings", "tasks", "work_units",
 )
 FUNNEL = (96028, 39534, 85614, 35649, 34251, 3553)
-#: ``(backend, mode) -> work_units``; merge shards re-inspect anchor
-#: vertices, so the process executor charges more postings than one engine
-#: does; bitset runs most blocks batched over the frontier, in-process
-#: and in the shards.
+#: ``(backend, mode) -> work_units``; a subtree job's parts add up to
+#: the sequential search on merge (blocks of one); bitset runs most
+#: blocks batched over the frontier, in-process and in the workers, and
+#: charges per block — so its units depend on where the blocks are cut.
 WORK_UNITS = {
     ("merge", "sequential"): 711884,
     ("merge", "count_bfs"): 711884,
     ("merge", "threads"): 711884,
-    ("merge", "processes"): 774796,
+    ("merge", "processes"): 711884,
+    ("merge", "processes_bfs"): 774796,
     ("merge", "simulated"): 711884,
     ("bitset", "sequential"): 92396,
-    ("bitset", "processes"): 80848,
+    ("bitset", "processes"): 105106,
+    ("bitset", "processes_bfs"): 80848,
     ("adaptive", "sequential"): 324882,
 }
 MODES = {
@@ -51,6 +63,7 @@ MODES = {
     "count_bfs": lambda e, q, c: e.count_bfs(q, counters=c),
     "threads": lambda e, q, c: e.count(q, counters=c, executor="threads", workers=2),
     "processes": lambda e, q, c: e.count(q, counters=c, executor="processes"),
+    "processes_bfs": lambda e, q, c: e.count_bfs(q, counters=c, executor="processes"),
     "simulated": lambda e, q, c: e.count(q, counters=c, executor="simulated", workers=2),
 }
 

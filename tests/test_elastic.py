@@ -156,7 +156,7 @@ def test_admit_upgrades_newcomer_to_rebalanced_layout(elastic_instance):
     )
     spare = None
     try:
-        first = executor.run(engine, query)
+        first = executor.run_bfs(engine, query)  # per-range load
         assert first.embeddings == expected[backend]
         stats = sorted(first.worker_stats, key=lambda s: s.worker_id)
         stats[0].cpu_time, stats[1].cpu_time = 4.0, 1.0

@@ -246,16 +246,16 @@ def test_mid_job_local_worker_loss_respawns_and_requeues(
     executor = ShardPool(num_shards=2, index_backend="bitset")
     try:
         expected = engine.count(query)
-        assert executor.run(engine, query).embeddings == expected
+        assert executor.run_bfs(engine, query).embeddings == expected
 
         state = kill_on_first_level(executor, 1)
-        result = executor.run(engine, query)
+        result = executor.run_bfs(engine, query)
         assert state["killed"]
         assert result.embeddings == expected
         # Both shards reported accounting (the respawned one included).
         assert sorted(s.worker_id for s in result.worker_stats) == [0, 1]
         # The pool keeps serving afterwards with the fresh worker.
-        assert executor.run(engine, query).embeddings == expected
+        assert executor.run_bfs(engine, query).embeddings == expected
         assert all(
             process.is_alive() for process in executor._cluster.processes
         )
@@ -275,7 +275,7 @@ def test_mid_job_worker_loss_after_rebalance_restores_layout(
     executor = ShardPool(num_shards=2, index_backend="bitset")
     try:
         expected = engine.count(query)
-        first = executor.run(engine, query)
+        first = executor.run_bfs(engine, query)
         assert first.embeddings == expected
         stats = sorted(first.worker_stats, key=lambda s: s.worker_id)
         stats[0].cpu_time, stats[1].cpu_time = 4.0, 1.0
@@ -284,7 +284,7 @@ def test_mid_job_worker_loss_after_rebalance_restores_layout(
         assert executor._sharding_label.startswith("rebalanced-")
 
         state = kill_on_first_level(executor, 0)
-        result = executor.run(engine, query)
+        result = executor.run_bfs(engine, query)
         assert state["killed"]
         assert result.embeddings == expected
     finally:
@@ -327,7 +327,7 @@ def test_mid_level_disconnect_raises_cleanly(workload_instances):
     executor = ShardPool(addresses=[address], index_backend="merge")
     try:
         with pytest.raises(SchedulerError, match="disconnected mid-job"):
-            executor.run(engine, query)
+            executor.run_bfs(engine, query)
     finally:
         executor.close()
         listener.close()
@@ -525,9 +525,13 @@ def test_truncated_accounting_tail_is_a_typed_failure(
         state = {"armed": False, "fired": False}
 
         def broadcast(channel, message):
-            # Past the between-jobs probe (whose failure _ensure_pool
-            # absorbs by rebuilding): cut the first level's reply.
-            state["armed"] = message[0] == "level" and not state["fired"]
+            # Cut the job's first reply with an accounting tail: a
+            # subtree job's only one (a level-synchronous job's comes
+            # past the between-jobs probe, whose failure _ensure_pool
+            # absorbs by rebuilding).
+            state["armed"] = (
+                message[0] in ("subtree", "level") and not state["fired"]
+            )
             original(channel, message)
 
         def recv_frame(sock):
@@ -610,8 +614,8 @@ def test_results_are_reproducible_across_runs(workload_instances):
     data, query = workload_instances[1]
     engine = HGMatch(data, index_backend="adaptive", shards=2)
     try:
-        first = engine.pool().run(engine, query)
-        second = engine.pool().run(engine, query)
+        first = engine.pool().run_bfs(engine, query)
+        second = engine.pool().run_bfs(engine, query)
         assert first.embeddings == second.embeddings
         assert first.counters.as_row() == second.counters.as_row()
         assert [s.payload_bytes for s in first.worker_stats] == [
@@ -636,14 +640,14 @@ def test_replicated_local_pool_counts_match(workload_instances):
     )
     try:
         expected = engine.count(query)
-        result = executor.run(engine, query)
+        result = executor.run_bfs(engine, query)
         assert result.embeddings == expected
         assert sorted(s.worker_id for s in result.worker_stats) == [0, 1]
         # 2 shards x 2 replicas, flat layout.
         assert len(executor._cluster.processes) == 4
         assert executor._cluster.num_shards == 2
         # Warm reuse still works (the COLLECT probe round-trips).
-        assert executor.run(engine, query).embeddings == expected
+        assert executor.run_bfs(engine, query).embeddings == expected
     finally:
         executor.close()
         engine.close()

@@ -96,7 +96,7 @@ def test_mask_backends_ship_masks_not_edge_lists(workload_instances, backend):
     engine = HGMatch(data, index_backend=backend)
     executor = ShardPool(num_shards=2, index_backend=backend)
     try:
-        result = executor.run(engine, query)
+        result = executor.run_bfs(engine, query)
         assert result.embeddings == engine.count(query)
         assert len(result.worker_stats) == 2
         # Each shard reports the bytes it actually shipped.
@@ -131,8 +131,8 @@ def test_results_are_reproducible_across_runs(workload_instances):
     data, query = workload_instances[1]
     engine = HGMatch(data, index_backend="adaptive", shards=2)
     try:
-        first = engine.pool().run(engine, query)
-        second = engine.pool().run(engine, query)
+        first = engine.pool().run_bfs(engine, query)
+        second = engine.pool().run_bfs(engine, query)
         assert first.embeddings == second.embeddings
         assert first.counters.as_row() == second.counters.as_row()
         assert [s.payload_bytes for s in first.worker_stats] == [
@@ -216,17 +216,17 @@ def test_dead_worker_recovers_between_jobs_and_mid_job(
     executor = ShardPool(num_shards=2, index_backend="bitset")
     try:
         expected = engine.count(query)
-        assert executor.run(engine, query).embeddings == expected
+        assert executor.run_bfs(engine, query).embeddings == expected
         # Between jobs.
         _kill(executor._cluster.processes[0])
-        assert executor.run(engine, query).embeddings == expected
+        assert executor.run_bfs(engine, query).embeddings == expected
         assert all(p.is_alive() for p in executor._cluster.processes)
         # Mid-job.
         state = kill_on_first_level(executor, 1)
-        result = executor.run(engine, query)
+        result = executor.run_bfs(engine, query)
         assert state["killed"] and result.embeddings == expected
         assert sorted(s.worker_id for s in result.worker_stats) == [0, 1]
-        assert executor.run(engine, query).embeddings == expected
+        assert executor.run_bfs(engine, query).embeddings == expected
         assert all(p.is_alive() for p in executor._cluster.processes)
         # Mid-job with nothing left to respawn with.
         state = kill_on_first_level(
@@ -234,9 +234,9 @@ def test_dead_worker_recovers_between_jobs_and_mid_job(
             then=lambda: setattr(executor, "_respawn_budget", 0),
         )
         with pytest.raises(SchedulerError, match="no live replica remains"):
-            executor.run(engine, query)
+            executor.run_bfs(engine, query)
         assert state["killed"] and not executor._members
-        assert executor.run(engine, query).embeddings == expected
+        assert executor.run_bfs(engine, query).embeddings == expected
     finally:
         executor.close()
         engine.close()

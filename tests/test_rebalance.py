@@ -61,12 +61,12 @@ def test_process_parity_balanced_and_after_rebalance(
             assert engine.count(
                 query, executor="simulated", workers=3
             ) == expected
-            first = executor.run(engine, query)
+            first = executor.run_bfs(engine, query)
             assert first.embeddings == expected
             assert first.counters.candidates == sequential.candidates
             assert first.counters.filtered == sequential.filtered
             executor.rebalance(first.worker_stats)
-            second = executor.run(engine, query)
+            second = executor.run_bfs(engine, query)
             assert second.embeddings == expected
             assert second.counters.candidates == sequential.candidates
             assert second.counters.filtered == sequential.filtered
@@ -87,13 +87,13 @@ def test_socket_parity_balanced_and_after_rebalance(
     )
     try:
         expected = engine.count(query)
-        first = executor.run(engine, query)
+        first = executor.run_bfs(engine, query)
         assert first.embeddings == expected
         executor.rebalance(first.worker_stats)
-        second = executor.run(engine, query)
+        second = executor.run_bfs(engine, query)
         assert second.embeddings == expected
         # The rebalanced layout persists across jobs on the same pool.
-        assert executor.run(engine, query).embeddings == expected
+        assert executor.run_bfs(engine, query).embeddings == expected
     finally:
         executor.close()
         engine.close()
@@ -121,7 +121,7 @@ def test_rebalance_rebuilds_only_moved_shards(workload_instances):
     executor = ShardPool(num_shards=3, index_backend="bitset")
     try:
         expected = engine.count(query)
-        result = executor.run(engine, query)
+        result = executor.run_bfs(engine, query)
         assert result.embeddings == expected
         stats = sorted(result.worker_stats, key=lambda s: s.worker_id)
         # Synthetic loads: shard 0 four times hotter than the others.
@@ -130,13 +130,13 @@ def test_rebalance_rebuilds_only_moved_shards(workload_instances):
         )
         moved = executor.rebalance(stats)
         assert 0 < moved <= 3
-        assert executor.run(engine, query).embeddings == expected
+        assert executor.run_bfs(engine, query).embeddings == expected
         # Balanced loads: the recut swings back toward the even cut
         # (possibly a no-op) and counts still hold.
         stats[0].cpu_time = 1.0
         again = executor.rebalance(stats)
         assert 0 <= again <= 3
-        assert executor.run(engine, query).embeddings == expected
+        assert executor.run_bfs(engine, query).embeddings == expected
         # Identical loads twice in a row converge to a fixed point.
         assert executor.rebalance(stats) == 0
     finally:
@@ -158,7 +158,7 @@ def test_rebalance_relabels_unmoved_workers_too(workload_instances):
     )
     try:
         expected = engine.count(query)
-        first = executor.run(engine, query)
+        first = executor.run_bfs(engine, query)
         assert first.embeddings == expected
         stats = sorted(first.worker_stats, key=lambda s: s.worker_id)
         for entry, load in zip(stats, (4.0, 1.0, 1.0)):
@@ -171,7 +171,7 @@ def test_rebalance_relabels_unmoved_workers_too(workload_instances):
         # reconnection re-validates every worker's handshake against
         # the rebalanced label, so all of them must announce it.
         executor._close_connections()
-        assert executor.run(engine, query).embeddings == expected
+        assert executor.run_bfs(engine, query).embeddings == expected
         assert executor._sharding_label == label
     finally:
         executor.close()
@@ -201,7 +201,7 @@ def test_handshake_refuses_placement_mismatch(workload_instances):
     )
     try:
         with pytest.raises(SchedulerError, match="placement mismatch"):
-            executor.run(engine, query)
+            executor.run_bfs(engine, query)
     finally:
         executor.close()
         cluster.close()
@@ -213,7 +213,7 @@ def test_worker_stats_record_cpu_time(workload_instances):
     engine = HGMatch(data, index_backend="bitset")
     executor = ShardPool(num_shards=2, index_backend="bitset")
     try:
-        result = executor.run(engine, query)
+        result = executor.run_bfs(engine, query)
         assert any(s.cpu_time > 0 for s in result.worker_stats)
         loads = worker_loads(result.worker_stats)
         assert loads == [

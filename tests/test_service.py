@@ -168,15 +168,14 @@ def test_solo_job_and_service_channel_dispatch_the_same_frames(
             before = executor.dispatched_frames
             solo = executor.run(engine, query)
             solo_frames = executor.dispatched_frames - before
-            if index:
-                # On a reused pool a solo job first probes it: one
-                # COLLECT per shard, the only frames a service query
-                # does not send.
-                solo_frames -= executor.num_shards
             before = service.pool.dispatched_frames
             multiplexed = service.match(query)
+            # One subtree request per member, nothing else (a reused
+            # pool is not probed: a dead member's part is re-sent).
             assert (
-                service.pool.dispatched_frames - before == solo_frames > 0
+                service.pool.dispatched_frames - before
+                == solo_frames
+                == executor.num_shards
             )
             assert (
                 solo.embeddings
@@ -479,14 +478,16 @@ def test_query_pinned_drop_fails_fast_for_that_query_alone(
 ):
     """A dropped reply pinned to query id 1's frames: that query alone
     fails fast at its I/O deadline; the concurrent query — same
-    connections, same barrier traffic — returns its exact count."""
+    connection, same traffic — returns its exact count.  (On a pool of
+    one: with a second member the silent one is failed and the part
+    re-sent — ``tests/test_subtree_jobs.py``.)"""
     data, queries, expected = service_instance
     plan = FaultPlan()
     # Worker 0 swallows its first reply *for query 1 only*.
     plan.drop_reply(0, 0, after_frames=1, query_id=1)
     engine = HGMatch(data, index_backend="bitset")
     service = MatchService(
-        engine, shards=2, chaos=plan, cache_capacity=0, io_timeout=0.75,
+        engine, shards=1, chaos=plan, cache_capacity=0, io_timeout=0.75,
     )
     try:
         victim = service.submit(queries[0])
@@ -516,9 +517,10 @@ def test_query_pinned_connection_fault_fails_over(service_instance, fault):
     query, so *all* of them (victim included) finish exact."""
     data, queries, expected = service_instance
     plan = FaultPlan()
-    # Query 1's second coordinator frame (its first QLEVEL) is the
-    # trigger; query 2 shares the connection and must not care.
-    getattr(plan, fault)(0, 0, after_frames=2, query_id=1)
+    # Query 1's first coordinator frame (its subtree request to
+    # worker 0) is the trigger; query 2 shares the pool and must not
+    # care.
+    getattr(plan, fault)(0, 0, after_frames=1, query_id=1)
     engine = HGMatch(data, index_backend="bitset")
     service = MatchService(engine, shards=2, chaos=plan, cache_capacity=0)
     try:
@@ -531,6 +533,7 @@ def test_query_pinned_connection_fault_fails_over(service_instance, fault):
         assert (
             healthy.result(timeout=60).embeddings == expected["bitset"][1]
         )
+        assert all(planned.consumed for planned in plan.faults)
     finally:
         service.close()
         engine.close()

@@ -350,16 +350,18 @@ class TestQueryTaggedFrames:
         # u64 tag; the chaos sniffer and the worker dispatch both key
         # off this set.
         assert transport.QUERY_KINDS == frozenset({
-            transport.MSG_JOB, transport.MSG_LEVEL,
+            transport.MSG_JOB, transport.MSG_LEVEL, transport.MSG_SUBTREE,
             transport.MSG_LEVEL_REPLY, transport.MSG_COLLECT,
             transport.MSG_QERROR, transport.MSG_CANCEL,
         })
 
-    def test_the_kind_table_has_seventeen_entries(self):
+    def test_the_kind_table_has_eighteen_entries(self):
         # One job family: the untagged JOB/LEVEL/REPLY/COLLECT/ACCOUNT
-        # kinds of protocol version 1 are gone, not aliased.
-        assert len(transport._KNOWN_KINDS) == 17
-        assert transport.PROTOCOL_VERSION == 2
+        # kinds of protocol version 1 are gone, not aliased; version 3
+        # added exactly one kind, SUBTREE (its reply is a REPLY).
+        assert len(transport._KNOWN_KINDS) == 18
+        assert transport.PROTOCOL_VERSION == 3
+        assert transport.MSG_SUBTREE == ord("T")
         for retired in (b"c", b"j", b"l", b"r", b"q"):
             with pytest.raises(TransportError, match="unknown frame kind"):
                 transport.encode_frame(retired[0])
@@ -371,7 +373,7 @@ class TestQueryTaggedFrames:
         )
         assert transport.encode_frame(
             transport.MSG_CANCEL, transport.encode_query_body(7)
-        ).hex() == "0a00000002580700000000000000"
+        ).hex() == "0a00000003580700000000000000"
 
     def test_split_round_trip(self):
         for query_id in (0, 1, 7, 2**32, 2**64 - 1):
