@@ -92,11 +92,10 @@ bench-smoke:
 ## Alias kept for discoverability.
 bench-index: bench-smoke
 
-## Sharded execution benchmark: threads vs processes at 4 shards on the
-## Fig. 8 trace + parity/payload gates and the skewed-trace
-## placement gate (regenerates BENCH_sharding.json; the >= 1.5x speedup
-## gate enforces only on hosts with >= 2 cores — set
-## REPRO_BENCH_MIN_CORES to fail instead of skip below that).
+## Sharded execution benchmark: parity/payload gates on the Fig. 8
+## trace and the skewed-trace placement gate; sequential vs the four
+## root parts on threads vs on processes is recorded, not gated
+## (regenerates BENCH_sharding.json).
 bench-sharding:
 	$(PYTHON) benchmarks/bench_sharding.py
 
@@ -161,7 +160,9 @@ bench-e2e-smoke:
 
 ## Documentation checks: the WIRE_FORMAT.md doctests (the byte-level
 ## spec is executable), the §2.1 message-kind table cross-check
-## against transport.MSG_*, and a link check over docs/ + README.
+## against transport.MSG_*, a link check over docs/ + README, and a
+## check that every *.md named under src/, benchmarks/*.py and
+## examples/ exists.
 docs-check:
 	$(PYTHON) tools/docs_check.py
 

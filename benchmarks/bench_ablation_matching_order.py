@@ -1,6 +1,6 @@
 """Ablation — the cardinality-driven matching order (Algorithm 3).
 
-DESIGN.md calls out the matching order as a core design choice: start at
+The matching order is one of the paper's core design choices: start at
 the rarest signature, extend by minimum cardinality/connectivity.  This
 ablation compares the Algorithm 3 order against the *reverse* of that
 order and against the identity order, measuring total set-operation work

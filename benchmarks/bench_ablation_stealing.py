@@ -1,6 +1,6 @@
 """Ablation — work-stealing granularity (steal-half vs steal-one vs none).
 
-DESIGN.md lists the steal-half-from-tail policy as a design choice
+The steal-half-from-tail policy is a design choice of the paper
 (Section VI-C follows Cilk-style stealing).  This ablation compares, on
 the simulated executor: stealing half the victim's queue, stealing a
 single task, and no stealing at all — by makespan, steal count and load

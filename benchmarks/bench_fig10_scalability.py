@@ -5,8 +5,9 @@ The paper runs two heavy q3 queries on AR with 1–60 threads on a
 from NUMA/hyper-threading.  Pure-Python threads cannot show wall-clock
 speedup (GIL), so this bench reproduces the curve on the discrete-event
 simulated executor over the real task tree, with the cost model's
-physical-core knee at 20 (DESIGN.md substitution 2).  The threaded
-executor is additionally validated for count-correctness here.
+physical-core knee at 20 ("Executors" in docs/ARCHITECTURE.md).  The
+``threads`` spelling of ``count`` is additionally checked against the
+simulation's count here.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import pytest
 from repro import HGMatch
 from repro.bench import format_table, workload
 from repro.datasets import load_dataset, load_store
-from repro.parallel import CostModel, SimulatedExecutor, ThreadedExecutor, simulate_speedups
+from repro.parallel import CostModel, SimulatedExecutor, simulate_speedups
 
 from conftest import write_report
 
@@ -93,9 +94,8 @@ def test_fig10_monotone_overall(fig10_rows):
 def test_threaded_executor_matches_simulated_counts():
     engine, queries = _heavy_queries(count=1)
     query = queries[0]
-    threaded = ThreadedExecutor(num_workers=4).run(engine, query)
-    simulated = SimulatedExecutor(4).run(engine, query)
-    assert threaded.embeddings == simulated.embeddings
+    threaded = engine.count(query, executor="threads", workers=4)
+    assert threaded == SimulatedExecutor(4).run(engine, query).embeddings
 
 
 def test_bench_simulated_execution(benchmark, fig10_rows):

@@ -4,7 +4,7 @@ The paper runs the 20 q3 queries on AR with 20 threads and compares
 memory: BFS grows with the embedding count (materialising every level)
 while the task scheduler stays flat (~4.8 GB) thanks to the Theorem VI.1
 bound.  Memory here is measured in retained partial embeddings / entry
-units (DESIGN.md substitution 2); the shape to reproduce is BFS'
+units (``repro.parallel.memory``); the shape to reproduce is BFS'
 growth with result count vs the scheduler's bounded peak.
 """
 

@@ -4,7 +4,8 @@ The paper runs one heavy q3 query on AR with 20 workers and plots the
 per-worker running time, sorted ascending: without stealing
 ("HGMatch-NOSTL") the last workers straggle; with stealing all workers
 finish near the average.  Reproduced on the simulated executor's
-virtual-time busy times (DESIGN.md substitution 2).
+virtual-time busy times ("Executors" in docs/ARCHITECTURE.md says why
+the time is virtual).
 """
 
 from __future__ import annotations

@@ -63,8 +63,7 @@ def test_table4_baselines_fail_somewhere(table4_rows):
 def test_table4_small_datasets_complete(table4_rows):
     """All algorithms finish on the easy contact-network datasets (the
     paper's 100% region; our scaled HC analogue is disproportionately
-    hard for match-by-vertex under the scaled timeout, see
-    EXPERIMENTS.md)."""
+    hard for match-by-vertex under the scaled timeout)."""
     for row in table4_rows:
         assert row["CH"] == "100%"
         assert row["CP"] == "100%"

@@ -4,7 +4,7 @@ Experiment rows are computed once per session (they are expensive —
 baseline timeouts dominate) and shared between the Fig. 8 timing bench
 and the Table IV completion bench.  Every bench module also writes its
 formatted report to ``benchmarks/reports/<experiment>.txt`` so the
-tables survive pytest's output capture; EXPERIMENTS.md links to them.
+tables survive pytest's output capture.
 """
 
 from __future__ import annotations

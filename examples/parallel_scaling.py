@@ -1,17 +1,19 @@
 """Parallel execution: scheduling, scaling and memory (paper §VI).
 
 Runs a heavy query on the AR (Amazon-reviews analogue) dataset through
-the three execution modes of this reproduction:
+the execution modes of this reproduction:
 
-* the sequential LIFO loop,
-* the threaded work-stealing executor (correctness + load accounting;
-  the GIL hides wall-clock speedup, see DESIGN.md),
+* the sequential block-DFS,
+* its root parts on a thread pool (``executor="threads"``: the same
+  cut the shard pool makes; under the GIL never faster than sequential,
+  see "Executors" in docs/ARCHITECTURE.md),
 * a localhost *socket cluster* — shard-worker TCP servers spawned on
   loopback ports and driven by the network coordinator, i.e. the full
   multi-host wire path (framing, handshake, versioned mask payloads;
   see docs/WIRE_FORMAT.md) on one machine,
-* the discrete-event simulated executor that reproduces the paper's
-  scalability curve with a 20-physical-core NUMA knee,
+* the discrete-event simulated executor — the paper's work-stealing
+  scheduler in virtual time — that reproduces the scalability curve
+  with a 20-physical-core NUMA knee and the per-worker steal rows,
 
 and compares task-based scheduling against BFS materialisation for
 memory (the Fig. 11 phenomenon).
@@ -28,7 +30,6 @@ from repro.parallel import (
     CostModel,
     ShardPool,
     SimulatedExecutor,
-    ThreadedExecutor,
     measure_memory,
     simulate_speedups,
     spawn_local_cluster,
@@ -45,14 +46,10 @@ def main() -> None:
     expected = engine.count(query)
     print("Heavy q3 query:", query, "->", expected, "embeddings")
 
-    print("\nThreaded executor (4 workers):")
-    result = ThreadedExecutor(num_workers=4).run(engine, query)
-    print("  embeddings:", result.embeddings, "(equals sequential:",
-          result.embeddings == expected, ")")
-    print("  per-worker tasks:",
-          [stats.tasks_executed for stats in result.worker_stats])
-    print("  load imbalance (max/mean busy time):",
-          round(result.load_imbalance(), 3))
+    print("\nRoot parts on threads (4 workers):")
+    threaded = engine.count(query, executor="threads", workers=4)
+    print("  embeddings:", threaded, "(equals sequential:",
+          threaded == expected, ")")
 
     print("\nLocalhost socket cluster (4 shard workers over TCP):")
     cluster = spawn_local_cluster(data, num_shards=4)
@@ -61,14 +58,14 @@ def main() -> None:
         socket_result = net.run(engine, query)
         print("  embeddings:", socket_result.embeddings,
               "(equals threaded:",
-              socket_result.embeddings == result.embeddings, ")")
-        assert socket_result.embeddings == result.embeddings, (
-            "socket cluster diverged from the threaded executor"
+              socket_result.embeddings == threaded, ")")
+        assert socket_result.embeddings == threaded, (
+            "socket cluster diverged from the thread parts"
         )
         print("  embeddings per worker (one subtree request each):",
               [stats.embeddings for stats in socket_result.worker_stats])
         level_sync = net.run_bfs(engine, query)
-        assert level_sync.embeddings == result.embeddings
+        assert level_sync.embeddings == threaded
         print("  level-synchronous protocol, per-shard payload bytes:",
               [stats.payload_bytes for stats in level_sync.worker_stats])
         print("  workers:", ", ".join(
@@ -91,6 +88,10 @@ def main() -> None:
     without = SimulatedExecutor(8, stealing=False).run(engine, query)
     print("  stealing on : makespan", round(with_steal.makespan, 1),
           "imbalance", round(with_steal.load_imbalance(), 3))
+    print("    per-worker tasks :",
+          [stats.tasks_executed for stats in with_steal.worker_stats])
+    print("    per-worker steals:",
+          [stats.steals_succeeded for stats in with_steal.worker_stats])
     print("  stealing off: makespan", round(without.makespan, 1),
           "imbalance", round(without.load_imbalance(), 3))
 

@@ -20,7 +20,7 @@ Quickstart::
 
 See :mod:`repro.baselines` for the extended match-by-vertex baselines
 (CFL-H, DAF-H, CECI-H, RapidMatch-H), :mod:`repro.parallel` for the
-task scheduler and work-stealing executors, and :mod:`repro.datasets`
+shard pool and the simulated work-stealing scheduler, and :mod:`repro.datasets`
 for the synthetic analogues of the paper's ten datasets.
 """
 

@@ -121,11 +121,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--executor",
         default=None,
         choices=("threads", "processes", "sockets", "simulated"),
-        help="parallel engine for HGMatch: threads (work-stealing "
-        "scheduler, GIL-serialised), processes (one worker process per "
-        "store shard over loopback TCP, or remote servers via --hosts; "
-        "real multi-core), sockets (another spelling of processes) "
-        "or simulated (discrete-event, virtual time); default is "
+        help="parallel engine for HGMatch: threads (the query's "
+        "--workers root parts on a thread pool; GIL-serialised, never "
+        "faster than sequential), processes (the same parts on one "
+        "worker process per store shard over loopback TCP, or remote "
+        "servers via --hosts; real multi-core), sockets (another "
+        "spelling of processes) or simulated (the paper's work-stealing "
+        "scheduler, discrete-event, virtual time); default is "
         "sequential, or threads when --workers > 1",
     )
     match.add_argument(

@@ -37,10 +37,11 @@ models are **not comparable raw** — a run's model is recorded in
     frontier index, per vertex plane a distinct frontier edge is OR-ed
     into, per step plane read when a vertex's planes are derived, and
     per vertex of every live row probed — nothing per candidate.  The
-    in-process engine (``count``/``match``/``count_bfs``) and the shard
-    workers charge it alike; only ``threads`` and ``simulated`` still
-    expand one task at a time and so charge the per-parent units on
-    every level — compare a run's units with runs of the same executor.
+    in-process engine (``count``/``match``/``count_bfs``), its root
+    parts on threads or pool workers and the level-synchronous shard
+    workers charge it alike; only ``simulated`` still expands one task
+    at a time and so charges the per-parent units on every level —
+    compare a run's units with runs of the same executor and cut.
 
 Cross-backend comparisons must divide by each run's own model (the
 bench harness labels rows via

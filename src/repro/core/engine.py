@@ -12,14 +12,14 @@ Fig. 3) and answers queries by:
 Enumeration never recurses and builds no runtime auxiliary structure: a
 partial embedding is just a tuple of data hyperedge ids, so the same
 block step (:func:`repro.core.frontier.expand_block`) backs the
-sequential block-DFS here, the BFS executor used for the memory
-experiment and the shard workers of :mod:`repro.parallel`; the task
-schedulers there expand blocks of one through :meth:`HGMatch.expand`.
+sequential block-DFS here — whole, or one root part per thread or pool
+worker — the BFS executor used for the memory experiment and the shard
+workers of :mod:`repro.parallel`; the simulated task scheduler there
+expands blocks of one through :meth:`HGMatch.expand`.
 """
 
 from __future__ import annotations
 
-import contextlib
 import time
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -180,9 +180,10 @@ class HGMatch:
         )
         self.shards = shards
         self.sharding = resolve_sharding(sharding)
-        # Sibling tasks (LIFO/BFS/worker deques) share anchors, so their
-        # per-anchor posting unions are memoised engine-wide; the memo is
-        # thread-safe and only consulted by the mask backends.
+        # Sibling tasks (of one search, or of the root parts on threads)
+        # share anchors, so their per-anchor posting unions are memoised
+        # engine-wide; the memo is thread-safe and only consulted by the
+        # mask backends.
         self._anchor_memo = AnchorUnionMemo()
         # One pool of shard workers per engine (see pool()): built
         # lazily by the first "processes"/"sockets" run or installed by
@@ -195,7 +196,7 @@ class HGMatch:
     @property
     def index_backend(self) -> str:
         """The posting-list representation of the engine's store."""
-        return getattr(self.store, "index_backend", "merge")
+        return self.store.index_backend
 
     @property
     def uses_mask_validation(self) -> bool:
@@ -238,21 +239,16 @@ class HGMatch:
         plan: ExecutionPlan,
         matched_edges: Tuple[int, ...],
         counters: "MatchCounters | None" = None,
-        vmap: "Dict[int, set] | None" = None,
-        step_masks: "Dict[int, int] | None" = None,
     ) -> List[Tuple[int, ...]]:
         """Expand one partial embedding by the next hyperedge in the order.
 
         Returns the list of extended partial embeddings (possibly empty).
         ``matched_edges`` may be the empty tuple, in which case this is
-        the SCAN step emitting the whole signature partition.  Arguments
-        as for :meth:`accepted_set`.
+        the SCAN step emitting the whole signature partition.
         """
         return [
             matched_edges + (edge,)
-            for edge in self.accepted_set(
-                plan, matched_edges, counters, vmap, step_masks
-            ).to_tuple()
+            for edge in self.accepted_set(plan, matched_edges, counters).to_tuple()
         ]
 
     def accepted_set(
@@ -260,8 +256,6 @@ class HGMatch:
         plan: ExecutionPlan,
         matched_edges: Tuple[int, ...],
         counters: "MatchCounters | None" = None,
-        vmap: "Dict[int, set] | None" = None,
-        step_masks: "Dict[int, int] | None" = None,
     ) -> CandidateSet:
         """The data hyperedges that validly extend ``matched_edges`` by
         the next step: Algorithm 4's candidate set filtered by one
@@ -271,22 +265,17 @@ class HGMatch:
         block of one: :meth:`match`, :meth:`count` and :meth:`count_bfs`
         expand whole blocks (:func:`repro.core.frontier.expand_block`).
 
-        Loop-style callers pass the incrementally maintained ``vmap``
-        and ``step_masks`` of ``matched_edges`` (see
-        :class:`repro.core.candidates.VertexStepState`); both are read,
-        not mutated.  Whatever is missing is rebuilt from the task tuple,
-        so a bare task remains fully self-contained.
+        The vertex → steps state is rebuilt from the task tuple, so a
+        bare task is fully self-contained.
         """
         step_plan = plan.steps[len(matched_edges)]
         partition = self.store.partition(step_plan.signature)
         if partition is None:
             return EMPTY_CANDIDATES
-        if vmap is None:
-            vmap = vertex_step_map(self.data, matched_edges)
-        if step_masks is None:
-            step_masks = vertex_step_masks(self.data, matched_edges)
         return expand_parent(
-            self.data, partition, step_plan, matched_edges, vmap, step_masks,
+            self.data, partition, step_plan, matched_edges,
+            vertex_step_map(self.data, matched_edges),
+            vertex_step_masks(self.data, matched_edges),
             counters, self._anchor_memo,
             step_plan.step == plan.num_steps - 1,
         )
@@ -477,33 +466,37 @@ class HGMatch:
     ) -> int:
         """Count all embeddings of ``query``.
 
-        ``executor`` selects the execution engine:
+        ``executor`` selects where the block-DFS (:meth:`_search`) runs;
+        every parallel spelling makes the same cut — worker ``p`` of
+        ``n`` searches below the root candidates ``roots[p::n]``
+        (:meth:`count_part`):
 
-        * ``None`` — the in-process block-DFS (:meth:`_search`), or
-          ``"threads"`` when ``workers > 1`` (the historical behaviour);
-        * ``"threads"`` — the work-stealing thread scheduler
-          (:class:`repro.parallel.ThreadedExecutor`, ``workers``
-          threads); GIL-serialised, demonstrates correctness and load
-          balance;
+        * ``None`` — in-process, or ``"threads"`` when ``workers > 1``
+          (the historical behaviour);
+        * ``"threads"`` — the ``workers`` root parts on a thread pool of
+          this process.  Under the GIL never faster than sequential:
+          the no-process spelling of the cut and the baseline the shard
+          pool is measured against;
         * ``"processes"`` / ``"sockets"`` — two spellings of one
           engine: a solo *subtree job*
           (:meth:`repro.parallel.ShardPool.run`) on the engine's
           persistent shard pool (:meth:`pool`: one worker process per
           store shard, here or on pinned hosts), for real multi-core
           wall clock.  Every worker holds the whole graph; each is sent
-          one request, runs this engine's block-DFS
-          (:meth:`count_part`) below its slice of the root candidates
-          and answers one count — the paper's Sec. VI task model, two
-          frames per worker per query.  Parallelism is ``shards``,
-          falling back to the engine's ``shards``, falling back to
-          ``workers`` — so ``count(q, workers=8,
-          executor="processes")`` runs 8 worker processes rather than
-          silently one;
-        * ``"simulated"`` — the discrete-event scheduler
+          one request, runs its root part and answers one count — the
+          paper's Sec. VI task model, two frames per worker per query.
+          Parallelism is ``shards``, falling back to the engine's
+          ``shards``, falling back to ``workers`` — so ``count(q,
+          workers=8, executor="processes")`` runs 8 worker processes
+          rather than silently one;
+        * ``"simulated"`` — the paper's work-stealing task scheduler as
+          a discrete-event simulation
           (:class:`repro.parallel.SimulatedExecutor`, virtual time;
           ``time_budget`` does not apply).
 
-        All executors return bit-identical counts.
+        All executors return bit-identical counts and the same Fig. 9
+        funnel in ``counters``; ``peak_retained`` is the sum over the
+        parts (one queue per worker, Theorem VI.1).
         """
         if executor is None:
             executor = "threads" if workers > 1 else "sequential"
@@ -512,14 +505,10 @@ class HGMatch:
         )
         if elsewhere is not None:
             return elsewhere
-        if executor == "threads":
-            from ..parallel.executor import ThreadedExecutor  # lazy: avoid cycle
-
-            threaded = ThreadedExecutor(num_workers=max(workers, 1))
-            result = threaded.run(self, query, order=order, time_budget=time_budget)
-            if counters is not None:
-                counters.merge(result.counters)
-            return result.embeddings
+        if executor == "threads" and workers > 1:
+            return self._count_on_threads(
+                self.plan(query, order), workers, counters, time_budget
+            )
         return self.count_part(
             query, order, counters=counters, time_budget=time_budget
         )
@@ -535,21 +524,52 @@ class HGMatch:
     ) -> int:
         """Count the embeddings below every ``parts``-th root candidate
         from the ``part``-th on: the in-process count (1 part) and the
-        unit of work of a subtree job, whose pool members each run one
-        part.  The parts' counts — and their ``counters``, see
-        :meth:`_search` — add up to the whole query's.
+        unit of work of every parallel executor, whose threads or pool
+        members each run one part.  The parts' counts — and their
+        ``counters``, see :meth:`_search` — add up to the whole query's.
 
         Count-only: last-level survivors are added up block by block,
         never decoded or built into tuples or Embedding objects.
         """
+        return self._count_plan(
+            self.plan(query, order), part, parts, counters, time_budget
+        )
+
+    def _count_plan(self, plan, part, parts, counters, time_budget) -> int:
+        """:meth:`count_part` of an already built plan."""
         total = 0
         for _, _, accepted in self._search(
-            self.plan(query, order), counters, time_budget, want_sets=False,
+            plan, counters, time_budget, want_sets=False,
             part=None if parts == 1 else (part, parts),
         ):
             total += accepted
         if counters is not None:
             counters.embeddings += total
+        return total
+
+    def _count_on_threads(self, plan, parts, counters, time_budget) -> int:
+        """The ``parts`` root parts of ``plan``, one per thread of a
+        per-call pool.  The pool joins before anything is reported, so
+        no thread outlives the call; the first failed part's exception
+        (a timeout included) is the call's."""
+        from concurrent.futures import ThreadPoolExecutor  # lazy: cheap
+
+        tallies = [MatchCounters() for _ in range(parts)]
+        with ThreadPoolExecutor(max_workers=parts) as threads:
+            futures = [
+                threads.submit(
+                    self._count_plan, plan, part, parts, tally, time_budget
+                )
+                for part, tally in enumerate(tallies)
+            ]
+        total = sum(future.result() for future in futures)
+        if counters is not None:
+            for tally in tallies:
+                counters.merge(tally)
+            counters.peak_retained = max(
+                counters.peak_retained,
+                sum(tally.peak_retained for tally in tallies),
+            )
         return total
 
     def pool(
@@ -778,19 +798,23 @@ class HGMatch:
         the supplied counters then reflects the exponential intermediate
         blow-up that the task-based scheduler avoids.
 
-        ``executor`` mirrors :meth:`count`: ``None``/``"sequential"`` is
-        the in-process loop here; ``"threads"`` splits every frontier
-        level across ``workers`` threads; ``"processes"`` and
-        ``"sockets"`` run the engine's shard pool (:meth:`pool`) through
+        ``executor``: ``None``/``"sequential"`` is the single-threaded
+        in-process loop here; ``"processes"`` and ``"sockets"`` run the
+        engine's shard pool (:meth:`pool`) through
         :meth:`repro.parallel.ShardPool.run_bfs`, whose
         level-synchronous protocol *is* BFS (each worker expands its row
         range of every level; :meth:`count` runs subtree jobs on the
-        same workers instead); ``"simulated"``
-        counts via the discrete-event scheduler
-        (task-parallel in virtual time — counts match, the BFS memory
-        profile does not apply).  All executors return bit-identical
+        same workers instead).  ``"threads"`` and ``"simulated"`` are
+        task-parallel and exist under :meth:`count` only
+        (:class:`QueryError` here).  All executors return bit-identical
         counts.
         """
+        if executor in ("threads", "simulated"):
+            raise QueryError(
+                f"count_bfs has no {executor!r} executor: that one is "
+                f"task-parallel, not level-synchronous; "
+                f"use count(executor={executor!r})"
+            )
         elsewhere = self._count_elsewhere(
             executor or "sequential", query, order, workers, counters,
             time_budget, shards, bfs=True,
@@ -801,69 +825,34 @@ class HGMatch:
         deadline = None if time_budget is None else time.monotonic() + time_budget
         if counters is not None:
             counters.note_work_model(WORK_UNIT_MODELS.get(self.index_backend, ""))
-        workers = workers if executor == "threads" and workers > 1 else 1
-        states = [VertexStepState(self.data) for _ in range(workers)]
+        state = VertexStepState(self.data)
         last_step = plan.num_steps - 1
-        step = 0
-
-        def expand_slice(worker_id, chunk, tally):
-            """One contiguous slice of level ``step``, block by block:
-            its children (none on the last level) and accepted count."""
+        # Levels are barriers.  The last level is counted, not built;
+        # ``peak_retained`` records its size all the same, as Exp-5's
+        # level-synchronous strategy would hold it.
+        frontier: List[Tuple[int, ...]] = [()]
+        width = 0
+        for step in range(plan.num_steps):
             partition = self.store.partition(plan.steps[step].signature)
             children: List[Tuple[int, ...]] = []
-            total = 0
-            for parents in frontier_blocks(chunk if partition is not None else ()):
+            width = 0
+            for parents in frontier_blocks(frontier if partition is not None else ()):
                 if deadline is not None and time.monotonic() > deadline:
                     raise TimeoutExceeded(
                         time.monotonic() - (deadline - time_budget), time_budget
                     )
                 accepted, sets = expand_block(
-                    self.data, partition, plan, step, parents,
-                    states[worker_id], tally, self._anchor_memo,
-                    step < last_step,
+                    self.data, partition, plan, step, parents, state,
+                    counters, self._anchor_memo, step < last_step,
                 )
-                total += accepted
+                width += accepted
                 if accepted and step < last_step:
                     children += next(_child_blocks(parents, sets, accepted))
-            return children, total
-
-        # Each thread keeps its own VertexStepState and a contiguous
-        # slice (siblings stay adjacent); levels are barriers, slices
-        # gather in submission order.  The last level is counted, not
-        # built; ``peak_retained`` records its size all the same, as
-        # Exp-5's level-synchronous strategy would hold it.
-        pool = contextlib.nullcontext()
-        if workers > 1:
-            from concurrent.futures import ThreadPoolExecutor  # lazy: cheap
-
-            pool = ThreadPoolExecutor(max_workers=workers)
-        frontier: List[Tuple[int, ...]] = [()]
-        width = 0
-        with pool as threads:
-            for step in range(plan.num_steps):
-                size = max(1, -(-len(frontier) // workers))
-                slices = [
-                    frontier[low:low + size]
-                    for low in range(0, len(frontier), size)
-                ]
-                tallies = [
-                    counters if threads is None else MatchCounters()
-                    for _ in slices
-                ]
-                results = list(
-                    (map if threads is None else threads.map)(
-                        expand_slice, range(workers), slices, tallies
-                    )
-                )
-                width = sum(total for _, total in results)
-                frontier = [child for children, _ in results for child in children]
-                if counters is not None:
-                    counters.tasks += sum(map(len, slices))
-                    if threads is not None:
-                        for tally in tallies:
-                            counters.merge(tally)
-                    counters.retained = width
-                    counters.peak_retained = max(counters.peak_retained, width)
+            if counters is not None:
+                counters.tasks += len(frontier)
+                counters.retained = width
+                counters.peak_retained = max(counters.peak_retained, width)
+            frontier = children
         if counters is not None:
             counters.embeddings += width
         return width

@@ -95,15 +95,10 @@ class DataflowGraph:
                     "parallel dataflow execution supports count sinks "
                     "without filters; run filtered dataflows sequentially"
                 )
-            from ..parallel.executor import ThreadedExecutor
-
-            result = ThreadedExecutor(num_workers=workers).run(
-                self.engine, self.plan.query, order=self.plan.order,
-                time_budget=time_budget,
+            self.sink.count += self.engine.count(
+                self.plan.query, order=self.plan.order, workers=workers,
+                counters=counters, time_budget=time_budget, executor="threads",
             )
-            if counters is not None:
-                counters.merge(result.counters)
-            self.sink.count += result.embeddings
             return self.sink.result()
 
         self._execute_sequential(counters, time_budget)

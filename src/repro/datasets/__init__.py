@@ -1,4 +1,4 @@
-"""Synthetic analogues of the paper's datasets (see DESIGN.md)."""
+"""Synthetic analogues of the paper's datasets."""
 
 from .jf17k import (
     KBSpec,

@@ -1,31 +1,34 @@
 """HGMatch's parallel execution engine (Section VI).
 
-Three executors share the same task semantics (self-contained partial
-embeddings):
+A query is parallelised one way — worker ``p`` of ``n`` runs the
+engine's block-DFS below the root candidates ``roots[p::n]``
+(:meth:`repro.core.engine.HGMatch.count_part`) — and the executors
+differ only in where a part runs: ``executor="threads"`` on a thread
+pool inside the engine (nothing of this package), ``"processes"`` /
+``"sockets"`` in the shard pool's worker processes.  The paper's own
+scheduler lives here once, as a simulation:
 
-* :class:`ThreadedExecutor` — real threads, LIFO deques,
-  steal-half-from-tail; demonstrates correctness, bounded memory and
-  load-balance accounting under CPython (GIL-serialised).
 * :class:`ShardPool` — the one shard coordinator: a grid of
   connections to one :class:`ShardWorker` server per store shard (and
   replica), speaking framed TCP (:mod:`repro.parallel.transport`;
   candidate payloads cross as compact masks in the versioned wire
   format, see ``docs/WIRE_FORMAT.md``), shared by any number of
-  level-synchronous queries, each a :class:`QueryChannel` on it.  The
+  queries, each a :class:`QueryChannel` on it.  The
   workers are its own local pool (:func:`spawn_local_cluster`) or
   servers on other hosts; real multi-core wall clock either way.
   ``executor="processes"`` and ``executor="sockets"`` both mean
   :meth:`ShardPool.run` — one channel per job — on the engine's one
   pool (:meth:`repro.core.engine.HGMatch.pool`); the match service
   (:mod:`repro.service`) keeps many channels open on that same pool.
-* :class:`SimulatedExecutor` — discrete-event simulation in virtual
-  time with a set-operation cost model; backs the scalability and
-  load-balancing experiments (see DESIGN.md, substitution 2).
+* :class:`SimulatedExecutor` — the task scheduler of Section VI-B
+  (one LIFO deque per worker, steal-half-from-tail, plus the
+  steal-one / no-steal ablations) as a discrete-event simulation in
+  virtual time with a set-operation cost model; backs the scalability
+  and load-balancing experiments (see "Executors" in
+  ``docs/ARCHITECTURE.md`` for why the time is virtual).
 """
 
 from .chaos import ChaosSocket, FaultPlan
-from .deque import WorkStealingDeque
-from .executor import ParallelResult, ThreadedExecutor
 from .cluster import LocalCluster, spawn_local_cluster
 from .pool import QueryChannel, ShardPool
 from .handshake import default_retry_policy
@@ -46,19 +49,17 @@ from .simulation import (
 from .worker import ShardWorker, default_io_timeout, shutdown_worker
 from .tasks import (
     ROOT_TASK,
+    ParallelResult,
     PartialEmbedding,
     RetryPolicy,
     WorkerStats,
     default_seed,
     join_or_kill,
     load_imbalance,
-    task_kind,
     worker_loads,
 )
 
 __all__ = [
-    "WorkStealingDeque",
-    "ThreadedExecutor",
     "ShardPool",
     "QueryChannel",
     "ShardWorker",
@@ -89,7 +90,6 @@ __all__ = [
     "WorkerStats",
     "PartialEmbedding",
     "ROOT_TASK",
-    "task_kind",
     "worker_loads",
     "load_imbalance",
 ]

@@ -69,8 +69,7 @@ from ..core.frontier import expand_block, frontier_blocks
 from ..errors import QueryCancelled, TimeoutExceeded
 from ..hypergraph import Hypergraph, PartitionedStore
 from ..hypergraph.index import chunks_from_rows
-from .executor import ParallelResult
-from .tasks import ROOT_TASK, PartialEmbedding, WorkerStats
+from .tasks import ROOT_TASK, ParallelResult, PartialEmbedding, WorkerStats
 
 
 # ----------------------------------------------------------------------

@@ -54,19 +54,17 @@ def measure_memory(
     strategy: str,
     workers: int = 1,
 ) -> MemoryMeasurement:
-    """Run ``query`` under ``strategy`` ("task" or "bfs") and report peaks."""
+    """Run ``query`` under ``strategy`` ("task" or "bfs") and report
+    peaks; ``workers`` runs the task strategy as that many root parts
+    (``count(executor="threads")``), whose peaks add up — one queue per
+    worker."""
     counters = MatchCounters()
     if strategy == "bfs":
         embeddings = engine.count_bfs(query, counters=counters)
     elif strategy == "task":
-        if workers > 1:
-            from .executor import ThreadedExecutor
-
-            result = ThreadedExecutor(num_workers=workers).run(engine, query)
-            counters = result.counters
-            embeddings = result.embeddings
-        else:
-            embeddings = engine.count(query, counters=counters)
+        embeddings = engine.count(
+            query, workers=workers, counters=counters, executor="threads"
+        )
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
     units = entry_units_per_partial(query)

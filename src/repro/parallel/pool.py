@@ -117,9 +117,8 @@ from .handshake import (
     open_session,
     validate_handshake,
 )
-from .executor import ParallelResult
 from .level_sync import run_level_synchronous
-from .tasks import RetryPolicy, default_seed, worker_loads
+from .tasks import ParallelResult, RetryPolicy, default_seed, worker_loads
 from .worker import default_io_timeout
 
 logger = logging.getLogger("repro.parallel")
@@ -724,7 +723,7 @@ class ShardPool:
         """Execute one solo counting job as a **subtree job** — one
         channel, query id :data:`~repro.parallel.transport.
         SOLO_QUERY_ID` — and return its
-        :class:`~repro.parallel.executor.ParallelResult`
+        :class:`~repro.parallel.tasks.ParallelResult`
         (:meth:`QueryChannel.count`: one request and one reply per
         chosen member, each running the whole block-DFS below its slice
         of the root candidates).
@@ -1300,7 +1299,7 @@ class ShardPool:
         """Recut the live pool's ranges from observed per-shard load.
 
         ``worker_stats`` is a completed run's
-        :attr:`~repro.parallel.executor.ParallelResult.worker_stats`;
+        :attr:`~repro.parallel.tasks.ParallelResult.worker_stats`;
         the recut (:func:`repro.hypergraph.sharding.plan_rebalance`)
         shifts partition boundaries toward the underloaded shards while
         keeping every shard's position along the row axis.  Works

@@ -6,7 +6,7 @@ reproduce the *scalability* (Exp-4, Fig. 10) and *load balancing*
 (Exp-6, Fig. 12) experiments we therefore simulate the scheduler in
 virtual time over the exact same task tree:
 
-* every worker owns a LIFO deque, exactly like the threaded executor;
+* every worker owns a LIFO deque (Section VI-B);
 * executing a task costs its measured work units (posting entries
   touched by candidate generation plus validation work) — i.e. the cost
   model charges precisely the set-operation work the paper's engine
@@ -83,9 +83,11 @@ class SimulationResult:
 class SimulatedExecutor:
     """Simulate ``num_workers`` workers over the real task tree.
 
-    Parameters mirror :class:`repro.parallel.executor.ThreadedExecutor`
-    (``stealing`` / ``steal_mode`` feed the load-balancing ablation), plus
-    a :class:`CostModel`.
+    The repository's one reproduction of the paper's scheduler:
+    ``steal_mode`` (``"half"``, the paper's, or ``"one"``) and
+    ``stealing=False`` ("HGMatch-NOSTL") feed the load-balancing
+    ablation, ``seed`` (default: ``REPRO_SEED``) picks the victims, a
+    :class:`CostModel` prices the tasks.
     """
 
     def __init__(

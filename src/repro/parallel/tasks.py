@@ -22,8 +22,10 @@ from __future__ import annotations
 import logging
 import os
 import random
-from dataclasses import dataclass
-from typing import Tuple
+from dataclasses import dataclass, field
+from typing import List, Tuple
+
+from ..core.counters import MatchCounters
 
 logger = logging.getLogger("repro.parallel")
 
@@ -37,12 +39,13 @@ ROOT_TASK: PartialEmbedding = ()
 def default_seed() -> int:
     """The process-wide scheduler seed: ``REPRO_SEED`` or 0.
 
-    Every executor RNG (steal-victim selection in the threaded,
-    simulated and multiprocess schedulers) is seeded per job by deriving
-    from this value, never from the process-global :mod:`random` state —
-    so two runs of the same job under the same ``REPRO_SEED`` make
-    identical steal decisions, in every worker thread and every worker
-    process, and cross-process tests can assert exact reproducibility.
+    Every executor RNG (steal-victim selection in the simulated
+    scheduler, retry jitter in the shard pool and its workers) is
+    seeded per job by deriving from this value, never from the
+    process-global :mod:`random` state — so two runs of the same job
+    under the same ``REPRO_SEED`` make identical decisions in every
+    worker process, and cross-process tests can assert exact
+    reproducibility.
 
     Resolved at call time (like ``REPRO_INDEX_BACKEND``) so a test
     session or deployment can switch seeds without touching call sites.
@@ -120,15 +123,6 @@ class RetryPolicy:
         return base * (1.0 + self.jitter * rng.random())
 
 
-def task_kind(task: PartialEmbedding, num_steps: int) -> str:
-    """Classify a task as ``TSCAN`` / ``TEXPAND`` / ``TSINK``."""
-    if not task:
-        return "TSCAN"
-    if len(task) >= num_steps:
-        return "TSINK"
-    return "TEXPAND"
-
-
 @dataclass
 class WorkerStats:
     """Per-worker accounting used by the load-balancing experiment."""
@@ -142,7 +136,7 @@ class WorkerStats:
     tasks_stolen: int = 0
     peak_queue: int = 0
     #: Bytes of candidate payloads this worker shipped across a process
-    #: boundary (multiprocess executor only; 0 for thread workers).
+    #: boundary (shard executors only).
     payload_bytes: int = 0
     #: CPU seconds this worker's own thread spent expanding levels
     #: (``time.thread_time`` deltas; shard executors only).  Unlike
@@ -193,3 +187,19 @@ def load_imbalance(stats: "list[WorkerStats]") -> float:
     if mean <= 0:
         return 1.0
     return max(loads) / mean
+
+
+@dataclass
+class ParallelResult:
+    """Outcome of one parallel matching job."""
+
+    embeddings: int
+    elapsed: float
+    counters: MatchCounters
+    worker_stats: List[WorkerStats] = field(default_factory=list)
+
+    def load_imbalance(self) -> float:
+        """Max/mean per-worker load (1.0 = perfect balance): CPU time
+        where the workers record it, else busy time — the one number
+        the rebalancer and the skew gate act on as well."""
+        return load_imbalance(self.worker_stats)

@@ -21,7 +21,7 @@ operation:
   guarantee applies.
 * **Result cache** — an LRU keyed by ``(graph fingerprint, graph
   version, query fingerprint)``; hits return the finished
-  :class:`~repro.parallel.executor.ParallelResult` without touching
+  :class:`~repro.parallel.tasks.ParallelResult` without touching
   the pool at all (the pool's dispatch counter is the proof).
 * **Drain** — stop admitting, let in-flight queries finish inside a
   timeout, cancel the stragglers, close the pool.  This is what the
@@ -128,7 +128,7 @@ class MatchTicket:
         self.cached = future is None
 
     def result(self, timeout: "float | None" = None):
-        """The query's :class:`~repro.parallel.executor.ParallelResult`.
+        """The query's :class:`~repro.parallel.tasks.ParallelResult`.
 
         Re-raises whatever ended the query: ``QueryCancelled``,
         ``TimeoutExceeded``, or the shard failure that killed it.

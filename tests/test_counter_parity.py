@@ -19,7 +19,11 @@ the two workers runs the sequential block-DFS below every other root
 candidate, and only part 0 charges the step-0 scan and the root task —
 so ``merge`` (blocks of one) now charges exactly the sequential
 engine's postings, and ``bitset`` what the orientations picked for the
-two halves' narrower blocks perform; the funnel did not move.  The
+two halves' narrower blocks perform; the funnel did not move.
+``("bitset", "threads")`` is pinned *equal to* ``("bitset",
+"processes")``: ``workers=2`` threads and ``shards=2`` workers run the
+same two root parts, so even the block-dependent units agree — one cut,
+wherever a part runs.  The
 old pins stay on the protocol they were recorded on — the shard
 workers' ``expand_level`` behind ``count_bfs(executor="processes")`` —
 as the ``"processes_bfs"`` keys.  The engines
@@ -54,6 +58,7 @@ WORK_UNITS = {
     ("merge", "processes_bfs"): 774796,
     ("merge", "simulated"): 711884,
     ("bitset", "sequential"): 92396,
+    ("bitset", "threads"): 105106,
     ("bitset", "processes"): 105106,
     ("bitset", "processes_bfs"): 80848,
     ("adaptive", "sequential"): 324882,

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from repro import HGMatch
 from repro.baselines import BASELINE_NAMES, brute_force, make_baseline
 from repro.dataflow import run_query
-from repro.parallel import SimulatedExecutor, ThreadedExecutor
+from repro.parallel import SimulatedExecutor
 
 from repro.testing import make_random_instance
 
@@ -45,7 +45,7 @@ class TestRandomisedEquivalence:
         assert engine.count_bfs(query) == len(reference.hyperedge_tuples)
         assert run_query(engine, query) == len(reference.hyperedge_tuples)
         assert (
-            ThreadedExecutor(3).run(engine, query).embeddings
+            engine.count(query, executor="threads", workers=3)
             == len(reference.hyperedge_tuples)
         )
         assert (

@@ -215,8 +215,10 @@ def test_observation_v5_reads_the_live_partial_size():
 
 
 def test_bare_task_path_builds_masks():
-    """``expand(plan, task)`` without a state validates over masks it
-    rebuilds itself — same answer as the stateful call, on a mask backend."""
+    """``expand(plan, task)`` validates over masks it rebuilds from the
+    task tuple — the ones a push/pop state maintains — and expanding
+    level by level that way reaches the engine's count, on a mask
+    backend."""
     from repro.core.candidates import VertexStepState
 
     for data, query in random_instances(1206, 4):
@@ -227,13 +229,9 @@ def test_bare_task_path_builds_masks():
         for _ in range(plan.num_steps):
             next_frontier = []
             for matched in frontier:
-                bare = engine.expand(plan, matched)
-                assert bare == engine.expand(
-                    plan, matched, vmap=state.advance(matched),
-                    step_masks=state.step_masks,
-                )
+                state.advance(matched)
                 assert state.step_masks == vertex_step_masks(data, matched)
-                next_frontier.extend(bare)
+                next_frontier.extend(engine.expand(plan, matched))
             frontier = next_frontier
         assert len(frontier) == engine.count(query)
 

@@ -365,9 +365,6 @@ CALLERS = {
     "count": lambda e, q, c: e.count(q, counters=c),
     "match": lambda e, q, c: len({m.canonical() for m in e.match(q, counters=c)}),
     "count_bfs": lambda e, q, c: e.count_bfs(q, counters=c),
-    "bfs_threads": lambda e, q, c: e.count_bfs(
-        q, counters=c, executor="threads", workers=3
-    ),
 }
 
 

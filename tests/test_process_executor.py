@@ -324,12 +324,11 @@ def test_fig1_running_example_across_executors(fig1_data, fig1_query):
         assert engine.count(fig1_query, executor="processes") == expected
         assert engine.count(fig1_query, executor="simulated", workers=3) == expected
         assert engine.count_bfs(fig1_query) == expected
-        assert (
-            engine.count_bfs(fig1_query, executor="threads", workers=3)
-            == expected
-        )
         assert engine.count_bfs(fig1_query, executor="processes") == expected
-        assert engine.count_bfs(fig1_query, executor="simulated") == expected
+        # The task-parallel spellings are count's, not count_bfs's.
+        for spelling in ("threads", "simulated"):
+            with pytest.raises(QueryError, match="use count"):
+                engine.count_bfs(fig1_query, executor=spelling, workers=3)
     finally:
         engine.close()
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Documentation checks: wire-format doctests + markdown link check.
 
-Run via ``make docs-check`` (CI's docs job).  Two guarantees:
+Run via ``make docs-check`` (CI's docs job).  Three guarantees:
 
 1. ``docs/WIRE_FORMAT.md`` is executable truth — every ``>>>`` example
    in it runs against the live library, so the byte-level spec cannot
@@ -9,6 +9,8 @@ Run via ``make docs-check`` (CI's docs job).  Two guarantees:
 2. No internal markdown link in ``docs/`` or ``README.md`` points at a
    file that does not exist (anchors are checked for file existence
    only; external http(s)/mailto links are skipped — no network in CI).
+3. No docstring or comment under ``src/``, ``benchmarks/*.py`` or
+   ``examples/`` names a ``*.md`` file the repository does not have.
 """
 
 from __future__ import annotations
@@ -86,6 +88,48 @@ def check_links() -> int:
     return failures
 
 
+#: A ``*.md`` file name in source text, with its path if one is given.
+_MD_NAME = re.compile(r"[\w./-]*\w\.md\b")
+
+
+def iter_source_files():
+    for directory, _dirs, names in os.walk(os.path.join(REPO_ROOT, "src")):
+        for name in names:
+            if name.endswith(".py"):
+                yield os.path.join(directory, name)
+    for relative in ("benchmarks", "examples"):
+        directory = os.path.join(REPO_ROOT, relative)
+        for name in sorted(os.listdir(directory)):
+            if name.endswith(".py"):
+                yield os.path.join(directory, name)
+
+
+def check_source_mentions() -> int:
+    """Every ``*.md`` a source file mentions must exist: at the path
+    given (from the repo root or beside the file), or by bare name at
+    the repo root or in ``docs/``."""
+    failures = 0
+    checked = 0
+    for path in iter_source_files():
+        with open(path, encoding="utf-8") as stream:
+            text = stream.read()
+        for mention in sorted(set(_MD_NAME.findall(text))):
+            checked += 1
+            bases = [REPO_ROOT, os.path.dirname(path)]
+            if "/" not in mention:
+                bases.append(os.path.join(REPO_ROOT, "docs"))
+            if not any(
+                os.path.exists(os.path.join(base, mention)) for base in bases
+            ):
+                failures += 1
+                print(
+                    f"DANGLING DOC NAME in "
+                    f"{os.path.relpath(path, REPO_ROOT)}: {mention}"
+                )
+    print(f"source mentions: {checked} *.md names, {failures} dangling")
+    return failures
+
+
 #: ``| `0x48` | `H` | HELLO | ... |`` — one §2.1 table row.
 _KIND_ROW = re.compile(
     r"^\|\s*`0x([0-9A-Fa-f]{2})`\s*\|\s*`(.+?)`\s*\|\s*([A-Z]+(?:-[A-Z]+)*)\s*\|"
@@ -160,7 +204,10 @@ def check_message_kinds() -> int:
 
 
 def main() -> int:
-    failures = run_doctests() + check_links() + check_message_kinds()
+    failures = (
+        run_doctests() + check_links() + check_source_mentions()
+        + check_message_kinds()
+    )
     if failures:
         print(f"docs check FAILED ({failures} problems)")
         return 1

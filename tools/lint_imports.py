@@ -6,10 +6,13 @@ nothing is imported, so a cycle or a missing optional dependency cannot
 hide a violation — that fails when:
 
 1. ``core/`` or ``hypergraph/`` import ``parallel`` or ``service`` **at
-   module level**.  The engine reaches its executors through lazy
+   module level**.  The engine reaches the shard pool
+   (``parallel.pool``), the simulated scheduler
+   (``parallel.simulation``) and the match service through lazy
    in-function imports (``core/engine.py``); those stay legal, because
    they are what keeps the matching core importable — and testable —
-   without the network stack.
+   without the network stack.  (``executor="threads"`` needs none: it
+   is the engine's own root parts on a stdlib thread pool.)
 2. ``parallel/`` imports ``service/``, at any depth: the service is
    built on the shard pool, never the reverse.
 3. Any production package (``core``, ``hypergraph``, ``parallel``,
