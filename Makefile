@@ -8,7 +8,8 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 	test-elastic test-service test-mutation test-durability \
 	bench-smoke bench-index bench-sharding bench-skew \
 	bench-chaos bench-elastic bench-service bench-mutation \
-	bench-durability bench-e2e bench-e2e-smoke docs-check lint-imports loc
+	bench-durability bench-e2e bench-e2e-smoke bench-e2e-trace-smoke \
+	docs-check lint-imports loc
 
 ## Tier-1 verification: the whole test suite, stop on first failure.
 ## Honours REPRO_INDEX_BACKEND (merge/bitset/adaptive; unset = bitset).
@@ -157,6 +158,19 @@ bench-e2e:
 ## The same five workloads at tiny scale (~10 s): a does-it-run gate.
 bench-e2e-smoke:
 	$(PYTHON) benchmarks/e2e/run.py --smoke
+
+## The frozen layer trace at tiny scale on the two engine workloads:
+## fails on a non-zero exit or on a "layer surface missing or changed"
+## note (a layer function the trace drives went missing or changed).
+bench-e2e-trace-smoke:
+	@for workload in enum_seq enum_shards; do \
+		out=$$($(PYTHON) benchmarks/e2e/run.py --workload $$workload --smoke \
+			--seconds 0.2 --trace 1 2>&1) || { echo "$$out"; exit 1; }; \
+		if echo "$$out" | grep "layer surface missing or changed"; then \
+			exit 1; \
+		fi; \
+		echo "$$workload: every layer surface traced"; \
+	done
 
 ## Documentation checks: the WIRE_FORMAT.md doctests (the byte-level
 ## spec is executable), the §2.1 message-kind table cross-check

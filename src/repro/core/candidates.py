@@ -875,25 +875,22 @@ def generate_candidate_set(
     """
     if partition is None:
         return EMPTY_CANDIDATES
-
-    # Line 1: vertices that must NOT be incident to the matched hyperedge
-    # (they belong to images of non-adjacent query hyperedges).
-    non_incident: Set[int] = set()
-    for prev in step_plan.nonadjacent_prev:
-        non_incident.update(data.edge(matched_edges[prev]))
-
-    backend = getattr(partition.index, "backend", "merge")
-    if backend == "bitset":
-        return _generate_candidates_bitset(
-            data, partition, step_plan, matched_edges, vmap, non_incident,
-            counters, memo,
+    backend = partition.index.backend
+    if backend == "bitset" and step_plan.anchors:
+        return MaskCandidates(
+            partition.index,
+            candidate_mask(
+                data, partition, step_plan, matched_edges, vmap, counters, memo
+            ),
         )
+    non_incident = _non_incident(data, step_plan, matched_edges)
     if backend == "adaptive":
         return _generate_candidates_adaptive(
             data, partition, step_plan, matched_edges, vmap, non_incident,
             counters, memo,
         )
 
+    # The merge path (and the bitset backend's anchorless first step).
     # Lines 3-6: one union-of-posting-lists per (adjacent edge, shared
     # vertex) anchor; the candidate must be incident to a possible image
     # of every anchor vertex.
@@ -928,17 +925,30 @@ def generate_candidate_set(
     return TupleCandidates(candidates)
 
 
-def _generate_candidates_bitset(
+def _non_incident(
+    data: Hypergraph, step_plan: StepPlan, matched_edges: Sequence[int]
+) -> Set[int]:
+    """Algorithm 4 line 1: the vertices that must NOT be incident to the
+    new hyperedge (they belong to images of non-adjacent query
+    hyperedges)."""
+    non_incident: Set[int] = set()
+    for prev in step_plan.nonadjacent_prev:
+        non_incident.update(data.edge(matched_edges[prev]))
+    return non_incident
+
+
+def candidate_mask(
     data: Hypergraph,
     partition: HyperedgePartition,
     step_plan: StepPlan,
     matched_edges: Sequence[int],
     vmap: Dict[int, Set[int]],
-    non_incident: Set[int],
-    counters: "MatchCounters | None",
-    memo: "AnchorUnionMemo | None",
-) -> CandidateSet:
-    """Algorithm 4 over row-id bitmasks (same result set as the merge path).
+    counters: "MatchCounters | None" = None,
+    memo: "AnchorUnionMemo | None" = None,
+) -> int:
+    """Algorithm 4 over row-id bitmasks (same result set as the merge
+    path), as the raw row mask of a bitset ``partition`` — every live
+    row at the first step of the order, which has no anchors.
 
     Each anchor's union of posting lists is an OR of per-vertex masks and
     the final intersection is a running AND, so the set algebra costs a
@@ -949,9 +959,15 @@ def _generate_candidates_bitset(
     algebra.
     """
     index = partition.index
+    non_incident = _non_incident(data, step_plan, matched_edges)
     if memo is not None and len(partition.edge_ids) < memo.min_rows:
         memo = None
-    result_mask: "int | None" = None
+    result_mask = -1  # every row, until an anchor narrows it
+    if not step_plan.anchors:  # the first step of the order
+        result_mask = 0
+        for row, edge_id in enumerate(partition.row_ids):
+            if data.slot_vertices(edge_id) is not None:  # a live row
+                result_mask |= 1 << row
     work = 0
     for anchor in step_plan.anchors:
         prev_image = data.edge(matched_edges[anchor.prev_step])
@@ -962,7 +978,7 @@ def _generate_candidates_bitset(
         if not possible_images:
             if counters is not None:
                 counters.work_units += work
-            return EMPTY_CANDIDATES
+            return 0
         anchor_mask = None
         key = None
         if memo is not None:
@@ -983,23 +999,15 @@ def _generate_candidates_bitset(
             work += len(possible_images)
             if memo is not None:
                 memo.put(key, anchor_mask)
-        result_mask = (
-            anchor_mask if result_mask is None else result_mask & anchor_mask
-        )
+        result_mask &= anchor_mask
         if result_mask == 0:
             break
 
-    if result_mask is None:
-        # First step of the order (no anchors): the whole partition.
-        candidates: CandidateSet = TupleCandidates(partition.edge_ids)
-    else:
-        candidates = MaskCandidates(index, result_mask)
-
     if counters is not None:
-        size = len(candidates)
+        size = result_mask.bit_count()
         counters.work_units += work + size
         counters.candidates += size
-    return candidates
+    return result_mask
 
 
 def _generate_candidates_adaptive(

@@ -10,8 +10,9 @@ Fig. 3) and answers queries by:
    by vertex-profile comparison (Algorithm 5).
 
 Enumeration never recurses and builds no runtime auxiliary structure: a
-partial embedding is just a tuple of data hyperedge ids, so the same
-block step (:func:`repro.core.frontier.expand_block`) backs the
+partial embedding is just its data hyperedge ids, and a block of them
+one column of ids per matched step, so the same block step
+(:func:`repro.core.frontier.expand_block`) backs the
 sequential block-DFS here — whole, or one root part per thread or pool
 worker — the BFS executor used for the memory experiment and the shard
 workers of :mod:`repro.parallel`; the simulated task scheduler there
@@ -21,7 +22,7 @@ expands blocks of one through :meth:`HGMatch.expand`.
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import QueryError, TimeoutExceeded
 from ..hypergraph import Hypergraph, PartitionedStore
@@ -29,14 +30,20 @@ from .candidates import (
     EMPTY_CANDIDATES,
     AnchorUnionMemo,
     CandidateSet,
-    TupleCandidates,
     VertexStepState,
     vertex_step_map,
     vertex_step_masks,
 )
 from .counters import WORK_UNIT_MODELS, MatchCounters
 from .expansion import count_vertex_mappings, iter_vertex_mappings
-from .frontier import block_limit, expand_block, expand_parent, frontier_blocks
+from .frontier import (
+    block_limit,
+    block_parents,
+    decoder,
+    expand_block,
+    expand_parent,
+    frontier_blocks,
+)
 from .ordering import compute_matching_order, is_connected_order
 from .plan import ExecutionPlan, build_execution_plan
 from .validation import certify_embedding
@@ -99,25 +106,38 @@ class Embedding:
         return f"Embedding({self.hyperedge_mapping()})"
 
 
-def _child_blocks(parents, sets, limit: int) -> Iterator[List[Tuple[int, ...]]]:
-    """The children ``parent + (edge,)`` of one expanded block, decoded
-    lazily in blocks of at most ``limit``.  Last parent and last edge
-    first — with ``limit == 1`` exactly the order in which a LIFO stack
-    of the children would pop them."""
-    block: List[Tuple[int, ...]] = []
-    for at in range(len(parents) - 1, -1, -1):
-        parent = parents[at]
-        edges = sets[at].to_tuple()[::-1]
+def _child_blocks(
+    cols: Sequence[Sequence[int]], n: int, edge_lists: Iterable[Sequence[int]],
+    limit: int,
+) -> Iterator[Tuple[List[List[int]], int]]:
+    """The children of one expanded block of ``n`` parents (``cols``,
+    see :mod:`repro.core.frontier`), decoded lazily in blocks
+    ``(cols, size)`` of at most ``limit``: each parent's entries
+    repeated once per child, its accepted edges as the new column.
+    ``edge_lists`` yields every parent's accepted edges, ascending, last
+    parent first.  Last parent and last edge first — with
+    ``limit == 1`` exactly the order in which a LIFO stack of the
+    children would pop them."""
+    width = len(cols) + 1
+    block: List[List[int]] = [[] for _ in range(width)]
+    size = 0
+    for at, edges in zip(range(n - 1, -1, -1), edge_lists):
+        edges = edges[::-1]
         taken = 0
         while taken < len(edges):
-            upto = taken + limit - len(block)
-            block.extend([parent + (edge,) for edge in edges[taken:upto]])
-            taken = upto
-            if len(block) == limit:
-                yield block
-                block = []
-    if block:
-        yield block
+            chunk = edges[taken:taken + limit - size]
+            repeats = len(chunk)
+            for column, source in zip(block, cols):
+                column += [source[at]] * repeats
+            block[-1] += chunk
+            taken += repeats
+            size += repeats
+            if size == limit:
+                yield block, size
+                block = [[] for _ in range(width)]
+                size = 0
+    if size:
+        yield block, size
 
 
 class HGMatch:
@@ -291,27 +311,29 @@ class HGMatch:
         first_edges=None,
         want_sets: bool = True,
         part: "Tuple[int, int] | None" = None,
-    ) -> Iterator[Tuple[List[Tuple[int, ...]], "List[CandidateSet] | None", int]]:
+    ) -> Iterator[Tuple[list, int, "Iterator[Tuple[int, ...]] | None", int]]:
         """The block-DFS behind :meth:`match` and :meth:`count`.
 
         A stack of frames, one per depth of the current path: a frame is
-        an expanded block of same-depth parents, from whose accepted sets
-        the next block of children is decoded lazily
-        (:func:`_child_blocks`) and expanded in turn by
-        :func:`~repro.core.frontier.expand_block`.  Depth-first, so at
-        most ``num_steps × FRONTIER_BLOCK`` partial embeddings are alive
-        whatever the result count (Theorem VI.1 with blocks for tasks);
-        backends that never batch pull blocks of one — the paper's LIFO
-        scheduler.
+        an expanded block of same-depth parents — ``(cols, n)``, one
+        column of data-edge ids per matched step, see
+        :mod:`repro.core.frontier` — from whose accepted sets the next
+        block of children is decoded lazily (:func:`_child_blocks`) and
+        expanded in turn by :func:`~repro.core.frontier.expand_block`.
+        Depth-first, so at most ``num_steps × FRONTIER_BLOCK`` partial
+        embeddings are alive whatever the result count (Theorem VI.1
+        with blocks for tasks); backends that never batch pull blocks of
+        one — the paper's LIFO scheduler.
 
-        Yields ``(parents, sets, accepted)`` per last-level block with a
-        survivor: the embeddings are ``parent + (edge,)`` over each
-        parent's accepted set, left undecoded — with ``want_sets=False``
-        not even kept (``sets`` is None) — so counting pays nothing per
+        Yields ``(cols, n, edge_lists, accepted)`` per last-level block
+        with a survivor: the embeddings are each parent extended by each
+        edge of its accepted set, ``edge_lists`` decoding those sets
+        lazily, parent by parent — with ``want_sets=False`` not even kept
+        (``edge_lists`` is None) — so counting pays nothing per
         embedding.  ``peak_retained`` counts the partials held: with
         blocks of one the accepted children not yet expanded (the LIFO
         deque), otherwise the parents of the live frames plus the block
-        in hand — their children exist only as row masks.
+        in hand — their children exist only as accepted sets.
 
         ``part = (p, n)`` searches below every ``n``-th step-0 survivor
         from the ``p``-th on (the accepted set is ascending, so the
@@ -328,6 +350,7 @@ class HGMatch:
         partitions = [
             self.store.partition(step_plan.signature) for step_plan in plan.steps
         ]
+        decoders = [None if p is None else decoder(p) for p in partitions]
         limit = block_limit(self.index_backend)
         lifo = limit == 1
         note = counters.note_retained if counters is not None else lambda _: None
@@ -335,47 +358,51 @@ class HGMatch:
         # are siblings or children, a push/pop delta apart.
         state = VertexStepState(data)
         # (blocks of the frame's children, parents it holds until exhausted)
-        frames: List[tuple] = [(iter((((),),)), 0)]
+        frames: List[tuple] = [(iter((([], 1),)), 0)]
         while frames:
-            parents = next(frames[-1][0], None)
-            if parents is None:
+            block = next(frames[-1][0], None)
+            if block is None:
                 note(-frames.pop()[1])
                 continue
             if deadline is not None and time.monotonic() > deadline:
                 raise TimeoutExceeded(time.monotonic() - (deadline - time_budget), time_budget)
-            step = len(parents[0])
-            held = len(parents) if step else 0  # the root is no embedding
+            cols, n = block
+            step = len(cols)
+            held = n if step else 0  # the root is no embedding
             note(-held if lifo else held)  # leaves the deque / is in hand
             sliced = not step and (first_edges is not None or part is not None)
             charged = None if sliced and part is not None and part[0] else counters
             if charged is not None:
-                charged.tasks += len(parents)
+                charged.tasks += n
             partition = partitions[step]
             accepted, sets = 0, None
             if partition is not None:
                 accepted, sets = expand_block(
-                    data, partition, plan, step, parents, state, charged,
+                    data, partition, plan, step, cols, n, state, charged,
                     self._anchor_memo, want_sets or sliced or step < last_step,
                 )
+            decode = decoders[step]
             if sliced and accepted:
-                roots = sets[0].to_tuple()
+                roots = decode(sets[0])
                 if first_edges is not None:
                     roots = tuple(e for e in roots if e in first_edges)
                 if part is not None:
                     roots = roots[part[0]::part[1]]
-                sets = [TupleCandidates(roots)]
+                # Decoded already: tuple() hands a tuple back as it is.
+                sets, decode = [roots], tuple
                 accepted = len(roots)
             if accepted and step < last_step:
                 # LIFO: the children join the deque; blocks: the frame
                 # keeps the parents in hand.
-                frames.append(
-                    (_child_blocks(parents, sets, limit), 0 if lifo else held)
-                )
+                frames.append((
+                    _child_blocks(cols, n, map(decode, reversed(sets)), limit),
+                    0 if lifo else held,
+                ))
                 note(accepted if lifo else 0)
                 continue
             note(0 if lifo else -held)
             if accepted:
-                yield parents, sets, accepted
+                yield cols, n, None if sets is None else map(decode, sets), accepted
 
     def match(
         self,
@@ -402,11 +429,11 @@ class HGMatch:
         inserted edges instead of re-enumerating from scratch.
         """
         plan = self.plan(query, order)
-        for parents, sets, _ in self._search(
+        for cols, n, edge_lists, _ in self._search(
             plan, counters, time_budget, first_edges
         ):
-            for parent, accepted in zip(parents, sets):
-                for edge in accepted.to_tuple():
+            for parent, edges in zip(block_parents(cols, n), edge_lists):
+                for edge in edges:
                     extended = parent + (edge,)
                     if strict and not certify_embedding(
                         self.data, query, plan.order, extended
@@ -538,7 +565,7 @@ class HGMatch:
     def _count_plan(self, plan, part, parts, counters, time_budget) -> int:
         """:meth:`count_part` of an already built plan."""
         total = 0
-        for _, _, accepted in self._search(
+        for _, _, _, accepted in self._search(
             plan, counters, time_budget, want_sets=False,
             part=None if parts == 1 else (part, parts),
         ):
@@ -554,6 +581,9 @@ class HGMatch:
         (a timeout included) is the call's."""
         from concurrent.futures import ThreadPoolExecutor  # lazy: cheap
 
+        # The step-0 partition's live rows bound the roots: parts past
+        # them would be empty and charge nothing.
+        parts = min(parts, max(1, plan.estimated_start_cardinality))
         tallies = [MatchCounters() for _ in range(parts)]
         with ThreadPoolExecutor(max_workers=parts) as threads:
             futures = [
@@ -829,30 +859,39 @@ class HGMatch:
         last_step = plan.num_steps - 1
         # Levels are barriers.  The last level is counted, not built;
         # ``peak_retained`` records its size all the same, as Exp-5's
-        # level-synchronous strategy would hold it.
-        frontier: List[Tuple[int, ...]] = [()]
+        # level-synchronous strategy would hold it.  A level is columns
+        # (see repro.core.frontier), the root level ``([], 1)``.
+        cols: List[List[int]] = []
+        n = 1
         width = 0
         for step in range(plan.num_steps):
             partition = self.store.partition(plan.steps[step].signature)
-            children: List[Tuple[int, ...]] = []
+            children: List[List[int]] = [[] for _ in range(step + 1)]
             width = 0
-            for parents in frontier_blocks(frontier if partition is not None else ()):
+            for block_cols, size in frontier_blocks(
+                cols, n if partition is not None else 0
+            ):
                 if deadline is not None and time.monotonic() > deadline:
                     raise TimeoutExceeded(
                         time.monotonic() - (deadline - time_budget), time_budget
                     )
                 accepted, sets = expand_block(
-                    self.data, partition, plan, step, parents, state,
+                    self.data, partition, plan, step, block_cols, size, state,
                     counters, self._anchor_memo, step < last_step,
                 )
                 width += accepted
                 if accepted and step < last_step:
-                    children += next(_child_blocks(parents, sets, accepted))
+                    block, _ = next(_child_blocks(
+                        block_cols, size,
+                        map(decoder(partition), reversed(sets)), accepted,
+                    ))
+                    for column, more in zip(children, block):
+                        column += more
             if counters is not None:
-                counters.tasks += len(frontier)
+                counters.tasks += n
                 counters.retained = width
                 counters.peak_retained = max(counters.peak_retained, width)
-            frontier = children
+            cols, n = children, width
         if counters is not None:
             counters.embeddings += width
         return width

@@ -209,7 +209,7 @@ def validate_candidate_set(
     """
     if type(candidates) is MaskCandidates:
         index = candidates.index
-        if hasattr(index, "postings_mask"):
+        if index.backend == "bitset":
             return MaskCandidates(
                 index,
                 validate_mask(

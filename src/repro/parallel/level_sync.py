@@ -57,7 +57,6 @@ from typing import List, Optional, Sequence, Tuple
 from ..core.candidates import (
     AnchorUnionMemo,
     CandidateAccumulator,
-    MaskCandidates,
     VertexStepState,
     candidate_set_from_bytes,
     encode_chunks_payload,
@@ -169,23 +168,26 @@ def expand_level(
     row_ids = partition.row_ids
     payloads: "List[Optional[bytes]] | None" = None if final else []
     embeddings = 0
-    for parents in frontier_blocks(frontier):
+    # The wire's tuples, as the block step's columns: once per level.
+    cols = list(zip(*frontier))
+    for block_cols, size in frontier_blocks(cols, len(frontier)):
         accepted_pairs, sets = expand_block(
-            graph, partition, plan, step, parents, state, counters, memo,
-            not final,
+            graph, partition, plan, step, block_cols, size, state, counters,
+            memo, not final,
         )
-        stats.tasks_executed += len(parents)
+        stats.tasks_executed += size
         if final:
             embeddings += accepted_pairs
             continue
+        if backend == "bitset":
+            # Validated as masks over this partition's own rows: each
+            # mask is its payload (local rows + decode offset).
+            payloads += [
+                encode_mask_payload(mask, row_base) if mask else None
+                for mask in sets
+            ]
+            continue
         for accepted in sets:
-            if type(accepted) is MaskCandidates:
-                # Validated as a mask over this partition's own rows:
-                # that mask is the payload (local rows + decode offset).
-                payloads.append(
-                    accepted.to_bytes(row_base) if accepted.mask else None
-                )
-                continue
             edges = accepted.to_tuple()
             # Only the mask backends ship rows; merge ships the edge ids.
             rows = [bisect_left(row_ids, e) for e in edges if backend != "merge"]

@@ -47,6 +47,34 @@ class TestCorrectness:
         ) == 2
         assert counters.embeddings == 2
 
+    def test_parts_are_capped_at_the_step0_partition(
+        self, fig1_engine, fig1_query, monkeypatch
+    ):
+        """``workers=10_000`` on a small instance: the sequential count
+        and funnel, from no more parts — and part threads alive — than
+        the step-0 partition has live rows (an upper bound on roots)."""
+        cap = fig1_engine.plan(fig1_query).estimated_start_cardinality
+        sequential, threaded = MatchCounters(), MatchCounters()
+        expected = fig1_engine.count(fig1_query, counters=sequential)
+        before = threading.active_count()
+        alive, cuts = [], []
+        count_plan = fig1_engine._count_plan
+
+        def recording(plan, part, parts, counters, time_budget):
+            alive.append(threading.active_count() - before)
+            cuts.append(parts)
+            return count_plan(plan, part, parts, counters, time_budget)
+
+        monkeypatch.setattr(fig1_engine, "_count_plan", recording)
+        assert fig1_engine.count(
+            fig1_query, executor="threads", workers=10_000, counters=threaded
+        ) == expected
+        for field in FUNNEL:
+            assert getattr(threaded, field) == getattr(sequential, field), field
+        assert cuts == [cap] * cap
+        assert 0 < max(alive) <= cap
+        assert threading.active_count() == before
+
     def test_fig1(self, fig1_engine, fig1_query):
         assert fig1_engine.count(fig1_query, executor="threads", workers=3) == 2
 
@@ -182,11 +210,11 @@ class TestFailure:
         expand_block = engine_module.expand_block
         failed = []
 
-        def failing(data, partition, plan, step, parents, *rest):
+        def failing(data, partition, plan, step, cols, n, *rest):
             if step == 1 and not failed:
-                failed.append(parents[0])
-                raise RuntimeError(f"part below {parents[0]} failed")
-            return expand_block(data, partition, plan, step, parents, *rest)
+                failed.append(cols[0][0])
+                raise RuntimeError(f"part below {cols[0][0]} failed")
+            return expand_block(data, partition, plan, step, cols, n, *rest)
 
         monkeypatch.setattr(engine_module, "expand_block", failing)
         before = threading.active_count()

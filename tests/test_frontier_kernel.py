@@ -361,17 +361,28 @@ def test_other_backends_keep_the_per_parent_kernel(backend):
 # The in-process callers of the same block step
 # ----------------------------------------------------------------------
 
+def in_parts(parts):
+    """``count_part`` over every one of ``parts`` root parts, summed
+    (one counter set, as the parts' counters add up)."""
+    return lambda e, q, c: sum(
+        e.count_part(q, part=part, parts=parts, counters=c)
+        for part in range(parts)
+    )
+
+
 CALLERS = {
     "count": lambda e, q, c: e.count(q, counters=c),
     "match": lambda e, q, c: len({m.canonical() for m in e.match(q, counters=c)}),
     "count_bfs": lambda e, q, c: e.count_bfs(q, counters=c),
+    "count_part_2": in_parts(2),
+    "count_part_3": in_parts(3),
 }
 
 
 def through_every_caller(engine, query, batched, block=FRONTIER_BLOCK):
     """``{caller: (count, funnel + embeddings + tasks)}`` with the
-    orientation forced for all of them."""
-    results = {}
+    orientation forced for all of them, and ``{caller: peak_retained}``."""
+    results, peaks = {}, {}
     with forced(batched, block):
         for name, run in CALLERS.items():
             counters = MatchCounters()
@@ -380,19 +391,23 @@ def through_every_caller(engine, query, batched, block=FRONTIER_BLOCK):
                 getattr(counters, field)
                 for field in FUNNEL + ("embeddings", "tasks")
             )
-    return results
+            peaks[name] = counters.peak_retained
+    return results, peaks
 
 
 def check_callers(engine, query) -> int:
     """Every in-process caller × orientation × block size agrees with
-    the merge engine's count and with each other, counters included."""
+    the merge engine's count and with each other, counters included;
+    ``count`` and ``match`` hold the same partials at their peak."""
     expected = HGMatch(engine.data, index_backend="merge").count(query)
-    reference = through_every_caller(engine, query, False)
+    reference, peaks = through_every_caller(engine, query, False)
     assert set(reference.values()) == {reference["count"]}
     assert reference["count"][0] == reference["count"][5] == expected
-    for block in (FRONTIER_BLOCK, 3):
-        assert through_every_caller(engine, query, True, block) == reference
-    assert through_every_caller(engine, query, False, 2) == reference
+    assert peaks["count"] == peaks["match"]
+    for batched, block in ((True, FRONTIER_BLOCK), (True, 3), (False, 2)):
+        results, peaks = through_every_caller(engine, query, batched, block)
+        assert results == reference
+        assert peaks["count"] == peaks["match"]
     with forced(True, 3):
         scanned = {m.canonical() for m in engine.match(query)}
     assert scanned == {m.canonical() for m in engine.match(query)}
