@@ -6,7 +6,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: test test-backends test-shards test-chaos \
 	test-elastic test-service test-mutation test-durability \
-	bench-smoke bench-index bench-sharding bench-skew \
+	bench-smoke bench-index bench-sharding \
 	bench-chaos bench-elastic bench-service bench-mutation \
 	bench-durability bench-e2e bench-e2e-smoke bench-e2e-trace-smoke \
 	docs-check lint-imports loc
@@ -23,13 +23,12 @@ test-backends:
 	REPRO_INDEX_BACKEND=bitset $(PYTHON) -m pytest -x -q
 	REPRO_INDEX_BACKEND=adaptive $(PYTHON) -m pytest -x -q
 
-## Shard-executor smoke: the sharded-execution subsystem across all
-## three backends (wire format, shard slicing, framing, handshake, the
-## one shard pool over its local workers — subtree jobs and the
-## level-synchronous protocol — rebalance, parity) — the tier-1 subset
-## CI's shard-smoke job runs.
+## Shard-executor smoke: the pool subsystem across all three backends
+## (wire format, row-range shards and their kernel, framing, handshake,
+## the one shard pool's subtree jobs over its local workers, parity) —
+## the tier-1 subset CI's shard-smoke job runs.
 SHARD_TESTS = tests/test_process_executor.py tests/test_sharding.py \
-	tests/test_rebalance.py tests/test_wire_format.py \
+	tests/test_wire_format.py \
 	tests/test_transport.py tests/test_net_executor.py \
 	tests/test_frontier_kernel.py tests/test_subtree_jobs.py
 test-shards:
@@ -38,19 +37,18 @@ test-shards:
 	REPRO_INDEX_BACKEND=adaptive $(PYTHON) -m pytest -x -q $(SHARD_TESTS)
 
 ## Fault-injection smoke: the deterministic chaos harness plus the
-## recovery ladder of the shard pool (replica handshakes, mid-level
+## recovery ladder of the shard pool (handshakes, mid-job
 ## kill/sever/garble failover, speculation, dropped-reply deadlines,
-## zero-replica fail-fast) — each fault once under a solo job and once
-## with two query channels in flight on the one pool — and the same
-## faults under subtree jobs (a lost member's part re-sent, no respawn).
+## last-member fail-fast) — each fault once under a solo job and once
+## with two query channels in flight on the one pool; a lost member's
+## part is re-sent to a survivor.
 test-chaos:
 	$(PYTHON) -m pytest -x -q tests/test_chaos.py tests/test_net_executor.py \
 		tests/test_subtree_jobs.py
 
 ## Elastic-runtime smoke: worker discovery (registry + announcer),
 ## supervised restart under a retry budget, and live grow/shrink of
-## the replicated pool (admit/drain, shard retirement, registry-fed
-## mid-job failover).
+## the pool (admit/drain, registry-fed mid-job failover).
 test-elastic:
 	$(PYTHON) -m pytest -x -q tests/test_registry.py \
 		tests/test_supervisor.py tests/test_elastic.py
@@ -76,7 +74,7 @@ test-mutation:
 ## corruption), snapshots, the crash-point recovery oracle, the
 ## service/daemon journal seam (drain persists, restart recovers and
 ## resumes standing streams), the bounded MUTATE barrier and the
-## CATCHUP rejoin paths of the shard pool (replicated and width-1).
+## CATCHUP rejoin paths of the shard pool.
 test-durability:
 	$(PYTHON) -m pytest -x -q tests/test_journal.py \
 		tests/test_mutation_service.py tests/test_elastic.py \
@@ -93,29 +91,22 @@ bench-smoke:
 ## Alias kept for discoverability.
 bench-index: bench-smoke
 
-## Sharded execution benchmark: parity/payload gates on the Fig. 8
-## trace and the skewed-trace placement gate; sequential vs the four
-## root parts on threads vs on processes is recorded, not gated
-## (regenerates BENCH_sharding.json).
+## Shard pool benchmark: the parity gate on the Fig. 8 trace
+## (subtree jobs and count_bfs vs sequential, three backends);
+## sequential vs the four root parts on threads vs on processes is
+## recorded, not gated (regenerates BENCH_sharding.json).
 bench-sharding:
 	$(PYTHON) benchmarks/bench_sharding.py
 
-## Fast skew smoke: only the skewed trace (uniform vs balanced shard
-## placement; gates the >= 1.3x per-shard load-imbalance improvement
-## and count parity; merges the result into BENCH_sharding.json).
-bench-skew:
-	$(PYTHON) benchmarks/bench_sharding.py --skew
-
-## Replicated-pool fault gate: kill a worker mid-level on a 2-replica
-## shard pool and require bit-identical counts on all three backends,
-## plus a prompt SchedulerError when the last replica dies
-## (regenerates BENCH_chaos.json; failover overhead recorded, not
-## gated).
+## Pool fault gate: kill a worker mid-job on a four-member pool and
+## require bit-identical counts on all three backends, plus a prompt
+## SchedulerError when the last member dies (regenerates
+## BENCH_chaos.json; failover overhead recorded, not gated).
 bench-chaos:
 	$(PYTHON) benchmarks/bench_chaos.py
 
-## Elastic reconfiguration gate: grow a pool K=1 -> K=2 mid-lifetime,
-## lose-and-readmit a replica, restart a supervised worker within the
+## Elastic reconfiguration gate: grow a pool mid-lifetime,
+## lose-and-readmit a member, restart a supervised worker within the
 ## retry budget, and evict a severed worker via missed heartbeats —
 ## all with bit-identical counts on every backend (regenerates
 ## BENCH_elastic.json; reconfiguration wall-clock recorded, not

@@ -1,22 +1,19 @@
-"""Benchmark: replicated socket pools under deterministic faults.
+"""Benchmark: socket pools under deterministic faults.
 
-The robustness gate for the replicated shard runtime.  A 2-replica
+The robustness gate for the pool runtime.  A four-member (2 × 2)
 loopback cluster runs a Fig. 8 workload slice while a seeded
 :class:`~repro.parallel.chaos.FaultPlan` kills one worker process right
-after the first LEVEL frame lands on it (the fault position is a frame
-count, so every run reproduces the same mid-level kill; the jobs run
-under the level-synchronous protocol, ``ShardPool.run_bfs``, whose
-frame sequence the pins name — a subtree job's loss of a member is
-covered by ``tests/test_subtree_jobs.py``).  Gates:
+after its first SUBTREE request lands on it (the fault position is a
+frame count, so every run reproduces the same mid-job kill).  Gates:
 
 * **failover parity** — the faulted run must finish with counts
   bit-identical to the sequential engine on all three index backends,
   and the surviving pool must keep answering follow-up jobs exactly
   (always enforced);
-* **fail-fast** — the same kill against an *unreplicated* pool must
-  raise a clean ``SchedulerError`` naming the dead shard, quickly
-  (bounded by a fraction of the I/O deadline: the coordinator notices
-  the closed connection, it does not sit out the timeout);
+* **fail-fast** — the same kill against a *one-member* pool must raise
+  a clean ``SchedulerError``, quickly (bounded by a fraction of the I/O
+  deadline: the coordinator notices the closed connection, it does not
+  sit out the timeout);
 * **overhead** — wall-clock of the faulted run vs the unfaulted
   replicated run is *recorded* (not gated: on single-core hosts the
   respawn/failover cost is noise-dominated), so multi-core CI trends
@@ -67,7 +64,7 @@ def _workload():
 
 
 def _run_all(executor, engine, queries) -> List[int]:
-    return [executor.run_bfs(engine, query).embeddings for query in queries]
+    return [executor.run(engine, query).embeddings for query in queries]
 
 
 def run_benchmark() -> dict:
@@ -107,11 +104,11 @@ def run_benchmark() -> dict:
                     f"{clean_counts}, sequential {expected}"
                 )
 
-            # Kill shard 0's replica 0 right after its first LEVEL
-            # frame; the spare must carry the job and every follow-up
-            # query, all bit-identical.
+            # Kill shard 0's replica 0 right after its first SUBTREE
+            # frame; the other members must carry the job and every
+            # follow-up query, all bit-identical.
             plan = FaultPlan(seed=11)
-            plan.kill_worker(0, 0, after_frames=2)
+            plan.kill_worker(0, 0, after_frames=1)
             cluster = spawn_local_cluster(
                 engine.data, NUM_SHARDS, index_backend=backend,
                 num_replicas=NUM_REPLICAS,
@@ -143,12 +140,14 @@ def run_benchmark() -> dict:
             if not all(fault.consumed for fault in plan.faults):
                 failures.append(f"{backend}: kill fault never fired")
 
-            # The same kill with zero spare replicas: a clean, prompt
-            # SchedulerError naming the dead shard — never a hang.
+            # The same kill with no other member: a clean, prompt
+            # SchedulerError — never a hang.  The reply is held back so
+            # the kill lands before it.
             plan = FaultPlan(seed=11)
-            plan.kill_worker(0, 0, after_frames=2)
+            plan.kill_worker(0, 0, after_frames=1)
+            plan.slow_reply(0, 0, after_frames=2, seconds=1.0)
             cluster = spawn_local_cluster(
-                engine.data, NUM_SHARDS, index_backend=backend
+                engine.data, 1, index_backend=backend, chaos=plan
             )
             failfast_s = None
             try:
@@ -164,7 +163,7 @@ def run_benchmark() -> dict:
                 try:
                     started = time.perf_counter()
                     try:
-                        executor.run_bfs(engine, queries[0])
+                        executor.run(engine, queries[0])
                         failures.append(
                             f"{backend}: unreplicated kill did not raise"
                         )
@@ -212,7 +211,7 @@ def run_benchmark() -> dict:
         "num_replicas": NUM_REPLICAS,
         "io_timeout_seconds": IO_TIMEOUT,
         "cores": usable_cores(),
-        "fault": "kill shard 0 replica 0 after coordinator frame 2",
+        "fault": "kill shard 0 replica 0 after coordinator frame 1",
         "failures": failures,
         "rows": rows,
     }
@@ -239,8 +238,8 @@ def summary():
 
 
 def test_failover_counts_bit_identical(summary):
-    """Killing a worker mid-level on a 2-replica pool must not change a
-    single count on any index backend, and the unreplicated kill must
+    """Killing a worker mid-job on a four-member pool must not change a
+    single count on any index backend, and the one-member kill must
     fail fast with a clean SchedulerError."""
     assert summary["failures"] == []
 

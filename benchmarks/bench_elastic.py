@@ -4,10 +4,11 @@ The acceptance gate for the elastic cluster runtime.  A Fig. 8
 workload slice runs against pools whose membership changes mid-
 lifetime, and every reconfiguration must be invisible in the counts:
 
-* **grow parity** — a pool grown from K=1 to K=2 via ``admit`` (and
-  then drained back down to the admitted spares) must produce counts
-  bit-identical to the static barrier run on all three index backends;
-* **readmit parity** — a pool that *lost* a replica (killed process),
+* **grow parity** — a pool grown from two members to four via
+  ``admit`` (and then drained back down to the admitted newcomers)
+  must produce counts bit-identical to the static run on all three
+  index backends;
+* **readmit parity** — a pool that *lost* a member (killed process),
   served degraded, and folded a respawned worker back in with
   ``admit`` must also match exactly;
 * **supervised restart** — a supervised worker killed out from under
@@ -15,7 +16,7 @@ lifetime, and every reconfiguration must be invisible in the counts:
   budget, and the restarted pool serves bit-identical counts;
 * **heartbeat failover** — a worker severed-but-connected (SIGSTOP:
   the TCP connection stays up, heartbeats stop) is evicted by the
-  registry and the coordinator fails the job over to the live replica
+  registry and the coordinator fails the job over to the live member
   well before its I/O timeout — the job never wedges.
 
 Reconfiguration wall-clock (admit, drain, restart, eviction-to-
@@ -85,11 +86,9 @@ def _run_all(executor, engine, queries) -> List[int]:
 
 
 def _spare_worker(data, shard_id, backend):
-    """Boot one in-thread replica-1 worker (the newcomer to admit)."""
-    worker = ShardWorker(
-        data, shard_id, NUM_SHARDS, index_backend=backend,
-        replica_id=1, num_replicas=2,
-    )
+    """Boot one in-thread worker named (shard_id, 1): the newcomer to
+    admit."""
+    worker = ShardWorker(data, shard_id, index_backend=backend, replica_id=1)
     address = worker.bind()
     thread = threading.Thread(
         target=worker.serve_forever, kwargs={"max_sessions": 1},
@@ -100,8 +99,8 @@ def _spare_worker(data, shard_id, backend):
 
 
 def _bench_grow(engine, backend, queries, expected, failures):
-    """K=1 pool -> run -> admit spares -> K=2 parity -> drain the
-    original replicas -> spares-only parity."""
+    """Two-member pool -> run -> admit newcomers -> four-member parity
+    -> drain the original members -> newcomers-only parity."""
     cluster = spawn_local_cluster(
         engine.data, NUM_SHARDS, index_backend=backend
     )
@@ -118,7 +117,7 @@ def _bench_grow(engine, backend, queries, expected, failures):
             row["static_seconds"] = time.perf_counter() - started
             if static_counts != expected:
                 failures.append(
-                    f"{backend}: static K=1 pool returned "
+                    f"{backend}: static pool returned "
                     f"{static_counts}, sequential {expected}"
                 )
             started = time.perf_counter()
@@ -129,20 +128,21 @@ def _bench_grow(engine, backend, queries, expected, failures):
                 spares.append(worker)
                 executor.admit(address)
             row["admit_seconds"] = time.perf_counter() - started
-            if executor.num_replicas != 2:
+            if len(executor._members) != 2 * NUM_SHARDS:
                 failures.append(
-                    f"{backend}: admit did not grow the pool to K=2"
+                    f"{backend}: admit did not grow the pool to "
+                    f"{2 * NUM_SHARDS} members"
                 )
             started = time.perf_counter()
             grown_counts = _run_all(executor, engine, queries)
             row["grown_seconds"] = time.perf_counter() - started
             if grown_counts != expected:
                 failures.append(
-                    f"{backend}: grown K=2 pool returned "
+                    f"{backend}: grown pool returned "
                     f"{grown_counts}, sequential {expected}"
                 )
-            # The admitted spares must be real members: drop the
-            # original replicas and let the spares carry everything.
+            # The admitted newcomers must be real members: drop the
+            # originals and let the newcomers carry everything.
             started = time.perf_counter()
             for shard_id in range(NUM_SHARDS):
                 executor.drain(shard_id, replica_id=0)
@@ -290,10 +290,10 @@ def _bench_heartbeat_failover(engine, queries, expected, failures):
                         f"{FAILOVER_BUDGET:.1f}s) — the job wedged on "
                         f"the severed worker"
                     )
-                if executor._members[0].get(0) is not None:
+                if executor._member((0, 0)) is not None:
                     failures.append(
-                        "severed replica is still in the member grid "
-                        "after eviction"
+                        "severed member is still in the pool after "
+                        "eviction"
                     )
             finally:
                 executor.close()

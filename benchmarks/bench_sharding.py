@@ -1,43 +1,28 @@
-"""Benchmark: process-sharded execution over the mask-native seam.
+"""Benchmark: the shard pool's subtree jobs against the sequential engine.
 
 Runs the Fig. 8 trace (the same HB/SB × q2/q3/q6 workload as
-``bench_index_backends``) through three execution engines and gates the
-sharded subsystem:
+``bench_index_backends``) through three executors:
 
-* **parity** — the pool's results, under both job shapes (subtree
-  jobs, ``ShardPool.run``; the level-synchronous protocol,
-  ``run_bfs``), must be bit-identical to the sequential engine for all
-  three index backends × both shard placements (uniform and balanced)
-  (always enforced);
-* **payload** — the bytes crossing the process boundaries under the
-  level-synchronous protocol must be the backend's *mask*
-  representation, not decoded edge-id lists: on the
-  identical trace the bitset/adaptive payload totals must undercut the
-  merge backend's tuple payloads (always enforced);
+* **parity** — the pool's subtree jobs (``ShardPool.run``: every member
+  holds the whole graph and counts a root part) and the in-process
+  ``count_bfs`` must be bit-identical to the sequential engine for all
+  three index backends (always enforced);
 * **speed-up** — *recorded, not gated*: per backend, sequential,
   ``count(executor="threads", workers=4)`` and the pool's subtree jobs
-  at 4 shards run the same trace, giving ``speedup_vs_sequential`` and
-  the like-for-like ``processes_vs_threads`` (the same four root
-  parts, with and without the GIL).  At this scale both sit near 1 on
-  two cores — a thresholded wall-clock gate belongs to the scale tier
-  (ROADMAP items 2 (c) / 3 (d)), where a query outlasts its IPC;
-* **skew** — on the skewed trace (one hot signature partition, see
-  :func:`repro.bench.skewed_instance`), balanced placement must cut
-  the max/mean per-shard CPU-load imbalance by ≥ ``SKEW_GATE``× vs
-  uniform under the level-synchronous protocol, with bit-identical
-  counts.  CPU load (``WorkerStats.
-  cpu_time``) is used rather than wall ``busy_time`` so the gate holds
-  on contended single-core hosts too.
+  on 4 members run the same trace, giving ``speedup_vs_sequential`` and
+  the like-for-like ``processes_vs_threads`` (the same four root parts,
+  with and without the GIL).  At this scale both sit near 1 on two
+  cores — a thresholded wall-clock gate belongs to the scale tier
+  (ROADMAP item 2), where a query outlasts its IPC.
 
 The timing protocol measures steady-state serving: the worker pools are
 built once (the offline stage, like store building) and every timed
 pass replays the full workload; ``REPEATS`` passes, best-of wins.
 Results land in ``BENCH_sharding.json`` at the repo root.
 
-Run standalone (``python benchmarks/bench_sharding.py``; pass
-``--skew`` to run only the fast skew section, the ``make bench-skew``
-smoke) or via pytest (``pytest benchmarks/bench_sharding.py``); the
-pytest entry points are the gates.
+Run standalone (``python benchmarks/bench_sharding.py``) or via pytest
+(``pytest benchmarks/bench_sharding.py``); the pytest entry point is
+the gate.
 """
 
 from __future__ import annotations
@@ -51,30 +36,19 @@ from repro.bench import (
     FIG8_DATASETS as DATASETS,
     FIG8_QUERIES_PER_SETTING as QUERIES_PER_SETTING,
     FIG8_SETTINGS as SETTINGS,
-    SKEW_NUM_SHARDS,
-    SKEW_PARTITIONS,
     fig8_queries,
     make_engine,
-    skewed_instance,
     time_pass as _time_pass,
     usable_cores,
     work_model_label,
 )
 from repro.datasets import load_dataset
-from repro.parallel import ShardPool, worker_loads
+from repro.parallel import ShardPool
 
 REPEATS = 3
 
 BACKENDS = ("merge", "bitset", "adaptive")
-#: The seam's backends: payloads are row masks / chunk maps.
-MASK_BACKENDS = ("bitset", "adaptive")
 NUM_SHARDS = 4
-#: Balanced placement must divide the skewed trace's load imbalance by
-#: at least this factor.
-SKEW_GATE = 1.3
-#: Workload replays the skew trace this many times per mode so the
-#: per-shard CPU totals dominate timer noise.
-SKEW_PASSES = 40
 
 
 RESULT_PATH = os.path.join(
@@ -102,52 +76,28 @@ def run_benchmark() -> dict:
     rows = []
     parity_failures: List[str] = []
     for backend in BACKENDS:
-        executors: Dict[str, ShardPool] = {}
-        balanced: Dict[str, ShardPool] = {}
+        pools: Dict[str, ShardPool] = {}
         try:
-            # Offline stage: build the shard pools and warm them (the
-            # first run builds each worker's store shard).
+            # Offline stage: spawn the pools and warm them.
             for dataset in DATASETS:
-                for mode, pools in (
-                    ("uniform", executors), ("balanced", balanced)
-                ):
-                    pools[dataset] = ShardPool(
-                        num_shards=NUM_SHARDS,
-                        index_backend=backend,
-                        sharding=mode,
-                    )
-                    pools[dataset].run(
-                        engines[dataset][backend], queries[0][1]
-                    )
+                pools[dataset] = ShardPool(
+                    num_shards=NUM_SHARDS, index_backend=backend
+                )
+                pools[dataset].run(engines[dataset][backend], queries[0][1])
 
-            # Parity: sharded count/count_bfs == sequential, per query,
-            # for both placements.
-            payload_bytes = [0] * NUM_SHARDS
+            # Parity: subtree jobs and count_bfs == sequential, per query.
             for (dataset, query), expected in zip(queries, reference):
                 engine = engines[dataset][backend]
                 if engine.count(query) != expected:
                     parity_failures.append(f"{backend}: sequential drifted")
-                # Placement and payloads are the level-synchronous
-                # protocol's; a subtree job (what the timing below
-                # runs) ships no candidate payload and reads no range.
-                result = executors[dataset].run_bfs(engine, query)
+                result = pools[dataset].run(engine, query)
                 if result.embeddings != expected:
                     parity_failures.append(
-                        f"{backend}: processes returned {result.embeddings}, "
-                        f"sequential {expected}"
-                    )
-                if balanced[dataset].run_bfs(engine, query).embeddings != expected:
-                    parity_failures.append(
-                        f"{backend}: balanced placement diverged"
-                    )
-                if executors[dataset].run(engine, query).embeddings != expected:
-                    parity_failures.append(
-                        f"{backend}: subtree job diverged"
+                        f"{backend}: subtree job returned "
+                        f"{result.embeddings}, sequential {expected}"
                     )
                 if engine.count_bfs(query) != expected:
                     parity_failures.append(f"{backend}: count_bfs diverged")
-                for stats in result.worker_stats:
-                    payload_bytes[stats.worker_id] += stats.payload_bytes
 
             # Timing: best-of-REPEATS full-workload passes.
             sequential_s = min(
@@ -173,17 +123,15 @@ def run_benchmark() -> dict:
             processes_s = min(
                 _time_pass(
                     lambda: [
-                        executors[dataset].run(
-                            engines[dataset][backend], query
-                        )
+                        pools[dataset].run(engines[dataset][backend], query)
                         for dataset, query in queries
                     ]
                 )
                 for _ in range(REPEATS)
             )
         finally:
-            for executor in (*executors.values(), *balanced.values()):
-                executor.close()
+            for pool in pools.values():
+                pool.close()
 
         rows.append(
             {
@@ -198,13 +146,10 @@ def run_benchmark() -> dict:
                 "processes_vs_threads": round(
                     threads_s / max(processes_s, 1e-12), 3
                 ),
-                "payload_bytes_per_shard": payload_bytes,
-                "payload_bytes_total": sum(payload_bytes),
             }
         )
 
-    by_backend = {row["backend"]: row for row in rows}
-    summary = {
+    return {
         "benchmark": "sharding",
         "workload": {
             "datasets": list(DATASETS),
@@ -217,68 +162,6 @@ def run_benchmark() -> dict:
         "cores": usable_cores(),
         "parity_failures": parity_failures,
         "rows": rows,
-        "mask_payload_vs_tuple_payload": {
-            backend: round(
-                by_backend[backend]["payload_bytes_total"]
-                / max(by_backend["merge"]["payload_bytes_total"], 1),
-                3,
-            )
-            for backend in MASK_BACKENDS
-        },
-        "skew": run_skew_benchmark(),
-    }
-    return summary
-
-
-def run_skew_benchmark() -> dict:
-    """The skewed trace: per-shard CPU-load imbalance, uniform vs
-    balanced placement, plus count parity across the two placements."""
-    data, skew_queries = skewed_instance()
-    reference_engine = HGMatch(data, index_backend="bitset")
-    expected = [reference_engine.count(query) for query in skew_queries]
-    modes = {}
-    parity_failures: List[str] = []
-    for mode in ("uniform", "balanced"):
-        engine = HGMatch(data, index_backend="bitset")
-        executor = ShardPool(
-            num_shards=SKEW_NUM_SHARDS, index_backend="bitset", sharding=mode
-        )
-        try:
-            executor.run_bfs(engine, skew_queries[0])  # warm the pool
-            loads = [0.0] * SKEW_NUM_SHARDS
-            for _ in range(SKEW_PASSES):
-                for query, count in zip(skew_queries, expected):
-                    # Per-range load: the level-synchronous protocol.
-                    result = executor.run_bfs(engine, query)
-                    if result.embeddings != count:
-                        parity_failures.append(
-                            f"skew {mode}: returned {result.embeddings}, "
-                            f"sequential {count}"
-                        )
-                    for shard_id, load in enumerate(
-                        worker_loads(result.worker_stats)
-                    ):
-                        loads[shard_id] += load
-            mean = sum(loads) / len(loads)
-            modes[mode] = {
-                "cpu_seconds_per_shard": [round(l, 6) for l in loads],
-                "imbalance": round(max(loads) / max(mean, 1e-12), 4),
-            }
-        finally:
-            executor.close()
-    improvement = modes["uniform"]["imbalance"] / max(
-        modes["balanced"]["imbalance"], 1e-12
-    )
-    return {
-        "partitions": [list(partition) for partition in SKEW_PARTITIONS],
-        "num_shards": SKEW_NUM_SHARDS,
-        "passes": SKEW_PASSES,
-        "counts": expected,
-        "parity_failures": parity_failures,
-        "uniform": modes["uniform"],
-        "balanced": modes["balanced"],
-        "imbalance_improvement": round(improvement, 3),
-        "gate": SKEW_GATE,
     }
 
 
@@ -290,7 +173,7 @@ def write_summary(summary: dict) -> str:
 
 
 # ----------------------------------------------------------------------
-# pytest entry points (the gates)
+# pytest entry point (the gate)
 # ----------------------------------------------------------------------
 import pytest
 
@@ -303,67 +186,12 @@ def summary():
 
 
 def test_sharded_counts_bit_identical(summary):
-    """count/count_bfs parity against the sequential engine, all three
-    index backends, uniform and balanced placement, every workload
-    query."""
+    """Subtree-job and count_bfs parity against the sequential engine,
+    all three index backends, every workload query."""
     assert summary["parity_failures"] == []
 
 
-@pytest.mark.parametrize("backend", MASK_BACKENDS)
-def test_masks_cross_the_boundary(summary, backend):
-    """On the identical trace, mask payloads must undercut the edge-id
-    tuple payloads the merge backend ships — proof the boundary carries
-    the compressed representation, not decoded lists."""
-    ratio = summary["mask_payload_vs_tuple_payload"][backend]
-    assert 0 < ratio < 1.0, summary
-
-
-def test_skew_counts_bit_identical(summary):
-    assert summary["skew"]["parity_failures"] == []
-
-
-def test_balanced_beats_uniform_on_skewed_trace(summary):
-    """Balanced placement must cut the skewed trace's per-shard load
-    imbalance by ≥ SKEW_GATE× (gated on all hosts: the metric is CPU
-    time, which contention cannot fake)."""
-    skew = summary["skew"]
-    assert skew["imbalance_improvement"] >= SKEW_GATE, skew
-
-
-def _print_skew(skew: dict) -> None:
-    print(
-        f"skew: uniform imbalance x{skew['uniform']['imbalance']:.2f} "
-        f"-> balanced x{skew['balanced']['imbalance']:.2f} "
-        f"(improvement x{skew['imbalance_improvement']:.2f}, "
-        f"gate x{skew['gate']:.1f}, counts {skew['counts']})"
-    )
-
-
-def _skew_ok(skew: dict) -> bool:
-    return (
-        not skew["parity_failures"]
-        and skew["imbalance_improvement"] >= SKEW_GATE
-    )
-
-
-def main(argv=None) -> int:
-    import sys
-
-    argv = sys.argv[1:] if argv is None else argv
-    if "--skew" in argv:
-        # The fast smoke (`make bench-skew`): only the skewed trace.
-        # Merge into the existing JSON so the full benchmark's numbers
-        # survive the partial run.
-        skew = run_skew_benchmark()
-        result = {}
-        if os.path.exists(RESULT_PATH):
-            with open(RESULT_PATH, "r", encoding="utf-8") as stream:
-                result = json.load(stream)
-        result["skew"] = skew
-        path = write_summary(result)
-        _print_skew(skew)
-        print(f"-> {path}")
-        return 0 if _skew_ok(skew) else 1
+def main() -> int:
     result = run_benchmark()
     path = write_summary(result)
     for row in result["rows"]:
@@ -372,18 +200,11 @@ def main(argv=None) -> int:
             f"threads{NUM_SHARDS}={row[f'threads{NUM_SHARDS}_seconds']:.4f}s "
             f"processes{NUM_SHARDS}={row[f'processes{NUM_SHARDS}_seconds']:.4f}s "
             f"(x{row['speedup_vs_sequential']:.2f} vs sequential, "
-            f"x{row['processes_vs_threads']:.2f} vs threads, "
-            f"payload={row['payload_bytes_total']}B "
-            f"{row['payload_bytes_per_shard']})"
+            f"x{row['processes_vs_threads']:.2f} vs threads)"
         )
-    _print_skew(result["skew"])
     print(f"cores={result['cores']} -> {path}")
-    # Mirror the pytest gates for CI's script-mode run.
-    ok = not result["parity_failures"] and all(
-        0 < ratio < 1.0
-        for ratio in result["mask_payload_vs_tuple_payload"].values()
-    )
-    return 0 if ok and _skew_ok(result["skew"]) else 1
+    # Mirror the pytest gate for CI's script-mode run.
+    return 0 if not result["parity_failures"] else 1
 
 
 if __name__ == "__main__":

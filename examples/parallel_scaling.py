@@ -7,10 +7,10 @@ the execution modes of this reproduction:
 * its root parts on a thread pool (``executor="threads"``: the same
   cut the shard pool makes; under the GIL never faster than sequential,
   see "Executors" in docs/ARCHITECTURE.md),
-* a localhost *socket cluster* — shard-worker TCP servers spawned on
-  loopback ports and driven by the network coordinator, i.e. the full
-  multi-host wire path (framing, handshake, versioned mask payloads;
-  see docs/WIRE_FORMAT.md) on one machine,
+* a localhost *socket cluster* — worker TCP servers spawned on
+  loopback ports, each holding the whole graph and answering one
+  subtree request per query, i.e. the full multi-host wire path
+  (framing, handshake; see docs/WIRE_FORMAT.md) on one machine,
 * the discrete-event simulated executor — the paper's work-stealing
   scheduler in virtual time — that reproduces the scalability curve
   with a 20-physical-core NUMA knee and the per-worker steal rows,
@@ -51,7 +51,7 @@ def main() -> None:
     print("  embeddings:", threaded, "(equals sequential:",
           threaded == expected, ")")
 
-    print("\nLocalhost socket cluster (4 shard workers over TCP):")
+    print("\nLocalhost socket cluster (4 workers over TCP):")
     cluster = spawn_local_cluster(data, num_shards=4)
     net = ShardPool(addresses=cluster.addresses)
     try:
@@ -64,10 +64,8 @@ def main() -> None:
         )
         print("  embeddings per worker (one subtree request each):",
               [stats.embeddings for stats in socket_result.worker_stats])
-        level_sync = net.run_bfs(engine, query)
-        assert level_sync.embeddings == threaded
-        print("  level-synchronous protocol, per-shard payload bytes:",
-              [stats.payload_bytes for stats in level_sync.worker_stats])
+        print("  CPU seconds per worker:",
+              [round(stats.cpu_time, 4) for stats in socket_result.worker_stats])
         print("  workers:", ", ".join(
             f"{host}:{port}" for host, port in cluster.addresses))
     finally:

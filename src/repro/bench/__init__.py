@@ -15,10 +15,7 @@ from .fig8 import (
     FIG8_DATASETS,
     FIG8_QUERIES_PER_SETTING,
     FIG8_SETTINGS,
-    SKEW_NUM_SHARDS,
-    SKEW_PARTITIONS,
     fig8_queries,
-    skewed_instance,
     time_pass,
     usable_cores,
 )
@@ -54,10 +51,7 @@ __all__ = [
     "FIG8_DATASETS",
     "FIG8_SETTINGS",
     "FIG8_QUERIES_PER_SETTING",
-    "SKEW_NUM_SHARDS",
-    "SKEW_PARTITIONS",
     "fig8_queries",
-    "skewed_instance",
     "time_pass",
     "usable_cores",
     "format_table",

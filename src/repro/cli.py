@@ -14,7 +14,8 @@ Commands
     Count (or print) the embeddings of a query in a data hypergraph,
     with any engine from the benchmark line-up.
 ``serve-shard``
-    Serve one store shard over TCP — the worker side of
+    Serve the whole data graph over TCP as one pool member — the
+    worker side of
     ``match --executor sockets`` (see ``docs/ARCHITECTURE.md``);
     ``--announce host:port`` registers it with a worker registry.
 ``serve-match``
@@ -50,7 +51,6 @@ from .errors import ReproError, TimeoutExceeded
 from .hypergraph import (
     DEFAULT_INDEX_BACKEND,
     INDEX_BACKENDS,
-    SHARDING_MODES,
     Hypergraph,
     dataset_statistics,
 )
@@ -123,9 +123,10 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("threads", "processes", "sockets", "simulated"),
         help="parallel engine for HGMatch: threads (the query's "
         "--workers root parts on a thread pool; GIL-serialised, never "
-        "faster than sequential), processes (the same parts on one "
-        "worker process per store shard over loopback TCP, or remote "
-        "servers via --hosts; real multi-core), sockets (another "
+        "faster than sequential), processes (the same parts on "
+        "worker processes over loopback TCP, each holding the whole "
+        "graph, or remote servers via --hosts; real multi-core), "
+        "sockets (another "
         "spelling of processes) or simulated (the paper's work-stealing "
         "scheduler, discrete-event, virtual time); default is "
         "sequential, or threads when --workers > 1",
@@ -134,27 +135,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--shards",
         type=int,
         default=None,
-        help="shard count for --executor processes/sockets (contiguous "
-        "row-range shards of every signature partition; default: "
-        "--workers)",
-    )
-    match.add_argument(
-        "--sharding",
-        default=None,
-        choices=SHARDING_MODES,
-        help="shard placement for --executor processes/sockets: uniform "
-        "(near-equal row counts per partition) or balanced "
-        "(posting-mass-weighted ranges; hot partitions stop "
-        "concentrating on shard 0); counts are identical either way",
-    )
-    match.add_argument(
-        "--rebalance",
-        action="store_true",
-        help="run the query under the level-synchronous protocol (each "
-        "worker expands its row ranges of every level), recut the shard "
-        "ranges from the observed per-shard load and run it again "
-        "(requires --executor processes or sockets); reports the load "
-        "imbalance before and after",
+        help="worker count for --executor processes/sockets (each "
+        "worker holds the whole graph and runs a root part of the "
+        "query; default: --workers)",
     )
     match.add_argument(
         "--hosts",
@@ -168,11 +151,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--replicas",
         type=int,
         default=None,
-        help="replicas per shard range for --executor processes/sockets "
-        "(implies processes): the coordinator fails over mid-level when "
-        "a replica dies and refuses to compose only when a range has "
-        "zero live replicas; with --hosts, the address count must be "
-        "shards x replicas (replicas of a shard listed consecutively)",
+        help="workers per shard name for --executor processes/sockets "
+        "(implies processes; the pool holds shards x replicas "
+        "interchangeable workers, and a query fails only when none is "
+        "left); with --hosts, the address count must be shards x "
+        "replicas",
     )
     match.add_argument("--timeout", type=float, default=None)
     match.add_argument(
@@ -184,29 +167,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve = commands.add_parser(
         "serve-shard",
-        help="serve one store shard over TCP (the sockets executor's "
-        "worker side); the framed protocol is specified in "
-        "docs/WIRE_FORMAT.md",
+        help="serve the whole data graph over TCP as one pool member "
+        "(the sockets executor's worker side); the framed protocol is "
+        "specified in docs/WIRE_FORMAT.md",
     )
     serve.add_argument("source", help="dataset name or .hg path")
     serve.add_argument(
         "--shard-id", type=int, required=True,
-        help="which shard of the row-range split this worker owns (0-based)",
-    )
-    serve.add_argument(
-        "--num-shards", type=int, required=True,
-        help="total shard count the coordinator will compose",
+        help="the worker's name, with --replica-id: unique within a "
+        "pool, the slot a registry or supervisor knows it by (0-based)",
     )
     serve.add_argument(
         "--replica-id", type=int, default=0,
-        help="which replica of the shard range this worker is "
-        "(0-based; replicas build identical shards and are "
-        "interchangeable failover targets)",
-    )
-    serve.add_argument(
-        "--num-replicas", type=int, default=1,
-        help="replicas per shard range the coordinator expects "
-        "(must match its --replicas; enforced at handshake)",
+        help="second half of the worker's name (0-based, default 0)",
     )
     serve.add_argument(
         "--host", default="127.0.0.1",
@@ -223,15 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--index-backend",
         default=None,
         choices=INDEX_BACKENDS,
-        help="posting-list representation of the shard's index; must "
+        help="posting-list representation of the worker's index; must "
         "match the coordinator's (enforced at handshake)",
-    )
-    serve.add_argument(
-        "--sharding",
-        default=None,
-        choices=SHARDING_MODES,
-        help="shard placement mode the worker cuts its ranges with; "
-        "must match the coordinator's (enforced at handshake)",
     )
     serve.add_argument(
         "--max-sessions", type=int, default=None,
@@ -243,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--announce", default=None, metavar="HOST:PORT",
         help="register with the worker registry at HOST:PORT (ANNOUNCE "
         "once, then a HEARTBEAT per interval; see docs/WIRE_FORMAT.md "
-        "§2.4) so coordinators can discover this worker instead of "
+        "§2.7) so coordinators can discover this worker instead of "
         "being handed its address",
     )
     serve.add_argument(
@@ -263,15 +229,11 @@ def build_parser() -> argparse.ArgumentParser:
     serve_match.add_argument("source", help="dataset name or .hg path")
     serve_match.add_argument(
         "--shards", type=int, default=2,
-        help="shard count of the service's worker pool (default 2)",
+        help="worker count of the service's pool (default 2)",
     )
     serve_match.add_argument(
         "--index-backend", default=None, choices=INDEX_BACKENDS,
-        help="posting-list representation of the pooled shards",
-    )
-    serve_match.add_argument(
-        "--sharding", default=None, choices=SHARDING_MODES,
-        help="shard placement mode of the pooled shards",
+        help="posting-list representation of the pooled workers",
     )
     serve_match.add_argument(
         "--host", default="127.0.0.1",
@@ -355,26 +317,22 @@ def build_parser() -> argparse.ArgumentParser:
         "supervise",
         help="boot and babysit a local shard-worker pool: restart "
         "crashed workers under a jittered-backoff retry budget, "
-        "degrade to reduced K when a slot exhausts it "
+        "degrade to fewer workers when a slot exhausts it "
         "(docs/ARCHITECTURE.md, 'Elastic runtime & operations')",
     )
     supervise.add_argument("source", help="dataset name or .hg path")
     supervise.add_argument(
         "--num-shards", type=int, required=True,
-        help="shard count of the supervised pool",
+        help="shard names of the supervised pool",
     )
     supervise.add_argument(
         "--replicas", type=int, default=1,
-        help="replicas per shard range (the pool holds "
+        help="replica names per shard name (the pool holds "
         "num-shards x replicas workers)",
     )
     supervise.add_argument(
         "--index-backend", default=None, choices=INDEX_BACKENDS,
         help="posting-list representation the workers build",
-    )
-    supervise.add_argument(
-        "--sharding", default=None, choices=SHARDING_MODES,
-        help="shard placement mode the workers cut their ranges with",
     )
     supervise.add_argument(
         "--restart-budget", type=int, default=3,
@@ -487,13 +445,12 @@ def _cmd_match(args, out) -> int:
             named = [
                 flag for flag, value in (
                     ("--hosts", hosts), ("--replicas", replicas),
-                    ("--shards", shards), ("--sharding", args.sharding),
+                    ("--shards", shards),
                 ) if value is not None
             ]
             if named and executor is None:
-                # Naming workers, a replication factor, a shard count
-                # or a placement mode without naming an engine means
-                # the sharded one.
+                # Naming workers, a replication factor or a shard count
+                # without naming an engine means the pooled one.
                 executor = "processes"
             if named and executor not in sharded:
                 # These are the shard pool's concepts; silently running
@@ -517,18 +474,10 @@ def _cmd_match(args, out) -> int:
                     return 1
             elif shards is None and executor in sharded:
                 shards = max(args.workers, 1)
-            if args.rebalance and executor not in sharded:
-                out.write(
-                    "error: --rebalance needs --executor processes or "
-                    "sockets (the shard executors own the ranges being "
-                    "recut)\n"
-                )
-                return 1
             engine = HGMatch(
                 data,
                 index_backend=args.index_backend,
                 shards=shards if shards is not None else 1,
-                sharding=args.sharding,
             )
             try:
                 if executor in sharded:
@@ -555,31 +504,6 @@ def _cmd_match(args, out) -> int:
                         if count < args.limit:
                             out.write(f"{embedding.hyperedge_mapping()}\n")
                         count += 1
-                elif args.rebalance:
-                    # Ranges only carry load under the level-synchronous
-                    # protocol; count() runs subtree jobs, which no recut
-                    # can touch.
-                    pool = engine.pool()
-                    first = pool.run_bfs(engine, query, time_budget=args.timeout)
-                    moved = pool.rebalance(first.worker_stats)
-                    second = pool.run_bfs(engine, query, time_budget=args.timeout)
-                    if second.embeddings != first.embeddings:
-                        # Cannot happen while the recut covers the rows
-                        # exactly; check anyway — a silent drift here
-                        # would invalidate every number printed below.
-                        out.write(
-                            f"error: count drifted across the rebalance "
-                            f"({first.embeddings} -> {second.embeddings})\n"
-                        )
-                        return 1
-                    out.write(
-                        f"rebalance: moved {moved} shard(s); load "
-                        f"imbalance {first.load_imbalance():.2f}x -> "
-                        f"{second.load_imbalance():.2f}x; "
-                        f"runs {first.elapsed:.4f}s -> "
-                        f"{second.elapsed:.4f}s\n"
-                    )
-                    count = second.embeddings
                 else:
                     count = engine.count(
                         query,
@@ -622,24 +546,12 @@ def _cmd_serve_shard(args, out) -> int:
     from .parallel.transport import parse_address
     from .parallel.worker import ShardWorker
 
-    if args.num_shards < 1:
-        out.write("error: --num-shards must be >= 1\n")
-        return 1
-    if not 0 <= args.shard_id < args.num_shards:
-        out.write(
-            f"error: --shard-id {args.shard_id} out of range for "
-            f"{args.num_shards} shards\n"
-        )
-        return 1
-    if args.num_replicas < 1:
-        out.write("error: --num-replicas must be >= 1\n")
-        return 1
-    if not 0 <= args.replica_id < args.num_replicas:
-        out.write(
-            f"error: --replica-id {args.replica_id} out of range for "
-            f"{args.num_replicas} replicas\n"
-        )
-        return 1
+    for flag, value in (
+        ("--shard-id", args.shard_id), ("--replica-id", args.replica_id),
+    ):
+        if value < 0:
+            out.write(f"error: {flag} must be >= 0, got {value}\n")
+            return 1
     announce = (
         parse_address(args.announce)
         if args.announce is not None
@@ -649,32 +561,23 @@ def _cmd_serve_shard(args, out) -> int:
     worker = ShardWorker(
         graph,
         args.shard_id,
-        args.num_shards,
         index_backend=args.index_backend,
         host=args.host,
         port=args.port,
-        sharding=args.sharding,
         replica_id=args.replica_id,
-        num_replicas=args.num_replicas,
         announce=announce,
         heartbeat_interval=args.heartbeat_interval,
     )
     host, port = worker.bind()
-    replica_note = (
-        f" (replica {args.replica_id}/{args.num_replicas})"
-        if args.num_replicas > 1
-        else ""
-    )
     announce_note = (
         f", announcing to {announce[0]}:{announce[1]}"
         if announce is not None
         else ""
     )
     out.write(
-        f"serving shard {args.shard_id}/{args.num_shards}{replica_note} "
+        f"serving shard {args.shard_id} replica {args.replica_id} "
         f"of {args.source} ({worker.index_backend} backend, "
-        f"{worker.shard.sharding} placement, "
-        f"{worker.shard.index_size_entries()} posting entries) on "
+        f"{worker.store.index_size_entries()} posting entries) on "
         f"{host}:{port}{announce_note}\n"
     )
     if hasattr(out, "flush"):
@@ -709,11 +612,7 @@ def _cmd_serve_match(args, out) -> int:
         graph = recovered.graph
     else:
         graph = _load_graph(args.source)
-    engine = HGMatch(
-        graph,
-        index_backend=args.index_backend,
-        sharding=args.sharding,
-    )
+    engine = HGMatch(graph, index_backend=args.index_backend)
     daemon = None
     try:
         # Inside the try: a constructor that refuses its arguments (the
@@ -741,7 +640,7 @@ def _cmd_serve_match(args, out) -> int:
             host, port = address
             out.write(
                 f"match service for {args.source} "
-                f"({engine.index_backend} backend, {args.shards} shards, "
+                f"({engine.index_backend} backend, {args.shards} workers, "
                 f"depth {args.queue_depth}) on {host}:{port}\n"
             )
             if hasattr(out, "flush"):
@@ -821,7 +720,6 @@ def _cmd_supervise(args, out) -> int:
             args.num_shards,
             index_backend=args.index_backend,
             num_replicas=args.replicas,
-            sharding=args.sharding,
             announce=announce,
             heartbeat_interval=args.heartbeat_interval,
             restart_budget=args.restart_budget,

@@ -421,15 +421,12 @@ class ChunkCandidates(CandidateSet):
 # can disagree about *which* row representation is native without ever
 # materialising edge-id lists.
 #
-# Payloads that leave the process group — the socket transport of
-# :mod:`repro.parallel.worker` — are additionally *versioned*:
-# one leading byte (:data:`WIRE_VERSION`) precedes the tag, so a host
-# running an older reader rejects a payload it cannot parse instead of
-# mis-decoding it.  Pipes between a parent and the workers it spawned
-# skip the byte (both ends are the same build by construction); use
-# :func:`encode_versioned` / :func:`decode_versioned` at any boundary
-# where the two ends may have been deployed independently.  The full
-# byte-level specification lives in ``docs/WIRE_FORMAT.md``.
+# Payloads that may cross between independently deployed builds are
+# additionally *versioned*: one leading byte (:data:`WIRE_VERSION`)
+# precedes the tag, so a host running an older reader rejects a payload
+# it cannot parse instead of mis-decoding it (:func:`encode_versioned`
+# / :func:`decode_versioned`).  The full byte-level specification lives
+# in ``docs/WIRE_FORMAT.md``.
 
 _WIRE_TUPLE = 0x54  # b"T"
 _WIRE_MASK = 0x4D  # b"M"
@@ -661,7 +658,7 @@ class CandidateAccumulator:
 
     Folding is **exactly-once** under duplicated streams: callers that
     may see the same shard's reply more than once (the socket
-    coordinator under speculative re-dispatch — two replicas of one
+    coordinator under speculative re-dispatch — two copies of one
     range answering the same level) pass ``add(..., key=shard_id)``,
     and every key after the first is ignored.  The row-disjoint
     contract makes duplicates byte-identical, so dropping them is

@@ -140,6 +140,10 @@ def _child_blocks(
         yield block, size
 
 
+#: Every ``executor=`` spelling of :meth:`HGMatch.count`.
+_EXECUTORS = ("sequential", "threads", "processes", "sockets", "simulated")
+
+
 class HGMatch:
     """The subhypergraph matching engine over one data hypergraph.
 
@@ -160,23 +164,11 @@ class HGMatch:
         ``REPRO_INDEX_BACKEND``/``"bitset"``.  Ignored when a prebuilt
         ``store`` is supplied (the store's backend wins).
     shards:
-        Default worker count for the shard executors
-        (``count``/``count_bfs`` with ``executor="processes"`` or
-        ``"sockets"``): one worker process per shard
-        (:class:`repro.parallel.ShardPool`), each holding the whole
-        graph.  ``count`` cuts a query at the root across them (subtree
-        jobs); for ``count_bfs`` each signature partition's rows are
-        split into this many contiguous ranges, one per worker (the
-        level-synchronous protocol).  ``1`` keeps everything
-        in-process.
-    sharding:
-        Shard *placement* mode for the level-synchronous protocol
-        (subtree jobs read no range): ``"uniform"``
-        (near-equal row counts per partition, the default) or
-        ``"balanced"`` (posting-mass-weighted ranges with partition
-        surpluses steered to the least-loaded shard) — see
-        :mod:`repro.hypergraph.sharding`.  Counts are bit-identical
-        either way; only per-shard load moves.
+        Default worker count of the shard pool (``count`` with
+        ``executor="processes"`` or ``"sockets"``): one worker process
+        per member (:class:`repro.parallel.ShardPool`), each holding the
+        whole graph; ``count`` cuts a query at the root across them.
+        ``1`` keeps everything in-process.
     """
 
     def __init__(
@@ -185,12 +177,9 @@ class HGMatch:
         store: "PartitionedStore | None" = None,
         index_backend: "str | None" = None,
         shards: int = 1,
-        sharding: "str | None" = None,
     ) -> None:
         if shards < 1:
             raise QueryError("shards must be >= 1")
-        from ..hypergraph.sharding import resolve_sharding  # lazy: cheap
-
         self.data = data
         self._owns_store = store is None
         self.store = (
@@ -199,7 +188,6 @@ class HGMatch:
             else store
         )
         self.shards = shards
-        self.sharding = resolve_sharding(sharding)
         # Sibling tasks (of one search, or of the root parts on threads)
         # share anchors, so their per-anchor posting unions are memoised
         # engine-wide; the memo is thread-safe and only consulted by the
@@ -207,7 +195,7 @@ class HGMatch:
         self._anchor_memo = AnchorUnionMemo()
         # One pool of shard workers per engine (see pool()): built
         # lazily by the first "processes"/"sockets" run or installed by
-        # the match service; workers keep their store shards warm.
+        # the match service; workers keep their stores warm.
         self._pool = None
         # And one always-on match service (admission control, cache and
         # standing queries over that pool), built by match_service().
@@ -448,19 +436,16 @@ class HGMatch:
 
     def _count_elsewhere(
         self, executor, query, order, workers, counters, time_budget, shards,
-        bfs: bool = False,
     ) -> "int | None":
-        """:meth:`count` / :meth:`count_bfs` (``bfs``) on another
-        executor; None for ``"sequential"``/``"threads"``, which the
-        caller runs."""
+        """:meth:`count` on another executor; None for
+        ``"sequential"``/``"threads"``, which the caller runs."""
         if executor in ("processes", "sockets"):
             if shards is None and self.shards == 1 and workers > 1:
                 # ``workers`` expresses the desired parallelism for the
                 # other executors; honour it here too unless the engine
                 # or call named an explicit shard count.
                 shards = workers
-            pool = self.pool(shards)
-            result = (pool.run_bfs if bfs else pool.run)(
+            result = self.pool(shards).run(
                 self, query, order=order, time_budget=time_budget
             )
         elif executor == "simulated":
@@ -474,8 +459,7 @@ class HGMatch:
         else:
             raise QueryError(
                 f"unknown executor {executor!r}; expected one of "
-                f"('sequential', 'threads', 'processes', 'sockets', "
-                f"'simulated')"
+                f"{_EXECUTORS}"
             )
         if counters is not None:
             counters.merge(result.counters)
@@ -507,8 +491,8 @@ class HGMatch:
         * ``"processes"`` / ``"sockets"`` — two spellings of one
           engine: a solo *subtree job*
           (:meth:`repro.parallel.ShardPool.run`) on the engine's
-          persistent shard pool (:meth:`pool`: one worker process per
-          store shard, here or on pinned hosts), for real multi-core
+          persistent shard pool (:meth:`pool`: worker processes here or
+          on pinned hosts), for real multi-core
           wall clock.  Every worker holds the whole graph; each is sent
           one request, runs its root part and answers one count — the
           paper's Sec. VI task model, two frames per worker per query.
@@ -615,11 +599,11 @@ class HGMatch:
         service.
 
         By default it owns a loopback cluster of ``shards`` (default:
-        the engine's ``shards``) × ``replicas`` workers, which build
-        their store shards once and stay warm across queries (daemonic
+        the engine's ``shards``) × ``replicas`` workers, each holding a
+        store of the whole graph, warm across queries (daemonic
         processes; :meth:`close` releases them early); asking for
         another layout rebuilds it.  ``hosts`` — ``(host, port)``
-        addresses, replica-major per shard — (re)configures it for
+        addresses — (re)configures it for
         externally managed shard servers, a started ``registry``
         (:class:`~repro.parallel.registry.WorkerRegistry`) for
         *discovered* ones, whose evictions then feed the failover.  The
@@ -667,7 +651,6 @@ class HGMatch:
         layout = dict(
             num_replicas=1 if replicas is None else replicas,
             index_backend=self.index_backend,
-            sharding=self.sharding,
         )
         if registry is not None:
             fresh = ShardPool.from_registry(registry, shards, **layout)
@@ -694,7 +677,7 @@ class HGMatch:
         service builds and installs it) in a
         :class:`~repro.service.service.MatchService`: bounded admission
         (BUSY past ``queue_depth``), per-query deadlines, cancellation
-        with remote CANCEL, and an LRU result cache.  Reused across
+        and an LRU result cache.  Reused across
         calls; another shard layout rebuilds it, any other setting
         differing from the live service's is refused — a rebuild would
         silently drop its cache and standing registrations.
@@ -752,7 +735,7 @@ class HGMatch:
                 self.data, index_backend=self.index_backend
             )
             self._owns_store = True
-        self.data, result = apply_batch(self.data, self.store, batch)
+        self.data, result = apply_batch(self.store, batch)
         self._anchor_memo.clear()
         return result
 
@@ -763,7 +746,7 @@ class HGMatch:
         The local graph and store update incrementally, and the
         engine's pool (:meth:`pool`), when live, receives the same
         batch via a MUTATE broadcast so its workers maintain their
-        shards in lock-step (a pool not yet started simply builds from
+        stores in lock-step (a pool not yet started simply builds from
         the mutated graph on first use).  When a match service wraps
         this engine, the commit goes through
         :meth:`~repro.service.service.MatchService.apply_mutations`
@@ -818,8 +801,6 @@ class HGMatch:
         counters: "MatchCounters | None" = None,
         time_budget: "float | None" = None,
         executor: "str | None" = None,
-        workers: int = 1,
-        shards: "int | None" = None,
     ) -> int:
         """Count embeddings with breadth-first (level-synchronous) execution.
 
@@ -828,29 +809,23 @@ class HGMatch:
         the supplied counters then reflects the exponential intermediate
         blow-up that the task-based scheduler avoids.
 
-        ``executor``: ``None``/``"sequential"`` is the single-threaded
-        in-process loop here; ``"processes"`` and ``"sockets"`` run the
-        engine's shard pool (:meth:`pool`) through
-        :meth:`repro.parallel.ShardPool.run_bfs`, whose
-        level-synchronous protocol *is* BFS (each worker expands its row
-        range of every level; :meth:`count` runs subtree jobs on the
-        same workers instead).  ``"threads"`` and ``"simulated"`` are
-        task-parallel and exist under :meth:`count` only
-        (:class:`QueryError` here).  All executors return bit-identical
-        counts.
+        ``executor``: ``None``/``"sequential"`` — the single-threaded
+        in-process loop is the only one.  Every parallel executor is
+        task-parallel and exists under :meth:`count` only: the shard
+        pool's members each run a root part of the block-DFS
+        (:class:`QueryError` here, naming the :meth:`count` spelling).
         """
-        if executor in ("threads", "simulated"):
+        if executor not in (None, "sequential"):
+            if executor not in _EXECUTORS:
+                raise QueryError(
+                    f"unknown executor {executor!r}; expected one of "
+                    f"{_EXECUTORS}"
+                )
             raise QueryError(
                 f"count_bfs has no {executor!r} executor: that one is "
                 f"task-parallel, not level-synchronous; "
                 f"use count(executor={executor!r})"
             )
-        elsewhere = self._count_elsewhere(
-            executor or "sequential", query, order, workers, counters,
-            time_budget, shards, bfs=True,
-        )
-        if elsewhere is not None:
-            return elsewhere
         plan = self.plan(query, order)
         deadline = None if time_budget is None else time.monotonic() + time_budget
         if counters is not None:

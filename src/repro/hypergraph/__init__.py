@@ -35,23 +35,7 @@ from .index import (
     union_many,
     union_sorted,
 )
-from .sharding import (
-    SHARDING_MODES,
-    RangeTable,
-    ReplicaSet,
-    ShardDescriptor,
-    StoreShard,
-    balanced_range_table,
-    build_range_table,
-    mutate_range_table,
-    range_table_label,
-    range_table_slices,
-    rebalance_range_table,
-    resolve_sharding,
-    shard_ranges,
-    uniform_range_table,
-    weighted_shard_ranges,
-)
+from .sharding import StoreShard, shard_ranges
 from .sampling import (
     PAPER_QUERY_SETTINGS,
     QuerySetting,
@@ -83,7 +67,6 @@ __all__ = [
     "MutationBatch",
     "MutationResult",
     "apply_batch",
-    "mutate_range_table",
     "MutationJournal",
     "RecoveredState",
     "Hypergraph",
@@ -106,20 +89,8 @@ __all__ = [
     "mask_from_chunks",
     "HyperedgePartition",
     "PartitionedStore",
-    "ReplicaSet",
-    "ShardDescriptor",
     "StoreShard",
-    "SHARDING_MODES",
-    "RangeTable",
     "shard_ranges",
-    "weighted_shard_ranges",
-    "uniform_range_table",
-    "balanced_range_table",
-    "build_range_table",
-    "rebalance_range_table",
-    "range_table_slices",
-    "range_table_label",
-    "resolve_sharding",
     "Signature",
     "signature_of_labels",
     "signature_arity",

@@ -586,26 +586,23 @@ class DynamicHypergraph(Hypergraph):
         )
 
 
-def apply_batch(graph: Hypergraph, store, batch: MutationBatch, *more_stores):
-    """Commit ``batch`` to ``graph`` and the ``store`` built over it
-    (and any ``more_stores`` over the same graph — a shard worker keeps
-    its shard and a whole store in step); returns ``(graph, result)``.
+def apply_batch(store, batch: MutationBatch):
+    """Commit ``batch`` to ``store`` and the graph it is built over;
+    returns ``(graph, result)`` — the graph is the store's, promoted.
 
-    The one write path: a still-immutable ``graph`` is promoted first
-    (the only promotion outside snapshot recovery — edge ids and row
-    layouts are preserved, so ``store`` adopts the promoted graph
-    without rebuilding), then :meth:`DynamicHypergraph.apply` commits
-    and :meth:`~repro.hypergraph.storage.PartitionedStore.
+    The one write path: a still-immutable graph is promoted first (the
+    only promotion outside snapshot recovery — edge ids and row layouts
+    are preserved, so the store adopts the promoted graph without
+    rebuilding), then :meth:`DynamicHypergraph.apply` commits and
+    :meth:`~repro.hypergraph.storage.PartitionedStore.
     apply_mutation_result` maintains every touched partition.  What a
-    caller caches *about* the store — anchor-union memos, open query
-    sessions — covers the old rows and is the caller's to clear.
+    caller caches *about* the store — anchor-union memos — covers the
+    old rows and is the caller's to clear.
     """
-    stores = (store,) + more_stores
+    graph = store.graph
     if not isinstance(graph, DynamicHypergraph):
         graph = DynamicHypergraph.from_hypergraph(graph)
-        for each in stores:
-            each.adopt_graph(graph)
+        store.adopt_graph(graph)
     result = graph.apply(batch)
-    for each in stores:
-        each.apply_mutation_result(result)
+    store.apply_mutation_result(result)
     return graph, result

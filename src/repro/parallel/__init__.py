@@ -8,12 +8,11 @@ pool inside the engine (nothing of this package), ``"processes"`` /
 ``"sockets"`` in the shard pool's worker processes.  The paper's own
 scheduler lives here once, as a simulation:
 
-* :class:`ShardPool` — the one shard coordinator: a grid of
-  connections to one :class:`ShardWorker` server per store shard (and
-  replica), speaking framed TCP (:mod:`repro.parallel.transport`;
-  candidate payloads cross as compact masks in the versioned wire
-  format, see ``docs/WIRE_FORMAT.md``), shared by any number of
-  queries, each a :class:`QueryChannel` on it.  The
+* :class:`ShardPool` — the one coordinator: a flat list of
+  connections to :class:`ShardWorker` servers, each holding the whole
+  graph, speaking framed TCP (:mod:`repro.parallel.transport`, see
+  ``docs/WIRE_FORMAT.md``), shared by any number of queries, each a
+  :class:`QueryChannel` on it.  The
   workers are its own local pool (:func:`spawn_local_cluster`) or
   servers on other hosts; real multi-core wall clock either way.
   ``executor="processes"`` and ``executor="sockets"`` both mean
@@ -46,7 +45,12 @@ from .simulation import (
     SimulationResult,
     simulate_speedups,
 )
-from .worker import ShardWorker, default_io_timeout, shutdown_worker
+from .worker import (
+    ShardDescriptor,
+    ShardWorker,
+    default_io_timeout,
+    shutdown_worker,
+)
 from .tasks import (
     ROOT_TASK,
     ParallelResult,
@@ -63,6 +67,7 @@ __all__ = [
     "ShardPool",
     "QueryChannel",
     "ShardWorker",
+    "ShardDescriptor",
     "LocalCluster",
     "spawn_local_cluster",
     "shutdown_worker",

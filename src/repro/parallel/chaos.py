@@ -1,4 +1,4 @@
-"""Deterministic fault injection for the socket shard runtime.
+"""Deterministic fault injection for the socket pool runtime.
 
 Testing failover honestly requires faults that happen at *exactly* the
 same protocol position on every run — a sleep-and-kill race reproduces
@@ -7,10 +7,9 @@ module pins faults to **frame counts** instead of wall-clock time: a
 :class:`FaultPlan` lists faults like "sever shard 1's connection when
 the coordinator sends its 3rd frame" or "delay shard 0 replica 0's 2nd
 reply by 300 ms", and a :class:`ChaosSocket` wrapper applies them as
-the frames cross.  Because both job shapes are themselves
-deterministic (same job → same frame sequence: a JOB and one LEVEL per
-step under the level-synchronous protocol, one SUBTREE request per
-part under a subtree job), a seeded plan produces the same fault at
+the frames cross.  Because a job is itself
+deterministic (same job → same frame sequence: one SUBTREE request per
+part), a seeded plan produces the same fault at
 the same frame on every run, which is what lets the
 chaos tests and ``benchmarks/bench_chaos.py`` assert *bit-identical
 counts under faults* rather than merely "it didn't crash".
@@ -104,8 +103,8 @@ class Fault:
     ``after_frames`` is 1-based and counts frames *sent* by the bound
     endpoint on one connection: the fault fires when that endpoint is
     about to send its ``after_frames``-th frame.  For a coordinator
-    connection frame 1 is the JOB (the handshake is received, not
-    sent); for a worker session frame 1 is the HELLO.
+    connection frame 1 is its first request (the handshake is
+    received, not sent); for a worker session frame 1 is the HELLO.
 
     ``query_id`` pins the fault to one multiplexed query's frames:
     ``after_frames`` then counts only the frames tagged with that
@@ -160,10 +159,10 @@ class FaultPlan:
     faults need a process to terminate, and hand it to both sides::
 
         plan = FaultPlan(seed=7)
-        plan.kill_worker(shard_id=1, after_frames=2)   # mid-LEVEL kill
-        plan.slow_reply(0, replica_id=0, after_frames=2, seconds=0.4)
+        plan.kill_worker(shard_id=1, after_frames=1)   # mid-SUBTREE kill
+        plan.slow_reply(1, replica_id=0, after_frames=2, seconds=0.4)
         plan.arm_killer(1, 0, lambda: cluster.kill_member(1, 0))
-        pool = ShardPool(addresses=..., num_replicas=2, chaos=plan)
+        pool = ShardPool(addresses=..., chaos=plan)
 
     ``seed`` drives the plan's :attr:`rng` (used by stochastic fault
     extensions and available to harness code for jittered schedules);
@@ -196,7 +195,7 @@ class FaultPlan:
         query_id: Optional[int] = None,
     ) -> Fault:
         """Close the connection instead of sending frame ``N`` — the
-        mid-level disconnect (the worker process survives).  With
+        mid-job disconnect (the worker process survives).  With
         ``query_id``, ``N`` counts that query's frames alone."""
         return self._add(
             Fault(

@@ -1,7 +1,8 @@
-"""Local clusters: shard workers as subprocesses on loopback ports.
+"""Local clusters: pool members as subprocesses on loopback ports.
 
 :func:`spawn_local_cluster` boots ``num_shards × num_replicas``
-:class:`~repro.parallel.worker.ShardWorker` processes on ephemeral
+:class:`~repro.parallel.worker.ShardWorker` processes — members named
+``(shard, replica)`` — on ephemeral
 127.0.0.1 ports and returns the :class:`LocalCluster` that owns them.
 It is how a hostless :class:`~repro.parallel.pool.ShardPool`
 (``executor="processes"`` / ``"sockets"``, the match service), the
@@ -19,7 +20,6 @@ from typing import List, Tuple
 
 from ..errors import SchedulerError
 from ..hypergraph import Hypergraph
-from ..hypergraph.sharding import resolve_sharding
 from ..hypergraph.storage import resolve_index_backend
 from .tasks import RetryPolicy, default_seed, join_or_kill
 from .worker import ShardWorker, shutdown_worker
@@ -34,24 +34,20 @@ def _cluster_worker_main(
     conn,
     graph: Hypergraph,
     shard_id: int,
-    num_shards: int,
     index_backend: str,
     seed: int,
-    sharding: str = "uniform",
     replica_id: int = 0,
-    num_replicas: int = 1,
     chaos=None,
     announce=None,
     heartbeat_interval=None,
     store=None,
 ) -> None:
-    """Subprocess entry point: build the shard server, report its port
+    """Subprocess entry point: build the worker, report its port
     through the pipe, then serve until SHUTDOWN."""
     try:
         worker = ShardWorker(
-            graph, shard_id, num_shards, index_backend, seed=seed,
-            sharding=sharding, replica_id=replica_id,
-            num_replicas=num_replicas, chaos=chaos, announce=announce,
+            graph, shard_id, index_backend, seed=seed,
+            replica_id=replica_id, chaos=chaos, announce=announce,
             heartbeat_interval=heartbeat_interval, store=store,
         )
         host, port = worker.bind()
@@ -66,32 +62,28 @@ def _start_cluster_worker(
     context,
     graph: Hypergraph,
     shard_id: int,
-    num_shards: int,
     index_backend: str,
     seed: int,
-    sharding: str,
     replica_id: int = 0,
-    num_replicas: int = 1,
     chaos=None,
     announce=None,
     heartbeat_interval=None,
     store=None,
 ):
-    """Start one loopback shard-worker subprocess; returns
-    ``(process, parent_conn)`` — await its port with
-    :func:`_await_worker_ready`.  ``store`` (a built store of the whole
-    ``graph``) rides along only under ``fork``, where the child simply
-    inherits it; pickling one for another start method costs more than
-    the worker building its own on first need."""
+    """Start one loopback worker subprocess; returns ``(process,
+    parent_conn)`` — await its port with :func:`_await_worker_ready`.
+    ``store`` (a built store of the whole ``graph``) rides along only
+    under ``fork``, where the child simply inherits it; pickling one
+    for another start method costs more than the worker building its
+    own."""
     if context.get_start_method() != "fork":
         store = None
     parent_conn, child_conn = context.Pipe()
     process = context.Process(
         target=_cluster_worker_main,
         args=(
-            child_conn, graph, shard_id, num_shards, index_backend, seed,
-            sharding, replica_id, num_replicas, chaos, announce,
-            heartbeat_interval, store,
+            child_conn, graph, shard_id, index_backend, seed, replica_id,
+            chaos, announce, heartbeat_interval, store,
         ),
         daemon=True,
     )
@@ -113,7 +105,7 @@ def _await_worker_ready(
     Polls the pipe under jittered exponential backoff (seeded per
     worker identity, so schedules are reproducible) instead of one
     blocking wait: between probes a worker that already *died* —
-    import error, bad placement, OOM — is detected immediately via its
+    import error, OOM — is detected immediately via its
     ``process`` handle rather than after the full ``ready_timeout``.
     """
     retry = READY_POLL if retry is None else retry
@@ -145,12 +137,11 @@ def _await_worker_ready(
 
 
 class LocalCluster:
-    """Handle on a set of locally spawned shard-worker processes.
+    """Handle on a set of locally spawned worker processes.
 
     With ``num_replicas == K`` the cluster holds ``num_shards × K``
-    workers; ``processes``/``addresses`` are flat lists indexed
-    ``shard_id * K + replica_id`` (so K=1 keeps the historical
-    one-entry-per-shard layout).
+    workers; ``processes``/``addresses`` are flat lists indexed by the
+    name ``(shard_id, replica_id)`` as ``shard_id * K + replica_id``.
     """
 
     def __init__(
@@ -160,7 +151,6 @@ class LocalCluster:
         index_backend,
         seed,
         graph: "Hypergraph | None" = None,
-        sharding: str = "uniform",
         start_method: "str | None" = None,
         ready_timeout: float = 30.0,
         num_replicas: int = 1,
@@ -173,7 +163,6 @@ class LocalCluster:
         self.addresses: "List[Tuple[str, int]]" = addresses
         self.index_backend = index_backend
         self.seed = seed
-        self.sharding = sharding
         self.num_replicas = num_replicas
         self.chaos = chaos
         self.shutdown_timeout = shutdown_timeout
@@ -216,9 +205,8 @@ class LocalCluster:
     def respawn(
         self, shard_id: int, replica_id: int = 0
     ) -> Tuple[str, int]:
-        """Replace a dead worker process with a fresh one for the same
-        shard slot (built with the cluster's spawn-time placement mode)
-        and return its new address — the restart-with-requeue hook the
+        """Replace a dead worker process with a fresh one of the same
+        name and return its new address — the restart hook the
         coordinator uses on mid-job worker loss."""
         if self._graph is None:
             raise SchedulerError(
@@ -239,10 +227,8 @@ class LocalCluster:
             else get_context()
         )
         process, parent_conn = _start_cluster_worker(
-            context, self._graph, shard_id, self.num_shards,
-            self.index_backend, self.seed, self.sharding,
-            replica_id, self.num_replicas, self.chaos,
-            self.announce, self.heartbeat_interval,
+            context, self._graph, shard_id, self.index_backend, self.seed,
+            replica_id, self.chaos, self.announce, self.heartbeat_interval,
         )
         try:
             address = _await_worker_ready(
@@ -288,36 +274,32 @@ def spawn_local_cluster(
     seed: "int | None" = None,
     start_method: "str | None" = None,
     ready_timeout: float = 30.0,
-    sharding: "str | None" = None,
     num_replicas: int = 1,
     chaos=None,
     announce: "Tuple[str, int] | None" = None,
     heartbeat_interval: "float | None" = None,
     store=None,
 ) -> LocalCluster:
-    """Boot ``num_shards × num_replicas`` shard workers on loopback.
+    """Boot ``num_shards × num_replicas`` workers on loopback, named
+    ``(shard, replica)``.
 
-    Each worker builds its own :class:`~repro.hypergraph.sharding.
-    StoreShard` (under the requested placement mode), binds an
-    ephemeral 127.0.0.1 port and serves the framed protocol; the
-    returned :class:`LocalCluster` lists the addresses to hand a
-    :class:`~repro.parallel.pool.ShardPool`.  Replicas
-    of a shard build identical stores — the coordinator treats them as
-    interchangeable failover targets.  This is the single-machine path
+    Each worker holds a store of the whole graph, binds an ephemeral
+    127.0.0.1 port and serves the framed protocol; the returned
+    :class:`LocalCluster` lists the addresses to hand a
+    :class:`~repro.parallel.pool.ShardPool`.  This is the single-machine path
     through the *full* network stack — the tests' and benchmarks' way
     of proving the multi-host story without a second host.  A ``chaos``
     :class:`~repro.parallel.chaos.FaultPlan` is pickled into every
     worker so worker-role faults (slow/dropped replies) apply there.
     ``store`` — the caller's already-built store of the whole ``graph``
-    — is handed to the workers for their subtree requests where that is
-    free (``fork``); a respawned worker builds its own on first need.
+    — becomes every worker's own where that is free (``fork``); a
+    respawned worker builds its own.
     """
     if num_shards < 1:
         raise SchedulerError("num_shards must be >= 1")
     if num_replicas < 1:
         raise SchedulerError("num_replicas must be >= 1")
     index_backend = resolve_index_backend(index_backend)
-    sharding = resolve_sharding(sharding)
     seed = default_seed() if seed is None else seed
     context = (
         get_context(start_method)
@@ -330,9 +312,8 @@ def spawn_local_cluster(
     for shard_id in range(num_shards):
         for replica_id in range(num_replicas):
             process, parent_conn = _start_cluster_worker(
-                context, graph, shard_id, num_shards, index_backend, seed,
-                sharding, replica_id, num_replicas, chaos, announce,
-                heartbeat_interval, store,
+                context, graph, shard_id, index_backend, seed, replica_id,
+                chaos, announce, heartbeat_interval, store,
             )
             processes.append(process)
             parent_conns.append(parent_conn)
@@ -358,7 +339,7 @@ def spawn_local_cluster(
             parent_conn.close()
     return LocalCluster(
         processes, addresses, index_backend, seed,
-        graph=graph, sharding=sharding, start_method=start_method,
+        graph=graph, start_method=start_method,
         ready_timeout=ready_timeout, num_replicas=num_replicas,
         chaos=chaos, announce=announce,
         heartbeat_interval=heartbeat_interval,

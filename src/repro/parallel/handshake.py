@@ -1,16 +1,19 @@
 """The coordinator's side of opening a worker session.
 
-Connecting to a shard worker and deciding whether to trust it is one
+Connecting to a pool member and deciding whether to trust it is one
 sequence, whoever asks :class:`~repro.parallel.pool.ShardPool` for it —
 pool open, a recovery reconnect or respawn, an admission:
 
 * :func:`open_session` — TCP connect (under a retry policy), chaos
   wrap, :func:`validate_handshake`, then the established-connection
   I/O timeout and the chaos endpoint binding;
-* :func:`validate_handshake` — the gate itself: backend, shard and
-  replica arithmetic, placement label, scheduler seed and data-graph
-  fingerprint, with a CATCHUP exchange (§2.10) that repairs a worker
+* :func:`validate_handshake` — the gate itself: backend, scheduler
+  seed, data-graph fingerprint and (for a respawn or reconnect) the
+  member's name, with a CATCHUP exchange (§2.10) that repairs a worker
   announcing a stale graph version instead of refusing it.
+
+What a worker announces is its
+:class:`~repro.parallel.worker.ShardDescriptor`.
 """
 
 from __future__ import annotations
@@ -21,10 +24,10 @@ import socket
 import time
 
 from ..errors import SchedulerError, TransportError
-from ..hypergraph.sharding import SHARDING_MODES, ShardDescriptor
 from . import transport
 from .tasks import RetryPolicy
-from .worker import disable_nagle
+from .worker import ShardDescriptor, disable_nagle
+
 
 #: How long the coordinator waits for a TCP connect + handshake.
 CONNECT_TIMEOUT = 10.0
@@ -76,40 +79,21 @@ def default_retry_policy() -> RetryPolicy:
     return RetryPolicy(**kwargs)
 
 
-def _catchup_body(graph, stale_version: int, sharding: "str | None"):
-    """Build the CATCHUP payload for a worker stuck at ``stale_version``.
+def _catchup_body(graph, stale_version: int) -> bytes:
+    """The CATCHUP payload for a worker stuck at ``stale_version``.
 
     Prefers the cheap path — the contiguous suffix of committed
     :class:`MutationBatch`es the graph retains in its in-memory history
     (:meth:`~repro.hypergraph.dynamic.DynamicHypergraph.batches_since`)
-    — and falls back to shipping a snapshot of the whole graph when the
-    suffix has aged out.  The snapshot path needs a
-    *resolvable* sharding mode label (the worker re-cuts its shard from
-    the snapshot; a ``rebalanced-*`` label carries no recipe), so when
-    ``sharding`` is ``None`` and no suffix exists the caller must fall
-    back to refusal.  Returns the pickled payload bytes, or ``None``
-    when no catch-up route exists.
+    — and falls back to shipping a snapshot of the whole graph, from
+    which the worker rebuilds its store, when the suffix has aged out.
     """
     batches = graph.batches_since(stale_version)
-    if batches is not None:
-        return pickle.dumps(
-            {"batches": batches, "to_version": graph.version},
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
-    if sharding is None:
-        return None
-    return pickle.dumps(
-        {"snapshot": graph, "to_version": graph.version, "sharding": sharding},
-        protocol=pickle.HIGHEST_PROTOCOL,
+    payload = (
+        {"snapshot": graph} if batches is None else {"batches": batches}
     )
-
-
-def _resolvable_sharding(*labels) -> "str | None":
-    """First label that names a plain sharding mode, or ``None``."""
-    for label in labels:
-        if label in SHARDING_MODES:
-            return label
-    return None
+    payload["to_version"] = graph.version
+    return pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
 
 
 def validate_handshake(
@@ -117,45 +101,25 @@ def validate_handshake(
     graph,
     *,
     index_backend: str,
-    num_shards: int,
-    num_replicas: int,
     seed: int,
-    sharding_label: str,
     expected_shard: "int | None" = None,
     expected_replica: "int | None" = None,
-    expected_sharding: "str | None" = None,
-    allow_replica_growth: bool = False,
-    any_sharding: bool = False,
     allow_catchup: bool = True,
-    recv=None,
 ) -> ShardDescriptor:
     """Receive and validate one worker's HELLO against a pool's view.
 
     The single handshake gate of the coordinator side: every session
-    :class:`~repro.parallel.pool.ShardPool` opens and every REBALANCE
-    echo it reads goes through it.  ``recv`` replaces
-    :func:`~repro.parallel.transport.recv_frame` as the frame source
-    (the pool's echo reads skip job replies still in the stream).
-    ``expected_shard``/``expected_replica`` (worker recovery and
-    rebalance echoes) pin the announced identity.
-    ``expected_sharding`` overrides the placement label to expect — a
-    freshly respawned worker announces the spawn mode even while the
-    pool runs a rebalanced layout.  The admission path relaxes two
-    checks: ``allow_replica_growth`` accepts a *wider* replica
-    arithmetic than the pool's (an elastic K-growth — never a narrower
-    one), and ``any_sharding`` defers the placement-label check to the
-    caller (which REBALANCE-upgrades label mismatches instead of
-    refusing them).
+    :class:`~repro.parallel.pool.ShardPool` opens goes through it.
+    ``expected_shard``/``expected_replica`` (a respawn or a reconnect
+    in place) pin the announced name.
 
     A worker announcing a *stale* ``graph_version`` (it was restarting
     while MUTATE broadcasts went out, or was spawned from the seed
-    graph) is no longer refused outright: when ``allow_catchup`` is on
-    the gate sends a CATCHUP frame carrying the missing mutation
-    batches — or a graph snapshot when the retained suffix has aged
-    out — waits for the worker's CATCHUP-REPLY (a fresh handshake body
-    reflecting the post-replay state), and re-validates that in full.
-    Only when no catch-up route exists, or the reply is still stale,
-    does the version mismatch surface as a refusal.
+    graph) is not refused outright: when ``allow_catchup`` is on the
+    gate sends a CATCHUP frame carrying the missing mutation batches —
+    or a graph snapshot when the retained suffix has aged out — waits
+    for the worker's CATCHUP-REPLY (a fresh handshake body reflecting
+    the post-replay state), and re-validates that in full.
     """
 
     def _decode(body) -> "tuple[ShardDescriptor, int]":
@@ -169,75 +133,32 @@ def validate_handshake(
             ) from None
         return descriptor, worker_seed
 
-    sharding = (
-        sharding_label if expected_sharding is None else expected_sharding
-    )
-
     def _check_contract(descriptor: ShardDescriptor, worker_seed: int):
         # Everything except graph identity: these mismatches are
         # configuration errors a catch-up replay cannot repair.
+        who = f"shard {descriptor.shard_id} replica {descriptor.replica_id}"
         if descriptor.index_backend != index_backend:
             raise SchedulerError(
-                f"handshake backend mismatch: worker shard "
-                f"{descriptor.shard_id} built {descriptor.index_backend!r}, "
-                f"coordinator expects {index_backend!r}"
+                f"handshake backend mismatch: worker {who} built "
+                f"{descriptor.index_backend!r}, coordinator expects "
+                f"{index_backend!r}"
             )
-        if descriptor.num_shards != num_shards:
-            raise SchedulerError(
-                f"shard arithmetic mismatch: worker believes in "
-                f"{descriptor.num_shards} shards, coordinator in "
-                f"{num_shards}"
-            )
-        if descriptor.num_replicas != num_replicas and not (
-            allow_replica_growth
-            and descriptor.num_replicas > num_replicas
+        for field, expected in (
+            ("shard_id", expected_shard), ("replica_id", expected_replica),
         ):
-            raise SchedulerError(
-                f"replica arithmetic mismatch: worker shard "
-                f"{descriptor.shard_id} believes in "
-                f"{descriptor.num_replicas} replicas, coordinator in "
-                f"{num_replicas}"
-            )
-        if not 0 <= descriptor.shard_id < num_shards:
-            raise SchedulerError(
-                f"worker announced shard id {descriptor.shard_id} outside "
-                f"0..{num_shards - 1}"
-            )
-        if (
-            expected_shard is not None
-            and descriptor.shard_id != expected_shard
-        ):
-            raise SchedulerError(
-                f"respawned worker announced shard id "
-                f"{descriptor.shard_id}, expected {expected_shard}"
-            )
-        if (
-            expected_replica is not None
-            and descriptor.replica_id != expected_replica
-        ):
-            raise SchedulerError(
-                f"respawned worker announced replica "
-                f"{descriptor.replica_id}, expected {expected_replica}"
-            )
-        if not any_sharding and descriptor.sharding != sharding:
-            raise SchedulerError(
-                f"shard placement mismatch: worker shard "
-                f"{descriptor.shard_id} was cut under "
-                f"{descriptor.sharding!r}, coordinator expects "
-                f"{sharding!r} — composing different placements would "
-                f"double- or under-count rows"
-            )
+            if expected is not None and getattr(descriptor, field) != expected:
+                raise SchedulerError(
+                    f"respawned worker announced {who}, expected "
+                    f"shard {expected_shard} replica {expected_replica}"
+                )
         if worker_seed != seed:
             raise SchedulerError(
-                f"scheduler seed mismatch: worker shard "
-                f"{descriptor.shard_id} runs REPRO_SEED={worker_seed}, "
-                f"coordinator {seed} — parallel runs would not be "
-                f"reproducible"
+                f"scheduler seed mismatch: worker {who} runs "
+                f"REPRO_SEED={worker_seed}, coordinator {seed} — parallel "
+                f"runs would not be reproducible"
             )
 
-    if recv is None:
-        recv = transport.recv_frame
-    kind, body = recv(sock)
+    kind, body = transport.recv_frame(sock)
     if kind != transport.MSG_HELLO:
         raise SchedulerError(
             f"worker spoke {kind:#x} before HELLO; not a shard server?"
@@ -246,38 +167,33 @@ def validate_handshake(
     _check_contract(descriptor, worker_seed)
     graph_version = graph.version
     if allow_catchup and descriptor.graph_version < graph_version:
-        payload = _catchup_body(
-            graph,
-            descriptor.graph_version,
-            _resolvable_sharding(descriptor.sharding, sharding),
+        transport.send_frame(
+            sock,
+            transport.MSG_CATCHUP,
+            _catchup_body(graph, descriptor.graph_version),
         )
-        if payload is not None:
-            transport.send_frame(sock, transport.MSG_CATCHUP, payload)
-            kind, body = recv(sock)
-            if kind == transport.MSG_ERROR:
-                raise SchedulerError(
-                    f"worker shard {descriptor.shard_id} failed "
-                    f"catch-up from version {descriptor.graph_version} "
-                    f"to {graph_version}:\n"
-                    f"{transport.decode_pickle_body(body)}"
-                )
-            if kind != transport.MSG_CATCHUP_REPLY:
-                raise SchedulerError(
-                    f"worker shard {descriptor.shard_id} answered "
-                    f"CATCHUP with frame kind {kind:#x}, expected "
-                    f"CATCHUP-REPLY"
-                )
-            descriptor, worker_seed = _decode(body)
-            _check_contract(descriptor, worker_seed)
+        kind, body = transport.recv_frame(sock)
+        if kind == transport.MSG_ERROR:
+            raise SchedulerError(
+                f"worker shard {descriptor.shard_id} failed "
+                f"catch-up from version {descriptor.graph_version} "
+                f"to {graph_version}:\n"
+                f"{transport.decode_pickle_body(body)}"
+            )
+        if kind != transport.MSG_CATCHUP_REPLY:
+            raise SchedulerError(
+                f"worker shard {descriptor.shard_id} answered "
+                f"CATCHUP with frame kind {kind:#x}, expected "
+                f"CATCHUP-REPLY"
+            )
+        descriptor, worker_seed = _decode(body)
+        _check_contract(descriptor, worker_seed)
     if descriptor.graph_version != graph_version:
         raise SchedulerError(
             f"graph version mismatch: worker shard "
             f"{descriptor.shard_id} reflects mutation version "
             f"{descriptor.graph_version}, the engine holds "
-            f"{graph_version} — the worker missed a MUTATE broadcast "
-            f"and no catch-up route exists (the retained batch suffix "
-            f"aged out and the placement label carries no rebuild "
-            f"recipe)"
+            f"{graph_version} — the worker missed a MUTATE broadcast"
         )
     if (
         descriptor.graph_edges != graph.num_edges

@@ -11,13 +11,12 @@ Both halves of the protocol live here:
   one reply per shard and composes the surviving candidate sets with
   :func:`repro.core.candidates.compose_candidate_sets`.
 
-:class:`~repro.parallel.pool.QueryChannel` — one query on the shared
-:class:`~repro.parallel.pool.ShardPool`, be it a solo job
-(:meth:`~repro.parallel.pool.ShardPool.run`) or one of
-the match service's many — drives this loop, and
-:class:`~repro.parallel.worker.ShardWorker` is the one caller of the
-kernel — so every deployment produces bit-identical counts because it
-literally executes these functions.
+No pool runs this protocol: a pool member holds the whole graph and
+answers subtree requests (:mod:`repro.parallel.pool`).  The loop, the
+kernel and :class:`~repro.hypergraph.sharding.StoreShard` stay as the
+surface the frozen layer trace of ``benchmarks/e2e`` drives with shards
+held in one process, and as the oracle of the row-range distributivity
+the tests pin.
 
 An executor plugs in by providing:
 

@@ -19,13 +19,11 @@ stream into a live membership table:
   old record (**latest wins**): a restarted worker must not be held
   hostage by its dead predecessor's half-open connection.
 
-Membership is exposed in the same shape the executor already consumes:
-:meth:`WorkerRegistry.membership` builds one
-:class:`~repro.hypergraph.sharding.ReplicaSet` per shard range (missed
-heartbeats feed replica liveness directly), and
+Membership is keyed by each worker's name ``(shard_id, replica_id)``:
 :meth:`WorkerRegistry.addresses` flattens the table into the
-shard-major ``addresses`` list :class:`~repro.parallel.pool.ShardPool`
-takes.
+``addresses`` list :class:`~repro.parallel.pool.ShardPool` takes, and
+the pool folds :meth:`WorkerRegistry.evictions_since` into its
+failover.
 
 The worker side is :class:`Announcer`: a daemon thread owned by
 :class:`~repro.parallel.worker.ShardWorker` that connects,
@@ -57,10 +55,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import SchedulerError, TransportError
-from ..hypergraph.sharding import ReplicaSet, ShardDescriptor
 from . import transport
 from .chaos import ROLE_ANNOUNCER
 from .tasks import RetryPolicy
+from .worker import ShardDescriptor
 
 logger = logging.getLogger("repro.parallel")
 
@@ -248,38 +246,10 @@ class WorkerRegistry:
         with self._lock:
             return list(self._evictions)
 
-    def membership(
-        self, num_shards: int, num_replicas: "int | None" = None
-    ) -> List[ReplicaSet]:
-        """Live membership as one :class:`ReplicaSet` per shard range —
-        missed-heartbeat eviction lands here as an absent member.
-
-        ``num_replicas`` defaults to the widest replica arithmetic any
-        live worker announced (1 when nothing is live).
-        """
-        with self._lock:
-            records = list(self._records.values())
-        if num_replicas is None:
-            num_replicas = max(
-                (record.descriptor.num_replicas for record in records),
-                default=1,
-            )
-        grid = [
-            ReplicaSet(shard_id, num_replicas)
-            for shard_id in range(num_shards)
-        ]
-        for record in records:
-            if not 0 <= record.shard_id < num_shards:
-                continue
-            if not 0 <= record.replica_id < num_replicas:
-                continue
-            grid[record.shard_id].place(record.replica_id, record)
-        return grid
-
     def addresses(
         self, num_shards: int, num_replicas: int = 1
     ) -> List[Tuple[str, int]]:
-        """The shard-major flat address list the executor consumes
+        """The flat address list the pool consumes, in name order
         (``shard_id * num_replicas + replica_id``); raises
         :class:`SchedulerError` when any slot has no live worker."""
         missing: List[Tuple[int, int]] = []
@@ -511,8 +481,8 @@ class Announcer:
 
     ``hello`` is a callable returning ``(address, descriptor_dict,
     seed)`` — evaluated at every (re)connect so a worker whose
-    descriptor changed (a REBALANCE relabel) re-announces its current
-    identity, not a stale snapshot.
+    descriptor changed (a MUTATE moved its graph version) re-announces
+    its current state, not a stale snapshot.
 
     The announcer reconnects under :class:`RetryPolicy` jittered
     backoff without an attempt bound (capped delay, unbounded tries): a

@@ -22,8 +22,8 @@ Each (shard, replica) slot keeps its own budget and backoff clock:
   consumes budget exactly like a crash.
 * A slot that exhausts its budget is marked ``exhausted`` and left
   down.  That is *graceful degradation*, not an error: the pool keeps
-  serving at reduced K as long as any replica of every range survives
-  (the coordinator's failover handles the rest).  Only when **zero**
+  serving with fewer members as long as any one survives (the
+  coordinator's failover handles the rest).  Only when **zero**
   supervised workers remain alive and every slot is out of budget does
   :meth:`poll` raise — there is nothing left to serve with.
 
@@ -117,7 +117,6 @@ class WorkerSupervisor:
         index_backend: "str | None" = None,
         seed: "int | None" = None,
         num_replicas: int = 1,
-        sharding: "str | None" = None,
         start_method: "str | None" = None,
         announce: "Tuple[str, int] | None" = None,
         heartbeat_interval: "float | None" = None,
@@ -133,7 +132,6 @@ class WorkerSupervisor:
         self.num_replicas = num_replicas
         self.index_backend = index_backend
         self.seed = default_seed() if seed is None else seed
-        self.sharding = sharding
         self.start_method = start_method
         self.announce = announce
         self.heartbeat_interval = heartbeat_interval
@@ -157,7 +155,6 @@ class WorkerSupervisor:
             seed=self.seed,
             start_method=self.start_method,
             ready_timeout=self.ready_timeout,
-            sharding=self.sharding,
             num_replicas=self.num_replicas,
             chaos=self.chaos,
             announce=self.announce,

@@ -136,15 +136,13 @@ class WorkerStats:
     tasks_stolen: int = 0
     peak_queue: int = 0
     #: Bytes of candidate payloads this worker shipped across a process
-    #: boundary (shard executors only).
+    #: boundary (:func:`~repro.parallel.level_sync.expand_level` only).
     payload_bytes: int = 0
-    #: CPU seconds this worker's own thread spent expanding levels
-    #: (``time.thread_time`` deltas; shard executors only).  Unlike
+    #: CPU seconds this worker's own thread spent on its part
+    #: (``time.thread_time`` deltas; pool members only).  Unlike
     #: ``busy_time`` — a wall-clock span that inflates with scheduler
     #: contention when more workers than cores run concurrently — this
-    #: measures the work a shard actually performed, which is what the
-    #: skew benchmark gates on and what the rebalancer feeds back into
-    #: the range cut.
+    #: measures the work a worker actually performed.
     cpu_time: float = 0.0
 
     def as_row(self) -> dict:
@@ -166,9 +164,7 @@ def worker_loads(stats: "list[WorkerStats]") -> "list[float]":
 
     Prefers the contention-robust :attr:`WorkerStats.cpu_time` and
     falls back to :attr:`WorkerStats.busy_time` for executors that do
-    not record CPU deltas.  This is the one definition shared by the
-    skew benchmark's imbalance metric and the shard rebalancer, so the
-    number being gated is the number being fed back.
+    not record CPU deltas (the simulation).
     """
     ordered = sorted(stats, key=lambda entry: entry.worker_id)
     if any(entry.cpu_time > 0 for entry in ordered):
@@ -179,8 +175,8 @@ def worker_loads(stats: "list[WorkerStats]") -> "list[float]":
 def load_imbalance(stats: "list[WorkerStats]") -> float:
     """Max/mean per-worker load — 1.0 is perfect balance.
 
-    The critical path of a level-synchronous job is its slowest shard,
-    so this ratio is exactly the factor the level barrier loses to skew.
+    The critical path of a parallel job is its slowest worker, so this
+    ratio is exactly the factor the job loses to skew.
     """
     loads = worker_loads(stats)
     mean = sum(loads) / max(len(loads), 1)
@@ -200,6 +196,5 @@ class ParallelResult:
 
     def load_imbalance(self) -> float:
         """Max/mean per-worker load (1.0 = perfect balance): CPU time
-        where the workers record it, else busy time — the one number
-        the rebalancer and the skew gate act on as well."""
+        where the workers record it, else busy time."""
         return load_imbalance(self.worker_stats)

@@ -1,14 +1,12 @@
 """The socket transport: framed messages between a coordinator and its
-shard workers.
+pool members.
 
-Candidate survivors cross the shard boundary as compact
-:class:`~repro.core.candidates.CandidateSet` payloads (tags
-``T``/``M``/``C``) and the coordinator composes them with the
-container-pairwise ``|`` algebra.  Those payloads are host-neutral —
-nothing in them references process-local state — so whether a shard
-worker runs on this machine or another is purely a matter of where the
-TCP connection leads; what the byte stream needs is enough structure
-to survive version skew and partial failure.
+Every member holds the whole data graph, so a request names a slice of
+a query's root candidates and the answer is a count: nothing in either
+references process-local state, and whether a worker runs on this
+machine or another is purely a matter of where the TCP connection
+leads.  What the byte stream needs is enough structure to survive
+version skew and partial failure.
 
 This module defines that structure.  It deliberately contains **no
 enumeration logic** (that stays in :mod:`repro.parallel.worker`)
@@ -38,36 +36,25 @@ Message kinds
 byte    name     body
 ======  =======  ===========================================================
 ``H``   HELLO    pickled handshake dict (worker -> coordinator on accept)
-``J``   JOB      ``u64 query_id`` + pickled ``(query, order,
-        graph_version)`` — the worker opens (or restarts) that query's
-        session, refusing a version it does not hold
-``L``   LEVEL    ``u64 query_id`` + pickled ``(step, frontier)``
 ``T``   SUBTREE  ``u64 query_id`` + ``u32 part`` + ``u32 parts`` + pickled
         ``(query, order, graph_version, budget)`` — a whole counting job
         over every ``parts``-th root candidate from ``part``, answered
-        with one payload-free REPLY carrying the count and accounting;
-        no session state (see :func:`encode_subtree_body`)
-``R``   REPLY    ``u64 query_id`` + binary level reply (see
+        with one REPLY carrying the count and accounting; no session
+        state (see :func:`encode_subtree_body`)
+``R``   REPLY    ``u64 query_id`` + binary reply (see
         :func:`encode_level_reply`)
-``C``   COLLECT  ``u64 query_id`` only — close the query out; answered
-        with a payload-free REPLY carrying its accounting
 ``e``   QERROR   ``u64 query_id`` + pickled traceback string — fails
         that query alone; the session keeps serving other queries
-``X``   CANCEL   ``u64 query_id`` only — drop the query's session
-        state; fire-and-forget (no reply)
-``B``   REBALANCE pickled ``(label, ranges)`` — rebuild the shard from
-        an explicit range slice; the worker answers with a fresh HELLO
-        whose descriptor echoes ``label`` as its sharding
 ``S``   STOP     empty — end this session (connection), keep serving
 ``Q``   QUIT     empty — shut the worker server down
-``E``   ERROR    pickled traceback string (a REBALANCE / MUTATE /
-        CATCHUP failed; the session ends)
+``E``   ERROR    pickled traceback string (a MUTATE / CATCHUP failed;
+        the session ends)
 ``A``   ANNOUNCE pickled registration dict (worker -> registry: the
         worker's serving address plus its handshake descriptor/seed)
 ``h``   HEARTBEAT empty — worker -> registry liveness tick; identity is
         the connection's preceding ANNOUNCE
 ``M``   MUTATE   pickled ``MutationBatch`` — apply one committed edge
-        insert/delete batch to the worker's graph and shard, in place
+        insert/delete batch to the worker's graph and store, in place
 ``D``   DELTA    pickled mutation ack dict (``graph_version``,
         ``graph_edges``, ``graph_vertices``) — the worker's state
         after applying a MUTATE
@@ -79,24 +66,19 @@ byte    name     body
         the coordinator re-validates in full
 ======  =======  ===========================================================
 
-There is one job family: every JOB / LEVEL / SUBTREE / REPLY / COLLECT
-frame is tagged with the query it belongs to, so a worker session holds
-a dict of per-query sessions and a coordinator that runs one job at a
-time is simply the one-query case (it tags every job
-:data:`SOLO_QUERY_ID`).  A job has one of two shapes: level-synchronous
-(JOB, then one LEVEL round trip per plan step per shard range) or
-subtree (one self-contained SUBTREE request and one REPLY per worker).
+A job is one SUBTREE request and one REPLY per part.  SUBTREE, REPLY
+and QERROR are tagged with the query they belong to, so one connection
+carries any number of queries at once and a coordinator that runs one
+job at a time is simply the one-query case (it tags every job
+:data:`SOLO_QUERY_ID`).
 
 Control messages carry pickles — the coordinator and its workers are
 mutually trusted members of one deployment (do **not** expose a worker
 port to untrusted input).
-The performance-relevant payloads inside a ``REPLY`` are *not* pickles:
-each surviving candidate set is the compact
-:meth:`~repro.core.candidates.CandidateSet.to_bytes` encoding prefixed
-with the candidate wire version byte
-(:data:`repro.core.candidates.WIRE_VERSION`), so the bytes crossing
-machine boundaries are the same mask/container representations the
-in-process algebra uses, independently versioned from the framing.
+The ``REPLY`` layout keeps a table of candidate payloads (each the
+compact :meth:`~repro.core.candidates.CandidateSet.to_bytes` encoding
+prefixed with the candidate wire version byte); a subtree reply leaves
+it empty.
 """
 
 from __future__ import annotations
@@ -106,22 +88,20 @@ import socket
 import struct
 from typing import List, Optional, Sequence, Tuple
 
-from ..core.candidates import decode_versioned
 from ..errors import TransportError
 
 #: Version byte of the *framing* protocol (handshake, message kinds,
 #: level-reply layout).  Independent from the candidate-payload
 #: ``WIRE_VERSION``: a framing change does not invalidate archived
 #: payloads, and a payload change is caught per-payload.
-PROTOCOL_VERSION = 3
+PROTOCOL_VERSION = 4
 
-#: Upper bound on a single frame's ``length`` field.  Frontiers are the
-#: largest message in practice and stream level by level, so anything
+#: Upper bound on a single frame's ``length`` field.  A CATCHUP snapshot
+#: (a pickled graph) is the largest message in practice, so anything
 #: near this bound indicates a corrupt length prefix, not real data.
 MAX_FRAME_BYTES = 1 << 30
 
 MSG_HELLO = 0x48  # b"H"
-MSG_REBALANCE = 0x42  # b"B"
 MSG_STOP = 0x53  # b"S"
 MSG_SHUTDOWN = 0x51  # b"Q"
 MSG_ERROR = 0x45  # b"E"
@@ -130,14 +110,10 @@ MSG_HEARTBEAT = 0x68  # b"h"
 
 # The job family (WIRE_FORMAT.md §2.5): each body leads with a u64
 # query_id, so one worker session can hold many in-flight jobs.  QERROR
-# fails one query without ending the session; CANCEL drops one.
-MSG_JOB = 0x4A  # b"J"
-MSG_LEVEL = 0x4C  # b"L"
+# fails one query without ending the session.
 MSG_SUBTREE = 0x54  # b"T"
 MSG_LEVEL_REPLY = 0x52  # b"R"
-MSG_COLLECT = 0x43  # b"C"
 MSG_QERROR = 0x65  # b"e"
-MSG_CANCEL = 0x58  # b"X"
 
 # Dynamic-graph revisions (WIRE_FORMAT.md §2.9): a coordinator commits
 # an edge insert/delete batch pool-wide with MUTATE; each worker
@@ -156,23 +132,16 @@ MSG_CATCHUP = 0x55  # b"U"
 MSG_CATCHUP_REPLY = 0x75  # b"u"
 
 #: The kinds whose body starts with a ``u64 query_id`` tag.
-QUERY_KINDS = frozenset({
-    MSG_JOB, MSG_LEVEL, MSG_SUBTREE, MSG_LEVEL_REPLY, MSG_COLLECT,
-    MSG_QERROR, MSG_CANCEL,
-})
+QUERY_KINDS = frozenset({MSG_SUBTREE, MSG_LEVEL_REPLY, MSG_QERROR})
 
 _KNOWN_KINDS = QUERY_KINDS | {
-    MSG_HELLO, MSG_REBALANCE, MSG_STOP, MSG_SHUTDOWN, MSG_ERROR,
+    MSG_HELLO, MSG_STOP, MSG_SHUTDOWN, MSG_ERROR,
     MSG_ANNOUNCE, MSG_HEARTBEAT, MSG_MUTATE, MSG_DELTA,
     MSG_CATCHUP, MSG_CATCHUP_REPLY,
 }
 
-#: The query id of a coordinator that runs one job at a time.  Every
-#: JOB under it restarts the same worker-side session — a replica that
-#: was sent a JOB but never its closing frame holds no stale state past
-#: the next one — and a COLLECT under it with no session open is the
-#: between-jobs liveness probe, answered with empty accounting.
-#: Multiplexing coordinators number their queries from 1.
+#: The query id of a coordinator that runs one job at a time;
+#: multiplexing coordinators number their queries from 1.
 SOLO_QUERY_ID = 0
 
 _QUERY_ID = struct.Struct("<Q")
@@ -247,8 +216,7 @@ def decode_frame(data: bytes) -> Tuple[int, bytes]:
 
 def encode_query_body(query_id: int, body: bytes = b"") -> bytes:
     """Prefix ``body`` with the ``u64 query_id`` tag of a job-family
-    frame (:data:`QUERY_KINDS`); CANCEL and COLLECT carry the tag
-    alone."""
+    frame (:data:`QUERY_KINDS`)."""
     if not isinstance(query_id, int) or query_id < 0 or query_id > (1 << 64) - 1:
         raise TransportError(f"query id {query_id!r} does not fit u64")
     return _QUERY_ID.pack(query_id) + body
@@ -378,17 +346,16 @@ def decode_pickle_body(body: bytes):
 
 
 # ----------------------------------------------------------------------
-# Level replies (the hot reply: candidate payloads stay raw bytes)
+# Replies
 # ----------------------------------------------------------------------
 #
 # REPLY body layout::
 #
-#     u64 embeddings          accepted complete embeddings (final level)
+#     u64 embeddings          the part's count
 #     u8  has_accounting      1 when the pickled (counters, stats) tail
-#                             is present (the final level's reply and
-#                             the reply to a COLLECT)
-#     u32 num_payloads        one slot per frontier partial (0 on the
-#                             final level — survivors are consumed)
+#                             is present (always, on a subtree reply)
+#     u32 num_payloads        one slot per frontier partial (0 on a
+#                             subtree reply)
 #     per payload:
 #         u32 size            0 = no survivors for that partial
 #         size bytes          versioned candidate payload
@@ -462,40 +429,20 @@ def decode_level_reply(
     return payloads, embeddings, accounting
 
 
-def decode_reply(body: bytes, collect: bool):
-    """Decode the level-reply body of a REPLY frame into what
-    :func:`repro.parallel.level_sync.run_level_synchronous` gathers.
-
-    The one reply decoder of every coordinator: ``("level", payloads,
-    embeddings)`` with the candidate version bytes stripped and
-    ``(counters, stats)`` appended when the accounting tail is present,
-    or — for the answer to a COLLECT (``collect``) — the ``(counters,
-    stats)`` pair alone.  Every way the body can be undecodable
-    surfaces as :class:`TransportError`.
-    """
-    payloads, embeddings, tail = decode_level_reply(body)
-    accounting = None
-    if tail is not None:
-        accounting = decode_pickle_body(tail)
-        if not isinstance(accounting, tuple) or len(accounting) != 2:
-            raise TransportError(
-                f"reply accounting is {type(accounting).__name__}, not a "
-                f"(counters, stats) pair"
-            )
-    if collect:
-        if accounting is None:
-            raise TransportError("COLLECT answered without accounting")
-        return accounting
-    if payloads is not None:
-        try:
-            payloads = [
-                None if payload is None else decode_versioned(payload)
-                for payload in payloads
-            ]
-        except ValueError as exc:
-            raise TransportError(str(exc)) from None
-    reply = ("level", payloads, embeddings)
-    return reply if accounting is None else reply + accounting
+def decode_reply(body: bytes):
+    """Decode the body of a subtree REPLY into ``(embeddings, counters,
+    stats)``: the part's count and its accounting.  Every way the body
+    can be undecodable surfaces as :class:`TransportError`."""
+    _, embeddings, tail = decode_level_reply(body)
+    if tail is None:
+        raise TransportError("subtree reply carries no accounting")
+    accounting = decode_pickle_body(tail)
+    if not isinstance(accounting, tuple) or len(accounting) != 2:
+        raise TransportError(
+            f"reply accounting is {type(accounting).__name__}, not a "
+            f"(counters, stats) pair"
+        )
+    return (embeddings,) + accounting
 
 
 # ----------------------------------------------------------------------
@@ -504,7 +451,7 @@ def decode_reply(body: bytes, collect: bool):
 
 
 def encode_handshake(descriptor_dict: dict, seed: int) -> bytes:
-    """HELLO body: the shard's handoff descriptor plus the job seed."""
+    """HELLO body: the member's descriptor plus the job seed."""
     return pickle.dumps(
         {
             "protocol": PROTOCOL_VERSION,
@@ -541,8 +488,8 @@ def encode_announce(
     """ANNOUNCE body: where the worker serves, plus its handshake.
 
     The descriptor/seed are the same fields a HELLO would carry, so a
-    registry can pre-validate identity and placement without opening a
-    second connection to the worker.
+    registry can pre-validate identity without opening a second
+    connection to the worker.
     """
     host, port = address
     return pickle.dumps(

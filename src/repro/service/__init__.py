@@ -6,9 +6,9 @@ top of the engine's one :class:`~repro.parallel.pool.ShardPool`
 ``executor="processes"`` / ``"sockets"`` job on the same engine runs
 on too; the service merely keeps many
 :class:`~repro.parallel.pool.QueryChannel` objects open on it at once
-(multiplexed over the query-tagged job frames
-JOB/LEVEL/REPLY/COLLECT/QERROR/CANCEL, counts bit-identical to solo
-runs; :class:`QueryChannel` is re-exported).
+(multiplexed over the query-tagged frames SUBTREE/REPLY/QERROR,
+counts bit-identical to solo runs; :class:`QueryChannel` is
+re-exported).
 
 * :class:`~repro.service.service.MatchService` — admission control
   (bounded depth, explicit BUSY), per-query deadlines, cancellation,

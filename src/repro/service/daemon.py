@@ -38,7 +38,7 @@ bridges its blocking tickets onto the event loop with
 ``run_in_executor`` (a cache hit is born finished and is answered on
 the loop directly); an EOF watchdog per connection turns a client
 disconnect into :meth:`MatchTicket.cancel`, so an abandoned query is
-CANCELled on the workers instead of running to completion for nobody.
+given up instead of waited for by nobody.
 SIGTERM/SIGINT trigger a graceful drain: the listener closes, in-flight
 queries finish (or are cancelled at the drain timeout), and the pool
 shuts down.

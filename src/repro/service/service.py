@@ -2,8 +2,8 @@
 
 :class:`MatchService` is the always-on front half of the system: it
 holds one engine and that engine's one
-:class:`~repro.parallel.pool.ShardPool` (the width-1 grid: one
-connection per shard) and turns "run this query" into a governed
+:class:`~repro.parallel.pool.ShardPool` (one connection per member)
+and turns "run this query" into a governed
 operation:
 
 * **Admission control** — at most ``queue_depth`` queries are admitted
@@ -14,11 +14,12 @@ operation:
   turn in the bounded backlog.
 * **Deadlines** — a per-query deadline is enforced coordinator-side
   mid-gather, and travels in the query's subtree requests so a worker
-  stops computing for it between blocks; its expiry broadcasts CANCEL:
-  a timed-out query never leaves orphaned worker state.
+  stops computing for it between blocks: a timed-out query never
+  occupies a worker past its budget, and a worker holds no state for
+  it anyway (every request is self-contained).
 * **Cancellation** — :meth:`MatchTicket.cancel` (and a daemon client
-  disconnecting) sets the query's cancel flag; the same remote CANCEL
-  guarantee applies.
+  disconnecting) sets the query's cancel flag; the gather gives the
+  query up at once.
 * **Result cache** — an LRU keyed by ``(graph fingerprint, graph
   version, query fingerprint)``; hits return the finished
   :class:`~repro.parallel.tasks.ParallelResult` without touching
@@ -87,9 +88,8 @@ def graph_fingerprint(graph) -> Tuple[int, int, int]:
 
     Extends the identity fields the ``ShardDescriptor`` handshake
     already pins (edge/vertex counts) with a CRC over the canonical
-    native serialisation, the same checksum family
-    ``range_table_label`` uses for placement fingerprints — equal
-    graphs fingerprint equal across processes and sessions.
+    native serialisation — equal graphs fingerprint equal across
+    processes and sessions.
     """
     buffer = io.StringIO()
     dump_native(graph, buffer)
@@ -115,8 +115,8 @@ class MatchTicket:
     of the service's LRU); live tickets resolve when their worker
     thread completes, and :meth:`cancel` aborts them — before they
     start (the slot is returned immediately) or mid-flight (the query
-    raises :class:`~repro.errors.QueryCancelled` at its next barrier or
-    gather poll, and the workers are CANCELled remotely).
+    raises :class:`~repro.errors.QueryCancelled` at its next gather
+    poll).
     """
 
     def __init__(self, future=None, cancel_event=None, result=None,
@@ -196,7 +196,6 @@ class MatchService:
             num_shards=shards,
             addresses=addresses,
             index_backend=engine.index_backend,
-            sharding=engine.sharding,
             io_timeout=io_timeout,
             start_method=start_method,
             chaos=chaos,
@@ -320,10 +319,8 @@ class MatchService:
         channel = QueryChannel(
             self.pool, budget=budget, cancel_event=cancel_event
         )
-        completed = False
         try:
             result = channel.count(self._engine, query, order)
-            completed = True
             with self._lock:
                 self._cache[key] = result
                 self._cache.move_to_end(key)
@@ -331,10 +328,6 @@ class MatchService:
                     self._cache.popitem(last=False)
             return result
         finally:
-            # A completed subtree job left no worker state; every other
-            # exit broadcasts CANCEL here.  release() is idempotent —
-            # the channel's own failure paths may have run it already.
-            self.pool.release(channel.query_id, completed=completed)
             self._release_slot()
 
     # -- mutation --------------------------------------------------------
@@ -494,7 +487,7 @@ class MatchService:
 
         The SIGTERM path: new submissions get BUSY immediately,
         in-flight queries get ``timeout`` seconds to finish, stragglers
-        are cancelled (remote CANCEL included), the journal is flushed
+        are cancelled, the journal is flushed
         and fsynced with the standing registrations persisted beside
         it (a restarted daemon recovers both), then the pool and its
         cluster shut down.  Idempotent.

@@ -93,14 +93,13 @@ def small_rng() -> random.Random:
 
 
 @pytest.fixture
-def kill_on_first_level(monkeypatch):
-    """``arm(executor, victim, then=..., on="level")``: the
-    ``victim``-th worker of the executor's own cluster dies right after
-    the next LEVEL went out (a mid-job loss; ``on="subtree"``: after the
-    next subtree job's requests did); returns a dict whose ``"killed"``
-    flips to True.
+def kill_mid_job(monkeypatch):
+    """``arm(executor, victim, then=...)``: the ``victim``-th worker of
+    the executor's own cluster dies right after the next job's SUBTREE
+    requests went out (a mid-job loss); returns a dict whose
+    ``"killed"`` flips to True.
 
-    The seam is the one ``_broadcast`` there is — ``QueryChannel``'s;
+    The seam is the one dispatch there is — ``QueryChannel._send_parts``;
     an executor is the pool and dispatches nothing itself.  The kill is
     by pid, with no join: the pool's pump sees the death at once and
     its respawn reaps the process from its own thread — a ``Process``
@@ -108,20 +107,20 @@ def kill_on_first_level(monkeypatch):
     """
     from repro.parallel import QueryChannel
 
-    def arm(executor, victim, then=lambda: None, on="level"):
-        original = QueryChannel._broadcast
+    def arm(executor, victim, then=lambda: None):
+        original = QueryChannel._send_parts
         state = {"killed": False}
 
-        def broadcast(channel, message):
-            original(channel, message)
-            if message[0] == on and not state["killed"]:
+        def send_parts(channel, query, order):
+            original(channel, query, order)
+            if not state["killed"]:
                 state["killed"] = True
                 os.kill(
                     executor._cluster.processes[victim].pid, signal.SIGKILL
                 )
                 then()
 
-        monkeypatch.setattr(QueryChannel, "_broadcast", broadcast)
+        monkeypatch.setattr(QueryChannel, "_send_parts", send_parts)
         return state
 
     return arm

@@ -4,13 +4,13 @@ matrix it drives.
 The unit half pins the :class:`~repro.parallel.chaos.FaultPlan`
 semantics (frame counting, single-use faults, pickling without
 killers, the version-byte garble).  The integration half is the
-robustness contract of the replicated socket runtime: for every fault
-the plan can express — sever, garble, kill, slow replica, dropped
-reply — a 2-replica pool must finish the job with counts
-**bit-identical** to the unfaulted run, and losing the *last* replica
-of a range must fail fast with a clean :class:`SchedulerError`, never
-a hang.  Faults are pinned to protocol frame positions, so every test
-reproduces the same failure at the same LEVEL on every run.
+robustness contract of the socket runtime: for every fault the plan
+can express — sever, garble, kill, slow worker, dropped reply — a
+four-member pool must finish the job with counts **bit-identical** to
+the unfaulted run, and losing the *last* member must fail fast with a
+clean :class:`SchedulerError`, never a hang.  Faults are pinned to
+protocol frame positions, so every test reproduces the same failure at
+the same request on every run.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from repro.parallel import (
     spawn_local_cluster,
 )
 from repro.parallel.chaos import ChaosSeveredError, ChaosSocket
-from repro.parallel.level_sync import run_level_synchronous
 from repro.service import MatchService
 from repro.testing import make_random_instance
 
@@ -172,7 +171,7 @@ def test_unbound_wrapper_passes_frames_through():
 
 
 # ----------------------------------------------------------------------
-# The failover matrix (2-replica pools, exact counts under faults)
+# The failover matrix (2 x 2 pools, exact counts under faults)
 # ----------------------------------------------------------------------
 #
 # Every case runs twice.  ``channels=1`` is the solo job
@@ -190,7 +189,7 @@ def _pin(channels, solo_frame, query_frame=None):
     """``after_frames=`` / ``query_id=`` for one matrix row: the
     connection's ``solo_frame``-th frame, or query 1's
     ``query_frame``-th (HELLO is untagged, so worker-role pins shift
-    by one; coordinator-role pins do not — a JOB is tagged)."""
+    by one; coordinator-role pins do not — a SUBTREE is tagged)."""
     if channels == 1:
         return {"after_frames": solo_frame}
     return {
@@ -203,31 +202,27 @@ def _run_matrix_row(executor, engine, query, channels, expected):
     """Run ``channels`` jobs on ``executor`` and hold them to
     ``expected``; see the section comment for what is asserted."""
     if channels == 1:
-        assert executor.run_bfs(engine, query).embeddings == expected
+        assert executor.run(engine, query).embeddings == expected
         return
     counts, errors = {}, {}
 
     def work(query_id):
         channel = QueryChannel(executor, query_id=query_id)
-        completed = False
         try:
-            counts[query_id] = run_level_synchronous(
-                channel, engine, query
-            ).embeddings
-            completed = True
+            counts[query_id] = channel.count(engine, query).embeddings
         except BaseException as exc:  # reported below, on the main thread
             errors[query_id] = exc
         finally:
-            executor.release(query_id, completed)
+            executor.release(query_id)
 
     threads = [
         threading.Thread(target=work, args=(query_id,), daemon=True)
         for query_id in (1, 2)
     ]
     threads[0].start()
-    # The victim registers with its JOB and sends LEVEL 0 straight
-    # after, to the idle replica 0 — so the pinned frame is the one the
-    # solo case pins, whatever query 2 does next.
+    # The victim registers and sends its parts in one go — one to every
+    # member, as alone — so the pinned frame is the one the solo case
+    # pins, whatever query 2 does next.
     deadline = time.monotonic() + 30.0
     while (
         1 not in executor._queries
@@ -242,19 +237,19 @@ def _run_matrix_row(executor, engine, query, channels, expected):
     assert not errors, errors
     assert counts == {1: expected, 2: expected}
     assert not executor._queries
-    assert executor.run_bfs(engine, query).embeddings == expected
+    assert executor.run(engine, query).embeddings == expected
 
 
 @MATRIX
 @pytest.mark.parametrize("backend", INDEX_BACKENDS)
 def test_kill_worker_mid_level_fails_over(chaos_instance, backend, channels):
-    """The acceptance scenario: kill a worker process right after the
-    first LEVEL lands on it; the spare replica must finish the job with
-    bit-identical counts on every index backend."""
+    """The acceptance scenario: kill a worker process right after its
+    part's request lands on it (mid-SUBTREE); another member must
+    finish the job with bit-identical counts on every index backend."""
     data, query, expected = chaos_instance
     engine = HGMatch(data, index_backend=backend)
     plan = FaultPlan(seed=11)
-    plan.kill_worker(0, 0, **_pin(channels, 2))  # frame 1=JOB, 2=LEVEL 0
+    plan.kill_worker(0, 0, **_pin(channels, 1))  # frame 1 = its SUBTREE
     cluster = spawn_local_cluster(
         data, 2, index_backend=backend, num_replicas=2
     )
@@ -277,12 +272,12 @@ def test_kill_worker_mid_level_fails_over(chaos_instance, backend, channels):
 
 @MATRIX
 def test_sever_mid_level_fails_over(chaos_instance, channels):
-    """A severed coordinator connection mid-level (worker survives)
-    re-dispatches the in-flight LEVEL to the live replica."""
+    """A severed coordinator connection mid-job (worker survives)
+    re-dispatches the in-flight part to a live member."""
     data, query, expected = chaos_instance
     engine = HGMatch(data, index_backend="bitset")
     plan = FaultPlan(seed=2)
-    plan.sever(1, 0, **_pin(channels, 2))
+    plan.sever(1, 0, **_pin(channels, 1))
     cluster = spawn_local_cluster(
         data, 2, index_backend="bitset", num_replicas=2
     )
@@ -304,13 +299,13 @@ def test_sever_mid_level_fails_over(chaos_instance, channels):
 
 @MATRIX
 def test_garbled_frame_fails_over(chaos_instance, channels):
-    """A corrupted LEVEL frame makes the worker reject the session (it
-    must never guess); the coordinator treats the lost session like any
-    disconnect and fails over."""
+    """A corrupted SUBTREE frame makes the worker reject the session
+    (it must never guess); the coordinator treats the lost session like
+    any disconnect and fails over."""
     data, query, expected = chaos_instance
     engine = HGMatch(data, index_backend="merge")
     plan = FaultPlan(seed=4)
-    plan.garble(0, 0, **_pin(channels, 2))
+    plan.garble(0, 0, **_pin(channels, 1))
     cluster = spawn_local_cluster(
         data, 2, index_backend="merge", num_replicas=2
     )
@@ -335,8 +330,8 @@ def test_dropped_reply_hits_deadline_then_fails_over(
     chaos_instance, channels
 ):
     """A swallowed reply (wedged worker: connection up, silence) trips
-    the per-frame deadline; the level is re-dispatched to the spare and
-    counts stay exact."""
+    the per-frame deadline; the part is re-dispatched to another member
+    and counts stay exact."""
     data, query, expected = chaos_instance
     engine = HGMatch(data, index_backend="bitset")
     plan = FaultPlan(seed=6)
@@ -361,8 +356,8 @@ def test_dropped_reply_hits_deadline_then_fails_over(
 
 @MATRIX
 def test_slow_replica_triggers_speculation(chaos_instance, channels):
-    """A straggling replica (delayed reply) makes the coordinator
-    speculatively re-dispatch the level to an idle spare; whichever
+    """A straggling worker (delayed reply) makes the coordinator
+    speculatively re-dispatch its part to an idle member; whichever
     reply lands first wins and the duplicate is discarded — counts are
     exact either way."""
     data, query, expected = chaos_instance
@@ -385,14 +380,16 @@ def test_slow_replica_triggers_speculation(chaos_instance, channels):
 
 
 def test_zero_replica_loss_fails_fast(chaos_instance):
-    """Killing the only replica of a range mid-level must raise a clean
-    SchedulerError naming the shard — no spare, no hang."""
+    """Killing the pool's only member mid-job must raise a clean
+    SchedulerError — no spare, no hang."""
     data, query, _ = chaos_instance
     engine = HGMatch(data, index_backend="bitset")
     plan = FaultPlan(seed=3)
-    plan.kill_worker(1, 0, after_frames=2)
-    cluster = spawn_local_cluster(data, 2, index_backend="bitset")
-    plan.arm_killer(1, 0, lambda: cluster.kill_member(1, 0))
+    plan.kill_worker(0, 0, after_frames=1)
+    # ... before it answers (worker frame 1 = HELLO, 2 = the reply).
+    plan.slow_reply(0, 0, after_frames=2, seconds=1.0)
+    cluster = spawn_local_cluster(data, 1, index_backend="bitset", chaos=plan)
+    plan.arm_killer(0, 0, lambda: cluster.kill_member(0, 0))
     executor = ShardPool(
         addresses=list(cluster.addresses),
         index_backend="bitset",
@@ -401,7 +398,7 @@ def test_zero_replica_loss_fails_fast(chaos_instance):
     )
     try:
         with pytest.raises(SchedulerError, match="disconnected mid-job"):
-            executor.run_bfs(engine, query)
+            executor.run(engine, query)
     finally:
         executor.close()
         cluster.close()
@@ -409,7 +406,7 @@ def test_zero_replica_loss_fails_fast(chaos_instance):
 
 
 def test_last_replica_lost_on_a_shared_pool_fails_both_and_heals(
-    chaos_instance, kill_on_first_level, monkeypatch
+    chaos_instance, kill_mid_job, monkeypatch
 ):
     """One pool per engine: a solo job runs on the service's workers.
     Losing *a* member costs a subtree job nothing (its part is re-sent
@@ -455,9 +452,8 @@ def test_last_replica_lost_on_a_shared_pool_fails_both_and_heals(
         with monkeypatch.context() as patch:
             patch.setattr(LocalCluster, "respawn", refuse)
             # The service query's request going out kills both workers.
-            killed = kill_on_first_level(
-                pool, 1, then=lambda: os.kill(pids[0], signal.SIGKILL),
-                on="subtree",
+            killed = kill_mid_job(
+                pool, 1, then=lambda: os.kill(pids[0], signal.SIGKILL)
             )
             with pytest.raises(SchedulerError, match="disconnected mid-job"):
                 service.match(query)
@@ -471,134 +467,6 @@ def test_last_replica_lost_on_a_shared_pool_fails_both_and_heals(
             engine.count(query, executor="processes") == expected["bitset"]
         )
     finally:
-        engine.close()
-
-
-# ----------------------------------------------------------------------
-# Faults pinned on the REBALANCE path (elastic runtime satellite)
-# ----------------------------------------------------------------------
-#
-# On a 2-replica pool an idle spare (replica 1) receives exactly one
-# coordinator frame during a job — the JOB broadcast — so coordinator
-# frame 2 on (shard, 1) is deterministically the REBALANCE, regardless
-# of how many levels the query runs.  Worker-side, the spare's frame 1
-# is its HELLO and frame 2 the rebalance echo.  Every scenario must
-# end in a complete recut or a clean degrade (the spare dropped, the
-# primary carrying the shard) — and always bit-identical counts.
-
-
-def _skewed_stats(result):
-    stats = sorted(result.worker_stats, key=lambda s: s.worker_id)
-    stats[0].cpu_time = 4.0
-    for other in stats[1:]:
-        other.cpu_time = 1.0
-    return stats
-
-
-@pytest.mark.parametrize("fault", ["sever", "garble"])
-def test_rebalance_frame_lost_degrades_cleanly(chaos_instance, fault):
-    """Severing (or garbling) the REBALANCE frame to one replica mid-
-    recut drops that replica — the pool degrades to K=1 for its shard
-    and finishes the recut; counts stay exact."""
-    data, query, expected = chaos_instance
-    engine = HGMatch(data, index_backend="bitset")
-    plan = FaultPlan(seed=13)
-    getattr(plan, fault)(0, 1, after_frames=2)  # frame 1=JOB, 2=REBALANCE
-    cluster = spawn_local_cluster(
-        data, 2, index_backend="bitset", num_replicas=2
-    )
-    executor = ShardPool(
-        addresses=list(cluster.addresses),
-        num_replicas=2,
-        index_backend="bitset",
-        io_timeout=60.0,
-        chaos=plan,
-    )
-    try:
-        first = executor.run_bfs(engine, query)
-        assert first.embeddings == expected["bitset"]
-        if executor.rebalance(_skewed_stats(first)) == 0:
-            pytest.skip("synthetic skew did not move any shard")
-        assert all(f.consumed for f in plan.faults)
-        # The faulted spare is out of the grid; its primary survives.
-        assert executor._members[0].get(1) is None
-        assert executor._members[0].get(0) is not None
-        assert executor._sharding_label.startswith("rebalanced-")
-        assert executor.run_bfs(engine, query).embeddings == expected["bitset"]
-    finally:
-        executor.close()
-        cluster.close()
-        engine.close()
-
-
-def test_rebalance_echo_delay_completes_recut(chaos_instance):
-    """A straggling rebalance echo (the spare's fresh HELLO delayed a
-    second) stalls but never corrupts the recut: the coordinator waits
-    it out under the I/O timeout and the full pool keeps both
-    replicas."""
-    data, query, expected = chaos_instance
-    engine = HGMatch(data, index_backend="bitset")
-    plan = FaultPlan(seed=17)
-    plan.slow_reply(1, 1, after_frames=2, seconds=1.0)  # echo HELLO
-    cluster = spawn_local_cluster(
-        data, 2, index_backend="bitset", num_replicas=2, chaos=plan
-    )
-    executor = ShardPool(
-        addresses=list(cluster.addresses),
-        num_replicas=2,
-        index_backend="bitset",
-        io_timeout=60.0,
-        chaos=plan,
-    )
-    try:
-        first = executor.run_bfs(engine, query)
-        assert first.embeddings == expected["bitset"]
-        if executor.rebalance(_skewed_stats(first)) == 0:
-            pytest.skip("synthetic skew did not move any shard")
-        # Nothing degraded: the delay was absorbed, both replicas of
-        # every shard still serve under the new label.
-        assert executor._members[1].get(1) is not None
-        assert executor.run_bfs(engine, query).embeddings == expected["bitset"]
-    finally:
-        executor.close()
-        cluster.close()
-        engine.close()
-
-
-def test_rebalance_frame_lost_on_last_replica_fails_clean(chaos_instance):
-    """On a K=1 pool the severed REBALANCE frame has no spare to
-    degrade to: the pool must tear down with a clean SchedulerError —
-    never a hang, never a half-applied layout."""
-    data, query, _expected = chaos_instance
-    engine = HGMatch(data, index_backend="bitset")
-    # A K=1 primary's frames are 1=JOB then one per LEVEL, so the
-    # REBALANCE lands at frame num_steps + 2 — computable up front.
-    num_steps = engine.plan(query).num_steps
-    plan = FaultPlan(seed=19)
-    plan.sever(0, 0, after_frames=num_steps + 2)
-    cluster = spawn_local_cluster(data, 2, index_backend="bitset")
-    executor = ShardPool(
-        addresses=list(cluster.addresses),
-        index_backend="bitset",
-        io_timeout=30.0,
-        chaos=plan,
-    )
-    try:
-        first = executor.run_bfs(engine, query)
-        stats = _skewed_stats(first)
-        try:
-            moved = executor.rebalance(stats)
-        except SchedulerError as exc:
-            assert "no live replica" in str(exc)
-            assert not executor._members  # torn down, not wedged
-        else:
-            pytest.skip(
-                f"synthetic skew moved {moved} shard(s) without "
-                f"touching the faulted frame"
-            )
-    finally:
-        executor.close()
-        cluster.close()
         engine.close()
 
 
@@ -621,10 +489,10 @@ def test_kill_pinned_to_mutate_degrades_then_catchup_rejoins(
     chaos_instance, backend
 ):
     """Kill a worker process exactly on the MUTATE broadcast frame: the
-    commit degrades that replica (its range keeps a live member), the
-    next query's counts are bit-identical to a rebuild on the mutated
-    graph, and the respawned worker rejoins via catch-up (§2.10) rather
-    than being refused for its stale version."""
+    commit drops that member (others remain), the next query's counts
+    are bit-identical to a rebuild on the mutated graph, and the
+    respawned worker rejoins via catch-up (§2.10) rather than being
+    refused for its stale version."""
     from repro.testing import random_mutation_schedule
 
     data, query, expected = chaos_instance
@@ -653,15 +521,15 @@ def test_kill_pinned_to_mutate_degrades_then_catchup_rejoins(
             executor.mutate(engine, batch, result)
         assert all(f.consumed for f in plan.faults)
         oracle = _rebuild_count(engine, query, backend)
-        # Degraded to one live replica on shard 0, counts still exact.
-        assert executor.run_bfs(engine, query).embeddings == oracle
+        # Three live members, counts still exact.
+        assert executor.run(engine, query).embeddings == oracle
         # The respawned slot rebuilds from spawn-time data (version 0);
         # only the CATCHUP route lets it rejoin the mutated pool.
         address = cluster.respawn(0, 0)
         descriptor = executor.admit(address)
         assert (descriptor.shard_id, descriptor.replica_id) == (0, 0)
         assert descriptor.graph_version == result.version
-        assert executor.run_bfs(engine, query).embeddings == oracle
+        assert executor.run(engine, query).embeddings == oracle
     finally:
         executor.close()
         cluster.close()
@@ -672,9 +540,9 @@ def test_sever_pinned_to_mutate_degrades_then_catchup_rejoins(
     chaos_instance
 ):
     """Sever the coordinator connection on the MUTATE frame (worker
-    survives but misses the batch): the commit degrades that member,
-    and readmitting the *same* worker — still at its spawn-time version
-    — goes through catch-up and lands on the committed version."""
+    survives but misses the batch): the commit drops that member, and
+    readmitting the *same* worker — still at its spawn-time version —
+    goes through catch-up and lands on the committed version."""
     from repro.testing import random_mutation_schedule
 
     data, query, expected = chaos_instance
@@ -700,14 +568,14 @@ def test_sever_pinned_to_mutate_degrades_then_catchup_rejoins(
         executor.mutate(engine, batch, result)
         assert all(f.consumed for f in plan.faults)
         oracle = _rebuild_count(engine, query, backend)
-        assert executor.run_bfs(engine, query).embeddings == oracle
+        assert executor.run(engine, query).embeddings == oracle
         # The severed worker process never died and never applied the
         # batch: readmission finds it stale and catch-up repairs it.
         address = cluster.addresses[1 * 2 + 0]
         descriptor = executor.admit(address)
         assert (descriptor.shard_id, descriptor.replica_id) == (1, 0)
         assert descriptor.graph_version == result.version
-        assert executor.run_bfs(engine, query).embeddings == oracle
+        assert executor.run(engine, query).embeddings == oracle
     finally:
         executor.close()
         cluster.close()

@@ -145,52 +145,6 @@ class TestMatch:
         assert code == 1
         assert "--executor processes" in output
 
-    def test_match_balanced_sharding(self, fig1_files):
-        data_path, query_path = fig1_files
-        code, output = run_cli(
-            "match", data_path, query_path,
-            "--executor", "processes", "--shards", "2",
-            "--sharding", "balanced",
-        )
-        assert code == 0
-        assert output.startswith("2 embeddings")
-
-    def test_sharding_implies_processes(self, fig1_files):
-        data_path, query_path = fig1_files
-        code, output = run_cli(
-            "match", data_path, query_path, "--sharding", "balanced",
-        )
-        assert code == 0
-        assert output.startswith("2 embeddings")
-
-    def test_sharding_rejected_outside_the_shard_pool(self, fig1_files):
-        data_path, query_path = fig1_files
-        code, output = run_cli(
-            "match", data_path, query_path,
-            "--executor", "threads", "--sharding", "balanced",
-        )
-        assert code == 1
-        assert "--sharding applies" in output
-
-    def test_match_rebalance(self, fig1_files):
-        data_path, query_path = fig1_files
-        code, output = run_cli(
-            "match", data_path, query_path,
-            "--executor", "processes", "--shards", "2", "--rebalance",
-        )
-        assert code == 0
-        assert "rebalance: moved" in output
-        assert "2 embeddings" in output
-
-    def test_rebalance_requires_the_shard_pool(self, fig1_files):
-        data_path, query_path = fig1_files
-        code, output = run_cli(
-            "match", data_path, query_path,
-            "--executor", "threads", "--rebalance",
-        )
-        assert code == 1
-        assert "--rebalance needs" in output
-
     def test_baselines_reject_executor_flags(self, fig1_files):
         data_path, query_path = fig1_files
         code, output = run_cli(
@@ -225,7 +179,7 @@ class TestMatch:
 
         data_path, query_path = fig1_files
         workers = [
-            ShardWorker(fig1_data, shard_id, 2) for shard_id in range(2)
+            ShardWorker(fig1_data, shard_id) for shard_id in range(2)
         ]
         addresses = [worker.bind() for worker in workers]
         threads = [
@@ -293,16 +247,12 @@ class TestMatch:
         assert output.count("{") >= 2
 
     def test_serve_shard_rejects_bad_shard_arithmetic(self, fig1_files):
+        # A shard id is only a name now (no --num-shards to bound it);
+        # the arithmetic left is that it is a 0-based index.
         data_path, _ = fig1_files
-        code, output = run_cli(
-            "serve-shard", data_path, "--shard-id", "5", "--num-shards", "2"
-        )
+        code, output = run_cli("serve-shard", data_path, "--shard-id", "-1")
         assert code == 1
-        assert "out of range" in output
-        code, output = run_cli(
-            "serve-shard", data_path, "--shard-id", "0", "--num-shards", "0"
-        )
-        assert code == 1
+        assert "--shard-id must be >= 0" in output
 
     def test_serve_shard_serves_one_session(self, fig1_files, fig1_data):
         import io
@@ -322,7 +272,7 @@ class TestMatch:
             result["code"] = cli_main(
                 [
                     "serve-shard", data_path, "--shard-id", "0",
-                    "--num-shards", "1", "--max-sessions", "1",
+                    "--max-sessions", "1",
                 ],
                 out=out,
             )
@@ -421,38 +371,65 @@ class TestReplicaFlags:
         assert "divide" in output
 
     def test_serve_shard_rejects_bad_replica_arithmetic(self, fig1_files):
+        # As for --shard-id: a 0-based name, with no --num-replicas.
         data_path, _ = fig1_files
         code, output = run_cli(
-            "serve-shard", data_path, "--shard-id", "0",
-            "--num-shards", "1", "--replica-id", "2",
-            "--num-replicas", "2",
+            "serve-shard", data_path, "--shard-id", "0", "--replica-id", "-2",
         )
         assert code == 1
-        assert "--replica-id 2 out of range" in output
-        code, output = run_cli(
-            "serve-shard", data_path, "--shard-id", "0",
-            "--num-shards", "1", "--num-replicas", "0",
-        )
-        assert code == 1
-        assert "--num-replicas must be >= 1" in output
+        assert "--replica-id must be >= 0" in output
 
     def test_serve_shard_banner_names_replica(self, fig1_files):
         data_path, _ = fig1_files
         code, output = run_cli(
             "serve-shard", data_path, "--shard-id", "0",
-            "--num-shards", "2", "--replica-id", "1",
-            "--num-replicas", "2", "--max-sessions", "0",
+            "--replica-id", "1", "--max-sessions", "0",
         )
         assert code == 0
-        assert "serving shard 0/2 (replica 1/2)" in output
-        # Unreplicated banners keep the pre-replication wording.
+        assert "serving shard 0 replica 1 of" in output
+        # The replica half of the name defaults to 0.
         code, output = run_cli(
-            "serve-shard", data_path, "--shard-id", "0",
-            "--num-shards", "2", "--max-sessions", "0",
+            "serve-shard", data_path, "--shard-id", "2", "--max-sessions", "0",
         )
         assert code == 0
-        assert "serving shard 0/2 of" in output
-        assert "replica" not in output
+        assert "serving shard 2 replica 0 of" in output
+
+
+class TestRetiredFlags:
+    """The placement and re-cut flags went with the row shards: a pool
+    member holds the whole graph, so there is nothing to place, bound by
+    a shard count or rebalance.  Each is an unknown argument now, refused
+    by the parser before anything is loaded or spawned."""
+
+    @pytest.mark.parametrize(
+        "command,flags",
+        [
+            ("match", ("--rebalance",)),
+            ("match", ("--sharding", "balanced")),
+            ("serve-shard", ("--sharding", "uniform")),
+            ("serve-shard", ("--num-shards", "2")),
+            ("serve-shard", ("--num-replicas", "2")),
+            ("serve-match", ("--sharding", "balanced")),
+            ("supervise", ("--sharding", "balanced")),
+        ],
+        ids=lambda value: value if isinstance(value, str) else value[0],
+    )
+    def test_a_retired_flag_is_an_unknown_argument(
+        self, fig1_files, capsys, command, flags
+    ):
+        data_path, query_path = fig1_files
+        argv = {
+            "match": ["match", data_path, query_path],
+            "serve-shard": ["serve-shard", data_path, "--shard-id", "0"],
+            "serve-match": ["serve-match", data_path],
+            "supervise": ["supervise", data_path, "--num-shards", "1"],
+        }[command]
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(*argv, *flags)
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flags)}" in (
+            capsys.readouterr().err
+        )
 
 
 class TestAddressFlags:
@@ -465,7 +442,7 @@ class TestAddressFlags:
         data_path, query_path = fig1_files
         for argv in (
             ("serve-shard", data_path, "--shard-id", "0",
-             "--num-shards", "1", "--announce", text),
+             "--announce", text),
             ("supervise", data_path, "--num-shards", "1",
              "--announce", text),
             ("query", query_path, "--connect", text),
@@ -535,7 +512,7 @@ class TestSupervise:
                 result["code"] = cli_main(
                     [
                         "serve-shard", data_path, "--shard-id", "0",
-                        "--num-shards", "1", "--max-sessions", "1",
+                        "--max-sessions", "1",
                         "--announce", f"{host}:{port}",
                         "--heartbeat-interval", "0.1",
                     ],

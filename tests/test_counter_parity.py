@@ -3,16 +3,13 @@ changes: the numbers below were recorded on the commit *before* the
 shared-vertex kernel (PR 11, ``59d05da``) by summing ``MatchCounters``
 over the Fig. 8 trace, and must never move — ``work_units`` feeds the
 simulated executor's virtual clock, the rest are the paper's Fig. 9
-funnel.  ``("bitset", "processes_bfs")`` holds the shard workers'
-``expand_level`` path to the same funnel; its ``work_units`` were
-re-pinned (405326 before) when the workers learnt to run a level batched
-over the frontier (PR 15), which charges the mask operations that
-orientation performs — parent bits indexed, planes derived, row vertices
-probed — and nothing per candidate.  ``("bitset", "sequential")`` was
-re-pinned the same way (324882 before) when ``HGMatch.count`` became a
-block-DFS over the same block step (PR 16): its wide blocks run the
-frontier orientation in-process and charge what that performs; the
-funnel and every ``merge``/``adaptive`` pin did not move.  Both
+funnel.  ``("bitset", "sequential")`` was re-pinned (324882 before)
+when ``HGMatch.count`` became a block-DFS over the frontier-batched
+block step: its wide blocks run the frontier orientation
+in-process and charge the mask operations that orientation performs —
+parent bits indexed, planes derived, row vertices probed — and nothing
+per candidate; the funnel and every ``merge``/``adaptive`` pin did not
+move.  Both
 ``"processes"`` keys were re-pinned (774796 / 80848 before) when
 ``count(executor="processes")`` became a subtree job (PR 23): each of
 the two workers runs the sequential block-DFS below every other root
@@ -23,10 +20,13 @@ two halves' narrower blocks perform; the funnel did not move.
 ``("bitset", "threads")`` is pinned *equal to* ``("bitset",
 "processes")``: ``workers=2`` threads and ``shards=2`` workers run the
 same two root parts, so even the block-dependent units agree — one cut,
-wherever a part runs.  The
-old pins stay on the protocol they were recorded on — the shard
-workers' ``expand_level`` behind ``count_bfs(executor="processes")`` —
-as the ``"processes_bfs"`` keys.  The engines
+wherever a part runs.  The ``"sockets"`` keys, ``("bitset",
+"count_bfs")``, ``("bitset", "simulated")`` and the ``adaptive``
+parallel keys were recorded on the last commit that still had the
+level-synchronous pool protocol, when the pool became a flat list of
+whole-graph members: ``"sockets"`` is the ``"processes"`` pool under its
+other spelling and charges the same units to the digit, and no
+executor's units moved with the protocol's removal.  The engines
 built without a backend run the library default (``bitset`` unless ``REPRO_INDEX_BACKEND`` says
 otherwise).
 """
@@ -55,20 +55,27 @@ WORK_UNITS = {
     ("merge", "count_bfs"): 711884,
     ("merge", "threads"): 711884,
     ("merge", "processes"): 711884,
-    ("merge", "processes_bfs"): 774796,
+    ("merge", "sockets"): 711884,
     ("merge", "simulated"): 711884,
     ("bitset", "sequential"): 92396,
+    ("bitset", "count_bfs"): 92396,
     ("bitset", "threads"): 105106,
     ("bitset", "processes"): 105106,
-    ("bitset", "processes_bfs"): 80848,
+    ("bitset", "sockets"): 105106,
+    ("bitset", "simulated"): 324882,
     ("adaptive", "sequential"): 324882,
+    ("adaptive", "count_bfs"): 324882,
+    ("adaptive", "threads"): 324882,
+    ("adaptive", "processes"): 324882,
+    ("adaptive", "sockets"): 324882,
+    ("adaptive", "simulated"): 324882,
 }
 MODES = {
     "sequential": lambda e, q, c: e.count(q, counters=c),
     "count_bfs": lambda e, q, c: e.count_bfs(q, counters=c),
     "threads": lambda e, q, c: e.count(q, counters=c, executor="threads", workers=2),
     "processes": lambda e, q, c: e.count(q, counters=c, executor="processes"),
-    "processes_bfs": lambda e, q, c: e.count_bfs(q, counters=c, executor="processes"),
+    "sockets": lambda e, q, c: e.count(q, counters=c, executor="sockets"),
     "simulated": lambda e, q, c: e.count(q, counters=c, executor="simulated", workers=2),
 }
 

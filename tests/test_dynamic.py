@@ -28,9 +28,7 @@ from repro.hypergraph import (
     MutationBatch,
     PartitionedStore,
     StoreShard,
-    build_range_table,
-    mutate_range_table,
-    range_table_slices,
+    apply_batch,
 )
 from repro.hypergraph.journal import (
     dump_snapshot,
@@ -541,7 +539,13 @@ def test_partitioned_store_incremental_equals_rebuild(backend):
                 f"version {graph.version} (attempt {attempt})"
             )
             assert store_state(whole) == store_state(store)
-            assert whole.ranges() == {
+            assert {
+                signature: (
+                    whole.row_base(signature),
+                    whole.partition(signature).num_rows,
+                )
+                for signature in whole.partitions
+            } == {
                 signature: (0, len(rows))
                 for signature, rows in graph.rows_by_signature().items()
             }
@@ -549,6 +553,39 @@ def test_partitioned_store_incremental_equals_rebuild(backend):
         if checked >= 8:
             break
     assert checked >= 8
+
+
+@pytest.mark.parametrize("backend", INDEX_BACKENDS)
+def test_apply_batch_commits_to_the_graph_of_the_store_it_is_given(backend):
+    """``apply_batch(store, batch)`` — the one write path takes no graph:
+    the store's own is promoted on the first batch (the store adopts it
+    without a rebuild, the immutable original is left alone) and every
+    batch leaves the store equal to a rebuild of the graph returned."""
+    rng = random.Random(0xBA7C)
+    checked = 0
+    for _ in range(30):
+        instance = make_mutable_instance(rng)
+        if instance is None:
+            continue
+        data, _, _ = instance
+        edges_before = [set(data.edge(e)) for e in range(data.num_edges)]
+        store = PartitionedStore(data, index_backend=backend)
+        versions = []
+        for batch in random_mutation_schedule(rng, data, steps=4):
+            graph, result = apply_batch(store, batch)
+            assert store.graph is graph
+            assert isinstance(graph, DynamicHypergraph)
+            assert result.version == graph.version
+            versions.append(graph.version)
+            rebuilt = PartitionedStore(graph, index_backend=backend)
+            assert store_state(store) == store_state(rebuilt)
+        assert versions == sorted(set(versions)) and versions
+        assert graph is not data
+        assert [set(data.edge(e)) for e in range(data.num_edges)] == edges_before
+        checked += 1
+        if checked >= 5:
+            break
+    assert checked >= 5
 
 
 @pytest.mark.parametrize("backend", INDEX_BACKENDS)
@@ -563,17 +600,12 @@ def test_sharded_store_incremental_covers_mutated_graph(backend):
             continue
         data, _, _ = instance
         graph = DynamicHypergraph.from_hypergraph(data)
-        # What a pool does: each worker's shard and the coordinator's
-        # range table take the same results, independently.
+        # Each shard takes the same results, independently.
         shards = [StoreShard.build(graph, i, 3, backend) for i in range(3)]
-        table = build_range_table(graph.rows_by_signature(), 3)
         for batch in random_mutation_schedule(rng, data, steps=6):
             result = graph.apply(batch)
             for shard in shards:
                 shard.apply_mutation_result(result)
-            table = mutate_range_table(table, result, 3)
-            for shard, ranges in zip(shards, range_table_slices(table, 3)):
-                assert shard.ranges() == ranges
             live = {
                 signature: [e for e in rows if graph.is_live(e)]
                 for signature, rows in graph.rows_by_signature().items()
@@ -596,9 +628,7 @@ def test_sharded_store_incremental_covers_mutated_graph(backend):
                 assert concat_rows == rows
                 assert concat_edges == live[signature]
             for shard in shards:
-                descriptor = shard.describe()
-                assert descriptor.graph_version == graph.version
-                assert descriptor.graph_edges == graph.num_edges
+                assert shard.graph is graph
         checked += 1
         if checked >= 5:
             break

@@ -1,13 +1,11 @@
 """Elastic pool membership: live grow/shrink and registry-fed failover.
 
-The acceptance bar for the elastic runtime: a pool grown from K=1 to
-K=2 mid-lifetime (``admit``) and a pool that lost and readmitted a
-replica both produce counts **bit-identical** to a static run; a
-drained replica leaves the pool serving at reduced K; draining the
-*last* replica of a shard retires the shard — its rows are recut onto
-the surviving shards via REBALANCE — and counts still match; and a
-worker that stops heartbeating is evicted by the registry, which the
-coordinator turns into mid-job failover well before its I/O timeout.
+The acceptance bar for the elastic runtime: a pool grown mid-lifetime
+(``admit``) and a pool that lost and readmitted a member both produce
+counts **bit-identical** to a static run; a drained member leaves the
+pool serving with the rest; and a worker that stops heartbeating is
+evicted by the registry, which the coordinator turns into mid-job
+failover well before its I/O timeout.
 """
 
 from __future__ import annotations
@@ -54,12 +52,10 @@ def elastic_instance():
     return data, query, expected
 
 
-def _spare_worker(data, shard_id, num_shards, backend, num_replicas=2,
-                  replica_id=1):
-    """Boot one in-thread shard worker (the newcomer to admit)."""
+def _spare_worker(data, shard_id, backend, replica_id=1):
+    """Boot one in-thread worker (the newcomer to admit)."""
     worker = ShardWorker(
-        data, shard_id, num_shards, index_backend=backend,
-        replica_id=replica_id, num_replicas=num_replicas,
+        data, shard_id, index_backend=backend, replica_id=replica_id
     )
     address = worker.bind()
     thread = threading.Thread(
@@ -71,15 +67,17 @@ def _spare_worker(data, shard_id, num_shards, backend, num_replicas=2,
 
 
 # ----------------------------------------------------------------------
-# Grow: K=1 -> K=2 mid-lifetime
+# Grow: admit newcomers mid-lifetime
 # ----------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("backend", INDEX_BACKENDS)
 def test_admit_grows_k1_pool_to_k2_with_parity(elastic_instance, backend):
-    """The headline acceptance gate: admit replica-1 workers into a
-    running K=1 pool; K becomes 2 and counts stay bit-identical on
-    every index backend."""
+    """The headline acceptance gate: admit a second replica name per
+    shard name — replica 1 beside each replica 0 — into a running
+    two-member pool; the newcomers join the member list, every member
+    takes a part, and counts stay bit-identical on every index
+    backend."""
     data, query, expected = elastic_instance
     engine = HGMatch(data, index_backend=backend)
     cluster = spawn_local_cluster(data, 2, index_backend=backend)
@@ -89,19 +87,17 @@ def test_admit_grows_k1_pool_to_k2_with_parity(elastic_instance, backend):
     spares = []
     try:
         assert executor.run(engine, query).embeddings == expected[backend]
-        assert executor.num_replicas == 1
         for shard_id in range(2):
-            worker, address = _spare_worker(
-                data, shard_id, 2, backend
-            )
+            worker, address = _spare_worker(data, shard_id, backend)
             spares.append(worker)
             descriptor = executor.admit(address)
             assert descriptor.shard_id == shard_id
             assert descriptor.replica_id == 1
-        assert executor.num_replicas == 2
-        assert executor.run(engine, query).embeddings == expected[backend]
-        # The grown replicas are real failover targets: drop replica 0
-        # of each shard and the spares carry the whole job.
+        result = executor.run(engine, query)
+        assert result.embeddings == expected[backend]
+        assert len(result.worker_stats) == 4
+        # The newcomers are real members: drop the originals and the
+        # newcomers carry the whole job.
         executor.drain(0, replica_id=0)
         executor.drain(1, replica_id=0)
         assert executor.run(engine, query).embeddings == expected[backend]
@@ -144,36 +140,33 @@ def test_admit_readmits_a_lost_replica(elastic_instance):
         engine.close()
 
 
-def test_admit_upgrades_newcomer_to_rebalanced_layout(elastic_instance):
-    """A newcomer cut under the spawn placement must be REBALANCE-
-    upgraded before joining a pool that runs a rebalanced layout."""
+@pytest.mark.parametrize(
+    "name", [(0, 1), (2, 0), (7, 3)], ids=["0-1", "2-0", "7-3"]
+)
+def test_admit_appends_a_member_under_any_free_name(elastic_instance, name):
+    """The member list is flat: a ``(shard_id, replica_id)`` pair is an
+    identity, not a cell of a grid.  A newcomer under a shard name the
+    pool never had, or a replica name that skips ahead, passes the
+    handshake, joins as one more member and takes a part."""
     data, query, expected = elastic_instance
     backend = "bitset"
     engine = HGMatch(data, index_backend=backend)
-    cluster = spawn_local_cluster(data, 2, index_backend=backend)
-    executor = ShardPool(
-        addresses=list(cluster.addresses), index_backend=backend,
-    )
-    spare = None
+    executor = ShardPool(num_shards=2, index_backend=backend)
+    newcomer = None
     try:
-        first = executor.run_bfs(engine, query)  # per-range load
-        assert first.embeddings == expected[backend]
-        stats = sorted(first.worker_stats, key=lambda s: s.worker_id)
-        stats[0].cpu_time, stats[1].cpu_time = 4.0, 1.0
-        if executor.rebalance(stats) == 0:
-            pytest.skip("synthetic skew did not move any shard")
-        assert executor._sharding_label.startswith("rebalanced-")
-        spare, address = _spare_worker(data, 0, 2, backend)
-        descriptor = executor.admit(address)
-        # The admitted worker echoes the *pool's* label, not its
-        # spawn-mode one: it was upgraded during admission.
-        assert descriptor.sharding == executor._sharding_label
         assert executor.run(engine, query).embeddings == expected[backend]
+        newcomer, address = _spare_worker(
+            data, name[0], backend, replica_id=name[1]
+        )
+        descriptor = executor.admit(address)
+        assert (descriptor.shard_id, descriptor.replica_id) == name
+        result = executor.run(engine, query)
+        assert result.embeddings == expected[backend]
+        assert len(result.worker_stats) == 3
     finally:
         executor.close()
-        if spare is not None:
-            spare.close()
-        cluster.close()
+        if newcomer is not None:
+            newcomer.close()
         engine.close()
 
 
@@ -186,11 +179,9 @@ def test_admit_refuses_bad_newcomers(elastic_instance):
         with pytest.raises(SchedulerError, match="no live pool"):
             executor.admit(("127.0.0.1", 1))
         assert executor.run(engine, query).embeddings == expected[backend]
-        # Duplicate identity: a fresh worker claiming slot (0, 0),
-        # which the pool already holds.
-        impostor, address = _spare_worker(
-            data, 0, 2, backend, num_replicas=1, replica_id=0,
-        )
+        # Duplicate name: a fresh worker claiming (0, 0), which the
+        # pool already holds.
+        impostor, address = _spare_worker(data, 0, backend, replica_id=0)
         try:
             with pytest.raises(SchedulerError, match="both announced"):
                 executor.admit(address)
@@ -207,37 +198,8 @@ def test_admit_refuses_bad_newcomers(elastic_instance):
 
 
 # ----------------------------------------------------------------------
-# Shrink: drain a replica, retire a shard
+# Shrink: drain a member
 # ----------------------------------------------------------------------
-
-
-def test_drain_to_retire_recuts_ranges_with_parity(elastic_instance):
-    """Draining the last replica of a shard retires it: the pool recuts
-    the retired shard's rows onto the survivors (REBALANCE) and counts
-    stay bit-identical with fewer active shards."""
-    data, query, expected = elastic_instance
-    backend = "merge"
-    engine = HGMatch(data, index_backend=backend)
-    executor = ShardPool(num_shards=3, index_backend=backend)
-    try:
-        assert executor.run(engine, query).embeddings == expected[backend]
-        label = executor.drain(1)
-        assert label is not None and label.startswith("rebalanced-")
-        assert executor._retired == {1}
-        assert executor._active_shards() == [0, 2]
-        assert executor.run(engine, query).embeddings == expected[backend]
-        # Retire another; a single survivor still carries the job.
-        assert executor.drain(2) is not None
-        assert executor.run(engine, query).embeddings == expected[backend]
-        # The last member of the pool is not drainable.
-        with pytest.raises(SchedulerError, match="last live member"):
-            executor.drain(0)
-        # A retired shard's identity cannot come back.
-        with pytest.raises(SchedulerError, match="retired"):
-            executor.admit(executor._cluster.addresses[1])
-    finally:
-        executor.close()
-        engine.close()
 
 
 def test_drain_unknown_member_errors(elastic_instance):
@@ -248,7 +210,7 @@ def test_drain_unknown_member_errors(elastic_instance):
         with pytest.raises(SchedulerError, match="no live pool"):
             executor.drain(0)
         executor.run(engine, query)
-        with pytest.raises(SchedulerError, match="outside"):
+        with pytest.raises(SchedulerError, match="not a live member"):
             executor.drain(7)
         with pytest.raises(SchedulerError, match="not a live member"):
             executor.drain(0, replica_id=1)
@@ -268,12 +230,11 @@ class _WedgedWorker:
     exists to catch (the TCP connection stays up, so only the missing
     heartbeats reveal it)."""
 
-    def __init__(self, data, backend, num_replicas=2):
-        # Borrow a real worker's shard purely for its descriptor — the
-        # handshake must be genuine for the coordinator to accept it.
+    def __init__(self, data, backend):
+        # Borrow a real worker purely for its descriptor — the handshake
+        # must be genuine for the coordinator to accept it.
         self._template = ShardWorker(
-            data, 0, 1, index_backend=backend,
-            replica_id=0, num_replicas=num_replicas,
+            data, 0, index_backend=backend, replica_id=0
         )
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.bind(("127.0.0.1", 0))
@@ -323,23 +284,22 @@ class _WedgedWorker:
 def test_registry_eviction_unwedges_a_silent_worker(elastic_instance):
     """Gate (b)'s second half: a worker that wedges (connection open,
     replies and heartbeats both stop) is evicted by the registry, and
-    the coordinator fails the LEVEL over to the live replica long
-    before the 60s I/O timeout — the job never wedges."""
+    the coordinator fails its part over to the live member long before
+    the 60s I/O timeout — the job never wedges."""
     data, query, expected = elastic_instance
     backend = "bitset"
     engine = HGMatch(data, index_backend=backend)
     with WorkerRegistry(
         heartbeat_interval=0.1, miss_budget=3
     ) as registry:
-        wedged = _WedgedWorker(data, backend, num_replicas=2)
+        wedged = _WedgedWorker(data, backend)
         announcer = Announcer(
             registry.address, wedged.hello, interval=0.1,
             rng=random.Random(1),
         )
         announcer.start()
         real = ShardWorker(
-            data, 0, 1, index_backend=backend,
-            replica_id=1, num_replicas=2,
+            data, 0, index_backend=backend, replica_id=1,
             announce=registry.address, heartbeat_interval=0.1,
         )
         real.bind()
@@ -354,9 +314,9 @@ def test_registry_eviction_unwedges_a_silent_worker(elastic_instance):
                 index_backend=backend, io_timeout=60.0,
                 wait_timeout=15.0,
             )
-            # The wedged worker is replica 0 — it receives the first
-            # LEVEL and sits on it.  Stop its heartbeats shortly after
-            # the job starts; eviction must unwedge the job.
+            # The wedged worker takes one of the two parts and sits on
+            # it.  Stop its heartbeats shortly after the job starts;
+            # eviction must unwedge the job.
             timer = threading.Timer(0.3, announcer.stop)
             timer.start()
             started = time.monotonic()
@@ -368,8 +328,8 @@ def test_registry_eviction_unwedges_a_silent_worker(elastic_instance):
                 f"job took {elapsed:.1f}s — eviction did not beat the "
                 f"I/O timeout"
             )
-            # The wedged identity is gone from the member grid.
-            assert executor._members[0].get(0) is None
+            # The wedged name is gone from the member list.
+            assert executor._member((0, 0)) is None
         finally:
             if executor is not None:
                 executor.close()
@@ -380,12 +340,12 @@ def test_registry_eviction_unwedges_a_silent_worker(elastic_instance):
 
 
 # ----------------------------------------------------------------------
-# Discovery vs drain: re-ANNOUNCE while the shard is being drained
+# Discovery vs drain: re-ANNOUNCE while the name is being drained
 # ----------------------------------------------------------------------
 
 
 def test_reannounce_during_drain_supersedes_and_readmits(elastic_instance):
-    """A worker re-ANNOUNCing while its shard is being drained must not
+    """A worker re-ANNOUNCing while its name is being drained must not
     confuse either side: the registry's latest-wins record survives the
     drain untouched (discovery is a separate one-way channel), the
     drained pool keeps answering exactly, and the re-announced address
@@ -412,7 +372,7 @@ def test_reannounce_during_drain_supersedes_and_readmits(elastic_instance):
             # supervised restart at a fresh port) and keeps announcing
             # while the coordinator drains the old member of the same
             # identity.
-            spare, spare_address = _spare_worker(data, 0, 2, backend)
+            spare, spare_address = _spare_worker(data, 0, backend)
             announcer = Announcer(
                 registry.address, spare._announce_hello, interval=0.05,
                 rng=random.Random(5),
@@ -439,35 +399,6 @@ def test_reannounce_during_drain_supersedes_and_readmits(elastic_instance):
                 spare.close()
             cluster.close()
             engine.close()
-
-
-def test_retired_shard_ids_are_refused_readmission(elastic_instance):
-    """The exact refusal for a retired identity is pinned: retirement
-    recuts the shard's rows onto the survivors, so readmitting its id
-    would double-own rows — the error must say so."""
-    data, query, expected = elastic_instance
-    backend = "bitset"
-    engine = HGMatch(data, index_backend=backend)
-    executor = ShardPool(num_shards=2, index_backend=backend)
-    spare = None
-    try:
-        assert executor.run(engine, query).embeddings == expected[backend]
-        assert executor.drain(1) is not None  # last replica: retires it
-        assert executor.run(engine, query).embeddings == expected[backend]
-        spare, spare_address = _spare_worker(
-            data, 1, 2, backend, num_replicas=1, replica_id=0
-        )
-        with pytest.raises(
-            SchedulerError,
-            match=r"cannot admit a worker for retired shard 1: its "
-                  r"rows were recut onto the surviving shards",
-        ):
-            executor.admit(spare_address)
-    finally:
-        executor.close()
-        if spare is not None:
-            spare.close()
-        engine.close()
 
 
 # ----------------------------------------------------------------------
@@ -528,8 +459,8 @@ def test_respawned_replica_rejoins_via_catchup_batches(elastic_instance):
 
 def test_respawned_replica_rejoins_via_catchup_snapshot(elastic_instance):
     """Same rejoin, but the retained batch suffix has aged out: the
-    gate falls back to shipping a full snapshot with the placement
-    label so the worker recuts its shard from scratch."""
+    gate falls back to shipping a full snapshot, from which the worker
+    rebuilds its store."""
     from repro.testing import random_mutation_schedule
 
     data, query, expected = elastic_instance

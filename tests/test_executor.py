@@ -275,3 +275,36 @@ class TestSeeding:
         assert runs[0].embeddings == runs[1].embeddings == expected
         assert runs[0].makespan == runs[1].makespan
         assert runs[0].total_steals == runs[1].total_steals
+
+
+def test_worker_stats_record_cpu_time(parallel_instance):
+    """Pool members stamp each part with its CPU time, which is what
+    ``worker_loads`` reads first."""
+    from repro.parallel import ShardPool, load_imbalance, worker_loads
+
+    engine, query, expected = parallel_instance
+    pool = ShardPool(num_shards=2, index_backend=engine.index_backend)
+    try:
+        result = pool.run(engine, query)
+        assert result.embeddings == expected
+        assert any(s.cpu_time > 0 for s in result.worker_stats)
+        loads = worker_loads(result.worker_stats)
+        assert loads == [
+            s.cpu_time
+            for s in sorted(result.worker_stats, key=lambda s: s.worker_id)
+        ]
+        assert load_imbalance(result.worker_stats) >= 1.0
+    finally:
+        pool.close()
+
+
+def test_load_helpers_fall_back_to_busy_time():
+    from repro.parallel import WorkerStats, load_imbalance, worker_loads
+
+    stats = [
+        WorkerStats(worker_id=1, busy_time=1.0),
+        WorkerStats(worker_id=0, busy_time=3.0),
+    ]
+    assert worker_loads(stats) == [3.0, 1.0]
+    assert load_imbalance(stats) == 1.5
+    assert load_imbalance([WorkerStats(worker_id=0)]) == 1.0

@@ -151,7 +151,7 @@ def test_orientations_agree_on_incrementally_mutated_shards():
         for batch in random_mutation_schedule(rng, data, steps=4):
             engine.apply_mutations(batch)
             for shard in shards:
-                apply_batch(shard.graph, shard, batch)
+                apply_batch(shard, batch)
         check_tree(engine, query, shards)
         tombstoned += sum(
             partition.num_rows - partition.cardinality
@@ -239,7 +239,7 @@ def test_a_partition_of_tombstones_only():
     (shard,) = bitset_shards(data, 1)
     batch = MutationBatch(deletes=[1, 2])
     engine.apply_mutations(batch)
-    apply_batch(shard.graph, shard, batch)
+    apply_batch(shard, batch)
     partition = shard.partition(plan.steps[1].signature)
     assert partition.num_rows == 2 and partition.cardinality == 0
     dead = run_level(engine.data, shard, plan, 1, [(0,)], True)

@@ -436,24 +436,20 @@ def test_daemon_restart_recovers_graph_and_resumes_standing(
 
 def test_mux_pool_heals_missed_mutate_via_catchup(instance):
     """The reconnect-replay story for the service's pool: a MUTATE
-    send severed mid-broadcast closes the pool (no replica to degrade
-    onto), leaving one worker stale.  The next query's reopen finds the
-    stale HELLO and repairs it with a CATCHUP stream — before §2.10
-    this pool was permanently wedged against external workers.  (The
-    barrier is the one pool-level ``mutate`` now, so the failure
-    carries its message — "is gone (mutate send failed …" — where the
-    service's own copy said "MUTATE send to shard 1".)"""
-    from repro.parallel import FaultPlan, spawn_local_cluster
-    from repro.parallel.level_sync import run_level_synchronous
-    from repro.parallel import QueryChannel, ShardPool
+    send severed on the pool's only member closes the pool (no member
+    to degrade onto), leaving the worker stale.  The next query's
+    reopen finds the stale HELLO and repairs it with a CATCHUP stream —
+    before §2.10 this pool was permanently wedged against external
+    workers."""
+    from repro.parallel import FaultPlan, ShardPool, spawn_local_cluster
 
     data, query = instance
     engine = HGMatch(data, index_backend="merge")
     plan = FaultPlan(seed=37)
     # The pool's first coordinator frame on each connection is the
     # MUTATE itself (the handshake sends none), so pin frame 1.
-    plan.sever(1, 0, after_frames=1, role="coordinator")
-    cluster = spawn_local_cluster(data, 2, index_backend="merge")
+    plan.sever(0, 0, after_frames=1, role="coordinator")
+    cluster = spawn_local_cluster(data, 1, index_backend="merge")
     pool = ShardPool(
         addresses=list(cluster.addresses),
         index_backend="merge",
@@ -469,14 +465,14 @@ def test_mux_pool_heals_missed_mutate_via_catchup(instance):
         result = engine.apply_mutations(batch)
         with pytest.raises(
             SchedulerError,
-            match=r"shard worker 1 is gone \(mutate send failed",
+            match=r"shard 0 replica 0 is gone \(mutate send failed",
         ):
             pool.mutate(engine, batch, result)
         assert all(f.consumed for f in plan.faults)
-        # Worker 0 applied the batch, worker 1 never saw it: the pool
-        # reopens against a mixed-version cluster and catch-up levels
-        # them — counts match a rebuild on the mutated graph.
-        outcome = run_level_synchronous(QueryChannel(pool), engine, query)
+        # The worker never saw the batch: the pool reopens against a
+        # stale worker and catch-up levels it — counts match a rebuild
+        # on the mutated graph.
+        outcome = pool.run(engine, query)
         assert outcome.embeddings == rebuild_count(engine, query, "merge")
     finally:
         pool.close()
@@ -492,17 +488,15 @@ def test_lost_mutate_ack_ends_the_barrier_at_once(instance):
     barrier did (6.00 s here, 600 s at the default) for want of an
     outcome for a member lost mid-barrier.  The next query reopens the
     pool and counts like a rebuild."""
-    from repro.parallel import FaultPlan, spawn_local_cluster
-    from repro.parallel.level_sync import run_level_synchronous
-    from repro.parallel import QueryChannel, ShardPool
+    from repro.parallel import FaultPlan, ShardPool, spawn_local_cluster
 
     data, query = instance
     engine = HGMatch(data, index_backend="merge")
     plan = FaultPlan(seed=41)
     # Worker frames: 1 = HELLO, 2 = the DELTA ack.
-    plan.sever(1, 0, after_frames=2, role="worker")
+    plan.sever(0, 0, after_frames=2, role="worker")
     cluster = spawn_local_cluster(
-        data, 2, index_backend="merge", chaos=plan
+        data, 1, index_backend="merge", chaos=plan
     )
     pool = ShardPool(
         addresses=list(cluster.addresses),
@@ -516,12 +510,12 @@ def test_lost_mutate_ack_ends_the_barrier_at_once(instance):
         started = time.monotonic()
         with pytest.raises(
             SchedulerError,
-            match=r"shard worker 1 is gone \(mutate ack failed",
+            match=r"shard 0 replica 0 is gone \(mutate ack failed",
         ):
             pool.mutate(engine, batch, result)
         assert time.monotonic() - started < 1.0
         assert not pool._members  # closed, not wedged
-        outcome = run_level_synchronous(QueryChannel(pool), engine, query)
+        outcome = pool.run(engine, query)
         assert outcome.embeddings == rebuild_count(engine, query, "merge")
     finally:
         pool.close()

@@ -1,12 +1,12 @@
-"""The socket shard executor: parity, handshake gates and failure paths.
+"""The socket pool: parity, handshake gates and failure paths.
 
 The correctness bar matches the multiprocess executor's: bit-identical
 counts against the sequential engine for every index backend — now
 across real TCP connections (loopback clusters spawned by
 :func:`repro.parallel.spawn_local_cluster`, i.e. the full network
 path).  On top of that, the suite pins the failure modes a network
-adds: mid-level worker disconnects must raise cleanly (no hang),
-handshake mismatches (backend / shard arithmetic / data graph / seed)
+adds: mid-job worker disconnects must raise cleanly (no hang),
+handshake mismatches (backend / data graph / seed / duplicate names)
 must refuse to compose, and protocol violations must not corrupt
 counts.
 """
@@ -16,6 +16,7 @@ from __future__ import annotations
 import pickle
 import random
 import socket
+import struct
 import threading
 
 import pytest
@@ -53,7 +54,6 @@ def test_counts_match_sequential(workload_instances, backend):
         try:
             expected = engine.count(query)
             assert engine.count(query, executor="sockets") == expected
-            assert engine.count_bfs(query, executor="sockets") == expected
         finally:
             engine.close()
 
@@ -77,7 +77,7 @@ def test_counter_funnel_matches_sequential(workload_instances):
 
 
 def test_addresses_mode_in_any_order(workload_instances):
-    """Replies map by handshake shard id, not by address order."""
+    """Any address order is the same flat pool: one part per member."""
     data, query = workload_instances[0]
     engine = HGMatch(data, index_backend="adaptive")
     cluster = spawn_local_cluster(data, 3, index_backend="adaptive")
@@ -88,7 +88,7 @@ def test_addresses_mode_in_any_order(workload_instances):
     try:
         result = executor.run(engine, query)
         assert result.embeddings == engine.count(query)
-        assert [stats.worker_id for stats in result.worker_stats] == [0, 1, 2]
+        assert sorted(s.worker_id for s in result.worker_stats) == [0, 1, 2]
     finally:
         executor.close()
         cluster.close()
@@ -99,7 +99,7 @@ def test_worker_sessions_are_reusable(workload_instances):
     """STOP ends a session, not the server: two coordinators in turn."""
     data, query = workload_instances[0]
     engine = HGMatch(data, index_backend="merge")
-    worker = ShardWorker(data, 0, 1, index_backend="merge")
+    worker = ShardWorker(data, 0, index_backend="merge")
     address = worker.bind()
     thread = threading.Thread(
         target=worker.serve_forever, kwargs={"max_sessions": 2}, daemon=True
@@ -174,29 +174,12 @@ def test_handshake_seed_mismatch(workload_instances):
         engine.close()
 
 
-def test_handshake_shard_arithmetic_mismatch(workload_instances):
-    """Workers believing in a different shard count must be refused —
-    composing them would double- or under-count rows."""
-    data, query = workload_instances[0]
-    engine = HGMatch(data, index_backend="merge")
-    cluster = spawn_local_cluster(data, 3, index_backend="merge")
-    executor = ShardPool(
-        addresses=cluster.addresses[:2], index_backend="merge"
-    )
-    try:
-        with pytest.raises(SchedulerError, match="shard arithmetic"):
-            executor.run(engine, query)
-    finally:
-        executor.close()
-        cluster.close()
-        engine.close()
-
-
 def test_duplicate_shard_ids_rejected(workload_instances):
     data, query = workload_instances[0]
     engine = HGMatch(data, index_backend="merge")
     # Two independent clusters: their shard-0 servers both announce
-    # shard id 0 — composing them would double-count its rows.
+    # the name (0, 0) — a registry or supervisor could not tell them
+    # apart.
     first = spawn_local_cluster(data, 2, index_backend="merge")
     second = spawn_local_cluster(data, 2, index_backend="merge")
     executor = ShardPool(
@@ -215,8 +198,8 @@ def test_duplicate_shard_ids_rejected(workload_instances):
 
 def test_dead_worker_between_jobs_recovers_transparently(workload_instances):
     """A worker lost *between* jobs (or a session idled out) is caught
-    by the liveness probe on reuse: the executor rebuilds its pool and
-    the query succeeds instead of failing on a stale socket."""
+    on reuse: the dead member's part goes to the survivor, the next
+    open respawns it, and no query fails on a stale socket."""
     data, query = workload_instances[0]
     engine = HGMatch(data, index_backend="bitset")
     executor = ShardPool(num_shards=2, index_backend="bitset")
@@ -226,36 +209,35 @@ def test_dead_worker_between_jobs_recovers_transparently(workload_instances):
         victim = executor._cluster.processes[0]
         victim.terminate()
         victim.join(timeout=2.0)
-        # The probe detects the dead session and respawns the cluster.
-        assert executor.run(engine, query).embeddings == expected
+        for _ in range(2):
+            assert executor.run(engine, query).embeddings == expected
+        assert all(p.is_alive() for p in executor._cluster.processes)
     finally:
         executor.close()
         engine.close()
 
 
 def test_mid_job_local_worker_loss_respawns_and_requeues(
-    workload_instances, kill_on_first_level
+    workload_instances, kill_mid_job
 ):
-    """A local-cluster worker killed *mid-job* is respawned and the
-    in-flight level requeued to it: the job completes with the correct
-    count instead of failing (ROADMAP's restart-with-requeue, local
-    slice).  Remote (addresses-mode) workers keep the clean
-    SchedulerError — see test_mid_level_disconnect_raises_cleanly."""
+    """A local-cluster worker killed *mid-job* has its part requeued to
+    the survivor — the job completes with the correct count instead of
+    failing — and is respawned by the next job's open."""
     data, query = workload_instances[0]
     engine = HGMatch(data, index_backend="bitset")
     executor = ShardPool(num_shards=2, index_backend="bitset")
     try:
         expected = engine.count(query)
-        assert executor.run_bfs(engine, query).embeddings == expected
+        assert executor.run(engine, query).embeddings == expected
 
-        state = kill_on_first_level(executor, 1)
-        result = executor.run_bfs(engine, query)
+        state = kill_mid_job(executor, 1)
+        result = executor.run(engine, query)
         assert state["killed"]
         assert result.embeddings == expected
-        # Both shards reported accounting (the respawned one included).
-        assert sorted(s.worker_id for s in result.worker_stats) == [0, 1]
+        assert len(result.worker_stats) == 2
         # The pool keeps serving afterwards with the fresh worker.
-        assert executor.run_bfs(engine, query).embeddings == expected
+        for _ in range(2):
+            assert executor.run(engine, query).embeddings == expected
         assert all(
             process.is_alive() for process in executor._cluster.processes
         )
@@ -264,45 +246,20 @@ def test_mid_job_local_worker_loss_respawns_and_requeues(
         engine.close()
 
 
-def test_mid_job_worker_loss_after_rebalance_restores_layout(
-    workload_instances, kill_on_first_level
-):
-    """A worker respawned mid-job rebuilds under the spawn mode and
-    must be upgraded to the pool's rebalanced layout before the level
-    is requeued — otherwise its rows would drift."""
-    data, query = workload_instances[0]
-    engine = HGMatch(data, index_backend="bitset")
-    executor = ShardPool(num_shards=2, index_backend="bitset")
-    try:
-        expected = engine.count(query)
-        first = executor.run_bfs(engine, query)
-        assert first.embeddings == expected
-        stats = sorted(first.worker_stats, key=lambda s: s.worker_id)
-        stats[0].cpu_time, stats[1].cpu_time = 4.0, 1.0
-        if executor.rebalance(stats) == 0:
-            pytest.skip("synthetic loads moved no boundary on this data")
-        assert executor._sharding_label.startswith("rebalanced-")
-
-        state = kill_on_first_level(executor, 0)
-        result = executor.run_bfs(engine, query)
-        assert state["killed"]
-        assert result.embeddings == expected
-    finally:
-        executor.close()
-        engine.close()
-
-
-def test_mid_level_disconnect_raises_cleanly(workload_instances):
-    """A worker vanishing *mid-job* must raise SchedulerError promptly
-    (no hang, nothing half-composed) — a fake worker completes the
-    handshake and the job setup, then dies: connection and listener
-    both go, as a dead process's do.  (Since the one recovery ladder a
-    fixed-address member whose *connection* alone is lost is
-    reconnected in place; only a refused reconnect fails the job.)"""
-    from repro.hypergraph import StoreShard
+def test_mid_job_disconnect_raises_cleanly(workload_instances):
+    """The last member vanishing *mid-job* must raise SchedulerError
+    promptly (no hang, nothing half-counted) — a fake worker completes
+    the handshake, takes its request, then dies: connection and
+    listener both go, as a dead process's do.  (A fixed-address member
+    whose *connection* alone is lost is reconnected in place; only a
+    refused reconnect fails the job.)"""
+    from repro.hypergraph import PartitionedStore
+    from repro.parallel import ShardDescriptor
 
     data, query = workload_instances[0]
-    descriptor = StoreShard.build(data, 0, 1, index_backend="merge").describe()
+    descriptor = ShardDescriptor.of(
+        PartitionedStore(data, index_backend="merge")
+    )
     listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     listener.bind(("127.0.0.1", 0))
     listener.listen(1)
@@ -316,8 +273,7 @@ def test_mid_level_disconnect_raises_cleanly(workload_instances):
                 transport.MSG_HELLO,
                 transport.encode_handshake(descriptor.as_dict(), 0),
             )
-            transport.recv_frame(conn)  # JOB
-            transport.recv_frame(conn)  # LEVEL 0
+            transport.recv_frame(conn)  # SUBTREE
             # ... and die without replying.
             listener.close()
 
@@ -327,7 +283,7 @@ def test_mid_level_disconnect_raises_cleanly(workload_instances):
     executor = ShardPool(addresses=[address], index_backend="merge")
     try:
         with pytest.raises(SchedulerError, match="disconnected mid-job"):
-            executor.run_bfs(engine, query)
+            executor.run(engine, query)
     finally:
         executor.close()
         listener.close()
@@ -340,7 +296,7 @@ def test_shutdown_worker_stops_a_server(workload_instances):
     from repro.parallel import shutdown_worker
 
     data, _query = workload_instances[0]
-    worker = ShardWorker(data, 0, 1, index_backend="merge")
+    worker = ShardWorker(data, 0, index_backend="merge")
     address = worker.bind()
     thread = threading.Thread(target=worker.serve_forever, daemon=True)
     thread.start()
@@ -429,7 +385,7 @@ def test_worker_survives_garbage_frames(workload_instances):
     the session and serves the next coordinator normally."""
     data, query = workload_instances[0]
     engine = HGMatch(data, index_backend="merge")
-    worker = ShardWorker(data, 0, 1, index_backend="merge")
+    worker = ShardWorker(data, 0, index_backend="merge")
     address = worker.bind()
     thread = threading.Thread(
         target=worker.serve_forever, kwargs={"max_sessions": 2}, daemon=True
@@ -456,13 +412,110 @@ def test_worker_survives_garbage_frames(workload_instances):
         engine.close()
 
 
+#: The kind bytes of the retired level-synchronous frames: JOB, LEVEL,
+#: COLLECT, REBALANCE and CANCEL.
+RETIRED_KINDS = (0x4A, 0x4C, 0x43, 0x42, 0x58)
+
+
+def test_retired_kinds_end_the_session_and_the_worker_serves_on(
+    workload_instances, monkeypatch
+):
+    """A frame of a retired kind is an unknown kind: the worker ends
+    that session (a TransportError on its side) and serves the next
+    coordinator as if nothing happened."""
+    data, query = workload_instances[0]
+    engine = HGMatch(data, index_backend="merge")
+    worker = ShardWorker(data, 0, index_backend="merge")
+    address = worker.bind()
+    refused = []
+    real_recv = transport.recv_frame
+
+    def recv_frame(sock):
+        try:
+            return real_recv(sock)
+        except TransportError as exc:
+            if threading.current_thread() is thread:
+                refused.append(str(exc))
+            raise
+
+    monkeypatch.setattr(transport, "recv_frame", recv_frame)
+    thread = threading.Thread(
+        target=worker.serve_forever,
+        kwargs={"max_sessions": len(RETIRED_KINDS) + 1},
+        daemon=True,
+    )
+    thread.start()
+    try:
+        for kind in RETIRED_KINDS:
+            assert kind not in transport._KNOWN_KINDS
+            with socket.create_connection(address, timeout=5.0) as sock:
+                assert transport.recv_frame(sock)[0] == transport.MSG_HELLO
+                with pytest.raises(TransportError, match="unknown frame kind"):
+                    transport.decode_frame(
+                        struct.pack("<IBB", 10, transport.PROTOCOL_VERSION, kind)
+                        + bytes(8)
+                    )
+                sock.sendall(
+                    struct.pack("<IBB", 10, transport.PROTOCOL_VERSION, kind)
+                    + bytes(8)
+                )
+                # The worker hung up on the session.
+                with pytest.raises(TransportError):
+                    real_recv(sock)
+        assert refused == [
+            f"unknown frame kind {kind:#x}" for kind in RETIRED_KINDS
+        ]
+        executor = ShardPool(addresses=[address], index_backend="merge")
+        try:
+            assert executor.run(engine, query).embeddings == engine.count(
+                query
+            )
+        finally:
+            executor.close()
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
+    finally:
+        worker.close()
+        engine.close()
+
+
+def test_close_between_sessions_stops_serve_forever_cleanly(
+    workload_instances, monkeypatch
+):
+    """``close()`` from another thread between two sessions is a
+    shutdown: ``serve_forever`` returns and no exception reaches the
+    thread's excepthook."""
+    data, _query = workload_instances[0]
+    worker = ShardWorker(data, 0, index_backend="merge")
+    address = worker.bind()
+    served = []
+
+    def serve_session(conn):
+        served.append(conn)
+        worker.close()
+        return True
+
+    monkeypatch.setattr(worker, "_serve_session", serve_session)
+    escaped = []
+    monkeypatch.setattr(threading, "excepthook", escaped.append)
+    thread = threading.Thread(target=worker.serve_forever, daemon=True)
+    thread.start()
+    try:
+        with socket.create_connection(address, timeout=5.0):
+            thread.join(timeout=5.0)
+        assert not thread.is_alive()
+        assert len(served) == 1 and escaped == []
+    finally:
+        worker.close()
+
+
 def test_worker_reports_enumeration_errors(workload_instances):
     """A failure inside a query's work arrives as a QERROR frame tagged
     with that query, carrying the remote traceback; the session
     survives it."""
     data, query = workload_instances[0]
     engine = HGMatch(data, index_backend="merge")
-    worker = ShardWorker(data, 0, 1, index_backend="merge")
+    worker = ShardWorker(data, 0, index_backend="merge")
     address = worker.bind()
     thread = threading.Thread(
         target=worker.serve_forever, kwargs={"max_sessions": 1}, daemon=True
@@ -472,37 +525,33 @@ def test_worker_reports_enumeration_errors(workload_instances):
         with socket.create_connection(address, timeout=5.0) as sock:
             kind, _ = transport.recv_frame(sock)
             assert kind == transport.MSG_HELLO
-            # A LEVEL before any JOB: no session -> worker-side error.
-            level = transport.encode_query_body(7, pickle.dumps((0, [()])))
-            transport.send_frame(sock, transport.MSG_LEVEL, level)
-            kind, body = transport.recv_frame(sock)
+            # A query the worker cannot plan -> worker-side error.
+            disconnected = Hypergraph(
+                labels=["A", "A", "A", "A"], edges=[{0, 1}, {2, 3}]
+            )
+
+            def ask(query_id, asked):
+                job = pickle.dumps((asked, None, 0, None))
+                transport.send_frame(
+                    sock, transport.MSG_SUBTREE,
+                    transport.encode_query_body(
+                        query_id, transport.encode_subtree_body(0, 1, job)
+                    ),
+                )
+                kind, body = transport.recv_frame(sock)
+                query_id_back, rest = transport.split_query_body(body)
+                assert query_id_back == query_id
+                return kind, rest
+
+            kind, text = ask(7, disconnected)
             assert kind == transport.MSG_QERROR
-            query_id, text = transport.split_query_body(body)
-            assert query_id == 7
             assert "Traceback" in pickle.loads(text)
-            assert "LEVEL before JOB" in pickle.loads(text)
-            # The connection outlives the failed query: the solo probe
-            # (COLLECT 0 with no session) is still answered.
-            transport.send_frame(
-                sock,
-                transport.MSG_COLLECT,
-                transport.encode_query_body(transport.SOLO_QUERY_ID),
-            )
-            kind, body = transport.recv_frame(sock)
+            assert "connected query" in pickle.loads(text)
+            # The connection outlives the failed query.
+            kind, reply = ask(9, query)
             assert kind == transport.MSG_LEVEL_REPLY
-            query_id, reply = transport.split_query_body(body)
-            assert query_id == transport.SOLO_QUERY_ID
-            counters, stats = transport.decode_reply(reply, collect=True)
-            assert counters.candidates == 0 and stats.tasks_executed == 0
-            # ... but a COLLECT for a real query nobody opened is not.
-            transport.send_frame(
-                sock, transport.MSG_COLLECT, transport.encode_query_body(9)
-            )
-            kind, body = transport.recv_frame(sock)
-            assert kind == transport.MSG_QERROR
-            assert "COLLECT before JOB" in pickle.loads(
-                transport.split_query_body(body)[1]
-            )
+            embeddings, _counters, stats = transport.decode_reply(reply)
+            assert embeddings == engine.count(query) == stats.embeddings
     finally:
         worker.close()
         engine.close()
@@ -521,18 +570,13 @@ def test_truncated_accounting_tail_is_a_typed_failure(
     try:
         expected = engine.count(query)
         assert executor.run(engine, query).embeddings == expected
-        real, original = transport.recv_frame, QueryChannel._broadcast
+        real, original = transport.recv_frame, QueryChannel._send_parts
         state = {"armed": False, "fired": False}
 
-        def broadcast(channel, message):
-            # Cut the job's first reply with an accounting tail: a
-            # subtree job's only one (a level-synchronous job's comes
-            # past the between-jobs probe, whose failure _ensure_pool
-            # absorbs by rebuilding).
-            state["armed"] = (
-                message[0] in ("subtree", "level") and not state["fired"]
-            )
-            original(channel, message)
+        def send_parts(channel, *args):
+            # Cut the job's first reply.
+            state["armed"] = not state["fired"]
+            original(channel, *args)
 
         def recv_frame(sock):
             kind, body = real(sock)
@@ -546,7 +590,7 @@ def test_truncated_accounting_tail_is_a_typed_failure(
             return kind, body
 
         monkeypatch.setattr(transport, "recv_frame", recv_frame)
-        monkeypatch.setattr(QueryChannel, "_broadcast", broadcast)
+        monkeypatch.setattr(QueryChannel, "_send_parts", send_parts)
         with pytest.raises(SchedulerError, match="undecodable reply"):
             executor.run(engine, query)
         assert state["fired"]
@@ -581,6 +625,9 @@ def test_engine_pool_lifecycle(workload_instances):
             with pytest.raises(QueryError):
                 engine.pool(5)
         finally:
+            # The pinned pool's sessions go first: a worker busy serving
+            # one cannot take the cluster's QUIT and would be waited out.
+            engine.close()
             cluster.close()
     finally:
         engine.close()
@@ -614,25 +661,25 @@ def test_results_are_reproducible_across_runs(workload_instances):
     data, query = workload_instances[1]
     engine = HGMatch(data, index_backend="adaptive", shards=2)
     try:
-        first = engine.pool().run_bfs(engine, query)
-        second = engine.pool().run_bfs(engine, query)
+        first = engine.pool().run(engine, query)
+        second = engine.pool().run(engine, query)
         assert first.embeddings == second.embeddings
         assert first.counters.as_row() == second.counters.as_row()
-        assert [s.payload_bytes for s in first.worker_stats] == [
-            s.payload_bytes for s in second.worker_stats
+        assert [s.embeddings for s in first.worker_stats] == [
+            s.embeddings for s in second.worker_stats
         ]
     finally:
         engine.close()
 
 
 # ----------------------------------------------------------------------
-# Replication (K replicas per shard range)
+# Replication (K workers per shard name)
 # ----------------------------------------------------------------------
 
 
 def test_replicated_local_pool_counts_match(workload_instances):
-    """K=2 local pool: counts and accounting are bit-identical to the
-    unreplicated run (spares receive the JOB but answer no level)."""
+    """K=2 local pool: four interchangeable members, four parts, counts
+    bit-identical to the sequential engine."""
     data, query = workload_instances[0]
     engine = HGMatch(data, index_backend="bitset", shards=2)
     executor = ShardPool(
@@ -640,14 +687,14 @@ def test_replicated_local_pool_counts_match(workload_instances):
     )
     try:
         expected = engine.count(query)
-        result = executor.run_bfs(engine, query)
+        result = executor.run(engine, query)
         assert result.embeddings == expected
-        assert sorted(s.worker_id for s in result.worker_stats) == [0, 1]
+        assert sorted(s.worker_id for s in result.worker_stats) == [0, 0, 1, 1]
         # 2 shards x 2 replicas, flat layout.
         assert len(executor._cluster.processes) == 4
         assert executor._cluster.num_shards == 2
-        # Warm reuse still works (the COLLECT probe round-trips).
-        assert executor.run_bfs(engine, query).embeddings == expected
+        # Warm reuse still works.
+        assert executor.run(engine, query).embeddings == expected
     finally:
         executor.close()
         engine.close()
@@ -656,8 +703,9 @@ def test_replicated_local_pool_counts_match(workload_instances):
 def test_replicated_addresses_mode_tolerates_dead_replica(
     workload_instances,
 ):
-    """K=2 addresses mode: one dead replica at pool build merely loses
-    that replica; zero live replicas for a shard refuses to compose."""
+    """K=2 addresses mode: a dead worker at pool build merely loses
+    that member — a whole dead shard name too; only no live member at
+    all refuses to open."""
     data, query = workload_instances[0]
     engine = HGMatch(data, index_backend="merge")
     cluster = spawn_local_cluster(
@@ -665,8 +713,7 @@ def test_replicated_addresses_mode_tolerates_dead_replica(
     )
     try:
         expected = engine.count(query)
-        # Kill shard 1's replica 1: the pool still has a live replica
-        # of every range and must compose exact counts.
+        # Kill shard 1's replica 1: three members count exactly.
         cluster.kill_member(1, 1)
         executor = ShardPool(
             addresses=list(cluster.addresses),
@@ -677,7 +724,7 @@ def test_replicated_addresses_mode_tolerates_dead_replica(
             assert executor.run(engine, query).embeddings == expected
         finally:
             executor.close()
-        # Kill shard 0 entirely: zero live replicas -> clean refusal.
+        # Kill shard 0 entirely: shard 1's replica 0 counts alone.
         cluster.kill_member(0, 0)
         cluster.kill_member(0, 1)
         executor = ShardPool(
@@ -686,7 +733,20 @@ def test_replicated_addresses_mode_tolerates_dead_replica(
             index_backend="merge",
         )
         try:
-            with pytest.raises(SchedulerError, match="no live replica"):
+            result = executor.run(engine, query)
+            assert result.embeddings == expected
+            assert [s.worker_id for s in result.worker_stats] == [1]
+        finally:
+            executor.close()
+        # Nobody left: a clean refusal.
+        cluster.kill_member(1, 0)
+        executor = ShardPool(
+            addresses=list(cluster.addresses),
+            num_replicas=2,
+            index_backend="merge",
+        )
+        try:
+            with pytest.raises(SchedulerError, match="could not connect"):
                 executor.run(engine, query)
         finally:
             executor.close()
@@ -695,38 +755,14 @@ def test_replicated_addresses_mode_tolerates_dead_replica(
         engine.close()
 
 
-def test_replica_arithmetic_mismatch(workload_instances):
-    """A worker believing in a different replication factor must be
-    refused at handshake, like any other contract mismatch."""
-    data, query = workload_instances[0]
-    engine = HGMatch(data, index_backend="merge")
-    worker = ShardWorker(
-        data, 0, 1, index_backend="merge", replica_id=0, num_replicas=2
-    )
-    address = worker.bind()
-    thread = threading.Thread(
-        target=worker.serve_forever, kwargs={"max_sessions": 1}, daemon=True
-    )
-    thread.start()
-    executor = ShardPool(addresses=[address], index_backend="merge")
-    try:
-        with pytest.raises(SchedulerError, match="replica arithmetic"):
-            executor.run(engine, query)
-    finally:
-        executor.close()
-        worker.close()
-        engine.close()
-
-
 def test_duplicate_replica_identity_rejected(workload_instances):
-    """Two workers announcing the same (shard, replica) slot: composing
-    them would be ambiguous, so the pool build refuses."""
+    """Two workers announcing the same (shard, replica) name: a
+    registry or supervisor could not tell them apart, so the pool
+    build refuses."""
     data, query = workload_instances[0]
     engine = HGMatch(data, index_backend="merge")
     workers = [
-        ShardWorker(
-            data, 0, 1, index_backend="merge", replica_id=0, num_replicas=2
-        )
+        ShardWorker(data, 0, index_backend="merge", replica_id=0)
         for _ in range(2)
     ]
     threads = []
@@ -808,8 +844,7 @@ def test_invalid_replica_configuration():
         )
     with pytest.raises(SchedulerError):
         ShardWorker(
-            Hypergraph(labels=["A", "A"], edges=[{0, 1}]),
-            0, 1, replica_id=2, num_replicas=2,
+            Hypergraph(labels=["A", "A"], edges=[{0, 1}]), 0, replica_id=-1,
         )
     with pytest.raises(SchedulerError):
         spawn_local_cluster(

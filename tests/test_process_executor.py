@@ -1,10 +1,10 @@
-"""The multiprocess shard executor: parity, accounting and lifecycle.
+"""The multiprocess pool: parity, accounting and lifecycle.
 
 The correctness bar is bit-identical counts against the sequential
-engine for every index backend — the acceptance gate of the sharded
-execution subsystem — plus the funnel counters (candidates / filtered /
-final_*) matching exactly, since each candidate is generated and
-validated in exactly one shard.
+engine for every index backend, plus the funnel counters (candidates /
+filtered / final_*) matching exactly, since each root candidate is
+searched in exactly one part.  The payload tests at the end pin the
+row-range shard kernel the level-synchronous loop runs in process.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ def test_counts_match_sequential(workload_instances, backend, num_shards):
         try:
             expected = engine.count(query)
             assert engine.count(query, executor="processes") == expected
-            assert engine.count_bfs(query, executor="processes") == expected
         finally:
             engine.close()
 
@@ -57,8 +56,8 @@ def test_counter_funnel_matches_sequential(workload_instances, backend):
         assert engine.count(
             query, executor="processes", counters=sharded
         ) == expected
-        # Disjoint row ownership: every candidate is produced and
-        # validated exactly once across the pool, so the funnel is exact.
+        # Disjoint root parts: every candidate is produced and validated
+        # exactly once across the pool, so the funnel is exact.
         assert sharded.candidates == sequential.candidates
         assert sharded.filtered == sequential.filtered
         assert sharded.final_candidates == sequential.final_candidates
@@ -71,8 +70,8 @@ def test_counter_funnel_matches_sequential(workload_instances, backend):
 
 @pytest.mark.parametrize("backend", ("bitset", "adaptive"))
 def test_mask_backends_ship_masks_not_edge_lists(workload_instances, backend):
-    """Payloads crossing the process boundary must be row payloads
-    (bitmask/chunk tags), never decoded edge-id tuples."""
+    """Shard payloads must be row payloads (bitmask/chunk tags), never
+    decoded edge-id tuples."""
     from repro.core.candidates import _WIRE_CHUNKS, _WIRE_MASK, _WIRE_TUPLE
     from repro.hypergraph import StoreShard
     from repro.parallel.level_sync import encode_survivors
@@ -92,18 +91,6 @@ def test_mask_backends_ship_masks_not_edge_lists(workload_instances, backend):
             index,
         )
         assert dense[0] in (_WIRE_MASK, _WIRE_CHUNKS)
-
-    engine = HGMatch(data, index_backend=backend)
-    executor = ShardPool(num_shards=2, index_backend=backend)
-    try:
-        result = executor.run_bfs(engine, query)
-        assert result.embeddings == engine.count(query)
-        assert len(result.worker_stats) == 2
-        # Each shard reports the bytes it actually shipped.
-        assert all(s.payload_bytes >= 0 for s in result.worker_stats)
-    finally:
-        executor.close()
-        engine.close()
 
 
 def test_pool_persists_across_queries(workload_instances):
@@ -131,12 +118,12 @@ def test_results_are_reproducible_across_runs(workload_instances):
     data, query = workload_instances[1]
     engine = HGMatch(data, index_backend="adaptive", shards=2)
     try:
-        first = engine.pool().run_bfs(engine, query)
-        second = engine.pool().run_bfs(engine, query)
+        first = engine.pool().run(engine, query)
+        second = engine.pool().run(engine, query)
         assert first.embeddings == second.embeddings
         assert first.counters.as_row() == second.counters.as_row()
-        assert [s.payload_bytes for s in first.worker_stats] == [
-            s.payload_bytes for s in second.worker_stats
+        assert [s.embeddings for s in first.worker_stats] == [
+            s.embeddings for s in second.worker_stats
         ]
     finally:
         engine.close()
@@ -202,41 +189,32 @@ def _kill(process):
 
 
 def test_dead_worker_recovers_between_jobs_and_mid_job(
-    workload_instances, kill_on_first_level
+    workload_instances, kill_mid_job
 ):
     """``processes`` runs on the one shard pool and inherits its
     failure policy: a worker lost between jobs is brought back by the
-    recovery ladder on reuse, one lost mid-job is respawned under the
-    budget and the level requeued — exact counts either way, pool
-    healthy afterwards.  Only when the last replica is gone *and* the
-    respawn budget is exhausted does the job fail, with a typed error
-    and a pool the next run rebuilds."""
+    recovery ladder on reuse, one lost mid-job leaves its part to the
+    survivor and is respawned by the next job's open — exact counts
+    either way, pool healthy afterwards."""
     data, query = workload_instances[0]
     engine = HGMatch(data, index_backend="bitset")
     executor = ShardPool(num_shards=2, index_backend="bitset")
     try:
         expected = engine.count(query)
-        assert executor.run_bfs(engine, query).embeddings == expected
+        assert executor.run(engine, query).embeddings == expected
         # Between jobs.
         _kill(executor._cluster.processes[0])
-        assert executor.run_bfs(engine, query).embeddings == expected
+        assert executor.run(engine, query).embeddings == expected
         assert all(p.is_alive() for p in executor._cluster.processes)
         # Mid-job.
-        state = kill_on_first_level(executor, 1)
-        result = executor.run_bfs(engine, query)
+        state = kill_mid_job(executor, 1)
+        result = executor.run(engine, query)
         assert state["killed"] and result.embeddings == expected
-        assert sorted(s.worker_id for s in result.worker_stats) == [0, 1]
-        assert executor.run_bfs(engine, query).embeddings == expected
+        # (The pump may see the death only during the next job.)
+        for _ in range(2):
+            assert executor.run(engine, query).embeddings == expected
         assert all(p.is_alive() for p in executor._cluster.processes)
-        # Mid-job with nothing left to respawn with.
-        state = kill_on_first_level(
-            executor, 0,
-            then=lambda: setattr(executor, "_respawn_budget", 0),
-        )
-        with pytest.raises(SchedulerError, match="no live replica remains"):
-            executor.run_bfs(engine, query)
-        assert state["killed"] and not executor._members
-        assert executor.run_bfs(engine, query).embeddings == expected
+        assert len(executor._members) == 2
     finally:
         executor.close()
         engine.close()
@@ -264,10 +242,10 @@ def test_processes_and_hostless_sockets_share_one_pool(workload_instances):
 
 
 def test_solo_job_on_a_stale_worker_is_refused(workload_instances):
-    """Every JOB is stamped with the graph version the coordinator's
-    candidate algebra assumes — the solo coordinator's too — so a
-    worker that did not see a mutation refuses the job instead of
-    composing rows across versions."""
+    """Every SUBTREE request is stamped with the graph version the
+    coordinator assumes — the solo coordinator's too — so a worker that
+    did not see a mutation refuses the job instead of adding up counts
+    across versions."""
     from repro.testing import random_mutation_schedule
 
     data, query = workload_instances[0]
@@ -324,11 +302,10 @@ def test_fig1_running_example_across_executors(fig1_data, fig1_query):
         assert engine.count(fig1_query, executor="processes") == expected
         assert engine.count(fig1_query, executor="simulated", workers=3) == expected
         assert engine.count_bfs(fig1_query) == expected
-        assert engine.count_bfs(fig1_query, executor="processes") == expected
-        # The task-parallel spellings are count's, not count_bfs's.
-        for spelling in ("threads", "simulated"):
+        # Every parallel spelling is count's, not count_bfs's.
+        for spelling in ("threads", "simulated", "processes", "sockets"):
             with pytest.raises(QueryError, match="use count"):
-                engine.count_bfs(fig1_query, executor=spelling, workers=3)
+                engine.count_bfs(fig1_query, executor=spelling)
     finally:
         engine.close()
 
@@ -443,7 +420,7 @@ def test_bitset_level_payloads_over_tombstoned_shard_rows():
         for batch in random_mutation_schedule(rng, data, steps=4):
             engine.apply_mutations(batch)
             for shard in shards:
-                apply_batch(shard.graph, shard, batch)
+                apply_batch(shard, batch)
         tombstoned += sum(
             partition.num_rows - len(partition.edge_ids)
             for shard in shards

@@ -22,9 +22,9 @@ import pytest
 
 from repro import HGMatch
 from repro.errors import SchedulerError
-from repro.hypergraph import ShardDescriptor
 from repro.parallel import (
     Announcer,
+    ShardDescriptor,
     ShardPool,
     WorkerRegistry,
     spawn_local_cluster,
@@ -36,17 +36,13 @@ from repro.testing import make_random_instance
 INTERVAL = 0.1
 
 
-def _descriptor(shard_id=0, replica_id=0, num_shards=2, num_replicas=1):
+def _descriptor(shard_id=0, replica_id=0):
     return ShardDescriptor(
         shard_id=shard_id,
-        num_shards=num_shards,
+        replica_id=replica_id,
         index_backend="bitset",
-        num_partitions=1,
-        num_rows=4,
         graph_edges=8,
         graph_vertices=6,
-        replica_id=replica_id,
-        num_replicas=num_replicas,
     ).as_dict()
 
 
@@ -202,7 +198,7 @@ def test_membership_addresses_and_wait_for():
         socks = [
             _announce(
                 registry,
-                _descriptor(shard_id, num_shards=2),
+                _descriptor(shard_id),
                 ("10.0.0.1", 7000 + shard_id),
             )
             for shard_id in range(2)
@@ -212,8 +208,9 @@ def test_membership_addresses_and_wait_for():
             assert addresses == [
                 ("10.0.0.1", 7000), ("10.0.0.1", 7001),
             ]
-            replica_sets = registry.membership(2)
-            assert [len(rs) for rs in replica_sets] == [1, 1]
+            assert [r.identity for r in registry.snapshot()] == [
+                (0, 0), (1, 0),
+            ]
         finally:
             for sock in socks:
                 sock.close()
@@ -221,7 +218,7 @@ def test_membership_addresses_and_wait_for():
 
 def test_wait_for_times_out_naming_missing_slots():
     with WorkerRegistry(heartbeat_interval=INTERVAL) as registry:
-        sock = _announce(registry, _descriptor(0, num_shards=2))
+        sock = _announce(registry, _descriptor(0))
         try:
             assert _wait(lambda: registry.is_live(0, 0))
             with pytest.raises(
@@ -238,7 +235,7 @@ def test_wait_for_times_out_naming_missing_slots():
 
 
 def test_announcer_registers_and_heartbeats():
-    descriptor = _descriptor(1, num_shards=2)
+    descriptor = _descriptor(1)
     with WorkerRegistry(
         heartbeat_interval=INTERVAL, miss_budget=2
     ) as registry:
@@ -330,7 +327,7 @@ def test_cluster_announces_and_from_registry_composes(instance):
             )
             # The records carry real descriptors of the real workers.
             for record in registry.snapshot():
-                assert record.descriptor.num_shards == 2
+                assert record.descriptor.index_backend == "bitset"
                 assert record.address in cluster.addresses
         finally:
             executor.close()

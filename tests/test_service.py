@@ -38,7 +38,6 @@ from repro.hypergraph.io import dump_native, parse_native
 from repro.hypergraph.sampling import QuerySetting, sample_query
 from repro.parallel import ShardPool
 from repro.parallel.chaos import FaultPlan
-from repro.parallel.level_sync import run_level_synchronous
 from repro.service import (
     MatchClient,
     MatchDaemon,
@@ -189,17 +188,16 @@ def test_solo_job_and_service_channel_dispatch_the_same_frames(
 
 
 def test_channel_plugs_into_the_executor_surface(service_instance):
-    """A bare ``QueryChannel`` satisfies the level-synchronous executor
-    contract on its own (no service on top)."""
+    """A bare ``QueryChannel`` is the pool's executor surface on its
+    own (no service on top): one query, answered, then unregistered."""
     data, queries, expected = service_instance
     engine = HGMatch(data, index_backend="bitset")
     pool = ShardPool(num_shards=2, index_backend="bitset")
     try:
-        result = run_level_synchronous(
-            QueryChannel(pool), engine, queries[0]
-        )
+        result = QueryChannel(pool).count(engine, queries[0])
         assert result.embeddings == expected["bitset"][0]
         assert sorted(s.worker_id for s in result.worker_stats) == [0, 1]
+        assert not pool._queries
     finally:
         pool.close()
         engine.close()
@@ -245,10 +243,10 @@ def test_garbled_error_report_fails_the_query_not_the_pump(
             ),
         )
         with pytest.raises(SchedulerError, match="unreadable error report"):
-            run_level_synchronous(QueryChannel(pool), engine, queries[0])
+            QueryChannel(pool).count(engine, queries[0])
         assert not armed and not pool._queries
         assert pool._pump.is_alive()
-        result = run_level_synchronous(QueryChannel(pool), engine, queries[1])
+        result = QueryChannel(pool).count(engine, queries[1])
         assert result.embeddings == expected["bitset"][1]
     finally:
         pool.close()
@@ -280,9 +278,9 @@ def test_truncated_accounting_tail_is_a_typed_failure(
             ),
         )
         with pytest.raises(SchedulerError, match="undecodable reply"):
-            run_level_synchronous(QueryChannel(pool), engine, queries[0])
+            QueryChannel(pool).count(engine, queries[0])
         assert not pool._queries and pool._pump.is_alive()
-        result = run_level_synchronous(QueryChannel(pool), engine, queries[0])
+        result = QueryChannel(pool).count(engine, queries[0])
         assert result.embeddings == expected["bitset"][0]
     finally:
         pool.close()

@@ -9,12 +9,13 @@ bit-identical to the sequential ``merge`` engine — on every backend ×
 pool layout, for custom orders, empty parts, mutated graphs (tombstones
 under both kernel orientations) and under faults; plus what is new with
 this shape: exactly ``parts`` frames per query by the one rule, a lost
-member's part re-sent to a survivor with no respawn (at K = 1 too), and
-the query's budget enforced on the worker.
+member's part re-sent to a survivor with no respawn, and the query's
+budget enforced on the worker.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import pickle
 import random
 import socket
@@ -28,10 +29,11 @@ from test_frontier_kernel import forced
 from repro import HGMatch, Hypergraph
 from repro.core.counters import MatchCounters
 from repro.core.ordering import is_connected_order
-from repro.errors import SchedulerError, TimeoutExceeded
-from repro.hypergraph import INDEX_BACKENDS
+from repro.errors import QueryError, SchedulerError, TimeoutExceeded
+from repro.hypergraph import INDEX_BACKENDS, PartitionedStore
 from repro.parallel import (
     FaultPlan,
+    cluster,
     LocalCluster,
     QueryChannel,
     ShardPool,
@@ -116,28 +118,75 @@ def test_counts_and_funnel_match_the_sequential_merge_engine(
     assert reordered > 0
 
 
+@pytest.mark.parametrize(
+    "executor", ["threads", "processes", "sockets", "simulated"]
+)
+@pytest.mark.parametrize("backend", INDEX_BACKENDS)
+def test_every_executor_spelling_matches_the_sequential_merge_engine(
+    instances, backend, executor
+):
+    """Every parallel spelling of ``count`` makes the one root cut — on
+    threads, on the pool under either name, or on the simulated
+    work-stealing scheduler — and lands on the sequential ``merge``
+    engine's count and funnel on every backend."""
+    for data, query in instances:
+        count, funnel = oracle(data, query)
+        engine = HGMatch(data, index_backend=backend, shards=2)
+        try:
+            counters = MatchCounters()
+            assert engine.count(
+                query, executor=executor, workers=2, counters=counters
+            ) == count
+            assert tuple(getattr(counters, name) for name in FUNNEL) == funnel
+        finally:
+            engine.close()
+
+
+@pytest.mark.parametrize("spelling", ["processes", "sockets"])
+def test_count_bfs_refuses_a_pool_spelling_before_starting_a_pool(
+    fig1_data, fig1_query, spelling
+):
+    """``count_bfs`` is the in-process level-synchronous loop only: a
+    pool spelling is a ``QueryError`` naming the ``count`` call that
+    runs it, raised before any worker is spawned."""
+    engine = HGMatch(fig1_data, shards=2)
+    try:
+        with pytest.raises(
+            QueryError, match=f"use count\\(executor={spelling!r}\\)"
+        ):
+            engine.count_bfs(fig1_query, executor=spelling)
+        assert engine._pool is None
+        assert engine.count_bfs(fig1_query) == oracle(fig1_data, fig1_query)[0]
+        assert engine._pool is None
+    finally:
+        engine.close()
+
+
 def test_both_spellings_and_the_engine_path(instances):
-    """``count(executor=...)`` is the subtree job; ``count_bfs`` the
-    level-synchronous protocol on the same workers."""
+    """``count(executor=...)`` is the subtree job under both spellings;
+    ``count_bfs`` has no pool spelling and says which call does."""
     data, query = instances[0]
     count, _ = oracle(data, query)
     engine = HGMatch(data, shards=2)
     sent = []
-    original = QueryChannel._broadcast
+    original = QueryChannel._send_parts
 
-    def broadcast(channel, message):
-        sent.append(message[0])
-        original(channel, message)
+    def send_parts(channel, *args):
+        sent.append(channel.query_id)
+        original(channel, *args)
 
     try:
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(QueryChannel, "_broadcast", broadcast)
+            patch.setattr(QueryChannel, "_send_parts", send_parts)
             assert engine.count(query, executor="processes") == count
             assert engine.count(query, executor="sockets") == count
-            assert sent == ["subtree", "subtree"]
-            assert engine.count_bfs(query, executor="processes") == count
-            assert "job" in sent and "level" in sent
-            assert sent.count("subtree") == 2
+            assert sent == [transport.SOLO_QUERY_ID] * 2
+            for spelling in ("processes", "sockets"):
+                with pytest.raises(
+                    QueryError, match=f"count\\(executor={spelling!r}\\)"
+                ):
+                    engine.count_bfs(query, executor=spelling)
+            assert len(sent) == 2
     finally:
         engine.close()
 
@@ -223,16 +272,16 @@ def test_concurrent_service_queries_go_whole_to_different_members(
     engine = HGMatch(data, index_backend="bitset")
     service = MatchService(engine, shards=2, chaos=plan, cache_capacity=0)
     placed = {}
-    original = QueryChannel._broadcast
+    original = QueryChannel._send_parts
 
-    def broadcast(channel, message):
-        original(channel, message)
+    def send_parts(channel, *args):
+        original(channel, *args)
+        watchers = channel._state.watchers
         placed[channel.query_id] = [
-            (member.shard_id, member.replica_id)
-            for member in channel._state.targets
+            member.name for part in sorted(watchers) for member in watchers[part]
         ]
 
-    monkeypatch.setattr(QueryChannel, "_broadcast", broadcast)
+    monkeypatch.setattr(QueryChannel, "_send_parts", send_parts)
 
     def registered(query_id):
         deadline = time.monotonic() + 10.0
@@ -293,7 +342,7 @@ def _recorded_respawns(monkeypatch):
 
 
 def test_killed_member_is_covered_by_the_survivor_without_a_respawn(
-    instances, kill_on_first_level, monkeypatch
+    instances, kill_mid_job, monkeypatch
 ):
     data, query = instances[0]
     count, funnel = oracle(data, query)
@@ -307,13 +356,13 @@ def test_killed_member_is_covered_by_the_survivor_without_a_respawn(
     respawns = _recorded_respawns(monkeypatch)
     try:
         assert pool.run(engine, query).embeddings == count
-        state = kill_on_first_level(pool, 1, on="subtree")
+        state = kill_mid_job(pool, 1)
         result = pool.run(engine, query)
         assert state["killed"] and result.embeddings == count
         assert tuple(
             getattr(result.counters, name) for name in FUNNEL
         ) == funnel
-        # Rung 1 at K = 1: worker 0 ran both parts; nobody was respawned
+        # Rung 1: worker 0 ran both parts; nobody was respawned
         # for this job ...
         assert [s.worker_id for s in result.worker_stats] == [0, 0]
         assert respawns == []
@@ -413,12 +462,12 @@ def _subtree_frame(query_id, query, order, version, budget, part=0, parts=1):
 
 def test_worker_enforces_the_budget_and_the_graph_version(instances):
     """At the wire: a request whose budget is spent, or that assumes a
-    graph version the worker does not hold, is a QERROR naming shard,
-    replica and placement — and the session keeps serving."""
+    graph version the worker does not hold, is a QERROR naming the
+    worker — and the session keeps serving."""
     data, query = instances[0]
     count, _ = oracle(data, query)
     order = tuple(HGMatch(data).plan(query).order)
-    worker = ShardWorker(data, 1, 2, index_backend="bitset")
+    worker = ShardWorker(data, 1, index_backend="bitset")
     address = worker.bind()
     thread = threading.Thread(
         target=worker.serve_forever, kwargs={"max_sessions": 1}, daemon=True
@@ -442,19 +491,16 @@ def test_worker_enforces_the_budget_and_the_graph_version(instances):
             assert kind == transport.MSG_QERROR
             report = pickle.loads(rest)
             assert "TimeoutExceeded" in report
-            assert report.startswith("[shard 1 replica 0 (uniform placement)]")
+            assert report.startswith("[shard 1 replica 0]")
             kind, rest = ask(5, None)
             assert kind == transport.MSG_QERROR
             assert "missed MUTATE?" in pickle.loads(rest)
-            # Shard 1 of 2 built its whole store for the first request;
-            # the two halves add up.
+            # The worker's one store answers either half; they add up.
             total = 0
             for part in range(2):
                 kind, rest = ask(0, None, part, 2)
                 assert kind == transport.MSG_LEVEL_REPLY
-                _, _, embeddings, counters, stats = transport.decode_reply(
-                    rest, collect=False
-                )
+                embeddings, counters, stats = transport.decode_reply(rest)
                 assert counters.embeddings == embeddings == stats.embeddings
                 assert stats.worker_id == 1
                 total += embeddings
@@ -478,7 +524,7 @@ def test_malformed_subtree_bodies_are_transport_errors():
 
 
 # ----------------------------------------------------------------------
-# Mutations: the whole store keeps step with the shard
+# Mutations: every member's store keeps step
 # ----------------------------------------------------------------------
 
 
@@ -493,7 +539,7 @@ def _rebuilt(engine, query):
 def test_mutated_engines_count_exactly_under_both_orientations(
     backend, batched
 ):
-    """``apply_mutations`` tombstones rows on the workers' whole stores
+    """``apply_mutations`` tombstones rows on the workers' stores
     (handed over by fork, maintained by MUTATE); the pool is forked
     under the patch, so the workers run the forced orientation."""
     rng = random.Random(2302)
@@ -520,9 +566,33 @@ def test_mutated_engines_count_exactly_under_both_orientations(
     assert tombstoned > 0 and checked >= 12
 
 
+@pytest.mark.parametrize("executor", ["processes", "sockets"])
+@pytest.mark.parametrize("backend", INDEX_BACKENDS)
+def test_a_replicated_pool_stays_exact_across_commits(backend, executor):
+    """A 2 × 2 pool is four whole-graph members: every commit's MUTATE
+    reaches each member's one store, and every query after it still
+    sends one part to each of the four and counts exactly."""
+    rng = random.Random(2310)
+    data, query, _ = random_instances(2311, 1, make_mutable_instance)[0]
+    engine = HGMatch(data, index_backend=backend, shards=2)
+    try:
+        pool = engine.pool(replicas=2)
+        assert engine.count(query, executor=executor) == oracle(data, query)[0]
+        for batch in random_mutation_schedule(rng, data, steps=3):
+            engine.apply_mutations(batch)
+            before = pool.dispatched_frames
+            assert engine.count(query, executor=executor) == _rebuilt(
+                engine, query
+            )
+            assert pool.dispatched_frames - before == 4
+        assert engine.pool() is pool
+    finally:
+        engine.close()
+
+
 def test_a_lazily_built_store_is_maintained_too(instances):
-    """No store crosses a ``spawn``: the workers build theirs on the
-    first subtree request and keep it in step afterwards."""
+    """No store crosses a ``spawn``: the workers build their own and
+    keep it in step afterwards."""
     rng = random.Random(2304)
     data, query, _ = random_instances(2305, 1, make_mutable_instance)[0]
     engine = HGMatch(data, index_backend="bitset")
@@ -542,13 +612,13 @@ def test_a_lazily_built_store_is_maintained_too(instances):
 
 def test_mutation_differential_runs_on_subtree_jobs(monkeypatch):
     sent = []
-    original = QueryChannel._broadcast
+    original = QueryChannel._send_parts
 
-    def broadcast(channel, message):
-        sent.append(message[0])
-        original(channel, message)
+    def send_parts(channel, *args):
+        sent.append(channel.query_id)
+        original(channel, *args)
 
-    monkeypatch.setattr(QueryChannel, "_broadcast", broadcast)
+    monkeypatch.setattr(QueryChannel, "_send_parts", send_parts)
     rng = random.Random(2306)
     for data, query, _ in random_instances(2307, 2, make_mutable_instance):
         schedule = random_mutation_schedule(rng, data, steps=4)
@@ -557,14 +627,14 @@ def test_mutation_differential_runs_on_subtree_jobs(monkeypatch):
                 data, query, schedule, index_backend=backend,
                 executor="processes",
             ) is None
-    assert sent and set(sent) == {"subtree"}
+    assert sent
 
 
 def test_stale_worker_heals_through_catchup(instances):
     """A member severed on the MUTATE frame misses the batch; readmitted
-    it announces the old version, is caught up (§2.10) — shard *and*
-    whole store, through the one ``apply_batch`` — and its part of the
-    next job is exact."""
+    it announces the old version, is caught up (§2.10) — its one store,
+    through the one ``apply_batch`` — and its part of the next job is
+    exact."""
     rng = random.Random(2308)
     data, query, _ = random_instances(2309, 1, make_mutable_instance)[0]
     engine = HGMatch(data, index_backend="bitset")
@@ -602,28 +672,65 @@ def test_stale_worker_heals_through_catchup(instances):
 
 
 # ----------------------------------------------------------------------
-# Ranges do not matter to a subtree job
+# Membership: a flat list of whole-graph stores
 # ----------------------------------------------------------------------
 
 
-def test_exact_after_a_rebalance_and_a_retired_shard(instances):
+def test_exact_after_a_drain(instances):
+    """Draining a member leaves a smaller pool that is just as exact;
+    the last member cannot be drained."""
     data, query = instances[0]
     count, _ = oracle(data, query)
     engine = HGMatch(data, index_backend="bitset")
     pool = ShardPool(num_shards=3, index_backend="bitset")
     try:
-        stats = sorted(
-            pool.run_bfs(engine, query).worker_stats,
-            key=lambda entry: entry.worker_id,
-        )
-        for entry, load in zip(stats, (4.0, 1.0, 1.0)):
-            entry.cpu_time = load
-        pool.rebalance(stats)
         assert pool.run(engine, query).embeddings == count
         pool.drain(2)
         result = pool.run(engine, query)
         assert result.embeddings == count and len(result.worker_stats) == 2
-        assert pool.run_bfs(engine, query).embeddings == count
+        pool.drain(0)
+        assert pool.run(engine, query).embeddings == count
+        with pytest.raises(SchedulerError, match="last live member"):
+            pool.drain(1)
     finally:
         pool.close()
         engine.close()
+
+
+def test_a_forked_member_serves_the_engines_own_store(instances, monkeypatch):
+    """Under ``fork`` the spawner hands its store over: the member's
+    store *is* the engine's, so nothing is built; a store of another
+    graph or backend is not taken."""
+    data, _ = instances[0]
+    engine = HGMatch(data, index_backend="bitset")
+    built = []
+    original = PartitionedStore.__init__
+
+    def counting_init(store, *args, **kwargs):
+        built.append(store)
+        original(store, *args, **kwargs)
+
+    monkeypatch.setattr(PartitionedStore, "__init__", counting_init)
+    worker = ShardWorker(data, index_backend="bitset", store=engine.store)
+    assert worker.store is engine.store and built == []
+    other = ShardWorker(data, index_backend="merge", store=engine.store)
+    assert other.store is not engine.store and len(built) == 1
+    # ... and the cluster spawner passes it only where the child inherits
+    # it for free.
+    for method, handed in (("fork", engine.store), ("spawn", None)):
+        started = []
+        context = multiprocessing.get_context(method)
+
+        class Recorder:
+            def __init__(self, target, args, daemon):
+                started.append(args)
+
+            def start(self):
+                pass
+
+        monkeypatch.setattr(context, "Process", Recorder)
+        _, parent = cluster._start_cluster_worker(
+            context, data, 0, "bitset", 0, store=engine.store
+        )
+        parent.close()
+        assert started[0][-1] is handed

@@ -27,12 +27,7 @@ from repro.parallel import transport
 
 class TestFrameCodec:
     def test_round_trip_every_kind(self):
-        for kind in (
-            transport.MSG_HELLO, transport.MSG_JOB, transport.MSG_LEVEL,
-            transport.MSG_LEVEL_REPLY, transport.MSG_COLLECT,
-            transport.MSG_QERROR, transport.MSG_CANCEL, transport.MSG_STOP,
-            transport.MSG_SHUTDOWN, transport.MSG_ERROR,
-        ):
+        for kind in sorted(transport._KNOWN_KINDS):
             body = bytes([kind]) * 7
             assert transport.decode_frame(
                 transport.encode_frame(kind, body)
@@ -174,10 +169,10 @@ class TestStreamHelpers:
             body = b"x" * 100_000  # multiple recv() chunks
             thread = threading.Thread(
                 target=transport.send_frame,
-                args=(left, transport.MSG_LEVEL, body),
+                args=(left, transport.MSG_SUBTREE, body),
             )
             thread.start()
-            assert transport.recv_frame(right) == (transport.MSG_LEVEL, body)
+            assert transport.recv_frame(right) == (transport.MSG_SUBTREE, body)
             thread.join()
         finally:
             left.close()
@@ -186,7 +181,7 @@ class TestStreamHelpers:
     def test_peer_closing_mid_frame_is_truncation(self):
         left, right = socket.socketpair()
         try:
-            frame = transport.encode_frame(transport.MSG_LEVEL, b"abcdef")
+            frame = transport.encode_frame(transport.MSG_SUBTREE, b"abcdef")
             left.sendall(frame[: len(frame) - 3])
             left.close()
             with pytest.raises(TransportError, match="truncated frame"):
@@ -282,6 +277,38 @@ class TestUnifiedHeaderValidation:
             right.close()
 
 
+class TestRetiredKinds:
+    """Protocol version 4 retired the level-synchronous kinds and CANCEL.
+    Their bytes are not aliases of anything: no ``MSG_*`` constant holds
+    one, and both decoders refuse one from the header alone, naming the
+    byte, without waiting for the body the length promises."""
+
+    @pytest.mark.parametrize(
+        "kind",
+        [0x4A, 0x4C, 0x43, 0x42, 0x58],
+        ids=["JOB", "LEVEL", "COLLECT", "REBALANCE", "CANCEL"],
+    )
+    def test_a_retired_kind_is_refused_from_its_header(self, kind):
+        assert kind not in transport._KNOWN_KINDS
+        assert kind not in {
+            value for name, value in vars(transport).items()
+            if name.startswith("MSG_")
+        }
+        header = struct.pack("<IBB", 10, transport.PROTOCOL_VERSION, kind)
+        expected = f"unknown frame kind {kind:#x}"
+        with pytest.raises(TransportError, match=expected):
+            transport.decode_frame(header + bytes(8))
+        left, right = socket.socketpair()
+        try:
+            right.settimeout(5.0)
+            left.sendall(header)  # the 8-byte body never comes
+            with pytest.raises(TransportError, match=expected):
+                transport.recv_frame(right)
+        finally:
+            left.close()
+            right.close()
+
+
 class TestAnnounceCodec:
     DESCRIPTOR = {
         "shard_id": 1, "num_shards": 2, "index_backend": "bitset",
@@ -339,7 +366,7 @@ class TestQueryTaggedFrames:
     the kind's own body."""
 
     def test_round_trip_every_query_kind(self):
-        for kind in sorted(transport.QUERY_KINDS | {transport.MSG_CANCEL}):
+        for kind in sorted(transport.QUERY_KINDS):
             body = transport.encode_query_body(42, b"payload")
             assert transport.decode_frame(
                 transport.encode_frame(kind, body)
@@ -350,21 +377,20 @@ class TestQueryTaggedFrames:
         # u64 tag; the chaos sniffer and the worker dispatch both key
         # off this set.
         assert transport.QUERY_KINDS == frozenset({
-            transport.MSG_JOB, transport.MSG_LEVEL, transport.MSG_SUBTREE,
-            transport.MSG_LEVEL_REPLY, transport.MSG_COLLECT,
-            transport.MSG_QERROR, transport.MSG_CANCEL,
+            transport.MSG_SUBTREE, transport.MSG_LEVEL_REPLY,
+            transport.MSG_QERROR,
         })
 
-    def test_the_kind_table_has_eighteen_entries(self):
-        # One job family: the untagged JOB/LEVEL/REPLY/COLLECT/ACCOUNT
-        # kinds of protocol version 1 are gone, not aliased; version 3
-        # added exactly one kind, SUBTREE (its reply is a REPLY).
-        assert len(transport._KNOWN_KINDS) == 18
-        assert transport.PROTOCOL_VERSION == 3
+    def test_the_kind_table_has_thirteen_entries(self):
+        # One job shape: version 4 retired the level-synchronous kinds
+        # JOB/LEVEL/COLLECT/REBALANCE and CANCEL (a SUBTREE request is
+        # stateless); version 1's untagged kinds are long gone too.
+        assert len(transport._KNOWN_KINDS) == 13
+        assert transport.PROTOCOL_VERSION == 4
         assert transport.MSG_SUBTREE == ord("T")
-        for retired in (b"c", b"j", b"l", b"r", b"q"):
+        for retired in b"JLCBX" + b"cjlrq":
             with pytest.raises(TransportError, match="unknown frame kind"):
-                transport.encode_frame(retired[0])
+                transport.encode_frame(retired)
 
     def test_tag_layout_is_the_documented_one(self):
         # docs/WIRE_FORMAT.md §2.5: u64 LE query id, then the body.
@@ -372,8 +398,8 @@ class TestQueryTaggedFrames:
             "0700000000000000" + b"payload".hex()
         )
         assert transport.encode_frame(
-            transport.MSG_CANCEL, transport.encode_query_body(7)
-        ).hex() == "0a00000003580700000000000000"
+            transport.MSG_QERROR, transport.encode_query_body(7)
+        ).hex() == "0a00000004650700000000000000"
 
     def test_split_round_trip(self):
         for query_id in (0, 1, 7, 2**32, 2**64 - 1):
