@@ -38,7 +38,7 @@ test-shards:
 
 ## Fault-injection smoke: the deterministic chaos harness plus the
 ## recovery ladder of the shard pool (handshakes, mid-job
-## kill/sever/garble failover, speculation, dropped-reply deadlines,
+## kill/sever/garble failover, slow members, dropped-reply deadlines,
 ## last-member fail-fast) — each fault once under a solo job and once
 ## with two query channels in flight on the one pool; a lost member's
 ## part is re-sent to a survivor.

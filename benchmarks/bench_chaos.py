@@ -1,7 +1,7 @@
 """Benchmark: socket pools under deterministic faults.
 
-The robustness gate for the pool runtime.  A four-member (2 × 2)
-loopback cluster runs a Fig. 8 workload slice while a seeded
+The robustness gate for the pool runtime.  A four-member loopback
+cluster runs a Fig. 8 workload slice while a seeded
 :class:`~repro.parallel.chaos.FaultPlan` kills one worker process right
 after its first SUBTREE request lands on it (the fault position is a
 frame count, so every run reproduces the same mid-job kill).  Gates:
@@ -15,7 +15,7 @@ frame count, so every run reproduces the same mid-job kill).  Gates:
   deadline: the coordinator notices the closed connection, it does not
   sit out the timeout);
 * **overhead** — wall-clock of the faulted run vs the unfaulted
-  replicated run is *recorded* (not gated: on single-core hosts the
+  four-member run is *recorded* (not gated: on single-core hosts the
   respawn/failover cost is noise-dominated), so multi-core CI trends
   stay visible.
 
@@ -42,8 +42,7 @@ from repro.errors import SchedulerError
 from repro.parallel import FaultPlan, ShardPool, spawn_local_cluster
 
 BACKENDS = ("merge", "bitset", "adaptive")
-NUM_SHARDS = 2
-NUM_REPLICAS = 2
+NUM_SHARDS = 4
 NUM_QUERIES = 3
 IO_TIMEOUT = 60.0
 FAILFAST_BUDGET = IO_TIMEOUT / 2  # EOF-driven, must beat the deadline
@@ -68,7 +67,7 @@ def _run_all(executor, engine, queries) -> List[int]:
 
 
 def run_benchmark() -> dict:
-    """Fault the replicated pool and verify exact counts; returns the
+    """Fault the four-member pool and verify exact counts; returns the
     JSON summary."""
     dataset, queries = _workload()
     failures: List[str] = []
@@ -78,15 +77,13 @@ def run_benchmark() -> dict:
         try:
             expected = [engine.count(query) for query in queries]
 
-            # Unfaulted replicated baseline (owns its own cluster).
+            # Unfaulted baseline (owns its own cluster).
             cluster = spawn_local_cluster(
                 engine.data, NUM_SHARDS, index_backend=backend,
-                num_replicas=NUM_REPLICAS,
             )
             try:
                 executor = ShardPool(
                     addresses=list(cluster.addresses),
-                    num_replicas=NUM_REPLICAS,
                     index_backend=backend,
                     io_timeout=IO_TIMEOUT,
                 )
@@ -100,26 +97,22 @@ def run_benchmark() -> dict:
                 cluster.close()
             if clean_counts != expected:
                 failures.append(
-                    f"{backend}: unfaulted replicated pool returned "
+                    f"{backend}: unfaulted pool returned "
                     f"{clean_counts}, sequential {expected}"
                 )
 
-            # Kill shard 0's replica 0 right after its first SUBTREE
-            # frame; the other members must carry the job and every
-            # follow-up query, all bit-identical.
+            # Kill member 0 right after its first SUBTREE frame; the
+            # other members must carry the job and every follow-up
+            # query, all bit-identical.
             plan = FaultPlan(seed=11)
-            plan.kill_worker(0, 0, after_frames=1)
+            plan.kill_worker(0, after_frames=1)
             cluster = spawn_local_cluster(
                 engine.data, NUM_SHARDS, index_backend=backend,
-                num_replicas=NUM_REPLICAS,
             )
             try:
-                plan.arm_killer(
-                    0, 0, lambda: cluster.kill_member(0, 0)
-                )
+                plan.arm_killer(0, lambda: cluster.kill_member(0))
                 executor = ShardPool(
                     addresses=list(cluster.addresses),
-                    num_replicas=NUM_REPLICAS,
                     index_backend=backend,
                     io_timeout=IO_TIMEOUT,
                     chaos=plan,
@@ -134,7 +127,7 @@ def run_benchmark() -> dict:
                 cluster.close()
             if faulted_counts != expected:
                 failures.append(
-                    f"{backend}: faulted replicated pool returned "
+                    f"{backend}: faulted pool returned "
                     f"{faulted_counts}, sequential {expected}"
                 )
             if not all(fault.consumed for fault in plan.faults):
@@ -144,16 +137,14 @@ def run_benchmark() -> dict:
             # SchedulerError — never a hang.  The reply is held back so
             # the kill lands before it.
             plan = FaultPlan(seed=11)
-            plan.kill_worker(0, 0, after_frames=1)
-            plan.slow_reply(0, 0, after_frames=2, seconds=1.0)
+            plan.kill_worker(0, after_frames=1)
+            plan.slow_reply(0, after_frames=2, seconds=1.0)
             cluster = spawn_local_cluster(
                 engine.data, 1, index_backend=backend, chaos=plan
             )
             failfast_s = None
             try:
-                plan.arm_killer(
-                    0, 0, lambda: cluster.kill_member(0, 0)
-                )
+                plan.arm_killer(0, lambda: cluster.kill_member(0))
                 executor = ShardPool(
                     addresses=list(cluster.addresses),
                     index_backend=backend,
@@ -165,7 +156,7 @@ def run_benchmark() -> dict:
                     try:
                         executor.run(engine, queries[0])
                         failures.append(
-                            f"{backend}: unreplicated kill did not raise"
+                            f"{backend}: one-member kill did not raise"
                         )
                     except SchedulerError as exc:
                         failfast_s = time.perf_counter() - started
@@ -208,10 +199,9 @@ def run_benchmark() -> dict:
             "queries": len(queries),
         },
         "num_shards": NUM_SHARDS,
-        "num_replicas": NUM_REPLICAS,
         "io_timeout_seconds": IO_TIMEOUT,
         "cores": usable_cores(),
-        "fault": "kill shard 0 replica 0 after coordinator frame 1",
+        "fault": "kill shard 0 after coordinator frame 1",
         "failures": failures,
         "rows": rows,
     }

@@ -11,7 +11,7 @@ bit-identical state across all three index backends:
   restarted daemon on the same directory must serve query counts
   bit-identical to that mirror, then accept the rest of the schedule
   and land on the full-schedule counts;
-* **catch-up rejoin** — a replicated socket pool loses a worker, the
+* **catch-up rejoin** — a four-member socket pool loses a worker, the
   graph mutates while the slot is empty, and the respawned worker
   (rebuilt from spawn-time data, so announcing a stale version) must
   rejoin via the CATCHUP handshake (§2.10) with counts bit-identical
@@ -290,25 +290,23 @@ def _swallow(call, *args):
 
 
 def _bench_catchup(base, backend, query, failures):
-    """Kill a replica, mutate, respawn it stale: the CATCHUP handshake
+    """Kill a member, mutate, respawn it stale: the CATCHUP handshake
     must level it and counts must match a rebuild exactly."""
     row = {"backend": backend}
     engine = HGMatch(base, index_backend=backend)
     cluster = spawn_local_cluster(
-        base, NUM_SHARDS, index_backend=backend, num_replicas=2
+        base, 2 * NUM_SHARDS, index_backend=backend
     )
     try:
-        executor = engine.pool(
-            hosts=list(cluster.addresses), replicas=2
-        )
+        executor = engine.pool(hosts=list(cluster.addresses))
         baseline = engine.count(query)
         if executor.run(engine, query).embeddings != baseline:
             failures.append(
-                f"{backend}: replicated pool failed parity before the "
+                f"{backend}: four-member pool failed parity before the "
                 f"kill"
             )
-        cluster.kill_member(0, 0)
-        executor.drain(0, replica_id=0)
+        cluster.kill_member(0)
+        executor.drain(0)
         rng = random.Random(SEED ^ 0x7E57)
         result = None
         for batch in random_mutation_schedule(rng, base, steps=3):
@@ -327,7 +325,7 @@ def _bench_catchup(base, backend, query, failures):
                 f"rebuild says {oracle}"
             )
         started = time.perf_counter()
-        address = cluster.respawn(0, 0)
+        address = cluster.respawn(0)
         descriptor = executor.admit(address)
         row["catchup_seconds"] = time.perf_counter() - started
         if descriptor.graph_version != result.version:

@@ -86,9 +86,9 @@ def _run_all(executor, engine, queries) -> List[int]:
 
 
 def _spare_worker(data, shard_id, backend):
-    """Boot one in-thread worker named (shard_id, 1): the newcomer to
+    """Boot one in-thread worker named ``shard_id``: the newcomer to
     admit."""
-    worker = ShardWorker(data, shard_id, index_backend=backend, replica_id=1)
+    worker = ShardWorker(data, shard_id, index_backend=backend)
     address = worker.bind()
     thread = threading.Thread(
         target=worker.serve_forever, kwargs={"max_sessions": 1},
@@ -121,7 +121,7 @@ def _bench_grow(engine, backend, queries, expected, failures):
                     f"{static_counts}, sequential {expected}"
                 )
             started = time.perf_counter()
-            for shard_id in range(NUM_SHARDS):
+            for shard_id in range(NUM_SHARDS, 2 * NUM_SHARDS):
                 worker, address = _spare_worker(
                     engine.data, shard_id, backend
                 )
@@ -145,7 +145,7 @@ def _bench_grow(engine, backend, queries, expected, failures):
             # originals and let the newcomers carry everything.
             started = time.perf_counter()
             for shard_id in range(NUM_SHARDS):
-                executor.drain(shard_id, replica_id=0)
+                executor.drain(shard_id)
             row["drain_seconds"] = time.perf_counter() - started
             drained_counts = _run_all(executor, engine, queries)
             if drained_counts != expected:
@@ -163,25 +163,25 @@ def _bench_grow(engine, backend, queries, expected, failures):
 
 
 def _bench_readmit(engine, backend, queries, expected, failures):
-    """K=2 pool -> kill a replica -> degraded parity -> respawn and
-    ``admit`` it back -> restored parity."""
+    """Four-member pool -> kill a member -> degraded parity -> respawn
+    and ``admit`` it back -> restored parity."""
     cluster = spawn_local_cluster(
-        engine.data, NUM_SHARDS, index_backend=backend, num_replicas=2
+        engine.data, 2 * NUM_SHARDS, index_backend=backend
     )
     row = {}
     try:
         executor = ShardPool(
-            addresses=list(cluster.addresses), num_replicas=2,
+            addresses=list(cluster.addresses),
             index_backend=backend, io_timeout=IO_TIMEOUT,
         )
         try:
             if _run_all(executor, engine, queries) != expected:
                 failures.append(
-                    f"{backend}: replicated pool failed parity before "
+                    f"{backend}: four-member pool failed parity before "
                     f"the kill"
                 )
-            cluster.kill_member(0, 0)
-            executor.drain(0, replica_id=0)
+            cluster.kill_member(0)
+            executor.drain(0)
             degraded_counts = _run_all(executor, engine, queries)
             if degraded_counts != expected:
                 failures.append(
@@ -189,7 +189,7 @@ def _bench_readmit(engine, backend, queries, expected, failures):
                     f"{degraded_counts}, sequential {expected}"
                 )
             started = time.perf_counter()
-            address = cluster.respawn(0, 0)
+            address = cluster.respawn(0)
             executor.admit(address)
             row["readmit_seconds"] = time.perf_counter() - started
             readmitted_counts = _run_all(executor, engine, queries)
@@ -246,7 +246,7 @@ def _bench_supervised_restart(engine, queries, expected, failures):
 
 
 def _bench_heartbeat_failover(engine, queries, expected, failures):
-    """SIGSTOP a replica (connection up, heartbeats stop): the
+    """SIGSTOP a member (connection up, heartbeats stop): the
     registry evicts it and the job fails over long before the I/O
     timeout."""
     backend = "bitset"
@@ -255,13 +255,13 @@ def _bench_heartbeat_failover(engine, queries, expected, failures):
         heartbeat_interval=HEARTBEAT, miss_budget=MISS_BUDGET
     ) as registry:
         cluster = spawn_local_cluster(
-            engine.data, 1, index_backend=backend, num_replicas=2,
+            engine.data, 2, index_backend=backend,
             announce=registry.address, heartbeat_interval=HEARTBEAT,
         )
         stopped_pid = None
         try:
             executor = ShardPool.from_registry(
-                registry, 1, num_replicas=2, index_backend=backend,
+                registry, 2, index_backend=backend,
                 io_timeout=IO_TIMEOUT, wait_timeout=30.0,
             )
             try:
@@ -270,7 +270,7 @@ def _bench_heartbeat_failover(engine, queries, expected, failures):
                         "registry-composed pool failed parity before "
                         "the sever"
                     )
-                # Freeze replica 0: its TCP connection stays ESTABLISHED
+                # Freeze member 0: its TCP connection stays ESTABLISHED
                 # but every thread (heartbeats included) stops.  Only
                 # the registry's eviction can reveal it.
                 stopped_pid = cluster.processes[0].pid
@@ -290,7 +290,7 @@ def _bench_heartbeat_failover(engine, queries, expected, failures):
                         f"{FAILOVER_BUDGET:.1f}s) — the job wedged on "
                         f"the severed worker"
                     )
-                if executor._member((0, 0)) is not None:
+                if executor._member(0) is not None:
                     failures.append(
                         "severed member is still in the pool after "
                         "eviction"

@@ -144,18 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="comma-separated host:port list of running shard-worker "
         "servers (see the serve-shard command); implies --executor "
-        "processes and fixes the shard count to the host count "
-        "(divided by --replicas when replicated)",
-    )
-    match.add_argument(
-        "--replicas",
-        type=int,
-        default=None,
-        help="workers per shard name for --executor processes/sockets "
-        "(implies processes; the pool holds shards x replicas "
-        "interchangeable workers, and a query fails only when none is "
-        "left); with --hosts, the address count must be shards x "
-        "replicas",
+        "processes and fixes the shard count to the host count",
     )
     match.add_argument("--timeout", type=float, default=None)
     match.add_argument(
@@ -174,12 +163,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("source", help="dataset name or .hg path")
     serve.add_argument(
         "--shard-id", type=int, required=True,
-        help="the worker's name, with --replica-id: unique within a "
-        "pool, the slot a registry or supervisor knows it by (0-based)",
-    )
-    serve.add_argument(
-        "--replica-id", type=int, default=0,
-        help="second half of the worker's name (0-based, default 0)",
+        help="the worker's name: unique within a pool, the slot a "
+        "registry or supervisor knows it by (0-based)",
     )
     serve.add_argument(
         "--host", default="127.0.0.1",
@@ -323,12 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     supervise.add_argument("source", help="dataset name or .hg path")
     supervise.add_argument(
         "--num-shards", type=int, required=True,
-        help="shard names of the supervised pool",
-    )
-    supervise.add_argument(
-        "--replicas", type=int, default=1,
-        help="replica names per shard name (the pool holds "
-        "num-shards x replicas workers)",
+        help="worker count of the supervised pool",
     )
     supervise.add_argument(
         "--index-backend", default=None, choices=INDEX_BACKENDS,
@@ -440,17 +420,15 @@ def _cmd_match(args, out) -> int:
             executor = args.executor
             shards = args.shards
             hosts = args.hosts
-            replicas = args.replicas
             sharded = ("processes", "sockets")  # two spellings, one pool
             named = [
                 flag for flag, value in (
-                    ("--hosts", hosts), ("--replicas", replicas),
-                    ("--shards", shards),
+                    ("--hosts", hosts), ("--shards", shards),
                 ) if value is not None
             ]
             if named and executor is None:
-                # Naming workers, a replication factor or a shard count
-                # without naming an engine means the pooled one.
+                # Naming workers or a worker count without naming an
+                # engine means the pooled one.
                 executor = "processes"
             if named and executor not in sharded:
                 # These are the shard pool's concepts; silently running
@@ -484,9 +462,7 @@ def _cmd_match(args, out) -> int:
                     # Pin the pool's layout before count() lazily builds
                     # a default local cluster; the arithmetic is the
                     # pool's (a typed error, printed by main()).
-                    shards = engine.pool(
-                        shards, hosts=addresses, replicas=replicas
-                    ).num_shards
+                    shards = engine.pool(shards, hosts=addresses).num_shards
                 if args.print_embeddings:
                     if executor is not None:
                         # match() streams from the sequential loop;
@@ -546,12 +522,9 @@ def _cmd_serve_shard(args, out) -> int:
     from .parallel.transport import parse_address
     from .parallel.worker import ShardWorker
 
-    for flag, value in (
-        ("--shard-id", args.shard_id), ("--replica-id", args.replica_id),
-    ):
-        if value < 0:
-            out.write(f"error: {flag} must be >= 0, got {value}\n")
-            return 1
+    if args.shard_id < 0:
+        out.write(f"error: --shard-id must be >= 0, got {args.shard_id}\n")
+        return 1
     announce = (
         parse_address(args.announce)
         if args.announce is not None
@@ -564,7 +537,6 @@ def _cmd_serve_shard(args, out) -> int:
         index_backend=args.index_backend,
         host=args.host,
         port=args.port,
-        replica_id=args.replica_id,
         announce=announce,
         heartbeat_interval=args.heartbeat_interval,
     )
@@ -575,8 +547,8 @@ def _cmd_serve_shard(args, out) -> int:
         else ""
     )
     out.write(
-        f"serving shard {args.shard_id} replica {args.replica_id} "
-        f"of {args.source} ({worker.index_backend} backend, "
+        f"serving shard {args.shard_id} of {args.source} "
+        f"({worker.index_backend} backend, "
         f"{worker.store.index_size_entries()} posting entries) on "
         f"{host}:{port}{announce_note}\n"
     )
@@ -692,9 +664,6 @@ def _cmd_supervise(args, out) -> int:
     if args.num_shards < 1:
         out.write("error: --num-shards must be >= 1\n")
         return 1
-    if args.replicas < 1:
-        out.write("error: --replicas must be >= 1\n")
-        return 1
     if args.restart_budget < 0:
         out.write("error: --restart-budget must be >= 0\n")
         return 1
@@ -719,7 +688,6 @@ def _cmd_supervise(args, out) -> int:
             graph,
             args.num_shards,
             index_backend=args.index_backend,
-            num_replicas=args.replicas,
             announce=announce,
             heartbeat_interval=args.heartbeat_interval,
             restart_budget=args.restart_budget,
@@ -731,13 +699,12 @@ def _cmd_supervise(args, out) -> int:
             for slot in supervisor.status():
                 host, port = slot.address
                 out.write(
-                    f"shard {slot.shard_id} replica {slot.replica_id} "
-                    f"on {host}:{port} (pid {slot.pid})\n"
+                    f"shard {slot.shard_id} on {host}:{port} "
+                    f"(pid {slot.pid})\n"
                 )
             out.write(
-                f"supervising {args.num_shards * args.replicas} "
-                f"worker(s); restart budget {args.restart_budget} per "
-                f"slot\n"
+                f"supervising {args.num_shards} worker(s); restart "
+                f"budget {args.restart_budget} per slot\n"
             )
             if hasattr(out, "flush"):
                 out.flush()  # wrappers read the roster before poking us

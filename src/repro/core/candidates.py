@@ -657,8 +657,7 @@ class CandidateAccumulator:
     :meth:`result`, whose k-way merge wants all operands at once.
 
     Folding is **exactly-once** under duplicated streams: callers that
-    may see the same shard's reply more than once (the socket
-    coordinator under speculative re-dispatch — two copies of one
+    may see the same shard's reply more than once (two copies of one
     range answering the same level) pass ``add(..., key=shard_id)``,
     and every key after the first is ignored.  The row-disjoint
     contract makes duplicates byte-identical, so dropping them is

@@ -590,7 +590,6 @@ class HGMatch:
         self,
         shards: "int | None" = None,
         hosts=None,
-        replicas: "int | None" = None,
         registry=None,
     ):
         """The engine's one shard pool (lazily built): the
@@ -599,8 +598,8 @@ class HGMatch:
         service.
 
         By default it owns a loopback cluster of ``shards`` (default:
-        the engine's ``shards``) × ``replicas`` workers, each holding a
-        store of the whole graph, warm across queries (daemonic
+        the engine's ``shards``) workers, each holding a store of the
+        whole graph, warm across queries (daemonic
         processes; :meth:`close` releases them early); asking for
         another layout rebuilds it.  ``hosts`` — ``(host, port)``
         addresses — (re)configures it for
@@ -610,9 +609,9 @@ class HGMatch:
         layout arithmetic is the pool's own (``SchedulerError``).
 
         A pool pinned to real machines, or held by the match service,
-        wins over shard-count defaults: it is returned when
-        ``shards``/``replicas`` are None or match, and a conflicting
-        request is refused rather than silently moving the work.
+        wins over shard-count defaults: it is returned when ``shards``
+        is None or matches, and a conflicting request is refused rather
+        than silently moving the work.
         """
         from ..parallel.pool import ShardPool  # lazy: avoid cycle
 
@@ -632,8 +631,7 @@ class HGMatch:
             shards = self.shards
         if current is not None:
             wanted = {
-                "addresses": hosts, "registry": registry,
-                "num_shards": shards, "num_replicas": replicas,
+                "addresses": hosts, "registry": registry, "num_shards": shards,
             }
             differs = [
                 f"{name}={value!r}" for name, value in wanted.items()
@@ -645,17 +643,17 @@ class HGMatch:
                 held = "held by its match service" if served else "at fixed addresses"
                 raise QueryError(
                     f"engine is configured for {current.num_shards} socket workers "
-                    f"({current.num_replicas} replica(s) per shard) {held}; "
-                    f"cannot run {differs[0]}"
+                    f"{held}; cannot run {differs[0]}"
                 )
-        layout = dict(
-            num_replicas=1 if replicas is None else replicas,
-            index_backend=self.index_backend,
-        )
         if registry is not None:
-            fresh = ShardPool.from_registry(registry, shards, **layout)
+            fresh = ShardPool.from_registry(
+                registry, shards, index_backend=self.index_backend
+            )
         else:
-            fresh = ShardPool(addresses=hosts, num_shards=shards, **layout)
+            fresh = ShardPool(
+                addresses=hosts, num_shards=shards,
+                index_backend=self.index_backend,
+            )
         if current is not None:
             current.close()
         self._pool = fresh

@@ -5,8 +5,8 @@ same protocol position on every run — a sleep-and-kill race reproduces
 one failure in ten runs and a different one in the other nine.  This
 module pins faults to **frame counts** instead of wall-clock time: a
 :class:`FaultPlan` lists faults like "sever shard 1's connection when
-the coordinator sends its 3rd frame" or "delay shard 0 replica 0's 2nd
-reply by 300 ms", and a :class:`ChaosSocket` wrapper applies them as
+the coordinator sends its 3rd frame" or "delay shard 0's 2nd reply by
+300 ms", and a :class:`ChaosSocket` wrapper applies them as
 the frames cross.  Because a job is itself
 deterministic (same job → same frame sequence: one SUBTREE request per
 part), a seeded plan produces the same fault at
@@ -31,8 +31,8 @@ garble     either    flip the frame's version byte, then send (the peer
                      must reject the frame and drop the session)
 kill       coord.    send the frame, then invoke the armed killer for
                      the target worker (terminate its process)
-delay      worker    sleep ``seconds`` before sending (a slow replica —
-                     the straggler that speculation exists for)
+delay      worker    sleep ``seconds`` before sending (a slow member —
+                     the straggler whose part is still answered exactly)
 drop       worker    swallow the frame (a reply that never arrives —
                      the wedged peer that timeouts exist for)
 =========  ========  ====================================================
@@ -40,7 +40,7 @@ drop       worker    swallow the frame (a reply that never arrives —
 The coordinator wraps each worker connection it opens; a
 :class:`~repro.parallel.worker.ShardWorker` built with a plan
 wraps each session it serves.  Faults are matched by the endpoint role
-plus the worker's ``(shard_id, replica_id)`` identity, so one plan can
+plus the worker's ``shard_id`` name, so one plan can
 be handed to both sides (it pickles into ``spawn_local_cluster``
 workers; armed killer callables are deliberately dropped from the
 pickle — killing is the coordinator side's job).
@@ -55,7 +55,7 @@ import random
 import time
 import struct
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from .transport import QUERY_KINDS
 
@@ -116,7 +116,6 @@ class Fault:
     kind: str  # "sever" | "garble" | "kill" | "delay" | "drop"
     role: str
     shard_id: int
-    replica_id: int
     after_frames: int
     seconds: float = 0.0
     query_id: Optional[int] = None
@@ -126,7 +125,6 @@ class Fault:
         self,
         role: str,
         shard_id: int,
-        replica_id: int,
         frame: int,
         query_id: Optional[int] = None,
         query_frame: int = 0,
@@ -135,7 +133,6 @@ class Fault:
             self.consumed
             or self.role != role
             or self.shard_id != shard_id
-            or self.replica_id != replica_id
         ):
             return False
         if self.query_id is not None:
@@ -160,8 +157,8 @@ class FaultPlan:
 
         plan = FaultPlan(seed=7)
         plan.kill_worker(shard_id=1, after_frames=1)   # mid-SUBTREE kill
-        plan.slow_reply(1, replica_id=0, after_frames=2, seconds=0.4)
-        plan.arm_killer(1, 0, lambda: cluster.kill_member(1, 0))
+        plan.slow_reply(1, after_frames=2, seconds=0.4)
+        plan.arm_killer(1, lambda: cluster.kill_member(1))
         pool = ShardPool(addresses=..., chaos=plan)
 
     ``seed`` drives the plan's :attr:`rng` (used by stochastic fault
@@ -173,7 +170,7 @@ class FaultPlan:
         self.seed = seed
         self.rng = random.Random(seed)
         self.faults: List[Fault] = []
-        self._killers: Dict[Tuple[int, int], Callable[[], None]] = {}
+        self._killers: Dict[int, Callable[[], None]] = {}
 
     # -- fault constructors ---------------------------------------------
 
@@ -188,7 +185,6 @@ class FaultPlan:
     def sever(
         self,
         shard_id: int,
-        replica_id: int = 0,
         *,
         after_frames: int,
         role: str = ROLE_COORDINATOR,
@@ -198,16 +194,12 @@ class FaultPlan:
         mid-job disconnect (the worker process survives).  With
         ``query_id``, ``N`` counts that query's frames alone."""
         return self._add(
-            Fault(
-                "sever", role, shard_id, replica_id, after_frames,
-                query_id=query_id,
-            )
+            Fault("sever", role, shard_id, after_frames, query_id=query_id)
         )
 
     def garble(
         self,
         shard_id: int,
-        replica_id: int = 0,
         *,
         after_frames: int,
         role: str = ROLE_COORDINATOR,
@@ -217,16 +209,12 @@ class FaultPlan:
         must reject it and end the session (never guess).  With
         ``query_id``, ``N`` counts that query's frames alone."""
         return self._add(
-            Fault(
-                "garble", role, shard_id, replica_id, after_frames,
-                query_id=query_id,
-            )
+            Fault("garble", role, shard_id, after_frames, query_id=query_id)
         )
 
     def kill_worker(
         self,
         shard_id: int,
-        replica_id: int = 0,
         *,
         after_frames: int,
         query_id: Optional[int] = None,
@@ -237,7 +225,7 @@ class FaultPlan:
         ``query_id``, ``N`` counts that query's frames alone."""
         return self._add(
             Fault(
-                "kill", ROLE_COORDINATOR, shard_id, replica_id, after_frames,
+                "kill", ROLE_COORDINATOR, shard_id, after_frames,
                 query_id=query_id,
             )
         )
@@ -245,18 +233,17 @@ class FaultPlan:
     def slow_reply(
         self,
         shard_id: int,
-        replica_id: int = 0,
         *,
         after_frames: int,
         seconds: float,
         query_id: Optional[int] = None,
     ) -> Fault:
         """Delay the worker's frame ``N`` by ``seconds`` — a straggling
-        replica (the speculation trigger).  With ``query_id``, ``N``
+        member.  With ``query_id``, ``N``
         counts that query's frames alone."""
         return self._add(
             Fault(
-                "delay", ROLE_WORKER, shard_id, replica_id, after_frames,
+                "delay", ROLE_WORKER, shard_id, after_frames,
                 seconds=seconds, query_id=query_id,
             )
         )
@@ -264,7 +251,6 @@ class FaultPlan:
     def drop_reply(
         self,
         shard_id: int,
-        replica_id: int = 0,
         *,
         after_frames: int,
         query_id: Optional[int] = None,
@@ -274,7 +260,7 @@ class FaultPlan:
         With ``query_id``, ``N`` counts that query's frames alone."""
         return self._add(
             Fault(
-                "drop", ROLE_WORKER, shard_id, replica_id, after_frames,
+                "drop", ROLE_WORKER, shard_id, after_frames,
                 query_id=query_id,
             )
         )
@@ -282,7 +268,6 @@ class FaultPlan:
     def drop_heartbeats(
         self,
         shard_id: int,
-        replica_id: int = 0,
         *,
         after_frames: int,
         count: int = 1,
@@ -293,38 +278,33 @@ class FaultPlan:
         ``after_frames=2`` drops the first heartbeat."""
         return [
             self._add(
-                Fault(
-                    "drop", ROLE_ANNOUNCER, shard_id, replica_id,
-                    after_frames + offset,
-                )
+                Fault("drop", ROLE_ANNOUNCER, shard_id, after_frames + offset)
             )
             for offset in range(count)
         ]
 
     def garble_announce(
-        self, shard_id: int, replica_id: int = 0, *, after_frames: int = 1
+        self, shard_id: int, *, after_frames: int = 1
     ) -> Fault:
         """Corrupt the announcer's frame ``N`` (default: the ANNOUNCE
         itself) — the registry must reject the session, never record a
         worker it could not validate."""
         return self._add(
-            Fault(
-                "garble", ROLE_ANNOUNCER, shard_id, replica_id, after_frames
-            )
+            Fault("garble", ROLE_ANNOUNCER, shard_id, after_frames)
         )
 
     # -- killers ---------------------------------------------------------
 
     def arm_killer(
-        self, shard_id: int, replica_id: int, killer: Callable[[], None]
+        self, shard_id: int, killer: Callable[[], None]
     ) -> None:
-        """Attach the callable a ``kill`` fault on ``(shard_id,
-        replica_id)`` invokes — typically ``cluster.kill_member(...)``.
-        Killers never pickle (see :meth:`__getstate__`)."""
-        self._killers[(shard_id, replica_id)] = killer
+        """Attach the callable a ``kill`` fault on ``shard_id`` invokes
+        — typically ``cluster.kill_member(...)``.  Killers never pickle
+        (see :meth:`__getstate__`)."""
+        self._killers[shard_id] = killer
 
-    def _kill(self, shard_id: int, replica_id: int) -> bool:
-        killer = self._killers.get((shard_id, replica_id))
+    def _kill(self, shard_id: int) -> bool:
+        killer = self._killers.get(shard_id)
         if killer is None:
             return False
         killer()
@@ -337,7 +317,6 @@ class FaultPlan:
         sock,
         role: str,
         shard_id: "int | None" = None,
-        replica_id: "int | None" = None,
     ) -> "ChaosSocket":
         """Wrap one endpoint of a connection.  Identity may be bound
         later (the coordinator learns a worker's identity from its
@@ -345,7 +324,7 @@ class FaultPlan:
         pass frames through untouched."""
         if role not in _ROLES:
             raise ValueError(f"unknown chaos role {role!r}")
-        return ChaosSocket(sock, self, role, shard_id, replica_id)
+        return ChaosSocket(sock, self, role, shard_id)
 
     def __getstate__(self):
         # Killers close over process handles; the worker side of a
@@ -372,27 +351,25 @@ class ChaosSocket:
     chaos-wrapped connection exactly like a bare one.
     """
 
-    __slots__ = ("_sock", "_plan", "_role", "_shard_id", "_replica_id",
-                 "_sent", "_query_sent")
+    __slots__ = ("_sock", "_plan", "_role", "_shard_id", "_sent",
+                 "_query_sent")
 
-    def __init__(self, sock, plan, role, shard_id, replica_id) -> None:
+    def __init__(self, sock, plan, role, shard_id) -> None:
         self._sock = sock
         self._plan = plan
         self._role = role
         self._shard_id = shard_id
-        self._replica_id = replica_id
         self._sent = 0
         # Per-query frame counters for the query-tagged job frames, so a
         # query-pinned fault keeps its protocol position no matter how
         # the session interleaves queries.
         self._query_sent: Dict[int, int] = {}
 
-    def bind_endpoint(self, shard_id: int, replica_id: int) -> None:
-        """Attach the worker identity this connection talks to (or as);
+    def bind_endpoint(self, shard_id: int) -> None:
+        """Attach the worker name this connection talks to (or as);
         frame counting starts at the *next* send, so handshake frames
         received before binding never shift fault positions."""
         self._shard_id = shard_id
-        self._replica_id = replica_id
 
     @property
     def frames_sent(self) -> int:
@@ -401,12 +378,12 @@ class ChaosSocket:
     def _next_fault(
         self, query_id: Optional[int], query_frame: int
     ) -> "Optional[Fault]":
-        if self._shard_id is None or self._replica_id is None:
+        if self._shard_id is None:
             return None
         for fault in self._plan.faults:
             if fault.matches(
-                self._role, self._shard_id, self._replica_id, self._sent,
-                query_id, query_frame,
+                self._role, self._shard_id, self._sent, query_id,
+                query_frame,
             ):
                 fault.consumed = True
                 return fault
@@ -426,8 +403,8 @@ class ChaosSocket:
         if fault.kind == "sever":
             self.close()
             raise ChaosSeveredError(
-                f"chaos: severed shard {self._shard_id} replica "
-                f"{self._replica_id} at frame {self._sent}"
+                f"chaos: severed shard {self._shard_id} at frame "
+                f"{self._sent}"
             )
         if fault.kind == "garble":
             garbled = bytearray(data)
@@ -437,13 +414,13 @@ class ChaosSocket:
             return
         if fault.kind == "kill":
             self._sock.sendall(data)
-            if not self._plan._kill(self._shard_id, self._replica_id):
+            if not self._plan._kill(self._shard_id):
                 # No armed killer (e.g. remote worker): the closest
                 # observable effect is losing the connection.
                 self.close()
                 raise ChaosSeveredError(
                     f"chaos: unarmed kill severed shard {self._shard_id} "
-                    f"replica {self._replica_id} at frame {self._sent}"
+                    f"at frame {self._sent}"
                 )
             return
         if fault.kind == "delay":
@@ -477,5 +454,5 @@ class ChaosSocket:
     def __repr__(self) -> str:
         return (
             f"ChaosSocket({self._role}, shard={self._shard_id}, "
-            f"replica={self._replica_id}, sent={self._sent})"
+            f"sent={self._sent})"
         )

@@ -1,9 +1,9 @@
 """Local clusters: pool members as subprocesses on loopback ports.
 
-:func:`spawn_local_cluster` boots ``num_shards × num_replicas``
+:func:`spawn_local_cluster` boots ``num_shards``
 :class:`~repro.parallel.worker.ShardWorker` processes — members named
-``(shard, replica)`` — on ephemeral
-127.0.0.1 ports and returns the :class:`LocalCluster` that owns them.
+``0 … num_shards - 1`` — on ephemeral 127.0.0.1 ports and returns the
+:class:`LocalCluster` that owns them.
 It is how a hostless :class:`~repro.parallel.pool.ShardPool`
 (``executor="processes"`` / ``"sockets"``, the match service), the
 supervisor, the tests and the benchmarks run the full network path on
@@ -36,7 +36,6 @@ def _cluster_worker_main(
     shard_id: int,
     index_backend: str,
     seed: int,
-    replica_id: int = 0,
     chaos=None,
     announce=None,
     heartbeat_interval=None,
@@ -46,9 +45,9 @@ def _cluster_worker_main(
     through the pipe, then serve until SHUTDOWN."""
     try:
         worker = ShardWorker(
-            graph, shard_id, index_backend, seed=seed,
-            replica_id=replica_id, chaos=chaos, announce=announce,
-            heartbeat_interval=heartbeat_interval, store=store,
+            graph, shard_id, index_backend, seed=seed, chaos=chaos,
+            announce=announce, heartbeat_interval=heartbeat_interval,
+            store=store,
         )
         host, port = worker.bind()
         conn.send(("ready", host, port))
@@ -64,7 +63,6 @@ def _start_cluster_worker(
     shard_id: int,
     index_backend: str,
     seed: int,
-    replica_id: int = 0,
     chaos=None,
     announce=None,
     heartbeat_interval=None,
@@ -82,8 +80,8 @@ def _start_cluster_worker(
     process = context.Process(
         target=_cluster_worker_main,
         args=(
-            child_conn, graph, shard_id, index_backend, seed, replica_id,
-            chaos, announce, heartbeat_interval, store,
+            child_conn, graph, shard_id, index_backend, seed, chaos,
+            announce, heartbeat_interval, store,
         ),
         daemon=True,
     )
@@ -97,19 +95,18 @@ def _await_worker_ready(
     shard_id: int,
     ready_timeout: float,
     process=None,
-    replica_id: int = 0,
     retry: "RetryPolicy | None" = None,
 ) -> Tuple[str, int]:
     """Read one worker's ``("ready", host, port)`` report.
 
     Polls the pipe under jittered exponential backoff (seeded per
-    worker identity, so schedules are reproducible) instead of one
+    worker name, so schedules are reproducible) instead of one
     blocking wait: between probes a worker that already *died* —
     import error, OOM — is detected immediately via its
     ``process`` handle rather than after the full ``ready_timeout``.
     """
     retry = READY_POLL if retry is None else retry
-    rng = random.Random((shard_id << 16) ^ replica_id)
+    rng = random.Random(shard_id << 16)
     deadline = time.monotonic() + ready_timeout
     attempt = 0
     while True:
@@ -123,8 +120,8 @@ def _await_worker_ready(
             break
         if process is not None and not process.is_alive():
             raise SchedulerError(
-                f"shard worker {shard_id} (replica {replica_id}) died "
-                f"before reporting ready (exit code {process.exitcode})"
+                f"shard worker {shard_id} died before reporting ready "
+                f"(exit code {process.exitcode})"
             )
         attempt += 1
     message = parent_conn.recv()
@@ -139,9 +136,8 @@ def _await_worker_ready(
 class LocalCluster:
     """Handle on a set of locally spawned worker processes.
 
-    With ``num_replicas == K`` the cluster holds ``num_shards × K``
-    workers; ``processes``/``addresses`` are flat lists indexed by the
-    name ``(shard_id, replica_id)`` as ``shard_id * K + replica_id``.
+    ``processes``/``addresses`` are lists indexed by the member's name,
+    ``shard_id``.
     """
 
     def __init__(
@@ -153,7 +149,6 @@ class LocalCluster:
         graph: "Hypergraph | None" = None,
         start_method: "str | None" = None,
         ready_timeout: float = 30.0,
-        num_replicas: int = 1,
         chaos=None,
         shutdown_timeout: float = 5.0,
         announce=None,
@@ -163,7 +158,6 @@ class LocalCluster:
         self.addresses: "List[Tuple[str, int]]" = addresses
         self.index_backend = index_backend
         self.seed = seed
-        self.num_replicas = num_replicas
         self.chaos = chaos
         self.shutdown_timeout = shutdown_timeout
         self.announce = announce
@@ -174,37 +168,34 @@ class LocalCluster:
 
     @property
     def num_shards(self) -> int:
-        return len(self.addresses) // self.num_replicas
+        return len(self.addresses)
 
-    def _index(self, shard_id: int, replica_id: int) -> int:
-        index = shard_id * self.num_replicas + replica_id
-        if (
-            not 0 <= replica_id < self.num_replicas
-            or not 0 <= shard_id
-            or index >= len(self.processes)
-        ):
-            raise SchedulerError(f"no shard worker {shard_id} to respawn")
-        return index
+    def _checked(self, shard_id: int) -> int:
+        """``shard_id`` when it names a worker of this cluster — the one
+        lookup every per-member method goes through (a negative index
+        would silently pick a worker from the end)."""
+        if not 0 <= shard_id < len(self.processes):
+            raise SchedulerError(
+                f"no shard worker {shard_id} in this cluster of "
+                f"{len(self.processes)}"
+            )
+        return shard_id
 
-    def address_of(
-        self, shard_id: int, replica_id: int = 0
-    ) -> Tuple[str, int]:
-        return self.addresses[shard_id * self.num_replicas + replica_id]
+    def address_of(self, shard_id: int) -> Tuple[str, int]:
+        return self.addresses[self._checked(shard_id)]
 
-    def kill_member(self, shard_id: int, replica_id: int = 0) -> None:
+    def kill_member(self, shard_id: int) -> None:
         """Hard-kill one worker process (the chaos harness's armed
         killer; also useful in tests).  Blocks until it is gone."""
-        process = self.processes[shard_id * self.num_replicas + replica_id]
+        process = self.processes[self._checked(shard_id)]
         if process.is_alive():
             process.terminate()
         join_or_kill(
             process, timeout=self.shutdown_timeout,
-            label=f"shard {shard_id} replica {replica_id} worker",
+            label=f"shard {shard_id} worker",
         )
 
-    def respawn(
-        self, shard_id: int, replica_id: int = 0
-    ) -> Tuple[str, int]:
+    def respawn(self, shard_id: int) -> Tuple[str, int]:
         """Replace a dead worker process with a fresh one of the same
         name and return its new address — the restart hook the
         coordinator uses on mid-job worker loss."""
@@ -213,13 +204,12 @@ class LocalCluster:
                 "cluster was not built by spawn_local_cluster; "
                 "cannot respawn workers"
             )
-        index = self._index(shard_id, replica_id)
-        old = self.processes[index]
+        old = self.processes[self._checked(shard_id)]
         if old.is_alive():  # pragma: no cover - caller races the reaper
             old.terminate()
         join_or_kill(
             old, timeout=self.shutdown_timeout,
-            label=f"shard {shard_id} replica {replica_id} worker",
+            label=f"shard {shard_id} worker",
         )
         context = (
             get_context(self._start_method)
@@ -228,12 +218,11 @@ class LocalCluster:
         )
         process, parent_conn = _start_cluster_worker(
             context, self._graph, shard_id, self.index_backend, self.seed,
-            replica_id, self.chaos, self.announce, self.heartbeat_interval,
+            self.chaos, self.announce, self.heartbeat_interval,
         )
         try:
             address = _await_worker_ready(
-                parent_conn, shard_id, self._ready_timeout,
-                process=process, replica_id=replica_id,
+                parent_conn, shard_id, self._ready_timeout, process=process,
             )
         except BaseException:
             if process.is_alive():
@@ -241,8 +230,8 @@ class LocalCluster:
             raise
         finally:
             parent_conn.close()
-        self.processes[index] = process
-        self.addresses[index] = address
+        self.processes[shard_id] = process
+        self.addresses[shard_id] = address
         return address
 
     def close(self) -> None:
@@ -274,14 +263,13 @@ def spawn_local_cluster(
     seed: "int | None" = None,
     start_method: "str | None" = None,
     ready_timeout: float = 30.0,
-    num_replicas: int = 1,
     chaos=None,
     announce: "Tuple[str, int] | None" = None,
     heartbeat_interval: "float | None" = None,
     store=None,
 ) -> LocalCluster:
-    """Boot ``num_shards × num_replicas`` workers on loopback, named
-    ``(shard, replica)``.
+    """Boot ``num_shards`` workers on loopback, named ``0 …
+    num_shards - 1``.
 
     Each worker holds a store of the whole graph, binds an ephemeral
     127.0.0.1 port and serves the framed protocol; the returned
@@ -297,8 +285,6 @@ def spawn_local_cluster(
     """
     if num_shards < 1:
         raise SchedulerError("num_shards must be >= 1")
-    if num_replicas < 1:
-        raise SchedulerError("num_replicas must be >= 1")
     index_backend = resolve_index_backend(index_backend)
     seed = default_seed() if seed is None else seed
     context = (
@@ -308,25 +294,21 @@ def spawn_local_cluster(
     )
     processes = []
     parent_conns = []
-    identities = []
     for shard_id in range(num_shards):
-        for replica_id in range(num_replicas):
-            process, parent_conn = _start_cluster_worker(
-                context, graph, shard_id, index_backend, seed, replica_id,
-                chaos, announce, heartbeat_interval, store,
-            )
-            processes.append(process)
-            parent_conns.append(parent_conn)
-            identities.append((shard_id, replica_id))
+        process, parent_conn = _start_cluster_worker(
+            context, graph, shard_id, index_backend, seed, chaos,
+            announce, heartbeat_interval, store,
+        )
+        processes.append(process)
+        parent_conns.append(parent_conn)
     addresses: "List[Tuple[str, int]]" = []
     try:
-        for (shard_id, replica_id), process, parent_conn in zip(
-            identities, processes, parent_conns
+        for shard_id, (process, parent_conn) in enumerate(
+            zip(processes, parent_conns)
         ):
             addresses.append(
                 _await_worker_ready(
-                    parent_conn, shard_id, ready_timeout,
-                    process=process, replica_id=replica_id,
+                    parent_conn, shard_id, ready_timeout, process=process,
                 )
             )
     except BaseException:
@@ -340,7 +322,6 @@ def spawn_local_cluster(
     return LocalCluster(
         processes, addresses, index_backend, seed,
         graph=graph, start_method=start_method,
-        ready_timeout=ready_timeout, num_replicas=num_replicas,
-        chaos=chaos, announce=announce,
+        ready_timeout=ready_timeout, chaos=chaos, announce=announce,
         heartbeat_interval=heartbeat_interval,
     )

@@ -103,15 +103,14 @@ def validate_handshake(
     index_backend: str,
     seed: int,
     expected_shard: "int | None" = None,
-    expected_replica: "int | None" = None,
     allow_catchup: bool = True,
 ) -> ShardDescriptor:
     """Receive and validate one worker's HELLO against a pool's view.
 
     The single handshake gate of the coordinator side: every session
     :class:`~repro.parallel.pool.ShardPool` opens goes through it.
-    ``expected_shard``/``expected_replica`` (a respawn or a reconnect
-    in place) pin the announced name.
+    ``expected_shard`` (a respawn or a reconnect in place) pins the
+    announced name.
 
     A worker announcing a *stale* ``graph_version`` (it was restarting
     while MUTATE broadcasts went out, or was spawned from the seed
@@ -136,21 +135,18 @@ def validate_handshake(
     def _check_contract(descriptor: ShardDescriptor, worker_seed: int):
         # Everything except graph identity: these mismatches are
         # configuration errors a catch-up replay cannot repair.
-        who = f"shard {descriptor.shard_id} replica {descriptor.replica_id}"
+        who = f"shard {descriptor.shard_id}"
         if descriptor.index_backend != index_backend:
             raise SchedulerError(
                 f"handshake backend mismatch: worker {who} built "
                 f"{descriptor.index_backend!r}, coordinator expects "
                 f"{index_backend!r}"
             )
-        for field, expected in (
-            ("shard_id", expected_shard), ("replica_id", expected_replica),
-        ):
-            if expected is not None and getattr(descriptor, field) != expected:
-                raise SchedulerError(
-                    f"respawned worker announced {who}, expected "
-                    f"shard {expected_shard} replica {expected_replica}"
-                )
+        if expected_shard not in (None, descriptor.shard_id):
+            raise SchedulerError(
+                f"respawned worker announced {who}, expected "
+                f"shard {expected_shard}"
+            )
         if worker_seed != seed:
             raise SchedulerError(
                 f"scheduler seed mismatch: worker {who} runs "
@@ -264,5 +260,5 @@ def open_session(
         raise
     sock.settimeout(io_timeout)
     if chaos is not None:
-        sock.bind_endpoint(descriptor.shard_id, descriptor.replica_id)
+        sock.bind_endpoint(descriptor.shard_id)
     return sock, descriptor

@@ -295,8 +295,8 @@ def run_level_synchronous(
                     accumulator = CandidateAccumulator()
                     accumulators[position] = accumulator
                 # key= makes the fold exactly-once per shard: a
-                # speculative duplicate reply (two replicas answering
-                # the same level) is discarded, not re-unioned.
+                # duplicate reply for the same shard and level is
+                # discarded, not re-unioned.
                 accumulator.add(
                     candidate_set_from_bytes(payload, index),
                     key=_shard_id,

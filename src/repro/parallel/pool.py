@@ -27,23 +27,21 @@ a second engine.  This module is that pool, in two pieces:
     :data:`~repro.parallel.transport.SOLO_QUERY_ID`; the match service
     opens one per admitted query, on its engine's same pool.
 
-Failover, speculation
----------------------
+Failover
+--------
 A part's count is a pure function of ``(plan, part, parts, graph
 version)``, so any member can answer any part and two members' answers
 are bit-identical.  Hence a lost member's owed parts are re-sent to
-whoever takes over, and with ``speculate_after`` a straggling part is
-duplicated to an idle member and the first answer wins.  Every
+whoever takes over; a part is worked by one member at a time.  Every
 dispatch pushes a pool-wide monotonic **barrier token** (with its
 part) onto the member's per-query FIFO and the pump pops one per reply
-(workers answer in request order), so late, duplicate and lost-race
-replies carry a token or part the gather no longer waits for and are
-discarded — which is why duplicates are provably harmless.  Only
-per-worker *counter accounting* can split across members; embedding
-counts are exact because exactly one reply per (barrier, part) is
-taken.
+(workers answer in request order), so late and duplicate replies carry
+a token or part the gather no longer waits for and are discarded.
+Only per-worker *counter accounting* can split across members;
+embedding counts are exact because exactly one reply per (barrier,
+part) is taken.
 
-``docs/ARCHITECTURE.md`` ("Replication & failover", "Match service")
+``docs/ARCHITECTURE.md`` ("Failover", "Match service")
 places this layer in the system and tabulates the ladder.
 """
 
@@ -79,9 +77,9 @@ from .worker import ShardDescriptor, default_io_timeout
 
 logger = logging.getLogger("repro.parallel")
 
-#: How often a waiting gather re-checks its cancel flag, its deadlines,
-#: speculation triggers and registry evictions (and the pump re-reads
-#: the member list) — the latency bound on noticing any of them.
+#: How often a waiting gather re-checks its cancel flag, its deadlines
+#: and registry evictions (and the pump re-reads the member list) — the
+#: latency bound on noticing any of them.
 _TICK = 0.05
 
 _JOB_REPLIES = (transport.MSG_LEVEL_REPLY, transport.MSG_QERROR)
@@ -99,8 +97,8 @@ class _Member:
 
     __slots__ = ("name", "address", "sock", "tokens")
 
-    def __init__(self, name: "Tuple[int, int]", address, sock) -> None:
-        #: ``(shard_id, replica_id)`` as the worker announced it.
+    def __init__(self, name: int, address, sock) -> None:
+        #: The ``shard_id`` the worker announced.
         self.name = name
         self.address = address
         self.sock = sock
@@ -109,8 +107,7 @@ class _Member:
         #: empty dict means an idle connection).  The worker answers
         #: strictly in request order, so the head pair names the barrier
         #: and the part the next inbound reply for that query answers —
-        #: which is how stale and lost-race replies are told apart from
-        #: the live one.
+        #: which is how stale replies are told apart from the live one.
         self.tokens: "Dict[int, deque]" = {}
 
     def owed(self) -> int:
@@ -118,7 +115,7 @@ class _Member:
         return sum(map(len, self.tokens.values()))
 
     def __str__(self) -> str:
-        return f"shard {self.name[0]} replica {self.name[1]}"
+        return f"shard {self.name}"
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -143,13 +140,13 @@ class _QueryState:
         #: None)`` when the pool gave the query up.
         self.replies: "queue.Queue" = queue.Queue()
         #: The current barrier: part → its encoded SUBTREE frame, which
-        #: failover and speculation re-send.
+        #: failover re-sends.
         self.frames: "Dict[int, bytes]" = {}
         self.token = 0
         #: Parts still owing the current barrier a reply, and per such
-        #: part the members working it (member → dispatch time).
+        #: part the member working it and when it was sent.
         self.pending: set = set()
-        self.watchers: "Dict[int, Dict[_Member, float]]" = {}
+        self.watchers: "Dict[int, Tuple[_Member, float]]" = {}
         #: Why the pool gave the query up, once it has (the same text
         #: rides a ``"lost"`` arrival to wake a waiting gather).
         self.lost: "str | None" = None
@@ -239,18 +236,17 @@ class ShardPool:
     concurrent queries.
 
     Every member holds the whole data graph, so the pool is a flat list
-    of interchangeable members; the ``(shard_id, replica_id)`` pair a
-    worker announces is only its name.  Two construction modes:
+    of interchangeable members; the ``shard_id`` a worker announces is
+    only its name.  Two construction modes:
 
     ``ShardPool(addresses=[("host", port), ...])``
         Connect to externally managed workers (the multi-host mode; the
-        CLI's ``--hosts``, or :meth:`from_registry`'s discovery).
-        ``num_replicas == K`` declares the list as ``N × K`` addresses
-        (and must divide it).  A dead address is skipped with a
-        warning; the pool refuses to open only when *no* member is live.
+        CLI's ``--hosts``, or :meth:`from_registry`'s discovery).  A
+        dead address is skipped with a warning; the pool refuses to
+        open only when *no* member is live.
 
-    ``ShardPool(num_shards=N, num_replicas=K)``
-        Spawn (and own) a local cluster of ``N × K`` members for the
+    ``ShardPool(num_shards=N)``
+        Spawn (and own) a local cluster of ``N`` members for the
         engine's data graph on first use — the single-machine
         ``--executor processes`` / ``--executor sockets`` path, and the
         match service's default.
@@ -264,12 +260,10 @@ class ShardPool:
     (connect refused, peer vanished) costs one member.
 
     ``io_timeout`` (default from ``REPRO_NET_TIMEOUT``) bounds every
-    wait on a worker; ``speculate_after=S`` duplicates a part still
-    unanswered after ``S`` seconds to an idle member; a ``registry``
-    feeds missed-heartbeat evictions into failover well before the I/O
-    deadline.  Failover and speculation may split a query's per-worker
-    counter accounting across members; embedding counts are always
-    exact.
+    wait on a worker; a ``registry`` feeds missed-heartbeat evictions
+    into failover well before the I/O deadline.  Failover may split a
+    query's per-worker counter accounting across members; embedding
+    counts are always exact.
     """
 
     def __init__(
@@ -281,28 +275,18 @@ class ShardPool:
         start_method: "str | None" = None,
         connect_timeout: float = CONNECT_TIMEOUT,
         io_timeout: "float | None" = None,
-        num_replicas: int = 1,
         retry: "RetryPolicy | None" = None,
-        speculate_after: "float | None" = None,
         chaos=None,
         registry=None,
     ) -> None:
-        if num_replicas < 1:
-            raise SchedulerError("num_replicas must be >= 1")
         if addresses is not None:
             addresses = [tuple(address) for address in addresses]
-            if len(addresses) % num_replicas != 0:
-                raise SchedulerError(
-                    f"{len(addresses)} worker addresses do not divide "
-                    f"into {num_replicas} replicas per shard"
-                )
-            implied = len(addresses) // num_replicas
-            if num_shards is not None and num_shards != implied:
+            if num_shards not in (None, len(addresses)):
                 raise SchedulerError(
                     f"num_shards={num_shards} contradicts "
                     f"{len(addresses)} worker addresses"
                 )
-            num_shards = implied
+            num_shards = len(addresses)
         if num_shards is None:
             raise SchedulerError(
                 "ShardPool needs worker addresses or num_shards"
@@ -311,7 +295,6 @@ class ShardPool:
             raise SchedulerError("num_shards must be >= 1")
         self.addresses = addresses
         self.num_shards = num_shards
-        self.num_replicas = num_replicas
         self.index_backend = resolve_index_backend(index_backend)
         self.seed = default_seed() if seed is None else seed
         self.start_method = start_method
@@ -320,7 +303,6 @@ class ShardPool:
             default_io_timeout() if io_timeout is None else io_timeout
         )
         self.retry = default_retry_policy() if retry is None else retry
-        self.speculate_after = speculate_after
         self.chaos = chaos
         #: Optional :class:`~repro.parallel.registry.WorkerRegistry`
         #: whose heartbeat evictions fail members over at the
@@ -341,7 +323,7 @@ class ShardPool:
         self._members: "List[_Member]" = []
         #: Name → last address of every member that failed out of the
         #: pool: where the ladder reconnects.
-        self._lost: "Dict[Tuple[int, int], Tuple[str, int]]" = {}
+        self._lost: "Dict[int, Tuple[str, int]]" = {}
         self._queries: "Dict[int, _QueryState]" = {}
         self._graph: "Hypergraph | None" = None
         self._respawn_budget = 0
@@ -362,27 +344,19 @@ class ShardPool:
         cls,
         registry,
         num_shards: int,
-        num_replicas: int = 1,
         wait_timeout: float = 30.0,
         **kwargs,
     ) -> "ShardPool":
         """Build a pool from discovered workers.
 
-        Blocks until the registry has a live worker for every
-        ``(shard, replica)`` name (or ``wait_timeout`` elapses), then
+        Blocks until the registry has a live worker for every name
+        ``0 … num_shards - 1`` (or ``wait_timeout`` elapses), then
         connects to the announced addresses; the registry stays
         attached, so its missed-heartbeat evictions keep feeding the
         recovery ladder mid-job.
         """
-        addresses = registry.wait_for(
-            num_shards, num_replicas, timeout=wait_timeout
-        )
-        return cls(
-            addresses=addresses,
-            num_replicas=num_replicas,
-            registry=registry,
-            **kwargs,
-        )
+        addresses = registry.wait_for(num_shards, timeout=wait_timeout)
+        return cls(addresses=addresses, registry=registry, **kwargs)
 
     # -- opening and closing --------------------------------------------
 
@@ -394,12 +368,14 @@ class ShardPool:
 
         The one place a pool comes up, whoever asks — a solo job or one
         of many service queries.  Returns True when live connections
-        were reused.  A pool that owns its cluster first respawns the
-        members it lost since the previous query (worker died, session
-        idled out); one that cannot be is forgotten.  Lost workers at
-        fixed addresses are reconnected only by the ladder, when no
-        member is left to take a part — a wedged one would hold every
-        open up by a connect timeout — or re-added by :meth:`admit`.
+        were reused.  A pool that owns its cluster first fails every
+        member whose worker process has died — the pump may not have
+        read its EOF yet — then respawns the members it lost since the
+        previous query (worker died, session idled out); one that
+        cannot be is forgotten.  Lost workers at fixed addresses are
+        reconnected only by the ladder, when no member is left to take
+        a part — a wedged one would hold every open up by a connect
+        timeout — or re-added by :meth:`admit`.
         Only a pool with no live member left is rebuilt from its
         addresses / a fresh cluster.
         """
@@ -409,13 +385,15 @@ class ShardPool:
                 f"pool backend {self.index_backend!r}"
             )
         with self._lock:
-            self._respawn_budget = self.num_shards * self.num_replicas
+            self._respawn_budget = self.num_shards
             if self._graph is engine.data and self._members:
                 if self._cluster is not None:
+                    self._reap_dead_members()
                     for name in sorted(self._lost):
                         if self._restore_member(name) is None:
                             self._lost.pop(name, None)
-                return True
+                if self._members:
+                    return True
             if self._queries:
                 raise SchedulerError(
                     "cannot rebuild the pool for a different graph with "
@@ -433,7 +411,6 @@ class ShardPool:
                     self.index_backend,
                     seed=self.seed,
                     start_method=self.start_method,
-                    num_replicas=self.num_replicas,
                     chaos=self.chaos,
                     store=engine.store,
                 )
@@ -467,7 +444,7 @@ class ShardPool:
                         "could not open shard worker at %s: %s", where, exc
                     )
                     continue
-                member = _Member(_name(descriptor), address, sock)
+                member = _Member(descriptor.shard_id, address, sock)
                 members.append(member)
                 self._check_unique(member, members[:-1])
             if not members:
@@ -485,8 +462,7 @@ class ShardPool:
     def _check_unique(member: _Member, others) -> None:
         if any(other.name == member.name for other in others):
             raise SchedulerError(
-                f"two workers both announced shard id {member.name[0]} "
-                f"(replica {member.name[1]})"
+                f"two workers both announced shard id {member.name}"
             )
 
     def _open_session(self, address, graph, **expect):
@@ -572,9 +548,9 @@ class ShardPool:
         of the root candidates).
 
         Counts are bit-identical to the sequential engine, including
-        under failover and speculation, which replace *who* answers a
-        part but never *what* the answer is.  ``time_budget`` is
-        enforced mid-gather here and between blocks on the workers.  A
+        under failover, which replaces *who* answers a part but never
+        *what* the answer is.  ``time_budget`` is enforced mid-gather
+        here and between blocks on the workers.  A
         job that fails with a :class:`~repro.errors.SchedulerError` on
         a pool it had to itself takes the pool down with it, cluster
         included (the next job rebuilds); with service queries
@@ -644,18 +620,12 @@ class ShardPool:
         return max(1, len(self._members) // len(self._queries))
 
     def _dispatch(
-        self,
-        state: _QueryState,
-        part: int,
-        member: "_Member | None" = None,
-        cause: "str | None" = None,
+        self, state: _QueryState, part: int, cause: "str | None" = None
     ) -> None:
-        """Send ``part``'s request to one member (``member`` pins the
-        target — the speculation path), climbing the ladder when no
-        live one can take it."""
+        """Send ``part``'s request to one member, climbing the ladder
+        when no live one can take it."""
         while self._queries.get(state.query_id) is state:
-            target = member or self._pick_member(state, part)
-            member = None
+            target = self._pick_member()
             if target is None:
                 # Rungs 2-3: bring a lost member back.
                 target = next(
@@ -675,21 +645,15 @@ class ShardPool:
             target.tokens.setdefault(state.query_id, deque()).append(
                 (state.token, part)
             )
-            state.watchers.setdefault(part, {})[target] = time.monotonic()
+            state.watchers[part] = (target, time.monotonic())
             self.dispatched_frames += 1
             return
 
-    def _pick_member(self, state, part: int) -> "_Member | None":
-        """The member to dispatch ``part`` to: the one owing the fewest
+    def _pick_member(self) -> "_Member | None":
+        """The member to dispatch a part to: the one owing the fewest
         replies (its queue preserves order), ties to the earliest
-        joined — never one already working this part.  Deterministic in
-        the pool's own state."""
-        watching = state.watchers.get(part, ())
-        return min(
-            (member for member in self._members if member not in watching),
-            key=_Member.owed,
-            default=None,
-        )
+        joined.  Deterministic in the pool's own state."""
+        return min(self._members, key=_Member.owed, default=None)
 
     # -- the pump: the only reader of job replies -----------------------
 
@@ -791,12 +755,8 @@ class ShardPool:
         if not self._drop_member(member, cause):
             return  # already out of the pool: handled by another path
         for state in list(self._queries.values()):
-            for part, watchers in list(state.watchers.items()):
-                if watchers.pop(member, None) is None:
-                    continue
-                # Re-dispatch unless a speculative duplicate is already
-                # working the part or the part already answered.
-                if not watchers and part in state.pending:
+            for part, (worker, _) in list(state.watchers.items()):
+                if worker is member and part in state.pending:
                     self._dispatch(state, part, cause=cause)
 
     def _drop_member(self, member: _Member, cause: str) -> bool:
@@ -811,7 +771,21 @@ class ShardPool:
         logger.warning("%s at %s dropped: %s", member, member.address, cause)
         return True
 
-    def _restore_member(self, name: "Tuple[int, int]") -> "_Member | None":
+    def _reap_dead_members(self) -> None:
+        """Fail into the ladder every member whose owned worker process
+        has died (pool lock held), so the restore that follows respawns
+        it even when the pump has not read its EOF yet."""
+        cluster = self._cluster
+        for member in list(self._members):
+            name = member.name
+            if (
+                name < cluster.num_shards
+                and cluster.addresses[name] == member.address
+                and not cluster.processes[name].is_alive()
+            ):
+                self._member_failed(member, "its worker process died")
+
+    def _restore_member(self, name: int) -> "_Member | None":
         """Rungs 2–3 for a lost member: respawned under the budget when
         the pool owns the cluster, else reconnected where it last was.
         Returns None when it cannot be brought back."""
@@ -821,17 +795,14 @@ class ShardPool:
         try:
             if self._cluster is not None and self._respawn_budget > 0:
                 self._respawn_budget -= 1
-                address = self._cluster.respawn(*name)
+                address = self._cluster.respawn(name)
             sock, _ = self._open_session(
-                address,
-                self._graph,
-                expected_shard=name[0],
-                expected_replica=name[1],
+                address, self._graph, expected_shard=name
             )
         except (SchedulerError, OSError, TransportError) as exc:
             logger.warning(
-                "shard %d replica %d at %s could not be restored: %s",
-                name[0], name[1], address, exc,
+                "shard %d at %s could not be restored: %s",
+                name, address, exc,
             )
             return None
         member = _Member(name, address, sock)
@@ -870,10 +841,10 @@ class ShardPool:
             self._evict_cursor
         )
         for record in evicted:
-            member = self._member(record.identity)
+            member = self._member(record.shard_id)
             if member is None:
                 continue
-            live = self.registry.record(*record.identity)
+            live = self.registry.record(record.shard_id)
             if live is not None and tuple(live.address) == tuple(
                 member.address
             ):
@@ -952,7 +923,7 @@ class ShardPool:
                         member, f"mutate ack failed: {exc}"
                     )
                     continue
-                who = f"shard worker {member.name[0]} (replica {member.name[1]})"
+                who = f"shard worker {member.name}"
                 if kind == transport.MSG_ERROR:
                     failure = f"{who} failed to mutate:\n{ack}"
                 elif kind != transport.MSG_DELTA:
@@ -1004,7 +975,7 @@ class ShardPool:
                     f"worker at {where} failed the admission handshake: "
                     f"{exc}"
                 ) from None
-            member = _Member(_name(descriptor), address, sock)
+            member = _Member(descriptor.shard_id, address, sock)
             try:
                 self._check_unique(member, self._members)
             except SchedulerError as exc:
@@ -1019,7 +990,7 @@ class ShardPool:
             )
             return descriptor
 
-    def drain(self, shard_id: int, replica_id: int = 0) -> None:
+    def drain(self, shard_id: int) -> None:
         """Gracefully decommission one member of the live pool.
 
         Finishes whatever the member still owes (in-flight replies are
@@ -1032,17 +1003,15 @@ class ShardPool:
                 raise SchedulerError(
                     "no live pool to drain; run a job first"
                 )
-            name = (shard_id, replica_id)
-            member = self._member(name)
-            if member is None and name not in self._lost:
+            member = self._member(shard_id)
+            if member is None and shard_id not in self._lost:
                 raise SchedulerError(
-                    f"shard {shard_id} replica {replica_id} is not a live "
-                    f"member of the pool"
+                    f"shard {shard_id} is not a live member of the pool"
                 )
             if member is not None and len(self._members) == 1:
                 raise SchedulerError(
-                    f"refusing to drain shard {shard_id} replica "
-                    f"{replica_id}: it is the pool's last live member"
+                    f"refusing to drain shard {shard_id}: it is the "
+                    f"pool's last live member"
                 )
             if member is not None:
                 try:
@@ -1060,12 +1029,8 @@ class ShardPool:
                 if member in self._members:
                     self._members.remove(member)
                     self._epoch += 1
-            self._lost.pop(name, None)
-            logger.info("drained shard %d replica %d", shard_id, replica_id)
-
-
-def _name(descriptor: ShardDescriptor) -> "Tuple[int, int]":
-    return (descriptor.shard_id, descriptor.replica_id)
+            self._lost.pop(shard_id, None)
+            logger.info("drained shard %d", shard_id)
 
 
 class QueryChannel:
@@ -1127,12 +1092,11 @@ class QueryChannel:
 
         The one gather loop.  In priority order it enforces the cancel
         flag, the query deadline and — on a :data:`_TICK`, under the
-        pool lock — registry evictions, the per-request reply deadline
-        and speculation (:meth:`_tick`); and it guarantees **at most
-        one reply per part per barrier** reaches the caller: late
-        answers to a previous barrier and lost speculation races are
-        discarded here by token and part.  Every failure exit
-        unregisters the query first.
+        pool lock — registry evictions and the per-request reply
+        deadline (:meth:`_tick`); and it guarantees **at most one reply
+        per part per barrier** reaches the caller: late answers to a
+        previous barrier and duplicates are discarded here by token and
+        part.  Every failure exit unregisters the query first.
         """
         pool, state = self._pool, self._state
         next_tick = time.monotonic() + _TICK
@@ -1185,7 +1149,7 @@ class QueryChannel:
                     f"{payload}"
                 )
             if part not in state.pending:
-                continue  # lost the speculation race; duplicate
+                continue  # a duplicate: the part is already answered
             try:
                 reply = transport.decode_reply(payload)
             except TransportError as exc:
@@ -1214,40 +1178,18 @@ class QueryChannel:
         pool._sync_registry()
         silent = []
         for part in sorted(state.pending):
-            watchers = state.watchers.get(part, {})
-            for member, since in list(watchers.items()):
-                if pool._queries.get(self.query_id) is not state:
-                    return []  # the pool gave the query up; "lost" is queued
-                if since + pool.io_timeout > now:
-                    continue
-                if len(pool._members) > 1:
-                    pool._member_failed(
-                        member,
-                        f"no reply within {pool.io_timeout}s "
-                        f"(worker wedged)",
-                    )
-                else:
-                    silent.append(part)
-            # Speculation: a part still waiting on its only watcher
-            # past the trigger gets a duplicate dispatch to a strictly
-            # idle spare; first reply wins.
-            if (
-                pool.speculate_after is None
-                or len(watchers) != 1
-                or pool._queries.get(self.query_id) is not state
-            ):
+            if pool._queries.get(self.query_id) is not state:
+                return []  # the pool gave the query up; "lost" is queued
+            watcher = state.watchers.get(part)
+            if watcher is None or watcher[1] + pool.io_timeout > now:
                 continue
-            (since,) = watchers.values()
-            if since + pool.speculate_after > now:
-                continue
-            for spare in pool._members:
-                if spare not in watchers and not spare.tokens:
-                    logger.warning(
-                        "part %d straggling (> %.3fs); speculating on %s",
-                        part, pool.speculate_after, spare,
-                    )
-                    pool._dispatch(state, part, member=spare)
-                    break
+            if len(pool._members) > 1:
+                pool._member_failed(
+                    watcher[0],
+                    f"no reply within {pool.io_timeout}s (worker wedged)",
+                )
+            else:
+                silent.append(part)
         return silent
 
     def count(self, engine, query, order=None) -> ParallelResult:

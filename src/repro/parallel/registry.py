@@ -1,6 +1,6 @@
 """Worker discovery: the ANNOUNCE/HEARTBEAT registry.
 
-The replicated socket runtime (PR 6) survives the loss of hosts it was
+The socket pool runtime survives the loss of hosts it was
 *given*; this module is the half that lets it run on hosts that *show
 up*.  A :class:`WorkerRegistry` is a tiny TCP server that shard
 workers register with: each ``serve-shard --announce host:port`` worker
@@ -19,7 +19,7 @@ stream into a live membership table:
   old record (**latest wins**): a restarted worker must not be held
   hostage by its dead predecessor's half-open connection.
 
-Membership is keyed by each worker's name ``(shard_id, replica_id)``:
+Membership is keyed by each worker's name ``shard_id``:
 :meth:`WorkerRegistry.addresses` flattens the table into the
 ``addresses`` list :class:`~repro.parallel.pool.ShardPool` takes, and
 the pool folds :meth:`WorkerRegistry.evictions_since` into its
@@ -79,16 +79,11 @@ class WorkerRecord:
     """One live worker as the registry sees it."""
 
     shard_id: int
-    replica_id: int
     address: Tuple[str, int]
     descriptor: ShardDescriptor
     seed: int
     announced_at: float
     last_seen: float
-
-    @property
-    def identity(self) -> Tuple[int, int]:
-        return (self.shard_id, self.replica_id)
 
 
 @dataclass
@@ -96,13 +91,8 @@ class EvictionRecord:
     """One eviction, kept so coordinators can react after the fact."""
 
     shard_id: int
-    replica_id: int
     reason: str
     at: float = field(default_factory=time.monotonic)
-
-    @property
-    def identity(self) -> Tuple[int, int]:
-        return (self.shard_id, self.replica_id)
 
 
 class WorkerRegistry:
@@ -146,7 +136,7 @@ class WorkerRegistry:
         self._thread: "threading.Thread | None" = None
         self._stop = threading.Event()
         self._lock = threading.Lock()
-        self._records: Dict[Tuple[int, int], WorkerRecord] = {}
+        self._records: Dict[int, WorkerRecord] = {}
         self._evictions: List[EvictionRecord] = []
         self._generation = 0
         #: connection -> (buffer, identity-or-None); loop-thread only.
@@ -215,22 +205,17 @@ class WorkerRegistry:
             return self._generation
 
     def snapshot(self) -> List[WorkerRecord]:
-        """Every live record, ordered (shard_id, replica_id)."""
+        """Every live record, ordered by shard_id."""
         with self._lock:
-            return sorted(
-                self._records.values(),
-                key=lambda record: record.identity,
-            )
+            return [self._records[key] for key in sorted(self._records)]
 
-    def record(
-        self, shard_id: int, replica_id: int = 0
-    ) -> Optional[WorkerRecord]:
+    def record(self, shard_id: int) -> Optional[WorkerRecord]:
         with self._lock:
-            return self._records.get((shard_id, replica_id))
+            return self._records.get(shard_id)
 
-    def is_live(self, shard_id: int, replica_id: int = 0) -> bool:
+    def is_live(self, shard_id: int) -> bool:
         with self._lock:
-            return (shard_id, replica_id) in self._records
+            return shard_id in self._records
 
     def evictions_since(
         self, cursor: int
@@ -246,49 +231,34 @@ class WorkerRegistry:
         with self._lock:
             return list(self._evictions)
 
-    def addresses(
-        self, num_shards: int, num_replicas: int = 1
-    ) -> List[Tuple[str, int]]:
-        """The flat address list the pool consumes, in name order
-        (``shard_id * num_replicas + replica_id``); raises
+    def addresses(self, num_shards: int) -> List[Tuple[str, int]]:
+        """The address list the pool consumes, in name order; raises
         :class:`SchedulerError` when any slot has no live worker."""
-        missing: List[Tuple[int, int]] = []
-        flat: List[Tuple[str, int]] = []
         with self._lock:
-            for shard_id in range(num_shards):
-                for replica_id in range(num_replicas):
-                    record = self._records.get((shard_id, replica_id))
-                    if record is None:
-                        missing.append((shard_id, replica_id))
-                    else:
-                        flat.append(record.address)
+            records = [self._records.get(i) for i in range(num_shards)]
+        missing = [i for i, record in enumerate(records) if record is None]
         if missing:
             raise SchedulerError(
                 f"registry has no live worker for "
-                f"{len(missing)} of {num_shards * num_replicas} slots: "
-                f"{missing[:8]}"
+                f"{len(missing)} of {num_shards} slots: {missing[:8]}"
             )
-        return flat
+        return [record.address for record in records]
 
     def wait_for(
-        self,
-        num_shards: int,
-        num_replicas: int = 1,
-        timeout: float = 30.0,
+        self, num_shards: int, timeout: float = 30.0
     ) -> List[Tuple[str, int]]:
-        """Block until every ``(shard, replica)`` slot has announced (or
-        ``timeout`` elapses), then return :meth:`addresses`."""
+        """Block until every slot has announced (or ``timeout``
+        elapses), then return :meth:`addresses`."""
         deadline = time.monotonic() + timeout
         while True:
             try:
-                return self.addresses(num_shards, num_replicas)
+                return self.addresses(num_shards)
             except SchedulerError:
                 if time.monotonic() >= deadline:
                     raise SchedulerError(
-                        f"registry did not discover "
-                        f"{num_shards}x{num_replicas} workers within "
-                        f"{timeout:.1f}s; live: "
-                        f"{[r.identity for r in self.snapshot()]}"
+                        f"registry did not discover {num_shards} workers "
+                        f"within {timeout:.1f}s; live: "
+                        f"{[r.shard_id for r in self.snapshot()]}"
                     ) from None
                 time.sleep(min(0.01, self.heartbeat_interval / 4))
 
@@ -349,10 +319,9 @@ class WorkerRegistry:
                 raise TransportError(
                     f"announce carries undecodable descriptor: {exc}"
                 ) from exc
-            identity = (descriptor.shard_id, descriptor.replica_id)
+            identity = descriptor.shard_id
             record = WorkerRecord(
-                shard_id=descriptor.shard_id,
-                replica_id=descriptor.replica_id,
+                shard_id=identity,
                 address=address,
                 descriptor=descriptor,
                 seed=seed,
@@ -375,8 +344,7 @@ class WorkerRegistry:
             conn.identity = identity
             conn.last_seen = now
             logger.debug(
-                "registry: announce shard %d replica %d at %s",
-                identity[0], identity[1], address,
+                "registry: announce shard %d at %s", identity, address
             )
         elif kind == transport.MSG_HEARTBEAT:
             if conn.identity is None:
@@ -393,7 +361,7 @@ class WorkerRegistry:
 
     def _identity_conn(
         self,
-        identity: Tuple[int, int],
+        identity: int,
         exclude: "Optional[_Conn]" = None,
     ) -> "Optional[_Conn]":
         for conn in self._conns.values():
@@ -422,14 +390,9 @@ class WorkerRegistry:
         with self._lock:
             if identity in self._records:
                 del self._records[identity]
-                self._evictions.append(
-                    EvictionRecord(identity[0], identity[1], reason)
-                )
+                self._evictions.append(EvictionRecord(identity, reason))
                 self._generation += 1
-        logger.info(
-            "registry: evicted shard %d replica %d (%s)",
-            identity[0], identity[1], reason,
-        )
+        logger.info("registry: evicted shard %d (%s)", identity, reason)
 
     def _close_conn(self, selector, sock) -> None:
         self._conns.pop(sock, None)
@@ -451,7 +414,7 @@ class _Conn:
     def __init__(self, sock: socket.socket) -> None:
         self.sock = sock
         self.buffer = bytearray()
-        self.identity: "Optional[Tuple[int, int]]" = None
+        self.identity: "Optional[int]" = None
         self.last_seen = time.monotonic()
 
     def drain_frames(self):
@@ -540,10 +503,7 @@ class Announcer:
         if self.chaos is not None:
             address, descriptor_dict, _ = self.hello()
             sock = self.chaos.wrap(
-                sock,
-                ROLE_ANNOUNCER,
-                descriptor_dict.get("shard_id"),
-                descriptor_dict.get("replica_id"),
+                sock, ROLE_ANNOUNCER, descriptor_dict.get("shard_id")
             )
         return sock
 

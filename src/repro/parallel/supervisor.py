@@ -3,18 +3,18 @@
 The elastic runtime's third leg (next to discovery —
 :mod:`repro.parallel.registry` — and the coordinator's
 ``admit``/``drain``): a :class:`WorkerSupervisor` owns the
-``num_shards × num_replicas`` local ``serve-shard`` processes of one
-pool, health-checks them, and restarts crashed ones under the shared
+``num_shards`` local ``serve-shard`` processes of one pool,
+health-checks them, and restarts crashed ones under the shared
 :class:`~repro.parallel.tasks.RetryPolicy` jittered backoff with a
 per-slot restart budget.
 
 Restart policy
 --------------
-Each (shard, replica) slot keeps its own budget and backoff clock:
+Each worker slot keeps its own budget and backoff clock:
 
 * A slot whose process dies is **not** restarted inline — the death is
   noted and the next restart *attempt time* is scheduled with the
-  retry policy's jittered exponential delay (seeded per slot identity,
+  retry policy's jittered exponential delay (seeded per slot name,
   so schedules are reproducible).  :meth:`poll` performs the restart
   when the attempt time has passed.  The supervisor therefore never
   busy-restarts a crash-looping worker.
@@ -38,7 +38,7 @@ import logging
 import random
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from ..errors import SchedulerError
 from .cluster import spawn_local_cluster
@@ -46,7 +46,7 @@ from .tasks import RetryPolicy, default_seed
 
 logger = logging.getLogger(__name__)
 
-#: Default number of restarts each (shard, replica) slot is granted.
+#: Default number of restarts each worker slot is granted.
 DEFAULT_RESTART_BUDGET = 3
 
 #: Restart backoff: same shape as the coordinator's connect retries,
@@ -62,7 +62,6 @@ class SlotStatus:
     """Point-in-time health snapshot of one supervised worker slot."""
 
     shard_id: int
-    replica_id: int
     state: str  #: ``running`` | ``backoff`` | ``exhausted`` | ``stopped``
     address: "Tuple[str, int] | None"
     pid: "int | None"
@@ -76,30 +75,24 @@ class SlotStatus:
 
 
 class _Slot:
-    """Mutable supervision state for one (shard, replica) worker."""
+    """Mutable supervision state for one worker slot."""
 
-    __slots__ = (
-        "shard_id", "replica_id", "restarts", "next_attempt_at",
-        "exhausted", "rng",
-    )
+    __slots__ = ("shard_id", "restarts", "next_attempt_at", "exhausted", "rng")
 
-    def __init__(self, shard_id: int, replica_id: int, seed: int) -> None:
+    def __init__(self, shard_id: int, seed: int) -> None:
         self.shard_id = shard_id
-        self.replica_id = replica_id
         self.restarts = 0
         self.next_attempt_at: "float | None" = None
         self.exhausted = False
         # Per-slot jitter stream: reproducible backoff schedules, and
         # no two slots share a schedule (no synchronised restart herd).
-        self.rng = random.Random(
-            0x5AFE ^ (shard_id << 20) ^ (replica_id << 4) ^ seed
-        )
+        self.rng = random.Random(0x5AFE ^ (shard_id << 20) ^ seed)
 
 
 class WorkerSupervisor:
     """Own, health-check and restart a local shard-worker pool.
 
-    :meth:`start` boots the ``num_shards × num_replicas`` workers (via
+    :meth:`start` boots the ``num_shards`` workers (via
     :func:`~repro.parallel.cluster.spawn_local_cluster`, so the
     pool is byte-for-byte the pool every test and benchmark uses);
     :meth:`poll` is one supervision step — call it from your own loop,
@@ -116,7 +109,6 @@ class WorkerSupervisor:
         num_shards: int,
         index_backend: "str | None" = None,
         seed: "int | None" = None,
-        num_replicas: int = 1,
         start_method: "str | None" = None,
         announce: "Tuple[str, int] | None" = None,
         heartbeat_interval: "float | None" = None,
@@ -129,7 +121,6 @@ class WorkerSupervisor:
             raise SchedulerError("restart_budget must be >= 0")
         self.graph = graph
         self.num_shards = num_shards
-        self.num_replicas = num_replicas
         self.index_backend = index_backend
         self.seed = default_seed() if seed is None else seed
         self.start_method = start_method
@@ -155,20 +146,14 @@ class WorkerSupervisor:
             seed=self.seed,
             start_method=self.start_method,
             ready_timeout=self.ready_timeout,
-            num_replicas=self.num_replicas,
             chaos=self.chaos,
             announce=self.announce,
             heartbeat_interval=self.heartbeat_interval,
         )
         self._slots = [
-            _Slot(shard_id, replica_id, self.seed)
-            for shard_id in range(self.num_shards)
-            for replica_id in range(self.num_replicas)
+            _Slot(shard_id, self.seed) for shard_id in range(self.num_shards)
         ]
-        logger.info(
-            "supervising %d shard worker(s) (%d shard(s) x K=%d)",
-            len(self._slots), self.num_shards, self.num_replicas,
-        )
+        logger.info("supervising %d shard worker(s)", len(self._slots))
         return self
 
     def close(self) -> None:
@@ -188,7 +173,7 @@ class WorkerSupervisor:
 
     @property
     def addresses(self) -> "List[Tuple[str, int]]":
-        """Current worker addresses, shard-major (stale entries for
+        """Current worker addresses, by slot (stale entries for
         down slots — discovery via the registry is the live view)."""
         self._require_started()
         return list(self.cluster.addresses)
@@ -200,15 +185,14 @@ class WorkerSupervisor:
         )
 
     def status(self) -> "List[SlotStatus]":
-        """Health snapshot of every slot, shard-major order."""
+        """Health snapshot of every slot, in slot order."""
         self._require_started()
         out: "List[SlotStatus]" = []
         for slot in self._slots:
-            index = slot.shard_id * self.num_replicas + slot.replica_id
-            process = self.cluster.processes[index]
+            process = self.cluster.processes[slot.shard_id]
             if process.is_alive():
                 state = "running"
-                address = self.cluster.addresses[index]
+                address = self.cluster.addresses[slot.shard_id]
             elif slot.exhausted:
                 state = "exhausted"
                 address = None
@@ -222,7 +206,6 @@ class WorkerSupervisor:
                 address = None
             out.append(SlotStatus(
                 shard_id=slot.shard_id,
-                replica_id=slot.replica_id,
                 state=state,
                 address=address,
                 pid=process.pid if process.is_alive() else None,
@@ -248,8 +231,7 @@ class WorkerSupervisor:
         now = time.monotonic()
         restarted = 0
         for slot in self._slots:
-            index = slot.shard_id * self.num_replicas + slot.replica_id
-            process = self.cluster.processes[index]
+            process = self.cluster.processes[slot.shard_id]
             if process.is_alive() or slot.exhausted:
                 continue
             if slot.next_attempt_at is None:
@@ -260,9 +242,8 @@ class WorkerSupervisor:
                 delay = self.retry.delay(slot.restarts, slot.rng)
                 slot.next_attempt_at = now + delay
                 logger.warning(
-                    "shard %d replica %d died (exit code %s); restart "
-                    "%d/%d in %.2fs",
-                    slot.shard_id, slot.replica_id, process.exitcode,
+                    "shard %d died (exit code %s); restart %d/%d in %.2fs",
+                    slot.shard_id, process.exitcode,
                     slot.restarts + 1, self.restart_budget, delay,
                 )
                 continue
@@ -271,9 +252,7 @@ class WorkerSupervisor:
             slot.restarts += 1
             slot.next_attempt_at = None
             try:
-                address = self.cluster.respawn(
-                    slot.shard_id, slot.replica_id
-                )
+                address = self.cluster.respawn(slot.shard_id)
             except SchedulerError as exc:
                 if slot.restarts >= self.restart_budget:
                     self._exhaust(slot, f"restart failed: {exc}")
@@ -281,16 +260,15 @@ class WorkerSupervisor:
                     delay = self.retry.delay(slot.restarts, slot.rng)
                     slot.next_attempt_at = time.monotonic() + delay
                     logger.warning(
-                        "shard %d replica %d restart failed (%s); "
-                        "retry %d/%d in %.2fs",
-                        slot.shard_id, slot.replica_id, exc,
+                        "shard %d restart failed (%s); retry %d/%d in %.2fs",
+                        slot.shard_id, exc,
                         slot.restarts + 1, self.restart_budget, delay,
                     )
                 continue
             restarted += 1
             logger.info(
-                "restarted shard %d replica %d at %s:%s (restart %d/%d)",
-                slot.shard_id, slot.replica_id, address[0], address[1],
+                "restarted shard %d at %s:%s (restart %d/%d)",
+                slot.shard_id, address[0], address[1],
                 slot.restarts, self.restart_budget,
             )
         if self.live_count() == 0 and all(
@@ -336,8 +314,8 @@ class WorkerSupervisor:
         slot.next_attempt_at = None
         live = self.live_count()
         logger.error(
-            "shard %d replica %d is out of restart budget (%d/%d, %s); "
+            "shard %d is out of restart budget (%d/%d, %s); "
             "degrading — %d supervised worker(s) still live",
-            slot.shard_id, slot.replica_id, slot.restarts,
+            slot.shard_id, slot.restarts,
             self.restart_budget, cause, live,
         )

@@ -94,7 +94,7 @@ from ..errors import TransportError
 #: level-reply layout).  Independent from the candidate-payload
 #: ``WIRE_VERSION``: a framing change does not invalidate archived
 #: payloads, and a payload change is caught per-payload.
-PROTOCOL_VERSION = 4
+PROTOCOL_VERSION = 5
 
 #: Upper bound on a single frame's ``length`` field.  A CATCHUP snapshot
 #: (a pickled graph) is the largest message in practice, so anything

@@ -82,10 +82,10 @@ class ShardDescriptor:
     """What a pool member announces: its name and what a coordinator
     must agree on before adding up its counts.
 
-    The name is ``(shard_id, replica_id)`` — the slot a spawner, a
-    supervisor or a registry knows the worker by; any two members are
-    interchangeable (each holds the whole graph), so the name never
-    changes what a member computes.  ``index_backend`` must match (the
+    The name is ``shard_id`` — the slot a spawner, a supervisor or a
+    registry knows the worker by; any two members are interchangeable
+    (each holds the whole graph), so the name never changes what a
+    member computes.  ``index_backend`` must match (the
     worker plans with it), and ``graph_edges`` / ``graph_vertices`` /
     ``graph_version`` fingerprint the data graph: a worker of another
     graph would count silently wrong, and one that missed a MUTATE is
@@ -94,20 +94,17 @@ class ShardDescriptor:
     """
 
     shard_id: int
-    replica_id: int
     index_backend: str
     graph_edges: int
     graph_vertices: int
     graph_version: int = 0
 
     @classmethod
-    def of(cls, store, shard_id: int = 0, replica_id: int = 0):
-        """The descriptor of a member named ``(shard_id, replica_id)``
-        serving ``store``."""
+    def of(cls, store, shard_id: int = 0):
+        """The descriptor of member ``shard_id`` serving ``store``."""
         graph = store.graph
         return cls(
             shard_id=shard_id,
-            replica_id=replica_id,
             index_backend=store.index_backend,
             graph_edges=graph.num_edges,
             graph_vertices=graph.num_vertices,
@@ -117,7 +114,6 @@ class ShardDescriptor:
     def as_dict(self) -> dict:
         return {
             "shard_id": self.shard_id,
-            "replica_id": self.replica_id,
             "index_backend": self.index_backend,
             "graph_edges": self.graph_edges,
             "graph_vertices": self.graph_vertices,
@@ -127,7 +123,7 @@ class ShardDescriptor:
     @classmethod
     def from_dict(cls, payload: Mapping) -> "ShardDescriptor":
         return cls(**{key: payload[key] for key in (
-            "shard_id", "replica_id", "index_backend", "graph_edges",
+            "shard_id", "index_backend", "graph_edges",
             "graph_vertices", "graph_version",
         )})
 
@@ -148,9 +144,9 @@ class ShardWorker:
     store is single-writer state, and a coordinator that wants many
     queries in flight multiplexes them over its one connection.
 
-    ``(shard_id, replica_id)`` is the worker's *name* — its slot in a
-    spawner's, supervisor's or registry's book-keeping; every member
-    computes the same answers.
+    ``shard_id`` is the worker's *name* — its slot in a spawner's,
+    supervisor's or registry's book-keeping; every member computes the
+    same answers.
 
     The server never trusts the stream: malformed frames (an unknown
     kind included) raise :class:`~repro.errors.TransportError` and end
@@ -170,22 +166,19 @@ class ShardWorker:
         host: str = "127.0.0.1",
         port: int = 0,
         seed: "int | None" = None,
-        replica_id: int = 0,
         io_timeout: "float | None" = None,
         chaos=None,
         announce: "Tuple[str, int] | None" = None,
         heartbeat_interval: "float | None" = None,
         store: "PartitionedStore | None" = None,
     ) -> None:
-        if shard_id < 0 or replica_id < 0:
+        if shard_id < 0:
             raise SchedulerError(
-                f"worker name (shard {shard_id}, replica {replica_id}) "
-                f"must be non-negative"
+                f"worker name (shard {shard_id}) must be non-negative"
             )
         self.index_backend = resolve_index_backend(index_backend)
         self.seed = default_seed() if seed is None else seed
         self.shard_id = shard_id
-        self.replica_id = replica_id
         self.io_timeout = (
             default_io_timeout() if io_timeout is None else io_timeout
         )
@@ -224,7 +217,7 @@ class ShardWorker:
 
     def describe(self) -> ShardDescriptor:
         """What this worker's HELLO and ANNOUNCE carry."""
-        return ShardDescriptor.of(self.store, self.shard_id, self.replica_id)
+        return ShardDescriptor.of(self.store, self.shard_id)
 
     def _announce_hello(self):
         """What the announcer registers: the serving address plus the
@@ -242,9 +235,7 @@ class ShardWorker:
             self._announce_hello,
             interval=self._heartbeat_interval,
             chaos=self.chaos,
-            rng=random.Random(
-                (self.shard_id << 16) ^ self.replica_id ^ self.seed
-            ),
+            rng=random.Random((self.shard_id << 16) ^ self.seed),
         )
         self._announcer.start()
 
@@ -305,9 +296,7 @@ class ShardWorker:
         if self.chaos is not None:
             # The chaos wrapper counts this session's outbound frames
             # (HELLO is frame 1) and applies any worker-role faults.
-            conn = self.chaos.wrap(
-                conn, "worker", self.shard_id, self.replica_id
-            )
+            conn = self.chaos.wrap(conn, "worker", self.shard_id)
         conn.settimeout(self.io_timeout)
         disable_nagle(conn)
         try:
@@ -407,10 +396,7 @@ class ShardWorker:
     def _describe_failure(self) -> str:
         """The in-flight exception's traceback, prefixed with the
         worker's name."""
-        return (
-            f"[shard {self.shard_id} replica {self.replica_id}] "
-            + traceback.format_exc()
-        )
+        return f"[shard {self.shard_id}] " + traceback.format_exc()
 
     def _run_subtree(self, body: bytes):
         """One subtree request: plan the query, run the block-DFS below

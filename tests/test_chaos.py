@@ -97,8 +97,8 @@ def test_fault_plan_validates_and_reprs():
 
 def test_fault_plan_pickles_without_killers():
     plan = FaultPlan(seed=3)
-    plan.kill_worker(1, 0, after_frames=2)
-    plan.arm_killer(1, 0, lambda: None)
+    plan.kill_worker(1, after_frames=2)
+    plan.arm_killer(1, lambda: None)
     clone = pickle.loads(pickle.dumps(plan))
     assert clone._killers == {}
     assert [f.kind for f in clone.faults] == ["kill"]
@@ -107,18 +107,18 @@ def test_fault_plan_pickles_without_killers():
 
 def test_frames_count_per_connection_and_faults_fire_once():
     plan = FaultPlan()
-    plan.drop_reply(0, 0, after_frames=2)
+    plan.drop_reply(0, after_frames=2)
     raw_a = _RecordingSock()
     raw_b = _RecordingSock()
-    sock_a = plan.wrap(raw_a, "worker", 0, 0)
-    sock_b = plan.wrap(raw_b, "worker", 0, 1)  # different replica
+    sock_a = plan.wrap(raw_a, "worker", 0)
+    sock_b = plan.wrap(raw_b, "worker", 1)  # different member
     frame = b"\x01\x00\x00\x00\x01X"
     for sock in (sock_a, sock_b):
         sock.sendall(frame)
-        sock.sendall(frame)  # frame 2: dropped only on (0, 0)
+        sock.sendall(frame)  # frame 2: dropped only on member 0
         sock.sendall(frame)
     assert len(raw_a.frames) == 2  # frame 2 vanished, fault consumed
-    assert len(raw_b.frames) == 3  # wrong replica: untouched
+    assert len(raw_b.frames) == 3  # wrong member: untouched
     assert sock_a.frames_sent == 3
     assert all(f.consumed for f in plan.faults)
 
@@ -127,7 +127,7 @@ def test_garble_flips_exactly_the_version_byte():
     plan = FaultPlan()
     plan.garble(0, after_frames=2, role="worker")
     raw = _RecordingSock()
-    sock = plan.wrap(raw, "worker", 0, 0)
+    sock = plan.wrap(raw, "worker", 0)
     frame = b"\x02\x00\x00\x00\x01H"  # u32 len | version | kind
     sock.sendall(frame)
     sock.sendall(frame)
@@ -142,7 +142,7 @@ def test_sever_closes_the_socket_and_raises_oserror():
     plan.sever(1, after_frames=1)
     raw = _RecordingSock()
     sock = plan.wrap(raw, "coordinator")
-    sock.bind_endpoint(1, 0)  # identity learned post-handshake
+    sock.bind_endpoint(1)  # identity learned post-handshake
     with pytest.raises(ChaosSeveredError):
         sock.sendall(b"xxxx")
     assert raw.closed and raw.frames == []
@@ -150,9 +150,9 @@ def test_sever_closes_the_socket_and_raises_oserror():
 
 def test_unarmed_kill_degrades_to_sever_after_sending():
     plan = FaultPlan()
-    plan.kill_worker(0, 0, after_frames=1)
+    plan.kill_worker(0, after_frames=1)
     raw = _RecordingSock()
-    sock = plan.wrap(raw, "coordinator", 0, 0)
+    sock = plan.wrap(raw, "coordinator", 0)
     with pytest.raises(OSError):
         sock.sendall(b"frame")
     assert raw.frames == [b"frame"]  # the frame went out first
@@ -171,7 +171,7 @@ def test_unbound_wrapper_passes_frames_through():
 
 
 # ----------------------------------------------------------------------
-# The failover matrix (2 x 2 pools, exact counts under faults)
+# The failover matrix (four-member pools, exact counts under faults)
 # ----------------------------------------------------------------------
 #
 # Every case runs twice.  ``channels=1`` is the solo job
@@ -249,14 +249,11 @@ def test_kill_worker_mid_level_fails_over(chaos_instance, backend, channels):
     data, query, expected = chaos_instance
     engine = HGMatch(data, index_backend=backend)
     plan = FaultPlan(seed=11)
-    plan.kill_worker(0, 0, **_pin(channels, 1))  # frame 1 = its SUBTREE
-    cluster = spawn_local_cluster(
-        data, 2, index_backend=backend, num_replicas=2
-    )
-    plan.arm_killer(0, 0, lambda: cluster.kill_member(0, 0))
+    plan.kill_worker(0, **_pin(channels, 1))  # frame 1 = its SUBTREE
+    cluster = spawn_local_cluster(data, 4, index_backend=backend)
+    plan.arm_killer(0, lambda: cluster.kill_member(0))
     executor = ShardPool(
         addresses=list(cluster.addresses),
-        num_replicas=2,
         index_backend=backend,
         io_timeout=60.0,
         chaos=plan,
@@ -277,13 +274,10 @@ def test_sever_mid_level_fails_over(chaos_instance, channels):
     data, query, expected = chaos_instance
     engine = HGMatch(data, index_backend="bitset")
     plan = FaultPlan(seed=2)
-    plan.sever(1, 0, **_pin(channels, 1))
-    cluster = spawn_local_cluster(
-        data, 2, index_backend="bitset", num_replicas=2
-    )
+    plan.sever(2, **_pin(channels, 1))
+    cluster = spawn_local_cluster(data, 4, index_backend="bitset")
     executor = ShardPool(
         addresses=list(cluster.addresses),
-        num_replicas=2,
         index_backend="bitset",
         io_timeout=60.0,
         chaos=plan,
@@ -305,13 +299,10 @@ def test_garbled_frame_fails_over(chaos_instance, channels):
     data, query, expected = chaos_instance
     engine = HGMatch(data, index_backend="merge")
     plan = FaultPlan(seed=4)
-    plan.garble(0, 0, **_pin(channels, 1))
-    cluster = spawn_local_cluster(
-        data, 2, index_backend="merge", num_replicas=2
-    )
+    plan.garble(0, **_pin(channels, 1))
+    cluster = spawn_local_cluster(data, 4, index_backend="merge")
     executor = ShardPool(
         addresses=list(cluster.addresses),
-        num_replicas=2,
         index_backend="merge",
         io_timeout=60.0,
         chaos=plan,
@@ -335,13 +326,12 @@ def test_dropped_reply_hits_deadline_then_fails_over(
     data, query, expected = chaos_instance
     engine = HGMatch(data, index_backend="bitset")
     plan = FaultPlan(seed=6)
-    plan.drop_reply(1, 0, **_pin(channels, 2, 1))  # frame 1=HELLO, 2=reply
+    plan.drop_reply(2, **_pin(channels, 2, 1))  # frame 1=HELLO, 2=reply
     cluster = spawn_local_cluster(
-        data, 2, index_backend="bitset", num_replicas=2, chaos=plan
+        data, 4, index_backend="bitset", chaos=plan
     )
     executor = ShardPool(
         addresses=list(cluster.addresses),
-        num_replicas=2,
         index_backend="bitset",
         io_timeout=1.5,
         chaos=plan,
@@ -355,41 +345,42 @@ def test_dropped_reply_hits_deadline_then_fails_over(
 
 
 @MATRIX
-def test_slow_replica_triggers_speculation(chaos_instance, channels):
-    """A straggling worker (delayed reply) makes the coordinator
-    speculatively re-dispatch its part to an idle member; whichever
-    reply lands first wins and the duplicate is discarded — counts are
-    exact either way."""
+def test_slow_member_part_is_answered_exactly(chaos_instance, channels):
+    """A straggling worker (delayed reply) is simply waited for: its
+    part is answered exactly by the member it was sent to, and nothing
+    is sent twice — ``dispatched_frames`` moves by the number of parts
+    (four per query alone on the pool; the second of two concurrent
+    queries is cut in two)."""
     data, query, expected = chaos_instance
     plan = FaultPlan(seed=9)
-    plan.slow_reply(0, 0, seconds=1.0, **_pin(channels, 2, 1))
+    plan.slow_reply(0, seconds=1.0, **_pin(channels, 2, 1))
     engine = HGMatch(data, index_backend="bitset")
     executor = ShardPool(
-        num_shards=2,
-        num_replicas=2,
+        num_shards=4,
         index_backend="bitset",
-        speculate_after=0.2,
         io_timeout=60.0,
         chaos=plan,
     )
     try:
         _run_matrix_row(executor, engine, query, channels, expected["merge"])
+        parts = {1: 4, 2: 4 + 2 + 4}[channels]
+        assert executor.dispatched_frames == parts
     finally:
         executor.close()
         engine.close()
 
 
-def test_zero_replica_loss_fails_fast(chaos_instance):
+def test_last_member_loss_fails_fast(chaos_instance):
     """Killing the pool's only member mid-job must raise a clean
     SchedulerError — no spare, no hang."""
     data, query, _ = chaos_instance
     engine = HGMatch(data, index_backend="bitset")
     plan = FaultPlan(seed=3)
-    plan.kill_worker(0, 0, after_frames=1)
+    plan.kill_worker(0, after_frames=1)
     # ... before it answers (worker frame 1 = HELLO, 2 = the reply).
-    plan.slow_reply(0, 0, after_frames=2, seconds=1.0)
+    plan.slow_reply(0, after_frames=2, seconds=1.0)
     cluster = spawn_local_cluster(data, 1, index_backend="bitset", chaos=plan)
-    plan.arm_killer(0, 0, lambda: cluster.kill_member(0, 0))
+    plan.arm_killer(0, lambda: cluster.kill_member(0))
     executor = ShardPool(
         addresses=list(cluster.addresses),
         index_backend="bitset",
@@ -405,7 +396,7 @@ def test_zero_replica_loss_fails_fast(chaos_instance):
         engine.close()
 
 
-def test_last_replica_lost_on_a_shared_pool_fails_both_and_heals(
+def test_last_member_lost_on_a_shared_pool_fails_both_and_heals(
     chaos_instance, kill_mid_job, monkeypatch
 ):
     """One pool per engine: a solo job runs on the service's workers.
@@ -421,8 +412,8 @@ def test_last_replica_lost_on_a_shared_pool_fails_both_and_heals(
     # 0 is the reply to its part — delayed, so the service query queues
     # behind it (on worker 0: the tie goes to the lowest member) and
     # cannot be answered before the kills land.
-    plan.slow_reply(0, 0, after_frames=1, seconds=1.0, query_id=0)
-    plan.slow_reply(1, 0, after_frames=1, seconds=1.0, query_id=0)
+    plan.slow_reply(0, after_frames=1, seconds=1.0, query_id=0)
+    plan.slow_reply(1, after_frames=1, seconds=1.0, query_id=0)
     service = MatchService(engine, shards=2, chaos=plan, cache_capacity=0)
     pool = service.pool
     failures = {}
@@ -500,14 +491,11 @@ def test_kill_pinned_to_mutate_degrades_then_catchup_rejoins(
     plan = FaultPlan(seed=13)
     # On a fresh pool the handshake sends no coordinator frames, so the
     # MUTATE is frame 1 on every connection.
-    plan.kill_worker(0, 0, after_frames=1)
-    cluster = spawn_local_cluster(
-        data, 2, index_backend=backend, num_replicas=2
-    )
-    plan.arm_killer(0, 0, lambda: cluster.kill_member(0, 0))
+    plan.kill_worker(0, after_frames=1)
+    cluster = spawn_local_cluster(data, 4, index_backend=backend)
+    plan.arm_killer(0, lambda: cluster.kill_member(0))
     executor = ShardPool(
         addresses=list(cluster.addresses),
-        num_replicas=2,
         index_backend=backend,
         io_timeout=60.0,
         chaos=plan,
@@ -525,9 +513,9 @@ def test_kill_pinned_to_mutate_degrades_then_catchup_rejoins(
         assert executor.run(engine, query).embeddings == oracle
         # The respawned slot rebuilds from spawn-time data (version 0);
         # only the CATCHUP route lets it rejoin the mutated pool.
-        address = cluster.respawn(0, 0)
+        address = cluster.respawn(0)
         descriptor = executor.admit(address)
-        assert (descriptor.shard_id, descriptor.replica_id) == (0, 0)
+        assert descriptor.shard_id == 0
         assert descriptor.graph_version == result.version
         assert executor.run(engine, query).embeddings == oracle
     finally:
@@ -549,13 +537,10 @@ def test_sever_pinned_to_mutate_degrades_then_catchup_rejoins(
     backend = "merge"
     engine = HGMatch(data, index_backend=backend)
     plan = FaultPlan(seed=29)
-    plan.sever(1, 0, after_frames=1)
-    cluster = spawn_local_cluster(
-        data, 2, index_backend=backend, num_replicas=2
-    )
+    plan.sever(2, after_frames=1)
+    cluster = spawn_local_cluster(data, 4, index_backend=backend)
     executor = ShardPool(
         addresses=list(cluster.addresses),
-        num_replicas=2,
         index_backend=backend,
         io_timeout=60.0,
         chaos=plan,
@@ -571,9 +556,9 @@ def test_sever_pinned_to_mutate_degrades_then_catchup_rejoins(
         assert executor.run(engine, query).embeddings == oracle
         # The severed worker process never died and never applied the
         # batch: readmission finds it stale and catch-up repairs it.
-        address = cluster.addresses[1 * 2 + 0]
+        address = cluster.address_of(2)
         descriptor = executor.admit(address)
-        assert (descriptor.shard_id, descriptor.replica_id) == (1, 0)
+        assert descriptor.shard_id == 2
         assert descriptor.graph_version == result.version
         assert executor.run(engine, query).embeddings == oracle
     finally:

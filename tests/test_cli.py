@@ -314,92 +314,81 @@ class TestMatch:
         assert "error:" in output
 
 
-class TestReplicaFlags:
-    def test_match_replicated_sockets(self, fig1_files):
+class TestPoolSizeFlags:
+    """The pool is one number: ``--shards N`` workers, all
+    interchangeable (``--hosts`` fixes N to the address count)."""
+
+    def test_match_four_member_sockets(self, fig1_files):
         data_path, query_path = fig1_files
         code, output = run_cli(
             "match", data_path, query_path,
-            "--executor", "sockets", "--shards", "2", "--replicas", "2",
+            "--executor", "sockets", "--shards", "4",
         )
         assert code == 0
         assert output.startswith("2 embeddings")
 
-    def test_replicas_do_not_care_which_spelling_was_typed(self, fig1_files):
-        """``processes`` and ``sockets`` are one pool, so the replication
-        factor applies under either name."""
+    def test_pool_size_does_not_care_which_spelling_was_typed(
+        self, fig1_files
+    ):
+        """``processes`` and ``sockets`` are one pool, so the member
+        count applies under either name."""
         data_path, query_path = fig1_files
         code, output = run_cli(
             "match", data_path, query_path,
-            "--executor", "processes", "--shards", "2", "--replicas", "2",
+            "--executor", "processes", "--shards", "4",
         )
         assert code == 0
         assert output.startswith("2 embeddings")
 
-    def test_replicas_implies_sockets(self, fig1_files):
+    def test_shards_implies_processes(self, fig1_files):
         data_path, query_path = fig1_files
         code, output = run_cli(
-            "match", data_path, query_path,
-            "--shards", "2", "--replicas", "2",
+            "match", data_path, query_path, "--shards", "4",
         )
         assert code == 0
         assert output.startswith("2 embeddings")
 
-    def test_replicas_rejected_for_non_socket_executors(self, fig1_files):
+    def test_shards_rejected_for_non_socket_executors(self, fig1_files):
         data_path, query_path = fig1_files
         code, output = run_cli(
             "match", data_path, query_path,
-            "--executor", "threads", "--replicas", "2",
+            "--executor", "threads", "--shards", "2",
         )
         assert code == 1
-        assert "--replicas applies to" in output
+        assert "--shards applies to" in output
 
-    def test_replicas_must_be_positive(self, fig1_files):
-        data_path, query_path = fig1_files
-        code, output = run_cli(
-            "match", data_path, query_path, "--replicas", "0"
-        )
-        assert code == 1
-        assert ">= 1" in output
-
-    def test_hosts_replicas_divisibility(self, fig1_files):
+    def test_hosts_contradicting_shards(self, fig1_files):
         data_path, query_path = fig1_files
         code, output = run_cli(
             "match", data_path, query_path,
-            "--hosts", "h:1,h:2,h:3", "--replicas", "2",
+            "--hosts", "h:1,h:2,h:3", "--shards", "2",
         )
         assert code == 1
-        assert "divide" in output
+        assert "contradicts" in output
 
-    def test_serve_shard_rejects_bad_replica_arithmetic(self, fig1_files):
-        # As for --shard-id: a 0-based name, with no --num-replicas.
+    def test_serve_shard_rejects_a_negative_name(self, fig1_files):
         data_path, _ = fig1_files
         code, output = run_cli(
-            "serve-shard", data_path, "--shard-id", "0", "--replica-id", "-2",
+            "serve-shard", data_path, "--shard-id", "-2",
         )
         assert code == 1
-        assert "--replica-id must be >= 0" in output
+        assert "--shard-id must be >= 0" in output
 
-    def test_serve_shard_banner_names_replica(self, fig1_files):
+    def test_serve_shard_banner_names_the_member(self, fig1_files):
         data_path, _ = fig1_files
-        code, output = run_cli(
-            "serve-shard", data_path, "--shard-id", "0",
-            "--replica-id", "1", "--max-sessions", "0",
-        )
-        assert code == 0
-        assert "serving shard 0 replica 1 of" in output
-        # The replica half of the name defaults to 0.
         code, output = run_cli(
             "serve-shard", data_path, "--shard-id", "2", "--max-sessions", "0",
         )
         assert code == 0
-        assert "serving shard 2 replica 0 of" in output
+        assert "serving shard 2 of" in output
 
 
 class TestRetiredFlags:
-    """The placement and re-cut flags went with the row shards: a pool
-    member holds the whole graph, so there is nothing to place, bound by
-    a shard count or rebalance.  Each is an unknown argument now, refused
-    by the parser before anything is loaded or spawned."""
+    """The placement and re-cut flags went with the row shards, the
+    replica flags with the grid: a pool member holds the whole graph and
+    is named by one integer, so there is nothing to place, replicate,
+    bound by a shard count or rebalance.  Each is an unknown argument
+    now, refused by the parser before anything is loaded or spawned."""
 
     @pytest.mark.parametrize(
         "command,flags",
@@ -409,6 +398,9 @@ class TestRetiredFlags:
             ("serve-shard", ("--sharding", "uniform")),
             ("serve-shard", ("--num-shards", "2")),
             ("serve-shard", ("--num-replicas", "2")),
+            ("serve-shard", ("--replica-id", "1")),
+            ("match", ("--replicas", "2")),
+            ("supervise", ("--replicas", "2")),
             ("serve-match", ("--sharding", "balanced")),
             ("supervise", ("--sharding", "balanced")),
         ],
@@ -485,8 +477,8 @@ class TestSupervise:
         )
         assert code == 0
         assert "registry on 127.0.0.1:" in output
-        assert "shard 0 replica 0 on 127.0.0.1:" in output
-        assert "shard 1 replica 0 on 127.0.0.1:" in output
+        assert "shard 0 on 127.0.0.1:" in output
+        assert "shard 1 on 127.0.0.1:" in output
         assert "supervising 2 worker(s)" in output
         assert "supervision ended: 0 restart(s), 2 worker(s) live" in output
 
@@ -523,7 +515,7 @@ class TestSupervise:
             thread.start()
             assert ready.wait(timeout=10.0)
             assert "announcing to" in out.getvalue()
-            addresses = registry.wait_for(1, 1, timeout=10.0)
+            addresses = registry.wait_for(1, timeout=10.0)
             # The announced address is the served one from the banner.
             banner_address = (
                 out.getvalue().split(" on ", 1)[1].split(",")[0].strip()

@@ -52,11 +52,9 @@ def elastic_instance():
     return data, query, expected
 
 
-def _spare_worker(data, shard_id, backend, replica_id=1):
+def _spare_worker(data, shard_id, backend):
     """Boot one in-thread worker (the newcomer to admit)."""
-    worker = ShardWorker(
-        data, shard_id, index_backend=backend, replica_id=replica_id
-    )
+    worker = ShardWorker(data, shard_id, index_backend=backend)
     address = worker.bind()
     thread = threading.Thread(
         target=worker.serve_forever, kwargs={"max_sessions": 1},
@@ -72,11 +70,12 @@ def _spare_worker(data, shard_id, backend, replica_id=1):
 
 
 @pytest.mark.parametrize("backend", INDEX_BACKENDS)
-def test_admit_grows_k1_pool_to_k2_with_parity(elastic_instance, backend):
-    """The headline acceptance gate: admit a second replica name per
-    shard name — replica 1 beside each replica 0 — into a running
-    two-member pool; the newcomers join the member list, every member
-    takes a part, and counts stay bit-identical on every index
+def test_admit_grows_two_member_pool_to_four_with_parity(
+    elastic_instance, backend
+):
+    """The headline acceptance gate: admit members 2 and 3 into a
+    running two-member pool; the newcomers join the member list, every
+    member takes a part, and counts stay bit-identical on every index
     backend."""
     data, query, expected = elastic_instance
     engine = HGMatch(data, index_backend=backend)
@@ -87,19 +86,18 @@ def test_admit_grows_k1_pool_to_k2_with_parity(elastic_instance, backend):
     spares = []
     try:
         assert executor.run(engine, query).embeddings == expected[backend]
-        for shard_id in range(2):
+        for shard_id in (2, 3):
             worker, address = _spare_worker(data, shard_id, backend)
             spares.append(worker)
             descriptor = executor.admit(address)
             assert descriptor.shard_id == shard_id
-            assert descriptor.replica_id == 1
         result = executor.run(engine, query)
         assert result.embeddings == expected[backend]
         assert len(result.worker_stats) == 4
         # The newcomers are real members: drop the originals and the
         # newcomers carry the whole job.
-        executor.drain(0, replica_id=0)
-        executor.drain(1, replica_id=0)
+        executor.drain(0)
+        executor.drain(1)
         assert executor.run(engine, query).embeddings == expected[backend]
     finally:
         executor.close()
@@ -109,30 +107,27 @@ def test_admit_grows_k1_pool_to_k2_with_parity(elastic_instance, backend):
         engine.close()
 
 
-def test_admit_readmits_a_lost_replica(elastic_instance):
-    """Lose a replica (killed process), fail over, respawn it and fold
-    it back in with ``admit`` — counts match before, during, after."""
+def test_admit_readmits_a_lost_member(elastic_instance):
+    """Lose a member (killed process) of a four-member pool, fail over,
+    respawn it and fold it back in with ``admit`` — counts match
+    before, during, after."""
     data, query, expected = elastic_instance
     backend = "bitset"
     engine = HGMatch(data, index_backend=backend)
-    cluster = spawn_local_cluster(
-        data, 2, index_backend=backend, num_replicas=2
-    )
+    cluster = spawn_local_cluster(data, 4, index_backend=backend)
     executor = ShardPool(
-        addresses=list(cluster.addresses),
-        num_replicas=2,
-        index_backend=backend,
+        addresses=list(cluster.addresses), index_backend=backend
     )
     try:
         assert executor.run(engine, query).embeddings == expected[backend]
-        # Lose shard 0 replica 0 for real (process killed).
-        cluster.kill_member(0, 0)
-        executor.drain(0, replica_id=0)  # reads nothing; removes it
+        # Lose member 0 for real (process killed).
+        cluster.kill_member(0)
+        executor.drain(0)  # reads nothing; removes it
         assert executor.run(engine, query).embeddings == expected[backend]
         # Respawn the slot and readmit the fresh worker.
-        address = cluster.respawn(0, 0)
+        address = cluster.respawn(0)
         descriptor = executor.admit(address)
-        assert (descriptor.shard_id, descriptor.replica_id) == (0, 0)
+        assert descriptor.shard_id == 0
         assert executor.run(engine, query).embeddings == expected[backend]
     finally:
         executor.close()
@@ -140,14 +135,12 @@ def test_admit_readmits_a_lost_replica(elastic_instance):
         engine.close()
 
 
-@pytest.mark.parametrize(
-    "name", [(0, 1), (2, 0), (7, 3)], ids=["0-1", "2-0", "7-3"]
-)
+@pytest.mark.parametrize("name", [2, 7, 31])
 def test_admit_appends_a_member_under_any_free_name(elastic_instance, name):
-    """The member list is flat: a ``(shard_id, replica_id)`` pair is an
-    identity, not a cell of a grid.  A newcomer under a shard name the
-    pool never had, or a replica name that skips ahead, passes the
-    handshake, joins as one more member and takes a part."""
+    """The member list is flat: a ``shard_id`` is an identity, not a
+    cell of a grid.  A newcomer under a name the pool never had — next
+    in line or skipping ahead — passes the handshake, joins as one more
+    member and takes a part."""
     data, query, expected = elastic_instance
     backend = "bitset"
     engine = HGMatch(data, index_backend=backend)
@@ -155,11 +148,9 @@ def test_admit_appends_a_member_under_any_free_name(elastic_instance, name):
     newcomer = None
     try:
         assert executor.run(engine, query).embeddings == expected[backend]
-        newcomer, address = _spare_worker(
-            data, name[0], backend, replica_id=name[1]
-        )
+        newcomer, address = _spare_worker(data, name, backend)
         descriptor = executor.admit(address)
-        assert (descriptor.shard_id, descriptor.replica_id) == name
+        assert descriptor.shard_id == name
         result = executor.run(engine, query)
         assert result.embeddings == expected[backend]
         assert len(result.worker_stats) == 3
@@ -179,9 +170,9 @@ def test_admit_refuses_bad_newcomers(elastic_instance):
         with pytest.raises(SchedulerError, match="no live pool"):
             executor.admit(("127.0.0.1", 1))
         assert executor.run(engine, query).embeddings == expected[backend]
-        # Duplicate name: a fresh worker claiming (0, 0), which the
-        # pool already holds.
-        impostor, address = _spare_worker(data, 0, backend, replica_id=0)
+        # Duplicate name: a fresh worker claiming 0, which the pool
+        # already holds.
+        impostor, address = _spare_worker(data, 0, backend)
         try:
             with pytest.raises(SchedulerError, match="both announced"):
                 executor.admit(address)
@@ -213,7 +204,7 @@ def test_drain_unknown_member_errors(elastic_instance):
         with pytest.raises(SchedulerError, match="not a live member"):
             executor.drain(7)
         with pytest.raises(SchedulerError, match="not a live member"):
-            executor.drain(0, replica_id=1)
+            executor.drain(2)
     finally:
         executor.close()
         engine.close()
@@ -233,9 +224,7 @@ class _WedgedWorker:
     def __init__(self, data, backend):
         # Borrow a real worker purely for its descriptor — the handshake
         # must be genuine for the coordinator to accept it.
-        self._template = ShardWorker(
-            data, 0, index_backend=backend, replica_id=0
-        )
+        self._template = ShardWorker(data, 0, index_backend=backend)
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.bind(("127.0.0.1", 0))
         self._listener.listen(1)
@@ -299,7 +288,7 @@ def test_registry_eviction_unwedges_a_silent_worker(elastic_instance):
         )
         announcer.start()
         real = ShardWorker(
-            data, 0, index_backend=backend, replica_id=1,
+            data, 1, index_backend=backend,
             announce=registry.address, heartbeat_interval=0.1,
         )
         real.bind()
@@ -310,8 +299,7 @@ def test_registry_eviction_unwedges_a_silent_worker(elastic_instance):
         executor = None
         try:
             executor = ShardPool.from_registry(
-                registry, 1, num_replicas=2,
-                index_backend=backend, io_timeout=60.0,
+                registry, 2, index_backend=backend, io_timeout=60.0,
                 wait_timeout=15.0,
             )
             # The wedged worker takes one of the two parts and sits on
@@ -329,7 +317,7 @@ def test_registry_eviction_unwedges_a_silent_worker(elastic_instance):
                 f"I/O timeout"
             )
             # The wedged name is gone from the member list.
-            assert executor._member((0, 0)) is None
+            assert executor._member(0) is None
         finally:
             if executor is not None:
                 executor.close()
@@ -353,13 +341,9 @@ def test_reannounce_during_drain_supersedes_and_readmits(elastic_instance):
     data, query, expected = elastic_instance
     backend = "bitset"
     engine = HGMatch(data, index_backend=backend)
-    cluster = spawn_local_cluster(
-        data, 2, index_backend=backend, num_replicas=2
-    )
+    cluster = spawn_local_cluster(data, 4, index_backend=backend)
     executor = ShardPool(
-        addresses=list(cluster.addresses),
-        num_replicas=2,
-        index_backend=backend,
+        addresses=list(cluster.addresses), index_backend=backend
     )
     spare = None
     announcer = None
@@ -368,28 +352,28 @@ def test_reannounce_during_drain_supersedes_and_readmits(elastic_instance):
             assert (
                 executor.run(engine, query).embeddings == expected[backend]
             )
-            # The replacement for shard 0 replica 1 announces itself (a
+            # The replacement for member 1 announces itself (a
             # supervised restart at a fresh port) and keeps announcing
             # while the coordinator drains the old member of the same
             # identity.
-            spare, spare_address = _spare_worker(data, 0, backend)
+            spare, spare_address = _spare_worker(data, 1, backend)
             announcer = Announcer(
                 registry.address, spare._announce_hello, interval=0.05,
                 rng=random.Random(5),
             )
             announcer.start()
             assert announcer.announced.wait(5.0)
-            executor.drain(0, replica_id=1)
+            executor.drain(1)
             assert executor.run(engine, query).embeddings == expected[backend]
             # The registry record was superseded by the re-announce and
             # the drain never touched it: latest wins, and it points at
             # the spare, not the drained member.
-            record = registry.record(0, replica_id=1)
+            record = registry.record(1)
             assert record is not None
             assert tuple(record.address) == tuple(spare_address)
             # The discovered address folds straight back into the pool.
             descriptor = executor.admit(spare_address)
-            assert (descriptor.shard_id, descriptor.replica_id) == (0, 1)
+            assert descriptor.shard_id == 1
             assert executor.run(engine, query).embeddings == expected[backend]
         finally:
             if announcer is not None:
@@ -415,8 +399,8 @@ def _rebuild_count(engine, query, backend):
         oracle.close()
 
 
-def test_respawned_replica_rejoins_via_catchup_batches(elastic_instance):
-    """Kill a replica, mutate the graph, respawn the slot from its
+def test_respawned_member_rejoins_via_catchup_batches(elastic_instance):
+    """Kill a member, mutate the graph, respawn the slot from its
     spawn-time data: the newcomer announces a stale graph version and
     the handshake gate streams it the missed batches (CATCHUP, §2.10)
     instead of refusing — counts stay bit-identical throughout."""
@@ -425,16 +409,12 @@ def test_respawned_replica_rejoins_via_catchup_batches(elastic_instance):
     data, query, expected = elastic_instance
     backend = "merge"
     engine = HGMatch(data, index_backend=backend)
-    cluster = spawn_local_cluster(
-        data, 2, index_backend=backend, num_replicas=2
-    )
+    cluster = spawn_local_cluster(data, 4, index_backend=backend)
     try:
-        executor = engine.pool(
-            hosts=list(cluster.addresses), replicas=2
-        )
+        executor = engine.pool(hosts=list(cluster.addresses))
         assert executor.run(engine, query).embeddings == expected[backend]
-        cluster.kill_member(0, 0)
-        executor.drain(0, replica_id=0)
+        cluster.kill_member(0)
+        executor.drain(0)
         # Mutate while the slot is empty: the eventual respawn rebuilds
         # from the spawn-time graph and comes back stale.
         rng = random.Random(31)
@@ -444,9 +424,9 @@ def test_respawned_replica_rejoins_via_catchup_batches(elastic_instance):
         assert result is not None and result.version == 3
         oracle = _rebuild_count(engine, query, backend)
         assert executor.run(engine, query).embeddings == oracle
-        address = cluster.respawn(0, 0)
+        address = cluster.respawn(0)
         descriptor = executor.admit(address)
-        assert (descriptor.shard_id, descriptor.replica_id) == (0, 0)
+        assert descriptor.shard_id == 0
         # The returned descriptor is the post-catch-up re-validation:
         # the newcomer is *at* the engine's version, not merely admitted.
         assert descriptor.graph_version == result.version
@@ -457,7 +437,7 @@ def test_respawned_replica_rejoins_via_catchup_batches(elastic_instance):
         cluster.close()
 
 
-def test_respawned_replica_rejoins_via_catchup_snapshot(elastic_instance):
+def test_respawned_member_rejoins_via_catchup_snapshot(elastic_instance):
     """Same rejoin, but the retained batch suffix has aged out: the
     gate falls back to shipping a full snapshot, from which the worker
     rebuilds its store."""
@@ -466,16 +446,12 @@ def test_respawned_replica_rejoins_via_catchup_snapshot(elastic_instance):
     data, query, expected = elastic_instance
     backend = "bitset"
     engine = HGMatch(data, index_backend=backend)
-    cluster = spawn_local_cluster(
-        data, 2, index_backend=backend, num_replicas=2
-    )
+    cluster = spawn_local_cluster(data, 4, index_backend=backend)
     try:
-        executor = engine.pool(
-            hosts=list(cluster.addresses), replicas=2
-        )
+        executor = engine.pool(hosts=list(cluster.addresses))
         assert executor.run(engine, query).embeddings == expected[backend]
-        cluster.kill_member(1, 1)
-        executor.drain(1, replica_id=1)
+        cluster.kill_member(3)
+        executor.drain(3)
         rng = random.Random(47)
         result = None
         for batch in random_mutation_schedule(rng, data, steps=2):
@@ -485,9 +461,9 @@ def test_respawned_replica_rejoins_via_catchup_snapshot(elastic_instance):
         engine.data._history.clear()
         assert engine.data.batches_since(0) is None
         oracle = _rebuild_count(engine, query, backend)
-        address = cluster.respawn(1, 1)
+        address = cluster.respawn(3)
         descriptor = executor.admit(address)
-        assert (descriptor.shard_id, descriptor.replica_id) == (1, 1)
+        assert descriptor.shard_id == 3
         assert descriptor.graph_version == result.version
         assert executor.run(engine, query).embeddings == oracle
     finally:

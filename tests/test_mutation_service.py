@@ -448,7 +448,7 @@ def test_mux_pool_heals_missed_mutate_via_catchup(instance):
     plan = FaultPlan(seed=37)
     # The pool's first coordinator frame on each connection is the
     # MUTATE itself (the handshake sends none), so pin frame 1.
-    plan.sever(0, 0, after_frames=1, role="coordinator")
+    plan.sever(0, after_frames=1, role="coordinator")
     cluster = spawn_local_cluster(data, 1, index_backend="merge")
     pool = ShardPool(
         addresses=list(cluster.addresses),
@@ -465,7 +465,7 @@ def test_mux_pool_heals_missed_mutate_via_catchup(instance):
         result = engine.apply_mutations(batch)
         with pytest.raises(
             SchedulerError,
-            match=r"shard 0 replica 0 is gone \(mutate send failed",
+            match=r"shard 0 is gone \(mutate send failed",
         ):
             pool.mutate(engine, batch, result)
         assert all(f.consumed for f in plan.faults)
@@ -494,7 +494,7 @@ def test_lost_mutate_ack_ends_the_barrier_at_once(instance):
     engine = HGMatch(data, index_backend="merge")
     plan = FaultPlan(seed=41)
     # Worker frames: 1 = HELLO, 2 = the DELTA ack.
-    plan.sever(0, 0, after_frames=2, role="worker")
+    plan.sever(0, after_frames=2, role="worker")
     cluster = spawn_local_cluster(
         data, 1, index_backend="merge", chaos=plan
     )
@@ -510,7 +510,7 @@ def test_lost_mutate_ack_ends_the_barrier_at_once(instance):
         started = time.monotonic()
         with pytest.raises(
             SchedulerError,
-            match=r"shard 0 replica 0 is gone \(mutate ack failed",
+            match=r"shard 0 is gone \(mutate ack failed",
         ):
             pool.mutate(engine, batch, result)
         assert time.monotonic() - started < 1.0
@@ -557,7 +557,7 @@ def test_worker_side_mutate_error_is_typed_not_a_timeout(
         started = time.monotonic()
         with pytest.raises(
             SchedulerError,
-            match=r"shard worker 0 \(replica 0\) failed to mutate:"
+            match=r"shard worker 0 failed to mutate:"
                   r"(.|\n)*disk full",
         ):
             pool.mutate(engine, batch, result)

@@ -673,26 +673,23 @@ def test_results_are_reproducible_across_runs(workload_instances):
 
 
 # ----------------------------------------------------------------------
-# Replication (K workers per shard name)
+# Flat pools (every member interchangeable)
 # ----------------------------------------------------------------------
 
 
-def test_replicated_local_pool_counts_match(workload_instances):
-    """K=2 local pool: four interchangeable members, four parts, counts
-    bit-identical to the sequential engine."""
+def test_four_member_local_pool_counts_match(workload_instances):
+    """A four-member local pool: four interchangeable members, four
+    parts, counts bit-identical to the sequential engine."""
     data, query = workload_instances[0]
     engine = HGMatch(data, index_backend="bitset", shards=2)
-    executor = ShardPool(
-        num_shards=2, num_replicas=2, index_backend="bitset"
-    )
+    executor = ShardPool(num_shards=4, index_backend="bitset")
     try:
         expected = engine.count(query)
         result = executor.run(engine, query)
         assert result.embeddings == expected
-        assert sorted(s.worker_id for s in result.worker_stats) == [0, 0, 1, 1]
-        # 2 shards x 2 replicas, flat layout.
+        assert sorted(s.worker_id for s in result.worker_stats) == [0, 1, 2, 3]
         assert len(executor._cluster.processes) == 4
-        assert executor._cluster.num_shards == 2
+        assert executor._cluster.num_shards == 4
         # Warm reuse still works.
         assert executor.run(engine, query).embeddings == expected
     finally:
@@ -700,50 +697,40 @@ def test_replicated_local_pool_counts_match(workload_instances):
         engine.close()
 
 
-def test_replicated_addresses_mode_tolerates_dead_replica(
-    workload_instances,
-):
-    """K=2 addresses mode: a dead worker at pool build merely loses
-    that member — a whole dead shard name too; only no live member at
-    all refuses to open."""
+def test_addresses_mode_tolerates_dead_members(workload_instances):
+    """Addresses mode: a dead worker at pool build merely loses that
+    member — three of four dead too; only no live member at all refuses
+    to open."""
     data, query = workload_instances[0]
     engine = HGMatch(data, index_backend="merge")
-    cluster = spawn_local_cluster(
-        data, 2, index_backend="merge", num_replicas=2
-    )
+    cluster = spawn_local_cluster(data, 4, index_backend="merge")
     try:
         expected = engine.count(query)
-        # Kill shard 1's replica 1: three members count exactly.
-        cluster.kill_member(1, 1)
+        # Kill member 3: three members count exactly.
+        cluster.kill_member(3)
         executor = ShardPool(
-            addresses=list(cluster.addresses),
-            num_replicas=2,
-            index_backend="merge",
+            addresses=list(cluster.addresses), index_backend="merge"
         )
         try:
             assert executor.run(engine, query).embeddings == expected
         finally:
             executor.close()
-        # Kill shard 0 entirely: shard 1's replica 0 counts alone.
-        cluster.kill_member(0, 0)
-        cluster.kill_member(0, 1)
+        # Kill members 0 and 1: member 2 counts alone.
+        cluster.kill_member(0)
+        cluster.kill_member(1)
         executor = ShardPool(
-            addresses=list(cluster.addresses),
-            num_replicas=2,
-            index_backend="merge",
+            addresses=list(cluster.addresses), index_backend="merge"
         )
         try:
             result = executor.run(engine, query)
             assert result.embeddings == expected
-            assert [s.worker_id for s in result.worker_stats] == [1]
+            assert [s.worker_id for s in result.worker_stats] == [2]
         finally:
             executor.close()
         # Nobody left: a clean refusal.
-        cluster.kill_member(1, 0)
+        cluster.kill_member(2)
         executor = ShardPool(
-            addresses=list(cluster.addresses),
-            num_replicas=2,
-            index_backend="merge",
+            addresses=list(cluster.addresses), index_backend="merge"
         )
         try:
             with pytest.raises(SchedulerError, match="could not connect"):
@@ -755,15 +742,13 @@ def test_replicated_addresses_mode_tolerates_dead_replica(
         engine.close()
 
 
-def test_duplicate_replica_identity_rejected(workload_instances):
-    """Two workers announcing the same (shard, replica) name: a
-    registry or supervisor could not tell them apart, so the pool
-    build refuses."""
+def test_duplicate_member_identity_rejected(workload_instances):
+    """Two workers announcing the same shard id: a registry or
+    supervisor could not tell them apart, so the pool build refuses."""
     data, query = workload_instances[0]
     engine = HGMatch(data, index_backend="merge")
     workers = [
-        ShardWorker(data, 0, index_backend="merge", replica_id=0)
-        for _ in range(2)
+        ShardWorker(data, 0, index_backend="merge") for _ in range(2)
     ]
     threads = []
     addresses = []
@@ -776,9 +761,7 @@ def test_duplicate_replica_identity_rejected(workload_instances):
         )
         thread.start()
         threads.append(thread)
-    executor = ShardPool(
-        addresses=addresses, num_replicas=2, index_backend="merge"
-    )
+    executor = ShardPool(addresses=addresses, index_backend="merge")
     try:
         with pytest.raises(SchedulerError, match="both announced"):
             executor.run(engine, query)
@@ -835,22 +818,15 @@ def test_retry_policy_is_bounded_and_reproducible():
         assert base <= delay <= base * 1.5
 
 
-def test_invalid_replica_configuration():
+def test_invalid_pool_configuration():
     with pytest.raises(SchedulerError):
-        ShardPool(num_shards=2, num_replicas=0)
-    with pytest.raises(SchedulerError, match="divide"):
-        ShardPool(
-            addresses=[("h", 1), ("h", 2), ("h", 3)], num_replicas=2
-        )
+        ShardPool(num_shards=0)
+    with pytest.raises(SchedulerError, match="contradicts"):
+        ShardPool(addresses=[("h", 1), ("h", 2), ("h", 3)], num_shards=2)
     with pytest.raises(SchedulerError):
-        ShardWorker(
-            Hypergraph(labels=["A", "A"], edges=[{0, 1}]), 0, replica_id=-1,
-        )
+        ShardWorker(Hypergraph(labels=["A", "A"], edges=[{0, 1}]), -1)
     with pytest.raises(SchedulerError):
-        spawn_local_cluster(
-            Hypergraph(labels=["A", "A"], edges=[{0, 1}]), 1,
-            num_replicas=0,
-        )
+        spawn_local_cluster(Hypergraph(labels=["A", "A"], edges=[{0, 1}]), 0)
 
 
 def test_retry_knobs_are_configurable(monkeypatch):

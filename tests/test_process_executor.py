@@ -17,7 +17,7 @@ from repro import HGMatch, Hypergraph
 from repro.core.counters import MatchCounters
 from repro.errors import QueryError, SchedulerError, TimeoutExceeded
 from repro.hypergraph import INDEX_BACKENDS
-from repro.parallel import ShardPool
+from repro.parallel import ShardPool, spawn_local_cluster
 from repro.testing import make_random_instance
 
 
@@ -218,6 +218,47 @@ def test_dead_worker_recovers_between_jobs_and_mid_job(
     finally:
         executor.close()
         engine.close()
+
+
+def test_a_worker_killed_right_before_a_job_is_respawned_by_its_open(
+    workload_instances,
+):
+    """The open fails a member whose owned process is dead even when the
+    pump has not read its EOF yet, so the respawn never waits a job:
+    killed and run at once, ten times over, every count is exact and
+    after every job all processes are alive and the pool is whole."""
+    data, query = workload_instances[0]
+    engine = HGMatch(data, index_backend="bitset")
+    executor = ShardPool(num_shards=2, index_backend="bitset")
+    try:
+        expected = engine.count(query)
+        assert executor.run(engine, query).embeddings == expected
+        for round_ in range(10):
+            _kill(executor._cluster.processes[round_ % 2])
+            assert executor.run(engine, query).embeddings == expected
+            assert all(p.is_alive() for p in executor._cluster.processes)
+            assert len(executor._members) == 2
+    finally:
+        executor.close()
+        engine.close()
+
+
+def test_cluster_lookups_refuse_names_outside_the_cluster(fig1_data):
+    """``kill_member``, ``address_of`` and ``respawn`` share one checked
+    lookup: a negative name never wraps around to the last worker."""
+    cluster = spawn_local_cluster(fig1_data, 2, index_backend="bitset")
+    try:
+        for name in (-1, 2):
+            for lookup in (
+                cluster.kill_member, cluster.address_of, cluster.respawn,
+            ):
+                with pytest.raises(
+                    SchedulerError, match=f"no shard worker {name} "
+                ):
+                    lookup(name)
+        assert all(p.is_alive() for p in cluster.processes)
+    finally:
+        cluster.close()
 
 
 def test_processes_and_hostless_sockets_share_one_pool(workload_instances):

@@ -36,10 +36,9 @@ from repro.testing import make_random_instance
 INTERVAL = 0.1
 
 
-def _descriptor(shard_id=0, replica_id=0):
+def _descriptor(shard_id=0):
     return ShardDescriptor(
         shard_id=shard_id,
-        replica_id=replica_id,
         index_backend="bitset",
         graph_edges=8,
         graph_vertices=6,
@@ -86,15 +85,15 @@ def test_announce_registers_and_close_evicts():
     with WorkerRegistry(heartbeat_interval=INTERVAL) as registry:
         sock = _announce(registry, _descriptor(0), ("10.0.0.1", 7000))
         try:
-            assert _wait(lambda: registry.is_live(0, 0))
-            record = registry.record(0, 0)
+            assert _wait(lambda: registry.is_live(0))
+            record = registry.record(0)
             assert record.address == ("10.0.0.1", 7000)
             assert record.descriptor.shard_id == 0
             generation = registry.generation
         finally:
             sock.close()
         # Connection loss is an eviction, visible to cursor pollers.
-        assert _wait(lambda: not registry.is_live(0, 0))
+        assert _wait(lambda: not registry.is_live(0))
         cursor, evicted = registry.evictions_since(0)
         assert cursor == 1
         assert evicted[0].shard_id == 0
@@ -108,10 +107,10 @@ def test_missed_heartbeats_evict_with_deadline_reason():
     ) as registry:
         sock = _announce(registry, _descriptor(1))
         try:
-            assert _wait(lambda: registry.is_live(1, 0))
+            assert _wait(lambda: registry.is_live(1))
             # Go silent: no heartbeats ever.  Eviction within a few
             # deadlines (0.2s), with the miss accounting in the reason.
-            assert _wait(lambda: not registry.is_live(1, 0))
+            assert _wait(lambda: not registry.is_live(1))
             _, evicted = registry.evictions_since(0)
             assert "heartbeat" in evicted[-1].reason
         finally:
@@ -124,12 +123,12 @@ def test_heartbeats_keep_the_record_alive():
     ) as registry:
         sock = _announce(registry, _descriptor(0))
         try:
-            assert _wait(lambda: registry.is_live(0, 0))
+            assert _wait(lambda: registry.is_live(0))
             # Heartbeat for 5 deadlines' worth of wall clock.
             for _ in range(10):
                 transport.send_frame(sock, transport.MSG_HEARTBEAT)
                 time.sleep(INTERVAL / 2)
-            assert registry.is_live(0, 0)
+            assert registry.is_live(0)
             assert registry.evictions_since(0) == (0, [])
         finally:
             sock.close()
@@ -139,9 +138,9 @@ def test_garbage_evicts_as_protocol_error():
     with WorkerRegistry(heartbeat_interval=INTERVAL) as registry:
         sock = _announce(registry, _descriptor(0))
         try:
-            assert _wait(lambda: registry.is_live(0, 0))
+            assert _wait(lambda: registry.is_live(0))
             sock.sendall(b"\xff" * 32)  # not a frame
-            assert _wait(lambda: not registry.is_live(0, 0))
+            assert _wait(lambda: not registry.is_live(0))
             _, evicted = registry.evictions_since(0)
             assert "protocol error" in evicted[-1].reason
         finally:
@@ -165,15 +164,15 @@ def test_reannounce_supersedes_latest_wins():
     with WorkerRegistry(heartbeat_interval=INTERVAL) as registry:
         stale = _announce(registry, _descriptor(0), ("10.0.0.1", 7000))
         try:
-            assert _wait(lambda: registry.is_live(0, 0))
+            assert _wait(lambda: registry.is_live(0))
             fresh = _announce(
                 registry, _descriptor(0), ("10.0.0.2", 7000)
             )
             try:
                 assert _wait(
                     lambda: (
-                        registry.is_live(0, 0)
-                        and registry.record(0, 0).address
+                        registry.is_live(0)
+                        and registry.record(0).address
                         == ("10.0.0.2", 7000)
                     )
                 )
@@ -181,8 +180,8 @@ def test_reannounce_supersedes_latest_wins():
                 # record: it was superseded, not lost.
                 stale.close()
                 time.sleep(INTERVAL * 2)
-                assert registry.is_live(0, 0)
-                assert registry.record(0, 0).address == (
+                assert registry.is_live(0)
+                assert registry.record(0).address == (
                     "10.0.0.2", 7000
                 )
             finally:
@@ -193,8 +192,8 @@ def test_reannounce_supersedes_latest_wins():
 
 def test_membership_addresses_and_wait_for():
     with WorkerRegistry(heartbeat_interval=INTERVAL) as registry:
-        with pytest.raises(SchedulerError, match=r"\(0, 0\)"):
-            registry.addresses(2, 1)
+        with pytest.raises(SchedulerError, match=r"\[0, 1\]"):
+            registry.addresses(2)
         socks = [
             _announce(
                 registry,
@@ -204,13 +203,11 @@ def test_membership_addresses_and_wait_for():
             for shard_id in range(2)
         ]
         try:
-            addresses = registry.wait_for(2, 1, timeout=5.0)
+            addresses = registry.wait_for(2, timeout=5.0)
             assert addresses == [
                 ("10.0.0.1", 7000), ("10.0.0.1", 7001),
             ]
-            assert [r.identity for r in registry.snapshot()] == [
-                (0, 0), (1, 0),
-            ]
+            assert [r.shard_id for r in registry.snapshot()] == [0, 1]
         finally:
             for sock in socks:
                 sock.close()
@@ -220,11 +217,11 @@ def test_wait_for_times_out_naming_missing_slots():
     with WorkerRegistry(heartbeat_interval=INTERVAL) as registry:
         sock = _announce(registry, _descriptor(0))
         try:
-            assert _wait(lambda: registry.is_live(0, 0))
+            assert _wait(lambda: registry.is_live(0))
             with pytest.raises(
                 SchedulerError, match="did not discover"
             ):
-                registry.wait_for(2, 1, timeout=0.3)
+                registry.wait_for(2, timeout=0.3)
         finally:
             sock.close()
 
@@ -248,13 +245,13 @@ def test_announcer_registers_and_heartbeats():
         announcer.start()
         try:
             assert announcer.announced.wait(timeout=5.0)
-            assert _wait(lambda: registry.is_live(1, 0))
+            assert _wait(lambda: registry.is_live(1))
             # Outlive several eviction deadlines: heartbeats flow.
             time.sleep(INTERVAL * 6)
-            assert registry.is_live(1, 0)
+            assert registry.is_live(1)
         finally:
             announcer.stop()
-        assert _wait(lambda: not registry.is_live(1, 0))
+        assert _wait(lambda: not registry.is_live(1))
 
 
 def test_announcer_reconnects_after_eviction():
@@ -273,7 +270,7 @@ def test_announcer_reconnects_after_eviction():
         announcer.start()
         try:
             assert announcer.announced.wait(timeout=5.0)
-            assert _wait(lambda: registry.is_live(0, 0))
+            assert _wait(lambda: registry.is_live(0))
             # Sever from the registry side: drop every connection by
             # restarting nothing — instead poison the record by closing
             # the announcer's socket out from under it via a stale
@@ -288,7 +285,7 @@ def test_announcer_reconnects_after_eviction():
             # ... and the announcer's reconnect loop must notice its
             # superseded session and re-register on its own.
             assert _wait(
-                lambda: registry.is_live(0, 0), timeout=10.0
+                lambda: registry.is_live(0), timeout=10.0
             )
         finally:
             announcer.stop()
@@ -345,9 +342,9 @@ def test_killed_worker_is_evicted(instance):
             announce=registry.address, heartbeat_interval=INTERVAL,
         )
         try:
-            registry.wait_for(2, 1, timeout=15.0)
+            registry.wait_for(2, timeout=15.0)
             cluster.kill_member(1)
-            assert _wait(lambda: not registry.is_live(1, 0))
+            assert _wait(lambda: not registry.is_live(1))
             _, evicted = registry.evictions_since(0)
             assert any(record.shard_id == 1 for record in evicted)
         finally:

@@ -426,7 +426,7 @@ def test_deadline_exceeded_cancels_remotely(service_instance):
     plan = FaultPlan()
     # The worker's first QREPLY (its frame 2, after HELLO) is delayed
     # past the deadline, so the query times out mid-gather.
-    plan.slow_reply(0, 0, after_frames=2, seconds=1.5)
+    plan.slow_reply(0, after_frames=2, seconds=1.5)
     engine = HGMatch(data, index_backend="bitset")
     service = MatchService(engine, shards=2, chaos=plan, cache_capacity=0)
     try:
@@ -445,7 +445,7 @@ def test_deadline_exceeded_cancels_remotely(service_instance):
 def test_client_cancel_mid_flight(service_instance):
     data, queries, expected = service_instance
     plan = FaultPlan()
-    plan.slow_reply(0, 0, after_frames=2, seconds=1.5)
+    plan.slow_reply(0, after_frames=2, seconds=1.5)
     engine = HGMatch(data, index_backend="bitset")
     service = MatchService(engine, shards=2, chaos=plan, cache_capacity=0)
     try:
@@ -482,7 +482,7 @@ def test_query_pinned_drop_fails_fast_for_that_query_alone(
     data, queries, expected = service_instance
     plan = FaultPlan()
     # Worker 0 swallows its first reply *for query 1 only*.
-    plan.drop_reply(0, 0, after_frames=1, query_id=1)
+    plan.drop_reply(0, after_frames=1, query_id=1)
     engine = HGMatch(data, index_backend="bitset")
     service = MatchService(
         engine, shards=1, chaos=plan, cache_capacity=0, io_timeout=0.75,
@@ -518,7 +518,7 @@ def test_query_pinned_connection_fault_fails_over(service_instance, fault):
     # Query 1's first coordinator frame (its subtree request to
     # worker 0) is the trigger; query 2 shares the pool and must not
     # care.
-    getattr(plan, fault)(0, 0, after_frames=1, query_id=1)
+    getattr(plan, fault)(0, after_frames=1, query_id=1)
     engine = HGMatch(data, index_backend="bitset")
     service = MatchService(engine, shards=2, chaos=plan, cache_capacity=0)
     try:
@@ -753,7 +753,7 @@ def test_daemon_refuses_garbage_without_dying(service_instance):
 def test_daemon_client_disconnect_cancels_the_query(service_instance):
     data, queries, expected = service_instance
     plan = FaultPlan()
-    plan.slow_reply(0, 0, after_frames=2, seconds=1.5)
+    plan.slow_reply(0, after_frames=2, seconds=1.5)
     engine = HGMatch(data, index_backend="bitset")
     service = MatchService(engine, shards=2, chaos=plan, cache_capacity=0)
     daemon, (host, port), thread = _start_daemon(service)

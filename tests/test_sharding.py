@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import inspect
 import random
+from unittest import mock
 
 import pytest
 
@@ -193,7 +194,7 @@ def test_shard_candidates_compose_to_global(backend, sharding):
 @pytest.mark.parametrize("backend", INDEX_BACKENDS)
 def test_duplicated_keyed_streams_fold_exactly_once(backend):
     """The dedup property: a reply stream that is shuffled AND
-    duplicated (a speculative twin answering the same level)
+    duplicated (a twin reply answering the same level)
     folds to results bit-identical to the barrier composition when each
     contribution carries its shard id as the dedup key.  Without the
     key, duplicated tuple payloads would double their edges — the test
@@ -238,8 +239,8 @@ def test_duplicated_keyed_streams_fold_exactly_once(backend):
                 for _, payload in payloads
             ])
             # Duplicate each reply 1-3x (fresh decode per copy — the
-            # replicas' replies are byte-identical, never the same
-            # object), then shuffle the whole stream.
+            # copies are byte-identical, never the same object), then
+            # shuffle the whole stream.
             stream = []
             for shard_id, payload in payloads:
                 for _ in range(rng.randint(1, 3)):
@@ -258,8 +259,10 @@ def test_duplicated_keyed_streams_fold_exactly_once(backend):
 
 def _pool_facing_callables():
     from repro.parallel import (
+        LocalCluster,
         ShardPool,
         ShardWorker,
+        WorkerRegistry,
         WorkerSupervisor,
         spawn_local_cluster,
     )
@@ -268,40 +271,61 @@ def _pool_facing_callables():
     return {
         "HGMatch": HGMatch,
         "HGMatch.pool": HGMatch.pool,
+        "LocalCluster": LocalCluster,
         "ShardPool": ShardPool,
+        "ShardPool.from_registry": ShardPool.from_registry,
         "ShardWorker": ShardWorker,
         "spawn_local_cluster": spawn_local_cluster,
+        "WorkerRegistry.wait_for": WorkerRegistry.wait_for,
         "WorkerSupervisor": WorkerSupervisor,
         "MatchService": MatchService,
     }
 
 
+#: Knobs of the retired placement, replica grid and speculation.
+RETIRED_KNOBS = (
+    "sharding", "replicas", "num_replicas", "replica_id", "speculate_after",
+)
+
+
 @pytest.mark.parametrize("name", sorted(_pool_facing_callables()))
 def test_no_placement_knob_outside_store_shard(name):
-    """A pool member holds the whole graph, so nothing is placed: no
-    pool-facing constructor takes (or silently swallows) a ``sharding``
-    argument.  The one left is ``StoreShard.build``'s, whose
-    ``"uniform"`` row cut the layer trace still builds."""
-    parameters = inspect.signature(_pool_facing_callables()[name]).parameters
-    assert "sharding" not in parameters
-    assert all(
-        parameter.kind is not inspect.Parameter.VAR_KEYWORD
-        for parameter in parameters.values()
-    )
+    """A pool member holds the whole graph and is named by one integer,
+    so nothing is placed, replicated or speculated on: no pool-facing
+    callable takes (or silently swallows) a retired knob.
+    ``ShardPool.from_registry`` hands its keywords to ``ShardPool``,
+    which refuses them.  The one ``sharding`` left is
+    ``StoreShard.build``'s, whose ``"uniform"`` row cut the layer trace
+    still builds."""
+    function = _pool_facing_callables()[name]
+    parameters = inspect.signature(function).parameters
+    assert not set(RETIRED_KNOBS) & set(parameters)
+    if name == "ShardPool.from_registry":
+        registry = mock.Mock()
+        registry.wait_for.return_value = [("127.0.0.1", 1)]
+        for knob in RETIRED_KNOBS:
+            with pytest.raises(TypeError, match=knob):
+                function(registry, 1, **{knob: 2})
+    else:
+        assert all(
+            parameter.kind is not inspect.Parameter.VAR_KEYWORD
+            for parameter in parameters.values()
+        )
     assert "sharding" in inspect.signature(StoreShard.build).parameters
 
 
-class TestReplicaIdentity:
-    def test_descriptor_replica_fields_round_trip(self, fig1_data):
+class TestMemberIdentity:
+    def test_descriptor_name_round_trips(self, fig1_data):
         """A pool member's name travels in its descriptor; the name
         never changes what the member holds."""
         from repro.parallel import ShardDescriptor
 
         store = PartitionedStore(fig1_data)
         base = ShardDescriptor.of(store)
-        assert (base.shard_id, base.replica_id) == (0, 0)
-        named = ShardDescriptor.of(store, 2, 1)
-        assert (named.shard_id, named.replica_id) == (2, 1)
+        assert base.shard_id == 0
+        named = ShardDescriptor.of(store, 2)
+        assert named.shard_id == 2
+        assert "replica_id" not in named.as_dict()
         assert (named.graph_edges, named.graph_version) == (
             base.graph_edges, base.graph_version,
         )

@@ -53,8 +53,8 @@ FUNNEL = (
     "candidates", "filtered", "final_candidates", "final_filtered",
     "embeddings", "tasks",
 )
-#: ``(shards, replicas)``: 1, 2 and 3 members, and a 2 × 2 grid.
-LAYOUTS = [(1, 1), (2, 1), (3, 1), (2, 2)]
+#: Pool sizes: 1, 2, 3 and 4 members.
+LAYOUTS = [1, 2, 3, 4]
 
 
 @pytest.fixture(scope="module")
@@ -86,13 +86,11 @@ def another_order(engine, query):
 
 
 @pytest.mark.parametrize("backend", INDEX_BACKENDS)
-@pytest.mark.parametrize("shards,replicas", LAYOUTS)
+@pytest.mark.parametrize("shards", LAYOUTS)
 def test_counts_and_funnel_match_the_sequential_merge_engine(
-    instances, backend, shards, replicas
+    instances, backend, shards
 ):
-    pool = ShardPool(
-        num_shards=shards, num_replicas=replicas, index_backend=backend
-    )
+    pool = ShardPool(num_shards=shards, index_backend=backend)
     reordered = 0
     try:
         for data, query in instances:
@@ -108,10 +106,8 @@ def test_counts_and_funnel_match_the_sequential_merge_engine(
                     getattr(result.counters, name) for name in FUNNEL
                 ) == funnel
                 # Alone on the pool: one part, one frame, per member.
-                assert len(result.worker_stats) == shards * replicas
-                assert (
-                    pool.dispatched_frames - before == shards * replicas
-                )
+                assert len(result.worker_stats) == shards
+                assert pool.dispatched_frames - before == shards
             engine.close()
     finally:
         pool.close()
@@ -267,8 +263,8 @@ def test_concurrent_service_queries_go_whole_to_different_members(
     plan = FaultPlan()
     # Hold query 2 in flight: both workers delay their second reply
     # (frame 1 = HELLO, 2 = the warm-up's reply, 3 = query 2's).
-    plan.slow_reply(0, 0, after_frames=3, seconds=0.6)
-    plan.slow_reply(1, 0, after_frames=3, seconds=0.6)
+    plan.slow_reply(0, after_frames=3, seconds=0.6)
+    plan.slow_reply(1, after_frames=3, seconds=0.6)
     engine = HGMatch(data, index_backend="bitset")
     service = MatchService(engine, shards=2, chaos=plan, cache_capacity=0)
     placed = {}
@@ -278,7 +274,7 @@ def test_concurrent_service_queries_go_whole_to_different_members(
         original(channel, *args)
         watchers = channel._state.watchers
         placed[channel.query_id] = [
-            member.name for part in sorted(watchers) for member in watchers[part]
+            watchers[part][0].name for part in sorted(watchers)
         ]
 
     monkeypatch.setattr(QueryChannel, "_send_parts", send_parts)
@@ -296,12 +292,7 @@ def test_concurrent_service_queries_go_whole_to_different_members(
             tickets.append(service.submit(query))
             registered(query_id)
         assert [t.result(timeout=60).embeddings for t in tickets] == [count] * 3
-        assert placed == {
-            1: [(0, 0), (1, 0)],
-            2: [(0, 0), (1, 0)],
-            3: [(0, 0)],
-            4: [(1, 0)],
-        }
+        assert placed == {1: [0, 1], 2: [0, 1], 3: [0], 4: [1]}
         assert not service.pool._queries
     finally:
         service.close()
@@ -351,7 +342,7 @@ def test_killed_member_is_covered_by_the_survivor_without_a_respawn(
     # The victim must not have answered before the kill lands: its
     # reply to the second job (frame 1 = HELLO, 2 = the first job's
     # reply) is held back.
-    plan.slow_reply(1, 0, after_frames=3, seconds=1.0)
+    plan.slow_reply(1, after_frames=3, seconds=1.0)
     pool = ShardPool(num_shards=2, index_backend="bitset", chaos=plan)
     respawns = _recorded_respawns(monkeypatch)
     try:
@@ -368,7 +359,7 @@ def test_killed_member_is_covered_by_the_survivor_without_a_respawn(
         assert respawns == []
         # ... the next one's ensure_open brings the member back.
         again = pool.run(engine, query)
-        assert again.embeddings == count and respawns == [(1, 0)]
+        assert again.embeddings == count and respawns == [(1,)]
         assert sorted(s.worker_id for s in again.worker_stats) == [0, 1]
         assert all(p.is_alive() for p in pool._cluster.processes)
     finally:
@@ -387,7 +378,7 @@ def test_connection_faults_fail_over_to_the_survivor(
     plan = FaultPlan(seed=23)
     # Coordinator frame 1 on a connection is the request; worker frame
     # 2 (after HELLO) its reply.
-    getattr(plan, fault)(1, 0, after_frames=2 if fault == "drop_reply" else 1)
+    getattr(plan, fault)(1, after_frames=2 if fault == "drop_reply" else 1)
     engine = HGMatch(data, index_backend="bitset")
     pool = ShardPool(
         num_shards=2, index_backend="bitset", chaos=plan, io_timeout=0.75
@@ -411,13 +402,13 @@ def test_losing_the_last_member_is_a_typed_failure(instances):
     count, _ = oracle(data, query)
     engine = HGMatch(data, index_backend="bitset")
     plan = FaultPlan(seed=3)
-    plan.kill_worker(0, 0, after_frames=1)
+    plan.kill_worker(0, after_frames=1)
     # ... before it answers (worker frame 1 = HELLO, 2 = the reply).
-    plan.slow_reply(0, 0, after_frames=2, seconds=1.0)
+    plan.slow_reply(0, after_frames=2, seconds=1.0)
     cluster = spawn_local_cluster(
         data, 1, index_backend="bitset", chaos=plan
     )
-    plan.arm_killer(0, 0, lambda: cluster.kill_member(0, 0))
+    plan.arm_killer(0, lambda: cluster.kill_member(0))
     pool = ShardPool(
         addresses=list(cluster.addresses), index_backend="bitset",
         io_timeout=30.0, chaos=plan,
@@ -491,7 +482,7 @@ def test_worker_enforces_the_budget_and_the_graph_version(instances):
             assert kind == transport.MSG_QERROR
             report = pickle.loads(rest)
             assert "TimeoutExceeded" in report
-            assert report.startswith("[shard 1 replica 0]")
+            assert report.startswith("[shard 1]")
             kind, rest = ask(5, None)
             assert kind == transport.MSG_QERROR
             assert "missed MUTATE?" in pickle.loads(rest)
@@ -568,15 +559,15 @@ def test_mutated_engines_count_exactly_under_both_orientations(
 
 @pytest.mark.parametrize("executor", ["processes", "sockets"])
 @pytest.mark.parametrize("backend", INDEX_BACKENDS)
-def test_a_replicated_pool_stays_exact_across_commits(backend, executor):
-    """A 2 × 2 pool is four whole-graph members: every commit's MUTATE
-    reaches each member's one store, and every query after it still
-    sends one part to each of the four and counts exactly."""
+def test_a_four_member_pool_stays_exact_across_commits(backend, executor):
+    """A four-member pool is four whole-graph members: every commit's
+    MUTATE reaches each member's one store, and every query after it
+    still sends one part to each of the four and counts exactly."""
     rng = random.Random(2310)
     data, query, _ = random_instances(2311, 1, make_mutable_instance)[0]
-    engine = HGMatch(data, index_backend=backend, shards=2)
+    engine = HGMatch(data, index_backend=backend, shards=4)
     try:
-        pool = engine.pool(replicas=2)
+        pool = engine.pool()
         assert engine.count(query, executor=executor) == oracle(data, query)[0]
         for batch in random_mutation_schedule(rng, data, steps=3):
             engine.apply_mutations(batch)
@@ -639,12 +630,10 @@ def test_stale_worker_heals_through_catchup(instances):
     data, query, _ = random_instances(2309, 1, make_mutable_instance)[0]
     engine = HGMatch(data, index_backend="bitset")
     plan = FaultPlan(seed=29)
-    plan.sever(1, 0, after_frames=2)  # frame 1 = its part, 2 = the MUTATE
-    cluster = spawn_local_cluster(
-        data, 2, index_backend="bitset", num_replicas=2
-    )
+    plan.sever(2, after_frames=2)  # frame 1 = its part, 2 = the MUTATE
+    cluster = spawn_local_cluster(data, 4, index_backend="bitset")
     pool = ShardPool(
-        addresses=list(cluster.addresses), num_replicas=2,
+        addresses=list(cluster.addresses),
         index_backend="bitset", io_timeout=60.0, chaos=plan,
     )
     try:
@@ -660,7 +649,7 @@ def test_stale_worker_heals_through_catchup(instances):
         degraded = pool.run(engine, query)
         assert degraded.embeddings == expected
         assert len(degraded.worker_stats) == 3
-        descriptor = pool.admit(cluster.address_of(1, 0))
+        descriptor = pool.admit(cluster.address_of(2))
         assert descriptor.graph_version == result.version
         healed = pool.run(engine, query)
         assert healed.embeddings == expected

@@ -74,18 +74,14 @@ def test_restart_restores_parity(instance):
         assert supervisor.live_count() == 1
         # First poll only *schedules* (jittered backoff, no restart).
         assert supervisor.poll() == 0
-        status = {
-            (s.shard_id, s.replica_id): s for s in supervisor.status()
-        }
-        assert status[(0, 0)].state == "backoff"
-        assert status[(1, 0)].state == "running"
+        status = {s.shard_id: s for s in supervisor.status()}
+        assert status[0].state == "backoff"
+        assert status[1].state == "running"
         assert _poll_until_restart(supervisor) == 1
         assert supervisor.live_count() == 2
-        status = {
-            (s.shard_id, s.replica_id): s for s in supervisor.status()
-        }
-        assert status[(0, 0)].state == "running"
-        assert status[(0, 0)].restarts == 1
+        status = {s.shard_id: s for s in supervisor.status()}
+        assert status[0].state == "running"
+        assert status[0].restarts == 1
         executor = ShardPool(
             addresses=supervisor.addresses, index_backend="bitset",
         )
@@ -108,24 +104,18 @@ def test_budget_exhaustion_degrades_not_fails(instance):
     with supervisor:
         deadline = time.monotonic() + 30.0
         while time.monotonic() < deadline:
-            status = {
-                (s.shard_id, s.replica_id): s
-                for s in supervisor.status()
-            }
-            if status[(0, 0)].state == "exhausted":
+            status = {s.shard_id: s for s in supervisor.status()}
+            if status[0].state == "exhausted":
                 break
             # Keep killing shard 0's worker the moment it is up.
-            index = 0  # shard 0 replica 0 in the flat layout
-            if supervisor.cluster.processes[index].is_alive():
+            if supervisor.cluster.processes[0].is_alive():
                 supervisor.cluster.kill_member(0)
             supervisor.poll()
             time.sleep(0.02)
-        status = {
-            (s.shard_id, s.replica_id): s for s in supervisor.status()
-        }
-        assert status[(0, 0)].state == "exhausted"
-        assert status[(0, 0)].restarts == 1
-        assert not status[(0, 0)].alive
+        status = {s.shard_id: s for s in supervisor.status()}
+        assert status[0].state == "exhausted"
+        assert status[0].restarts == 1
+        assert not status[0].alive
         # Degraded but servable: polling is not an error.
         assert supervisor.poll() == 0
         assert supervisor.live_count() == 1
@@ -157,14 +147,14 @@ def test_supervised_restart_reannounces(instance):
             announce=registry.address, heartbeat_interval=0.1,
         )
         with supervisor:
-            registry.wait_for(2, 1, timeout=15.0)
-            old_address = registry.record(0, 0).address
+            registry.wait_for(2, timeout=15.0)
+            old_address = registry.record(0).address
             supervisor.cluster.kill_member(0)
             assert _poll_until_restart(supervisor) == 1
             deadline = time.monotonic() + 10.0
             new_address = None
             while time.monotonic() < deadline:
-                record = registry.record(0, 0)
+                record = registry.record(0)
                 if (
                     record is not None
                     and record.address != old_address

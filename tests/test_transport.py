@@ -309,12 +309,30 @@ class TestRetiredKinds:
             right.close()
 
 
+def test_a_version_4_header_is_refused_by_both_decoders():
+    """A version-4 peer announces a two-part name the descriptor no
+    longer has: its frames are refused from the header alone, by the
+    buffer decoder and the stream reader alike."""
+    frame = struct.pack("<IBB", 2, 4, transport.MSG_STOP)
+    expected = "unsupported protocol version 4; this build speaks version 5"
+    with pytest.raises(TransportError, match=expected):
+        transport.decode_frame(frame)
+    left, right = socket.socketpair()
+    try:
+        right.settimeout(5.0)
+        left.sendall(frame)
+        with pytest.raises(TransportError, match=expected):
+            transport.recv_frame(right)
+    finally:
+        left.close()
+        right.close()
+
+
 class TestAnnounceCodec:
     DESCRIPTOR = {
         "shard_id": 1, "num_shards": 2, "index_backend": "bitset",
         "num_partitions": 3, "num_rows": 11, "graph_edges": 20,
         "graph_vertices": 12, "sharding": "uniform",
-        "replica_id": 0, "num_replicas": 2,
     }
 
     def test_round_trip(self):
@@ -385,8 +403,10 @@ class TestQueryTaggedFrames:
         # One job shape: version 4 retired the level-synchronous kinds
         # JOB/LEVEL/COLLECT/REBALANCE and CANCEL (a SUBTREE request is
         # stateless); version 1's untagged kinds are long gone too.
+        # Version 5 named a member by one integer (the descriptor lost
+        # its second id) and kept the same thirteen kinds.
         assert len(transport._KNOWN_KINDS) == 13
-        assert transport.PROTOCOL_VERSION == 4
+        assert transport.PROTOCOL_VERSION == 5
         assert transport.MSG_SUBTREE == ord("T")
         for retired in b"JLCBX" + b"cjlrq":
             with pytest.raises(TransportError, match="unknown frame kind"):
@@ -399,7 +419,7 @@ class TestQueryTaggedFrames:
         )
         assert transport.encode_frame(
             transport.MSG_QERROR, transport.encode_query_body(7)
-        ).hex() == "0a00000004650700000000000000"
+        ).hex() == "0a00000005650700000000000000"
 
     def test_split_round_trip(self):
         for query_id in (0, 1, 7, 2**32, 2**64 - 1):
