@@ -56,9 +56,11 @@ test-elastic:
 ## Match-service smoke: many query channels on the one shard pool
 ## (frame parity with a solo job), the always-on service (admission
 ## BUSY, deadlines, cancellation, cache, drain, query-pinned chaos
-## isolation) and the line-JSON daemon/client.
+## isolation), the inline route for cheap misses and the line-JSON
+## daemon/client.
 test-service:
-	$(PYTHON) -m pytest -x -q tests/test_service.py tests/test_transport.py
+	$(PYTHON) -m pytest -x -q tests/test_service.py tests/test_inline_route.py \
+		tests/test_transport.py
 
 ## Dynamic-graph smoke: mutation semantics (tombstoned layouts,
 ## atomic batches, incremental store maintenance), the differential

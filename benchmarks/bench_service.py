@@ -6,7 +6,10 @@ dataset *concurrently* on every index backend.  Gates:
 
 * **multiplexed parity** — every concurrently-submitted query must
   return counts bit-identical to the sequential engine (always
-  enforced, all three backends);
+  enforced, all three backends).  The service's inline route is
+  switched off here (``INLINE_COST`` patched to 0), so every query —
+  small ones too — is a subtree job on the pool, and at least one
+  frame per query must cross the wire;
 * **cache bypass** — resubmitting a finished query must be served from
   the LRU result cache without a single additional frame crossing the
   wire (the pool's dispatch counter is the proof), and must return the
@@ -26,6 +29,7 @@ import json
 import os
 import time
 from typing import List
+from unittest import mock
 
 from repro.bench import (
     FIG8_DATASETS,
@@ -35,6 +39,7 @@ from repro.bench import (
 )
 from repro.datasets import load_dataset
 from repro.service import MatchService
+from repro.service import service as service_module
 
 BACKENDS = ("merge", "bitset", "adaptive")
 NUM_SHARDS = 2
@@ -76,13 +81,20 @@ def run_benchmark() -> dict:
                 queue_depth=QUEUE_DEPTH,
             )
             try:
-                # All queries in flight together over the one pool.
+                # All queries in flight together over the one pool —
+                # none of them inline, however cheap.
                 started = time.perf_counter()
-                tickets = [service.submit(query) for query in queries]
-                concurrent = [
-                    ticket.result(timeout=600) for ticket in tickets
-                ]
+                with mock.patch.object(service_module, "INLINE_COST", 0):
+                    tickets = [service.submit(query) for query in queries]
+                    concurrent = [
+                        ticket.result(timeout=600) for ticket in tickets
+                    ]
                 concurrent_s = time.perf_counter() - started
+                if service.pool.dispatched_frames < len(queries):
+                    failures.append(
+                        f"{backend}: {len(queries)} queries dispatched "
+                        f"only {service.pool.dispatched_frames} frames"
+                    )
                 counts = [result.embeddings for result in concurrent]
                 if counts != expected:
                     failures.append(

@@ -561,7 +561,7 @@ class ShardPool:
             self, query_id=transport.SOLO_QUERY_ID, budget=time_budget
         )
         try:
-            return channel.count(engine, query, order)
+            return channel.count(engine, query, engine.plan(query, order))
         except SchedulerError:
             # The channel has unregistered this job by now.
             if not self._queries:
@@ -1192,8 +1192,9 @@ class QueryChannel:
                 silent.append(part)
         return silent
 
-    def count(self, engine, query, order=None) -> ParallelResult:
-        """Count ``query`` as one **subtree job**.
+    def count(self, engine, query, plan) -> ParallelResult:
+        """Count ``query`` as one **subtree job** along ``plan``
+        (``engine.plan(query, order)``; its order is the one sent).
 
         The paper's Sec. VI task model on this pool: every worker holds
         the whole graph, so a query is cut at the root — into as many
@@ -1215,7 +1216,6 @@ class QueryChannel:
         Answered or not, the query is unregistered on the way out.
         """
         state = self._state
-        plan = engine.plan(query, order)
         self._pool.ensure_open(engine)
         if state.cancelled.is_set():
             raise QueryCancelled(

@@ -34,11 +34,14 @@ hang or a silent drop:
     S: {"ok": false, "error": "..."}
 
 The daemon owns a :class:`~repro.service.service.MatchService` and
-bridges its blocking tickets onto the event loop with
-``run_in_executor`` (a cache hit is born finished and is answered on
-the loop directly); an EOF watchdog per connection turns a client
-disconnect into :meth:`MatchTicket.cancel`, so an abandoned query is
-given up instead of waited for by nobody.
+awaits a live ticket's future on the event loop through
+``asyncio.wrap_future`` — one thread hop, the service thread's (a cache
+hit or an inline count is born finished and is answered on the loop
+directly; the inline count itself runs on the loop, inside ``submit``,
+for at most ``INLINE_BUDGET`` and one block); an EOF
+watchdog per connection turns a client disconnect into
+:meth:`MatchTicket.cancel`, so an abandoned query is given up instead
+of waited for by nobody.
 SIGTERM/SIGINT trigger a graceful drain: the listener closes, in-flight
 queries finish (or are cancelled at the drain timeout), and the pool
 shuts down.
@@ -65,6 +68,19 @@ from .service import MatchService
 #: Refuse request lines longer than this many bytes (a query graph in
 #: native text form is tiny; anything bigger is a protocol error).
 MAX_REQUEST_BYTES = 8 * 1024 * 1024
+
+
+async def _ticket_result(waiter):
+    """Await a live ticket's wrapped future, as :meth:`MatchTicket.result`
+    would block on it: a ticket cancelled before it started raises
+    ``QueryCancelled``.  Shielded, so a connection torn down mid-wait
+    leaves the ticket to the drain instead of cancelling it unseen."""
+    try:
+        return await asyncio.shield(waiter)
+    except asyncio.CancelledError:
+        if not waiter.cancelled():
+            raise  # the connection's own task is being cancelled
+        raise QueryCancelled("query cancelled before it started") from None
 
 
 class MatchDaemon:
@@ -146,24 +162,24 @@ class MatchDaemon:
             return {"ok": False, "error": str(exc)}
 
         try:
-            if ticket.cached:
-                # Born finished: nothing to wait for, nothing to cancel
-                # — answered on the event loop, no thread hop.
+            if ticket.done():
+                # Born finished (a cache hit or an inline count):
+                # nothing to wait for, nothing to cancel — answered on
+                # the event loop, no thread hop.
                 result = ticket.result()
             else:
                 # A disconnecting client cancels its query: read()
                 # resolving to b"" (EOF) before the result lands means
                 # nobody is listening.
-                loop = asyncio.get_running_loop()
                 eof = asyncio.ensure_future(reader.read())
-                waiter = loop.run_in_executor(None, ticket.result)
+                waiter = asyncio.wrap_future(ticket.future)
                 done, _ = await asyncio.wait(
                     {eof, waiter}, return_when=asyncio.FIRST_COMPLETED
                 )
                 if waiter not in done:
                     ticket.cancel()
                 eof.cancel()
-                result = await waiter
+                result = await _ticket_result(waiter)
         except TimeoutExceeded as exc:
             return {"ok": False, "deadline_exceeded": True,
                     "error": str(exc)}

@@ -24,6 +24,19 @@ operation:
   version, query fingerprint)``; hits return the finished
   :class:`~repro.parallel.tasks.ParallelResult` without touching
   the pool at all (the pool's dispatch counter is the proof).
+* **Inline** — a miss is planned once, by :meth:`MatchService.submit`;
+  when :func:`~repro.core.estimation.estimate_order` puts the plan
+  below :data:`INLINE_COST`, the submitting thread counts it on the
+  service's own engine (the sequential ``count_part``) and the ticket
+  is born finished — no thread hop, no frame, and a service that only
+  ever sees such queries never spawns a worker.  Every costlier miss
+  goes to a service thread and on to the pool as a subtree job
+  carrying the same plan.  The estimate is an average, not a bound,
+  so the inline count also stops at :data:`INLINE_BUDGET` (checked
+  between blocks, like the deadline) and hands the plan to the pool
+  route instead.  The one difference: an inline query cannot be
+  cancelled — it is over before its ticket exists, within a few
+  milliseconds by that cap.
 * **Drain** — stop admitting, let in-flight queries finish inside a
   timeout, cancel the stragglers, close the pool.  This is what the
   daemon runs on SIGTERM.
@@ -36,16 +49,48 @@ import threading
 import time
 import zlib
 from collections import OrderedDict
-from concurrent.futures import CancelledError, ThreadPoolExecutor
+from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from typing import Optional, Sequence, Tuple
 
-from ..errors import QueryCancelled, SchedulerError, ServiceBusy
+from ..core.counters import MatchCounters
+from ..core.estimation import estimate_order
+from ..errors import (
+    QueryCancelled,
+    SchedulerError,
+    ServiceBusy,
+    TimeoutExceeded,
+)
 from ..hypergraph import Hypergraph
 from ..hypergraph.io import dump_native
 from ..hypergraph.journal import MutationJournal
 from ..parallel.pool import QueryChannel, ShardPool
+from ..parallel.tasks import ParallelResult
 from .standing import StandingQuery
+
+#: A miss whose plan ``estimate_order`` costs below this is counted on
+#: the submitting thread, on the service's engine, instead of as a pool
+#: subtree job behind a service thread.  Calibrated on
+#: the e2e inputs (seed 3, 2 vCPU): ``svc_point``'s 600 queries estimate
+#: 2–7 and count in 0.09 ms median (0.26 ms max) in process, against a
+#: ~0.65 ms round trip to a worker; ``svc_mutate``'s hot queries
+#: estimate 3–4 (~0.09 ms); the cheapest ``Q_heavy`` query estimates
+#: 18.8 (median 358) yet takes 4.4 ms — the estimator undershoots it, so
+#: the constant stays well below.  Anywhere in [8, 18.8) routes all
+#: three sets the same way.
+INLINE_COST = 10.0
+
+#: The estimate is an average, not a bound: a query under
+#: :data:`INLINE_COST` can still walk a hub's whole posting list.  An
+#: inline count that runs past this many seconds (checked between
+#: blocks) is abandoned and its plan goes to the pool, so the
+#: submitting thread — the daemon's event loop — is never held for
+#: longer than this and one block.  Far above noise: over ~42 000
+#: ``svc_point`` counts in the daemon (2 vCPU) the slowest took 11.7 ms
+#: (a full GC pass is 7-10 ms there) against 0.26 ms for the slowest
+#: in process; below it, a cheap query that met a GC pass would open
+#: the pool.
+INLINE_BUDGET = 0.05
 
 
 def _standing_entry(handle) -> dict:
@@ -112,11 +157,12 @@ class MatchTicket:
     """A handle on one submitted query.
 
     ``cached`` tickets are born finished (the result came straight out
-    of the service's LRU); live tickets resolve when their worker
-    thread completes, and :meth:`cancel` aborts them — before they
-    start (the slot is returned immediately) or mid-flight (the query
-    raises :class:`~repro.errors.QueryCancelled` at its next gather
-    poll).
+    of the service's LRU), and so are inline ones (counted before
+    :meth:`MatchService.submit` returned); live tickets resolve when
+    their worker thread completes, and :meth:`cancel` aborts them —
+    before they start (the slot is returned immediately) or mid-flight
+    (the query raises :class:`~repro.errors.QueryCancelled` at its next
+    gather poll).
     """
 
     def __init__(self, future=None, cancel_event=None, result=None,
@@ -141,6 +187,12 @@ class MatchTicket:
             raise QueryCancelled(
                 "query cancelled before it started"
             ) from None
+
+    @property
+    def future(self):
+        """The live ticket's ``concurrent.futures.Future`` (None when
+        cached) — what an event loop wraps to await the result."""
+        return self._future
 
     def done(self) -> bool:
         return self._future is None or self._future.done()
@@ -265,17 +317,23 @@ class MatchService:
         backlog is at ``queue_depth`` (or the service is draining) —
         the caller retries after ``retry_after`` seconds, nothing ever
         queues unboundedly or hangs.  Cache hits bypass admission *and*
-        the pool entirely.
+        the pool entirely; a miss cheaper than :data:`INLINE_COST` is
+        counted here, on the caller's thread, before this returns —
+        unless it outruns :data:`INLINE_BUDGET`, then it goes to the
+        pool like any costlier miss.
         """
+        # The query's half of the key is the graph-independent one (a
+        # serialisation and a CRC): taken before the lock.
+        query_key = query_fingerprint(query, order)
         with self._lock:
             if self._closed:
                 raise SchedulerError("match service is closed")
             if self._mutating:
                 raise ServiceBusy(self.queue_depth, self.retry_after)
-            # Key inside the lock, after the mutation gate: a mutation
-            # barrier between the fingerprint and the lookup must not
+            # Graph key inside the lock, after the mutation gate: a
+            # mutation barrier between the key and the lookup must not
             # serve a result cached for a graph that no longer exists.
-            key = (self._graph_key(), query_fingerprint(query, order))
+            key = (self._graph_key(), query_key)
             cached = self._cache.get(key)
             if cached is not None:
                 self._cache.move_to_end(key)
@@ -288,9 +346,27 @@ class MatchService:
             self._admitted += 1
             self.cache_misses += 1
         budget = self.default_deadline if deadline is None else deadline
+        engine = self._engine
+        settled = Future()
+        started = time.monotonic()
+        try:
+            plan = engine.plan(query, order)
+            if estimate_order(
+                query, engine.store, plan.order
+            ).estimated_cost < INLINE_COST:
+                result = self._count_inline(plan, budget)
+                if result is not None:
+                    settled.set_result(self._remember(key, result))
+        except Exception as exc:  # the query's own failure: its ticket's
+            settled.set_exception(exc)
+        if settled.done():
+            self._release_slot()
+            return MatchTicket(settled)
+        if budget is not None:  # what the plan and any inline try left
+            budget -= time.monotonic() - started
         cancel_event = threading.Event()
         future = self._workers.submit(
-            self._run, query, order, budget, cancel_event, key
+            self._run, query, plan, budget, cancel_event, key
         )
         ticket = MatchTicket(
             future, cancel_event, on_abandoned=self._release_slot
@@ -315,20 +391,51 @@ class MatchService:
         with self._lock:
             self._admitted -= 1
 
-    def _run(self, query, order, budget, cancel_event, key):
-        channel = QueryChannel(
-            self.pool, budget=budget, cancel_event=cancel_event
-        )
+    def _run(self, query, plan, budget, cancel_event, key):
+        """A service thread's body: ``plan`` as one subtree job."""
         try:
-            result = channel.count(self._engine, query, order)
-            with self._lock:
-                self._cache[key] = result
-                self._cache.move_to_end(key)
-                while len(self._cache) > self.cache_capacity:
-                    self._cache.popitem(last=False)
-            return result
+            channel = QueryChannel(
+                self.pool, budget=budget, cancel_event=cancel_event
+            )
+            return self._remember(
+                key, channel.count(self._engine, query, plan)
+            )
         finally:
             self._release_slot()
+
+    def _remember(self, key, result):
+        with self._lock:
+            self._cache[key] = result
+            self._cache.move_to_end(key)
+            while len(self._cache) > self.cache_capacity:
+                self._cache.popitem(last=False)
+        return result
+
+    def _count_inline(self, plan, budget) -> "ParallelResult | None":
+        """Count a cheap query on the submitting thread: the sequential
+        ``count_part`` of ``plan`` with the full funnel — no thread hop,
+        no frames, no workers.  The clock is checked between blocks
+        against ``budget`` and against :data:`INLINE_BUDGET`, which
+        the estimate does not bound: a query that outruns the latter
+        first is given up here (None) for the caller to send to the
+        pool."""
+        started = time.monotonic()
+        counters = MatchCounters()
+        try:
+            self._engine._count_plan(
+                plan, 0, 1, counters,
+                INLINE_BUDGET if budget is None
+                else min(budget, INLINE_BUDGET),
+            )
+        except TimeoutExceeded:
+            if budget is not None and budget <= INLINE_BUDGET:
+                raise  # the query's own deadline
+            return None
+        return ParallelResult(
+            embeddings=counters.embeddings,
+            elapsed=time.monotonic() - started,
+            counters=counters,
+        )
 
     # -- mutation --------------------------------------------------------
 
@@ -357,18 +464,12 @@ class MatchService:
                 )
             self._mutating = True
         try:
-            deadline = time.monotonic() + drain_timeout
-            while True:
-                with self._lock:
-                    if self._admitted == 0:
-                        break
-                    admitted = self._admitted
-                if time.monotonic() >= deadline:
-                    raise SchedulerError(
-                        f"{admitted} queries still in flight after "
-                        f"{drain_timeout}s; mutation barrier abandoned"
-                    )
-                time.sleep(0.01)
+            admitted = self._wait_idle(time.monotonic() + drain_timeout)
+            if admitted:
+                raise SchedulerError(
+                    f"{admitted} queries still in flight after "
+                    f"{drain_timeout}s; mutation barrier abandoned"
+                )
             engine = self._engine
             result = engine._apply_local(batch)
             if self.journal is not None:
@@ -387,6 +488,16 @@ class MatchService:
         finally:
             with self._lock:
                 self._mutating = False
+
+    def _wait_idle(self, deadline: float) -> int:
+        """Wait until no admitted query holds a slot, or ``deadline``
+        (monotonic) passes; returns how many still do."""
+        while True:
+            with self._lock:
+                admitted = self._admitted
+            if admitted == 0 or time.monotonic() >= deadline:
+                return admitted
+            time.sleep(0.01)
 
     # -- standing queries ------------------------------------------------
 
@@ -509,6 +620,10 @@ class MatchService:
                 ticket.cancel()
             except Exception:
                 pass  # the query's own failure; drain marches on
+        # An inline count holds a slot but no ticket: over by now, as
+        # it is bounded by INLINE_BUDGET, unless the caller's thread
+        # is stalled — the timeout still stands.
+        self._wait_idle(deadline)
         self._workers.shutdown(wait=True)
         # Persist the registrations *before* clearing them, then seal
         # the journal: flush, fsync, close — the durable state a

@@ -124,3 +124,13 @@ def kill_mid_job(monkeypatch):
         return state
 
     return arm
+
+
+@pytest.fixture
+def pool_route(monkeypatch):
+    """Route every match-service miss to the pool as a subtree job —
+    no query is cheap enough for the inline route — for the tests that
+    pin frames, faults, deadlines or cancellation on small queries."""
+    from repro.service import service
+
+    monkeypatch.setattr(service, "INLINE_COST", 0)

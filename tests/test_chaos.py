@@ -209,7 +209,9 @@ def _run_matrix_row(executor, engine, query, channels, expected):
     def work(query_id):
         channel = QueryChannel(executor, query_id=query_id)
         try:
-            counts[query_id] = channel.count(engine, query).embeddings
+            counts[query_id] = channel.count(
+                engine, query, engine.plan(query)
+            ).embeddings
         except BaseException as exc:  # reported below, on the main thread
             errors[query_id] = exc
         finally:
@@ -396,6 +398,7 @@ def test_last_member_loss_fails_fast(chaos_instance):
         engine.close()
 
 
+@pytest.mark.usefixtures("pool_route")
 def test_last_member_lost_on_a_shared_pool_fails_both_and_heals(
     chaos_instance, kill_mid_job, monkeypatch
 ):

@@ -124,6 +124,7 @@ def _await_registration(service, query_id, ticket=None, timeout=10.0):
 # ----------------------------------------------------------------------
 
 
+@pytest.mark.usefixtures("pool_route")
 @pytest.mark.parametrize("backend", INDEX_BACKENDS)
 def test_multiplexed_queries_match_solo_counts(service_instance, backend):
     """The headline gate: three distinct queries, each submitted twice,
@@ -150,6 +151,7 @@ def test_multiplexed_queries_match_solo_counts(service_instance, backend):
         engine.close()
 
 
+@pytest.mark.usefixtures("pool_route")
 @pytest.mark.parametrize("backend", INDEX_BACKENDS)
 def test_solo_job_and_service_channel_dispatch_the_same_frames(
     service_instance, backend
@@ -194,7 +196,9 @@ def test_channel_plugs_into_the_executor_surface(service_instance):
     engine = HGMatch(data, index_backend="bitset")
     pool = ShardPool(num_shards=2, index_backend="bitset")
     try:
-        result = QueryChannel(pool).count(engine, queries[0])
+        result = QueryChannel(pool).count(
+            engine, queries[0], engine.plan(queries[0])
+        )
         assert result.embeddings == expected["bitset"][0]
         assert sorted(s.worker_id for s in result.worker_stats) == [0, 1]
         assert not pool._queries
@@ -243,10 +247,14 @@ def test_garbled_error_report_fails_the_query_not_the_pump(
             ),
         )
         with pytest.raises(SchedulerError, match="unreadable error report"):
-            QueryChannel(pool).count(engine, queries[0])
+            QueryChannel(pool).count(
+                engine, queries[0], engine.plan(queries[0])
+            )
         assert not armed and not pool._queries
         assert pool._pump.is_alive()
-        result = QueryChannel(pool).count(engine, queries[1])
+        result = QueryChannel(pool).count(
+            engine, queries[1], engine.plan(queries[1])
+        )
         assert result.embeddings == expected["bitset"][1]
     finally:
         pool.close()
@@ -278,9 +286,13 @@ def test_truncated_accounting_tail_is_a_typed_failure(
             ),
         )
         with pytest.raises(SchedulerError, match="undecodable reply"):
-            QueryChannel(pool).count(engine, queries[0])
+            QueryChannel(pool).count(
+                engine, queries[0], engine.plan(queries[0])
+            )
         assert not pool._queries and pool._pump.is_alive()
-        result = QueryChannel(pool).count(engine, queries[0])
+        result = QueryChannel(pool).count(
+            engine, queries[0], engine.plan(queries[0])
+        )
         assert result.embeddings == expected["bitset"][0]
     finally:
         pool.close()
@@ -292,6 +304,7 @@ def test_truncated_accounting_tail_is_a_typed_failure(
 # ----------------------------------------------------------------------
 
 
+@pytest.mark.usefixtures("pool_route")
 def test_overload_is_refused_with_explicit_busy(service_instance):
     """The queue_depth+1-th query gets ServiceBusy with a retry-after
     hint *immediately* — while the admitted query is still running."""
@@ -334,6 +347,7 @@ def test_overload_is_refused_with_explicit_busy(service_instance):
         engine.close()
 
 
+@pytest.mark.usefixtures("pool_route")
 def test_cancel_before_start_returns_the_slot(service_instance):
     """Cancelling a never-started ticket frees its admission slot even
     though the run body (whose finally normally does it) never ran."""
@@ -374,6 +388,7 @@ def test_cancel_before_start_returns_the_slot(service_instance):
 # ----------------------------------------------------------------------
 
 
+@pytest.mark.usefixtures("pool_route")
 def test_cache_hits_bypass_the_pool(service_instance):
     data, queries, expected = service_instance
     engine = HGMatch(data, index_backend="bitset")
@@ -418,6 +433,7 @@ def test_fingerprints_key_on_content_and_order(service_instance):
 # ----------------------------------------------------------------------
 
 
+@pytest.mark.usefixtures("pool_route")
 def test_deadline_exceeded_cancels_remotely(service_instance):
     """A blown deadline raises TimeoutExceeded, releases the query's
     pool state (CANCEL broadcast included), and the very next query —
@@ -442,6 +458,7 @@ def test_deadline_exceeded_cancels_remotely(service_instance):
         engine.close()
 
 
+@pytest.mark.usefixtures("pool_route")
 def test_client_cancel_mid_flight(service_instance):
     data, queries, expected = service_instance
     plan = FaultPlan()
@@ -471,6 +488,7 @@ def test_client_cancel_mid_flight(service_instance):
 # ----------------------------------------------------------------------
 
 
+@pytest.mark.usefixtures("pool_route")
 def test_query_pinned_drop_fails_fast_for_that_query_alone(
     service_instance,
 ):
@@ -508,6 +526,7 @@ def test_query_pinned_drop_fails_fast_for_that_query_alone(
         engine.close()
 
 
+@pytest.mark.usefixtures("pool_route")
 @pytest.mark.parametrize("fault", ["sever", "garble"])
 def test_query_pinned_connection_fault_fails_over(service_instance, fault):
     """A severed/garbled frame pinned to one query's traffic kills the
@@ -592,6 +611,7 @@ def test_match_service_refuses_to_change_a_live_services_settings(
         engine.close()
 
 
+@pytest.mark.usefixtures("pool_route")
 def test_engine_holds_one_pool(service_instance):
     """One pool per engine: the service's pool *is* the engine's, so a
     served 2-shard engine answers ``service.match`` and both solo
@@ -750,6 +770,7 @@ def test_daemon_refuses_garbage_without_dying(service_instance):
         engine.close()
 
 
+@pytest.mark.usefixtures("pool_route")
 def test_daemon_client_disconnect_cancels_the_query(service_instance):
     data, queries, expected = service_instance
     plan = FaultPlan()
@@ -779,5 +800,42 @@ def test_daemon_client_disconnect_cancels_the_query(service_instance):
         outcome = MatchClient(host, port, timeout=30.0).query(queries[0])
         assert outcome.embeddings == expected["bitset"][0]
     finally:
+        _stop_daemon(daemon, thread)
+        engine.close()
+
+
+@pytest.mark.usefixtures("pool_route")
+def test_daemon_answers_a_ticket_cancelled_before_it_started(
+    service_instance,
+):
+    """A live ticket's future is awaited on the event loop; one
+    cancelled while still backlogged gets the explicit ``cancelled``
+    reply, not a silently closed socket."""
+    data, queries, expected = service_instance
+    engine = HGMatch(data, index_backend="bitset")
+    service = MatchService(engine, shards=1, max_concurrent=1)
+    daemon, (host, port), thread = _start_daemon(service)
+    gate = threading.Event()
+    try:
+        service._workers.submit(gate.wait, 30.0)  # holds the one thread
+        buffer = io.StringIO()
+        dump_native(queries[0], buffer)
+        request = json.dumps({"query": buffer.getvalue()}) + "\n"
+        with socket.create_connection((host, port), timeout=30.0) as sock:
+            sock.sendall(request.encode("utf-8"))
+            deadline = time.monotonic() + 10.0
+            while service.in_flight != 1 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert service.in_flight == 1
+            service._tickets[-1].cancel()
+            reply = json.loads(sock.makefile("r").readline())
+        assert reply["ok"] is False and reply["cancelled"] is True
+        assert "before it started" in reply["error"]
+        assert service.in_flight == 0
+        gate.set()
+        outcome = MatchClient(host, port, timeout=30.0).query(queries[0])
+        assert outcome.embeddings == expected["bitset"][0]
+    finally:
+        gate.set()
         _stop_daemon(daemon, thread)
         engine.close()

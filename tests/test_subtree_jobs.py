@@ -252,6 +252,7 @@ def test_parts_are_a_partition_of_the_roots(instances):
 # ----------------------------------------------------------------------
 
 
+@pytest.mark.usefixtures("pool_route")
 def test_concurrent_service_queries_go_whole_to_different_members(
     instances, monkeypatch
 ):
@@ -299,6 +300,7 @@ def test_concurrent_service_queries_go_whole_to_different_members(
         engine.close()
 
 
+@pytest.mark.usefixtures("pool_route")
 def test_a_cache_hit_dispatches_nothing_and_a_miss_exactly_parts(instances):
     data, query = instances[0]
     engine = HGMatch(data, index_backend="bitset")
