@@ -25,8 +25,10 @@ test-backends:
 
 ## Shard-executor smoke: the pool subsystem across all three backends
 ## (wire format, row-range shards and their kernel, framing, handshake,
-## the one shard pool's subtree jobs over its local workers, parity) —
-## the tier-1 subset CI's shard-smoke job runs.
+## the one shard pool's subtree jobs over its local workers — the
+## coordinator's plan shipped, the funnel only when asked, a malformed
+## job refused as a typed QERROR —, parity) — the tier-1 subset CI's
+## shard-smoke job runs.
 SHARD_TESTS = tests/test_process_executor.py tests/test_sharding.py \
 	tests/test_wire_format.py \
 	tests/test_transport.py tests/test_net_executor.py \
@@ -57,7 +59,8 @@ test-elastic:
 ## (frame parity with a solo job), the always-on service (admission
 ## BUSY, deadlines, cancellation, cache, drain, query-pinned chaos
 ## isolation), the inline route for cheap misses and the line-JSON
-## daemon/client.
+## daemon/client (a query file against a dataset name is a typed
+## refusal, never a silent 0).
 test-service:
 	$(PYTHON) -m pytest -x -q tests/test_service.py tests/test_inline_route.py \
 		tests/test_transport.py

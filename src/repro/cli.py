@@ -54,7 +54,12 @@ from .hypergraph import (
     Hypergraph,
     dataset_statistics,
 )
-from .hypergraph.io import load_native, save_native
+from .hypergraph.io import (
+    check_label_types,
+    label_types,
+    load_native,
+    save_native,
+)
 from .hypergraph.sampling import query_setting, sample_query
 
 
@@ -352,6 +357,14 @@ def _load_graph(source: str) -> Hypergraph:
     return load_native(source)
 
 
+def _load_query(path: str, data: Hypergraph) -> Hypergraph:
+    """The query file at ``path``, refused (a ``QueryError``) when its
+    label type is not ``data``'s."""
+    query = load_native(path)
+    check_label_types(query, label_types(data))
+    return query
+
+
 def _cmd_datasets(out) -> int:
     for name in DATASET_ORDER:
         stats = dataset_statistics(name, load_dataset(name))
@@ -385,7 +398,7 @@ def _cmd_sample(args, out) -> int:
 
 def _cmd_plan(args, out) -> int:
     data = _load_graph(args.data)
-    query = load_native(args.query)
+    query = _load_query(args.query, data)
     engine = HGMatch(data, index_backend=args.index_backend)
     if args.explain:
         from .core.estimation import explain
@@ -413,7 +426,7 @@ def _cmd_index(args, out) -> int:
 
 def _cmd_match(args, out) -> int:
     data = _load_graph(args.data)
-    query = load_native(args.query)
+    query = _load_query(args.query, data)
     started = time.perf_counter()
     try:
         if args.engine == "HGMatch":

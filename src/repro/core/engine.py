@@ -445,25 +445,24 @@ class HGMatch:
                 # other executors; honour it here too unless the engine
                 # or call named an explicit shard count.
                 shards = workers
-            result = self.pool(shards).run(
-                self, query, order=order, time_budget=time_budget
-            )
-        elif executor == "simulated":
+            return self.pool(shards).run(
+                self, query, order=order, time_budget=time_budget,
+                counters=counters,
+            ).embeddings
+        if executor == "simulated":
             from ..parallel.simulation import SimulatedExecutor  # lazy: avoid cycle
 
             result = SimulatedExecutor(num_workers=max(workers, 1)).run(
                 self, query, order=order
             )
-        elif executor in ("sequential", "threads"):
+            if counters is not None:
+                counters.merge(result.counters)
+            return result.embeddings
+        if executor in ("sequential", "threads"):
             return None
-        else:
-            raise QueryError(
-                f"unknown executor {executor!r}; expected one of "
-                f"{_EXECUTORS}"
-            )
-        if counters is not None:
-            counters.merge(result.counters)
-        return result.embeddings
+        raise QueryError(
+            f"unknown executor {executor!r}; expected one of {_EXECUTORS}"
+        )
 
     def count(
         self,
@@ -505,9 +504,11 @@ class HGMatch:
           (:class:`repro.parallel.SimulatedExecutor`, virtual time;
           ``time_budget`` does not apply).
 
-        All executors return bit-identical counts and the same Fig. 9
-        funnel in ``counters``; ``peak_retained`` is the sum over the
-        parts (one queue per worker, Theorem VI.1).
+        All executors return bit-identical counts.  The Fig. 9 funnel is
+        filled when ``counters`` is passed — the same funnel on every
+        executor, ``peak_retained`` the sum over the parts (one queue
+        per worker, Theorem VI.1) — and not computed at all otherwise:
+        neither the threads' parts nor the pool's members build one.
         """
         if executor is None:
             executor = "threads" if workers > 1 else "sequential"
@@ -568,7 +569,11 @@ class HGMatch:
         # The step-0 partition's live rows bound the roots: parts past
         # them would be empty and charge nothing.
         parts = min(parts, max(1, plan.estimated_start_cardinality))
-        tallies = [MatchCounters() for _ in range(parts)]
+        # One funnel per part, and only for a caller who asked for one.
+        tallies = [
+            None if counters is None else MatchCounters()
+            for _ in range(parts)
+        ]
         with ThreadPoolExecutor(max_workers=parts) as threads:
             futures = [
                 threads.submit(

@@ -24,9 +24,9 @@ the :class:`Hypergraph` constructor.
 from __future__ import annotations
 
 import os
-from typing import Iterable, List, TextIO
+from typing import FrozenSet, Iterable, List, TextIO
 
-from ..errors import ParseError
+from ..errors import ParseError, QueryError
 from .hypergraph import Hypergraph
 
 
@@ -75,6 +75,31 @@ def parse_native(stream: TextIO) -> Hypergraph:
     if num_vertices < 0:
         raise ParseError("missing 'v' header record")
     return Hypergraph(labels, edges)
+
+
+def label_types(graph: Hypergraph) -> FrozenSet[str]:
+    """The names of the types of ``graph``'s vertex labels."""
+    return frozenset(type(label).__name__ for label in graph.labels)
+
+
+def check_label_types(query: Hypergraph, data_types: FrozenSet[str]) -> None:
+    """Refuse ``query`` when it has vertex labels of a type the data
+    graph (whose :func:`label_types` are ``data_types``) has none of.
+
+    Such a label equals no data label, so the query would match nothing
+    and say nothing — what happens when a query file (the native format
+    reads every label back as a string) meets a built-in dataset (int
+    labels).  Raises :class:`~repro.errors.QueryError` naming both
+    types.
+    """
+    foreign = label_types(query) - data_types
+    if foreign and data_types:
+        raise QueryError(
+            f"query vertex labels are {', '.join(sorted(foreign))} but the "
+            f"data graph's are {', '.join(sorted(data_types))}, so no label "
+            f"can match (the native format reads labels back as strings: "
+            f"give the data graph as a native file too)"
+        )
 
 
 def load_native(path: str) -> Hypergraph:

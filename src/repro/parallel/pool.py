@@ -539,6 +539,7 @@ class ShardPool:
         query: Hypergraph,
         order: "Sequence[int] | None" = None,
         time_budget: "float | None" = None,
+        counters: "MatchCounters | None" = None,
     ):
         """Execute one solo counting job — one channel, query id
         :data:`~repro.parallel.transport.SOLO_QUERY_ID` — and return its
@@ -549,7 +550,9 @@ class ShardPool:
 
         Counts are bit-identical to the sequential engine, including
         under failover, which replaces *who* answers a part but never
-        *what* the answer is.  ``time_budget`` is enforced mid-gather
+        *what* the answer is.  The Fig. 9 funnel is computed, and
+        merged into ``counters``, only when ``counters`` is passed.
+        ``time_budget`` is enforced mid-gather
         here and between blocks on the workers.  A
         job that fails with a :class:`~repro.errors.SchedulerError` on
         a pool it had to itself takes the pool down with it, cluster
@@ -561,7 +564,7 @@ class ShardPool:
             self, query_id=transport.SOLO_QUERY_ID, budget=time_budget
         )
         try:
-            return channel.count(engine, query, engine.plan(query, order))
+            return channel.count(engine, engine.plan(query, order), counters)
         except SchedulerError:
             # The channel has unregistered this job by now.
             if not self._queries:
@@ -1055,19 +1058,20 @@ class QueryChannel:
         )
         self._state = _QueryState(self.query_id, budget, cancel_event)
 
-    def _send_parts(self, query, order) -> None:
+    def _send_parts(self, plan, funnel: bool) -> None:
         """Register the query, cut it into parts and dispatch one
         SUBTREE request per part (the only place their bodies are
-        built).  Self-contained: query, order, the graph version it
-        assumes (§2.9) and what is left of the query's budget, so a
-        worker stops on its own once nobody is waiting."""
+        built).  Self-contained: the plan (query and order with it),
+        the graph version it assumes (§2.9), what is left of the
+        query's budget, so a worker stops on its own once nobody is
+        waiting, and whether the caller wants the funnel."""
         pool, state = self._pool, self._state
         remaining = (
             None if state.deadline is None
             else max(0.0, state.deadline - time.monotonic())
         )
         job = pickle.dumps(
-            (query, order, pool._graph.version, remaining),
+            (plan, pool._graph.version, remaining, funnel),
             protocol=pickle.HIGHEST_PROTOCOL,
         )
         with pool._lock:
@@ -1192,26 +1196,32 @@ class QueryChannel:
                 silent.append(part)
         return silent
 
-    def count(self, engine, query, plan) -> ParallelResult:
-        """Count ``query`` as one **subtree job** along ``plan``
-        (``engine.plan(query, order)``; its order is the one sent).
+    def count(
+        self, engine, plan, counters: "MatchCounters | None" = None
+    ) -> ParallelResult:
+        """Count ``plan``'s query (``engine.plan(query, order)``) as one
+        **subtree job** along it.
 
         The paper's Sec. VI task model on this pool: every worker holds
         the whole graph, so a query is cut at the root — into as many
         parts as :meth:`ShardPool._parts` finds members free for it —
         and each chosen member is sent one self-contained SUBTREE
-        request, runs :meth:`~repro.core.engine.HGMatch.count_part`
-        (the sequential block-DFS, below every ``parts``-th root
-        candidate) and answers one REPLY with its count and accounting.
+        request carrying the plan, runs that plan's sequential
+        block-DFS below every ``parts``-th root candidate (what
+        :meth:`~repro.core.engine.HGMatch.count_part` runs, minus the
+        planning) and answers one REPLY with its count and accounting.
         Same store version ⇒ the same ascending root tuple on every
         member, so no edge id is shipped; two frames per member per
         query, nothing composed here, no session state there.
 
         The channel's budget and cancel flag are enforced mid-gather
         (:meth:`_gather_iter`) and the budget also travels in the
-        request.  ``counters`` of the parts add up to the sequential
-        engine's (only part 0 charges the step-0 scan and the root
-        task); ``worker_stats`` holds one entry per part, in part
+        request.  The result's count is the sum of the parts' counts.
+        The Fig. 9 funnel is computed only when ``counters`` is passed:
+        the parts' funnels are merged into it — they add up to the
+        sequential engine's, only part 0 charging the step-0 scan and
+        the root task — and it is the result's ``counters`` (else
+        None).  ``worker_stats`` holds one entry per part, in part
         order, each stamped with the shard id of the member that ran it.
         Answered or not, the query is unregistered on the way out.
         """
@@ -1227,18 +1237,20 @@ class QueryChannel:
             )
         started = time.monotonic()
         try:
-            self._send_parts(query, plan.order)
+            self._send_parts(plan, counters is not None)
             answers = dict(self._gather_iter())
         finally:
             self._release()
-        counters = MatchCounters()
+        embeddings = 0
         worker_stats = []
         for part in sorted(answers):
-            _, part_counters, stats = answers[part]
-            counters.merge(part_counters)
+            part_embeddings, part_counters, stats = answers[part]
+            embeddings += part_embeddings
+            if counters is not None:
+                counters.merge(part_counters)
             worker_stats.append(stats)
         return ParallelResult(
-            embeddings=counters.embeddings,
+            embeddings=embeddings,
             elapsed=time.monotonic() - started,
             counters=counters,
             worker_stats=worker_stats,

@@ -125,7 +125,11 @@ class RetryPolicy:
 
 @dataclass
 class WorkerStats:
-    """Per-worker accounting used by the load-balancing experiment."""
+    """Per-worker accounting used by the load-balancing experiment.
+
+    A pool member fills ``busy_time``, ``cpu_time`` and ``embeddings``
+    for every part; ``tasks_executed`` is read off the part's funnel,
+    so it stays 0 when the request asked for none."""
 
     worker_id: int
     tasks_executed: int = 0
@@ -191,7 +195,9 @@ class ParallelResult:
 
     embeddings: int
     elapsed: float
-    counters: MatchCounters
+    #: The Fig. 9 funnel: the caller's ``MatchCounters`` when it passed
+    #: one (the parts' funnels merged in), else None — nothing built.
+    counters: "MatchCounters | None"
     worker_stats: List[WorkerStats] = field(default_factory=list)
 
     def load_imbalance(self) -> float:

@@ -37,10 +37,11 @@ byte    name     body
 ======  =======  ===========================================================
 ``H``   HELLO    pickled handshake dict (worker -> coordinator on accept)
 ``T``   SUBTREE  ``u64 query_id`` + ``u32 part`` + ``u32 parts`` + pickled
-        ``(query, order, graph_version, budget)`` — a whole counting job
-        over every ``parts``-th root candidate from ``part``, answered
-        with one REPLY carrying the count and accounting; no session
-        state (see :func:`encode_subtree_body`)
+        ``(plan, graph_version, budget, funnel)`` — a whole counting
+        job over every ``parts``-th root candidate from ``part`` along
+        the coordinator's ``ExecutionPlan``, answered with one REPLY
+        carrying the count and accounting; no session state (see
+        :func:`encode_subtree_body`)
 ``R``   REPLY    ``u64 query_id`` + binary reply (see
         :func:`encode_level_reply`)
 ``e``   QERROR   ``u64 query_id`` + pickled traceback string — fails
@@ -94,7 +95,7 @@ from ..errors import TransportError
 #: level-reply layout).  Independent from the candidate-payload
 #: ``WIRE_VERSION``: a framing change does not invalidate archived
 #: payloads, and a payload change is caught per-payload.
-PROTOCOL_VERSION = 5
+PROTOCOL_VERSION = 6
 
 #: Upper bound on a single frame's ``length`` field.  A CATCHUP snapshot
 #: (a pickled graph) is the largest message in practice, so anything
@@ -243,7 +244,7 @@ _SUBTREE_PART = struct.Struct("<II")
 def encode_subtree_body(part: int, parts: int, job: bytes) -> bytes:
     """SUBTREE body after the query tag: which slice of the root
     candidates — every ``parts``-th from ``part`` — then ``job``, the
-    pickled ``(query, order, graph_version, budget)`` that all parts of
+    pickled ``(plan, graph_version, budget, funnel)`` that all parts of
     one query share (so it is pickled once per query, not per part)."""
     if not 0 <= part < parts:
         raise TransportError(f"subtree part {part} outside 0..{parts - 1}")
@@ -252,7 +253,9 @@ def encode_subtree_body(part: int, parts: int, job: bytes) -> bytes:
 
 def decode_subtree_body(body: bytes):
     """Inverse of :func:`encode_subtree_body`, ``job`` unpickled:
-    ``(part, parts, query, order, graph_version, budget)``."""
+    ``(part, parts, plan, graph_version, budget, funnel)``.  Only the
+    shape is checked here; what the four fields hold is the worker's
+    to judge (a bad one fails that query, not the session)."""
     if len(body) < _SUBTREE_PART.size:
         raise TransportError(
             f"subtree body of {len(body)} bytes is shorter than its "
@@ -264,7 +267,7 @@ def decode_subtree_body(body: bytes):
     job = decode_pickle_body(body[_SUBTREE_PART.size:])
     if not isinstance(job, tuple) or len(job) != 4:
         raise TransportError(
-            "subtree job is not a (query, order, graph_version, budget) tuple"
+            "subtree job is not a (plan, graph_version, budget, funnel) tuple"
         )
     return (part, parts) + job
 
@@ -353,7 +356,8 @@ def decode_pickle_body(body: bytes):
 #
 #     u64 embeddings          the part's count
 #     u8  has_accounting      1 when the pickled (counters, stats) tail
-#                             is present (always, on a subtree reply)
+#                             is present (always, on a subtree reply;
+#                             counters is None when no funnel was asked)
 #     u32 num_payloads        one slot per frontier partial (0 on a
 #                             subtree reply)
 #     per payload:
@@ -431,8 +435,9 @@ def decode_level_reply(
 
 def decode_reply(body: bytes):
     """Decode the body of a subtree REPLY into ``(embeddings, counters,
-    stats)``: the part's count and its accounting.  Every way the body
-    can be undecodable surfaces as :class:`TransportError`."""
+    stats)``: the part's count and its accounting — ``counters`` is
+    None when the request asked for no funnel.  Every way the body can
+    be undecodable surfaces as :class:`TransportError`."""
     _, embeddings, tail = decode_level_reply(body)
     if tail is None:
         raise TransportError("subtree reply carries no accounting")

@@ -26,8 +26,9 @@ import traceback
 from dataclasses import dataclass
 from typing import Mapping, Tuple
 
-from ..core.counters import WORK_UNIT_MODELS, MatchCounters
+from ..core.counters import MatchCounters
 from ..core.engine import HGMatch
+from ..core.plan import ExecutionPlan
 from ..errors import SchedulerError, TransportError
 from ..hypergraph import Hypergraph, PartitionedStore
 from ..hypergraph.dynamic import apply_batch
@@ -85,9 +86,9 @@ class ShardDescriptor:
     The name is ``shard_id`` — the slot a spawner, a supervisor or a
     registry knows the worker by; any two members are interchangeable
     (each holds the whole graph), so the name never changes what a
-    member computes.  ``index_backend`` must match (the
-    worker plans with it), and ``graph_edges`` / ``graph_vertices`` /
-    ``graph_version`` fingerprint the data graph: a worker of another
+    member computes.  ``index_backend`` must match (the coordinator's
+    plans are built for it), and ``graph_edges`` / ``graph_vertices``
+    / ``graph_version`` fingerprint the data graph: a worker of another
     graph would count silently wrong, and one that missed a MUTATE is
     caught up or refused.  All fields are plain ints/str so the
     descriptor crosses any serialisation boundary.
@@ -399,14 +400,34 @@ class ShardWorker:
         return f"[shard {self.shard_id}] " + traceback.format_exc()
 
     def _run_subtree(self, body: bytes):
-        """One subtree request: plan the query, run the block-DFS below
-        this part's slice of the root candidates, count.  ``budget``
-        (seconds, or None) bounds how long a query nobody waits for any
-        more — expired, cancelled — can occupy this worker.  Returns
-        ``(embeddings, counters, stats)``."""
-        part, parts, query, order, job_version, budget = (
+        """One subtree request: run the coordinator's plan — no planning
+        here — below this part's slice of the root candidates, count.
+        ``budget`` (seconds, or None) bounds how long a query nobody
+        waits for any more — expired, cancelled — can occupy this
+        worker.  The Fig. 9 funnel is computed only when the request's
+        ``funnel`` bit asks for it; otherwise ``counters`` is None and
+        ``stats.tasks_executed`` stays 0.  A job this worker cannot
+        run as sent — no plan, a plan of another backend, a funnel bit
+        that is not a bool, another graph version — fails its query.
+        Returns ``(embeddings, counters, stats)``."""
+        part, parts, plan, job_version, budget, funnel = (
             transport.decode_subtree_body(body)
         )
+        if not isinstance(plan, ExecutionPlan):
+            raise SchedulerError(
+                f"subtree job's plan is of type {type(plan).__name__}, "
+                f"not ExecutionPlan"
+            )
+        if plan.index_backend != self.index_backend:
+            raise SchedulerError(
+                f"plan was built for the {plan.index_backend!r} backend, "
+                f"worker serves {self.index_backend!r}"
+            )
+        if not isinstance(funnel, bool):
+            raise SchedulerError(
+                f"subtree job's funnel bit is of type "
+                f"{type(funnel).__name__}, not bool"
+            )
         # The coordinator stamps the graph version the query assumes
         # (§2.9); adding up counts across versions would silently
         # mis-count, so a stale worker fails the query.
@@ -416,16 +437,16 @@ class ShardWorker:
                 f"query assumes graph version {job_version}, "
                 f"worker holds {have} (missed MUTATE?)"
             )
-        counters = MatchCounters()
-        counters.note_work_model(WORK_UNIT_MODELS.get(self.index_backend, ""))
+        counters = MatchCounters() if funnel else None
         stats = WorkerStats(worker_id=self.shard_id)
         started, started_cpu = time.perf_counter(), time.thread_time()
-        embeddings = self._subtree_engine().count_part(
-            query, order, part, parts, counters, budget
+        embeddings = self._subtree_engine()._count_plan(
+            plan, part, parts, counters, budget
         )
         stats.busy_time = time.perf_counter() - started
         stats.cpu_time = time.thread_time() - started_cpu
-        stats.tasks_executed = counters.tasks
+        if counters is not None:
+            stats.tasks_executed = counters.tasks
         stats.embeddings = embeddings
         return embeddings, counters, stats
 

@@ -6,8 +6,10 @@ native text, the reply decoded back into either a
 :class:`QueryOutcome` or the matching typed error —
 :class:`~repro.errors.ServiceBusy` for an admission refusal,
 :class:`~repro.errors.QueryCancelled`,
-:class:`~repro.errors.TimeoutExceeded` for a blown deadline, and
-:class:`~repro.errors.ReproError` for everything else.  The client
+:class:`~repro.errors.TimeoutExceeded` for a blown deadline,
+:class:`~repro.errors.QueryError` for a query the served graph's
+label type refuses, and :class:`~repro.errors.ReproError` for
+everything else.  The client
 holds no long-lived state, so it is safe to share across threads and
 to retry after a BUSY refusal.
 """
@@ -22,6 +24,7 @@ from typing import Optional, Sequence, Tuple
 
 from ..errors import (
     QueryCancelled,
+    QueryError,
     ReproError,
     ServiceBusy,
     TimeoutExceeded,
@@ -254,6 +257,8 @@ class MatchClient:
             exc = TimeoutExceeded(0.0, 0.0)
             exc.args = (payload.get("error", "query deadline exceeded"),)
             raise exc
+        if payload.get("query_error"):
+            raise QueryError(payload.get("error", "query refused"))
         raise ReproError(payload.get("error", "match service error"))
 
     def _decode(self, reply: bytes) -> QueryOutcome:

@@ -31,7 +31,13 @@ hang or a silent drop:
     S: {"ok": false, "busy": true, "retry_after": 0.25, "depth": 8}
     S: {"ok": false, "deadline_exceeded": true, "error": "..."}
     S: {"ok": false, "cancelled": true, "error": "..."}
+    S: {"ok": false, "query_error": true, "error": "..."}
     S: {"ok": false, "error": "..."}
+
+``query_error`` refuses a ``query`` or ``standing`` query whose vertex
+labels are of a type the served graph's are not (the native text is
+read back with string labels, a built-in dataset has int ones): it
+could match nothing, so it is refused instead of answered with 0.
 
 The daemon owns a :class:`~repro.service.service.MatchService` and
 awaits a live ticket's future on the event loop through
@@ -57,12 +63,13 @@ import time
 
 from ..errors import (
     QueryCancelled,
+    QueryError,
     ReproError,
     ServiceBusy,
     TimeoutExceeded,
 )
 from ..hypergraph.dynamic import MutationBatch
-from ..hypergraph.io import parse_native
+from ..hypergraph.io import check_label_types, label_types, parse_native
 from .service import MatchService
 
 #: Refuse request lines longer than this many bytes (a query graph in
@@ -96,8 +103,21 @@ class MatchDaemon:
         self._stop = None
         self._loop = None
         self.queries_served = 0
+        #: The served graph's label types, as last read.
+        self._label_types = frozenset()
 
     # -- per-connection protocol ----------------------------------------
+
+    def _check_labels(self, query) -> None:
+        """Refuse (``QueryError``) a query whose vertex labels are of a
+        type the served graph's are not — a query over the wire always
+        has string labels, a built-in dataset int ones, and such a
+        query would answer a silent 0.  A graph only gains vertices, so
+        its label types only grow: they are re-read only when a query
+        has one the last reading lacked."""
+        if not label_types(query) <= self._label_types:
+            self._label_types = label_types(self.service._engine.data)
+            check_label_types(query, self._label_types)
 
     async def _handle(self, reader, writer) -> None:
         try:
@@ -150,6 +170,10 @@ class MatchDaemon:
             deadline = request.get("deadline")
         except (KeyError, TypeError, ValueError, ReproError) as exc:
             return {"ok": False, "error": f"bad request: {exc}"}
+        try:
+            self._check_labels(query)
+        except QueryError as exc:
+            return {"ok": False, "query_error": True, "error": str(exc)}
 
         try:
             ticket = self.service.submit(
@@ -237,6 +261,10 @@ class MatchDaemon:
             order = request.get("order")
         except (KeyError, TypeError, ValueError, ReproError) as exc:
             return {"ok": False, "error": f"bad request: {exc}"}
+        try:
+            self._check_labels(query)
+        except QueryError as exc:
+            return {"ok": False, "query_error": True, "error": str(exc)}
         try:
             handle = self.service.register_standing(query, order=order)
         except ServiceBusy as exc:

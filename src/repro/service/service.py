@@ -27,11 +27,14 @@ operation:
 * **Inline** — a miss is planned once, by :meth:`MatchService.submit`;
   when :func:`~repro.core.estimation.estimate_order` puts the plan
   below :data:`INLINE_COST`, the submitting thread counts it on the
-  service's own engine (the sequential ``count_part``) and the ticket
-  is born finished — no thread hop, no frame, and a service that only
-  ever sees such queries never spawns a worker.  Every costlier miss
-  goes to a service thread and on to the pool as a subtree job
-  carrying the same plan.  The estimate is an average, not a bound,
+  service's own engine (the sequential ``count_part``, no funnel) and
+  the ticket is born finished — no thread hop, no frame, and a service
+  that only ever sees such queries never spawns a worker.  Every
+  costlier miss goes to a service thread and on to the pool as a
+  subtree job carrying the same plan and asking for no funnel either:
+  a served result's ``counters`` is None (a caller who wants the Fig. 9
+  funnel asks the engine, ``engine.count(q, counters=c,
+  executor=...)``).  The estimate is an average, not a bound,
   so the inline count also stops at :data:`INLINE_BUDGET` (checked
   between blocks, like the deadline) and hands the plan to the pool
   route instead.  The one difference: an inline query cannot be
@@ -53,7 +56,6 @@ from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from typing import Optional, Sequence, Tuple
 
-from ..core.counters import MatchCounters
 from ..core.estimation import estimate_order
 from ..errors import (
     QueryCancelled,
@@ -366,7 +368,7 @@ class MatchService:
             budget -= time.monotonic() - started
         cancel_event = threading.Event()
         future = self._workers.submit(
-            self._run, query, plan, budget, cancel_event, key
+            self._run, plan, budget, cancel_event, key
         )
         ticket = MatchTicket(
             future, cancel_event, on_abandoned=self._release_slot
@@ -391,15 +393,14 @@ class MatchService:
         with self._lock:
             self._admitted -= 1
 
-    def _run(self, query, plan, budget, cancel_event, key):
-        """A service thread's body: ``plan`` as one subtree job."""
+    def _run(self, plan, budget, cancel_event, key):
+        """A service thread's body: ``plan`` as one subtree job, no
+        funnel."""
         try:
             channel = QueryChannel(
                 self.pool, budget=budget, cancel_event=cancel_event
             )
-            return self._remember(
-                key, channel.count(self._engine, query, plan)
-            )
+            return self._remember(key, channel.count(self._engine, plan))
         finally:
             self._release_slot()
 
@@ -413,17 +414,16 @@ class MatchService:
 
     def _count_inline(self, plan, budget) -> "ParallelResult | None":
         """Count a cheap query on the submitting thread: the sequential
-        ``count_part`` of ``plan`` with the full funnel — no thread hop,
-        no frames, no workers.  The clock is checked between blocks
+        ``count_part`` of ``plan``, no funnel — no thread hop, no
+        frames, no workers.  The clock is checked between blocks
         against ``budget`` and against :data:`INLINE_BUDGET`, which
         the estimate does not bound: a query that outruns the latter
         first is given up here (None) for the caller to send to the
         pool."""
         started = time.monotonic()
-        counters = MatchCounters()
         try:
-            self._engine._count_plan(
-                plan, 0, 1, counters,
+            embeddings = self._engine._count_plan(
+                plan, 0, 1, None,
                 INLINE_BUDGET if budget is None
                 else min(budget, INLINE_BUDGET),
             )
@@ -432,9 +432,9 @@ class MatchService:
                 raise  # the query's own deadline
             return None
         return ParallelResult(
-            embeddings=counters.embeddings,
+            embeddings=embeddings,
             elapsed=time.monotonic() - started,
-            counters=counters,
+            counters=None,
         )
 
     # -- mutation --------------------------------------------------------

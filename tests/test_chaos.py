@@ -210,7 +210,7 @@ def _run_matrix_row(executor, engine, query, channels, expected):
         channel = QueryChannel(executor, query_id=query_id)
         try:
             counts[query_id] = channel.count(
-                engine, query, engine.plan(query)
+                engine, engine.plan(query)
             ).embeddings
         except BaseException as exc:  # reported below, on the main thread
             errors[query_id] = exc

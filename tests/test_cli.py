@@ -314,6 +314,52 @@ class TestMatch:
         assert "error:" in output
 
 
+class TestLabelTypes:
+    """A query file reads its labels back as strings; a built-in
+    dataset has int labels.  ``match`` and ``plan`` refuse the pair
+    (``error: ...``, exit 1) instead of answering a silent 0; with the
+    data as a native file too, both sides agree and the count is the
+    true one."""
+
+    @pytest.fixture
+    def sampled(self, tmp_path):
+        path = str(tmp_path / "q.hg")
+        code, _ = run_cli(
+            "sample", "SB", "--setting", "q3", "--seed", "7", "--out", path
+        )
+        assert code == 0
+        return path
+
+    @pytest.mark.parametrize("command", ["match", "plan"])
+    def test_a_dataset_name_with_a_query_file_is_refused(
+        self, sampled, command
+    ):
+        code, output = run_cli(command, "SB", sampled)
+        assert code == 1
+        assert output.startswith(
+            "error: query vertex labels are str but the data graph's "
+            "are int"
+        )
+
+    def test_both_as_native_files_count_the_true_count(
+        self, tmp_path, sampled
+    ):
+        from repro import HGMatch, Hypergraph
+        from repro.datasets import load_dataset
+        from repro.hypergraph.io import load_native
+
+        data = load_dataset("SB")
+        query = load_native(sampled)
+        true_count = HGMatch(data).count(Hypergraph(
+            [int(label) for label in query.labels], query.edges
+        ))
+        data_path = str(tmp_path / "sb.hg")
+        save_native(data, data_path)
+        code, output = run_cli("match", data_path, sampled)
+        assert code == 0
+        assert int(output.split()[0]) == true_count > 0
+
+
 class TestPoolSizeFlags:
     """The pool is one number: ``--shards N`` workers, all
     interchangeable (``--hosts`` fixes N to the address count)."""

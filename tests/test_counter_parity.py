@@ -136,3 +136,30 @@ def test_count_only_path_still_times_out(trace):
     name, query = max(trace, key=lambda item: item[1].num_edges)
     with pytest.raises(TimeoutExceeded):
         HGMatch(load_dataset(name)).count(query, time_budget=0.0)
+
+
+@pytest.mark.parametrize("spelling", [
+    dict(executor="processes"),
+    dict(executor="threads", workers=2),
+])
+def test_a_caller_without_counters_gets_the_count_and_no_funnel(
+    trace, monkeypatch, spelling
+):
+    """No counters, no funnel: neither the engine nor a thread part nor
+    a pool member builds a ``MatchCounters``, and the count is the
+    sequential one.  The patched constructor raises, so one built in a
+    member (forked after the patch) fails the query as a QERROR."""
+    engines = {name: HGMatch(load_dataset(name), shards=2) for name, _ in trace}
+    try:
+        expected = [engines[name].count(query) for name, query in trace]
+
+        def no_funnel(self, *args, **kwargs):
+            raise AssertionError("a MatchCounters was built")
+
+        monkeypatch.setattr(MatchCounters, "__init__", no_funnel)
+        assert [
+            engines[name].count(query, **spelling) for name, query in trace
+        ] == expected
+    finally:
+        for engine in engines.values():
+            engine.close()

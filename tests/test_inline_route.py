@@ -27,6 +27,7 @@ from repro.errors import ReproError, TimeoutExceeded
 from repro.hypergraph import INDEX_BACKENDS, Hypergraph, MutationBatch
 from repro.hypergraph.generators import generate_hypergraph
 from repro.hypergraph.sampling import QuerySetting, sample_query
+from repro.parallel import QueryChannel
 from repro.service import MatchClient, MatchService
 from repro.service import service as service_module
 from repro.service.service import INLINE_COST
@@ -99,7 +100,8 @@ def test_cheap_queries_count_inline_exactly_without_workers(
             assert engine.count_part(query, counters=funnel) == (
                 result.embeddings
             )
-            assert result.counters == funnel
+            # A served result carries no funnel; the engine has it.
+            assert result.counters is None
             assert result.worker_stats == []
         assert service.pool.dispatched_frames == 0
         assert multiprocessing.active_children() == []
@@ -248,6 +250,12 @@ def test_a_heavy_query_still_sends_exactly_parts_frames(instance, backend):
             assert service.pool.dispatched_frames == frames + 2
             assert len(result.worker_stats) == 2
             assert result.embeddings == oracle_count(data, query)
+            # Served without a funnel; a channel asked for one gets the
+            # sequential engine's.
+            assert result.counters is None
+            result = QueryChannel(service.pool).count(
+                engine, engine.plan(query), counters=MatchCounters()
+            )
             funnel = MatchCounters()
             engine.count_part(query, counters=funnel)
             assert [getattr(result.counters, name) for name in FUNNEL] == [

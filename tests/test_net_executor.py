@@ -525,13 +525,11 @@ def test_worker_reports_enumeration_errors(workload_instances):
         with socket.create_connection(address, timeout=5.0) as sock:
             kind, _ = transport.recv_frame(sock)
             assert kind == transport.MSG_HELLO
-            # A query the worker cannot plan -> worker-side error.
-            disconnected = Hypergraph(
-                labels=["A", "A", "A", "A"], edges=[{0, 1}, {2, 3}]
-            )
+            # A plan whose budget is spent -> worker-side error.
+            plan = engine.plan(query)
 
-            def ask(query_id, asked):
-                job = pickle.dumps((asked, None, 0, None))
+            def ask(query_id, budget):
+                job = pickle.dumps((plan, 0, budget, True))
                 transport.send_frame(
                     sock, transport.MSG_SUBTREE,
                     transport.encode_query_body(
@@ -543,12 +541,12 @@ def test_worker_reports_enumeration_errors(workload_instances):
                 assert query_id_back == query_id
                 return kind, rest
 
-            kind, text = ask(7, disconnected)
+            kind, text = ask(7, 0.0)
             assert kind == transport.MSG_QERROR
             assert "Traceback" in pickle.loads(text)
-            assert "connected query" in pickle.loads(text)
+            assert "TimeoutExceeded" in pickle.loads(text)
             # The connection outlives the failed query.
-            kind, reply = ask(9, query)
+            kind, reply = ask(9, None)
             assert kind == transport.MSG_LEVEL_REPLY
             embeddings, _counters, stats = transport.decode_reply(reply)
             assert embeddings == engine.count(query) == stats.embeddings
@@ -661,8 +659,8 @@ def test_results_are_reproducible_across_runs(workload_instances):
     data, query = workload_instances[1]
     engine = HGMatch(data, index_backend="adaptive", shards=2)
     try:
-        first = engine.pool().run(engine, query)
-        second = engine.pool().run(engine, query)
+        first = engine.pool().run(engine, query, counters=MatchCounters())
+        second = engine.pool().run(engine, query, counters=MatchCounters())
         assert first.embeddings == second.embeddings
         assert first.counters.as_row() == second.counters.as_row()
         assert [s.embeddings for s in first.worker_stats] == [

@@ -118,8 +118,8 @@ def test_results_are_reproducible_across_runs(workload_instances):
     data, query = workload_instances[1]
     engine = HGMatch(data, index_backend="adaptive", shards=2)
     try:
-        first = engine.pool().run(engine, query)
-        second = engine.pool().run(engine, query)
+        first = engine.pool().run(engine, query, counters=MatchCounters())
+        second = engine.pool().run(engine, query, counters=MatchCounters())
         assert first.embeddings == second.embeddings
         assert first.counters.as_row() == second.counters.as_row()
         assert [s.embeddings for s in first.worker_stats] == [

@@ -197,7 +197,7 @@ def test_channel_plugs_into_the_executor_surface(service_instance):
     pool = ShardPool(num_shards=2, index_backend="bitset")
     try:
         result = QueryChannel(pool).count(
-            engine, queries[0], engine.plan(queries[0])
+            engine, engine.plan(queries[0])
         )
         assert result.embeddings == expected["bitset"][0]
         assert sorted(s.worker_id for s in result.worker_stats) == [0, 1]
@@ -248,12 +248,12 @@ def test_garbled_error_report_fails_the_query_not_the_pump(
         )
         with pytest.raises(SchedulerError, match="unreadable error report"):
             QueryChannel(pool).count(
-                engine, queries[0], engine.plan(queries[0])
+                engine, engine.plan(queries[0])
             )
         assert not armed and not pool._queries
         assert pool._pump.is_alive()
         result = QueryChannel(pool).count(
-            engine, queries[1], engine.plan(queries[1])
+            engine, engine.plan(queries[1])
         )
         assert result.embeddings == expected["bitset"][1]
     finally:
@@ -287,11 +287,11 @@ def test_truncated_accounting_tail_is_a_typed_failure(
         )
         with pytest.raises(SchedulerError, match="undecodable reply"):
             QueryChannel(pool).count(
-                engine, queries[0], engine.plan(queries[0])
+                engine, engine.plan(queries[0])
             )
         assert not pool._queries and pool._pump.is_alive()
         result = QueryChannel(pool).count(
-            engine, queries[0], engine.plan(queries[0])
+            engine, engine.plan(queries[0])
         )
         assert result.embeddings == expected["bitset"][0]
     finally:
@@ -719,6 +719,53 @@ def _stop_daemon(daemon, thread):
     daemon.request_stop()
     thread.join(timeout=60.0)
     assert not thread.is_alive()
+
+
+def test_a_dataset_name_served_with_a_query_file_never_answers_zero(
+    tmp_path,
+):
+    """A built-in dataset (int labels, what ``serve-match SB`` loads)
+    asked with a ``repro sample`` query file (labels read back as
+    strings): the daemon answers the true count or a typed refusal —
+    never the silent 0 no signature match gives — and ``repro query``
+    prints the refusal and exits 1.  Nothing reaches the pool."""
+    from repro.cli import main
+    from repro.datasets import load_dataset
+    from repro.hypergraph import Hypergraph
+    from repro.hypergraph.io import load_native
+
+    query_path = str(tmp_path / "q.hg")
+    assert main(
+        ["sample", "SB", "--setting", "q3", "--seed", "7",
+         "--out", query_path], out=io.StringIO(),
+    ) == 0
+    query = load_native(query_path)
+    data = load_dataset("SB")
+    true_count = HGMatch(data).count(Hypergraph(
+        [int(label) for label in query.labels], query.edges
+    ))
+    assert true_count > 0
+    engine = HGMatch(data)
+    service = MatchService(engine, shards=2)
+    daemon, (host, port), thread = _start_daemon(service)
+    try:
+        try:
+            outcome = MatchClient(host, port, timeout=30.0).query(query)
+        except QueryError as exc:
+            assert "labels are str but the data graph's are int" in str(exc)
+        else:
+            assert outcome.embeddings == true_count
+        out = io.StringIO()
+        code = main(
+            ["query", query_path, "--connect", f"{host}:{port}"], out=out
+        )
+        assert code == 1
+        assert out.getvalue().startswith("error: query vertex labels")
+        assert service.pool.dispatched_frames == 0
+    finally:
+        _stop_daemon(daemon, thread)
+        service.close()
+        engine.close()
 
 
 def test_daemon_round_trip_cache_and_graceful_stop(service_instance):

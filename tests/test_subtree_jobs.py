@@ -21,6 +21,7 @@ import random
 import socket
 import threading
 import time
+from contextlib import contextmanager
 
 import pytest
 
@@ -99,7 +100,9 @@ def test_counts_and_funnel_match_the_sequential_merge_engine(
             reordered += orders[1] is not None
             for order in orders[: 1 + (orders[1] is not None)]:
                 before = pool.dispatched_frames
-                result = pool.run(engine, query, order=order)
+                result = pool.run(
+                    engine, query, order=order, counters=MatchCounters()
+                )
                 count, funnel = oracle(data, query, order)
                 assert result.embeddings == count
                 assert tuple(
@@ -194,7 +197,7 @@ def test_fewer_roots_than_members_leaves_parts_empty(fig1_data, fig1_query):
     engine = HGMatch(fig1_data, index_backend="bitset")
     pool = ShardPool(num_shards=4, index_backend="bitset")
     try:
-        result = pool.run(engine, fig1_query)
+        result = pool.run(engine, fig1_query, counters=MatchCounters())
         assert result.embeddings == count
         assert tuple(
             getattr(result.counters, name) for name in FUNNEL
@@ -350,7 +353,7 @@ def test_killed_member_is_covered_by_the_survivor_without_a_respawn(
     try:
         assert pool.run(engine, query).embeddings == count
         state = kill_mid_job(pool, 1)
-        result = pool.run(engine, query)
+        result = pool.run(engine, query, counters=MatchCounters())
         assert state["killed"] and result.embeddings == count
         assert tuple(
             getattr(result.counters, name) for name in FUNNEL
@@ -446,20 +449,20 @@ def test_an_exhausted_budget_is_a_timeout_before_anything_is_sent(instances):
         engine.close()
 
 
-def _subtree_frame(query_id, query, order, version, budget, part=0, parts=1):
-    job = pickle.dumps((query, order, version, budget))
+def _subtree_frame(
+    query_id, plan, version, budget, part=0, parts=1, funnel=True
+):
+    job = pickle.dumps((plan, version, budget, funnel))
     return transport.encode_query_body(
         query_id, transport.encode_subtree_body(part, parts, job)
     )
 
 
-def test_worker_enforces_the_budget_and_the_graph_version(instances):
-    """At the wire: a request whose budget is spent, or that assumes a
-    graph version the worker does not hold, is a QERROR naming the
-    worker — and the session keeps serving."""
-    data, query = instances[0]
-    count, _ = oracle(data, query)
-    order = tuple(HGMatch(data).plan(query).order)
+@contextmanager
+def _worker_session(data):
+    """One session with an in-thread ``bitset`` worker named 1: yields
+    ``ask(plan, version, budget, ...)``, which sends one SUBTREE tagged
+    query 7 and returns the answer's ``(kind, body after the tag)``."""
     worker = ShardWorker(data, 1, index_backend="bitset")
     address = worker.bind()
     thread = threading.Thread(
@@ -473,41 +476,93 @@ def test_worker_enforces_the_budget_and_the_graph_version(instances):
             def ask(*args, **kwargs):
                 transport.send_frame(
                     sock, transport.MSG_SUBTREE,
-                    _subtree_frame(7, query, order, *args, **kwargs),
+                    _subtree_frame(7, *args, **kwargs),
                 )
                 kind, body = transport.recv_frame(sock)
                 query_id, rest = transport.split_query_body(body)
                 assert query_id == 7
                 return kind, rest
 
-            kind, rest = ask(0, 0.0)
-            assert kind == transport.MSG_QERROR
-            report = pickle.loads(rest)
-            assert "TimeoutExceeded" in report
-            assert report.startswith("[shard 1]")
-            kind, rest = ask(5, None)
-            assert kind == transport.MSG_QERROR
-            assert "missed MUTATE?" in pickle.loads(rest)
-            # The worker's one store answers either half; they add up.
-            total = 0
-            for part in range(2):
-                kind, rest = ask(0, None, part, 2)
-                assert kind == transport.MSG_LEVEL_REPLY
-                embeddings, counters, stats = transport.decode_reply(rest)
-                assert counters.embeddings == embeddings == stats.embeddings
-                assert stats.worker_id == 1
-                total += embeddings
-            assert total == count
+            yield ask
     finally:
         worker.close()
         thread.join(timeout=5.0)
 
 
+def test_worker_enforces_the_budget_and_the_graph_version(instances):
+    """At the wire: a request whose budget is spent, or that assumes a
+    graph version the worker does not hold, is a QERROR naming the
+    worker — and the session keeps serving."""
+    data, query = instances[0]
+    count, _ = oracle(data, query)
+    plan = HGMatch(data, index_backend="bitset").plan(query)
+    with _worker_session(data) as ask:
+        kind, rest = ask(plan, 0, 0.0)
+        assert kind == transport.MSG_QERROR
+        report = pickle.loads(rest)
+        assert "TimeoutExceeded" in report
+        assert report.startswith("[shard 1]")
+        kind, rest = ask(plan, 5, None)
+        assert kind == transport.MSG_QERROR
+        assert "missed MUTATE?" in pickle.loads(rest)
+        # The worker's one store answers either half; they add up.
+        total = 0
+        for part in range(2):
+            kind, rest = ask(plan, 0, None, part, 2)
+            assert kind == transport.MSG_LEVEL_REPLY
+            embeddings, counters, stats = transport.decode_reply(rest)
+            assert counters.embeddings == embeddings == stats.embeddings
+            assert stats.worker_id == 1
+            total += embeddings
+        assert total == count
+
+
+def test_worker_counts_the_shipped_plan_and_refuses_a_malformed_job(
+    instances, monkeypatch
+):
+    """A part runs the coordinator's plan as sent: the worker never
+    plans, builds no funnel unless asked (the reply's counters are
+    None, no task is tallied) — and a job it cannot run as sent is a
+    QERROR naming the cause, after which the session keeps serving."""
+    data, query = instances[0]
+    count, _ = oracle(data, query)
+    plan = HGMatch(data, index_backend="bitset").plan(query)
+    merge_plan = HGMatch(data, index_backend="merge").plan(query)
+
+    def no_planning(*args, **kwargs):
+        raise AssertionError("a subtree part planned the query")
+
+    monkeypatch.setattr(HGMatch, "plan", no_planning)
+    with _worker_session(data) as ask:
+        for malformed, cause in (
+            (dict(plan=query), "plan is of type Hypergraph, not ExecutionPlan"),
+            (dict(plan=merge_plan), "built for the 'merge' backend"),
+            (dict(plan=plan, funnel=1), "funnel bit is of type int, not bool"),
+        ):
+            kind, rest = ask(
+                malformed.pop("plan"), 0, None, part=0, parts=2, **malformed
+            )
+            assert kind == transport.MSG_QERROR
+            report = pickle.loads(rest)
+            assert report.startswith("[shard 1]")
+            assert "SchedulerError" in report and cause in report
+        total = 0
+        for part in range(2):
+            kind, rest = ask(plan, 0, None, part, 2, funnel=False)
+            assert kind == transport.MSG_LEVEL_REPLY
+            embeddings, counters, stats = transport.decode_reply(rest)
+            assert counters is None
+            assert stats.embeddings == embeddings
+            assert stats.tasks_executed == 0 and stats.worker_id == 1
+            total += embeddings
+        assert total == count
+
+
 def test_malformed_subtree_bodies_are_transport_errors():
-    job = pickle.dumps((None, (), 0, None))
+    job = pickle.dumps((None, 0, None, False))
     assert transport.decode_subtree_body(
         transport.encode_subtree_body(1, 3, job)
-    ) == (1, 3, None, (), 0, None)
+    ) == (1, 3, None, 0, None, False)
     with pytest.raises(transport.TransportError, match="outside 0..1"):
         transport.encode_subtree_body(2, 2, job)
     for body in (b"\x00", b"\x02\x00\x00\x00\x02\x00\x00\x00" + job,

@@ -309,12 +309,11 @@ class TestRetiredKinds:
             right.close()
 
 
-def test_a_version_4_header_is_refused_by_both_decoders():
-    """A version-4 peer announces a two-part name the descriptor no
-    longer has: its frames are refused from the header alone, by the
-    buffer decoder and the stream reader alike."""
-    frame = struct.pack("<IBB", 2, 4, transport.MSG_STOP)
-    expected = "unsupported protocol version 4; this build speaks version 5"
+def _assert_refused_by_both_decoders(version):
+    frame = struct.pack("<IBB", 2, version, transport.MSG_STOP)
+    expected = (
+        f"unsupported protocol version {version}; this build speaks version 6"
+    )
     with pytest.raises(TransportError, match=expected):
         transport.decode_frame(frame)
     left, right = socket.socketpair()
@@ -326,6 +325,20 @@ def test_a_version_4_header_is_refused_by_both_decoders():
     finally:
         left.close()
         right.close()
+
+
+def test_a_version_4_header_is_refused_by_both_decoders():
+    """A version-4 peer announces a two-part name the descriptor no
+    longer has: its frames are refused from the header alone, by the
+    buffer decoder and the stream reader alike."""
+    _assert_refused_by_both_decoders(4)
+
+
+def test_a_version_5_header_is_refused_by_both_decoders():
+    """A version-5 peer ships ``(query, order)`` in a SUBTREE job and
+    expects the member to plan it; a version-6 job carries the plan.
+    Refused from the header alone, like version 4."""
+    _assert_refused_by_both_decoders(5)
 
 
 class TestAnnounceCodec:
@@ -404,9 +417,10 @@ class TestQueryTaggedFrames:
         # JOB/LEVEL/COLLECT/REBALANCE and CANCEL (a SUBTREE request is
         # stateless); version 1's untagged kinds are long gone too.
         # Version 5 named a member by one integer (the descriptor lost
-        # its second id) and kept the same thirteen kinds.
+        # its second id) and kept the same thirteen kinds; version 6
+        # ships the coordinator's plan in a SUBTREE job, same kinds.
         assert len(transport._KNOWN_KINDS) == 13
-        assert transport.PROTOCOL_VERSION == 5
+        assert transport.PROTOCOL_VERSION == 6
         assert transport.MSG_SUBTREE == ord("T")
         for retired in b"JLCBX" + b"cjlrq":
             with pytest.raises(TransportError, match="unknown frame kind"):
@@ -419,7 +433,7 @@ class TestQueryTaggedFrames:
         )
         assert transport.encode_frame(
             transport.MSG_QERROR, transport.encode_query_body(7)
-        ).hex() == "0a00000005650700000000000000"
+        ).hex() == "0a00000006650700000000000000"
 
     def test_split_round_trip(self):
         for query_id in (0, 1, 7, 2**32, 2**64 - 1):
