@@ -9,7 +9,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 	bench-smoke bench-index bench-sharding \
 	bench-chaos bench-elastic bench-service bench-mutation \
 	bench-durability bench-e2e bench-e2e-smoke bench-e2e-trace-smoke \
-	docs-check lint-imports loc
+	paper docs-check lint-imports loc
 
 ## Tier-1 verification: the whole test suite, stop on first failure.
 ## Honours REPRO_INDEX_BACKEND (merge/bitset/adaptive; unset = bitset).
@@ -168,6 +168,17 @@ bench-e2e-trace-smoke:
 		echo "$$workload: every layer surface traced"; \
 	done
 
+## The paper's figures and tables under their own pytest gates, as
+## the bench modules assert them (Fig. 6-12, Tables II and IV, the
+## three ablations and the §VII-D case study; ~4 min on 2 vCPUs).  Each
+## writes its report to benchmarks/reports/; fig11_memory.txt and
+## ablation_matching_order.txt are committed and must regenerate
+## byte-identical (CI's paper job diffs them).
+PAPER_BENCHES = benchmarks/bench_fig*.py benchmarks/bench_table*.py \
+	benchmarks/bench_ablation_*.py benchmarks/bench_case_study.py
+paper:
+	$(PYTHON) -m pytest -q $(PAPER_BENCHES)
+
 ## Documentation checks: the WIRE_FORMAT.md doctests (the byte-level
 ## spec is executable), the §2.1 message-kind table cross-check
 ## against transport.MSG_*, a link check over docs/ + README, and a
@@ -179,7 +190,7 @@ docs-check:
 ## Layering check (stdlib ast walk, parses every file under src/):
 ## core/ and hypergraph/ never import parallel/ or service/ at module
 ## level, parallel/ never imports service/, and no production package
-## imports baselines/bench/dataflow/joins.
+## imports baselines/bench/joins.
 lint-imports:
 	$(PYTHON) tools/lint_imports.py
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 from collections import Counter
 
 from repro import HGMatch
-from repro.dataflow import Aggregate, DataflowGraph
 from repro.datasets import (
     build_knowledge_base,
     query_players_two_teams,
@@ -51,12 +50,10 @@ def main() -> None:
         )
 
     # Aggregation (the paper's future-work operator): answers per player.
-    per_player = Aggregate(
-        key=lambda data, item: min(data.edge(item[0]) & data.edge(item[1]))
+    groups = Counter(
+        min(kb.edge(embedding.edge_ids[0]) & kb.edge(embedding.edge_ids[1]))
+        for embedding in engine.match(question1)
     )
-    groups: Counter = DataflowGraph.from_query(
-        engine, question1, per_player
-    ).execute()
     busiest = groups.most_common(3)
     print("   players with the most transfer pairs:", busiest)
 

@@ -15,8 +15,7 @@ Commands
     with any engine from the benchmark line-up.
 ``serve-shard``
     Serve the whole data graph over TCP as one pool member — the
-    worker side of
-    ``match --executor sockets`` (see ``docs/ARCHITECTURE.md``);
+    worker side of ``match --hosts ...`` (see ``docs/ARCHITECTURE.md``);
     ``--announce host:port`` registers it with a worker registry.
 ``serve-match``
     Run the always-on match service: a multiplexed shard pool behind
@@ -125,14 +124,13 @@ def build_parser() -> argparse.ArgumentParser:
     match.add_argument(
         "--executor",
         default=None,
-        choices=("threads", "processes", "sockets", "simulated"),
+        choices=("threads", "processes", "simulated"),
         help="parallel engine for HGMatch: threads (the query's "
         "--workers root parts on a thread pool; GIL-serialised, never "
         "faster than sequential), processes (the same parts on "
         "worker processes over loopback TCP, each holding the whole "
-        "graph, or remote servers via --hosts; real multi-core), "
-        "sockets (another "
-        "spelling of processes) or simulated (the paper's work-stealing "
+        "graph, or remote servers via --hosts; real multi-core) or "
+        "simulated (the paper's work-stealing "
         "scheduler, discrete-event, virtual time); default is "
         "sequential, or threads when --workers > 1",
     )
@@ -140,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--shards",
         type=int,
         default=None,
-        help="worker count for --executor processes/sockets (each "
+        help="worker count for --executor processes (each "
         "worker holds the whole graph and runs a root part of the "
         "query; default: --workers)",
     )
@@ -162,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve = commands.add_parser(
         "serve-shard",
         help="serve the whole data graph over TCP as one pool member "
-        "(the sockets executor's worker side); the framed protocol is "
+        "(the processes executor's worker side); the framed protocol is "
         "specified in docs/WIRE_FORMAT.md",
     )
     serve.add_argument("source", help="dataset name or .hg path")
@@ -433,7 +431,6 @@ def _cmd_match(args, out) -> int:
             executor = args.executor
             shards = args.shards
             hosts = args.hosts
-            sharded = ("processes", "sockets")  # two spellings, one pool
             named = [
                 flag for flag, value in (
                     ("--hosts", hosts), ("--shards", shards),
@@ -443,12 +440,12 @@ def _cmd_match(args, out) -> int:
                 # Naming workers or a worker count without naming an
                 # engine means the pooled one.
                 executor = "processes"
-            if named and executor not in sharded:
+            if named and executor != "processes":
                 # These are the shard pool's concepts; silently running
                 # threads/simulated without them would misreport.
                 out.write(
-                    f"error: {named[0]} applies to --executor processes "
-                    f"or sockets, not {executor!r}\n"
+                    f"error: {named[0]} applies to --executor processes, "
+                    f"not {executor!r}\n"
                 )
                 return 1
             addresses = None
@@ -463,7 +460,7 @@ def _cmd_match(args, out) -> int:
                 if not addresses:
                     out.write("error: --hosts lists no addresses\n")
                     return 1
-            elif shards is None and executor in sharded:
+            elif shards is None and executor == "processes":
                 shards = max(args.workers, 1)
             engine = HGMatch(
                 data,
@@ -471,7 +468,7 @@ def _cmd_match(args, out) -> int:
                 shards=shards if shards is not None else 1,
             )
             try:
-                if executor in sharded:
+                if executor == "processes":
                     # Pin the pool's layout before count() lazily builds
                     # a default local cluster; the arithmetic is the
                     # pool's (a typed error, printed by main()).

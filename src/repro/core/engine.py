@@ -26,6 +26,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
 
 from ..errors import QueryError, TimeoutExceeded
 from ..hypergraph import Hypergraph, PartitionedStore
+from ..hypergraph.io import check_label_types, label_types
 from .candidates import (
     EMPTY_CANDIDATES,
     AnchorUnionMemo,
@@ -141,7 +142,7 @@ def _child_blocks(
 
 
 #: Every ``executor=`` spelling of :meth:`HGMatch.count`.
-_EXECUTORS = ("sequential", "threads", "processes", "sockets", "simulated")
+_EXECUTORS = ("sequential", "threads", "processes", "simulated")
 
 
 class HGMatch:
@@ -165,7 +166,7 @@ class HGMatch:
         ``store`` is supplied (the store's backend wins).
     shards:
         Default worker count of the shard pool (``count`` with
-        ``executor="processes"`` or ``"sockets"``): one worker process
+        ``executor="processes"``): one worker process
         per member (:class:`repro.parallel.ShardPool`), each holding the
         whole graph; ``count`` cuts a query at the root across them.
         ``1`` keeps everything in-process.
@@ -194,12 +195,16 @@ class HGMatch:
         # mask backends.
         self._anchor_memo = AnchorUnionMemo()
         # One pool of shard workers per engine (see pool()): built
-        # lazily by the first "processes"/"sockets" run or installed by
+        # lazily by the first "processes" run or installed by
         # the match service; workers keep their stores warm.
         self._pool = None
         # And one always-on match service (admission control, cache and
         # standing queries over that pool), built by match_service().
         self._match_service = None
+        # The data graph's label types, re-read only when a query has a
+        # type not in here: a graph only gains vertices, never loses a
+        # label type (see plan()).
+        self._label_types: frozenset = frozenset()
 
     @property
     def index_backend(self) -> str:
@@ -222,8 +227,14 @@ class HGMatch:
         """Build the execution plan for ``query`` (online stage, Fig. 3).
 
         A custom connected matching ``order`` may be supplied; by default
-        Algorithm 3 picks one from partition cardinalities.
+        Algorithm 3 picks one from partition cardinalities.  A query
+        whose vertex labels are of a type the data graph has none of
+        (a native file's strings against int labels) could match nothing
+        and is refused (:func:`~repro.hypergraph.io.check_label_types`).
         """
+        if not label_types(query) <= self._label_types:
+            self._label_types = label_types(self.data)
+            check_label_types(query, self._label_types)
         if query.num_edges == 0:
             raise QueryError("query hypergraph has no hyperedges")
         if not query.is_connected():
@@ -439,7 +450,7 @@ class HGMatch:
     ) -> "int | None":
         """:meth:`count` on another executor; None for
         ``"sequential"``/``"threads"``, which the caller runs."""
-        if executor in ("processes", "sockets"):
+        if executor == "processes":
             if shards is None and self.shards == 1 and workers > 1:
                 # ``workers`` expresses the desired parallelism for the
                 # other executors; honour it here too unless the engine
@@ -487,8 +498,7 @@ class HGMatch:
           this process.  Under the GIL never faster than sequential:
           the no-process spelling of the cut and the baseline the shard
           pool is measured against;
-        * ``"processes"`` / ``"sockets"`` — two spellings of one
-          engine: a solo *subtree job*
+        * ``"processes"`` — a solo *subtree job*
           (:meth:`repro.parallel.ShardPool.run`) on the engine's
           persistent shard pool (:meth:`pool`: worker processes here or
           on pinned hosts), for real multi-core
@@ -599,8 +609,7 @@ class HGMatch:
     ):
         """The engine's one shard pool (lazily built): the
         :class:`~repro.parallel.pool.ShardPool` behind
-        ``executor="processes"``, ``executor="sockets"`` and the match
-        service.
+        ``executor="processes"`` and the match service.
 
         By default it owns a loopback cluster of ``shards`` (default:
         the engine's ``shards``) workers, each holding a store of the

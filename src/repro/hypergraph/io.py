@@ -79,7 +79,7 @@ def parse_native(stream: TextIO) -> Hypergraph:
 
 def label_types(graph: Hypergraph) -> FrozenSet[str]:
     """The names of the types of ``graph``'s vertex labels."""
-    return frozenset(type(label).__name__ for label in graph.labels)
+    return frozenset(kind.__name__ for kind in set(map(type, graph.labels)))
 
 
 def check_label_types(query: Hypergraph, data_types: FrozenSet[str]) -> None:

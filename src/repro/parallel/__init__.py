@@ -4,8 +4,8 @@ A query is parallelised one way — worker ``p`` of ``n`` runs the
 engine's block-DFS below the root candidates ``roots[p::n]``
 (:meth:`repro.core.engine.HGMatch.count_part`) — and the executors
 differ only in where a part runs: ``executor="threads"`` on a thread
-pool inside the engine (nothing of this package), ``"processes"`` /
-``"sockets"`` in the shard pool's worker processes.  The paper's own
+pool inside the engine (nothing of this package), ``"processes"`` in
+the shard pool's worker processes.  The paper's own
 scheduler lives here once, as a simulation:
 
 * :class:`ShardPool` — the one coordinator: a flat list of
@@ -15,7 +15,7 @@ scheduler lives here once, as a simulation:
   :class:`QueryChannel` on it.  The
   workers are its own local pool (:func:`spawn_local_cluster`) or
   servers on other hosts; real multi-core wall clock either way.
-  ``executor="processes"`` and ``executor="sockets"`` both mean
+  ``executor="processes"`` means
   :meth:`ShardPool.run` — one channel per job — on the engine's one
   pool (:meth:`repro.core.engine.HGMatch.pool`); the match service
   (:mod:`repro.service`) keeps many channels open on that same pool.

@@ -5,7 +5,7 @@
 ``0 … num_shards - 1`` — on ephemeral 127.0.0.1 ports and returns the
 :class:`LocalCluster` that owns them.
 It is how a hostless :class:`~repro.parallel.pool.ShardPool`
-(``executor="processes"`` / ``"sockets"``, the match service), the
+(``executor="processes"``, the match service), the
 supervisor, the tests and the benchmarks run the full network path on
 one machine; multi-host deployments start their workers themselves
 (``serve-shard``) and hand the coordinator their addresses.
@@ -21,7 +21,7 @@ from typing import List, Tuple
 from ..errors import SchedulerError
 from ..hypergraph import Hypergraph
 from ..hypergraph.storage import resolve_index_backend
-from .tasks import RetryPolicy, default_seed, join_or_kill
+from .tasks import RetryPolicy, join_or_kill
 from .worker import ShardWorker, shutdown_worker
 
 #: Default policy for polling a spawned worker's ready report (short
@@ -29,13 +29,20 @@ from .worker import ShardWorker, shutdown_worker
 #: while a slow shard build holds the pipe quiet).
 READY_POLL = RetryPolicy(attempts=64, base_delay=0.005, max_delay=0.25)
 
+#: How long a spawned worker may take to report its port — a whole
+#: store build of the graph.
+READY_TIMEOUT = 30.0
+
+#: How long a worker is given to exit (after QUIT, or after a signal)
+#: before the next escalation.
+SHUTDOWN_TIMEOUT = 5.0
+
 
 def _cluster_worker_main(
     conn,
     graph: Hypergraph,
     shard_id: int,
     index_backend: str,
-    seed: int,
     chaos=None,
     announce=None,
     heartbeat_interval=None,
@@ -45,7 +52,7 @@ def _cluster_worker_main(
     through the pipe, then serve until SHUTDOWN."""
     try:
         worker = ShardWorker(
-            graph, shard_id, index_backend, seed=seed, chaos=chaos,
+            graph, shard_id, index_backend, chaos=chaos,
             announce=announce, heartbeat_interval=heartbeat_interval,
             store=store,
         )
@@ -62,7 +69,6 @@ def _start_cluster_worker(
     graph: Hypergraph,
     shard_id: int,
     index_backend: str,
-    seed: int,
     chaos=None,
     announce=None,
     heartbeat_interval=None,
@@ -80,7 +86,7 @@ def _start_cluster_worker(
     process = context.Process(
         target=_cluster_worker_main,
         args=(
-            child_conn, graph, shard_id, index_backend, seed, chaos,
+            child_conn, graph, shard_id, index_backend, chaos,
             announce, heartbeat_interval, store,
         ),
         daemon=True,
@@ -93,7 +99,6 @@ def _start_cluster_worker(
 def _await_worker_ready(
     parent_conn,
     shard_id: int,
-    ready_timeout: float,
     process=None,
     retry: "RetryPolicy | None" = None,
 ) -> Tuple[str, int]:
@@ -103,18 +108,18 @@ def _await_worker_ready(
     worker name, so schedules are reproducible) instead of one
     blocking wait: between probes a worker that already *died* —
     import error, OOM — is detected immediately via its
-    ``process`` handle rather than after the full ``ready_timeout``.
+    ``process`` handle rather than after the full :data:`READY_TIMEOUT`.
     """
     retry = READY_POLL if retry is None else retry
     rng = random.Random(shard_id << 16)
-    deadline = time.monotonic() + ready_timeout
+    deadline = time.monotonic() + READY_TIMEOUT
     attempt = 0
     while True:
         remaining = deadline - time.monotonic()
         if remaining <= 0:
             raise SchedulerError(
                 f"shard worker {shard_id} did not report ready within "
-                f"{ready_timeout}s"
+                f"{READY_TIMEOUT}s"
             )
         if parent_conn.poll(min(remaining, retry.delay(attempt, rng))):
             break
@@ -145,26 +150,20 @@ class LocalCluster:
         processes,
         addresses,
         index_backend,
-        seed,
         graph: "Hypergraph | None" = None,
         start_method: "str | None" = None,
-        ready_timeout: float = 30.0,
         chaos=None,
-        shutdown_timeout: float = 5.0,
         announce=None,
         heartbeat_interval=None,
     ) -> None:
         self.processes = processes
         self.addresses: "List[Tuple[str, int]]" = addresses
         self.index_backend = index_backend
-        self.seed = seed
         self.chaos = chaos
-        self.shutdown_timeout = shutdown_timeout
         self.announce = announce
         self.heartbeat_interval = heartbeat_interval
         self._graph = graph
         self._start_method = start_method
-        self._ready_timeout = ready_timeout
 
     @property
     def num_shards(self) -> int:
@@ -191,7 +190,7 @@ class LocalCluster:
         if process.is_alive():
             process.terminate()
         join_or_kill(
-            process, timeout=self.shutdown_timeout,
+            process, timeout=SHUTDOWN_TIMEOUT,
             label=f"shard {shard_id} worker",
         )
 
@@ -208,7 +207,7 @@ class LocalCluster:
         if old.is_alive():  # pragma: no cover - caller races the reaper
             old.terminate()
         join_or_kill(
-            old, timeout=self.shutdown_timeout,
+            old, timeout=SHUTDOWN_TIMEOUT,
             label=f"shard {shard_id} worker",
         )
         context = (
@@ -217,13 +216,11 @@ class LocalCluster:
             else get_context()
         )
         process, parent_conn = _start_cluster_worker(
-            context, self._graph, shard_id, self.index_backend, self.seed,
+            context, self._graph, shard_id, self.index_backend,
             self.chaos, self.announce, self.heartbeat_interval,
         )
         try:
-            address = _await_worker_ready(
-                parent_conn, shard_id, self._ready_timeout, process=process,
-            )
+            address = _await_worker_ready(parent_conn, shard_id, process=process)
         except BaseException:
             if process.is_alive():
                 process.terminate()
@@ -240,10 +237,10 @@ class LocalCluster:
         worker is never silently leaked."""
         for process, address in zip(self.processes, self.addresses):
             if process.is_alive():
-                shutdown_worker(address, timeout=self.shutdown_timeout)
+                shutdown_worker(address, timeout=SHUTDOWN_TIMEOUT)
         for index, process in enumerate(self.processes):
             join_or_kill(
-                process, timeout=self.shutdown_timeout,
+                process, timeout=SHUTDOWN_TIMEOUT,
                 label=f"shard worker #{index}",
             )
         self.processes = []
@@ -260,9 +257,7 @@ def spawn_local_cluster(
     graph: Hypergraph,
     num_shards: int,
     index_backend: "str | None" = None,
-    seed: "int | None" = None,
     start_method: "str | None" = None,
-    ready_timeout: float = 30.0,
     chaos=None,
     announce: "Tuple[str, int] | None" = None,
     heartbeat_interval: "float | None" = None,
@@ -286,7 +281,6 @@ def spawn_local_cluster(
     if num_shards < 1:
         raise SchedulerError("num_shards must be >= 1")
     index_backend = resolve_index_backend(index_backend)
-    seed = default_seed() if seed is None else seed
     context = (
         get_context(start_method)
         if start_method is not None
@@ -296,7 +290,7 @@ def spawn_local_cluster(
     parent_conns = []
     for shard_id in range(num_shards):
         process, parent_conn = _start_cluster_worker(
-            context, graph, shard_id, index_backend, seed, chaos,
+            context, graph, shard_id, index_backend, chaos,
             announce, heartbeat_interval, store,
         )
         processes.append(process)
@@ -307,9 +301,7 @@ def spawn_local_cluster(
             zip(processes, parent_conns)
         ):
             addresses.append(
-                _await_worker_ready(
-                    parent_conn, shard_id, ready_timeout, process=process,
-                )
+                _await_worker_ready(parent_conn, shard_id, process=process)
             )
     except BaseException:
         for process in processes:
@@ -320,8 +312,7 @@ def spawn_local_cluster(
         for parent_conn in parent_conns:
             parent_conn.close()
     return LocalCluster(
-        processes, addresses, index_backend, seed,
-        graph=graph, start_method=start_method,
-        ready_timeout=ready_timeout, chaos=chaos, announce=announce,
-        heartbeat_interval=heartbeat_interval,
+        processes, addresses, index_backend,
+        graph=graph, start_method=start_method, chaos=chaos,
+        announce=announce, heartbeat_interval=heartbeat_interval,
     )

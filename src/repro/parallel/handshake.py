@@ -7,9 +7,9 @@ pool open, a recovery reconnect or respawn, an admission:
 * :func:`open_session` — TCP connect (under a retry policy), chaos
   wrap, :func:`validate_handshake`, then the established-connection
   I/O timeout and the chaos endpoint binding;
-* :func:`validate_handshake` — the gate itself: backend, scheduler
-  seed, data-graph fingerprint and (for a respawn or reconnect) the
-  member's name, with a CATCHUP exchange (§2.10) that repairs a worker
+* :func:`validate_handshake` — the gate itself: backend, data-graph
+  fingerprint and (for a respawn or reconnect) the member's name, with
+  a CATCHUP exchange (§2.10) that repairs a worker
   announcing a stale graph version instead of refusing it.
 
 What a worker announces is its
@@ -101,9 +101,7 @@ def validate_handshake(
     graph,
     *,
     index_backend: str,
-    seed: int,
     expected_shard: "int | None" = None,
-    allow_catchup: bool = True,
 ) -> ShardDescriptor:
     """Receive and validate one worker's HELLO against a pool's view.
 
@@ -113,16 +111,16 @@ def validate_handshake(
     announced name.
 
     A worker announcing a *stale* ``graph_version`` (it was restarting
-    while MUTATE broadcasts went out, or was spawned from the seed
-    graph) is not refused outright: when ``allow_catchup`` is on the
-    gate sends a CATCHUP frame carrying the missing mutation batches —
+    while MUTATE broadcasts went out, or was spawned from the original
+    graph) is not refused outright: the gate sends a CATCHUP frame
+    carrying the missing mutation batches —
     or a graph snapshot when the retained suffix has aged out — waits
     for the worker's CATCHUP-REPLY (a fresh handshake body reflecting
     the post-replay state), and re-validates that in full.
     """
 
-    def _decode(body) -> "tuple[ShardDescriptor, int]":
-        descriptor_dict, worker_seed = transport.decode_handshake(body)
+    def _decode(body) -> ShardDescriptor:
+        descriptor_dict = transport.decode_handshake(body)
         try:
             descriptor = ShardDescriptor.from_dict(descriptor_dict)
         except (KeyError, TypeError, ValueError) as exc:
@@ -130,9 +128,6 @@ def validate_handshake(
                 f"malformed handshake descriptor (missing/invalid field "
                 f"{exc}): not a compatible shard server"
             ) from None
-        return descriptor, worker_seed
-
-    def _check_contract(descriptor: ShardDescriptor, worker_seed: int):
         # Everything except graph identity: these mismatches are
         # configuration errors a catch-up replay cannot repair.
         who = f"shard {descriptor.shard_id}"
@@ -147,22 +142,16 @@ def validate_handshake(
                 f"respawned worker announced {who}, expected "
                 f"shard {expected_shard}"
             )
-        if worker_seed != seed:
-            raise SchedulerError(
-                f"scheduler seed mismatch: worker {who} runs "
-                f"REPRO_SEED={worker_seed}, coordinator {seed} — parallel "
-                f"runs would not be reproducible"
-            )
+        return descriptor
 
     kind, body = transport.recv_frame(sock)
     if kind != transport.MSG_HELLO:
         raise SchedulerError(
             f"worker spoke {kind:#x} before HELLO; not a shard server?"
         )
-    descriptor, worker_seed = _decode(body)
-    _check_contract(descriptor, worker_seed)
+    descriptor = _decode(body)
     graph_version = graph.version
-    if allow_catchup and descriptor.graph_version < graph_version:
+    if descriptor.graph_version < graph_version:
         transport.send_frame(
             sock,
             transport.MSG_CATCHUP,
@@ -182,8 +171,7 @@ def validate_handshake(
                 f"CATCHUP with frame kind {kind:#x}, expected "
                 f"CATCHUP-REPLY"
             )
-        descriptor, worker_seed = _decode(body)
-        _check_contract(descriptor, worker_seed)
+        descriptor = _decode(body)
     if descriptor.graph_version != graph_version:
         raise SchedulerError(
             f"graph version mismatch: worker shard "
@@ -209,7 +197,6 @@ def open_session(
     address,
     graph,
     *,
-    connect_timeout: float,
     io_timeout: float,
     retry: RetryPolicy,
     rng=None,
@@ -224,7 +211,7 @@ def open_session(
     :func:`validate_handshake`
     against ``contract`` (its keyword arguments), then the per-frame
     ``io_timeout`` and the chaos endpoint binding.  The handshake runs
-    under the (short) ``connect_timeout``: a peer that accepts but
+    under the (short) :data:`CONNECT_TIMEOUT`: a peer that accepts but
     never says HELLO — e.g. a busy single-session server — should fail
     fast, not tie the coordinator up for a whole job timeout.
 
@@ -240,7 +227,7 @@ def open_session(
             time.sleep(retry.delay(attempt - 1, rng))
         try:
             sock = socket.create_connection(
-                tuple(address), timeout=connect_timeout
+                tuple(address), timeout=CONNECT_TIMEOUT
             )
             break
         except OSError as exc:

@@ -71,8 +71,8 @@ from ..hypergraph import Hypergraph
 from ..hypergraph.storage import resolve_index_backend
 from . import transport
 from .cluster import LocalCluster, spawn_local_cluster
-from .handshake import CONNECT_TIMEOUT, default_retry_policy, open_session
-from .tasks import ParallelResult, RetryPolicy, default_seed
+from .handshake import default_retry_policy, open_session
+from .tasks import ParallelResult, RetryPolicy
 from .worker import ShardDescriptor, default_io_timeout
 
 logger = logging.getLogger("repro.parallel")
@@ -248,13 +248,12 @@ class ShardPool:
     ``ShardPool(num_shards=N)``
         Spawn (and own) a local cluster of ``N`` members for the
         engine's data graph on first use — the single-machine
-        ``--executor processes`` / ``--executor sockets`` path, and the
-        match service's default.
+        ``--executor processes`` path, and the match service's default.
 
     The handshake is validated against the pool's expectations before
     any job runs: index backend, the data graph fingerprint and version
-    (counts would be silently wrong; a stale worker is caught up), the
-    scheduler seed (reproducibility) and unique names.  A *contract*
+    (counts would be silently wrong; a stale worker is caught up) and
+    unique names.  A *contract*
     mismatch always tears the connections down and raises
     :class:`~repro.errors.SchedulerError`; a *liveness* failure
     (connect refused, peer vanished) costs one member.
@@ -271,9 +270,7 @@ class ShardPool:
         addresses: "Sequence[Tuple[str, int]] | None" = None,
         num_shards: "int | None" = None,
         index_backend: "str | None" = None,
-        seed: "int | None" = None,
         start_method: "str | None" = None,
-        connect_timeout: float = CONNECT_TIMEOUT,
         io_timeout: "float | None" = None,
         retry: "RetryPolicy | None" = None,
         chaos=None,
@@ -296,9 +293,7 @@ class ShardPool:
         self.addresses = addresses
         self.num_shards = num_shards
         self.index_backend = resolve_index_backend(index_backend)
-        self.seed = default_seed() if seed is None else seed
         self.start_method = start_method
-        self.connect_timeout = connect_timeout
         self.io_timeout = (
             default_io_timeout() if io_timeout is None else io_timeout
         )
@@ -312,7 +307,7 @@ class ShardPool:
         #: SUBTREE and MUTATE frames sent to workers — the counter the
         #: cache-bypass gate watches (a cache hit must not move it).
         self.dispatched_frames = 0
-        self._retry_rng = random.Random(self.seed ^ 0x5EED)
+        self._retry_rng = random.Random(0x5EED)
         #: Guards the member list, the query table and every member's
         #: tokens.  Lock order: the pump's park condition first, then
         #: this.
@@ -409,7 +404,6 @@ class ShardPool:
                     engine.data,
                     self.num_shards,
                     self.index_backend,
-                    seed=self.seed,
                     start_method=self.start_method,
                     chaos=self.chaos,
                     store=engine.store,
@@ -471,13 +465,11 @@ class ShardPool:
         return open_session(
             address,
             graph,
-            connect_timeout=self.connect_timeout,
             io_timeout=self.io_timeout,
             chaos=self.chaos,
             retry=self.retry,
             rng=self._retry_rng,
             index_backend=self.index_backend,
-            seed=self.seed,
             **expect,
         )
 
@@ -954,8 +946,7 @@ class ShardPool:
         """Fold a newcomer worker into the live pool mid-lifetime.
 
         Connects to ``address``, validates the full handshake contract
-        (backend, fingerprint, seed; a stale graph version is caught
-        up) and appends the newcomer to the member list — from where
+        (backend, fingerprint; a stale graph version is caught up) and appends the newcomer to the member list — from where
         the very next part (or failover) can dispatch to it.  A name
         already live is refused.  Admission failures leave the pool
         exactly as it was.  Returns the admitted worker's descriptor.

@@ -5,7 +5,7 @@ The socket pool runtime survives the loss of hosts it was
 up*.  A :class:`WorkerRegistry` is a tiny TCP server that shard
 workers register with: each ``serve-shard --announce host:port`` worker
 opens one long-lived connection, sends a single ANNOUNCE frame (its
-serving address plus the same descriptor/seed its HELLO would carry)
+serving address plus the same descriptor its HELLO would carry)
 and then a HEARTBEAT frame every interval.  The registry turns that
 stream into a live membership table:
 
@@ -81,7 +81,6 @@ class WorkerRecord:
     shard_id: int
     address: Tuple[str, int]
     descriptor: ShardDescriptor
-    seed: int
     announced_at: float
     last_seen: float
 
@@ -312,7 +311,7 @@ class WorkerRegistry:
     def _dispatch(self, conn: "_Conn", kind: int, body: bytes) -> None:
         now = time.monotonic()
         if kind == transport.MSG_ANNOUNCE:
-            address, descriptor_dict, seed = transport.decode_announce(body)
+            address, descriptor_dict = transport.decode_announce(body)
             try:
                 descriptor = ShardDescriptor.from_dict(descriptor_dict)
             except Exception as exc:
@@ -324,7 +323,6 @@ class WorkerRegistry:
                 shard_id=identity,
                 address=address,
                 descriptor=descriptor,
-                seed=seed,
                 announced_at=now,
                 last_seen=now,
             )
@@ -442,8 +440,8 @@ class _Conn:
 class Announcer:
     """The worker's registry link: announce once, heartbeat forever.
 
-    ``hello`` is a callable returning ``(address, descriptor_dict,
-    seed)`` — evaluated at every (re)connect so a worker whose
+    ``hello`` is a callable returning ``(address, descriptor_dict)``
+    — evaluated at every (re)connect so a worker whose
     descriptor changed (a MUTATE moved its graph version) re-announces
     its current state, not a stale snapshot.
 
@@ -456,7 +454,7 @@ class Announcer:
     def __init__(
         self,
         registry_address: Tuple[str, int],
-        hello: Callable[[], Tuple[Tuple[str, int], dict, int]],
+        hello: Callable[[], Tuple[Tuple[str, int], dict]],
         interval: "float | None" = None,
         retry: "RetryPolicy | None" = None,
         chaos=None,
@@ -501,7 +499,7 @@ class Announcer:
         sock = socket.create_connection(self.registry_address, timeout=5.0)
         sock.settimeout(5.0)
         if self.chaos is not None:
-            address, descriptor_dict, _ = self.hello()
+            _, descriptor_dict = self.hello()
             sock = self.chaos.wrap(
                 sock, ROLE_ANNOUNCER, descriptor_dict.get("shard_id")
             )
@@ -521,13 +519,10 @@ class Announcer:
                 attempt += 1
                 continue
             try:
-                address, descriptor_dict, seed = self.hello()
                 transport.send_frame(
                     sock,
                     transport.MSG_ANNOUNCE,
-                    transport.encode_announce(
-                        address, descriptor_dict, seed
-                    ),
+                    transport.encode_announce(*self.hello()),
                 )
                 self.announced.set()
                 attempt = 0

@@ -42,7 +42,7 @@ from typing import List, Tuple
 
 from ..errors import SchedulerError
 from .cluster import spawn_local_cluster
-from .tasks import RetryPolicy, default_seed
+from .tasks import RetryPolicy
 
 logger = logging.getLogger(__name__)
 
@@ -79,14 +79,14 @@ class _Slot:
 
     __slots__ = ("shard_id", "restarts", "next_attempt_at", "exhausted", "rng")
 
-    def __init__(self, shard_id: int, seed: int) -> None:
+    def __init__(self, shard_id: int) -> None:
         self.shard_id = shard_id
         self.restarts = 0
         self.next_attempt_at: "float | None" = None
         self.exhausted = False
         # Per-slot jitter stream: reproducible backoff schedules, and
         # no two slots share a schedule (no synchronised restart herd).
-        self.rng = random.Random(0x5AFE ^ (shard_id << 20) ^ seed)
+        self.rng = random.Random(0x5AFE ^ (shard_id << 20))
 
 
 class WorkerSupervisor:
@@ -108,13 +108,10 @@ class WorkerSupervisor:
         graph,
         num_shards: int,
         index_backend: "str | None" = None,
-        seed: "int | None" = None,
-        start_method: "str | None" = None,
         announce: "Tuple[str, int] | None" = None,
         heartbeat_interval: "float | None" = None,
         restart_budget: int = DEFAULT_RESTART_BUDGET,
         retry: "RetryPolicy | None" = None,
-        ready_timeout: float = 30.0,
         chaos=None,
     ) -> None:
         if restart_budget < 0:
@@ -122,13 +119,10 @@ class WorkerSupervisor:
         self.graph = graph
         self.num_shards = num_shards
         self.index_backend = index_backend
-        self.seed = default_seed() if seed is None else seed
-        self.start_method = start_method
         self.announce = announce
         self.heartbeat_interval = heartbeat_interval
         self.restart_budget = restart_budget
         self.retry = RESTART_RETRY if retry is None else retry
-        self.ready_timeout = ready_timeout
         self.chaos = chaos
         self.cluster = None
         self._slots: "List[_Slot]" = []
@@ -143,15 +137,12 @@ class WorkerSupervisor:
             self.graph,
             self.num_shards,
             self.index_backend,
-            seed=self.seed,
-            start_method=self.start_method,
-            ready_timeout=self.ready_timeout,
             chaos=self.chaos,
             announce=self.announce,
             heartbeat_interval=self.heartbeat_interval,
         )
         self._slots = [
-            _Slot(shard_id, self.seed) for shard_id in range(self.num_shards)
+            _Slot(shard_id) for shard_id in range(self.num_shards)
         ]
         logger.info("supervising %d shard worker(s)", len(self._slots))
         return self

@@ -5,7 +5,8 @@ far; every other piece of state is recomputed from it in O(total arity).
 That is what makes tasks cheap to spawn, cheap to steal, and what gives
 the scheduler its memory bound (Theorem VI.1).
 
-Three task kinds exist, one per dataflow operator:
+Three task kinds exist, one per operator of the paper's dataflow
+(Sec. VI-A, Fig. 5a: SCAN → EXPAND × k → SINK):
 
 * ``TSCAN``  — the root task; expands the empty embedding by scanning the
   first query hyperedge's signature partition,
@@ -37,15 +38,15 @@ ROOT_TASK: PartialEmbedding = ()
 
 
 def default_seed() -> int:
-    """The process-wide scheduler seed: ``REPRO_SEED`` or 0.
+    """The simulated scheduler's seed: ``REPRO_SEED`` or 0.
 
-    Every executor RNG (steal-victim selection in the simulated
-    scheduler, retry jitter in the shard pool and its workers) is
-    seeded per job by deriving from this value, never from the
-    process-global :mod:`random` state — so two runs of the same job
-    under the same ``REPRO_SEED`` make identical decisions in every
-    worker process, and cross-process tests can assert exact
-    reproducibility.
+    Simulator only: :class:`~repro.parallel.simulation.SimulatedExecutor`
+    picks its steal victims from an RNG seeded by this value, never
+    from the process-global :mod:`random` state, so two runs of the
+    same job under the same ``REPRO_SEED`` make identical decisions.
+    The shard pool reads no seed: a member's reply is a pure function
+    of the request, and its backoff jitter seeds from member names and
+    fixed constants.
 
     Resolved at call time (like ``REPRO_INDEX_BACKEND``) so a test
     session or deployment can switch seeds without touching call sites.

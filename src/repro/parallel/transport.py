@@ -51,7 +51,7 @@ byte    name     body
 ``E``   ERROR    pickled traceback string (a MUTATE / CATCHUP failed;
         the session ends)
 ``A``   ANNOUNCE pickled registration dict (worker -> registry: the
-        worker's serving address plus its handshake descriptor/seed)
+        worker's serving address plus its handshake descriptor)
 ``h``   HEARTBEAT empty — worker -> registry liveness tick; identity is
         the connection's preceding ANNOUNCE
 ``M``   MUTATE   pickled ``MutationBatch`` — apply one committed edge
@@ -63,7 +63,7 @@ byte    name     body
         MutationBatch)`` suffix a stale worker missed, or a full graph
         snapshot when the suffix is no longer retained
 ``u``   CATCHUP_REPLY  handshake body (like HELLO) — the worker's
-        descriptor/seed *after* applying the catch-up payload, which
+        descriptor *after* applying the catch-up payload, which
         the coordinator re-validates in full
 ======  =======  ===========================================================
 
@@ -455,21 +455,21 @@ def decode_reply(body: bytes):
 # ----------------------------------------------------------------------
 
 
-def encode_handshake(descriptor_dict: dict, seed: int) -> bytes:
-    """HELLO body: the member's descriptor plus the job seed."""
+def encode_handshake(descriptor_dict: dict) -> bytes:
+    """HELLO body: the member's descriptor."""
     return pickle.dumps(
         {
             "protocol": PROTOCOL_VERSION,
-            "seed": seed,
             "descriptor": dict(descriptor_dict),
         },
         protocol=pickle.HIGHEST_PROTOCOL,
     )
 
 
-def decode_handshake(body: bytes) -> Tuple[dict, int]:
-    """Inverse of :func:`encode_handshake`: ``(descriptor_dict, seed)``.
+def decode_handshake(body: bytes) -> dict:
+    """Inverse of :func:`encode_handshake`: the ``descriptor_dict``.
 
+    Other keys are ignored (an older peer's ``seed`` among them).
     Also validates the embedded ``protocol`` field.  The per-frame
     version byte already rejects framing skew before this body is ever
     parsed; the embedded field guards the *handshake schema* itself, so
@@ -484,15 +484,13 @@ def decode_handshake(body: bytes) -> Tuple[dict, int]:
             f"handshake announces protocol {protocol!r}; this build "
             f"speaks version {PROTOCOL_VERSION}"
         )
-    return message["descriptor"], message.get("seed", 0)
+    return message["descriptor"]
 
 
-def encode_announce(
-    address: Tuple[str, int], descriptor_dict: dict, seed: int
-) -> bytes:
+def encode_announce(address: Tuple[str, int], descriptor_dict: dict) -> bytes:
     """ANNOUNCE body: where the worker serves, plus its handshake.
 
-    The descriptor/seed are the same fields a HELLO would carry, so a
+    The descriptor is the one a HELLO would carry, so a
     registry can pre-validate identity without opening a second
     connection to the worker.
     """
@@ -500,7 +498,6 @@ def encode_announce(
     return pickle.dumps(
         {
             "protocol": PROTOCOL_VERSION,
-            "seed": seed,
             "descriptor": dict(descriptor_dict),
             "address": (str(host), int(port)),
         },
@@ -508,10 +505,10 @@ def encode_announce(
     )
 
 
-def decode_announce(body: bytes) -> Tuple[Tuple[str, int], dict, int]:
+def decode_announce(body: bytes) -> Tuple[Tuple[str, int], dict]:
     """Inverse of :func:`encode_announce`.
 
-    Returns ``(address, descriptor_dict, seed)`` and validates the
+    Returns ``(address, descriptor_dict)`` and validates the
     embedded ``protocol`` field exactly like :func:`decode_handshake`.
     """
     message = decode_pickle_body(body)
@@ -537,7 +534,7 @@ def decode_announce(body: bytes) -> Tuple[Tuple[str, int], dict, int]:
         raise TransportError(
             f"announce carries malformed address {address!r}"
         )
-    return address, message["descriptor"], message.get("seed", 0)
+    return address, message["descriptor"]
 
 
 def parse_address(text: str) -> Tuple[str, int]:

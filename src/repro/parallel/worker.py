@@ -9,7 +9,7 @@ count.  Run it on any host that can load the data hypergraph (``python
 :func:`~repro.parallel.cluster.spawn_local_cluster` runs a set of them
 as local subprocesses.  It has one peer: a
 :class:`~repro.parallel.pool.ShardPool` — a solo
-``executor="processes"`` / ``"sockets"`` job and the match service's
+``executor="processes"`` job and the match service's
 many queries are :class:`~repro.parallel.pool.QueryChannel` objects on
 one, speaking the same query-tagged frames.  ``docs/WIRE_FORMAT.md``
 specifies every byte.
@@ -34,7 +34,7 @@ from ..hypergraph import Hypergraph, PartitionedStore
 from ..hypergraph.dynamic import apply_batch
 from ..hypergraph.storage import resolve_index_backend
 from . import transport
-from .tasks import WorkerStats, default_seed
+from .tasks import WorkerStats
 
 #: Default per-frame I/O timeout on established connections — the
 #: fallback when neither the ``REPRO_NET_TIMEOUT`` environment variable
@@ -49,7 +49,7 @@ def default_io_timeout() -> float:
     """The per-frame I/O timeout: ``REPRO_NET_TIMEOUT`` seconds or
     :data:`DEFAULT_IO_TIMEOUT`.
 
-    Resolved at call time (like ``REPRO_SEED``) so a test session or a
+    Resolved at call time so a test session or a
     deployment can tighten the failover deadline without touching call
     sites; both the coordinator and ``serve-shard`` workers read it.
     """
@@ -137,7 +137,7 @@ class ShardWorker:
     hostless pool's engine, through ``fork`` — no copy, no build), else
     one built here at construction (the offline stage).  Sessions are
     served sequentially: each accepted connection gets a HELLO carrying
-    the worker's :class:`ShardDescriptor` and scheduler seed, then any
+    the worker's :class:`ShardDescriptor`, then any
     number of SUBTREE requests — many queries interleaved on the
     connection, each request self-contained — plus MUTATE / CATCHUP,
     until the peer sends STOP (end the session) or SHUTDOWN (stop the
@@ -166,7 +166,6 @@ class ShardWorker:
         index_backend: "str | None" = None,
         host: str = "127.0.0.1",
         port: int = 0,
-        seed: "int | None" = None,
         io_timeout: "float | None" = None,
         chaos=None,
         announce: "Tuple[str, int] | None" = None,
@@ -178,7 +177,6 @@ class ShardWorker:
                 f"worker name (shard {shard_id}) must be non-negative"
             )
         self.index_backend = resolve_index_backend(index_backend)
-        self.seed = default_seed() if seed is None else seed
         self.shard_id = shard_id
         self.io_timeout = (
             default_io_timeout() if io_timeout is None else io_timeout
@@ -222,9 +220,9 @@ class ShardWorker:
 
     def _announce_hello(self):
         """What the announcer registers: the serving address plus the
-        same descriptor/seed a HELLO would carry — re-evaluated at each
+        same descriptor a HELLO would carry — re-evaluated at each
         (re)connect, so the announced graph version is current."""
-        return (self.address, self.describe().as_dict(), self.seed)
+        return (self.address, self.describe().as_dict())
 
     def _start_announcer(self) -> None:
         if self._announce is None or self._announcer is not None:
@@ -236,7 +234,7 @@ class ShardWorker:
             self._announce_hello,
             interval=self._heartbeat_interval,
             chaos=self.chaos,
-            rng=random.Random((self.shard_id << 16) ^ self.seed),
+            rng=random.Random(self.shard_id << 16),
         )
         self._announcer.start()
 
@@ -258,11 +256,8 @@ class ShardWorker:
     # -- serving --------------------------------------------------------
 
     def _hello_body(self) -> bytes:
-        """The HELLO payload: this worker's descriptor plus the
-        scheduler seed."""
-        return transport.encode_handshake(
-            self.describe().as_dict(), self.seed
-        )
+        """The HELLO payload: this worker's descriptor."""
+        return transport.encode_handshake(self.describe().as_dict())
 
     def serve_forever(self, max_sessions: "int | None" = None) -> None:
         """Accept and serve sessions until SHUTDOWN, until :meth:`close`

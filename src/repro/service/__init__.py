@@ -3,7 +3,7 @@
 Everything below :mod:`repro.service` puts a long-lived service on
 top of the engine's one :class:`~repro.parallel.pool.ShardPool`
 (:meth:`repro.core.engine.HGMatch.pool`) — the pool a solo
-``executor="processes"`` / ``"sockets"`` job on the same engine runs
+``executor="processes"`` job on the same engine runs
 on too; the service merely keeps many
 :class:`~repro.parallel.pool.QueryChannel` objects open on it at once
 (multiplexed over the query-tagged frames SUBTREE/REPLY/QERROR,

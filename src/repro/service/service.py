@@ -224,7 +224,6 @@ class MatchService:
         default_deadline: "float | None" = None,
         retry_after: float = 0.25,
         io_timeout: "float | None" = None,
-        start_method: "str | None" = None,
         chaos=None,
         journal: "MutationJournal | str | None" = None,
     ) -> None:
@@ -251,7 +250,6 @@ class MatchService:
             addresses=addresses,
             index_backend=engine.index_backend,
             io_timeout=io_timeout,
-            start_method=start_method,
             chaos=chaos,
         )
         self.num_shards = self.pool.num_shards

@@ -163,16 +163,18 @@ class TestMatch:
         assert code == 1
         assert "sequential" in output
 
-    def test_match_sockets(self, fig1_files):
+    def test_the_sockets_spelling_is_refused(self, fig1_files, capsys):
+        """``processes`` is the pool's one name."""
         data_path, query_path = fig1_files
-        code, output = run_cli(
-            "match", data_path, query_path,
-            "--executor", "sockets", "--shards", "2",
-        )
-        assert code == 0
-        assert output.startswith("2 embeddings")
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(
+                "match", data_path, query_path,
+                "--executor", "sockets", "--shards", "2",
+            )
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'sockets'" in capsys.readouterr().err
 
-    def test_match_hosts_implies_sockets(self, fig1_files, fig1_data):
+    def test_match_hosts_implies_processes(self, fig1_files, fig1_data):
         import threading
 
         from repro.parallel import ShardWorker
@@ -210,7 +212,7 @@ class TestMatch:
             "--executor", "threads", "--hosts", "localhost:7441",
         )
         assert code == 1
-        assert "--hosts applies to --executor processes or sockets" in output
+        assert "--hosts applies to --executor processes, not" in output
 
     def test_hosts_shards_contradiction(self, fig1_files):
         data_path, query_path = fig1_files
@@ -364,20 +366,11 @@ class TestPoolSizeFlags:
     """The pool is one number: ``--shards N`` workers, all
     interchangeable (``--hosts`` fixes N to the address count)."""
 
-    def test_match_four_member_sockets(self, fig1_files):
-        data_path, query_path = fig1_files
-        code, output = run_cli(
-            "match", data_path, query_path,
-            "--executor", "sockets", "--shards", "4",
-        )
-        assert code == 0
-        assert output.startswith("2 embeddings")
-
     def test_pool_size_does_not_care_which_spelling_was_typed(
         self, fig1_files
     ):
-        """``processes`` and ``sockets`` are one pool, so the member
-        count applies under either name."""
+        """Four members whether the pool is named (``--executor
+        processes``) or implied by ``--shards`` alone (the next test)."""
         data_path, query_path = fig1_files
         code, output = run_cli(
             "match", data_path, query_path,

@@ -20,13 +20,11 @@ two halves' narrower blocks perform; the funnel did not move.
 ``("bitset", "threads")`` is pinned *equal to* ``("bitset",
 "processes")``: ``workers=2`` threads and ``shards=2`` workers run the
 same two root parts, so even the block-dependent units agree — one cut,
-wherever a part runs.  The ``"sockets"`` keys, ``("bitset",
-"count_bfs")``, ``("bitset", "simulated")`` and the ``adaptive``
-parallel keys were recorded on the last commit that still had the
-level-synchronous pool protocol, when the pool became a flat list of
-whole-graph members: ``"sockets"`` is the ``"processes"`` pool under its
-other spelling and charges the same units to the digit, and no
-executor's units moved with the protocol's removal.  The engines
+wherever a part runs.  ``("bitset", "count_bfs")``, ``("bitset",
+"simulated")`` and the ``adaptive`` parallel keys were recorded on the
+last commit that still had the level-synchronous pool protocol, when
+the pool became a flat list of whole-graph members, and no executor's
+units moved with the protocol's removal.  The engines
 built without a backend run the library default (``bitset`` unless ``REPRO_INDEX_BACKEND`` says
 otherwise).
 """
@@ -55,19 +53,16 @@ WORK_UNITS = {
     ("merge", "count_bfs"): 711884,
     ("merge", "threads"): 711884,
     ("merge", "processes"): 711884,
-    ("merge", "sockets"): 711884,
     ("merge", "simulated"): 711884,
     ("bitset", "sequential"): 92396,
     ("bitset", "count_bfs"): 92396,
     ("bitset", "threads"): 105106,
     ("bitset", "processes"): 105106,
-    ("bitset", "sockets"): 105106,
     ("bitset", "simulated"): 324882,
     ("adaptive", "sequential"): 324882,
     ("adaptive", "count_bfs"): 324882,
     ("adaptive", "threads"): 324882,
     ("adaptive", "processes"): 324882,
-    ("adaptive", "sockets"): 324882,
     ("adaptive", "simulated"): 324882,
 }
 MODES = {
@@ -75,7 +70,6 @@ MODES = {
     "count_bfs": lambda e, q, c: e.count_bfs(q, counters=c),
     "threads": lambda e, q, c: e.count(q, counters=c, executor="threads", workers=2),
     "processes": lambda e, q, c: e.count(q, counters=c, executor="processes"),
-    "sockets": lambda e, q, c: e.count(q, counters=c, executor="sockets"),
     "simulated": lambda e, q, c: e.count(q, counters=c, executor="simulated", workers=2),
 }
 

@@ -234,8 +234,8 @@ class _WedgedWorker:
         self._thread.start()
 
     def hello(self):
-        address, descriptor, seed = self._template._announce_hello()
-        return (self.address, descriptor, seed)
+        _, descriptor = self._template._announce_hello()
+        return (self.address, descriptor)
 
     def _serve(self):
         try:

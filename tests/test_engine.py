@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import multiprocessing
 import random
 
 import pytest
@@ -77,6 +78,38 @@ class TestEngineBehaviour:
         query = Hypergraph(["A", "B", "A", "B"], [{0, 1}, {2, 3}])
         with pytest.raises(QueryError):
             fig1_engine.count(query)
+
+    def test_a_label_type_the_graph_lacks_is_refused_on_every_path(self):
+        """A str-labelled query on an int-labelled graph (a native query
+        file against a built-in dataset) could match nothing: every
+        path plans, and planning refuses it before any worker starts."""
+        data = Hypergraph([0, 1, 0, 1], [{0, 1}, {2, 3}, {0, 3}])
+        query = Hypergraph(["0", "1"], [{0, 1}])
+        engine = HGMatch(data, shards=2)
+        try:
+            calls = {
+                "sequential": lambda: engine.count(query),
+                "threads": lambda: engine.count(
+                    query, executor="threads", workers=2
+                ),
+                "processes": lambda: engine.count(query, executor="processes"),
+                "simulated": lambda: engine.count(
+                    query, executor="simulated", workers=2
+                ),
+                "count_bfs": lambda: engine.count_bfs(query),
+                "match": lambda: list(engine.match(query)),
+            }
+            for call in calls.values():
+                with pytest.raises(
+                    QueryError, match="labels are str but the data graph's "
+                    "are int",
+                ):
+                    call()
+            assert not multiprocessing.active_children()
+            same_type = Hypergraph([0, 1], [{0, 1}])
+            assert engine.count(same_type, executor="processes") == 3
+        finally:
+            engine.close()
 
     def test_no_matching_partition_gives_zero(self, fig1_engine):
         query = Hypergraph(["B", "B"], [{0, 1}])

@@ -2,7 +2,7 @@
 
 This is the load-bearing correctness test of the reproduction: on
 randomised (data, query) instances, HGMatch (sequential, strict, BFS,
-threaded, simulated), the dataflow layer, and all four baselines must
+threaded, simulated) and all four baselines must
 produce the identical set of hyperedge-level embeddings — and the
 vertex-level counts must also coincide.
 """
@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from repro import HGMatch
 from repro.baselines import BASELINE_NAMES, brute_force, make_baseline
-from repro.dataflow import run_query
 from repro.parallel import SimulatedExecutor
 
 from repro.testing import make_random_instance
@@ -43,7 +42,6 @@ class TestRandomisedEquivalence:
         assert hgmatch_tuples == reference.hyperedge_tuples
 
         assert engine.count_bfs(query) == len(reference.hyperedge_tuples)
-        assert run_query(engine, query) == len(reference.hyperedge_tuples)
         assert (
             engine.count(query, executor="threads", workers=3)
             == len(reference.hyperedge_tuples)

@@ -224,8 +224,8 @@ class TestFailure:
 
 
 class TestSeeding:
-    """Executor RNGs derive from REPRO_SEED, never from the module-global
-    random state, so runs are reproducible per job."""
+    """The simulated scheduler's RNG derives from REPRO_SEED, never from
+    the module-global random state, so runs are reproducible per job."""
 
     def test_default_seed_reads_env(self, monkeypatch):
         from repro.parallel import default_seed
@@ -239,11 +239,10 @@ class TestSeeding:
             default_seed()
 
     def test_executors_pick_up_repro_seed(self, monkeypatch):
-        from repro.parallel import ShardPool, SimulatedExecutor
+        from repro.parallel import SimulatedExecutor
 
         monkeypatch.setenv("REPRO_SEED", "77")
         assert SimulatedExecutor(2).seed == 77
-        assert ShardPool(num_shards=2).seed == 77
         # Explicit seeds still win.
         assert SimulatedExecutor(2, seed=5).seed == 5
 

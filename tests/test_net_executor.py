@@ -6,7 +6,7 @@ across real TCP connections (loopback clusters spawned by
 :func:`repro.parallel.spawn_local_cluster`, i.e. the full network
 path).  On top of that, the suite pins the failure modes a network
 adds: mid-job worker disconnects must raise cleanly (no hang),
-handshake mismatches (backend / data graph / seed / duplicate names)
+handshake mismatches (backend / data graph / duplicate names)
 must refuse to compose, and protocol violations must not corrupt
 counts.
 """
@@ -24,7 +24,6 @@ import pytest
 from repro import HGMatch, Hypergraph
 from repro.core.counters import MatchCounters
 from repro.errors import QueryError, SchedulerError, TransportError
-from repro.hypergraph import INDEX_BACKENDS
 from repro.parallel import (
     QueryChannel,
     ShardPool,
@@ -47,17 +46,6 @@ def workload_instances():
     return instances
 
 
-@pytest.mark.parametrize("backend", INDEX_BACKENDS)
-def test_counts_match_sequential(workload_instances, backend):
-    for data, query in workload_instances[:2]:
-        engine = HGMatch(data, index_backend=backend, shards=2)
-        try:
-            expected = engine.count(query)
-            assert engine.count(query, executor="sockets") == expected
-        finally:
-            engine.close()
-
-
 def test_counter_funnel_matches_sequential(workload_instances):
     data, query = workload_instances[0]
     engine = HGMatch(data, index_backend="bitset", shards=2)
@@ -66,7 +54,7 @@ def test_counter_funnel_matches_sequential(workload_instances):
         expected = engine.count(query, counters=sequential)
         networked = MatchCounters()
         assert engine.count(
-            query, executor="sockets", counters=networked
+            query, executor="processes", counters=networked
         ) == expected
         assert networked.candidates == sequential.candidates
         assert networked.filtered == sequential.filtered
@@ -158,16 +146,20 @@ def test_handshake_graph_mismatch():
         engine.close()
 
 
-def test_handshake_seed_mismatch(workload_instances):
+def test_a_cluster_spawned_under_another_seed_joins_a_default_pool(
+    workload_instances, monkeypatch
+):
+    """No seed is part of the handshake: a member's reply is a pure
+    function of the request, so ``REPRO_SEED`` at spawn time does not
+    matter to the pool."""
     data, query = workload_instances[0]
     engine = HGMatch(data, index_backend="merge")
-    cluster = spawn_local_cluster(data, 1, index_backend="merge", seed=123)
-    executor = ShardPool(
-        addresses=cluster.addresses, index_backend="merge", seed=0
-    )
+    monkeypatch.setenv("REPRO_SEED", "123")
+    cluster = spawn_local_cluster(data, 1, index_backend="merge")
+    monkeypatch.delenv("REPRO_SEED")
+    executor = ShardPool(addresses=cluster.addresses, index_backend="merge")
     try:
-        with pytest.raises(SchedulerError, match="seed mismatch"):
-            executor.run(engine, query)
+        assert executor.run(engine, query).embeddings == engine.count(query)
     finally:
         executor.close()
         cluster.close()
@@ -271,7 +263,7 @@ def test_mid_job_disconnect_raises_cleanly(workload_instances):
             transport.send_frame(
                 conn,
                 transport.MSG_HELLO,
-                transport.encode_handshake(descriptor.as_dict(), 0),
+                transport.encode_handshake(descriptor.as_dict()),
             )
             transport.recv_frame(conn)  # SUBTREE
             # ... and die without replying.
@@ -334,7 +326,7 @@ def test_malformed_descriptor_is_rejected_cleanly():
             transport.send_frame(
                 conn,
                 transport.MSG_HELLO,
-                transport.encode_handshake({"shard_id": 0}, 0),
+                transport.encode_handshake({"shard_id": 0}),
             )
 
     thread = threading.Thread(target=impostor, daemon=True)
@@ -604,7 +596,7 @@ def test_engine_pool_lifecycle(workload_instances):
     engine = HGMatch(data, index_backend="bitset", shards=2)
     try:
         executor = engine.pool()
-        assert engine.count(query, executor="sockets") == engine.count(query)
+        assert engine.count(query, executor="processes") == engine.count(query)
         # Same coordinator object serves the next query.
         assert engine.pool() is executor
         # A different shard count rebuilds.
@@ -617,7 +609,7 @@ def test_engine_pool_lifecycle(workload_instances):
             pinned = engine.pool(hosts=cluster.addresses)
             assert pinned.addresses is not None
             assert engine.pool() is pinned
-            assert engine.count(query, executor="sockets") == engine.count(
+            assert engine.count(query, executor="processes") == engine.count(
                 query
             )
             with pytest.raises(QueryError):
@@ -642,17 +634,6 @@ def test_invalid_configuration():
         spawn_local_cluster(
             Hypergraph(labels=["A", "A"], edges=[{0, 1}]), 0
         )
-
-
-def test_single_step_query(fig1_data):
-    """num_steps == 1: the SCAN level is also the final level."""
-    query = Hypergraph(labels=["A", "B"], edges=[{0, 1}])
-    engine = HGMatch(fig1_data, shards=2)
-    try:
-        expected = engine.count(query)
-        assert engine.count(query, executor="sockets") == expected
-    finally:
-        engine.close()
 
 
 def test_results_are_reproducible_across_runs(workload_instances):

@@ -147,6 +147,13 @@ def test_invalid_executor_and_shards():
     engine = HGMatch(data)
     with pytest.raises(QueryError):
         engine.count(query, executor="warp-drive")
+    # The pool has one name; the error lists the four spellings.
+    with pytest.raises(
+        QueryError,
+        match="unknown executor 'sockets'; expected one of "
+        "\\('sequential', 'threads', 'processes', 'simulated'\\)",
+    ):
+        engine.count(query, executor="sockets")
     with pytest.raises(QueryError):
         engine.count_bfs(query, executor="warp-drive")
     with pytest.raises(QueryError):
@@ -261,10 +268,10 @@ def test_cluster_lookups_refuse_names_outside_the_cluster(fig1_data):
         cluster.close()
 
 
-def test_processes_and_hostless_sockets_share_one_pool(workload_instances):
-    """One set of worker processes per engine: ``executor="processes"``
-    and ``executor="sockets"`` with no hosts configured are the same
-    coordinator over the same local cluster."""
+def test_two_processes_counts_share_one_pool(workload_instances):
+    """One set of worker processes per engine: two hostless
+    ``executor="processes"`` counts are the same coordinator over the
+    same local cluster, and closing the engine ends every worker."""
     data, query = workload_instances[0]
     engine = HGMatch(data, index_backend="bitset", shards=2)
     try:
@@ -272,7 +279,7 @@ def test_processes_and_hostless_sockets_share_one_pool(workload_instances):
         assert engine.count(query, executor="processes") == expected
         pool = engine.pool()
         pids = [process.pid for process in pool._cluster.processes]
-        assert engine.count(query, executor="sockets") == expected
+        assert engine.count(query, executor="processes") == expected
         assert engine.pool() is pool
         assert [p.pid for p in pool._cluster.processes] == pids
         processes = list(pool._cluster.processes)
@@ -344,7 +351,7 @@ def test_fig1_running_example_across_executors(fig1_data, fig1_query):
         assert engine.count(fig1_query, executor="simulated", workers=3) == expected
         assert engine.count_bfs(fig1_query) == expected
         # Every parallel spelling is count's, not count_bfs's.
-        for spelling in ("threads", "simulated", "processes", "sockets"):
+        for spelling in ("threads", "simulated", "processes"):
             with pytest.raises(QueryError, match="use count"):
                 engine.count_bfs(fig1_query, executor=spelling)
     finally:

@@ -45,14 +45,14 @@ def _descriptor(shard_id=0):
     ).as_dict()
 
 
-def _announce(registry, descriptor, address=("10.0.0.1", 7000), seed=0):
+def _announce(registry, descriptor, address=("10.0.0.1", 7000)):
     """Open a raw announcer connection; returns the socket (caller
     keeps it open — closing it evicts the record)."""
     sock = socket.create_connection(registry.address, timeout=5.0)
     transport.send_frame(
         sock,
         transport.MSG_ANNOUNCE,
-        transport.encode_announce(address, descriptor, seed),
+        transport.encode_announce(address, descriptor),
     )
     return sock
 
@@ -238,7 +238,7 @@ def test_announcer_registers_and_heartbeats():
     ) as registry:
         announcer = Announcer(
             registry.address,
-            lambda: (("10.0.0.9", 7100), descriptor, 0),
+            lambda: (("10.0.0.9", 7100), descriptor),
             interval=INTERVAL,
             rng=random.Random(5),
         )
@@ -263,7 +263,7 @@ def test_announcer_reconnects_after_eviction():
     ) as registry:
         announcer = Announcer(
             registry.address,
-            lambda: (("10.0.0.9", 7100), descriptor, 0),
+            lambda: (("10.0.0.9", 7100), descriptor),
             interval=INTERVAL,
             rng=random.Random(5),
         )

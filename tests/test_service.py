@@ -636,12 +636,11 @@ def test_engine_holds_one_pool(service_instance):
         )
         pids = workers()
         assert len(pids) == 2
-        for spelling in ("processes", "sockets"):
-            assert (
-                engine.count(queries[1], executor=spelling)
-                == expected["bitset"][1]
-            )
-            assert workers() == pids
+        assert (
+            engine.count(queries[1], executor="processes")
+            == expected["bitset"][1]
+        )
+        assert workers() == pids
         frames = service.pool.dispatched_frames
         victim = next(engine.match(queries[0])).edge_ids[0]
         engine.apply_mutations(MutationBatch(deletes=[victim]))
@@ -655,7 +654,7 @@ def test_engine_holds_one_pool(service_instance):
         assert engine.pool() is service.pool
         assert (
             service.match(queries[0]).embeddings
-            == engine.count(queries[0], executor="sockets")
+            == engine.count(queries[0], executor="processes")
             == engine.count(queries[0])
             < expected["bitset"][0]
         )

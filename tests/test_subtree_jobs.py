@@ -1,4 +1,4 @@
-"""Subtree jobs: ``count(executor="processes"|"sockets")`` and the match
+"""Subtree jobs: ``count(executor="processes")`` and the match
 service cut a query at the root, not by row.
 
 Every pool member holds the whole graph; a counting query is one
@@ -117,15 +117,13 @@ def test_counts_and_funnel_match_the_sequential_merge_engine(
     assert reordered > 0
 
 
-@pytest.mark.parametrize(
-    "executor", ["threads", "processes", "sockets", "simulated"]
-)
+@pytest.mark.parametrize("executor", ["threads", "processes", "simulated"])
 @pytest.mark.parametrize("backend", INDEX_BACKENDS)
 def test_every_executor_spelling_matches_the_sequential_merge_engine(
     instances, backend, executor
 ):
     """Every parallel spelling of ``count`` makes the one root cut — on
-    threads, on the pool under either name, or on the simulated
+    threads, on the pool, or on the simulated
     work-stealing scheduler — and lands on the sequential ``merge``
     engine's count and funnel on every backend."""
     for data, query in instances:
@@ -141,7 +139,7 @@ def test_every_executor_spelling_matches_the_sequential_merge_engine(
             engine.close()
 
 
-@pytest.mark.parametrize("spelling", ["processes", "sockets"])
+@pytest.mark.parametrize("spelling", ["processes"])
 def test_count_bfs_refuses_a_pool_spelling_before_starting_a_pool(
     fig1_data, fig1_query, spelling
 ):
@@ -161,9 +159,9 @@ def test_count_bfs_refuses_a_pool_spelling_before_starting_a_pool(
         engine.close()
 
 
-def test_both_spellings_and_the_engine_path(instances):
-    """``count(executor=...)`` is the subtree job under both spellings;
-    ``count_bfs`` has no pool spelling and says which call does."""
+def test_each_processes_count_is_one_solo_channel(instances):
+    """``count(executor="processes")`` is the solo subtree job, query
+    after query: one channel tagged ``SOLO_QUERY_ID`` per count."""
     data, query = instances[0]
     count, _ = oracle(data, query)
     engine = HGMatch(data, shards=2)
@@ -178,14 +176,8 @@ def test_both_spellings_and_the_engine_path(instances):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(QueryChannel, "_send_parts", send_parts)
             assert engine.count(query, executor="processes") == count
-            assert engine.count(query, executor="sockets") == count
+            assert engine.count(query, executor="processes") == count
             assert sent == [transport.SOLO_QUERY_ID] * 2
-            for spelling in ("processes", "sockets"):
-                with pytest.raises(
-                    QueryError, match=f"count\\(executor={spelling!r}\\)"
-                ):
-                    engine.count_bfs(query, executor=spelling)
-            assert len(sent) == 2
     finally:
         engine.close()
 
@@ -614,9 +606,8 @@ def test_mutated_engines_count_exactly_under_both_orientations(
     assert tombstoned > 0 and checked >= 12
 
 
-@pytest.mark.parametrize("executor", ["processes", "sockets"])
 @pytest.mark.parametrize("backend", INDEX_BACKENDS)
-def test_a_four_member_pool_stays_exact_across_commits(backend, executor):
+def test_a_four_member_pool_stays_exact_across_commits(backend):
     """A four-member pool is four whole-graph members: every commit's
     MUTATE reaches each member's one store, and every query after it
     still sends one part to each of the four and counts exactly."""
@@ -625,11 +616,11 @@ def test_a_four_member_pool_stays_exact_across_commits(backend, executor):
     engine = HGMatch(data, index_backend=backend, shards=4)
     try:
         pool = engine.pool()
-        assert engine.count(query, executor=executor) == oracle(data, query)[0]
+        assert engine.count(query, executor="processes") == oracle(data, query)[0]
         for batch in random_mutation_schedule(rng, data, steps=3):
             engine.apply_mutations(batch)
             before = pool.dispatched_frames
-            assert engine.count(query, executor=executor) == _rebuilt(
+            assert engine.count(query, executor="processes") == _rebuilt(
                 engine, query
             )
             assert pool.dispatched_frames - before == 4
@@ -776,7 +767,7 @@ def test_a_forked_member_serves_the_engines_own_store(instances, monkeypatch):
 
         monkeypatch.setattr(context, "Process", Recorder)
         _, parent = cluster._start_cluster_worker(
-            context, data, 0, "bitset", 0, store=engine.store
+            context, data, 0, "bitset", store=engine.store
         )
         parent.close()
         assert started[0][-1] is handed

@@ -9,6 +9,7 @@ payload tables that overrun their body.
 
 from __future__ import annotations
 
+import pickle
 import socket
 import struct
 import threading
@@ -140,12 +141,16 @@ class TestHandshake:
             "num_partitions": 3, "num_rows": 17,
             "graph_edges": 40, "graph_vertices": 19,
         }
-        body = transport.encode_handshake(descriptor, seed=7)
-        assert transport.decode_handshake(body) == (descriptor, 7)
+        body = transport.encode_handshake(descriptor)
+        assert transport.decode_handshake(body) == descriptor
+        # An older peer's body still carries a ``seed``: it is ignored.
+        older = pickle.dumps({
+            "protocol": transport.PROTOCOL_VERSION, "seed": 7,
+            "descriptor": descriptor,
+        })
+        assert transport.decode_handshake(older) == descriptor
 
     def test_malformed_handshake(self):
-        import pickle
-
         with pytest.raises(TransportError, match="malformed"):
             transport.decode_handshake(pickle.dumps(["not", "a", "dict"]))
         with pytest.raises(TransportError, match="undecodable"):
@@ -349,29 +354,24 @@ class TestAnnounceCodec:
     }
 
     def test_round_trip(self):
-        body = transport.encode_announce(
-            ("node-3", 7441), self.DESCRIPTOR, seed=99
-        )
-        address, descriptor, seed = transport.decode_announce(body)
+        body = transport.encode_announce(("node-3", 7441), self.DESCRIPTOR)
+        address, descriptor = transport.decode_announce(body)
         assert address == ("node-3", 7441)
         assert descriptor == self.DESCRIPTOR
-        assert seed == 99
 
     def test_frame_round_trip_as_announce_kind(self):
-        body = transport.encode_announce(
-            ("h", 1), self.DESCRIPTOR, seed=0
-        )
+        body = transport.encode_announce(("h", 1), self.DESCRIPTOR)
         kind, decoded = transport.decode_frame(
             transport.encode_frame(transport.MSG_ANNOUNCE, body)
         )
         assert kind == transport.MSG_ANNOUNCE
-        assert transport.decode_announce(decoded)[2] == 0
+        assert transport.decode_announce(decoded)[0] == ("h", 1)
 
     def test_protocol_field_is_checked(self):
         import pickle
 
         body = pickle.dumps({
-            "protocol": "smoke-signals", "seed": 0,
+            "protocol": "smoke-signals",
             "descriptor": self.DESCRIPTOR, "address": ("h", 1),
         })
         with pytest.raises(TransportError, match="declares protocol"):
@@ -381,7 +381,7 @@ class TestAnnounceCodec:
         import pickle
 
         body = pickle.dumps({
-            "protocol": transport.PROTOCOL_VERSION, "seed": 0,
+            "protocol": transport.PROTOCOL_VERSION,
             "descriptor": self.DESCRIPTOR, "address": "not-a-pair",
         })
         with pytest.raises(TransportError, match="malformed address"):

@@ -17,7 +17,7 @@ hide a violation — that fails when:
    built on the shard pool, never the reverse.
 3. Any production package (``core``, ``hypergraph``, ``parallel``,
    ``service``) imports the paper's scaffolding (``baselines``,
-   ``bench``, ``dataflow``, ``joins``), at any depth.
+   ``bench``, ``joins``), at any depth.
 
 Every file under ``src/`` is parsed on the way, so a syntax error
 anywhere fails the check too.
@@ -33,7 +33,7 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(REPO_ROOT, "src")
 
 PRODUCTION = ("core", "hypergraph", "parallel", "service")
-SCAFFOLDING = ("baselines", "bench", "dataflow", "joins")
+SCAFFOLDING = ("baselines", "bench", "joins")
 
 #: importing package → (forbidden packages, module level only?)
 RULES = {
