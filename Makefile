@@ -78,8 +78,9 @@ test-mutation:
 ## Durability smoke: the journal codec (torn tails vs mid-log
 ## corruption), snapshots, the crash-point recovery oracle, the
 ## service/daemon journal seam (drain persists, restart recovers and
-## resumes standing streams), the bounded MUTATE barrier and the
-## CATCHUP rejoin paths of the shard pool.
+## resumes standing streams), commits that ride CATCHUP and never
+## fail for a lost worker, and the CATCHUP rejoin paths of the shard
+## pool.
 test-durability:
 	$(PYTHON) -m pytest -x -q tests/test_journal.py \
 		tests/test_mutation_service.py tests/test_elastic.py \

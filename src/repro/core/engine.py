@@ -203,7 +203,7 @@ class HGMatch:
         self._match_service = None
         # The data graph's label types, re-read only when a query has a
         # type not in here: a graph only gains vertices, never loses a
-        # label type (see plan()).
+        # label type (see check_labels()).
         self._label_types: frozenset = frozenset()
 
     @property
@@ -221,6 +221,17 @@ class HGMatch:
     # ------------------------------------------------------------------
     # Planning
     # ------------------------------------------------------------------
+    def check_labels(self, query: Hypergraph) -> None:
+        """Refuse (:class:`~repro.errors.QueryError`) a query whose
+        vertex labels are of a type the data graph has none of — a
+        native file's strings against int labels could match nothing
+        (:func:`~repro.hypergraph.io.check_label_types`).  The one
+        label-type gate: planning and the match service's admission
+        both call it."""
+        if not label_types(query) <= self._label_types:
+            self._label_types = label_types(self.data)
+            check_label_types(query, self._label_types)
+
     def plan(
         self, query: Hypergraph, order: "Sequence[int] | None" = None
     ) -> ExecutionPlan:
@@ -228,13 +239,10 @@ class HGMatch:
 
         A custom connected matching ``order`` may be supplied; by default
         Algorithm 3 picks one from partition cardinalities.  A query
-        whose vertex labels are of a type the data graph has none of
-        (a native file's strings against int labels) could match nothing
-        and is refused (:func:`~repro.hypergraph.io.check_label_types`).
+        of a label type the data graph lacks is refused
+        (:meth:`check_labels`).
         """
-        if not label_types(query) <= self._label_types:
-            self._label_types = label_types(self.data)
-            check_label_types(query, self._label_types)
+        self.check_labels(query)
         if query.num_edges == 0:
             raise QueryError("query hypergraph has no hyperedges")
         if not query.is_connected():
@@ -757,7 +765,7 @@ class HGMatch:
 
         The local graph and store update incrementally, and the
         engine's pool (:meth:`pool`), when live, receives the same
-        batch via a MUTATE broadcast so its workers maintain their
+        batch in a CATCHUP frame so its workers maintain their
         stores in lock-step (a pool not yet started simply builds from
         the mutated graph on first use).  When a match service wraps
         this engine, the commit goes through
@@ -770,7 +778,7 @@ class HGMatch:
             return service.apply_mutations(batch)
         result = self._apply_local(batch)
         if self._pool is not None:
-            self._pool.mutate(self, batch, result)
+            self._pool.mutate(self, result)
         return result
 
     def close(self) -> None:

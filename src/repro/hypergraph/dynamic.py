@@ -39,8 +39,9 @@ to every read-side consumer, from a fresh graph holding its live
 content (plus the tombstone rows that only the index layer ever sees
 through :meth:`rows_by_signature` / :meth:`is_live`).
 
-:func:`apply_batch` is the one write path: the engine, a shard worker's
-MUTATE frame and each batch of its CATCHUP replay all commit through it.
+:func:`apply_batch` is the one write path: the engine and each batch a
+shard worker replays from a CATCHUP frame (a commit's, or a stale
+handshake's) commit through it.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ class MutationBatch:
     deletes, then inserts — so a batch can delete an edge and re-insert
     a superset referencing a fresh vertex.  Instances are immutable and
     picklable: the same batch object is applied by the coordinator and
-    broadcast verbatim to every shard worker (MUTATE frames), which is
+    broadcast verbatim to every shard worker (CATCHUP frames), which is
     what keeps independently-held graph copies in lockstep.
     """
 
@@ -228,7 +229,7 @@ class DynamicHypergraph(Hypergraph):
     protocol (:attr:`version`, :meth:`is_live`, :meth:`live_edge_ids`,
     :meth:`slot_vertices`, :attr:`num_slots`) is the base class's,
     unchanged.  Instances are picklable (workers receive a copy at spawn
-    and replay MUTATE batches to stay in lockstep).
+    and replay committed batches to stay in lockstep).
     """
 
     def __init__(

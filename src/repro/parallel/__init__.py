@@ -30,7 +30,6 @@ scheduler lives here once, as a simulation:
 from .chaos import ChaosSocket, FaultPlan
 from .cluster import LocalCluster, spawn_local_cluster
 from .pool import QueryChannel, ShardPool
-from .handshake import default_retry_policy
 from .registry import Announcer, WorkerRecord, WorkerRegistry
 from .supervisor import SlotStatus, WorkerSupervisor
 from .memory import (
@@ -73,7 +72,6 @@ __all__ = [
     "shutdown_worker",
     "RetryPolicy",
     "default_io_timeout",
-    "default_retry_policy",
     "WorkerRegistry",
     "WorkerRecord",
     "Announcer",

@@ -18,7 +18,6 @@ What a worker announces is its
 
 from __future__ import annotations
 
-import os
 import pickle
 import socket
 import time
@@ -33,66 +32,25 @@ from .worker import ShardDescriptor, disable_nagle
 CONNECT_TIMEOUT = 10.0
 
 
-def default_retry_policy() -> RetryPolicy:
-    """The coordinator's connect/restart policy, from the environment.
-
-    ``REPRO_NET_RETRIES`` (a positive integer) overrides the attempt
-    budget and ``REPRO_NET_BACKOFF`` (a positive number of seconds)
-    overrides the base backoff delay; unset, both fall back to
-    :class:`~repro.parallel.tasks.RetryPolicy`'s defaults (4 attempts,
-    0.05 s base).  Resolved at call time, like ``REPRO_NET_TIMEOUT`` in
-    :func:`~repro.parallel.worker.default_io_timeout`, so a deployment
-    can harden or tighten retry behaviour without touching call sites.
-    """
-    kwargs = {}
-    value = os.environ.get("REPRO_NET_RETRIES")
-    if value:
-        try:
-            attempts = int(value)
-        except ValueError:
-            raise TransportError(
-                f"REPRO_NET_RETRIES must be an integer attempt count, "
-                f"got {value!r}"
-            ) from None
-        if attempts < 1:
-            raise TransportError(
-                f"REPRO_NET_RETRIES must be >= 1, got {value!r}"
-            )
-        kwargs["attempts"] = attempts
-    value = os.environ.get("REPRO_NET_BACKOFF")
-    if value:
-        try:
-            base_delay = float(value)
-        except ValueError:
-            raise TransportError(
-                f"REPRO_NET_BACKOFF must be a number of seconds, "
-                f"got {value!r}"
-            ) from None
-        if base_delay <= 0:
-            raise TransportError(
-                f"REPRO_NET_BACKOFF must be positive, got {value!r}"
-            )
-        kwargs["base_delay"] = base_delay
-        kwargs["max_delay"] = max(
-            base_delay, RetryPolicy.max_delay
-        )
-    return RetryPolicy(**kwargs)
-
-
-def _catchup_body(graph, stale_version: int) -> bytes:
-    """The CATCHUP payload for a worker stuck at ``stale_version``.
+def catchup_body(graph, stale_version: int) -> bytes:
+    """The CATCHUP payload rolling a worker at ``stale_version`` forward
+    to ``graph`` — from the handshake gate, or a commit's broadcast.
 
     Prefers the cheap path — the contiguous suffix of committed
     :class:`MutationBatch`es the graph retains in its in-memory history
     (:meth:`~repro.hypergraph.dynamic.DynamicHypergraph.batches_since`)
     — and falls back to shipping a snapshot of the whole graph, from
     which the worker rebuilds its store, when the suffix has aged out.
+    The target version, edge and vertex counts ride along, so the
+    worker checks its post-replay state itself.
     """
     batches = graph.batches_since(stale_version)
     payload = (
         {"snapshot": graph} if batches is None else {"batches": batches}
     )
     payload["to_version"] = graph.version
+    payload["graph_edges"] = graph.num_edges
+    payload["graph_vertices"] = graph.num_vertices
     return pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
 
 
@@ -110,9 +68,9 @@ def validate_handshake(
     ``expected_shard`` (a respawn or a reconnect in place) pins the
     announced name.
 
-    A worker announcing a *stale* ``graph_version`` (it was restarting
-    while MUTATE broadcasts went out, or was spawned from the original
-    graph) is not refused outright: the gate sends a CATCHUP frame
+    A worker announcing a *stale* ``graph_version`` (it was away while
+    commits went out, or was spawned from the original graph) is not
+    refused outright: the gate sends a CATCHUP frame
     carrying the missing mutation batches —
     or a graph snapshot when the retained suffix has aged out — waits
     for the worker's CATCHUP-REPLY (a fresh handshake body reflecting
@@ -155,7 +113,7 @@ def validate_handshake(
         transport.send_frame(
             sock,
             transport.MSG_CATCHUP,
-            _catchup_body(graph, descriptor.graph_version),
+            catchup_body(graph, descriptor.graph_version),
         )
         kind, body = transport.recv_frame(sock)
         if kind == transport.MSG_ERROR:
@@ -177,7 +135,7 @@ def validate_handshake(
             f"graph version mismatch: worker shard "
             f"{descriptor.shard_id} reflects mutation version "
             f"{descriptor.graph_version}, the engine holds "
-            f"{graph_version} — the worker missed a MUTATE broadcast"
+            f"{graph_version} — the worker missed a commit"
         )
     if (
         descriptor.graph_edges != graph.num_edges

@@ -10,22 +10,22 @@ a second engine.  This module is that pool, in two pieces:
     function (:meth:`ShardPool.ensure_open`: own loopback cluster,
     fixed addresses or a registry, through the shared
     :func:`~repro.parallel.handshake.open_session` gate).  A **pump
-    thread is the only reader of job replies**: it routes each
-    REPLY/QERROR to its query's queue by the ``query_id`` tag.  A member
-    that fails — on a send, on the pump's read, at a reply deadline or
-    by registry eviction — goes down **one recovery ladder**
-    (:meth:`ShardPool._member_failed`).  Pool-wide barriers (``mutate``,
-    ``admit``, ``drain``) run with no query in flight and *park* the
-    pump, so their exchanges are plain send → receive.
+    thread is the only reader of member sockets**: it routes each
+    REPLY/QERROR to its query's queue by the ``query_id`` tag and
+    consumes the CATCHUP-REPLY a commit's CATCHUP earns
+    (:meth:`ShardPool.mutate` sends and never reads).  A member that
+    fails — on a send, on the pump's read, on a CATCHUP it could not
+    apply, at a reply deadline or by registry eviction — goes down
+    **one recovery ladder** (:meth:`ShardPool._member_failed`).
 
 :class:`QueryChannel`
     One query on the pool: the one place SUBTREE bodies are encoded and
     the one gather loop.  :meth:`QueryChannel.count` cuts the query at
     the root into parts (:meth:`ShardPool._parts`), sends each chosen
     member one self-contained SUBTREE request and adds up the REPLYs.
-    A solo job (:meth:`ShardPool.run`) is one channel tagged
-    :data:`~repro.parallel.transport.SOLO_QUERY_ID`; the match service
-    opens one per admitted query, on its engine's same pool.
+    A solo job (:meth:`ShardPool.run`) is one channel with a fresh
+    query id, like each query the match service opens on its engine's
+    same pool.
 
 Failover
 --------
@@ -33,13 +33,13 @@ A part's count is a pure function of ``(plan, part, parts, graph
 version)``, so any member can answer any part and two members' answers
 are bit-identical.  Hence a lost member's owed parts are re-sent to
 whoever takes over; a part is worked by one member at a time.  Every
-dispatch pushes a pool-wide monotonic **barrier token** (with its
-part) onto the member's per-query FIFO and the pump pops one per reply
-(workers answer in request order), so late and duplicate replies carry
-a token or part the gather no longer waits for and are discarded.
-Only per-worker *counter accounting* can split across members;
-embedding counts are exact because exactly one reply per (barrier,
-part) is taken.
+dispatch pushes its part onto the member's per-query FIFO and the pump
+pops one per reply (workers answer in request order).  Query ids are
+never reused on a pool, so a late reply of a finished or cancelled
+query has no registered taker and is dropped, and a duplicate names a
+part the gather no longer waits for.  Only per-worker *counter
+accounting* can split across members; embedding counts are exact
+because exactly one reply per part is taken.
 
 ``docs/ARCHITECTURE.md`` ("Failover", "Match service")
 places this layer in the system and tabulates the ladder.
@@ -71,7 +71,7 @@ from ..hypergraph import Hypergraph
 from ..hypergraph.storage import resolve_index_backend
 from . import transport
 from .cluster import LocalCluster, spawn_local_cluster
-from .handshake import default_retry_policy, open_session
+from .handshake import catchup_body, open_session
 from .tasks import ParallelResult, RetryPolicy
 from .worker import ShardDescriptor, default_io_timeout
 
@@ -95,24 +95,23 @@ def _close_quietly(sock) -> None:
 class _Member:
     """One live member connection of the pool."""
 
-    __slots__ = ("name", "address", "sock", "tokens")
+    __slots__ = ("name", "address", "sock", "parts")
 
     def __init__(self, name: int, address, sock) -> None:
         #: The ``shard_id`` the worker announced.
         self.name = name
         self.address = address
         self.sock = sock
-        #: query id → FIFO of ``(barrier token, part)`` pairs awaiting
-        #: replies on this connection (a drained FIFO is deleted, so an
-        #: empty dict means an idle connection).  The worker answers
-        #: strictly in request order, so the head pair names the barrier
-        #: and the part the next inbound reply for that query answers —
-        #: which is how stale replies are told apart from the live one.
-        self.tokens: "Dict[int, deque]" = {}
+        #: query id → FIFO of the parts awaiting replies on this
+        #: connection (a drained FIFO is deleted, so an empty dict means
+        #: an idle connection).  The worker answers strictly in request
+        #: order, so the head names the part the next inbound reply for
+        #: that query answers.
+        self.parts: "Dict[int, deque]" = {}
 
     def owed(self) -> int:
         """Replies this connection still owes, over all queries."""
-        return sum(map(len, self.tokens.values()))
+        return sum(map(len, self.parts.values()))
 
     def __str__(self) -> str:
         return f"shard {self.name}"
@@ -120,7 +119,7 @@ class _Member:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"_Member({self}, address={self.address!r}, "
-            f"owing={sorted(self.tokens)})"
+            f"owing={sorted(self.parts)})"
         )
 
 
@@ -129,27 +128,22 @@ class _QueryState:
     lock, except ``replies``, which is the hand-off to its channel)."""
 
     __slots__ = (
-        "query_id", "replies", "frames", "token", "pending", "watchers",
-        "lost", "started", "budget", "deadline", "cancelled",
+        "query_id", "replies", "frames", "pending", "watchers",
+        "started", "budget", "deadline", "cancelled",
     )
 
     def __init__(self, query_id, budget, cancelled) -> None:
         self.query_id = query_id
-        #: Routed arrivals: ``(tag, part, payload, token)`` with tag
-        #: ``"reply"`` / ``"error"``, or ``("lost", None, message,
-        #: None)`` when the pool gave the query up.
+        #: Routed arrivals: ``(tag, part, payload)`` with tag
+        #: ``"reply"`` / ``"error"``, or ``("lost", None, message)``
+        #: when the pool gave the query up (it says why).
         self.replies: "queue.Queue" = queue.Queue()
-        #: The current barrier: part → its encoded SUBTREE frame, which
-        #: failover re-sends.
+        #: part → its encoded SUBTREE frame, which failover re-sends.
         self.frames: "Dict[int, bytes]" = {}
-        self.token = 0
-        #: Parts still owing the current barrier a reply, and per such
-        #: part the member working it and when it was sent.
+        #: Parts still owing a reply, and per such part the member
+        #: working it and when it was sent.
         self.pending: set = set()
         self.watchers: "Dict[int, Tuple[_Member, float]]" = {}
-        #: Why the pool gave the query up, once it has (the same text
-        #: rides a ``"lost"`` arrival to wake a waiting gather).
-        self.lost: "str | None" = None
         self.started = time.monotonic()
         self.budget = budget
         self.deadline = None if budget is None else self.started + budget
@@ -159,21 +153,17 @@ class _QueryState:
 
 
 class _Pump(threading.Thread):
-    """A pool's reader thread — the only reader of job replies — and
-    its half of the hand-over of the receive direction to barriers."""
+    """A pool's reader thread: the only reader of member sockets."""
 
     def __init__(self, pool: "ShardPool") -> None:
         super().__init__(name="shard-pool-pump", daemon=True)
         self.pool = pool
         self.stopping = False
-        #: True while a read pass may be touching member sockets.
-        self.reading = False
         self.wake_r, self.wake_w = socket.socketpair()
         self.wake_w.setblocking(False)
 
     def wake(self) -> None:
-        """Pull the thread out of its select: the member list grew, or
-        a barrier wants the receive direction."""
+        """Pull the thread out of its select: the member list grew."""
         try:
             self.wake_w.send(b"\0")
         except OSError:
@@ -182,26 +172,12 @@ class _Pump(threading.Thread):
     def stop(self) -> None:
         self.stopping = True
         _close_quietly(self.wake_w)  # EOF on the pipe wakes the select
-        with self.pool._park:
-            self.pool._park.notify_all()
 
     def run(self) -> None:
         pool = self.pool
         epoch, live, socks = None, [], []
         try:
             while not self.stopping:
-                # Announce the pass, *then* look for a barrier.  A
-                # barrier raises ``_parking`` before it looks at
-                # ``reading``, so one of the two always sees the other:
-                # nobody reads a socket a barrier is reading.
-                self.reading = True
-                if pool._parking:
-                    self.reading = False
-                    with pool._park:
-                        pool._park.notify_all()
-                        while pool._parking and not self.stopping:
-                            pool._park.wait()
-                    continue
                 if epoch != pool._epoch:
                     with pool._lock:
                         epoch = pool._epoch
@@ -225,9 +201,6 @@ class _Pump(threading.Thread):
                 if self.wake_r in readable and not self.wake_r.recv(4096):
                     return  # the pool hung up on the pipe: stopping
         finally:
-            self.reading = False
-            with pool._park:
-                pool._park.notify_all()
             _close_quietly(self.wake_r)
 
 
@@ -297,20 +270,20 @@ class ShardPool:
         self.io_timeout = (
             default_io_timeout() if io_timeout is None else io_timeout
         )
-        self.retry = default_retry_policy() if retry is None else retry
+        self.retry = RetryPolicy() if retry is None else retry
         self.chaos = chaos
         #: Optional :class:`~repro.parallel.registry.WorkerRegistry`
         #: whose heartbeat evictions fail members over at the
         #: registry's (short) eviction deadline instead of this pool's
         #: (long) I/O deadline.
         self.registry = registry
-        #: SUBTREE and MUTATE frames sent to workers — the counter the
-        #: cache-bypass gate watches (a cache hit must not move it).
+        #: SUBTREE and commit CATCHUP frames sent to workers — the
+        #: counter the cache-bypass gate watches (a cache hit must not
+        #: move it).
         self.dispatched_frames = 0
         self._retry_rng = random.Random(0x5EED)
-        #: Guards the member list, the query table and every member's
-        #: tokens.  Lock order: the pump's park condition first, then
-        #: this.
+        #: Guards the member list, the query table, every member's
+        #: parts and every send on a member socket.
         self._lock = threading.RLock()
         self._cluster: "LocalCluster | None" = None
         #: The live members, in the order they joined (empty when no
@@ -323,16 +296,13 @@ class ShardPool:
         self._graph: "Hypergraph | None" = None
         self._respawn_budget = 0
         self._evict_cursor = 0
+        #: Query ids, never reused on this pool: a late reply of a
+        #: finished query finds no taker.
         self._ids = itertools.count(1)
-        self._tokens = itertools.count(1)
         self._pump: "_Pump | None" = None
         #: Bumped on every change to the member list; the pump re-reads
         #: it only when it moved.
         self._epoch = 0
-        #: Barrier ↔ pump hand-over of the receive direction: barriers
-        #: in progress, and the condition both sides wait on.
-        self._park = threading.Condition()
-        self._parking = 0
 
     @classmethod
     def from_registry(
@@ -354,9 +324,6 @@ class ShardPool:
         return cls(addresses=addresses, registry=registry, **kwargs)
 
     # -- opening and closing --------------------------------------------
-
-    def next_query_id(self) -> int:
-        return next(self._ids)
 
     def ensure_open(self, engine) -> bool:
         """Open (or reuse) the pool for ``engine``'s data graph.
@@ -385,7 +352,9 @@ class ShardPool:
                 if self._cluster is not None:
                     self._reap_dead_members()
                     for name in sorted(self._lost):
-                        if self._restore_member(name) is None:
+                        try:
+                            self._restore_member(name)
+                        except SchedulerError:
                             self._lost.pop(name, None)
                 if self._members:
                     return True
@@ -493,8 +462,7 @@ class ShardPool:
             self._lost = {}
             self._graph = None
             for state in self._queries.values():
-                state.lost = message
-                state.replies.put(("lost", None, message, None))
+                state.replies.put(("lost", None, message))
             self._queries.clear()
 
     def close(self) -> None:
@@ -533,8 +501,8 @@ class ShardPool:
         time_budget: "float | None" = None,
         counters: "MatchCounters | None" = None,
     ):
-        """Execute one solo counting job — one channel, query id
-        :data:`~repro.parallel.transport.SOLO_QUERY_ID` — and return its
+        """Execute one solo counting job — one channel with a fresh
+        query id, like a service query — and return its
         :class:`~repro.parallel.tasks.ParallelResult`
         (:meth:`QueryChannel.count`: one request and one reply per
         chosen member, each running the whole block-DFS below its slice
@@ -552,9 +520,7 @@ class ShardPool:
         registered beside it the pool stays up for them (a pool out of
         members failed them too and emptied the table).
         """
-        channel = QueryChannel(
-            self, query_id=transport.SOLO_QUERY_ID, budget=time_budget
-        )
+        channel = QueryChannel(self, budget=time_budget)
         try:
             return channel.count(engine, engine.plan(query, order), counters)
         except SchedulerError:
@@ -564,18 +530,6 @@ class ShardPool:
             raise
 
     def _register(self, state: _QueryState) -> None:
-        current = self._queries.get(state.query_id)
-        if current is state:
-            return
-        if state.lost is not None:
-            # Given up between two barriers (or with the last reply of
-            # one already queued): say why, not merely that it is gone.
-            raise SchedulerError(state.lost)
-        if current is not None:
-            raise SchedulerError(
-                f"query id {state.query_id} is already in flight on "
-                f"this pool"
-            )
         if not self._members:
             raise SchedulerError(
                 f"the shard pool went down before query "
@@ -586,18 +540,17 @@ class ShardPool:
     def release(self, query_id: int) -> None:
         """Unregister a query; idempotent.  Workers hold no state for
         it — a request is self-contained — and a part still running for
-        nobody stops at the budget it carried; a late reply carries a
-        token no gather waits for and is dropped."""
+        nobody stops at the budget it carried; a late reply finds no
+        registered query and is dropped."""
         with self._lock:
             self._queries.pop(query_id, None)
 
-    def _open_barrier(
+    def _open_parts(
         self, state: _QueryState, frames: "Dict[int, bytes]"
     ) -> None:
-        """Start ``state``'s barrier (pool lock held): one part per
-        entry of ``frames``, each dispatched to one member."""
+        """Start ``state``'s parts (pool lock held): one per entry of
+        ``frames``, each dispatched to one member."""
         state.frames = frames
-        state.token = next(self._tokens)
         state.pending = set(frames)
         state.watchers = {}
         for part in frames:
@@ -623,23 +576,22 @@ class ShardPool:
             target = self._pick_member()
             if target is None:
                 # Rungs 2-3: bring a lost member back.
-                target = next(
-                    filter(None, map(self._restore_member, sorted(self._lost))),
-                    None,
-                )
-                if target is None:
-                    self._lose_all(
-                        cause or "no live member left to dispatch to"
-                    )
+                why = [cause or "no live member left to dispatch to"]
+                for name in sorted(self._lost):
+                    try:
+                        target = self._restore_member(name)
+                        break
+                    except SchedulerError as exc:
+                        why.append(str(exc))
+                else:
+                    self._lose_all("; ".join(why))
                     return
             try:
                 target.sock.sendall(state.frames[part])
             except OSError as exc:
                 self._member_failed(target, f"send failed: {exc}")
                 continue
-            target.tokens.setdefault(state.query_id, deque()).append(
-                (state.token, part)
-            )
+            target.parts.setdefault(state.query_id, deque()).append(part)
             state.watchers[part] = (target, time.monotonic())
             self.dispatched_frames += 1
             return
@@ -650,12 +602,22 @@ class ShardPool:
         joined.  Deterministic in the pool's own state."""
         return min(self._members, key=_Member.owed, default=None)
 
-    # -- the pump: the only reader of job replies -----------------------
+    # -- the pump: the only reader of member sockets --------------------
 
     def _route(self, member: _Member, kind: int, body: bytes) -> None:
-        """Deliver one inbound job reply to its query's queue."""
+        """Deliver one inbound frame: a job reply to its query's queue.
+        A CATCHUP-REPLY is consumed (the worker checked its post-commit
+        state itself); an ERROR — a CATCHUP the worker could not apply
+        — fails the member into the ladder with its traceback."""
+        if kind == transport.MSG_CATCHUP_REPLY:
+            return
         garbled = None
         try:
+            if kind == transport.MSG_ERROR:
+                raise TransportError(
+                    f"{member} failed a commit's CATCHUP:\n"
+                    f"{transport.decode_pickle_body(body)}"
+                )
             if kind not in _JOB_REPLIES:
                 raise TransportError(
                     f"unexpected frame kind {kind:#x} from {member}"
@@ -676,53 +638,29 @@ class ShardPool:
                 # (never a reason for the pump thread to die).
                 garbled, rest = exc, f"(unreadable error report: {exc})"
         with self._lock:
-            tokens = member.tokens.get(query_id)
-            token, part = tokens.popleft() if tokens else (None, None)
-            if tokens is not None and not tokens:
-                del member.tokens[query_id]
+            parts = member.parts.get(query_id)
+            part = parts.popleft() if parts else None
+            if parts is not None and not parts:
+                del member.parts[query_id]
             state = self._queries.get(query_id)
             # No taker: a cancelled/finished query's straggler.  An
-            # error needs no token — its query is failing regardless.
-            if state is not None and (token is not None or tag == "error"):
-                state.replies.put((tag, part, rest, token))
+            # error needs no part — its query is failing regardless.
+            if state is not None and (part is not None or tag == "error"):
+                state.replies.put((tag, part, rest))
             if garbled is not None:
                 self._member_failed(member, str(garbled))
 
     @contextmanager
-    def _barrier(self, what: str):
-        """Run a pool-wide exchange: park the pump (the barrier owns the
-        receive direction of every connection for its duration), take
-        the pool lock, and insist that no query is in flight."""
-        with self._park:
-            self._parking += 1
-            pump = self._pump  # read after the raise: a later one sees it
-            if pump is not None:
-                pump.wake()
-                while pump.reading:
-                    self._park.wait()
-        try:
-            with self._lock:
-                if self._queries:
-                    raise SchedulerError(
-                        f"cannot {what} with {len(self._queries)} queries "
-                        f"in flight"
-                    )
-                yield
-        finally:
-            with self._park:
-                self._parking -= 1
-                self._park.notify_all()
-
-    def _recv_control(self, member: _Member):
-        """The next frame on ``member``'s connection that is not a job
-        reply.  With the pump parked nobody else reads, so a reply that
-        a cancelled or out-raced query is still owed surfaces here: it
-        is routed (token popped, no taker) and skipped."""
-        while True:
-            kind, body = transport.recv_frame(member.sock)
-            if kind not in _JOB_REPLIES:
-                return kind, body
-            self._route(member, kind, body)
+    def _idle(self, what: str):
+        """Run a membership change under the pool lock, insisting that
+        no query is in flight."""
+        with self._lock:
+            if self._queries:
+                raise SchedulerError(
+                    f"cannot {what} with {len(self._queries)} queries "
+                    f"in flight"
+                )
+            yield
 
     # -- the recovery ladder --------------------------------------------
 
@@ -744,8 +682,7 @@ class ShardPool:
 
         Only the lost process's share of counter accounting goes with
         it: a part's reply is a pure function of ``(plan, part, parts,
-        graph version)``, and the gather takes exactly one per
-        (barrier, part).
+        graph version)``, and the gather takes exactly one per part.
         """
         if not self._drop_member(member, cause):
             return  # already out of the pool: handled by another path
@@ -780,13 +717,12 @@ class ShardPool:
             ):
                 self._member_failed(member, "its worker process died")
 
-    def _restore_member(self, name: int) -> "_Member | None":
+    def _restore_member(self, name: int) -> _Member:
         """Rungs 2–3 for a lost member: respawned under the budget when
         the pool owns the cluster, else reconnected where it last was.
-        Returns None when it cannot be brought back."""
-        address = self._lost.get(name)
-        if address is None:
-            return None
+        Raises :class:`~repro.errors.SchedulerError` saying why, when it
+        cannot be brought back."""
+        address = self._lost[name]
         try:
             if self._cluster is not None and self._respawn_budget > 0:
                 self._respawn_budget -= 1
@@ -795,11 +731,9 @@ class ShardPool:
                 address, self._graph, expected_shard=name
             )
         except (SchedulerError, OSError, TransportError) as exc:
-            logger.warning(
-                "shard %d at %s could not be restored: %s",
-                name, address, exc,
-            )
-            return None
+            why = f"shard {name} at {address} could not be restored: {exc}"
+            logger.warning("%s", why)
+            raise SchedulerError(why) from None
         member = _Member(name, address, sock)
         self._place(member)
         logger.warning("%s restored at %s", member, address)
@@ -851,96 +785,49 @@ class ShardPool:
     def _member(self, name) -> "_Member | None":
         return next((m for m in self._members if m.name == name), None)
 
-    # -- pool-wide barriers ---------------------------------------------
+    # -- commits and membership -----------------------------------------
 
-    def _degrade_or_fail(self, member: _Member, cause: str) -> None:
-        """A member lost mid-barrier: drop it while others remain, tear
-        down and raise when it was the last."""
-        self._drop_member(member, cause)
-        if self._members:
-            return
-        self._close_connections()
-        raise SchedulerError(
-            f"{member} is gone ({cause}); no live member remains; "
-            f"connections torn down"
-        ) from None
+    def mutate(self, engine, result) -> None:
+        """Send one committed mutation batch to the live pool; reads
+        nothing and never fails the commit.
 
-    def mutate(self, engine, batch, result) -> int:
-        """Propagate one committed mutation batch to the live pool.
-
-        The engine has already applied ``batch`` locally (``result``
-        is its :class:`~repro.hypergraph.dynamic.MutationResult`).
-        *Every* live member receives the batch in a MUTATE frame
-        (§2.9), applies it to its own store, and acks with a DELTA frame
-        carrying its post-mutation graph state.  Determinism of
-        :meth:`~repro.hypergraph.dynamic.DynamicHypergraph.apply` makes
-        each worker's state identical to the engine's, which the ack
-        check enforces: a diverging ack, a wrong frame or a worker-side
-        error is a *contract* failure and tears the sessions down,
-        while a liveness failure — on the send or on the ack — drops
-        that member as long as another remains, and otherwise ends the
-        barrier at once with a typed error (the dropped worker's next
-        handshake announces a stale graph version, which the gate
-        repairs with a CATCHUP — §2.10; it can never silently rejoin
-        stale).  Returns the number of workers that acked.  A pool that
-        is not running needs nothing: its next open spawns workers
-        from, or catches them up to, the already-mutated graph.
+        The engine has already applied the batch (``result`` is its
+        :class:`~repro.hypergraph.dynamic.MutationResult`), and a
+        journalled service has made it durable.  Every member live when
+        the commit starts is sent one CATCHUP frame (§2.9) carrying the
+        batch suffix and the post-commit edge and vertex counts
+        (:func:`~repro.parallel.handshake.catchup_body`): the worker
+        applies it in order behind whatever it was already sent, and
+        checks itself against those counts.  The pump consumes the
+        CATCHUP-REPLY; a member whose send fails here, or that answers
+        ERROR, goes down the one recovery ladder, where a reconnect's
+        handshake catches it up (§2.10).  A query straddling the commit
+        stays exact: its parts queued ahead of the CATCHUP count at the
+        old version, and a part re-sent after it is refused on the
+        version stamp every SUBTREE carries.  A pool that is not
+        running needs nothing: its next open spawns workers from, or
+        catches them up to, the already-mutated graph.
         """
-        with self._barrier("mutate"):
-            if not self._members:
-                return 0
-            expected = {
-                "graph_version": result.version,
-                "graph_edges": engine.data.num_edges,
-                "graph_vertices": engine.data.num_vertices,
-            }
-            body = pickle.dumps(batch, protocol=pickle.HIGHEST_PROTOCOL)
-            targets: "List[_Member]" = []
-            for member in list(self._members):
+        with self._lock:
+            members = list(self._members)
+            if not members:
+                return
+            # The graph identity rolls forward with the commit (the
+            # first mutation swaps engine.data for its dynamic form):
+            # the next ensure_open reuses the pool, and a member
+            # restored from here on is caught up by its handshake.
+            self._graph = engine.data
+            frame = transport.encode_frame(
+                transport.MSG_CATCHUP,
+                catchup_body(engine.data, result.version - 1),
+            )
+            for member in members:
                 try:
-                    transport.send_frame(
-                        member.sock, transport.MSG_MUTATE, body
-                    )
-                except (TransportError, OSError) as exc:
-                    self._degrade_or_fail(
-                        member, f"mutate send failed: {exc}"
-                    )
+                    member.sock.sendall(frame)
+                except OSError as exc:
+                    self._member_failed(member, f"commit send failed: {exc}")
                     continue
                 self.dispatched_frames += 1
-                targets.append(member)
-            applied = 0
-            for member in targets:
-                try:
-                    kind, ack_body = self._recv_control(member)
-                    ack = transport.decode_pickle_body(ack_body)
-                except TransportError as exc:
-                    self._degrade_or_fail(
-                        member, f"mutate ack failed: {exc}"
-                    )
-                    continue
-                who = f"shard worker {member.name}"
-                if kind == transport.MSG_ERROR:
-                    failure = f"{who} failed to mutate:\n{ack}"
-                elif kind != transport.MSG_DELTA:
-                    failure = (
-                        f"{who} answered MUTATE with frame kind "
-                        f"{kind:#x}, expected DELTA"
-                    )
-                elif ack != expected:
-                    failure = (
-                        f"{who} diverged on mutate: acked {ack!r}, "
-                        f"engine holds {expected!r}"
-                    )
-                else:
-                    applied += 1
-                    continue
-                self._close_connections()
-                raise SchedulerError(failure)
-            # The graph identity rolls forward with the commit (the
-            # first mutation swaps engine.data for its dynamic form),
-            # so the next ensure_open must not rebuild the pool.
-            self._graph = engine.data
-            return applied
 
     def admit(self, address: Tuple[str, int]) -> ShardDescriptor:
         """Fold a newcomer worker into the live pool mid-lifetime.
@@ -951,7 +838,7 @@ class ShardPool:
         already live is refused.  Admission failures leave the pool
         exactly as it was.  Returns the admitted worker's descriptor.
         """
-        with self._barrier("admit"):
+        with self._idle("admit"):
             if not self._members:
                 raise SchedulerError(
                     "no live pool to admit into; run a job first"
@@ -987,12 +874,13 @@ class ShardPool:
     def drain(self, shard_id: int) -> None:
         """Gracefully decommission one member of the live pool.
 
-        Finishes whatever the member still owes (in-flight replies are
-        read out and discarded — never abandoned mid-frame), then
-        removes it; a member that already failed out of the pool is
-        simply forgotten.  Draining the last live member is refused.
+        Sends it STOP and closes the connection; a reply still owed to
+        a query that is gone is dropped with it (the pump tolerates a
+        socket closed under its select).  A member that already failed
+        out of the pool is simply forgotten.  Draining the last live
+        member is refused.
         """
-        with self._barrier("drain"):
+        with self._idle("drain"):
             if not self._members:
                 raise SchedulerError(
                     "no live pool to drain; run a job first"
@@ -1009,13 +897,6 @@ class ShardPool:
                 )
             if member is not None:
                 try:
-                    while member.tokens:
-                        self._route(
-                            member, *transport.recv_frame(member.sock)
-                        )
-                except TransportError:
-                    pass  # it died mid-drain; treat as gone
-                try:
                     transport.send_frame(member.sock, transport.MSG_STOP)
                 except (TransportError, OSError):
                     pass
@@ -1031,22 +912,20 @@ class QueryChannel:
     """One query on a :class:`ShardPool`.
 
     Many channels share one pool, each gathering only its own replies
-    by query id — which is what makes multiplexed counts bit-identical
-    to solo runs.  ``budget`` (seconds) and ``cancel_event`` are
-    enforced *inside* the gather.
+    by query id — a fresh one per channel, never reused on the pool —
+    which is what makes multiplexed counts bit-identical to solo runs.
+    ``budget`` (seconds) and ``cancel_event`` are enforced *inside* the
+    gather.
     """
 
     def __init__(
         self,
         pool: ShardPool,
-        query_id: "int | None" = None,
         budget: "float | None" = None,
         cancel_event: "threading.Event | None" = None,
     ) -> None:
         self._pool = pool
-        self.query_id = (
-            pool.next_query_id() if query_id is None else query_id
-        )
+        self.query_id = next(pool._ids)
         self._state = _QueryState(self.query_id, budget, cancel_event)
 
     def _send_parts(self, plan, funnel: bool) -> None:
@@ -1070,7 +949,7 @@ class QueryChannel:
             parts = pool._parts()
             # State first, send second: a send-path recovery replays
             # from exactly this state, so the frame is never lost.
-            pool._open_barrier(state, {
+            pool._open_parts(state, {
                 part: transport.encode_frame(
                     transport.MSG_SUBTREE,
                     transport.encode_query_body(
@@ -1082,15 +961,14 @@ class QueryChannel:
             })
 
     def _gather_iter(self):
-        """As-completed ``(part, reply)`` pairs for the barrier, in
+        """As-completed ``(part, reply)`` pairs for the query's parts, in
         arrival order.
 
         The one gather loop.  In priority order it enforces the cancel
         flag, the query deadline and — on a :data:`_TICK`, under the
         pool lock — registry evictions and the per-request reply
         deadline (:meth:`_tick`); and it guarantees **at most one reply
-        per part per barrier** reaches the caller: late answers to a
-        previous barrier and duplicates are discarded here by token and
+        per part** reaches the caller: a duplicate is discarded here by
         part.  Every failure exit unregisters the query first.
         """
         pool, state = self._pool, self._state
@@ -1120,15 +998,13 @@ class QueryChannel:
             if state.deadline is not None:
                 wait = min(wait, state.deadline - now)
             try:
-                tag, part, payload, token = state.replies.get(
+                tag, part, payload = state.replies.get(
                     timeout=max(wait, 0.0)
                 )
             except queue.Empty:
                 continue
             if tag == "lost":
                 raise SchedulerError(payload)
-            if token is not None and token != state.token:
-                continue  # a previous barrier's late answer
             if tag == "error":
                 # Enumeration errors are deterministic in the request —
                 # every member would fail identically, so this is not a

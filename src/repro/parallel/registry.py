@@ -442,7 +442,7 @@ class Announcer:
 
     ``hello`` is a callable returning ``(address, descriptor_dict)``
     — evaluated at every (re)connect so a worker whose
-    descriptor changed (a MUTATE moved its graph version) re-announces
+    descriptor changed (a commit moved its graph version) re-announces
     its current state, not a stale snapshot.
 
     The announcer reconnects under :class:`RetryPolicy` jittered

@@ -48,30 +48,26 @@ byte    name     body
         that query alone; the session keeps serving other queries
 ``S``   STOP     empty — end this session (connection), keep serving
 ``Q``   QUIT     empty — shut the worker server down
-``E``   ERROR    pickled traceback string (a MUTATE / CATCHUP failed;
-        the session ends)
+``E``   ERROR    pickled traceback string (a CATCHUP failed; the session
+        ends)
 ``A``   ANNOUNCE pickled registration dict (worker -> registry: the
         worker's serving address plus its handshake descriptor)
 ``h``   HEARTBEAT empty — worker -> registry liveness tick; identity is
         the connection's preceding ANNOUNCE
-``M``   MUTATE   pickled ``MutationBatch`` — apply one committed edge
-        insert/delete batch to the worker's graph and store, in place
-``D``   DELTA    pickled mutation ack dict (``graph_version``,
-        ``graph_edges``, ``graph_vertices``) — the worker's state
-        after applying a MUTATE
 ``U``   CATCHUP  pickled catch-up payload: either the ``(version,
         MutationBatch)`` suffix a stale worker missed, or a full graph
-        snapshot when the suffix is no longer retained
+        snapshot when the suffix is no longer retained, plus the
+        target version, edge and vertex counts — at a stale handshake,
+        and for every commit
 ``u``   CATCHUP_REPLY  handshake body (like HELLO) — the worker's
-        descriptor *after* applying the catch-up payload, which
-        the coordinator re-validates in full
+        descriptor *after* applying the catch-up payload, which the
+        handshake gate re-validates in full (a commit's is consumed)
 ======  =======  ===========================================================
 
 A job is one SUBTREE request and one REPLY per part.  SUBTREE, REPLY
 and QERROR are tagged with the query they belong to, so one connection
-carries any number of queries at once and a coordinator that runs one
-job at a time is simply the one-query case (it tags every job
-:data:`SOLO_QUERY_ID`).
+carries any number of queries at once; a coordinator never reuses a
+query id on a pool, so a late reply for a finished query has no taker.
 
 Control messages carry pickles — the coordinator and its workers are
 mutually trusted members of one deployment (do **not** expose a worker
@@ -95,7 +91,7 @@ from ..errors import TransportError
 #: level-reply layout).  Independent from the candidate-payload
 #: ``WIRE_VERSION``: a framing change does not invalidate archived
 #: payloads, and a payload change is caught per-payload.
-PROTOCOL_VERSION = 6
+PROTOCOL_VERSION = 7
 
 #: Upper bound on a single frame's ``length`` field.  A CATCHUP snapshot
 #: (a pickled graph) is the largest message in practice, so anything
@@ -116,19 +112,13 @@ MSG_SUBTREE = 0x54  # b"T"
 MSG_LEVEL_REPLY = 0x52  # b"R"
 MSG_QERROR = 0x65  # b"e"
 
-# Dynamic-graph revisions (WIRE_FORMAT.md §2.9): a coordinator commits
-# an edge insert/delete batch pool-wide with MUTATE; each worker
-# applies it incrementally and acks with DELTA so the coordinator can
-# verify the whole pool agrees on the new graph version before
-# admitting further queries.
-MSG_MUTATE = 0x4D  # b"M"
-MSG_DELTA = 0x44  # b"D"
-
-# Catch-up recovery (WIRE_FORMAT.md §2.10): a worker whose HELLO
-# announces a stale graph_version is streamed the mutation suffix it
-# missed (or a full snapshot when the suffix is no longer retained)
-# instead of being refused; it replies with a CATCHUP_REPLY carrying a
-# fresh handshake body, which the coordinator re-validates in full.
+# Catch-up (WIRE_FORMAT.md §2.9-2.10): every commit reaches the live
+# members as a CATCHUP carrying its batch, and a worker whose HELLO
+# announces a stale graph_version is streamed the suffix it missed (or
+# a full snapshot when the suffix is no longer retained) instead of
+# being refused.  The worker applies it, checks the target version,
+# edge and vertex counts, and answers with a CATCHUP_REPLY carrying a
+# fresh handshake body.
 MSG_CATCHUP = 0x55  # b"U"
 MSG_CATCHUP_REPLY = 0x75  # b"u"
 
@@ -137,13 +127,8 @@ QUERY_KINDS = frozenset({MSG_SUBTREE, MSG_LEVEL_REPLY, MSG_QERROR})
 
 _KNOWN_KINDS = QUERY_KINDS | {
     MSG_HELLO, MSG_STOP, MSG_SHUTDOWN, MSG_ERROR,
-    MSG_ANNOUNCE, MSG_HEARTBEAT, MSG_MUTATE, MSG_DELTA,
-    MSG_CATCHUP, MSG_CATCHUP_REPLY,
+    MSG_ANNOUNCE, MSG_HEARTBEAT, MSG_CATCHUP, MSG_CATCHUP_REPLY,
 }
-
-#: The query id of a coordinator that runs one job at a time;
-#: multiplexing coordinators number their queries from 1.
-SOLO_QUERY_ID = 0
 
 _QUERY_ID = struct.Struct("<Q")
 

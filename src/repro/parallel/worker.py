@@ -89,7 +89,7 @@ class ShardDescriptor:
     member computes.  ``index_backend`` must match (the coordinator's
     plans are built for it), and ``graph_edges`` / ``graph_vertices``
     / ``graph_version`` fingerprint the data graph: a worker of another
-    graph would count silently wrong, and one that missed a MUTATE is
+    graph would count silently wrong, and one that missed a commit is
     caught up or refused.  All fields are plain ints/str so the
     descriptor crosses any serialisation boundary.
     """
@@ -139,11 +139,12 @@ class ShardWorker:
     served sequentially: each accepted connection gets a HELLO carrying
     the worker's :class:`ShardDescriptor`, then any
     number of SUBTREE requests — many queries interleaved on the
-    connection, each request self-contained — plus MUTATE / CATCHUP,
-    until the peer sends STOP (end the session) or SHUTDOWN (stop the
-    server).  One connection at a time is the right concurrency: the
-    store is single-writer state, and a coordinator that wants many
-    queries in flight multiplexes them over its one connection.
+    connection, each request self-contained — plus CATCHUP (a stale
+    handshake's, or a commit's), until the peer sends STOP (end the
+    session) or SHUTDOWN (stop the server).  One connection at a time
+    is the right concurrency: the store is single-writer state, and a
+    coordinator that wants many queries in flight multiplexes them over
+    its one connection.
 
     ``shard_id`` is the worker's *name* — its slot in a spawner's,
     supervisor's or registry's book-keeping; every member computes the
@@ -153,8 +154,8 @@ class ShardWorker:
     kind included) raise :class:`~repro.errors.TransportError` and end
     the session (the server keeps accepting).  A failure inside one
     query's work is reported as a QERROR frame tagged with that query
-    and ends only that query; a failed MUTATE / CATCHUP is reported as
-    an ERROR frame and ends the session.  Both carry the traceback
+    and ends only that query; a failed CATCHUP is reported as an ERROR
+    frame and ends the session.  Both carry the traceback
     prefixed with the worker's name, so a multi-host failure is
     attributable from the coordinator's side alone.
     """
@@ -310,23 +311,11 @@ class ShardWorker:
             try:
                 if kind == transport.MSG_SUBTREE:
                     self._serve_subtree(conn, body)
-                elif kind == transport.MSG_MUTATE:
-                    batch = transport.decode_pickle_body(body)
-                    self._apply(batch)
-                    graph = self.store.graph
-                    transport.send_pickle_frame(
-                        conn,
-                        transport.MSG_DELTA,
-                        {
-                            "graph_version": graph.version,
-                            "graph_edges": graph.num_edges,
-                            "graph_vertices": graph.num_vertices,
-                        },
-                    )
                 elif kind == transport.MSG_CATCHUP:
                     self._catch_up(transport.decode_pickle_body(body))
                     # Answer with a fresh handshake body: the gate
-                    # re-validates the post-replay descriptor in full.
+                    # re-validates the post-replay descriptor in full
+                    # (the pool's pump consumes a commit's).
                     transport.send_frame(
                         conn,
                         transport.MSG_CATCHUP_REPLY,
@@ -359,9 +348,11 @@ class ShardWorker:
         self._engine = None
 
     def _catch_up(self, payload: Mapping) -> None:
-        """Replay a CATCHUP payload (§2.10): the batches this worker
+        """Replay a CATCHUP payload (§2.9-2.10): the batches this worker
         missed, in order, or a snapshot of the whole graph, from which
-        the store is rebuilt."""
+        the store is rebuilt — then check the result against the
+        coordinator's version, edge and vertex counts: a worker that
+        diverged says so here, in an ERROR, rather than count wrong."""
         if "snapshot" in payload:
             self.store = PartitionedStore(
                 payload["snapshot"], index_backend=self.index_backend
@@ -376,11 +367,17 @@ class ShardWorker:
                         f"{version} but the worker holds {have}"
                     )
                 self._apply(batch)
-        have = self.store.graph.version
-        if have != payload["to_version"]:
+        graph = self.store.graph
+        have = (graph.version, graph.num_edges, graph.num_vertices)
+        want = (
+            payload["to_version"],
+            payload["graph_edges"],
+            payload["graph_vertices"],
+        )
+        if have != want:
             raise SchedulerError(
-                f"catch-up fell short: replayed to version {have}, "
-                f"coordinator expects {payload['to_version']}"
+                f"catch-up diverged: the worker holds (version, edges, "
+                f"vertices) {have}, the coordinator {want}"
             )
 
     def _subtree_engine(self) -> HGMatch:
@@ -430,7 +427,7 @@ class ShardWorker:
         if job_version != have:
             raise SchedulerError(
                 f"query assumes graph version {job_version}, "
-                f"worker holds {have} (missed MUTATE?)"
+                f"worker holds {have} (missed a commit?)"
             )
         counters = MatchCounters() if funnel else None
         stats = WorkerStats(worker_id=self.shard_id)

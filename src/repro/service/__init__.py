@@ -17,7 +17,7 @@ re-exported).
 * :class:`~repro.service.standing.StandingQuery` /
   :class:`~repro.service.standing.MatchDelta` — registered queries
   whose match sets stay current across mutations, emitting exact
-  added/removed deltas when a batch commits (§2.9 MUTATE/DELTA);
+  added/removed deltas when a batch commits (§2.9);
 * :class:`~repro.service.daemon.MatchDaemon` /
   :class:`~repro.service.client.MatchClient` — the asyncio
   ``serve-match`` front end and its line-JSON client (``repro query``).

@@ -69,7 +69,7 @@ from ..errors import (
     TimeoutExceeded,
 )
 from ..hypergraph.dynamic import MutationBatch
-from ..hypergraph.io import check_label_types, label_types, parse_native
+from ..hypergraph.io import parse_native
 from .service import MatchService
 
 #: Refuse request lines longer than this many bytes (a query graph in
@@ -103,21 +103,8 @@ class MatchDaemon:
         self._stop = None
         self._loop = None
         self.queries_served = 0
-        #: The served graph's label types, as last read.
-        self._label_types = frozenset()
 
     # -- per-connection protocol ----------------------------------------
-
-    def _check_labels(self, query) -> None:
-        """Refuse (``QueryError``) a query whose vertex labels are of a
-        type the served graph's are not — a query over the wire always
-        has string labels, a built-in dataset int ones, and such a
-        query would answer a silent 0.  A graph only gains vertices, so
-        its label types only grow: they are re-read only when a query
-        has one the last reading lacked."""
-        if not label_types(query) <= self._label_types:
-            self._label_types = label_types(self.service._engine.data)
-            check_label_types(query, self._label_types)
 
     async def _handle(self, reader, writer) -> None:
         try:
@@ -171,14 +158,11 @@ class MatchDaemon:
         except (KeyError, TypeError, ValueError, ReproError) as exc:
             return {"ok": False, "error": f"bad request: {exc}"}
         try:
-            self._check_labels(query)
-        except QueryError as exc:
-            return {"ok": False, "query_error": True, "error": str(exc)}
-
-        try:
             ticket = self.service.submit(
                 query, order=order, deadline=deadline
             )
+        except QueryError as exc:
+            return {"ok": False, "query_error": True, "error": str(exc)}
         except ServiceBusy as exc:
             return {"ok": False, "busy": True,
                     "retry_after": exc.retry_after, "depth": exc.depth}
@@ -262,11 +246,9 @@ class MatchDaemon:
         except (KeyError, TypeError, ValueError, ReproError) as exc:
             return {"ok": False, "error": f"bad request: {exc}"}
         try:
-            self._check_labels(query)
+            handle = self.service.register_standing(query, order=order)
         except QueryError as exc:
             return {"ok": False, "query_error": True, "error": str(exc)}
-        try:
-            handle = self.service.register_standing(query, order=order)
         except ServiceBusy as exc:
             return {"ok": False, "busy": True,
                     "retry_after": exc.retry_after, "depth": exc.depth}

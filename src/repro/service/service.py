@@ -286,7 +286,7 @@ class MatchService:
         # commit through this service's barrier, or the result cache
         # and standing queries silently go stale; and this pool becomes
         # *the engine's* (what it ran solo jobs on before is closed), so
-        # one MUTATE, one close and every ``count(executor="processes")``
+        # one commit, one close and every ``count(executor="processes")``
         # reach the same workers.  drain() releases both slots.
         engine._match_service = self
         previous, engine._pool = engine._pool, self.pool
@@ -320,8 +320,12 @@ class MatchService:
         the pool entirely; a miss cheaper than :data:`INLINE_COST` is
         counted here, on the caller's thread, before this returns —
         unless it outruns :data:`INLINE_BUDGET`, then it goes to the
-        pool like any costlier miss.
+        pool like any costlier miss.  A query of a label type the graph
+        lacks raises :class:`~repro.errors.QueryError` here, before the
+        cache is consulted: a str-labelled query never hits an
+        int-labelled one's entry.
         """
+        self._engine.check_labels(query)
         # The query's half of the key is the graph-independent one (a
         # serialisation and a CRC): taken before the lock.
         query_key = query_fingerprint(query, order)
@@ -475,7 +479,7 @@ class MatchService:
                 # *before* any worker sees it, so restart-from-journal
                 # can only be ahead of (never behind) the pool.
                 self.journal.append(result.version, batch)
-            self.pool.mutate(engine, batch, result)
+            self.pool.mutate(engine, result)
             with self._lock:
                 standing = list(self._standing.values())
             for query in standing:
@@ -511,8 +515,11 @@ class MatchService:
         enumeration of the current graph, then every committed mutation
         batch updates it and emits a :class:`~repro.service.standing
         .MatchDelta`.  Refused while a mutation barrier is active (the
-        seed would race the commit).
+        seed would race the commit), and, as a :class:`~repro.errors
+        .QueryError`, when the query's label type is one the graph
+        lacks.
         """
+        self._engine.check_labels(query)
         with self._lock:
             if self._closed:
                 raise SchedulerError("match service is closed")

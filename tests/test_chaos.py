@@ -206,8 +206,8 @@ def _run_matrix_row(executor, engine, query, channels, expected):
         return
     counts, errors = {}, {}
 
-    def work(query_id):
-        channel = QueryChannel(executor, query_id=query_id)
+    def work(channel):
+        query_id = channel.query_id
         try:
             counts[query_id] = channel.count(
                 engine, engine.plan(query)
@@ -217,9 +217,12 @@ def _run_matrix_row(executor, engine, query, channels, expected):
         finally:
             executor.release(query_id)
 
+    # A fresh pool numbers its queries from 1: the victim is query 1.
+    channels = [QueryChannel(executor), QueryChannel(executor)]
+    assert [channel.query_id for channel in channels] == [1, 2]
     threads = [
-        threading.Thread(target=work, args=(query_id,), daemon=True)
-        for query_id in (1, 2)
+        threading.Thread(target=work, args=(channel,), daemon=True)
+        for channel in channels
     ]
     threads[0].start()
     # The victim registers and sends its parts in one go — one to every
@@ -411,12 +414,13 @@ def test_last_member_lost_on_a_shared_pool_fails_both_and_heals(
     data, query, expected = chaos_instance
     engine = HGMatch(data, index_backend="bitset", shards=2)
     plan = FaultPlan(seed=5)
-    # Holds the solo job in flight: each worker's first frame for query
-    # 0 is the reply to its part — delayed, so the service query queues
+    # Holds the solo job in flight: the warm-up service query is query
+    # 1, so the solo job is query 2, and each worker's first frame for
+    # it is the reply to its part — delayed, so the service query queues
     # behind it (on worker 0: the tie goes to the lowest member) and
     # cannot be answered before the kills land.
-    plan.slow_reply(0, after_frames=1, seconds=1.0, query_id=0)
-    plan.slow_reply(1, after_frames=1, seconds=1.0, query_id=0)
+    plan.slow_reply(0, after_frames=1, seconds=1.0, query_id=2)
+    plan.slow_reply(1, after_frames=1, seconds=1.0, query_id=2)
     service = MatchService(engine, shards=2, chaos=plan, cache_capacity=0)
     pool = service.pool
     failures = {}
@@ -435,7 +439,7 @@ def test_last_member_lost_on_a_shared_pool_fails_both_and_heals(
         deadline = time.monotonic() + 30.0
         while time.monotonic() < deadline:
             with pool._lock:
-                state = pool._queries.get(0)
+                state = pool._queries.get(2)
                 if state is not None and state.pending:
                     break  # both parts are out, both replies held
             time.sleep(0.001)
@@ -465,7 +469,8 @@ def test_last_member_lost_on_a_shared_pool_fails_both_and_heals(
 
 
 # ----------------------------------------------------------------------
-# MUTATE-pinned faults: degrade on broadcast, rejoin via catch-up
+# Commit-pinned faults: degrade on the commit's CATCHUP, rejoin via
+# the handshake's catch-up
 # ----------------------------------------------------------------------
 
 
@@ -482,18 +487,19 @@ def _rebuild_count(engine, query, backend):
 def test_kill_pinned_to_mutate_degrades_then_catchup_rejoins(
     chaos_instance, backend
 ):
-    """Kill a worker process exactly on the MUTATE broadcast frame: the
-    commit drops that member (others remain), the next query's counts
-    are bit-identical to a rebuild on the mutated graph, and the
-    respawned worker rejoins via catch-up (§2.10) rather than being
-    refused for its stale version."""
+    """Kill a worker process exactly on the commit's CATCHUP frame: the
+    commit returns, the dead member fails into the ladder (others
+    remain), the next query's counts are bit-identical to a rebuild on
+    the mutated graph, and the respawned worker rejoins via the
+    handshake's catch-up (§2.10) rather than being refused for its
+    stale version."""
     from repro.testing import random_mutation_schedule
 
     data, query, expected = chaos_instance
     engine = HGMatch(data, index_backend=backend)
     plan = FaultPlan(seed=13)
     # On a fresh pool the handshake sends no coordinator frames, so the
-    # MUTATE is frame 1 on every connection.
+    # first commit's CATCHUP is frame 1 on every connection.
     plan.kill_worker(0, after_frames=1)
     cluster = spawn_local_cluster(data, 4, index_backend=backend)
     plan.arm_killer(0, lambda: cluster.kill_member(0))
@@ -509,7 +515,7 @@ def test_kill_pinned_to_mutate_degrades_then_catchup_rejoins(
         result = None
         for batch in random_mutation_schedule(rng, data, steps=2):
             result = engine.apply_mutations(batch)
-            executor.mutate(engine, batch, result)
+            executor.mutate(engine, result)
         assert all(f.consumed for f in plan.faults)
         oracle = _rebuild_count(engine, query, backend)
         # Three live members, counts still exact.
@@ -530,10 +536,11 @@ def test_kill_pinned_to_mutate_degrades_then_catchup_rejoins(
 def test_sever_pinned_to_mutate_degrades_then_catchup_rejoins(
     chaos_instance
 ):
-    """Sever the coordinator connection on the MUTATE frame (worker
-    survives but misses the batch): the commit drops that member, and
-    readmitting the *same* worker — still at its spawn-time version —
-    goes through catch-up and lands on the committed version."""
+    """Sever the coordinator connection on the commit's CATCHUP frame
+    (worker survives but misses the batch): the failed send drops that
+    member and the commit returns, and readmitting the *same* worker —
+    still at its spawn-time version — goes through the handshake's
+    catch-up and lands on the committed version."""
     from repro.testing import random_mutation_schedule
 
     data, query, expected = chaos_instance
@@ -553,8 +560,9 @@ def test_sever_pinned_to_mutate_degrades_then_catchup_rejoins(
         rng = random.Random(23)
         batch = random_mutation_schedule(rng, data, steps=1)[0]
         result = engine.apply_mutations(batch)
-        executor.mutate(engine, batch, result)
+        executor.mutate(engine, result)
         assert all(f.consumed for f in plan.faults)
+        assert [m.name for m in executor._members] == [0, 1, 3]
         oracle = _rebuild_count(engine, query, backend)
         assert executor.run(engine, query).embeddings == oracle
         # The severed worker process never died and never applied the

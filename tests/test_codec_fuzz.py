@@ -188,8 +188,8 @@ def frame_corpus(rng):
     return [
         transport.encode_frame(transport.MSG_STOP),
         transport.encode_frame(transport.MSG_HELLO, b"hello-body"),
-        transport.encode_frame(transport.MSG_MUTATE, bytes(rng.randrange(256) for _ in range(64))),
-        transport.encode_frame(transport.MSG_DELTA, b"\x00" * 32),
+        transport.encode_frame(transport.MSG_CATCHUP, bytes(rng.randrange(256) for _ in range(64))),
+        transport.encode_frame(transport.MSG_CATCHUP_REPLY, b"\x00" * 32),
         transport.encode_frame(
             transport.MSG_LEVEL_REPLY,
             transport.encode_query_body(7, b"payload"),

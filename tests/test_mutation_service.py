@@ -435,19 +435,19 @@ def test_daemon_restart_recovers_graph_and_resumes_standing(
 
 
 def test_mux_pool_heals_missed_mutate_via_catchup(instance):
-    """The reconnect-replay story for the service's pool: a MUTATE
-    send severed on the pool's only member closes the pool (no member
-    to degrade onto), leaving the worker stale.  The next query's
-    reopen finds the stale HELLO and repairs it with a CATCHUP stream —
-    before §2.10 this pool was permanently wedged against external
-    workers."""
+    """The reconnect-replay story for the service's pool: the commit's
+    CATCHUP send severed on the pool's only member drops it (the
+    commit itself returns), leaving the worker stale.  The next query's
+    reopen finds the stale HELLO and repairs it with the handshake's
+    CATCHUP — before §2.10 this pool was permanently wedged against
+    external workers."""
     from repro.parallel import FaultPlan, ShardPool, spawn_local_cluster
 
     data, query = instance
     engine = HGMatch(data, index_backend="merge")
     plan = FaultPlan(seed=37)
     # The pool's first coordinator frame on each connection is the
-    # MUTATE itself (the handshake sends none), so pin frame 1.
+    # commit's CATCHUP itself (the handshake sends none), so pin frame 1.
     plan.sever(0, after_frames=1, role="coordinator")
     cluster = spawn_local_cluster(data, 1, index_backend="merge")
     pool = ShardPool(
@@ -461,14 +461,10 @@ def test_mux_pool_heals_missed_mutate_via_catchup(instance):
         victim = min(engine.data.live_edge_ids()) if hasattr(
             engine.data, "live_edge_ids"
         ) else 0
-        batch = MutationBatch(deletes=[victim])
-        result = engine.apply_mutations(batch)
-        with pytest.raises(
-            SchedulerError,
-            match=r"shard 0 is gone \(mutate send failed",
-        ):
-            pool.mutate(engine, batch, result)
+        result = engine.apply_mutations(MutationBatch(deletes=[victim]))
+        pool.mutate(engine, result)
         assert all(f.consumed for f in plan.faults)
+        assert not pool._members  # the failed send dropped it
         # The worker never saw the batch: the pool reopens against a
         # stale worker and catch-up levels it — counts match a rebuild
         # on the mutated graph.
@@ -481,19 +477,18 @@ def test_mux_pool_heals_missed_mutate_via_catchup(instance):
 
 
 def test_lost_mutate_ack_ends_the_barrier_at_once(instance):
-    """A member lost between a successful MUTATE send and its DELTA ack
-    (the worker applies the batch, then its connection is severed on
-    the ack) must end the barrier *at once* with the coordinator's
-    typed error — not wait out the I/O timeout, as the service's own
-    barrier did (6.00 s here, 600 s at the default) for want of an
-    outcome for a member lost mid-barrier.  The next query reopens the
-    pool and counts like a rebuild."""
+    """The commit never waits on an ack: a member lost between the
+    commit's CATCHUP and its CATCHUP-REPLY (the worker applies the
+    batch, then its connection is severed on the reply) costs the
+    commit nothing — it returns at once, never near the I/O timeout.
+    The pump finds the member gone; the next query reopens the pool and
+    counts like a rebuild."""
     from repro.parallel import FaultPlan, ShardPool, spawn_local_cluster
 
     data, query = instance
     engine = HGMatch(data, index_backend="merge")
     plan = FaultPlan(seed=41)
-    # Worker frames: 1 = HELLO, 2 = the DELTA ack.
+    # Worker frames: 1 = HELLO, 2 = the CATCHUP-REPLY.
     plan.sever(0, after_frames=2, role="worker")
     cluster = spawn_local_cluster(
         data, 1, index_backend="merge", chaos=plan
@@ -505,18 +500,13 @@ def test_lost_mutate_ack_ends_the_barrier_at_once(instance):
     )
     try:
         pool.ensure_open(engine)
-        batch = MutationBatch(deletes=[0])
-        result = engine.apply_mutations(batch)
+        result = engine.apply_mutations(MutationBatch(deletes=[0]))
         started = time.monotonic()
-        with pytest.raises(
-            SchedulerError,
-            match=r"shard 0 is gone \(mutate ack failed",
-        ):
-            pool.mutate(engine, batch, result)
+        pool.mutate(engine, result)
         assert time.monotonic() - started < 1.0
-        assert not pool._members  # closed, not wedged
         outcome = pool.run(engine, query)
         assert outcome.embeddings == rebuild_count(engine, query, "merge")
+        assert time.monotonic() - started < 6.0  # no I/O deadline waited
     finally:
         pool.close()
         cluster.close()
@@ -526,14 +516,16 @@ def test_lost_mutate_ack_ends_the_barrier_at_once(instance):
 def test_worker_side_mutate_error_is_typed_not_a_timeout(
     instance, monkeypatch
 ):
-    """A worker whose ``apply`` raises answers MUTATE with an ERROR
-    frame and ends the session; the barrier must surface that as the
-    typed failure naming the shard, immediately."""
+    """A worker whose ``apply`` raises answers the commit's CATCHUP with
+    an ERROR frame and ends the session.  The commit stands; the pump
+    fails the member into the ladder, and the next query fails typed —
+    naming the worker and its traceback — at once, not at the I/O
+    deadline."""
     from repro.hypergraph.dynamic import DynamicHypergraph
     from repro.parallel import spawn_local_cluster
     from repro.parallel import ShardPool
 
-    data, _query = instance
+    data, query = instance
     engine = HGMatch(data, index_backend="merge")
 
     def broken_apply(self, batch):
@@ -552,18 +544,80 @@ def test_worker_side_mutate_error_is_typed_not_a_timeout(
     )
     try:
         pool.ensure_open(engine)
-        batch = MutationBatch(deletes=[0])
-        result = engine.apply_mutations(batch)
+        result = engine.apply_mutations(MutationBatch(deletes=[0]))
+        pool.mutate(engine, result)
+        assert engine.data.version == 1
         started = time.monotonic()
         with pytest.raises(
-            SchedulerError,
-            match=r"shard worker 0 failed to mutate:"
-                  r"(.|\n)*disk full",
+            SchedulerError, match=r"shard \d failed (.|\n)*disk full"
         ):
-            pool.mutate(engine, batch, result)
+            pool.run(engine, query)
         assert time.monotonic() - started < 1.0
         assert not pool._members
     finally:
         pool.close()
+        cluster.close()
+        engine.close()
+
+
+@pytest.mark.usefixtures("pool_route")
+@pytest.mark.parametrize("via", ["service", "daemon"])
+def test_a_commit_that_loses_its_last_member_still_commits(
+    instance, tmp_path, via
+):
+    """A durable commit never reports failure for a worker it lost.
+    The one member of a journalled service is severed on the commit's
+    CATCHUP: the commit returns its result (the daemon's ``mutate`` op
+    answers ``ok``), the standing query gets its delta, the journal
+    holds the batch, and the next served query reopens the pool,
+    catches the stale worker up and counts like a rebuild."""
+    from repro.hypergraph.journal import read_journal
+    from repro.parallel import FaultPlan, spawn_local_cluster
+
+    data, query = instance
+    engine = HGMatch(data, index_backend="merge")
+    plan = FaultPlan(seed=43)
+    # Coordinator frames on the one connection: 1 = the warm-up
+    # query's part, 2 = the commit's CATCHUP.
+    plan.sever(0, after_frames=2, role="coordinator")
+    cluster = spawn_local_cluster(data, 1, index_backend="merge")
+    worker_pid = cluster.processes[0].pid
+    service = MatchService(
+        engine, shards=1, addresses=list(cluster.addresses), chaos=plan,
+        journal=str(tmp_path / "wal"),
+    )
+    daemon = thread = None
+    if via == "daemon":
+        daemon, (host, port), thread = _start_daemon(service)
+    try:
+        assert service.match(query).embeddings == len(
+            full_matches(engine, query)
+        )
+        handle = service.register_standing(query)
+        _, batch = delete_a_matched_edge(handle)
+        if daemon is None:
+            version = service.apply_mutations(batch).version
+        else:
+            client = MatchClient(host, port, timeout=30.0)
+            version = client.mutate(batch).version  # raises unless ok
+        assert version == engine.data.version == 1
+        assert all(f.consumed for f in plan.faults)
+        delta = handle.poll()
+        assert delta is not None and delta.version == 1
+        assert handle.matches == full_matches(engine, query)
+        records, _valid = read_journal(service.journal.journal_path)
+        assert [(v, b) for _o, v, b in records] == [(1, batch)]
+        after = service.submit(query)
+        assert not after.cached
+        assert after.result().embeddings == rebuild_count(
+            engine, query, "merge"
+        )
+        # The same worker process, caught up rather than respawned.
+        assert cluster.processes[0].pid == worker_pid
+        assert cluster.processes[0].is_alive()
+    finally:
+        if daemon is not None:
+            _stop_daemon(daemon, thread)
+        service.close()
         cluster.close()
         engine.close()

@@ -406,7 +406,7 @@ def test_worker_survives_garbage_frames(workload_instances):
 
 #: The kind bytes of the retired level-synchronous frames: JOB, LEVEL,
 #: COLLECT, REBALANCE and CANCEL.
-RETIRED_KINDS = (0x4A, 0x4C, 0x43, 0x42, 0x58)
+RETIRED_KINDS = (0x4A, 0x4C, 0x43, 0x42, 0x58, 0x4D, 0x44)
 
 
 def test_retired_kinds_end_the_session_and_the_worker_serves_on(
@@ -469,6 +469,36 @@ def test_retired_kinds_end_the_session_and_the_worker_serves_on(
     finally:
         worker.close()
         engine.close()
+
+
+def test_the_pump_is_the_only_reader_of_member_sockets():
+    """Structural: inside ``pool.py`` nothing but ``_Pump.run`` reads a
+    frame — a commit sends its CATCHUP and reads nothing, and no
+    membership change takes the receive direction over from the pump
+    (a newcomer's handshake is read in ``handshake.py``, before the
+    pump ever sees its socket)."""
+    import ast
+    import inspect
+
+    from repro.parallel import pool
+
+    readers = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                visit(child, where + (child.name,))
+                continue
+            if (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Attribute)
+                and child.func.attr == "recv_frame"
+            ):
+                readers.append(".".join(where))
+            visit(child, where)
+
+    visit(ast.parse(inspect.getsource(pool)), ())
+    assert readers == ["_Pump.run"]
 
 
 def test_close_between_sessions_stops_serve_forever_cleanly(
@@ -806,54 +836,6 @@ def test_invalid_pool_configuration():
         ShardWorker(Hypergraph(labels=["A", "A"], edges=[{0, 1}]), -1)
     with pytest.raises(SchedulerError):
         spawn_local_cluster(Hypergraph(labels=["A", "A"], edges=[{0, 1}]), 0)
-
-
-def test_retry_knobs_are_configurable(monkeypatch):
-    """REPRO_NET_RETRIES / REPRO_NET_BACKOFF seed the default retry
-    policy — the env twins of REPRO_NET_TIMEOUT, with the same
-    refuse-garbage-loudly contract."""
-    from repro.parallel import default_retry_policy
-    from repro.parallel.tasks import RetryPolicy
-
-    monkeypatch.delenv("REPRO_NET_RETRIES", raising=False)
-    monkeypatch.delenv("REPRO_NET_BACKOFF", raising=False)
-    assert default_retry_policy() == RetryPolicy()
-    monkeypatch.setenv("REPRO_NET_RETRIES", "7")
-    monkeypatch.setenv("REPRO_NET_BACKOFF", "0.25")
-    policy = default_retry_policy()
-    assert policy.attempts == 7
-    assert policy.base_delay == 0.25
-    # A configured executor adopts the env policy; the kwarg wins.
-    executor = ShardPool(num_shards=1)
-    assert executor.retry.attempts == 7
-    executor.close()
-    pinned = ShardPool(num_shards=1, retry=RetryPolicy(attempts=2))
-    assert pinned.retry.attempts == 2
-    pinned.close()
-    # A backoff larger than the default ceiling raises the ceiling too
-    # (delays must stay >= base_delay).
-    monkeypatch.setenv("REPRO_NET_BACKOFF", "5.0")
-    wide = default_retry_policy()
-    assert wide.base_delay == 5.0
-    assert wide.max_delay >= 5.0
-
-
-def test_retry_knob_garbage_is_refused(monkeypatch):
-    from repro.parallel import default_retry_policy
-
-    monkeypatch.setenv("REPRO_NET_RETRIES", "several")
-    with pytest.raises(TransportError, match="REPRO_NET_RETRIES"):
-        default_retry_policy()
-    monkeypatch.setenv("REPRO_NET_RETRIES", "0")
-    with pytest.raises(TransportError, match="REPRO_NET_RETRIES"):
-        default_retry_policy()
-    monkeypatch.delenv("REPRO_NET_RETRIES", raising=False)
-    monkeypatch.setenv("REPRO_NET_BACKOFF", "soon")
-    with pytest.raises(TransportError, match="REPRO_NET_BACKOFF"):
-        default_retry_policy()
-    monkeypatch.setenv("REPRO_NET_BACKOFF", "-1")
-    with pytest.raises(TransportError, match="REPRO_NET_BACKOFF"):
-        default_retry_policy()
 
 
 def test_close_is_idempotent_in_every_lifecycle_state(workload_instances):

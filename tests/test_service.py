@@ -413,6 +413,36 @@ def test_cache_hits_bypass_the_pool(service_instance):
         engine.close()
 
 
+def test_a_foreign_label_type_never_reaches_the_cache():
+    """A query's fingerprint does not see its label *type*: an
+    int-labelled query and its str-labelled twin key alike.  The label
+    gate therefore runs before the cache lookup — the twin is refused,
+    typed, and never served the int query's cached count — and a
+    standing registration of it is refused the same way."""
+    from repro.hypergraph import Hypergraph
+
+    data = Hypergraph([0, 1, 0, 1], [{0, 1}, {2, 3}, {0, 3}])
+    query = Hypergraph([0, 1], [{0, 1}])
+    twin = Hypergraph(["0", "1"], [{0, 1}])
+    assert query_fingerprint(query) == query_fingerprint(twin)
+    engine = HGMatch(data)
+    service = MatchService(engine, shards=1)
+    try:
+        assert service.match(query).embeddings == 3
+        assert service.submit(query).cached
+        for call in (service.submit, service.register_standing):
+            with pytest.raises(
+                QueryError, match="labels are str but the data graph's "
+                "are int",
+            ):
+                call(twin)
+        assert service.cache_hits == 1
+        assert service.standing_queries == 0
+    finally:
+        service.close()
+        engine.close()
+
+
 def test_fingerprints_key_on_content_and_order(service_instance):
     data, queries, _expected = service_instance
     assert graph_fingerprint(data) == graph_fingerprint(data)

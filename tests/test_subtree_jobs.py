@@ -161,7 +161,7 @@ def test_count_bfs_refuses_a_pool_spelling_before_starting_a_pool(
 
 def test_each_processes_count_is_one_solo_channel(instances):
     """``count(executor="processes")`` is the solo subtree job, query
-    after query: one channel tagged ``SOLO_QUERY_ID`` per count."""
+    after query: one channel per count, each with a fresh query id."""
     data, query = instances[0]
     count, _ = oracle(data, query)
     engine = HGMatch(data, shards=2)
@@ -177,7 +177,7 @@ def test_each_processes_count_is_one_solo_channel(instances):
             patch.setattr(QueryChannel, "_send_parts", send_parts)
             assert engine.count(query, executor="processes") == count
             assert engine.count(query, executor="processes") == count
-            assert sent == [transport.SOLO_QUERY_ID] * 2
+            assert len(sent) == len(set(sent)) == 2
     finally:
         engine.close()
 
@@ -496,7 +496,7 @@ def test_worker_enforces_the_budget_and_the_graph_version(instances):
         assert report.startswith("[shard 1]")
         kind, rest = ask(plan, 5, None)
         assert kind == transport.MSG_QERROR
-        assert "missed MUTATE?" in pickle.loads(rest)
+        assert "missed a commit?" in pickle.loads(rest)
         # The worker's one store answers either half; they add up.
         total = 0
         for part in range(2):
@@ -642,7 +642,7 @@ def test_a_lazily_built_store_is_maintained_too(instances):
         assert pool.run(engine, query).embeddings == oracle(data, query)[0]
         for batch in random_mutation_schedule(rng, data, steps=2):
             result = engine.apply_mutations(batch)
-            pool.mutate(engine, batch, result)
+            pool.mutate(engine, result)
             assert pool.run(engine, query).embeddings == _rebuilt(engine, query)
     finally:
         pool.close()
@@ -670,15 +670,16 @@ def test_mutation_differential_runs_on_subtree_jobs(monkeypatch):
 
 
 def test_stale_worker_heals_through_catchup(instances):
-    """A member severed on the MUTATE frame misses the batch; readmitted
-    it announces the old version, is caught up (§2.10) — its one store,
-    through the one ``apply_batch`` — and its part of the next job is
-    exact."""
+    """A member severed on the commit's CATCHUP frame misses the batch
+    (the commit returns, the failed send drops it); readmitted it
+    announces the old version, is caught up by the handshake (§2.10) —
+    its one store, through the one ``apply_batch`` — and its part of
+    the next job is exact."""
     rng = random.Random(2308)
     data, query, _ = random_instances(2309, 1, make_mutable_instance)[0]
     engine = HGMatch(data, index_backend="bitset")
     plan = FaultPlan(seed=29)
-    plan.sever(2, after_frames=2)  # frame 1 = its part, 2 = the MUTATE
+    plan.sever(2, after_frames=2)  # frame 1 = its part, 2 = the CATCHUP
     cluster = spawn_local_cluster(data, 4, index_backend="bitset")
     pool = ShardPool(
         addresses=list(cluster.addresses),
@@ -691,8 +692,9 @@ def test_stale_worker_heals_through_catchup(instances):
         assert len(first.worker_stats) == 4
         batch = random_mutation_schedule(rng, data, steps=1)[0]
         result = engine.apply_mutations(batch)
-        pool.mutate(engine, batch, result)
+        pool.mutate(engine, result)
         assert all(planned.consumed for planned in plan.faults)
+        assert [member.name for member in pool._members] == [0, 1, 3]
         expected = _rebuilt(engine, query)
         degraded = pool.run(engine, query)
         assert degraded.embeddings == expected

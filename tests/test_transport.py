@@ -283,15 +283,17 @@ class TestUnifiedHeaderValidation:
 
 
 class TestRetiredKinds:
-    """Protocol version 4 retired the level-synchronous kinds and CANCEL.
-    Their bytes are not aliases of anything: no ``MSG_*`` constant holds
+    """Protocol version 4 retired the level-synchronous kinds and CANCEL,
+    version 7 MUTATE and DELTA (a commit rides CATCHUP).  Their bytes
+    are not aliases of anything: no ``MSG_*`` constant holds
     one, and both decoders refuse one from the header alone, naming the
     byte, without waiting for the body the length promises."""
 
     @pytest.mark.parametrize(
         "kind",
-        [0x4A, 0x4C, 0x43, 0x42, 0x58],
-        ids=["JOB", "LEVEL", "COLLECT", "REBALANCE", "CANCEL"],
+        [0x4A, 0x4C, 0x43, 0x42, 0x58, 0x4D, 0x44],
+        ids=["JOB", "LEVEL", "COLLECT", "REBALANCE", "CANCEL", "MUTATE",
+             "DELTA"],
     )
     def test_a_retired_kind_is_refused_from_its_header(self, kind):
         assert kind not in transport._KNOWN_KINDS
@@ -317,7 +319,8 @@ class TestRetiredKinds:
 def _assert_refused_by_both_decoders(version):
     frame = struct.pack("<IBB", 2, version, transport.MSG_STOP)
     expected = (
-        f"unsupported protocol version {version}; this build speaks version 6"
+        f"unsupported protocol version {version}; this build speaks "
+        f"version {transport.PROTOCOL_VERSION}"
     )
     with pytest.raises(TransportError, match=expected):
         transport.decode_frame(frame)
@@ -344,6 +347,13 @@ def test_a_version_5_header_is_refused_by_both_decoders():
     expects the member to plan it; a version-6 job carries the plan.
     Refused from the header alone, like version 4."""
     _assert_refused_by_both_decoders(5)
+
+
+def test_a_version_6_header_is_refused_by_both_decoders():
+    """A version-6 coordinator commits with MUTATE and waits for a
+    DELTA ack; a version-7 commit is a CATCHUP nobody waits on.
+    Refused from the header alone, like versions 4 and 5."""
+    _assert_refused_by_both_decoders(6)
 
 
 class TestAnnounceCodec:
@@ -412,17 +422,18 @@ class TestQueryTaggedFrames:
             transport.MSG_QERROR,
         })
 
-    def test_the_kind_table_has_thirteen_entries(self):
+    def test_the_kind_table_has_eleven_entries(self):
         # One job shape: version 4 retired the level-synchronous kinds
         # JOB/LEVEL/COLLECT/REBALANCE and CANCEL (a SUBTREE request is
         # stateless); version 1's untagged kinds are long gone too.
         # Version 5 named a member by one integer (the descriptor lost
-        # its second id) and kept the same thirteen kinds; version 6
-        # ships the coordinator's plan in a SUBTREE job, same kinds.
-        assert len(transport._KNOWN_KINDS) == 13
-        assert transport.PROTOCOL_VERSION == 6
+        # its second id); version 6 ships the coordinator's plan in a
+        # SUBTREE job; version 7 retired MUTATE/DELTA (a commit rides
+        # CATCHUP), leaving eleven kinds.
+        assert len(transport._KNOWN_KINDS) == 11
+        assert transport.PROTOCOL_VERSION == 7
         assert transport.MSG_SUBTREE == ord("T")
-        for retired in b"JLCBX" + b"cjlrq":
+        for retired in b"JLCBXMD" + b"cjlrq":
             with pytest.raises(TransportError, match="unknown frame kind"):
                 transport.encode_frame(retired)
 
@@ -433,7 +444,7 @@ class TestQueryTaggedFrames:
         )
         assert transport.encode_frame(
             transport.MSG_QERROR, transport.encode_query_body(7)
-        ).hex() == "0a00000006650700000000000000"
+        ).hex() == "0a00000007650700000000000000"
 
     def test_split_round_trip(self):
         for query_id in (0, 1, 7, 2**32, 2**64 - 1):
