@@ -60,10 +60,10 @@ test-elastic:
 ## BUSY, deadlines, cancellation, cache, drain, query-pinned chaos
 ## isolation), the inline route for cheap misses and the line-JSON
 ## daemon/client (a query file against a dataset name is a typed
-## refusal, never a silent 0).
+## refusal, never a silent 0; kept-alive connections reused safely).
 test-service:
 	$(PYTHON) -m pytest -x -q tests/test_service.py tests/test_inline_route.py \
-		tests/test_transport.py
+		tests/test_match_client.py tests/test_transport.py
 
 ## Dynamic-graph smoke: mutation semantics (tombstoned layouts,
 ## atomic batches, incremental store maintenance), the differential

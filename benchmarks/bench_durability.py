@@ -194,31 +194,31 @@ def _bench_kill9(dataset, backend, schedule, query, states, failures,
         journal_dir = os.path.join(root, "wal")
         daemon = _Daemon(dataset, backend, journal_dir)
         try:
-            client = MatchClient(*daemon.address, timeout=IO_TIMEOUT)
-            before = client.query(query)
-            if before.embeddings != states[0][1]:
-                failures.append(
-                    f"{backend}: pre-mutation count "
-                    f"{before.embeddings} != mirror {states[0][1]}"
-                )
-            for batch in schedule[:KILL_AFTER]:
-                client.mutate(batch)
-            if mid_commit:
-                # SIGKILL *while* batch KILL_AFTER+1 commits: the
-                # recovered version may be either side of it, but the
-                # state must match the mirror at whichever committed.
-                commit = threading.Thread(
-                    target=lambda: _swallow(
-                        client.mutate, schedule[KILL_AFTER]
-                    ),
-                    daemon=True,
-                )
-                commit.start()
-                time.sleep(0.005)
-                daemon.kill9()
-                commit.join(timeout=30)
-            else:
-                daemon.kill9()
+            with MatchClient(*daemon.address, timeout=IO_TIMEOUT) as client:
+                before = client.query(query)
+                if before.embeddings != states[0][1]:
+                    failures.append(
+                        f"{backend}: pre-mutation count "
+                        f"{before.embeddings} != mirror {states[0][1]}"
+                    )
+                for batch in schedule[:KILL_AFTER]:
+                    client.mutate(batch)
+                if mid_commit:
+                    # SIGKILL *while* batch KILL_AFTER+1 commits: the
+                    # recovered version may be either side of it, but the
+                    # state must match the mirror at whichever committed.
+                    commit = threading.Thread(
+                        target=lambda: _swallow(
+                            client.mutate, schedule[KILL_AFTER]
+                        ),
+                        daemon=True,
+                    )
+                    commit.start()
+                    time.sleep(0.005)
+                    daemon.kill9()
+                    commit.join(timeout=30)
+                else:
+                    daemon.kill9()
         finally:
             daemon.stop()
 
@@ -254,29 +254,29 @@ def _bench_kill9(dataset, backend, schedule, query, states, failures,
                     f"recovery at version {committed}: "
                     f"{daemon.read_log()!r}"
                 )
-            client = MatchClient(*daemon.address, timeout=IO_TIMEOUT)
-            after = client.query(query)
-            if after.embeddings != states[committed][1]:
-                failures.append(
-                    f"{backend}: post-restart count {after.embeddings} "
-                    f"!= mirror {states[committed][1]} at version "
-                    f"{committed}"
-                )
-            # Finish the schedule against the recovered daemon: it is
-            # a full-fidelity continuation, not a read-only archive.
-            for batch in schedule[committed:]:
-                outcome = client.mutate(batch)
-            if outcome.version != NUM_BATCHES:
-                failures.append(
-                    f"{backend}: schedule finished at version "
-                    f"{outcome.version}, expected {NUM_BATCHES}"
-                )
-            final = client.query(query)
-            if final.embeddings != states[NUM_BATCHES][1]:
-                failures.append(
-                    f"{backend}: final count {final.embeddings} != "
-                    f"mirror {states[NUM_BATCHES][1]}"
-                )
+            with MatchClient(*daemon.address, timeout=IO_TIMEOUT) as client:
+                after = client.query(query)
+                if after.embeddings != states[committed][1]:
+                    failures.append(
+                        f"{backend}: post-restart count {after.embeddings} "
+                        f"!= mirror {states[committed][1]} at version "
+                        f"{committed}"
+                    )
+                # Finish the schedule against the recovered daemon: it is
+                # a full-fidelity continuation, not a read-only archive.
+                for batch in schedule[committed:]:
+                    outcome = client.mutate(batch)
+                if outcome.version != NUM_BATCHES:
+                    failures.append(
+                        f"{backend}: schedule finished at version "
+                        f"{outcome.version}, expected {NUM_BATCHES}"
+                    )
+                final = client.query(query)
+                if final.embeddings != states[NUM_BATCHES][1]:
+                    failures.append(
+                        f"{backend}: final count {final.embeddings} != "
+                        f"mirror {states[NUM_BATCHES][1]}"
+                    )
         finally:
             daemon.stop()
     return row

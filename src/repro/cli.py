@@ -652,12 +652,12 @@ def _cmd_query(args, out) -> int:
 
     host, port = parse_address(args.connect)
     query = load_native(args.query)
-    client = MatchClient(host, port, timeout=args.timeout)
-    try:
-        outcome = client.query(query, deadline=args.deadline)
-    except TimeoutExceeded as exc:
-        out.write(f"deadline exceeded: {exc}\n")
-        return 1
+    with MatchClient(host, port, timeout=args.timeout) as client:
+        try:
+            outcome = client.query(query, deadline=args.deadline)
+        except TimeoutExceeded as exc:
+            out.write(f"deadline exceeded: {exc}\n")
+            return 1
     cached_note = " (cached)" if outcome.cached else ""
     out.write(
         f"{outcome.embeddings} embeddings in "

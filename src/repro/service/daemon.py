@@ -1,8 +1,10 @@
 """The asyncio front end of the match service (``repro serve-match``).
 
-:class:`MatchDaemon` listens on a TCP port and speaks a one-line-JSON
-protocol: each connection carries exactly one request, selected by its
-``op`` field (absent = ``"query"``) —
+:class:`MatchDaemon` listens on a TCP port and speaks a line-JSON
+protocol.  A connection is kept alive: it carries any number of
+requests, one line each, answered one line each in request order until
+the client hangs up.  A request's ``op`` field (absent = ``"query"``)
+selects what it asks —
 
 .. code-block:: text
 
@@ -20,11 +22,14 @@ protocol: each connection carries exactly one request, selected by its
     S: {"ok": true, "delta": {"query_id": 1, "version": 4,
         "added": [[7, 9]], "removed": []}}        (one line per commit)
 
-A ``standing`` connection stays open and streams one line per
-committed mutation batch until the client hangs up (which unregisters
-the query) or the service drains (a final ``{"ok": true, "closed":
-true}`` line).  Refusals and failures are equally explicit, never a
-hang or a silent drop:
+A ``standing`` request turns its connection into the subscription: it
+streams one line per committed mutation batch until the client hangs
+up (which unregisters the query) or the service drains (a final
+``{"ok": true, "closed": true}`` line), and the connection ends with
+it.  A line longer than ``MAX_REQUEST_BYTES`` is answered with its
+error and then the connection closes, as the framing is lost.
+Refusals and failures are equally explicit, never a hang or a silent
+drop:
 
 .. code-block:: text
 
@@ -44,13 +49,15 @@ awaits a live ticket's future on the event loop through
 ``asyncio.wrap_future`` — one thread hop, the service thread's (a cache
 hit or an inline count is born finished and is answered on the loop
 directly; the inline count itself runs on the loop, inside ``submit``,
-for at most ``INLINE_BUDGET`` and one block); an EOF
-watchdog per connection turns a client disconnect into
-:meth:`MatchTicket.cancel`, so an abandoned query is given up instead
-of waited for by nobody.
-SIGTERM/SIGINT trigger a graceful drain: the listener closes, in-flight
-queries finish (or are cancelled at the drain timeout), and the pool
-shuts down.
+for at most ``INLINE_BUDGET`` and one block).  While a live ticket
+runs, the connection's next ``readline()`` is its EOF watchdog: EOF
+before the result means nobody is listening, so the ticket is
+cancelled instead of waited for by nobody; a line is the next request,
+and the connection answers it after this one from that same read.
+SIGTERM/SIGINT trigger a graceful drain: the listener closes, and so
+does every connection waiting for its next request; in-flight queries
+finish (or are cancelled at the drain timeout) and are answered; and
+the pool shuts down.
 """
 
 from __future__ import annotations
@@ -90,6 +97,49 @@ async def _ticket_result(waiter):
         raise QueryCancelled("query cancelled before it started") from None
 
 
+def _hung_up(read) -> bool:
+    """Whether a finished next-line read says the client is gone: EOF
+    or a reset.  A line (the next request) or an over-long one (answered
+    with its error by the connection loop) says it is still there."""
+    exc = read.exception()
+    if exc is None:
+        return read.result() == b""
+    return isinstance(exc, ConnectionError)
+
+
+class _Connection:
+    """One client connection and the read of its next request line."""
+
+    def __init__(self, reader, writer) -> None:
+        self.reader = reader
+        self.writer = writer
+        self.task = asyncio.current_task()
+        self.pending = None
+        #: Waiting for its next request (the drain closes it at once).
+        self.idle = False
+
+    def next_line(self):
+        """The read of the next request line, started at most once: a
+        live query's EOF watchdog and the connection loop share it."""
+        if self.pending is None:
+            self.pending = asyncio.ensure_future(self.reader.readline())
+        return self.pending
+
+    async def send(self, response: dict) -> None:
+        self.writer.write((json.dumps(response) + "\n").encode("utf-8"))
+        await self.writer.drain()
+
+    def close(self) -> None:
+        """Close with a FIN of its own: a pool worker forked while the
+        connection was open holds a copy of its socket, so closing the
+        daemon's descriptor alone would not end it for the client."""
+        try:
+            self.writer.write_eof()
+        except OSError:
+            pass
+        self.writer.close()
+
+
 class MatchDaemon:
     """Serve a :class:`MatchService` over line-JSON TCP."""
 
@@ -102,15 +152,40 @@ class MatchDaemon:
         self._server = None
         self._stop = None
         self._loop = None
+        self._closing = False
+        self._connections = set()
         self.queries_served = 0
 
     # -- per-connection protocol ----------------------------------------
 
     async def _handle(self, reader, writer) -> None:
+        """Answer one connection's requests in order until EOF."""
+        conn = _Connection(reader, writer)
+        self._connections.add(conn)
         try:
-            response = await self._respond(reader, writer)
+            while not self._closing:
+                conn.idle = True
+                try:
+                    line = await conn.next_line()
+                except ValueError:
+                    await conn.send({
+                        "ok": False,
+                        "error": f"request exceeds {MAX_REQUEST_BYTES} bytes",
+                    })
+                    break  # the framing is lost
+                finally:
+                    conn.idle = False
+                conn.pending = None
+                if not line or self._closing:
+                    break  # the client hung up, or the daemon drains
+                if not line.strip():
+                    continue
+                response = await self._respond(line, conn)
+                if response is None:
+                    break  # a standing stream ended the connection
+                await conn.send(response)
         except (ConnectionError, asyncio.IncompleteReadError):
-            response = None
+            pass
         except asyncio.CancelledError:
             # Loop teardown cancelled a live connection (e.g. a standing
             # stream mid-poll).  Close the transport without awaiting —
@@ -118,26 +193,17 @@ class MatchDaemon:
             # letting the cancellation surface as a logged traceback.
             writer.transport.close()
             return
-        if response is not None:
-            try:
-                writer.write((json.dumps(response) + "\n").encode("utf-8"))
-                await writer.drain()
-            except ConnectionError:
-                pass
+        finally:
+            self._connections.discard(conn)
+            if conn.pending is not None:
+                conn.pending.cancel()
         try:
-            writer.close()
+            conn.close()
             await writer.wait_closed()
         except ConnectionError:
             pass
 
-    async def _respond(self, reader, writer):
-        try:
-            line = await reader.readline()
-        except ValueError:
-            return {"ok": False,
-                    "error": f"request exceeds {MAX_REQUEST_BYTES} bytes"}
-        if not line.strip():
-            return None  # client connected and hung up without asking
+    async def _respond(self, line: bytes, conn: _Connection):
         try:
             request = json.loads(line)
             if not isinstance(request, dict):
@@ -148,7 +214,7 @@ class MatchDaemon:
         if op == "mutate":
             return await self._respond_mutate(request)
         if op == "standing":
-            return await self._serve_standing(request, reader, writer)
+            return await self._serve_standing(request, conn)
         if op != "query":
             return {"ok": False, "error": f"unknown op {op!r}"}
         try:
@@ -176,17 +242,17 @@ class MatchDaemon:
                 # the event loop, no thread hop.
                 result = ticket.result()
             else:
-                # A disconnecting client cancels its query: read()
-                # resolving to b"" (EOF) before the result lands means
-                # nobody is listening.
-                eof = asyncio.ensure_future(reader.read())
+                # The watchdog is the connection's next readline(): EOF
+                # before the result means nobody is listening, so the
+                # query is cancelled; a line is the next request, which
+                # the connection loop answers after this one.
+                read = conn.next_line()
                 waiter = asyncio.wrap_future(ticket.future)
                 done, _ = await asyncio.wait(
-                    {eof, waiter}, return_when=asyncio.FIRST_COMPLETED
+                    {read, waiter}, return_when=asyncio.FIRST_COMPLETED
                 )
-                if waiter not in done:
+                if waiter not in done and _hung_up(read):
                     ticket.cancel()
-                eof.cancel()
                 result = await _ticket_result(waiter)
         except TimeoutExceeded as exc:
             return {"ok": False, "deadline_exceeded": True,
@@ -232,13 +298,14 @@ class MatchDaemon:
             "vertices": engine.data.num_vertices,
         }
 
-    async def _serve_standing(self, request, reader, writer):
+    async def _serve_standing(self, request, conn: _Connection):
         """The ``standing`` op: register, then stream one line per delta.
 
         The connection *is* the subscription: EOF from the client
         unregisters the query, a service drain ends the stream with a
         ``closed`` line.  Returns the error response when registration
-        fails, else None (everything was streamed already).
+        fails (the connection carries on), else None (everything was
+        streamed already and the connection ends).
         """
         try:
             query = parse_native(io.StringIO(request["query"]))
@@ -255,16 +322,15 @@ class MatchDaemon:
         except ReproError as exc:
             return {"ok": False, "error": str(exc)}
         loop = asyncio.get_running_loop()
-        eof = asyncio.ensure_future(reader.read())
+        eof = asyncio.ensure_future(conn.reader.read())
         try:
-            writer.write((json.dumps({
+            await conn.send({
                 "ok": True,
                 "standing": True,
                 "query_id": handle.query_id,
                 "version": handle.version,
                 "matches": len(handle.matches),
-            }) + "\n").encode("utf-8"))
-            await writer.drain()
+            })
             while True:
                 try:
                     waiter = loop.run_in_executor(None, handle.poll, 0.25)
@@ -277,15 +343,9 @@ class MatchDaemon:
                 if eof in done:
                     return None  # client hung up: subscription over
                 if delta is not None:
-                    writer.write((json.dumps(
-                        {"ok": True, "delta": delta.to_json()}
-                    ) + "\n").encode("utf-8"))
-                    await writer.drain()
+                    await conn.send({"ok": True, "delta": delta.to_json()})
                 elif handle.closed:
-                    writer.write((json.dumps(
-                        {"ok": True, "closed": True}
-                    ) + "\n").encode("utf-8"))
-                    await writer.drain()
+                    await conn.send({"ok": True, "closed": True})
                     return None
         except ConnectionError:
             return None
@@ -338,15 +398,36 @@ class MatchDaemon:
             await self.stop(drain_timeout=drain_timeout)
 
     async def stop(self, drain_timeout: float = 10.0) -> None:
-        """Close the listener, drain the service. Idempotent."""
+        """Close the listener and every connection waiting for its next
+        request, drain the service, then let the connections it
+        answered finish.  Idempotent.
+
+        The idle connections are closed here, not left to loop
+        teardown: ``Server.wait_closed`` waits for every connection
+        (Python 3.12.1+), and an idle one would wait for its client
+        forever.  A connection still writing when the drain timeout
+        runs out again is aborted.
+        """
         server, self._server = self._server, None
         if server is not None:
+            self._closing = True
             server.close()
-            await server.wait_closed()
+            for conn in list(self._connections):
+                if conn.idle:
+                    conn.close()
         loop = asyncio.get_running_loop()
         await loop.run_in_executor(
             None, lambda: self.service.drain(drain_timeout)
         )
+        if self._connections:
+            await asyncio.wait(
+                [conn.task for conn in self._connections],
+                timeout=drain_timeout,
+            )
+            for conn in list(self._connections):
+                conn.writer.transport.abort()
+        if server is not None:
+            await server.wait_closed()
 
 
 def run_daemon(service: MatchService, host: str = "127.0.0.1",

@@ -46,6 +46,7 @@ from repro.service import (
     graph_fingerprint,
     query_fingerprint,
 )
+from repro.service import daemon as daemon_module
 from repro.testing import make_random_instance
 
 
@@ -913,5 +914,155 @@ def test_daemon_answers_a_ticket_cancelled_before_it_started(
         assert outcome.embeddings == expected["bitset"][0]
     finally:
         gate.set()
+        _stop_daemon(daemon, thread)
+        engine.close()
+
+
+# ----------------------------------------------------------------------
+# Keep-alive: one connection carries requests one after another
+# ----------------------------------------------------------------------
+
+
+def _request_line(query=None, **fields) -> bytes:
+    if query is not None:
+        buffer = io.StringIO()
+        dump_native(query, buffer)
+        fields["query"] = buffer.getvalue()
+    return (json.dumps(fields) + "\n").encode("utf-8")
+
+
+@pytest.mark.usefixtures("pool_route")
+def test_daemon_answers_pool_queries_back_to_back_on_one_socket(
+    service_instance,
+):
+    data, queries, expected = service_instance
+    engine = HGMatch(data, index_backend="bitset")
+    service = MatchService(engine, shards=2, cache_capacity=0)
+    daemon, (host, port), thread = _start_daemon(service)
+    try:
+        with socket.create_connection((host, port), timeout=30.0) as sock:
+            replies = sock.makefile("r")
+            for index in (0, 1):
+                sock.sendall(_request_line(queries[index]))
+                payload = json.loads(replies.readline())
+                assert payload["ok"] is True
+                assert payload["embeddings"] == expected["bitset"][index]
+                assert payload["cached"] is False
+        assert service.pool.dispatched_frames > 0  # both took the pool
+    finally:
+        _stop_daemon(daemon, thread)
+        engine.close()
+    assert daemon.queries_served == 2
+
+
+@pytest.mark.usefixtures("pool_route")
+def test_daemon_answers_pipelined_requests_in_order(service_instance):
+    """Three requests in one write: the first is a pool query whose EOF
+    watchdog reads the next line early — that line is answered after
+    it, from the same read, and so is the one behind it."""
+    data, queries, expected = service_instance
+    engine = HGMatch(data, index_backend="bitset")
+    service = MatchService(engine, shards=2, cache_capacity=0)
+    daemon, (host, port), thread = _start_daemon(service)
+    try:
+        with socket.create_connection((host, port), timeout=30.0) as sock:
+            sock.sendall(
+                _request_line(queries[0])
+                + _request_line(op="no-such-op")
+                + _request_line(queries[2])
+            )
+            replies = sock.makefile("r")
+            first, second, third = (
+                json.loads(replies.readline()) for _ in range(3)
+            )
+        assert first["ok"] and first["embeddings"] == expected["bitset"][0]
+        assert second == {"ok": False, "error": "unknown op 'no-such-op'"}
+        assert third["ok"] and third["embeddings"] == expected["bitset"][2]
+    finally:
+        _stop_daemon(daemon, thread)
+        engine.close()
+
+
+def test_daemon_answers_garbage_then_a_query_on_one_socket(
+    service_instance,
+):
+    data, queries, expected = service_instance
+    engine = HGMatch(data, index_backend="bitset")
+    service = MatchService(engine, shards=1)
+    daemon, (host, port), thread = _start_daemon(service)
+    try:
+        with socket.create_connection((host, port), timeout=30.0) as sock:
+            replies = sock.makefile("r")
+            sock.sendall(b"this is not json\n")
+            refused = json.loads(replies.readline())
+            sock.sendall(_request_line(queries[0]))
+            answered = json.loads(replies.readline())
+        assert refused["ok"] is False and "bad request" in refused["error"]
+        assert answered["ok"] is True
+        assert answered["embeddings"] == expected["bitset"][0]
+    finally:
+        _stop_daemon(daemon, thread)
+        engine.close()
+
+
+def test_daemon_answers_an_over_long_line_then_closes(
+    service_instance, monkeypatch,
+):
+    """Past ``MAX_REQUEST_BYTES`` the framing is lost: the line gets its
+    error reply, then EOF — nothing behind it is read as a request."""
+    monkeypatch.setattr(daemon_module, "MAX_REQUEST_BYTES", 4096)
+    data, queries, expected = service_instance
+    engine = HGMatch(data, index_backend="bitset")
+    service = MatchService(engine, shards=1)
+    daemon, (host, port), thread = _start_daemon(service)
+    try:
+        with socket.create_connection((host, port), timeout=30.0) as sock:
+            sock.sendall(b"x" * 10_000 + b"\n" + _request_line(queries[0]))
+            replies = sock.makefile("r")
+            payload = json.loads(replies.readline())
+            assert replies.readline() == ""  # EOF, no second reply
+        assert payload == {
+            "ok": False, "error": "request exceeds 4096 bytes"
+        }
+        assert daemon.queries_served == 0
+    finally:
+        _stop_daemon(daemon, thread)
+        engine.close()
+
+
+@pytest.mark.usefixtures("pool_route")
+def test_drain_closes_idle_connections_and_answers_busy_ones(
+    service_instance,
+):
+    """SIGTERM's drain closes a connection waiting for its next request
+    itself — the idle client reads EOF while the stop is still in
+    progress — and a connection with a query in flight gets its exact
+    answer before it closes."""
+    data, queries, expected = service_instance
+    plan = FaultPlan()
+    plan.slow_reply(0, after_frames=2, seconds=1.5)
+    engine = HGMatch(data, index_backend="bitset")
+    service = MatchService(engine, shards=2, chaos=plan, cache_capacity=0)
+    daemon, (host, port), thread = _start_daemon(service)
+    try:
+        with socket.create_connection((host, port), timeout=30.0) as idle, \
+                socket.create_connection((host, port), timeout=30.0) as busy:
+            idle.sendall(_request_line(op="no-such-op"))
+            assert not json.loads(idle.makefile("r").readline())["ok"]
+            busy.sendall(_request_line(queries[0]))
+            deadline = time.monotonic() + 10.0
+            while service.in_flight != 1 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert service.in_flight == 1
+            daemon.request_stop()
+            idle.settimeout(1.0)
+            assert idle.recv(1) == b""
+            assert thread.is_alive() and service.in_flight == 1
+            replies = busy.makefile("r")
+            payload = json.loads(replies.readline())
+            assert payload["ok"] is True
+            assert payload["embeddings"] == expected["bitset"][0]
+            assert replies.readline() == ""
+    finally:
         _stop_daemon(daemon, thread)
         engine.close()
