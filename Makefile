@@ -60,10 +60,13 @@ test-elastic:
 ## BUSY, deadlines, cancellation, cache, drain, query-pinned chaos
 ## isolation), the inline route for cheap misses and the line-JSON
 ## daemon/client (a query file against a dataset name is a typed
-## refusal, never a silent 0; kept-alive connections reused safely).
+## refusal, never a silent 0; kept-alive connections reused safely),
+## standing deltas delivered by callback only, the journal set by its
+## constructor only, and the retired service surfaces pinned gone.
 test-service:
 	$(PYTHON) -m pytest -x -q tests/test_service.py tests/test_inline_route.py \
-		tests/test_match_client.py tests/test_transport.py
+		tests/test_match_client.py tests/test_transport.py \
+		tests/test_mutation_service.py tests/test_journal.py
 
 ## Dynamic-graph smoke: mutation semantics (tombstoned layouts,
 ## atomic batches, incremental store maintenance), the differential
@@ -77,14 +80,14 @@ test-mutation:
 
 ## Durability smoke: the journal codec (torn tails vs mid-log
 ## corruption), snapshots, the crash-point recovery oracle, the
-## service/daemon journal seam (drain persists, restart recovers and
-## resumes standing streams), commits that ride CATCHUP and never
+## service/daemon journal seam (drain persists, restart recovers, and
+## an in-process restore_standing(callback=) resumes the stream), commits that ride CATCHUP and never
 ## fail for a lost worker, and the CATCHUP rejoin paths of the shard
 ## pool.
 test-durability:
 	$(PYTHON) -m pytest -x -q tests/test_journal.py \
 		tests/test_mutation_service.py tests/test_elastic.py \
-		tests/test_chaos.py
+		tests/test_chaos.py tests/test_service.py
 
 ## One fast benchmark as a smoke signal: the three-backend index
 ## comparison (merge/bitset/adaptive + mask-native pipeline, >= 2x

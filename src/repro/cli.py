@@ -59,6 +59,7 @@ from .hypergraph.io import (
     load_native,
     save_native,
 )
+from .hypergraph.journal import DEFAULT_SNAPSHOT_INTERVAL, FSYNC_POLICIES
 from .hypergraph.sampling import query_setting, sample_query
 
 
@@ -267,19 +268,18 @@ def build_parser() -> argparse.ArgumentParser:
         help="directory for the durable mutation journal: committed "
         "batches are logged inside the commit barrier and the service "
         "recovers graph + standing queries from it on restart "
-        "(default: $REPRO_JOURNAL_DIR, else no journal)",
+        "(default: no journal)",
     )
     serve_match.add_argument(
-        "--journal-fsync", default=None, choices=("always", "never"),
+        "--journal-fsync", default="always", choices=FSYNC_POLICIES,
         help="fsync policy of the journal: 'always' fsyncs every "
         "commit (crash-safe), 'never' leaves flushing to the OS "
-        "(default: $REPRO_JOURNAL_FSYNC, else 'always')",
+        "(default 'always')",
     )
     serve_match.add_argument(
-        "--snapshot-interval", type=int, default=None,
+        "--snapshot-interval", type=int, default=DEFAULT_SNAPSHOT_INTERVAL,
         help="journalled batches between snapshots (recovery replays "
-        "at most this many; default: "
-        "$REPRO_JOURNAL_SNAPSHOT_INTERVAL, else 64)",
+        f"at most this many; default {DEFAULT_SNAPSHOT_INTERVAL})",
     )
 
     query_cmd = commands.add_parser(
@@ -574,18 +574,15 @@ def _cmd_serve_shard(args, out) -> int:
 
 
 def _cmd_serve_match(args, out) -> int:
-    from .hypergraph.journal import MutationJournal, default_journal_dir
+    from .hypergraph.journal import MutationJournal
     from .service import MatchService
     from .service.daemon import run_daemon
 
     journal = None
     recovered = None
-    journal_dir = args.journal_dir
-    if journal_dir is None:
-        journal_dir = default_journal_dir()
-    if journal_dir is not None:
+    if args.journal_dir is not None:
         journal = MutationJournal(
-            journal_dir,
+            args.journal_dir,
             fsync=args.journal_fsync,
             snapshot_interval=args.snapshot_interval,
         )
@@ -615,7 +612,7 @@ def _cmd_serve_match(args, out) -> int:
                 f"recovered graph at version {recovered.version} "
                 f"(snapshot {recovered.snapshot_version} + "
                 f"{recovered.replayed} replayed batch(es), "
-                f"{restored} standing quer(ies)) from {journal_dir}\n"
+                f"{restored} standing quer(ies)) from {args.journal_dir}\n"
             )
 
         def ready(address) -> None:

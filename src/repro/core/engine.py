@@ -199,7 +199,8 @@ class HGMatch:
         # the match service; workers keep their stores warm.
         self._pool = None
         # And one always-on match service (admission control, cache and
-        # standing queries over that pool), built by match_service().
+        # standing queries over that pool): a MatchService built on this
+        # engine installs itself here.
         self._match_service = None
         # The data graph's label types, re-read only when a query has a
         # type not in here: a graph only gains vertices, never loses a
@@ -609,12 +610,7 @@ class HGMatch:
             )
         return total
 
-    def pool(
-        self,
-        shards: "int | None" = None,
-        hosts=None,
-        registry=None,
-    ):
+    def pool(self, shards: "int | None" = None, hosts=None):
         """The engine's one shard pool (lazily built): the
         :class:`~repro.parallel.pool.ShardPool` behind
         ``executor="processes"`` and the match service.
@@ -624,11 +620,10 @@ class HGMatch:
         whole graph, warm across queries (daemonic
         processes; :meth:`close` releases them early); asking for
         another layout rebuilds it.  ``hosts`` — ``(host, port)``
-        addresses — (re)configures it for
-        externally managed shard servers, a started ``registry``
-        (:class:`~repro.parallel.registry.WorkerRegistry`) for
-        *discovered* ones, whose evictions then feed the failover.  The
-        layout arithmetic is the pool's own (``SchedulerError``).
+        addresses — (re)configures it for externally managed shard
+        servers.  The layout arithmetic is the pool's own
+        (``SchedulerError``); a pool of *discovered* workers is built
+        by :meth:`~repro.parallel.pool.ShardPool.from_registry`.
 
         A pool pinned to real machines, or held by the match service,
         wins over shard-count defaults: it is returned when ``shards``
@@ -637,13 +632,6 @@ class HGMatch:
         """
         from ..parallel.pool import ShardPool  # lazy: avoid cycle
 
-        if hosts is not None and registry is not None:
-            raise QueryError(
-                "hosts and registry are mutually exclusive: "
-                "addresses are either pinned or discovered"
-            )
-        if registry is not None and shards is None:
-            raise QueryError("registry discovery needs an explicit shard count")
         if hosts is not None:
             hosts = [tuple(address) for address in hosts]
         current = self._pool
@@ -652,82 +640,27 @@ class HGMatch:
         if shards is None and hosts is None and not fixed:
             shards = self.shards
         if current is not None:
-            wanted = {
-                "addresses": hosts, "registry": registry, "num_shards": shards,
-            }
+            wanted = {"addresses": hosts, "num_shards": shards}
             differs = [
                 f"{name}={value!r}" for name, value in wanted.items()
                 if value is not None and getattr(current, name) != value
             ]
             if not differs:
                 return current
-            if served or (fixed and hosts is None and registry is None):
+            if served or (fixed and hosts is None):
                 held = "held by its match service" if served else "at fixed addresses"
                 raise QueryError(
                     f"engine is configured for {current.num_shards} socket workers "
                     f"{held}; cannot run {differs[0]}"
                 )
-        if registry is not None:
-            fresh = ShardPool.from_registry(
-                registry, shards, index_backend=self.index_backend
-            )
-        else:
-            fresh = ShardPool(
-                addresses=hosts, num_shards=shards,
-                index_backend=self.index_backend,
-            )
+        fresh = ShardPool(
+            addresses=hosts, num_shards=shards,
+            index_backend=self.index_backend,
+        )
         if current is not None:
             current.close()
         self._pool = fresh
         return fresh
-
-    def match_service(
-        self,
-        shards: "int | None" = None,
-        hosts=None,
-        max_concurrent: int = 4,
-        queue_depth: int = 8,
-        cache_capacity: int = 128,
-        default_deadline: "float | None" = None,
-        chaos=None,
-    ):
-        """The engine's persistent always-on match service (lazily built).
-
-        Wraps this engine and its shard pool (:meth:`pool` — the
-        service builds and installs it) in a
-        :class:`~repro.service.service.MatchService`: bounded admission
-        (BUSY past ``queue_depth``), per-query deadlines, cancellation
-        and an LRU result cache.  Reused across
-        calls; another shard layout rebuilds it, any other setting
-        differing from the live service's is refused — a rebuild would
-        silently drop its cache and standing registrations.
-        """
-        from ..service import MatchService  # lazy
-
-        shards = self.shards if shards is None else shards
-        settings = dict(
-            max_concurrent=max_concurrent, queue_depth=queue_depth,
-            cache_capacity=cache_capacity,
-            default_deadline=default_deadline, chaos=chaos,
-        )
-        current = self._match_service
-        if current is not None and current.num_shards != (
-            shards if hosts is None else len(hosts)
-        ):
-            current.close()  # drain() clears the slot
-            current = None
-        if current is None:
-            # Installs itself, and its pool, as this engine's.
-            return MatchService(self, shards=shards, addresses=hosts, **settings)
-        for name, wanted in settings.items():
-            live = getattr(current, name)
-            if live != wanted:
-                raise QueryError(
-                    f"the engine's live match service runs with "
-                    f"{name}={live!r}; cannot hand it out as "
-                    f"{name}={wanted!r} (drain it first)"
-                )
-        return current
 
     # ------------------------------------------------------------------
     # Mutation (dynamic graphs)

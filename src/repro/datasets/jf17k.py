@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Tuple
 
 from ..hypergraph import Hypergraph, HypergraphBuilder
 
@@ -124,13 +124,3 @@ def query_recast_character() -> Hypergraph:
         labels=[CHARACTER, TVSHOW, ACTOR, SEASON, ACTOR, SEASON],
         edges=[{0, 1, 2, 3}, {0, 1, 4, 5}],
     )
-
-
-def describe_answer(
-    kb: Hypergraph, mapping: Dict[int, int], query: Hypergraph
-) -> List[Tuple[str, int]]:
-    """Render one vertex mapping as (type, entity id) pairs for display."""
-    return [
-        (str(query.label(query_vertex)), data_vertex)
-        for query_vertex, data_vertex in sorted(mapping.items())
-    ]

@@ -46,9 +46,10 @@ class TransportError(SchedulerError):
 class JournalError(ReproError):
     """Raised on an invalid journal configuration or journal I/O failure.
 
-    Covers the durability seam: an unusable ``REPRO_JOURNAL_DIR``, a
-    malformed fsync/snapshot knob, a journal directory that cannot be
-    created, or an append/fsync that fails mid-commit.
+    Covers the durability seam: a malformed fsync policy or snapshot
+    interval, a journal directory that cannot be created (or a path
+    that exists but is not a directory), or an append/fsync that fails
+    mid-commit.
     """
 
 

@@ -252,9 +252,3 @@ def perturb_labels(
         vertex = rng.randrange(graph.num_vertices)
         labels[vertex] = rng.randrange(num_labels)
     return Hypergraph(labels, [sorted(edge) for edge in graph.edges])
-
-
-def seeded_rng(seed: "int | None" = None) -> random.Random:
-    """A fresh :class:`random.Random`; explicit helper so callers never
-    reach for the shared module-level generator."""
-    return random.Random(seed)

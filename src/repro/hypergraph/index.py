@@ -314,13 +314,6 @@ def _normalise_container(offsets: Sequence[int], array_max: int):
     return tuple(offsets)
 
 
-def container_count(container) -> int:
-    """Cardinality of one container."""
-    if isinstance(container, int):
-        return container.bit_count()
-    return len(container)
-
-
 def container_intersect(first, second):
     """Intersection of two containers (array result stays an array)."""
     if isinstance(first, int):

@@ -24,7 +24,7 @@ the :class:`Hypergraph` constructor.
 from __future__ import annotations
 
 import os
-from typing import FrozenSet, Iterable, List, TextIO
+from typing import FrozenSet, List, TextIO
 
 from ..errors import ParseError, QueryError
 from .hypergraph import Hypergraph
@@ -166,8 +166,3 @@ def save_simplex_dir(graph: Hypergraph, directory: str, name: str) -> None:
             nverts.write(f"{len(ordered)}\n")
             for vertex in ordered:
                 simplices.write(f"{vertex + 1}\n")
-
-
-def edges_as_lines(edges: Iterable[Iterable[int]]) -> str:
-    """Render an edge list as whitespace-separated lines (debug helper)."""
-    return "\n".join(" ".join(str(v) for v in sorted(edge)) for edge in edges)

@@ -33,14 +33,16 @@ kinds of artefact:
     previous one intact.
 
 ``standing.json``
-    The registered standing queries (native query text + pinned order),
-    rewritten atomically on every register/unregister and at drain, so
-    a restarted daemon re-registers them against the recovered graph.
+    The registered standing queries, one structural record each
+    (vertex ``labels``, ``edges``, ``edge_labels`` and the pinned
+    ``order``), rewritten atomically on every register/unregister and
+    at drain, so a restarted daemon re-registers them against the
+    recovered graph.
 
-The fsync policy and snapshot cadence are knobs
-(``REPRO_JOURNAL_FSYNC``, ``REPRO_JOURNAL_SNAPSHOT_INTERVAL``, plus
-``REPRO_JOURNAL_DIR`` for the directory itself), validated at parse
-time with typed errors naming the knob — the ``REPRO_NET_*`` idiom.
+The directory, the fsync policy and the snapshot cadence are
+constructor arguments (``serve-match --journal-dir``,
+``--journal-fsync``, ``--snapshot-interval``), validated there: a bad
+value is a typed :class:`~repro.errors.JournalError`.
 """
 
 from __future__ import annotations
@@ -71,10 +73,10 @@ RECORD_HEADER = struct.Struct("<II")
 #: bigger is a corrupt length field, not a real record).
 MAX_RECORD_BYTES = 1 << 26
 
-#: Accepted values of the fsync policy knob.
+#: Accepted values of the fsync policy.
 FSYNC_POLICIES = ("always", "never")
 
-#: Batches between automatic snapshots when the knob is unset.
+#: Batches between automatic snapshots unless the caller says otherwise.
 DEFAULT_SNAPSHOT_INTERVAL = 64
 
 JOURNAL_FILE = "mutations.log"
@@ -84,64 +86,8 @@ _SNAPSHOT_RE = re.compile(r"^snapshot-(\d+)\.snap$")
 
 
 # ----------------------------------------------------------------------
-# Environment knobs (validated at parse time, errors name the knob)
+# Setting validation (errors are typed)
 # ----------------------------------------------------------------------
-
-
-def default_journal_dir() -> "str | None":
-    """``REPRO_JOURNAL_DIR``: the journal directory, or None if unset.
-
-    Raises :class:`~repro.errors.JournalError` naming the knob when set
-    to something unusable (empty, or an existing non-directory path).
-    """
-    value = os.environ.get("REPRO_JOURNAL_DIR")
-    if value is None:
-        return None
-    value = value.strip()
-    if not value:
-        raise JournalError(
-            "REPRO_JOURNAL_DIR must name a directory, got an empty string"
-        )
-    if os.path.exists(value) and not os.path.isdir(value):
-        raise JournalError(
-            f"REPRO_JOURNAL_DIR points at {value!r}, which exists but is "
-            f"not a directory"
-        )
-    return value
-
-
-def default_fsync_policy() -> str:
-    """``REPRO_JOURNAL_FSYNC``: ``always`` (default) or ``never``."""
-    value = os.environ.get("REPRO_JOURNAL_FSYNC")
-    if value is None:
-        return "always"
-    policy = value.strip().lower()
-    if policy not in FSYNC_POLICIES:
-        raise JournalError(
-            f"REPRO_JOURNAL_FSYNC must be one of {FSYNC_POLICIES}, "
-            f"got {value!r}"
-        )
-    return policy
-
-
-def default_snapshot_interval() -> int:
-    """``REPRO_JOURNAL_SNAPSHOT_INTERVAL``: batches between snapshots."""
-    value = os.environ.get("REPRO_JOURNAL_SNAPSHOT_INTERVAL")
-    if value is None:
-        return DEFAULT_SNAPSHOT_INTERVAL
-    try:
-        interval = int(value.strip())
-    except ValueError:
-        raise JournalError(
-            f"REPRO_JOURNAL_SNAPSHOT_INTERVAL must be a positive "
-            f"integer, got {value!r}"
-        ) from None
-    if interval < 1:
-        raise JournalError(
-            f"REPRO_JOURNAL_SNAPSHOT_INTERVAL must be >= 1, "
-            f"got {interval}"
-        )
-    return interval
 
 
 def _validate_fsync(policy: str) -> str:
@@ -386,38 +332,24 @@ class RecoveredState:
 class MutationJournal:
     """One durable journal directory: log + snapshots + standing set.
 
-    Lifecycle: construct with a directory (defaults to
-    ``REPRO_JOURNAL_DIR``), then either :meth:`recover` a previous
-    run's state or :meth:`attach` to a live graph (a fresh directory
-    gets a base snapshot so it is self-contained from the first
-    record).  :meth:`append` is called inside the service's commit
-    barrier — before the batch is broadcast to any pool — so the log
-    is always at least as current as any worker.
+    Lifecycle: construct with a directory, then either :meth:`recover`
+    a previous run's state or :meth:`attach` to a live graph (a fresh
+    directory gets a base snapshot so it is self-contained from the
+    first record).  :meth:`append` is called inside the service's
+    commit barrier — before the batch is broadcast to any pool — so the
+    log is always at least as current as any worker.
     """
 
     def __init__(
         self,
-        directory: "str | None" = None,
+        directory,
         *,
-        fsync: "str | None" = None,
-        snapshot_interval: "int | None" = None,
+        fsync: str = "always",
+        snapshot_interval: int = DEFAULT_SNAPSHOT_INTERVAL,
     ) -> None:
-        if directory is None:
-            directory = default_journal_dir()
-            if directory is None:
-                raise JournalError(
-                    "no journal directory: pass one explicitly or set "
-                    "REPRO_JOURNAL_DIR"
-                )
         self.directory = os.fspath(directory)
-        self.fsync_policy = (
-            default_fsync_policy() if fsync is None else _validate_fsync(fsync)
-        )
-        self.snapshot_interval = (
-            default_snapshot_interval()
-            if snapshot_interval is None
-            else _validate_interval(snapshot_interval)
-        )
+        self.fsync_policy = _validate_fsync(fsync)
+        self.snapshot_interval = _validate_interval(snapshot_interval)
         try:
             os.makedirs(self.directory, exist_ok=True)
         except OSError as exc:

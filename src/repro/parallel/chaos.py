@@ -59,14 +59,10 @@ from typing import Callable, Dict, List, Optional
 
 from .transport import QUERY_KINDS
 
-#: Endpoint roles a fault can bind to.  ``announcer`` is the worker's
-#: registry connection (frame 1 is the ANNOUNCE, frames 2+ are
-#: HEARTBEATs), so discovery and liveness can be fault-injected with
-#: the same frame-count determinism as the data path.
+#: Endpoint roles a fault can bind to.
 ROLE_COORDINATOR = "coordinator"
 ROLE_WORKER = "worker"
-ROLE_ANNOUNCER = "announcer"
-_ROLES = (ROLE_COORDINATOR, ROLE_WORKER, ROLE_ANNOUNCER)
+_ROLES = (ROLE_COORDINATOR, ROLE_WORKER)
 
 #: Offset of the protocol-version byte inside an encoded frame
 #: (after the little-endian u32 length) — the byte ``garble`` flips,
@@ -263,34 +259,6 @@ class FaultPlan:
                 "drop", ROLE_WORKER, shard_id, after_frames,
                 query_id=query_id,
             )
-        )
-
-    def drop_heartbeats(
-        self,
-        shard_id: int,
-        *,
-        after_frames: int,
-        count: int = 1,
-    ) -> "List[Fault]":
-        """Swallow ``count`` consecutive announcer frames starting at
-        frame ``N`` — missed heartbeats (the registry's eviction
-        deadline must notice).  Announcer frame 1 is the ANNOUNCE, so
-        ``after_frames=2`` drops the first heartbeat."""
-        return [
-            self._add(
-                Fault("drop", ROLE_ANNOUNCER, shard_id, after_frames + offset)
-            )
-            for offset in range(count)
-        ]
-
-    def garble_announce(
-        self, shard_id: int, *, after_frames: int = 1
-    ) -> Fault:
-        """Corrupt the announcer's frame ``N`` (default: the ANNOUNCE
-        itself) — the registry must reject the session, never record a
-        worker it could not validate."""
-        return self._add(
-            Fault("garble", ROLE_ANNOUNCER, shard_id, after_frames)
         )
 
     # -- killers ---------------------------------------------------------

@@ -30,11 +30,7 @@ The worker side is :class:`Announcer`: a daemon thread owned by
 announces, heartbeats, and reconnects under
 :class:`~repro.parallel.tasks.RetryPolicy` backoff whenever the
 registry link fails.  The announcer never gives up — discovery is a
-liveness daemon, not a job — and it is fault-injectable: a
-:class:`~repro.parallel.chaos.FaultPlan` wraps the registry connection
-under the ``announcer`` role (frame 1 = ANNOUNCE, frames 2+ =
-HEARTBEATs), so dropped heartbeats and garbled announcements are as
-deterministic as every other chaos fault.
+liveness daemon, not a job.
 
 Registry traffic is one-way: the registry never replies.  That keeps
 the worker's serving loop and its announcing loop fully independent —
@@ -56,7 +52,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import SchedulerError, TransportError
 from . import transport
-from .chaos import ROLE_ANNOUNCER
 from .tasks import RetryPolicy
 from .worker import ShardDescriptor
 
@@ -457,7 +452,6 @@ class Announcer:
         hello: Callable[[], Tuple[Tuple[str, int], dict]],
         interval: "float | None" = None,
         retry: "RetryPolicy | None" = None,
-        chaos=None,
         rng: "random.Random | None" = None,
     ) -> None:
         self.registry_address = tuple(registry_address)
@@ -471,7 +465,6 @@ class Announcer:
                 f"{self.interval!r}"
             )
         self.retry = RetryPolicy() if retry is None else retry
-        self.chaos = chaos
         self._rng = rng if rng is not None else random.Random(0)
         self._stop = threading.Event()
         self._thread: "threading.Thread | None" = None
@@ -495,21 +488,13 @@ class Announcer:
             thread.join(timeout=5.0)
         self._thread = None
 
-    def _connect(self):
-        sock = socket.create_connection(self.registry_address, timeout=5.0)
-        sock.settimeout(5.0)
-        if self.chaos is not None:
-            _, descriptor_dict = self.hello()
-            sock = self.chaos.wrap(
-                sock, ROLE_ANNOUNCER, descriptor_dict.get("shard_id")
-            )
-        return sock
-
     def _run(self) -> None:
         attempt = 0
         while not self._stop.is_set():
             try:
-                sock = self._connect()
+                sock = socket.create_connection(
+                    self.registry_address, timeout=5.0
+                )
             except OSError:
                 self._stop.wait(
                     self.retry.delay(
@@ -529,7 +514,7 @@ class Announcer:
                 while not self._stop.wait(self.interval):
                     transport.send_frame(sock, transport.MSG_HEARTBEAT)
             except (TransportError, OSError):
-                # Lost the registry (or a chaos sever): back off and
+                # Lost the registry: back off and
                 # re-announce on a fresh connection.
                 attempt += 1
                 self._stop.wait(

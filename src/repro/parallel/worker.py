@@ -234,7 +234,6 @@ class ShardWorker:
             self._announce,
             self._announce_hello,
             interval=self._heartbeat_interval,
-            chaos=self.chaos,
             rng=random.Random(self.shard_id << 16),
         )
         self._announcer.start()

@@ -97,6 +97,18 @@ async def _ticket_result(waiter):
         raise QueryCancelled("query cancelled before it started") from None
 
 
+def _refusal(exc: Exception) -> dict:
+    """The reply to a service refusal or failure: a label-type
+    ``QueryError`` is ``query_error``, ``ServiceBusy`` is ``busy`` with
+    its back-off hint, anything else a plain ``error``."""
+    if isinstance(exc, QueryError):
+        return {"ok": False, "query_error": True, "error": str(exc)}
+    if isinstance(exc, ServiceBusy):
+        return {"ok": False, "busy": True,
+                "retry_after": exc.retry_after, "depth": exc.depth}
+    return {"ok": False, "error": str(exc)}
+
+
 def _hung_up(read) -> bool:
     """Whether a finished next-line read says the client is gone: EOF
     or a reset.  A line (the next request) or an over-long one (answered
@@ -188,9 +200,10 @@ class MatchDaemon:
             pass
         except asyncio.CancelledError:
             # Loop teardown cancelled a live connection (e.g. a standing
-            # stream mid-poll).  Close the transport without awaiting —
-            # the loop is going away — and finish quietly rather than
-            # letting the cancellation surface as a logged traceback.
+            # stream waiting for its next delta).  Close the transport
+            # without awaiting — the loop is going away — and finish
+            # quietly rather than letting the cancellation surface as a
+            # logged traceback.
             writer.transport.close()
             return
         finally:
@@ -227,13 +240,8 @@ class MatchDaemon:
             ticket = self.service.submit(
                 query, order=order, deadline=deadline
             )
-        except QueryError as exc:
-            return {"ok": False, "query_error": True, "error": str(exc)}
-        except ServiceBusy as exc:
-            return {"ok": False, "busy": True,
-                    "retry_after": exc.retry_after, "depth": exc.depth}
         except ReproError as exc:
-            return {"ok": False, "error": str(exc)}
+            return _refusal(exc)
 
         try:
             if ticket.done():
@@ -282,11 +290,8 @@ class MatchDaemon:
             result = await loop.run_in_executor(
                 None, self.service.apply_mutations, batch
             )
-        except ServiceBusy as exc:
-            return {"ok": False, "busy": True,
-                    "retry_after": exc.retry_after, "depth": exc.depth}
         except Exception as exc:
-            return {"ok": False, "error": str(exc)}
+            return _refusal(exc)
         engine = self.service._engine
         return {
             "ok": True,
@@ -303,25 +308,30 @@ class MatchDaemon:
 
         The connection *is* the subscription: EOF from the client
         unregisters the query, a service drain ends the stream with a
-        ``closed`` line.  Returns the error response when registration
-        fails (the connection carries on), else None (everything was
-        streamed already and the connection ends).
+        ``closed`` line.  The registration's callback runs inside each
+        commit, on whichever thread commits; it only hands the delta
+        (and the final ``None``) to this event loop.  Returns the error
+        response when registration fails (the connection carries on),
+        else None (everything was streamed already and the connection
+        ends).
         """
         try:
             query = parse_native(io.StringIO(request["query"]))
             order = request.get("order")
         except (KeyError, TypeError, ValueError, ReproError) as exc:
             return {"ok": False, "error": f"bad request: {exc}"}
-        try:
-            handle = self.service.register_standing(query, order=order)
-        except QueryError as exc:
-            return {"ok": False, "query_error": True, "error": str(exc)}
-        except ServiceBusy as exc:
-            return {"ok": False, "busy": True,
-                    "retry_after": exc.retry_after, "depth": exc.depth}
-        except ReproError as exc:
-            return {"ok": False, "error": str(exc)}
         loop = asyncio.get_running_loop()
+        deltas = asyncio.Queue()
+
+        def deliver(delta) -> None:
+            loop.call_soon_threadsafe(deltas.put_nowait, delta)
+
+        try:
+            handle = self.service.register_standing(
+                query, order=order, callback=deliver
+            )
+        except ReproError as exc:
+            return _refusal(exc)
         eof = asyncio.ensure_future(conn.reader.read())
         try:
             await conn.send({
@@ -332,21 +342,18 @@ class MatchDaemon:
                 "matches": len(handle.matches),
             })
             while True:
-                try:
-                    waiter = loop.run_in_executor(None, handle.poll, 0.25)
-                except RuntimeError:
-                    return None  # loop shutting down mid-subscription
+                waiter = asyncio.ensure_future(deltas.get())
                 done, _ = await asyncio.wait(
                     {eof, waiter}, return_when=asyncio.FIRST_COMPLETED
                 )
-                delta = await waiter  # resolves within the poll timeout
                 if eof in done:
+                    waiter.cancel()
                     return None  # client hung up: subscription over
-                if delta is not None:
-                    await conn.send({"ok": True, "delta": delta.to_json()})
-                elif handle.closed:
+                delta = waiter.result()
+                if delta is None:
                     await conn.send({"ok": True, "closed": True})
                     return None
+                await conn.send({"ok": True, "delta": delta.to_json()})
         except ConnectionError:
             return None
         finally:

@@ -94,6 +94,10 @@ INLINE_COST = 10.0
 #: the pool.
 INLINE_BUDGET = 0.05
 
+#: The back-off hint a :class:`~repro.errors.ServiceBusy` refusal
+#: carries, in seconds (the daemon's ``retry_after`` field).
+RETRY_AFTER = 0.25
+
 
 def _standing_entry(handle) -> dict:
     """JSON-serialisable record of one standing-query registration.
@@ -222,7 +226,6 @@ class MatchService:
         queue_depth: int = 8,
         cache_capacity: int = 128,
         default_deadline: "float | None" = None,
-        retry_after: float = 0.25,
         io_timeout: "float | None" = None,
         chaos=None,
         journal: "MutationJournal | str | None" = None,
@@ -242,7 +245,6 @@ class MatchService:
         self.queue_depth = queue_depth
         self.max_concurrent = max_concurrent
         self.default_deadline = default_deadline
-        self.retry_after = retry_after
         self.cache_capacity = cache_capacity
         self.chaos = chaos
         self.pool = ShardPool(
@@ -315,8 +317,8 @@ class MatchService:
 
         Raises :class:`~repro.errors.ServiceBusy` when the admission
         backlog is at ``queue_depth`` (or the service is draining) —
-        the caller retries after ``retry_after`` seconds, nothing ever
-        queues unboundedly or hangs.  Cache hits bypass admission *and*
+        the caller retries after :data:`RETRY_AFTER` seconds, nothing
+        ever queues unboundedly or hangs.  Cache hits bypass admission *and*
         the pool entirely; a miss cheaper than :data:`INLINE_COST` is
         counted here, on the caller's thread, before this returns —
         unless it outruns :data:`INLINE_BUDGET`, then it goes to the
@@ -333,7 +335,7 @@ class MatchService:
             if self._closed:
                 raise SchedulerError("match service is closed")
             if self._mutating:
-                raise ServiceBusy(self.queue_depth, self.retry_after)
+                raise ServiceBusy(self.queue_depth, RETRY_AFTER)
             # Graph key inside the lock, after the mutation gate: a
             # mutation barrier between the key and the lookup must not
             # serve a result cached for a graph that no longer exists.
@@ -344,9 +346,9 @@ class MatchService:
                 self.cache_hits += 1
                 return MatchTicket(result=cached)
             if self._draining:
-                raise ServiceBusy(self.queue_depth, self.retry_after)
+                raise ServiceBusy(self.queue_depth, RETRY_AFTER)
             if self._admitted >= self.queue_depth:
-                raise ServiceBusy(self.queue_depth, self.retry_after)
+                raise ServiceBusy(self.queue_depth, RETRY_AFTER)
             self._admitted += 1
             self.cache_misses += 1
         budget = self.default_deadline if deadline is None else deadline
@@ -448,8 +450,9 @@ class MatchService:
         wait for admitted queries to drain, apply the batch to the
         engine's graph and store, propagate the same batch to the
         pool (one ``ShardPool.mutate``), then commit every standing
-        query and emit its delta.  Returns the :class:`~repro.hypergraph.dynamic
-        .MutationResult`.
+        query and hand its delta to its callback (a callback that
+        raises is logged and fails nothing).  Returns the
+        :class:`~repro.hypergraph.dynamic.MutationResult`.
 
         Cached results for the old graph are *not* purged: the cache
         key includes the graph version the commit just bumped, so they
@@ -459,7 +462,7 @@ class MatchService:
             if self._closed:
                 raise SchedulerError("match service is closed")
             if self._draining:
-                raise ServiceBusy(self.queue_depth, self.retry_after)
+                raise ServiceBusy(self.queue_depth, RETRY_AFTER)
             if self._mutating:
                 raise SchedulerError(
                     "a mutation batch is already being committed"
@@ -513,8 +516,10 @@ class MatchService:
 
         Seeds the handle's match set with a full (sequential)
         enumeration of the current graph, then every committed mutation
-        batch updates it and emits a :class:`~repro.service.standing
-        .MatchDelta`.  Refused while a mutation barrier is active (the
+        batch updates it and hands ``callback`` (when given) a
+        :class:`~repro.service.standing.MatchDelta`; unregistering or
+        draining ends the stream with one final ``callback(None)``.
+        Refused while a mutation barrier is active (the
         seed would race the commit), and, as a :class:`~repro.errors
         .QueryError`, when the query's label type is one the graph
         lacks.
@@ -524,7 +529,7 @@ class MatchService:
             if self._closed:
                 raise SchedulerError("match service is closed")
             if self._mutating:
-                raise ServiceBusy(self.queue_depth, self.retry_after)
+                raise ServiceBusy(self.queue_depth, RETRY_AFTER)
             self._standing_ids += 1
             handle = StandingQuery(
                 self._standing_ids, query, order=order, callback=callback
@@ -536,14 +541,14 @@ class MatchService:
             if self._mutating:
                 # A barrier slipped in while we enumerated: the seed
                 # may straddle the commit.  Refuse rather than guess.
-                raise ServiceBusy(self.queue_depth, self.retry_after)
+                raise ServiceBusy(self.queue_depth, RETRY_AFTER)
             self._standing[handle.query_id] = handle
         self._persist_standing()
         return handle
 
     def unregister_standing(self, handle) -> None:
-        """Remove a standing query; its event stream ends after a final
-        drain (idempotent)."""
+        """Remove a standing query; its callback gets the final
+        ``None`` (idempotent)."""
         query_id = getattr(handle, "query_id", handle)
         with self._lock:
             registered = self._standing.pop(query_id, None)
@@ -574,8 +579,11 @@ class MatchService:
         Each restored query is seeded by a fresh full enumeration of
         the *recovered* graph — its next delta therefore continues from
         the recovered version, exactly as if the registration had
-        survived the restart.  ``callback`` applies to every restored
-        handle (the daemon re-attaches its event fan-out here).
+        survived the restart.  ``callback`` receives every restored
+        handle's deltas: that is how an in-process caller resumes a
+        stream.  Without one a restored registration keeps its match
+        set current and delivers nothing; a wire client resumes by
+        sending ``standing`` again.
         """
         if self.journal is None:
             return 0

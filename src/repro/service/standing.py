@@ -27,10 +27,11 @@ tests use to compare engines.
 from __future__ import annotations
 
 import itertools
-import queue
-import threading
+import logging
 from collections import deque
 from typing import Callable, FrozenSet, List, Optional, Sequence, Set, Tuple
+
+logger = logging.getLogger("repro.service")
 
 
 class MatchDelta:
@@ -142,27 +143,27 @@ class StandingQuery:
     The service owns the lifecycle: :meth:`MatchService
     .register_standing` seeds :attr:`matches` with a full enumeration,
     and every committed mutation batch calls :meth:`commit` exactly
-    once.  Subscribers consume deltas either through the optional
-    ``callback`` (invoked synchronously inside the commit, so it must
-    be quick and must not mutate the graph) or by polling
-    :meth:`poll` / iterating :meth:`events`, which drain a thread-safe
-    queue — the shape the daemon's streaming endpoint uses.
+    once.  The one way out for a delta is the optional ``callback``,
+    invoked synchronously inside the commit (so it must be quick and
+    must not mutate the graph); :meth:`close` makes one final
+    ``callback(None)`` to end the stream.  Nothing is retained for a
+    reader: a registration without a callback only keeps its match set
+    current.  A callback that raises is logged on the ``repro.service``
+    logger and fails neither the commit nor the other registrations.
     """
 
     def __init__(self, query_id: int, query,
                  order: "Sequence[int] | None" = None,
-                 callback: "Callable[[MatchDelta], None] | None" = None,
+                 callback: "Callable[[Optional[MatchDelta]], None] | None"
+                 = None,
                  ) -> None:
         self.query_id = query_id
         self.query = query
         self.order = None if order is None else tuple(order)
         self.matches: Set[Tuple[int, ...]] = set()
         self.version = 0
+        self.closed = False
         self._callback = callback
-        self._events: "queue.Queue[MatchDelta]" = queue.Queue()
-        self._closed = threading.Event()
-
-    # -- mutation-side ---------------------------------------------------
 
     def seed(self, engine, version: int) -> None:
         """Full enumeration establishing the initial match set."""
@@ -172,8 +173,8 @@ class StandingQuery:
         }
         self.version = version
 
-    def commit(self, engine, result) -> MatchDelta:
-        """Apply one committed mutation; returns (and emits) the delta.
+    def commit(self, engine, result) -> None:
+        """Apply one committed mutation and deliver its delta.
 
         ``result`` is the :class:`~repro.hypergraph.dynamic
         .MutationResult` the engine produced.  ``removed`` is set
@@ -189,36 +190,26 @@ class StandingQuery:
         added = enumerate_added(engine, self.query, inserted)
         self.matches = (self.matches - removed) | added
         self.version = result.version
-        delta = MatchDelta(self.query_id, result.version, added, removed)
-        self._events.put(delta)
-        if self._callback is not None:
-            self._callback(delta)
-        return delta
-
-    # -- subscriber-side -------------------------------------------------
-
-    def poll(self, timeout: "float | None" = None) -> Optional[MatchDelta]:
-        """Next unconsumed delta; None when none arrived in ``timeout``
-        (``None`` = don't wait at all)."""
-        try:
-            if timeout is None:
-                return self._events.get_nowait()
-            return self._events.get(timeout=timeout)
-        except queue.Empty:
-            return None
-
-    def events(self, poll_interval: float = 0.05):
-        """Yield deltas until the query is unregistered and drained."""
-        while True:
-            delta = self.poll(timeout=poll_interval)
-            if delta is not None:
-                yield delta
-            elif self.closed:
-                return
-
-    @property
-    def closed(self) -> bool:
-        return self._closed.is_set()
+        self._deliver(
+            MatchDelta(self.query_id, result.version, added, removed)
+        )
 
     def close(self) -> None:
-        self._closed.set()
+        """End the stream: the callback's final call is ``None``."""
+        if not self.closed:
+            self.closed = True
+            self._deliver(None)
+
+    def _deliver(self, delta: "MatchDelta | None") -> None:
+        if self._callback is None:
+            return
+        try:
+            self._callback(delta)
+        except Exception:
+            # The commit has happened (applied, journalled, sent to
+            # the pool): a subscriber's failure must not undo or stall
+            # it, nor the registrations committed after this one.
+            logger.exception(
+                "standing query %d: callback failed at version %d",
+                self.query_id, self.version,
+            )

@@ -11,9 +11,8 @@ Pins the crash-consistency contracts:
 * :meth:`MutationJournal.recover` = newest readable snapshot + replay
   suffix, surviving a damaged newest snapshot by falling back and
   replaying further;
-* environment knobs (``REPRO_JOURNAL_DIR`` / ``REPRO_JOURNAL_FSYNC`` /
-  ``REPRO_JOURNAL_SNAPSHOT_INTERVAL``) validated at parse time with
-  typed errors naming the knob;
+* the constructor's settings (directory, fsync policy, snapshot
+  interval) validated with typed errors;
 * the seeded crash-point recovery oracle: kill the log at every record
   boundary and mid-record, recover, and land bit-identical on the
   longest committed prefix.
@@ -31,13 +30,9 @@ from repro import Hypergraph
 from repro.errors import JournalCorruption, JournalError
 from repro.hypergraph import DynamicHypergraph, MutationBatch
 from repro.hypergraph.journal import (
-    FSYNC_POLICIES,
     JOURNAL_MAGIC,
     RECORD_HEADER,
     MutationJournal,
-    default_fsync_policy,
-    default_journal_dir,
-    default_snapshot_interval,
     dump_snapshot,
     encode_record,
     parse_snapshot,
@@ -333,49 +328,15 @@ class TestMutationJournal:
 
 
 # ---------------------------------------------------------------------------
-# Environment knobs: parse-time validation naming the knob
+# Constructor settings: typed validation
 # ---------------------------------------------------------------------------
 
 class TestKnobs:
-    def test_journal_dir_unset_is_none(self, monkeypatch):
-        monkeypatch.delenv("REPRO_JOURNAL_DIR", raising=False)
-        assert default_journal_dir() is None
-        with pytest.raises(JournalError, match="REPRO_JOURNAL_DIR"):
-            MutationJournal()
-
-    def test_journal_dir_empty_names_the_knob(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOURNAL_DIR", "   ")
-        with pytest.raises(JournalError, match="REPRO_JOURNAL_DIR"):
-            default_journal_dir()
-
-    def test_journal_dir_non_directory_names_the_knob(
-        self, monkeypatch, tmp_path
-    ):
+    def test_constructor_refuses_a_non_directory_path(self, tmp_path):
         path = tmp_path / "file"
         path.write_text("x")
-        monkeypatch.setenv("REPRO_JOURNAL_DIR", str(path))
-        with pytest.raises(JournalError, match="REPRO_JOURNAL_DIR"):
-            default_journal_dir()
-
-    def test_fsync_policy_values(self, monkeypatch):
-        monkeypatch.delenv("REPRO_JOURNAL_FSYNC", raising=False)
-        assert default_fsync_policy() == "always"
-        for policy in FSYNC_POLICIES:
-            monkeypatch.setenv("REPRO_JOURNAL_FSYNC", policy.upper())
-            assert default_fsync_policy() == policy
-        monkeypatch.setenv("REPRO_JOURNAL_FSYNC", "sometimes")
-        with pytest.raises(JournalError, match="REPRO_JOURNAL_FSYNC"):
-            default_fsync_policy()
-
-    def test_snapshot_interval_validation(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOURNAL_SNAPSHOT_INTERVAL", "7")
-        assert default_snapshot_interval() == 7
-        for bad in ("zero", "0", "-3"):
-            monkeypatch.setenv("REPRO_JOURNAL_SNAPSHOT_INTERVAL", bad)
-            with pytest.raises(
-                JournalError, match="REPRO_JOURNAL_SNAPSHOT_INTERVAL"
-            ):
-                default_snapshot_interval()
+        with pytest.raises(JournalError, match="cannot create journal"):
+            MutationJournal(str(path))
 
     def test_constructor_validates_explicit_knobs(self, tmp_path):
         with pytest.raises(JournalError, match="fsync"):

@@ -18,8 +18,11 @@ The service-level contract this file pins:
 """
 
 import asyncio
+import gc
 import io
 import json
+import logging
+import queue
 import random
 import socket
 import threading
@@ -125,7 +128,8 @@ def test_standing_delta_is_exact_for_deletes_and_inserts(instance):
     engine = HGMatch(data, index_backend="merge")
     service = MatchService(engine, shards=2)
     try:
-        handle = service.register_standing(query)
+        deltas = queue.Queue()
+        handle = service.register_standing(query, callback=deltas.put)
         assert handle.matches == full_matches(engine, query)
         assert service.standing_queries == 1
 
@@ -138,8 +142,8 @@ def test_standing_delta_is_exact_for_deletes_and_inserts(instance):
         old_matches = set(handle.matches)
         result = service.apply_mutations(batch)
 
-        delta = handle.poll()
-        assert delta is not None and delta.version == result.version
+        delta = deltas.get_nowait()
+        assert delta.version == result.version
         # removed: exactly the old matches using the deleted edge.
         assert set(delta.removed) == {
             match for match in old_matches if victim in match
@@ -150,7 +154,7 @@ def test_standing_delta_is_exact_for_deletes_and_inserts(instance):
         # The maintained set equals a from-scratch enumeration.
         assert handle.matches == full_matches(engine, query)
         assert handle.version == result.version
-        assert handle.poll() is None  # exactly one delta per commit
+        assert deltas.empty()  # exactly one delta per commit
     finally:
         service.close()
         engine.close()
@@ -161,7 +165,8 @@ def test_untouched_subgraph_emits_empty_delta(instance):
     engine = HGMatch(data, index_backend="merge")
     service = MatchService(engine, shards=2)
     try:
-        handle = service.register_standing(query)
+        deltas = queue.Queue()
+        handle = service.register_standing(query, callback=deltas.put)
         seeded = set(handle.matches)
         base = engine.data.num_vertices
         # Two vertices with a label no query vertex wears, joined by a
@@ -171,8 +176,8 @@ def test_untouched_subgraph_emits_empty_delta(instance):
             inserts=[(base, base + 1)],
         )
         result = service.apply_mutations(batch)
-        delta = handle.poll()
-        assert delta is not None, "every commit must emit a delta"
+        assert not deltas.empty(), "every commit must emit a delta"
+        delta = deltas.get_nowait()
         assert not delta, "untouched subgraph produced a non-empty delta"
         assert delta.version == result.version
         assert handle.matches == seeded
@@ -198,11 +203,17 @@ def test_standing_callback_fires_and_submit_is_busy_mid_commit(instance):
 
     try:
         handle = service.register_standing(query, callback=callback)
+        old_matches = set(handle.matches)
         _, batch = delete_a_matched_edge(handle)
         result = service.apply_mutations(batch)
         assert len(observed) == 1
-        assert observed[0].version == result.version
-        assert observed[0] == handle.poll()
+        delta = observed[0]
+        assert delta.version == result.version == handle.version
+        # The delivered delta is exactly the change to the match set.
+        assert handle.matches == (
+            old_matches - set(delta.removed)
+        ) | set(delta.added)
+        assert delta.removed
     finally:
         service.close()
         engine.close()
@@ -233,16 +244,81 @@ def test_unregister_and_drain_close_standing_streams(instance):
 
 
 def test_events_iterator_drains_then_ends_after_close(instance):
+    """The callback's stream: one delta per commit, then one ``None``
+    when the query is unregistered, and nothing after."""
+    data, query = instance
+    engine = HGMatch(data, index_backend="merge")
+    service = MatchService(engine, shards=1)
+    try:
+        events = queue.Queue()
+        handle = service.register_standing(query, callback=events.put)
+        _, batch = delete_a_matched_edge(handle)
+        service.apply_mutations(batch)
+        service.unregister_standing(handle)
+        service.unregister_standing(handle)  # idempotent: no 2nd end
+        deltas = list(iter(events.get_nowait, None))
+        assert len(deltas) == 1 and deltas[0].removed
+        assert events.empty()
+    finally:
+        service.close()
+        engine.close()
+
+
+def test_a_raising_callback_fails_neither_the_commit_nor_its_neighbours(
+    instance, caplog
+):
+    """A subscriber whose callback raises is logged; the commit (already
+    applied) returns, and the registration after it still gets exactly
+    its delta and stays exact."""
+    data, query = instance
+    engine = HGMatch(data, index_backend="merge")
+    service = MatchService(engine, shards=1)
+
+    def broken(delta):
+        raise RuntimeError("subscriber gone")
+
+    try:
+        first = service.register_standing(query, callback=broken)
+        deltas = queue.Queue()
+        second = service.register_standing(query, callback=deltas.put)
+        _, batch = delete_a_matched_edge(first)
+        with caplog.at_level(logging.ERROR, logger="repro.service"):
+            result = service.apply_mutations(batch)
+        assert result.version == engine.data.version == 1
+        assert "subscriber gone" in caplog.text
+        assert deltas.get_nowait().version == 1
+        assert deltas.empty()
+        assert second.version == first.version == 1
+        assert second.matches == full_matches(engine, query)
+        service.unregister_standing(first)  # its final None fails too
+        assert service.standing_queries == 1
+    finally:
+        service.close()
+        engine.close()
+
+
+def test_a_registration_nobody_reads_retains_nothing(instance):
+    """Without a callback a registration keeps its match set current
+    and holds no delta: after 50 commits no ``MatchDelta`` is alive."""
+    from repro.service.standing import MatchDelta
+
     data, query = instance
     engine = HGMatch(data, index_backend="merge")
     service = MatchService(engine, shards=1)
     try:
         handle = service.register_standing(query)
-        _, batch = delete_a_matched_edge(handle)
-        service.apply_mutations(batch)
-        service.unregister_standing(handle)
-        deltas = list(handle.events(poll_interval=0.01))
-        assert len(deltas) == 1 and deltas[0].removed
+        for _ in range(50):
+            # Kill a match and give its edge back under a fresh id.
+            victim, _ = delete_a_matched_edge(handle)
+            vertices = tuple(sorted(engine.data.edge(victim)))
+            service.apply_mutations(
+                MutationBatch(deletes=[victim], inserts=[vertices])
+            )
+        assert handle.version == 50
+        gc.collect()
+        alive = [o for o in gc.get_objects() if isinstance(o, MatchDelta)]
+        assert alive == []
+        assert handle.matches == full_matches(engine, query)
     finally:
         service.close()
         engine.close()
@@ -593,7 +669,8 @@ def test_a_commit_that_loses_its_last_member_still_commits(
         assert service.match(query).embeddings == len(
             full_matches(engine, query)
         )
-        handle = service.register_standing(query)
+        deltas = queue.Queue()
+        handle = service.register_standing(query, callback=deltas.put)
         _, batch = delete_a_matched_edge(handle)
         if daemon is None:
             version = service.apply_mutations(batch).version
@@ -602,8 +679,8 @@ def test_a_commit_that_loses_its_last_member_still_commits(
             version = client.mutate(batch).version  # raises unless ok
         assert version == engine.data.version == 1
         assert all(f.consumed for f in plan.faults)
-        delta = handle.poll()
-        assert delta is not None and delta.version == 1
+        delta = deltas.get_nowait()
+        assert delta.version == 1
         assert handle.matches == full_matches(engine, query)
         records, _valid = read_journal(service.journal.journal_path)
         assert [(v, b) for _o, v, b in records] == [(1, batch)]

@@ -14,6 +14,7 @@ hang; and cache hits must bypass the pool entirely.
 from __future__ import annotations
 
 import asyncio
+import inspect
 import io
 import json
 import multiprocessing
@@ -35,6 +36,7 @@ from repro.errors import (
 )
 from repro.hypergraph import INDEX_BACKENDS, MutationBatch
 from repro.hypergraph.io import dump_native, parse_native
+from repro.hypergraph.journal import DEFAULT_SNAPSHOT_INTERVAL, MutationJournal
 from repro.hypergraph.sampling import QuerySetting, sample_query
 from repro.parallel import ShardPool
 from repro.parallel.chaos import FaultPlan
@@ -47,6 +49,8 @@ from repro.service import (
     query_fingerprint,
 )
 from repro.service import daemon as daemon_module
+from repro.service import service as service_module
+from repro.service.standing import StandingQuery
 from repro.testing import make_random_instance
 
 
@@ -313,7 +317,6 @@ def test_overload_is_refused_with_explicit_busy(service_instance):
     engine = HGMatch(data, index_backend="bitset")
     service = MatchService(
         engine, shards=1, max_concurrent=1, queue_depth=1,
-        retry_after=0.125,
     )
     gate = threading.Event()
     real_ensure = service.pool.ensure_open
@@ -332,12 +335,12 @@ def test_overload_is_refused_with_explicit_busy(service_instance):
         with pytest.raises(
             ServiceBusy,
             match=r"admission depth limit \(1 queries in flight\); "
-                  r"retry after 0\.125s",
+                  r"retry after 0\.250s",
         ) as refusal:
             service.submit(queries[1])
         assert time.monotonic() - started < 2.0  # refused, not queued
         assert refusal.value.depth == 1
-        assert refusal.value.retry_after == 0.125
+        assert refusal.value.retry_after == service_module.RETRY_AFTER
         gate.set()
         held.result(timeout=60)
         # The slot is free again: the refused query now goes through.
@@ -592,54 +595,66 @@ def test_query_pinned_connection_fault_fails_over(service_instance, fault):
 # ----------------------------------------------------------------------
 
 
-def test_engine_owns_a_persistent_match_service(service_instance):
+def test_engine_close_drains_its_match_service(service_instance):
+    """A service built on an engine is the engine's: ``engine.close()``
+    drains it (twice is a no-op), after which it refuses new work."""
     data, queries, expected = service_instance
     engine = HGMatch(data, index_backend="adaptive")
     try:
-        service = engine.match_service(shards=2)
-        assert engine.match_service(shards=2) is service  # warm reuse
+        service = MatchService(engine, shards=2)
+        assert engine._match_service is service
         assert (
             service.match(queries[0]).embeddings == expected["adaptive"][0]
-        )
-        rebuilt = engine.match_service(shards=1)  # new layout: rebuilt
-        assert rebuilt is not service
-        assert (
-            rebuilt.match(queries[0]).embeddings == expected["adaptive"][0]
         )
     finally:
         engine.close()
         engine.close()  # idempotent, service included
+    assert engine._match_service is None
     with pytest.raises(SchedulerError, match="closed"):
-        rebuilt.submit(queries[0])
+        service.submit(queries[0])
 
 
-def test_match_service_refuses_to_change_a_live_services_settings(
-    service_instance,
-):
-    """``match_service()`` hands out the live service only as what it
-    is: asking for another cache size, depth, concurrency, deadline or
-    fault plan used to return the old service silently; rebuilding
-    would silently drop its cache and standing registrations.  The
-    refusal names the setting and leaves the service answering."""
-    data, queries, expected = service_instance
-    engine = HGMatch(data, index_backend="bitset")
-    try:
-        service = engine.match_service(shards=2)
-        for setting, value in (
-            ("cache_capacity", 0),
-            ("queue_depth", 3),
-            ("max_concurrent", 2),
-            ("default_deadline", 5.0),
-            ("chaos", FaultPlan()),
+#: Each surface retired in favour of the one way that stays:
+#: ``MatchService(engine, ...)`` builds a service,
+#: ``ShardPool.from_registry`` a discovered pool, the constructor's
+#: arguments (``serve-match`` flags) set the journal, a registration's
+#: callback delivers its deltas, and the busy hint is a constant.
+RETIRED_SURFACES = (
+    "HGMatch.match_service",
+    "HGMatch.pool(registry=)",
+    "MatchService(retry_after=)",
+    "StandingQuery.poll",
+    "StandingQuery.events",
+    "REPRO_JOURNAL_*",
+)
+
+
+@pytest.mark.parametrize("surface", RETIRED_SURFACES)
+def test_retired_service_surface_stays_gone(surface, monkeypatch, tmp_path):
+    if surface == "HGMatch.match_service":
+        assert not hasattr(HGMatch, "match_service")
+    elif surface == "HGMatch.pool(registry=)":
+        assert "registry" not in inspect.signature(HGMatch.pool).parameters
+    elif surface == "MatchService(retry_after=)":
+        assert "retry_after" not in inspect.signature(
+            MatchService
+        ).parameters
+    elif surface.startswith("StandingQuery."):
+        assert not hasattr(StandingQuery, surface.split(".")[1])
+    else:
+        for name, value in (
+            ("REPRO_JOURNAL_DIR", str(tmp_path / "elsewhere")),
+            ("REPRO_JOURNAL_FSYNC", "never"),
+            ("REPRO_JOURNAL_SNAPSHOT_INTERVAL", "7"),
         ):
-            with pytest.raises(QueryError, match=setting):
-                engine.match_service(shards=2, **{setting: value})
-        assert engine.match_service(shards=2) is service
-        assert (
-            service.match(queries[0]).embeddings == expected["bitset"][0]
+            monkeypatch.setenv(name, value)
+        with pytest.raises(TypeError):
+            MutationJournal()  # no directory from the environment
+        journal = MutationJournal(str(tmp_path / "wal"))
+        assert (journal.fsync_policy, journal.snapshot_interval) == (
+            "always", DEFAULT_SNAPSHOT_INTERVAL,
         )
-    finally:
-        engine.close()
+        assert not (tmp_path / "elsewhere").exists()
 
 
 @pytest.mark.usefixtures("pool_route")
