@@ -48,12 +48,12 @@ test-chaos:
 	$(PYTHON) -m pytest -x -q tests/test_chaos.py tests/test_net_executor.py \
 		tests/test_subtree_jobs.py
 
-## Elastic-runtime smoke: worker discovery (registry + announcer),
-## supervised restart under a retry budget, and live grow/shrink of
-## the pool (admit/drain, registry-fed mid-job failover).
+## Elastic-runtime smoke: supervised restart under a retry budget (a
+## restart keeps its port, so a fixed-address pool reaches it), and
+## live grow/shrink of the pool (admit/drain, silence-detected mid-job
+## failover).
 test-elastic:
-	$(PYTHON) -m pytest -x -q tests/test_registry.py \
-		tests/test_supervisor.py tests/test_elastic.py
+	$(PYTHON) -m pytest -x -q tests/test_supervisor.py tests/test_elastic.py
 
 ## Match-service smoke: many query channels on the one shard pool
 ## (frame parity with a solo job), the always-on service (admission
@@ -116,7 +116,7 @@ bench-chaos:
 
 ## Elastic reconfiguration gate: grow a pool mid-lifetime,
 ## lose-and-readmit a member, restart a supervised worker within the
-## retry budget, and evict a severed worker via missed heartbeats —
+## retry budget, and drop a stopped worker on missed heartbeats —
 ## all with bit-identical counts on every backend (regenerates
 ## BENCH_elastic.json; reconfiguration wall-clock recorded, not
 ## gated).

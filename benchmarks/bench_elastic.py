@@ -15,11 +15,12 @@ lifetime, and every reconfiguration must be invisible in the counts:
   the pool is restarted by :class:`WorkerSupervisor` within the retry
   budget, and the restarted pool serves bit-identical counts;
 * **heartbeat failover** — a worker severed-but-connected (SIGSTOP:
-  the TCP connection stays up, heartbeats stop) is evicted by the
-  registry and the coordinator fails the job over to the live member
-  well before its I/O timeout — the job never wedges.
+  the TCP connection stays up, its heartbeats stop) is dropped by the
+  pool's pump once silent for the heartbeat budget, and the job fails
+  over to the live member within :data:`FAILOVER_BUDGET` — far below
+  its I/O timeout; the job never wedges.
 
-Reconfiguration wall-clock (admit, drain, restart, eviction-to-
+Reconfiguration wall-clock (admit, drain, restart, silence-to-
 completion) is *recorded* for trend-watching, not gated — on shared CI
 hosts those costs are noise-dominated.
 
@@ -47,21 +48,21 @@ from repro.datasets import load_dataset
 from repro.parallel import (
     ShardPool,
     ShardWorker,
-    WorkerRegistry,
     WorkerSupervisor,
     spawn_local_cluster,
 )
+from repro.parallel.pool import MISS_BUDGET
 from repro.parallel.tasks import RetryPolicy
+from repro.parallel.worker import HEARTBEAT_INTERVAL
 
 BACKENDS = ("merge", "bitset", "adaptive")
 NUM_SHARDS = 2
 NUM_QUERIES = 3
 IO_TIMEOUT = 60.0
-HEARTBEAT = 0.1
-MISS_BUDGET = 3
-#: Eviction-driven failover must beat the I/O deadline by a wide
-#: margin — the whole point of heartbeats is not waiting it out.
-FAILOVER_BUDGET = IO_TIMEOUT / 2
+#: Silence-driven failover of the whole workload: the heartbeat budget
+#: (0.3 s) plus the queries themselves, far below the I/O deadline —
+#: the whole point of heartbeats is not waiting it out.
+FAILOVER_BUDGET = 2.0
 #: Supervisor restart must land within the (jittered) retry schedule.
 RESTART_RETRY = RetryPolicy(attempts=3, base_delay=0.1, max_delay=0.5)
 RESTART_BUDGET_S = 20.0
@@ -246,64 +247,57 @@ def _bench_supervised_restart(engine, queries, expected, failures):
 
 
 def _bench_heartbeat_failover(engine, queries, expected, failures):
-    """SIGSTOP a member (connection up, heartbeats stop): the
-    registry evicts it and the job fails over long before the I/O
-    timeout."""
+    """SIGSTOP a member of a fixed-address pool (connection up, its
+    heartbeats stop): the pump drops it once silent for the heartbeat
+    budget and the job fails over long before the I/O timeout."""
     backend = "bitset"
     row = {"backend": backend}
-    with WorkerRegistry(
-        heartbeat_interval=HEARTBEAT, miss_budget=MISS_BUDGET
-    ) as registry:
-        cluster = spawn_local_cluster(
-            engine.data, 2, index_backend=backend,
-            announce=registry.address, heartbeat_interval=HEARTBEAT,
+    cluster = spawn_local_cluster(engine.data, 2, index_backend=backend)
+    stopped_pid = None
+    try:
+        executor = ShardPool(
+            addresses=list(cluster.addresses), index_backend=backend,
+            io_timeout=IO_TIMEOUT,
         )
-        stopped_pid = None
         try:
-            executor = ShardPool.from_registry(
-                registry, 2, index_backend=backend,
-                io_timeout=IO_TIMEOUT, wait_timeout=30.0,
-            )
-            try:
-                if executor.run(engine, queries[0]).embeddings != expected[0]:
-                    failures.append(
-                        "registry-composed pool failed parity before "
-                        "the sever"
-                    )
-                # Freeze member 0: its TCP connection stays ESTABLISHED
-                # but every thread (heartbeats included) stops.  Only
-                # the registry's eviction can reveal it.
-                stopped_pid = cluster.processes[0].pid
-                os.kill(stopped_pid, signal.SIGSTOP)
-                started = time.perf_counter()
-                severed_counts = _run_all(executor, engine, queries)
-                row["failover_seconds"] = time.perf_counter() - started
-                if severed_counts != expected:
-                    failures.append(
-                        f"post-sever pool returned {severed_counts}, "
-                        f"sequential {expected}"
-                    )
-                if row["failover_seconds"] > FAILOVER_BUDGET:
-                    failures.append(
-                        f"eviction failover took "
-                        f"{row['failover_seconds']:.1f}s (budget "
-                        f"{FAILOVER_BUDGET:.1f}s) — the job wedged on "
-                        f"the severed worker"
-                    )
-                if executor._member(0) is not None:
-                    failures.append(
-                        "severed member is still in the pool after "
-                        "eviction"
-                    )
-            finally:
-                executor.close()
+            if executor.run(engine, queries[0]).embeddings != expected[0]:
+                failures.append(
+                    "fixed-address pool failed parity before the stop"
+                )
+            # Freeze member 0: its TCP connection stays ESTABLISHED but
+            # every thread (heartbeats included) stops.  Only its
+            # silence can reveal it.
+            stopped_pid = cluster.processes[0].pid
+            os.kill(stopped_pid, signal.SIGSTOP)
+            started = time.perf_counter()
+            stopped_counts = _run_all(executor, engine, queries)
+            row["failover_seconds"] = time.perf_counter() - started
+            if stopped_counts != expected:
+                failures.append(
+                    f"post-stop pool returned {stopped_counts}, "
+                    f"sequential {expected}"
+                )
+            if row["failover_seconds"] > FAILOVER_BUDGET:
+                failures.append(
+                    f"silence failover took "
+                    f"{row['failover_seconds']:.1f}s (budget "
+                    f"{FAILOVER_BUDGET:.1f}s) — the job wedged on the "
+                    f"stopped worker"
+                )
+            if executor._member(0) is not None:
+                failures.append(
+                    "stopped member is still in the pool after the "
+                    "failover"
+                )
         finally:
-            if stopped_pid is not None:
-                try:
-                    os.kill(stopped_pid, signal.SIGCONT)
-                except OSError:
-                    pass
-            cluster.close()
+            executor.close()
+    finally:
+        if stopped_pid is not None:
+            try:
+                os.kill(stopped_pid, signal.SIGCONT)
+            except OSError:
+                pass
+        cluster.close()
     return row
 
 
@@ -359,7 +353,7 @@ def run_benchmark() -> dict:
         },
         "num_shards": NUM_SHARDS,
         "io_timeout_seconds": IO_TIMEOUT,
-        "heartbeat_interval_seconds": HEARTBEAT,
+        "heartbeat_interval_seconds": HEARTBEAT_INTERVAL,
         "miss_budget": MISS_BUDGET,
         "cores": usable_cores(),
         "failures": failures,
@@ -396,7 +390,7 @@ def summary():
 
 
 def test_elastic_reconfiguration_keeps_counts_bit_identical(summary):
-    """Grown, drained, readmitted, restarted and eviction-failed-over
+    """Grown, drained, readmitted, restarted and silence-failed-over
     pools must all match the sequential counts exactly, and neither
     restart nor failover may blow its time budget."""
     assert summary["failures"] == []

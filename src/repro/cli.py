@@ -15,8 +15,7 @@ Commands
     with any engine from the benchmark line-up.
 ``serve-shard``
     Serve the whole data graph over TCP as one pool member — the
-    worker side of ``match --hosts ...`` (see ``docs/ARCHITECTURE.md``);
-    ``--announce host:port`` registers it with a worker registry.
+    worker side of ``match --hosts ...`` (see ``docs/ARCHITECTURE.md``).
 ``serve-match``
     Run the always-on match service: a multiplexed shard pool behind
     a line-JSON TCP front end with admission control, per-query
@@ -25,9 +24,8 @@ Commands
     Send one query to a running ``serve-match`` daemon.
 ``supervise``
     Boot and babysit a local shard-worker pool: restart crashed
-    workers under a retry budget, optionally run the worker registry
-    the pool announces to (``docs/ARCHITECTURE.md``, "Elastic runtime
-    & operations").
+    workers under a retry budget, each on its slot's port
+    (``docs/ARCHITECTURE.md``, "Elastic runtime & operations").
 
 Data and query files use the native ``.hg`` text format
 (:mod:`repro.hypergraph.io`); dataset names refer to the registry in
@@ -168,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--shard-id", type=int, required=True,
         help="the worker's name: unique within a pool, the slot a "
-        "registry or supervisor knows it by (0-based)",
+        "supervisor knows it by (0-based)",
     )
     serve.add_argument(
         "--host", default="127.0.0.1",
@@ -193,19 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="exit after serving this many coordinator sessions "
         "(default: serve until a peer sends the QUIT frame — "
         "repro.parallel.shutdown_worker((host, port)) — or Ctrl-C)",
-    )
-    serve.add_argument(
-        "--announce", default=None, metavar="HOST:PORT",
-        help="register with the worker registry at HOST:PORT (ANNOUNCE "
-        "once, then a HEARTBEAT per interval; see docs/WIRE_FORMAT.md "
-        "§2.7) so coordinators can discover this worker instead of "
-        "being handed its address",
-    )
-    serve.add_argument(
-        "--heartbeat-interval", type=float, default=None,
-        help="seconds between registry heartbeats (default 0.5; must "
-        "match the registry's expectation — it evicts after "
-        "interval x miss-budget of silence)",
     )
 
     serve_match = commands.add_parser(
@@ -321,21 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--restart-budget", type=int, default=3,
         help="restarts granted to each worker slot before it is "
         "abandoned and the pool degrades (default 3)",
-    )
-    supervise.add_argument(
-        "--registry", action="store_true",
-        help="also run a worker registry and have the supervised "
-        "workers announce to it (its address is printed; hand it to "
-        "ShardPool.from_registry or watch it for evictions)",
-    )
-    supervise.add_argument(
-        "--announce", default=None, metavar="HOST:PORT",
-        help="have the supervised workers announce to an *external* "
-        "registry at HOST:PORT instead of --registry's embedded one",
-    )
-    supervise.add_argument(
-        "--heartbeat-interval", type=float, default=None,
-        help="seconds between worker registry heartbeats (default 0.5)",
     )
     supervise.add_argument(
         "--duration", type=float, default=None,
@@ -529,17 +499,11 @@ def _cmd_match(args, out) -> int:
 
 
 def _cmd_serve_shard(args, out) -> int:
-    from .parallel.transport import parse_address
     from .parallel.worker import ShardWorker
 
     if args.shard_id < 0:
         out.write(f"error: --shard-id must be >= 0, got {args.shard_id}\n")
         return 1
-    announce = (
-        parse_address(args.announce)
-        if args.announce is not None
-        else None
-    )
     graph = _load_graph(args.source)
     worker = ShardWorker(
         graph,
@@ -547,20 +511,13 @@ def _cmd_serve_shard(args, out) -> int:
         index_backend=args.index_backend,
         host=args.host,
         port=args.port,
-        announce=announce,
-        heartbeat_interval=args.heartbeat_interval,
     )
     host, port = worker.bind()
-    announce_note = (
-        f", announcing to {announce[0]}:{announce[1]}"
-        if announce is not None
-        else ""
-    )
     out.write(
         f"serving shard {args.shard_id} of {args.source} "
         f"({worker.index_backend} backend, "
         f"{worker.store.index_size_entries()} posting entries) on "
-        f"{host}:{port}{announce_note}\n"
+        f"{host}:{port}\n"
     )
     if hasattr(out, "flush"):
         out.flush()  # wrappers read the port line before connecting
@@ -664,9 +621,7 @@ def _cmd_query(args, out) -> int:
 
 
 def _cmd_supervise(args, out) -> int:
-    from .parallel.registry import WorkerRegistry
     from .parallel.supervisor import WorkerSupervisor
-    from .parallel.transport import parse_address
 
     if args.num_shards < 1:
         out.write("error: --num-shards must be >= 1\n")
@@ -674,59 +629,35 @@ def _cmd_supervise(args, out) -> int:
     if args.restart_budget < 0:
         out.write("error: --restart-budget must be >= 0\n")
         return 1
-    if args.registry and args.announce is not None:
-        out.write(
-            "error: --registry and --announce are mutually exclusive "
-            "(embedded vs external registry)\n"
-        )
-        return 1
     graph = _load_graph(args.source)
-    registry = None
-    announce = None
-    if args.registry:
-        registry = WorkerRegistry(
-            heartbeat_interval=args.heartbeat_interval
-        )
-        announce = registry.start()
-    elif args.announce is not None:
-        announce = parse_address(args.announce)
-    try:
-        supervisor = WorkerSupervisor(
-            graph,
-            args.num_shards,
-            index_backend=args.index_backend,
-            announce=announce,
-            heartbeat_interval=args.heartbeat_interval,
-            restart_budget=args.restart_budget,
-        )
-        with supervisor:
-            if registry is not None:
-                host, port = registry.address
-                out.write(f"registry on {host}:{port}\n")
-            for slot in supervisor.status():
-                host, port = slot.address
-                out.write(
-                    f"shard {slot.shard_id} on {host}:{port} "
-                    f"(pid {slot.pid})\n"
-                )
+    supervisor = WorkerSupervisor(
+        graph,
+        args.num_shards,
+        index_backend=args.index_backend,
+        restart_budget=args.restart_budget,
+    )
+    with supervisor:
+        for slot in supervisor.status():
+            host, port = slot.address
             out.write(
-                f"supervising {args.num_shards} worker(s); restart "
-                f"budget {args.restart_budget} per slot\n"
+                f"shard {slot.shard_id} on {host}:{port} "
+                f"(pid {slot.pid})\n"
             )
-            if hasattr(out, "flush"):
-                out.flush()  # wrappers read the roster before poking us
-            restarts = supervisor.run_forever(
-                duration=args.duration,
-                poll_interval=args.poll_interval,
-            )
-            live = supervisor.live_count()
-            out.write(
-                f"supervision ended: {restarts} restart(s), "
-                f"{live} worker(s) live\n"
-            )
-    finally:
-        if registry is not None:
-            registry.close()
+        out.write(
+            f"supervising {args.num_shards} worker(s); restart "
+            f"budget {args.restart_budget} per slot\n"
+        )
+        if hasattr(out, "flush"):
+            out.flush()  # wrappers read the roster before poking us
+        restarts = supervisor.run_forever(
+            duration=args.duration,
+            poll_interval=args.poll_interval,
+        )
+        live = supervisor.live_count()
+        out.write(
+            f"supervision ended: {restarts} restart(s), "
+            f"{live} worker(s) live\n"
+        )
     return 0
 
 

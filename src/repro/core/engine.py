@@ -622,8 +622,7 @@ class HGMatch:
         another layout rebuilds it.  ``hosts`` — ``(host, port)``
         addresses — (re)configures it for externally managed shard
         servers.  The layout arithmetic is the pool's own
-        (``SchedulerError``); a pool of *discovered* workers is built
-        by :meth:`~repro.parallel.pool.ShardPool.from_registry`.
+        (``SchedulerError``).
 
         A pool pinned to real machines, or held by the match service,
         wins over shard-count defaults: it is returned when ``shards``

@@ -30,7 +30,6 @@ scheduler lives here once, as a simulation:
 from .chaos import ChaosSocket, FaultPlan
 from .cluster import LocalCluster, spawn_local_cluster
 from .pool import QueryChannel, ShardPool
-from .registry import Announcer, WorkerRecord, WorkerRegistry
 from .supervisor import SlotStatus, WorkerSupervisor
 from .memory import (
     MemoryMeasurement,
@@ -72,9 +71,6 @@ __all__ = [
     "shutdown_worker",
     "RetryPolicy",
     "default_io_timeout",
-    "WorkerRegistry",
-    "WorkerRecord",
-    "Announcer",
     "WorkerSupervisor",
     "SlotStatus",
     "FaultPlan",

@@ -39,7 +39,10 @@ drop       worker    swallow the frame (a reply that never arrives —
 
 The coordinator wraps each worker connection it opens; a
 :class:`~repro.parallel.worker.ShardWorker` built with a plan
-wraps each session it serves.  Faults are matched by the endpoint role
+wraps each session it serves.  A worker's heartbeats are written
+beneath the wrapper, so they are neither counted nor faulted: a
+delayed or dropped reply leaves a live worker heartbeating, and only a
+``kill`` (or a real failure) silences one.  Faults are matched by the endpoint role
 plus the worker's ``shard_id`` name, so one plan can
 be handed to both sides (it pickles into ``spawn_local_cluster``
 workers; armed killer callables are deliberately dropped from the

@@ -44,16 +44,14 @@ def _cluster_worker_main(
     shard_id: int,
     index_backend: str,
     chaos=None,
-    announce=None,
-    heartbeat_interval=None,
+    port: int = 0,
     store=None,
 ) -> None:
     """Subprocess entry point: build the worker, report its port
     through the pipe, then serve until SHUTDOWN."""
     try:
         worker = ShardWorker(
-            graph, shard_id, index_backend, chaos=chaos,
-            announce=announce, heartbeat_interval=heartbeat_interval,
+            graph, shard_id, index_backend, port=port, chaos=chaos,
             store=store,
         )
         host, port = worker.bind()
@@ -70,25 +68,21 @@ def _start_cluster_worker(
     shard_id: int,
     index_backend: str,
     chaos=None,
-    announce=None,
-    heartbeat_interval=None,
     store=None,
+    port: int = 0,
 ):
-    """Start one loopback worker subprocess; returns ``(process,
-    parent_conn)`` — await its port with :func:`_await_worker_ready`.
-    ``store`` (a built store of the whole ``graph``) rides along only
-    under ``fork``, where the child simply inherits it; pickling one
-    for another start method costs more than the worker building its
-    own."""
+    """Start one loopback worker subprocess on ``port`` (0: an
+    ephemeral one); returns ``(process, parent_conn)`` — await its
+    port with :func:`_await_worker_ready`.  ``store`` (a built store of
+    the whole ``graph``) rides along only under ``fork``, where the
+    child simply inherits it; pickling one for another start method
+    costs more than the worker building its own."""
     if context.get_start_method() != "fork":
         store = None
     parent_conn, child_conn = context.Pipe()
     process = context.Process(
         target=_cluster_worker_main,
-        args=(
-            child_conn, graph, shard_id, index_backend, chaos,
-            announce, heartbeat_interval, store,
-        ),
+        args=(child_conn, graph, shard_id, index_backend, chaos, port, store),
         daemon=True,
     )
     process.start()
@@ -153,15 +147,11 @@ class LocalCluster:
         graph: "Hypergraph | None" = None,
         start_method: "str | None" = None,
         chaos=None,
-        announce=None,
-        heartbeat_interval=None,
     ) -> None:
         self.processes = processes
         self.addresses: "List[Tuple[str, int]]" = addresses
         self.index_backend = index_backend
         self.chaos = chaos
-        self.announce = announce
-        self.heartbeat_interval = heartbeat_interval
         self._graph = graph
         self._start_method = start_method
 
@@ -195,17 +185,20 @@ class LocalCluster:
         )
 
     def respawn(self, shard_id: int) -> Tuple[str, int]:
-        """Replace a dead worker process with a fresh one of the same
-        name and return its new address — the restart hook the
-        coordinator uses on mid-job worker loss."""
+        """Replace a worker process with a fresh one of the same name
+        on the same port, and return its address — the restart hook of
+        the coordinator's ladder and of the supervisor.  One still
+        running (wedged, or stopped) is killed first.  Keeping the port
+        (the listener sets ``SO_REUSEADDR``) lets a pool that knows the
+        worker only by its address reconnect to the restart."""
         if self._graph is None:
             raise SchedulerError(
                 "cluster was not built by spawn_local_cluster; "
                 "cannot respawn workers"
             )
         old = self.processes[self._checked(shard_id)]
-        if old.is_alive():  # pragma: no cover - caller races the reaper
-            old.terminate()
+        if old.is_alive():
+            old.kill()  # a stopped process ignores SIGTERM until resumed
         join_or_kill(
             old, timeout=SHUTDOWN_TIMEOUT,
             label=f"shard {shard_id} worker",
@@ -217,7 +210,7 @@ class LocalCluster:
         )
         process, parent_conn = _start_cluster_worker(
             context, self._graph, shard_id, self.index_backend,
-            self.chaos, self.announce, self.heartbeat_interval,
+            self.chaos, port=self.addresses[shard_id][1],
         )
         try:
             address = _await_worker_ready(parent_conn, shard_id, process=process)
@@ -259,8 +252,6 @@ def spawn_local_cluster(
     index_backend: "str | None" = None,
     start_method: "str | None" = None,
     chaos=None,
-    announce: "Tuple[str, int] | None" = None,
-    heartbeat_interval: "float | None" = None,
     store=None,
 ) -> LocalCluster:
     """Boot ``num_shards`` workers on loopback, named ``0 …
@@ -290,8 +281,7 @@ def spawn_local_cluster(
     parent_conns = []
     for shard_id in range(num_shards):
         process, parent_conn = _start_cluster_worker(
-            context, graph, shard_id, index_backend, chaos,
-            announce, heartbeat_interval, store,
+            context, graph, shard_id, index_backend, chaos, store
         )
         processes.append(process)
         parent_conns.append(parent_conn)
@@ -314,5 +304,4 @@ def spawn_local_cluster(
     return LocalCluster(
         processes, addresses, index_backend,
         graph=graph, start_method=start_method, chaos=chaos,
-        announce=announce, heartbeat_interval=heartbeat_interval,
     )

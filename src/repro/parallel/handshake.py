@@ -12,6 +12,10 @@ pool open, a recovery reconnect or respawn, an admission:
   a CATCHUP exchange (§2.10) that repairs a worker
   announcing a stale graph version instead of refusing it.
 
+A worker heartbeats from its HELLO on, so the gate skips HEARTBEAT
+frames while it waits for the CATCHUP-REPLY; the pool's pump reads
+everything after.
+
 What a worker announces is its
 :class:`~repro.parallel.worker.ShardDescriptor`.
 """
@@ -30,6 +34,20 @@ from .worker import ShardDescriptor, disable_nagle
 
 #: How long the coordinator waits for a TCP connect + handshake.
 CONNECT_TIMEOUT = 10.0
+
+
+def _recv_answer(sock, deadline: float):
+    """The worker's next frame that is not a heartbeat, by
+    ``deadline``: heartbeats prove the worker alive, not that it will
+    ever answer."""
+    while True:
+        kind, body = transport.recv_frame(sock)
+        if kind != transport.MSG_HEARTBEAT:
+            return kind, body
+        if time.monotonic() > deadline:
+            raise TransportError(
+                f"no handshake answer within {CONNECT_TIMEOUT}s"
+            )
 
 
 def catchup_body(graph, stale_version: int) -> bytes:
@@ -102,7 +120,8 @@ def validate_handshake(
             )
         return descriptor
 
-    kind, body = transport.recv_frame(sock)
+    deadline = time.monotonic() + CONNECT_TIMEOUT
+    kind, body = _recv_answer(sock, deadline)
     if kind != transport.MSG_HELLO:
         raise SchedulerError(
             f"worker spoke {kind:#x} before HELLO; not a shard server?"
@@ -115,7 +134,7 @@ def validate_handshake(
             transport.MSG_CATCHUP,
             catchup_body(graph, descriptor.graph_version),
         )
-        kind, body = transport.recv_frame(sock)
+        kind, body = _recv_answer(sock, deadline)
         if kind == transport.MSG_ERROR:
             raise SchedulerError(
                 f"worker shard {descriptor.shard_id} failed "

@@ -7,15 +7,17 @@ a second engine.  This module is that pool, in two pieces:
 :class:`ShardPool`
     A flat list of member connections — every member holds the whole
     graph, so any of them can answer any request — opened by one
-    function (:meth:`ShardPool.ensure_open`: own loopback cluster,
-    fixed addresses or a registry, through the shared
+    function (:meth:`ShardPool.ensure_open`: own loopback cluster or
+    fixed addresses, through the shared
     :func:`~repro.parallel.handshake.open_session` gate).  A **pump
     thread is the only reader of member sockets**: it routes each
-    REPLY/QERROR to its query's queue by the ``query_id`` tag and
-    consumes the CATCHUP-REPLY a commit's CATCHUP earns
-    (:meth:`ShardPool.mutate` sends and never reads).  A member that
-    fails — on a send, on the pump's read, on a CATCHUP it could not
-    apply, at a reply deadline or by registry eviction — goes down
+    REPLY/QERROR to its query's queue by the ``query_id`` tag, consumes
+    the CATCHUP-REPLY a commit's CATCHUP earns (:meth:`ShardPool.mutate`
+    sends and never reads) and is the pool's one failure detector:
+    every frame stamps its member, and a member silent — heartbeats
+    included — for :data:`MISS_BUDGET` heartbeat intervals is failed.
+    A member that fails — on a send, on the pump's read, on a CATCHUP
+    it could not apply, by silence or at a reply deadline — goes down
     **one recovery ladder** (:meth:`ShardPool._member_failed`).
 
 :class:`QueryChannel`
@@ -73,14 +75,21 @@ from . import transport
 from .cluster import LocalCluster, spawn_local_cluster
 from .handshake import catchup_body, open_session
 from .tasks import ParallelResult, RetryPolicy
-from .worker import ShardDescriptor, default_io_timeout
+from .worker import HEARTBEAT_INTERVAL, ShardDescriptor, default_io_timeout
 
 logger = logging.getLogger("repro.parallel")
 
-#: How often a waiting gather re-checks its cancel flag, its deadlines
-#: and registry evictions (and the pump re-reads the member list) — the
-#: latency bound on noticing any of them.
+#: How often a waiting gather re-checks its cancel flag and its
+#: deadlines (and the pump its members' silence) — the latency bound on
+#: noticing any of them.
 _TICK = 0.05
+
+#: Heartbeat intervals a member may stay silent before the pump fails
+#: it: one late tick must not drop a member, three in a row mean it is
+#: dead or wedged.
+MISS_BUDGET = 3
+
+_SILENCE = MISS_BUDGET * HEARTBEAT_INTERVAL
 
 _JOB_REPLIES = (transport.MSG_LEVEL_REPLY, transport.MSG_QERROR)
 
@@ -95,13 +104,15 @@ def _close_quietly(sock) -> None:
 class _Member:
     """One live member connection of the pool."""
 
-    __slots__ = ("name", "address", "sock", "parts")
+    __slots__ = ("name", "address", "sock", "parts", "last_heard")
 
     def __init__(self, name: int, address, sock) -> None:
         #: The ``shard_id`` the worker announced.
         self.name = name
         self.address = address
         self.sock = sock
+        #: When the pump last read a frame from it (a heartbeat counts).
+        self.last_heard = time.monotonic()
         #: query id → FIFO of the parts awaiting replies on this
         #: connection (a drained FIFO is deleted, so an empty dict means
         #: an idle connection).  The worker answers strictly in request
@@ -188,6 +199,10 @@ class _Pump(threading.Thread):
                 except (OSError, ValueError):
                     epoch = None  # a socket was closed under the select
                     continue
+                # Silence is judged as of the select: a member with
+                # nothing to read then had sent nothing since its
+                # stamp, however long this round's reads take.
+                now = time.monotonic()
                 for member in live:
                     if member.sock not in readable:
                         continue
@@ -197,7 +212,19 @@ class _Pump(threading.Thread):
                         with pool._lock:
                             pool._member_failed(member, str(exc))
                         continue
-                    pool._route(member, kind, body)
+                    member.last_heard = time.monotonic()
+                    if kind != transport.MSG_HEARTBEAT:
+                        pool._route(member, kind, body)
+                silent = [m for m in live if now - m.last_heard > _SILENCE]
+                if silent:
+                    with pool._lock:
+                        for member in silent:
+                            pool._member_failed(
+                                member,
+                                f"silent for {now - member.last_heard:.2f}s"
+                                f" (no frame, heartbeats included; budget "
+                                f"{MISS_BUDGET} x {HEARTBEAT_INTERVAL}s)",
+                            )
                 if self.wake_r in readable and not self.wake_r.recv(4096):
                     return  # the pool hung up on the pipe: stopping
         finally:
@@ -214,9 +241,10 @@ class ShardPool:
 
     ``ShardPool(addresses=[("host", port), ...])``
         Connect to externally managed workers (the multi-host mode; the
-        CLI's ``--hosts``, or :meth:`from_registry`'s discovery).  A
-        dead address is skipped with a warning; the pool refuses to
-        open only when *no* member is live.
+        CLI's ``--hosts``, or a :class:`~repro.parallel.supervisor.
+        WorkerSupervisor`'s ``addresses``, which a restarted worker
+        keeps).  A dead address is skipped with a warning; the pool
+        refuses to open only when *no* member is live.
 
     ``ShardPool(num_shards=N)``
         Spawn (and own) a local cluster of ``N`` members for the
@@ -231,11 +259,12 @@ class ShardPool:
     :class:`~repro.errors.SchedulerError`; a *liveness* failure
     (connect refused, peer vanished) costs one member.
 
-    ``io_timeout`` (default from ``REPRO_NET_TIMEOUT``) bounds every
-    wait on a worker; a ``registry`` feeds missed-heartbeat evictions
-    into failover well before the I/O deadline.  Failover may split a
-    query's per-worker counter accounting across members; embedding
-    counts are always exact.
+    Every member heartbeats its connection, so a dead or wedged one is
+    failed over once it has been silent for :data:`MISS_BUDGET`
+    heartbeat intervals; ``io_timeout`` (default from
+    ``REPRO_NET_TIMEOUT``) bounds every wait on a live worker's reply to
+    one query.  Failover may split a query's per-worker counter
+    accounting across members; embedding counts are always exact.
     """
 
     def __init__(
@@ -247,7 +276,6 @@ class ShardPool:
         io_timeout: "float | None" = None,
         retry: "RetryPolicy | None" = None,
         chaos=None,
-        registry=None,
     ) -> None:
         if addresses is not None:
             addresses = [tuple(address) for address in addresses]
@@ -272,11 +300,6 @@ class ShardPool:
         )
         self.retry = RetryPolicy() if retry is None else retry
         self.chaos = chaos
-        #: Optional :class:`~repro.parallel.registry.WorkerRegistry`
-        #: whose heartbeat evictions fail members over at the
-        #: registry's (short) eviction deadline instead of this pool's
-        #: (long) I/O deadline.
-        self.registry = registry
         #: SUBTREE and commit CATCHUP frames sent to workers — the
         #: counter the cache-bypass gate watches (a cache hit must not
         #: move it).
@@ -295,7 +318,6 @@ class ShardPool:
         self._queries: "Dict[int, _QueryState]" = {}
         self._graph: "Hypergraph | None" = None
         self._respawn_budget = 0
-        self._evict_cursor = 0
         #: Query ids, never reused on this pool: a late reply of a
         #: finished query finds no taker.
         self._ids = itertools.count(1)
@@ -303,25 +325,6 @@ class ShardPool:
         #: Bumped on every change to the member list; the pump re-reads
         #: it only when it moved.
         self._epoch = 0
-
-    @classmethod
-    def from_registry(
-        cls,
-        registry,
-        num_shards: int,
-        wait_timeout: float = 30.0,
-        **kwargs,
-    ) -> "ShardPool":
-        """Build a pool from discovered workers.
-
-        Blocks until the registry has a live worker for every name
-        ``0 … num_shards - 1`` (or ``wait_timeout`` elapses), then
-        connects to the announced addresses; the registry stays
-        attached, so its missed-heartbeat evictions keep feeding the
-        recovery ladder mid-job.
-        """
-        addresses = registry.wait_for(num_shards, timeout=wait_timeout)
-        return cls(addresses=addresses, registry=registry, **kwargs)
 
     # -- opening and closing --------------------------------------------
 
@@ -382,9 +385,6 @@ class ShardPool:
                 addresses = self.addresses
             self._members = self._connect_members(addresses, engine.data)
             self._graph = engine.data
-            if self.registry is not None:
-                # Skip evictions that predate this membership.
-                self._evict_cursor = len(self.registry.evictions)
             self._epoch += 1
             self._pump = _Pump(self)
             self._pump.start()
@@ -528,14 +528,6 @@ class ShardPool:
             if not self._queries:
                 self.close()
             raise
-
-    def _register(self, state: _QueryState) -> None:
-        if not self._members:
-            raise SchedulerError(
-                f"the shard pool went down before query "
-                f"{state.query_id} could start"
-            )
-        self._queries[state.query_id] = state
 
     def release(self, query_id: int) -> None:
         """Unregister a query; idempotent.  Workers hold no state for
@@ -754,34 +746,6 @@ class ShardPool:
             f"remains"
         )
 
-    def _sync_registry(self) -> None:
-        """Fold fresh registry evictions into the ladder.
-
-        A member whose name was evicted for missed heartbeats (or a
-        lost registry link) is failed at once — the whole point of
-        heartbeating is to beat the I/O deadline to the diagnosis.  A
-        member whose name has *re-announced at the member's own
-        address* since the eviction is left alone (the eviction
-        described a previous incarnation).
-        """
-        if self.registry is None or not self._members:
-            return
-        self._evict_cursor, evicted = self.registry.evictions_since(
-            self._evict_cursor
-        )
-        for record in evicted:
-            member = self._member(record.shard_id)
-            if member is None:
-                continue
-            live = self.registry.record(record.shard_id)
-            if live is not None and tuple(live.address) == tuple(
-                member.address
-            ):
-                continue
-            self._member_failed(
-                member, f"registry evicted it ({record.reason})"
-            )
-
     def _member(self, name) -> "_Member | None":
         return next((m for m in self._members if m.name == name), None)
 
@@ -934,18 +898,27 @@ class QueryChannel:
         built).  Self-contained: the plan (query and order with it),
         the graph version it assumes (§2.9), what is left of the
         query's budget, so a worker stops on its own once nobody is
-        waiting, and whether the caller wants the funnel."""
+        waiting, and whether the caller wants the funnel.
+
+        A member that failed since the pool was opened is no reason to
+        refuse: the parts go down the ladder, which restores it or fails
+        the query typed."""
         pool, state = self._pool, self._state
         remaining = (
             None if state.deadline is None
             else max(0.0, state.deadline - time.monotonic())
         )
-        job = pickle.dumps(
-            (plan, pool._graph.version, remaining, funnel),
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
         with pool._lock:
-            pool._register(state)
+            if pool._graph is None:
+                raise SchedulerError(
+                    f"the shard pool was closed before query "
+                    f"{self.query_id} could start"
+                )
+            job = pickle.dumps(
+                (plan, pool._graph.version, remaining, funnel),
+                protocol=pickle.HIGHEST_PROTOCOL,
+            )
+            pool._queries[self.query_id] = state
             parts = pool._parts()
             # State first, send second: a send-path recovery replays
             # from exactly this state, so the frame is never lost.
@@ -966,8 +939,8 @@ class QueryChannel:
 
         The one gather loop.  In priority order it enforces the cancel
         flag, the query deadline and — on a :data:`_TICK`, under the
-        pool lock — registry evictions and the per-request reply
-        deadline (:meth:`_tick`); and it guarantees **at most one reply
+        pool lock — the per-request reply deadline (:meth:`_tick`); and
+        it guarantees **at most one reply
         per part** reaches the caller: a duplicate is discarded here by
         part.  Every failure exit unregisters the query first.
         """
@@ -1043,10 +1016,10 @@ class QueryChannel:
         a shared connection silence towards *one* query is not evidence
         that the worker is dead (its neighbours may be being answered),
         so without a spare the deadline fails the query, typed, and
-        leaves the connection to the others.
+        leaves the connection to the others.  (A member silent towards
+        *everyone* is the pump's to fail, long before this deadline.)
         """
         pool, state = self._pool, self._state
-        pool._sync_registry()
         silent = []
         for part in sorted(state.pending):
             if pool._queries.get(self.query_id) is not state:

@@ -1,12 +1,15 @@
 """Worker supervision: keep a local shard-worker pool alive.
 
-The elastic runtime's third leg (next to discovery —
-:mod:`repro.parallel.registry` — and the coordinator's
+The elastic runtime's second leg (next to the coordinator's
 ``admit``/``drain``): a :class:`WorkerSupervisor` owns the
 ``num_shards`` local ``serve-shard`` processes of one pool,
 health-checks them, and restarts crashed ones under the shared
 :class:`~repro.parallel.tasks.RetryPolicy` jittered backoff with a
-per-slot restart budget.
+per-slot restart budget.  A restarted worker rebinds its slot's port,
+so a coordinator holding the supervisor's :attr:`~WorkerSupervisor.
+addresses` reaches it with nothing to discover: its recovery ladder
+reconnects at the last address and the handshake catches a stale
+worker up.
 
 Restart policy
 --------------
@@ -96,11 +99,9 @@ class WorkerSupervisor:
     :func:`~repro.parallel.cluster.spawn_local_cluster`, so the
     pool is byte-for-byte the pool every test and benchmark uses);
     :meth:`poll` is one supervision step — call it from your own loop,
-    or let :meth:`run_forever` drive it.  With ``announce`` set the
-    supervised workers also register with a
-    :class:`~repro.parallel.registry.WorkerRegistry`, which is how a
-    coordinator discovers restarts without the supervisor telling it
-    anything (the fresh worker announces its fresh port).
+    or let :meth:`run_forever` drive it.  A restart keeps the slot's
+    address, so ``ShardPool(addresses=supervisor.addresses)`` stays
+    right across restarts.
     """
 
     def __init__(
@@ -108,8 +109,6 @@ class WorkerSupervisor:
         graph,
         num_shards: int,
         index_backend: "str | None" = None,
-        announce: "Tuple[str, int] | None" = None,
-        heartbeat_interval: "float | None" = None,
         restart_budget: int = DEFAULT_RESTART_BUDGET,
         retry: "RetryPolicy | None" = None,
         chaos=None,
@@ -119,8 +118,6 @@ class WorkerSupervisor:
         self.graph = graph
         self.num_shards = num_shards
         self.index_backend = index_backend
-        self.announce = announce
-        self.heartbeat_interval = heartbeat_interval
         self.restart_budget = restart_budget
         self.retry = RESTART_RETRY if retry is None else retry
         self.chaos = chaos
@@ -138,8 +135,6 @@ class WorkerSupervisor:
             self.num_shards,
             self.index_backend,
             chaos=self.chaos,
-            announce=self.announce,
-            heartbeat_interval=self.heartbeat_interval,
         )
         self._slots = [
             _Slot(shard_id) for shard_id in range(self.num_shards)
@@ -164,8 +159,8 @@ class WorkerSupervisor:
 
     @property
     def addresses(self) -> "List[Tuple[str, int]]":
-        """Current worker addresses, by slot (stale entries for
-        down slots — discovery via the registry is the live view)."""
+        """Worker addresses, by slot; a restart rebinds its slot's
+        address, so the list holds across restarts."""
         self._require_started()
         return list(self.cluster.addresses)
 

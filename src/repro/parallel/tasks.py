@@ -104,8 +104,8 @@ class RetryPolicy:
     retry schedules are as reproducible as everything else here.
 
     Shared by every retry loop in the shard runtimes: coordinator →
-    worker TCP connects, spawned-worker ready polling, the supervisor's
-    restart backoff and the announcer's registry reconnects.  Lives
+    worker TCP connects, spawned-worker ready polling and the
+    supervisor's restart backoff.  Lives
     here (next to :func:`join_or_kill`) because it is scheduling
     policy, not socket code.
     """

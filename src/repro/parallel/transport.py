@@ -50,10 +50,9 @@ byte    name     body
 ``Q``   QUIT     empty — shut the worker server down
 ``E``   ERROR    pickled traceback string (a CATCHUP failed; the session
         ends)
-``A``   ANNOUNCE pickled registration dict (worker -> registry: the
-        worker's serving address plus its handshake descriptor)
-``h``   HEARTBEAT empty — worker -> registry liveness tick; identity is
-        the connection's preceding ANNOUNCE
+``h``   HEARTBEAT empty — worker -> coordinator liveness tick, sent
+        on the data connection every ``HEARTBEAT_INTERVAL`` from HELLO
+        to the end of the session
 ``U``   CATCHUP  pickled catch-up payload: either the ``(version,
         MutationBatch)`` suffix a stale worker missed, or a full graph
         snapshot when the suffix is no longer retained, plus the
@@ -91,7 +90,7 @@ from ..errors import TransportError
 #: level-reply layout).  Independent from the candidate-payload
 #: ``WIRE_VERSION``: a framing change does not invalidate archived
 #: payloads, and a payload change is caught per-payload.
-PROTOCOL_VERSION = 7
+PROTOCOL_VERSION = 8
 
 #: Upper bound on a single frame's ``length`` field.  A CATCHUP snapshot
 #: (a pickled graph) is the largest message in practice, so anything
@@ -102,7 +101,6 @@ MSG_HELLO = 0x48  # b"H"
 MSG_STOP = 0x53  # b"S"
 MSG_SHUTDOWN = 0x51  # b"Q"
 MSG_ERROR = 0x45  # b"E"
-MSG_ANNOUNCE = 0x41  # b"A"
 MSG_HEARTBEAT = 0x68  # b"h"
 
 # The job family (WIRE_FORMAT.md §2.5): each body leads with a u64
@@ -127,7 +125,7 @@ QUERY_KINDS = frozenset({MSG_SUBTREE, MSG_LEVEL_REPLY, MSG_QERROR})
 
 _KNOWN_KINDS = QUERY_KINDS | {
     MSG_HELLO, MSG_STOP, MSG_SHUTDOWN, MSG_ERROR,
-    MSG_ANNOUNCE, MSG_HEARTBEAT, MSG_CATCHUP, MSG_CATCHUP_REPLY,
+    MSG_HEARTBEAT, MSG_CATCHUP, MSG_CATCHUP_REPLY,
 }
 
 _QUERY_ID = struct.Struct("<Q")
@@ -470,56 +468,6 @@ def decode_handshake(body: bytes) -> dict:
             f"speaks version {PROTOCOL_VERSION}"
         )
     return message["descriptor"]
-
-
-def encode_announce(address: Tuple[str, int], descriptor_dict: dict) -> bytes:
-    """ANNOUNCE body: where the worker serves, plus its handshake.
-
-    The descriptor is the one a HELLO would carry, so a
-    registry can pre-validate identity without opening a second
-    connection to the worker.
-    """
-    host, port = address
-    return pickle.dumps(
-        {
-            "protocol": PROTOCOL_VERSION,
-            "descriptor": dict(descriptor_dict),
-            "address": (str(host), int(port)),
-        },
-        protocol=pickle.HIGHEST_PROTOCOL,
-    )
-
-
-def decode_announce(body: bytes) -> Tuple[Tuple[str, int], dict]:
-    """Inverse of :func:`encode_announce`.
-
-    Returns ``(address, descriptor_dict)`` and validates the
-    embedded ``protocol`` field exactly like :func:`decode_handshake`.
-    """
-    message = decode_pickle_body(body)
-    if (
-        not isinstance(message, dict)
-        or "descriptor" not in message
-        or "address" not in message
-    ):
-        raise TransportError("malformed announce body")
-    protocol = message.get("protocol")
-    if protocol != PROTOCOL_VERSION:
-        raise TransportError(
-            f"announce declares protocol {protocol!r}; this build "
-            f"speaks version {PROTOCOL_VERSION}"
-        )
-    address = message["address"]
-    if (
-        not isinstance(address, tuple)
-        or len(address) != 2
-        or not isinstance(address[0], str)
-        or not isinstance(address[1], int)
-    ):
-        raise TransportError(
-            f"announce carries malformed address {address!r}"
-        )
-    return address, message["descriptor"]
 
 
 def parse_address(text: str) -> Tuple[str, int]:

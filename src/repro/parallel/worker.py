@@ -11,16 +11,18 @@ as local subprocesses.  It has one peer: a
 :class:`~repro.parallel.pool.ShardPool` — a solo
 ``executor="processes"`` job and the match service's
 many queries are :class:`~repro.parallel.pool.QueryChannel` objects on
-one, speaking the same query-tagged frames.  ``docs/WIRE_FORMAT.md``
-specifies every byte.
+one, speaking the same query-tagged frames.  For the whole of a session
+the worker also sends that peer a HEARTBEAT every
+:data:`HEARTBEAT_INTERVAL`, which is how the pool tells a slow member
+from a silent one.  ``docs/WIRE_FORMAT.md`` specifies every byte.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
-import random
 import socket
+import threading
 import time
 import traceback
 from dataclasses import dataclass
@@ -69,6 +71,12 @@ def default_io_timeout() -> float:
     return timeout
 
 
+#: Seconds between the HEARTBEAT frames a worker sends on its data
+#: connection.  The pool drops a member it has heard nothing from for
+#: :data:`~repro.parallel.pool.MISS_BUDGET` of these.
+HEARTBEAT_INTERVAL = 0.1
+
+
 def disable_nagle(sock) -> None:
     """Request/response protocols want small frames out *now*: Nagle
     coalescing only adds latency to every reply."""
@@ -83,8 +91,8 @@ class ShardDescriptor:
     """What a pool member announces: its name and what a coordinator
     must agree on before adding up its counts.
 
-    The name is ``shard_id`` — the slot a spawner, a supervisor or a
-    registry knows the worker by; any two members are interchangeable
+    The name is ``shard_id`` — the slot a spawner or a supervisor knows
+    the worker by; any two members are interchangeable
     (each holds the whole graph), so the name never changes what a
     member computes.  ``index_backend`` must match (the coordinator's
     plans are built for it), and ``graph_edges`` / ``graph_vertices``
@@ -146,9 +154,10 @@ class ShardWorker:
     coordinator that wants many queries in flight multiplexes them over
     its one connection.
 
-    ``shard_id`` is the worker's *name* — its slot in a spawner's,
-    supervisor's or registry's book-keeping; every member computes the
-    same answers.
+    ``shard_id`` is the worker's *name* — its slot in a spawner's or
+    supervisor's book-keeping; every member computes the same answers.
+    From its HELLO to the end of a session the worker heartbeats its
+    peer (:data:`HEARTBEAT_INTERVAL`) from one small thread.
 
     The server never trusts the stream: malformed frames (an unknown
     kind included) raise :class:`~repro.errors.TransportError` and end
@@ -169,8 +178,6 @@ class ShardWorker:
         port: int = 0,
         io_timeout: "float | None" = None,
         chaos=None,
-        announce: "Tuple[str, int] | None" = None,
-        heartbeat_interval: "float | None" = None,
         store: "PartitionedStore | None" = None,
     ) -> None:
         if shard_id < 0:
@@ -196,9 +203,6 @@ class ShardWorker:
         self._listener: "socket.socket | None" = None
         self._host = host
         self._port = port
-        self._announce = None if announce is None else tuple(announce)
-        self._heartbeat_interval = heartbeat_interval
-        self._announcer = None
 
     # -- lifecycle ------------------------------------------------------
 
@@ -212,40 +216,17 @@ class ShardWorker:
             listener.listen(1)
             self._listener = listener
             self._host, self._port = listener.getsockname()[:2]
-            self._start_announcer()
         return self._host, self._port
 
     def describe(self) -> ShardDescriptor:
-        """What this worker's HELLO and ANNOUNCE carry."""
+        """What this worker's HELLO carries."""
         return ShardDescriptor.of(self.store, self.shard_id)
-
-    def _announce_hello(self):
-        """What the announcer registers: the serving address plus the
-        same descriptor a HELLO would carry — re-evaluated at each
-        (re)connect, so the announced graph version is current."""
-        return (self.address, self.describe().as_dict())
-
-    def _start_announcer(self) -> None:
-        if self._announce is None or self._announcer is not None:
-            return
-        from .registry import Announcer  # here to avoid an import cycle
-
-        self._announcer = Announcer(
-            self._announce,
-            self._announce_hello,
-            interval=self._heartbeat_interval,
-            rng=random.Random(self.shard_id << 16),
-        )
-        self._announcer.start()
 
     @property
     def address(self) -> Tuple[str, int]:
         return self._host, self._port
 
     def close(self) -> None:
-        if self._announcer is not None:
-            self._announcer.stop()
-            self._announcer = None
         if self._listener is not None:
             try:
                 self._listener.close()
@@ -288,17 +269,39 @@ class ShardWorker:
             self.close()
 
     def _serve_session(self, conn) -> bool:
-        """Serve one coordinator connection; False means SHUTDOWN."""
+        """Serve one coordinator connection; False means SHUTDOWN.
+
+        Replies and heartbeats share one send lock, which sits beneath
+        the chaos wrapper: the wrapper counts this session's replies
+        (HELLO is frame 1) and applies any worker-role faults, while
+        the heartbeats go to the locked socket, neither counted nor
+        faulted — a delayed or dropped reply is never a silent worker.
+        """
+        raw = _SendLocked(conn)
+        raw.settimeout(self.io_timeout)
+        disable_nagle(raw)
+        conn = raw
         if self.chaos is not None:
-            # The chaos wrapper counts this session's outbound frames
-            # (HELLO is frame 1) and applies any worker-role faults.
-            conn = self.chaos.wrap(conn, "worker", self.shard_id)
-        conn.settimeout(self.io_timeout)
-        disable_nagle(conn)
+            conn = self.chaos.wrap(raw, "worker", self.shard_id)
         try:
             transport.send_frame(conn, transport.MSG_HELLO, self._hello_body())
         except (TransportError, OSError):
             return True  # peer vanished before the handshake; next session
+        stopped = threading.Event()
+        beat = threading.Thread(
+            target=_heartbeat, args=(raw, stopped),
+            name=f"shard-{self.shard_id}-heartbeat", daemon=True,
+        )
+        beat.start()
+        try:
+            return self._serve_requests(conn)
+        finally:
+            stopped.set()
+            beat.join()
+
+    def _serve_requests(self, conn) -> bool:
+        """The session's request loop, after HELLO; False means
+        SHUTDOWN."""
         while True:
             try:
                 kind, body = transport.recv_frame(conn)
@@ -468,6 +471,37 @@ class ShardWorker:
         transport.send_frame(
             conn, kind, transport.encode_query_body(query_id, reply)
         )
+
+
+class _SendLocked:
+    """A session socket whose every write takes one lock, so a reply
+    and a heartbeat never interleave mid-frame; everything else is the
+    socket's own."""
+
+    __slots__ = ("_sock", "_lock")
+
+    def __init__(self, sock) -> None:
+        self._sock = sock
+        self._lock = threading.Lock()
+
+    def sendall(self, data) -> None:
+        with self._lock:
+            self._sock.sendall(data)
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+def _heartbeat(sock, stopped: threading.Event) -> None:
+    """A session's heartbeat thread: one HEARTBEAT frame every
+    :data:`HEARTBEAT_INTERVAL` until ``stopped`` is set or the
+    connection fails."""
+    frame = transport.encode_frame(transport.MSG_HEARTBEAT)
+    while not stopped.wait(HEARTBEAT_INTERVAL):
+        try:
+            sock.sendall(frame)
+        except OSError:
+            return
 
 
 def shutdown_worker(

@@ -576,3 +576,176 @@ def test_sever_pinned_to_mutate_degrades_then_catchup_rejoins(
         executor.close()
         cluster.close()
         engine.close()
+
+
+# ----------------------------------------------------------------------
+# Silence: the pump's heartbeat detector
+# ----------------------------------------------------------------------
+#
+# Every worker heartbeats its data connection from HELLO on, so a
+# member the pump has heard nothing from for MISS_BUDGET intervals is
+# dead or wedged.  A stopped process (SIGSTOP: connection up, every
+# thread frozen) is exactly that failure; a slow or dropped *reply*
+# leaves the heartbeats flowing and is not.
+
+
+def _record_drops(monkeypatch):
+    """Wrap the pool's one drop path: returns the list it appends
+    ``(monotonic time, member name, cause)`` to."""
+    drops = []
+    original = ShardPool._drop_member
+
+    def drop_member(pool, member, cause):
+        dropped = original(pool, member, cause)
+        if dropped:
+            drops.append((time.monotonic(), member.name, cause))
+        return dropped
+
+    monkeypatch.setattr(ShardPool, "_drop_member", drop_member)
+    return drops
+
+
+@pytest.mark.parametrize("route", ["service", "fixed"])
+def test_a_stopped_member_is_dropped_within_half_a_second(
+    chaos_instance, monkeypatch, request, route
+):
+    """SIGSTOP member 0 right after its SUBTREE lands (mid-job): the
+    pump drops it within 0.5 s of the stop — on a match service's own
+    pool and on a fixed-address pool alike — the survivor answers its
+    part and the count is exact.  The stopped process is killed and
+    reaped afterwards."""
+    data, query, expected = chaos_instance
+    backend = "bitset"
+    engine = HGMatch(data, index_backend=backend)
+    plan = FaultPlan(seed=43)
+    plan.kill_worker(0, after_frames=1)
+    stopped = {}
+    cluster = service = None
+    if route == "service":
+        request.getfixturevalue("pool_route")
+        service = MatchService(
+            engine, shards=2, chaos=plan, cache_capacity=0, io_timeout=60.0
+        )
+        pool = service.pool
+    else:
+        cluster = spawn_local_cluster(data, 2, index_backend=backend)
+        pool = ShardPool(
+            addresses=list(cluster.addresses), index_backend=backend,
+            io_timeout=60.0, chaos=plan,
+        )
+
+    def stop_member_0():
+        owner = pool._cluster if cluster is None else cluster
+        stopped["pid"] = owner.processes[0].pid
+        os.kill(stopped["pid"], signal.SIGSTOP)
+        stopped["at"] = time.monotonic()
+
+    plan.arm_killer(0, stop_member_0)
+    drops = _record_drops(monkeypatch)
+    try:
+        if service is not None:
+            result = service.match(query)
+        else:
+            result = pool.run(engine, query)
+        assert result.embeddings == expected["merge"]
+        assert all(f.consumed for f in plan.faults)
+        deadline = time.monotonic() + 5.0
+        while not drops and time.monotonic() < deadline:
+            time.sleep(0.01)
+        (dropped_at, name, cause), = drops
+        assert name == 0 and "silent for" in cause, cause
+        assert dropped_at - stopped["at"] <= 0.5
+        if service is not None:
+            # The stopped worker is killed by the respawn the next
+            # query's open performs; the pool heals on the same port.
+            address = pool._cluster.address_of(0)
+            assert service.match(query).embeddings == expected["merge"]
+            assert pool._cluster.address_of(0) == address
+    finally:
+        if "pid" in stopped:
+            try:
+                os.kill(stopped["pid"], signal.SIGKILL)
+            except ProcessLookupError:
+                pass  # already respawned away
+        if service is not None:
+            service.close()
+        else:
+            pool.close()
+            cluster.close()
+        engine.close()
+
+
+def test_a_slow_member_is_not_a_silent_one(chaos_instance, monkeypatch):
+    """A 1.5 s delayed reply on a two-member pool is waited for: the
+    slow member heartbeats throughout, answers its own part, and
+    nothing is dropped or sent twice."""
+    data, query, expected = chaos_instance
+    plan = FaultPlan(seed=47)
+    plan.slow_reply(0, after_frames=2, seconds=1.5)
+    engine = HGMatch(data, index_backend="bitset")
+    pool = ShardPool(
+        num_shards=2, index_backend="bitset", io_timeout=60.0, chaos=plan
+    )
+    drops = _record_drops(monkeypatch)
+    try:
+        started = time.monotonic()
+        result = pool.run(engine, query)
+        assert time.monotonic() - started >= 1.5  # the delay happened
+        assert result.embeddings == expected["merge"]
+        assert sorted(s.worker_id for s in result.worker_stats) == [0, 1]
+        assert pool.dispatched_frames == 2
+        assert drops == []
+    finally:
+        pool.close()
+        engine.close()
+
+
+def test_busy_cores_drop_no_healthy_member(monkeypatch):
+    """About 3 s of concurrent queries from three client threads keep
+    both cores busy (the coordinator's threads and the two workers);
+    every member stays heartbeating, so none is dropped and every
+    count is exact."""
+    from repro.bench import workload
+    from repro.datasets import load_dataset
+
+    data = load_dataset("HB")
+    queries = workload("HB", "q3", 4)
+    engine = HGMatch(data, index_backend="bitset")
+    expected = [engine.count(q) for q in queries]
+    plans = [engine.plan(q) for q in queries]
+    pool = ShardPool(num_shards=2, index_backend="bitset", io_timeout=60.0)
+    drops = _record_drops(monkeypatch)
+    wrong, errors, done = [], [], []
+    stop_at = time.monotonic() + 3.0
+
+    def client(offset):
+        index = offset
+        try:
+            while time.monotonic() < stop_at:
+                which = index % len(plans)
+                got = QueryChannel(pool).count(engine, plans[which])
+                if got.embeddings != expected[which]:
+                    wrong.append((which, got.embeddings))
+                done.append(which)
+                index += 1
+        except BaseException as exc:  # reported on the main thread
+            errors.append(exc)
+
+    try:
+        pool.ensure_open(engine)
+        threads = [
+            threading.Thread(target=client, args=(i,), daemon=True)
+            for i in range(3)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+        assert not errors, errors
+        assert not wrong, wrong
+        assert len(done) > 30
+        assert drops == []
+        assert [m.name for m in pool._members] == [0, 1]
+    finally:
+        pool.close()
+        engine.close()

@@ -426,8 +426,11 @@ class TestRetiredFlags:
     """The placement and re-cut flags went with the row shards, the
     replica flags with the grid: a pool member holds the whole graph and
     is named by one integer, so there is nothing to place, replicate,
-    bound by a shard count or rebalance.  Each is an unknown argument
-    now, refused by the parser before anything is loaded or spawned."""
+    bound by a shard count or rebalance.  The discovery flags went with
+    the registry: a member heartbeats its coordinator on the data
+    connection, and a restart keeps its port.  Each is an unknown
+    argument now, refused by the parser before anything is loaded or
+    spawned."""
 
     @pytest.mark.parametrize(
         "command,flags",
@@ -442,6 +445,8 @@ class TestRetiredFlags:
             ("supervise", ("--replicas", "2")),
             ("serve-match", ("--sharding", "balanced")),
             ("supervise", ("--sharding", "balanced")),
+            ("supervise", ("--registry",)),
+            ("serve-shard", ("--heartbeat-interval", "0.1")),
         ],
         ids=lambda value: value if isinstance(value, str) else value[0],
     )
@@ -464,24 +469,17 @@ class TestRetiredFlags:
 
 
 class TestAddressFlags:
-    """``--announce`` and ``--connect`` go through the one ``host:port``
-    parser (``parallel.transport.parse_address``, as ``--hosts`` does):
-    the malformed cases of ``tests/test_transport.py``, per flag."""
+    """``--connect`` goes through the one ``host:port`` parser
+    (``parallel.transport.parse_address``, as ``--hosts`` does): the
+    malformed cases of ``tests/test_transport.py``."""
 
     @pytest.mark.parametrize("text", ["bare-host", ":99", "host:port"])
     def test_malformed_address_is_a_clean_error(self, fig1_files, text):
-        data_path, query_path = fig1_files
-        for argv in (
-            ("serve-shard", data_path, "--shard-id", "0",
-             "--announce", text),
-            ("supervise", data_path, "--num-shards", "1",
-             "--announce", text),
-            ("query", query_path, "--connect", text),
-        ):
-            code, output = run_cli(*argv)
-            assert code == 1, argv
-            assert output.startswith("error: worker address"), argv
-            assert repr(text) in output
+        _data_path, query_path = fig1_files
+        code, output = run_cli("query", query_path, "--connect", text)
+        assert code == 1
+        assert output.startswith("error: worker address")
+        assert repr(text) in output
 
 
 class TestSupervise:
@@ -496,87 +494,18 @@ class TestSupervise:
             "--restart-budget", "-1",
         )
         assert code == 1 and "--restart-budget" in output
-        code, output = run_cli(
-            "supervise", data_path, "--num-shards", "1",
-            "--registry", "--announce", "h:1",
-        )
-        assert code == 1 and "mutually exclusive" in output
-        code, output = run_cli(
-            "supervise", data_path, "--num-shards", "1",
-            "--announce", "no-port",
-        )
-        assert code == 1 and "host:port" in output
 
     def test_supervises_for_duration(self, fig1_files):
         data_path, _ = fig1_files
         code, output = run_cli(
             "supervise", data_path, "--num-shards", "2",
-            "--registry", "--duration", "0.5",
-            "--heartbeat-interval", "0.1",
+            "--duration", "0.5",
         )
         assert code == 0
-        assert "registry on 127.0.0.1:" in output
         assert "shard 0 on 127.0.0.1:" in output
         assert "shard 1 on 127.0.0.1:" in output
         assert "supervising 2 worker(s)" in output
         assert "supervision ended: 0 restart(s), 2 worker(s) live" in output
-
-    def test_serve_shard_announce_registers(self, fig1_files, fig1_data):
-        import threading
-
-        from repro.cli import main as cli_main
-        from repro.parallel import WorkerRegistry
-
-        data_path, _ = fig1_files
-        with WorkerRegistry(heartbeat_interval=0.1) as registry:
-            host, port = registry.address
-            ready = threading.Event()
-
-            class SignallingOut(io.StringIO):
-                def flush(self):
-                    ready.set()
-
-            out = SignallingOut()
-            result = {}
-
-            def serve():
-                result["code"] = cli_main(
-                    [
-                        "serve-shard", data_path, "--shard-id", "0",
-                        "--max-sessions", "1",
-                        "--announce", f"{host}:{port}",
-                        "--heartbeat-interval", "0.1",
-                    ],
-                    out=out,
-                )
-
-            thread = threading.Thread(target=serve, daemon=True)
-            thread.start()
-            assert ready.wait(timeout=10.0)
-            assert "announcing to" in out.getvalue()
-            addresses = registry.wait_for(1, timeout=10.0)
-            # The announced address is the served one from the banner.
-            banner_address = (
-                out.getvalue().split(" on ", 1)[1].split(",")[0].strip()
-            )
-            bh, bp = banner_address.rsplit(":", 1)
-            assert addresses == [(bh, int(bp))]
-            # One session, served by a throwaway coordinator, ends it.
-            from repro import HGMatch
-            from repro.parallel import ShardPool
-
-            engine = HGMatch(fig1_data)
-            executor = ShardPool(addresses=[(bh, int(bp))])
-            try:
-                assert (
-                    executor.run(engine, fig1_data).embeddings
-                    == engine.count(fig1_data)
-                )
-            finally:
-                executor.close()
-                engine.close()
-            thread.join(timeout=10.0)
-            assert result["code"] == 0
 
 
 class TestServeMatch:

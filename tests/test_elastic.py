@@ -1,11 +1,11 @@
-"""Elastic pool membership: live grow/shrink and registry-fed failover.
+"""Elastic pool membership: live grow/shrink and silence failover.
 
 The acceptance bar for the elastic runtime: a pool grown mid-lifetime
 (``admit``) and a pool that lost and readmitted a member both produce
 counts **bit-identical** to a static run; a drained member leaves the
-pool serving with the rest; and a worker that stops heartbeating is
-evicted by the registry, which the coordinator turns into mid-job
-failover well before its I/O timeout.
+pool serving with the rest; and a worker that goes silent on its
+connection is failed by the pool's pump, which the coordinator turns
+into mid-job failover well before its I/O timeout.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import random
 import socket
 import threading
 import time
+from unittest import mock
 
 import pytest
 
@@ -21,10 +22,8 @@ from repro import HGMatch
 from repro.errors import SchedulerError
 from repro.hypergraph import INDEX_BACKENDS
 from repro.parallel import (
-    Announcer,
     ShardPool,
     ShardWorker,
-    WorkerRegistry,
     spawn_local_cluster,
     transport,
 )
@@ -211,15 +210,15 @@ def test_drain_unknown_member_errors(elastic_instance):
 
 
 # ----------------------------------------------------------------------
-# Registry-fed failover: eviction beats the I/O timeout
+# Silence failover: the pump's detector beats the I/O timeout
 # ----------------------------------------------------------------------
 
 
 class _WedgedWorker:
-    """A worker that handshakes honestly and then never answers: the
-    severed-but-connected failure the registry's heartbeat eviction
-    exists to catch (the TCP connection stays up, so only the missing
-    heartbeats reveal it)."""
+    """A worker that handshakes honestly and then never sends another
+    byte, heartbeats included: the severed-but-connected failure the
+    pool's silence detector exists to catch (the TCP connection stays
+    up, so no read ever fails)."""
 
     def __init__(self, data, backend):
         # Borrow a real worker purely for its descriptor — the handshake
@@ -232,10 +231,6 @@ class _WedgedWorker:
         self._stop = threading.Event()
         self._thread = threading.Thread(target=self._serve, daemon=True)
         self._thread.start()
-
-    def hello(self):
-        _, descriptor = self._template._announce_hello()
-        return (self.address, descriptor)
 
     def _serve(self):
         try:
@@ -270,74 +265,62 @@ class _WedgedWorker:
         self._template.close()
 
 
-def test_registry_eviction_unwedges_a_silent_worker(elastic_instance):
-    """Gate (b)'s second half: a worker that wedges (connection open,
-    replies and heartbeats both stop) is evicted by the registry, and
-    the coordinator fails its part over to the live member long before
-    the 60s I/O timeout — the job never wedges."""
+def test_pool_detector_unwedges_a_silent_worker(elastic_instance):
+    """A member that wedges (connection open, replies and heartbeats
+    both absent) is failed by the pool's own pump once it has been
+    silent for the heartbeat budget, and the coordinator fails its part
+    over to the live member long before the 60s I/O timeout — the job
+    never wedges, and the cause names the silence."""
     data, query, expected = elastic_instance
     backend = "bitset"
     engine = HGMatch(data, index_backend=backend)
-    with WorkerRegistry(
-        heartbeat_interval=0.1, miss_budget=3
-    ) as registry:
-        wedged = _WedgedWorker(data, backend)
-        announcer = Announcer(
-            registry.address, wedged.hello, interval=0.1,
-            rng=random.Random(1),
-        )
-        announcer.start()
-        real = ShardWorker(
-            data, 1, index_backend=backend,
-            announce=registry.address, heartbeat_interval=0.1,
-        )
-        real.bind()
-        real_thread = threading.Thread(
-            target=real.serve_forever, daemon=True
-        )
-        real_thread.start()
-        executor = None
-        try:
-            executor = ShardPool.from_registry(
-                registry, 2, index_backend=backend, io_timeout=60.0,
-                wait_timeout=15.0,
-            )
-            # The wedged worker takes one of the two parts and sits on
-            # it.  Stop its heartbeats shortly after the job starts;
-            # eviction must unwedge the job.
-            timer = threading.Timer(0.3, announcer.stop)
-            timer.start()
+    wedged = _WedgedWorker(data, backend)
+    real = ShardWorker(data, 1, index_backend=backend)
+    real_address = real.bind()
+    real_thread = threading.Thread(target=real.serve_forever, daemon=True)
+    real_thread.start()
+    executor = ShardPool(
+        addresses=[wedged.address, real_address], index_backend=backend,
+        io_timeout=60.0,
+    )
+    drops = []
+    original = ShardPool._drop_member
+
+    def drop_member(pool, member, cause):
+        drops.append((member.name, cause))
+        return original(pool, member, cause)
+
+    try:
+        with mock.patch.object(ShardPool, "_drop_member", drop_member):
             started = time.monotonic()
             result = executor.run(engine, query)
             elapsed = time.monotonic() - started
-            timer.cancel()
-            assert result.embeddings == expected[backend]
-            assert elapsed < 30.0, (
-                f"job took {elapsed:.1f}s — eviction did not beat the "
-                f"I/O timeout"
-            )
-            # The wedged name is gone from the member list.
-            assert executor._member(0) is None
-        finally:
-            if executor is not None:
-                executor.close()
-            announcer.stop()
-            wedged.close()
-            real.close()
-            engine.close()
+        assert result.embeddings == expected[backend]
+        assert elapsed < 5.0, (
+            f"job took {elapsed:.1f}s — the detector did not beat the "
+            f"I/O timeout"
+        )
+        assert [name for name, _ in drops] == [0]
+        assert "silent for" in drops[0][1]
+        # The wedged name is gone from the member list.
+        assert executor._member(0) is None
+    finally:
+        executor.close()
+        wedged.close()
+        real.close()
+        engine.close()
 
 
 # ----------------------------------------------------------------------
-# Discovery vs drain: re-ANNOUNCE while the name is being drained
+# Drain, then readmit the same name from a fresh address
 # ----------------------------------------------------------------------
 
 
-def test_reannounce_during_drain_supersedes_and_readmits(elastic_instance):
-    """A worker re-ANNOUNCing while its name is being drained must not
-    confuse either side: the registry's latest-wins record survives the
-    drain untouched (discovery is a separate one-way channel), the
-    drained pool keeps answering exactly, and the re-announced address
-    is admittable right back into the pool."""
+def test_drained_name_readmits_from_a_fresh_address(elastic_instance):
+    """A name drained from the pool is free: a worker of that name at a
+    fresh address (a restart elsewhere) is admitted straight back while
+    the drained worker still runs, and the pool keeps answering
+    exactly before, during and after."""
     data, query, expected = elastic_instance
     backend = "bitset"
     engine = HGMatch(data, index_backend=backend)
@@ -346,43 +329,22 @@ def test_reannounce_during_drain_supersedes_and_readmits(elastic_instance):
         addresses=list(cluster.addresses), index_backend=backend
     )
     spare = None
-    announcer = None
-    with WorkerRegistry(heartbeat_interval=0.05) as registry:
-        try:
-            assert (
-                executor.run(engine, query).embeddings == expected[backend]
-            )
-            # The replacement for member 1 announces itself (a
-            # supervised restart at a fresh port) and keeps announcing
-            # while the coordinator drains the old member of the same
-            # identity.
-            spare, spare_address = _spare_worker(data, 1, backend)
-            announcer = Announcer(
-                registry.address, spare._announce_hello, interval=0.05,
-                rng=random.Random(5),
-            )
-            announcer.start()
-            assert announcer.announced.wait(5.0)
-            executor.drain(1)
-            assert executor.run(engine, query).embeddings == expected[backend]
-            # The registry record was superseded by the re-announce and
-            # the drain never touched it: latest wins, and it points at
-            # the spare, not the drained member.
-            record = registry.record(1)
-            assert record is not None
-            assert tuple(record.address) == tuple(spare_address)
-            # The discovered address folds straight back into the pool.
-            descriptor = executor.admit(spare_address)
-            assert descriptor.shard_id == 1
-            assert executor.run(engine, query).embeddings == expected[backend]
-        finally:
-            if announcer is not None:
-                announcer.stop()
-            executor.close()
-            if spare is not None:
-                spare.close()
-            cluster.close()
-            engine.close()
+    try:
+        assert executor.run(engine, query).embeddings == expected[backend]
+        spare, spare_address = _spare_worker(data, 1, backend)
+        assert tuple(spare_address) != tuple(cluster.address_of(1))
+        executor.drain(1)
+        assert executor.run(engine, query).embeddings == expected[backend]
+        descriptor = executor.admit(spare_address)
+        assert descriptor.shard_id == 1
+        assert tuple(executor._member(1).address) == tuple(spare_address)
+        assert executor.run(engine, query).embeddings == expected[backend]
+    finally:
+        executor.close()
+        if spare is not None:
+            spare.close()
+        cluster.close()
+        engine.close()
 
 
 # ----------------------------------------------------------------------

@@ -451,9 +451,11 @@ def test_retired_kinds_end_the_session_and_the_worker_serves_on(
                     struct.pack("<IBB", 10, transport.PROTOCOL_VERSION, kind)
                     + bytes(8)
                 )
-                # The worker hung up on the session.
+                # The worker hung up on the session (after any heartbeat
+                # it sent first).
                 with pytest.raises(TransportError):
-                    real_recv(sock)
+                    while True:
+                        assert real_recv(sock)[0] == transport.MSG_HEARTBEAT
         assert refused == [
             f"unknown frame kind {kind:#x}" for kind in RETIRED_KINDS
         ]
@@ -558,7 +560,9 @@ def test_worker_reports_enumeration_errors(workload_instances):
                         query_id, transport.encode_subtree_body(0, 1, job)
                     ),
                 )
-                kind, body = transport.recv_frame(sock)
+                kind = transport.MSG_HEARTBEAT
+                while kind == transport.MSG_HEARTBEAT:  # skip heartbeats
+                    kind, body = transport.recv_frame(sock)
                 query_id_back, rest = transport.split_query_body(body)
                 assert query_id_back == query_id
                 return kind, rest
@@ -893,4 +897,41 @@ def test_close_after_refused_handshake_releases_everything(
         executor.close()
         cluster.close()
         mismatched.close()
+        engine.close()
+
+
+def test_a_member_lost_before_registration_is_restored_by_the_ladder(
+    workload_instances, monkeypatch
+):
+    """The pool's only member fails between ``ensure_open`` and the
+    query's registration (the pump dropped it): the query registers
+    anyway and its part goes down the ladder, which reconnects at the
+    member's last address — an exact count, not a refusal.  A query on
+    a pool closed under it fails typed."""
+    data, query = workload_instances[0]
+    engine = HGMatch(data, index_backend="merge")
+    worker = ShardWorker(data, 0, index_backend="merge")
+    address = worker.bind()
+    thread = threading.Thread(target=worker.serve_forever, daemon=True)
+    thread.start()
+    pool = ShardPool(addresses=[address], index_backend="merge")
+    original = QueryChannel._send_parts
+
+    def send_parts(channel, *args):
+        with pool._lock:
+            pool._member_failed(pool._members[0], "lost (test)")
+        original(channel, *args)
+
+    try:
+        pool.ensure_open(engine)
+        with monkeypatch.context() as patch:
+            patch.setattr(QueryChannel, "_send_parts", send_parts)
+            assert pool.run(engine, query).embeddings == engine.count(query)
+        assert [tuple(m.address) for m in pool._members] == [tuple(address)]
+        pool.close()
+        with pytest.raises(SchedulerError, match="closed before query"):
+            QueryChannel(pool)._send_parts(engine.plan(query), False)
+    finally:
+        pool.close()
+        worker.close()
         engine.close()

@@ -615,10 +615,12 @@ def test_engine_close_drains_its_match_service(service_instance):
 
 
 #: Each surface retired in favour of the one way that stays:
-#: ``MatchService(engine, ...)`` builds a service,
-#: ``ShardPool.from_registry`` a discovered pool, the constructor's
-#: arguments (``serve-match`` flags) set the journal, a registration's
-#: callback delivers its deltas, and the busy hint is a constant.
+#: ``MatchService(engine, ...)`` builds a service, a pool is built on
+#: the workers' addresses (a member heartbeats its coordinator on the
+#: data connection, and a restarted worker keeps its port — nothing is
+#: discovered), the constructor's arguments (``serve-match`` flags) set
+#: the journal, a registration's callback delivers its deltas, and the
+#: busy hint is a constant.
 RETIRED_SURFACES = (
     "HGMatch.match_service",
     "HGMatch.pool(registry=)",
@@ -626,6 +628,12 @@ RETIRED_SURFACES = (
     "StandingQuery.poll",
     "StandingQuery.events",
     "REPRO_JOURNAL_*",
+    "repro.parallel.WorkerRegistry",
+    "repro.parallel.Announcer",
+    "ShardPool.from_registry",
+    "ShardPool(registry=)",
+    "transport.MSG_ANNOUNCE",
+    "serve-shard --announce",
 )
 
 
@@ -641,6 +649,27 @@ def test_retired_service_surface_stays_gone(surface, monkeypatch, tmp_path):
         ).parameters
     elif surface.startswith("StandingQuery."):
         assert not hasattr(StandingQuery, surface.split(".")[1])
+    elif surface.startswith("repro.parallel."):
+        import repro.parallel
+
+        assert not hasattr(repro.parallel, surface.rsplit(".", 1)[1])
+    elif surface == "ShardPool.from_registry":
+        assert not hasattr(ShardPool, "from_registry")
+    elif surface == "ShardPool(registry=)":
+        assert "registry" not in inspect.signature(ShardPool).parameters
+        assert not hasattr(ShardPool(num_shards=1), "registry")
+    elif surface == "transport.MSG_ANNOUNCE":
+        from repro.parallel import transport
+
+        assert not hasattr(transport, "MSG_ANNOUNCE")
+    elif surface == "serve-shard --announce":
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(
+                ["serve-shard", "HB", "--shard-id", "0", "--announce", "h:1"]
+            )
+        assert exit_info.value.code == 2
     else:
         for name, value in (
             ("REPRO_JOURNAL_DIR", str(tmp_path / "elsewhere")),

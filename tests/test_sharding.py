@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import inspect
 import random
-from unittest import mock
 
 import pytest
 
@@ -262,7 +261,6 @@ def _pool_facing_callables():
         LocalCluster,
         ShardPool,
         ShardWorker,
-        WorkerRegistry,
         WorkerSupervisor,
         spawn_local_cluster,
     )
@@ -273,10 +271,8 @@ def _pool_facing_callables():
         "HGMatch.pool": HGMatch.pool,
         "LocalCluster": LocalCluster,
         "ShardPool": ShardPool,
-        "ShardPool.from_registry": ShardPool.from_registry,
         "ShardWorker": ShardWorker,
         "spawn_local_cluster": spawn_local_cluster,
-        "WorkerRegistry.wait_for": WorkerRegistry.wait_for,
         "WorkerSupervisor": WorkerSupervisor,
         "MatchService": MatchService,
     }
@@ -292,25 +288,16 @@ RETIRED_KNOBS = (
 def test_no_placement_knob_outside_store_shard(name):
     """A pool member holds the whole graph and is named by one integer,
     so nothing is placed, replicated or speculated on: no pool-facing
-    callable takes (or silently swallows) a retired knob.
-    ``ShardPool.from_registry`` hands its keywords to ``ShardPool``,
-    which refuses them.  The one ``sharding`` left is
-    ``StoreShard.build``'s, whose ``"uniform"`` row cut the layer trace
-    still builds."""
+    callable takes (or silently swallows) a retired knob.  The one
+    ``sharding`` left is ``StoreShard.build``'s, whose ``"uniform"``
+    row cut the layer trace still builds."""
     function = _pool_facing_callables()[name]
     parameters = inspect.signature(function).parameters
     assert not set(RETIRED_KNOBS) & set(parameters)
-    if name == "ShardPool.from_registry":
-        registry = mock.Mock()
-        registry.wait_for.return_value = [("127.0.0.1", 1)]
-        for knob in RETIRED_KNOBS:
-            with pytest.raises(TypeError, match=knob):
-                function(registry, 1, **{knob: 2})
-    else:
-        assert all(
-            parameter.kind is not inspect.Parameter.VAR_KEYWORD
-            for parameter in parameters.values()
-        )
+    assert all(
+        parameter.kind is not inspect.Parameter.VAR_KEYWORD
+        for parameter in parameters.values()
+    )
     assert "sharding" in inspect.signature(StoreShard.build).parameters
 
 

@@ -454,7 +454,8 @@ def _subtree_frame(
 def _worker_session(data):
     """One session with an in-thread ``bitset`` worker named 1: yields
     ``ask(plan, version, budget, ...)``, which sends one SUBTREE tagged
-    query 7 and returns the answer's ``(kind, body after the tag)``."""
+    query 7 and returns the answer's ``(kind, body after the tag)`` —
+    the worker's heartbeats on the session skipped."""
     worker = ShardWorker(data, 1, index_backend="bitset")
     address = worker.bind()
     thread = threading.Thread(
@@ -470,7 +471,9 @@ def _worker_session(data):
                     sock, transport.MSG_SUBTREE,
                     _subtree_frame(7, *args, **kwargs),
                 )
-                kind, body = transport.recv_frame(sock)
+                kind = transport.MSG_HEARTBEAT
+                while kind == transport.MSG_HEARTBEAT:
+                    kind, body = transport.recv_frame(sock)
                 query_id, rest = transport.split_query_body(body)
                 assert query_id == 7
                 return kind, rest

@@ -18,11 +18,7 @@ import pytest
 
 from repro import HGMatch
 from repro.errors import SchedulerError
-from repro.parallel import (
-    ShardPool,
-    WorkerRegistry,
-    WorkerSupervisor,
-)
+from repro.parallel import ShardPool, WorkerSupervisor
 from repro.parallel.tasks import RetryPolicy
 from repro.testing import make_random_instance
 
@@ -134,33 +130,31 @@ def test_unservable_pool_raises(instance):
             supervisor.poll()
 
 
-def test_supervised_restart_reannounces(instance):
-    """With announce wired, a restarted worker re-registers with the
-    registry at its fresh port — coordinators discover the restart
-    without the supervisor telling them anything."""
-    data, _query = instance
-    with WorkerRegistry(
-        heartbeat_interval=0.1, miss_budget=2
-    ) as registry:
-        supervisor = WorkerSupervisor(
-            data, 2, index_backend="bitset", retry=FAST_RETRY,
-            announce=registry.address, heartbeat_interval=0.1,
-        )
-        with supervisor:
-            registry.wait_for(2, timeout=15.0)
-            old_address = registry.record(0).address
+def test_supervised_restart_rejoins_a_fixed_address_pool(instance):
+    """A restarted worker rebinds its slot's port: a pool opened on the
+    supervisor's addresses *before* the kill counts exactly after the
+    restart — with the other member gone too, the ladder reconnects at
+    the last address and reaches the restarted worker, with nothing to
+    discover."""
+    data, query = instance
+    engine = HGMatch(data, index_backend="bitset")
+    supervisor = WorkerSupervisor(
+        data, 2, index_backend="bitset", retry=FAST_RETRY,
+    )
+    with supervisor:
+        expected = engine.count(query)
+        addresses = supervisor.addresses
+        pool = ShardPool(addresses=addresses, index_backend="bitset")
+        try:
+            assert pool.run(engine, query).embeddings == expected
             supervisor.cluster.kill_member(0)
             assert _poll_until_restart(supervisor) == 1
-            deadline = time.monotonic() + 10.0
-            new_address = None
-            while time.monotonic() < deadline:
-                record = registry.record(0)
-                if (
-                    record is not None
-                    and record.address != old_address
-                ):
-                    new_address = record.address
-                    break
-                time.sleep(0.05)
-            assert new_address is not None
-            assert new_address == supervisor.addresses[0]
+            assert supervisor.addresses == addresses
+            supervisor.cluster.kill_member(1)
+            result = pool.run(engine, query)
+            assert result.embeddings == expected
+            assert {s.worker_id for s in result.worker_stats} == {0}
+            assert pool._member(0).address == addresses[0]
+        finally:
+            pool.close()
+    engine.close()

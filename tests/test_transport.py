@@ -284,16 +284,17 @@ class TestUnifiedHeaderValidation:
 
 class TestRetiredKinds:
     """Protocol version 4 retired the level-synchronous kinds and CANCEL,
-    version 7 MUTATE and DELTA (a commit rides CATCHUP).  Their bytes
-    are not aliases of anything: no ``MSG_*`` constant holds
+    version 7 MUTATE and DELTA (a commit rides CATCHUP), version 8
+    ANNOUNCE (a member heartbeats its coordinator; nothing registers).
+    Their bytes are not aliases of anything: no ``MSG_*`` constant holds
     one, and both decoders refuse one from the header alone, naming the
     byte, without waiting for the body the length promises."""
 
     @pytest.mark.parametrize(
         "kind",
-        [0x4A, 0x4C, 0x43, 0x42, 0x58, 0x4D, 0x44],
+        [0x4A, 0x4C, 0x43, 0x42, 0x58, 0x4D, 0x44, 0x41],
         ids=["JOB", "LEVEL", "COLLECT", "REBALANCE", "CANCEL", "MUTATE",
-             "DELTA"],
+             "DELTA", "ANNOUNCE"],
     )
     def test_a_retired_kind_is_refused_from_its_header(self, kind):
         assert kind not in transport._KNOWN_KINDS
@@ -356,50 +357,12 @@ def test_a_version_6_header_is_refused_by_both_decoders():
     _assert_refused_by_both_decoders(6)
 
 
-class TestAnnounceCodec:
-    DESCRIPTOR = {
-        "shard_id": 1, "num_shards": 2, "index_backend": "bitset",
-        "num_partitions": 3, "num_rows": 11, "graph_edges": 20,
-        "graph_vertices": 12, "sharding": "uniform",
-    }
-
-    def test_round_trip(self):
-        body = transport.encode_announce(("node-3", 7441), self.DESCRIPTOR)
-        address, descriptor = transport.decode_announce(body)
-        assert address == ("node-3", 7441)
-        assert descriptor == self.DESCRIPTOR
-
-    def test_frame_round_trip_as_announce_kind(self):
-        body = transport.encode_announce(("h", 1), self.DESCRIPTOR)
-        kind, decoded = transport.decode_frame(
-            transport.encode_frame(transport.MSG_ANNOUNCE, body)
-        )
-        assert kind == transport.MSG_ANNOUNCE
-        assert transport.decode_announce(decoded)[0] == ("h", 1)
-
-    def test_protocol_field_is_checked(self):
-        import pickle
-
-        body = pickle.dumps({
-            "protocol": "smoke-signals",
-            "descriptor": self.DESCRIPTOR, "address": ("h", 1),
-        })
-        with pytest.raises(TransportError, match="declares protocol"):
-            transport.decode_announce(body)
-
-    def test_malformed_address_is_refused(self):
-        import pickle
-
-        body = pickle.dumps({
-            "protocol": transport.PROTOCOL_VERSION,
-            "descriptor": self.DESCRIPTOR, "address": "not-a-pair",
-        })
-        with pytest.raises(TransportError, match="malformed address"):
-            transport.decode_announce(body)
-
-    def test_undecodable_body_is_refused(self):
-        with pytest.raises(TransportError):
-            transport.decode_announce(b"\x80garbage")
+def test_a_version_7_header_is_refused_by_both_decoders():
+    """A version-7 worker heartbeats only a registry and would read a
+    coordinator-bound HEARTBEAT as a stray; a version-8 member
+    heartbeats its data connection.  Refused from the header alone, so
+    the two never share a session."""
+    _assert_refused_by_both_decoders(7)
 
 
 class TestQueryTaggedFrames:
@@ -422,18 +385,19 @@ class TestQueryTaggedFrames:
             transport.MSG_QERROR,
         })
 
-    def test_the_kind_table_has_eleven_entries(self):
+    def test_the_kind_table_has_ten_entries(self):
         # One job shape: version 4 retired the level-synchronous kinds
         # JOB/LEVEL/COLLECT/REBALANCE and CANCEL (a SUBTREE request is
         # stateless); version 1's untagged kinds are long gone too.
         # Version 5 named a member by one integer (the descriptor lost
         # its second id); version 6 ships the coordinator's plan in a
         # SUBTREE job; version 7 retired MUTATE/DELTA (a commit rides
-        # CATCHUP), leaving eleven kinds.
-        assert len(transport._KNOWN_KINDS) == 11
-        assert transport.PROTOCOL_VERSION == 7
+        # CATCHUP); version 8 retired ANNOUNCE (HEARTBEAT moved onto
+        # the data connection), leaving ten kinds.
+        assert len(transport._KNOWN_KINDS) == 10
+        assert transport.PROTOCOL_VERSION == 8
         assert transport.MSG_SUBTREE == ord("T")
-        for retired in b"JLCBXMD" + b"cjlrq":
+        for retired in b"JLCBXMDA" + b"cjlrq":
             with pytest.raises(TransportError, match="unknown frame kind"):
                 transport.encode_frame(retired)
 
@@ -444,7 +408,7 @@ class TestQueryTaggedFrames:
         )
         assert transport.encode_frame(
             transport.MSG_QERROR, transport.encode_query_body(7)
-        ).hex() == "0a00000007650700000000000000"
+        ).hex() == "0a00000008650700000000000000"
 
     def test_split_round_trip(self):
         for query_id in (0, 1, 7, 2**32, 2**64 - 1):
