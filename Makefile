@@ -41,9 +41,11 @@ test-shards:
 ## Fault-injection smoke: the deterministic chaos harness plus the
 ## recovery ladder of the shard pool (handshakes, mid-job
 ## kill/sever/garble failover, slow members, dropped-reply deadlines,
-## last-member fail-fast) — each fault once under a solo job and once
-## with two query channels in flight on the one pool; a lost member's
-## part is re-sent to a survivor.
+## last-member fail-fast, a stopped last member failed on the silence
+## budget, a session that lasts exactly as long as its connection) —
+## each fault once under a solo job and once with two query channels
+## in flight on the one pool; a lost member's part is re-sent to a
+## survivor.
 test-chaos:
 	$(PYTHON) -m pytest -x -q tests/test_chaos.py tests/test_net_executor.py \
 		tests/test_subtree_jobs.py
@@ -108,9 +110,10 @@ bench-sharding:
 	$(PYTHON) benchmarks/bench_sharding.py
 
 ## Pool fault gate: kill a worker mid-job on a four-member pool and
-## require bit-identical counts on all three backends, plus a prompt
-## SchedulerError when the last member dies (regenerates
-## BENCH_chaos.json; failover overhead recorded, not gated).
+## require bit-identical counts on all three backends, plus a typed
+## SchedulerError within 2 s when the last member dies or is stopped
+## (regenerates BENCH_chaos.json; failover overhead recorded, not
+## gated).
 bench-chaos:
 	$(PYTHON) benchmarks/bench_chaos.py
 

@@ -11,9 +11,14 @@ frame count, so every run reproduces the same mid-job kill).  Gates:
   and the surviving pool must keep answering follow-up jobs exactly
   (always enforced);
 * **fail-fast** — the same kill against a *one-member* pool must raise
-  a clean ``SchedulerError``, quickly (bounded by a fraction of the I/O
-  deadline: the coordinator notices the closed connection, it does not
-  sit out the timeout);
+  a clean ``SchedulerError`` within :data:`FAILFAST_BUDGET` (the
+  coordinator notices the closed connection, and the ladder's
+  reconnect is refused; nothing waits out the reply deadline);
+* **last member stopped** — SIGSTOP the only member of a fixed-address
+  pool with its session open: the next job must fail with a typed
+  ``SchedulerError`` within the same budget (the pump drops the silent
+  member, and the ladder's reconnect in place, which the kernel
+  accepts, fails on the handshake's silence budget);
 * **overhead** — wall-clock of the faulted run vs the unfaulted
   four-member run is *recorded* (not gated: on single-core hosts the
   respawn/failover cost is noise-dominated), so multi-core CI trends
@@ -28,6 +33,7 @@ from __future__ import annotations
 
 import json
 import os
+import signal
 import time
 from typing import List
 
@@ -39,13 +45,16 @@ from repro.bench import (
 )
 from repro.datasets import load_dataset
 from repro.errors import SchedulerError
-from repro.parallel import FaultPlan, ShardPool, spawn_local_cluster
+from repro.parallel import FaultPlan, ShardPool, handshake
+from repro.parallel import spawn_local_cluster
 
 BACKENDS = ("merge", "bitset", "adaptive")
 NUM_SHARDS = 4
 NUM_QUERIES = 3
-IO_TIMEOUT = 60.0
-FAILFAST_BUDGET = IO_TIMEOUT / 2  # EOF-driven, must beat the deadline
+#: Seconds a lost last member may take to fail its job, typed: a killed
+#: one measures ~0.4 s (the ladder's refused reconnects), a stopped one
+#: ~0.6 s (the pump's and the handshake's silence budgets).
+FAILFAST_BUDGET = 2.0
 
 RESULT_PATH = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -64,6 +73,32 @@ def _workload():
 
 def _run_all(executor, engine, queries) -> List[int]:
     return [executor.run(engine, query).embeddings for query in queries]
+
+
+def _stop_last_member(engine, backend, query):
+    """SIGSTOP the only member of a fixed-address pool whose session is
+    open, then run a job; returns ``(seconds, failure)`` — how long the
+    job took to fail, and the exception it failed with (None when it
+    did not fail)."""
+    cluster = spawn_local_cluster(engine.data, 1, index_backend=backend)
+    pid = cluster.processes[0].pid
+    executor = ShardPool(
+        addresses=list(cluster.addresses), index_backend=backend
+    )
+    try:
+        executor.run(engine, query)
+        os.kill(pid, signal.SIGSTOP)
+        started = time.perf_counter()
+        try:
+            executor.run(engine, query)
+            failure = None
+        except Exception as exc:  # the gate reports any other kind
+            failure = exc
+        return time.perf_counter() - started, failure
+    finally:
+        os.kill(pid, signal.SIGKILL)  # SIGTERM would wait for SIGCONT
+        executor.close()
+        cluster.close()
 
 
 def run_benchmark() -> dict:
@@ -85,7 +120,6 @@ def run_benchmark() -> dict:
                 executor = ShardPool(
                     addresses=list(cluster.addresses),
                     index_backend=backend,
-                    io_timeout=IO_TIMEOUT,
                 )
                 try:
                     started = time.perf_counter()
@@ -114,7 +148,6 @@ def run_benchmark() -> dict:
                 executor = ShardPool(
                     addresses=list(cluster.addresses),
                     index_backend=backend,
-                    io_timeout=IO_TIMEOUT,
                     chaos=plan,
                 )
                 try:
@@ -148,7 +181,6 @@ def run_benchmark() -> dict:
                 executor = ShardPool(
                     addresses=list(cluster.addresses),
                     index_backend=backend,
-                    io_timeout=IO_TIMEOUT,
                     chaos=plan,
                 )
                 try:
@@ -174,6 +206,23 @@ def run_benchmark() -> dict:
                     f"{backend}: fail-fast took {failfast_s:.1f}s "
                     f"(budget {FAILFAST_BUDGET:.1f}s)"
                 )
+
+            # The last member stopped, not killed: its connection stays
+            # up, so only the silence rule can fail it.
+            stopped_s, failure = _stop_last_member(
+                engine, backend, queries[0]
+            )
+            if not isinstance(failure, SchedulerError):
+                failures.append(
+                    f"{backend}: a stopped last member failed the job "
+                    f"with {failure!r}, not a typed SchedulerError"
+                )
+            elif stopped_s > FAILFAST_BUDGET:
+                failures.append(
+                    f"{backend}: a stopped last member took "
+                    f"{stopped_s:.1f}s to fail (budget "
+                    f"{FAILFAST_BUDGET:.1f}s)"
+                )
         finally:
             engine.close()
 
@@ -188,6 +237,7 @@ def run_benchmark() -> dict:
                 "failfast_seconds": (
                     None if failfast_s is None else round(failfast_s, 6)
                 ),
+                "stopped_failfast_seconds": round(stopped_s, 6),
                 "counts": faulted_counts,
             }
         )
@@ -199,9 +249,11 @@ def run_benchmark() -> dict:
             "queries": len(queries),
         },
         "num_shards": NUM_SHARDS,
-        "io_timeout_seconds": IO_TIMEOUT,
+        "reply_deadline_seconds": handshake.REPLY_DEADLINE,
+        "failfast_budget_seconds": FAILFAST_BUDGET,
         "cores": usable_cores(),
-        "fault": "kill shard 0 after coordinator frame 1",
+        "fault": "kill shard 0 after coordinator frame 1; SIGSTOP the "
+        "only member of a one-member pool",
         "failures": failures,
         "rows": rows,
     }
@@ -229,8 +281,8 @@ def summary():
 
 def test_failover_counts_bit_identical(summary):
     """Killing a worker mid-job on a four-member pool must not change a
-    single count on any index backend, and the one-member kill must
-    fail fast with a clean SchedulerError."""
+    single count on any index backend, and the one-member kill and the
+    one-member stop must both fail fast with a clean SchedulerError."""
     assert summary["failures"] == []
 
 
@@ -249,7 +301,8 @@ def main() -> int:
             f"{row['backend']}: clean={row['clean_seconds']:.4f}s "
             f"faulted={row['faulted_seconds']:.4f}s "
             f"(x{row['failover_overhead']:.2f}) "
-            f"failfast={row['failfast_seconds']}s"
+            f"failfast={row['failfast_seconds']}s "
+            f"stopped={row['stopped_failfast_seconds']}s"
         )
     status = "OK" if not result["failures"] else "FAIL"
     print(

@@ -18,7 +18,7 @@ lifetime, and every reconfiguration must be invisible in the counts:
   the TCP connection stays up, its heartbeats stop) is dropped by the
   pool's pump once silent for the heartbeat budget, and the job fails
   over to the live member within :data:`FAILOVER_BUDGET` — far below
-  its I/O timeout; the job never wedges.
+  the reply deadline; the job never wedges.
 
 Reconfiguration wall-clock (admit, drain, restart, silence-to-
 completion) is *recorded* for trend-watching, not gated — on shared CI
@@ -49,18 +49,17 @@ from repro.parallel import (
     ShardPool,
     ShardWorker,
     WorkerSupervisor,
+    handshake,
     spawn_local_cluster,
 )
-from repro.parallel.pool import MISS_BUDGET
 from repro.parallel.tasks import RetryPolicy
-from repro.parallel.worker import HEARTBEAT_INTERVAL
+from repro.parallel.worker import HEARTBEAT_INTERVAL, MISS_BUDGET
 
 BACKENDS = ("merge", "bitset", "adaptive")
 NUM_SHARDS = 2
 NUM_QUERIES = 3
-IO_TIMEOUT = 60.0
 #: Silence-driven failover of the whole workload: the heartbeat budget
-#: (0.3 s) plus the queries themselves, far below the I/O deadline —
+#: (0.3 s) plus the queries themselves, far below the reply deadline —
 #: the whole point of heartbeats is not waiting it out.
 FAILOVER_BUDGET = 2.0
 #: Supervisor restart must land within the (jittered) retry schedule.
@@ -110,7 +109,6 @@ def _bench_grow(engine, backend, queries, expected, failures):
     try:
         executor = ShardPool(
             addresses=list(cluster.addresses), index_backend=backend,
-            io_timeout=IO_TIMEOUT,
         )
         try:
             started = time.perf_counter()
@@ -173,7 +171,7 @@ def _bench_readmit(engine, backend, queries, expected, failures):
     try:
         executor = ShardPool(
             addresses=list(cluster.addresses),
-            index_backend=backend, io_timeout=IO_TIMEOUT,
+            index_backend=backend,
         )
         try:
             if _run_all(executor, engine, queries) != expected:
@@ -232,7 +230,6 @@ def _bench_supervised_restart(engine, queries, expected, failures):
             return row
         executor = ShardPool(
             addresses=supervisor.addresses, index_backend=backend,
-            io_timeout=IO_TIMEOUT,
         )
         try:
             restarted_counts = _run_all(executor, engine, queries)
@@ -249,7 +246,7 @@ def _bench_supervised_restart(engine, queries, expected, failures):
 def _bench_heartbeat_failover(engine, queries, expected, failures):
     """SIGSTOP a member of a fixed-address pool (connection up, its
     heartbeats stop): the pump drops it once silent for the heartbeat
-    budget and the job fails over long before the I/O timeout."""
+    budget and the job fails over long before the reply deadline."""
     backend = "bitset"
     row = {"backend": backend}
     cluster = spawn_local_cluster(engine.data, 2, index_backend=backend)
@@ -257,7 +254,6 @@ def _bench_heartbeat_failover(engine, queries, expected, failures):
     try:
         executor = ShardPool(
             addresses=list(cluster.addresses), index_backend=backend,
-            io_timeout=IO_TIMEOUT,
         )
         try:
             if executor.run(engine, queries[0]).embeddings != expected[0]:
@@ -352,7 +348,7 @@ def run_benchmark() -> dict:
             "queries": len(queries),
         },
         "num_shards": NUM_SHARDS,
-        "io_timeout_seconds": IO_TIMEOUT,
+        "reply_deadline_seconds": handshake.REPLY_DEADLINE,
         "heartbeat_interval_seconds": HEARTBEAT_INTERVAL,
         "miss_budget": MISS_BUDGET,
         "cores": usable_cores(),

@@ -43,12 +43,7 @@ from .simulation import (
     SimulationResult,
     simulate_speedups,
 )
-from .worker import (
-    ShardDescriptor,
-    ShardWorker,
-    default_io_timeout,
-    shutdown_worker,
-)
+from .worker import ShardDescriptor, ShardWorker, shutdown_worker
 from .tasks import (
     ROOT_TASK,
     ParallelResult,
@@ -70,7 +65,6 @@ __all__ = [
     "spawn_local_cluster",
     "shutdown_worker",
     "RetryPolicy",
-    "default_io_timeout",
     "WorkerSupervisor",
     "SlotStatus",
     "FaultPlan",

@@ -60,7 +60,7 @@ import struct
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
-from .transport import QUERY_KINDS
+from .transport import QUERY_KINDS, close_quietly
 
 #: Endpoint roles a fault can bind to.
 ROLE_COORDINATOR = "coordinator"
@@ -255,7 +255,7 @@ class FaultPlan:
         query_id: Optional[int] = None,
     ) -> Fault:
         """Swallow the worker's frame ``N`` — a reply that never
-        arrives (the coordinator's per-frame deadline must notice).
+        arrives (the coordinator's reply deadline must notice).
         With ``query_id``, ``N`` counts that query's frames alone."""
         return self._add(
             Fault(
@@ -416,11 +416,11 @@ class ChaosSocket:
     def fileno(self) -> int:
         return self._sock.fileno()
 
+    def shutdown(self, how) -> None:
+        self._sock.shutdown(how)
+
     def close(self) -> None:
-        try:
-            self._sock.close()
-        except OSError:  # pragma: no cover - best effort
-            pass
+        close_quietly(self._sock)  # a severed peer sees the end
 
     def __repr__(self) -> str:
         return (

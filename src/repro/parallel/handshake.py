@@ -6,14 +6,17 @@ pool open, a recovery reconnect or respawn, an admission:
 
 * :func:`open_session` — TCP connect (under a retry policy), chaos
   wrap, :func:`validate_handshake`, then the established-connection
-  I/O timeout and the chaos endpoint binding;
+  timeout (:data:`REPLY_DEADLINE`) and the chaos endpoint binding;
 * :func:`validate_handshake` — the gate itself: backend, data-graph
   fingerprint and (for a respawn or reconnect) the member's name, with
   a CATCHUP exchange (§2.10) that repairs a worker
   announcing a stale graph version instead of refusing it.
 
-A worker heartbeats from its HELLO on, so the gate skips HEARTBEAT
-frames while it waits for the CATCHUP-REPLY; the pool's pump reads
+The gate reads under the heartbeat's silence rule
+(:data:`~repro.parallel.worker.SILENCE_BUDGET` per frame, heartbeats
+included), so a worker that never says HELLO, or falls silent before
+its CATCHUP-REPLY, fails at once; :data:`REPLY_DEADLINE` bounds how
+long a heartbeating one may take to answer.  The pool's pump reads
 everything after.
 
 What a worker announces is its
@@ -29,24 +32,41 @@ import time
 from ..errors import SchedulerError, TransportError
 from . import transport
 from .tasks import RetryPolicy
-from .worker import ShardDescriptor, disable_nagle
+from .worker import SILENCE_BUDGET, ShardDescriptor, disable_nagle
 
 
-#: How long the coordinator waits for a TCP connect + handshake.
+#: How long the coordinator waits for a TCP connect to a worker.
 CONNECT_TIMEOUT = 10.0
+
+#: How long a live (heartbeating) worker may take to answer — one part's
+#: REPLY, a handshake's CATCHUP-REPLY, any read or write on an
+#: established connection.  Generous but finite; read at call time.
+REPLY_DEADLINE = 600.0
+
+#: How often a coordinator's connect to a refusing address is retried.
+_CONNECT_RETRY = RetryPolicy()
 
 
 def _recv_answer(sock, deadline: float):
     """The worker's next frame that is not a heartbeat, by
-    ``deadline``: heartbeats prove the worker alive, not that it will
-    ever answer."""
+    ``deadline``.  Each read is bounded by the silence budget, so it
+    fails as soon as the worker stops heartbeating; heartbeats prove
+    the worker alive, not that it will ever answer."""
+    sock.settimeout(SILENCE_BUDGET)
     while True:
-        kind, body = transport.recv_frame(sock)
+        try:
+            kind, body = transport.recv_frame(sock)
+        except TransportError as exc:
+            if isinstance(exc.__cause__, socket.timeout):
+                raise TransportError(
+                    f"worker silent for {SILENCE_BUDGET:.2f}s in the handshake"
+                ) from None
+            raise
         if kind != transport.MSG_HEARTBEAT:
             return kind, body
         if time.monotonic() > deadline:
             raise TransportError(
-                f"no handshake answer within {CONNECT_TIMEOUT}s"
+                f"no handshake answer within {REPLY_DEADLINE}s"
             )
 
 
@@ -120,7 +140,7 @@ def validate_handshake(
             )
         return descriptor
 
-    deadline = time.monotonic() + CONNECT_TIMEOUT
+    deadline = time.monotonic() + REPLY_DEADLINE
     kind, body = _recv_answer(sock, deadline)
     if kind != transport.MSG_HELLO:
         raise SchedulerError(
@@ -129,6 +149,9 @@ def validate_handshake(
     descriptor = _decode(body)
     graph_version = graph.version
     if descriptor.graph_version < graph_version:
+        # A snapshot may be large: sending it is bounded by progress,
+        # not by the worker's silence.
+        sock.settimeout(REPLY_DEADLINE)
         transport.send_frame(
             sock,
             transport.MSG_CATCHUP,
@@ -170,38 +193,30 @@ def validate_handshake(
     return descriptor
 
 
-def open_session(
-    address,
-    graph,
-    *,
-    io_timeout: float,
-    retry: RetryPolicy,
-    rng=None,
-    chaos=None,
-    **contract,
-):
+def open_session(address, graph, *, rng=None, chaos=None, **contract):
     """Connect to the worker at ``address`` and validate its handshake;
     returns ``(sock, descriptor)`` ready for job traffic.
 
     The one connect sequence of the coordinator side: TCP connect
-    (``retry`` attempts with backoff drawn from ``rng``), chaos wrap,
-    :func:`validate_handshake`
-    against ``contract`` (its keyword arguments), then the per-frame
-    ``io_timeout`` and the chaos endpoint binding.  The handshake runs
-    under the (short) :data:`CONNECT_TIMEOUT`: a peer that accepts but
-    never says HELLO — e.g. a busy single-session server — should fail
-    fast, not tie the coordinator up for a whole job timeout.
+    (:data:`CONNECT_TIMEOUT` per attempt, retried with backoff drawn
+    from ``rng`` while the address refuses), chaos wrap,
+    :func:`validate_handshake` against ``contract`` (its keyword
+    arguments), then the established-connection timeout
+    (:data:`REPLY_DEADLINE`) and the chaos endpoint binding.  A peer
+    that accepts but never says HELLO — a stopped or wedged worker, or
+    one still busy in another session — fails on the silence budget.
 
     Raises the last ``OSError`` when every connect attempt failed;
     a failed handshake closes the socket and raises
-    :class:`~repro.errors.TransportError` (liveness: the peer vanished
-    or garbled the stream) or :class:`~repro.errors.SchedulerError`
-    (contract: the worker is not one this pool may compose with).
+    :class:`~repro.errors.TransportError` (liveness: the peer vanished,
+    fell silent or garbled the stream) or
+    :class:`~repro.errors.SchedulerError` (contract: the worker is not
+    one this pool may compose with).
     """
     last_exc: "OSError | None" = None
-    for attempt in range(max(1, retry.attempts)):
+    for attempt in range(_CONNECT_RETRY.attempts):
         if attempt:
-            time.sleep(retry.delay(attempt - 1, rng))
+            time.sleep(_CONNECT_RETRY.delay(attempt - 1, rng))
         try:
             sock = socket.create_connection(
                 tuple(address), timeout=CONNECT_TIMEOUT
@@ -217,12 +232,9 @@ def open_session(
     try:
         descriptor = validate_handshake(sock, graph, **contract)
     except BaseException:
-        try:
-            sock.close()
-        except OSError:  # pragma: no cover - best effort
-            pass
+        transport.close_quietly(sock)
         raise
-    sock.settimeout(io_timeout)
+    sock.settimeout(REPLY_DEADLINE)
     if chaos is not None:
         sock.bind_endpoint(descriptor.shard_id)
     return sock, descriptor

@@ -15,7 +15,9 @@ a second engine.  This module is that pool, in two pieces:
     the CATCHUP-REPLY a commit's CATCHUP earns (:meth:`ShardPool.mutate`
     sends and never reads) and is the pool's one failure detector:
     every frame stamps its member, and a member silent — heartbeats
-    included — for :data:`MISS_BUDGET` heartbeat intervals is failed.
+    included — for :data:`~repro.parallel.worker.SILENCE_BUDGET`
+    (:data:`~repro.parallel.worker.MISS_BUDGET` heartbeat intervals) is
+    failed, the same rule the handshake gate reads by.
     A member that fails — on a send, on the pump's read, on a CATCHUP
     it could not apply, by silence or at a reply deadline — goes down
     **one recovery ladder** (:meth:`ShardPool._member_failed`).
@@ -71,11 +73,16 @@ from ..errors import (
 )
 from ..hypergraph import Hypergraph
 from ..hypergraph.storage import resolve_index_backend
-from . import transport
+from . import handshake, transport
 from .cluster import LocalCluster, spawn_local_cluster
 from .handshake import catchup_body, open_session
-from .tasks import ParallelResult, RetryPolicy
-from .worker import HEARTBEAT_INTERVAL, ShardDescriptor, default_io_timeout
+from .tasks import ParallelResult
+from .worker import (
+    HEARTBEAT_INTERVAL,
+    MISS_BUDGET,
+    SILENCE_BUDGET,
+    ShardDescriptor,
+)
 
 logger = logging.getLogger("repro.parallel")
 
@@ -84,21 +91,7 @@ logger = logging.getLogger("repro.parallel")
 #: noticing any of them.
 _TICK = 0.05
 
-#: Heartbeat intervals a member may stay silent before the pump fails
-#: it: one late tick must not drop a member, three in a row mean it is
-#: dead or wedged.
-MISS_BUDGET = 3
-
-_SILENCE = MISS_BUDGET * HEARTBEAT_INTERVAL
-
 _JOB_REPLIES = (transport.MSG_LEVEL_REPLY, transport.MSG_QERROR)
-
-
-def _close_quietly(sock) -> None:
-    try:
-        sock.close()
-    except OSError:  # pragma: no cover - best effort
-        pass
 
 
 class _Member:
@@ -182,7 +175,7 @@ class _Pump(threading.Thread):
 
     def stop(self) -> None:
         self.stopping = True
-        _close_quietly(self.wake_w)  # EOF on the pipe wakes the select
+        transport.close_quietly(self.wake_w)  # EOF wakes the select
 
     def run(self) -> None:
         pool = self.pool
@@ -215,7 +208,9 @@ class _Pump(threading.Thread):
                     member.last_heard = time.monotonic()
                     if kind != transport.MSG_HEARTBEAT:
                         pool._route(member, kind, body)
-                silent = [m for m in live if now - m.last_heard > _SILENCE]
+                silent = [
+                    m for m in live if now - m.last_heard > SILENCE_BUDGET
+                ]
                 if silent:
                     with pool._lock:
                         for member in silent:
@@ -228,7 +223,7 @@ class _Pump(threading.Thread):
                 if self.wake_r in readable and not self.wake_r.recv(4096):
                     return  # the pool hung up on the pipe: stopping
         finally:
-            _close_quietly(self.wake_r)
+            transport.close_quietly(self.wake_r)
 
 
 class ShardPool:
@@ -260,11 +255,13 @@ class ShardPool:
     (connect refused, peer vanished) costs one member.
 
     Every member heartbeats its connection, so a dead or wedged one is
-    failed over once it has been silent for :data:`MISS_BUDGET`
-    heartbeat intervals; ``io_timeout`` (default from
-    ``REPRO_NET_TIMEOUT``) bounds every wait on a live worker's reply to
-    one query.  Failover may split a query's per-worker counter
-    accounting across members; embedding counts are always exact.
+    failed over once it has been silent for
+    :data:`~repro.parallel.worker.SILENCE_BUDGET` — at the handshake as
+    on the pump; :data:`~repro.parallel.handshake.REPLY_DEADLINE` bounds
+    every wait on a live worker's reply to one query.  A session lasts
+    as long as its connection: an idle pool keeps its members.
+    Failover may split a query's per-worker counter accounting across
+    members; embedding counts are always exact.
     """
 
     def __init__(
@@ -273,8 +270,6 @@ class ShardPool:
         num_shards: "int | None" = None,
         index_backend: "str | None" = None,
         start_method: "str | None" = None,
-        io_timeout: "float | None" = None,
-        retry: "RetryPolicy | None" = None,
         chaos=None,
     ) -> None:
         if addresses is not None:
@@ -295,10 +290,6 @@ class ShardPool:
         self.num_shards = num_shards
         self.index_backend = resolve_index_backend(index_backend)
         self.start_method = start_method
-        self.io_timeout = (
-            default_io_timeout() if io_timeout is None else io_timeout
-        )
-        self.retry = RetryPolicy() if retry is None else retry
         self.chaos = chaos
         #: SUBTREE and commit CATCHUP frames sent to workers — the
         #: counter the cache-bypass gate watches (a cache hit must not
@@ -336,11 +327,11 @@ class ShardPool:
         were reused.  A pool that owns its cluster first fails every
         member whose worker process has died — the pump may not have
         read its EOF yet — then respawns the members it lost since the
-        previous query (worker died, session idled out); one that
+        previous query (the worker died or went silent); one that
         cannot be is forgotten.  Lost workers at fixed addresses are
         reconnected only by the ladder, when no member is left to take
-        a part — a wedged one would hold every open up by a connect
-        timeout — or re-added by :meth:`admit`.
+        a part — a wedged one would cost every open its handshake's
+        silence budget — or re-added by :meth:`admit`.
         Only a pool with no live member left is rebuilt from its
         addresses / a fresh cluster.
         """
@@ -417,7 +408,7 @@ class ShardPool:
                 )
         except BaseException:
             for member in members:
-                _close_quietly(member.sock)
+                transport.close_quietly(member.sock)
             raise
         return members
 
@@ -434,10 +425,8 @@ class ShardPool:
         return open_session(
             address,
             graph,
-            io_timeout=self.io_timeout,
-            chaos=self.chaos,
-            retry=self.retry,
             rng=self._retry_rng,
+            chaos=self.chaos,
             index_backend=self.index_backend,
             **expect,
         )
@@ -445,18 +434,15 @@ class ShardPool:
     def _close_connections(
         self, message: str = "the shard pool was closed"
     ) -> None:
-        """End every session, stop the pump and fail whatever was in
-        flight with ``message``.  An owned cluster survives:
-        reconnecting re-validates every worker."""
+        """End every session — closing its connection is what ends it —
+        stop the pump and fail whatever was in flight with ``message``.
+        An owned cluster survives: reconnecting re-validates every
+        worker."""
         with self._lock:
             if self._pump is not None:
                 self._pump.stop()
             for member in self._members:
-                try:
-                    transport.send_frame(member.sock, transport.MSG_STOP)
-                except (TransportError, OSError):
-                    pass
-                _close_quietly(member.sock)
+                transport.close_quietly(member.sock)
             self._members = []
             self._epoch += 1
             self._lost = {}
@@ -691,7 +677,7 @@ class ShardPool:
         self._members.remove(member)
         self._epoch += 1
         self._lost[member.name] = member.address
-        _close_quietly(member.sock)
+        transport.close_quietly(member.sock)
         logger.warning("%s at %s dropped: %s", member, member.address, cause)
         return True
 
@@ -824,7 +810,7 @@ class ShardPool:
             try:
                 self._check_unique(member, self._members)
             except SchedulerError as exc:
-                _close_quietly(sock)
+                transport.close_quietly(sock)
                 raise SchedulerError(
                     f"{exc}; refusing to admit the newcomer at {where}"
                 ) from None
@@ -838,11 +824,11 @@ class ShardPool:
     def drain(self, shard_id: int) -> None:
         """Gracefully decommission one member of the live pool.
 
-        Sends it STOP and closes the connection; a reply still owed to
-        a query that is gone is dropped with it (the pump tolerates a
-        socket closed under its select).  A member that already failed
-        out of the pool is simply forgotten.  Draining the last live
-        member is refused.
+        Closes its connection, which ends the worker's session; a reply
+        still owed to a query that is gone is dropped with it (the pump
+        tolerates a socket closed under its select).  A member that
+        already failed out of the pool is simply forgotten.  Draining the
+        last live member is refused.
         """
         with self._idle("drain"):
             if not self._members:
@@ -860,11 +846,7 @@ class ShardPool:
                     f"pool's last live member"
                 )
             if member is not None:
-                try:
-                    transport.send_frame(member.sock, transport.MSG_STOP)
-                except (TransportError, OSError):
-                    pass
-                _close_quietly(member.sock)
+                transport.close_quietly(member.sock)
                 if member in self._members:
                     self._members.remove(member)
                     self._epoch += 1
@@ -965,7 +947,7 @@ class QueryChannel:
                     raise SchedulerError(
                         f"the worker(s) of part {silent} did not answer "
                         f"query {self.query_id} within the "
-                        f"{pool.io_timeout}s I/O timeout"
+                        f"{handshake.REPLY_DEADLINE}s reply deadline"
                     )
             wait = next_tick - now
             if state.deadline is not None:
@@ -1011,26 +993,29 @@ class QueryChannel:
         """The gather's periodic duties (pool lock held); returns the
         parts whose request timed out with nobody to fail over to.
 
-        A member silent past ``io_timeout`` is failed — and its part
-        re-dispatched — only when another live member can take it: on
-        a shared connection silence towards *one* query is not evidence
-        that the worker is dead (its neighbours may be being answered),
-        so without a spare the deadline fails the query, typed, and
-        leaves the connection to the others.  (A member silent towards
-        *everyone* is the pump's to fail, long before this deadline.)
+        A member silent towards this query past
+        :data:`~repro.parallel.handshake.REPLY_DEADLINE` is failed — and
+        its part re-dispatched — only when another live member can take
+        it: on a shared connection silence towards *one* query is not
+        evidence that the worker is dead (its neighbours may be being
+        answered), so without a spare the deadline fails the query,
+        typed, and leaves the connection to the others.  (A member
+        silent towards *everyone* is the pump's to fail, long before
+        this deadline.)
         """
         pool, state = self._pool, self._state
+        deadline = handshake.REPLY_DEADLINE
         silent = []
         for part in sorted(state.pending):
             if pool._queries.get(self.query_id) is not state:
                 return []  # the pool gave the query up; "lost" is queued
             watcher = state.watchers.get(part)
-            if watcher is None or watcher[1] + pool.io_timeout > now:
+            if watcher is None or watcher[1] + deadline > now:
                 continue
             if len(pool._members) > 1:
                 pool._member_failed(
                     watcher[0],
-                    f"no reply within {pool.io_timeout}s (worker wedged)",
+                    f"no reply within {deadline}s (worker wedged)",
                 )
             else:
                 silent.append(part)

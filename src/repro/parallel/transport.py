@@ -46,7 +46,6 @@ byte    name     body
         :func:`encode_level_reply`)
 ``e``   QERROR   ``u64 query_id`` + pickled traceback string — fails
         that query alone; the session keeps serving other queries
-``S``   STOP     empty — end this session (connection), keep serving
 ``Q``   QUIT     empty — shut the worker server down
 ``E``   ERROR    pickled traceback string (a CATCHUP failed; the session
         ends)
@@ -62,6 +61,10 @@ byte    name     body
         descriptor *after* applying the catch-up payload, which the
         handshake gate re-validates in full (a commit's is consumed)
 ======  =======  ===========================================================
+
+A session is its connection: the coordinator ends one by closing it
+(there is no frame for that), a worker by closing it after QUIT or
+when a heartbeat cannot be sent.
 
 A job is one SUBTREE request and one REPLY per part.  SUBTREE, REPLY
 and QERROR are tagged with the query they belong to, so one connection
@@ -90,7 +93,7 @@ from ..errors import TransportError
 #: level-reply layout).  Independent from the candidate-payload
 #: ``WIRE_VERSION``: a framing change does not invalidate archived
 #: payloads, and a payload change is caught per-payload.
-PROTOCOL_VERSION = 8
+PROTOCOL_VERSION = 9
 
 #: Upper bound on a single frame's ``length`` field.  A CATCHUP snapshot
 #: (a pickled graph) is the largest message in practice, so anything
@@ -98,7 +101,6 @@ PROTOCOL_VERSION = 8
 MAX_FRAME_BYTES = 1 << 30
 
 MSG_HELLO = 0x48  # b"H"
-MSG_STOP = 0x53  # b"S"
 MSG_SHUTDOWN = 0x51  # b"Q"
 MSG_ERROR = 0x45  # b"E"
 MSG_HEARTBEAT = 0x68  # b"h"
@@ -124,7 +126,7 @@ MSG_CATCHUP_REPLY = 0x75  # b"u"
 QUERY_KINDS = frozenset({MSG_SUBTREE, MSG_LEVEL_REPLY, MSG_QERROR})
 
 _KNOWN_KINDS = QUERY_KINDS | {
-    MSG_HELLO, MSG_STOP, MSG_SHUTDOWN, MSG_ERROR,
+    MSG_HELLO, MSG_SHUTDOWN, MSG_ERROR,
     MSG_HEARTBEAT, MSG_CATCHUP, MSG_CATCHUP_REPLY,
 }
 
@@ -290,6 +292,20 @@ def _recv_exact(sock: socket.socket, count: int) -> bytes:
         parts.append(chunk)
         remaining -= len(chunk)
     return b"".join(parts)
+
+
+def close_quietly(sock) -> None:
+    """End a connection so that the peer sees it end: shut it down,
+    then close it.  The shutdown sends the FIN even while another
+    process holds a copy of the socket (one forked after it opened)."""
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass  # never connected, or the peer is already gone
+    try:
+        sock.close()
+    except OSError:  # pragma: no cover - best effort
+        pass
 
 
 def send_frame(sock: socket.socket, kind: int, body: bytes = b"") -> None:

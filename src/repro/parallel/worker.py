@@ -14,12 +14,15 @@ many queries are :class:`~repro.parallel.pool.QueryChannel` objects on
 one, speaking the same query-tagged frames.  For the whole of a session
 the worker also sends that peer a HEARTBEAT every
 :data:`HEARTBEAT_INTERVAL`, which is how the pool tells a slow member
-from a silent one.  ``docs/WIRE_FORMAT.md`` specifies every byte.
+from a silent one.  The heartbeat's contract — the interval, the
+:data:`MISS_BUDGET` and the :data:`SILENCE_BUDGET` they make — is
+defined here once; the coordinator bounds every wait on a worker by
+it, the handshake's included.  ``docs/WIRE_FORMAT.md`` specifies every
+byte.
 """
 
 from __future__ import annotations
 
-import os
 import pickle
 import socket
 import threading
@@ -38,43 +41,19 @@ from ..hypergraph.storage import resolve_index_backend
 from . import transport
 from .tasks import WorkerStats
 
-#: Default per-frame I/O timeout on established connections — the
-#: fallback when neither the ``REPRO_NET_TIMEOUT`` environment variable
-#: nor the ``io_timeout`` kwarg names one.  Generous — a reply can
-#: take as long as the member's part of the enumeration — but
-#: finite, so a wedged peer surfaces as failover (or an error) instead
-#: of a hang.
-DEFAULT_IO_TIMEOUT = 600.0
-
-
-def default_io_timeout() -> float:
-    """The per-frame I/O timeout: ``REPRO_NET_TIMEOUT`` seconds or
-    :data:`DEFAULT_IO_TIMEOUT`.
-
-    Resolved at call time so a test session or a
-    deployment can tighten the failover deadline without touching call
-    sites; both the coordinator and ``serve-shard`` workers read it.
-    """
-    value = os.environ.get("REPRO_NET_TIMEOUT")
-    if not value:
-        return DEFAULT_IO_TIMEOUT
-    try:
-        timeout = float(value)
-    except ValueError:
-        raise TransportError(
-            f"REPRO_NET_TIMEOUT must be a number of seconds, got {value!r}"
-        ) from None
-    if timeout <= 0:
-        raise TransportError(
-            f"REPRO_NET_TIMEOUT must be positive, got {value!r}"
-        )
-    return timeout
-
-
 #: Seconds between the HEARTBEAT frames a worker sends on its data
-#: connection.  The pool drops a member it has heard nothing from for
-#: :data:`~repro.parallel.pool.MISS_BUDGET` of these.
+#: connection, from its HELLO to the end of the session.
 HEARTBEAT_INTERVAL = 0.1
+
+#: Heartbeat intervals a worker may stay silent before its coordinator
+#: gives up on it: one late tick must not drop a member, three in a row
+#: mean it is dead or wedged.
+MISS_BUDGET = 3
+
+#: The silence rule in seconds: the longest a coordinator waits for any
+#: frame from a worker — its HELLO and CATCHUP-REPLY included — before
+#: it fails the worker (the pool's pump, the handshake gate).
+SILENCE_BUDGET = MISS_BUDGET * HEARTBEAT_INTERVAL
 
 
 def disable_nagle(sock) -> None:
@@ -148,16 +127,21 @@ class ShardWorker:
     the worker's :class:`ShardDescriptor`, then any
     number of SUBTREE requests — many queries interleaved on the
     connection, each request self-contained — plus CATCHUP (a stale
-    handshake's, or a commit's), until the peer sends STOP (end the
-    session) or SHUTDOWN (stop the server).  One connection at a time
-    is the right concurrency: the store is single-writer state, and a
+    handshake's, or a commit's).  A session is its connection: it ends
+    when the peer closes it (EOF or reset), on SHUTDOWN (which also
+    stops the server), or when a heartbeat cannot be sent; the session
+    socket has no read timeout, so an idle coordinator keeps its
+    session however long it idles.  One connection at a time is the
+    right concurrency: the store is single-writer state, and a
     coordinator that wants many queries in flight multiplexes them over
     its one connection.
 
     ``shard_id`` is the worker's *name* — its slot in a spawner's or
     supervisor's book-keeping; every member computes the same answers.
     From its HELLO to the end of a session the worker heartbeats its
-    peer (:data:`HEARTBEAT_INTERVAL`) from one small thread.
+    peer (:data:`HEARTBEAT_INTERVAL`) from one small thread; a heartbeat
+    that cannot be sent shuts the connection down, which ends the
+    session's read too.
 
     The server never trusts the stream: malformed frames (an unknown
     kind included) raise :class:`~repro.errors.TransportError` and end
@@ -176,7 +160,6 @@ class ShardWorker:
         index_backend: "str | None" = None,
         host: str = "127.0.0.1",
         port: int = 0,
-        io_timeout: "float | None" = None,
         chaos=None,
         store: "PartitionedStore | None" = None,
     ) -> None:
@@ -186,9 +169,6 @@ class ShardWorker:
             )
         self.index_backend = resolve_index_backend(index_backend)
         self.shard_id = shard_id
-        self.io_timeout = (
-            default_io_timeout() if io_timeout is None else io_timeout
-        )
         self.chaos = chaos
         if store is None or (
             store.graph is not graph
@@ -258,10 +238,7 @@ class ShardWorker:
                 try:
                     keep_serving = self._serve_session(conn)
                 finally:
-                    try:
-                        conn.close()
-                    except OSError:  # pragma: no cover - best effort
-                        pass
+                    transport.close_quietly(conn)
                 sessions += 1
                 if not keep_serving or self._listener is not listener:
                     return
@@ -278,7 +255,6 @@ class ShardWorker:
         faulted — a delayed or dropped reply is never a silent worker.
         """
         raw = _SendLocked(conn)
-        raw.settimeout(self.io_timeout)
         disable_nagle(raw)
         conn = raw
         if self.chaos is not None:
@@ -297,6 +273,13 @@ class ShardWorker:
             return self._serve_requests(conn)
         finally:
             stopped.set()
+            # A heartbeat blocked on a peer that stopped reading would
+            # hold the join forever; the session is over, so end its
+            # connection first.
+            try:
+                raw.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             beat.join()
 
     def _serve_requests(self, conn) -> bool:
@@ -306,9 +289,10 @@ class ShardWorker:
             try:
                 kind, body = transport.recv_frame(conn)
             except TransportError:
-                # Peer gone or stream garbled (an unknown kind included);
-                # the session is over either way, and the server stays
-                # up for the next coordinator.
+                # Peer gone (it closed the connection, or the heartbeat
+                # thread shut it down) or stream garbled (an unknown
+                # kind included); the session is over either way, and
+                # the server stays up for the next coordinator.
                 return True
             try:
                 if kind == transport.MSG_SUBTREE:
@@ -323,8 +307,6 @@ class ShardWorker:
                         transport.MSG_CATCHUP_REPLY,
                         self._hello_body(),
                     )
-                elif kind == transport.MSG_STOP:
-                    return True
                 elif kind == transport.MSG_SHUTDOWN:
                     return False
                 else:
@@ -494,13 +476,18 @@ class _SendLocked:
 
 def _heartbeat(sock, stopped: threading.Event) -> None:
     """A session's heartbeat thread: one HEARTBEAT frame every
-    :data:`HEARTBEAT_INTERVAL` until ``stopped`` is set or the
-    connection fails."""
+    :data:`HEARTBEAT_INTERVAL` until ``stopped`` is set or a send fails.
+    A failed send means the peer is gone: the thread shuts the socket
+    down, so the serving thread's read returns and the session ends."""
     frame = transport.encode_frame(transport.MSG_HEARTBEAT)
     while not stopped.wait(HEARTBEAT_INTERVAL):
         try:
             sock.sendall(frame)
         except OSError:
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # already closed: the session is over anyway
             return
 
 

@@ -226,7 +226,6 @@ class MatchService:
         queue_depth: int = 8,
         cache_capacity: int = 128,
         default_deadline: "float | None" = None,
-        io_timeout: "float | None" = None,
         chaos=None,
         journal: "MutationJournal | str | None" = None,
     ) -> None:
@@ -251,7 +250,6 @@ class MatchService:
             num_shards=shards,
             addresses=addresses,
             index_backend=engine.index_backend,
-            io_timeout=io_timeout,
             chaos=chaos,
         )
         self.num_shards = self.pool.num_shards

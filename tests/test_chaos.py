@@ -19,6 +19,7 @@ import os
 import pickle
 import random
 import signal
+import socket
 import threading
 import time
 
@@ -34,6 +35,7 @@ from repro.parallel import (
     ShardPool,
     spawn_local_cluster,
 )
+from repro.parallel import handshake
 from repro.parallel.chaos import ChaosSeveredError, ChaosSocket
 from repro.service import MatchService
 from repro.testing import make_random_instance
@@ -72,9 +74,13 @@ class _RecordingSock:
     def __init__(self):
         self.frames = []
         self.closed = False
+        self.shut_down = False
 
     def sendall(self, data):
         self.frames.append(bytes(data))
+
+    def shutdown(self, how):
+        self.shut_down = how == socket.SHUT_RDWR
 
     def close(self):
         self.closed = True
@@ -145,7 +151,9 @@ def test_sever_closes_the_socket_and_raises_oserror():
     sock.bind_endpoint(1)  # identity learned post-handshake
     with pytest.raises(ChaosSeveredError):
         sock.sendall(b"xxxx")
-    assert raw.closed and raw.frames == []
+    # Shut down before the close: the FIN reaches the peer even while a
+    # forked process holds a copy of the socket.
+    assert raw.shut_down and raw.closed and raw.frames == []
 
 
 def test_unarmed_kill_degrades_to_sever_after_sending():
@@ -260,7 +268,6 @@ def test_kill_worker_mid_level_fails_over(chaos_instance, backend, channels):
     executor = ShardPool(
         addresses=list(cluster.addresses),
         index_backend=backend,
-        io_timeout=60.0,
         chaos=plan,
     )
     try:
@@ -284,7 +291,6 @@ def test_sever_mid_level_fails_over(chaos_instance, channels):
     executor = ShardPool(
         addresses=list(cluster.addresses),
         index_backend="bitset",
-        io_timeout=60.0,
         chaos=plan,
     )
     try:
@@ -309,7 +315,6 @@ def test_garbled_frame_fails_over(chaos_instance, channels):
     executor = ShardPool(
         addresses=list(cluster.addresses),
         index_backend="merge",
-        io_timeout=60.0,
         chaos=plan,
     )
     try:
@@ -323,11 +328,12 @@ def test_garbled_frame_fails_over(chaos_instance, channels):
 
 @MATRIX
 def test_dropped_reply_hits_deadline_then_fails_over(
-    chaos_instance, channels
+    chaos_instance, channels, monkeypatch
 ):
     """A swallowed reply (wedged worker: connection up, silence) trips
-    the per-frame deadline; the part is re-dispatched to another member
+    the reply deadline; the part is re-dispatched to another member
     and counts stay exact."""
+    monkeypatch.setattr(handshake, "REPLY_DEADLINE", 1.5)
     data, query, expected = chaos_instance
     engine = HGMatch(data, index_backend="bitset")
     plan = FaultPlan(seed=6)
@@ -338,7 +344,6 @@ def test_dropped_reply_hits_deadline_then_fails_over(
     executor = ShardPool(
         addresses=list(cluster.addresses),
         index_backend="bitset",
-        io_timeout=1.5,
         chaos=plan,
     )
     try:
@@ -363,7 +368,6 @@ def test_slow_member_part_is_answered_exactly(chaos_instance, channels):
     executor = ShardPool(
         num_shards=4,
         index_backend="bitset",
-        io_timeout=60.0,
         chaos=plan,
     )
     try:
@@ -389,7 +393,6 @@ def test_last_member_loss_fails_fast(chaos_instance):
     executor = ShardPool(
         addresses=list(cluster.addresses),
         index_backend="bitset",
-        io_timeout=30.0,
         chaos=plan,
     )
     try:
@@ -506,7 +509,6 @@ def test_kill_pinned_to_mutate_degrades_then_catchup_rejoins(
     executor = ShardPool(
         addresses=list(cluster.addresses),
         index_backend=backend,
-        io_timeout=60.0,
         chaos=plan,
     )
     try:
@@ -552,7 +554,6 @@ def test_sever_pinned_to_mutate_degrades_then_catchup_rejoins(
     executor = ShardPool(
         addresses=list(cluster.addresses),
         index_backend=backend,
-        io_timeout=60.0,
         chaos=plan,
     )
     try:
@@ -624,14 +625,14 @@ def test_a_stopped_member_is_dropped_within_half_a_second(
     if route == "service":
         request.getfixturevalue("pool_route")
         service = MatchService(
-            engine, shards=2, chaos=plan, cache_capacity=0, io_timeout=60.0
+            engine, shards=2, chaos=plan, cache_capacity=0
         )
         pool = service.pool
     else:
         cluster = spawn_local_cluster(data, 2, index_backend=backend)
         pool = ShardPool(
             addresses=list(cluster.addresses), index_backend=backend,
-            io_timeout=60.0, chaos=plan,
+            chaos=plan,
         )
 
     def stop_member_0():
@@ -684,7 +685,7 @@ def test_a_slow_member_is_not_a_silent_one(chaos_instance, monkeypatch):
     plan.slow_reply(0, after_frames=2, seconds=1.5)
     engine = HGMatch(data, index_backend="bitset")
     pool = ShardPool(
-        num_shards=2, index_backend="bitset", io_timeout=60.0, chaos=plan
+        num_shards=2, index_backend="bitset", chaos=plan
     )
     drops = _record_drops(monkeypatch)
     try:
@@ -713,7 +714,7 @@ def test_busy_cores_drop_no_healthy_member(monkeypatch):
     engine = HGMatch(data, index_backend="bitset")
     expected = [engine.count(q) for q in queries]
     plans = [engine.plan(q) for q in queries]
-    pool = ShardPool(num_shards=2, index_backend="bitset", io_timeout=60.0)
+    pool = ShardPool(num_shards=2, index_backend="bitset")
     drops = _record_drops(monkeypatch)
     wrong, errors, done = [], [], []
     stop_at = time.monotonic() + 3.0
@@ -744,6 +745,110 @@ def test_busy_cores_drop_no_healthy_member(monkeypatch):
         assert not errors, errors
         assert not wrong, wrong
         assert len(done) > 30
+        assert drops == []
+        assert [m.name for m in pool._members] == [0, 1]
+    finally:
+        pool.close()
+        engine.close()
+
+
+# ----------------------------------------------------------------------
+# One clock for a session: silence bounds every wait on a worker, the
+# connection bounds the session
+# ----------------------------------------------------------------------
+
+
+def test_a_stopped_last_member_of_a_fixed_pool_fails_fast(chaos_instance):
+    """SIGSTOP the only member of a fixed-address pool with its session
+    open: the pump drops it for silence, the ladder's reconnect in place
+    is accepted by the kernel but never hears a HELLO, and the handshake
+    gives up on the same silence budget — the job fails typed within
+    1.5 s instead of waiting out a connect timeout under the pool
+    lock."""
+    data, query, expected = chaos_instance
+    engine = HGMatch(data, index_backend="bitset")
+    cluster = spawn_local_cluster(data, 1, index_backend="bitset")
+    pool = ShardPool(
+        addresses=list(cluster.addresses), index_backend="bitset"
+    )
+    pid = cluster.processes[0].pid
+    try:
+        assert pool.run(engine, query).embeddings == expected["merge"]
+        os.kill(pid, signal.SIGSTOP)
+        started = time.monotonic()
+        with pytest.raises(SchedulerError):
+            pool.run(engine, query)
+        elapsed = time.monotonic() - started
+        assert elapsed <= 1.5, f"typed failure took {elapsed:.2f}s"
+    finally:
+        os.kill(pid, signal.SIGKILL)  # SIGTERM would wait for SIGCONT
+        pool.close()
+        cluster.close()
+        engine.close()
+
+
+def test_a_forked_worker_does_not_hold_a_dropped_session_open(
+    chaos_instance, monkeypatch, caplog
+):
+    """``cluster.respawn(1)`` forks the new worker while the pool's
+    sessions are open, so it holds a copy of member 0's socket.  When
+    the healthy member 0 is then dropped mid-job, the pool's close must
+    still reach worker 0 (a shutdown sends the FIN whoever else holds
+    the socket): the ladder reconnects it in place at once, and the
+    cluster closes without escalating to a signal."""
+    data, query, expected = chaos_instance
+    engine = HGMatch(data, index_backend="bitset")
+    cluster = spawn_local_cluster(data, 2, index_backend="bitset")
+    pool = ShardPool(
+        addresses=list(cluster.addresses), index_backend="bitset"
+    )
+    original = QueryChannel._send_parts
+    timing = {}
+
+    def send_parts(channel, plan, funnel):
+        original(channel, plan, funnel)
+        if "dropped" not in timing:
+            with pool._lock:
+                timing["dropped"] = time.monotonic()
+                pool._member_failed(pool._member(0), "dropped by the test")
+
+    try:
+        assert pool.run(engine, query).embeddings == expected["merge"]
+        cluster.respawn(1)
+        deadline = time.monotonic() + 5.0
+        while pool._member(1) is not None and time.monotonic() < deadline:
+            time.sleep(0.01)  # the pump reads the old worker 1's EOF
+        assert [m.name for m in pool._members] == [0]
+        monkeypatch.setattr(QueryChannel, "_send_parts", send_parts)
+        result = pool.run(engine, query)
+        elapsed = time.monotonic() - timing["dropped"]
+        assert result.embeddings == expected["merge"]
+        assert [s.worker_id for s in result.worker_stats] == [0]
+        assert elapsed <= 1.0, f"member 0 restored after {elapsed:.2f}s"
+    finally:
+        pool.close()
+        with caplog.at_level("WARNING", logger="repro.parallel"):
+            cluster.close()
+        engine.close()
+    assert "did not exit" not in caplog.text, caplog.text
+
+
+def test_an_idle_pool_keeps_its_members(chaos_instance, monkeypatch):
+    """A session lasts as long as its connection: a two-member owned
+    pool idle for 1.5 s keeps both members and the same worker
+    processes.  ``REPRO_NET_TIMEOUT`` is no longer read — set to 0.5 s
+    it would once have ended both sessions and respawned the cluster."""
+    monkeypatch.setenv("REPRO_NET_TIMEOUT", "0.5")
+    data, query, expected = chaos_instance
+    engine = HGMatch(data, index_backend="bitset")
+    pool = ShardPool(num_shards=2, index_backend="bitset")
+    drops = _record_drops(monkeypatch)
+    try:
+        assert pool.run(engine, query).embeddings == expected["merge"]
+        pids = [process.pid for process in pool._cluster.processes]
+        time.sleep(1.5)
+        assert pool.run(engine, query).embeddings == expected["merge"]
+        assert [p.pid for p in pool._cluster.processes] == pids
         assert drops == []
         assert [m.name for m in pool._members] == [0, 1]
     finally:

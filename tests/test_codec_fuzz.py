@@ -186,7 +186,7 @@ def test_versioned_wrapper_never_crashes_on_corruption():
 
 def frame_corpus(rng):
     return [
-        transport.encode_frame(transport.MSG_STOP),
+        transport.encode_frame(transport.MSG_HEARTBEAT),
         transport.encode_frame(transport.MSG_HELLO, b"hello-body"),
         transport.encode_frame(transport.MSG_CATCHUP, bytes(rng.randrange(256) for _ in range(64))),
         transport.encode_frame(transport.MSG_CATCHUP_REPLY, b"\x00" * 32),

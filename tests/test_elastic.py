@@ -5,7 +5,7 @@ The acceptance bar for the elastic runtime: a pool grown mid-lifetime
 counts **bit-identical** to a static run; a drained member leaves the
 pool serving with the rest; and a worker that goes silent on its
 connection is failed by the pool's pump, which the coordinator turns
-into mid-job failover well before its I/O timeout.
+into mid-job failover well before its reply deadline.
 """
 
 from __future__ import annotations
@@ -210,7 +210,7 @@ def test_drain_unknown_member_errors(elastic_instance):
 
 
 # ----------------------------------------------------------------------
-# Silence failover: the pump's detector beats the I/O timeout
+# Silence failover: the pump's detector beats the reply deadline
 # ----------------------------------------------------------------------
 
 
@@ -269,7 +269,7 @@ def test_pool_detector_unwedges_a_silent_worker(elastic_instance):
     """A member that wedges (connection open, replies and heartbeats
     both absent) is failed by the pool's own pump once it has been
     silent for the heartbeat budget, and the coordinator fails its part
-    over to the live member long before the 60s I/O timeout — the job
+    over to the live member long before the reply deadline — the job
     never wedges, and the cause names the silence."""
     data, query, expected = elastic_instance
     backend = "bitset"
@@ -281,7 +281,6 @@ def test_pool_detector_unwedges_a_silent_worker(elastic_instance):
     real_thread.start()
     executor = ShardPool(
         addresses=[wedged.address, real_address], index_backend=backend,
-        io_timeout=60.0,
     )
     drops = []
     original = ShardPool._drop_member
@@ -298,7 +297,7 @@ def test_pool_detector_unwedges_a_silent_worker(elastic_instance):
         assert result.embeddings == expected[backend]
         assert elapsed < 5.0, (
             f"job took {elapsed:.1f}s — the detector did not beat the "
-            f"I/O timeout"
+            f"reply deadline"
         )
         assert [name for name, _ in drops] == [0]
         assert "silent for" in drops[0][1]

@@ -529,7 +529,6 @@ def test_mux_pool_heals_missed_mutate_via_catchup(instance):
     pool = ShardPool(
         addresses=list(cluster.addresses),
         index_backend="merge",
-        io_timeout=60.0,
         chaos=plan,
     )
     try:
@@ -552,14 +551,17 @@ def test_mux_pool_heals_missed_mutate_via_catchup(instance):
         engine.close()
 
 
-def test_lost_mutate_ack_ends_the_barrier_at_once(instance):
+def test_lost_mutate_ack_ends_the_barrier_at_once(instance, monkeypatch):
     """The commit never waits on an ack: a member lost between the
     commit's CATCHUP and its CATCHUP-REPLY (the worker applies the
     batch, then its connection is severed on the reply) costs the
-    commit nothing — it returns at once, never near the I/O timeout.
+    commit nothing — it returns at once, never near the reply deadline.
     The pump finds the member gone; the next query reopens the pool and
     counts like a rebuild."""
-    from repro.parallel import FaultPlan, ShardPool, spawn_local_cluster
+    from repro.parallel import FaultPlan, ShardPool, handshake
+    from repro.parallel import spawn_local_cluster
+
+    monkeypatch.setattr(handshake, "REPLY_DEADLINE", 6.0)
 
     data, query = instance
     engine = HGMatch(data, index_backend="merge")
@@ -572,7 +574,6 @@ def test_lost_mutate_ack_ends_the_barrier_at_once(instance):
     pool = ShardPool(
         addresses=list(cluster.addresses),
         index_backend="merge",
-        io_timeout=6.0,
     )
     try:
         pool.ensure_open(engine)
@@ -582,7 +583,7 @@ def test_lost_mutate_ack_ends_the_barrier_at_once(instance):
         assert time.monotonic() - started < 1.0
         outcome = pool.run(engine, query)
         assert outcome.embeddings == rebuild_count(engine, query, "merge")
-        assert time.monotonic() - started < 6.0  # no I/O deadline waited
+        assert time.monotonic() - started < 6.0  # no reply deadline waited
     finally:
         pool.close()
         cluster.close()
@@ -595,11 +596,10 @@ def test_worker_side_mutate_error_is_typed_not_a_timeout(
     """A worker whose ``apply`` raises answers the commit's CATCHUP with
     an ERROR frame and ends the session.  The commit stands; the pump
     fails the member into the ladder, and the next query fails typed —
-    naming the worker and its traceback — at once, not at the I/O
+    naming the worker and its traceback — at once, not at the reply
     deadline."""
     from repro.hypergraph.dynamic import DynamicHypergraph
-    from repro.parallel import spawn_local_cluster
-    from repro.parallel import ShardPool
+    from repro.parallel import ShardPool, handshake, spawn_local_cluster
 
     data, query = instance
     engine = HGMatch(data, index_backend="merge")
@@ -613,10 +613,10 @@ def test_worker_side_mutate_error_is_typed_not_a_timeout(
     monkeypatch.setattr(DynamicHypergraph, "apply", broken_apply)
     cluster = spawn_local_cluster(data, 2, index_backend="merge")
     monkeypatch.undo()
+    monkeypatch.setattr(handshake, "REPLY_DEADLINE", 6.0)
     pool = ShardPool(
         addresses=list(cluster.addresses),
         index_backend="merge",
-        io_timeout=6.0,
     )
     try:
         pool.ensure_open(engine)

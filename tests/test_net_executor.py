@@ -84,16 +84,19 @@ def test_addresses_mode_in_any_order(workload_instances):
 
 
 def test_worker_sessions_are_reusable(workload_instances):
-    """STOP ends a session, not the server: two coordinators in turn."""
+    """Closing the connection ends a session, not the server: a peer
+    that hangs up after the HELLO, then two coordinators in turn."""
     data, query = workload_instances[0]
     engine = HGMatch(data, index_backend="merge")
     worker = ShardWorker(data, 0, index_backend="merge")
     address = worker.bind()
     thread = threading.Thread(
-        target=worker.serve_forever, kwargs={"max_sessions": 2}, daemon=True
+        target=worker.serve_forever, kwargs={"max_sessions": 3}, daemon=True
     )
     thread.start()
     try:
+        with socket.create_connection(address, timeout=5.0) as sock:
+            assert transport.recv_frame(sock)[0] == transport.MSG_HELLO
         expected = engine.count(query)
         for _ in range(2):
             executor = ShardPool(
@@ -355,7 +358,7 @@ def test_non_hello_peer_is_rejected():
     def impostor():
         conn, _ = listener.accept()
         with conn:
-            transport.send_frame(conn, transport.MSG_STOP)
+            transport.send_frame(conn, transport.MSG_SHUTDOWN)
 
     thread = threading.Thread(target=impostor, daemon=True)
     thread.start()
@@ -404,9 +407,10 @@ def test_worker_survives_garbage_frames(workload_instances):
         engine.close()
 
 
-#: The kind bytes of the retired level-synchronous frames: JOB, LEVEL,
-#: COLLECT, REBALANCE and CANCEL.
-RETIRED_KINDS = (0x4A, 0x4C, 0x43, 0x42, 0x58, 0x4D, 0x44)
+#: The kind bytes of retired frames: the level-synchronous JOB, LEVEL,
+#: COLLECT, REBALANCE and CANCEL, the commit's MUTATE and DELTA, and
+#: STOP (a session ends with its connection).
+RETIRED_KINDS = (0x4A, 0x4C, 0x43, 0x42, 0x58, 0x4D, 0x44, 0x53)
 
 
 def test_retired_kinds_end_the_session_and_the_worker_serves_on(
@@ -783,32 +787,6 @@ def test_duplicate_member_identity_rejected(workload_instances):
         for worker in workers:
             worker.close()
         engine.close()
-
-
-def test_io_timeout_is_configurable(monkeypatch):
-    """REPRO_NET_TIMEOUT seeds the default; the kwarg wins over it."""
-    from repro.parallel import default_io_timeout
-    from repro.parallel.worker import DEFAULT_IO_TIMEOUT
-
-    monkeypatch.delenv("REPRO_NET_TIMEOUT", raising=False)
-    assert default_io_timeout() == DEFAULT_IO_TIMEOUT
-    monkeypatch.setenv("REPRO_NET_TIMEOUT", "7.5")
-    assert default_io_timeout() == 7.5
-    executor = ShardPool(num_shards=1)
-    assert executor.io_timeout == 7.5
-    executor.close()
-    executor = ShardPool(num_shards=1, io_timeout=1.25)
-    assert executor.io_timeout == 1.25
-    executor.close()
-    # Garbage is refused at parse time with a *TransportError* naming
-    # the knob — never deferred to a confusing failure mid-job (it
-    # still satisfies ``except SchedulerError`` by subclassing).
-    monkeypatch.setenv("REPRO_NET_TIMEOUT", "soon")
-    with pytest.raises(TransportError, match="REPRO_NET_TIMEOUT"):
-        default_io_timeout()
-    monkeypatch.setenv("REPRO_NET_TIMEOUT", "-3")
-    with pytest.raises(TransportError, match="positive"):
-        default_io_timeout()
 
 
 def test_retry_policy_is_bounded_and_reproducible():

@@ -38,7 +38,7 @@ from repro.hypergraph import INDEX_BACKENDS, MutationBatch
 from repro.hypergraph.io import dump_native, parse_native
 from repro.hypergraph.journal import DEFAULT_SNAPSHOT_INTERVAL, MutationJournal
 from repro.hypergraph.sampling import QuerySetting, sample_query
-from repro.parallel import ShardPool
+from repro.parallel import ShardPool, handshake
 from repro.parallel.chaos import FaultPlan
 from repro.service import (
     MatchClient,
@@ -524,20 +524,21 @@ def test_client_cancel_mid_flight(service_instance):
 
 @pytest.mark.usefixtures("pool_route")
 def test_query_pinned_drop_fails_fast_for_that_query_alone(
-    service_instance,
+    service_instance, monkeypatch
 ):
     """A dropped reply pinned to query id 1's frames: that query alone
-    fails fast at its I/O deadline; the concurrent query — same
+    fails fast at its reply deadline; the concurrent query — same
     connection, same traffic — returns its exact count.  (On a pool of
     one: with a second member the silent one is failed and the part
     re-sent — ``tests/test_subtree_jobs.py``.)"""
+    monkeypatch.setattr(handshake, "REPLY_DEADLINE", 0.75)
     data, queries, expected = service_instance
     plan = FaultPlan()
     # Worker 0 swallows its first reply *for query 1 only*.
     plan.drop_reply(0, after_frames=1, query_id=1)
     engine = HGMatch(data, index_backend="bitset")
     service = MatchService(
-        engine, shards=1, chaos=plan, cache_capacity=0, io_timeout=0.75,
+        engine, shards=1, chaos=plan, cache_capacity=0,
     )
     try:
         victim = service.submit(queries[0])
@@ -619,8 +620,10 @@ def test_engine_close_drains_its_match_service(service_instance):
 #: the workers' addresses (a member heartbeats its coordinator on the
 #: data connection, and a restarted worker keeps its port — nothing is
 #: discovered), the constructor's arguments (``serve-match`` flags) set
-#: the journal, a registration's callback delivers its deltas, and the
-#: busy hint is a constant.
+#: the journal, a registration's callback delivers its deltas, the
+#: busy hint is a constant, a worker session ends when its connection
+#: closes, and the heartbeat's silence rule and the one reply deadline
+#: (constants both) bound every wait on a worker.
 RETIRED_SURFACES = (
     "HGMatch.match_service",
     "HGMatch.pool(registry=)",
@@ -634,6 +637,12 @@ RETIRED_SURFACES = (
     "ShardPool(registry=)",
     "transport.MSG_ANNOUNCE",
     "serve-shard --announce",
+    "transport.MSG_STOP",
+    "repro.parallel.default_io_timeout",
+    "ShardPool(io_timeout=)",
+    "ShardPool(retry=)",
+    "ShardWorker(io_timeout=)",
+    "MatchService(io_timeout=)",
 )
 
 
@@ -658,10 +667,20 @@ def test_retired_service_surface_stays_gone(surface, monkeypatch, tmp_path):
     elif surface == "ShardPool(registry=)":
         assert "registry" not in inspect.signature(ShardPool).parameters
         assert not hasattr(ShardPool(num_shards=1), "registry")
-    elif surface == "transport.MSG_ANNOUNCE":
+    elif surface.endswith("_timeout=)") or surface == "ShardPool(retry=)":
+        from repro.parallel import ShardWorker
+
+        owner, name = surface[:-2].split("(")
+        owner = {
+            "ShardPool": ShardPool,
+            "ShardWorker": ShardWorker,
+            "MatchService": MatchService,
+        }[owner]
+        assert name not in inspect.signature(owner).parameters
+    elif surface.startswith("transport.MSG_"):
         from repro.parallel import transport
 
-        assert not hasattr(transport, "MSG_ANNOUNCE")
+        assert not hasattr(transport, surface.split(".")[1])
     elif surface == "serve-shard --announce":
         from repro.cli import build_parser
 

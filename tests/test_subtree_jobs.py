@@ -35,6 +35,7 @@ from repro.hypergraph import INDEX_BACKENDS, PartitionedStore
 from repro.parallel import (
     FaultPlan,
     cluster,
+    handshake,
     LocalCluster,
     QueryChannel,
     ShardPool,
@@ -369,7 +370,8 @@ def test_connection_faults_fail_over_to_the_survivor(
     instances, monkeypatch, fault
 ):
     """A severed or garbled request, or a swallowed reply (silence past
-    the I/O deadline), costs the query nothing but the re-send."""
+    the reply deadline), costs the query nothing but the re-send."""
+    monkeypatch.setattr(handshake, "REPLY_DEADLINE", 0.75)
     data, query = instances[0]
     count, _ = oracle(data, query)
     plan = FaultPlan(seed=23)
@@ -378,7 +380,7 @@ def test_connection_faults_fail_over_to_the_survivor(
     getattr(plan, fault)(1, after_frames=2 if fault == "drop_reply" else 1)
     engine = HGMatch(data, index_backend="bitset")
     pool = ShardPool(
-        num_shards=2, index_backend="bitset", chaos=plan, io_timeout=0.75
+        num_shards=2, index_backend="bitset", chaos=plan
     )
     respawns = _recorded_respawns(monkeypatch)
     try:
@@ -408,7 +410,7 @@ def test_losing_the_last_member_is_a_typed_failure(instances):
     plan.arm_killer(0, lambda: cluster.kill_member(0))
     pool = ShardPool(
         addresses=list(cluster.addresses), index_backend="bitset",
-        io_timeout=30.0, chaos=plan,
+        chaos=plan,
     )
     try:
         with pytest.raises(SchedulerError, match="disconnected mid-job"):
@@ -686,7 +688,7 @@ def test_stale_worker_heals_through_catchup(instances):
     cluster = spawn_local_cluster(data, 4, index_backend="bitset")
     pool = ShardPool(
         addresses=list(cluster.addresses),
-        index_backend="bitset", io_timeout=60.0, chaos=plan,
+        index_backend="bitset", chaos=plan,
     )
     try:
         # Every worker builds its whole store at version 0.

@@ -36,9 +36,9 @@ class TestFrameCodec:
 
     def test_layout_is_the_documented_one(self):
         # u32 length | u8 version | u8 kind | body — little-endian.
-        frame = transport.encode_frame(transport.MSG_STOP, b"xy")
+        frame = transport.encode_frame(transport.MSG_HEARTBEAT, b"xy")
         assert frame == struct.pack(
-            "<IBB", 4, transport.PROTOCOL_VERSION, transport.MSG_STOP
+            "<IBB", 4, transport.PROTOCOL_VERSION, transport.MSG_HEARTBEAT
         ) + b"xy"
 
     def test_truncated_header(self):
@@ -46,20 +46,20 @@ class TestFrameCodec:
             transport.decode_frame(b"\x02\x00")
 
     def test_length_buffer_mismatch(self):
-        frame = transport.encode_frame(transport.MSG_STOP, b"abc")
+        frame = transport.encode_frame(transport.MSG_HEARTBEAT, b"abc")
         with pytest.raises(TransportError, match="does not match"):
             transport.decode_frame(frame[:-1])
         with pytest.raises(TransportError, match="does not match"):
             transport.decode_frame(frame + b"z")
 
     def test_bad_version_byte(self):
-        frame = bytearray(transport.encode_frame(transport.MSG_STOP))
+        frame = bytearray(transport.encode_frame(transport.MSG_HEARTBEAT))
         frame[4] = transport.PROTOCOL_VERSION + 1
         with pytest.raises(TransportError, match="unsupported protocol"):
             transport.decode_frame(bytes(frame))
 
     def test_unknown_kind(self):
-        frame = bytearray(transport.encode_frame(transport.MSG_STOP))
+        frame = bytearray(transport.encode_frame(transport.MSG_HEARTBEAT))
         frame[5] = 0x7A
         with pytest.raises(TransportError, match="unknown frame kind"):
             transport.decode_frame(bytes(frame))
@@ -69,7 +69,7 @@ class TestFrameCodec:
     def test_implausible_length(self):
         bogus = struct.pack(
             "<IBB", transport.MAX_FRAME_BYTES + 1,
-            transport.PROTOCOL_VERSION, transport.MSG_STOP,
+            transport.PROTOCOL_VERSION, transport.MSG_HEARTBEAT,
         )
         with pytest.raises(TransportError, match="implausible"):
             transport.decode_frame(bogus)
@@ -227,7 +227,7 @@ class TestUnifiedHeaderValidation:
         (
             struct.pack(
                 "<IBB", 4, transport.PROTOCOL_VERSION ^ 0xFF,
-                transport.MSG_STOP,
+                transport.MSG_HEARTBEAT,
             ) + b"xy",
             "unsupported protocol version",
         ),
@@ -243,7 +243,7 @@ class TestUnifiedHeaderValidation:
         ),
         (
             struct.pack(
-                "<IBB", 1, transport.PROTOCOL_VERSION, transport.MSG_STOP
+                "<IBB", 1, transport.PROTOCOL_VERSION, transport.MSG_HEARTBEAT
             ),
             "implausible frame length",
         ),
@@ -285,16 +285,17 @@ class TestUnifiedHeaderValidation:
 class TestRetiredKinds:
     """Protocol version 4 retired the level-synchronous kinds and CANCEL,
     version 7 MUTATE and DELTA (a commit rides CATCHUP), version 8
-    ANNOUNCE (a member heartbeats its coordinator; nothing registers).
+    ANNOUNCE (a member heartbeats its coordinator; nothing registers),
+    version 9 STOP (a session ends when its connection closes).
     Their bytes are not aliases of anything: no ``MSG_*`` constant holds
     one, and both decoders refuse one from the header alone, naming the
     byte, without waiting for the body the length promises."""
 
     @pytest.mark.parametrize(
         "kind",
-        [0x4A, 0x4C, 0x43, 0x42, 0x58, 0x4D, 0x44, 0x41],
+        [0x4A, 0x4C, 0x43, 0x42, 0x58, 0x4D, 0x44, 0x41, 0x53],
         ids=["JOB", "LEVEL", "COLLECT", "REBALANCE", "CANCEL", "MUTATE",
-             "DELTA", "ANNOUNCE"],
+             "DELTA", "ANNOUNCE", "STOP"],
     )
     def test_a_retired_kind_is_refused_from_its_header(self, kind):
         assert kind not in transport._KNOWN_KINDS
@@ -318,7 +319,7 @@ class TestRetiredKinds:
 
 
 def _assert_refused_by_both_decoders(version):
-    frame = struct.pack("<IBB", 2, version, transport.MSG_STOP)
+    frame = struct.pack("<IBB", 2, version, transport.MSG_HEARTBEAT)
     expected = (
         f"unsupported protocol version {version}; this build speaks "
         f"version {transport.PROTOCOL_VERSION}"
@@ -365,6 +366,13 @@ def test_a_version_7_header_is_refused_by_both_decoders():
     _assert_refused_by_both_decoders(7)
 
 
+def test_a_version_8_header_is_refused_by_both_decoders():
+    """A version-8 coordinator ends a session with a STOP frame, which
+    a version-9 worker no longer knows; a version-9 session ends when
+    its connection closes.  Refused from the header alone."""
+    _assert_refused_by_both_decoders(8)
+
+
 class TestQueryTaggedFrames:
     """The job family (§2.5): an 8-byte little-endian query id ahead of
     the kind's own body."""
@@ -385,7 +393,7 @@ class TestQueryTaggedFrames:
             transport.MSG_QERROR,
         })
 
-    def test_the_kind_table_has_ten_entries(self):
+    def test_the_kind_table_has_nine_entries(self):
         # One job shape: version 4 retired the level-synchronous kinds
         # JOB/LEVEL/COLLECT/REBALANCE and CANCEL (a SUBTREE request is
         # stateless); version 1's untagged kinds are long gone too.
@@ -393,11 +401,12 @@ class TestQueryTaggedFrames:
         # its second id); version 6 ships the coordinator's plan in a
         # SUBTREE job; version 7 retired MUTATE/DELTA (a commit rides
         # CATCHUP); version 8 retired ANNOUNCE (HEARTBEAT moved onto
-        # the data connection), leaving ten kinds.
-        assert len(transport._KNOWN_KINDS) == 10
-        assert transport.PROTOCOL_VERSION == 8
+        # the data connection); version 9 retired STOP (closing the
+        # connection ends a session), leaving nine kinds.
+        assert len(transport._KNOWN_KINDS) == 9
+        assert transport.PROTOCOL_VERSION == 9
         assert transport.MSG_SUBTREE == ord("T")
-        for retired in b"JLCBXMDA" + b"cjlrq":
+        for retired in b"JLCBXMDAS" + b"cjlrq":
             with pytest.raises(TransportError, match="unknown frame kind"):
                 transport.encode_frame(retired)
 
@@ -408,7 +417,7 @@ class TestQueryTaggedFrames:
         )
         assert transport.encode_frame(
             transport.MSG_QERROR, transport.encode_query_body(7)
-        ).hex() == "0a00000008650700000000000000"
+        ).hex() == "0a00000009650700000000000000"
 
     def test_split_round_trip(self):
         for query_id in (0, 1, 7, 2**32, 2**64 - 1):
