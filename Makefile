@@ -81,13 +81,15 @@ test-mutation:
 		tests/test_mutation_service.py
 
 ## Durability smoke: the journal codec (torn tails vs mid-log
-## corruption), snapshots, the crash-point recovery oracle, the
+## corruption), snapshots (their graph records, crc and golden bytes,
+## v1 snapshots still recovering), the crash-point recovery oracle, the
 ## service/daemon journal seam (drain persists, restart recovers, and
 ## an in-process restore_standing(callback=) resumes the stream), commits that ride CATCHUP and never
 ## fail for a lost worker, and the CATCHUP rejoin paths of the shard
 ## pool.
 test-durability:
 	$(PYTHON) -m pytest -x -q tests/test_journal.py \
+		tests/test_persistence.py tests/test_dynamic.py::TestGoldenBytes \
 		tests/test_mutation_service.py tests/test_elastic.py \
 		tests/test_chaos.py tests/test_service.py
 

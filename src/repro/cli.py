@@ -97,11 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
         f"containers); default REPRO_INDEX_BACKEND or {DEFAULT_INDEX_BACKEND}",
     )
 
-    index = commands.add_parser(
-        "index", help="build and save the indexed data hypergraph"
-    )
-    index.add_argument("source", help="dataset name or .hg path")
-    index.add_argument("--out", required=True, help="output .hgstore path")
     match = commands.add_parser("match", help="count embeddings")
     match.add_argument("data", help="dataset name or .hg path")
     match.add_argument("query", help="query .hg path")
@@ -374,21 +369,6 @@ def _cmd_plan(args, out) -> int:
         out.write(explain(engine, query) + "\n")
     else:
         out.write(engine.plan(query).describe() + "\n")
-    return 0
-
-
-def _cmd_index(args, out) -> int:
-    from .hypergraph import PartitionedStore, save_store
-
-    graph = _load_graph(args.source)
-    store = PartitionedStore(graph)
-    save_store(store, args.out)
-    # The .hgstore format is backend-neutral posting lists; the reader
-    # picks a representation via load_store(..., index_backend=...).
-    out.write(
-        f"indexed {graph.num_edges} hyperedges into "
-        f"{store.num_partitions()} partitions -> {args.out}\n"
-    )
     return 0
 
 
@@ -675,8 +655,6 @@ def main(argv: "Optional[List[str]]" = None, out=None) -> int:
             return _cmd_sample(args, out)
         if args.command == "plan":
             return _cmd_plan(args, out)
-        if args.command == "index":
-            return _cmd_index(args, out)
         if args.command == "match":
             return _cmd_match(args, out)
         if args.command == "serve-shard":

@@ -28,7 +28,6 @@ from .index import (
     chunks_from_rows,
     chunks_intersect,
     chunks_union_many,
-    index_from_postings,
     intersect_many,
     intersect_sorted,
     mask_from_chunks,
@@ -51,7 +50,6 @@ from .signature import (
     signature_of_labels,
 )
 from .journal import MutationJournal, RecoveredState
-from .persistence import load_store, save_store, stores_equal
 from .statistics import DatasetStatistics, dataset_statistics, format_bytes
 from .storage import (
     DEFAULT_INDEX_BACKEND,
@@ -81,7 +79,6 @@ __all__ = [
     "default_index_backend",
     "resolve_index_backend",
     "build_index",
-    "index_from_postings",
     "chunks_count",
     "chunks_from_rows",
     "chunks_intersect",
@@ -108,7 +105,4 @@ __all__ = [
     "DatasetStatistics",
     "dataset_statistics",
     "format_bytes",
-    "save_store",
-    "load_store",
-    "stores_equal",
 ]

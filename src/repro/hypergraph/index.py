@@ -208,23 +208,6 @@ class BitsetHyperedgeIndex:
             else:
                 masks.pop(vertex, None)
 
-    @classmethod
-    def from_postings(
-        cls,
-        edge_ids: Sequence[int],
-        postings: Dict[int, Tuple[int, ...]],
-    ) -> "BitsetHyperedgeIndex":
-        """Rebuild from merge-style posting lists (persistence path)."""
-        row_to_edge = tuple(edge_ids)
-        edge_to_row = {edge_id: row for row, edge_id in enumerate(row_to_edge)}
-        masks: Dict[int, int] = {}
-        for vertex, plist in postings.items():
-            mask = 0
-            for edge_id in plist:
-                mask |= 1 << edge_to_row[edge_id]
-            masks[vertex] = mask
-        return cls(row_to_edge, masks)
-
     @property
     def row_to_edge(self) -> Tuple[int, ...]:
         """The row → edge-id translation table (read-only)."""
@@ -567,30 +550,6 @@ class AdaptiveHyperedgeIndex:
         }
         return cls(row_to_edge, chunk_maps, chunk_bits, array_max)
 
-    @classmethod
-    def from_postings(
-        cls,
-        edge_ids: Sequence[int],
-        postings: Dict[int, Tuple[int, ...]],
-        chunk_bits: int = CHUNK_BITS,
-        array_max: int = ARRAY_CONTAINER_MAX,
-    ) -> "AdaptiveHyperedgeIndex":
-        """Rebuild from merge-style posting lists (persistence path)."""
-        row_to_edge = tuple(edge_ids)
-        edge_to_row = {edge_id: row for row, edge_id in enumerate(row_to_edge)}
-        offset_mask = (1 << chunk_bits) - 1
-        chunk_maps: Dict[int, ChunkMap] = {}
-        for vertex, plist in postings.items():
-            raw: Dict[int, List[int]] = {}
-            for edge_id in plist:
-                row = edge_to_row[edge_id]
-                raw.setdefault(row >> chunk_bits, []).append(row & offset_mask)
-            chunk_maps[vertex] = {
-                chunk: _normalise_container(sorted(offsets), array_max)
-                for chunk, offsets in raw.items()
-            }
-        return cls(row_to_edge, chunk_maps, chunk_bits, array_max)
-
     # -- incremental maintenance ---------------------------------------
     # Containers and per-vertex chunk-map dicts are REPLACED, never
     # mutated in place: the whole container algebra (and the anchor-
@@ -726,8 +685,7 @@ class AdaptiveHyperedgeIndex:
 
     def container_kinds(self) -> Dict[int, Tuple[Tuple[int, str], ...]]:
         """Per-vertex ``(chunk, "array"|"bits")`` choices — the adaptive
-        representation decisions, exposed for tests and persistence
-        round-trip verification."""
+        representation decisions, exposed for tests."""
         return {
             vertex: tuple(
                 (chunk, "bits" if isinstance(container, int) else "array")
@@ -767,23 +725,6 @@ def build_index(
         return BitsetHyperedgeIndex.build(graph, edge_ids)
     if backend == "adaptive":
         return AdaptiveHyperedgeIndex.build(graph, edge_ids)
-    raise ValueError(
-        f"unknown index backend {backend!r}; expected one of {INDEX_BACKENDS}"
-    )
-
-
-def index_from_postings(
-    backend: str,
-    edge_ids: Sequence[int],
-    postings: Dict[int, Tuple[int, ...]],
-):
-    """Materialise an index of ``backend`` from raw posting lists."""
-    if backend == "merge":
-        return InvertedHyperedgeIndex(dict(postings))
-    if backend == "bitset":
-        return BitsetHyperedgeIndex.from_postings(edge_ids, postings)
-    if backend == "adaptive":
-        return AdaptiveHyperedgeIndex.from_postings(edge_ids, postings)
     raise ValueError(
         f"unknown index backend {backend!r}; expected one of {INDEX_BACKENDS}"
     )

@@ -22,15 +22,17 @@ kinds of artefact:
 
 ``snapshot-<version>.snap``
     A periodic full snapshot so recovery is snapshot + replay-suffix
-    rather than full replay.  The format reuses
-    :func:`~repro.hypergraph.persistence.dump_store` for the dense live
-    content and prefixes the tombstone/edge-id state of the
-    :class:`~repro.hypergraph.dynamic.DynamicHypergraph` (dead slot ids
-    with their signatures, the slot count, the version), which together
-    reconstruct a *coordinate-identical* graph — same rows, same next
-    edge id, same fingerprint.  Snapshots are written to a temp file,
-    fsynced and atomically renamed, so a crash mid-snapshot leaves the
-    previous one intact.
+    rather than full replay.  It stores the graph, not its index (a
+    reader builds whichever index it wants): the tombstone/edge-id state
+    of the :class:`~repro.hypergraph.dynamic.DynamicHypergraph` (the
+    version, the slot count, dead slot ids with their signatures), then
+    the dense live content as ``v``/``l``/``el``/``e`` records with
+    typed labels, then a ``crc`` line over every byte before it — which
+    together reconstruct a *coordinate-identical* graph: same rows,
+    same next edge id, same fingerprint.  Snapshots are written to a
+    temp file, fsynced and atomically renamed, so a crash mid-snapshot
+    leaves the previous one intact; one cut short or damaged fails its
+    crc.
 
 ``standing.json``
     The registered standing queries, one structural record each
@@ -47,7 +49,6 @@ value is a typed :class:`~repro.errors.JournalError`.
 
 from __future__ import annotations
 
-import io
 import json
 import os
 import re
@@ -57,14 +58,16 @@ from typing import Dict, List, Optional, Tuple
 
 from ..errors import HypergraphError, JournalCorruption, JournalError, ParseError
 from .dynamic import DynamicHypergraph, MutationBatch
-from .persistence import _decode_label, _encode_label, dump_store, parse_store
-from .storage import PartitionedStore
+from .hypergraph import Hypergraph
 
 #: First bytes of ``mutations.log``; anything else is not a journal.
 JOURNAL_MAGIC = b"HGJRNL 1\n"
 
 #: First line of a snapshot file.
-SNAPSHOT_MAGIC = "HGDSNAP 1"
+SNAPSHOT_MAGIC = "HGDSNAP 2"
+
+#: First line of a snapshot written before the crc line: still read.
+SNAPSHOT_MAGIC_V1 = "HGDSNAP 1"
 
 #: ``u32 length | u32 crc32`` — the per-record header, little-endian.
 RECORD_HEADER = struct.Struct("<II")
@@ -213,97 +216,156 @@ def read_journal(
 # ----------------------------------------------------------------------
 
 
+def _encode_label(label: object) -> str:
+    """A vertex or edge label as one typed token: ``i:<int>`` or
+    ``s:<str>``, so both label types come back as they went in."""
+    if isinstance(label, int):
+        return f"i:{label}"
+    if isinstance(label, str):
+        if any(ch.isspace() for ch in label):
+            raise ParseError(f"labels may not contain whitespace: {label!r}")
+        return f"s:{label}"
+    raise ParseError(f"only int/str labels can be persisted, got {type(label)}")
+
+
+def _decode_label(token: str) -> object:
+    kind, _, value = token.partition(":")
+    if kind == "i":
+        return int(value)
+    if kind == "s":
+        return value
+    raise ParseError(f"malformed label token {token!r}")
+
+
+def _crc_line(body: str) -> str:
+    return f"crc {zlib.crc32(body.encode('utf-8')):08x}\n"
+
+
 def dump_snapshot(graph, stream) -> None:
     """Serialise ``graph`` (any Hypergraph/DynamicHypergraph) so that
     :func:`parse_snapshot` reconstructs a coordinate-identical
     :class:`DynamicHypergraph`.
 
-    Layout: the ``HGDSNAP 1`` header with the dynamic extras (version,
+    Layout: the ``HGDSNAP 2`` header with the dynamic extras (version,
     slot count, one ``d`` record per tombstone carrying the signature
-    it still occupies in the row layout), followed by an embedded
-    ``HGSTORE`` dump (:func:`~repro.hypergraph.persistence.dump_store`)
-    of the dense live content.
+    it still occupies in the row layout), the dense live graph (``v``,
+    one ``l`` per vertex, one ``el`` per edge of an edge-labelled
+    graph, one ``e`` per live edge in slot order) and a last ``crc``
+    line, the CRC32 of every byte before it.
     """
-    dynamic = (
-        graph
-        if isinstance(graph, DynamicHypergraph)
-        else DynamicHypergraph.from_hypergraph(graph)
-    )
-    stream.write(SNAPSHOT_MAGIC + "\n")
-    stream.write(f"version {dynamic.version}\n")
-    stream.write(f"slots {dynamic.num_slots}\n")
-    for slot in range(dynamic.num_slots):
-        if dynamic.slot_vertices(slot) is None:
-            tokens = " ".join(
-                _encode_label(part)
-                for part in dynamic._signatures[slot]
-            )
-            stream.write(f"d {slot} {tokens}\n")
-    # The embedded store is built with the deterministic merge backend:
-    # the on-disk posting lists are backend-neutral (parse_store
-    # materialises whichever backend the reader asks for).
-    dump_store(PartitionedStore(dynamic.to_hypergraph(), "merge"), stream)
+    dead, edges, edge_labels = [], [], []
+    labelled = graph.is_edge_labelled
+    for slot in range(graph.num_slots):
+        vertices = graph.slot_vertices(slot)
+        if vertices is None:
+            tokens = " ".join(map(_encode_label, graph._signatures[slot]))
+            dead.append(f"d {slot} {tokens}\n")
+            continue
+        if labelled:
+            label = _encode_label(graph.edge_label(slot))
+            edge_labels.append(f"el {len(edges)} {label}\n")
+        edges.append("e " + " ".join(map(str, sorted(vertices))) + "\n")
+    labels = [
+        f"l {vertex} {_encode_label(label)}\n"
+        for vertex, label in enumerate(graph.labels)
+    ]
+    body = "".join([
+        f"{SNAPSHOT_MAGIC}\nversion {graph.version}\nslots {graph.num_slots}\n",
+        *dead, f"v {graph.num_vertices}\n", *labels, *edge_labels, *edges,
+    ])
+    stream.write(body + _crc_line(body))
 
 
 def parse_snapshot(stream, source: str = "snapshot") -> DynamicHypergraph:
     """Reconstruct the dynamic graph a snapshot froze.
 
-    Raises :class:`~repro.errors.JournalCorruption` on any structural
-    or parse failure — a snapshot is all-or-nothing (it is written to a
-    temp file and atomically renamed, so a damaged one is corruption,
-    never an expected torn state).
+    Raises :class:`~repro.errors.JournalCorruption` on any damage — a
+    missing or wrong ``crc``, an unknown or malformed record, a vertex
+    with no label, two labels or an id out of range: a snapshot is
+    all-or-nothing (it is written to a temp file and atomically
+    renamed, so a damaged one is corruption, never an expected torn
+    state).  A ``HGDSNAP 1`` snapshot, which carried no crc but an
+    ``HGSTORE`` index dump after the same graph records, is read too:
+    its index records are skipped, and only counted, so that one cut
+    short is still refused.
     """
-    text = stream.read()
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != SNAPSHOT_MAGIC:
-        raise JournalCorruption(
-            f"{source} is not a graph snapshot (header "
-            f"{lines[0]!r} != {SNAPSHOT_MAGIC!r})"
-            if lines
-            else f"{source} is empty"
-        )
-    version: "int | None" = None
-    num_slots: "int | None" = None
-    dead: Dict[int, Tuple[object, ...]] = {}
-    store_start: "int | None" = None
     try:
-        for line_no, raw in enumerate(lines[1:], start=2):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if parts[0] == "version":
-                version = int(parts[1])
-            elif parts[0] == "slots":
-                num_slots = int(parts[1])
-            elif parts[0] == "d":
-                dead[int(parts[1])] = tuple(
-                    _decode_label(token) for token in parts[2:]
-                )
-            else:
-                store_start = line_no - 1
-                break
-    except (IndexError, ValueError, ParseError) as exc:
+        text = stream.read()
+    except UnicodeDecodeError as exc:
+        raise JournalCorruption(f"{source} is not UTF-8 text ({exc})") from None
+    header = text.partition("\n")[0]
+    if header == SNAPSHOT_MAGIC:
+        cut = text.rfind("\n", 0, len(text) - 1) + 1
+        if text[cut:] != _crc_line(text[:cut]):
+            raise JournalCorruption(
+                f"{source}: snapshot fails its crc (cut short or damaged)"
+            )
+        text = text[:cut]
+    elif header != SNAPSHOT_MAGIC_V1:
         raise JournalCorruption(
-            f"{source}: malformed snapshot header record ({exc})"
-        ) from None
-    if version is None or num_slots is None or store_start is None:
-        raise JournalCorruption(
-            f"{source}: snapshot header is missing its version/slots "
-            f"records or the embedded store"
+            f"{source} is not a graph snapshot (header {header!r} != "
+            f"{SNAPSHOT_MAGIC!r})"
         )
-    try:
-        store = parse_store(
-            io.StringIO("\n".join(lines[store_start:]) + "\n"),
-            index_backend="merge",
+    try:  # the last line is what follows the last newline: nothing
+        return _parse_records(
+            text.split("\n")[1:-1], header == SNAPSHOT_MAGIC_V1
         )
-        return DynamicHypergraph.from_slot_state(
-            store.graph, num_slots=num_slots, dead=dead, version=version
-        )
-    except (ParseError, HypergraphError) as exc:
+    except (IndexError, KeyError, ValueError, ParseError, HypergraphError) as exc:
         raise JournalCorruption(
             f"{source}: snapshot fails its integrity checks ({exc})"
         ) from None
+
+
+def _parse_records(lines: List[str], v1: bool) -> DynamicHypergraph:
+    """The records after a snapshot's magic line, as a graph."""
+    labels: "List[object] | None" = None  # a vertex's is None until read
+    counts: Dict[str, int] = {}  # version, slots
+    dead: Dict[int, Tuple[object, ...]] = {}
+    edge_labels: Dict[int, object] = {}
+    edges: List[List[int]] = []
+    indexed_edges = postings = 0  # the v1 index records' totals
+    for line_no, line in enumerate(lines, start=2):
+        parts = line.split()
+        kind = parts[0] if parts else ""
+        if kind == "e":
+            edges.append(list(map(int, parts[1:])))
+        elif kind == "l" and len(parts) == 3 and labels is not None:
+            vertex = int(parts[1])
+            if not 0 <= vertex < len(labels) or labels[vertex] is not None:
+                raise ParseError(
+                    f"line {line_no}: vertex {vertex} is out of range or "
+                    f"labelled twice"
+                )
+            labels[vertex] = _decode_label(parts[2])
+        elif kind == "el" and len(parts) == 3:
+            edge_labels[int(parts[1])] = _decode_label(parts[2])
+        elif kind == "v" and len(parts) == 2 and labels is None:
+            labels = [None] * int(parts[1])
+        elif kind == "d":
+            dead[int(parts[1])] = tuple(map(_decode_label, parts[2:]))
+        elif kind in ("version", "slots") and len(parts) == 2:
+            counts[kind] = int(parts[1])
+        elif v1 and kind == "p":
+            indexed_edges += len(parts) - 1
+        elif v1 and kind == "i":
+            postings += len(parts) - 2
+        elif not (v1 and line == "HGSTORE 1"):
+            raise ParseError(f"line {line_no}: unknown record {line[:40]!r}")
+    if len(counts) < 2 or labels is None:
+        raise ParseError("missing its version, slots or v record")
+    if None in labels:
+        raise ParseError(f"vertex {labels.index(None)} has no label")
+    if v1 and (indexed_edges, postings) != (
+        len(edges), sum(map(len, edges))
+    ):
+        raise ParseError("the index records do not cover the edges")
+    ordered = [edge_labels[e] for e in range(len(edges))] if edge_labels else None
+    graph = Hypergraph(labels, edges, edge_labels=ordered)
+    if graph.num_edges != len(edges) or len(edge_labels) > len(edges):
+        raise ParseError("duplicate hyperedges or stray edge labels")
+    return DynamicHypergraph.from_slot_state(
+        graph, num_slots=counts["slots"], dead=dead, version=counts["version"]
+    )
 
 
 # ----------------------------------------------------------------------
@@ -407,7 +469,8 @@ class MutationJournal:
         for version in reversed(snapshots):
             path = self.snapshot_path(version)
             try:
-                with open(path, "r", encoding="utf-8") as stream:
+                # newline="": the crc covers the bytes as they lie.
+                with open(path, encoding="utf-8", newline="") as stream:
                     base = parse_snapshot(stream, source=path)
             except (OSError, JournalCorruption) as exc:
                 # An older snapshot plus a longer replay still recovers
@@ -563,7 +626,7 @@ class MutationJournal:
         path = self.snapshot_path(version)
         tmp = path + ".tmp"
         try:
-            with open(tmp, "w", encoding="utf-8") as stream:
+            with open(tmp, "w", encoding="utf-8", newline="") as stream:
                 dump_snapshot(graph, stream)
                 stream.flush()
                 os.fsync(stream.fileno())

@@ -91,20 +91,28 @@ logger = logging.getLogger("repro.parallel")
 #: noticing any of them.
 _TICK = 0.05
 
+#: The most the pump takes off one member's socket per round: under
+#: malloc's mmap threshold, as a 1 MiB buffer costs ~17 us per read.
+_RECV_BYTES = 1 << 16
+
 _JOB_REPLIES = (transport.MSG_LEVEL_REPLY, transport.MSG_QERROR)
 
 
 class _Member:
     """One live member connection of the pool."""
 
-    __slots__ = ("name", "address", "sock", "parts", "last_heard")
+    __slots__ = ("name", "address", "sock", "inbox", "parts", "last_heard")
 
     def __init__(self, name: int, address, sock) -> None:
         #: The ``shard_id`` the worker announced.
         self.name = name
         self.address = address
         self.sock = sock
-        #: When the pump last read a frame from it (a heartbeat counts).
+        #: Bytes the pump has read but not yet routed: at most the
+        #: start of one frame.
+        self.inbox = bytearray()
+        #: When the pump last read a whole frame from it (a heartbeat
+        #: counts; a partial frame does not).
         self.last_heard = time.monotonic()
         #: query id → FIFO of the parts awaiting replies on this
         #: connection (a drained FIFO is deleted, so an empty dict means
@@ -197,17 +205,8 @@ class _Pump(threading.Thread):
                 # stamp, however long this round's reads take.
                 now = time.monotonic()
                 for member in live:
-                    if member.sock not in readable:
-                        continue
-                    try:
-                        kind, body = transport.recv_frame(member.sock)
-                    except TransportError as exc:
-                        with pool._lock:
-                            pool._member_failed(member, str(exc))
-                        continue
-                    member.last_heard = time.monotonic()
-                    if kind != transport.MSG_HEARTBEAT:
-                        pool._route(member, kind, body)
+                    if member.sock in readable:
+                        self._read(member)
                 silent = [
                     m for m in live if now - m.last_heard > SILENCE_BUDGET
                 ]
@@ -224,6 +223,27 @@ class _Pump(threading.Thread):
                     return  # the pool hung up on the pipe: stopping
         finally:
             transport.close_quietly(self.wake_r)
+
+    def _read(self, member: _Member) -> None:
+        """Route every whole frame a ready member has sent.  One recv,
+        which select says will not block; a frame's missing rest waits
+        in the member's inbox for a later round, so a member stalled
+        mid-frame holds up no other and is failed on its silence."""
+        pool = self.pool
+        try:
+            chunk = member.sock.recv(_RECV_BYTES)
+            if not chunk:
+                raise TransportError("connection closed by peer")
+            member.inbox += chunk
+            for kind, body in transport.split_frames(member.inbox):
+                member.last_heard = time.monotonic()
+                if kind != transport.MSG_HEARTBEAT:
+                    pool._route(member, kind, body)
+                if member not in pool._members:
+                    return  # failed by its own frame: read no further
+        except (OSError, TransportError) as exc:
+            with pool._lock:
+                pool._member_failed(member, str(exc))
 
 
 class ShardPool:

@@ -85,7 +85,7 @@ from __future__ import annotations
 import pickle
 import socket
 import struct
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import TransportError
 
@@ -330,6 +330,21 @@ def recv_frame(sock: socket.socket) -> Tuple[int, bytes]:
     _validate_header(length, version, kind)
     rest = _recv_exact(sock, length - 2)
     return kind, rest
+
+
+def split_frames(buffer: bytearray) -> Iterator[Tuple[int, bytes]]:
+    """Take the whole frames off the front of ``buffer`` as ``(kind,
+    body)`` pairs, leaving a partial one in it: a reader that never
+    waits for the rest of a frame.  Each header goes through
+    :func:`_validate_header` as soon as its 6 bytes are in."""
+    while len(buffer) >= _HEADER.size:
+        length, version, kind = _HEADER.unpack_from(buffer)
+        _validate_header(length, version, kind)
+        if len(buffer) < 4 + length:
+            return
+        body = bytes(buffer[_HEADER.size:4 + length])
+        del buffer[:4 + length]
+        yield kind, body
 
 
 def send_pickle_frame(sock: socket.socket, kind: int, payload) -> None:

@@ -33,9 +33,10 @@ from repro.parallel import (
     LocalCluster,
     QueryChannel,
     ShardPool,
+    ShardWorker,
     spawn_local_cluster,
 )
-from repro.parallel import handshake
+from repro.parallel import handshake, transport
 from repro.parallel.chaos import ChaosSeveredError, ChaosSocket
 from repro.service import MatchService
 from repro.testing import make_random_instance
@@ -698,6 +699,100 @@ def test_a_slow_member_is_not_a_silent_one(chaos_instance, monkeypatch):
         assert drops == []
     finally:
         pool.close()
+        engine.close()
+
+
+class _StalledMidFrameWorker:
+    """A member that handshakes with a genuine HELLO, heartbeats, then
+    sends the first 3 bytes of a frame and no more, its connection up."""
+
+    def __init__(self, data, backend):
+        # A real worker lends its descriptor: the handshake must pass.
+        self._template = ShardWorker(data, 0, index_backend=backend)
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self.address = self._listener.getsockname()[:2]
+        self.stalled = threading.Event()
+        self._stop = threading.Event()
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self):
+        with self._listener:
+            conn, _ = self._listener.accept()
+        with conn:
+            conn.sendall(transport.encode_frame(
+                transport.MSG_HELLO, self._template._hello_body()
+            ))
+            heartbeat = transport.encode_frame(transport.MSG_HEARTBEAT)
+            for _ in range(3):
+                time.sleep(0.05)
+                conn.sendall(heartbeat)
+            conn.sendall(heartbeat[:3])
+            self.stalled.set()
+            conn.settimeout(0.1)
+            while not self._stop.is_set():
+                try:
+                    if not conn.recv(65536):
+                        return  # the coordinator hung up
+                except socket.timeout:
+                    continue
+                except OSError:
+                    return
+
+    def close(self):
+        self._stop.set()
+        self._thread.join(timeout=5.0)
+        self._template.close()
+
+
+def test_a_member_stalled_mid_frame_holds_up_no_other(
+    chaos_instance, monkeypatch
+):
+    """The pump reads each member without blocking on it: beside a
+    member stopped 3 bytes into a frame, a one-part query on the live
+    member is answered at once (a pump that waited for the rest of the
+    frame held every reply for the 600 s reply deadline), and the
+    stopped member is failed on its silence."""
+    data, query, expected = chaos_instance
+    backend = "bitset"
+    engine = HGMatch(data, index_backend=backend)
+    real = ShardWorker(data, 1, index_backend=backend)
+    real_address = real.bind()
+    threading.Thread(target=real.serve_forever, daemon=True).start()
+    stalled = _StalledMidFrameWorker(data, backend)
+    pool = ShardPool(
+        addresses=[real_address, stalled.address], index_backend=backend
+    )
+    # One part, to the earliest-joined member: the live one.
+    monkeypatch.setattr(ShardPool, "_parts", lambda pool: 1)
+    drops = _record_drops(monkeypatch)
+    outcome = {}
+
+    def run():
+        started = time.monotonic()
+        outcome["result"] = pool.run(engine, query)
+        outcome["seconds"] = time.monotonic() - started
+
+    try:
+        pool.ensure_open(engine)
+        assert stalled.stalled.wait(5.0)
+        time.sleep(0.05)  # the pump has the 3 bytes
+        runner = threading.Thread(target=run, daemon=True)
+        runner.start()
+        runner.join(timeout=10.0)
+        assert not runner.is_alive(), "the pump is held by the stalled member"
+        assert outcome["seconds"] < 1.0
+        assert outcome["result"].embeddings == expected["merge"]
+        assert [s.worker_id for s in outcome["result"].worker_stats] == [1]
+        deadline = time.monotonic() + 5.0
+        while not drops and time.monotonic() < deadline:
+            time.sleep(0.01)
+        (_, name, cause), = drops
+        assert name == 0 and "silent for" in cause, cause
+    finally:
+        pool.close()
+        stalled.close()
+        real.close()
         engine.close()
 
 

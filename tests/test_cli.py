@@ -86,19 +86,6 @@ class TestPlan:
         assert "PlanEstimate" in output
 
 
-class TestIndex:
-    def test_index_roundtrip(self, tmp_path, fig1_files):
-        data_path, _ = fig1_files
-        out_path = str(tmp_path / "fig1.hgstore")
-        code, output = run_cli("index", data_path, "--out", out_path)
-        assert code == 0
-        assert "3 partitions" in output
-        from repro.hypergraph import load_store as load_store_file
-
-        store = load_store_file(out_path)
-        assert store.num_partitions() == 3
-
-
 class TestMatch:
     def test_match_hgmatch(self, fig1_files):
         data_path, query_path = fig1_files

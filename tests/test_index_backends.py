@@ -5,7 +5,7 @@ tuples from ``generate_candidates`` at every step of every expansion,
 and identical embedding counts across the sequential, BFS and threaded
 engines.  Seeded random instances keep the corpus reproducible.  The
 adaptive backend additionally gets container-level unit tests (array ↔
-bitmask choices, chunking, persistence of representation decisions).
+bitmask choices, chunking, the same choices over a recovered graph).
 """
 
 from __future__ import annotations
@@ -26,7 +26,11 @@ from repro.hypergraph import (
     DEFAULT_INDEX_BACKEND,
     AdaptiveHyperedgeIndex,
     BitsetHyperedgeIndex,
+    DynamicHypergraph,
     InvertedHyperedgeIndex,
+    MutationBatch,
+    MutationJournal,
+    apply_batch,
     default_index_backend,
 )
 from repro.hypergraph.index import (
@@ -310,19 +314,26 @@ class TestAdaptiveContainers:
                 if len(extended) < plan.num_steps:
                     stack.append(extended)
 
-    def test_empty_posting_list_round_trips(self):
-        """A persisted ``i <vertex>`` record with zero postings must load
-        into every backend identically (regression: the adaptive
-        single-chunk fast path crashed on it)."""
-        from repro.hypergraph.index import index_from_postings
-
-        postings = {0: (10, 20), 5: ()}
+    def test_empty_posting_list_after_deleting_every_edge_of_a_vertex(self):
+        """Deleting every edge of a vertex in a partition leaves it no
+        postings there: every backend answers ``()``/0 and drops the
+        vertex, like a rebuild without those edges (regression: the
+        adaptive single-chunk fast path crashed on an empty list)."""
+        graph = DynamicHypergraph.from_hypergraph(
+            Hypergraph(["A", "A", "A"], [{0, 1}, {1, 2}, {0, 2}])
+        )
         for backend in ("merge",) + ALT_BACKENDS:
-            index = index_from_postings(backend, (10, 20, 30), postings)
-            assert index.postings(5) == ()
-            assert index.postings_count(5) == 0
-            assert index.postings(0) == (10, 20)
-            assert 5 in index
+            store = PartitionedStore(
+                DynamicHypergraph.from_hypergraph(graph),
+                index_backend=backend,
+            )
+            apply_batch(store, MutationBatch(deletes=[0, 2]))
+            (partition,) = store.partitions.values()
+            index = partition.index
+            assert index.postings(0) == ()
+            assert index.postings_count(0) == 0
+            assert 0 not in index
+            assert index.postings(1) == (1,)
 
     def test_container_pairwise_ops(self):
         """All four container-kind pairings of | and &."""
@@ -412,30 +423,47 @@ class TestStoreBackedFilters:
 
 
 class TestPersistenceRoundTrip:
-    @pytest.mark.parametrize("backend", ("merge",) + ALT_BACKENDS)
-    def test_store_loads_from_disk_into_any_backend(self, fig1_data, tmp_path, backend):
-        from repro.hypergraph import load_store, save_store, stores_equal
+    """A journal snapshot stores the graph, not its index: a store
+    built over the recovered graph, in any backend, is the store the
+    original had — tombstoned rows included, so the rows still line
+    up."""
 
-        store = PartitionedStore(fig1_data, index_backend=backend)
-        path = str(tmp_path / "fig1.hgstore")
-        save_store(store, path)
+    @staticmethod
+    def _recovered(graph, tmp_path):
+        MutationJournal(tmp_path).write_snapshot(graph)
+        return MutationJournal(tmp_path).recover().graph
+
+    @pytest.mark.parametrize("backend", ("merge",) + ALT_BACKENDS)
+    def test_store_loads_from_disk_into_any_backend(
+        self, fig1_data, tmp_path, backend
+    ):
+        graph = DynamicHypergraph.from_hypergraph(fig1_data)
+        graph.apply(MutationBatch(deletes=[0], inserts=[(0, 5)]))
+        store = PartitionedStore(graph, index_backend=backend)
+        recovered = self._recovered(graph, tmp_path)
         for target in ("merge",) + ALT_BACKENDS:
-            loaded = load_store(path, index_backend=target)
+            loaded = PartitionedStore(recovered, index_backend=target)
             assert loaded.index_backend == target
-            assert stores_equal(store, loaded)
+            assert set(loaded.partitions) == set(store.partitions)
+            for signature, partition in store.partitions.items():
+                other = loaded.partition(signature)
+                assert other.edge_ids == partition.edge_ids
+                for vertex in partition.index.vertices():
+                    assert other.index.postings(
+                        vertex
+                    ) == partition.index.postings(vertex)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_adaptive_container_choices_survive(self, seed, tmp_path):
-        """The array/bitmask decision per chunk is a pure function of the
-        posting lists, so a save/load round trip reproduces it exactly."""
-        from repro.hypergraph import load_store, save_store
-
+        """The array/bitmask decision per chunk is a pure function of
+        the rows, so the recovered graph's store makes the same ones."""
         data, _ = _instance(seed)
-        store = PartitionedStore(data, index_backend="adaptive")
-        path = str(tmp_path / "instance.hgstore")
-        save_store(store, path)
-        loaded = load_store(path, index_backend="adaptive")
-        assert loaded.index_backend == "adaptive"
+        graph = DynamicHypergraph.from_hypergraph(data)
+        graph.apply(MutationBatch(deletes=[0, data.num_edges - 1]))
+        store = PartitionedStore(graph, index_backend="adaptive")
+        loaded = PartitionedStore(
+            self._recovered(graph, tmp_path), index_backend="adaptive"
+        )
         for signature, partition in store.partitions.items():
             other = loaded.partition(signature)
             assert isinstance(other.index, AdaptiveHyperedgeIndex)

@@ -18,6 +18,7 @@ Pins the crash-consistency contracts:
   longest committed prefix.
 """
 
+import io
 import json
 import os
 import random
@@ -44,6 +45,8 @@ from repro.testing import (
     random_mutation_schedule,
     run_crash_recovery_oracle,
 )
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 def small_graph():
@@ -194,6 +197,79 @@ class TestSnapshot:
             parse_snapshot(io.StringIO(text[: len(text) // 2]))
 
 
+    @staticmethod
+    def snapshot_bytes(version="v2"):
+        name = "fig1_batch.snap" if version == "v2" else "fig1_batch_v1.snap"
+        with open(os.path.join(DATA, name), "rb") as stream:
+            return stream.read()
+
+    @staticmethod
+    def parse_bytes(data):
+        """Parse raw bytes the way recovery opens a snapshot file."""
+        return parse_snapshot(
+            io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
+        )
+
+    def test_a_cut_at_any_byte_is_corruption(self):
+        """The crc line comes last: a v2 snapshot cut anywhere — inside
+        its edges too, where the rest would parse as a smaller graph —
+        is refused."""
+        data = self.snapshot_bytes()
+        for cut in range(len(data)):
+            with pytest.raises(JournalCorruption):
+                self.parse_bytes(data[:cut])
+
+    def test_a_v1_snapshot_cut_anywhere_is_corruption(self):
+        """A v1 snapshot has no crc; its index records, counted though
+        not read, refuse one cut short."""
+        data = self.snapshot_bytes("v1")
+        self.parse_bytes(data)
+        for cut in range(len(data)):
+            with pytest.raises(JournalCorruption):
+                self.parse_bytes(data[:cut])
+
+    @pytest.mark.parametrize("flip", [0x01, 0x80])
+    def test_a_flipped_byte_is_corruption(self, flip):
+        """Any one byte changed is refused: its crc (or its UTF-8) no
+        longer holds.  In an ``e`` line such a flip can name another
+        vertex of the same label — a graph the v1 format's index
+        checks accepted."""
+        data = self.snapshot_bytes()
+        for position in range(len(data)):
+            damaged = bytearray(data)
+            damaged[position] ^= flip
+            with pytest.raises(JournalCorruption):
+                self.parse_bytes(bytes(damaged))
+        # The e-line case, spelled out: vertex 2 -> vertex 3 (both A).
+        text = data.decode("utf-8")
+        assert "\ne 0 1 2\n" in text
+        swapped = text.replace("\ne 0 1 2\n", "\ne 0 1 3\n")
+        with pytest.raises(JournalCorruption, match="crc"):
+            parse_snapshot(io.StringIO(swapped))
+
+    def test_v1_and_v2_goldens_recover_the_same_coordinates(self, tmp_path):
+        """A journal directory written before the crc line recovers
+        from its v1 snapshot exactly as from the v2 one: same
+        fingerprint, slots, version and next edge id."""
+        states = []
+        for version in ("v1", "v2"):
+            directory = tmp_path / version
+            directory.mkdir()
+            (directory / "snapshot-000000000001.snap").write_bytes(
+                self.snapshot_bytes(version)
+            )
+            state = MutationJournal(str(directory)).recover()
+            assert (state.version, state.snapshot_version) == (1, 1)
+            follow_up = MutationBatch(inserts=[(1, 3)])
+            states.append((
+                graph_fingerprint(state.graph),
+                state.graph.num_slots,
+                [m.edge_id for m in state.graph.apply(follow_up).inserted],
+            ))
+        assert states[0] == states[1]
+        assert states[0][1:] == (8, [8])
+
+
 # ---------------------------------------------------------------------------
 # MutationJournal lifecycle
 # ---------------------------------------------------------------------------
@@ -241,6 +317,33 @@ class TestMutationJournal:
         assert recovered is not None
         assert recovered.version == graph.version
         assert recovered.snapshot_version < newest
+        assert graph_fingerprint(recovered.graph) == graph_fingerprint(graph)
+
+    def test_recover_falls_back_past_a_flipped_byte(self, tmp_path):
+        """The newest snapshot with one byte changed in an edge fails
+        its crc, so recovery takes the one before it and replays
+        further — never a wrong graph."""
+        graph = DynamicHypergraph.from_hypergraph(small_graph())
+        journal = MutationJournal(
+            str(tmp_path / "wal"), fsync="never", snapshot_interval=1
+        )
+        journal.attach(graph)
+        for batch in sample_batches():
+            result = graph.apply(batch)
+            journal.append(result.version, batch)
+            journal.maybe_snapshot(graph)
+        journal.close()
+        newest = journal.snapshot_path(journal.snapshot_versions()[-1])
+        with open(newest, "rb") as stream:
+            data = bytearray(stream.read())
+        position = data.rindex(b"\ne ") + 3
+        data[position] ^= 0x01
+        with open(newest, "wb") as stream:
+            stream.write(data)
+
+        recovered = MutationJournal(str(tmp_path / "wal")).recover()
+        assert recovered.version == graph.version
+        assert recovered.replayed == 1
         assert graph_fingerprint(recovered.graph) == graph_fingerprint(graph)
 
     def test_attach_truncates_torn_tail_and_resumes(self, tmp_path):

@@ -478,8 +478,8 @@ def test_retired_kinds_end_the_session_and_the_worker_serves_on(
 
 
 def test_the_pump_is_the_only_reader_of_member_sockets():
-    """Structural: inside ``pool.py`` nothing but ``_Pump.run`` reads a
-    frame — a commit sends its CATCHUP and reads nothing, and no
+    """Structural: inside ``pool.py`` nothing but the ``_Pump`` reads a
+    socket or a frame — a commit sends its CATCHUP and reads nothing, and no
     membership change takes the receive direction over from the pump
     (a newcomer's handshake is read in ``handshake.py``, before the
     pump ever sees its socket)."""
@@ -498,13 +498,13 @@ def test_the_pump_is_the_only_reader_of_member_sockets():
             if (
                 isinstance(child, ast.Call)
                 and isinstance(child.func, ast.Attribute)
-                and child.func.attr == "recv_frame"
+                and child.func.attr in ("recv", "recv_frame", "split_frames")
             ):
                 readers.append(".".join(where))
             visit(child, where)
 
     visit(ast.parse(inspect.getsource(pool)), ())
-    assert readers == ["_Pump.run"]
+    assert sorted(set(readers)) == ["_Pump._read", "_Pump.run"]
 
 
 def test_close_between_sessions_stops_serve_forever_cleanly(
@@ -598,7 +598,7 @@ def test_truncated_accounting_tail_is_a_typed_failure(
     try:
         expected = engine.count(query)
         assert executor.run(engine, query).embeddings == expected
-        real, original = transport.recv_frame, QueryChannel._send_parts
+        real, original = transport.split_frames, QueryChannel._send_parts
         state = {"armed": False, "fired": False}
 
         def send_parts(channel, *args):
@@ -606,18 +606,19 @@ def test_truncated_accounting_tail_is_a_typed_failure(
             state["armed"] = not state["fired"]
             original(channel, *args)
 
-        def recv_frame(sock):
-            kind, body = real(sock)
-            if state["armed"] and kind == transport.MSG_LEVEL_REPLY:
-                state["armed"], state["fired"] = False, True
-                query_id, _reply = transport.split_query_body(body)
-                body = transport.encode_query_body(
-                    query_id,
-                    transport.encode_level_reply(None, 0, b"x")[:-1] + tail,
-                )
-            return kind, body
+        def split_frames(buffer):
+            for kind, body in real(buffer):
+                if state["armed"] and kind == transport.MSG_LEVEL_REPLY:
+                    state["armed"], state["fired"] = False, True
+                    query_id, _reply = transport.split_query_body(body)
+                    body = transport.encode_query_body(
+                        query_id,
+                        transport.encode_level_reply(None, 0, b"x")[:-1]
+                        + tail,
+                    )
+                yield kind, body
 
-        monkeypatch.setattr(transport, "recv_frame", recv_frame)
+        monkeypatch.setattr(transport, "split_frames", split_frames)
         monkeypatch.setattr(QueryChannel, "_send_parts", send_parts)
         with pytest.raises(SchedulerError, match="undecodable reply"):
             executor.run(engine, query)

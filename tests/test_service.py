@@ -213,21 +213,21 @@ def test_channel_plugs_into_the_executor_surface(service_instance):
 
 
 def _rewrite_next_reply(monkeypatch, rewrite):
-    """Pass the next REPLY frame this process receives through
+    """Pass the next REPLY frame the pool's pump receives through
     ``rewrite(query_id, reply_body) -> (kind, body)``; one shot."""
     from repro.parallel import transport
 
-    real = transport.recv_frame
+    real = transport.split_frames
     armed = [True]
 
-    def recv_frame(sock):
-        kind, body = real(sock)
-        if armed and kind == transport.MSG_LEVEL_REPLY:
-            armed.clear()
-            return rewrite(*transport.split_query_body(body))
-        return kind, body
+    def split_frames(buffer):
+        for kind, body in real(buffer):
+            if armed and kind == transport.MSG_LEVEL_REPLY:
+                armed.clear()
+                kind, body = rewrite(*transport.split_query_body(body))
+            yield kind, body
 
-    monkeypatch.setattr(transport, "recv_frame", recv_frame)
+    monkeypatch.setattr(transport, "split_frames", split_frames)
     return armed
 
 
@@ -622,8 +622,9 @@ def test_engine_close_drains_its_match_service(service_instance):
 #: discovered), the constructor's arguments (``serve-match`` flags) set
 #: the journal, a registration's callback delivers its deltas, the
 #: busy hint is a constant, a worker session ends when its connection
-#: closes, and the heartbeat's silence rule and the one reply deadline
-#: (constants both) bound every wait on a worker.
+#: closes, the heartbeat's silence rule and the one reply deadline
+#: (constants both) bound every wait on a worker, and a graph goes to
+#: disk only as a journal snapshot (its index is built in memory).
 RETIRED_SURFACES = (
     "HGMatch.match_service",
     "HGMatch.pool(registry=)",
@@ -643,7 +644,20 @@ RETIRED_SURFACES = (
     "ShardPool(retry=)",
     "ShardWorker(io_timeout=)",
     "MatchService(io_timeout=)",
+    "repro.hypergraph.load_store",
+    "repro.hypergraph.save_store",
+    "repro.hypergraph.stores_equal",
+    "repro.hypergraph.index_from_postings",
+    "repro index",
 )
+
+#: The command line of each retired CLI spelling.
+RETIRED_ARGV = {
+    "serve-shard --announce": [
+        "serve-shard", "HB", "--shard-id", "0", "--announce", "h:1"
+    ],
+    "repro index": ["index", "HB", "--out", "HB.hgstore"],
+}
 
 
 @pytest.mark.parametrize("surface", RETIRED_SURFACES)
@@ -658,6 +672,17 @@ def test_retired_service_surface_stays_gone(surface, monkeypatch, tmp_path):
         ).parameters
     elif surface.startswith("StandingQuery."):
         assert not hasattr(StandingQuery, surface.split(".")[1])
+    elif surface.startswith("repro.hypergraph."):
+        import importlib
+
+        import repro.hypergraph
+        from repro.hypergraph import index
+
+        name = surface.rsplit(".", 1)[1]
+        assert not hasattr(repro.hypergraph, name)
+        assert not hasattr(index, name)
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.hypergraph.persistence")
     elif surface.startswith("repro.parallel."):
         import repro.parallel
 
@@ -681,13 +706,11 @@ def test_retired_service_surface_stays_gone(surface, monkeypatch, tmp_path):
         from repro.parallel import transport
 
         assert not hasattr(transport, surface.split(".")[1])
-    elif surface == "serve-shard --announce":
+    elif surface in RETIRED_ARGV:
         from repro.cli import build_parser
 
         with pytest.raises(SystemExit) as exit_info:
-            build_parser().parse_args(
-                ["serve-shard", "HB", "--shard-id", "0", "--announce", "h:1"]
-            )
+            build_parser().parse_args(RETIRED_ARGV[surface])
         assert exit_info.value.code == 2
     else:
         for name, value in (
