@@ -50,10 +50,11 @@ test-chaos:
 	$(PYTHON) -m pytest -x -q tests/test_chaos.py tests/test_net_executor.py \
 		tests/test_subtree_jobs.py
 
-## Elastic-runtime smoke: supervised restart under a retry budget (a
-## restart keeps its port, so a fixed-address pool reaches it), and
-## live grow/shrink of the pool (admit/drain, silence-detected mid-job
-## failover).
+## Elastic-runtime smoke: restarts under the cluster's one restart
+## policy (a budget and backoff per slot; a restart keeps its port, so a
+## fixed-address pool reaches it; a worker dying on every job costs a
+## bounded number of respawns), and live grow/shrink of the pool
+## (admit/drain, silence-detected mid-job failover).
 test-elastic:
 	$(PYTHON) -m pytest -x -q tests/test_supervisor.py tests/test_elastic.py
 
@@ -120,11 +121,12 @@ bench-chaos:
 	$(PYTHON) benchmarks/bench_chaos.py
 
 ## Elastic reconfiguration gate: grow a pool mid-lifetime,
-## lose-and-readmit a member, restart a supervised worker within the
-## retry budget, and drop a stopped worker on missed heartbeats —
-## all with bit-identical counts on every backend (regenerates
-## BENCH_elastic.json; reconfiguration wall-clock recorded, not
-## gated).
+## lose-and-readmit a member, restart a killed worker under the
+## cluster's restart policy, drop a stopped worker on missed heartbeats
+## and hold a member dying on every job to the restart budget — all
+## with bit-identical counts on every backend (regenerates
+## BENCH_elastic.json; reconfiguration wall-clock and the crash loop's
+## respawns and query p50 recorded).
 bench-elastic:
 	$(PYTHON) benchmarks/bench_elastic.py
 

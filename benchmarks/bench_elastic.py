@@ -11,9 +11,14 @@ lifetime, and every reconfiguration must be invisible in the counts:
 * **readmit parity** — a pool that *lost* a member (killed process),
   served degraded, and folded a respawned worker back in with
   ``admit`` must also match exactly;
-* **supervised restart** — a supervised worker killed out from under
-  the pool is restarted by :class:`WorkerSupervisor` within the retry
-  budget, and the restarted pool serves bit-identical counts;
+* **supervised restart** — a worker killed out from under the pool is
+  restarted by its cluster's poll (:meth:`LocalCluster.restart_due`,
+  the loop behind ``repro supervise``) within the restart policy, and
+  the restarted pool serves bit-identical counts;
+* **crash loop** — a member of an owned pool that dies on every job
+  costs at most ``RESTART_BUDGET`` respawns over :data:`CRASH_QUERIES`
+  queries (the cluster's policy, not one restart per query), and every
+  count stays exact on the survivor;
 * **heartbeat failover** — a worker severed-but-connected (SIGSTOP:
   the TCP connection stays up, its heartbeats stop) is dropped by the
   pool's pump once silent for the heartbeat budget, and the job fails
@@ -21,8 +26,9 @@ lifetime, and every reconfiguration must be invisible in the counts:
   the reply deadline; the job never wedges.
 
 Reconfiguration wall-clock (admit, drain, restart, silence-to-
-completion) is *recorded* for trend-watching, not gated — on shared CI
-hosts those costs are noise-dominated.
+completion, the crash loop's query p50) is *recorded* for
+trend-watching, not gated — on shared CI hosts those costs are
+noise-dominated.
 
 Results land in ``BENCH_elastic.json`` at the repo root.  Run
 standalone (``python benchmarks/bench_elastic.py``) or via pytest; the
@@ -46,13 +52,13 @@ from repro.bench import (
 )
 from repro.datasets import load_dataset
 from repro.parallel import (
+    LocalCluster,
     ShardPool,
     ShardWorker,
-    WorkerSupervisor,
     handshake,
     spawn_local_cluster,
 )
-from repro.parallel.tasks import RetryPolicy
+from repro.parallel.cluster import RESTART_BUDGET
 from repro.parallel.worker import HEARTBEAT_INTERVAL, MISS_BUDGET
 
 BACKENDS = ("merge", "bitset", "adaptive")
@@ -62,9 +68,10 @@ NUM_QUERIES = 3
 #: (0.3 s) plus the queries themselves, far below the reply deadline —
 #: the whole point of heartbeats is not waiting it out.
 FAILOVER_BUDGET = 2.0
-#: Supervisor restart must land within the (jittered) retry schedule.
-RESTART_RETRY = RetryPolicy(attempts=3, base_delay=0.1, max_delay=0.5)
+#: A killed worker's restart must land within this.
 RESTART_BUDGET_S = 20.0
+#: Queries the crash-looping member is offered a job in.
+CRASH_QUERIES = 30
 
 RESULT_PATH = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -205,31 +212,29 @@ def _bench_readmit(engine, backend, queries, expected, failures):
 
 
 def _bench_supervised_restart(engine, queries, expected, failures):
-    """Kill a supervised worker; the supervisor must bring it back
-    within the retry budget and the pool must keep exact counts."""
+    """Kill a worker; the cluster's poll must bring it back within the
+    restart policy and the pool must keep exact counts."""
     backend = "bitset"
     row = {"backend": backend}
-    supervisor = WorkerSupervisor(
-        engine.data, NUM_SHARDS, index_backend=backend,
-        retry=RESTART_RETRY,
-    )
-    with supervisor:
-        supervisor.cluster.kill_member(0)
+    with spawn_local_cluster(
+        engine.data, NUM_SHARDS, index_backend=backend
+    ) as cluster:
+        cluster.kill_member(0)
         started = time.perf_counter()
-        deadline = started + RESTART_BUDGET_S
+        deadline = time.monotonic() + RESTART_BUDGET_S
         restarts = 0
         while restarts == 0 and time.monotonic() < deadline:
-            restarts = supervisor.poll()
+            restarts = cluster.restart_due()
             time.sleep(0.02)
         row["restart_seconds"] = time.perf_counter() - started
         if restarts == 0:
             failures.append(
-                f"supervisor did not restart the killed worker within "
+                f"the cluster did not restart the killed worker within "
                 f"{RESTART_BUDGET_S}s"
             )
             return row
         executor = ShardPool(
-            addresses=supervisor.addresses, index_backend=backend,
+            addresses=cluster.addresses, index_backend=backend,
         )
         try:
             restarted_counts = _run_all(executor, engine, queries)
@@ -237,8 +242,64 @@ def _bench_supervised_restart(engine, queries, expected, failures):
             executor.close()
     if restarted_counts != expected:
         failures.append(
-            f"restarted supervised pool returned {restarted_counts}, "
+            f"restarted pool returned {restarted_counts}, "
             f"sequential {expected}"
+        )
+    return row
+
+
+def _crash_on_member_1(serve_subtree):
+    """A SUBTREE handler under which member 1 exits on every job."""
+
+    def serve(worker, conn, body):
+        if worker.shard_id == 1:
+            os._exit(1)
+        return serve_subtree(worker, conn, body)
+
+    return serve
+
+
+def _bench_crash_loop(engine, queries, expected, failures):
+    """An owned two-member pool whose member 1 dies on every job: the
+    cluster's restart policy bounds its respawns, and member 0 keeps
+    every count exact."""
+    backend = "bitset"
+    row = {"backend": backend, "queries": CRASH_QUERIES}
+    respawns = []
+    serve_subtree, respawn = ShardWorker._serve_subtree, LocalCluster.respawn
+
+    def counted_respawn(cluster, shard_id):
+        address = respawn(cluster, shard_id)
+        respawns.append(shard_id)
+        return address
+
+    # Workers fork from here, so the patched handler rides along.
+    ShardWorker._serve_subtree = _crash_on_member_1(serve_subtree)
+    LocalCluster.respawn = counted_respawn
+    executor = ShardPool(num_shards=NUM_SHARDS, index_backend=backend)
+    latencies, counts = [], []
+    try:
+        for index in range(CRASH_QUERIES):
+            query = queries[index % len(queries)]
+            started = time.perf_counter()
+            counts.append(executor.run(engine, query).embeddings)
+            latencies.append(time.perf_counter() - started)
+    finally:
+        executor.close()
+        ShardWorker._serve_subtree = serve_subtree
+        LocalCluster.respawn = respawn
+    latencies.sort()
+    row["respawns"] = len(respawns)
+    row["query_ms_p50"] = 1000.0 * latencies[len(latencies) // 2]
+    wanted = [expected[i % len(expected)] for i in range(CRASH_QUERIES)]
+    if counts != wanted:
+        failures.append(
+            f"crash-looping pool returned {counts}, sequential {wanted}"
+        )
+    if len(respawns) > RESTART_BUDGET:
+        failures.append(
+            f"a member dying on every job cost {len(respawns)} respawns "
+            f"in {CRASH_QUERIES} queries (budget {RESTART_BUDGET})"
         )
     return row
 
@@ -338,6 +399,7 @@ def run_benchmark() -> dict:
         failover_row = _bench_heartbeat_failover(
             engine, queries, expected, failures
         )
+        crash_row = _bench_crash_loop(engine, queries, expected, failures)
     finally:
         engine.close()
 
@@ -361,6 +423,10 @@ def run_benchmark() -> dict:
         "heartbeat_failover": {
             key: round(value, 6) if isinstance(value, float) else value
             for key, value in failover_row.items()
+        },
+        "crash_loop": {
+            key: round(value, 6) if isinstance(value, float) else value
+            for key, value in crash_row.items()
         },
     }
 
@@ -386,9 +452,10 @@ def summary():
 
 
 def test_elastic_reconfiguration_keeps_counts_bit_identical(summary):
-    """Grown, drained, readmitted, restarted and silence-failed-over
-    pools must all match the sequential counts exactly, and neither
-    restart nor failover may blow its time budget."""
+    """Grown, drained, readmitted, restarted, silence-failed-over and
+    crash-looping pools must all match the sequential counts exactly,
+    neither restart nor failover may blow its time budget, and a member
+    dying on every job costs at most the restart budget."""
     assert summary["failures"] == []
 
 
@@ -399,6 +466,7 @@ def test_every_backend_ran_every_reconfiguration(summary):
         assert row["readmit_seconds"] > 0
     assert summary["supervised_restart"]["restart_seconds"] > 0
     assert summary["heartbeat_failover"]["failover_seconds"] > 0
+    assert summary["crash_loop"]["respawns"] >= 1
 
 
 def main() -> int:
@@ -415,7 +483,9 @@ def main() -> int:
         f"supervised restart: "
         f"{result['supervised_restart']['restart_seconds']:.4f}s; "
         f"heartbeat failover: "
-        f"{result['heartbeat_failover']['failover_seconds']:.4f}s"
+        f"{result['heartbeat_failover']['failover_seconds']:.4f}s; "
+        f"crash loop: {result['crash_loop']['respawns']} respawn(s), "
+        f"p50 {result['crash_loop']['query_ms_p50']:.2f}ms"
     )
     status = "OK" if not result["failures"] else "FAIL"
     print(f"cores={result['cores']} {status} -> {path}")

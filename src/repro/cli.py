@@ -24,7 +24,7 @@ Commands
     Send one query to a running ``serve-match`` daemon.
 ``supervise``
     Boot and babysit a local shard-worker pool: restart crashed
-    workers under a retry budget, each on its slot's port
+    workers under the cluster's restart policy, each on its slot's port
     (``docs/ARCHITECTURE.md``, "Elastic runtime & operations").
 
 Data and query files use the native ``.hg`` text format
@@ -35,6 +35,7 @@ Data and query files use the native ``.hg`` text format
 from __future__ import annotations
 
 import argparse
+import math
 import random
 import sys
 import time
@@ -284,9 +285,10 @@ def build_parser() -> argparse.ArgumentParser:
     supervise = commands.add_parser(
         "supervise",
         help="boot and babysit a local shard-worker pool: restart "
-        "crashed workers under a jittered-backoff retry budget, "
-        "degrade to fewer workers when a slot exhausts it "
-        "(docs/ARCHITECTURE.md, 'Elastic runtime & operations')",
+        "crashed workers under the cluster's restart policy (3 per "
+        "slot, jittered backoff), degrade to fewer workers when a slot "
+        "exhausts it (docs/ARCHITECTURE.md, 'Elastic runtime & "
+        "operations')",
     )
     supervise.add_argument("source", help="dataset name or .hg path")
     supervise.add_argument(
@@ -298,18 +300,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="posting-list representation the workers build",
     )
     supervise.add_argument(
-        "--restart-budget", type=int, default=3,
-        help="restarts granted to each worker slot before it is "
-        "abandoned and the pool degrades (default 3)",
-    )
-    supervise.add_argument(
         "--duration", type=float, default=None,
         help="supervise for this many seconds, then exit cleanly "
         "(default: until Ctrl-C; smoke tests use a short duration)",
-    )
-    supervise.add_argument(
-        "--poll-interval", type=float, default=0.2,
-        help="seconds between supervision health checks (default 0.2)",
     )
     return parser
 
@@ -601,39 +594,39 @@ def _cmd_query(args, out) -> int:
 
 
 def _cmd_supervise(args, out) -> int:
-    from .parallel.supervisor import WorkerSupervisor
+    from .parallel.cluster import RESTART_BUDGET, spawn_local_cluster
+    from .parallel.worker import HEARTBEAT_INTERVAL
 
     if args.num_shards < 1:
         out.write("error: --num-shards must be >= 1\n")
         return 1
-    if args.restart_budget < 0:
-        out.write("error: --restart-budget must be >= 0\n")
-        return 1
     graph = _load_graph(args.source)
-    supervisor = WorkerSupervisor(
-        graph,
-        args.num_shards,
-        index_backend=args.index_backend,
-        restart_budget=args.restart_budget,
-    )
-    with supervisor:
-        for slot in supervisor.status():
-            host, port = slot.address
+    with spawn_local_cluster(
+        graph, args.num_shards, args.index_backend
+    ) as cluster:
+        for shard_id, (host, port) in enumerate(cluster.addresses):
             out.write(
-                f"shard {slot.shard_id} on {host}:{port} "
-                f"(pid {slot.pid})\n"
+                f"shard {shard_id} on {host}:{port} "
+                f"(pid {cluster.processes[shard_id].pid})\n"
             )
         out.write(
             f"supervising {args.num_shards} worker(s); restart "
-            f"budget {args.restart_budget} per slot\n"
+            f"budget {RESTART_BUDGET} per slot\n"
         )
         if hasattr(out, "flush"):
             out.flush()  # wrappers read the roster before poking us
-        restarts = supervisor.run_forever(
-            duration=args.duration,
-            poll_interval=args.poll_interval,
+        deadline = (
+            math.inf if args.duration is None
+            else time.monotonic() + args.duration
         )
-        live = supervisor.live_count()
+        restarts = 0
+        try:
+            while time.monotonic() < deadline:
+                restarts += cluster.restart_due()
+                time.sleep(min(HEARTBEAT_INTERVAL, cluster.next_restart_in()))
+        except KeyboardInterrupt:  # pragma: no cover - interactive stop
+            pass
+        live = sum(process.is_alive() for process in cluster.processes)
         out.write(
             f"supervision ended: {restarts} restart(s), "
             f"{live} worker(s) live\n"

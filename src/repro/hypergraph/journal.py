@@ -25,7 +25,8 @@ kinds of artefact:
     rather than full replay.  It stores the graph, not its index (a
     reader builds whichever index it wants): the tombstone/edge-id state
     of the :class:`~repro.hypergraph.dynamic.DynamicHypergraph` (the
-    version, the slot count, dead slot ids with their signatures), then
+    version, the slot count, an ``edge-labelled`` line for an
+    edge-labelled graph, dead slot ids with their signatures), then
     the dense live content as ``v``/``l``/``el``/``e`` records with
     typed labels, then a ``crc`` line over every byte before it — which
     together reconstruct a *coordinate-identical* graph: same rows,
@@ -68,6 +69,10 @@ SNAPSHOT_MAGIC = "HGDSNAP 2"
 
 #: First line of a snapshot written before the crc line: still read.
 SNAPSHOT_MAGIC_V1 = "HGDSNAP 1"
+
+#: The snapshot line that marks an edge-labelled graph; written only for
+#: one, so an unlabelled graph's snapshot bytes are what they were.
+EDGE_LABELLED = "edge-labelled"
 
 #: ``u32 length | u32 crc32`` — the per-record header, little-endian.
 RECORD_HEADER = struct.Struct("<II")
@@ -247,8 +252,10 @@ def dump_snapshot(graph, stream) -> None:
     :class:`DynamicHypergraph`.
 
     Layout: the ``HGDSNAP 2`` header with the dynamic extras (version,
-    slot count, one ``d`` record per tombstone carrying the signature
-    it still occupies in the row layout), the dense live graph (``v``,
+    slot count, an ``edge-labelled`` line only for an edge-labelled
+    graph — so one whose every edge is a tombstone stays labelled —,
+    one ``d`` record per tombstone carrying the signature it still
+    occupies in the row layout), the dense live graph (``v``,
     one ``l`` per vertex, one ``el`` per edge of an edge-labelled
     graph, one ``e`` per live edge in slot order) and a last ``crc``
     line, the CRC32 of every byte before it.
@@ -271,6 +278,7 @@ def dump_snapshot(graph, stream) -> None:
     ]
     body = "".join([
         f"{SNAPSHOT_MAGIC}\nversion {graph.version}\nslots {graph.num_slots}\n",
+        EDGE_LABELLED + "\n" if labelled else "",
         *dead, f"v {graph.num_vertices}\n", *labels, *edge_labels, *edges,
     ])
     stream.write(body + _crc_line(body))
@@ -322,6 +330,7 @@ def _parse_records(lines: List[str], v1: bool) -> DynamicHypergraph:
     counts: Dict[str, int] = {}  # version, slots
     dead: Dict[int, Tuple[object, ...]] = {}
     edge_labels: Dict[int, object] = {}
+    labelled = False  # an edge-labelled graph says so (v1: its el records)
     edges: List[List[int]] = []
     indexed_edges = postings = 0  # the v1 index records' totals
     for line_no, line in enumerate(lines, start=2):
@@ -345,6 +354,8 @@ def _parse_records(lines: List[str], v1: bool) -> DynamicHypergraph:
             dead[int(parts[1])] = tuple(map(_decode_label, parts[2:]))
         elif kind in ("version", "slots") and len(parts) == 2:
             counts[kind] = int(parts[1])
+        elif line == EDGE_LABELLED and not v1:
+            labelled = True
         elif v1 and kind == "p":
             indexed_edges += len(parts) - 1
         elif v1 and kind == "i":
@@ -359,7 +370,8 @@ def _parse_records(lines: List[str], v1: bool) -> DynamicHypergraph:
         len(edges), sum(map(len, edges))
     ):
         raise ParseError("the index records do not cover the edges")
-    ordered = [edge_labels[e] for e in range(len(edges))] if edge_labels else None
+    labelled = labelled or bool(edge_labels)
+    ordered = [edge_labels[e] for e in range(len(edges))] if labelled else None
     graph = Hypergraph(labels, edges, edge_labels=ordered)
     if graph.num_edges != len(edges) or len(edge_labels) > len(edges):
         raise ParseError("duplicate hyperedges or stray edge labels")
@@ -456,7 +468,8 @@ class MutationJournal:
         None when the directory holds no state at all (a fresh
         directory); raises :class:`~repro.errors.JournalCorruption`
         when the log is damaged beyond its torn tail, the replay
-        sequence has a gap, or no snapshot survives to anchor existing
+        sequence has a gap, a record does not apply to the graph
+        recovered so far, or no snapshot survives to anchor existing
         records.
         """
         records, _valid = read_journal(self.journal_path)
@@ -503,7 +516,14 @@ class MutationJournal:
                     f"{version} — the suffix after snapshot "
                     f"v{base_version} has a gap"
                 )
-            base.apply(batch)
+            try:
+                base.apply(batch)
+            except HypergraphError as exc:
+                raise JournalCorruption(
+                    f"journal at {self.directory}: record v{version} does "
+                    f"not apply to the graph recovered from snapshot "
+                    f"v{base_version} ({exc})"
+                ) from None
             replayed += 1
         return RecoveredState(base, base.version, base_version, replayed)
 

@@ -30,7 +30,6 @@ scheduler lives here once, as a simulation:
 from .chaos import ChaosSocket, FaultPlan
 from .cluster import LocalCluster, spawn_local_cluster
 from .pool import QueryChannel, ShardPool
-from .supervisor import SlotStatus, WorkerSupervisor
 from .memory import (
     MemoryMeasurement,
     entry_units_per_partial,
@@ -65,8 +64,6 @@ __all__ = [
     "spawn_local_cluster",
     "shutdown_worker",
     "RetryPolicy",
-    "WorkerSupervisor",
-    "SlotStatus",
     "FaultPlan",
     "ChaosSocket",
     "join_or_kill",

@@ -5,14 +5,36 @@
 ``0 … num_shards - 1`` — on ephemeral 127.0.0.1 ports and returns the
 :class:`LocalCluster` that owns them.
 It is how a hostless :class:`~repro.parallel.pool.ShardPool`
-(``executor="processes"``, the match service), the
-supervisor, the tests and the benchmarks run the full network path on
-one machine; multi-host deployments start their workers themselves
-(``serve-shard``) and hand the coordinator their addresses.
+(``executor="processes"``, the match service), ``repro supervise``,
+the tests and the benchmarks run the full network path on one machine;
+multi-host deployments start their workers themselves (``serve-shard``)
+and hand the coordinator their addresses.
+
+Restart policy
+--------------
+The cluster owns its slots, so it alone decides whether a slot may
+restart — whoever asks, the pool's recovery ladder or ``repro
+supervise``'s poll loop (:meth:`LocalCluster.restart_due`):
+
+* each slot has :data:`RESTART_BUDGET` restarts;
+* its first restart is immediate; restart ``k > 1`` waits
+  ``RESTART_RETRY.delay(k - 2)`` (jittered, seeded per slot) after the
+  previous one, so a crash-looping worker is never busy-restarted;
+* a worker that stays up for ``RESTART_RETRY.max_delay`` earns its
+  slot's budget back (its uptime counts until the cluster sees it
+  dead);
+* a slot out of budget is *exhausted*: it stays down, and the pool
+  serves on with fewer members.
+
+:meth:`LocalCluster.respawn` refuses a restart the policy forbids with
+a :class:`~repro.errors.SchedulerError` that names the slot and says
+why.
 """
 
 from __future__ import annotations
 
+import logging
+import math
 import random
 import time
 from multiprocessing import get_context
@@ -24,7 +46,9 @@ from ..hypergraph.storage import resolve_index_backend
 from .tasks import RetryPolicy, join_or_kill
 from .worker import ShardWorker, shutdown_worker
 
-#: Default policy for polling a spawned worker's ready report (short
+logger = logging.getLogger(__name__)
+
+#: The policy for polling a spawned worker's ready report (short
 #: first probes — workers are usually up in milliseconds — backing off
 #: while a slow shard build holds the pipe quiet).
 READY_POLL = RetryPolicy(attempts=64, base_delay=0.005, max_delay=0.25)
@@ -36,6 +60,17 @@ READY_TIMEOUT = 30.0
 #: How long a worker is given to exit (after QUIT, or after a signal)
 #: before the next escalation.
 SHUTDOWN_TIMEOUT = 5.0
+
+#: Restarts each slot is granted before it is exhausted.
+RESTART_BUDGET = 3
+
+#: The backoff between a slot's restarts; its ``max_delay`` is also the
+#: uptime that earns a slot its budget back.  Slower than a connect
+#: retry: a restart means a process died, and hammering a host that is
+#: killing workers helps nobody.
+RESTART_RETRY = RetryPolicy(
+    attempts=RESTART_BUDGET, base_delay=0.2, max_delay=5.0
+)
 
 
 def _cluster_worker_main(
@@ -94,7 +129,6 @@ def _await_worker_ready(
     parent_conn,
     shard_id: int,
     process=None,
-    retry: "RetryPolicy | None" = None,
 ) -> Tuple[str, int]:
     """Read one worker's ``("ready", host, port)`` report.
 
@@ -104,7 +138,6 @@ def _await_worker_ready(
     import error, OOM — is detected immediately via its
     ``process`` handle rather than after the full :data:`READY_TIMEOUT`.
     """
-    retry = READY_POLL if retry is None else retry
     rng = random.Random(shard_id << 16)
     deadline = time.monotonic() + READY_TIMEOUT
     attempt = 0
@@ -115,7 +148,7 @@ def _await_worker_ready(
                 f"shard worker {shard_id} did not report ready within "
                 f"{READY_TIMEOUT}s"
             )
-        if parent_conn.poll(min(remaining, retry.delay(attempt, rng))):
+        if parent_conn.poll(min(remaining, READY_POLL.delay(attempt, rng))):
             break
         if process is not None and not process.is_alive():
             raise SchedulerError(
@@ -132,11 +165,29 @@ def _await_worker_ready(
     return message[1], message[2]
 
 
+class _Restarts:
+    """One slot's restart book-keeping under the cluster's policy."""
+
+    __slots__ = ("used", "up_since", "not_before", "rng")
+
+    def __init__(self, shard_id: int) -> None:
+        #: Restarts spent since the slot last earned its budget back.
+        self.used = 0
+        #: When the slot's worker came up; None once it is seen down.
+        self.up_since: "float | None" = time.monotonic()
+        #: The earliest time of the slot's next restart.
+        self.not_before = 0.0
+        # Per-slot jitter stream: reproducible backoff schedules, and no
+        # two slots share one (no synchronised restart herd).
+        self.rng = random.Random(0x5AFE ^ (shard_id << 20))
+
+
 class LocalCluster:
     """Handle on a set of locally spawned worker processes.
 
     ``processes``/``addresses`` are lists indexed by the member's name,
-    ``shard_id``.
+    ``shard_id``.  The cluster is the one owner of their lifetimes: its
+    :meth:`respawn` enforces the restart policy (module docstring).
     """
 
     def __init__(
@@ -144,7 +195,7 @@ class LocalCluster:
         processes,
         addresses,
         index_backend,
-        graph: "Hypergraph | None" = None,
+        graph: Hypergraph,
         start_method: "str | None" = None,
         chaos=None,
     ) -> None:
@@ -154,6 +205,9 @@ class LocalCluster:
         self.chaos = chaos
         self._graph = graph
         self._start_method = start_method
+        self._restarts = [
+            _Restarts(shard_id) for shard_id in range(len(processes))
+        ]
 
     @property
     def num_shards(self) -> int:
@@ -184,33 +238,59 @@ class LocalCluster:
             label=f"shard {shard_id} worker",
         )
 
+    def _seen_down(self, shard_id: int, now: float) -> _Restarts:
+        """The slot's book-keeping, its worker now known to be down (or
+        about to be replaced): one up long enough earns the budget back."""
+        slot = self._restarts[shard_id]
+        if slot.up_since is not None:
+            if now - slot.up_since >= RESTART_RETRY.max_delay:
+                slot.used, slot.not_before = 0, 0.0
+            slot.up_since = None
+        return slot
+
+    def exhausted(self, shard_id: int) -> bool:
+        """Whether ``shard_id``'s worker is down for good: dead, and its
+        slot out of restart budget."""
+        if self.processes[self._checked(shard_id)].is_alive():
+            return False
+        slot = self._seen_down(shard_id, time.monotonic())
+        return slot.used >= RESTART_BUDGET
+
     def respawn(self, shard_id: int) -> Tuple[str, int]:
         """Replace a worker process with a fresh one of the same name
         on the same port, and return its address — the restart hook of
-        the coordinator's ladder and of the supervisor.  One still
-        running (wedged, or stopped) is killed first.  Keeping the port
-        (the listener sets ``SO_REUSEADDR``) lets a pool that knows the
-        worker only by its address reconnect to the restart."""
-        if self._graph is None:
-            raise SchedulerError(
-                "cluster was not built by spawn_local_cluster; "
-                "cannot respawn workers"
-            )
+        the pool's ladder and of ``repro supervise``.  One still running
+        (wedged, or stopped) is killed first.  Keeping the port (the
+        listener sets ``SO_REUSEADDR``) lets a pool that knows the worker
+        only by its address reconnect to the restart.  The one place a
+        restart is decided (module docstring): one the policy forbids
+        raises :class:`~repro.errors.SchedulerError` naming the slot and
+        why; one whose fresh worker dies before it is ready spends too."""
         old = self.processes[self._checked(shard_id)]
+        now = time.monotonic()
+        slot = self._seen_down(shard_id, now)
+        if slot.used >= RESTART_BUDGET:
+            raise SchedulerError(
+                f"shard {shard_id} is out of restart budget "
+                f"({RESTART_BUDGET} restarts); it stays down"
+            )
+        if now < slot.not_before:
+            raise SchedulerError(
+                f"shard {shard_id} is backing off for "
+                f"{slot.not_before - now:.2f}s before restart "
+                f"{slot.used + 1}/{RESTART_BUDGET}"
+            )
+        slot.used += 1
+        slot.not_before = now + RESTART_RETRY.delay(slot.used - 1, slot.rng)
         if old.is_alive():
             old.kill()  # a stopped process ignores SIGTERM until resumed
         join_or_kill(
             old, timeout=SHUTDOWN_TIMEOUT,
             label=f"shard {shard_id} worker",
         )
-        context = (
-            get_context(self._start_method)
-            if self._start_method is not None
-            else get_context()
-        )
         process, parent_conn = _start_cluster_worker(
-            context, self._graph, shard_id, self.index_backend,
-            self.chaos, port=self.addresses[shard_id][1],
+            get_context(self._start_method), self._graph, shard_id,
+            self.index_backend, self.chaos, port=self.addresses[shard_id][1],
         )
         try:
             address = _await_worker_ready(parent_conn, shard_id, process=process)
@@ -222,7 +302,47 @@ class LocalCluster:
             parent_conn.close()
         self.processes[shard_id] = process
         self.addresses[shard_id] = address
+        slot.up_since = time.monotonic()
+        logger.warning(
+            "restarted shard %d at %s:%s (restart %d/%d)",
+            shard_id, address[0], address[1], slot.used, RESTART_BUDGET,
+        )
         return address
+
+    def restart_due(self) -> int:
+        """Restart every dead worker whose slot the policy lets restart
+        now; returns how many came back.  A slot backing off, or one
+        whose fresh worker died again, waits for a later call; an
+        exhausted one stays down and the cluster serves on without it.
+        Raises :class:`~repro.errors.SchedulerError` only when every
+        worker is down for good: nothing is left to serve with."""
+        restarted = 0
+        for shard_id, process in enumerate(self.processes):
+            try:
+                if not process.is_alive():
+                    self.respawn(shard_id)
+                    restarted += 1
+            except SchedulerError:
+                pass  # backing off, or its fresh worker died: a later call
+        if all(map(self.exhausted, range(len(self.processes)))):
+            raise SchedulerError(
+                "every worker is down and out of restart budget; "
+                "nothing left to serve with"
+            )
+        return restarted
+
+    def next_restart_in(self) -> float:
+        """Seconds until a dead worker's restart is due (0.0: now; inf:
+        none is waiting)."""
+        now = time.monotonic()
+        return min(
+            (
+                max(0.0, slot.not_before - now)
+                for process, slot in zip(self.processes, self._restarts)
+                if not process.is_alive() and slot.used < RESTART_BUDGET
+            ),
+            default=math.inf,
+        )
 
     def close(self) -> None:
         """Stop the worker processes (idempotent): ask each server to
@@ -238,6 +358,7 @@ class LocalCluster:
             )
         self.processes = []
         self.addresses = []
+        self._restarts = []
 
     def __enter__(self) -> "LocalCluster":
         return self
@@ -272,11 +393,7 @@ def spawn_local_cluster(
     if num_shards < 1:
         raise SchedulerError("num_shards must be >= 1")
     index_backend = resolve_index_backend(index_backend)
-    context = (
-        get_context(start_method)
-        if start_method is not None
-        else get_context()
-    )
+    context = get_context(start_method)  # None: the default method
     processes = []
     parent_conns = []
     for shard_id in range(num_shards):

@@ -256,15 +256,18 @@ class ShardPool:
 
     ``ShardPool(addresses=[("host", port), ...])``
         Connect to externally managed workers (the multi-host mode; the
-        CLI's ``--hosts``, or a :class:`~repro.parallel.supervisor.
-        WorkerSupervisor`'s ``addresses``, which a restarted worker
-        keeps).  A dead address is skipped with a warning; the pool
-        refuses to open only when *no* member is live.
+        CLI's ``--hosts``, or a :class:`~repro.parallel.cluster.
+        LocalCluster`'s ``addresses``, which a restarted worker keeps).
+        A dead address is skipped with a warning; the pool refuses to
+        open only when *no* member is live.
 
     ``ShardPool(num_shards=N)``
         Spawn (and own) a local cluster of ``N`` members for the
         engine's data graph on first use — the single-machine
         ``--executor processes`` path, and the match service's default.
+        The cluster is spawned once per graph and decides every restart
+        of its workers (:meth:`~repro.parallel.cluster.LocalCluster.
+        respawn`): the pool asks, and holds no restart budget of its own.
 
     The handshake is validated against the pool's expectations before
     any job runs: index backend, the data graph fingerprint and version
@@ -327,8 +330,10 @@ class ShardPool:
         #: pool: where the ladder reconnects.
         self._lost: "Dict[int, Tuple[str, int]]" = {}
         self._queries: "Dict[int, _QueryState]" = {}
+        #: The graph the pool serves, from its first open to
+        #: :meth:`close` (a commit rolls it forward): an owned cluster
+        #: is spawned once for it.
         self._graph: "Hypergraph | None" = None
-        self._respawn_budget = 0
         #: Query ids, never reused on this pool: a late reply of a
         #: finished query finds no taker.
         self._ids = itertools.count(1)
@@ -346,14 +351,16 @@ class ShardPool:
         of many service queries.  Returns True when live connections
         were reused.  A pool that owns its cluster first fails every
         member whose worker process has died — the pump may not have
-        read its EOF yet — then respawns the members it lost since the
-        previous query (the worker died or went silent); one that
-        cannot be is forgotten.  Lost workers at fixed addresses are
-        reconnected only by the ladder, when no member is left to take
-        a part — a wedged one would cost every open its handshake's
-        silence budget — or re-added by :meth:`admit`.
-        Only a pool with no live member left is rebuilt from its
-        addresses / a fresh cluster.
+        read its EOF yet — then asks the cluster to restart the members
+        it lost (the worker died or went silent): one the cluster
+        refuses while backing off stays lost, so a later open asks
+        again.  Lost workers at fixed addresses are reconnected only by
+        the ladder, when no member is left to take a part — a wedged one
+        would cost every open its handshake's silence budget — or
+        re-added by :meth:`admit`.  A pool with no live member left
+        reconnects to its addresses, or to its cluster's workers once
+        the cluster restarted the dead ones it may: a cluster is spawned
+        only for a graph the pool has not served.
         """
         if engine.index_backend != self.index_backend:
             raise SchedulerError(
@@ -361,15 +368,15 @@ class ShardPool:
                 f"pool backend {self.index_backend!r}"
             )
         with self._lock:
-            self._respawn_budget = self.num_shards
-            if self._graph is engine.data and self._members:
+            same_graph = self._graph is engine.data
+            if same_graph and self._members:
                 if self._cluster is not None:
                     self._reap_dead_members()
                     for name in sorted(self._lost):
                         try:
                             self._restore_member(name)
                         except SchedulerError:
-                            self._lost.pop(name, None)
+                            pass  # still lost: a later open asks again
                 if self._members:
                     return True
             if self._queries:
@@ -378,35 +385,60 @@ class ShardPool:
                     f"{len(self._queries)} queries in flight"
                 )
             self._close_connections("the pool lost its last member")
-            if self.addresses is None:
-                # Local mode: own a cluster for this engine's data graph.
-                if self._cluster is not None:
-                    self._cluster.close()
-                    self._cluster = None
-                self._cluster = spawn_local_cluster(
-                    engine.data,
-                    self.num_shards,
-                    self.index_backend,
-                    start_method=self.start_method,
-                    chaos=self.chaos,
-                    store=engine.store,
-                )
-                addresses = self._cluster.addresses
-            else:
+            failures: "List[str]" = []
+            if self.addresses is not None:
                 addresses = self.addresses
-            self._members = self._connect_members(addresses, engine.data)
+            else:
+                if self._cluster is None or not same_graph:
+                    # Local mode: own a cluster for this engine's graph.
+                    if self._cluster is not None:
+                        self._cluster.close()
+                        self._cluster = None
+                    self._cluster = spawn_local_cluster(
+                        engine.data,
+                        self.num_shards,
+                        self.index_backend,
+                        start_method=self.start_method,
+                        chaos=self.chaos,
+                        store=engine.store,
+                    )
+                addresses = self._cluster_addresses(failures)
+            self._members = self._connect_members(
+                addresses, engine.data, failures
+            )
             self._graph = engine.data
             self._epoch += 1
             self._pump = _Pump(self)
             self._pump.start()
             return False
 
-    def _connect_members(self, addresses, graph) -> "List[_Member]":
+    def _cluster_addresses(self, failures: "List[str]") -> list:
+        """The owned cluster's workers, once it restarted the dead ones
+        it may; a slot refused while backing off is noted lost, with
+        why in ``failures``."""
+        cluster = self._cluster
+        addresses = []
+        for name, process in enumerate(cluster.processes):
+            address = cluster.addresses[name]
+            if not process.is_alive():
+                try:
+                    address = cluster.respawn(name)
+                except SchedulerError as exc:
+                    failures.append(str(exc))
+                    if not cluster.exhausted(name):
+                        self._lost[name] = address
+                    continue
+            addresses.append(address)
+        return addresses
+
+    def _connect_members(
+        self, addresses, graph, failures: "List[str]"
+    ) -> "List[_Member]":
         """Connect and handshake every address into a fresh member
-        list; an address that cannot be reached is skipped, one that
+        list; an address that cannot be reached is skipped (added to
+        ``failures``, which says why when none connects), one that
         fails the contract fails the open."""
         members: "List[_Member]" = []
-        failures: "List[str]" = []
         try:
             for address in addresses:
                 where = f"{address[0]}:{address[1]}"
@@ -466,7 +498,6 @@ class ShardPool:
             self._members = []
             self._epoch += 1
             self._lost = {}
-            self._graph = None
             for state in self._queries.values():
                 state.replies.put(("lost", None, message))
             self._queries.clear()
@@ -484,6 +515,7 @@ class ShardPool:
         pump = self._pump
         try:
             self._close_connections()
+            self._graph = None
         finally:
             cluster, self._cluster = self._cluster, None
             if cluster is not None:
@@ -521,10 +553,11 @@ class ShardPool:
         ``time_budget`` is enforced mid-gather
         here and between blocks on the workers.  A
         job that fails with a :class:`~repro.errors.SchedulerError` on
-        a pool it had to itself takes the pool down with it, cluster
-        included (the next job rebuilds); with service queries
-        registered beside it the pool stays up for them (a pool out of
-        members failed them too and emptied the table).
+        a pool it had to itself ends the pool's sessions (the next job
+        reconnects; an owned cluster stays up, its restart budgets
+        with it); with service queries registered beside it the pool
+        stays up for them (a pool out of members failed them too and
+        emptied the table).
         """
         channel = QueryChannel(self, budget=time_budget)
         try:
@@ -532,7 +565,7 @@ class ShardPool:
         except SchedulerError:
             # The channel has unregistered this job by now.
             if not self._queries:
-                self.close()
+                self._close_connections()
             raise
 
     def release(self, query_id: int) -> None:
@@ -670,8 +703,8 @@ class ShardPool:
         pool can observe and nothing a caller sets:
 
         1. another live member (free: a request is self-contained);
-        2. else a budgeted respawn of a lost member, when the pool owns
-           its cluster;
+        2. else a respawn of a lost member, when the pool owns its
+           cluster and the cluster's restart policy allows it;
         3. else a reconnect in place at a lost member's last address
            (the handshake gate's CATCHUP heals a worker that went
            stale) — :meth:`_restore_member`;
@@ -716,19 +749,26 @@ class ShardPool:
                 self._member_failed(member, "its worker process died")
 
     def _restore_member(self, name: int) -> _Member:
-        """Rungs 2–3 for a lost member: respawned under the budget when
-        the pool owns the cluster, else reconnected where it last was.
-        Raises :class:`~repro.errors.SchedulerError` saying why, when it
-        cannot be brought back."""
+        """Rungs 2–3 for a lost member: respawned when the pool owns the
+        cluster (if its policy allows), else reconnected where it last
+        was.  Raises :class:`~repro.errors.SchedulerError` saying why,
+        when it cannot be brought back; a member whose slot the cluster
+        has given up on is forgotten."""
         address = self._lost[name]
+        cluster = self._cluster
         try:
-            if self._cluster is not None and self._respawn_budget > 0:
-                self._respawn_budget -= 1
-                address = self._cluster.respawn(name)
+            if cluster is not None:
+                address = cluster.respawn(name)
             sock, _ = self._open_session(
                 address, self._graph, expected_shard=name
             )
         except (SchedulerError, OSError, TransportError) as exc:
+            if (
+                cluster is not None
+                and name < cluster.num_shards
+                and cluster.exhausted(name)
+            ):
+                del self._lost[name]
             why = f"shard {name} at {address} could not be restored: {exc}"
             logger.warning("%s", why)
             raise SchedulerError(why) from None
@@ -779,14 +819,17 @@ class ShardPool:
         catches them up to, the already-mutated graph.
         """
         with self._lock:
-            members = list(self._members)
-            if not members:
+            if self._graph is None:
                 return
             # The graph identity rolls forward with the commit (the
             # first mutation swaps engine.data for its dynamic form):
-            # the next ensure_open reuses the pool, and a member
-            # restored from here on is caught up by its handshake.
+            # the next ensure_open reuses the pool and its cluster, and
+            # a member restored from here on is caught up by its
+            # handshake.
             self._graph = engine.data
+            members = list(self._members)
+            if not members:
+                return
             frame = transport.encode_frame(
                 transport.MSG_CATCHUP,
                 catchup_body(engine.data, result.version - 1),

@@ -105,7 +105,8 @@ class RetryPolicy:
 
     Shared by every retry loop in the shard runtimes: coordinator →
     worker TCP connects, spawned-worker ready polling and the
-    supervisor's restart backoff.  Lives
+    cluster's restart backoff (:data:`~repro.parallel.cluster.
+    RESTART_RETRY`).  Lives
     here (next to :func:`join_or_kill`) because it is scheduling
     policy, not socket code.
     """

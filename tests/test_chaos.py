@@ -413,8 +413,8 @@ def test_last_member_lost_on_a_shared_pool_fails_both_and_heals(
     Losing *a* member costs a subtree job nothing (its part is re-sent
     to a survivor); losing the *last* one (the respawn refused) while a
     service query is in flight beside the solo job fails *both* typed
-    and takes the cluster down; the next query, solo or served, opens a
-    fresh one and is exact."""
+    and ends the pool's sessions; the next query, solo or served, asks
+    the same cluster to restart its workers and is exact."""
     data, query, expected = chaos_instance
     engine = HGMatch(data, index_backend="bitset", shards=2)
     plan = FaultPlan(seed=5)
@@ -462,8 +462,10 @@ def test_last_member_lost_on_a_shared_pool_fails_both_and_heals(
             thread.join(timeout=30.0)
         assert killed["killed"] and not thread.is_alive()
         assert "disconnected mid-job" in str(failures["solo"])
-        assert not pool._queries and pool._cluster is None
+        assert not pool._queries and not pool._members
+        cluster = pool._cluster
         assert service.match(query).embeddings == expected["bitset"]
+        assert pool._cluster is cluster
         assert engine.pool() is pool
         assert (
             engine.count(query, executor="processes") == expected["bitset"]

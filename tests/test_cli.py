@@ -476,11 +476,6 @@ class TestSupervise:
             "supervise", data_path, "--num-shards", "0"
         )
         assert code == 1 and "--num-shards" in output
-        code, output = run_cli(
-            "supervise", data_path, "--num-shards", "1",
-            "--restart-budget", "-1",
-        )
-        assert code == 1 and "--restart-budget" in output
 
     def test_supervises_for_duration(self, fig1_files):
         data_path, _ = fig1_files

@@ -10,6 +10,7 @@ into mid-job failover well before its reply deadline.
 
 from __future__ import annotations
 
+import os
 import random
 import socket
 import threading
@@ -22,6 +23,7 @@ from repro import HGMatch
 from repro.errors import SchedulerError
 from repro.hypergraph import INDEX_BACKENDS
 from repro.parallel import (
+    LocalCluster,
     ShardPool,
     ShardWorker,
     spawn_local_cluster,
@@ -430,3 +432,63 @@ def test_respawned_member_rejoins_via_catchup_snapshot(elastic_instance):
     finally:
         engine.close()
         cluster.close()
+
+
+# ----------------------------------------------------------------------
+# Restarts: one policy, on the cluster that owns the slots
+# ----------------------------------------------------------------------
+
+
+def test_a_worker_dying_on_every_job_costs_a_bounded_number_of_respawns(
+    elastic_instance, monkeypatch
+):
+    """A one-member owned pool whose worker dies on every job: the
+    cluster, spawned once, restarts the slot at most ``RESTART_BUDGET``
+    times however many queries come, and every query fails with a
+    typed SchedulerError that names the slot — the last ones because
+    it is out of restart budget."""
+    from repro.parallel import cluster as cluster_module
+    from repro.parallel import pool as pool_module
+    from repro.parallel.tasks import RetryPolicy
+
+    data, query, _expected = elastic_instance
+    # A fast backoff, so the slot is exhausted within the run; a worker
+    # would have to stay up a second to earn its budget back.
+    monkeypatch.setattr(
+        cluster_module, "RESTART_RETRY",
+        RetryPolicy(attempts=3, base_delay=0.02, max_delay=1.0),
+    )
+    # Forked workers inherit the patch: each dies on its first SUBTREE.
+    monkeypatch.setattr(
+        ShardWorker, "_serve_subtree", lambda *_: os._exit(1)
+    )
+    spawned, respawns = [], []
+    spawn, respawn = pool_module.spawn_local_cluster, LocalCluster.respawn
+
+    def counted_spawn(*args, **kwargs):
+        spawned.append(args[1])
+        return spawn(*args, **kwargs)
+
+    def counted_respawn(cluster, shard_id):
+        address = respawn(cluster, shard_id)
+        respawns.append(shard_id)
+        return address
+
+    monkeypatch.setattr(pool_module, "spawn_local_cluster", counted_spawn)
+    monkeypatch.setattr(LocalCluster, "respawn", counted_respawn)
+    engine = HGMatch(data, index_backend="bitset")
+    pool = ShardPool(num_shards=1, index_backend="bitset")
+    errors = []
+    try:
+        for _ in range(12):
+            with pytest.raises(SchedulerError) as failure:
+                pool.run(engine, query)
+            errors.append(str(failure.value))
+            time.sleep(0.05)
+        assert spawned == [1]
+        assert respawns == [0] * cluster_module.RESTART_BUDGET
+        assert all("shard 0" in error for error in errors)
+        assert "shard 0 is out of restart budget" in errors[-1]
+    finally:
+        pool.close()
+        engine.close()

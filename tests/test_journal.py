@@ -270,6 +270,26 @@ class TestSnapshot:
         assert states[0][1:] == (8, [8])
 
 
+    def test_an_all_tombstone_edge_labelled_graph_stays_labelled(self):
+        """An edge-labelled graph whose every edge is a tombstone has no
+        ``el`` record left: its ``edge-labelled`` line keeps it
+        labelled, so a labelled insert applies to the recovered graph."""
+        graph = DynamicHypergraph.from_hypergraph(
+            Hypergraph(["A", "B"], [{0, 1}], edge_labels=["x"])
+        )
+        graph.apply(MutationBatch(deletes=[0]))
+        stream = io.StringIO()
+        dump_snapshot(graph, stream)
+        recovered = parse_snapshot(io.StringIO(stream.getvalue()))
+        assert recovered.is_edge_labelled
+        assert (recovered.num_slots, recovered.version) == (1, 1)
+        follow_up = MutationBatch(inserts=[((0, 1), "y")])
+        inserted = recovered.apply(follow_up).inserted
+        assert [(m.edge_id, recovered.edge_label(1)) for m in inserted] == [
+            (1, "y")
+        ]
+
+
 # ---------------------------------------------------------------------------
 # MutationJournal lifecycle
 # ---------------------------------------------------------------------------
@@ -294,6 +314,28 @@ class TestMutationJournal:
         # interval=2 → snapshot at v2; recovery replays only the suffix.
         assert recovered.snapshot_version == 2
         assert recovered.replayed == 1
+
+    @pytest.mark.parametrize("header", ["HGDSNAP 1", "HGDSNAP 2"])
+    def test_a_record_the_recovered_graph_rejects_is_corruption(
+        self, tmp_path, header
+    ):
+        """A replayed record that does not apply — a labelled insert onto
+        a snapshot that reads back unlabelled: a v1 one, or a v2 one
+        without its ``edge-labelled`` line — is a JournalCorruption, not
+        a HypergraphError out of ``recover()``."""
+        text = (
+            f"{header}\nversion 1\nslots 1\nd 0 s:x s:A s:B\n"
+            f"v 2\nl 0 s:A\nl 1 s:B\n"
+        )
+        if header == "HGDSNAP 2":
+            text += f"crc {zlib.crc32(text.encode()):08x}\n"
+        (tmp_path / "snapshot-000000000001.snap").write_text(text)
+        (tmp_path / "mutations.log").write_bytes(
+            JOURNAL_MAGIC
+            + encode_record(2, MutationBatch(inserts=[((0, 1), "y")]))
+        )
+        with pytest.raises(JournalCorruption, match="does not apply"):
+            MutationJournal(str(tmp_path)).recover()
 
     def test_recover_fresh_directory_is_none(self, tmp_path):
         assert MutationJournal(str(tmp_path / "wal")).recover() is None

@@ -590,8 +590,9 @@ def test_truncated_accounting_tail_is_a_typed_failure(
     workload_instances, monkeypatch, tail
 ):
     """``has_accounting=1`` over an empty or cut-off pickle (the latter
-    is an ``EOFError`` inside ``pickle.loads``) tears the pool down
-    with a typed SchedulerError; the next run rebuilds it."""
+    is an ``EOFError`` inside ``pickle.loads``) ends the pool's sessions
+    with a typed SchedulerError; the next run reconnects to the same
+    workers (the owned cluster stays up)."""
     data, query = workload_instances[0]
     engine = HGMatch(data, index_backend="bitset")
     executor = ShardPool(num_shards=2, index_backend="bitset")
@@ -623,8 +624,10 @@ def test_truncated_accounting_tail_is_a_typed_failure(
         with pytest.raises(SchedulerError, match="undecodable reply"):
             executor.run(engine, query)
         assert state["fired"]
-        assert not executor._members and executor._cluster is None
+        pids = [process.pid for process in executor._cluster.processes]
+        assert not executor._members
         assert executor.run(engine, query).embeddings == expected
+        assert [p.pid for p in executor._cluster.processes] == pids
     finally:
         executor.close()
         engine.close()

@@ -228,12 +228,21 @@ def test_dead_worker_recovers_between_jobs_and_mid_job(
 
 
 def test_a_worker_killed_right_before_a_job_is_respawned_by_its_open(
-    workload_instances,
+    workload_instances, monkeypatch
 ):
     """The open fails a member whose owned process is dead even when the
     pump has not read its EOF yet, so the respawn never waits a job:
     killed and run at once, ten times over, every count is exact and
-    after every job all processes are alive and the pool is whole."""
+    after every job all processes are alive and the pool is whole.
+    (Five restarts a slot back to back: the cluster's restart budget
+    and backoff are patched out of the way.)"""
+    from repro.parallel import cluster as cluster_module
+    from repro.parallel.tasks import RetryPolicy
+
+    monkeypatch.setattr(cluster_module, "RESTART_BUDGET", 10)
+    monkeypatch.setattr(
+        cluster_module, "RESTART_RETRY", RetryPolicy(base_delay=0.0)
+    )
     data, query = workload_instances[0]
     engine = HGMatch(data, index_backend="bitset")
     executor = ShardPool(num_shards=2, index_backend="bitset")

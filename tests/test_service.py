@@ -623,8 +623,9 @@ def test_engine_close_drains_its_match_service(service_instance):
 #: the journal, a registration's callback delivers its deltas, the
 #: busy hint is a constant, a worker session ends when its connection
 #: closes, the heartbeat's silence rule and the one reply deadline
-#: (constants both) bound every wait on a worker, and a graph goes to
-#: disk only as a journal snapshot (its index is built in memory).
+#: (constants both) bound every wait on a worker, a graph goes to
+#: disk only as a journal snapshot (its index is built in memory), and
+#: one restart policy, the cluster's (constants too), restarts workers.
 RETIRED_SURFACES = (
     "HGMatch.match_service",
     "HGMatch.pool(registry=)",
@@ -649,6 +650,10 @@ RETIRED_SURFACES = (
     "repro.hypergraph.stores_equal",
     "repro.hypergraph.index_from_postings",
     "repro index",
+    "supervise --restart-budget",
+    "supervise --poll-interval",
+    "repro.parallel.WorkerSupervisor",
+    "repro.parallel.SlotStatus",
 )
 
 #: The command line of each retired CLI spelling.
@@ -657,6 +662,12 @@ RETIRED_ARGV = {
         "serve-shard", "HB", "--shard-id", "0", "--announce", "h:1"
     ],
     "repro index": ["index", "HB", "--out", "HB.hgstore"],
+    "supervise --restart-budget": [
+        "supervise", "HB", "--num-shards", "2", "--restart-budget", "3"
+    ],
+    "supervise --poll-interval": [
+        "supervise", "HB", "--num-shards", "2", "--poll-interval", "1"
+    ],
 }
 
 

@@ -261,7 +261,6 @@ def _pool_facing_callables():
         LocalCluster,
         ShardPool,
         ShardWorker,
-        WorkerSupervisor,
         spawn_local_cluster,
     )
     from repro.service import MatchService
@@ -273,7 +272,6 @@ def _pool_facing_callables():
         "ShardPool": ShardPool,
         "ShardWorker": ShardWorker,
         "spawn_local_cluster": spawn_local_cluster,
-        "WorkerSupervisor": WorkerSupervisor,
         "MatchService": MatchService,
     }
 
