@@ -66,10 +66,15 @@ test-elastic:
 ## refusal, never a silent 0; kept-alive connections reused safely),
 ## standing deltas delivered by callback only, the journal set by its
 ## constructor only, and the retired service surfaces pinned gone.
+## Also the front door every served query passes: the native parser's
+## typed refusals (test_io), the plan (test_plan) and the estimate that
+## routes a miss inline or to the pool, with the index statistics it
+## reads kept through mutations (test_estimation).
 test-service:
 	$(PYTHON) -m pytest -x -q tests/test_service.py tests/test_inline_route.py \
 		tests/test_match_client.py tests/test_transport.py \
-		tests/test_mutation_service.py tests/test_journal.py
+		tests/test_mutation_service.py tests/test_journal.py \
+		tests/test_io.py tests/test_plan.py tests/test_estimation.py
 
 ## Dynamic-graph smoke: mutation semantics (tombstoned layouts,
 ## atomic batches, incremental store maintenance), the differential

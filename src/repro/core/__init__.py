@@ -29,6 +29,7 @@ from .estimation import (
     compare_orders,
     estimate_driven_order,
     estimate_order,
+    estimated_cost,
     explain,
 )
 from .expansion import (
@@ -81,6 +82,7 @@ __all__ = [
     "PlanEstimate",
     "StepEstimate",
     "estimate_order",
+    "estimated_cost",
     "estimate_driven_order",
     "compare_orders",
     "explain",

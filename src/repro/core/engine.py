@@ -45,7 +45,7 @@ from .frontier import (
     expand_parent,
     frontier_blocks,
 )
-from .ordering import compute_matching_order, is_connected_order
+from .ordering import compute_matching_order
 from .plan import ExecutionPlan, build_execution_plan
 from .validation import certify_embedding
 
@@ -244,20 +244,41 @@ class HGMatch:
         (:meth:`check_labels`).
         """
         self.check_labels(query)
+        return self._plan(query, order)
+
+    def _plan(
+        self, query: Hypergraph, order: "Sequence[int] | None"
+    ) -> ExecutionPlan:
+        """:meth:`plan` past the label gate, for a caller that has just
+        passed it (the match service's admission).
+
+        Connectivity is read off the order walk: a connected order
+        reaches every query vertex, each step through an earlier one,
+        so only a refused query pays for the walk that says whether
+        the query or the order is at fault.
+        """
         if query.num_edges == 0:
             raise QueryError("query hypergraph has no hyperedges")
-        if not query.is_connected():
-            raise QueryError("HGMatch requires a connected query hypergraph")
         if order is None:
             order = compute_matching_order(query, self.store)
-        elif not is_connected_order(query, order):
+        elif sorted(order) != list(range(query.num_edges)):
             raise QueryError(f"invalid matching order {order!r}")
-        start_cardinality = self.store.cardinality(
-            query.edge_signature(tuple(order)[0])
+        plan = build_execution_plan(
+            query,
+            order,
+            self.store.cardinality(query.edge_signature(order[0])),
+            self.index_backend,
         )
-        return build_execution_plan(
-            query, order, start_cardinality, index_backend=self.index_backend
-        )
+        steps = plan.steps
+        if steps[-1].expected_num_vertices != query.num_vertices or not all(
+            step.adjacent_prev for step in steps[1:]
+        ):
+            if not query.is_connected():
+                raise QueryError(
+                    "HGMatch requires a connected query hypergraph"
+                )
+            raise QueryError(f"invalid matching order {order!r}")
+        return plan
 
     # ------------------------------------------------------------------
     # Single-step expansion (shared by every execution mode)

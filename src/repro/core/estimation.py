@@ -7,9 +7,11 @@ layer a database system would add on the same metadata: per-step
 *expansion factor* estimates and a plan-level cost/cardinality model,
 exposed through :func:`explain`.
 
-The model is intentionally simple and uses only O(1)-accessible index
-statistics, in the spirit of the paper's design (no runtime auxiliary
-structures):
+The model is intentionally simple and reads only O(1) index
+statistics per step, in the spirit of the paper's design (no runtime
+auxiliary structures): a partition's row count, its index's vertex
+count and its posting-entry count, which every index backend keeps
+current through builds, inserts and deletes:
 
 * the SCAN step emits ``Card(ϕ[0], H)`` partial embeddings;
 * an EXPAND step keeps, for each anchor vertex shared with a previous
@@ -22,8 +24,10 @@ structures):
 
 The estimates feed an alternative ordering strategy
 (:func:`estimate_driven_order`) benchmarked against Algorithm 3 in the
-matching-order ablation, and power ``EXPLAIN``-style output in the CLI
-and examples.
+matching-order ablation, power ``EXPLAIN``-style output in the CLI
+and examples, and route every match-service miss
+(:func:`estimated_cost`: the same walk as :func:`estimate_order`,
+without its per-step records).
 """
 
 from __future__ import annotations
@@ -85,13 +89,27 @@ def average_posting_length(partition: "HyperedgePartition | None") -> float:
     return partition.index.num_entries / len(partition.index)
 
 
-def estimate_order(
-    query: Hypergraph, store: PartitionedStore, order: Sequence[int]
-) -> PlanEstimate:
-    """Estimate per-step cardinalities and costs for ``order``."""
+def _fanout(rows: int, posting: float, anchors: int) -> float:
+    """Expected matches per partial embedding of an EXPAND step: each
+    anchor keeps ~``posting`` candidates, and intersecting the anchors'
+    unions multiplies the single-anchor selectivity (``posting/rows``)
+    per extra anchor."""
+    if rows == 0:
+        return 0.0
+    return posting * (posting / rows) ** max(anchors - 1, 0)
+
+
+def _walk(
+    query: Hypergraph,
+    store: PartitionedStore,
+    order: Sequence[int],
+    records: "List[StepEstimate] | None" = None,
+) -> Tuple[float, float]:
+    """The estimator: ``(estimated embeddings, estimated cost)`` of
+    ``order``, appending one :class:`StepEstimate` per step to
+    ``records`` when a list is given."""
     if not order:
         raise QueryError("cannot estimate an empty matching order")
-    estimates: List[StepEstimate] = []
     covered: Set[int] = set()
     running_output = 1.0
     total_cost = 0.0
@@ -102,36 +120,38 @@ def estimate_order(
         posting = average_posting_length(partition)
         anchors = len(edge & covered)
         if step == 0:
-            fanout = float(rows)
-            cost = float(rows)
-        elif rows == 0:
-            fanout = 0.0
-            cost = running_output
+            fanout = cost = float(rows)
         else:
-            # Each anchor keeps ~posting candidates; intersecting the
-            # anchors' unions multiplies the single-anchor selectivity
-            # (posting/rows) per extra anchor.
-            fanout = posting * (posting / rows) ** max(anchors - 1, 0)
-            cost = running_output * posting * max(anchors, 1)
+            fanout = _fanout(rows, posting, anchors)
+            cost = (
+                running_output * posting * max(anchors, 1) if rows
+                else running_output
+            )
         running_output *= fanout
         total_cost += cost
-        estimates.append(
-            StepEstimate(
-                step=step,
-                query_edge_id=edge_id,
-                partition_rows=rows,
-                anchors=anchors,
-                expansion_factor=fanout,
-                estimated_output=running_output,
-                estimated_cost=cost,
-            )
-        )
+        if records is not None:
+            records.append(StepEstimate(
+                step, edge_id, rows, anchors, fanout, running_output, cost
+            ))
         covered |= edge
-    return PlanEstimate(
-        steps=tuple(estimates),
-        estimated_embeddings=running_output,
-        estimated_cost=total_cost,
-    )
+    return running_output, total_cost
+
+
+def estimate_order(
+    query: Hypergraph, store: PartitionedStore, order: Sequence[int]
+) -> PlanEstimate:
+    """Estimate per-step cardinalities and costs for ``order``."""
+    records: List[StepEstimate] = []
+    embeddings, cost = _walk(query, store, order, records)
+    return PlanEstimate(tuple(records), embeddings, cost)
+
+
+def estimated_cost(
+    query: Hypergraph, store: PartitionedStore, order: Sequence[int]
+) -> float:
+    """``estimate_order(query, store, order).estimated_cost``, without
+    the per-step records: what the match service routes a query by."""
+    return _walk(query, store, order)[1]
 
 
 def estimate_driven_order(
@@ -165,12 +185,7 @@ def estimate_driven_order(
             anchors = len(covered & query.edge(edge_id))
             if anchors == 0:
                 continue
-            rows, posting = partition_stats(edge_id)
-            if rows == 0:
-                fanout = 0.0
-            else:
-                fanout = posting * (posting / rows) ** (anchors - 1)
-            key = (fanout, edge_id)
+            key = (_fanout(*partition_stats(edge_id), anchors), edge_id)
             if key < best_key:
                 best_key = key
                 best_edge = edge_id

@@ -48,8 +48,8 @@ def compute_matching_order(
         raise QueryError("query hypergraph has no hyperedges")
 
     edge_ids = range(query.num_edges)
-    edges = [query.edge(edge_id) for edge_id in edge_ids]
-    signatures = [query.edge_signature(edge_id) for edge_id in edge_ids]
+    edges = query.edges
+    signatures = query.edge_signatures()
     cardinalities = [store.cardinality(signature) for signature in signatures]
 
     def next_steps(edge_id: int) -> List[float]:

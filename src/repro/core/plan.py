@@ -11,24 +11,26 @@ query-side information Algorithms 4 and 5 consult at runtime:
   degree ``d_q'(u)`` that a matching data vertex must reproduce
   (Observation V.4),
 * the expected total vertex count after the step (Observation V.5), and
-* the multiset of query vertex profiles for validation (Theorem V.2),
-  plus its shared-vertex projection that validation actually compares.
+* the shared-vertex projection of the step's query vertex profiles
+  that validation compares (Theorem V.2; the full multiset of profiles
+  is only the reference validator's, :func:`repro.testing.query_profile`).
 
 All of this depends only on the query and the matching order, so it is
 computed once and shared by every task that expands that step — tasks
 themselves carry nothing but a tuple of matched data-hyperedge ids.
+The plan is the online stage's cheap half: it is built in one pass over
+the order, keeping one bitmask of steps per query vertex, and its
+records are named tuples — immutable, and built at the cost of a tuple.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Mapping, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Sequence, Tuple
 
 from ..hypergraph import Hypergraph, Signature
 
-@dataclass(frozen=True)
-class AnchorRequirement:
+
+class AnchorRequirement(NamedTuple):
     """One (previous step, shared vertex) pair for candidate generation.
 
     A candidate data hyperedge for the current step must be incident to a
@@ -42,8 +44,7 @@ class AnchorRequirement:
     required_degree: int
 
 
-@dataclass(frozen=True)
-class StepPlan:
+class StepPlan(NamedTuple):
     """Everything Algorithms 4 and 5 need to expand one matching step."""
 
     step: int
@@ -51,17 +52,15 @@ class StepPlan:
     signature: Signature
     adjacent_prev: Tuple[int, ...]
     nonadjacent_prev: Tuple[int, ...]
+    #: Sorted by ``(prev_step, query_vertex)``.
     anchors: Tuple[AnchorRequirement, ...]
     expected_num_vertices: int
-    #: Multiset of query vertex profiles for the step's hyperedge:
-    #: ``(label, frozenset of incident step indices including this step)``.
-    query_profile: "Counter[Tuple[object, FrozenSet[int]]]"
     #: Number of vertices of the query hyperedge (signatures of
     #: edge-labelled graphs carry one extra leading entry, so this is
     #: not always ``len(signature)``).
-    arity: int = 0
+    arity: int
     #: ``query label -> small int`` over the labels of this hyperedge.
-    profile_label_ids: Mapping[object, int] = field(default_factory=dict)
+    profile_label_ids: Mapping[object, int]
     #: What validation compares (Algorithm 5 over the shared vertices
     #: only): the sorted ``(label id, earlier-step bitmask)`` pairs of the
     #: query vertices of this hyperedge that an earlier step already
@@ -69,30 +68,24 @@ class StepPlan:
     #: Its length is the shared-vertex count Observation V.5 demands; the
     #: uncovered vertices all carry the profile ``(label, {step})`` and
     #: are settled by the signature (Observation V.1).
-    shared_profile_key: Tuple[Tuple[int, int], ...] = ()
+    shared_profile_key: Tuple[Tuple[int, int], ...]
     #: The same multiset as exact counts, for the set-algebra kernel
     #: (:func:`repro.core.validation.validate_mask`): each distinct
     #: ``(label, earlier-step bitmask)`` profile of the key — keyed by the
     #: query *label* itself, so a data vertex is classified in one lookup
     #: — maps to a class number, and ``shared_class_counts[class]`` is how
     #: many vertices of the hyperedge carry that profile.
-    shared_profile_classes: Mapping[Tuple[object, int], int] = field(
-        default_factory=dict
-    )
-    shared_class_counts: Tuple[int, ...] = ()
+    shared_profile_classes: Mapping[Tuple[object, int], int]
+    shared_class_counts: Tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ExecutionPlan:
+class ExecutionPlan(NamedTuple):
     """A complete plan: matching order plus one :class:`StepPlan` per step."""
 
     query: Hypergraph
     order: Tuple[int, ...]
     steps: Tuple[StepPlan, ...]
     estimated_start_cardinality: int = 0
-    #: Sorted tuple of query vertices in order of first appearance, kept
-    #: for embedding expansion back to vertex mappings.
-    vertex_arrival: Tuple[int, ...] = field(default=())
     #: Posting-list representation of the store the plan was built
     #: against (informational; candidate generation dispatches on the
     #: partition's own index at runtime).
@@ -126,92 +119,65 @@ def build_execution_plan(
     start_cardinality: int = 0,
     index_backend: str = "merge",
 ) -> ExecutionPlan:
-    """Precompute the :class:`ExecutionPlan` for ``query`` under ``order``."""
+    """Precompute the :class:`ExecutionPlan` for ``query`` under ``order``.
+
+    One pass over the order: ``seen`` maps every query vertex met so far
+    to the bitmask of the steps whose hyperedge contains it, so at each
+    step a vertex's earlier-step mask is one lookup — its set bits are
+    the vertex's anchors, their count its partial-query degree.  The
+    order is not checked here (:meth:`repro.core.engine.HGMatch.plan`
+    reads connectivity off the result).
+    """
     order = tuple(order)
-    # vertex -> set of step indices whose query hyperedge contains it
-    incident_steps: Dict[int, Set[int]] = {}
-    for step, edge_id in enumerate(order):
-        for vertex in query.edge(edge_id):
-            incident_steps.setdefault(vertex, set()).add(step)
-
+    edges = query.edges
+    labels = query.labels
+    signatures = query.edge_signatures()
+    seen: Dict[int, int] = {}
     steps: List[StepPlan] = []
-    covered: Set[int] = set()
-    arrival: List[int] = []
     for step, edge_id in enumerate(order):
-        edge = query.edge(edge_id)
-        adjacent: List[int] = []
-        nonadjacent: List[int] = []
-        for prev in range(step):
-            prev_edge = query.edge(order[prev])
-            if prev_edge & edge:
-                adjacent.append(prev)
-            else:
-                nonadjacent.append(prev)
-
-        anchors: List[AnchorRequirement] = []
-        for prev in adjacent:
-            prev_edge = query.edge(order[prev])
-            for vertex in sorted(prev_edge & edge):
-                # Degree of the query vertex within the partial query
-                # *before* this step (Observation V.4 / Algorithm 4, L5).
-                degree_before = sum(
-                    1 for s in incident_steps[vertex] if s < step
-                )
-                anchors.append(
-                    AnchorRequirement(
-                        prev_step=prev,
-                        query_vertex=vertex,
-                        label=query.label(vertex),
-                        required_degree=degree_before,
-                    )
-                )
-
-        profile: Counter = Counter()
+        edge = edges[edge_id]
+        bit = 1 << step
+        adjacent = 0
         label_ids: Dict[object, int] = {}
-        shared_entries: List[Tuple[int, int]] = []
-        shared_classes: "Counter[Tuple[object, int]]" = Counter()
+        shared: List[Tuple[int, int]] = []
+        classes: Dict[Tuple[object, int], int] = {}
+        anchors: List[AnchorRequirement] = []
         for vertex in edge:
-            incident_upto = frozenset(
-                s for s in incident_steps[vertex] if s <= step
-            )
-            label = query.label(vertex)
-            profile[(label, incident_upto)] += 1
+            label = labels[vertex]
             label_id = label_ids.setdefault(label, len(label_ids))
-            if len(incident_upto) > 1:
-                earlier = sum(1 << s for s in incident_upto if s < step)
-                shared_entries.append((label_id, earlier))
-                shared_classes[(label, earlier)] += 1
-
-        new_vertices = edge - covered
-        covered |= edge
-        arrival.extend(sorted(new_vertices))
-
-        steps.append(
-            StepPlan(
-                step=step,
-                query_edge_id=edge_id,
-                signature=query.edge_signature(edge_id),
-                adjacent_prev=tuple(adjacent),
-                nonadjacent_prev=tuple(nonadjacent),
-                anchors=tuple(anchors),
-                expected_num_vertices=len(covered),
-                query_profile=profile,
-                arity=len(edge),
-                profile_label_ids=label_ids,
-                shared_profile_key=tuple(sorted(shared_entries)),
-                shared_profile_classes={
-                    profile: number
-                    for number, profile in enumerate(shared_classes)
-                },
-                shared_class_counts=tuple(shared_classes.values()),
-            )
-        )
-
+            earlier = seen.get(vertex, 0)
+            seen[vertex] = earlier | bit
+            if not earlier:
+                continue
+            adjacent |= earlier
+            shared.append((label_id, earlier))
+            key = (label, earlier)
+            classes[key] = classes.get(key, 0) + 1
+            # Degree of the query vertex within the partial query
+            # *before* this step (Observation V.4 / Algorithm 4, L5).
+            degree = earlier.bit_count()
+            while earlier:
+                low = earlier & -earlier
+                anchors.append(AnchorRequirement(
+                    low.bit_length() - 1, vertex, label, degree
+                ))
+                earlier ^= low
+        anchors.sort()  # (prev_step, query_vertex) pairs are unique
+        shared.sort()
+        steps.append(StepPlan(
+            step,
+            edge_id,
+            signatures[edge_id],
+            tuple(s for s in range(step) if adjacent >> s & 1),
+            tuple(s for s in range(step) if not adjacent >> s & 1),
+            tuple(anchors),
+            len(seen),
+            len(edge),
+            label_ids,
+            tuple(shared),
+            {profile: number for number, profile in enumerate(classes)},
+            tuple(classes.values()),
+        ))
     return ExecutionPlan(
-        query=query,
-        order=order,
-        steps=tuple(steps),
-        estimated_start_cardinality=start_cardinality,
-        vertex_arrival=tuple(arrival),
-        index_backend=index_backend,
+        query, order, tuple(steps), start_cardinality, index_backend
     )

@@ -78,10 +78,11 @@ class InvertedHyperedgeIndex:
     #: Backend tag consulted by candidate generation for dispatch.
     backend = "merge"
 
-    __slots__ = ("_postings",)
+    __slots__ = ("_postings", "_entries")
 
     def __init__(self, postings: Dict[int, Tuple[int, ...]]) -> None:
         self._postings = postings
+        self._entries = sum(len(plist) for plist in postings.values())
 
     @classmethod
     def build(
@@ -104,6 +105,7 @@ class InvertedHyperedgeIndex:
         references (memoised unions, in-flight candidate sets) keep
         seeing the pre-mutation list."""
         postings = self._postings
+        self._entries += len(vertices)
         for vertex in vertices:
             existing = postings.get(vertex)
             postings[vertex] = (
@@ -116,6 +118,7 @@ class InvertedHyperedgeIndex:
         space).  Emptied posting lists are dropped entirely, matching a
         from-scratch rebuild."""
         postings = self._postings
+        self._entries -= len(vertices)
         for vertex in vertices:
             remaining = tuple(
                 other for other in postings[vertex] if other != edge_id
@@ -139,8 +142,9 @@ class InvertedHyperedgeIndex:
 
     @property
     def num_entries(self) -> int:
-        """Total posting entries (== sum of arities of indexed edges)."""
-        return sum(len(plist) for plist in self._postings.values())
+        """Total posting entries (== sum of arities of indexed edges;
+        O(1), kept by the build, inserts and deletes)."""
+        return self._entries
 
     def __contains__(self, vertex: int) -> bool:
         return vertex in self._postings
@@ -162,13 +166,14 @@ class BitsetHyperedgeIndex:
 
     backend = "bitset"
 
-    __slots__ = ("_row_to_edge", "_masks")
+    __slots__ = ("_row_to_edge", "_masks", "_entries")
 
     def __init__(
         self, row_to_edge: Tuple[int, ...], masks: Dict[int, int]
     ) -> None:
         self._row_to_edge = row_to_edge
         self._masks = masks
+        self._entries = sum(mask.bit_count() for mask in masks.values())
 
     @classmethod
     def build(
@@ -190,6 +195,7 @@ class BitsetHyperedgeIndex:
         """Incremental insert: allocate the next row, set its bits."""
         bit = 1 << len(self._row_to_edge)
         self._row_to_edge = self._row_to_edge + (edge_id,)
+        self._entries += len(vertices)
         masks = self._masks
         for vertex in vertices:
             masks[vertex] = masks.get(vertex, 0) | bit
@@ -200,6 +206,7 @@ class BitsetHyperedgeIndex:
         allocated (tombstone) so later rows never shift.  Vertices whose
         mask empties are dropped, matching a from-scratch rebuild."""
         clear = ~(1 << row)
+        self._entries -= len(vertices)
         masks = self._masks
         for vertex in vertices:
             mask = masks.get(vertex, 0) & clear
@@ -254,8 +261,9 @@ class BitsetHyperedgeIndex:
 
     @property
     def num_entries(self) -> int:
-        """Total posting entries (== sum of arities of indexed edges)."""
-        return sum(mask.bit_count() for mask in self._masks.values())
+        """Total posting entries (== sum of arities of indexed edges;
+        O(1), kept by the build, inserts and deletes)."""
+        return self._entries
 
     def __contains__(self, vertex: int) -> bool:
         return vertex in self._masks
@@ -457,6 +465,7 @@ class AdaptiveHyperedgeIndex:
         "_row_to_edge",
         "_chunk_maps",
         "_flat",
+        "_entries",
         "chunk_bits",
         "array_max",
     )
@@ -470,6 +479,9 @@ class AdaptiveHyperedgeIndex:
     ) -> None:
         self._row_to_edge = row_to_edge
         self._chunk_maps = chunk_maps
+        self._entries = sum(
+            chunks_count(chunks) for chunks in chunk_maps.values()
+        )
         self.chunk_bits = chunk_bits
         self.array_max = array_max
         # Single-chunk fast path: when the whole partition fits one chunk
@@ -565,6 +577,7 @@ class AdaptiveHyperedgeIndex:
         """Incremental insert: allocate the next row, post its vertices."""
         row = len(self._row_to_edge)
         self._row_to_edge = self._row_to_edge + (edge_id,)
+        self._entries += len(vertices)
         if self._flat is not None and len(self._row_to_edge) > (
             1 << self.chunk_bits
         ):
@@ -609,6 +622,7 @@ class AdaptiveHyperedgeIndex:
             container = None if chunks is None else chunks.get(chunk)
             if container is None:
                 continue
+            self._entries -= 1
             if isinstance(container, int):
                 bits = container & ~(1 << offset)
                 updated = (
@@ -705,8 +719,9 @@ class AdaptiveHyperedgeIndex:
 
     @property
     def num_entries(self) -> int:
-        """Total posting entries (== sum of arities of indexed edges)."""
-        return sum(chunks_count(chunks) for chunks in self._chunk_maps.values())
+        """Total posting entries (== sum of arities of indexed edges;
+        O(1), kept by the build, inserts and deletes)."""
+        return self._entries
 
     def __contains__(self, vertex: int) -> bool:
         return vertex in self._chunk_maps

@@ -49,10 +49,13 @@ def parse_native(stream: TextIO) -> Hypergraph:
     """Parse a native-format hypergraph from ``stream``.
 
     Labels are read back as strings; callers needing integer labels can
-    re-map them.  Raises :class:`ParseError` on malformed input.
+    re-map them.  Reads the stream line by line.  Raises
+    :class:`ParseError` on malformed input, on an ``l`` record naming no
+    vertex of the header (negative ids included) and on a vertex left
+    without an ``l`` record.
     """
     num_vertices = -1
-    labels: List[str] = []
+    labels: List["str | None"] = []
     edges: List[List[int]] = []
     for line_no, raw in enumerate(stream, start=1):
         line = raw.strip()
@@ -63,9 +66,15 @@ def parse_native(stream: TextIO) -> Hypergraph:
         try:
             if kind == "v":
                 num_vertices = int(parts[1])
-                labels = [""] * num_vertices
+                labels = [None] * num_vertices
             elif kind == "l":
-                labels[int(parts[1])] = parts[2]
+                vertex = int(parts[1])
+                if not 0 <= vertex < num_vertices:
+                    raise ParseError(
+                        f"line {line_no}: 'l' record for vertex {vertex} "
+                        f"outside the header's {max(num_vertices, 0)} vertices"
+                    )
+                labels[vertex] = parts[2]
             elif kind == "e":
                 edges.append([int(token) for token in parts[1:]])
             else:
@@ -74,6 +83,8 @@ def parse_native(stream: TextIO) -> Hypergraph:
             raise ParseError(f"line {line_no}: malformed record {line!r}") from exc
     if num_vertices < 0:
         raise ParseError("missing 'v' header record")
+    if None in labels:
+        raise ParseError(f"vertex {labels.index(None)} has no 'l' record")
     return Hypergraph(labels, edges)
 
 

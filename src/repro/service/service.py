@@ -21,11 +21,11 @@ operation:
   disconnecting) sets the query's cancel flag; the gather gives the
   query up at once.
 * **Result cache** — an LRU keyed by ``(graph fingerprint, graph
-  version, query fingerprint)``; hits return the finished
+  version, query content)`` (:func:`query_fingerprint`); hits return the finished
   :class:`~repro.parallel.tasks.ParallelResult` without touching
   the pool at all (the pool's dispatch counter is the proof).
 * **Inline** — a miss is planned once, by :meth:`MatchService.submit`;
-  when :func:`~repro.core.estimation.estimate_order` puts the plan
+  when :func:`~repro.core.estimation.estimated_cost` puts the plan
   below :data:`INLINE_COST`, the submitting thread counts it on the
   service's own engine (the sequential ``count_part``, no funnel) and
   the ticket is born finished — no thread hop, no frame, and a service
@@ -56,7 +56,7 @@ from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from typing import Optional, Sequence, Tuple
 
-from ..core.estimation import estimate_order
+from ..core.estimation import estimated_cost
 from ..errors import (
     QueryCancelled,
     SchedulerError,
@@ -70,7 +70,7 @@ from ..parallel.pool import QueryChannel, ShardPool
 from ..parallel.tasks import ParallelResult
 from .standing import StandingQuery
 
-#: A miss whose plan ``estimate_order`` costs below this is counted on
+#: A miss whose plan ``estimated_cost`` is below this is counted on
 #: the submitting thread, on the service's engine, instead of as a pool
 #: subtree job behind a service thread.  Calibrated on
 #: the e2e inputs (seed 3, 2 vCPU): ``svc_point``'s 600 queries estimate
@@ -151,12 +151,26 @@ def graph_fingerprint(graph) -> Tuple[int, int, int]:
     )
 
 
-def query_fingerprint(
-    query, order: "Sequence[int] | None" = None
-) -> Tuple[int, int, int, "Tuple[int, ...] | None"]:
-    """Fingerprint of a query (and any pinned matching order)."""
-    crc, edges, vertices = graph_fingerprint(query)
-    return (crc, edges, vertices, None if order is None else tuple(order))
+def query_fingerprint(query, order: "Sequence[int] | None" = None) -> tuple:
+    """A query's half of the cache key: its exact content — vertex
+    labels, hyperedges, edge labels (None when it has none) — and any
+    pinned matching order.
+
+    The content itself, not a checksum of it: two distinct queries
+    never share a key, so one is never answered with the other's
+    count.  Building it reads what the query already holds, where a
+    checksum would re-serialise the query just parsed.
+    """
+    edge_labels = (
+        tuple(map(query.edge_label, range(query.num_edges)))
+        if query.is_edge_labelled else None
+    )
+    return (
+        query.labels,
+        query.edges,
+        edge_labels,
+        None if order is None else tuple(order),
+    )
 
 
 class MatchTicket:
@@ -326,8 +340,8 @@ class MatchService:
         int-labelled one's entry.
         """
         self._engine.check_labels(query)
-        # The query's half of the key is the graph-independent one (a
-        # serialisation and a CRC): taken before the lock.
+        # The query's half of the key is the graph-independent one:
+        # taken before the lock.
         query_key = query_fingerprint(query, order)
         with self._lock:
             if self._closed:
@@ -354,10 +368,8 @@ class MatchService:
         settled = Future()
         started = time.monotonic()
         try:
-            plan = engine.plan(query, order)
-            if estimate_order(
-                query, engine.store, plan.order
-            ).estimated_cost < INLINE_COST:
+            plan = engine._plan(query, order)  # labels checked above
+            if estimated_cost(query, engine.store, plan.order) < INLINE_COST:
                 result = self._count_inline(plan, budget)
                 if result is not None:
                     settled.set_result(self._remember(key, result))

@@ -58,26 +58,47 @@ def random_instances(seed: int, count: int, make=None) -> list:
     return found
 
 
-def reference_is_valid_expansion(data, step_plan, vmap, candidate_edge) -> bool:
+def query_profile(query, order, step: int):
+    """The multiset of query vertex profiles of ``order[step]``'s
+    hyperedge (Theorem V.2): ``Counter`` of ``(label, frozenset of the
+    steps up to and including ``step`` whose hyperedge holds the
+    vertex)``.  The engine's plan keeps only its shared-vertex
+    projection; this whole form is the reference validator's."""
+    from collections import Counter
+
+    return Counter(
+        (
+            query.label(vertex),
+            frozenset(
+                earlier for earlier in range(step + 1)
+                if vertex in query.edge(order[earlier])
+            ),
+        )
+        for vertex in query.edge(order[step])
+    )
+
+
+def reference_is_valid_expansion(data, plan, step: int, vmap, candidate_edge) -> bool:
     """Algorithm 5 written out in full: the oracle for the kernel.
 
     Observation V.5, then Theorem V.2 as a ``Counter`` of ``(label,
     frozenset of incident steps)`` over **every** vertex of the candidate
-    against ``step_plan.query_profile`` — no shared-vertex shortcut, no
-    label interning, no bitmasks.  ``vmap`` is the ``vertex_step_map`` of
-    the partial embedding before adding the candidate.
+    against :func:`query_profile` of ``plan``'s ``step`` — no
+    shared-vertex shortcut, no label interning, no bitmasks.  ``vmap``
+    is the ``vertex_step_map`` of the partial embedding before adding
+    the candidate.
     """
     from collections import Counter
 
     edge = data.edge(candidate_edge)
     new_vertices = sum(1 for vertex in edge if vertex not in vmap)
-    if len(vmap) + new_vertices != step_plan.expected_num_vertices:
+    if len(vmap) + new_vertices != plan.steps[step].expected_num_vertices:
         return False
     profile = Counter(
-        (data.label(vertex), frozenset(vmap.get(vertex, ())) | {step_plan.step})
+        (data.label(vertex), frozenset(vmap.get(vertex, ())) | {step})
         for vertex in edge
     )
-    return profile == step_plan.query_profile
+    return profile == query_profile(plan.query, plan.order, step)
 
 
 # ---------------------------------------------------------------------------

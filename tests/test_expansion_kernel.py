@@ -62,7 +62,9 @@ def check_tree(engine: HGMatch, query: Hypergraph, max_nodes: int = 400) -> int:
         expected = [
             edge
             for edge in partition.edge_ids
-            if reference_is_valid_expansion(data, step_plan, vmap, edge)
+            if reference_is_valid_expansion(
+                data, plan, len(matched), vmap, edge
+            )
         ]
         masks = vertex_step_masks(data, matched)
         final = len(matched) == plan.num_steps - 1
@@ -181,7 +183,8 @@ def test_signature_guard_makes_the_shortcut_sound():
     wrapper's explicit Observation V.1 guard is what rejects it."""
     data = Hypergraph(["A", "A", "A", "B"], [{0, 1}, {1, 2}, {1, 3}])
     query = Hypergraph(["A", "A", "A"], [{0, 1}, {1, 2}])
-    step_plan = build_execution_plan(query, (0, 1)).steps[1]
+    plan = build_execution_plan(query, (0, 1))
+    step_plan = plan.steps[1]
     vmap = vertex_step_map(data, (0,))
     masks = vertex_step_masks(data, (0,))
     assert data.edge_signature(2) != step_plan.signature
@@ -191,7 +194,7 @@ def test_signature_guard_makes_the_shortcut_sound():
     assert not is_valid_expansion(
         data, step_plan, vmap, len(vmap), 2, step_masks=masks
     )
-    assert not reference_is_valid_expansion(data, step_plan, vmap, 2)
+    assert not reference_is_valid_expansion(data, plan, 1, vmap, 2)
 
 
 def test_observation_v5_reads_the_live_partial_size():
@@ -208,7 +211,7 @@ def test_observation_v5_reads_the_live_partial_size():
     assert plan.steps[2].shared_profile_key == ((0, 0b10),)
     assert masks[3] == 0b10  # candidate {3,4} shares exactly that vertex
     assert validate_candidates(data, plan.steps[2], masks, (2,)) == []
-    assert not reference_is_valid_expansion(data, plan.steps[2], vmap, 2)
+    assert not reference_is_valid_expansion(data, plan, 2, vmap, 2)
     # The well-formed partial accepts the same candidate.
     good = vertex_step_masks(data, (0, 3))
     assert validate_candidates(data, plan.steps[2], good, (1,)) == [1]
@@ -259,7 +262,9 @@ def full_partition_verdicts(data, query, order, matched):
         [
             edge
             for edge in partition.edge_ids
-            if reference_is_valid_expansion(data, step_plan, vmap, edge)
+            if reference_is_valid_expansion(
+                data, plan, len(matched), vmap, edge
+            )
         ],
     )
 

@@ -53,6 +53,30 @@ class TestNativeFormat:
         with pytest.raises(ParseError):
             parse_native(io.StringIO("v 1\ne one two\n"))
 
+    @pytest.mark.parametrize("vertex", ["-1", "-2", "2"])
+    def test_a_label_record_outside_the_header_is_refused(self, vertex):
+        """``l -1 X`` once relabelled the last vertex (Python's negative
+        index): ``('A', 'X')`` where the text says A, B."""
+        text = f"v 2\nl 0 A\nl 1 B\nl {vertex} X\ne 0 1\n"
+        with pytest.raises(ParseError, match=f"vertex {vertex} outside"):
+            parse_native(io.StringIO(text))
+
+    def test_a_vertex_without_a_label_record_is_refused(self):
+        """Such a vertex once got the label ``''``."""
+        with pytest.raises(ParseError, match="vertex 1 has no 'l' record"):
+            parse_native(io.StringIO("v 2\nl 0 A\ne 0 1\n"))
+
+    def test_the_stream_is_read_line_by_line(self):
+        """The daemon loads the data graph through this parser: it
+        iterates the stream, never reading it whole."""
+
+        class LinesOnly(io.StringIO):
+            def read(self, *args):
+                raise AssertionError("parse_native read the whole stream")
+
+        parsed = parse_native(LinesOnly("v 2\nl 0 A\nl 1 B\ne 0 1\n"))
+        assert parsed.labels == ("A", "B")
+
 
 class TestSimplexFormat:
     def test_roundtrip(self, tmp_path, fig1_data):

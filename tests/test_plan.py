@@ -5,6 +5,7 @@ from __future__ import annotations
 from collections import Counter
 
 from repro.core.plan import build_execution_plan
+from repro.testing import query_profile
 
 
 class TestStepPlans:
@@ -37,15 +38,17 @@ class TestStepPlans:
         assert step2.expected_num_vertices == 5
 
     def test_query_profiles(self, fig1_query):
-        plan = build_execution_plan(fig1_query, (0, 1, 2))
+        """The reference validator's full profiles (the plan keeps only
+        their shared-vertex projection)."""
+        order = (0, 1, 2)
         # Step 0 profile: u2 is in steps {0,1} later, but at step 0 only
         # incidence up to step 0 counts.
-        assert plan.steps[0].query_profile == Counter(
+        assert query_profile(fig1_query, order, 0) == Counter(
             {("A", frozenset({0})): 1, ("B", frozenset({0})): 1}
         )
         # Step 2 ({u0,u1,u3,u4}): u0 in steps 1,2; u1 in 1,2; u3 in 2; u4
         # in 0,2.
-        assert plan.steps[2].query_profile == Counter(
+        assert query_profile(fig1_query, order, 2) == Counter(
             {
                 ("A", frozenset({1, 2})): 1,
                 ("C", frozenset({1, 2})): 1,
@@ -67,9 +70,23 @@ class TestStepPlans:
         assert plan.steps[2].adjacent_prev == (1,)
         assert plan.steps[2].nonadjacent_prev == (0,)
 
-    def test_vertex_arrival_covers_all_vertices(self, fig1_query):
+    def test_the_order_walk_covers_all_vertices(self, fig1_query):
+        """What the engine reads connectivity off: a connected order's
+        last step has seen every query vertex."""
         plan = build_execution_plan(fig1_query, (0, 1, 2))
-        assert sorted(plan.vertex_arrival) == list(range(5))
+        assert [s.expected_num_vertices for s in plan.steps] == [2, 4, 5]
+
+    def test_records_are_immutable_and_pickle(self, fig1_query):
+        import pickle
+
+        import pytest
+
+        plan = build_execution_plan(fig1_query, (0, 1, 2))
+        with pytest.raises(AttributeError):
+            plan.steps[0].step = 1
+        with pytest.raises(AttributeError):
+            plan.order = (2, 1, 0)
+        assert pickle.loads(pickle.dumps(plan)) == plan
 
     def test_describe_mentions_operators(self, fig1_query):
         plan = build_execution_plan(fig1_query, (0, 1, 2))

@@ -418,17 +418,18 @@ def test_cache_hits_bypass_the_pool(service_instance):
 
 
 def test_a_foreign_label_type_never_reaches_the_cache():
-    """A query's fingerprint does not see its label *type*: an
-    int-labelled query and its str-labelled twin key alike.  The label
-    gate therefore runs before the cache lookup — the twin is refused,
-    typed, and never served the int query's cached count — and a
-    standing registration of it is refused the same way."""
+    """An int-labelled query and its str-labelled twin (the same native
+    text) are distinct keys — the key is the query's content, labels
+    as they are.  The label gate still runs before the cache lookup:
+    the twin is refused, typed, never served the int query's cached
+    count, and a standing registration of it is refused the same
+    way."""
     from repro.hypergraph import Hypergraph
 
     data = Hypergraph([0, 1, 0, 1], [{0, 1}, {2, 3}, {0, 3}])
     query = Hypergraph([0, 1], [{0, 1}])
     twin = Hypergraph(["0", "1"], [{0, 1}])
-    assert query_fingerprint(query) == query_fingerprint(twin)
+    assert query_fingerprint(query) != query_fingerprint(twin)
     engine = HGMatch(data)
     service = MatchService(engine, shards=1)
     try:
@@ -460,6 +461,55 @@ def test_fingerprints_key_on_content_and_order(service_instance):
         query_fingerprint(queries[0], order)
         != query_fingerprint(queries[0])
     )
+
+
+def test_the_cache_key_is_exact_not_a_checksum(monkeypatch):
+    """Two distinct queries of equal edge and vertex counts whose
+    checksums collide (``crc32`` patched to a constant) each get their
+    own count: the key is the query's content, not its CRC."""
+    from repro.hypergraph import Hypergraph
+
+    monkeypatch.setattr(service_module.zlib, "crc32", lambda *args: 7)
+    data = Hypergraph(
+        ["A", "B", "C", "A", "B"], [[0, 1], [3, 4], [2, 3]]
+    )
+    a_b = Hypergraph(["A", "B"], [[0, 1]])
+    a_c = Hypergraph(["A", "C"], [[0, 1]])
+    engine = HGMatch(data)
+    service = MatchService(engine, shards=1)
+    try:
+        assert service.match(a_b).embeddings == 2
+        assert service.match(a_c).embeddings == 1
+        assert service.match(a_b).embeddings == 2
+        assert (service.cache_hits, service.cache_misses) == (1, 2)
+    finally:
+        service.close()
+        engine.close()
+
+
+def test_edge_labels_are_part_of_the_cache_key():
+    """Two queries that differ only in their hyperedge's label: the
+    native text (what a checksum key read) has no edge labels, the key
+    does."""
+    from repro.hypergraph import Hypergraph
+
+    data = Hypergraph(
+        ["A", "B", "A", "B"], [[0, 1], [2, 3], [0, 3]],
+        edge_labels=["x", "x", "y"],
+    )
+    by_label = {
+        label: Hypergraph(["A", "B"], [[0, 1]], edge_labels=[label])
+        for label in ("x", "y")
+    }
+    assert query_fingerprint(by_label["x"]) != query_fingerprint(by_label["y"])
+    engine = HGMatch(data)
+    service = MatchService(engine, shards=1)
+    try:
+        assert service.match(by_label["x"]).embeddings == 2
+        assert service.match(by_label["y"]).embeddings == 1
+    finally:
+        service.close()
+        engine.close()
 
 
 # ----------------------------------------------------------------------
@@ -1078,6 +1128,35 @@ def test_daemon_answers_pipelined_requests_in_order(service_instance):
     finally:
         _stop_daemon(daemon, thread)
         engine.close()
+
+
+@pytest.mark.parametrize("text", [
+    "v 2\nl 0 A\nl 1 B\nl -1 X\ne 0 1\n",
+    "v 2\nl 0 A\ne 0 1\n",
+], ids=["negative-label-id", "unlabelled-vertex"])
+def test_daemon_refuses_a_query_the_parser_refuses(service_instance, text):
+    """A query text ``parse_native`` refuses is a ``bad request`` —
+    not a count of some other query it was misread as — and the
+    connection still answers the next request."""
+    data, queries, expected = service_instance
+    engine = HGMatch(data, index_backend="bitset")
+    service = MatchService(engine, shards=1)
+    daemon, (host, port), thread = _start_daemon(service)
+    try:
+        with socket.create_connection((host, port), timeout=30.0) as sock:
+            replies = sock.makefile("r")
+            sock.sendall((json.dumps({"query": text}) + "\n").encode())
+            refused = json.loads(replies.readline())
+            sock.sendall(_request_line(queries[0]))
+            answered = json.loads(replies.readline())
+        assert refused["ok"] is False
+        assert refused["error"].startswith("bad request: ")
+        assert answered["ok"] is True
+        assert answered["embeddings"] == expected["bitset"][0]
+    finally:
+        _stop_daemon(daemon, thread)
+        engine.close()
+    assert service.cache_misses == 1  # the refusal never reached it
 
 
 def test_daemon_answers_garbage_then_a_query_on_one_socket(

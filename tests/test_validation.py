@@ -115,19 +115,23 @@ class TestMaskProfileEquivalence:
         return vmap_path
 
     def test_plan_carries_shared_key(self, fig1_query):
-        """``shared_profile_key`` is ``query_profile`` restricted to the
+        """``shared_profile_key`` is the reference validator's full
+        profile (``repro.testing.query_profile``) restricted to the
         vertices an earlier step covers, with this step's bit dropped."""
+        from repro.testing import query_profile
+
         plan = build_execution_plan(fig1_query, (0, 1, 2))
         for step_plan in plan.steps:
             label_ids = step_plan.profile_label_ids
+            profile = query_profile(plan.query, plan.order, step_plan.step)
             expected = sorted(
                 (label_ids[label], sum(1 << s for s in steps if s != step_plan.step))
-                for (label, steps), count in step_plan.query_profile.items()
+                for (label, steps), count in profile.items()
                 for _ in range(count)
                 if len(steps) > 1
             )
             assert list(step_plan.shared_profile_key) == expected
-            assert step_plan.arity == sum(step_plan.query_profile.values())
+            assert step_plan.arity == sum(profile.values())
 
     def test_fig1_candidates_agree(self, fig1_data, fig1_query):
         plan = build_execution_plan(fig1_query, (0, 1, 2))
