@@ -79,6 +79,22 @@ class TestEngineBehaviour:
         with pytest.raises(QueryError):
             fig1_engine.count(query)
 
+    def test_connectivity_is_read_off_the_order_walk(self, fig1_engine):
+        """The plan's walk, not a separate traversal, refuses a query:
+        an isolated vertex (every hyperedge connected) and a pinned
+        order that is not connected each get their own message."""
+        isolated = Hypergraph(["A", "B", "A"], [{0, 1}])
+        with pytest.raises(QueryError, match="requires a connected query"):
+            fig1_engine.plan(isolated)
+        with pytest.raises(QueryError, match="requires a connected query"):
+            fig1_engine.plan(
+                Hypergraph(["A", "B", "A", "B"], [{0, 1}, {2, 3}]), (0, 1)
+            )
+        path = Hypergraph(["A", "A", "A", "A"], [{0, 1}, {2, 3}, {1, 2}])
+        with pytest.raises(QueryError, match="invalid matching order"):
+            fig1_engine.plan(path, (0, 1, 2))
+        assert fig1_engine.plan(path, (0, 2, 1)).order == (0, 2, 1)
+
     def test_a_label_type_the_graph_lacks_is_refused_on_every_path(self):
         """A str-labelled query on an int-labelled graph (a native query
         file against a built-in dataset) could match nothing: every
