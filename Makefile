@@ -9,7 +9,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 	bench-smoke bench-index bench-sharding \
 	bench-chaos bench-elastic bench-service bench-mutation \
 	bench-durability bench-e2e bench-e2e-smoke bench-e2e-trace-smoke \
-	paper docs-check lint-imports loc
+	scale-smoke paper docs-check lint-imports loc
 
 ## Tier-1 verification: the whole test suite, stop on first failure.
 ## Honours REPRO_INDEX_BACKEND (merge/bitset/adaptive; unset = bitset).
@@ -183,6 +183,13 @@ bench-e2e-trace-smoke:
 		fi; \
 		echo "$$workload: every layer surface traced"; \
 	done
+
+## Scale smoke: a TC-shaped graph at 10^5 hyperedges generated, saved
+## and re-loaded as native text, indexed on bitset and asked one sampled
+## query, the whole run under 120 s (the path the scale tier's
+## workloads will take; ~4 s on 2 vCPUs, of which ~2 s generation).
+scale-smoke:
+	timeout 120 $(PYTHON) benchmarks/scale_smoke.py
 
 ## The paper's figures and tables under their own pytest gates, as
 ## the bench modules assert them (Fig. 6-12, Tables II and IV, the

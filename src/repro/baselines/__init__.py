@@ -8,6 +8,7 @@ IHS candidate filter — and against RapidMatch on bipartite conversions.
 lists the benchmark line-up.
 """
 
+from ..catalog import BASELINE_NAMES
 from ..hypergraph import Hypergraph
 from .bipartite import BipartiteGraph, convert, inflation_factor
 from .ceci import CECIHMatcher
@@ -17,8 +18,6 @@ from .filters import VertexStatistics, ihs_candidates, ldf_candidates
 from .framework import BaselineResult, VertexBacktrackingMatcher, brute_force
 from .rapidmatch import RapidMatchHMatcher
 
-#: Names of the baseline algorithms in the paper's comparison line-up.
-BASELINE_NAMES = ("CFL-H", "DAF-H", "CECI-H", "RapidMatch-H")
 
 _REGISTRY = {
     "CFL-H": CFLHMatcher,

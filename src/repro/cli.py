@@ -42,9 +42,8 @@ import time
 from typing import List, Optional
 
 from . import __version__
-from .baselines import BASELINE_NAMES, make_baseline
+from .catalog import BASELINE_NAMES, DATASET_ORDER
 from .core.engine import HGMatch
-from .datasets import DATASET_ORDER, load_dataset
 from .errors import ReproError, TimeoutExceeded
 from .hypergraph import (
     DEFAULT_INDEX_BACKEND,
@@ -309,6 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_graph(source: str) -> Hypergraph:
     if source in DATASET_ORDER:
+        from .datasets import load_dataset
+
         return load_dataset(source)
     return load_native(source)
 
@@ -322,6 +323,8 @@ def _load_query(path: str, data: Hypergraph) -> Hypergraph:
 
 
 def _cmd_datasets(out) -> int:
+    from .datasets import load_dataset
+
     for name in DATASET_ORDER:
         stats = dataset_statistics(name, load_dataset(name))
         out.write(
@@ -461,6 +464,8 @@ def _cmd_match(args, out) -> int:
                 from .hypergraph import PartitionedStore
 
                 store = PartitionedStore(data, index_backend=args.index_backend)
+            from .baselines import make_baseline
+
             matcher = make_baseline(args.engine, data, store=store)
             count = len(matcher.hyperedge_embeddings(query, time_budget=args.timeout))
     except TimeoutExceeded:

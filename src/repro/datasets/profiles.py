@@ -20,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
+from ..catalog import DATASET_ORDER
+
 
 @dataclass(frozen=True)
 class PaperProfile:
@@ -97,10 +99,6 @@ SCALED_SPECS: Dict[str, ScaledSpec] = {
     )
 }
 
-#: The dataset order used by the paper's tables and figures.
-DATASET_ORDER: Tuple[str, ...] = (
-    "HC", "MA", "CH", "CP", "SB", "HB", "WT", "TC", "SA", "AR",
-)
 
 #: Datasets used in the single-thread comparison (all but AR — Exp-2).
 SINGLE_THREAD_DATASETS: Tuple[str, ...] = DATASET_ORDER[:-1]

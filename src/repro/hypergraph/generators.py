@@ -21,6 +21,7 @@ dataset and benchmark is reproducible from a seed.
 from __future__ import annotations
 
 import random
+from itertools import accumulate
 from typing import List, Sequence
 
 from ..errors import HypergraphError
@@ -116,14 +117,18 @@ def generate_hypergraph(
     # shuffle of ranks (so popular vertices are spread over the id space).
     ranks = list(range(1, num_vertices + 1))
     rng.shuffle(ranks)
-    popularity = [1.0 / (rank**degree_exponent) for rank in ranks]
+    # Accumulated once per graph: ``rng.choices(weights=w)`` would redo
+    # this O(|V|) sum on every call, the same ``cum_weights`` each time.
+    cumulative = list(
+        accumulate(1.0 / (rank**degree_exponent) for rank in ranks)
+    )
 
     edges: List[List[int]] = []
     for _ in range(num_edges):
         arity = sample_arity(mean_arity, max_arity, rng, min_arity=min_arity)
         arity = min(arity, num_vertices)
         members = _weighted_sample_without_replacement(
-            num_vertices, popularity, arity, rng
+            num_vertices, cumulative, arity, rng
         )
         edges.append(members)
     return Hypergraph(labels, edges)
@@ -131,27 +136,29 @@ def generate_hypergraph(
 
 def _weighted_sample_without_replacement(
     population_size: int,
-    weights: Sequence[float],
+    cum_weights: Sequence[float],
     sample_size: int,
     rng: random.Random,
 ) -> List[int]:
-    """Sample ``sample_size`` distinct indices with probability ∝ weights.
+    """Sample ``sample_size`` distinct indices, each first drawn with
+    probability ∝ its weight (``cum_weights`` is their running sum).
 
-    Uses the exponential-race trick (Efraimidis–Spirakis): draw a key
-    ``u^(1/w)`` per candidate and keep the top-k.  Sampling a bounded
-    candidate pool keeps this O(k log k) instead of O(n) per edge.
+    Draws a with-replacement pool of ``max(4k, 16)`` indices and keeps
+    the first ``k`` distinct ones in draw order, drawing further pools
+    in the rare case the first holds fewer than ``k``.  Each draw is a
+    bisection of ``cum_weights``, so an edge costs O(k log n) — the
+    caller accumulates the weights once per graph, not once per edge.
     """
     if sample_size >= population_size:
         return list(range(population_size))
-    # Candidate pool: a weighted-with-replacement draw several times the
-    # sample size virtually always contains enough distinct vertices.
+    population = range(population_size)
     pool_size = max(sample_size * 4, 16)
-    pool = rng.choices(range(population_size), weights=weights, k=pool_size)
+    pool = rng.choices(population, cum_weights=cum_weights, k=pool_size)
     distinct = list(dict.fromkeys(pool))
     while len(distinct) < sample_size:
         distinct.extend(
             v
-            for v in rng.choices(range(population_size), weights=weights, k=pool_size)
+            for v in rng.choices(population, cum_weights=cum_weights, k=pool_size)
             if v not in distinct
         )
     return distinct[:sample_size]

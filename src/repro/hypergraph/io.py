@@ -24,9 +24,9 @@ the :class:`Hypergraph` constructor.
 from __future__ import annotations
 
 import os
-from typing import FrozenSet, List, TextIO
+from typing import Dict, FrozenSet, List, TextIO
 
-from ..errors import ParseError, QueryError
+from ..errors import HypergraphError, ParseError, QueryError
 from .hypergraph import Hypergraph
 
 
@@ -49,13 +49,17 @@ def parse_native(stream: TextIO) -> Hypergraph:
     """Parse a native-format hypergraph from ``stream``.
 
     Labels are read back as strings; callers needing integer labels can
-    re-map them.  Reads the stream line by line.  Raises
-    :class:`ParseError` on malformed input, on an ``l`` record naming no
-    vertex of the header (negative ids included) and on a vertex left
-    without an ``l`` record.
+    re-map them.  Reads the stream line by line, and holds labels only
+    for the ``l`` records it has read, so a header's vertex count costs
+    nothing until records back it.  Raises :class:`ParseError` on
+    malformed input (a ``v`` or ``l`` record with a token too many or
+    too few, a negative header), on an ``l`` record naming no vertex of
+    the header, on a vertex left without an ``l`` record and on a
+    hyperedge the :class:`Hypergraph` refuses (empty, or naming no
+    vertex of the header).
     """
     num_vertices = -1
-    labels: List["str | None"] = []
+    labels: Dict[int, str] = {}
     edges: List[List[int]] = []
     for line_no, raw in enumerate(stream, start=1):
         line = raw.strip()
@@ -65,27 +69,35 @@ def parse_native(stream: TextIO) -> Hypergraph:
         kind = parts[0]
         try:
             if kind == "v":
-                num_vertices = int(parts[1])
-                labels = [None] * num_vertices
+                _, count = parts
+                num_vertices = int(count)
+                if num_vertices < 0:
+                    raise ValueError("negative vertex count")
+                labels = {}
             elif kind == "l":
-                vertex = int(parts[1])
+                _, vertex, label = parts
+                vertex = int(vertex)
                 if not 0 <= vertex < num_vertices:
                     raise ParseError(
                         f"line {line_no}: 'l' record for vertex {vertex} "
                         f"outside the header's {max(num_vertices, 0)} vertices"
                     )
-                labels[vertex] = parts[2]
+                labels[vertex] = label
             elif kind == "e":
                 edges.append([int(token) for token in parts[1:]])
             else:
                 raise ParseError(f"line {line_no}: unknown record type {kind!r}")
-        except (IndexError, ValueError) as exc:
+        except ValueError as exc:
             raise ParseError(f"line {line_no}: malformed record {line!r}") from exc
     if num_vertices < 0:
         raise ParseError("missing 'v' header record")
-    if None in labels:
-        raise ParseError(f"vertex {labels.index(None)} has no 'l' record")
-    return Hypergraph(labels, edges)
+    if len(labels) < num_vertices:
+        missing = next(v for v in range(num_vertices) if v not in labels)
+        raise ParseError(f"vertex {missing} has no 'l' record")
+    try:
+        return Hypergraph([labels[v] for v in range(num_vertices)], edges)
+    except HypergraphError as exc:
+        raise ParseError(str(exc)) from exc
 
 
 def label_types(graph: Hypergraph) -> FrozenSet[str]:

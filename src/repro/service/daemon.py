@@ -39,6 +39,11 @@ drop:
     S: {"ok": false, "query_error": true, "error": "..."}
     S: {"ok": false, "error": "..."}
 
+A request whose query text does not parse, whose ``order`` is not null
+or a list of ints, or whose ``deadline`` is not null or a finite number
+>= 0 gets the plain ``error`` reply ``bad request: ...``, and the
+connection goes on to its next line.
+
 ``query_error`` refuses a ``query`` or ``standing`` query whose vertex
 labels are of a type the served graph's are not (the native text is
 read back with string labels, a built-in dataset has int ones): it
@@ -65,6 +70,7 @@ from __future__ import annotations
 import asyncio
 import io
 import json
+import math
 import signal
 import time
 
@@ -107,6 +113,30 @@ def _refusal(exc: Exception) -> dict:
         return {"ok": False, "busy": True,
                 "retry_after": exc.retry_after, "depth": exc.depth}
     return {"ok": False, "error": str(exc)}
+
+
+def _request_order(request: dict):
+    """A request's ``order``: null, or a list of vertex ids."""
+    order = request.get("order")
+    if order is not None and not (
+        type(order) is list and all(type(vertex) is int for vertex in order)
+    ):
+        raise TypeError(f"order must be null or a list of ints, not {order!r}")
+    return order
+
+
+def _request_deadline(request: dict):
+    """A request's ``deadline``: null, or a finite number of seconds
+    >= 0."""
+    deadline = request.get("deadline")
+    if deadline is not None and not (
+        type(deadline) in (int, float) and 0 <= deadline < math.inf
+    ):
+        raise ValueError(
+            "deadline must be null or a finite non-negative number, "
+            f"not {deadline!r}"
+        )
+    return deadline
 
 
 def _hung_up(read) -> bool:
@@ -232,8 +262,8 @@ class MatchDaemon:
             return {"ok": False, "error": f"unknown op {op!r}"}
         try:
             query = parse_native(io.StringIO(request["query"]))
-            order = request.get("order")
-            deadline = request.get("deadline")
+            order = _request_order(request)
+            deadline = _request_deadline(request)
         except (KeyError, TypeError, ValueError, ReproError) as exc:
             return {"ok": False, "error": f"bad request: {exc}"}
         try:
@@ -317,7 +347,7 @@ class MatchDaemon:
         """
         try:
             query = parse_native(io.StringIO(request["query"]))
-            order = request.get("order")
+            order = _request_order(request)
         except (KeyError, TypeError, ValueError, ReproError) as exc:
             return {"ok": False, "error": f"bad request: {exc}"}
         loop = asyncio.get_running_loop()

@@ -20,8 +20,8 @@ operation:
 * **Cancellation** — :meth:`MatchTicket.cancel` (and a daemon client
   disconnecting) sets the query's cancel flag; the gather gives the
   query up at once.
-* **Result cache** — an LRU keyed by ``(graph fingerprint, graph
-  version, query content)`` (:func:`query_fingerprint`); hits return the finished
+* **Result cache** — an LRU keyed by ``(graph version, query
+  content)`` (:func:`query_fingerprint`); hits return the finished
   :class:`~repro.parallel.tasks.ParallelResult` without touching
   the pool at all (the pool's dispatch counter is the proof).
 * **Inline** — a miss is planned once, by :meth:`MatchService.submit`;
@@ -286,9 +286,6 @@ class MatchService:
         )
         self._tickets: "list" = []
         self._cache: "OrderedDict" = OrderedDict()
-        #: Content fingerprint of the graph the service started on —
-        #: taken once, on first use; commits move the key by version.
-        self._graph_fp = None
         self.cache_hits = 0
         self.cache_misses = 0
         #: True while a mutation barrier holds the service: submissions
@@ -308,16 +305,6 @@ class MatchService:
             previous.close()
 
     # -- submission ------------------------------------------------------
-
-    def _graph_key(self):
-        """What the cache knows the data graph by: the fingerprint of
-        the graph first asked about and the version every commit bumps
-        — a commit costs the key an integer, not a re-serialisation of
-        the whole graph under the service lock."""
-        data = self._engine.data
-        if self._graph_fp is None:
-            self._graph_fp = graph_fingerprint(data)
-        return self._graph_fp, data.version
 
     def submit(
         self,
@@ -348,10 +335,13 @@ class MatchService:
                 raise SchedulerError("match service is closed")
             if self._mutating:
                 raise ServiceBusy(self.queue_depth, RETRY_AFTER)
-            # Graph key inside the lock, after the mutation gate: a
-            # mutation barrier between the key and the lookup must not
-            # serve a result cached for a graph that no longer exists.
-            key = (self._graph_key(), query_key)
+            # The graph's half of the key is its version, read inside
+            # the lock, after the mutation gate: a mutation barrier
+            # between the key and the lookup must not serve a result
+            # cached for a graph that no longer exists.  The version
+            # alone names the graph: this service's engine holds one
+            # graph, which changes only by commits, each bumping it.
+            key = (self._engine.data.version, query_key)
             cached = self._cache.get(key)
             if cached is not None:
                 self._cache.move_to_end(key)

@@ -29,6 +29,15 @@ class TestRegistry:
         assert len(DATASET_ORDER) == 10
         assert set(SCALED_SPECS) == set(PAPER_PROFILES) == set(DATASET_ORDER)
 
+    def test_the_catalog_names_what_the_registries_build(self):
+        """The CLI reads the names from ``repro.catalog``, which imports
+        neither package: it must list what they actually hold."""
+        from repro import catalog
+        from repro.baselines import _REGISTRY
+
+        assert catalog.DATASET_ORDER == tuple(SCALED_SPECS)
+        assert catalog.BASELINE_NAMES == tuple(_REGISTRY)
+
     def test_single_thread_lineup_excludes_ar(self):
         assert "AR" not in SINGLE_THREAD_DATASETS
         assert len(SINGLE_THREAD_DATASETS) == 9

@@ -463,6 +463,41 @@ def test_fingerprints_key_on_content_and_order(service_instance):
     )
 
 
+def test_no_served_query_serialises_the_graph(service_instance, monkeypatch):
+    """The cache knows the graph by its version: neither the first
+    query, nor a hit, nor the first query after a commit calls
+    ``dump_native`` (patched here to raise), and the commit still makes
+    the old entry unreachable."""
+    data, queries, expected = service_instance
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("a served query serialised the whole graph")
+
+    monkeypatch.setattr(service_module, "dump_native", refuse)
+    monkeypatch.setattr("repro.hypergraph.io.dump_native", refuse)
+    engine = HGMatch(parse_native(io.StringIO(_native_text(data))))
+    service = MatchService(engine, shards=1)
+    try:
+        assert service.match(queries[0]).embeddings == expected["bitset"][0]
+        assert service.submit(queries[0]).cached
+        engine.apply_mutations(MutationBatch(deletes=[0]))
+        after = service.submit(queries[0])
+        assert not after.cached
+        assert after.result().embeddings == HGMatch(engine.data).count(
+            queries[0]
+        )
+        assert (service.cache_hits, service.cache_misses) == (1, 2)
+    finally:
+        service.close()
+        engine.close()
+
+
+def _native_text(graph) -> str:
+    buffer = io.StringIO()
+    dump_native(graph, buffer)
+    return buffer.getvalue()
+
+
 def test_the_cache_key_is_exact_not_a_checksum(monkeypatch):
     """Two distinct queries of equal edge and vertex counts whose
     checksums collide (``crc32`` patched to a constant) each get their
@@ -1157,6 +1192,98 @@ def test_daemon_refuses_a_query_the_parser_refuses(service_instance, text):
         _stop_daemon(daemon, thread)
         engine.close()
     assert service.cache_misses == 1  # the refusal never reached it
+
+
+@pytest.mark.parametrize("fields", [
+    {"order": 5},
+    {"order": [[0]]},
+    {"order": "01"},
+    {"order": [0, 1.0]},
+    {"order": [True]},
+    {"deadline": "x"},
+    {"deadline": -1},
+    {"deadline": float("inf")},
+    {"deadline": float("nan")},
+    {"deadline": [1]},
+    {"deadline": True},
+], ids=lambda fields: repr(fields))
+def test_daemon_refuses_a_malformed_order_or_deadline(
+    service_instance, fields,
+):
+    """``order`` is null or a list of ints, ``deadline`` null or a
+    finite number >= 0: anything else is a ``bad request`` reply — not
+    a dropped connection or an untyped message — and the same
+    connection then answers a real query."""
+    data, queries, expected = service_instance
+    engine = HGMatch(data, index_backend="bitset")
+    service = MatchService(engine, shards=1)
+    daemon, (host, port), thread = _start_daemon(service)
+    try:
+        with socket.create_connection((host, port), timeout=30.0) as sock:
+            replies = sock.makefile("r")
+            sock.sendall(_request_line(queries[0], **fields))
+            refused = json.loads(replies.readline())
+            sock.sendall(_request_line(queries[0]))
+            answered = json.loads(replies.readline())
+        assert refused["ok"] is False
+        assert refused["error"].startswith("bad request: ")
+        assert answered["ok"] is True
+        assert answered["embeddings"] == expected["bitset"][0]
+    finally:
+        _stop_daemon(daemon, thread)
+        engine.close()
+    assert service.cache_misses == 1  # the refusal never reached it
+
+
+def test_daemon_refuses_a_malformed_standing_order(service_instance):
+    """The ``standing`` op decodes its ``order`` the same way; the
+    refusal leaves the connection open for the next request."""
+    data, queries, expected = service_instance
+    engine = HGMatch(data, index_backend="bitset")
+    service = MatchService(engine, shards=1)
+    daemon, (host, port), thread = _start_daemon(service)
+    try:
+        with socket.create_connection((host, port), timeout=30.0) as sock:
+            replies = sock.makefile("r")
+            sock.sendall(_request_line(queries[0], op="standing", order=5))
+            refused = json.loads(replies.readline())
+            sock.sendall(_request_line(queries[0]))
+            answered = json.loads(replies.readline())
+        assert refused["ok"] is False
+        assert refused["error"].startswith("bad request: ")
+        assert answered["ok"] is True
+        assert answered["embeddings"] == expected["bitset"][0]
+    finally:
+        _stop_daemon(daemon, thread)
+        engine.close()
+
+
+def test_daemon_takes_a_well_formed_order_and_deadline(service_instance):
+    """The decoding refuses nothing the protocol allows: an int
+    deadline, a float one, 0 (answered, typed, as already blown or
+    not) and an explicit order of ints."""
+    data, queries, expected = service_instance
+    engine = HGMatch(data, index_backend="bitset")
+    service = MatchService(engine, shards=1)
+    daemon, (host, port), thread = _start_daemon(service)
+    order = list(engine.plan(queries[0]).order)
+    try:
+        with socket.create_connection((host, port), timeout=30.0) as sock:
+            replies = sock.makefile("r")
+            for fields in (
+                {"deadline": 30}, {"deadline": 30.0}, {"order": order},
+                {"order": None, "deadline": None},
+            ):
+                sock.sendall(_request_line(queries[0], **fields))
+                answered = json.loads(replies.readline())
+                assert answered["ok"] is True, fields
+                assert answered["embeddings"] == expected["bitset"][0]
+            sock.sendall(_request_line(queries[1], deadline=0))
+            last = json.loads(replies.readline())
+        assert last["ok"] or last.get("deadline_exceeded") is True
+    finally:
+        _stop_daemon(daemon, thread)
+        engine.close()
 
 
 def test_daemon_answers_garbage_then_a_query_on_one_socket(

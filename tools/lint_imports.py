@@ -18,6 +18,10 @@ hide a violation — that fails when:
 3. Any production package (``core``, ``hypergraph``, ``parallel``,
    ``service``) imports the paper's scaffolding (``baselines``,
    ``bench``, ``joins``), at any depth.
+4. ``repro/cli.py`` imports the scaffolding or ``datasets`` **at module
+   level**.  Every command pays for what the CLI module imports before
+   argv is parsed — a ``serve-match`` daemon included — so the commands
+   that need them import them in their own functions.
 
 Every file under ``src/`` is parsed on the way, so a syntax error
 anywhere fails the check too.
@@ -43,6 +47,7 @@ RULES = {
 }
 for _package in PRODUCTION:
     RULES.setdefault(_package, []).append((SCAFFOLDING, False))
+RULES["cli"] = [(SCAFFOLDING + ("datasets",), True)]
 
 
 def imported_modules(node, package: str):
@@ -76,9 +81,9 @@ def check_file(path: str):
     with open(path, encoding="utf-8") as handle:
         tree = ast.parse(handle.read(), filename=relative)
     parts = relative[: -len(".py")].split(os.sep)
-    if parts[0] != "repro" or len(parts) < 3:
+    if parts[0] != "repro" or len(parts) < 2:
         return
-    owner = parts[1]
+    owner = parts[1]  # a package, or a top-level module such as ``cli``
     package = ".".join(parts[:-1])
     for node, top in iter_imports(tree):
         for name in imported_modules(node, package):
