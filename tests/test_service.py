@@ -1206,14 +1206,15 @@ def test_daemon_refuses_a_query_the_parser_refuses(service_instance, text):
     {"deadline": float("nan")},
     {"deadline": [1]},
     {"deadline": True},
+    {"op": "standing", "order": 5},
 ], ids=lambda fields: repr(fields))
 def test_daemon_refuses_a_malformed_order_or_deadline(
     service_instance, fields,
 ):
-    """``order`` is null or a list of ints, ``deadline`` null or a
-    finite number >= 0: anything else is a ``bad request`` reply — not
-    a dropped connection or an untyped message — and the same
-    connection then answers a real query."""
+    """``order`` is null or a list of ints (on a ``standing`` request
+    too), ``deadline`` null or a finite number >= 0: anything else is a
+    ``bad request`` reply — not a dropped connection or an untyped
+    message — and the same connection then answers a real query."""
     data, queries, expected = service_instance
     engine = HGMatch(data, index_backend="bitset")
     service = MatchService(engine, shards=1)
@@ -1233,29 +1234,6 @@ def test_daemon_refuses_a_malformed_order_or_deadline(
         _stop_daemon(daemon, thread)
         engine.close()
     assert service.cache_misses == 1  # the refusal never reached it
-
-
-def test_daemon_refuses_a_malformed_standing_order(service_instance):
-    """The ``standing`` op decodes its ``order`` the same way; the
-    refusal leaves the connection open for the next request."""
-    data, queries, expected = service_instance
-    engine = HGMatch(data, index_backend="bitset")
-    service = MatchService(engine, shards=1)
-    daemon, (host, port), thread = _start_daemon(service)
-    try:
-        with socket.create_connection((host, port), timeout=30.0) as sock:
-            replies = sock.makefile("r")
-            sock.sendall(_request_line(queries[0], op="standing", order=5))
-            refused = json.loads(replies.readline())
-            sock.sendall(_request_line(queries[0]))
-            answered = json.loads(replies.readline())
-        assert refused["ok"] is False
-        assert refused["error"].startswith("bad request: ")
-        assert answered["ok"] is True
-        assert answered["embeddings"] == expected["bitset"][0]
-    finally:
-        _stop_daemon(daemon, thread)
-        engine.close()
 
 
 def test_daemon_takes_a_well_formed_order_and_deadline(service_instance):
