@@ -53,7 +53,8 @@ def parse_native(stream: TextIO) -> Hypergraph:
     for the ``l`` records it has read, so a header's vertex count costs
     nothing until records back it.  Raises :class:`ParseError` on
     malformed input (a ``v`` or ``l`` record with a token too many or
-    too few, a negative header), on an ``l`` record naming no vertex of
+    too few, a negative header), on a second ``v`` header or a second
+    ``l`` record for one vertex, on an ``l`` record naming no vertex of
     the header, on a vertex left without an ``l`` record and on a
     hyperedge the :class:`Hypergraph` refuses (empty, or naming no
     vertex of the header).
@@ -69,11 +70,12 @@ def parse_native(stream: TextIO) -> Hypergraph:
         kind = parts[0]
         try:
             if kind == "v":
+                if num_vertices >= 0:
+                    raise ParseError(f"line {line_no}: a second 'v' header")
                 _, count = parts
                 num_vertices = int(count)
                 if num_vertices < 0:
                     raise ValueError("negative vertex count")
-                labels = {}
             elif kind == "l":
                 _, vertex, label = parts
                 vertex = int(vertex)
@@ -81,6 +83,11 @@ def parse_native(stream: TextIO) -> Hypergraph:
                     raise ParseError(
                         f"line {line_no}: 'l' record for vertex {vertex} "
                         f"outside the header's {max(num_vertices, 0)} vertices"
+                    )
+                if vertex in labels:
+                    raise ParseError(
+                        f"line {line_no}: a second 'l' record for vertex "
+                        f"{vertex}"
                     )
                 labels[vertex] = label
             elif kind == "e":

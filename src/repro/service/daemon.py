@@ -127,16 +127,24 @@ def _request_order(request: dict):
 
 def _request_deadline(request: dict):
     """A request's ``deadline``: null, or a finite number of seconds
-    >= 0."""
+    >= 0, decoded as a float (a JSON integer too large for one, such as
+    ``1e400`` written out in digits, is refused here, not left to
+    overflow on the service's clock)."""
     deadline = request.get("deadline")
-    if deadline is not None and not (
-        type(deadline) in (int, float) and 0 <= deadline < math.inf
-    ):
+    if deadline is None:
+        return None
+    seconds = math.nan
+    if type(deadline) in (int, float):
+        try:
+            seconds = float(deadline)
+        except OverflowError:  # an int too large for a float
+            pass
+    if not (math.isfinite(seconds) and seconds >= 0):
         raise ValueError(
             "deadline must be null or a finite non-negative number, "
             f"not {deadline!r}"
         )
-    return deadline
+    return seconds
 
 
 def _hung_up(read) -> bool:

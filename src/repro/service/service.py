@@ -326,6 +326,10 @@ class MatchService:
         cache is consulted: a str-labelled query never hits an
         int-labelled one's entry.
         """
+        # Seconds as a float before a slot is taken: an int too large
+        # for one raises OverflowError here, not on the clock below
+        # with the slot held.
+        budget = self.default_deadline if deadline is None else float(deadline)
         self._engine.check_labels(query)
         # The query's half of the key is the graph-independent one:
         # taken before the lock.
@@ -353,7 +357,6 @@ class MatchService:
                 raise ServiceBusy(self.queue_depth, RETRY_AFTER)
             self._admitted += 1
             self.cache_misses += 1
-        budget = self.default_deadline if deadline is None else deadline
         engine = self._engine
         settled = Future()
         started = time.monotonic()

@@ -88,6 +88,17 @@ class TestNativeFormat:
         with pytest.raises(ParseError, match="malformed record"):
             parse_native(io.StringIO(text))
 
+    @pytest.mark.parametrize("text, refusal", [
+        ("v 2\nl 0 A\nv 2\nl 1 B\n", "line 3: a second 'v' header"),
+        ("v 1\nl 0 A\nl 0 B\n", "line 3: a second 'l' record for vertex 0"),
+    ], ids=["v-header", "l-record"])
+    def test_a_repeated_record_is_refused(self, text, refusal):
+        """A second ``v`` header once dropped every label read before
+        it, and a second ``l`` record for a vertex once replaced the
+        first: either text parsed to a graph it does not describe."""
+        with pytest.raises(ParseError, match=refusal):
+            parse_native(io.StringIO(text))
+
     @pytest.mark.parametrize("edge", ["e 0 5", "e 0 -1", "e"])
     def test_a_hyperedge_the_graph_refuses_is_a_parse_error(self, edge):
         """Not the constructor's ``HypergraphError``: a parser of

@@ -578,6 +578,25 @@ def test_deadline_exceeded_cancels_remotely(service_instance):
 
 
 @pytest.mark.usefixtures("pool_route")
+def test_a_deadline_too_large_for_a_float_holds_no_slot(service_instance):
+    """An int deadline past a float's range is refused before
+    admission: it once overflowed on the pool route's clock with its
+    slot taken, so a one-slot service answered BUSY for good."""
+    data, queries, expected = service_instance
+    engine = HGMatch(data, index_backend="bitset")
+    service = MatchService(engine, shards=1, queue_depth=1)
+    try:
+        with pytest.raises(OverflowError):
+            service.submit(queries[0], deadline=10**400)
+        assert (
+            service.match(queries[0]).embeddings == expected["bitset"][0]
+        )
+    finally:
+        service.close()
+        engine.close()
+
+
+@pytest.mark.usefixtures("pool_route")
 def test_client_cancel_mid_flight(service_instance):
     data, queries, expected = service_instance
     plan = FaultPlan()
@@ -1206,15 +1225,21 @@ def test_daemon_refuses_a_query_the_parser_refuses(service_instance, text):
     {"deadline": float("nan")},
     {"deadline": [1]},
     {"deadline": True},
+    {"deadline": 10**400},
     {"op": "standing", "order": 5},
-], ids=lambda fields: repr(fields))
+], ids=lambda fields: repr(fields)[:40])
+@pytest.mark.usefixtures("pool_route")
 def test_daemon_refuses_a_malformed_order_or_deadline(
     service_instance, fields,
 ):
     """``order`` is null or a list of ints (on a ``standing`` request
     too), ``deadline`` null or a finite number >= 0: anything else is a
     ``bad request`` reply — not a dropped connection or an untyped
-    message — and the same connection then answers a real query."""
+    message — and the same connection then answers a real query.  On
+    the pool route, where the service spends a deadline on its clock:
+    an integer too large for a float (sent as raw JSON digits) once
+    overflowed there, dropped the connection and held its admission
+    slot for good."""
     data, queries, expected = service_instance
     engine = HGMatch(data, index_backend="bitset")
     service = MatchService(engine, shards=1)
